@@ -43,6 +43,14 @@ grep -q '"cycles": \[\]' lint-report.json || {
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "== perfbench smoke + determinism tests (the benchmark's own guards)"
+# perfbench is a workspace of its own, so the step above does not see it.
+# Its tests run every workload at --smoke scale and fail on a broken
+# workload-shape guard, a wrong answer or a run that does not repeat — so
+# an engine change that breaks the benchmark fails here, not in the
+# benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke: query-path I/O trajectory vs committed baseline"
 # Deterministic cold-decode counts (seeded corpus, serial execution):
 # fails on a >20 % regression against BENCH_query.json, and the run

@@ -11,10 +11,11 @@ use crate::plan::logical::{PlanNode, ScanLeaf, ScanMode, TopKStrategy};
 use crate::plan::parse::{self, ParseError, Span};
 use crate::query::Query;
 use crate::request::{QueryAlgorithm, QueryRequest};
+use crate::semantics::MAX_KEYWORDS;
 use xtk_index::XmlIndex;
 
-/// Compilation failure: either the text is malformed, or a keyword is
-/// not in the corpus vocabulary.
+/// Compilation failure: the text is malformed, a keyword is not in the
+/// corpus vocabulary, or there are more keywords than the engines take.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The query string is malformed (see [`ParseError`]).
@@ -27,6 +28,13 @@ pub enum PlanError {
         /// Where it sits in the input.
         span: Span,
     },
+    /// More than [`MAX_KEYWORDS`] keywords.
+    TooManyKeywords {
+        /// How many the query has.
+        count: usize,
+        /// The first keyword over the limit.
+        span: Span,
+    },
 }
 
 impl PlanError {
@@ -35,7 +43,7 @@ impl PlanError {
     pub fn render(&self, input: &str) -> String {
         match self {
             PlanError::Parse(e) => e.render(input),
-            PlanError::UnknownKeyword { span, .. } => {
+            PlanError::UnknownKeyword { span, .. } | PlanError::TooManyKeywords { span, .. } => {
                 let mut out = format!("query bind error: {self}");
                 if let Some(caret) = parse::caret_line(input, *span) {
                     out.push_str(&caret);
@@ -52,6 +60,9 @@ impl std::fmt::Display for PlanError {
             PlanError::Parse(e) => e.fmt(f),
             PlanError::UnknownKeyword { word, .. } => {
                 write!(f, "keyword `{word}` does not occur in the corpus")
+            }
+            PlanError::TooManyKeywords { count, .. } => {
+                write!(f, "query has {count} keywords; at most {MAX_KEYWORDS} are supported")
             }
         }
     }
@@ -73,6 +84,9 @@ pub fn compile(
     base: &QueryRequest,
 ) -> Result<(Query, QueryRequest), PlanError> {
     let parsed = parse::parse(text)?;
+    if let Some(&span) = parsed.keyword_spans.get(MAX_KEYWORDS) {
+        return Err(PlanError::TooManyKeywords { count: parsed.keywords.len(), span });
+    }
     let mut terms = Vec::with_capacity(parsed.keywords.len());
     for (word, &span) in parsed.keywords.iter().zip(&parsed.keyword_spans) {
         match ix.term_id(word) {
@@ -204,6 +218,26 @@ mod tests {
         let rendered = err.render(text);
         assert!(rendered.contains("^^^^"), "{rendered}");
         assert!(compile(&ix, "", &QueryRequest::default()).is_err());
+    }
+
+    #[test]
+    fn too_many_keywords_span_the_first_one_over_the_limit() {
+        let ix = ix();
+        let words: Vec<String> = (0..=MAX_KEYWORDS).map(|i| format!("w{i}")).collect();
+        let text = words.join(" ");
+        let err = compile(&ix, &text, &QueryRequest::default()).unwrap_err();
+        let PlanError::TooManyKeywords { count, span } = &err else {
+            panic!("{err:?}");
+        };
+        assert_eq!(*count, MAX_KEYWORDS + 1);
+        assert_eq!(text.get(span.start..span.end), Some("w32"));
+        assert!(err.render(&text).contains("^^^"));
+        // At the limit the count check passes and binding proceeds.
+        let at_limit = words[..MAX_KEYWORDS].join(" ");
+        assert!(matches!(
+            compile(&ix, &at_limit, &QueryRequest::default()),
+            Err(PlanError::UnknownKeyword { .. })
+        ));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Query representation.
 
+use crate::semantics::MAX_KEYWORDS;
 use xtk_index::{TermId, XmlIndex};
 
 /// The LCA-based result semantics (paper §II-A).
@@ -44,6 +45,9 @@ pub enum QueryError {
     Empty,
     /// The same keyword appeared twice.
     Duplicate(String),
+    /// More than [`MAX_KEYWORDS`] keywords (the engines track the
+    /// keywords a node has seen in a `u32` mask); carries the count.
+    TooManyKeywords(usize),
 }
 
 impl std::fmt::Display for QueryError {
@@ -52,6 +56,9 @@ impl std::fmt::Display for QueryError {
             QueryError::UnknownKeyword(w) => write!(f, "keyword {w:?} does not occur in the corpus"),
             QueryError::Empty => write!(f, "query has no keywords"),
             QueryError::Duplicate(w) => write!(f, "keyword {w:?} appears more than once"),
+            QueryError::TooManyKeywords(n) => {
+                write!(f, "query has {n} keywords; at most {MAX_KEYWORDS} are supported")
+            }
         }
     }
 }
@@ -69,6 +76,9 @@ impl Query {
     pub fn from_words<S: AsRef<str>>(index: &XmlIndex, words: &[S]) -> Result<Self, QueryError> {
         if words.is_empty() {
             return Err(QueryError::Empty);
+        }
+        if words.len() > MAX_KEYWORDS {
+            return Err(QueryError::TooManyKeywords(words.len()));
         }
         let mut terms = Vec::with_capacity(words.len());
         for w in words {
@@ -129,6 +139,18 @@ mod tests {
         let ix = ix();
         assert!(matches!(Query::parse(&ix, "  "), Err(QueryError::Empty)));
         assert!(matches!(Query::parse(&ix, "xml xml"), Err(QueryError::Duplicate(_))));
+    }
+
+    #[test]
+    fn more_than_max_keywords_rejected() {
+        let words: Vec<String> = (0..=MAX_KEYWORDS).map(|i| format!("w{i}")).collect();
+        let xml = format!("<r>{}</r>", words.join(" "));
+        let ix = XmlIndex::build(parse(&xml).unwrap());
+        assert!(Query::from_words(&ix, &words[..MAX_KEYWORDS]).is_ok());
+        assert_eq!(
+            Query::from_words(&ix, &words),
+            Err(QueryError::TooManyKeywords(MAX_KEYWORDS + 1))
+        );
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! [`Bucket`] maintains the partial results keyed by JDewey number with a
 //! per-keyword seen-mask (so a duplicate occurrence of the same keyword
 //! under the same node is ignored — the first arrival carries the maximum
-//! damped score because retrieval is score-ordered), plus one lazy max-heap
-//! per mask for `ms(G_P)`.
+//! damped score because retrieval is score-ordered), plus one group per
+//! mask holding a lazy max-heap and the cached, validated `ms(G_P)`.
 
 use crate::semantics::full_mask;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// `f32` with a total order, for heap keys (scores are always finite).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +34,30 @@ impl PartialOrd for F32Ord {
 impl Ord for F32Ord {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
+    }
+}
+
+/// Multiplicative (Fibonacci) hasher for the bucket's `u32` JDewey keys.
+/// The keys are dense integers minted by the index builder, never text
+/// from outside the program, so SipHash's flooding resistance buys nothing
+/// here and costs a third of an insert.  The rotation moves the product's
+/// well-mixed high bits into the low bits the table indexes by.
+#[derive(Debug, Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -73,22 +98,34 @@ impl BucketStats {
     }
 }
 
+/// One non-full mask's partial results: `ms(G_P)` bookkeeping.
+#[derive(Debug)]
+struct Group {
+    mask: u32,
+    /// The live entry with the largest `(sum, value)` in this group, or
+    /// `None` when unknown.  Invariant: `Some((sum, value))` implies
+    /// `entries[value] == Entry { mask, sum }` and no live entry of the
+    /// group is larger.  A push can only raise it; it is reset to `None`
+    /// exactly when that entry leaves the group (gains a keyword), and
+    /// re-derived from the heap by the next `threshold`.
+    top: Option<(f32, u32)>,
+    /// Lazy max-heap of every `(sum, value)` pushed; items whose entry has
+    /// since left the group are skipped by checking against `entries`.
+    heap: BinaryHeap<(F32Ord, u32)>,
+}
+
 /// The star-join hash bucket with per-subset group maxima.
 #[derive(Debug)]
 pub struct Bucket {
     k: usize,
     full: u32,
-    entries: HashMap<u32, Entry>,
-    /// Per-mask lazy max-heap of `(sum, value)`; stale tops are skipped by
-    /// checking against `entries`.
-    groups: HashMap<u32, BinaryHeap<(F32Ord, u32)>>,
-    /// The keys of `groups`, kept sorted incrementally (binary-insert on
-    /// a new mask, removal when a group drains).  `threshold` runs per
-    /// retrieval step, so iterating this instead of collecting + sorting
-    /// the hash keys each call takes the O(m log m) sort off the hot path
-    /// — and keeps the iteration order deterministic (never the hash
-    /// map's).
-    mask_order: Vec<u32>,
+    entries: HashMap<u32, Entry, BuildHasherDefault<MulHasher>>,
+    /// One group per mask seen, sorted by mask: `threshold` runs per
+    /// retrieval step and visits them in this (deterministic, never the
+    /// hash map's) order.  At most `2^k − 2` and in practice a handful, so
+    /// a binary search beats a hash probe; drained groups stay (empty) so
+    /// `clear` keeps their heap allocations for the next column.
+    groups: Vec<Group>,
     stats: BucketStats,
 }
 
@@ -98,14 +135,24 @@ impl Bucket {
         Self {
             k,
             full: full_mask(k),
-            entries: HashMap::new(),
-            groups: HashMap::new(),
-            mask_order: Vec::new(),
+            entries: HashMap::default(),
+            groups: Vec::new(),
             stats: BucketStats::default(),
         }
     }
 
-    /// Insert-path counters accumulated since construction.
+    /// Empties the bucket and zeroes its counters, keeping every
+    /// allocation — the per-column restart of the top-K stream.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        for g in &mut self.groups {
+            g.top = None;
+            g.heap.clear();
+        }
+        self.stats = BucketStats::default();
+    }
+
+    /// Insert-path counters accumulated since construction or `clear`.
     pub fn stats(&self) -> BucketStats {
         self.stats
     }
@@ -136,21 +183,45 @@ impl Bucket {
             self.stats.duplicates += 1;
             return None;
         }
+        let old = entry.mask;
         entry.mask |= bit;
         entry.sum += damped;
-        if entry.mask == self.full {
-            let sum = entry.sum;
+        let (mask, sum) = (entry.mask, entry.sum);
+        // The entry leaves its old group: the one event that can
+        // invalidate that group's cached top.
+        if old != 0 {
+            if let Ok(i) = self.groups.binary_search_by_key(&old, |g| g.mask) {
+                if let Some(g) = self.groups.get_mut(i) {
+                    if g.top.is_some_and(|(_, v)| v == value) {
+                        g.top = None;
+                    }
+                }
+            }
+        }
+        if mask == self.full {
             self.entries.remove(&value);
             self.stats.completions += 1;
             return Some(Completed { value, score: sum });
         }
-        let (mask, sum) = (entry.mask, entry.sum);
-        if !self.groups.contains_key(&mask) {
-            if let Err(i) = self.mask_order.binary_search(&mask) {
-                self.mask_order.insert(i, mask);
+        let i = match self.groups.binary_search_by_key(&mask, |g| g.mask) {
+            Ok(i) => i,
+            Err(i) => {
+                self.groups.insert(i, Group { mask, top: None, heap: BinaryHeap::new() });
+                i
             }
+        };
+        if let Some(g) = self.groups.get_mut(i) {
+            // An unknown top over a non-empty heap stays unknown: only
+            // `threshold` can tell which of the older items are live.
+            let raises = match g.top {
+                Some((ts, tv)) => (F32Ord(sum), value) > (F32Ord(ts), tv),
+                None => g.heap.is_empty(),
+            };
+            if raises {
+                g.top = Some((sum, value));
+            }
+            g.heap.push((F32Ord(sum), value));
         }
-        self.groups.entry(mask).or_default().push((F32Ord(sum), value));
         None
     }
 
@@ -162,42 +233,28 @@ impl Bucket {
         debug_assert_eq!(s.len(), self.k);
         // Case 1: results completely unseen in every relation.
         let mut best: f32 = s.iter().sum();
-        // Case 2: one term per non-empty group, visited in the
-        // incrementally-sorted mask order (deterministic, no per-call
-        // sort); groups that turn out fully stale are dropped in place.
-        let mut mi = 0usize;
-        while let Some(&mask) = self.mask_order.get(mi) {
-            let Some(heap) = self.groups.get_mut(&mask) else {
-                self.mask_order.remove(mi);
-                continue;
-            };
-            // Pop stale tops: the entry moved to another mask or completed.
-            let ms = loop {
-                match heap.peek() {
-                    None => break None,
-                    Some(&(F32Ord(sum), value)) => {
-                        match self.entries.get(&value) {
-                            Some(e) if e.mask == mask && e.sum == sum => break Some(sum),
-                            _ => {
-                                heap.pop();
-                            }
-                        }
+        // Case 2: one term per non-empty group, in mask order.  A cached
+        // top costs no hash probe; an unknown one is re-derived by popping
+        // stale heap items (entry moved to another mask or completed).
+        let entries = &self.entries;
+        for g in &mut self.groups {
+            if g.top.is_none() {
+                while let Some(&(F32Ord(sum), value)) = g.heap.peek() {
+                    if entries.get(&value).is_some_and(|e| e.mask == g.mask && e.sum == sum) {
+                        g.top = Some((sum, value));
+                        break;
                     }
+                    g.heap.pop();
                 }
-            };
-            let Some(ms) = ms else {
-                self.groups.remove(&mask);
-                self.mask_order.remove(mi);
-                continue;
-            };
+            }
+            let Some((ms, _)) = g.top else { continue };
             let mut bound = ms;
             for (j, &sj) in s.iter().enumerate() {
-                if mask & (1 << j) == 0 {
+                if g.mask & (1 << j) == 0 {
                     bound += sj;
                 }
             }
             best = best.max(bound);
-            mi += 1;
         }
         best
     }
@@ -288,6 +345,119 @@ mod tests {
         // use the {0,1} group.
         let t = b.threshold(&[0.0, 0.0, 0.1]);
         assert!((t - (0.95 + 0.1)).abs() < 1e-6, "got {t}");
+    }
+
+    #[test]
+    fn cached_top_is_dropped_when_its_entry_leaves_and_groups_drain() {
+        let mut b = Bucket::new(3);
+        b.insert(1, 0, 0.9);
+        b.insert(2, 0, 0.5);
+        let s = [0.0, 0.25, 0.125];
+        // Group {0}: top is (1, 0.9), now cached.
+        assert_eq!(b.threshold(&s), 0.9 + 0.25 + 0.125);
+        // Entry 1 gains keyword 1 and leaves group {0}, whose best is now
+        // entry 2; group {0,1} holds (1, 1.0).
+        b.insert(1, 1, 0.1);
+        assert_eq!(b.threshold(&s), (1.0f32 + 0.125).max(0.5 + 0.25 + 0.125));
+        // Entry 2 follows: group {0} is drained and contributes nothing.
+        b.insert(2, 1, 0.1);
+        assert_eq!(b.threshold(&s), 1.0 + 0.125);
+        // Both complete: only the all-unseen term is left.
+        assert!(b.insert(1, 2, 0.1).is_some());
+        assert!(b.insert(2, 2, 0.1).is_some());
+        assert_eq!(b.threshold(&s), 0.25 + 0.125);
+        // `clear` restarts the counters and keeps nothing.
+        assert_eq!(b.stats(), BucketStats { inserts: 6, duplicates: 0, completions: 2 });
+        b.insert(5, 0, 0.5);
+        b.clear();
+        assert_eq!((b.len(), b.stats()), (0, BucketStats::default()));
+        assert_eq!(b.threshold(&s), 0.25 + 0.125);
+    }
+
+    /// The bucket's contract stated as directly as possible: a flat list
+    /// of partial results, every group maximum recomputed by a full scan.
+    struct NaiveBucket {
+        k: usize,
+        entries: Vec<(u32, u32, f32)>,
+        stats: BucketStats,
+    }
+
+    impl NaiveBucket {
+        fn insert(&mut self, value: u32, kw: usize, damped: f32) -> Option<Completed> {
+            self.stats.inserts += 1;
+            let i = match self.entries.iter().position(|e| e.0 == value) {
+                Some(i) => i,
+                None => {
+                    self.entries.push((value, 0, 0.0));
+                    self.entries.len() - 1
+                }
+            };
+            let e = &mut self.entries[i];
+            if e.1 & (1 << kw) != 0 {
+                self.stats.duplicates += 1;
+                return None;
+            }
+            e.1 |= 1 << kw;
+            e.2 += damped;
+            if e.1 != full_mask(self.k) {
+                return None;
+            }
+            let (value, _, score) = self.entries.remove(i);
+            self.stats.completions += 1;
+            Some(Completed { value, score })
+        }
+
+        fn threshold(&self, s: &[f32]) -> f32 {
+            let mut masks: Vec<u32> = self.entries.iter().map(|e| e.1).collect();
+            masks.sort_unstable();
+            masks.dedup();
+            let mut best: f32 = s.iter().sum();
+            for mask in masks {
+                let group = self.entries.iter().filter(|e| e.1 == mask);
+                let mut bound = group.map(|e| e.2).fold(f32::NEG_INFINITY, f32::max);
+                for (j, &sj) in s.iter().enumerate() {
+                    if mask & (1 << j) == 0 {
+                        bound += sj;
+                    }
+                }
+                best = best.max(bound);
+            }
+            best
+        }
+    }
+
+    #[test]
+    fn random_inserts_match_the_naive_model_bit_for_bit() {
+        use xtk_xml::testutil::prop_check;
+        prop_check(0x5b, 200, |g| {
+            let k = g.gen_range(1..7usize);
+            // Few distinct values: duplicates, regrouping and completions
+            // (then re-insertion of a completed value) all happen often.
+            let values = g.gen_range(1..(g.size() / 4 + 3)) as u32;
+            // Every step, or rarely: a threshold re-derives cached tops, so
+            // long insert-only stretches reach states a per-step check
+            // never sees.
+            let check = if g.gen_bool(0.5) { 1.0 } else { 0.2 };
+            let mut real = Bucket::new(k);
+            let mut naive = NaiveBucket { k, entries: Vec::new(), stats: BucketStats::default() };
+            for _ in 0..4 * g.size() {
+                if g.gen_bool(0.02) {
+                    real.clear();
+                    naive.entries.clear();
+                    naive.stats = BucketStats::default();
+                }
+                let (value, kw) = (g.gen_range(0..values), g.gen_range(0..k));
+                // A coarse grid makes equal sums (heap ties) common.
+                let damped = g.gen_range(1..9u32) as f32 / 8.0;
+                let (got, want) = (real.insert(value, kw, damped), naive.insert(value, kw, damped));
+                assert_eq!(got.map(|c| (c.value, c.score.to_bits())), want.map(|c| (c.value, c.score.to_bits())));
+                assert_eq!((real.len(), real.stats()), (naive.entries.len(), naive.stats));
+                if g.gen_bool(check) {
+                    let s: Vec<f32> = (0..k).map(|_| g.gen_range(0..9u32) as f32 / 8.0).collect();
+                    assert_eq!(real.threshold(&s).to_bits(), naive.threshold(&s).to_bits());
+                }
+            }
+        });
     }
 
     #[test]

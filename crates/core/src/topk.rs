@@ -29,7 +29,8 @@
 //! value)` candidates.  The drains are independent (each reads only its
 //! own keyword's erasure bitmap and positions), so with
 //! [`TopKOptions::parallelism`] above serial they run concurrently on the
-//! scoped pool.  Everything behind the batches — the star-join bucket, the
+//! scoped pool (on copies of the cursors; the serial refill drains in
+//! place and allocates nothing).  Everything behind the batches — the star-join bucket, the
 //! erasure commits, and the TA-style threshold check — stays strictly
 //! sequential: the threshold compares a *global* bound against the pending
 //! heap, and the interleaving of consumed rows must follow the score order
@@ -45,15 +46,15 @@ use crate::result::ScoredResult;
 use crate::starjoin::{Bucket, F32Ord};
 use std::collections::{BinaryHeap, VecDeque};
 use xtk_index::score::Damping;
-use xtk_index::{TermData, XmlIndex};
+use xtk_index::scored::Segment;
+use xtk_index::{Run, TermData, XmlIndex};
 use xtk_obs::{EventKind, Obs};
 
 /// Rows drained per keyword per refill.
 const BATCH: usize = 64;
 
-/// One keyword's refill: the scored `(row, damped, value)` candidates
-/// plus the advanced segment positions.
-type Drained = (Vec<(u32, f32, u32)>, Vec<usize>);
+/// One drained candidate: `(row, damped score, joined value)`.
+type Candidate = (u32, f32, u32);
 
 /// Which unseen-result bound gates the non-blocking output (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,7 +107,17 @@ pub struct TopKStats {
     pub emitted_early: u64,
 }
 
+/// Advances `*i` past the rows of `seg` erased as of the call and returns
+/// the row it stops at (`None` at the end of the segment).
+fn skip_erased(seg: &Segment, i: &mut usize, eraser: &Eraser) -> Option<u32> {
+    while seg.rows.get(*i).is_some_and(|&r| eraser.is_erased(r)) {
+        *i += 1;
+    }
+    seg.rows.get(*i).copied()
+}
+
 /// Per-keyword score-ordered cursors over the length segments.
+#[derive(Clone)]
 struct Cursors<'a> {
     term: &'a TermData,
     /// Per segment: next index into `segment.rows` for the **current
@@ -116,12 +127,15 @@ struct Cursors<'a> {
     /// "head" used for future-column bounds (never reset; only advances as
     /// erasures grow).
     head: Vec<usize>,
+    /// Scratch of [`Cursors::drain`]: the current non-erased head
+    /// `(segment, row, damped)` of every segment still live at the column.
+    seg_heads: Vec<(usize, u32, f32)>,
 }
 
 impl<'a> Cursors<'a> {
     fn new(term: &'a TermData) -> Self {
         let n = term.segments.len();
-        Self { term, pos: vec![0; n], head: vec![0; n] }
+        Self { term, pos: vec![0; n], head: vec![0; n], seg_heads: Vec::with_capacity(n) }
     }
 
     fn reset_for_column(&mut self) {
@@ -136,11 +150,10 @@ impl<'a> Cursors<'a> {
             if seg.len < level {
                 continue;
             }
-            let Some(h) = self.head.get_mut(si) else { continue };
-            while seg.rows.get(*h).is_some_and(|&r| eraser.is_erased(r)) {
-                *h += 1;
-            }
-            let Some(&row) = seg.rows.get(*h) else { continue };
+            let Some(row) = self.head.get_mut(si).and_then(|h| skip_erased(seg, h, eraser))
+            else {
+                continue;
+            };
             let g = self.term.scores.get(row as usize).copied().unwrap_or(0.0);
             best = best.max(g * damping.factor(seg.len - level));
         }
@@ -152,71 +165,84 @@ impl<'a> Cursors<'a> {
     fn has_len(&self, level: u16) -> bool {
         self.term.segments.iter().any(|s| s.len == level)
     }
-}
 
-/// Drains up to `cap` rows for one keyword at `level` in descending
-/// damped-score order (ties broken by segment index then segment
-/// position, exactly like the serial cursor merge), starting from segment
-/// positions `start_pos` and skipping rows erased as of the call.
-///
-/// Pure with respect to the stream: it returns the scored candidates
-/// `(row, damped score, joined value)` plus the advanced positions, so
-/// several keywords can be drained concurrently and the results committed
-/// back deterministically.
-fn drain_batch(
-    term: &TermData,
-    start_pos: &[usize],
-    level: u16,
-    eraser: &Eraser,
-    damping: &Damping,
-    cap: usize,
-) -> Drained {
-    let mut pos = start_pos.to_vec();
-    let Some(col) = (level as usize).checked_sub(1).and_then(|i| term.columns.get(i)) else {
-        return (Vec::new(), pos);
-    };
-    let mut out = Vec::new();
-    // Galloping hint into the column's runs: consecutive retrieved rows
-    // are often close (a segment's rows cluster), so restarting the
-    // `value_of_row` search near the previous hit beats a full binary
-    // search; a stale hint just restarts, never changes the answer.
-    let mut vhint = 0usize;
-    while out.len() < cap {
-        let mut best: Option<(usize, f32)> = None;
+    /// Advances segment `si` past rows erased as of the call and returns
+    /// its head `(si, row, damped score at level)`, or `None` when the
+    /// segment is used up.
+    fn seg_head(
+        &mut self,
+        si: usize,
+        level: u16,
+        eraser: &Eraser,
+        damping: &Damping,
+    ) -> Option<(usize, u32, f32)> {
+        let seg = self.term.segments.get(si)?;
+        let row = skip_erased(seg, self.pos.get_mut(si)?, eraser)?;
+        let g = self.term.scores.get(row as usize).copied().unwrap_or(0.0);
+        Some((si, row, g * damping.factor(seg.len - level)))
+    }
+
+    /// Refills `out` with up to `cap` rows at `level` in descending
+    /// damped-score order (ties broken by segment index then segment
+    /// position), continuing from `self.pos` and skipping rows erased as
+    /// of the call.
+    ///
+    /// Touches only this keyword's state, so several keywords can be
+    /// drained concurrently.  Each segment's head is derived once and
+    /// re-derived only after the segment is advanced: the eraser cannot
+    /// change during the call, so every other head stays what it was.
+    fn drain(
+        &mut self,
+        level: u16,
+        eraser: &Eraser,
+        damping: &Damping,
+        cap: usize,
+        out: &mut VecDeque<Candidate>,
+    ) {
+        out.clear();
+        let Some(col) = (level as usize).checked_sub(1).and_then(|i| self.term.columns.get(i))
+        else {
+            return;
+        };
+        let mut heads = std::mem::take(&mut self.seg_heads);
+        heads.clear();
+        let term = self.term;
         for (si, seg) in term.segments.iter().enumerate() {
-            if seg.len < level {
-                continue;
+            if seg.len >= level {
+                heads.extend(self.seg_head(si, level, eraser, damping));
             }
-            let Some(p) = pos.get_mut(si) else { continue };
-            while seg.rows.get(*p).is_some_and(|&r| eraser.is_erased(r)) {
+        }
+        // Galloping hint into the column's runs: consecutive retrieved rows
+        // are often close (a segment's rows cluster), so restarting the
+        // `value_of_row` search near the previous hit beats a full binary
+        // search; a stale hint just restarts, never changes the answer.
+        let mut vhint = 0usize;
+        while out.len() < cap {
+            // First strict maximum: the lowest segment index wins a tie.
+            let mut best: Option<(usize, (usize, u32, f32))> = None;
+            for (hi, &h) in heads.iter().enumerate() {
+                if best.is_none_or(|(_, b)| h.2 > b.2) {
+                    best = Some((hi, h));
+                }
+            }
+            let Some((hi, (si, row, damped))) = best else { break };
+            if let Some(p) = self.pos.get_mut(si) {
                 *p += 1;
             }
-            let Some(&row) = seg.rows.get(*p) else { continue };
-            let g = term.scores.get(row as usize).copied().unwrap_or(0.0);
-            let damped = g * damping.factor(seg.len - level);
-            if best.is_none_or(|(_, b)| damped > b) {
-                best = Some((si, damped));
+            match (self.seg_head(si, level, eraser, damping), heads.get_mut(hi)) {
+                (Some(next), Some(slot)) => *slot = next,
+                _ => {
+                    heads.remove(hi);
+                }
             }
+            // Retrieved rows reach this level by construction (seg.len >= level).
+            let (h, found) = col.value_of_row_hinted(row, vhint);
+            vhint = h;
+            let Some(value) = found else { break };
+            out.push_back((row, damped, value));
         }
-        let Some((si, damped)) = best else { break };
-        let Some(&row) = term
-            .segments
-            .get(si)
-            .zip(pos.get(si))
-            .and_then(|(seg, &p)| seg.rows.get(p))
-        else {
-            break;
-        };
-        if let Some(p) = pos.get_mut(si) {
-            *p += 1;
-        }
-        // Retrieved rows reach this level by construction (seg.len >= level).
-        let (h, found) = col.value_of_row_hinted(row, vhint);
-        vhint = h;
-        let Some(value) = found else { break };
-        out.push((row, damped, value));
+        self.seg_heads = heads;
     }
-    (out, pos)
 }
 
 /// Runs the join-based top-K algorithm, returning at most `opts.k` results
@@ -260,6 +286,27 @@ pub(crate) fn publish_topk_stats(stats: &TopKStats, obs: &Obs) {
     obs.metrics.add("topk.emitted_early", stats.emitted_early);
 }
 
+/// One keyword's queue of drained candidates for the current column.
+#[derive(Default)]
+struct Batch {
+    /// Candidates in retrieval order.
+    queue: VecDeque<Candidate>,
+    /// The current column has no further rows to drain.
+    exhausted: bool,
+    /// The head may be erased or missing.  Set for the keyword a row was
+    /// just popped from, and for every keyword after an erasure or a
+    /// column change — the only events that can change a validated head —
+    /// so `ensure_heads` re-checks nothing else.
+    dirty: bool,
+}
+
+impl Batch {
+    /// `s^i`: the damped score of the next row, 0 without one.
+    fn head_score(&self) -> f32 {
+        self.queue.front().map_or(0.0, |&(_, d, _)| d)
+    }
+}
+
 /// Resumable top-K execution: an [`Iterator`] yielding results in valid
 /// rank order (each yielded result's score is at least every later one's).
 ///
@@ -277,11 +324,10 @@ pub struct TopKStream<'a> {
     k_hint: usize,
     erasers: Vec<Eraser>,
     cursors: Vec<Cursors<'a>>,
-    /// Per-keyword queue of drained candidates `(row, damped, value)` for
-    /// the current column, heads kept non-erased lazily.
-    batches: Vec<VecDeque<(u32, f32, u32)>>,
-    /// Per keyword: the current column has no further rows to drain.
-    exhausted: Vec<bool>,
+    batches: Vec<Batch>,
+    /// Per keyword: the damped score of the batch head (`s^i`), 0 when the
+    /// keyword has none.  Kept by `ensure_heads`; current once it returns.
+    s: Vec<f32>,
     parallelism: Parallelism,
     pending: BinaryHeap<(F32Ord, u16, u32)>,
     stats: TopKStats,
@@ -290,10 +336,19 @@ pub struct TopKStream<'a> {
     bucket: Bucket,
     rr: usize,
     s_max_col: Vec<f32>,
+    /// The future-column bound `max_{l'<l} Σ_i s_m^i(l')`: a function of
+    /// the level and the erasers only, so it is recomputed after an
+    /// erasure or a column change (`None`) and reused for every row
+    /// between.
+    future: Option<f32>,
     /// Per keyword: run-index hint for the candidate-run fetch in
     /// `step()`, carried between completions so the galloping `find`
     /// restarts near the previous hit (reset on column change).
     find_hints: Vec<usize>,
+    /// Scratch: keywords `ensure_heads` must refill.
+    needy: Vec<usize>,
+    /// Scratch: the matched runs of the candidate `step()` just completed.
+    runs: Vec<Run>,
     emitted: usize,
     obs: Obs,
     /// Bits of the last threshold recorded to the tracer, so
@@ -326,8 +381,8 @@ impl<'a> TopKStream<'a> {
             k_hint: opts.k.max(1),
             erasers: (0..k).map(|_| Eraser::new()).collect(),
             cursors,
-            batches: (0..k).map(|_| VecDeque::new()).collect(),
-            exhausted: vec![false; k],
+            batches: (0..k).map(|_| Batch::default()).collect(),
+            s: vec![0.0; k],
             parallelism: opts.parallelism,
             pending: BinaryHeap::new(),
             stats: TopKStats::default(),
@@ -335,7 +390,10 @@ impl<'a> TopKStream<'a> {
             bucket: Bucket::new(k.max(1)),
             rr: 0,
             s_max_col: vec![0.0; k],
+            future: None,
             find_hints: vec![0; k],
+            needy: Vec::with_capacity(k),
+            runs: Vec::with_capacity(k),
             emitted: 0,
             obs,
             last_threshold_bits: None,
@@ -369,70 +427,84 @@ impl<'a> TopKStream<'a> {
             .map(|c| c.runs.len() as u64)
             .sum();
         self.obs.event(EventKind::TopKColumn { level: self.level as u32, runs });
-        // The bucket restarts per column; fold the outgoing one's counters
-        // into the registry so `starjoin.*` totals span the whole query.
+        // The bucket restarts per column; fold the outgoing counters into
+        // the registry so `starjoin.*` totals span the whole query.
         self.bucket.stats().publish(&self.obs.metrics);
-        self.bucket = Bucket::new(self.terms.len());
+        self.bucket.clear();
         self.rr = 0;
-        for ((c, b), x) in
-            self.cursors.iter_mut().zip(self.batches.iter_mut()).zip(self.exhausted.iter_mut())
-        {
+        self.future = None;
+        for (c, b) in self.cursors.iter_mut().zip(self.batches.iter_mut()) {
             c.reset_for_column();
-            b.clear();
-            *x = false;
+            b.queue.clear();
+            b.exhausted = false;
+            b.dirty = true;
         }
         self.find_hints.iter_mut().for_each(|h| *h = 0);
         self.ensure_heads();
-        for (sm, b) in self.s_max_col.iter_mut().zip(&self.batches) {
-            *sm = b.front().map(|&(_, d, _)| d).unwrap_or(0.0);
-        }
+        self.s_max_col.copy_from_slice(&self.s);
     }
 
     /// Restores the invariant that every batch head is a non-erased row or
-    /// the keyword's column is exhausted.  Refills — the expensive part:
-    /// segment merging, erasure skipping and `value_of_row` scoring — run
-    /// on the pool when more than one keyword needs one.
+    /// the keyword's column is exhausted, and that `s` holds the heads'
+    /// scores.  Only dirty keywords are looked at.  Refills — the
+    /// expensive part: segment merging, erasure skipping and
+    /// `value_of_row` scoring — run on the pool when more than one keyword
+    /// needs one; a refill is filtered against the current erasure state,
+    /// so its head needs no second look.
     fn ensure_heads(&mut self) {
-        // Reused across refill passes so a multi-pass refill (heads kept
-        // getting erased under us) allocates the worklist only once.
-        let mut needy: Vec<usize> = Vec::with_capacity(self.terms.len());
-        loop {
-            for (b, e) in self.batches.iter_mut().zip(&self.erasers) {
-                while b.front().is_some_and(|&(row, _, _)| e.is_erased(row)) {
-                    b.pop_front();
+        self.needy.clear();
+        let heads = self.batches.iter_mut().zip(&self.erasers).zip(self.s.iter_mut());
+        for (i, ((b, e), s)) in heads.enumerate() {
+            if !std::mem::take(&mut b.dirty) {
+                continue;
+            }
+            while b.queue.front().is_some_and(|&(row, _, _)| e.is_erased(row)) {
+                b.queue.pop_front();
+            }
+            *s = b.head_score();
+            if b.queue.is_empty() && !b.exhausted {
+                self.needy.push(i);
+            }
+        }
+        if self.needy.is_empty() {
+            return;
+        }
+        let damping = self.ix.damping();
+        let l = self.level;
+        if self.parallelism.workers() > 1 && self.needy.len() > 1 {
+            self.obs.metrics.add("pool.refill_phases", 1);
+            self.obs.metrics.add("pool.refill_tasks", self.needy.len() as u64);
+            // Workers cannot share `&mut self`: each drains a copy of its
+            // keyword's cursors, committed back below in keyword order.
+            let (cursors, erasers) = (&self.cursors, &self.erasers);
+            let drained = parallel_map(self.parallelism, &self.needy, |_, &i| {
+                let mut c = cursors.get(i)?.clone();
+                let mut queue = VecDeque::new();
+                c.drain(l, erasers.get(i)?, damping, BATCH, &mut queue);
+                Some((c, queue))
+            });
+            for (&i, d) in self.needy.iter().zip(drained) {
+                if let (Some((c, queue)), Some(cur), Some(b)) =
+                    (d, self.cursors.get_mut(i), self.batches.get_mut(i))
+                {
+                    *cur = c;
+                    b.queue = queue;
                 }
             }
-            needy.clear();
-            needy.extend(
-                (0..self.terms.len())
-                    .filter(|&i| self.batches[i].is_empty() && !self.exhausted[i]),
-            );
-            if needy.is_empty() {
-                return;
-            }
-            let damping = self.ix.damping();
-            let l = self.level;
-            let refill = |i: usize| {
-                drain_batch(self.terms[i], &self.cursors[i].pos, l, &self.erasers[i], damping, BATCH)
-            };
-            let drained: Vec<Drained> =
-                if self.parallelism.workers() > 1 && needy.len() > 1 {
-                    self.obs.metrics.add("pool.refill_phases", 1);
-                    self.obs.metrics.add("pool.refill_tasks", needy.len() as u64);
-                    parallel_map(self.parallelism, &needy, |_, &i| refill(i))
-                } else {
-                    // lint:allow(L8, one refill-output Vec per phase, bounded by keyword count; parallel_map returns owned results anyway)
-                    needy.iter().map(|&i| refill(i)).collect()
-                };
-            for (&i, (rows, pos)) in needy.iter().zip(drained) {
-                if rows.is_empty() {
-                    self.exhausted[i] = true;
+        } else {
+            for &i in &self.needy {
+                if let (Some(c), Some(e), Some(b)) =
+                    (self.cursors.get_mut(i), self.erasers.get(i), self.batches.get_mut(i))
+                {
+                    c.drain(l, e, damping, BATCH, &mut b.queue);
                 }
-                self.batches[i] = rows.into();
-                self.cursors[i].pos = pos;
             }
-            // Freshly drained heads were filtered against the current
-            // erasure state, so the next pass terminates.
+        }
+        for &i in &self.needy {
+            if let (Some(b), Some(s)) = (self.batches.get_mut(i), self.s.get_mut(i)) {
+                b.exhausted = b.queue.is_empty();
+                *s = b.head_score();
+            }
         }
     }
 
@@ -440,19 +512,12 @@ impl<'a> TopKStream<'a> {
     /// column is exhausted.
     fn step(&mut self) -> bool {
         self.ensure_heads();
-        let k = self.terms.len();
-        let l = self.level;
-        let mut s = vec![0.0f32; k];
-        let mut any = false;
-        for (si, b) in s.iter_mut().zip(&self.batches) {
-            if let Some(&(_, d, _)) = b.front() {
-                *si = d;
-                any = true;
-            }
-        }
-        if !any {
+        if self.batches.iter().all(|b| b.queue.is_empty()) {
             return false;
         }
+        let k = self.terms.len();
+        let l = self.level;
+        let s = &self.s;
         // Pick the keyword: round-robin until k_hint candidates exist,
         // then highest next score (paper §IV-B step 1).
         let pick = if self.stats.candidates < self.k_hint as u64 {
@@ -477,12 +542,12 @@ impl<'a> TopKStream<'a> {
             }
             p
         };
-        let Some((_row, damped, value)) =
-            self.batches.get_mut(pick).and_then(|b| b.pop_front())
-        else {
+        let Some(b) = self.batches.get_mut(pick) else { return false };
+        let Some((_row, damped, value)) = b.queue.pop_front() else {
             // Unreachable when `pick` has a live head; treat as exhausted.
             return false;
         };
+        b.dirty = true;
         self.stats.rows_retrieved += 1;
         if let Some(done) = self.bucket.insert(value, pick, damped) {
             self.stats.candidates += 1;
@@ -490,23 +555,17 @@ impl<'a> TopKStream<'a> {
             // completed value is present in every column by construction.
             // Each keyword carries a galloping hint between completions —
             // completed values cluster, and a stale hint just restarts.
-            let mut runs = Vec::with_capacity(self.terms.len());
-            for (ti, t) in self.terms.iter().enumerate() {
-                let Some(col) =
-                    (l as usize).checked_sub(1).and_then(|i| t.columns.get(i))
+            self.runs.clear();
+            for (t, hint) in self.terms.iter().zip(self.find_hints.iter_mut()) {
+                let Some(col) = (l as usize).checked_sub(1).and_then(|i| t.columns.get(i))
                 else {
                     continue;
                 };
-                let hint = self.find_hints.get(ti).copied().unwrap_or(0);
-                let (lb, hit) = col.find_hinted(value, hint);
-                if let Some(h) = self.find_hints.get_mut(ti) {
-                    *h = lb;
-                }
-                if let Some(r) = hit {
-                    runs.push(*r);
-                }
+                let (lb, hit) = col.find_hinted(value, *hint);
+                *hint = lb;
+                self.runs.extend(hit.copied());
             }
-            if runs.len() != self.terms.len() {
+            if self.runs.len() != k {
                 return true; // inconsistent index; skip this candidate
             }
             let accept = match self.semantics {
@@ -514,14 +573,19 @@ impl<'a> TopKStream<'a> {
                 // per keyword — the operational ELCA condition.
                 Semantics::Elca => true,
                 // SLCA additionally requires no erased row underneath.
-                Semantics::Slca => runs
+                Semantics::Slca => self
+                    .runs
                     .iter()
                     .zip(&self.erasers)
                     .all(|(r, e)| !e.any_in(r.start, r.end())),
             };
-            for (r, e) in runs.iter().zip(self.erasers.iter_mut()) {
+            for (r, e) in self.runs.iter().zip(self.erasers.iter_mut()) {
                 e.erase(r.start, r.end());
             }
+            // Erased rows may sit at any batch head and under any segment
+            // head the future bound was built from.
+            self.batches.iter_mut().for_each(|b| b.dirty = true);
+            self.future = None;
             if accept {
                 self.pending.push((F32Ord(done.score), l, value));
             }
@@ -534,19 +598,22 @@ impl<'a> TopKStream<'a> {
     /// the paper's skip rule.
     fn threshold(&mut self) -> f32 {
         self.ensure_heads();
-        let damping = self.ix.damping();
-        let k = self.terms.len();
-        let l = self.level;
-        let mut s_now = vec![0.0f32; k];
-        for (si, b) in s_now.iter_mut().zip(&self.batches) {
-            if let Some(&(_, d, _)) = b.front() {
-                *si = d;
-            }
-        }
-        let mut threshold = match self.threshold_kind {
-            ThresholdKind::Tight => self.bucket.threshold(&s_now),
-            ThresholdKind::Classic => Bucket::classic_threshold(&s_now, &self.s_max_col),
+        let here = match self.threshold_kind {
+            ThresholdKind::Tight => self.bucket.threshold(&self.s),
+            ThresholdKind::Classic => Bucket::classic_threshold(&self.s, &self.s_max_col),
         };
+        here.max(self.future_bound())
+    }
+
+    /// `max_{l'<l} Σ_i s_m^i(l')` over the not-yet-processed columns
+    /// (`-∞` when there are none), memoised in `future`.
+    fn future_bound(&mut self) -> f32 {
+        if let Some(bound) = self.future {
+            return bound;
+        }
+        let damping = self.ix.damping();
+        let l = self.level;
+        let mut best = f32::NEG_INFINITY;
         for lf in (1..l).rev() {
             // Skip rule: a column below l-1 where no sequence ends is
             // dominated by the column above it.
@@ -557,9 +624,10 @@ impl<'a> TopKStream<'a> {
             for (c, e) in self.cursors.iter_mut().zip(&self.erasers) {
                 bound += c.future_max(lf, e, damping);
             }
-            threshold = threshold.max(bound);
+            best = best.max(bound);
         }
-        threshold
+        self.future = Some(best);
+        best
     }
 
     fn emit(&mut self, score: f32, level: u16, value: u32) -> Option<ScoredResult> {
@@ -845,6 +913,95 @@ mod tests {
         assert_eq!(n, all.len());
         assert_eq!(again.next(), None);
         assert_eq!(again.next(), None);
+    }
+
+    /// The merge `Cursors::drain` must reproduce: every row rescans,
+    /// rescores and redamps the head of every segment.
+    fn naive_drain(
+        term: &TermData,
+        pos: &mut [usize],
+        level: u16,
+        eraser: &Eraser,
+        damping: &Damping,
+        cap: usize,
+    ) -> Vec<Candidate> {
+        let col = &term.columns[level as usize - 1];
+        let mut out = Vec::new();
+        while out.len() < cap {
+            let mut best: Option<(usize, f32)> = None;
+            for (si, seg) in term.segments.iter().enumerate() {
+                if seg.len < level {
+                    continue;
+                }
+                while seg.rows.get(pos[si]).is_some_and(|&r| eraser.is_erased(r)) {
+                    pos[si] += 1;
+                }
+                let Some(&row) = seg.rows.get(pos[si]) else { continue };
+                let damped = term.scores[row as usize] * damping.factor(seg.len - level);
+                if best.is_none_or(|(_, b)| damped > b) {
+                    best = Some((si, damped));
+                }
+            }
+            let Some((si, damped)) = best else { break };
+            let row = term.segments[si].rows[pos[si]];
+            pos[si] += 1;
+            out.push((row, damped, col.value_of_row(row).unwrap()));
+        }
+        out
+    }
+
+    #[test]
+    fn drain_matches_the_rescanning_merge_under_random_erasure() {
+        use xtk_index::{IndexOptions, LocalScorer};
+        use xtk_xml::testutil::prop_check;
+        // Postings of `w` at five depths; pure tf–idf repeats the same three
+        // local scores at every depth, so segments interleave and tie.
+        let mut xml = String::from("<r>");
+        for i in 0..120 {
+            let text = "w ".repeat(1 + i % 3);
+            xml.push_str(&match i % 5 {
+                0 => format!("<a>{text}</a>"),
+                1 => format!("<a><b>{text}</b></a>"),
+                2 => format!("<a><b><c>{text}</c>{text}</b></a>"),
+                3 => format!("<a><b><c><d>{text}</d></c></b>{text}</a>"),
+                _ => format!("<a>{text}<b>{text}</b></a>"),
+            });
+        }
+        xml.push_str("</r>");
+        let opts = IndexOptions { scorer: LocalScorer::TfIdf, ..Default::default() };
+        let ix = XmlIndex::build_with(parse(&xml).unwrap(), opts);
+        let term = ix.term_by_str("w").unwrap();
+        assert!(term.segments.len() >= 4);
+        let rows = term.len() as u32;
+        // λ = 1 damps nothing: equal local scores then tie across
+        // segments, which is what the segment-index tie-break is for.
+        let flat = Damping::new(1.0);
+        prop_check(0x7d, 120, |g| {
+            let damping = if g.gen_bool(0.5) { &flat } else { ix.damping() };
+            let level = g.gen_range(1..term.max_len() + 1);
+            let cap = g.gen_range(1..40usize);
+            let mut eraser = Eraser::new();
+            let mut cursors = Cursors::new(term);
+            let mut pos = vec![0usize; term.segments.len()];
+            let mut queue = VecDeque::new();
+            loop {
+                // The stream erases between refills, never during one.
+                for _ in 0..g.gen_range(0..4u32) {
+                    let start = g.gen_range(0..rows);
+                    eraser.erase(start, (start + g.gen_range(1..12u32)).min(rows));
+                }
+                cursors.drain(level, &eraser, damping, cap, &mut queue);
+                let want = naive_drain(term, &mut pos, level, &eraser, damping, cap);
+                let bits = |c: &Candidate| (c.0, c.1.to_bits(), c.2);
+                assert_eq!(
+                    queue.iter().map(bits).collect::<Vec<_>>(),
+                    want.iter().map(bits).collect::<Vec<_>>()
+                );
+                if want.is_empty() {
+                    break;
+                }
+            }
+        });
     }
 
     #[test]

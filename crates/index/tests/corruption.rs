@@ -3,6 +3,7 @@
 //! error or — when the mutation happens to keep the file well-formed — a
 //! successful parse.  Never a panic.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use xtk_index::disk::{read_index, write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
@@ -15,6 +16,15 @@ use xtk_xml::prop_assert_eq;
 /// bit-flipped packed lanes get the same coverage as varint payloads.
 const FORMATS: [FormatVersion; 2] = [FormatVersion::V2, FormatVersion::V3];
 
+/// A temp path unique per call: the tests of this file run on parallel
+/// threads of one process, so the process id alone lets one thread remove
+/// the file another is about to read.
+fn unique_temp(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("xtk_corrupt_{}_{tag}_{n}.bin", std::process::id()))
+}
+
 fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
     let mut xml = String::from("<r>");
     for i in 0..120 {
@@ -22,11 +32,7 @@ fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
     }
     xml.push_str("</r>");
     let ix = XmlIndex::build(parse(&xml).unwrap());
-    let path = std::env::temp_dir().join(format!(
-        "xtk_corrupt_base_{:?}_{}.bin",
-        format,
-        std::process::id()
-    ));
+    let path = unique_temp("base");
     write_index(&ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -34,12 +40,7 @@ fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
 }
 
 fn write_temp(bytes: &[u8], tag: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "xtk_corrupt_{}_{}_{}.bin",
-        std::process::id(),
-        tag,
-        bytes.len()
-    ));
+    let path = unique_temp(tag);
     std::fs::write(&path, bytes).unwrap();
     path
 }

@@ -20,6 +20,7 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/core/src/joinbased.rs",
     "crates/core/src/diskexec.rs",
     "crates/core/src/topk.rs",
+    "crates/core/src/starjoin.rs",
     "crates/core/src/shard.rs",
     "crates/index/src/cache.rs",
     "crates/index/src/codec.rs",
@@ -40,6 +41,7 @@ pub const L8_MODULES: &[&str] = &[
     "crates/core/src/joinbased.rs",
     "crates/core/src/diskexec.rs",
     "crates/core/src/topk.rs",
+    "crates/core/src/starjoin.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/plan/cost.rs",
     "crates/core/src/plan/cache.rs",
