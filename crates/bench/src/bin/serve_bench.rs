@@ -22,11 +22,11 @@
 //! * a second batched replay on a fresh store reproduces the decode and
 //!   hit counters exactly (replay-stable scheduling);
 //! * a warm replay through the same executor is served entirely from the
-//!   result cache with **zero** further block decodes;
-//! * batched throughput is ≥ 1.3× sequential on the skewed mix.
+//!   result cache with **zero** further block decodes.
 //!
-//! Wall times are recorded for the trajectory but never gated — the
-//! `--check` keys are the deterministic counters only.
+//! Wall times (and the batched ÷ sequential speedup) are printed and
+//! recorded for the trajectory but never gated — the `--check` keys are
+//! the deterministic counters only; `perfbench/` is the timing authority.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -300,12 +300,6 @@ fn main() {
         seq.decodes,
         batched.leg.decodes,
         100.0 * hit_rate
-    );
-    assert!(
-        batched.leg.wall_ns * 13 <= seq.wall_ns * 10,
-        "batched serving must be ≥1.3× sequential: {} ns vs {} ns",
-        batched.leg.wall_ns,
-        seq.wall_ns
     );
 
     let check_lines: Vec<(&str, u64)> = vec![

@@ -1,48 +1,32 @@
-//! Disk-resident execution of Algorithm 1 (paper §III-B: "Algorithm 1 is
+//! Disk-resident columns for Algorithm 1 (paper §III-B: "Algorithm 1 is
 //! I/O optimized ... the algorithm does not read the whole JDewey
 //! sequences from the disk at once").
 //!
-//! This executor drives the same semantic pruning as
-//! [`join_search`](crate::joinbased::join_search), but consumes columns
-//! through [`DiskColumnStore`], decoding blocks on demand:
-//!
-//! * the driving (smallest) column of each level is **scanned** (the
-//!   merge-join access pattern — sequential block decodes),
-//! * larger columns are **probed** through the sparse keys when the
-//!   intermediate result is much smaller than the column (the index-join
-//!   pattern — at most one fresh block per probe plus the cached prefix),
-//!   and merged otherwise,
-//! * the scan starts at `l_0 = min_i l_m^i`, so deep trees whose keywords
-//!   only meet high up never touch the leaf-most blocks of the deeper
-//!   lists.
-//!
-//! Block decodes are counted, so tests and benches can verify the I/O
-//! claims (e.g. a selective index join must touch a bounded number of
-//! blocks of the long list).
+//! [`DiskSource`] is the [`ColumnSource`] over a [`DiskColumnStore`]; the
+//! join itself is [`algorithm1`], shared with the in-memory columns.  Per
+//! level the driving (smallest) column is **scanned**; a larger column is
+//! **probed** value by value when the intermediate result is much smaller
+//! than the column (at most one fresh block per probe) and otherwise
+//! scanned through the footers, decoding only blocks whose value range
+//! holds a probe.  The loop starts at `l_0 = min_i l_m^i`, so the
+//! leaf-most blocks of deeper lists are never touched.
 
-use crate::eraser::Eraser;
-use crate::joinbased::{apply_match, publish_join_stats, JoinOptions, JoinStats};
-use crate::pool::{chunk_ranges, parallel_map, phase_chunks};
+use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinStats, Runs, Step};
+use crate::plan::cost::INDEX_JOIN_ADVANTAGE;
 use crate::query::Query;
 use crate::result::ScoredResult;
+use std::borrow::Cow;
 use std::io;
-use xtk_index::columnar::{gallop_lower_bound, Run};
 use xtk_index::diskcol::{DiskColumn, DiskColumnStore, IoSession};
-use xtk_index::{TermData, TermId, XmlIndex};
+use xtk_index::{TermId, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
 
-/// Below this many intermediate values the per-level join loops run
-/// serially; above it they chunk across the pool (the store and its block
-/// cache are thread-safe, so workers share decodes instead of repeating
-/// them).
-const PAR_PROBE_MIN: usize = 256;
-
 /// The physical access-path configuration the plan lowering hands the
-/// disk executor (see `plan::lower`).  The legacy entry points run with
-/// `block_skip` on and `prescan` off — the optimized pipeline.
+/// disk executor (see `plan::lower`).
 #[derive(Debug, Clone, Copy)]
 pub struct DiskJoinSpec {
-    /// Semantics, variant, scoring and parallelism of the join.
+    /// Semantics, variant, scoring and parallelism of the join (`plan`
+    /// is not consulted — see [`DiskSource`]'s `strategy`).
     pub join: JoinOptions,
     /// Allow the index-probe access path and let merge steps skip blocks
     /// through the v2/v3 last-value footers.  Off reproduces the
@@ -54,13 +38,113 @@ pub struct DiskJoinSpec {
     pub prescan: bool,
 }
 
-/// Runs Algorithm 1 against an on-disk columnar index.
-///
-/// `ix` supplies the document tree, the JDewey directory and the scoring
-/// data (in a deployed system those live beside the lists; the lists
-/// themselves are read from `store`).  Returns the results, the join
-/// statistics and the number of cache-missing block decodes.  I/O errors
-/// and corrupt blocks surface as `Err` instead of panicking.
+/// The on-disk [`ColumnSource`]: lazily decoded [`DiskColumn`]s whose
+/// accesses count toward one query's [`IoSession`], so concurrent queries
+/// on a shared store cannot inflate each other's `store.*` deltas.
+pub struct DiskSource<'a> {
+    store: &'a DiskColumnStore,
+    session: &'a IoSession,
+    names: Vec<&'a str>,
+    /// The current level's column handles, in query order.
+    cols: Vec<DiskColumn<'a>>,
+    block_skip: bool,
+    prescan: bool,
+}
+
+impl<'a> DiskSource<'a> {
+    /// A source over `query`'s lists in `store` (keyed by term text).
+    pub fn new(
+        ix: &'a XmlIndex,
+        store: &'a DiskColumnStore,
+        query: &Query,
+        spec: &DiskJoinSpec,
+        session: &'a IoSession,
+    ) -> Self {
+        let names: Vec<&str> = query.terms.iter().map(|&t| &*ix.term(t).term).collect();
+        let cols = Vec::with_capacity(names.len());
+        Self { store, session, names, cols, block_skip: spec.block_skip, prescan: spec.prescan }
+    }
+}
+
+impl ColumnSource for DiskSource<'_> {
+    type Error = io::Error;
+
+    fn begin(&mut self) -> io::Result<()> {
+        if self.prescan {
+            // Whole-sequence materialization: every level of every keyword,
+            // including the levels above `l0` the join never consumes.
+            for t in &self.names {
+                for l in 1..=self.store.levels_of(t) {
+                    if let Some(col) = self.store.column(t, l) {
+                        col.scoped(self.session).scan()?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn enter(&mut self, level: u16) -> io::Result<()> {
+        self.cols.clear();
+        for t in &self.names {
+            // The index directory says the term reaches `level`.
+            let col = self.store.column(t, level).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidData, "store lacks a column the index lists")
+            })?;
+            self.cols.push(col.scoped(self.session));
+        }
+        Ok(())
+    }
+
+    /// Present rows at the level (the directory's lengths array).
+    fn size(&self, kw: usize) -> usize {
+        self.cols.get(kw).map_or(0, |c| c.row_count())
+    }
+
+    /// Index join when the intermediate is much smaller than the column
+    /// (a probe costs ~1 block decode); with block skipping off, the
+    /// full-scan merge.  The merge always gallops over the scanned runs, so
+    /// the choice is binary — and blind to `JoinPlan`, whose §III-C rule
+    /// counts comparisons, not block decodes.
+    fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy {
+        let rows = self.size(kw) as u64;
+        if self.block_skip && (probes as u64).saturating_mul(INDEX_JOIN_ADVANTAGE) < rows {
+            JoinStrategy::IndexProbe
+        } else {
+            JoinStrategy::Gallop
+        }
+    }
+
+    /// Index probe: exactly the probed runs that exist.  Merge with block
+    /// skipping: the runs of the blocks whose footer range covers a probe
+    /// — a scan-ordered subset holding every probed value that exists.
+    fn runs(&self, kw: usize, step: Option<Step<'_>>) -> io::Result<Runs<'_>> {
+        let col = self.cols.get(kw).ok_or_else(|| io::Error::other("no column entered"))?;
+        Ok(Cow::Owned(match step {
+            Some((JoinStrategy::IndexProbe, probes)) => {
+                let mut found = Vec::with_capacity(probes.len());
+                for &v in probes {
+                    found.extend(col.find(v)?);
+                }
+                found
+            }
+            Some((_, probes)) if self.block_skip => col.scan_matching(probes)?,
+            _ => col.scan()?,
+        }))
+    }
+
+    fn end(&self, obs: &Obs) {
+        let io = self.session.stats();
+        obs.event(EventKind::StoreIo { store: self.store.store_id() as u32, decodes: io.decodes });
+        io.publish(&obs.metrics);
+    }
+}
+
+/// Runs Algorithm 1 against an on-disk columnar index: `ix` supplies the
+/// document tree and the scoring data, the lists are read from `store`.
+/// Returns the results, the join statistics and the number of
+/// cache-missing block decodes.  I/O errors and corrupt blocks surface as
+/// `Err` instead of panicking.
 pub fn join_search_disk(
     ix: &XmlIndex,
     store: &DiskColumnStore,
@@ -70,16 +154,10 @@ pub fn join_search_disk(
     join_search_disk_obs(ix, store, query, opts, &Obs::default())
 }
 
-/// [`join_search_disk`] with observability: join counters flush into
-/// `obs.metrics` under the same `join.*` names as the in-memory executor,
-/// the per-query I/O delta is published under `store.*`, and a live
-/// tracer records the level/step structure plus one `store_io` event.
-///
-/// Events come from the sequential driver loop only.  Decode counts are
-/// parallelism-invariant under the store's default unbounded cache
-/// (decode-once); with a small bounded shared cache eviction timing can
-/// legitimately vary them, which is why the trace-determinism gate runs
-/// against the unbounded regime.
+/// [`join_search_disk`] with observability: the `join.*` counters and
+/// level/step events of the in-memory executor, plus the per-query I/O
+/// delta under `store.*` and one `store_io` event, with `block_skip` on
+/// and `prescan` off — the optimized pipeline.
 pub fn join_search_disk_obs(
     ix: &XmlIndex,
     store: &DiskColumnStore,
@@ -91,9 +169,7 @@ pub fn join_search_disk_obs(
     join_search_disk_spec(ix, store, query, &spec, obs)
 }
 
-/// [`join_search_disk_obs`] with the full access-path spec: `prescan`
-/// decodes whole sequences up front, `block_skip` gates both the
-/// index-probe path and the footer-driven merge skip.  Results are
+/// [`join_search_disk_obs`] with the full access-path spec.  Results are
 /// bit-identical across every spec; only the I/O counters move.
 pub fn join_search_disk_spec(
     ix: &XmlIndex,
@@ -102,247 +178,17 @@ pub fn join_search_disk_spec(
     spec: &DiskJoinSpec,
     obs: &Obs,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    let opts = &spec.join;
-    // Session-scoped I/O accounting: only accesses made through THIS
-    // query's column handles count toward its `store.*` metrics, so
-    // concurrent queries on a shared store (a parallel batch) cannot
-    // inflate each other's deltas the way a global before/after counter
-    // read would.
-    let io_session = IoSession::default();
-    let mut stats = JoinStats::default();
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
-    let k = terms.len();
-    if k == 0 || terms.iter().any(|t| t.is_empty()) {
-        return Ok((Vec::new(), stats, 0));
-    }
-    if spec.prescan {
-        // Whole-sequence materialization: every level of every keyword,
-        // including the levels above `l0` the join never consumes.
-        for t in &terms {
-            for l in 1..=store.levels_of(&t.term) {
-                if let Some(col) = store.column(&t.term, l) {
-                    col.scoped(&io_session).scan()?;
-                }
-            }
-        }
-    }
-    let l0 = terms.iter().map(|t| store.levels_of(&t.term)).min().unwrap_or(0);
-    obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
-    let term_of = |i: usize| query.terms.get(i).map(|t| t.0).unwrap_or(u32::MAX);
-    let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
-    let mut results = Vec::new();
-    // Per-level scratch, hoisted out of the level loop: `cols` holds the
-    // k column handles, `order` the left-deep join order (same index set
-    // every level, only the sort key changes).
-    let mut cols: Vec<DiskColumn<'_>> = Vec::with_capacity(k);
-    let mut order: Vec<usize> = (0..k).collect();
-    // Probe-value scratch for the footer-skipping merge path, reused
-    // across levels and join steps.
-    let mut probe_vals: Vec<u32> = Vec::new();
-
-    for l in (1..=l0).rev() {
-        stats.levels += 1;
-        let matches_before = stats.matches;
-        let results_before = stats.results;
-        // `l <= l0 <= levels_of(term)` for every term, so each lookup
-        // succeeds; the guard only defends against an inconsistent store.
-        cols.clear();
-        cols.extend(
-            terms
-                .iter()
-                .filter_map(|t| store.column(&t.term, l))
-                .map(|c| c.scoped(&io_session)),
-        );
-        if cols.len() != k {
-            continue;
-        }
-        // Left-deep from the smallest column (by present-row count).
-        order.sort_by_key(|&i| cols.get(i).map_or(usize::MAX, |c| c.row_count()));
-        let (Some(&first_kw), Some(driver)) =
-            (order.first(), order.first().and_then(|&i| cols.get(i)))
-        else {
-            continue;
-        };
-
-        // Drive with a scan of the smallest column.
-        let driver_runs = driver.scan()?;
-        obs.event(EventKind::LevelStart {
-            level: l as u32,
-            driver_term: term_of(first_kw),
-            driver_runs: driver_runs.len() as u64,
-        });
-        // Matched values with per-keyword runs, keyword-indexed.
-        let mut matched: Vec<(u32, Vec<Run>)> = driver_runs
-            .iter()
-            .map(|r| {
-                // lint:allow(L8, the k-sized run table is the per-candidate match payload itself)
-                let mut per_kw = vec![Run { value: 0, start: 0, len: 0 }; k];
-                if let Some(slot) = per_kw.get_mut(first_kw) {
-                    *slot = *r;
-                }
-                (r.value, per_kw)
-            })
-            // lint:allow(L8, per-level intermediate is consumed by ownership through the join pipeline)
-            .collect();
-
-        for &i in order.get(1..).unwrap_or(&[]) {
-            if matched.is_empty() {
-                break;
-            }
-            let Some(col) = cols.get(i) else { continue };
-            // Index join when the intermediate is much smaller than the
-            // column; a probe costs ~1 block decode (amortized).  With
-            // block skipping off the plan forces the full-scan merge.
-            let use_index = spec.block_skip && matched.len() * 16 < col.row_count();
-            let parallel =
-                opts.parallelism.workers() > 1 && matched.len() >= PAR_PROBE_MIN;
-            let input_values = matched.len();
-            // The disk merge path always gallops over the scanned runs, so
-            // the recorded strategy is binary: probe-by-key or gallop.
-            let strategy =
-                if use_index { JoinStrategy::IndexProbe } else { JoinStrategy::Gallop };
-            if use_index {
-                stats.index_joins += 1;
-                if parallel {
-                    // Chunk the sorted intermediate; each range probes
-                    // independently (the store is `Sync`, decodes are
-                    // shared through the cache) and the per-range
-                    // outputs concatenate in range order, preserving
-                    // the serial ascending-value order bit for bit.
-                    let ranges =
-                        chunk_ranges(matched.len(), phase_chunks(opts.parallelism));
-                    obs.metrics.add("pool.probe_phases", 1);
-                    obs.metrics.add("pool.probe_tasks", ranges.len() as u64);
-                    let parts = parallel_map(opts.parallelism, &ranges, |_, r| {
-                        let chunk = matched.get(r.clone()).unwrap_or(&[]);
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for (v, per_kw) in chunk {
-                            if let Some(run) = col.find(*v)? {
-                                let mut per_kw = per_kw.clone();
-                                if let Some(slot) = per_kw.get_mut(i) {
-                                    *slot = run;
-                                }
-                                out.push((*v, per_kw));
-                            }
-                        }
-                        Ok::<_, io::Error>(out)
-                    });
-                    let mut next = Vec::with_capacity(matched.len());
-                    for part in parts {
-                        next.extend(part?);
-                    }
-                    matched = next;
-                } else {
-                    let mut next = Vec::with_capacity(matched.len());
-                    for (v, mut per_kw) in matched {
-                        if let Some(run) = col.find(v)? {
-                            if let Some(slot) = per_kw.get_mut(i) {
-                                *slot = run;
-                            }
-                            next.push((v, per_kw));
-                        }
-                    }
-                    matched = next;
-                }
-            } else {
-                stats.merge_joins += 1;
-                // With block skipping the merge decodes only the blocks
-                // whose footer range covers a probed value — the decoded
-                // runs are a scan-ordered subset covering every probed
-                // value that exists, so the gallop below sees the same
-                // matches as a full scan.
-                let runs = if spec.block_skip {
-                    probe_vals.clear();
-                    probe_vals.extend(matched.iter().map(|(v, _)| *v));
-                    col.scan_matching(&probe_vals)?
-                } else {
-                    col.scan()?
-                };
-                if parallel {
-                    let ranges =
-                        chunk_ranges(matched.len(), phase_chunks(opts.parallelism));
-                    obs.metrics.add("pool.probe_phases", 1);
-                    obs.metrics.add("pool.probe_tasks", ranges.len() as u64);
-                    let parts = parallel_map(opts.parallelism, &ranges, |_, r| {
-                        let chunk = matched.get(r.clone()).unwrap_or(&[]);
-                        let mut out = Vec::with_capacity(chunk.len());
-                        let mut j = 0usize;
-                        for (v, per_kw) in chunk {
-                            j = gallop_lower_bound(&runs, j, *v);
-                            match runs.get(j) {
-                                Some(run) if run.value == *v => {
-                                    let mut per_kw = per_kw.clone();
-                                    if let Some(slot) = per_kw.get_mut(i) {
-                                        *slot = *run;
-                                    }
-                                    out.push((*v, per_kw));
-                                }
-                                _ => {}
-                            }
-                        }
-                        out
-                    });
-                    matched = parts.concat();
-                } else {
-                    // Galloping skip over the scanned runs: ascending
-                    // probe values let each step start where the last
-                    // ended, and the exponential search crosses long
-                    // non-matching stretches in O(log skip).
-                    let mut j = 0usize;
-                    matched.retain_mut(|(v, per_kw)| {
-                        j = gallop_lower_bound(&runs, j, *v);
-                        match runs.get(j) {
-                            Some(r) if r.value == *v => {
-                                if let Some(slot) = per_kw.get_mut(i) {
-                                    *slot = *r;
-                                }
-                                true
-                            }
-                            _ => false,
-                        }
-                    });
-                }
-            }
-            obs.event(EventKind::JoinStep {
-                level: l as u32,
-                term: term_of(i),
-                column_runs: col.row_count() as u64,
-                input_values: input_values as u64,
-                output_values: matched.len() as u64,
-                strategy,
-            });
-        }
-
-        for (v, runs) in matched {
-            stats.matches += 1;
-            if apply_match(ix, &terms, &mut erasers, &runs, l, v, opts, &mut results) {
-                stats.results += 1;
-            }
-        }
-        obs.event(EventKind::LevelEnd {
-            level: l as u32,
-            matches: stats.matches - matches_before,
-            results: stats.results - results_before,
-        });
-    }
-    let io = io_session.stats();
-    obs.event(EventKind::StoreIo { store: store.store_id() as u32, decodes: io.decodes });
-    obs.event(EventKind::QueryEnd { results: stats.results });
-    publish_join_stats(&stats, obs);
-    io.publish(&obs.metrics);
-    Ok((results, stats, io.decodes))
+    let session = IoSession::default();
+    let mut src = DiskSource::new(ix, store, query, spec, &session);
+    let (results, stats) = algorithm1(ix, query, &spec.join, &mut src, obs)?;
+    Ok((results, stats, session.stats().decodes))
 }
 
 /// The cross-query prefetch pass: warms and pins every column block of the
 /// given terms (a batch passes the union of its distinct queries' terms)
-/// so execution runs entirely against resident blocks and cannot evict its
-/// own working set.  Returns the total number of blocks pinned.  Balance
-/// with [`release_terms`].
-pub fn prefetch_terms(
-    ix: &XmlIndex,
-    store: &DiskColumnStore,
-    terms: &[TermId],
-) -> io::Result<u64> {
+/// so execution cannot evict its own working set.  Returns the number of
+/// blocks pinned.  Balance with [`release_terms`].
+pub fn prefetch_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) -> io::Result<u64> {
     let mut pinned = 0u64;
     for &t in terms {
         pinned += store.prefetch_term(&ix.term(t).term)?;
@@ -354,137 +200,5 @@ pub fn prefetch_terms(
 pub fn release_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) {
     for &t in terms {
         store.unpin_term(&ix.term(t).term);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::joinbased::join_search;
-    use crate::query::{ElcaVariant, Semantics};
-    use xtk_index::disk::{write_index, WriteIndexOptions};
-    use xtk_xml::parse;
-
-    fn setup(xml: &str) -> (XmlIndex, DiskColumnStore, std::path::PathBuf) {
-        let ix = XmlIndex::build(parse(xml).unwrap());
-        let path = std::env::temp_dir().join(format!(
-            "xtk_diskexec_{}_{}.bin",
-            std::process::id(),
-            xml.len()
-        ));
-        write_index(&ix, &path, WriteIndexOptions { include_scores: true, ..Default::default() }).unwrap();
-        let store = DiskColumnStore::open(&path).unwrap();
-        (ix, store, path)
-    }
-
-    fn corpus(n: usize) -> String {
-        let mut xml = String::from("<r>");
-        for i in 0..n {
-            xml.push_str(&format!("<conf><p><t>common topic{}</t></p><p>rare{}</p></conf>", i % 7, i % 91));
-        }
-        xml.push_str("</r>");
-        xml
-    }
-
-    #[test]
-    fn disk_execution_matches_in_memory() {
-        let xml = corpus(300);
-        let (ix, store, path) = setup(&xml);
-        for words in [vec!["common", "rare0"], vec!["common", "topic3"], vec!["topic1", "rare5", "common"]] {
-            let q = Query::from_words(&ix, &words).unwrap();
-            for semantics in [Semantics::Elca, Semantics::Slca] {
-                for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
-                    let opts = JoinOptions { semantics, variant, with_scores: true, ..Default::default() };
-                    let (mem, _) = join_search(&ix, &q, &opts);
-                    let (disk, _, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
-                    assert_eq!(mem.len(), disk.len(), "{words:?} {semantics:?} {variant:?}");
-                    let mut m = mem.clone();
-                    let mut d = disk.clone();
-                    m.sort_by_key(|r| r.node);
-                    d.sort_by_key(|r| r.node);
-                    for (a, b) in m.iter().zip(&d) {
-                        assert_eq!(a.node, b.node);
-                        assert!((a.score - b.score).abs() < 1e-5);
-                    }
-                }
-            }
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn selective_query_touches_few_blocks() {
-        // A long list ("common": ~600 postings over many blocks at leaf
-        // level) probed by a short one must not decode every block of the
-        // long list's leaf column... with prefix decoding for row bases the
-        // guarantee is that block reads are bounded by the file's block
-        // count; assert the counter works and a repeat run is free.
-        let xml = corpus(800);
-        let (ix, store, path) = setup(&xml);
-        let q = Query::from_words(&ix, &["common", "rare17"]).unwrap();
-        let opts = JoinOptions::default();
-        let (_, _, reads1) = join_search_disk(&ix, &store, &q, &opts).unwrap();
-        assert!(reads1 > 0, "cold run must hit the disk");
-        let (_, _, reads2) = join_search_disk(&ix, &store, &q, &opts).unwrap();
-        assert_eq!(reads2, 0, "hot-cache run decodes nothing");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn access_path_spec_never_changes_results() {
-        let xml = corpus(400);
-        let (ix, store, path) = setup(&xml);
-        let opts = JoinOptions { with_scores: true, ..Default::default() };
-        for words in [vec!["common", "rare17"], vec!["common", "topic3", "rare5"]] {
-            let q = Query::from_words(&ix, &words).unwrap();
-            let (base, _, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
-            for (block_skip, prescan) in
-                [(true, false), (false, false), (true, true), (false, true)]
-            {
-                let spec = DiskJoinSpec { join: opts, block_skip, prescan };
-                let (rs, _, _) =
-                    join_search_disk_spec(&ix, &store, &q, &spec, &Obs::default()).unwrap();
-                assert_eq!(base.len(), rs.len(), "{words:?} {block_skip} {prescan}");
-                for (a, b) in base.iter().zip(&rs) {
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.score.to_bits(), b.score.to_bits());
-                }
-            }
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn prescan_decodes_strictly_more_blocks() {
-        let xml = corpus(600);
-        let (ix, _store, path) = setup(&xml);
-        let q = Query::from_words(&ix, &["common", "rare17"]).unwrap();
-        let opts = JoinOptions::default();
-        // Fresh stores per run: the shared block cache would otherwise
-        // absorb the second run's decodes.
-        let lean_store = DiskColumnStore::open(&path).unwrap();
-        let lean_spec = DiskJoinSpec { join: opts, block_skip: true, prescan: false };
-        let (_, _, lean) =
-            join_search_disk_spec(&ix, &lean_store, &q, &lean_spec, &Obs::default()).unwrap();
-        let fat_store = DiskColumnStore::open(&path).unwrap();
-        let fat_spec = DiskJoinSpec { join: opts, block_skip: false, prescan: true };
-        let (_, _, fat) =
-            join_search_disk_spec(&ix, &fat_store, &q, &fat_spec, &Obs::default()).unwrap();
-        assert!(
-            lean < fat,
-            "optimized pipeline must decode fewer blocks ({lean} vs {fat})"
-        );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn stats_reflect_plan_choices() {
-        let xml = corpus(500);
-        let (ix, store, path) = setup(&xml);
-        let q = Query::from_words(&ix, &["common", "rare3"]).unwrap();
-        let (_, stats, _) = join_search_disk(&ix, &store, &q, &JoinOptions::default()).unwrap();
-        assert!(stats.levels >= 1);
-        assert!(stats.merge_joins + stats.index_joins >= stats.levels / 2);
-        std::fs::remove_file(path).ok();
     }
 }

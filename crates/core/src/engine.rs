@@ -7,7 +7,6 @@
 //! results plus metrics off the [`QueryResponse`](crate::QueryResponse).
 //! The historical per-shape entry points (`search`, `top_k`, …) are gone.
 
-use crate::joinbased::JoinOptions;
 use crate::pool::Parallelism;
 use crate::query::{Query, QueryError};
 use crate::result::ScoredResult;
@@ -135,12 +134,6 @@ impl Engine {
     /// Resolves query keywords against the vocabulary.
     pub fn query(&self, text: &str) -> Result<Query, QueryError> {
         Query::parse(&self.ix, text)
-    }
-
-    /// EXPLAIN: executes the query while recording the per-level join
-    /// plan the dynamic optimizer chose (§III-C).
-    pub fn explain(&self, query: &Query, opts: &JoinOptions) -> crate::explain::PlanReport {
-        crate::explain::explain(&self.ix, query, opts)
     }
 
     /// Logical-plan EXPLAIN: the bound plan tree before and after the

@@ -1,4 +1,4 @@
-//! The join-based algorithm (paper §III, Algorithm 1).
+//! The join-based algorithm (paper §III, Algorithm 1) — the one driver.
 //!
 //! Keyword query evaluation is reduced to relational joins over the JDewey
 //! columns: for each level `l` from `min_i l_m^i` down to the root, the `k`
@@ -8,75 +8,58 @@
 //! (§III-E) against the rows erased by lower matches — no document-order
 //! scan, no stack.
 //!
-//! Join plan (§III-C): per level, keywords are ordered shortest column
-//! first (left-deep); each subsequent join picks **merge** or **index**
-//! dynamically from the actual intermediate size, which is the paper's
-//! "context-aware" optimization — the same query can use the index join at
-//! the paper level and the merge join at the conference level.
-//!
-//! The runs of a column are exactly the compressed `(v, r, c)` triples, so
-//! duplicate numbers cost one probe ("the second compression scheme groups
-//! the same value in indexing time and saves the online computation",
-//! §III-D).
+//! [`algorithm1`] is that loop, once, for every storage: `l_0`, the
+//! left-deep order (smallest column first), the intersection kernels, the
+//! evaluate → commit match phase, the statistics and every trace event.
+//! A [`ColumnSource`] decides only what a storage backend legitimately
+//! decides: how large a column is, which access path a join step takes
+//! (§III-C, from the actual intermediate size), and how to produce sorted
+//! runs covering a probe list.  [`MemSource`] borrows the in-memory
+//! columns; `diskexec::DiskSource` decodes blocks on demand (§III-B).
+//! A column's runs are the compressed `(v, r, c)` triples, so duplicate
+//! numbers cost one probe (§III-D).
 //!
 //! # Parallel execution
 //!
-//! With [`JoinOptions::parallelism`] above [`Parallelism::Serial`], two
-//! phases of each level run on the scoped pool while staying bit-identical
-//! to the serial engine:
+//! Above [`Parallelism::Serial`] two phases of each level run on the
+//! scoped pool, bit-identical to the serial engine:
 //!
-//! * the per-level intersection partitions the probe list into contiguous
-//!   ranges and joins each range independently (results concatenate in
-//!   range order — the same ascending value order the serial join emits);
+//! * a join step partitions the probe list into contiguous ranges and
+//!   intersects each against the step's shared run cover; the outputs
+//!   concatenate in range order — the serial join's ascending value
+//!   order.  Column accesses stay on the driver thread;
 //! * the matched values are *evaluated* in parallel (range checks and
 //!   scoring read only rows inside the value's own runs, and same-level
-//!   runs of distinct values are disjoint, so the level-entry erasure
-//!   state each worker sees equals what the serial loop would see), then
-//!   *committed* sequentially in ascending value order, which keeps the
-//!   emission order and the erasure state evolution exactly serial.
+//!   runs of distinct values are disjoint, so every value sees the
+//!   level-entry erasure state the serial loop would show it), then
+//!   *committed* sequentially in ascending value order.
 
 use crate::eraser::Eraser;
 use crate::pool::{chunk_ranges, parallel_map, phase_chunks, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
-use xtk_index::columnar::{gallop_lower_bound, Column, Run};
-use xtk_index::{TermData, TermId, XmlIndex};
+use std::borrow::Cow;
+use std::convert::Infallible;
+use xtk_index::columnar::{gallop_lower_bound, Run};
+use xtk_index::{TermData, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
 
+/// Probe-list length from which a join step is chunked across the pool
+/// (the chunks intersect in memory whatever the storage).
+const PAR_JOIN_MIN: usize = 2048;
 /// Below this many matched values a level is evaluated serially — the
 /// scoped-spawn overhead would dominate.
 const PAR_MATCH_MIN: usize = 48;
 
-/// Below this many probe values an intersection step runs serially.
-const PAR_JOIN_MIN: usize = 2048;
-
-/// Adaptive merge-vs-gallop chooser, derived from the per-level
-/// cardinalities the `JoinStep` trace events record (probe values vs
-/// column runs).
+/// Adaptive merge-vs-gallop chooser over (probe values, column runs).
 ///
-/// Galloping pays off when the scanned side is much longer than the
-/// probe side: each probe skips `skip = runs / values` entries on
-/// average, and the exponential bracket + binary search finds the next
-/// candidate in about `2·(⌊log₂ skip⌋ + 1)` comparisons.  The
-/// two-pointer merge walks both inputs once for about `runs + values`
-/// comparisons total.  Gallop is chosen exactly when its modeled cost is
-/// lower:
-///
-/// ```text
-/// 2 · values · (⌊log₂ skip⌋ + 1)  <  runs + values      (skip ≥ 2)
-/// ```
-///
-/// At `skip = 8` this reproduces the fixed `GALLOP_RATIO = 8` crossover
-/// the chooser used before (8·m model cost vs 9·m merge cost); away
-/// from that point it adapts — a 100×-longer column gallops even with a
-/// mid-sized probe list, and near-equal cardinalities always merge.
-/// Strategy choice never affects results, only cost — the differential
-/// tests pin that.
-///
-/// `⌊log₂ skip⌋` is found by doubling (`m·2^k ≤ runs`) rather than by
-/// dividing, keeping this hot module free of division panic sites; the
-/// identity `2^k ≤ ⌊runs/m⌋ ⟺ m·2^k ≤ runs` makes the two forms exact
-/// equals.
+/// Each gallop probe skips `skip = runs / values` entries in about
+/// `2·(⌊log₂ skip⌋ + 1)` comparisons; the two-pointer merge walks both
+/// inputs once.  Gallop is chosen exactly when its modeled cost is lower:
+/// `2 · values · (⌊log₂ skip⌋ + 1) < runs + values` (and `skip ≥ 2`).
+/// The choice never affects results, only cost.  `⌊log₂ skip⌋` is found
+/// by doubling (`m·2^k ≤ runs`) rather than by dividing, keeping this hot
+/// module free of division panic sites.
 pub fn use_gallop(values: usize, runs: usize) -> bool {
     let m = values.max(1) as u64;
     let runs64 = runs as u64;
@@ -106,14 +89,16 @@ pub enum JoinPlan {
     IndexOnly,
 }
 
-/// Options for [`join_search`].
-#[derive(Debug, Clone, Copy)]
+/// Options for [`join_search`].  The default is unscored serial ELCA
+/// (operational variant) under the dynamic plan.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct JoinOptions {
     /// ELCA or SLCA.
     pub semantics: Semantics,
     /// ELCA exclusion variant (ignored for SLCA).
     pub variant: ElcaVariant,
-    /// Join plan selection.
+    /// Join plan selection (in-memory columns only; a disk store picks
+    /// its access path from block counts, see `diskexec::DiskSource`).
     pub plan: JoinPlan,
     /// Compute ranking scores for each result (costs one pass over the
     /// matched runs' rows; leave off for pure semantic evaluation).
@@ -121,18 +106,6 @@ pub struct JoinOptions {
     /// Worker threads for the per-level joins and match evaluation.
     /// Results are bit-identical for every setting.
     pub parallelism: Parallelism,
-}
-
-impl Default for JoinOptions {
-    fn default() -> Self {
-        Self {
-            semantics: Semantics::Elca,
-            variant: ElcaVariant::Operational,
-            plan: JoinPlan::Dynamic,
-            with_scores: false,
-            parallelism: Parallelism::Serial,
-        }
-    }
 }
 
 /// Execution counters, for tests, ablations and the experiment harness.
@@ -150,6 +123,103 @@ pub struct JoinStats {
     pub results: u64,
 }
 
+/// A join step as a [`ColumnSource`] sees it: the access path it chose
+/// for the step and the ascending probe values.
+pub type Step<'p> = (JoinStrategy, &'p [u32]);
+/// Sorted runs as a source hands them over: borrowed or freshly decoded.
+pub type Runs<'s> = Cow<'s, [Run]>;
+
+/// What a storage backend decides for [`algorithm1`] — and nothing else.
+///
+/// Keywords are addressed by their position `kw` in the query; after
+/// [`enter`](Self::enter) every method answers for that level's columns.
+/// [`runs`](Self::runs) returns runs sorted by value, each bit-identical
+/// to the column's run of that value, holding the run of every probe
+/// value the column contains (extra runs are fine — the driver
+/// intersects).
+pub trait ColumnSource {
+    /// What a failed column access surfaces as.
+    type Error;
+
+    /// Runs once before the level loop (disk: the `prescan` strawman).
+    fn begin(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// Positions the source on `level` (`1..=l_0`, descending).
+    fn enter(&mut self, level: u16) -> Result<(), Self::Error>;
+    /// The column's size from the directory, without decoding: the
+    /// left-deep order key and the trace's `column_runs`.
+    fn size(&self, kw: usize) -> usize;
+    /// The access path for joining `probes` values against the column.
+    fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy;
+    /// The whole column (`None`: the level's driver), or runs covering a
+    /// join step's probe values, fetched by the step's access path.
+    fn runs(&self, kw: usize, step: Option<Step<'_>>) -> Result<Runs<'_>, Self::Error>;
+    /// Runs once after the last level, before `QueryEnd` (disk: the
+    /// `store_io` event and the `store.*` metrics).
+    fn end(&self, _obs: &Obs) {}
+}
+
+/// The in-memory [`ColumnSource`]: borrows `TermData::columns`.
+pub struct MemSource<'a> {
+    terms: Vec<&'a TermData>,
+    plan: JoinPlan,
+    level: u16,
+}
+
+impl<'a> MemSource<'a> {
+    /// A source over `query`'s inverted lists, joining under `plan`.
+    pub fn new(ix: &'a XmlIndex, query: &Query, plan: JoinPlan) -> Self {
+        Self { terms: query.terms.iter().map(|&t| ix.term(t)).collect(), plan, level: 0 }
+    }
+
+    fn column(&self, kw: usize) -> &'a [Run] {
+        let level0 = usize::from(self.level).wrapping_sub(1);
+        let col = self.terms.get(kw).and_then(|t| t.columns.get(level0));
+        col.map_or(&[], |c| c.runs.as_slice())
+    }
+}
+
+impl ColumnSource for MemSource<'_> {
+    type Error = Infallible;
+
+    fn enter(&mut self, level: u16) -> Result<(), Infallible> {
+        self.level = level;
+        Ok(())
+    }
+
+    fn size(&self, kw: usize) -> usize {
+        self.column(kw).len()
+    }
+
+    /// §III-C, context-aware: the same query can take the index join at
+    /// the paper level and the merge join at the conference level.
+    fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy {
+        let runs = self.size(kw);
+        let use_index = match self.plan {
+            JoinPlan::MergeOnly => false,
+            JoinPlan::IndexOnly => true,
+            // Index join: |values| * log |runs| probes; merge join walks
+            // both inputs; 4 ≈ the cost of a probe over a scan step.
+            JoinPlan::Dynamic => {
+                let cost = probes as u64 * (runs.max(2).ilog2() as u64 + 1);
+                cost * 4 < (probes + runs) as u64
+            }
+        };
+        if use_index {
+            JoinStrategy::IndexProbe
+        } else if use_gallop(probes, runs) {
+            JoinStrategy::Gallop
+        } else {
+            JoinStrategy::Merge
+        }
+    }
+
+    fn runs(&self, kw: usize, _: Option<Step<'_>>) -> Result<Runs<'_>, Infallible> {
+        Ok(Cow::Borrowed(self.column(kw)))
+    }
+}
+
 /// Runs Algorithm 1 and returns results in emission order: level
 /// descending (bottom-up), JDewey number ascending within a level.
 pub fn join_search(
@@ -163,160 +233,264 @@ pub fn join_search(
 /// [`join_search`] with observability: counters flush into
 /// `obs.metrics` under the `join.*` names and, when the tracer is live,
 /// the per-level join structure is recorded as events.
-///
-/// Events are only emitted from the sequential driver loop, and the
-/// recorded join strategy is the one decided over the *full* probe list
-/// (exactly the serial executor's decision), so the event sequence is
-/// bit-identical across `Parallelism` settings.
 pub fn join_search_obs(
     ix: &XmlIndex,
     query: &Query,
     opts: &JoinOptions,
     obs: &Obs,
 ) -> (Vec<ScoredResult>, JoinStats) {
+    match algorithm1(ix, query, opts, &mut MemSource::new(ix, query, opts.plan), obs) {
+        Ok(out) => out,
+        Err(never) => match never {},
+    }
+}
+
+/// Algorithm 1 over any [`ColumnSource`].  `ix` supplies the document
+/// tree, each list's depth `l_m` and the scoring data; the columns come
+/// from `src`.  Events are only emitted from this sequential driver, and
+/// a step's recorded [`JoinStrategy`] is the decision over the *full*
+/// probe list, so the event sequence is bit-identical across
+/// `Parallelism` settings.  An empty query, or one with an empty inverted
+/// list, answers empty without touching the source.
+pub fn algorithm1<S: ColumnSource>(
+    ix: &XmlIndex,
+    query: &Query,
+    opts: &JoinOptions,
+    src: &mut S,
+    obs: &Obs,
+) -> Result<(Vec<ScoredResult>, JoinStats), S::Error> {
     let mut stats = JoinStats::default();
+    let mut results = Vec::new();
     let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let k = terms.len();
-    assert!(k >= 1, "query must have at least one keyword");
-    if terms.iter().any(|t| t.is_empty()) {
-        return (Vec::new(), stats);
+    if k == 0 || terms.iter().any(|t| t.is_empty()) {
+        return Ok((results, stats));
     }
+    src.begin()?;
     // No result can sit below the shallowest list's deepest level.
     let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
-    let mut results = Vec::new();
-    // One reusable per-value run buffer for the whole query: the serial
-    // match loop used to allocate a fresh `Vec<Run>` per joined value,
-    // which dominated allocator traffic on large levels.
-    let mut run_scratch: Vec<Run> = Vec::with_capacity(k);
-    // Reused per level: the k column references for the current level.
-    let mut cols: Vec<&Column> = Vec::with_capacity(k);
-
-    let workers = opts.parallelism.workers();
+    let mut order: Vec<usize> = Vec::with_capacity(k);
     for l in (1..=l0).rev() {
         stats.levels += 1;
-        let matches_before = stats.matches;
-        let results_before = stats.results;
-        cols.clear();
-        cols.extend(
-            terms
-                .iter()
-                .filter_map(|t| (l as usize).checked_sub(1).and_then(|i| t.columns.get(i))),
-        );
-        if cols.len() != k {
-            continue; // unreachable: every list reaches level l <= l0
-        }
-        let values =
-            joined_values_obs(&cols, &query.terms, l, opts.plan, opts.parallelism, &mut stats, obs);
-        if workers > 1 && values.len() >= PAR_MATCH_MIN {
-            obs.metrics.add("pool.match_phases", 1);
-            obs.metrics.add("pool.match_items", values.len() as u64);
-            // Same-level runs of distinct values are disjoint, so the
-            // range checks and scores computed against the level-entry
-            // erasure state equal what the serial value-order loop sees.
-            // Each chunk packs its runs into one flat buffer — two
-            // allocations per chunk instead of one `Vec<Run>` per value.
-            let ranges = chunk_ranges(values.len(), phase_chunks(opts.parallelism));
-            let evals = parallel_map(opts.parallelism, &ranges, |_, range| {
-                let mut flat: Vec<Run> = Vec::with_capacity(range.len() * cols.len());
-                let mut verdicts: Vec<(bool, bool, bool, f32)> =
-                    Vec::with_capacity(range.len());
-                for &v in values.iter().skip(range.start).take(range.len()) {
-                    // A joined value is present in every column by
-                    // construction.
-                    let base = flat.len();
-                    flat.extend(cols.iter().filter_map(|c| c.find(v).copied()));
-                    let runs = flat.get(base..).unwrap_or(&[]);
-                    if runs.len() != cols.len() {
-                        flat.truncate(base);
-                        verdicts.push((false, false, false, 0.0));
-                        continue;
-                    }
-                    let (emit, erase, score) =
-                        evaluate_match(ix, &terms, &erasers, runs, l, opts);
-                    verdicts.push((true, emit, erase, score));
-                }
-                (flat, verdicts)
-            });
-            // Commit in ascending value order — emission order and the
-            // erasure state evolve exactly as in the serial engine.
-            let mut values_it = values.iter().copied();
-            for (flat, verdicts) in evals {
-                let mut base = 0;
-                // Verdicts drive the zip: when a chunk runs dry the value
-                // iterator must not be advanced past the chunk boundary.
-                for ((found, emit, erase, score), v) in verdicts.into_iter().zip(values_it.by_ref()) {
-                    stats.matches += 1;
-                    if !found {
-                        continue;
-                    }
-                    let runs = flat.get(base..base + cols.len()).unwrap_or(&[]);
-                    base += cols.len();
-                    if commit_match(ix, &mut erasers, runs, l, v, emit, erase, score, &mut results)
-                    {
-                        stats.results += 1;
-                    }
-                }
-            }
-        } else {
-            for v in values {
-                stats.matches += 1;
-                // Per-keyword run for this value; present in all k by
-                // construction of the join.
-                run_scratch.clear();
-                run_scratch.extend(cols.iter().filter_map(|c| c.find(v).copied()));
-                if run_scratch.len() != cols.len() {
-                    continue;
-                }
-                if apply_match(ix, &terms, &mut erasers, &run_scratch, l, v, opts, &mut results) {
-                    stats.results += 1;
-                }
-            }
-        }
+        let before = stats;
+        src.enter(l)?;
+        // Left-deep from the smallest column; the stable sort over a
+        // freshly seeded `0..k` breaks ties in query order at every level.
+        order.clear();
+        order.extend(0..k);
+        order.sort_by_key(|&kw| src.size(kw));
+        let (values, covers) =
+            join_level(&*src, query, l, &order, opts.parallelism, &mut stats, obs)?;
+        stats.matches += values.len() as u64;
+        stats.results +=
+            match_level(ix, &terms, &mut erasers, &values, &covers, l, opts, &mut results, obs);
         obs.event(EventKind::LevelEnd {
             level: l as u32,
-            matches: stats.matches - matches_before,
-            results: stats.results - results_before,
+            matches: stats.matches - before.matches,
+            results: stats.results - before.results,
         });
     }
+    src.end(obs);
     obs.event(EventKind::QueryEnd { results: stats.results });
-    publish_join_stats(&stats, obs);
-    (results, stats)
-}
-
-/// Flushes a [`JoinStats`] into the unified registry under `join.*`.
-pub(crate) fn publish_join_stats(stats: &JoinStats, obs: &Obs) {
     obs.metrics.add("join.levels", stats.levels as u64);
     obs.metrics.add("join.merge_joins", stats.merge_joins as u64);
     obs.metrics.add("join.index_joins", stats.index_joins as u64);
     obs.metrics.add("join.matches", stats.matches);
     obs.metrics.add("join.results", stats.results);
+    Ok((results, stats))
 }
 
-/// The per-match semantic pruning + emission of Algorithm 1, shared with
-/// the disk-resident executor: decides ELCA/SLCA status from the range
-/// checks, optionally scores, appends to `results`, applies the erasure.
-/// Returns whether a result was emitted.
+/// One level's left-deep intersection on JDewey number: the joined values
+/// in increasing order plus, per keyword (query order), the run cover its
+/// step fetched — the match phase gathers each survivor's runs from it.
+fn join_level<'s, S: ColumnSource>(
+    src: &'s S,
+    query: &Query,
+    level: u16,
+    order: &[usize],
+    par: Parallelism,
+    stats: &mut JoinStats,
+    obs: &Obs,
+) -> Result<(Vec<u32>, Vec<Runs<'s>>), S::Error> {
+    let term_of = |kw: usize| query.terms.get(kw).map_or(u32::MAX, |t| t.0);
+    let mut covers: Vec<Runs<'s>> = vec![Cow::Borrowed(&[]); order.len()];
+    let Some((&first, rest)) = order.split_first() else {
+        return Ok((Vec::new(), covers));
+    };
+    let driver = src.runs(first, None)?;
+    obs.event(EventKind::LevelStart {
+        level: level as u32,
+        driver_term: term_of(first),
+        driver_runs: driver.len() as u64,
+    });
+    let mut values: Vec<u32> = driver.iter().map(|r| r.value).collect();
+    if let Some(slot) = covers.get_mut(first) {
+        *slot = driver;
+    }
+    for &kw in rest {
+        if values.is_empty() {
+            break;
+        }
+        let strategy = src.strategy(kw, values.len());
+        if strategy == JoinStrategy::IndexProbe {
+            stats.index_joins += 1;
+        } else {
+            stats.merge_joins += 1;
+        }
+        let input_values = values.len() as u64;
+        let cover = src.runs(kw, Some((strategy, &values)))?;
+        if par.workers() > 1 && values.len() >= PAR_JOIN_MIN {
+            // Each range intersects on its own worker; concatenating in
+            // range order keeps the serial join's ascending value order.
+            let ranges = chunk_ranges(values.len(), phase_chunks(par));
+            obs.metrics.add("pool.join_phases", 1);
+            obs.metrics.add("pool.join_tasks", ranges.len() as u64);
+            let parts = parallel_map(par, &ranges, |_, r| {
+                intersect(strategy, values.get(r.clone()).unwrap_or(&[]), &cover)
+            });
+            values = parts.concat();
+        } else {
+            let mut seek = Seek::new(&cover, strategy, values.first().copied());
+            values.retain(|&v| seek.run_of(v).is_some());
+        }
+        obs.event(EventKind::JoinStep {
+            level: level as u32,
+            term: term_of(kw),
+            column_runs: src.size(kw) as u64,
+            input_values,
+            output_values: values.len() as u64,
+            strategy,
+        });
+        if let Some(slot) = covers.get_mut(kw) {
+            *slot = cover;
+        }
+    }
+    Ok((values, covers))
+}
+
+/// The semantic pruning + emission of one level's joined `values`;
+/// returns the number of results emitted.  Every value is *evaluated*
+/// against the level-entry erasure state — chunked across the pool from
+/// [`PAR_MATCH_MIN`] values — then *committed* sequentially in ascending
+/// value order.  Same-level runs of distinct values are disjoint, so this
+/// equals evaluating and committing value by value.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_match(
+fn match_level(
     ix: &XmlIndex,
     terms: &[&TermData],
     erasers: &mut [Eraser],
-    runs: &[Run],
+    values: &[u32],
+    covers: &[Runs<'_>],
     level: u16,
-    value: u32,
     opts: &JoinOptions,
     results: &mut Vec<ScoredResult>,
-) -> bool {
-    let (emit, erase, score) = evaluate_match(ix, terms, erasers, runs, level, opts);
-    commit_match(ix, erasers, runs, level, value, emit, erase, score, results)
+    obs: &Obs,
+) -> u64 {
+    let k = covers.len().max(1);
+    let mut par = Parallelism::Serial;
+    let mut chunks = 1;
+    if opts.parallelism.workers() > 1 && values.len() >= PAR_MATCH_MIN {
+        par = opts.parallelism;
+        chunks = phase_chunks(par);
+        obs.metrics.add("pool.match_phases", 1);
+        obs.metrics.add("pool.match_items", values.len() as u64);
+    }
+    let frozen: &[Eraser] = erasers;
+    let evals = parallel_map(par, &chunk_ranges(values.len(), chunks), |_, range| {
+        // One flat run buffer per chunk, `k` runs per found value.
+        let chunk = values.get(range.clone()).unwrap_or(&[]);
+        let mut seeks: Vec<Seek<'_>> =
+            covers.iter().map(|c| Seek::new(c, JoinStrategy::Gallop, None)).collect();
+        let mut flat: Vec<Run> = Vec::with_capacity(chunk.len() * k);
+        let mut verdicts = Vec::with_capacity(chunk.len());
+        for &v in chunk {
+            let base = flat.len();
+            flat.extend(seeks.iter_mut().filter_map(|s| s.run_of(v).copied()));
+            // Present in all k covers by construction of the join.
+            if flat.len() - base == seeks.len() {
+                let runs = flat.get(base..).unwrap_or(&[]);
+                verdicts.push(Some(evaluate_match(ix, terms, frozen, runs, level, opts)));
+            } else {
+                flat.truncate(base);
+                verdicts.push(None);
+            }
+        }
+        (flat, verdicts)
+    });
+    let mut emitted = 0;
+    // Verdicts drive the zip: when a chunk runs dry the value iterator
+    // must not be advanced past the chunk boundary.
+    let mut values_it = values.iter().copied();
+    for (flat, verdicts) in evals {
+        let mut chunk_runs = flat.chunks_exact(k);
+        for (verdict, value) in verdicts.into_iter().zip(values_it.by_ref()) {
+            // `flat` holds runs for found values only: a `None` verdict
+            // must not consume the next value's.
+            let Some((emit, erase, score)) = verdict else { continue };
+            let Some(runs) = chunk_runs.next() else { continue };
+            if emit {
+                // Every matched value identifies a node in a consistent index.
+                if let Some(node) = ix.node_at(level, value) {
+                    results.push(ScoredResult { node, level, score });
+                    emitted += 1;
+                }
+            }
+            if erase {
+                for (r, e) in runs.iter().zip(erasers.iter_mut()) {
+                    e.erase(r.start, r.end());
+                }
+            }
+        }
+    }
+    emitted
 }
 
-/// The read-only half of [`apply_match`]: the ELCA/SLCA range checks and
-/// (when emitting with scores) the ranking score, against the erasure
-/// state as of entering this match.  Safe to run concurrently for
-/// distinct same-level values because their runs are disjoint.
+/// A forward-only position in a sorted run slice: lookups must ascend.
+/// Merge walks linearly; gallop, index probes and the match-time gather
+/// search exponentially from the last position — O(m log(n/m)) for m
+/// ascending lookups over n runs.
+struct Seek<'r> {
+    runs: &'r [Run],
+    at: usize,
+    linear: bool,
+}
+
+impl<'r> Seek<'r> {
+    /// `first` is the first value that will be looked up: a linear walk
+    /// starts at the first run that can match it.
+    fn new(runs: &'r [Run], strategy: JoinStrategy, first: Option<u32>) -> Self {
+        let linear = strategy == JoinStrategy::Merge;
+        let at = match first {
+            Some(lo) if linear => runs.partition_point(|r| r.value < lo),
+            _ => 0,
+        };
+        Seek { runs, at, linear }
+    }
+
+    fn run_of(&mut self, v: u32) -> Option<&'r Run> {
+        if self.linear {
+            while self.runs.get(self.at).is_some_and(|r| r.value < v) {
+                self.at += 1;
+            }
+        } else {
+            self.at = gallop_lower_bound(self.runs, self.at, v);
+        }
+        self.runs.get(self.at).filter(|r| r.value == v)
+    }
+}
+
+/// Intersection of an ascending value list with sorted runs; `strategy`
+/// picks the walk, never the result.
+pub fn intersect(strategy: JoinStrategy, values: &[u32], runs: &[Run]) -> Vec<u32> {
+    let mut seek = Seek::new(runs, strategy, values.first().copied());
+    values.iter().copied().filter(|&v| seek.run_of(v).is_some()).collect()
+}
+
+/// The read-only half of a match — `(emit, erase, score)`: the ELCA/SLCA
+/// range checks and (when emitting with scores) the ranking score,
+/// against the erasure state as of entering the level.
 fn evaluate_match(
     ix: &XmlIndex,
     terms: &[&TermData],
@@ -326,226 +500,21 @@ fn evaluate_match(
     opts: &JoinOptions,
 ) -> (bool, bool, f32) {
     let (emit, erase) = match opts.semantics {
+        // SLCA range check (§III-F): any erased row under this node
+        // means a descendant match exists.
         Semantics::Slca => {
-            // SLCA range check (§III-F): any erased row under this node
-            // means a descendant match exists.
-            let clean = runs
-                .iter()
-                .zip(erasers.iter())
-                .all(|(r, e)| !e.any_in(r.start, r.end()));
-            (clean, true)
+            (runs.iter().zip(erasers).all(|(r, e)| !e.any_in(r.start, r.end())), true)
         }
+        // ELCA range check (§III-E): survive iff at least one non-erased
+        // occurrence per keyword.
         Semantics::Elca => {
-            // ELCA range check (§III-E): survive iff at least one
-            // non-erased occurrence per keyword.
-            let alive = runs
-                .iter()
-                .zip(erasers.iter())
-                .all(|(r, e)| e.count_in(r.start, r.end()) < r.len);
-            let erase = match opts.variant {
-                ElcaVariant::Formal => true,
-                ElcaVariant::Operational => alive,
-            };
-            (alive, erase)
+            let alive = runs.iter().zip(erasers).all(|(r, e)| e.count_in(r.start, r.end()) < r.len);
+            (alive, alive || opts.variant == ElcaVariant::Formal)
         }
     };
-    let score = if emit && opts.with_scores {
-        score_of(ix, terms, erasers, runs, level)
-    } else {
-        0.0
-    };
+    let score =
+        if emit && opts.with_scores { score_of(ix, terms, erasers, runs, level) } else { 0.0 };
     (emit, erase, score)
-}
-
-/// The mutating half of [`apply_match`]: appends the result and applies
-/// the erasure.  Always runs sequentially in ascending value order.
-#[allow(clippy::too_many_arguments)]
-fn commit_match(
-    ix: &XmlIndex,
-    erasers: &mut [Eraser],
-    runs: &[Run],
-    level: u16,
-    value: u32,
-    emit: bool,
-    erase: bool,
-    score: f32,
-    results: &mut Vec<ScoredResult>,
-) -> bool {
-    let mut emitted = false;
-    if emit {
-        // Every matched value identifies a node in a consistent index.
-        if let Some(node) = ix.node_at(level, value) {
-            results.push(ScoredResult { node, level, score });
-            emitted = true;
-        }
-    }
-    if erase {
-        for (r, e) in runs.iter().zip(erasers.iter_mut()) {
-            e.erase(r.start, r.end());
-        }
-    }
-    emitted
-}
-
-/// Intersects the `k` columns on JDewey number, returning matched values in
-/// increasing order.  Left-deep from the smallest column; each step picks
-/// merge or index join per `plan`.
-///
-/// `term_ids` labels `cols` positionally for the trace.  The recorded
-/// [`JoinStrategy`] of a step is always the decision over the full probe
-/// list — identical to what the serial executor runs; a parallel chunk may
-/// locally fall back to the merge walk without changing results, and that
-/// divergence is by design invisible to the trace.
-fn joined_values_obs(
-    cols: &[&Column],
-    term_ids: &[TermId],
-    level: u16,
-    plan: JoinPlan,
-    par: Parallelism,
-    stats: &mut JoinStats,
-    obs: &Obs,
-) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..cols.len()).collect();
-    order.sort_by_key(|&i| cols[i].runs.len());
-    let term_of = |i: usize| term_ids.get(i).map(|t| t.0).unwrap_or(u32::MAX);
-
-    let first = cols[order[0]];
-    obs.event(EventKind::LevelStart {
-        level: level as u32,
-        driver_term: order.first().map(|&i| term_of(i)).unwrap_or(u32::MAX),
-        driver_runs: first.runs.len() as u64,
-    });
-    let mut values: Vec<u32> = first.runs.iter().map(|r| r.value).collect();
-    for &i in &order[1..] {
-        if values.is_empty() {
-            break;
-        }
-        let col = cols[i];
-        let use_index = match plan {
-            JoinPlan::MergeOnly => false,
-            JoinPlan::IndexOnly => true,
-            JoinPlan::Dynamic => {
-                // Index join costs |values| * log |runs| probes; merge join
-                // walks both inputs.  The crossover with the constant-factor
-                // gap between a probe and a scan step is roughly here:
-                let probes = values.len() as u64 * (col.runs.len().max(2).ilog2() as u64 + 1);
-                probes * 4 < (values.len() + col.runs.len()) as u64
-            }
-        };
-        let strategy = if use_index {
-            JoinStrategy::IndexProbe
-        } else if use_gallop(values.len(), col.runs.len()) {
-            JoinStrategy::Gallop
-        } else {
-            JoinStrategy::Merge
-        };
-        let input_values = values.len() as u64;
-        if par.workers() > 1 && values.len() >= PAR_JOIN_MIN {
-            // Partition the probe list; each range intersects on its own
-            // worker and the per-range outputs concatenate in range order,
-            // preserving the ascending value order of the serial join.
-            let ranges = chunk_ranges(values.len(), phase_chunks(par));
-            obs.metrics.add("pool.join_phases", 1);
-            obs.metrics.add("pool.join_tasks", ranges.len() as u64);
-            if use_index {
-                stats.index_joins += 1;
-            } else {
-                stats.merge_joins += 1;
-            }
-            let parts = parallel_map(par, &ranges, |_, r| {
-                let chunk = &values[r.clone()];
-                if use_index {
-                    // Hinted probes: within a chunk the values ascend, so
-                    // each gallop starts where the previous one ended.
-                    let mut hint = 0usize;
-                    chunk
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            let (lb, hit) = col.find_hinted(v, hint);
-                            hint = lb;
-                            hit.is_some()
-                        })
-                        // lint:allow(L8, per-chunk output Vec is owned by the pool worker and concatenated once)
-                        .collect()
-                } else {
-                    intersect(chunk, col)
-                }
-            });
-            values = parts.concat();
-        } else if use_index {
-            stats.index_joins += 1;
-            let mut hint = 0usize;
-            values.retain(|&v| {
-                let (lb, hit) = col.find_hinted(v, hint);
-                hint = lb;
-                hit.is_some()
-            });
-        } else {
-            stats.merge_joins += 1;
-            values = intersect(&values, col);
-        }
-        obs.event(EventKind::JoinStep {
-            level: level as u32,
-            term: term_of(i),
-            column_runs: col.runs.len() as u64,
-            input_values,
-            output_values: values.len() as u64,
-            strategy,
-        });
-    }
-    values
-}
-
-/// Intersection of a sorted value list with a column, picking linear vs
-/// galloping adaptively from the cardinalities (see [`use_gallop`]).
-pub fn intersect(values: &[u32], col: &Column) -> Vec<u32> {
-    if use_gallop(values.len(), col.runs.len()) {
-        gallop_intersect(values, col)
-    } else {
-        merge_intersect(values, col)
-    }
-}
-
-/// Galloping intersection: for each probe value, exponential search from
-/// the current column position.  O(m log(n/m)) for m probes over n runs —
-/// the win when the column dwarfs the probe list.
-pub fn gallop_intersect(values: &[u32], col: &Column) -> Vec<u32> {
-    let runs = &col.runs;
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &v in values {
-        j = gallop_lower_bound(runs, j, v);
-        match runs.get(j) {
-            None => break,
-            Some(r) if r.value == v => out.push(v),
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Two-pointer intersection of a sorted value list with a column,
-/// starting the column scan at the first run that can match.
-pub fn merge_intersect(values: &[u32], col: &Column) -> Vec<u32> {
-    let mut out = Vec::new();
-    let runs = &col.runs;
-    let Some(&lo) = values.first() else {
-        return out;
-    };
-    let mut j = runs.partition_point(|r| r.value < lo);
-    for &v in values {
-        while j < runs.len() && runs[j].value < v {
-            j += 1;
-        }
-        if j == runs.len() {
-            break;
-        }
-        if runs[j].value == v {
-            out.push(v);
-        }
-    }
-    out
 }
 
 /// Ranking score of an emitted result: per keyword (in query order), the
@@ -704,6 +673,37 @@ mod tests {
         assert!(rs[0].score > 0.0);
         let lambda = ix.damping().lambda();
         assert!(rs[0].score <= 2.0 * lambda + 1e-6, "both occurrences damped once");
+    }
+
+    #[test]
+    fn value_missing_from_a_cover_keeps_later_runs_aligned() {
+        // Three joined values at level 2; an inconsistent store's cover
+        // for `q` lacks the first.
+        let ix = XmlIndex::build(parse("<r><a>p q</a><a>p q</a><a>p q</a></r>").unwrap());
+        let q = Query::from_words(&ix, &["p", "q"]).unwrap();
+        let terms: Vec<&TermData> = q.terms.iter().map(|&t| ix.term(t)).collect();
+        let cols: Vec<&[Run]> = terms.iter().map(|t| t.columns[1].runs.as_slice()).collect();
+        let values: Vec<u32> = cols[0].iter().map(|r| r.value).collect();
+        assert_eq!(values.len(), 3);
+        let covers = vec![Cow::Borrowed(cols[0]), Cow::Borrowed(&cols[1][1..])];
+        let mut erasers = vec![Eraser::new(), Eraser::new()];
+        let mut results = Vec::new();
+        let emitted = match_level(
+            &ix,
+            &terms,
+            &mut erasers,
+            &values,
+            &covers,
+            2,
+            &JoinOptions::default(),
+            &mut results,
+            &Obs::default(),
+        );
+        assert_eq!(emitted, 2, "the two found values emit, each with its own runs");
+        for (col, eraser) in cols.iter().zip(&erasers) {
+            assert!(!eraser.any_in(col[0].start, col[0].end()), "skipped value erases nothing");
+            assert!(eraser.any_in(col[2].start, col[2].end()), "last value erases its own rows");
+        }
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod batch;
 pub mod diskexec;
 pub mod engine;
 pub mod eraser;
-pub mod explain;
 pub mod hybrid;
 pub mod joinbased;
 pub mod plan;

@@ -283,12 +283,7 @@ impl PlanSource {
 ///
 /// Built once at index/store open ([`Planner::from_index`] /
 /// [`Planner::from_store`]) and consulted per query via
-/// [`Planner::spec_for`].  The disk planner additionally lets the cost
-/// model force the index-only join ([`index_advice`]); the in-memory
-/// and sharded planners never do — their runtime choosers see different
-/// numbers than the global snapshot models.
-///
-/// [`index_advice`]: PlanStats
+/// [`Planner::spec_for`].
 #[derive(Debug)]
 pub struct Planner {
     stats: PlanStats,
@@ -296,9 +291,6 @@ pub struct Planner {
     /// `false` disables the cost model entirely (pure PR 9 rewriting) —
     /// the bench's always-fire reference configuration.
     gating: bool,
-    /// Allow the cost model to force the index-only join plan (single
-    /// -store disk executor only).
-    index_advice: bool,
 }
 
 impl Planner {
@@ -309,23 +301,19 @@ impl Planner {
             stats: PlanStats::from_index(ix),
             cache: PlanCache::default(),
             gating: true,
-            index_advice: false,
         }
     }
 
-    /// A planner over the exact on-disk directory snapshot; enables
-    /// index-only advice (the proof in `plan::cost` models the disk
-    /// executor's runtime chooser).
+    /// A planner over the exact on-disk directory snapshot.
     pub fn from_store(ix: &XmlIndex, store: &xtk_index::diskcol::DiskColumnStore) -> Self {
         Self {
             stats: PlanStats::from_store(ix, store),
             cache: PlanCache::default(),
             gating: true,
-            index_advice: true,
         }
     }
 
-    /// Toggles cost-based gating/advice (`false` = the always-fire PR 9
+    /// Toggles cost-based gating (`false` = the always-fire PR 9
     /// pipeline; the plan cache keeps working either way).
     pub fn with_cost_gating(mut self, gating: bool) -> Self {
         self.gating = gating;
@@ -395,8 +383,7 @@ impl Planner {
             return (spec, PlanSource::Cached);
         }
         let stats = if self.gating { Some(&self.stats) } else { None };
-        let planned =
-            lower_query_costed(ix, query, &canonical, stats, self.gating && self.index_advice);
+        let planned = lower_query_costed(ix, query, &canonical, stats);
         self.cache.put(fp, generation, salt, query.clone(), canonical, planned.spec);
         (planned.spec, PlanSource::Cold)
     }

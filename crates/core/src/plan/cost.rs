@@ -40,11 +40,9 @@ pub const BLOCK_COST_WEIGHT: u64 = 64;
 /// snapshot replaces this estimate with exact directory block counts.
 pub const EST_ENTRIES_PER_BLOCK: u64 = 1024;
 
-/// The disk executor takes the index-probe path for a join level when
-/// `matched * INDEX_JOIN_ADVANTAGE < rows` (the runtime chooser in
-/// `diskexec`); the planner only *forces* index-only when the driver's
-/// full run count already clears the same bar at every level, so the
-/// forced plan is runtime-equivalent by construction.
+/// The disk column source takes the index-probe path for a join step when
+/// `probes * INDEX_JOIN_ADVANTAGE < rows` (`diskexec::DiskSource`): a
+/// probe costs about one block decode, a scan one decode per block.
 pub const INDEX_JOIN_ADVANTAGE: u64 = 16;
 
 /// Per-term, per-level directory statistics.
@@ -313,61 +311,6 @@ pub(crate) fn decide_probes(stats: &PlanStats, plan: &PlanNode) -> Option<ProbeD
         scan_blocks,
         probe_blocks,
     })
-}
-
-/// `true` when the driver's run count clears the runtime index-join bar
-/// (`runs * INDEX_JOIN_ADVANTAGE < rows`) against **every** probed leaf
-/// at **every** shared join level — the runtime chooser (which compares
-/// the per-level *matched* subset, never larger than the full run
-/// count) would then take the index path everywhere, so forcing
-/// `index-only` is decode-equivalent and merely skips the per-level
-/// comparison.
-pub(crate) fn index_only_decisive(stats: &PlanStats, plan: &PlanNode) -> bool {
-    let leaves = plan.leaves();
-    let mut driver: Option<&ScanLeaf> = None;
-    let mut probed: Vec<&ScanLeaf> = Vec::new();
-    let mut walk = vec![plan];
-    while let Some(node) = walk.pop() {
-        match node {
-            PlanNode::Scan(leaf) if leaf.mode == ScanMode::Stream => {
-                if driver.is_some() {
-                    return false; // more than one streamed scan: no single driver
-                }
-                driver = Some(leaf);
-            }
-            PlanNode::Scan(_) => return false, // materialized leaf: prescan path
-            PlanNode::IndexProbe(leaf) => probed.push(leaf),
-            PlanNode::Join { inputs, .. } => walk.extend(inputs.iter()),
-            PlanNode::Filter { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Merge { input, .. } => walk.push(input),
-        }
-    }
-    let Some(driver) = driver else {
-        return false;
-    };
-    if probed.is_empty() || leaves.len() != probed.len() + 1 {
-        return false;
-    }
-    let driver_stats = stats.join_range(driver.term, driver.levels);
-    if driver_stats.is_empty() {
-        return false;
-    }
-    for leaf in probed {
-        let range = stats.join_range(leaf.term, leaf.levels);
-        if range.is_empty() {
-            return false;
-        }
-        for (i, t) in range.iter().enumerate() {
-            let Some(d) = driver_stats.get(i) else {
-                continue; // join never reaches this level
-            };
-            if d.runs.saturating_mul(INDEX_JOIN_ADVANTAGE) >= t.rows {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Per-node cost estimates of a rewritten plan, rendered byte-stably

@@ -23,7 +23,7 @@ use crate::joinbased::{join_search_obs, JoinOptions, JoinPlan};
 use crate::plan::bind;
 use crate::plan::cost::{self, CostSummary, PlanStats};
 use crate::plan::logical::{join_plan_name, LevelRange, PlanNode, ScanMode, TopKStrategy};
-use crate::plan::rewrite::{rewrite_costed, AppliedRule, COST_MODEL};
+use crate::plan::rewrite::{rewrite_costed, AppliedRule};
 use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::request::{obs_for, respond, ExecutedEngine, QueryRequest, QueryResponse, ScoreMode};
@@ -197,7 +197,7 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
 }
 
 /// Everything one costed planning pass produces: the spec plus the
-/// rewrite/gate/advice logs and per-node estimates EXPLAIN renders.
+/// rewrite/gate logs and per-node estimates EXPLAIN renders.
 pub(crate) struct Planned {
     /// The execution recipe.
     pub spec: ExecSpec,
@@ -207,31 +207,25 @@ pub(crate) struct Planned {
     pub applied: Vec<AppliedRule>,
     /// Enabled rules the cost model gated off.
     pub gated: Vec<AppliedRule>,
-    /// Physical choices the cost model forced (index-only join).
-    pub advice: Vec<AppliedRule>,
     /// Per-node estimates (absent without statistics).
     pub summary: Option<CostSummary>,
 }
 
 /// Binds the logical plan for `query`, rewrites it under the request's
 /// rule set — costed against `stats` when a snapshot is supplied — and
-/// lowers it.  `index_advice` lets the cost model force the index-only
-/// join when the statistics prove the runtime chooser would take the
-/// index path at every level anyway (only the single-store disk executor
-/// passes true: its runtime chooser is the one the proof models).
+/// lowers it.
 pub(crate) fn lower_query_costed(
     ix: &XmlIndex,
     query: &Query,
     req: &QueryRequest,
     stats: Option<&PlanStats>,
-    index_advice: bool,
 ) -> Planned {
     let logical = bind::logical_plan(ix, query, req);
     let bound = bind::candidate_bound(ix, query);
-    plan_costed(logical, Some(bound), req, stats, index_advice, false)
+    plan_costed(logical, Some(bound), req, stats, false)
 }
 
-/// The rewrite → lower → advise core shared by [`lower_query_costed`]
+/// The rewrite → lower core shared by [`lower_query_costed`]
 /// and [`explain`] (which inserts the scatter-gather merge first).
 /// `want_summary` gates the rendered per-node estimate lines: only
 /// EXPLAIN reads them, so the serving path skips the string building.
@@ -240,26 +234,19 @@ fn plan_costed(
     bound: Option<u64>,
     req: &QueryRequest,
     stats: Option<&PlanStats>,
-    index_advice: bool,
     want_summary: bool,
 ) -> Planned {
     let rw = rewrite_costed(logical, req.rules, bound, stats);
-    let mut spec = lower(&rw.plan, req);
-    let mut advice = Vec::new();
-    if let Some(stats) = stats {
-        if index_advice {
-            apply_index_advice(stats, &rw.plan, &mut spec, &mut advice);
-        }
-    }
+    let spec = lower(&rw.plan, req);
     let summary =
         if want_summary { stats.map(|s| cost::summarize(s, &rw.plan)) } else { None };
-    Planned { spec, rewritten: rw.plan, applied: rw.applied, gated: rw.gated, advice, summary }
+    Planned { spec, rewritten: rw.plan, applied: rw.applied, gated: rw.gated, summary }
 }
 
 /// Uncosted [`lower_query_costed`]: the PR 9 pipeline, kept for the
 /// stat-less callers and tests.
 pub(crate) fn lower_query(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> ExecSpec {
-    lower_query_costed(ix, query, req, None, false).spec
+    lower_query_costed(ix, query, req, None).spec
 }
 
 /// The lowered in-memory driver for the join-family algorithms (Auto,
@@ -401,8 +388,6 @@ pub struct PlanExplain {
     pub applied: Vec<AppliedRule>,
     /// Enabled rules the cost model gated off.
     pub gated: Vec<AppliedRule>,
-    /// Physical choices the cost model forced (index-only join).
-    pub advice: Vec<AppliedRule>,
     /// Per-node cost estimates of the rewritten plan.
     pub cost: Option<CostSummary>,
     /// The tree after all enabled rules.
@@ -427,14 +412,11 @@ impl std::fmt::Display for PlanExplain {
         }
         if self.cost.is_some() {
             writeln!(f, "== cost decisions ==")?;
-            if self.gated.is_empty() && self.advice.is_empty() {
+            if self.gated.is_empty() {
                 writeln!(f, "(none)")?;
             }
             for g in &self.gated {
                 writeln!(f, "gated {}: {}", g.rule, g.detail)?;
-            }
-            for a in &self.advice {
-                writeln!(f, "{}: {}", a.rule, a.detail)?;
             }
         }
         writeln!(f, "== rewritten plan ==")?;
@@ -455,30 +437,6 @@ impl std::fmt::Display for PlanExplain {
     }
 }
 
-/// Applies the cost model's physical advice to a lowered spec: forces
-/// the index-only join when [`cost::index_only_decisive`] proves the
-/// runtime chooser would take the index path at every level anyway.
-fn apply_index_advice(
-    stats: &PlanStats,
-    rewritten: &PlanNode,
-    spec: &mut ExecSpec,
-    advice: &mut Vec<AppliedRule>,
-) {
-    if spec.block_skip
-        && spec.plan == JoinPlan::Dynamic
-        && cost::index_only_decisive(stats, rewritten)
-    {
-        spec.plan = JoinPlan::IndexOnly;
-        advice.push(AppliedRule {
-            rule: COST_MODEL,
-            detail: format!(
-                "join: plan=index-only (driver runs x {} < rows at every probed level)",
-                cost::INDEX_JOIN_ADVANTAGE
-            ),
-        });
-    }
-}
-
 /// Builds the EXPLAIN report for a bound query against `target`,
 /// costed against an in-memory statistics snapshot (so the report is a
 /// pure function of the index and the request, never of I/O state).
@@ -495,22 +453,12 @@ pub fn explain(
     }
     let bound = bind::candidate_bound(ix, query);
     let logical_render = logical.render();
-    // Index-only forcing models the single-store disk chooser; the
-    // other targets never apply it, and neither does their EXPLAIN.
-    let planned = plan_costed(
-        logical,
-        Some(bound),
-        req,
-        Some(&stats),
-        target == ExplainTarget::Disk,
-        true,
-    );
+    let planned = plan_costed(logical, Some(bound), req, Some(&stats), true);
     let physical = render_physical(&planned.spec, &planned.rewritten, target);
     PlanExplain {
         logical: logical_render,
         applied: planned.applied,
         gated: planned.gated,
-        advice: planned.advice,
         cost: planned.summary,
         rewritten: planned.rewritten.render(),
         physical,
@@ -846,7 +794,7 @@ mod tests {
         let ix = ix();
         let (q, req) = bound(&ix, "xml search k=2");
         let stats = PlanStats::from_index(&ix);
-        let planned = lower_query_costed(&ix, &q, &req, Some(&stats), false);
+        let planned = lower_query_costed(&ix, &q, &req, Some(&stats));
         assert!(!planned.spec.block_skip, "gate must strip the probe path");
         assert_eq!(planned.spec.plan, JoinPlan::MergeOnly);
         assert_eq!(planned.gated.len(), 1, "{:?}", planned.gated);

@@ -50,6 +50,4 @@ pub use lower::{
     annotate_executed, explain, lower, ExecSpec, ExplainTarget, PlanExplain, TopKExec,
 };
 pub use parse::{parse, ParseError, ParsedQuery, Span};
-pub use rewrite::{
-    rewrite as rewrite_plan, rewrite_costed, AppliedRule, Rewrite, RuleSet, COST_MODEL,
-};
+pub use rewrite::{rewrite as rewrite_plan, rewrite_costed, AppliedRule, Rewrite, RuleSet};

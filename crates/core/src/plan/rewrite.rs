@@ -92,9 +92,6 @@ pub const PRUNE_COLUMNS: &str = "prune-columns";
 pub const PUSH_PROBES: &str = "push-probes";
 /// See [`PRUNE_COLUMNS`].
 pub const ELIMINATE_NOOPS: &str = "eliminate-noops";
-/// Rule name the cost model's own log entries use (gate records and
-/// physical plan advice), so EXPLAIN's rewrite log attributes them.
-pub const COST_MODEL: &str = "cost-model";
 
 /// One concrete rule application, for the EXPLAIN rewrite log.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,10 +4,11 @@ use crate::semantics::MAX_KEYWORDS;
 use xtk_index::{TermId, XmlIndex};
 
 /// The LCA-based result semantics (paper §II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Semantics {
     /// Exclusive LCAs: nodes containing all keywords after excluding
-    /// occurrences inside lower all-keyword subtrees.
+    /// occurrences inside lower all-keyword subtrees.  The default.
+    #[default]
     Elca,
     /// Smallest LCAs: LCAs none of whose descendants is also an LCA.
     Slca,

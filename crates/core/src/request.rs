@@ -517,8 +517,7 @@ impl<'a> DiskEngine<'a> {
         self
     }
 
-    /// Toggles cost-based rule gating and index-only advice (builder
-    /// style; default on).
+    /// Toggles cost-based rule gating (builder style; default on).
     pub fn with_cost_gating(mut self, gating: bool) -> Self {
         self.planner = self.planner.with_cost_gating(gating);
         self
@@ -639,17 +638,13 @@ mod tests {
 
     #[test]
     fn disk_engine_matches_in_memory() {
-        use xtk_index::disk::{write_index, WriteIndexOptions};
+        use xtk_index::disk::{write_index_to, WriteIndexOptions};
         let e = Engine::from_xml(DOC).unwrap();
-        let path = std::env::temp_dir()
-            .join(format!("xtk_request_disk_{}.bin", std::process::id()));
-        write_index(
-            e.index(),
-            &path,
-            WriteIndexOptions { include_scores: true, ..Default::default() },
-        )
-        .unwrap();
-        let store = DiskColumnStore::open(&path).unwrap();
+        let mut image = Vec::new();
+        let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+        write_index_to(e.index(), &mut image, opts).unwrap();
+        let cache = std::sync::Arc::new(xtk_index::cache::ShardedLruCache::unbounded());
+        let store = DiskColumnStore::open_bytes(image.into(), cache).unwrap();
         let disk = DiskEngine::new(e.index(), &store);
         let q = e.query("xml top").unwrap();
         for req in [
@@ -669,6 +664,5 @@ mod tests {
             .execute(&q, &QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::Rdil))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        std::fs::remove_file(path).ok();
     }
 }

@@ -326,8 +326,7 @@ pub struct ShardedEngine<'a> {
     salt: u64,
     /// Plans against the *global* index statistics (shard-invariant, so
     /// the cached spec — keyed by the topology salt — stays
-    /// bit-identical across shard layouts); index-only advice is off
-    /// because per-shard row counts differ from the global snapshot.
+    /// bit-identical across shard layouts).
     planner: crate::plan::cache::Planner,
 }
 

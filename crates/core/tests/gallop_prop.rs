@@ -5,8 +5,9 @@
 //! must agree with its un-hinted counterpart under arbitrary (stale,
 //! backwards, out-of-range) hints.
 
-use xtk_core::joinbased::{gallop_intersect, intersect, merge_intersect, use_gallop};
+use xtk_core::joinbased::{intersect, use_gallop};
 use xtk_index::columnar::{gallop_lower_bound, gallop_partition_point, Column, Run};
+use xtk_obs::JoinStrategy::{Gallop, IndexProbe, Merge};
 use xtk_xml::testutil::{prop_check, Gen};
 
 /// A random well-formed column: strictly increasing run values (gap 1
@@ -53,9 +54,9 @@ fn gallop_agrees_with_merge_and_naive() {
         let col = random_column(g);
         let values = random_probes(g, &col);
         let want = naive_intersect(&values, &col);
-        assert_eq!(gallop_intersect(&values, &col), want, "gallop vs naive");
-        assert_eq!(merge_intersect(&values, &col), want, "merge vs naive");
-        assert_eq!(intersect(&values, &col), want, "chooser vs naive");
+        assert_eq!(intersect(Gallop, &values, &col.runs), want, "gallop vs naive");
+        assert_eq!(intersect(Merge, &values, &col.runs), want, "merge vs naive");
+        assert_eq!(intersect(IndexProbe, &values, &col.runs), want, "index vs naive");
     });
 }
 
@@ -76,8 +77,8 @@ fn chooser_decision_never_changes_results() {
             merges.set(merges.get() + 1);
         }
         assert_eq!(
-            gallop_intersect(&values, &col),
-            merge_intersect(&values, &col),
+            intersect(Gallop, &values, &col.runs),
+            intersect(Merge, &values, &col.runs),
             "strategies diverge on {} probes x {} runs",
             values.len(),
             col.runs.len()
@@ -121,9 +122,9 @@ fn gallop_handles_degenerate_shapes() {
     for col in [&empty, &single, &adjacent] {
         for values in [vec![], vec![0], vec![7], vec![0, 1, 2, 3, 4, 7, 9]] {
             let want = naive_intersect(&values, col);
-            assert_eq!(gallop_intersect(&values, col), want);
-            assert_eq!(merge_intersect(&values, col), want);
-            assert_eq!(intersect(&values, col), want);
+            for strategy in [Gallop, Merge, IndexProbe] {
+                assert_eq!(intersect(strategy, &values, &col.runs), want, "{strategy:?}");
+            }
         }
     }
 }

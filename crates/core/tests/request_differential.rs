@@ -261,3 +261,46 @@ fn disk_and_memory_executors_agree_bit_for_bit() {
     assert_eq!(t1, t2);
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn hand_built_empty_query_answers_empty_on_every_executor() {
+    // `Query::parse`/`from_words` refuse an empty keyword list, but the
+    // struct is public: a hand-built empty query must answer empty — the
+    // same way on memory, disk and sharded, never a panic.
+    use xtk_core::diskexec::join_search_disk;
+    use xtk_core::shard::{write_sharded, ShardedEngine};
+    use xtk_core::Query;
+    let e = Engine::from_xml(&corpus()).unwrap();
+    let q = Query { terms: Vec::new() };
+    let mut image = Vec::new();
+    xtk_index::disk::write_index_to(
+        e.index(),
+        &mut image,
+        xtk_index::disk::WriteIndexOptions { include_scores: true, ..Default::default() },
+    )
+    .unwrap();
+    let store = xtk_index::diskcol::DiskColumnStore::open_bytes(
+        image.into(),
+        std::sync::Arc::new(xtk_index::cache::ShardedLruCache::unbounded()),
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("xtk_request_diff_empty_{}", std::process::id()));
+    write_sharded(e.index(), &dir, 3).unwrap();
+    let sharded = ShardedEngine::open(e.index(), &dir).unwrap();
+
+    let opts = JoinOptions { with_scores: true, ..Default::default() };
+    let (mem, mem_stats) = join_search(e.index(), &q, &opts);
+    let (dsk, dsk_stats, reads) = join_search_disk(e.index(), &store, &q, &opts).unwrap();
+    assert!(mem.is_empty() && dsk.is_empty());
+    assert_eq!(mem_stats, dsk_stats);
+    assert_eq!(reads, 0, "an empty query touches no block");
+
+    let disk = DiskEngine::new(e.index(), &store);
+    for req in [QueryRequest::complete(Semantics::Elca), QueryRequest::top_k(3, Semantics::Slca)] {
+        let req = req.with_algorithm(QueryAlgorithm::JoinBased);
+        assert!(e.run(&q, &req).results.is_empty());
+        assert!(disk.execute(&q, &req).unwrap().results.is_empty());
+        assert!(sharded.execute(&q, &req).unwrap().results.is_empty());
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -1,0 +1,230 @@
+//! The `ColumnSource` contract, checked against the in-memory columns as
+//! ground truth: over random corpora × every level × random ascending
+//! probe sets, for memory, disk v2 and disk v3 × `block_skip` on/off ×
+//! a one-block and an unbounded cache, the covering slice a source hands
+//! the driver is sorted, holds the run of every probe value the column
+//! contains, and each run in it equals the memory column's run bit for
+//! bit.  Plus the fault case: a store whose block is torn mid-payload
+//! makes the generic driver return `Err` — on the single store and
+//! through the sharded engine — and never panic.
+
+mod common;
+
+use std::sync::Arc;
+use xtk_core::diskexec::{join_search_disk_spec, DiskJoinSpec, DiskSource};
+use xtk_core::joinbased::{
+    algorithm1, join_search, ColumnSource, JoinOptions, JoinPlan, MemSource,
+};
+use xtk_core::shard::{shard_dir_name, write_sharded_with, ShardedEngine, STORE_FILE};
+use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
+use xtk_index::bytes::ColumnBytes;
+use xtk_index::cache::{BlockCache, ShardedLruCache};
+use xtk_index::columnar::Run;
+use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
+use xtk_index::diskcol::{DiskColumnStore, IoSession};
+use xtk_index::XmlIndex;
+use xtk_obs::{JoinStrategy, Obs};
+use xtk_xml::testutil::{prop_check, Gen};
+
+fn image(ix: &XmlIndex, format: FormatVersion) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_index_to(ix, &mut bytes, WriteIndexOptions { include_scores: true, format }).unwrap();
+    bytes
+}
+
+fn cache(one_block: bool) -> Arc<dyn BlockCache> {
+    if one_block {
+        Arc::new(ShardedLruCache::with_block_capacity(1))
+    } else {
+        Arc::new(ShardedLruCache::unbounded())
+    }
+}
+
+fn bits(rs: &[ScoredResult]) -> Vec<(u32, u16, u32)> {
+    rs.iter().map(|r| (r.node.0, r.level, r.score.to_bits())).collect()
+}
+
+/// An ascending, deduplicated probe list mixing values the column holds
+/// with values it does not; sometimes empty.
+fn random_probes(g: &mut Gen, runs: &[Run]) -> Vec<u32> {
+    let hi = runs.last().map_or(8, |r| r.value + 4);
+    let n = g.gen_range(0..(runs.len() + 3));
+    let mut probes: Vec<u32> = (0..n)
+        .map(|_| match g.rng().choose(runs) {
+            Some(r) if g.gen_bool(0.7) => r.value,
+            _ => g.gen_range(0..hi),
+        })
+        .collect();
+    probes.sort_unstable();
+    probes.dedup();
+    probes
+}
+
+/// Walks `src` through every level of `query` and checks `size` and
+/// `runs` (whole column and covers) against the memory columns.  `size_of` is what this
+/// storage's directory calls a column's size.
+fn check_contract<S: ColumnSource>(
+    label: &str,
+    src: &mut S,
+    ix: &XmlIndex,
+    query: &Query,
+    g: &mut Gen,
+    size_of: fn(&xtk_index::columnar::Column) -> usize,
+) where
+    S::Error: std::fmt::Debug,
+{
+    let terms: Vec<_> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
+    for level in (1..=l0).rev() {
+        src.enter(level).unwrap();
+        for (kw, term) in terms.iter().enumerate() {
+            let what = format!("{label} level {level} kw {kw}");
+            let col = &term.columns[usize::from(level) - 1];
+            assert_eq!(src.size(kw), size_of(col), "{what}: size");
+            assert_eq!(&*src.runs(kw, None).unwrap(), col.runs.as_slice(), "{what}: scan");
+            for _ in 0..3 {
+                let probes = random_probes(g, &col.runs);
+                let own = src.strategy(kw, probes.len());
+                for strategy in
+                    [own, JoinStrategy::Merge, JoinStrategy::Gallop, JoinStrategy::IndexProbe]
+                {
+                    let cover = src.runs(kw, Some((strategy, &probes))).unwrap();
+                    let what = format!("{what} {strategy:?} probes {probes:?}");
+                    assert!(cover.windows(2).all(|w| w[0].value < w[1].value), "{what}: sorted");
+                    for run in cover.iter() {
+                        assert_eq!(col.find(run.value), Some(run), "{what}: run is the column's");
+                    }
+                    for &v in &probes {
+                        if let Some(run) = col.find(v) {
+                            assert!(cover.contains(run), "{what}: run of probe {v} missing");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_source_honours_the_cover_contract() {
+    prop_check(0x5C_0001, 40, |g| {
+        // Flat and chain-heavy shapes alternate: few wide columns, then
+        // many levels.
+        let (shape, placements, k) =
+            if g.gen_bool(0.5) { common::corpus(g) } else { common::deep_corpus(g) };
+        let ix = common::build_corpus(&shape, &placements, k);
+        let query = common::query(&ix, k);
+
+        let mut mem = MemSource::new(&ix, &query, JoinPlan::Dynamic);
+        check_contract("memory", &mut mem, &ix, &query, g, |c| c.runs.len());
+
+        let opts = JoinOptions { with_scores: true, ..Default::default() };
+        let (want, _) = join_search(&ix, &query, &opts);
+        for format in [FormatVersion::V2, FormatVersion::V3] {
+            let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(&ix, format)));
+            for block_skip in [true, false] {
+                for one_block in [true, false] {
+                    let label = format!("{format:?} skip={block_skip} cap1={one_block}");
+                    let store =
+                        DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
+                    let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+                    let session = IoSession::default();
+                    let mut disk = DiskSource::new(&ix, &store, &query, &spec, &session);
+                    check_contract(&label, &mut disk, &ix, &query, g, |c| c.row_count() as usize);
+                    // And the one driver over it answers as over memory.
+                    let session = IoSession::default();
+                    let mut disk = DiskSource::new(&ix, &store, &query, &spec, &session);
+                    let (got, _) =
+                        algorithm1(&ix, &query, &opts, &mut disk, &Obs::default()).unwrap();
+                    assert_eq!(bits(&want), bits(&got), "{label}: driver results");
+                }
+            }
+        }
+    });
+}
+
+fn wide_corpus() -> XmlIndex {
+    let mut xml = String::from("<r>");
+    for i in 0..700 {
+        xml.push_str(&format!(
+            "<conf><p><t>common topic{}</t></p><p>rare{} common</p></conf>",
+            i % 7,
+            i % 91
+        ));
+    }
+    xml.push_str("</r>");
+    XmlIndex::build(xtk_xml::parse(&xml).unwrap())
+}
+
+/// `bytes` with an 8-byte window at `at` overwritten by varint
+/// continuation bytes: what a block looks like when its valid bytes stop
+/// mid-payload.  (Cutting the image itself short cannot open: the
+/// directory pass bounds-checks every payload extent.)
+fn torn(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for b in out.iter_mut().skip(at).take(8) {
+        *b = 0xFF;
+    }
+    out
+}
+
+#[test]
+fn torn_block_makes_the_driver_err_on_disk_never_panic() {
+    let ix = wide_corpus();
+    // One keyword, no block skipping: the driver scans every block of
+    // every level of "common", so a torn block there cannot be missed.
+    let query = Query::from_words(&ix, &["common"]).unwrap();
+    let two = Query::from_words(&ix, &["common", "rare17"]).unwrap();
+    let opts = JoinOptions { with_scores: true, ..Default::default() };
+    for format in [FormatVersion::V2, FormatVersion::V3] {
+        let bytes = image(&ix, format);
+        let (mut opened, mut errs) = (0u32, 0u32);
+        for at in (64..bytes.len() - 8).step_by(13) {
+            let Ok(store) = DiskColumnStore::open_bytes(torn(&bytes, at).into(), cache(false))
+            else {
+                continue; // the tear hit the directory: refused at open
+            };
+            opened += 1;
+            let scans_fail = (1..=store.levels_of("common"))
+                .any(|l| store.column("common", l).is_none_or(|c| c.scan().is_err()));
+            let spec = DiskJoinSpec { join: opts, block_skip: false, prescan: false };
+            let r = join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default());
+            if scans_fail {
+                assert!(r.is_err(), "{format:?} tear at {at}: a failing scan must surface");
+                errs += 1;
+            }
+            // The probing pipeline over the same damage: any outcome but a panic.
+            let spec = DiskJoinSpec { join: opts, block_skip: true, prescan: false };
+            let _ = join_search_disk_spec(&ix, &store, &two, &spec, &Obs::default());
+        }
+        assert!(opened > 0 && errs > 0, "{format:?}: {opened} stores opened, {errs} erred");
+    }
+}
+
+#[test]
+fn torn_block_makes_the_sharded_engine_err_never_panic() {
+    let ix = wide_corpus();
+    let query = Query::from_words(&ix, &["common"]).unwrap();
+    let req = QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::JoinBased);
+    for format in [FormatVersion::V2, FormatVersion::V3] {
+        let dir = std::env::temp_dir()
+            .join(format!("xtk_source_conformance_{format:?}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = WriteIndexOptions { include_scores: true, format };
+        write_sharded_with(&ix, &dir, 2, opts).unwrap();
+        let store_path = dir.join(shard_dir_name(1)).join(STORE_FILE);
+        let pristine = std::fs::read(&store_path).unwrap();
+        assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
+        let mut errs = 0u32;
+        for at in (64..pristine.len() - 8).step_by(211) {
+            std::fs::write(&store_path, torn(&pristine, at)).unwrap();
+            // Refused at open, refused at execute, or a tear the decoder
+            // cannot tell from data — never a panic.
+            if ShardedEngine::open(&ix, &dir).and_then(|e| e.execute(&query, &req)).is_err() {
+                errs += 1;
+            }
+        }
+        assert!(errs > 0, "{format:?}: no tear surfaced as Err");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -153,9 +153,7 @@ fn encode_header(ix: &XmlIndex, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
 }
 
 /// Encodes one term record (vocabulary entry, lengths array, optional
-/// scores, and every column's directory + payload) into `buf`.  Shared
-/// by [`write_index`] and [`persisted_file_bytes`] so size accounting
-/// can never drift from the real writer.
+/// scores, and every column's directory + payload) into `buf`.
 fn encode_term_record(
     ix: &XmlIndex,
     term: &crate::builder::TermData,
@@ -206,21 +204,28 @@ fn encode_term_record(
     }
 }
 
-/// Serializes the columnar part of `ix` to `path`.  Returns bytes written.
-pub fn write_index(ix: &XmlIndex, path: &Path, opts: WriteIndexOptions) -> io::Result<u64> {
-    let file = File::create(path)?;
-    let mut w = CountingWriter { inner: BufWriter::new(file), written: 0 };
+/// Serializes the columnar part of `ix` into any sink and returns the
+/// bytes written — the one header + term-record loop behind
+/// [`write_index`] (a file), [`persisted_file_bytes`] (a counting sink)
+/// and in-memory images (`&mut Vec<u8>`, for
+/// [`DiskColumnStore::open_bytes`](crate::diskcol::DiskColumnStore::open_bytes)).
+pub fn write_index_to<W: Write>(ix: &XmlIndex, sink: W, opts: WriteIndexOptions) -> io::Result<u64> {
+    let mut w = CountingWriter { inner: sink, written: 0 };
     let mut buf = Vec::new();
     encode_header(ix, opts, &mut buf);
     w.write_all(&buf)?;
-
     for (_, term) in ix.terms() {
         buf.clear();
         encode_term_record(ix, term, opts, &mut buf);
         w.write_all(&buf)?;
     }
-    w.inner.flush()?;
+    w.flush()?;
     Ok(w.written)
+}
+
+/// Serializes the columnar part of `ix` to `path`.  Returns bytes written.
+pub fn write_index(ix: &XmlIndex, path: &Path, opts: WriteIndexOptions) -> io::Result<u64> {
+    write_index_to(ix, BufWriter::new(File::create(path)?), opts)
 }
 
 /// [`write_index`] plus observability: records `disk.write_bytes` and
@@ -243,16 +248,8 @@ pub fn write_index_obs(
 /// so the Table I accounting in [`crate::sizes`] can be checked against
 /// the genuine article.
 pub fn persisted_file_bytes(ix: &XmlIndex, opts: WriteIndexOptions) -> u64 {
-    let mut total = 0u64;
-    let mut buf = Vec::new();
-    encode_header(ix, opts, &mut buf);
-    total += buf.len() as u64;
-    for (_, term) in ix.terms() {
-        buf.clear();
-        encode_term_record(ix, term, opts, &mut buf);
-        total += buf.len() as u64;
-    }
-    total
+    // `io::sink` accepts every write, so the count always comes back.
+    write_index_to(ix, io::sink(), opts).unwrap_or(0)
 }
 
 /// Reads an index file back into memory.

@@ -29,8 +29,10 @@ pub const HOT_MODULES: &[&str] = &[
 ];
 
 /// The subset of [`HOT_MODULES`] where L8 (allocation-in-loop) applies:
-/// the Algorithm-1 join, the disk executor, the top-K star join, the
-/// shard scatter/merge, the four block-decode modules — since the
+/// the one Algorithm-1 driver with its in-memory column source
+/// (`joinbased`), the on-disk column source it reaches through the
+/// `ColumnSource` bound (`diskexec`), the top-K star join, the shard
+/// scatter/merge, the four block-decode modules — since the
 /// arena rework, the cold decode path must allocate only through the
 /// reused [`DecodeScratch`](../../index/src/codec.rs) buffers — and the
 /// planner's cost/cache pair, which sits on the per-request serving

@@ -1,8 +1,8 @@
 //! L8 — allocation inside hot loops.
 //!
-//! The join (`joinbased`), the disk executor (`diskexec`), the top-K
-//! star join (`topk`) and the shard merge (`shard`) are the per-query
-//! inner loops of the engine; an allocation there multiplies with
+//! The Algorithm-1 driver (`joinbased`), its on-disk column source
+//! (`diskexec`), the top-K star join (`topk`) and the shard merge
+//! (`shard`) are the per-query inner loops of the engine; an allocation there multiplies with
 //! result-set size.  L8 flags `Vec::new`, `vec![…]`, `.to_vec()`,
 //! `.collect()` and `format!` at loop depth ≥ 1 in those modules.
 //!
@@ -135,7 +135,7 @@ mod tests {
                 "pub fn setup(k: usize) -> u32 { let buf = Vec::new(); buf.len() as u32 }\n",
             ),
             (
-                "crates/core/src/explain.rs",
+                "crates/core/src/hybrid.rs",
                 r#"
                 pub fn render(xs: &[u32]) -> u32 {
                     let mut n = 0;

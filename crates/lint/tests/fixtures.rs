@@ -108,3 +108,104 @@ fn shipped_tree_has_no_hard_violations() {
     }
     assert!(crate_roots >= 6, "expected >= 6 crate roots, found {crate_roots}");
 }
+
+/// The one Algorithm-1 driver reaches its storage through a generic
+/// bound (`S: ColumnSource`): both call spellings — `S::method(src, …)`
+/// and `src.method(…)` on the generic binding — must resolve to *every*
+/// impl, so the disk source stays inside L6 panic reachability from the
+/// in-memory entry point, L8 still sees allocations inside the generic
+/// driver's loops, and L9 still catches a `Result` discarded through the
+/// bound.
+#[test]
+fn interprocedural_passes_follow_calls_through_a_generic_bound() {
+    use std::collections::BTreeSet;
+    use xtk_lint::graph::Workspace;
+    use xtk_lint::{hotloop, parser, reach, rules};
+
+    let driver = r#"
+        pub trait ColumnSource {
+            type Error;
+            fn enter(&mut self, level: u16) -> Result<(), Self::Error>;
+            fn runs(&self, kw: usize) -> Result<Vec<u32>, Self::Error>;
+        }
+        pub struct MemSource;
+        impl ColumnSource for MemSource {
+            type Error = std::convert::Infallible;
+            fn enter(&mut self, _level: u16) -> Result<(), Self::Error> { Ok(()) }
+            fn runs(&self, _kw: usize) -> Result<Vec<u32>, Self::Error> { Ok(Vec::new()) }
+        }
+        pub fn algorithm1<S: ColumnSource>(src: &mut S, kws: &[usize]) -> Result<u32, S::Error> {
+            S::enter(src, 2)?;
+            let mut n = 0;
+            for &kw in kws {
+                let copy = src.runs(kw)?.to_vec();
+                n += copy.len() as u32;
+            }
+            let _ = src.enter(1);
+            Ok(n)
+        }
+    "#;
+    let disk = r#"
+        pub struct DiskSource { cols: Vec<Vec<u32>> }
+        impl ColumnSource for DiskSource {
+            type Error = std::io::Error;
+            fn enter(&mut self, level: u16) -> std::io::Result<()> {
+                let _rows = self.cols[level as usize].len();
+                Ok(())
+            }
+            fn runs(&self, kw: usize) -> std::io::Result<Vec<u32>> {
+                Ok(self.cols[kw].clone())
+            }
+        }
+    "#;
+    let engine = r#"
+        pub struct Engine;
+        impl Engine {
+            pub fn run(&self, kws: &[usize]) -> u32 {
+                algorithm1(&mut MemSource, kws).unwrap_or(0)
+            }
+        }
+    "#;
+    let files = vec![
+        parser::parse("crates/core/src/joinbased.rs", driver.to_string()),
+        parser::parse("crates/core/src/diskexec.rs", disk.to_string()),
+        parser::parse("crates/core/src/engine.rs", engine.to_string()),
+    ];
+    let result_fns: BTreeSet<String> = files
+        .iter()
+        .flat_map(|pf| pf.fns.iter())
+        .filter(|f| f.ret.iter().any(|t| t == "Result"))
+        .map(|f| f.name.clone())
+        .collect();
+    let l9: Vec<u32> = files
+        .iter()
+        .filter(|pf| pf.rel.ends_with("joinbased.rs"))
+        .flat_map(|pf| rules::l9(pf, &result_fns))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(l9.len(), 1, "`let _ = src.enter(1)` discards a Result: {l9:?}");
+
+    let ws = Workspace::build(files);
+    // L6: Engine::run only names MemSource, yet both of DiskSource's
+    // indexing sites are reachable — one through `S::enter`, one through
+    // `src.runs`.
+    let l6 = reach::analyze(&ws);
+    let run = l6.iter().find(|e| e.qual == "xtk_core::Engine::run").expect("entry point");
+    let disk_sites: Vec<&reach::PanicPath> =
+        run.paths.iter().filter(|p| p.file.ends_with("diskexec.rs")).collect();
+    assert_eq!(disk_sites.len(), 2, "{:?}", run.paths.iter().map(|p| &p.chain).collect::<Vec<_>>());
+    for site in &disk_sites {
+        assert!(
+            site.chain.iter().any(|f| f.ends_with("algorithm1")),
+            "reached through the generic driver: {:?}",
+            site.chain
+        );
+    }
+    // L8: the allocation inside the generic driver's loop is flagged.
+    let l8 = hotloop::analyze(&ws);
+    assert!(
+        l8.findings.iter().any(|f| f.what.contains("to_vec") && f.in_fn.ends_with("algorithm1")),
+        "{:?}",
+        l8.findings
+    );
+}

@@ -24,8 +24,8 @@
 //!               the shared --top/--all/--slca settings apply to every
 //!               line.  Blank lines and #-comments are skipped.
 //!   --explain   print the logical plan, the rewrite-rule log, and the
-//!               lowered physical plan (plus, in memory, the executed
-//!               per-level join plan) instead of results
+//!               lowered physical plan instead of results; with --trace,
+//!               also execute and annotate the plan with per-node actuals
 //!   --trace     print the recorded execution trace (JSON lines) after
 //!               the results — real events, not a re-simulation
 //!   --stats     print corpus statistics and the execution metrics
@@ -41,7 +41,6 @@
 use std::process::exit;
 use xtk::core::batch::run_batch;
 use xtk::core::engine::Engine;
-use xtk::core::joinbased::JoinOptions;
 use xtk::core::plan::{annotate_executed, compile};
 use xtk::core::query::Semantics;
 use xtk::core::request::{Executor, QueryAlgorithm, QueryRequest};
@@ -299,11 +298,6 @@ fn main() {
                 println!("\n== executed plan ==");
                 print!("{}", annotate_executed(engine.index(), &report, tr));
             }
-        } else if sharded.is_none() {
-            // The executed §III-C per-level merge/index decisions.
-            let report = engine
-                .explain(&query, &JoinOptions { semantics: req.semantics, ..Default::default() });
-            print!("{report}");
         }
         cleanup();
         return;
