@@ -18,7 +18,7 @@ use crate::result::ScoredResult;
 use std::borrow::Cow;
 use std::io;
 use xtk_index::diskcol::{DiskColumn, DiskColumnStore, IoSession};
-use xtk_index::{TermId, XmlIndex};
+use xtk_index::{TermData, TermId, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
 
 /// The physical access-path configuration the plan lowering hands the
@@ -44,7 +44,9 @@ pub struct DiskJoinSpec {
 pub struct DiskSource<'a> {
     store: &'a DiskColumnStore,
     session: &'a IoSession,
-    names: Vec<&'a str>,
+    /// The index's lists, in query order: the store is keyed by their
+    /// text and must stay within their rows.
+    terms: Vec<&'a TermData>,
     /// The current level's column handles, in query order.
     cols: Vec<DiskColumn<'a>>,
     block_skip: bool,
@@ -60,9 +62,9 @@ impl<'a> DiskSource<'a> {
         spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
-        let names: Vec<&str> = query.terms.iter().map(|&t| &*ix.term(t).term).collect();
-        let cols = Vec::with_capacity(names.len());
-        Self { store, session, names, cols, block_skip: spec.block_skip, prescan: spec.prescan }
+        let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+        let cols = Vec::with_capacity(terms.len());
+        Self { store, session, terms, cols, block_skip: spec.block_skip, prescan: spec.prescan }
     }
 }
 
@@ -73,9 +75,9 @@ impl ColumnSource for DiskSource<'_> {
         if self.prescan {
             // Whole-sequence materialization: every level of every keyword,
             // including the levels above `l0` the join never consumes.
-            for t in &self.names {
-                for l in 1..=self.store.levels_of(t) {
-                    if let Some(col) = self.store.column(t, l) {
+            for t in &self.terms {
+                for l in 1..=self.store.levels_of(&t.term) {
+                    if let Some(col) = self.store.column(&t.term, l) {
                         col.scoped(self.session).scan()?;
                     }
                 }
@@ -86,9 +88,9 @@ impl ColumnSource for DiskSource<'_> {
 
     fn enter(&mut self, level: u16) -> io::Result<()> {
         self.cols.clear();
-        for t in &self.names {
+        for t in &self.terms {
             // The index directory says the term reaches `level`.
-            let col = self.store.column(t, level).ok_or_else(|| {
+            let col = self.store.column(&t.term, level).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "store lacks a column the index lists")
             })?;
             self.cols.push(col.scoped(self.session));
@@ -118,9 +120,13 @@ impl ColumnSource for DiskSource<'_> {
     /// Index probe: exactly the probed runs that exist.  Merge with block
     /// skipping: the runs of the blocks whose footer range covers a probe
     /// — a scan-ordered subset holding every probed value that exists.
+    /// A cover reaching past the index's posting list — a store written
+    /// from another corpus — is refused: the driver scores by row.
     fn runs(&self, kw: usize, step: Option<Step<'_>>) -> io::Result<Runs<'_>> {
-        let col = self.cols.get(kw).ok_or_else(|| io::Error::other("no column entered"))?;
-        Ok(Cow::Owned(match step {
+        let (Some(col), Some(term)) = (self.cols.get(kw), self.terms.get(kw)) else {
+            return Err(io::Error::other("no column entered"));
+        };
+        let cover = match step {
             Some((JoinStrategy::IndexProbe, probes)) => {
                 let mut found = Vec::with_capacity(probes.len());
                 for &v in probes {
@@ -130,7 +136,15 @@ impl ColumnSource for DiskSource<'_> {
             }
             Some((_, probes)) if self.block_skip => col.scan_matching(probes)?,
             _ => col.scan()?,
-        }))
+        };
+        // Runs ascend by row, so the last one bounds the cover.
+        if cover.last().is_some_and(|last| last.end() as usize > term.len()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "store column reaches past the index's posting list",
+            ));
+        }
+        Ok(Cow::Owned(cover))
     }
 
     fn end(&self, obs: &Obs) {

@@ -32,9 +32,20 @@
 //!   scoring read only rows inside the value's own runs, and same-level
 //!   runs of distinct values are disjoint, so every value sees the
 //!   level-entry erasure state the serial loop would show it), then
-//!   *committed* sequentially in ascending value order.
+//!   *committed* chunk by chunk in ascending value order.
+//!
+//! # Everything ascends within a level
+//!
+//! The joined values ascend; so do each keyword's runs (by value *and* by
+//! row), the eraser's intervals and the level's nodes by JDewey number.
+//! Every lookup of the match phase is therefore a forward position — in
+//! the run cover, in the eraser ([`eraser::Cursor`]), in the level's node
+//! list ([`LevelCursor`]) — and every update a batch: a value's rows are
+//! erased by one sorted union per keyword when its chunk commits, which
+//! no evaluation can observe earlier, since values are evaluated against
+//! the level-entry state anyway.  The serial engine is the one-chunk case.
 
-use crate::eraser::Eraser;
+use crate::eraser::{self, Eraser};
 use crate::pool::{chunk_ranges, parallel_map, phase_chunks, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
@@ -43,6 +54,7 @@ use std::convert::Infallible;
 use xtk_index::columnar::{gallop_lower_bound, Run};
 use xtk_index::{TermData, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
+use xtk_xml::jdewey::LevelCursor;
 
 /// Probe-list length from which a join step is chunked across the pool
 /// (the chunks intersect in memory whatever the storage).
@@ -272,6 +284,7 @@ pub fn algorithm1<S: ColumnSource>(
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
     let mut order: Vec<usize> = Vec::with_capacity(k);
+    let mut scratch = ChunkEval::default();
     for l in (1..=l0).rev() {
         stats.levels += 1;
         let before = stats;
@@ -284,8 +297,9 @@ pub fn algorithm1<S: ColumnSource>(
         let (values, covers) =
             join_level(&*src, query, l, &order, opts.parallelism, &mut stats, obs)?;
         stats.matches += values.len() as u64;
+        let view = LevelView { ix, terms: &terms, covers: &covers, level: l, opts };
         stats.results +=
-            match_level(ix, &terms, &mut erasers, &values, &covers, l, opts, &mut results, obs);
+            match_level(&view, &mut erasers, &values, &mut scratch, &mut results, obs);
         obs.event(EventKind::LevelEnd {
             level: l as u32,
             matches: stats.matches - before.matches,
@@ -353,7 +367,7 @@ fn join_level<'s, S: ColumnSource>(
             values = parts.concat();
         } else {
             let mut seek = Seek::new(&cover, strategy, values.first().copied());
-            values.retain(|&v| seek.run_of(v).is_some());
+            values.retain(|&v| seek.run_of(&cover, v).is_some());
         }
         obs.event(EventKind::JoinStep {
             level: level as u32,
@@ -370,114 +384,203 @@ fn join_level<'s, S: ColumnSource>(
     Ok((values, covers))
 }
 
+/// What evaluating a level's matched values reads besides the erasers,
+/// fixed for the level.
+struct LevelView<'a> {
+    ix: &'a XmlIndex,
+    terms: &'a [&'a TermData],
+    /// Per keyword (query order), runs holding every joined value's.
+    covers: &'a [Runs<'a>],
+    level: u16,
+    opts: &'a JoinOptions,
+}
+
+/// One keyword's state while a chunk of matched values is evaluated.
+/// Values ascend, so the keyword's runs ascend by value and by row: both
+/// lookups are forward positions, and the rows to erase come out sorted.
+#[derive(Default)]
+struct KeywordEval {
+    cover: Seek,
+    erased: eraser::Cursor,
+    /// Row ranges the chunk's matches erase, ascending and disjoint.
+    erase: Vec<(u32, u32)>,
+}
+
+/// The evaluation of one chunk of a level's matched values, read by
+/// [`commit`].  The serial engine reuses one across levels.
+#[derive(Default)]
+struct ChunkEval {
+    keywords: Vec<KeywordEval>,
+    /// The value under evaluation's run per keyword.
+    runs: Vec<Run>,
+    /// `(value, score)` of each surviving value, ascending.
+    emits: Vec<(u32, f32)>,
+}
+
 /// The semantic pruning + emission of one level's joined `values`;
 /// returns the number of results emitted.  Every value is *evaluated*
 /// against the level-entry erasure state — chunked across the pool from
-/// [`PAR_MATCH_MIN`] values — then *committed* sequentially in ascending
-/// value order.  Same-level runs of distinct values are disjoint, so this
-/// equals evaluating and committing value by value.
-#[allow(clippy::too_many_arguments)]
+/// [`PAR_MATCH_MIN`] values, otherwise as one chunk into `scratch` — then
+/// the chunks are *committed* in order.  Same-level runs of distinct
+/// values are disjoint, so no value's checks or score can see another's
+/// erasure, and erasing is a set union: this equals evaluating and
+/// committing value by value.
 fn match_level(
-    ix: &XmlIndex,
-    terms: &[&TermData],
+    view: &LevelView<'_>,
     erasers: &mut [Eraser],
     values: &[u32],
-    covers: &[Runs<'_>],
-    level: u16,
-    opts: &JoinOptions,
+    scratch: &mut ChunkEval,
     results: &mut Vec<ScoredResult>,
     obs: &Obs,
 ) -> u64 {
-    let k = covers.len().max(1);
-    let mut par = Parallelism::Serial;
-    let mut chunks = 1;
-    if opts.parallelism.workers() > 1 && values.len() >= PAR_MATCH_MIN {
-        par = opts.parallelism;
-        chunks = phase_chunks(par);
+    let par = view.opts.parallelism;
+    let pooled;
+    let chunks = if par.workers() > 1 && values.len() >= PAR_MATCH_MIN {
         obs.metrics.add("pool.match_phases", 1);
         obs.metrics.add("pool.match_items", values.len() as u64);
+        let frozen: &[Eraser] = erasers;
+        pooled = parallel_map(par, &chunk_ranges(values.len(), phase_chunks(par)), |_, range| {
+            let mut chunk = ChunkEval::default();
+            view.evaluate(frozen, values.get(range.clone()).unwrap_or(&[]), &mut chunk);
+            chunk
+        });
+        pooled.as_slice()
+    } else {
+        view.evaluate(erasers, values, scratch);
+        std::slice::from_ref(&*scratch)
+    };
+    let mut nodes = view.ix.jd().level_cursor(view.level);
+    chunks.iter().map(|chunk| commit(chunk, erasers, &mut nodes, view.level, results)).sum()
+}
+
+/// The sequential half of a level: emits a chunk's survivors (ascending,
+/// so the node lookup is a forward cursor over the level) and unions the
+/// rows its matches erase into each keyword's eraser in one sorted pass.
+fn commit(
+    chunk: &ChunkEval,
+    erasers: &mut [Eraser],
+    nodes: &mut LevelCursor<'_>,
+    level: u16,
+    results: &mut Vec<ScoredResult>,
+) -> u64 {
+    let before = results.len();
+    // Every matched value identifies a node in a consistent index.
+    results.extend(chunk.emits.iter().filter_map(|&(value, score)| {
+        nodes.node_at(value).map(|node| ScoredResult { node, level, score })
+    }));
+    for (kw, eraser) in chunk.keywords.iter().zip(erasers) {
+        eraser.erase_sorted(&kw.erase);
     }
-    let frozen: &[Eraser] = erasers;
-    let evals = parallel_map(par, &chunk_ranges(values.len(), chunks), |_, range| {
-        // One flat run buffer per chunk, `k` runs per found value.
-        let chunk = values.get(range.clone()).unwrap_or(&[]);
-        let mut seeks: Vec<Seek<'_>> =
-            covers.iter().map(|c| Seek::new(c, JoinStrategy::Gallop, None)).collect();
-        let mut flat: Vec<Run> = Vec::with_capacity(chunk.len() * k);
-        let mut verdicts = Vec::with_capacity(chunk.len());
-        for &v in chunk {
-            let base = flat.len();
-            flat.extend(seeks.iter_mut().filter_map(|s| s.run_of(v).copied()));
-            // Present in all k covers by construction of the join.
-            if flat.len() - base == seeks.len() {
-                let runs = flat.get(base..).unwrap_or(&[]);
-                verdicts.push(Some(evaluate_match(ix, terms, frozen, runs, level, opts)));
-            } else {
-                flat.truncate(base);
-                verdicts.push(None);
-            }
+    (results.len() - before) as u64
+}
+
+impl LevelView<'_> {
+    /// The read-only half of a level: for each of the ascending `values`,
+    /// the ELCA/SLCA range checks and (when emitting with scores) the
+    /// ranking score, against the erasure state as of entering the level.
+    fn evaluate(&self, erasers: &[Eraser], values: &[u32], out: &mut ChunkEval) {
+        let ChunkEval { keywords, runs, emits } = out;
+        keywords.resize_with(self.covers.len(), KeywordEval::default);
+        for kw in keywords.iter_mut() {
+            kw.cover = Seek::default();
+            kw.erased = eraser::Cursor::default();
+            kw.erase.clear();
         }
-        (flat, verdicts)
-    });
-    let mut emitted = 0;
-    // Verdicts drive the zip: when a chunk runs dry the value iterator
-    // must not be advanced past the chunk boundary.
-    let mut values_it = values.iter().copied();
-    for (flat, verdicts) in evals {
-        let mut chunk_runs = flat.chunks_exact(k);
-        for (verdict, value) in verdicts.into_iter().zip(values_it.by_ref()) {
-            // `flat` holds runs for found values only: a `None` verdict
-            // must not consume the next value's.
-            let Some((emit, erase, score)) = verdict else { continue };
-            let Some(runs) = chunk_runs.next() else { continue };
-            if emit {
-                // Every matched value identifies a node in a consistent index.
-                if let Some(node) = ix.node_at(level, value) {
-                    results.push(ScoredResult { node, level, score });
-                    emitted += 1;
+        emits.clear();
+        for &v in values {
+            runs.clear();
+            let found = self.covers.iter().zip(keywords.iter_mut());
+            runs.extend(found.map_while(|(cover, kw)| kw.cover.run_of(cover, v).copied()));
+            // Present in all k covers by construction of the join.
+            if runs.len() != keywords.len() {
+                continue;
+            }
+            let mut checks = runs.iter().zip(erasers).zip(keywords.iter_mut());
+            let (emit, erase) = match self.opts.semantics {
+                // SLCA range check (§III-F): any erased row under this
+                // node means a descendant match exists.
+                Semantics::Slca => {
+                    (checks.all(|((r, e), kw)| !kw.erased.any_in(e, r.start, r.end())), true)
                 }
+                // ELCA range check (§III-E): survive iff at least one
+                // non-erased occurrence per keyword.
+                Semantics::Elca => {
+                    let alive =
+                        checks.all(|((r, e), kw)| kw.erased.count_in(e, r.start, r.end()) < r.len);
+                    (alive, alive || self.opts.variant == ElcaVariant::Formal)
+                }
+            };
+            if emit {
+                let scored = self.opts.with_scores;
+                emits.push((v, if scored { self.score_of(erasers, runs, keywords) } else { 0.0 }));
             }
             if erase {
-                for (r, e) in runs.iter().zip(erasers.iter_mut()) {
-                    e.erase(r.start, r.end());
+                for (r, kw) in runs.iter().zip(keywords.iter_mut()) {
+                    kw.erase.push((r.start, r.end()));
                 }
             }
         }
     }
-    emitted
+
+    /// Ranking score of an emitted result: per keyword (in query order),
+    /// the maximum damped score over the *non-erased* rows of its run —
+    /// exactly the occurrences that belong to this result rather than to
+    /// a lower one.  Walks each run's gaps between erased intervals.
+    fn score_of(&self, erasers: &[Eraser], runs: &[Run], keywords: &mut [KeywordEval]) -> f32 {
+        let (tree, damping) = (self.ix.tree(), self.ix.damping());
+        let mut total = 0.0f32;
+        for (((term, eraser), run), kw) in self.terms.iter().zip(erasers).zip(runs).zip(keywords) {
+            let mut best = 0.0f32;
+            for live in kw.erased.live_in(eraser, run.start, run.end()) {
+                let rows = live.start as usize..live.end as usize;
+                // A source bounds its covers by the posting list.
+                let nodes = term.postings.get(rows.clone()).unwrap_or(&[]);
+                let locals = term.scores.get(rows).unwrap_or(&[]);
+                for (&node, &local) in nodes.iter().zip(locals) {
+                    let damped = damping.damp(local, tree.depth(node), self.level);
+                    if damped > best {
+                        best = damped;
+                    }
+                }
+            }
+            total += best;
+        }
+        total
+    }
 }
 
 /// A forward-only position in a sorted run slice: lookups must ascend.
 /// Merge walks linearly; gallop, index probes and the match-time gather
-/// search exponentially from the last position — O(m log(n/m)) for m
-/// ascending lookups over n runs.
-struct Seek<'r> {
-    runs: &'r [Run],
+/// (the default) search exponentially from the last position —
+/// O(m log(n/m)) for m ascending lookups over n runs.  The slice is passed
+/// to every lookup, so a position can outlive the borrow.
+#[derive(Default)]
+struct Seek {
     at: usize,
     linear: bool,
 }
 
-impl<'r> Seek<'r> {
+impl Seek {
     /// `first` is the first value that will be looked up: a linear walk
     /// starts at the first run that can match it.
-    fn new(runs: &'r [Run], strategy: JoinStrategy, first: Option<u32>) -> Self {
+    fn new(runs: &[Run], strategy: JoinStrategy, first: Option<u32>) -> Self {
         let linear = strategy == JoinStrategy::Merge;
         let at = match first {
             Some(lo) if linear => runs.partition_point(|r| r.value < lo),
             _ => 0,
         };
-        Seek { runs, at, linear }
+        Seek { at, linear }
     }
 
-    fn run_of(&mut self, v: u32) -> Option<&'r Run> {
+    fn run_of<'r>(&mut self, runs: &'r [Run], v: u32) -> Option<&'r Run> {
         if self.linear {
-            while self.runs.get(self.at).is_some_and(|r| r.value < v) {
+            while runs.get(self.at).is_some_and(|r| r.value < v) {
                 self.at += 1;
             }
         } else {
-            self.at = gallop_lower_bound(self.runs, self.at, v);
+            self.at = gallop_lower_bound(runs, self.at, v);
         }
-        self.runs.get(self.at).filter(|r| r.value == v)
+        runs.get(self.at).filter(|r| r.value == v)
     }
 }
 
@@ -485,69 +588,7 @@ impl<'r> Seek<'r> {
 /// picks the walk, never the result.
 pub fn intersect(strategy: JoinStrategy, values: &[u32], runs: &[Run]) -> Vec<u32> {
     let mut seek = Seek::new(runs, strategy, values.first().copied());
-    values.iter().copied().filter(|&v| seek.run_of(v).is_some()).collect()
-}
-
-/// The read-only half of a match — `(emit, erase, score)`: the ELCA/SLCA
-/// range checks and (when emitting with scores) the ranking score,
-/// against the erasure state as of entering the level.
-fn evaluate_match(
-    ix: &XmlIndex,
-    terms: &[&TermData],
-    erasers: &[Eraser],
-    runs: &[Run],
-    level: u16,
-    opts: &JoinOptions,
-) -> (bool, bool, f32) {
-    let (emit, erase) = match opts.semantics {
-        // SLCA range check (§III-F): any erased row under this node
-        // means a descendant match exists.
-        Semantics::Slca => {
-            (runs.iter().zip(erasers).all(|(r, e)| !e.any_in(r.start, r.end())), true)
-        }
-        // ELCA range check (§III-E): survive iff at least one non-erased
-        // occurrence per keyword.
-        Semantics::Elca => {
-            let alive = runs.iter().zip(erasers).all(|(r, e)| e.count_in(r.start, r.end()) < r.len);
-            (alive, alive || opts.variant == ElcaVariant::Formal)
-        }
-    };
-    let score =
-        if emit && opts.with_scores { score_of(ix, terms, erasers, runs, level) } else { 0.0 };
-    (emit, erase, score)
-}
-
-/// Ranking score of an emitted result: per keyword (in query order), the
-/// maximum damped score over the *non-erased* rows of its run — exactly
-/// the occurrences that belong to this result rather than to a lower one.
-fn score_of(
-    ix: &XmlIndex,
-    terms: &[&TermData],
-    erasers: &[Eraser],
-    runs: &[Run],
-    level: u16,
-) -> f32 {
-    let damping = ix.damping();
-    let mut total = 0.0f32;
-    for ((term, eraser), run) in terms.iter().zip(erasers).zip(runs) {
-        let mut best = 0.0f32;
-        let mut row = run.start;
-        while row < run.end() {
-            if eraser.is_erased(row) {
-                row = eraser.next_clear(row).min(run.end());
-                continue;
-            }
-            let depth = ix.tree().depth(term.postings[row as usize]);
-            let damped = damping.damp(term.scores[row as usize], depth, level);
-            if damped > best {
-                best = damped;
-            }
-            row += 1;
-        }
-        debug_assert!(best > 0.0, "emitted results have a live occurrence per keyword");
-        total += best;
-    }
-    total
+    values.iter().copied().filter(|&v| seek.run_of(runs, v).is_some()).collect()
 }
 
 #[cfg(test)]
@@ -688,14 +729,13 @@ mod tests {
         let covers = vec![Cow::Borrowed(cols[0]), Cow::Borrowed(&cols[1][1..])];
         let mut erasers = vec![Eraser::new(), Eraser::new()];
         let mut results = Vec::new();
+        let opts = JoinOptions::default();
+        let view = LevelView { ix: &ix, terms: &terms, covers: &covers, level: 2, opts: &opts };
         let emitted = match_level(
-            &ix,
-            &terms,
+            &view,
             &mut erasers,
             &values,
-            &covers,
-            2,
-            &JoinOptions::default(),
+            &mut ChunkEval::default(),
             &mut results,
             &Obs::default(),
         );
@@ -704,6 +744,152 @@ mod tests {
             assert!(!eraser.any_in(col[0].start, col[0].end()), "skipped value erases nothing");
             assert!(eraser.any_in(col[2].start, col[2].end()), "last value erases its own rows");
         }
+    }
+
+    /// The row-by-row score the gap walk replaced: every row of every
+    /// run asks the eraser.
+    fn score_rows(
+        ix: &XmlIndex,
+        terms: &[&TermData],
+        erasers: &[Eraser],
+        runs: &[Run],
+        level: u16,
+    ) -> f32 {
+        let mut total = 0.0f32;
+        for ((term, eraser), run) in terms.iter().zip(erasers).zip(runs) {
+            let mut best = 0.0f32;
+            for row in run.rows().filter(|&row| !eraser.is_erased(row)) {
+                let depth = ix.tree().depth(term.postings[row as usize]);
+                let damped = ix.damping().damp(term.scores[row as usize], depth, level);
+                if damped > best {
+                    best = damped;
+                }
+            }
+            assert!(best > 0.0, "emitted results have a live occurrence per keyword");
+            total += best;
+        }
+        total
+    }
+
+    /// Algorithm 1 value by value: from-scratch lookups and range checks,
+    /// [`score_rows`], and each match erased before the next is evaluated.
+    fn reference_search(ix: &XmlIndex, query: &Query, opts: &JoinOptions) -> Vec<ScoredResult> {
+        let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+        let l0 = terms.iter().map(|t| t.max_len()).min().unwrap();
+        let mut erasers = vec![Eraser::new(); terms.len()];
+        let mut results = Vec::new();
+        for level in (1..=l0).rev() {
+            let cols: Vec<_> = terms.iter().map(|t| &t.columns[usize::from(level) - 1]).collect();
+            for value in cols[0].runs.iter().map(|r| r.value) {
+                let found: Option<Vec<Run>> = cols.iter().map(|c| c.find(value).copied()).collect();
+                let Some(runs) = found else { continue };
+                let mut checks = runs.iter().zip(&erasers);
+                let (emit, erase) = match opts.semantics {
+                    Semantics::Slca => (checks.all(|(r, e)| !e.any_in(r.start, r.end())), true),
+                    Semantics::Elca => {
+                        let alive = checks.all(|(r, e)| e.count_in(r.start, r.end()) < r.len);
+                        (alive, alive || opts.variant == ElcaVariant::Formal)
+                    }
+                };
+                if emit {
+                    let score = match opts.with_scores {
+                        true => score_rows(ix, &terms, &erasers, &runs, level),
+                        false => 0.0,
+                    };
+                    let node = ix.node_at(level, value).unwrap();
+                    results.push(ScoredResult { node, level, score });
+                }
+                if erase {
+                    for (r, e) in runs.iter().zip(&mut erasers) {
+                        e.erase(r.start, r.end());
+                    }
+                }
+            }
+        }
+        results
+    }
+
+    /// Returns how many match phases ran on the pool.
+    fn assert_matches_reference(ix: &XmlIndex, query: &Query) -> u64 {
+        let obs = Obs::new();
+        let bits = |rs: &[ScoredResult]| -> Vec<(u32, u16, u32)> {
+            rs.iter().map(|r| (r.node.0, r.level, r.score.to_bits())).collect()
+        };
+        for semantics in [Semantics::Elca, Semantics::Slca] {
+            for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
+                let mut opts =
+                    JoinOptions { semantics, variant, with_scores: true, ..Default::default() };
+                let want = bits(&reference_search(ix, query, &opts));
+                for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
+                    opts.parallelism = parallelism;
+                    let (got, stats) = join_search_obs(ix, query, &opts, &obs);
+                    assert_eq!(bits(&got), want, "{semantics:?} {variant:?} {parallelism:?}");
+                    assert_eq!(stats.results, want.len() as u64);
+                }
+            }
+        }
+        obs.metrics.value("pool.match_phases")
+    }
+
+    #[test]
+    fn gap_walk_and_batched_commit_equal_the_value_by_value_reference() {
+        use xtk_xml::testutil::prop_check;
+        use xtk_xml::XmlTree;
+        let pooled = std::cell::Cell::new(0);
+        prop_check(0x6A_9001, 60, |g| {
+            // Uniform parents give levels wide enough for the pooled match
+            // phase, recent ones the chains that erase on every level.
+            let n = g.gen_range(2..1500usize);
+            let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for v in 1..n {
+                let oldest = if g.gen_bool(0.5) { 0 } else { v.saturating_sub(4) };
+                children[g.gen_range(oldest..v)].push(v);
+            }
+            // Arena ids are document order: add in pre-order.
+            let mut tree = XmlTree::new();
+            let mut nodes = vec![tree.add_root("r")];
+            let mut stack: Vec<(usize, NodeId)> =
+                children[0].iter().rev().map(|&c| (c, nodes[0])).collect();
+            while let Some((v, parent)) = stack.pop() {
+                let id = tree.add_child(parent, "n");
+                nodes.push(id);
+                stack.extend(children[v].iter().rev().map(|&c| (c, id)));
+            }
+            let k = g.gen_range(2..4usize);
+            for &node in &nodes {
+                for kw in 0..k {
+                    if g.gen_bool(0.4) {
+                        tree.append_text(node, &format!("kw{kw}"));
+                    }
+                }
+            }
+            for kw in 0..k {
+                tree.append_text(nodes[g.gen_range(0..nodes.len())], &format!("kw{kw}"));
+            }
+            let ix = XmlIndex::build(tree);
+            let words: Vec<String> = (0..k).map(|kw| format!("kw{kw}")).collect();
+            let query = Query::from_words(&ix, &words).unwrap();
+            pooled.set(pooled.get() + assert_matches_reference(&ix, &query));
+        });
+        assert!(pooled.get() > 0, "no level was wide enough for the pooled match phase");
+    }
+
+    #[test]
+    fn run_erased_except_its_last_row_scores_that_row() {
+        // Both keywords' runs under `a` are [x, x, last]: the two `x`
+        // match below and erase their rows, the last row is all `a` has.
+        let xml = "<r><a><x>p q</x><x>p q</x><y>p</y><z>q</z></a><b>p</b></r>";
+        let ix = XmlIndex::build(parse(xml).unwrap());
+        let query = Query::from_words(&ix, &["p", "q"]).unwrap();
+        assert_matches_reference(&ix, &query);
+        let opts = JoinOptions { with_scores: true, ..Default::default() };
+        let (rs, _) = join_search(&ix, &query, &opts);
+        let a = rs.iter().find(|r| r.level == 2).expect("`a` is an ELCA through y and z");
+        let local = |word: &str| {
+            let term = ix.term_by_str(word).unwrap();
+            term.scores[2] * ix.damping().lambda()
+        };
+        assert_eq!(a.score.to_bits(), (local("p") + local("q")).to_bits());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! contains, and each run in it equals the memory column's run bit for
 //! bit.  Plus the fault case: a store whose block is torn mid-payload
 //! makes the generic driver return `Err` — on the single store and
-//! through the sharded engine — and never panic.
+//! through the sharded engine — and never panic; so does a store written
+//! from a larger corpus than the index it is read with.
 
 mod common;
 
@@ -227,4 +228,58 @@ fn torn_block_makes_the_sharded_engine_err_never_panic() {
         assert!(errs > 0, "{format:?}: no tear surfaced as Err");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `confs` conferences over one vocabulary; each of the first `heavy`
+/// carries three extra `common` occurrences.
+fn skewed_corpus(confs: usize, heavy: usize) -> XmlIndex {
+    let mut xml = String::from("<r>");
+    for i in 0..confs {
+        xml.push_str(&format!(
+            "<conf><p><t>common topic{}</t></p><p>rare{} common</p>",
+            i % 7,
+            i % 13
+        ));
+        if i < heavy {
+            xml.push_str("<p>common</p><p>common</p><p>common</p>");
+        }
+        xml.push_str("</conf>");
+    }
+    xml.push_str("</r>");
+    XmlIndex::build(xtk_xml::parse(&xml).unwrap())
+}
+
+#[test]
+fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
+    // Same vocabulary and levels, longer lists: the store's covers reach
+    // rows the index has no posting or score for.
+    let (small, large) = (skewed_corpus(60, 0), skewed_corpus(60, 60));
+    let query = Query::from_words(&small, &["common", "rare5"]).unwrap();
+    let opts = JoinOptions { with_scores: true, ..Default::default() };
+    for format in [FormatVersion::V2, FormatVersion::V3] {
+        let store = DiskColumnStore::open_bytes(image(&large, format).into(), cache(false)).unwrap();
+        for block_skip in [true, false] {
+            let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+            let r = join_search_disk_spec(&small, &store, &query, &spec, &Obs::default());
+            let err = r.expect_err("rows past the posting list must surface");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{format:?} skip={block_skip}");
+        }
+    }
+
+    // Sharded: the light second shard served from the heavy first
+    // shard's store (equal vocabulary, so the open-time checks pass).
+    let ix = skewed_corpus(80, 40);
+    let query = Query::from_words(&ix, &["common", "rare5"]).unwrap();
+    let req = QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::JoinBased);
+    let dir = std::env::temp_dir()
+        .join(format!("xtk_source_conformance_swapped_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_sharded_with(&ix, &dir, 2, WriteIndexOptions { include_scores: true, ..Default::default() })
+        .unwrap();
+    assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
+    let store_of = |shard| dir.join(shard_dir_name(shard)).join(STORE_FILE);
+    std::fs::copy(store_of(0), store_of(1)).unwrap();
+    let swapped = ShardedEngine::open(&ix, &dir).and_then(|e| e.execute(&query, &req));
+    assert!(swapped.is_err(), "a shard reading another shard's store must surface");
+    std::fs::remove_dir_all(&dir).ok();
 }

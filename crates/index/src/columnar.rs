@@ -14,6 +14,7 @@
 //! (§III-E: the partial-overlap cases of Fig. 4(b) cannot occur), the
 //! property range checking relies on.
 
+pub use xtk_xml::gallop::gallop_partition_point;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::tree::{NodeId, XmlTree};
 
@@ -137,39 +138,6 @@ impl Column {
         let hi = self.runs.partition_point(|r| r.start < end);
         debug_assert!(self.runs[lo..hi].iter().all(|r| r.end() <= end));
         &self.runs[lo..hi]
-    }
-}
-
-/// Galloping (exponential) variant of `partition_point` that starts at
-/// `from`: doubles the step until `pred` first fails, then binary-searches
-/// the bracketed window.  Requires the usual partition precondition (`pred`
-/// is true on a prefix) **and** that every index `< from` satisfies `pred`;
-/// cost is O(log d) where `d` is the distance from `from` to the answer —
-/// the win over a plain binary search when probes advance monotonically.
-pub fn gallop_partition_point<F: Fn(&Run) -> bool>(runs: &[Run], from: usize, pred: F) -> usize {
-    let n = runs.len();
-    match runs.get(from) {
-        None => return n, // `from` at or past the end
-        Some(r) if !pred(r) => return from,
-        _ => {}
-    }
-    // runs[from] satisfies pred; gallop until the first failure.
-    let mut last_true = from;
-    let mut step = 1usize;
-    loop {
-        let cand = from.saturating_add(step);
-        match runs.get(cand) {
-            Some(r) if pred(r) => {
-                last_true = cand;
-                step = step.saturating_mul(2);
-            }
-            _ => {
-                // Answer lies in (last_true, min(cand, n)].
-                let hi = cand.min(n);
-                let window = runs.get(last_true + 1..hi).unwrap_or(&[]);
-                return last_true + 1 + window.partition_point(|r| pred(r));
-            }
-        }
     }
 }
 

@@ -19,6 +19,7 @@ pub type FnId = usize;
 pub const HOT_MODULES: &[&str] = &[
     "crates/core/src/joinbased.rs",
     "crates/core/src/diskexec.rs",
+    "crates/core/src/eraser.rs",
     "crates/core/src/topk.rs",
     "crates/core/src/starjoin.rs",
     "crates/core/src/shard.rs",
@@ -31,7 +32,8 @@ pub const HOT_MODULES: &[&str] = &[
 /// The subset of [`HOT_MODULES`] where L8 (allocation-in-loop) applies:
 /// the one Algorithm-1 driver with its in-memory column source
 /// (`joinbased`), the on-disk column source it reaches through the
-/// `ColumnSource` bound (`diskexec`), the top-K star join, the shard
+/// `ColumnSource` bound (`diskexec`), the erased-row set both joins
+/// query and batch-update per level (`eraser`), the top-K star join, the shard
 /// scatter/merge, the four block-decode modules — since the
 /// arena rework, the cold decode path must allocate only through the
 /// reused [`DecodeScratch`](../../index/src/codec.rs) buffers — and the
@@ -42,6 +44,7 @@ pub const HOT_MODULES: &[&str] = &[
 pub const L8_MODULES: &[&str] = &[
     "crates/core/src/joinbased.rs",
     "crates/core/src/diskexec.rs",
+    "crates/core/src/eraser.rs",
     "crates/core/src/topk.rs",
     "crates/core/src/starjoin.rs",
     "crates/core/src/shard.rs",

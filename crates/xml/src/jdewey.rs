@@ -23,6 +23,7 @@
 //! configurable number of spare numbers after each parent's block of
 //! children; see [`crate::maintain`].
 
+use crate::gallop::gallop_partition_point;
 use crate::tree::{NodeId, XmlTree};
 use std::cmp::Ordering;
 use std::fmt;
@@ -166,6 +167,12 @@ impl JDeweyAssignment {
             .copied()
     }
 
+    /// A forward cursor over `level` for lookups whose numbers ascend —
+    /// [`node_at`](Self::node_at) without restarting the search.
+    pub fn level_cursor(&self, level: u16) -> LevelCursor<'_> {
+        LevelCursor { numbers: &self.numbers, nodes: self.level(level), at: 0 }
+    }
+
     /// Nodes of `level` in increasing JDewey-number order.
     pub fn level(&self, level: u16) -> &[NodeId] {
         self.levels
@@ -307,6 +314,27 @@ impl JDeweyAssignment {
 
 }
 
+/// A forward-only position in one level's node list (see
+/// [`JDeweyAssignment::level_cursor`]).  Algorithm 1 emits a level's
+/// results in increasing JDewey number, so each lookup gallops from the
+/// previous hit: O(log distance) instead of O(log width).
+#[derive(Debug, Clone)]
+pub struct LevelCursor<'a> {
+    numbers: &'a [u32],
+    nodes: &'a [NodeId],
+    at: usize,
+}
+
+impl LevelCursor<'_> {
+    /// The node numbered `n` at this level.  `n` must not be smaller than
+    /// the previous call's.
+    pub fn node_at(&mut self, n: u32) -> Option<NodeId> {
+        let number = |id: &NodeId| self.numbers.get(id.index()).copied();
+        self.at = gallop_partition_point(self.nodes, self.at, |id| number(id).is_some_and(|x| x < n));
+        self.nodes.get(self.at).copied().filter(|id| number(id) == Some(n))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +390,40 @@ mod tests {
         }
         assert_eq!(jd.node_at(2, 999), None);
         assert_eq!(jd.node_at(99, 1), None);
+    }
+
+    /// Every level, every number from 0 past the maximum — present,
+    /// spare and absent alike — through one cursor per ascending sweep.
+    fn assert_cursor_matches_node_at(jd: &JDeweyAssignment, rng: &mut crate::testutil::Rng) {
+        for level in 0..=jd.num_levels() + 1 {
+            let top = jd.max_number_at(level) + 3;
+            let mut dense = jd.level_cursor(level);
+            for n in 0..=top {
+                assert_eq!(dense.node_at(n), jd.node_at(level, n), "level {level} n {n}");
+            }
+            // Sparse ascending probes with repeats: the gallop's long jumps.
+            let mut probes: Vec<u32> = (0..8).map(|_| rng.gen_range(0..top + 1)).collect();
+            probes.sort_unstable();
+            let mut sparse = jd.level_cursor(level);
+            for n in probes {
+                assert_eq!(sparse.node_at(n), jd.node_at(level, n), "level {level} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn level_cursor_matches_node_at() {
+        let mut rng = crate::testutil::Rng::seed_from_u64(0x1D_C0);
+        for gap in [0, 1, 3] {
+            assert_cursor_matches_node_at(&JDeweyAssignment::assign(&fig1_like(), gap), &mut rng);
+        }
+        // After insertions: gap numbers taken, then a partial re-encode.
+        let mut m = crate::maintain::JDeweyMaintainer::new(fig1_like(), 1);
+        for i in 0..12u32 {
+            let parent = NodeId(rng.gen_range(0..m.tree().len() as u32));
+            m.insert_child_auto(parent, format!("ins{i}")).unwrap();
+            assert_cursor_matches_node_at(m.assignment(), &mut rng);
+        }
     }
 
     #[test]

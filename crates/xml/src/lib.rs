@@ -33,6 +33,7 @@
 
 pub mod dewey;
 pub mod error;
+pub mod gallop;
 pub mod jdewey;
 pub mod maintain;
 pub mod parser;

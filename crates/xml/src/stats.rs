@@ -36,7 +36,7 @@ impl TreeStats {
         let mut max_fanout = 0usize;
         for id in tree.ids() {
             let n = tree.node(id);
-            level_widths[n.depth as usize] += 1;
+            level_widths[tree.depth(id) as usize] += 1;
             *labels.entry(&n.label).or_insert(0) += 1;
             let k = n.children.len();
             if k > 0 {

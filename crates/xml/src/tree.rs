@@ -46,9 +46,6 @@ pub struct Node {
     /// Concatenated character data directly inside this element (text that
     /// belongs to child elements is *not* included).
     pub text: String,
-    /// Depth of the node: the root has depth 1.  This matches the paper's
-    /// "level" so that JDewey columns are 1-based.
-    pub depth: u16,
     /// Position among the parent's children (0-based).  Forms the Dewey id.
     pub sib_index: u32,
 }
@@ -57,18 +54,24 @@ pub struct Node {
 #[derive(Debug, Clone, Default)]
 pub struct XmlTree {
     nodes: Vec<Node>,
+    /// Depth of each node, aligned with `nodes`: the root has depth 1,
+    /// matching the paper's "level" so that JDewey columns are 1-based.
+    /// Kept out of [`Node`] because scoring reads the depth of every
+    /// occurrence row: two bytes per node stay cache-resident where an
+    /// 80-byte `Node` per row does not.
+    depths: Vec<u16>,
 }
 
 impl XmlTree {
     /// Creates an empty tree (no root).  Use [`XmlTree::add_root`] or the
     /// parser to populate it.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Creates an empty tree with capacity for `n` nodes.
     pub fn with_capacity(n: usize) -> Self {
-        Self { nodes: Vec::with_capacity(n) }
+        Self { nodes: Vec::with_capacity(n), depths: Vec::with_capacity(n) }
     }
 
     /// Number of nodes in the tree.
@@ -120,7 +123,7 @@ impl XmlTree {
     /// The depth (level) of `id`; the root has depth 1.
     #[inline]
     pub fn depth(&self, id: NodeId) -> u16 {
-        self.nodes[id.index()].depth
+        self.depths[id.index()]
     }
 
     /// The parent of `id`, or `None` for the root.
@@ -148,9 +151,9 @@ impl XmlTree {
             children: Vec::new(),
             label: label.into(),
             text: String::new(),
-            depth: 1,
             sib_index: 0,
         });
+        self.depths.push(1);
         NodeId(0)
     }
 
@@ -164,7 +167,7 @@ impl XmlTree {
     /// known to be pre-order.
     pub fn add_child(&mut self, parent: NodeId, label: impl Into<Box<str>>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let depth = self.nodes[parent.index()].depth + 1;
+        let depth = self.depths[parent.index()] + 1;
         let sib_index = self.nodes[parent.index()].children.len() as u32;
         self.nodes[parent.index()].children.push(id);
         self.nodes.push(Node {
@@ -172,9 +175,9 @@ impl XmlTree {
             children: Vec::new(),
             label: label.into(),
             text: String::new(),
-            depth,
             sib_index,
         });
+        self.depths.push(depth);
         id
     }
 
@@ -239,7 +242,7 @@ impl XmlTree {
 
     /// The maximum depth of any node (the paper's `d`); 0 for an empty tree.
     pub fn max_depth(&self) -> u16 {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
+        self.depths.iter().copied().max().unwrap_or(0)
     }
 
     /// The path of labels from the root to `id`, joined with `/`.
