@@ -40,8 +40,21 @@ done
 grep -q '"cycles": \[\]' lint-report.json || {
     echo "ERROR: lint-report.json records L7 lock-order cycles" >&2; exit 1; }
 
-echo "== cargo test -q --offline"
-cargo test -q --offline --workspace
+echo "== tier-1 as ROADMAP.md spells it: cargo build --release && cargo test -q"
+# The literal line, no --workspace: `default-members` in Cargo.toml is what
+# makes it cover every crate.  Each test binary and doc-test pass prints
+# one `test result:` line — the whole workspace about 50, the facade
+# package alone a handful.  Captured to a file (plain sh has no pipefail).
+tier1_out=/tmp/xtk-tier1-out.txt
+if ! (cargo build --release --offline && cargo test -q --offline) >"$tier1_out" 2>&1; then
+    cat "$tier1_out" >&2
+    exit 1
+fi
+cat "$tier1_out"
+tier1_results=$(grep -c "^test result:" "$tier1_out")
+[ "$tier1_results" -ge 40 ] || {
+    echo "ERROR: tier-1 reported $tier1_results 'test result:' lines, expected >= 40 —" >&2
+    echo "       is default-members still in the root Cargo.toml?" >&2; exit 1; }
 
 echo "== perfbench smoke + determinism tests (the benchmark's own guards)"
 # perfbench is a workspace of its own, so the step above does not see it.

@@ -4,20 +4,19 @@
 //!
 //! [`DiskSource`] is the [`ColumnSource`] over a [`DiskColumnStore`]; the
 //! join itself is [`algorithm1`], shared with the in-memory columns.  Per
-//! level the driving (smallest) column is **scanned**; a larger column is
-//! **probed** value by value when the intermediate result is much smaller
-//! than the column (at most one fresh block per probe) and otherwise
-//! scanned through the footers, decoding only blocks whose value range
-//! holds a probe.  The loop starts at `l_0 = min_i l_m^i`, so the
-//! leaf-most blocks of deeper lists are never touched.
+//! level the driving (smallest) column is read whole; a larger column is
+//! read through a cursor over its block directory that fetches a block
+//! only when a lookup lands in its `[first, last]` value range — an index
+//! probe and a merge under `block_skip` decode the same blocks.  The loop
+//! starts at `l_0 = min_i l_m^i`, so the leaf-most blocks of deeper lists
+//! are never touched.
 
-use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinStats, Runs, Step};
+use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinStats};
 use crate::plan::cost::INDEX_JOIN_ADVANTAGE;
 use crate::query::Query;
 use crate::result::ScoredResult;
-use std::borrow::Cow;
 use std::io;
-use xtk_index::diskcol::{DiskColumn, DiskColumnStore, IoSession};
+use xtk_index::diskcol::{BlockFeed, DiskColumn, DiskColumnStore, IoSession};
 use xtk_index::{TermData, TermId, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
 
@@ -68,8 +67,9 @@ impl<'a> DiskSource<'a> {
     }
 }
 
-impl ColumnSource for DiskSource<'_> {
+impl<'a> ColumnSource for DiskSource<'a> {
     type Error = io::Error;
+    type Feed = BlockFeed<'a>;
 
     fn begin(&mut self) -> io::Result<()> {
         if self.prescan {
@@ -105,7 +105,7 @@ impl ColumnSource for DiskSource<'_> {
 
     /// Index join when the intermediate is much smaller than the column
     /// (a probe costs ~1 block decode); with block skipping off, the
-    /// full-scan merge.  The merge always gallops over the scanned runs, so
+    /// full-scan merge.  The merge always gallops through the blocks, so
     /// the choice is binary — and blind to `JoinPlan`, whose §III-C rule
     /// counts comparisons, not block decodes.
     fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy {
@@ -117,34 +117,23 @@ impl ColumnSource for DiskSource<'_> {
         }
     }
 
-    /// Index probe: exactly the probed runs that exist.  Merge with block
-    /// skipping: the runs of the blocks whose footer range covers a probe
-    /// — a scan-ordered subset holding every probed value that exists.
-    /// A cover reaching past the index's posting list — a store written
-    /// from another corpus — is refused: the driver scores by row.
-    fn runs(&self, kw: usize, step: Option<Step<'_>>) -> io::Result<Runs<'_>> {
+    /// A join step lands only the blocks whose footer range holds a probe
+    /// (an index probe always; a merge with `block_skip`, and given
+    /// footers — on a v1 file it scans); the driver and the plain merge
+    /// read every block.  A block reaching past the index's posting list
+    /// — a store written from another corpus — is refused: the driver
+    /// scores by row.
+    fn feed(&self, kw: usize, step: Option<JoinStrategy>) -> io::Result<BlockFeed<'a>> {
         let (Some(col), Some(term)) = (self.cols.get(kw), self.terms.get(kw)) else {
             return Err(io::Error::other("no column entered"));
         };
-        let cover = match step {
-            Some((JoinStrategy::IndexProbe, probes)) => {
-                let mut found = Vec::with_capacity(probes.len());
-                for &v in probes {
-                    found.extend(col.find(v)?);
-                }
-                found
-            }
-            Some((_, probes)) if self.block_skip => col.scan_matching(probes)?,
-            _ => col.scan()?,
+        let skip = match step {
+            Some(JoinStrategy::IndexProbe) => true,
+            // No span, no footers: a v1 merge scans, as it always did.
+            Some(_) => self.block_skip && col.value_span().is_some(),
+            None => false,
         };
-        // Runs ascend by row, so the last one bounds the cover.
-        if cover.last().is_some_and(|last| last.end() as usize > term.len()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "store column reaches past the index's posting list",
-            ));
-        }
-        Ok(Cow::Owned(cover))
+        Ok(col.feed(skip, term.len()))
     }
 
     fn end(&self, obs: &Obs) {

@@ -13,21 +13,26 @@
 //! evaluate → commit match phase, the statistics and every trace event.
 //! A [`ColumnSource`] decides only what a storage backend legitimately
 //! decides: how large a column is, which access path a join step takes
-//! (§III-C, from the actual intermediate size), and how to produce sorted
-//! runs covering a probe list.  [`MemSource`] borrows the in-memory
-//! columns; `diskexec::DiskSource` decodes blocks on demand (§III-B).
-//! A column's runs are the compressed `(v, r, c)` triples, so duplicate
-//! numbers cost one probe (§III-D).
+//! (§III-C, from the actual intermediate size), and how a column is read:
+//! it lends its stretches to a forward [`RunCursor`] and materialises
+//! nothing.  [`MemSource`] lends the in-memory column; a
+//! `diskexec::DiskSource` cursor fetches the block a lookup lands in
+//! (§III-B).  A column's runs are the compressed `(v, r, c)` triples, so
+//! duplicate numbers cost one probe (§III-D).
+//!
+//! A join step keeps the run it found for every surviving value, so the
+//! match phase is handed `(value, k runs)` and searches nothing.
 //!
 //! # Parallel execution
 //!
 //! Above [`Parallelism::Serial`] two phases of each level run on the
 //! scoped pool, bit-identical to the serial engine:
 //!
-//! * a join step partitions the probe list into contiguous ranges and
-//!   intersects each against the step's shared run cover; the outputs
-//!   concatenate in range order — the serial join's ascending value
-//!   order.  Column accesses stay on the driver thread;
+//! * a join step lands the blocks its probe list reaches — on the driver
+//!   thread, in the serial order — then partitions the probes into
+//!   contiguous ranges that each seek through the shared landed blocks;
+//!   the outputs concatenate in range order — the serial join's
+//!   ascending value order;
 //! * the matched values are *evaluated* in parallel (range checks and
 //!   scoring read only rows inside the value's own runs, and same-level
 //!   runs of distinct values are disjoint, so every value sees the
@@ -38,9 +43,9 @@
 //!
 //! The joined values ascend; so do each keyword's runs (by value *and* by
 //! row), the eraser's intervals and the level's nodes by JDewey number.
-//! Every lookup of the match phase is therefore a forward position — in
-//! the run cover, in the eraser ([`eraser::Cursor`]), in the level's node
-//! list ([`LevelCursor`]) — and every update a batch: a value's rows are
+//! Every lookup is therefore a forward position — in the column
+//! ([`RunCursor`]), in the eraser ([`eraser::Cursor`]), in the level's
+//! node list ([`LevelCursor`]) — and every update a batch: a value's rows are
 //! erased by one sorted union per keyword when its chunk commits, which
 //! no evaluation can observe earlier, since values are evaluated against
 //! the level-entry state anyway.  The serial engine is the one-chunk case.
@@ -49,9 +54,8 @@ use crate::eraser::{self, Eraser};
 use crate::pool::{chunk_ranges, parallel_map, phase_chunks, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
-use std::borrow::Cow;
 use std::convert::Infallible;
-use xtk_index::columnar::{gallop_lower_bound, Run};
+use xtk_index::columnar::{Feed, Run, RunCursor};
 use xtk_index::{TermData, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
 use xtk_xml::jdewey::LevelCursor;
@@ -135,23 +139,19 @@ pub struct JoinStats {
     pub results: u64,
 }
 
-/// A join step as a [`ColumnSource`] sees it: the access path it chose
-/// for the step and the ascending probe values.
-pub type Step<'p> = (JoinStrategy, &'p [u32]);
-/// Sorted runs as a source hands them over: borrowed or freshly decoded.
-pub type Runs<'s> = Cow<'s, [Run]>;
-
 /// What a storage backend decides for [`algorithm1`] — and nothing else.
 ///
 /// Keywords are addressed by their position `kw` in the query; after
 /// [`enter`](Self::enter) every method answers for that level's columns.
-/// [`runs`](Self::runs) returns runs sorted by value, each bit-identical
-/// to the column's run of that value, holding the run of every probe
-/// value the column contains (extra runs are fine — the driver
-/// intersects).
+/// A [`feed`](Self::feed) lends the column to one forward [`RunCursor`]:
+/// sorted by value, each run bit-identical to the column's run of that
+/// value, and a lookup of a value the column holds finds its run.
 pub trait ColumnSource {
     /// What a failed column access surfaces as.
     type Error;
+    /// How the source lends a column (see [`Feed`]); the stretches of a
+    /// step chunked across the pool are shared by its workers.
+    type Feed: Feed<Error = Self::Error, Stretch: Send + Sync>;
 
     /// Runs once before the level loop (disk: the `prescan` strawman).
     fn begin(&mut self) -> Result<(), Self::Error> {
@@ -164,9 +164,9 @@ pub trait ColumnSource {
     fn size(&self, kw: usize) -> usize;
     /// The access path for joining `probes` values against the column.
     fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy;
-    /// The whole column (`None`: the level's driver), or runs covering a
-    /// join step's probe values, fetched by the step's access path.
-    fn runs(&self, kw: usize, step: Option<Step<'_>>) -> Result<Runs<'_>, Self::Error>;
+    /// The column from its start, read whole (`None`: the level's driver)
+    /// or by a join step's access path.
+    fn feed(&self, kw: usize, step: Option<JoinStrategy>) -> Result<Self::Feed, Self::Error>;
     /// Runs once after the last level, before `QueryEnd` (disk: the
     /// `store_io` event and the `store.*` metrics).
     fn end(&self, _obs: &Obs) {}
@@ -192,8 +192,9 @@ impl<'a> MemSource<'a> {
     }
 }
 
-impl ColumnSource for MemSource<'_> {
+impl<'a> ColumnSource for MemSource<'a> {
     type Error = Infallible;
+    type Feed = std::option::IntoIter<&'a [Run]>;
 
     fn enter(&mut self, level: u16) -> Result<(), Infallible> {
         self.level = level;
@@ -227,8 +228,8 @@ impl ColumnSource for MemSource<'_> {
         }
     }
 
-    fn runs(&self, kw: usize, _: Option<Step<'_>>) -> Result<Runs<'_>, Infallible> {
-        Ok(Cow::Borrowed(self.column(kw)))
+    fn feed(&self, kw: usize, _: Option<JoinStrategy>) -> Result<Self::Feed, Infallible> {
+        Ok(Some(self.column(kw)).into_iter())
     }
 }
 
@@ -283,23 +284,17 @@ pub fn algorithm1<S: ColumnSource>(
     let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(k);
+    let mut joined = Joined::default();
     let mut scratch = ChunkEval::default();
     for l in (1..=l0).rev() {
         stats.levels += 1;
         let before = stats;
         src.enter(l)?;
-        // Left-deep from the smallest column; the stable sort over a
-        // freshly seeded `0..k` breaks ties in query order at every level.
-        order.clear();
-        order.extend(0..k);
-        order.sort_by_key(|&kw| src.size(kw));
-        let (values, covers) =
-            join_level(&*src, query, l, &order, opts.parallelism, &mut stats, obs)?;
-        stats.matches += values.len() as u64;
-        let view = LevelView { ix, terms: &terms, covers: &covers, level: l, opts };
+        join_level(&*src, query, l, opts.parallelism, &mut stats, obs, &mut joined)?;
+        stats.matches += joined.rows().len() as u64;
+        let view = LevelView { ix, terms: &terms, level: l, opts };
         stats.results +=
-            match_level(&view, &mut erasers, &values, &mut scratch, &mut results, obs);
+            match_level(&view, &mut erasers, &joined, &mut scratch, &mut results, obs);
         obs.event(EventKind::LevelEnd {
             level: l as u32,
             matches: stats.matches - before.matches,
@@ -316,72 +311,170 @@ pub fn algorithm1<S: ColumnSource>(
     Ok((results, stats))
 }
 
-/// One level's left-deep intersection on JDewey number: the joined values
-/// in increasing order plus, per keyword (query order), the run cover its
-/// step fetched — the match phase gathers each survivor's runs from it.
-fn join_level<'s, S: ColumnSource>(
-    src: &'s S,
+/// What a join step keeps of its surviving probes, ascending: the run its
+/// column holds for each value, and the probe's position in the step's
+/// input — the previous step's output, the driver column for the first —
+/// so a survivor's runs chain back to the driver's.
+#[derive(Default)]
+struct Hits {
+    runs: Vec<Run>,
+    from: Vec<u32>,
+}
+
+/// One level's join, reused across levels: each step's hits in left-deep
+/// order, then the survivors' runs gathered row-major.
+#[derive(Default)]
+struct Joined {
+    /// The keywords in join order.
+    order: Vec<usize>,
+    /// The driver column, when it had to be strung together.
+    driver: Vec<Run>,
+    steps: Vec<Hits>,
+    /// The survivors' positions in the step being gathered.
+    chain: Vec<u32>,
+    /// Per joined value, ascending: its `k` runs in query order.
+    runs: Vec<Run>,
+}
+
+impl Joined {
+    /// `(value, k runs)` per joined value — one row each.
+    fn rows(&self) -> std::slice::ChunksExact<'_, Run> {
+        self.runs.chunks_exact(self.order.len().max(1))
+    }
+}
+
+/// One level's left-deep intersection on JDewey number, into `joined`: the
+/// joined values in increasing order, each with its run per keyword.
+fn join_level<S: ColumnSource>(
+    src: &S,
     query: &Query,
     level: u16,
-    order: &[usize],
     par: Parallelism,
     stats: &mut JoinStats,
     obs: &Obs,
-) -> Result<(Vec<u32>, Vec<Runs<'s>>), S::Error> {
+    joined: &mut Joined,
+) -> Result<(), S::Error> {
     let term_of = |kw: usize| query.terms.get(kw).map_or(u32::MAX, |t| t.0);
-    let mut covers: Vec<Runs<'s>> = vec![Cow::Borrowed(&[]); order.len()];
+    let Joined { order, driver, steps, chain, runs } = joined;
+    // Left-deep from the smallest column; the stable sort over a freshly
+    // seeded `0..k` breaks ties in query order at every level.
+    order.clear();
+    order.extend(0..query.terms.len());
+    order.sort_by_key(|&kw| src.size(kw));
+    runs.clear();
     let Some((&first, rest)) = order.split_first() else {
-        return Ok((Vec::new(), covers));
+        return Ok(());
     };
-    let driver = src.runs(first, None)?;
+    steps.resize_with(rest.len(), Hits::default);
+    for hits in steps.iter_mut() {
+        hits.runs.clear();
+        hits.from.clear();
+    }
+    // A driver in one stretch — every memory column — is read where it
+    // lies; only a column in several blocks is strung together.
+    let mut feed = src.feed(first, None)?;
+    let lead = feed.land(0)?;
+    let lead: &[Run] = lead.as_ref().map_or(&[], |stretch| stretch.as_ref());
+    driver.clear();
+    while let Some(stretch) = feed.land(0)? {
+        if driver.is_empty() {
+            driver.extend_from_slice(lead);
+        }
+        driver.extend_from_slice(stretch.as_ref());
+    }
+    let driver: &[Run] = if driver.is_empty() { lead } else { driver };
     obs.event(EventKind::LevelStart {
         level: level as u32,
         driver_term: term_of(first),
         driver_runs: driver.len() as u64,
     });
-    let mut values: Vec<u32> = driver.iter().map(|r| r.value).collect();
-    if let Some(slot) = covers.get_mut(first) {
-        *slot = driver;
-    }
-    for &kw in rest {
-        if values.is_empty() {
+    let mut probes: &[Run] = driver;
+    for (&kw, output) in rest.iter().zip(steps.iter_mut()) {
+        if probes.is_empty() {
             break;
         }
-        let strategy = src.strategy(kw, values.len());
+        let strategy = src.strategy(kw, probes.len());
         if strategy == JoinStrategy::IndexProbe {
             stats.index_joins += 1;
         } else {
             stats.merge_joins += 1;
         }
-        let input_values = values.len() as u64;
-        let cover = src.runs(kw, Some((strategy, &values)))?;
-        if par.workers() > 1 && values.len() >= PAR_JOIN_MIN {
-            // Each range intersects on its own worker; concatenating in
-            // range order keeps the serial join's ascending value order.
-            let ranges = chunk_ranges(values.len(), phase_chunks(par));
+        let linear = strategy == JoinStrategy::Merge;
+        let mut feed = src.feed(kw, Some(strategy))?;
+        if par.workers() > 1 && probes.len() >= PAR_JOIN_MIN {
+            // Column access stays here, in the serial order; each range
+            // then seeks through the landed blocks on its own worker, and
+            // concatenating in range order keeps the ascending value order.
+            let landed = land_all(&mut feed, probes)?;
+            let ranges = chunk_ranges(probes.len(), phase_chunks(par));
             obs.metrics.add("pool.join_phases", 1);
             obs.metrics.add("pool.join_tasks", ranges.len() as u64);
             let parts = parallel_map(par, &ranges, |_, r| {
-                intersect(strategy, values.get(r.clone()).unwrap_or(&[]), &cover)
+                let mut part = Hits::default();
+                let mut cursor = RunCursor::new(landed.iter());
+                let probes = probes.get(r.clone()).unwrap_or(&[]);
+                match cursor.seek_all(probes, r.start, linear, &mut part.runs, &mut part.from) {
+                    Ok(()) => part,
+                    Err(never) => match never {},
+                }
             });
-            values = parts.concat();
+            for part in &parts {
+                output.runs.extend_from_slice(&part.runs);
+                output.from.extend_from_slice(&part.from);
+            }
         } else {
-            let mut seek = Seek::new(&cover, strategy, values.first().copied());
-            values.retain(|&v| seek.run_of(&cover, v).is_some());
+            let mut cursor = RunCursor::new(feed);
+            cursor.seek_all(probes, 0, linear, &mut output.runs, &mut output.from)?;
+            cursor.finish()?;
         }
         obs.event(EventKind::JoinStep {
             level: level as u32,
             term: term_of(kw),
             column_runs: src.size(kw) as u64,
-            input_values,
-            output_values: values.len() as u64,
+            input_values: probes.len() as u64,
+            output_values: output.runs.len() as u64,
             strategy,
         });
-        if let Some(slot) = covers.get_mut(kw) {
-            *slot = cover;
+        probes = &output.runs;
+    }
+    // The last step's hits are the joined values (none, if a step ran
+    // dry).  Step by step back to the driver, every survivor's position
+    // yields its run and moves to the probe that found it.
+    let survivors = steps.last().map_or(driver.len(), |hits| hits.runs.len());
+    runs.resize(survivors * order.len(), Run::default());
+    chain.clear();
+    chain.extend(0..survivors as u32);
+    for (hits, &kw) in steps.iter().zip(rest).rev() {
+        for (row, at) in runs.chunks_exact_mut(order.len()).zip(chain.iter_mut()) {
+            if let (Some(slot), Some(run)) = (row.get_mut(kw), hits.runs.get(*at as usize)) {
+                *slot = *run;
+            }
+            *at = hits.from.get(*at as usize).copied().unwrap_or(0);
         }
     }
-    Ok((values, covers))
+    for (row, &at) in runs.chunks_exact_mut(order.len()).zip(chain.iter()) {
+        if let (Some(slot), Some(run)) = (row.get_mut(first), driver.get(at as usize)) {
+            *slot = *run;
+        }
+    }
+    Ok(())
+}
+
+/// Every stretch the ascending `probes` land, fetched in column order —
+/// the accesses of the serial step — then the step is finished.
+fn land_all<F: Feed>(feed: &mut F, probes: &[Run]) -> Result<Vec<F::Stretch>, F::Error> {
+    let mut landed: Vec<F::Stretch> = Vec::new();
+    for probe in probes {
+        let v = probe.value;
+        while landed.last().and_then(|s| s.as_ref().last()).is_none_or(|r| r.value < v) {
+            match feed.land(v)? {
+                Some(stretch) => landed.push(stretch),
+                None => break,
+            }
+        }
+    }
+    feed.finish()?;
+    Ok(landed)
 }
 
 /// What evaluating a level's matched values reads besides the erasers,
@@ -389,18 +482,15 @@ fn join_level<'s, S: ColumnSource>(
 struct LevelView<'a> {
     ix: &'a XmlIndex,
     terms: &'a [&'a TermData],
-    /// Per keyword (query order), runs holding every joined value's.
-    covers: &'a [Runs<'a>],
     level: u16,
     opts: &'a JoinOptions,
 }
 
 /// One keyword's state while a chunk of matched values is evaluated.
-/// Values ascend, so the keyword's runs ascend by value and by row: both
-/// lookups are forward positions, and the rows to erase come out sorted.
+/// Values ascend, so the keyword's runs ascend by row: the eraser lookup
+/// is a forward position, and the rows to erase come out sorted.
 #[derive(Default)]
 struct KeywordEval {
-    cover: Seek,
     erased: eraser::Cursor,
     /// Row ranges the chunk's matches erase, ascending and disjoint.
     erase: Vec<(u32, u32)>,
@@ -411,13 +501,11 @@ struct KeywordEval {
 #[derive(Default)]
 struct ChunkEval {
     keywords: Vec<KeywordEval>,
-    /// The value under evaluation's run per keyword.
-    runs: Vec<Run>,
     /// `(value, score)` of each surviving value, ascending.
     emits: Vec<(u32, f32)>,
 }
 
-/// The semantic pruning + emission of one level's joined `values`;
+/// The semantic pruning + emission of one level's `joined` values;
 /// returns the number of results emitted.  Every value is *evaluated*
 /// against the level-entry erasure state — chunked across the pool from
 /// [`PAR_MATCH_MIN`] values, otherwise as one chunk into `scratch` — then
@@ -428,25 +516,27 @@ struct ChunkEval {
 fn match_level(
     view: &LevelView<'_>,
     erasers: &mut [Eraser],
-    values: &[u32],
+    joined: &Joined,
     scratch: &mut ChunkEval,
     results: &mut Vec<ScoredResult>,
     obs: &Obs,
 ) -> u64 {
     let par = view.opts.parallelism;
+    let values = joined.rows().len();
     let pooled;
-    let chunks = if par.workers() > 1 && values.len() >= PAR_MATCH_MIN {
+    let chunks = if par.workers() > 1 && values >= PAR_MATCH_MIN {
         obs.metrics.add("pool.match_phases", 1);
-        obs.metrics.add("pool.match_items", values.len() as u64);
+        obs.metrics.add("pool.match_items", values as u64);
         let frozen: &[Eraser] = erasers;
-        pooled = parallel_map(par, &chunk_ranges(values.len(), phase_chunks(par)), |_, range| {
+        pooled = parallel_map(par, &chunk_ranges(values, phase_chunks(par)), |_, range| {
             let mut chunk = ChunkEval::default();
-            view.evaluate(frozen, values.get(range.clone()).unwrap_or(&[]), &mut chunk);
+            let rows = joined.rows().skip(range.start).take(range.len());
+            view.evaluate(frozen, rows, &mut chunk);
             chunk
         });
         pooled.as_slice()
     } else {
-        view.evaluate(erasers, values, scratch);
+        view.evaluate(erasers, joined.rows(), scratch);
         std::slice::from_ref(&*scratch)
     };
     let mut nodes = view.ix.jd().level_cursor(view.level);
@@ -475,26 +565,25 @@ fn commit(
 }
 
 impl LevelView<'_> {
-    /// The read-only half of a level: for each of the ascending `values`,
-    /// the ELCA/SLCA range checks and (when emitting with scores) the
-    /// ranking score, against the erasure state as of entering the level.
-    fn evaluate(&self, erasers: &[Eraser], values: &[u32], out: &mut ChunkEval) {
-        let ChunkEval { keywords, runs, emits } = out;
-        keywords.resize_with(self.covers.len(), KeywordEval::default);
+    /// The read-only half of a level: for each of the ascending joined
+    /// values — a row of its run per keyword, as the join found them — the
+    /// ELCA/SLCA range checks and (when emitting with scores) the ranking
+    /// score, against the erasure state as of entering the level.
+    fn evaluate<'r>(
+        &self,
+        erasers: &[Eraser],
+        rows: impl Iterator<Item = &'r [Run]>,
+        out: &mut ChunkEval,
+    ) {
+        let ChunkEval { keywords, emits } = out;
+        keywords.resize_with(self.terms.len(), KeywordEval::default);
         for kw in keywords.iter_mut() {
-            kw.cover = Seek::default();
             kw.erased = eraser::Cursor::default();
             kw.erase.clear();
         }
         emits.clear();
-        for &v in values {
-            runs.clear();
-            let found = self.covers.iter().zip(keywords.iter_mut());
-            runs.extend(found.map_while(|(cover, kw)| kw.cover.run_of(cover, v).copied()));
-            // Present in all k covers by construction of the join.
-            if runs.len() != keywords.len() {
-                continue;
-            }
+        for runs in rows {
+            let Some(v) = runs.first().map(|r| r.value) else { continue };
             let mut checks = runs.iter().zip(erasers).zip(keywords.iter_mut());
             let (emit, erase) = match self.opts.semantics {
                 // SLCA range check (§III-F): any erased row under this
@@ -549,46 +638,17 @@ impl LevelView<'_> {
     }
 }
 
-/// A forward-only position in a sorted run slice: lookups must ascend.
-/// Merge walks linearly; gallop, index probes and the match-time gather
-/// (the default) search exponentially from the last position —
-/// O(m log(n/m)) for m ascending lookups over n runs.  The slice is passed
-/// to every lookup, so a position can outlive the borrow.
-#[derive(Default)]
-struct Seek {
-    at: usize,
-    linear: bool,
-}
-
-impl Seek {
-    /// `first` is the first value that will be looked up: a linear walk
-    /// starts at the first run that can match it.
-    fn new(runs: &[Run], strategy: JoinStrategy, first: Option<u32>) -> Self {
-        let linear = strategy == JoinStrategy::Merge;
-        let at = match first {
-            Some(lo) if linear => runs.partition_point(|r| r.value < lo),
-            _ => 0,
-        };
-        Seek { at, linear }
-    }
-
-    fn run_of<'r>(&mut self, runs: &'r [Run], v: u32) -> Option<&'r Run> {
-        if self.linear {
-            while runs.get(self.at).is_some_and(|r| r.value < v) {
-                self.at += 1;
-            }
-        } else {
-            self.at = gallop_lower_bound(runs, self.at, v);
-        }
-        runs.get(self.at).filter(|r| r.value == v)
-    }
-}
-
 /// Intersection of an ascending value list with sorted runs; `strategy`
 /// picks the walk, never the result.
 pub fn intersect(strategy: JoinStrategy, values: &[u32], runs: &[Run]) -> Vec<u32> {
-    let mut seek = Seek::new(runs, strategy, values.first().copied());
-    values.iter().copied().filter(|&v| seek.run_of(runs, v).is_some()).collect()
+    let probes: Vec<Run> = values.iter().map(|&value| Run { value, ..Run::default() }).collect();
+    let mut cursor = RunCursor::new(Some(runs).into_iter());
+    let mut hits = Hits::default();
+    let linear = strategy == JoinStrategy::Merge;
+    match cursor.seek_all(&probes, 0, linear, &mut hits.runs, &mut hits.from) {
+        Ok(()) => hits.runs.iter().map(|run| run.value).collect(),
+        Err(never) => match never {},
+    }
 }
 
 #[cfg(test)]
@@ -717,32 +777,26 @@ mod tests {
     }
 
     #[test]
-    fn value_missing_from_a_cover_keeps_later_runs_aligned() {
-        // Three joined values at level 2; an inconsistent store's cover
-        // for `q` lacks the first.
-        let ix = XmlIndex::build(parse("<r><a>p q</a><a>p q</a><a>p q</a></r>").unwrap());
-        let q = Query::from_words(&ix, &["p", "q"]).unwrap();
-        let terms: Vec<&TermData> = q.terms.iter().map(|&t| ix.term(t)).collect();
-        let cols: Vec<&[Run]> = terms.iter().map(|t| t.columns[1].runs.as_slice()).collect();
-        let values: Vec<u32> = cols[0].iter().map(|r| r.value).collect();
-        assert_eq!(values.len(), 3);
-        let covers = vec![Cow::Borrowed(cols[0]), Cow::Borrowed(&cols[1][1..])];
-        let mut erasers = vec![Eraser::new(), Eraser::new()];
-        let mut results = Vec::new();
-        let opts = JoinOptions::default();
-        let view = LevelView { ix: &ix, terms: &terms, covers: &covers, level: 2, opts: &opts };
-        let emitted = match_level(
-            &view,
-            &mut erasers,
-            &values,
-            &mut ChunkEval::default(),
-            &mut results,
-            &Obs::default(),
-        );
-        assert_eq!(emitted, 2, "the two found values emit, each with its own runs");
-        for (col, eraser) in cols.iter().zip(&erasers) {
-            assert!(!eraser.any_in(col[0].start, col[0].end()), "skipped value erases nothing");
-            assert!(eraser.any_in(col[2].start, col[2].end()), "last value erases its own rows");
+    fn joined_rows_hold_each_keywords_own_run_through_steps_that_drop_values() {
+        // Level 2, three keywords: `q` misses the first `a`, `s` the third,
+        // so both steps drop a value and the survivors' chains skip slots.
+        let xml = "<r><a>p s</a><a>p q s</a><a>p q</a><a>p q s</a></r>";
+        let ix = XmlIndex::build(parse(xml).unwrap());
+        let mut joined = Joined::default();
+        // The join order is by size, ties in query order: q, s, p.
+        for words in [["p", "q", "s"], ["s", "p", "q"], ["q", "s", "p"]] {
+            let query = Query::from_words(&ix, &words).unwrap();
+            let mut src = MemSource::new(&ix, &query, JoinPlan::Dynamic);
+            src.enter(2).unwrap();
+            let (par, mut stats) = (Parallelism::Serial, JoinStats::default());
+            join_level(&src, &query, 2, par, &mut stats, &Obs::default(), &mut joined).unwrap();
+            assert_eq!(joined.rows().len(), 2, "the second and fourth `a` hold all three");
+            for row in joined.rows() {
+                for (run, &term) in row.iter().zip(&query.terms) {
+                    let column = &ix.term(term).columns[1];
+                    assert_eq!(column.find(row[0].value), Some(run), "{words:?}");
+                }
+            }
         }
     }
 

@@ -1,12 +1,16 @@
-//! Property tests for the galloping join primitives: on random run sets
+//! Property tests for the join's search primitives: on random run sets
 //! — including empty columns, singleton runs, and adjacent values — the
-//! exponential-search paths must agree element for element with the
-//! two-pointer merge and with a naive reference, and every hinted lookup
-//! must agree with its un-hinted counterpart under arbitrary (stale,
-//! backwards, out-of-range) hints.
+//! windowed walk and the gallop must return `partition_point`'s index from
+//! every start position, the join step built on them must agree element
+//! for element with a naive reference on every access path, and every
+//! hinted lookup must agree with its un-hinted counterpart under arbitrary
+//! (stale, backwards, out-of-range) hints.
 
 use xtk_core::joinbased::{intersect, use_gallop};
-use xtk_index::columnar::{gallop_lower_bound, gallop_partition_point, Column, Run};
+use xtk_index::columnar::{
+    gallop_lower_bound, gallop_partition_point, window_gallop_lower_bound, window_lower_bound,
+    Column, Run,
+};
 use xtk_obs::JoinStrategy::{Gallop, IndexProbe, Merge};
 use xtk_xml::testutil::{prop_check, Gen};
 
@@ -144,6 +148,56 @@ fn gallop_lower_bound_agrees_with_partition_point() {
             assert_eq!(gallop_lower_bound(runs, from, v), want, "from {from}, v {v}");
             // `gallop_partition_point` with the same predicate, from 0.
             assert_eq!(gallop_partition_point(runs, 0, |r| r.value < v), want);
+        }
+    });
+}
+
+/// From every start position of `runs`, an ascending lookup sequence —
+/// with repeats, 0 and `u32::MAX` — through `lower_bound`, carrying the
+/// position as a cursor does.
+fn assert_kernel_is_partition_point(
+    g: &mut Gen,
+    runs: &[Run],
+    name: &str,
+    lower_bound: fn(&[Run], usize, u32) -> usize,
+) {
+    let hi = runs.last().map_or(6, |r| r.value + 3);
+    for start in 0..=runs.len() {
+        // Everything before `start` must be smaller than the first lookup.
+        let floor = start.checked_sub(1).map_or(0, |i| runs[i].value + 1);
+        let mut values: Vec<u32> =
+            (0..6).map(|_| g.gen_range(floor..hi.max(floor + 1))).collect();
+        values.extend([floor, u32::MAX]);
+        if start == 0 {
+            values.push(0);
+        }
+        values.extend_from_within(..); // every lookup twice
+        values.sort_unstable();
+        let mut at = start;
+        for &v in &values {
+            at = lower_bound(runs, at, v);
+            let want = runs.partition_point(|r| r.value < v);
+            assert_eq!(at, want, "{name}: {} runs from {start}, value {v}", runs.len());
+        }
+    }
+}
+
+#[test]
+fn windowed_walk_and_gallops_are_partition_point_from_every_start() {
+    // Every length around the window (fewer than four runs left is the
+    // tail case), then long columns.
+    prop_check(0x76, 24, |g| {
+        for len in (0..=9).chain([g.gen_range(10..2000usize)]) {
+            let mut value = g.gen_range(0..3u32);
+            let runs: Vec<Run> = (0..len as u32)
+                .map(|start| {
+                    value += if g.gen_bool(0.5) { 1 } else { g.gen_range(2..9u32) };
+                    Run { value, start, len: 1 }
+                })
+                .collect();
+            assert_kernel_is_partition_point(g, &runs, "window", window_lower_bound);
+            assert_kernel_is_partition_point(g, &runs, "window-gallop", window_gallop_lower_bound);
+            assert_kernel_is_partition_point(g, &runs, "gallop", gallop_lower_bound);
         }
     });
 }

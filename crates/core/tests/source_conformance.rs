@@ -1,10 +1,12 @@
 //! The `ColumnSource` contract, checked against the in-memory columns as
 //! ground truth: over random corpora × every level × random ascending
 //! probe sets, for memory, disk v2 and disk v3 × `block_skip` on/off ×
-//! a one-block and an unbounded cache, the covering slice a source hands
-//! the driver is sorted, holds the run of every probe value the column
-//! contains, and each run in it equals the memory column's run bit for
-//! bit.  Plus the fault case: a store whose block is torn mid-payload
+//! a one-block and an unbounded cache, the whole-column feed hands over
+//! the column's runs bit for bit, and a cursor on any access path answers
+//! an ascending lookup sequence exactly as `Column::find` does — present
+//! and absent values alike — landing each block at most once.  A cursor
+//! keeps reading its block after the cache evicted it.  Plus the fault
+//! case: a store whose block is torn mid-payload
 //! makes the generic driver return `Err` — on the single store and
 //! through the sharded engine — and never panic; so does a store written
 //! from a larger corpus than the index it is read with.
@@ -20,12 +22,12 @@ use xtk_core::shard::{shard_dir_name, write_sharded_with, ShardedEngine, STORE_F
 use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
 use xtk_index::bytes::ColumnBytes;
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::columnar::Run;
+use xtk_index::columnar::{Column, Feed, Run, RunCursor};
 use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::XmlIndex;
 use xtk_obs::{JoinStrategy, Obs};
-use xtk_xml::testutil::{prop_check, Gen};
+use xtk_xml::testutil::{prop_check, Gen, TempPath};
 
 fn image(ix: &XmlIndex, format: FormatVersion) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -61,19 +63,30 @@ fn random_probes(g: &mut Gen, runs: &[Run]) -> Vec<u32> {
     probes
 }
 
-/// Walks `src` through every level of `query` and checks `size` and
-/// `runs` (whole column and covers) against the memory columns.  `size_of` is what this
-/// storage's directory calls a column's size.
+/// What [`check_contract`] knows of the storage under test.
+struct Storage<'a> {
+    label: &'a str,
+    /// What this storage's directory calls a column's size.
+    size_of: fn(&Column) -> usize,
+    /// Block accesses so far (memory: always 0).
+    accesses: &'a dyn Fn() -> u64,
+    /// A column's block count (memory: 0).
+    blocks_of: &'a dyn Fn(&str, u16) -> u64,
+}
+
+/// Walks `src` through every level of `query` and checks `size`, the
+/// whole-column feed and cursors on every access path against the memory
+/// columns.
 fn check_contract<S: ColumnSource>(
-    label: &str,
+    storage: &Storage<'_>,
     src: &mut S,
     ix: &XmlIndex,
     query: &Query,
     g: &mut Gen,
-    size_of: fn(&xtk_index::columnar::Column) -> usize,
 ) where
     S::Error: std::fmt::Debug,
 {
+    let Storage { label, size_of, accesses, blocks_of } = *storage;
     let terms: Vec<_> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
     for level in (1..=l0).rev() {
@@ -81,67 +94,131 @@ fn check_contract<S: ColumnSource>(
         for (kw, term) in terms.iter().enumerate() {
             let what = format!("{label} level {level} kw {kw}");
             let col = &term.columns[usize::from(level) - 1];
+            let blocks = blocks_of(&term.term, level);
             assert_eq!(src.size(kw), size_of(col), "{what}: size");
-            assert_eq!(&*src.runs(kw, None).unwrap(), col.runs.as_slice(), "{what}: scan");
+            let (mut whole, mut feed) = (Vec::new(), src.feed(kw, None).unwrap());
+            let before = accesses();
+            while let Some(stretch) = feed.land(0).unwrap() {
+                whole.extend_from_slice(stretch.as_ref());
+            }
+            assert_eq!(whole, col.runs, "{what}: whole column");
+            assert_eq!(accesses() - before, blocks, "{what}: the driver reads each block once");
             for _ in 0..3 {
                 let probes = random_probes(g, &col.runs);
                 let own = src.strategy(kw, probes.len());
                 for strategy in
                     [own, JoinStrategy::Merge, JoinStrategy::Gallop, JoinStrategy::IndexProbe]
                 {
-                    let cover = src.runs(kw, Some((strategy, &probes))).unwrap();
                     let what = format!("{what} {strategy:?} probes {probes:?}");
-                    assert!(cover.windows(2).all(|w| w[0].value < w[1].value), "{what}: sorted");
-                    for run in cover.iter() {
-                        assert_eq!(col.find(run.value), Some(run), "{what}: run is the column's");
-                    }
+                    let before = accesses();
+                    let mut cursor = RunCursor::new(src.feed(kw, Some(strategy)).unwrap());
                     for &v in &probes {
-                        if let Some(run) = col.find(v) {
-                            assert!(cover.contains(run), "{what}: run of probe {v} missing");
-                        }
+                        assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{what}: {v}");
                     }
+                    cursor.finish().unwrap();
+                    assert!(accesses() - before <= blocks, "{what}: a block landed twice");
                 }
             }
         }
     }
 }
 
+/// [`check_contract`] for memory and every disk configuration, and the
+/// one driver over each disk source against the memory answer.
+fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
+    let mut mem = MemSource::new(ix, query, JoinPlan::Dynamic);
+    let memory =
+        Storage { label: "memory", size_of: |c| c.runs.len(), accesses: &|| 0, blocks_of: &|_, _| 0 };
+    check_contract(&memory, &mut mem, ix, query, g);
+
+    let opts = JoinOptions { with_scores: true, ..Default::default() };
+    let (want, _) = join_search(ix, query, &opts);
+    for format in [FormatVersion::V2, FormatVersion::V3] {
+        let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(ix, format)));
+        for block_skip in [true, false] {
+            for one_block in [true, false] {
+                let label = format!("{format:?} skip={block_skip} cap1={one_block}");
+                let store = DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
+                let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+                let session = IoSession::default();
+                let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
+                let disk_store = Storage {
+                    label: &label,
+                    size_of: |c| c.row_count() as usize,
+                    accesses: &|| session.stats().hits + session.stats().misses,
+                    blocks_of: &|term, l| {
+                        store.column(term, l).map_or(0, |c| c.block_count() as u64)
+                    },
+                };
+                check_contract(&disk_store, &mut disk, ix, query, g);
+                // And the one driver over it answers as over memory.
+                let session = IoSession::default();
+                let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
+                let (got, _) = algorithm1(ix, query, &opts, &mut disk, &Obs::default()).unwrap();
+                assert_eq!(bits(&want), bits(&got), "{label}: driver results");
+            }
+        }
+    }
+}
+
 #[test]
-fn every_source_honours_the_cover_contract() {
+fn every_source_honours_the_cursor_contract() {
     prop_check(0x5C_0001, 40, |g| {
         // Flat and chain-heavy shapes alternate: few wide columns, then
         // many levels.
         let (shape, placements, k) =
             if g.gen_bool(0.5) { common::corpus(g) } else { common::deep_corpus(g) };
         let ix = common::build_corpus(&shape, &placements, k);
-        let query = common::query(&ix, k);
-
-        let mut mem = MemSource::new(&ix, &query, JoinPlan::Dynamic);
-        check_contract("memory", &mut mem, &ix, &query, g, |c| c.runs.len());
-
-        let opts = JoinOptions { with_scores: true, ..Default::default() };
-        let (want, _) = join_search(&ix, &query, &opts);
-        for format in [FormatVersion::V2, FormatVersion::V3] {
-            let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(&ix, format)));
-            for block_skip in [true, false] {
-                for one_block in [true, false] {
-                    let label = format!("{format:?} skip={block_skip} cap1={one_block}");
-                    let store =
-                        DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
-                    let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-                    let session = IoSession::default();
-                    let mut disk = DiskSource::new(&ix, &store, &query, &spec, &session);
-                    check_contract(&label, &mut disk, &ix, &query, g, |c| c.row_count() as usize);
-                    // And the one driver over it answers as over memory.
-                    let session = IoSession::default();
-                    let mut disk = DiskSource::new(&ix, &store, &query, &spec, &session);
-                    let (got, _) =
-                        algorithm1(&ix, &query, &opts, &mut disk, &Obs::default()).unwrap();
-                    assert_eq!(bits(&want), bits(&got), "{label}: driver results");
-                }
-            }
-        }
+        check_every_source(&ix, &common::query(&ix, k), g);
     });
+}
+
+/// 40 000 papers: `common` spans several blocks in either layout.
+fn many_block_corpus() -> XmlIndex {
+    let mut xml = String::from("<r>");
+    for i in 0..40_000 {
+        xml.push_str(&format!("<p><t>common x{}</t></p>", i % 50));
+    }
+    xml.push_str("</r>");
+    XmlIndex::build(xtk_xml::parse(&xml).unwrap())
+}
+
+#[test]
+fn cursors_cross_block_boundaries_as_they_cross_runs() {
+    let ix = many_block_corpus();
+    let query = Query::from_words(&ix, &["x7", "common"]).unwrap();
+    check_every_source(&ix, &query, &mut Gen::new(0x5C_0002, 100));
+}
+
+#[test]
+fn a_cursor_keeps_its_block_when_the_cache_evicts_it() {
+    let ix = many_block_corpus();
+    let col = &ix.term_by_str("common").unwrap().columns[2];
+    for format in [FormatVersion::V2, FormatVersion::V3] {
+        let store = DiskColumnStore::open_bytes(image(&ix, format).into(), cache(true)).unwrap();
+        let dc = store.column("common", 3).unwrap();
+        assert!(dc.block_count() > 1, "{format:?}: the column must span blocks");
+        let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
+        let (first, rest) = col.runs.split_first().unwrap();
+        assert_eq!(cursor.seek(first.value).unwrap(), Some(*first));
+        // Another column's block takes the cache's one slot.
+        let evictions = store.cache_stats().evictions;
+        store.column("common", 2).unwrap().scan().unwrap();
+        assert!(store.cache_stats().evictions > evictions, "{format:?}: nothing was evicted");
+        // The cursor reads on in the evicted block, without a decode,
+        // until a lookup leaves it.
+        let decodes = store.reads();
+        let mut in_block = 0;
+        for run in rest {
+            assert_eq!(cursor.seek(run.value).unwrap(), Some(*run), "{format:?}");
+            assert_eq!(cursor.seek(run.value).unwrap(), Some(*run), "{format:?}: a repeat");
+            if store.reads() > decodes {
+                break;
+            }
+            in_block += 1;
+        }
+        assert!(in_block > 0, "{format:?}: the first block holds one run only");
+    }
 }
 
 fn wide_corpus() -> XmlIndex {
@@ -208,9 +285,7 @@ fn torn_block_makes_the_sharded_engine_err_never_panic() {
     let query = Query::from_words(&ix, &["common"]).unwrap();
     let req = QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::JoinBased);
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let dir = std::env::temp_dir()
-            .join(format!("xtk_source_conformance_{format:?}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempPath::new("xtk_source_conformance_torn");
         let opts = WriteIndexOptions { include_scores: true, format };
         write_sharded_with(&ix, &dir, 2, opts).unwrap();
         let store_path = dir.join(shard_dir_name(1)).join(STORE_FILE);
@@ -226,7 +301,6 @@ fn torn_block_makes_the_sharded_engine_err_never_panic() {
             }
         }
         assert!(errs > 0, "{format:?}: no tear surfaced as Err");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -271,9 +345,7 @@ fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
     let ix = skewed_corpus(80, 40);
     let query = Query::from_words(&ix, &["common", "rare5"]).unwrap();
     let req = QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::JoinBased);
-    let dir = std::env::temp_dir()
-        .join(format!("xtk_source_conformance_swapped_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempPath::new("xtk_source_conformance_swapped");
     write_sharded_with(&ix, &dir, 2, WriteIndexOptions { include_scores: true, ..Default::default() })
         .unwrap();
     assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
@@ -281,5 +353,4 @@ fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
     std::fs::copy(store_of(0), store_of(1)).unwrap();
     let swapped = ShardedEngine::open(&ix, &dir).and_then(|e| e.execute(&query, &req));
     assert!(swapped.is_err(), "a shard reading another shard's store must surface");
-    std::fs::remove_dir_all(&dir).ok();
 }

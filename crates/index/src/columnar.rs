@@ -15,12 +15,13 @@
 //! property range checking relies on.
 
 pub use xtk_xml::gallop::gallop_partition_point;
+use xtk_xml::gallop::{window_gallop_partition_point, window_partition_point};
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::tree::{NodeId, XmlTree};
 
 /// A maximal group of consecutive rows sharing one JDewey number at one
 /// level — the in-memory form of the paper's `(v, r, c)` triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Run {
     /// The shared JDewey number (identifies the ancestor node at this
     /// column's level).
@@ -145,6 +146,210 @@ impl Column {
 /// runs before `from` must have `value < v`).
 pub fn gallop_lower_bound(runs: &[Run], from: usize, value: u32) -> usize {
     gallop_partition_point(runs, from, |r| r.value < value)
+}
+
+/// [`gallop_lower_bound`] by the windowed linear walk — the merge join's
+/// lookup, which lands a run or two ahead.
+#[inline]
+pub fn window_lower_bound(runs: &[Run], from: usize, value: u32) -> usize {
+    window_partition_point(runs, from, |r| r.value < value)
+}
+
+/// [`gallop_lower_bound`] behind one opening window — the lookup of the
+/// join steps that may leap (gallop and index steps; every step on disk).
+#[inline]
+pub fn window_gallop_lower_bound(runs: &[Run], from: usize, value: u32) -> usize {
+    window_gallop_partition_point(runs, from, |r| r.value < value)
+}
+
+/// What a storage lends a [`RunCursor`]: a column as a sequence of sorted
+/// *stretches* (`&[Run]` in memory, a cached block on disk), handed over
+/// in column order, each at most once.
+pub trait Feed {
+    /// A stretch of the column's runs; a cursor keeps the one it is in.
+    type Stretch: AsRef<[Run]>;
+    /// What a failed column access surfaces as.
+    type Error;
+
+    /// The next stretch, given that every run handed over so far is
+    /// smaller than `v`.  A feed may pass over stretches that cannot hold
+    /// `v`; `None` means none at its position can — a later lookup, for a
+    /// larger value, may land again.
+    fn land(&mut self, v: u32) -> Result<Option<Self::Stretch>, Self::Error>;
+
+    /// Runs after a join step's last lookup: a feed whose access path is
+    /// the full scan reads the column to its end.
+    fn finish(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Stretches already in hand — a memory column's one slice, or the blocks
+/// a join step landed before its chunks went to the pool.
+impl<I: Iterator> Feed for I
+where
+    I::Item: AsRef<[Run]>,
+{
+    type Stretch = I::Item;
+    type Error = std::convert::Infallible;
+
+    fn land(&mut self, _: u32) -> Result<Option<I::Item>, Self::Error> {
+        Ok(self.next())
+    }
+}
+
+/// A forward-only position in one sorted column: lookups must ascend —
+/// one at a time ([`seek`](Self::seek)) or a join step's whole probe list
+/// ([`seek_all`](Self::seek_all)).  A lookup past the landed stretch's
+/// last value lands the next stretch that can hold it, entered by binary
+/// search.  The cursor owns its stretch, so a block evicted from the cache
+/// under it stays readable.
+pub struct RunCursor<F: Feed> {
+    feed: F,
+    stretch: Option<F::Stretch>,
+    at: usize,
+}
+
+impl<F: Feed> RunCursor<F> {
+    /// A cursor at the start of `feed`'s column.
+    pub fn new(feed: F) -> Self {
+        RunCursor { feed, stretch: None, at: 0 }
+    }
+
+    fn landed(&self) -> &[Run] {
+        self.stretch.as_ref().map_or(&[], |s| s.as_ref())
+    }
+
+    /// The runs that can answer a lookup of `v`: the landed stretch from
+    /// the cursor's position on, its last run of value `v` or more — after
+    /// landing the next such stretch if this one ends below `v`.  Empty
+    /// when the feed lands none: `v` is past the column's end, or in a gap
+    /// between blocks.
+    fn rest(&mut self, v: u32) -> Result<&[Run], F::Error> {
+        while self.landed().last().is_none_or(|last| last.value < v) {
+            let Some(next) = self.feed.land(v)? else {
+                return Ok(&[]);
+            };
+            self.at = next.as_ref().partition_point(|r| r.value < v);
+            self.stretch = Some(next);
+        }
+        Ok(self.landed().get(self.at..).unwrap_or(&[]))
+    }
+
+    /// The column's run of value `v`, if it has one.
+    pub fn seek(&mut self, v: u32) -> Result<Option<Run>, F::Error> {
+        let rest = self.rest(v)?;
+        let ahead = window_gallop_lower_bound(rest, 0, v);
+        let found = rest.get(ahead).copied().filter(|run| run.value == v);
+        self.at += ahead;
+        Ok(found)
+    }
+
+    /// One join step: looks up the ascending `probes`' values, stretch by
+    /// stretch, and replaces `hits` with the column's run for every value
+    /// it holds and `from` with that probe's position in the step's input
+    /// (`probes[0]` is at `base`).  `linear` walks by windows, otherwise
+    /// lookups gallop; the walk never changes the result.
+    pub fn seek_all(
+        &mut self,
+        probes: &[Run],
+        base: usize,
+        linear: bool,
+        hits: &mut Vec<Run>,
+        from: &mut Vec<u32>,
+    ) -> Result<(), F::Error> {
+        hits.clear();
+        hits.resize(probes.len(), Run::default());
+        from.clear();
+        from.resize(probes.len(), 0);
+        let (mut done, mut kept) = (0usize, 0usize);
+        while let Some(first) = probes.get(done) {
+            let runs = self.rest(first.value)?;
+            // No run of that value or more, here and now: a miss.
+            let Some(last) = runs.last() else {
+                done += 1;
+                continue;
+            };
+            // The stretch answers every probe up to its last value.  Hits
+            // are fewer than probes: the slots from `kept` on hold them.
+            let todo = probes.get(done..).unwrap_or(&[]);
+            let now = todo.get(..todo.partition_point(|p| p.value <= last.value)).unwrap_or(todo);
+            let slots = kept..kept + now.len();
+            let (Some(hits), Some(from)) = (hits.get_mut(slots.clone()), from.get_mut(slots))
+            else {
+                break;
+            };
+            let nth = (base + done) as u32;
+            let (found, reached) = match linear {
+                true => seek_stretch(window_lower_bound, runs, now, nth, hits, from),
+                false => seek_stretch(window_gallop_lower_bound, runs, now, nth, hits, from),
+            };
+            self.at += reached;
+            (done, kept) = (done + now.len().max(1), kept + found);
+        }
+        hits.truncate(kept);
+        from.truncate(kept);
+        Ok(())
+    }
+
+    /// Ends the join step (see [`Feed::finish`]).
+    pub fn finish(mut self) -> Result<(), F::Error> {
+        self.feed.finish()
+    }
+}
+
+/// A position in a stretch and the number of hits written from it.
+struct Lane {
+    at: usize,
+    kept: usize,
+}
+
+/// The lookups of one stretch: `probes` ascend, none above the last of
+/// `runs`.  Writes the hits, compacted, to the front of `hits` and `from`
+/// (the first probe is the step's `nth`); returns their number and how far
+/// into `runs` the lookups reached.
+///
+/// A lookup is a dependent chain — position, loads, compares, position —
+/// so the probes are halved and the halves looked up in lockstep from two
+/// positions: two chains in flight instead of one.  Each half compacts
+/// into its own slots without a branch on the outcome (every probe writes
+/// its lane's next free slot, a hit moves on to the one after); the upper
+/// half's hits are then moved down behind the lower half's.
+fn seek_stretch(
+    lower_bound: impl Fn(&[Run], usize, u32) -> usize,
+    runs: &[Run],
+    probes: &[Run],
+    nth: u32,
+    hits: &mut [Run],
+    from: &mut [u32],
+) -> (usize, usize) {
+    let (lo, hi) = probes.split_at(probes.len() >> 1);
+    let (lo_hits, hi_hits) = hits.split_at_mut(lo.len().min(hits.len()));
+    let (lo_from, hi_from) = from.split_at_mut(lo.len().min(from.len()));
+    let look = |lane: &mut Lane, probe: &Run, nth: u32, hits: &mut [Run], from: &mut [u32]| {
+        lane.at = lower_bound(runs, lane.at, probe.value);
+        let found = runs.get(lane.at);
+        if let (Some(hit), Some(from)) = (hits.get_mut(lane.kept), from.get_mut(lane.kept)) {
+            (*hit, *from) = (found.copied().unwrap_or_default(), nth);
+        }
+        lane.kept += usize::from(found.is_some_and(|run| run.value == probe.value));
+    };
+    let upper = hi.first().map_or(0, |p| runs.partition_point(|r| r.value < p.value));
+    let (mut below, mut above) = (Lane { at: 0, kept: 0 }, Lane { at: upper, kept: 0 });
+    let mid = nth + lo.len() as u32;
+    // An odd probe count leaves the upper half one probe longer.
+    for (i, b) in hi.iter().enumerate() {
+        if let Some(a) = lo.get(i) {
+            look(&mut below, a, nth + i as u32, lo_hits, lo_from);
+        }
+        look(&mut above, b, mid + i as u32, hi_hits, hi_from);
+    }
+    let moved = lo.len()..lo.len() + above.kept;
+    if moved.end <= hits.len().min(from.len()) {
+        hits.copy_within(moved.clone(), below.kept);
+        from.copy_within(moved, below.kept);
+    }
+    (below.kept + above.kept, above.at)
 }
 
 /// Builds the per-level columns for one keyword from its posting list

@@ -8,9 +8,11 @@
 //!
 //! [`DiskColumnStore`] provides exactly that access pattern over the file
 //! written by [`crate::disk::write_index`]: per term and level it exposes
-//! a [`DiskColumn`] whose `find` decodes **at most one block** (located
-//! via the sparse keys and, on format v2, the per-block footers) and
-//! whose `scan` decodes blocks lazily in order.
+//! a [`DiskColumn`], read through one forward position over its block
+//! directory ([`BlockFeed`]) that decodes a block only when a lookup lands
+//! in it — `find` decodes **at most one block** (located via the
+//! per-block footers of formats v2/v3), `scan` every block in order, and
+//! a join step's cursor the blocks its probes reach.
 //!
 //! Decoded blocks live in a shared, thread-safe [`BlockCache`]
 //! (see [`crate::cache`]): by default an unbounded one per store — the
@@ -27,7 +29,7 @@
 use crate::bytes::ColumnBytes;
 use crate::cache::{Block, BlockCache, CacheStats, ShardedLruCache};
 use crate::codec::{decode_block_into, with_decode_scratch, BlockLayout, Scheme};
-use crate::columnar::Run;
+use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
 use crate::disk::{ByteReader, MAGIC_V1, MAGIC_V2, MAGIC_V3};
 use std::collections::HashMap;
 use std::io;
@@ -516,6 +518,7 @@ impl DiskColumnStore {
 }
 
 /// Lazy view over one on-disk column.
+#[derive(Clone, Copy)]
 pub struct DiskColumn<'a> {
     store: &'a DiskColumnStore,
     meta: &'a ColumnMeta,
@@ -533,9 +536,7 @@ impl<'a> DiskColumn<'a> {
         self.session = Some(session);
         self
     }
-}
 
-impl DiskColumn<'_> {
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
         self.meta.blocks.len()
@@ -562,108 +563,100 @@ impl DiskColumn<'_> {
         Some((first, last))
     }
 
-    /// Decodes the whole column in block order (the merge-join access
-    /// pattern).  Corrupt blocks surface as `InvalidData` errors.
-    pub fn scan(&self) -> io::Result<Vec<Run>> {
-        let mut out = Vec::new();
-        let mut row_base = 0u32;
-        for b in 0..self.meta.blocks.len() {
-            let runs = self.store.decode_block(self.meta, b, row_base, self.session)?;
-            row_base = row_base
-                .checked_add(runs.iter().map(|r| r.len).sum::<u32>())
-                .ok_or_else(|| bad("row count overflow"))?;
-            out.extend_from_slice(&runs);
-        }
-        Ok(out)
+    /// A forward position at the column's first block — the one access
+    /// path; [`scan`](Self::scan), [`find`](Self::find) and the join's
+    /// cursors are all reads through it.  With `skip` it lands only blocks
+    /// whose `[first, last]` value range holds the value looked up;
+    /// without, every block in order.  `rows` is the reader's posting-list
+    /// length: a block reaching past it is refused.
+    pub fn feed(&self, skip: bool, rows: usize) -> BlockFeed<'a> {
+        BlockFeed { col: *self, next: 0, row_base: 0, skip, rows }
     }
 
-    /// Decodes only the blocks whose value range can contain one of the
-    /// **ascending** probe `values`, returning their runs in block order
-    /// — the merge-join access pattern with footer block skipping.
-    ///
-    /// A block is decoded iff some probe falls inside `[first, last]`
-    /// (directory first value, footer last value), so the result is the
-    /// exact subset of [`scan`](Self::scan) that can match any probe;
-    /// galloping over it finds the same runs the full scan would.  The
-    /// row prefix of each decoded block comes from the v2/v3 footers in
-    /// O(1); files without footers (v1) fall back to the full scan.
-    pub fn scan_matching(&self, values: &[u32]) -> io::Result<Vec<Run>> {
-        let Some(f) = &self.meta.footers else {
-            return self.scan();
-        };
+    /// Decodes the whole column in block order.  Corrupt blocks surface as
+    /// `InvalidData` errors.
+    pub fn scan(&self) -> io::Result<Vec<Run>> {
         let mut out = Vec::new();
-        let mut vi = 0usize;
-        for (b, &(_, first)) in self.meta.blocks.iter().enumerate() {
-            // Probes are ascending: ones below this block's first value
-            // can no longer match here or in any later block.
-            while values.get(vi).is_some_and(|&v| v < first) {
-                vi += 1;
-            }
-            match values.get(vi) {
-                Some(&v) => {
-                    let Some(&last) = f.lasts.get(b) else {
-                        return Err(bad("footer lasts out of range"));
-                    };
-                    if v > last {
-                        continue; // definite miss: skip the decode
-                    }
-                    let row_base = *f
-                        .row_prefix
-                        .get(b)
-                        .ok_or_else(|| bad("footer prefix out of range"))?;
-                    let runs =
-                        self.store.decode_block(self.meta, b, row_base, self.session)?;
-                    out.extend_from_slice(&runs);
-                }
-                None => break, // probes exhausted
-            }
+        let mut feed = self.feed(false, usize::MAX);
+        while let Some(block) = feed.land(0)? {
+            out.extend_from_slice(&block);
         }
         Ok(out)
     }
 
     /// Finds the run for a JDewey `value`, decoding **at most one block**
-    /// — the index-join access pattern.
-    ///
-    /// On format v2 the block's row prefix comes from the footers in
-    /// O(1), and a probe outside the block's `[first, last]` value range
-    /// returns `None` without decoding anything.  On v1 files the row
-    /// prefix requires decoding the preceding blocks of this column once
-    /// (they then sit in the cache) — the legacy behaviour kept for
-    /// compatibility and as the bench ablation baseline.
+    /// on the footer formats: the block's row prefix comes from the
+    /// directory in O(1), and a probe outside every block's `[first,
+    /// last]` value range returns `None` without decoding anything.  On v1
+    /// files the row prefix requires decoding the preceding blocks of
+    /// this column once (they then sit in the cache) — the legacy
+    /// behaviour kept for compatibility and as the bench ablation
+    /// baseline.
     pub fn find(&self, value: u32) -> io::Result<Option<Run>> {
-        let idx = self.meta.blocks.partition_point(|&(_, first)| first <= value);
-        let Some(b) = idx.checked_sub(1) else {
+        RunCursor::new(self.feed(true, usize::MAX)).seek(value)
+    }
+}
+
+/// A forward position over one column's block directory: the [`Feed`]
+/// behind every disk access path.  A landed block is one cache access
+/// (and at most one decode), whatever the number of lookups it serves.
+pub struct BlockFeed<'a> {
+    col: DiskColumn<'a>,
+    /// The next block to land.
+    next: usize,
+    /// Present rows before block `next`; kept up only without footers.
+    row_base: u32,
+    skip: bool,
+    rows: usize,
+}
+
+/// The guard against a store that disagrees with its reader: readers
+/// address postings and scores by row, so a block reaching past `rows`
+/// (or past `u32`) is refused.  Runs ascend by row — the last bounds all.
+fn check_rows(block: &[Run], rows: usize) -> io::Result<()> {
+    match block.last().map(|last| last.start.checked_add(last.len)) {
+        Some(Some(end)) if end as usize <= rows => Ok(()),
+        None => Ok(()),
+        Some(_) => Err(bad("column reaches past the reader's posting list")),
+    }
+}
+
+impl Feed for BlockFeed<'_> {
+    type Stretch = Block;
+    type Error = io::Error;
+
+    fn land(&mut self, v: u32) -> io::Result<Option<Block>> {
+        let meta = self.col.meta;
+        if let (true, Some(f)) = (self.skip, &meta.footers) {
+            // Blocks wholly below `v` are passed over undecoded (without
+            // footers they are decoded on the way, for their row counts).
+            self.next = gallop_partition_point(&f.lasts, self.next, |&last| last < v);
+        }
+        let Some(&(_, first)) = meta.blocks.get(self.next) else {
             return Ok(None);
         };
-        let row_base = match &self.meta.footers {
-            Some(f) => {
-                // Definite miss: the probe is beyond the block's last
-                // value (and below the next block's first) — skip the
-                // decode outright.
-                if f.lasts.get(b).is_some_and(|&last| value > last) {
-                    return Ok(None);
-                }
-                *f.row_prefix.get(b).ok_or_else(|| bad("footer prefix out of range"))?
-            }
-            None => {
-                // v1: decode preceding blocks (cached after first touch).
-                let mut row_base = 0u32;
-                for p in 0..b {
-                    let prefix = self.store.decode_block(self.meta, p, row_base, self.session)?;
-                    row_base = row_base
-                        .checked_add(prefix.iter().map(|r| r.len).sum::<u32>())
-                        .ok_or_else(|| bad("row count overflow"))?;
-                }
-                row_base
-            }
+        // Below the block's first value, `v` sits in the gap before it.
+        if self.skip && v < first {
+            return Ok(None);
+        }
+        let row_base = match &meta.footers {
+            Some(f) => *f.row_prefix.get(self.next).ok_or_else(|| bad("footer prefix out of range"))?,
+            None => self.row_base,
         };
-        let runs = self.store.decode_block(self.meta, b, row_base, self.session)?;
-        let found = runs
-            .binary_search_by_key(&value, |r| r.value)
-            .ok()
-            .and_then(|i| runs.get(i))
-            .copied();
-        Ok(found)
+        let block = self.col.store.decode_block(meta, self.next, row_base, self.col.session)?;
+        check_rows(&block, self.rows)?;
+        if meta.footers.is_none() {
+            self.row_base = row_base
+                .checked_add(block.iter().map(|r| r.len).sum::<u32>())
+                .ok_or_else(|| bad("row count overflow"))?;
+        }
+        self.next += 1;
+        Ok(Some(block))
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        while !self.skip && self.land(0)?.is_some() {}
+        Ok(())
     }
 }
 
@@ -724,38 +717,70 @@ mod tests {
     }
 
     #[test]
-    fn scan_matching_skips_blocks_but_keeps_probed_runs() {
-        for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, path) = store_v("scanmatch", format);
-            let term = ix.term_by_str("shared").unwrap();
-            let col = &term.columns[2];
-            let dc = store.column("shared", 3).unwrap();
-            // Probe a sparse ascending subset (every 7th distinct value,
-            // plus misses between them).
+    fn skipping_cursor_lands_only_blocks_that_hold_a_probe() {
+        let mut xml = String::from("<r>");
+        for i in 0..20_000 {
+            xml.push_str(&format!("<p><t>dense x{i}</t></p>"));
+        }
+        xml.push_str("</r>");
+        let ix = XmlIndex::build(parse(&xml).unwrap());
+        let col = &ix.term_by_str("dense").unwrap().columns[1];
+        for format in [FormatVersion::V1, FormatVersion::V2] {
+            let mut image = Vec::new();
+            let opts = WriteIndexOptions { include_scores: true, format };
+            crate::disk::write_index_to(&ix, &mut image, opts).unwrap();
+            let store =
+                DiskColumnStore::open_bytes(image.into(), Arc::new(ShardedLruCache::unbounded()))
+                    .unwrap();
+            let dc = store.column("dense", 2).unwrap();
+            let blocks = dc.block_count() as u64;
+            assert!(blocks > 2, "{format:?}: corpus must span several blocks");
+            // Every 7th value plus misses between them: all blocks land,
+            // each once, and every lookup answers as the memory column.
             let mut probes: Vec<u32> = col.runs.iter().step_by(7).map(|r| r.value).collect();
             probes.extend(col.runs.iter().step_by(11).map(|r| r.value + 1));
             probes.sort_unstable();
             probes.dedup();
-            let sub = dc.scan_matching(&probes).unwrap();
-            let full = dc.scan().unwrap();
-            // Subset of the full scan, in order.
-            let mut fi = 0usize;
-            for r in &sub {
-                while fi < full.len() && full[fi] != *r {
-                    fi += 1;
-                }
-                assert!(fi < full.len(), "{format:?}: run {r:?} not in scan order");
+            let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
+            for &v in &probes {
+                assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{format:?} {v}");
             }
-            // Every probed value that exists in the column is present.
-            for r in &col.runs {
-                if probes.binary_search(&r.value).is_ok() {
-                    assert!(sub.contains(r), "{format:?}: probed run {r:?} missing");
-                }
-            }
-            // Footer formats skip at least the blocks past the last probe
-            // when the probe set is empty.
-            assert!(dc.scan_matching(&[]).unwrap().is_empty() || format == FormatVersion::V1);
-            std::fs::remove_file(path).ok();
+            assert_eq!(store.io_stats().misses, blocks, "{format:?}");
+            assert_eq!(store.io_stats().hits, 0, "{format:?}: one access per landed block");
+            // Only the last value: the footers jump to its block, a v1
+            // file decodes the prefix for the row count.  Past the end
+            // nothing more lands.
+            let last = col.runs.last().unwrap();
+            let before = store.io_stats();
+            let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
+            assert_eq!(cursor.seek(last.value).unwrap(), Some(*last));
+            assert_eq!(cursor.seek(last.value + 1).unwrap(), None);
+            cursor.finish().unwrap();
+            let landed = store.io_stats().since(&before).hits;
+            assert_eq!(landed, if format == FormatVersion::V1 { blocks } else { 1 }, "{format:?}");
+            // A scanning cursor reads to the end of the column whatever
+            // the probes.
+            let before = store.io_stats();
+            let mut cursor = RunCursor::new(dc.feed(false, usize::MAX));
+            assert_eq!(cursor.seek(col.runs[0].value).unwrap(), Some(col.runs[0]));
+            cursor.finish().unwrap();
+            assert_eq!(store.io_stats().since(&before).hits, blocks, "{format:?}");
+        }
+    }
+
+    #[test]
+    fn block_past_the_readers_rows_is_refused_without_wrapping() {
+        let run = |start, len| Run { value: 1, start, len };
+        assert!(check_rows(&[], 0).is_ok());
+        assert!(check_rows(&[run(0, 4), run(4, 6)], 10).is_ok());
+        for (block, rows) in [
+            (vec![run(0, 4), run(4, 7)], 10),
+            // `start + len` wraps to 3: under any limit, were it not checked.
+            (vec![run(u32::MAX - 1, 5)], usize::MAX),
+            (vec![run(u32::MAX, 1)], usize::MAX),
+        ] {
+            let err = check_rows(&block, rows).expect_err("must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{block:?}");
         }
     }
 

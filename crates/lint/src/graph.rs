@@ -26,15 +26,19 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/index/src/cache.rs",
     "crates/index/src/codec.rs",
     "crates/index/src/disk.rs",
+    "crates/index/src/columnar.rs",
     "crates/index/src/diskcol.rs",
+    "crates/xml/src/gallop.rs",
 ];
 
 /// The subset of [`HOT_MODULES`] where L8 (allocation-in-loop) applies:
 /// the one Algorithm-1 driver with its in-memory column source
 /// (`joinbased`), the on-disk column source it reaches through the
 /// `ColumnSource` bound (`diskexec`), the erased-row set both joins
-/// query and batch-update per level (`eraser`), the top-K star join, the shard
-/// scatter/merge, the four block-decode modules — since the
+/// query and batch-update per level (`eraser`), the column cursor with the
+/// join step's lookup loop (`columnar`) and the windowed and galloping
+/// searches every cursor runs on (`gallop`), the top-K star join, the
+/// shard scatter/merge, the four block-decode modules — since the
 /// arena rework, the cold decode path must allocate only through the
 /// reused [`DecodeScratch`](../../index/src/codec.rs) buffers — and the
 /// planner's cost/cache pair, which sits on the per-request serving
@@ -52,8 +56,10 @@ pub const L8_MODULES: &[&str] = &[
     "crates/core/src/plan/cache.rs",
     "crates/index/src/cache.rs",
     "crates/index/src/codec.rs",
+    "crates/index/src/columnar.rs",
     "crates/index/src/disk.rs",
     "crates/index/src/diskcol.rs",
+    "crates/xml/src/gallop.rs",
 ];
 
 /// Ubiquitous method names that resolve to std containers in practice; a

@@ -1,5 +1,6 @@
-//! Self-contained randomized-testing toolkit: a deterministic PRNG and a
-//! minimal shrinking property-test runner.
+//! Self-contained randomized-testing toolkit: a deterministic PRNG, a
+//! minimal shrinking property-test runner, and [`TempPath`] for the tests
+//! that need the filesystem.
 //!
 //! The workspace builds fully offline with zero external crates, so the
 //! roles of `rand` and `proptest` are played in-tree:
@@ -279,6 +280,46 @@ macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
 }
 
+/// A path under the system temp directory that is this value's alone: the
+/// name carries the process id and a process-wide counter, so neither
+/// another test thread nor another test process can pick it.  Nothing is
+/// created; whatever the test put there — a file or a directory tree — is
+/// removed when the value drops.
+#[derive(Debug)]
+pub struct TempPath(std::path::PathBuf);
+
+impl TempPath {
+    /// A fresh path whose file name starts with `tag`.
+    pub fn new(tag: &str) -> TempPath {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        TempPath(std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id())))
+    }
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl AsRef<std::path::Path> for TempPath {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        // Errors (nothing was created, or a file where a tree was tried)
+        // are what the other call is for.
+        let _ = std::fs::remove_dir_all(&self.0);
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,5 +453,16 @@ mod tests {
         }
         // (If the property never failed in 16 cases, nothing to replay —
         // the sizes ramp to 100 so in practice it always fails.)
+    }
+
+    #[test]
+    fn temp_paths_are_distinct_and_cleaned_up() {
+        let (a, b) = (TempPath::new("xtk_testutil"), TempPath::new("xtk_testutil"));
+        assert_ne!(&*a, &*b);
+        std::fs::write(&a, b"x").unwrap();
+        std::fs::create_dir_all(b.join("nested")).unwrap();
+        let (file, dir) = (a.to_path_buf(), b.to_path_buf());
+        drop((a, b));
+        assert!(!file.exists() && !dir.exists());
     }
 }
