@@ -1,11 +1,13 @@
-//! Bench for the design-choice ablations DESIGN.md calls out: join-plan
-//! selection (§III-C), the tightened star-join threshold (§IV-B), the
-//! range-check pruning structures, and the compression codecs (§III-D).
+//! Bench for the design-choice ablations DESIGN.md calls out: the join
+//! step's lookup (walk vs probe vs window-then-gallop, the replacement
+//! for §III-C's join-plan selection) and the compression codecs (§III-D).
 
 use std::hint::black_box;
 use xtk_bench::harness::Harness;
-use xtk_bench::{build_dblp, point_queries, Scale, LOW_FREQS};
-use xtk_core::joinbased::{join_search, JoinOptions, JoinPlan};
+use xtk_bench::{
+    build_dblp, join_step_inputs, lookup_hits, point_queries, probe_lookup, walk_lookup,
+    window_gallop_lookup, Scale, LOW_FREQS,
+};
 use xtk_core::query::Query;
 use xtk_index::codec::{choose_scheme, decode_column, encode_column, Scheme};
 
@@ -13,20 +15,17 @@ fn main() {
     let ix = build_dblp(Scale::Small);
     let mut h = Harness::new("ablation");
 
-    // Join plans.
-    let queries: Vec<Query> = point_queries(Scale::Small, 3, LOW_FREQS[1], 8)
-        .iter()
-        .map(|w| Query::from_words(&ix, w).unwrap())
-        .collect();
-    for (name, plan) in [
-        ("dynamic", JoinPlan::Dynamic),
-        ("merge_only", JoinPlan::MergeOnly),
-        ("index_only", JoinPlan::IndexOnly),
-    ] {
-        h.bench(format!("join_plan/{name}"), || {
-            for q in &queries {
-                black_box(join_search(&ix, q, &JoinOptions { plan, ..Default::default() }));
-            }
+    // The join step's lookup, over the steps of the Fig. 9 point workload.
+    for &low in &LOW_FREQS {
+        let queries: Vec<Query> = point_queries(Scale::Small, 3, low, 8)
+            .iter()
+            .map(|w| Query::from_words(&ix, w).unwrap())
+            .collect();
+        let steps = join_step_inputs(&ix, &queries);
+        h.bench(format!("lookup_low{low}/walk"), || black_box(lookup_hits(&steps, walk_lookup)));
+        h.bench(format!("lookup_low{low}/probe"), || black_box(lookup_hits(&steps, probe_lookup)));
+        h.bench(format!("lookup_low{low}/window_gallop"), || {
+            black_box(lookup_hits(&steps, window_gallop_lookup))
         });
     }
 

@@ -10,7 +10,7 @@
 //!   fig9eq   complete-set time, equal frequencies (Fig. 9 e-f)
 //!   fig10a   top-10 time vs low frequency, random queries (Fig. 10 a)
 //!   fig10bc  top-10 time, correlated queries (Fig. 10 b-c)
-//!   ablation join-plan / threshold / hybrid / scoring ablations (§III-C, §IV-B, §V-D)
+//!   ablation join-lookup / threshold / hybrid / scoring ablations (§III-C, §IV-B, §V-D)
 //!   depth    deep-tree extension: bottom-up start level savings (§III-B)
 //!   maintenance  JDewey insertion cost vs reservation gap (§III-A)
 //!   all      everything above
@@ -20,14 +20,13 @@
 //! of `reps` hot-cache runs; reported numbers are means over the query
 //! set.  Run with `--release`.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 use xtk_bench::*;
 use xtk_core::baseline::indexed::{indexed_search, IndexedOptions};
 use xtk_core::baseline::rdil::{rdil_search, RdilOptions};
 use xtk_core::baseline::stack::{stack_search, StackOptions};
 use xtk_core::hybrid::hybrid_topk;
-use xtk_core::joinbased::{join_search, JoinOptions, JoinPlan};
+use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::sort_ranked;
 use xtk_core::topk::{topk_search, TopKOptions};
@@ -246,28 +245,32 @@ fn ablation(o: &Opts) {
     let ix = build_dblp(o.scale);
     println!("== Ablations ==");
 
-    // (1) Join plan: dynamic vs forced merge vs forced index (§III-C).
-    println!("--- join plan (complete ELCA, k=3) ---");
-    println!("{:<8} {:>14} {:>14} {:>14}", "low", "dynamic", "merge-only", "index-only");
+    // (1) The join step's lookup (§III-C): the merge join's walk and the
+    // index join's probe against the engine's window-then-gallop, over the
+    // join steps of the k = 3 point workload; mean per query.
+    println!("--- join-step lookup (steps of the complete join, k=3) ---");
+    println!("{:<8} {:>8} {:>14} {:>14} {:>14}", "low", "steps", "walk", "probe", "window+gallop");
     for &low in &LOW_FREQS {
         let qs = queries_of(&ix, &point_queries(o.scale, 3, low, o.queries.min(20)));
-        let mut row: BTreeMap<&str, Duration> = BTreeMap::new();
-        for (name, plan) in [
-            ("dynamic", JoinPlan::Dynamic),
-            ("merge", JoinPlan::MergeOnly),
-            ("index", JoinPlan::IndexOnly),
-        ] {
-            let d = bench_queries(o.reps, &qs, |q| {
-                std::hint::black_box(join_search(&ix, q, &JoinOptions { plan, ..Default::default() }));
-            });
-            row.insert(name, d);
-        }
+        let steps = join_step_inputs(&ix, &qs);
+        let per_query =
+            |d: Duration| format!("{:.1}µs", d.as_secs_f64() * 1e6 / qs.len().max(1) as f64);
+        let walk = time_median(o.reps, || {
+            std::hint::black_box(lookup_hits(&steps, walk_lookup));
+        });
+        let probe = time_median(o.reps, || {
+            std::hint::black_box(lookup_hits(&steps, probe_lookup));
+        });
+        let adaptive = time_median(o.reps, || {
+            std::hint::black_box(lookup_hits(&steps, window_gallop_lookup));
+        });
         println!(
-            "{:<8} {:>14} {:>14} {:>14}",
+            "{:<8} {:>8} {:>14} {:>14} {:>14}",
             o.scale.freq(low),
-            fmt_duration(row["dynamic"]),
-            fmt_duration(row["merge"]),
-            fmt_duration(row["index"])
+            steps.len(),
+            per_query(walk),
+            per_query(probe),
+            per_query(adaptive)
         );
     }
 
@@ -384,8 +387,7 @@ fn depth(o: &Opts) {
     use xtk_core::diskexec::join_search_disk;
     use xtk_datagen::treebank::{generate as gen_tb, TreebankConfig};
     use xtk_datagen::PlantedTerm;
-    use xtk_index::disk::{write_index, WriteIndexOptions};
-    use xtk_index::diskcol::DiskColumnStore;
+    use xtk_index::disk::WriteIndexOptions;
 
     let (sent, occ) = match o.scale {
         Scale::Paper => (8_000usize, 1_500usize),
@@ -406,9 +408,8 @@ fn depth(o: &Opts) {
     let corpus = gen_tb(&cfg);
     let depth_max = xtk_xml::stats::TreeStats::compute(&corpus.tree).max_depth;
     let ix = XmlIndex::build(corpus.tree);
-    let path = std::env::temp_dir().join(format!("xtk_depth_{}.bin", std::process::id()));
-    write_index(&ix, &path, WriteIndexOptions { include_scores: true, ..Default::default() }).unwrap();
-    let store = DiskColumnStore::open(&path).unwrap();
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    let image = store_image(&ix, opts).expect("write index image");
 
     println!("== Depth extension: Treebank-like corpus (max depth {depth_max}) ==");
     println!(
@@ -429,10 +430,9 @@ fn depth(o: &Opts) {
             std::hint::black_box(stack_search(&ix, &q, &StackOptions::default()));
         });
         // Cold block reads: fresh store per query.
-        let cold = DiskColumnStore::open(&path).unwrap();
+        let cold = cold_store(&image).expect("open store image");
         let (_, _, reads) =
             join_search_disk(&ix, &cold, &q, &JoinOptions::default()).expect("disk search");
-        let _ = &store;
         println!(
             "{:<22} {:>8} {:>8} {:>14} {:>14} {:>12}",
             name,
@@ -443,7 +443,6 @@ fn depth(o: &Opts) {
             reads
         );
     }
-    std::fs::remove_file(&path).ok();
     println!();
 }
 

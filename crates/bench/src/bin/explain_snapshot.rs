@@ -24,8 +24,9 @@ use xtk_core::plan::{annotate_executed, compile, explain, ExplainTarget};
 use xtk_core::request::{DiskEngine, Executor};
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, QueryRequest};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
-use xtk_index::diskcol::DiskColumnStore;
+use xtk_bench::{cold_store, store_image};
+use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_xml::testutil::TempPath;
 
 /// Small deterministic mixed-depth corpus: conference names at level 3,
 /// titles and authors at level 5, so the rewrite rules have real level
@@ -58,7 +59,7 @@ const QUERIES: [&str; 7] = [
     "xml search k=3",
     "xml search k=3 alg=topk sem=slca",
     "xml search k=100000",
-    "top join k=2 plan=index threshold=classic scores=unranked",
+    "top join k=2 threshold=classic scores=unranked",
 ];
 
 fn targets() -> [(&'static str, ExplainTarget); 3] {
@@ -98,21 +99,15 @@ fn main() {
 
     // Executed-plan annotations: run each query for real with event
     // tracing on, then render the *one* explain tree with per-node
-    // actuals (decodes, join steps, strategies) and per-store delta
+    // actuals (decodes, join steps, driven levels) and per-store delta
     // lines.  Every count is a logical counter — serial execution on a
     // fresh store — so the annotated tree is byte-stable too.  The
     // sharded section is the regression gate for the one-tree contract:
     // shard fan-out may only add `io: shard=N` delta lines, never
     // duplicate the tree.
-    let dir = std::env::temp_dir();
-    let store_path = dir.join(format!("xtk_explain_snap_{}.bin", std::process::id()));
-    let shard_dir = dir.join(format!("xtk_explain_snap_shards_{}", std::process::id()));
-    write_index(
-        engine.index(),
-        &store_path,
-        WriteIndexOptions { include_scores: true, format: FormatVersion::V3 },
-    )
-    .expect("write v3 index");
+    let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V3 };
+    let image = store_image(engine.index(), opts).expect("write v3 index");
+    let shard_dir = TempPath::new("xtk_explain_snap_shards");
     write_sharded(engine.index(), &shard_dir, 4).expect("write sharded corpus");
     for text in ["series xml", "xml search k=3"] {
         let (q, req) = compile(engine.index(), text, &base)
@@ -125,7 +120,7 @@ fn main() {
                     engine.run(&q, &req),
                 ),
                 "disk" => {
-                    let store = DiskColumnStore::open(&store_path).expect("open store");
+                    let store = cold_store(&image).expect("open store");
                     let disk = DiskEngine::new(engine.index(), &store);
                     (
                         explain(engine.index(), &q, &req, ExplainTarget::Disk),
@@ -146,8 +141,8 @@ fn main() {
             let _ = write!(snap, "\n#### executed target={tname} query={text:?}\n{annotated}");
         }
     }
-    std::fs::remove_file(&store_path).ok();
-    std::fs::remove_dir_all(&shard_dir).ok();
+    // Before a failed --check leaves through `exit`, which runs no drops.
+    drop(shard_dir);
 
     // Plan-cache provenance: the same request explained before and after
     // its first execution — the report must flip from cold to cached.

@@ -27,13 +27,13 @@ use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::{Engine, Semantics};
 use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
 use xtk_datagen::PlantedTerm;
-use xtk_index::disk::{write_index, WriteIndexOptions};
-use xtk_index::diskcol::DiskColumnStore;
+use xtk_bench::{cold_store, store_image};
+use xtk_index::disk::WriteIndexOptions;
 use xtk_index::XmlIndex;
 use xtk_core::MetricsSnapshot;
 
 /// Small seeded corpus: a few hundred papers with planted bands so every
-/// engine (index join, merge join, top-K early exit, RDIL) gets real
+/// engine (complete join, top-K early exit, RDIL) gets real
 /// work, but the whole matrix stays sub-second in CI.
 fn build_corpus() -> XmlIndex {
     let planted = vec![
@@ -146,14 +146,8 @@ fn main() {
 
     eprintln!("metrics_snapshot: building the seeded corpus…");
     let ix = build_corpus();
-    let path = std::env::temp_dir()
-        .join(format!("xtk_metrics_snapshot_{}.bin", std::process::id()));
-    write_index(
-        &ix,
-        &path,
-        WriteIndexOptions { include_scores: true, ..Default::default() },
-    )
-    .expect("write disk index");
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    let image = store_image(&ix, opts).expect("write disk index");
 
     let engine = Engine::from_index(ix);
     let qs = queries(engine.index());
@@ -161,7 +155,7 @@ fn main() {
     // Two cold passes over fresh stores must produce identical metrics —
     // the reproducibility the exact-match gate relies on.
     let run = |_: usize| {
-        let store = DiskColumnStore::open(&path).expect("open store");
+        let store = cold_store(&image).expect("open store");
         let disk = DiskEngine::new(engine.index(), &store);
         run_matrix(&engine, &disk, &qs)
     };
@@ -171,7 +165,6 @@ fn main() {
         total, again,
         "metrics must be identical across two cold runs of the same matrix"
     );
-    std::fs::remove_file(&path).ok();
 
     let json = total.to_json();
     if let Some(golden_path) = &check {

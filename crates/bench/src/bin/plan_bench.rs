@@ -1,43 +1,40 @@
-//! Planning-path benchmark: cross-query plan-cache speedup and the
-//! cost-gated rewriter's decode counts against the always-fire PR 9
-//! pipeline, on the `query_io` corpus.
+//! Planning-path benchmark: the cross-query plan cache against planning
+//! cold, on the `query_io` corpus.
 //!
 //! ```text
 //! plan_bench [--out FILE] [--check FILE] [--update]
 //!
 //!   --out FILE    write the trajectory JSON (default BENCH_plan.json)
-//!   --check FILE  compare cold decode counts against a committed
-//!                 baseline; exit non-zero on a >20 % regression.
+//!   --check FILE  compare the plan-cache counters against a committed
+//!                 baseline; exit non-zero on any difference.
 //!                 Does not write unless --update is also given.
 //!   --update      with --check: rewrite the baseline after checking
 //! ```
 //!
-//! The run itself asserts the two contracts the planner ships under:
-//! a plan served from the cache must be ≥ 5× faster than planning cold
-//! (parse → canonicalize → bind → cost-rewrite → lower), and the
-//! cost-gated rewriter must decode **no more** cold blocks than the
-//! always-fire configuration on the mixed-depth pruning workloads —
-//! with bit-identical results.  Decode counts are exact and
-//! deterministic (seeded corpus, serial execution) and sit under the
-//! 20 % ratchet; wall times are recorded in the trajectory but never
-//! compared against the baseline.
+//! The run itself asserts the contract the planner ships under: a plan
+//! served from the cache must be ≥ 3× faster than planning cold (parse →
+//! canonicalize → bind → rewrite → lower; 6–8× as measured, and as low as
+//! 5.1× on a noisy run since cold planning stopped costing rewrites, so
+//! the bar keeps the margin the old ≥ 5× had).  The cache's hit and miss
+//! counts are exact and deterministic and are compared with the baseline;
+//! wall times are recorded in the trajectory but never compared.
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use xtk_bench::{band_term, correlated_groups, high_term, point_queries, Scale, TERMS_PER_BAND};
+use xtk_bench::{
+    band_term, cold_store, correlated_groups, high_term, point_queries, store_image, Scale,
+    TERMS_PER_BAND,
+};
 use xtk_core::plan::Planner;
 use xtk_core::query::Query;
-use xtk_core::request::{DiskEngine, Executor, QueryRequest};
+use xtk_core::request::QueryRequest;
 use xtk_core::Semantics;
 use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
 use xtk_datagen::PlantedTerm;
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
-use xtk_index::diskcol::DiskColumnStore;
+use xtk_index::disk::{FormatVersion, WriteIndexOptions};
 use xtk_index::XmlIndex;
 
-/// The `query_io` benchmark corpus, rebuilt verbatim so the gated
-/// decode counts here are directly comparable to the committed
-/// `chk_pruning_probed` baseline in `BENCH_query.json`.
+/// The `query_io` benchmark corpus, rebuilt verbatim.
 fn build_corpus() -> XmlIndex {
     let mut planted = Vec::new();
     for i in 0..4 {
@@ -80,23 +77,6 @@ fn pruning_queries(scale: Scale) -> Vec<Vec<String>> {
     queries
 }
 
-/// FNV-1a over the full result stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
 /// `"key": number` extraction from the flat baseline JSON.
 fn extract_u64(json: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
@@ -123,13 +103,9 @@ fn main() {
 
     eprintln!("plan_bench: building the DBLP benchmark corpus…");
     let ix = build_corpus();
-    let path = std::env::temp_dir().join(format!("xtk_plan_bench_{}.bin", std::process::id()));
-    write_index(
-        &ix,
-        &path,
-        WriteIndexOptions { include_scores: true, format: FormatVersion::V3 },
-    )
-    .expect("write v3 index");
+    let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V3 };
+    let image = store_image(&ix, opts).expect("write v3 index");
+    let store = cold_store(&image).expect("open v3 store");
 
     let words = pruning_queries(Scale::Small);
     let queries: Vec<Query> = words
@@ -140,9 +116,8 @@ fn main() {
 
     // -- planning latency: cold pipeline vs plan-cache hit ------------
     // Every rep plans the whole query mix; the cold loop drops the
-    // cache first so each spec is parsed, bound, cost-rewritten and
-    // lowered from scratch, the cached loop replays warm fingerprints.
-    let store = DiskColumnStore::open(&path).expect("open v3 store");
+    // cache first so each spec is parsed, bound, rewritten and lowered
+    // from scratch, the cached loop replays warm fingerprints.
     let planner = Planner::from_store(&ix, &store);
     let generation = ix.generation();
     const REPS: u32 = 50;
@@ -174,75 +149,22 @@ fn main() {
         "plan_bench: planning {cold_nsq} ns/query cold vs {cached_nsq} ns/query cached ({speedup:.1}x)"
     );
     assert!(
-        speedup >= 5.0,
-        "plan-cache hits must be >=5x faster than cold planning: \
+        speedup >= 3.0,
+        "plan-cache hits must be >=3x faster than cold planning: \
          cold {cold_nsq} ns/query, cached {cached_nsq} ns/query ({speedup:.1}x)"
-    );
-    drop(store);
-
-    // -- cost gating: gated vs always-fire cold decodes ---------------
-    // Each query runs against a fresh (empty-cache) store in both
-    // configurations.  The gate may only *withhold* a rewrite the
-    // footers predict to be useless, so it can never decode more than
-    // the always-fire pipeline — and results stay bit-identical.
-    let mut gated_total = 0u64;
-    let mut always_total = 0u64;
-    let mut gated_fp = Fingerprint::new();
-    let mut always_fp = Fingerprint::new();
-    for q in &queries {
-        for (gating, sink, fp) in [
-            (true, &mut gated_total, &mut gated_fp),
-            (false, &mut always_total, &mut always_fp),
-        ] {
-            let store = DiskColumnStore::open(&path).expect("open v3 store");
-            let disk = DiskEngine::new(&ix, &store).with_cost_gating(gating);
-            let resp = disk.execute(q, &req).expect("disk execute");
-            for r in &resp.results {
-                fp.push(r.node.0);
-                fp.push(r.level as u32);
-                fp.push(r.score.to_bits());
-            }
-            *sink += resp.metrics.get("store.decodes");
-        }
-    }
-    assert_eq!(
-        gated_fp.0, always_fp.0,
-        "cost gating changed results on the pruning workloads"
-    );
-    assert!(
-        gated_total <= always_total,
-        "cost-gated rewriting must not decode more cold blocks than \
-         always-fire: gated {gated_total}, always-fire {always_total}"
-    );
-    eprintln!(
-        "plan_bench: cold decodes gated {gated_total} vs always-fire {always_total}"
     );
 
     let mut json = String::from("{\n  \"schema\": 1,\n  \"corpus\": \"dblp-bench\",\n");
     let _ = writeln!(
         json,
-        "  \"planning\": {{\"queries\": {}, \"reps\": {REPS}, \"cold_ns_per_query\": {cold_nsq}, \"cached_ns_per_query\": {cached_nsq}, \"speedup\": {speedup:.1}, \"cache_hits\": {}, \"cache_misses\": {}}},",
+        "  \"planning\": {{\"queries\": {}, \"reps\": {REPS}, \"cold_ns_per_query\": {cold_nsq}, \"cached_ns_per_query\": {cached_nsq}, \"speedup\": {speedup:.1}, \"cache_hits\": {}, \"cache_misses\": {}}}",
         queries.len(),
         cache_stats.hits,
         cache_stats.misses,
     );
-    let _ = writeln!(
-        json,
-        "  \"gating\": {{\"gated_cold_decodes\": {gated_total}, \"alwaysfire_cold_decodes\": {always_total}}},"
-    );
-    let check_lines: Vec<(&str, u64)> = vec![
-        ("chk_gated_cold_decodes", gated_total),
-        ("chk_alwaysfire_cold_decodes", always_total),
-        ("chk_total", gated_total + always_total),
-    ];
-    json.push_str("  \"check\": {\n");
-    for (i, (key, value)) in check_lines.iter().enumerate() {
-        let _ = write!(json, "    \"{key}\": {value}");
-        json.push_str(if i + 1 == check_lines.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  }\n}\n");
-
-    std::fs::remove_file(&path).ok();
+    json.push_str("}\n");
+    let check_lines =
+        [("cache_hits", cache_stats.hits), ("cache_misses", cache_stats.misses)];
 
     if let Some(baseline_path) = &check {
         let baseline = std::fs::read_to_string(baseline_path)
@@ -253,16 +175,12 @@ fn main() {
                 eprintln!("plan_bench: baseline lacks {key} — treating as new");
                 continue;
             };
-            // >20 % more cold decodes than the committed baseline fails.
-            let limit = base + base.div_ceil(5);
-            let status = if *value > limit { "REGRESSION" } else { "ok" };
-            eprintln!("plan_bench: {key}: {value} vs baseline {base} (limit {limit}) {status}");
-            if *value > limit {
-                failed = true;
-            }
+            let status = if *value != base { "DIFFERS" } else { "ok" };
+            eprintln!("plan_bench: {key}: {value} vs baseline {base} {status}");
+            failed |= *value != base;
         }
         if failed && !update {
-            eprintln!("plan_bench: cold decode regression against {baseline_path}");
+            eprintln!("plan_bench: plan-cache counters differ from {baseline_path}");
             std::process::exit(1);
         }
         if update {

@@ -14,10 +14,18 @@
 pub mod harness;
 
 use std::time::{Duration, Instant};
+use xtk_core::joinbased::intersect;
+use xtk_core::query::Query;
 use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
 use xtk_datagen::xmark::{generate as gen_xmark, XmarkConfig};
 use xtk_datagen::PlantedTerm;
+use xtk_index::bytes::ColumnBytes;
+use xtk_index::cache::ShardedLruCache;
+use xtk_index::columnar::Run;
+use xtk_index::disk::{write_index_to, WriteIndexOptions};
+use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::{IndexOptions, XmlIndex};
+use xtk_xml::gallop::{window_gallop_partition_point, window_partition_point};
 use xtk_xml::pool::Parallelism;
 
 /// Corpus scale.
@@ -254,6 +262,83 @@ pub fn equal_queries(k: usize, freq: usize, count: usize) -> Vec<Vec<String>> {
     out
 }
 
+/// `ix` written to an in-memory file image that any number of stores can
+/// share: the bins' disk legs touch no filesystem.
+pub fn store_image(ix: &XmlIndex, options: WriteIndexOptions) -> std::io::Result<ColumnBytes> {
+    let mut image = Vec::new();
+    write_index_to(ix, &mut image, options)?;
+    Ok(ColumnBytes::from(std::sync::Arc::<[u8]>::from(image)))
+}
+
+/// A cold store over `image`: its own empty, unbounded block cache.
+pub fn cold_store(image: &ColumnBytes) -> std::io::Result<DiskColumnStore> {
+    DiskColumnStore::open_bytes(image.clone(), std::sync::Arc::new(ShardedLruCache::unbounded()))
+}
+
+/// The `(probe values, column)` pair of every join step Algorithm 1 runs
+/// for `queries`: per level from `l_0` up, left-deep from the smallest
+/// column, each step probing with the values that survived the last.
+/// The inputs of the lookup ablation that replaced the §III-C join-plan
+/// ablation.
+pub fn join_step_inputs<'a>(ix: &'a XmlIndex, queries: &[Query]) -> Vec<(Vec<u32>, &'a [Run])> {
+    let mut steps = Vec::new();
+    for q in queries {
+        let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
+        let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
+        for level in (0..usize::from(l0)).rev() {
+            let mut cols: Vec<&[Run]> = terms
+                .iter()
+                .map(|t| t.columns.get(level).map(|c| c.runs.as_slice()).unwrap_or_default())
+                .collect();
+            cols.sort_by_key(|c| c.len());
+            let Some((driver, rest)) = cols.split_first() else { continue };
+            let mut probes: Vec<u32> = driver.iter().map(|r| r.value).collect();
+            for &col in rest {
+                if probes.is_empty() {
+                    break;
+                }
+                let survivors = intersect(&probes, col);
+                steps.push((std::mem::replace(&mut probes, survivors), col));
+            }
+        }
+    }
+    steps
+}
+
+/// Runs `steps` through `lower_bound(runs, from, v)` — the first run at or
+/// after `from` of value `v` or more — and counts the probes their columns
+/// hold.  Pass one of the `*_lookup` functions by name, so each call site
+/// compiles its own loop around the lookup.
+pub fn lookup_hits(
+    steps: &[(Vec<u32>, &[Run])],
+    lower_bound: impl Fn(&[Run], usize, u32) -> usize,
+) -> usize {
+    let mut hits = 0;
+    for (probes, runs) in steps {
+        let mut at = 0;
+        for &v in probes {
+            at = lower_bound(runs, at, v);
+            hits += usize::from(runs.get(at).is_some_and(|r| r.value == v));
+        }
+    }
+    hits
+}
+
+/// The merge join's lookup: walk forward window by window.
+pub fn walk_lookup(runs: &[Run], from: usize, v: u32) -> usize {
+    window_partition_point(runs, from, |r| r.value < v)
+}
+
+/// The index join's lookup: binary-search the whole column per probe.
+pub fn probe_lookup(runs: &[Run], _from: usize, v: u32) -> usize {
+    runs.partition_point(|r| r.value < v)
+}
+
+/// The engine's lookup: one opening window, then a gallop.
+pub fn window_gallop_lookup(runs: &[Run], from: usize, v: u32) -> usize {
+    window_gallop_partition_point(runs, from, |r| r.value < v)
+}
+
 /// A repeat-skewed serving schedule: `total` arrival indices into a set
 /// of `distinct` requests, where ~80 % of arrivals land on the hottest
 /// ~20 % of requests — the Zipf-like repeat skew of a real serving mix,
@@ -330,6 +415,23 @@ mod tests {
         }
         for q in equal_queries(3, 1000, 6) {
             assert!(Query::from_words(&ix, &q).is_ok(), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn the_three_lookups_find_the_join_steps_survivors() {
+        let ix = build_dblp(Scale::Small);
+        let words = point_queries(Scale::Small, 3, LOW_FREQS[2], 4);
+        let queries: Vec<Query> =
+            words.iter().map(|w| Query::from_words(&ix, w).unwrap()).collect();
+        let steps = join_step_inputs(&ix, &queries);
+        assert!(steps.len() >= 2 * queries.len(), "two steps at least at the root level");
+        for step in &steps {
+            let want = intersect(&step.0, step.1).len();
+            let step = std::slice::from_ref(step);
+            assert_eq!(lookup_hits(step, walk_lookup), want);
+            assert_eq!(lookup_hits(step, probe_lookup), want);
+            assert_eq!(lookup_hits(step, window_gallop_lookup), want);
         }
     }
 

@@ -30,7 +30,6 @@
 //!    [`Parallelism`] settings.
 
 use crate::engine::Engine;
-use crate::joinbased::JoinPlan;
 use crate::plan::rewrite::RuleSet;
 use crate::pool::{parallel_map, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
@@ -110,9 +109,7 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
         c.algorithm = QueryAlgorithm::JoinBased;
     }
     match c.algorithm {
-        // The hybrid planner takes (k, semantics) and — through the plan
-        // lowering — the join plan its complete route threads down, so
-        // `plan` is NOT folded here.
+        // The hybrid planner takes (k, semantics) only.
         QueryAlgorithm::Auto => {
             c.variant = ElcaVariant::default();
             c.threshold = ThresholdKind::default();
@@ -122,16 +119,14 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
         QueryAlgorithm::JoinBased => {
             c.threshold = ThresholdKind::default();
         }
-        // The star join has no join plan and no ELCA variant knob.
+        // The star join has no ELCA variant knob.
         QueryAlgorithm::TopKJoin => {
-            c.plan = JoinPlan::default();
             c.variant = ElcaVariant::default();
         }
         // The stack baseline never scores, has no join knobs, and
         // bypasses the plan lowering (rewrite rules cannot apply).
         QueryAlgorithm::StackBased => {
             c.scores = ScoreMode::Unranked;
-            c.plan = JoinPlan::default();
             c.threshold = ThresholdKind::default();
             c.rules = RuleSet::default();
         }
@@ -139,7 +134,6 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
         // join knobs.
         QueryAlgorithm::IndexBased => {
             c.variant = ElcaVariant::default();
-            c.plan = JoinPlan::default();
             c.threshold = ThresholdKind::default();
             c.rules = RuleSet::default();
         }
@@ -148,7 +142,6 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
         QueryAlgorithm::Rdil => {
             c.k = Some(c.k.unwrap_or(usize::MAX));
             c.variant = ElcaVariant::default();
-            c.plan = JoinPlan::default();
             c.threshold = ThresholdKind::default();
             c.scores = ScoreMode::default();
             c.rules = RuleSet::default();
@@ -200,14 +193,6 @@ fn tag_variant(v: ElcaVariant) -> u64 {
     }
 }
 
-fn tag_plan(p: JoinPlan) -> u64 {
-    match p {
-        JoinPlan::Dynamic => 0,
-        JoinPlan::MergeOnly => 1,
-        JoinPlan::IndexOnly => 2,
-    }
-}
-
 fn tag_threshold(t: ThresholdKind) -> u64 {
     match t {
         ThresholdKind::Tight => 0,
@@ -249,7 +234,6 @@ pub fn fingerprint(query: &Query, req: &QueryRequest) -> u64 {
     f.push(req.k.map_or(u64::MAX, |k| k as u64));
     f.push(tag_algorithm(req.algorithm));
     f.push(tag_variant(req.variant));
-    f.push(tag_plan(req.plan));
     f.push(tag_threshold(req.threshold));
     f.push(tag_scores(req.scores));
     f.push(tag_rules(req.rules));

@@ -4,32 +4,31 @@
 //!
 //! [`DiskSource`] is the [`ColumnSource`] over a [`DiskColumnStore`]; the
 //! join itself is [`algorithm1`], shared with the in-memory columns.  Per
-//! level the driving (smallest) column is read whole; a larger column is
-//! read through a cursor over its block directory that fetches a block
-//! only when a lookup lands in its `[first, last]` value range — an index
-//! probe and a merge under `block_skip` decode the same blocks.  The loop
+//! level the driving (smallest) column is read whole; under `block_skip`
+//! a larger column is read through a cursor over its block directory that
+//! fetches a block only when a lookup lands in its `[first, last]` value
+//! range, without it every block in order.  The loop
 //! starts at `l_0 = min_i l_m^i`, so the leaf-most blocks of deeper lists
 //! are never touched.
 
 use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinStats};
-use crate::plan::cost::INDEX_JOIN_ADVANTAGE;
 use crate::query::Query;
 use crate::result::ScoredResult;
 use std::io;
 use xtk_index::diskcol::{BlockFeed, DiskColumn, DiskColumnStore, IoSession};
 use xtk_index::{TermData, TermId, XmlIndex};
-use xtk_obs::{EventKind, JoinStrategy, Obs};
+use xtk_obs::{EventKind, Obs};
 
 /// The physical access-path configuration the plan lowering hands the
 /// disk executor (see `plan::lower`).
 #[derive(Debug, Clone, Copy)]
 pub struct DiskJoinSpec {
-    /// Semantics, variant, scoring and parallelism of the join (`plan`
-    /// is not consulted — see [`DiskSource`]'s `strategy`).
+    /// Semantics, variant, scoring and parallelism of the join.
     pub join: JoinOptions,
-    /// Allow the index-probe access path and let merge steps skip blocks
-    /// through the v2/v3 last-value footers.  Off reproduces the
-    /// plain full-scan merge join (the `push-probes` rule disabled).
+    /// Let join steps pass over the blocks no probe falls in (by the v2/v3
+    /// `[first, last]` footers; on v1 a step stops at the first block above
+    /// its last probe).  Off reproduces the plain full-scan join (the
+    /// `push-probes` rule disabled).
     pub block_skip: bool,
     /// Decode every block of every level of every keyword before joining
     /// — the paper's §III-B whole-sequence strawman (the `prune-columns`
@@ -103,37 +102,15 @@ impl<'a> ColumnSource for DiskSource<'a> {
         self.cols.get(kw).map_or(0, |c| c.row_count())
     }
 
-    /// Index join when the intermediate is much smaller than the column
-    /// (a probe costs ~1 block decode); with block skipping off, the
-    /// full-scan merge.  The merge always gallops through the blocks, so
-    /// the choice is binary — and blind to `JoinPlan`, whose §III-C rule
-    /// counts comparisons, not block decodes.
-    fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy {
-        let rows = self.size(kw) as u64;
-        if self.block_skip && (probes as u64).saturating_mul(INDEX_JOIN_ADVANTAGE) < rows {
-            JoinStrategy::IndexProbe
-        } else {
-            JoinStrategy::Gallop
-        }
-    }
-
-    /// A join step lands only the blocks whose footer range holds a probe
-    /// (an index probe always; a merge with `block_skip`, and given
-    /// footers — on a v1 file it scans); the driver and the plain merge
-    /// read every block.  A block reaching past the index's posting list
-    /// — a store written from another corpus — is refused: the driver
-    /// scores by row.
-    fn feed(&self, kw: usize, step: Option<JoinStrategy>) -> io::Result<BlockFeed<'a>> {
+    /// Under `block_skip` a join step lands only the blocks a probe falls
+    /// in; the driver and the plain join read every block.  A block
+    /// reaching past the index's posting list — a store written from
+    /// another corpus — is refused: the driver scores by row.
+    fn feed(&self, kw: usize, step: bool) -> io::Result<BlockFeed<'a>> {
         let (Some(col), Some(term)) = (self.cols.get(kw), self.terms.get(kw)) else {
             return Err(io::Error::other("no column entered"));
         };
-        let skip = match step {
-            Some(JoinStrategy::IndexProbe) => true,
-            // No span, no footers: a v1 merge scans, as it always did.
-            Some(_) => self.block_skip && col.value_span().is_some(),
-            None => false,
-        };
-        Ok(col.feed(skip, term.len()))
+        Ok(col.feed(step && self.block_skip, term.len()))
     }
 
     fn end(&self, obs: &Obs) {

@@ -53,7 +53,7 @@ impl Engine {
         Ok(Self::new(xtk_xml::parse(xml)?))
     }
 
-    /// Wraps an already-built index.  The planning statistics snapshot
+    /// Wraps an already-built index.  The planner's statistics snapshot
     /// is harvested here, once — not per query.
     pub fn from_index(ix: XmlIndex) -> Self {
         let planner = crate::plan::cache::Planner::from_index(&ix);
@@ -95,9 +95,8 @@ impl Engine {
     /// or cached answers from the old tree would keep being served.
     pub fn replace_index(&mut self, ix: XmlIndex) {
         self.ix = ix;
-        // The generation stamp would invalidate cached plans lazily;
-        // recomputing the statistics snapshot eagerly keeps the cost
-        // model honest for the new tree too.
+        // The generation stamp would invalidate cached plans lazily; the
+        // statistics snapshot has no stamp and is recomputed here.
         self.planner.refresh_from_index(&self.ix);
     }
 
@@ -106,8 +105,8 @@ impl Engine {
         &self.batch_cache
     }
 
-    /// The cost-based planner: the statistics snapshot plus the
-    /// cross-query plan cache every [`Engine::run`] consults.
+    /// The planner: the cross-query plan cache every [`Engine::run`]
+    /// consults, beside its statistics snapshot.
     pub fn planner(&self) -> &crate::plan::cache::Planner {
         &self.planner
     }
@@ -115,14 +114,6 @@ impl Engine {
     /// Bounds the plan cache at `capacity` plans (builder style).
     pub fn with_plan_capacity(mut self, capacity: usize) -> Self {
         self.planner = self.planner.with_plan_capacity(capacity);
-        self
-    }
-
-    /// Toggles cost-based rule gating (builder style; default on).
-    /// `false` restores the always-fire rewriter — the reference
-    /// configuration `plan_bench` compares decode counts against.
-    pub fn with_cost_gating(mut self, gating: bool) -> Self {
-        self.planner = self.planner.with_cost_gating(gating);
         self
     }
 

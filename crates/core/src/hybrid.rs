@@ -13,7 +13,7 @@
 //! [`topk_search`](crate::topk::topk_search) or to the complete
 //! [`join_search`](crate::joinbased::join_search) + sort.
 
-use crate::joinbased::{join_search_obs, JoinOptions, JoinPlan};
+use crate::joinbased::{join_search_obs, JoinOptions};
 use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::{sort_ranked, ScoredResult};
@@ -127,21 +127,6 @@ pub fn hybrid_topk_obs(
     parallelism: Parallelism,
     obs: &Obs,
 ) -> (Vec<ScoredResult>, PlannedEngine) {
-    hybrid_topk_planned(ix, query, k, semantics, parallelism, JoinPlan::default(), obs)
-}
-
-/// [`hybrid_topk_obs`] with an explicit [`JoinPlan`] for the complete
-/// route, so the logical-plan lowering can thread the rewritten join plan
-/// through (the star-join route has no plan knob and is unaffected).
-pub fn hybrid_topk_planned(
-    ix: &XmlIndex,
-    query: &Query,
-    k: usize,
-    semantics: Semantics,
-    parallelism: Parallelism,
-    plan: JoinPlan,
-    obs: &Obs,
-) -> (Vec<ScoredResult>, PlannedEngine) {
     let est = estimate_result_cardinality(ix, query);
     obs.metrics.add("hybrid.estimated_results", est as u64);
     // The top-K join pays off when it can stop well before exhausting the
@@ -163,7 +148,6 @@ pub fn hybrid_topk_planned(
             &JoinOptions {
                 semantics,
                 variant: ElcaVariant::Operational,
-                plan,
                 with_scores: true,
                 parallelism,
             },

@@ -12,13 +12,14 @@
 //! left-deep order (smallest column first), the intersection kernels, the
 //! evaluate → commit match phase, the statistics and every trace event.
 //! A [`ColumnSource`] decides only what a storage backend legitimately
-//! decides: how large a column is, which access path a join step takes
-//! (§III-C, from the actual intermediate size), and how a column is read:
-//! it lends its stretches to a forward [`RunCursor`] and materialises
-//! nothing.  [`MemSource`] lends the in-memory column; a
-//! `diskexec::DiskSource` cursor fetches the block a lookup lands in
-//! (§III-B).  A column's runs are the compressed `(v, r, c)` triples, so
-//! duplicate numbers cost one probe (§III-D).
+//! decides: how large a column is and how it is read — it lends its
+//! stretches to a forward [`RunCursor`] and materialises nothing.  Every
+//! join step runs the one window-then-gallop lookup, which adapts per
+//! probe where the paper's §III-C picks merge or index join per column.
+//! [`MemSource`] lends the in-memory column; a `diskexec::DiskSource`
+//! cursor fetches the block a lookup lands in (§III-B).  A column's runs
+//! are the compressed `(v, r, c)` triples, so duplicate numbers cost one
+//! probe (§III-D).
 //!
 //! A join step keeps the run it found for every surviving value, so the
 //! match phase is handed `(value, k runs)` and searches nothing.
@@ -57,7 +58,7 @@ use crate::result::ScoredResult;
 use std::convert::Infallible;
 use xtk_index::columnar::{Feed, Run, RunCursor};
 use xtk_index::{TermData, XmlIndex};
-use xtk_obs::{EventKind, JoinStrategy, Obs};
+use xtk_obs::{EventKind, Obs};
 use xtk_xml::jdewey::LevelCursor;
 
 /// Probe-list length from which a join step is chunked across the pool
@@ -67,55 +68,14 @@ const PAR_JOIN_MIN: usize = 2048;
 /// scoped-spawn overhead would dominate.
 const PAR_MATCH_MIN: usize = 48;
 
-/// Adaptive merge-vs-gallop chooser over (probe values, column runs).
-///
-/// Each gallop probe skips `skip = runs / values` entries in about
-/// `2·(⌊log₂ skip⌋ + 1)` comparisons; the two-pointer merge walks both
-/// inputs once.  Gallop is chosen exactly when its modeled cost is lower:
-/// `2 · values · (⌊log₂ skip⌋ + 1) < runs + values` (and `skip ≥ 2`).
-/// The choice never affects results, only cost.  `⌊log₂ skip⌋` is found
-/// by doubling (`m·2^k ≤ runs`) rather than by dividing, keeping this hot
-/// module free of division panic sites.
-pub fn use_gallop(values: usize, runs: usize) -> bool {
-    let m = values.max(1) as u64;
-    let runs64 = runs as u64;
-    // skip < 2, i.e. runs/m < 2.
-    if runs64 < m.saturating_mul(2) {
-        return false;
-    }
-    // log = ⌊log₂(runs/m)⌋, at least 1 here.
-    let mut log = 1u64;
-    while log < 62 && m.saturating_mul(1 << (log + 1)) <= runs64 {
-        log += 1;
-    }
-    let gallop_cost = m.saturating_mul(2).saturating_mul(log + 1);
-    gallop_cost < runs64 + values as u64
-}
-
-/// Join-plan selection for the per-level joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinPlan {
-    /// Choose merge vs index per join from intermediate cardinalities
-    /// (the paper's dynamic optimization).  Default.
-    #[default]
-    Dynamic,
-    /// Force the merge join everywhere.
-    MergeOnly,
-    /// Force the index join everywhere.
-    IndexOnly,
-}
-
 /// Options for [`join_search`].  The default is unscored serial ELCA
-/// (operational variant) under the dynamic plan.
+/// (operational variant).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinOptions {
     /// ELCA or SLCA.
     pub semantics: Semantics,
     /// ELCA exclusion variant (ignored for SLCA).
     pub variant: ElcaVariant,
-    /// Join plan selection (in-memory columns only; a disk store picks
-    /// its access path from block counts, see `diskexec::DiskSource`).
-    pub plan: JoinPlan,
     /// Compute ranking scores for each result (costs one pass over the
     /// matched runs' rows; leave off for pure semantic evaluation).
     pub with_scores: bool,
@@ -129,10 +89,9 @@ pub struct JoinOptions {
 pub struct JoinStats {
     /// Levels (columns) processed.
     pub levels: u32,
-    /// Merge joins performed across all levels.
-    pub merge_joins: u32,
-    /// Index joins performed across all levels.
-    pub index_joins: u32,
+    /// Join steps performed across all levels (`k − 1` a level, fewer
+    /// when an intermediate runs empty).
+    pub steps: u32,
     /// Values matched in all `k` columns (LCA candidates hit).
     pub matches: u64,
     /// Results emitted.
@@ -162,11 +121,9 @@ pub trait ColumnSource {
     /// The column's size from the directory, without decoding: the
     /// left-deep order key and the trace's `column_runs`.
     fn size(&self, kw: usize) -> usize;
-    /// The access path for joining `probes` values against the column.
-    fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy;
-    /// The column from its start, read whole (`None`: the level's driver)
-    /// or by a join step's access path.
-    fn feed(&self, kw: usize, step: Option<JoinStrategy>) -> Result<Self::Feed, Self::Error>;
+    /// The column from its start: for a join `step`'s ascending lookups,
+    /// or else (the level's driver) to be read whole.
+    fn feed(&self, kw: usize, step: bool) -> Result<Self::Feed, Self::Error>;
     /// Runs once after the last level, before `QueryEnd` (disk: the
     /// `store_io` event and the `store.*` metrics).
     fn end(&self, _obs: &Obs) {}
@@ -175,14 +132,13 @@ pub trait ColumnSource {
 /// The in-memory [`ColumnSource`]: borrows `TermData::columns`.
 pub struct MemSource<'a> {
     terms: Vec<&'a TermData>,
-    plan: JoinPlan,
     level: u16,
 }
 
 impl<'a> MemSource<'a> {
-    /// A source over `query`'s inverted lists, joining under `plan`.
-    pub fn new(ix: &'a XmlIndex, query: &Query, plan: JoinPlan) -> Self {
-        Self { terms: query.terms.iter().map(|&t| ix.term(t)).collect(), plan, level: 0 }
+    /// A source over `query`'s inverted lists.
+    pub fn new(ix: &'a XmlIndex, query: &Query) -> Self {
+        Self { terms: query.terms.iter().map(|&t| ix.term(t)).collect(), level: 0 }
     }
 
     fn column(&self, kw: usize) -> &'a [Run] {
@@ -205,30 +161,7 @@ impl<'a> ColumnSource for MemSource<'a> {
         self.column(kw).len()
     }
 
-    /// §III-C, context-aware: the same query can take the index join at
-    /// the paper level and the merge join at the conference level.
-    fn strategy(&self, kw: usize, probes: usize) -> JoinStrategy {
-        let runs = self.size(kw);
-        let use_index = match self.plan {
-            JoinPlan::MergeOnly => false,
-            JoinPlan::IndexOnly => true,
-            // Index join: |values| * log |runs| probes; merge join walks
-            // both inputs; 4 ≈ the cost of a probe over a scan step.
-            JoinPlan::Dynamic => {
-                let cost = probes as u64 * (runs.max(2).ilog2() as u64 + 1);
-                cost * 4 < (probes + runs) as u64
-            }
-        };
-        if use_index {
-            JoinStrategy::IndexProbe
-        } else if use_gallop(probes, runs) {
-            JoinStrategy::Gallop
-        } else {
-            JoinStrategy::Merge
-        }
-    }
-
-    fn feed(&self, kw: usize, _: Option<JoinStrategy>) -> Result<Self::Feed, Infallible> {
+    fn feed(&self, kw: usize, _: bool) -> Result<Self::Feed, Infallible> {
         Ok(Some(self.column(kw)).into_iter())
     }
 }
@@ -252,7 +185,7 @@ pub fn join_search_obs(
     opts: &JoinOptions,
     obs: &Obs,
 ) -> (Vec<ScoredResult>, JoinStats) {
-    match algorithm1(ix, query, opts, &mut MemSource::new(ix, query, opts.plan), obs) {
+    match algorithm1(ix, query, opts, &mut MemSource::new(ix, query), obs) {
         Ok(out) => out,
         Err(never) => match never {},
     }
@@ -260,11 +193,10 @@ pub fn join_search_obs(
 
 /// Algorithm 1 over any [`ColumnSource`].  `ix` supplies the document
 /// tree, each list's depth `l_m` and the scoring data; the columns come
-/// from `src`.  Events are only emitted from this sequential driver, and
-/// a step's recorded [`JoinStrategy`] is the decision over the *full*
-/// probe list, so the event sequence is bit-identical across
-/// `Parallelism` settings.  An empty query, or one with an empty inverted
-/// list, answers empty without touching the source.
+/// from `src`.  Events are only emitted from this sequential driver, so
+/// the event sequence is bit-identical across `Parallelism` settings.  An
+/// empty query, or one with an empty inverted list, answers empty without
+/// touching the source.
 pub fn algorithm1<S: ColumnSource>(
     ix: &XmlIndex,
     query: &Query,
@@ -304,8 +236,7 @@ pub fn algorithm1<S: ColumnSource>(
     src.end(obs);
     obs.event(EventKind::QueryEnd { results: stats.results });
     obs.metrics.add("join.levels", stats.levels as u64);
-    obs.metrics.add("join.merge_joins", stats.merge_joins as u64);
-    obs.metrics.add("join.index_joins", stats.index_joins as u64);
+    obs.metrics.add("join.steps", stats.steps as u64);
     obs.metrics.add("join.matches", stats.matches);
     obs.metrics.add("join.results", stats.results);
     Ok((results, stats))
@@ -372,7 +303,7 @@ fn join_level<S: ColumnSource>(
     }
     // A driver in one stretch — every memory column — is read where it
     // lies; only a column in several blocks is strung together.
-    let mut feed = src.feed(first, None)?;
+    let mut feed = src.feed(first, false)?;
     let lead = feed.land(0)?;
     let lead: &[Run] = lead.as_ref().map_or(&[], |stretch| stretch.as_ref());
     driver.clear();
@@ -393,14 +324,8 @@ fn join_level<S: ColumnSource>(
         if probes.is_empty() {
             break;
         }
-        let strategy = src.strategy(kw, probes.len());
-        if strategy == JoinStrategy::IndexProbe {
-            stats.index_joins += 1;
-        } else {
-            stats.merge_joins += 1;
-        }
-        let linear = strategy == JoinStrategy::Merge;
-        let mut feed = src.feed(kw, Some(strategy))?;
+        stats.steps += 1;
+        let mut feed = src.feed(kw, true)?;
         if par.workers() > 1 && probes.len() >= PAR_JOIN_MIN {
             // Column access stays here, in the serial order; each range
             // then seeks through the landed blocks on its own worker, and
@@ -413,7 +338,7 @@ fn join_level<S: ColumnSource>(
                 let mut part = Hits::default();
                 let mut cursor = RunCursor::new(landed.iter());
                 let probes = probes.get(r.clone()).unwrap_or(&[]);
-                match cursor.seek_all(probes, r.start, linear, &mut part.runs, &mut part.from) {
+                match cursor.seek_all(probes, r.start, &mut part.runs, &mut part.from) {
                     Ok(()) => part,
                     Err(never) => match never {},
                 }
@@ -424,7 +349,7 @@ fn join_level<S: ColumnSource>(
             }
         } else {
             let mut cursor = RunCursor::new(feed);
-            cursor.seek_all(probes, 0, linear, &mut output.runs, &mut output.from)?;
+            cursor.seek_all(probes, 0, &mut output.runs, &mut output.from)?;
             cursor.finish()?;
         }
         obs.event(EventKind::JoinStep {
@@ -433,7 +358,6 @@ fn join_level<S: ColumnSource>(
             column_runs: src.size(kw) as u64,
             input_values: probes.len() as u64,
             output_values: output.runs.len() as u64,
-            strategy,
         });
         probes = &output.runs;
     }
@@ -638,14 +562,13 @@ impl LevelView<'_> {
     }
 }
 
-/// Intersection of an ascending value list with sorted runs; `strategy`
-/// picks the walk, never the result.
-pub fn intersect(strategy: JoinStrategy, values: &[u32], runs: &[Run]) -> Vec<u32> {
+/// Intersection of an ascending value list with sorted runs — one join
+/// step's kernel, for tests and ablations.
+pub fn intersect(values: &[u32], runs: &[Run]) -> Vec<u32> {
     let probes: Vec<Run> = values.iter().map(|&value| Run { value, ..Run::default() }).collect();
     let mut cursor = RunCursor::new(Some(runs).into_iter());
     let mut hits = Hits::default();
-    let linear = strategy == JoinStrategy::Merge;
-    match cursor.seek_all(&probes, 0, linear, &mut hits.runs, &mut hits.from) {
+    match cursor.seek_all(&probes, 0, &mut hits.runs, &mut hits.from) {
         Ok(()) => hits.runs.iter().map(|run| run.value).collect(),
         Err(never) => match never {},
     }
@@ -742,24 +665,20 @@ mod tests {
     }
 
     #[test]
-    fn plans_agree() {
-        let xml = "<r><c1><y1><p>top k</p><p>top</p></y1></c1><c2><y2><p>k</p><p>top k</p></y2></c2></r>";
+    fn steps_count_every_join_step() {
+        // Per level `k − 1` steps, minus those skipped once an intermediate
+        // runs empty: at level 4 the only p (under `a`) meets no q (under
+        // `b`), so the three-keyword query's step into s is skipped.
+        let xml = "<r><c><y><a>p s</a><b>q</b></y></c><c><y>p q</y>s</c></r>";
         let ix = XmlIndex::build(parse(xml).unwrap());
-        let q = Query::from_words(&ix, &["top", "k"]).unwrap();
-        let mut outs = Vec::new();
-        for plan in [JoinPlan::Dynamic, JoinPlan::MergeOnly, JoinPlan::IndexOnly] {
-            let opts = JoinOptions { plan, ..Default::default() };
-            let (mut rs, stats) = join_search(&ix, &q, &opts);
-            rs.sort_by_key(|r| r.node);
-            match plan {
-                JoinPlan::MergeOnly => assert_eq!(stats.index_joins, 0),
-                JoinPlan::IndexOnly => assert_eq!(stats.merge_joins, 0),
-                JoinPlan::Dynamic => {}
-            }
-            outs.push(rs.iter().map(|r| r.node).collect::<Vec<_>>());
+        for (words, want) in [(&["p", "q"][..], 4), (&["p", "q", "s"][..], 7)] {
+            let q = Query::from_words(&ix, words).unwrap();
+            let obs = Obs::new();
+            let (_, stats) = join_search_obs(&ix, &q, &JoinOptions::default(), &obs);
+            assert_eq!(stats.levels, 4);
+            assert_eq!(stats.steps, want, "{words:?}");
+            assert_eq!(obs.metrics.value("join.steps"), u64::from(want));
         }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[1], outs[2]);
     }
 
     #[test]
@@ -786,7 +705,7 @@ mod tests {
         // The join order is by size, ties in query order: q, s, p.
         for words in [["p", "q", "s"], ["s", "p", "q"], ["q", "s", "p"]] {
             let query = Query::from_words(&ix, &words).unwrap();
-            let mut src = MemSource::new(&ix, &query, JoinPlan::Dynamic);
+            let mut src = MemSource::new(&ix, &query);
             src.enter(2).unwrap();
             let (par, mut stats) = (Parallelism::Serial, JoinStats::default());
             join_level(&src, &query, 2, par, &mut stats, &Obs::default(), &mut joined).unwrap();

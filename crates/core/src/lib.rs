@@ -28,8 +28,8 @@
 //! # Engines
 //!
 //! * [`joinbased`] — Algorithm 1: bottom-up per-level joins over JDewey
-//!   columns with range-checked semantic pruning, merge/index joins chosen
-//!   dynamically per level (§III).
+//!   columns with range-checked semantic pruning, one lookup per join step
+//!   that adapts per probe (§III).
 //! * [`topk`] — the join-based top-K algorithm: score-ordered segment
 //!   cursors, the top-K **star join** with partial-result groups and the
 //!   tightened unseen-result threshold, per-column upper bounds (§IV).

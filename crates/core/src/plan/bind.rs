@@ -130,7 +130,6 @@ pub fn logical_plan(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> PlanNod
     let l0 = leaves.iter().map(|l| l.levels).min().unwrap_or(0);
     let join = PlanNode::Join {
         inputs: leaves.into_iter().map(PlanNode::Scan).collect(),
-        plan: req.plan,
         levels: l0,
     };
     let filter = PlanNode::Filter {

@@ -5,8 +5,8 @@
 //! index always lowers to the same [`ExecSpec`] — so the finished spec
 //! can be memoized across queries exactly like the result cache memoizes
 //! answers.  [`PlanCache`] is the bounded, sharded memo; [`Planner`]
-//! wraps it together with the statistics snapshot the cost model reads,
-//! and is what the engines actually call:
+//! wraps it together with a statistics snapshot and is what the engines
+//! actually call:
 //!
 //! * keys are the **canonicalized** request fingerprint
 //!   ([`canonicalize`] + [`fingerprint_salted`], the batch layer's own
@@ -30,7 +30,7 @@
 
 use crate::batch::{canonicalize, fingerprint_salted};
 use crate::plan::cost::PlanStats;
-use crate::plan::lower::{lower_query_costed, ExecSpec};
+use crate::plan::lower::{lower_query, ExecSpec};
 use crate::query::Query;
 use crate::request::QueryRequest;
 use std::collections::{BTreeMap, HashMap};
@@ -279,45 +279,29 @@ impl PlanSource {
     }
 }
 
-/// The statistics snapshot + plan cache an engine plans with.
+/// The plan cache an engine plans through, beside a statistics snapshot.
 ///
 /// Built once at index/store open ([`Planner::from_index`] /
 /// [`Planner::from_store`]) and consulted per query via
-/// [`Planner::spec_for`].
+/// [`Planner::spec_for`].  No planning decision reads the snapshot since
+/// the cost gate went (every enabled rewrite fires); it is what
+/// [`Planner::stats`] hands a caller that wants the directory's numbers.
 #[derive(Debug)]
 pub struct Planner {
     stats: PlanStats,
     cache: PlanCache,
-    /// `false` disables the cost model entirely (pure PR 9 rewriting) —
-    /// the bench's always-fire reference configuration.
-    gating: bool,
 }
 
 impl Planner {
     /// A planner over the in-memory statistics snapshot (estimated
     /// block counts, exact rows/runs/spans).
     pub fn from_index(ix: &XmlIndex) -> Self {
-        Self {
-            stats: PlanStats::from_index(ix),
-            cache: PlanCache::default(),
-            gating: true,
-        }
+        Self { stats: PlanStats::from_index(ix), cache: PlanCache::default() }
     }
 
     /// A planner over the exact on-disk directory snapshot.
     pub fn from_store(ix: &XmlIndex, store: &xtk_index::diskcol::DiskColumnStore) -> Self {
-        Self {
-            stats: PlanStats::from_store(ix, store),
-            cache: PlanCache::default(),
-            gating: true,
-        }
-    }
-
-    /// Toggles cost-based gating (`false` = the always-fire PR 9
-    /// pipeline; the plan cache keeps working either way).
-    pub fn with_cost_gating(mut self, gating: bool) -> Self {
-        self.gating = gating;
-        self
+        Self { stats: PlanStats::from_store(ix, store), cache: PlanCache::default() }
     }
 
     /// Replaces the plan cache with one bounded at `capacity` plans.
@@ -327,9 +311,9 @@ impl Planner {
     }
 
     /// Recomputes the statistics snapshot from a (new) index and drops
-    /// every cached plan; [`Engine::replace_index`] calls this so plans
-    /// never outlive the statistics they were costed from, even though
-    /// the generation stamp would catch them anyway.
+    /// every cached plan; [`Engine::replace_index`] calls this so neither
+    /// outlives its index, even though the generation stamp would catch
+    /// the plans anyway.
     ///
     /// [`Engine::replace_index`]: crate::Engine::replace_index
     pub fn refresh_from_index(&mut self, ix: &XmlIndex) {
@@ -367,8 +351,8 @@ impl Planner {
 
     /// The execution spec for `(query, req)`: served from the plan
     /// cache when a fresh entry exists for this `(generation, salt)`,
-    /// otherwise planned cold — canonicalize, fingerprint, bind,
-    /// cost-rewrite, lower — and cached.
+    /// otherwise planned cold — canonicalize, fingerprint, bind, rewrite,
+    /// lower — and cached.
     pub fn spec_for(
         &self,
         ix: &XmlIndex,
@@ -382,17 +366,15 @@ impl Planner {
         if let Some(spec) = self.cache.get(fp, generation, salt, query, &canonical) {
             return (spec, PlanSource::Cached);
         }
-        let stats = if self.gating { Some(&self.stats) } else { None };
-        let planned = lower_query_costed(ix, query, &canonical, stats);
-        self.cache.put(fp, generation, salt, query.clone(), canonical, planned.spec);
-        (planned.spec, PlanSource::Cold)
+        let spec = lower_query(ix, query, &canonical);
+        self.cache.put(fp, generation, salt, query.clone(), canonical, spec);
+        (spec, PlanSource::Cold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::lower::lower_query;
     use crate::query::Semantics;
     use crate::request::QueryAlgorithm;
     use crate::Engine;
@@ -464,7 +446,7 @@ mod tests {
     #[test]
     fn ungated_planner_matches_statless_lowering() {
         let (e, q, req) = setup();
-        let planner = Planner::from_index(e.index()).with_cost_gating(false);
+        let planner = Planner::from_index(e.index());
         let (spec, _) = planner.spec_for(e.index(), &q, &req, 0, 0);
         assert_eq!(spec, lower_query(e.index(), &q, &canonicalize(&req)));
     }

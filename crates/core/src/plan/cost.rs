@@ -1,5 +1,5 @@
-//! Statistics snapshot and the integer cost model behind cost-based
-//! planning.
+//! Statistics snapshot and the integer cost model behind EXPLAIN's
+//! per-node estimates (the `est blocks` beside every `actual decodes`).
 //!
 //! [`PlanStats`] is a deterministic snapshot of the column directory,
 //! harvested once at index/store open: per-term, per-level row counts,
@@ -10,7 +10,7 @@
 //! decoding a single block.
 //!
 //! The cost model estimates *decoded blocks and rows* for the two
-//! physical access alternatives the rewriter chooses between:
+//! physical access paths a plan leaf can lower to:
 //!
 //! * [`scan_cost`] — a streamed scan decodes every block of every level
 //!   in the join range;
@@ -22,11 +22,10 @@
 //! Everything is integer arithmetic with saturating operators: no
 //! wall-clock, no floats (lint L3/L5 stay hard), and the estimates are
 //! **monotone** — adding rows to a term never lowers its estimated cost
-//! (`cost_prop.rs` proves it property-wise; the planner relies on it so
-//! a growing term can only make a probe plan *more* attractive, never
-//! flip it off by overflow).
+//! (`cost_prop.rs` proves it property-wise), so no estimate can wrap
+//! around on a pathological corpus.
 
-use crate::plan::logical::{PlanNode, ScanLeaf, ScanMode};
+use crate::plan::logical::{PlanNode, ScanMode};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::{TermId, XmlIndex};
 
@@ -39,11 +38,6 @@ pub const BLOCK_COST_WEIGHT: u64 = 64;
 /// statistics are available ([`PlanStats::from_index`]); the on-disk
 /// snapshot replaces this estimate with exact directory block counts.
 pub const EST_ENTRIES_PER_BLOCK: u64 = 1024;
-
-/// The disk column source takes the index-probe path for a join step when
-/// `probes * INDEX_JOIN_ADVANTAGE < rows` (`diskexec::DiskSource`): a
-/// probe costs about one block decode, a scan one decode per block.
-pub const INDEX_JOIN_ADVANTAGE: u64 = 16;
 
 /// Per-term, per-level directory statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,8 +109,8 @@ pub fn scan_cost(levels: &[LevelStats]) -> Cost {
 /// It is exact at every extreme (`k = 1`, `B = 1`, `k → ∞`), strictly
 /// below `min(B, k)` whenever both exceed one — probes collide, so a
 /// driver with as many values as the column has blocks still leaves
-/// some blocks untouched — and monotone in both arguments, which the
-/// planner's gate relies on (`cost_prop.rs`).  Integer-only: the ceil
+/// some blocks untouched — and monotone in both arguments
+/// (`cost_prop.rs`).  Integer-only: the ceil
 /// keeps a nonzero probe set from ever rounding to free.
 fn occupancy(probes: u64, blocks: u64) -> u64 {
     if probes == 0 || blocks == 0 {
@@ -168,7 +162,7 @@ pub fn probe_cost(driver: &[LevelStats], term: &[LevelStats]) -> Cost {
     total
 }
 
-/// The deterministic statistics snapshot the planner costs plans with.
+/// The deterministic statistics snapshot the cost model reads.
 /// Indexed by [`TermId`]; terms outside the snapshot cost zero (the
 /// binder never produces them — every bound term exists in the index the
 /// snapshot was built from).
@@ -249,68 +243,6 @@ impl PlanStats {
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
     }
-}
-
-/// The probe-side decision the cost model makes for one join: which
-/// streamed scan drives, whether push-probes is worth firing, and the
-/// totals the decision was made from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ProbeDecision {
-    /// Position of the chosen driver among the join's inputs.
-    pub driver: usize,
-    /// Fire push-probes (predicted block elimination >= 1).
-    pub fire: bool,
-    /// Predicted blocks decoded by scanning every non-driver input.
-    pub scan_blocks: u64,
-    /// Predicted blocks decoded by probing them instead.
-    pub probe_blocks: u64,
-}
-
-/// Costs the probe pushdown for the join inside `plan`: picks the driver
-/// with the cheapest estimated join-range scan (ties to the first, like
-/// the uncosted rule) and predicts the block elimination probing the
-/// rest would buy.  `None` when fewer than two streamed scans exist —
-/// the rule cannot fire there and needs no gate.
-pub(crate) fn decide_probes(stats: &PlanStats, plan: &PlanNode) -> Option<ProbeDecision> {
-    let leaves = plan.leaves();
-    let streamed: Vec<(usize, &ScanLeaf)> = leaves
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.mode == ScanMode::Stream)
-        .map(|(i, l)| (i, *l))
-        .collect();
-    if streamed.len() < 2 {
-        return None;
-    }
-    // Driver: the streamed scan with the cheapest estimated scan over
-    // the join range (weight folds blocks and rows; first wins ties).
-    let mut driver = streamed.first()?.0;
-    let mut best = u64::MAX;
-    for &(i, leaf) in &streamed {
-        let w = scan_cost(stats.join_range(leaf.term, leaf.levels)).weight();
-        if w < best {
-            best = w;
-            driver = i;
-        }
-    }
-    let driver_leaf = leaves.get(driver)?;
-    let driver_stats = stats.join_range(driver_leaf.term, driver_leaf.levels);
-    let mut scan_blocks = 0u64;
-    let mut probe_blocks = 0u64;
-    for &(i, leaf) in &streamed {
-        if i == driver {
-            continue;
-        }
-        let range = stats.join_range(leaf.term, leaf.levels);
-        scan_blocks = scan_blocks.saturating_add(scan_cost(range).blocks);
-        probe_blocks = probe_blocks.saturating_add(probe_cost(driver_stats, range).blocks);
-    }
-    Some(ProbeDecision {
-        driver,
-        fire: probe_blocks < scan_blocks,
-        scan_blocks,
-        probe_blocks,
-    })
 }
 
 /// Per-node cost estimates of a rewritten plan, rendered byte-stably
@@ -441,9 +373,9 @@ mod tests {
         assert_eq!(occupancy(1, 10), 1);
         assert_eq!(occupancy(10, 1), 1);
         // …strictly below min(B, k) in between (10 probes over 5
-        // blocks: ceil(50/14) = 4 — this is the case that makes the
-        // probe gate fire for a tiny driver against a multi-block
-        // column even when their value spans fully overlap)…
+        // blocks: ceil(50/14) = 4 — a tiny driver against a multi-block
+        // column is predicted to skip a block even when their value
+        // spans fully overlap)…
         assert_eq!(occupancy(10, 5), 4);
         assert!(occupancy(10, 5) < 5);
         // …and saturating arithmetic stays clamped inside [1, min(B, k)]

@@ -24,7 +24,6 @@
 //! [`PlanNode::render`] is byte-stable (fixed attribute order, no
 //! floats, no hash iteration), so EXPLAIN output can be snapshot-gated.
 
-use crate::joinbased::JoinPlan;
 use crate::query::{ElcaVariant, Semantics};
 use crate::request::ScoreMode;
 use crate::topk::ThresholdKind;
@@ -81,8 +80,6 @@ pub enum PlanNode {
     Join {
         /// The joined keyword leaves, in query order.
         inputs: Vec<PlanNode>,
-        /// Merge/index selection for the join steps.
-        plan: JoinPlan,
         /// The join loop covers levels `1..=levels`, deepest first.
         levels: u16,
     },
@@ -166,13 +163,8 @@ impl PlanNode {
                 }
                 out.push('\n');
             }
-            PlanNode::Join { inputs, plan, levels } => {
-                let _ = writeln!(
-                    out,
-                    "LogicalJoin: plan={} levels={}",
-                    join_plan_name(*plan),
-                    LevelRange(*levels)
-                );
+            PlanNode::Join { inputs, levels } => {
+                let _ = writeln!(out, "LogicalJoin: levels={}", LevelRange(*levels));
                 for i in inputs {
                     i.render_into(out, depth + 1);
                 }
@@ -260,14 +252,6 @@ impl std::fmt::Display for LevelRange {
     }
 }
 
-pub(crate) fn join_plan_name(plan: JoinPlan) -> &'static str {
-    match plan {
-        JoinPlan::Dynamic => "dynamic",
-        JoinPlan::MergeOnly => "merge-only",
-        JoinPlan::IndexOnly => "index-only",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +281,6 @@ mod tests {
                             ..leaf("search", 3)
                         }),
                     ],
-                    plan: JoinPlan::Dynamic,
                     levels: 3,
                 }),
                 semantics: Semantics::Elca,
@@ -316,7 +299,7 @@ mod tests {
             a,
             "LogicalTopK: k=5 strategy=auto threshold=tight scores=ranked\n  \
              LogicalFilter: semantics=elca variant=operational\n    \
-             LogicalJoin: plan=dynamic levels=1..3\n      \
+             LogicalJoin: levels=1..3\n      \
              LogicalScan: term=\"xml\" postings=12 levels=1..5 mode=materialize\n      \
              LogicalIndexProbe: term=\"search\" postings=12 levels=1..3 skip=footers (pruned from 1..5)\n"
         );

@@ -1,9 +1,9 @@
 //! Physical lowering: rewritten logical plan → executor configuration.
 //!
 //! [`lower`] collapses the rewritten IR into an [`ExecSpec`]: which top-K
-//! execution runs ([`TopKExec`]), how the join accesses columns (the
-//! effective [`JoinPlan`], footer block skipping, whole-sequence
-//! prescan), and how the output is shaped (scoring, truncation).
+//! execution runs ([`TopKExec`]), how the join accesses columns (footer
+//! block skipping, whole-sequence prescan), and how the output is shaped
+//! (scoring, truncation).
 //! [`execute_memory`] and [`execute_disk`] are the lowered drivers behind
 //! [`Engine::run`](crate::Engine::run) and the on-disk
 //! [`Executor`](crate::Executor) — the procedural per-algorithm dispatch
@@ -18,12 +18,12 @@
 //! bit-identical to each other — rules move work, never answers.
 
 use crate::diskexec::{join_search_disk_spec, DiskJoinSpec};
-use crate::hybrid::{hybrid_topk_planned, PlannedEngine};
-use crate::joinbased::{join_search_obs, JoinOptions, JoinPlan};
+use crate::hybrid::{hybrid_topk_obs, PlannedEngine};
+use crate::joinbased::{join_search_obs, JoinOptions};
 use crate::plan::bind;
 use crate::plan::cost::{self, CostSummary, PlanStats};
-use crate::plan::logical::{join_plan_name, LevelRange, PlanNode, ScanMode, TopKStrategy};
-use crate::plan::rewrite::{rewrite_costed, AppliedRule};
+use crate::plan::logical::{LevelRange, PlanNode, ScanMode, TopKStrategy};
+use crate::plan::rewrite::{rewrite, AppliedRule};
 use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::request::{obs_for, respond, ExecutedEngine, QueryRequest, QueryResponse, ScoreMode};
@@ -68,10 +68,6 @@ pub struct ExecSpec {
     pub semantics: Semantics,
     /// ELCA exclusion variant.
     pub variant: ElcaVariant,
-    /// The effective join plan: the plan node's choice when probe leaves
-    /// survive (or the query is single-keyword), merge-only when the
-    /// probe pushdown is disabled.
-    pub plan: JoinPlan,
     /// Unseen-result bound for the star join.
     pub threshold: ThresholdKind,
     /// Whether the complete path scores and rank-sorts its results.
@@ -82,31 +78,23 @@ pub struct ExecSpec {
     /// (the §III-B whole-sequence strawman; true when any leaf is an
     /// unpruned materializing scan).
     pub prescan: bool,
-    /// Disk: probe leaves may skip blocks through the v2/v3 last-value
-    /// footers and the index-probe access path is enabled.
+    /// Disk: join steps pass over the blocks no probe falls in (true when
+    /// the probe pushdown left probe leaves).
     pub block_skip: bool,
 }
 
 /// Leaf census used to derive the access-path flags.
 #[derive(Default)]
 struct Census {
-    leaves: usize,
     probes: usize,
     materialized: usize,
 }
 
 fn leaf_census(node: &PlanNode, c: &mut Census) {
     match node {
-        PlanNode::Scan(leaf) => {
-            c.leaves += 1;
-            if leaf.mode == ScanMode::Materialize {
-                c.materialized += 1;
-            }
-        }
-        PlanNode::IndexProbe(_) => {
-            c.leaves += 1;
-            c.probes += 1;
-        }
+        PlanNode::Scan(leaf) if leaf.mode == ScanMode::Materialize => c.materialized += 1,
+        PlanNode::Scan(_) => {}
+        PlanNode::IndexProbe(_) => c.probes += 1,
         PlanNode::Join { inputs, .. } => {
             for i in inputs {
                 leaf_census(i, c);
@@ -124,7 +112,6 @@ fn leaf_census(node: &PlanNode, c: &mut Census) {
 pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
     let mut semantics = req.semantics;
     let mut variant = req.variant;
-    let mut join_plan = req.plan;
     let mut threshold = req.threshold;
     let mut scores = req.scores;
     let mut k = req.k;
@@ -158,22 +145,11 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
                 variant = *v;
                 node = input;
             }
-            PlanNode::Join { plan: p, .. } => {
-                join_plan = *p;
-                break;
-            }
-            PlanNode::Scan(_) | PlanNode::IndexProbe(_) => break,
+            PlanNode::Join { .. } | PlanNode::Scan(_) | PlanNode::IndexProbe(_) => break,
         }
     }
     let mut census = Census::default();
     leaf_census(plan, &mut census);
-    // No surviving probe leaves on a multi-keyword join: the pushdown is
-    // off, so the physical join must not take the index-probe path.
-    let plan_effective = if census.probes == 0 && census.leaves >= 2 {
-        JoinPlan::MergeOnly
-    } else {
-        join_plan
-    };
     let scored = scores == ScoreMode::Ranked;
     let topk = match (strategy, k) {
         (TopKStrategy::Auto, Some(k)) => TopKExec::Hybrid { k },
@@ -187,7 +163,6 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
         topk,
         semantics,
         variant,
-        plan: plan_effective,
         threshold,
         scored,
         truncate: k,
@@ -196,57 +171,12 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
     }
 }
 
-/// Everything one costed planning pass produces: the spec plus the
-/// rewrite/gate logs and per-node estimates EXPLAIN renders.
-pub(crate) struct Planned {
-    /// The execution recipe.
-    pub spec: ExecSpec,
-    /// The rewritten logical tree.
-    pub rewritten: PlanNode,
-    /// Rules that fired.
-    pub applied: Vec<AppliedRule>,
-    /// Enabled rules the cost model gated off.
-    pub gated: Vec<AppliedRule>,
-    /// Per-node estimates (absent without statistics).
-    pub summary: Option<CostSummary>,
-}
-
 /// Binds the logical plan for `query`, rewrites it under the request's
-/// rule set — costed against `stats` when a snapshot is supplied — and
-/// lowers it.
-pub(crate) fn lower_query_costed(
-    ix: &XmlIndex,
-    query: &Query,
-    req: &QueryRequest,
-    stats: Option<&PlanStats>,
-) -> Planned {
+/// rule set and lowers it.
+pub(crate) fn lower_query(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> ExecSpec {
     let logical = bind::logical_plan(ix, query, req);
     let bound = bind::candidate_bound(ix, query);
-    plan_costed(logical, Some(bound), req, stats, false)
-}
-
-/// The rewrite → lower core shared by [`lower_query_costed`]
-/// and [`explain`] (which inserts the scatter-gather merge first).
-/// `want_summary` gates the rendered per-node estimate lines: only
-/// EXPLAIN reads them, so the serving path skips the string building.
-fn plan_costed(
-    logical: PlanNode,
-    bound: Option<u64>,
-    req: &QueryRequest,
-    stats: Option<&PlanStats>,
-    want_summary: bool,
-) -> Planned {
-    let rw = rewrite_costed(logical, req.rules, bound, stats);
-    let spec = lower(&rw.plan, req);
-    let summary =
-        if want_summary { stats.map(|s| cost::summarize(s, &rw.plan)) } else { None };
-    Planned { spec, rewritten: rw.plan, applied: rw.applied, gated: rw.gated, summary }
-}
-
-/// Uncosted [`lower_query_costed`]: the PR 9 pipeline, kept for the
-/// stat-less callers and tests.
-pub(crate) fn lower_query(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> ExecSpec {
-    lower_query_costed(ix, query, req, None).spec
+    lower(&rewrite(logical, req.rules, Some(bound)).plan, req)
 }
 
 /// The lowered in-memory driver for the join-family algorithms (Auto,
@@ -272,8 +202,7 @@ pub(crate) fn execute_memory_spec(
     let obs = obs_for(req);
     match spec.topk {
         TopKExec::Hybrid { k } => {
-            let (rs, planned) =
-                hybrid_topk_planned(ix, query, k, spec.semantics, parallelism, spec.plan, &obs);
+            let (rs, planned) = hybrid_topk_obs(ix, query, k, spec.semantics, parallelism, &obs);
             let engine = match planned {
                 PlannedEngine::TopKJoin => ExecutedEngine::TopKJoin,
                 PlannedEngine::CompleteJoin => ExecutedEngine::JoinBased,
@@ -295,13 +224,7 @@ pub(crate) fn execute_memory_spec(
             // complete route bit for bit: scored, operational exclusion.
             let (with_scores, variant) =
                 if elided { (true, ElcaVariant::Operational) } else { (spec.scored, spec.variant) };
-            let opts = JoinOptions {
-                semantics: spec.semantics,
-                variant,
-                plan: spec.plan,
-                with_scores,
-                parallelism,
-            };
+            let opts = JoinOptions { semantics: spec.semantics, variant, with_scores, parallelism };
             let (mut rs, _) = join_search_obs(ix, query, &opts, &obs);
             if with_scores {
                 sort_ranked(&mut rs);
@@ -320,7 +243,6 @@ pub(crate) fn disk_join_spec(spec: &ExecSpec, parallelism: Parallelism) -> DiskJ
         join: JoinOptions {
             semantics: spec.semantics,
             variant: spec.variant,
-            plan: spec.plan,
             with_scores: spec.scored,
             parallelism,
         },
@@ -386,10 +308,8 @@ pub struct PlanExplain {
     pub logical: String,
     /// The rule applications, in firing order.
     pub applied: Vec<AppliedRule>,
-    /// Enabled rules the cost model gated off.
-    pub gated: Vec<AppliedRule>,
     /// Per-node cost estimates of the rewritten plan.
-    pub cost: Option<CostSummary>,
+    pub cost: CostSummary,
     /// The tree after all enabled rules.
     pub rewritten: String,
     /// The physical plan (ExecTopK/ExecMerge/ExecJoin/ExecScan/ExecProbe).
@@ -410,22 +330,11 @@ impl std::fmt::Display for PlanExplain {
         for a in &self.applied {
             writeln!(f, "{}: {}", a.rule, a.detail)?;
         }
-        if self.cost.is_some() {
-            writeln!(f, "== cost decisions ==")?;
-            if self.gated.is_empty() {
-                writeln!(f, "(none)")?;
-            }
-            for g in &self.gated {
-                writeln!(f, "gated {}: {}", g.rule, g.detail)?;
-            }
-        }
         writeln!(f, "== rewritten plan ==")?;
         f.write_str(&self.rewritten)?;
-        if let Some(cost) = &self.cost {
-            writeln!(f, "== cost estimates ==")?;
-            for line in &cost.lines {
-                writeln!(f, "{line}")?;
-            }
+        writeln!(f, "== cost estimates ==")?;
+        for line in &self.cost.lines {
+            writeln!(f, "{line}")?;
         }
         writeln!(f, "== physical plan ==")?;
         f.write_str(&self.physical)?;
@@ -453,15 +362,13 @@ pub fn explain(
     }
     let bound = bind::candidate_bound(ix, query);
     let logical_render = logical.render();
-    let planned = plan_costed(logical, Some(bound), req, Some(&stats), true);
-    let physical = render_physical(&planned.spec, &planned.rewritten, target);
+    let rw = rewrite(logical, req.rules, Some(bound));
     PlanExplain {
         logical: logical_render,
-        applied: planned.applied,
-        gated: planned.gated,
-        cost: planned.summary,
-        rewritten: planned.rewritten.render(),
-        physical,
+        applied: rw.applied,
+        cost: cost::summarize(&stats, &rw.plan),
+        rewritten: rw.plan.render(),
+        physical: render_physical(&lower(&rw.plan, req), &rw.plan, target),
         provenance: None,
     }
 }
@@ -496,31 +403,20 @@ pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) ->
     for line in explain.physical.lines() {
         out.push_str(line);
         if line.trim_start().starts_with("ExecJoin:") {
-            match explain.cost.as_ref() {
-                Some(c) => {
-                    let _ = write!(
-                        out,
-                        " [actual decodes={total_decodes} matches={matches}; est blocks={}]",
-                        c.est_blocks
-                    );
-                }
-                None => {
-                    let _ = write!(out, " [actual decodes={total_decodes} matches={matches}]");
-                }
-            }
+            let _ = write!(
+                out,
+                " [actual decodes={total_decodes} matches={matches}; est blocks={}]",
+                explain.cost.est_blocks
+            );
         } else if let Some(term) = leaf_term_name(line) {
             if let Some(id) = ix.term_id(term) {
                 let mut steps = 0u64;
                 let mut out_values = 0u64;
-                let mut strategies: Vec<&'static str> = Vec::new();
                 for e in trace.of_kind("join_step") {
-                    if let EventKind::JoinStep { term: t, output_values, strategy, .. } = e.kind {
+                    if let EventKind::JoinStep { term: t, output_values, .. } = e.kind {
                         if t == id.0 {
                             steps = steps.saturating_add(1);
                             out_values = out_values.saturating_add(output_values);
-                            if !strategies.contains(&strategy.as_str()) {
-                                strategies.push(strategy.as_str());
-                            }
                         }
                     }
                 }
@@ -535,12 +431,7 @@ pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) ->
                     }
                 }
                 if steps > 0 {
-                    strategies.sort_unstable();
-                    let _ = write!(
-                        out,
-                        " [actual steps={steps} out={out_values} strategy={}]",
-                        strategies.join("+")
-                    );
+                    let _ = write!(out, " [actual steps={steps} out={out_values}]");
                 } else if driver_levels > 0 {
                     let _ =
                         write!(out, " [actual driver levels={driver_levels} runs={driver_runs}]");
@@ -641,8 +532,7 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
     }
     let _ = writeln!(
         out,
-        "ExecJoin: plan={} semantics={} variant={} scored={} block-skip={} prescan={}",
-        join_plan_name(spec.plan),
+        "ExecJoin: semantics={} variant={} scored={} block-skip={} prescan={}",
         match spec.semantics {
             Semantics::Elca => "elca",
             Semantics::Slca => "slca",
@@ -726,7 +616,6 @@ mod tests {
         assert_eq!(spec.topk, TopKExec::Hybrid { k: 2 });
         assert!(spec.block_skip, "pushdown fired");
         assert!(!spec.prescan, "no whole-sequence reads");
-        assert_eq!(spec.plan, JoinPlan::Dynamic);
     }
 
     #[test]
@@ -737,7 +626,6 @@ mod tests {
         let spec = lower_query(&ix, &q, &req);
         assert!(!spec.block_skip);
         assert!(spec.prescan, "materializing scans survive");
-        assert_eq!(spec.plan, JoinPlan::MergeOnly, "no probe access path");
         assert!(explain(&ix, &q, &req, ExplainTarget::Memory).applied.is_empty());
     }
 
@@ -770,39 +658,19 @@ mod tests {
         for section in [
             "== logical plan ==",
             "== rewrites ==",
-            "== cost decisions ==",
             "== rewritten plan ==",
             "== cost estimates ==",
             "== physical plan ==",
         ] {
             assert!(a.contains(section), "{a}");
         }
-        // Single-block columns: footer skipping cannot eliminate
-        // anything, so the cost model gates push-probes off.
-        assert!(a.contains("gated push-probes:"), "{a}");
-        assert!(!a.contains("ExecProbe:"), "{a}");
+        assert!(a.contains("ExecProbe:"), "{a}");
         assert!(a.contains("join: est blocks="), "{a}");
         let sharded =
             explain(&ix, &q, &req, ExplainTarget::Sharded { shards: 3, ta_prune: true })
                 .to_string();
         assert!(sharded.contains("ExecMerge: shards=3 ta-prune=on"), "{sharded}");
         assert!(sharded.contains("LogicalMerge: shards=3"), "{sharded}");
-    }
-
-    #[test]
-    fn cost_gate_disables_probes_on_single_block_columns() {
-        let ix = ix();
-        let (q, req) = bound(&ix, "xml search k=2");
-        let stats = PlanStats::from_index(&ix);
-        let planned = lower_query_costed(&ix, &q, &req, Some(&stats));
-        assert!(!planned.spec.block_skip, "gate must strip the probe path");
-        assert_eq!(planned.spec.plan, JoinPlan::MergeOnly);
-        assert_eq!(planned.gated.len(), 1, "{:?}", planned.gated);
-        assert_eq!(planned.gated[0].rule, crate::plan::rewrite::PUSH_PROBES);
-        // The serving path skips the rendered estimates (EXPLAIN-only).
-        assert!(planned.summary.is_none());
-        // Stat-less lowering is the PR 9 pipeline: probes fire.
-        assert!(lower_query(&ix, &q, &req).block_skip);
     }
 
     #[test]

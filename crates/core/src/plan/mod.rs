@@ -24,9 +24,9 @@
 //! the unrewritten one.  EXPLAIN ([`PlanExplain`]) renders each stage
 //! byte-stably for snapshot gating.
 //!
-//! Two adaptive layers sit on top (PR 10): [`cost`] harvests a
-//! deterministic statistics snapshot from the column directory and costs
-//! each rewrite before it fires, and [`cache`] memoizes finished
+//! Two layers sit beside it (PR 10): [`cost`] harvests a deterministic
+//! statistics snapshot from the column directory and estimates the
+//! decodes of each plan leaf for EXPLAIN, and [`cache`] memoizes finished
 //! [`ExecSpec`]s across queries keyed by the canonicalized request
 //! fingerprint (invalidated by maintainer generation and topology salt,
 //! exactly like the result cache).
@@ -43,11 +43,11 @@ pub use bind::{candidate_bound, compile, logical_plan, PlanError};
 pub use cache::{PlanCache, PlanCacheStats, PlanSource, Planner};
 pub use cost::{
     probe_cost, scan_cost, Cost, CostSummary, LevelStats, PlanStats, BLOCK_COST_WEIGHT,
-    EST_ENTRIES_PER_BLOCK, INDEX_JOIN_ADVANTAGE,
+    EST_ENTRIES_PER_BLOCK,
 };
 pub use logical::{PlanNode, ScanLeaf, ScanMode, TopKStrategy};
 pub use lower::{
     annotate_executed, explain, lower, ExecSpec, ExplainTarget, PlanExplain, TopKExec,
 };
 pub use parse::{parse, ParseError, ParsedQuery, Span};
-pub use rewrite::{rewrite as rewrite_plan, rewrite_costed, AppliedRule, Rewrite, RuleSet};
+pub use rewrite::{rewrite as rewrite_plan, AppliedRule, Rewrite, RuleSet};

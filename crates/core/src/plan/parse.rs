@@ -16,7 +16,6 @@
 //! semantics := elca | slca               (alias: sem)
 //! variant   := operational | formal
 //! algorithm := auto | join | stack | indexed | topk | rdil   (alias: alg)
-//! plan      := dynamic | merge | index
 //! threshold := tight | classic
 //! scores    := ranked | unranked
 //! trace     := off | counters | events
@@ -30,7 +29,6 @@
 //! string that re-parses to the same query (the round-trip property the
 //! test suite checks).
 
-use crate::joinbased::JoinPlan;
 use crate::plan::rewrite::RuleSet;
 use crate::query::{ElcaVariant, Semantics};
 use crate::request::{QueryAlgorithm, QueryRequest, ScoreMode};
@@ -65,8 +63,6 @@ pub struct ParsedQuery {
     pub variant: Option<ElcaVariant>,
     /// `algorithm=auto|join|stack|indexed|topk|rdil`.
     pub algorithm: Option<QueryAlgorithm>,
-    /// `plan=dynamic|merge|index`.
-    pub plan: Option<JoinPlan>,
     /// `threshold=tight|classic`.
     pub threshold: Option<ThresholdKind>,
     /// `scores=ranked|unranked`.
@@ -86,7 +82,6 @@ impl PartialEq for ParsedQuery {
             && self.semantics == other.semantics
             && self.variant == other.variant
             && self.algorithm == other.algorithm
-            && self.plan == other.plan
             && self.threshold == other.threshold
             && self.scores == other.scores
             && self.trace == other.trace
@@ -349,15 +344,6 @@ pub fn parse(text: &str) -> Result<ParsedQuery, ParseError> {
                 };
                 set_once(&mut q.algorithm, a, "algorithm", span)?;
             }
-            "plan" => {
-                let p = match v {
-                    "dynamic" => JoinPlan::Dynamic,
-                    "merge" => JoinPlan::MergeOnly,
-                    "index" => JoinPlan::IndexOnly,
-                    _ => return Err(invalid("plan", v, "dynamic, merge or index", span)),
-                };
-                set_once(&mut q.plan, p, "plan", span)?;
-            }
             "threshold" => {
                 let t = match v {
                     "tight" => ThresholdKind::Tight,
@@ -414,9 +400,6 @@ impl ParsedQuery {
         }
         if let Some(a) = self.algorithm {
             req.algorithm = a;
-        }
-        if let Some(p) = self.plan {
-            req.plan = p;
         }
         if let Some(t) = self.threshold {
             req.threshold = t;
@@ -475,15 +458,6 @@ impl fmt::Display for ParsedQuery {
             write!(f, "{sep}algorithm={t}")?;
             sep = " ";
         }
-        if let Some(p) = self.plan {
-            let t = match p {
-                JoinPlan::Dynamic => "dynamic",
-                JoinPlan::MergeOnly => "merge",
-                JoinPlan::IndexOnly => "index",
-            };
-            write!(f, "{sep}plan={t}")?;
-            sep = " ";
-        }
         if let Some(t) = self.threshold {
             let v = match t {
                 ThresholdKind::Tight => "tight",
@@ -527,7 +501,7 @@ mod tests {
         assert_eq!(q.k, Some(5));
         assert_eq!(q.semantics, Some(Semantics::Slca));
         assert_eq!(q.algorithm, Some(QueryAlgorithm::TopKJoin));
-        assert_eq!(q.plan, None);
+        assert_eq!(q.threshold, None);
     }
 
     #[test]
@@ -568,7 +542,7 @@ mod tests {
         assert!(matches!(err, ParseError::InvalidValue { knob: "k", .. }));
         let err = parse("xml k=0").unwrap_err();
         assert!(matches!(err, ParseError::InvalidValue { knob: "k", .. }));
-        assert!(parse("xml plan=bogus").is_err());
+        assert!(parse("xml threshold=bogus").is_err());
         assert!(parse("xml rules=prune,bogus").is_err());
     }
 

@@ -29,7 +29,6 @@
 //! results to the unrewritten one (the `plan_differential` test suite
 //! proves this per rule).  The rules only move work, never answers.
 
-use crate::plan::cost::{decide_probes, PlanStats};
 use crate::plan::logical::{PlanNode, ScanMode};
 
 /// Which rewrite rules run.  The default is all of them — the optimized
@@ -109,9 +108,6 @@ pub struct Rewrite {
     pub plan: PlanNode,
     /// Applications in firing order (byte-stable).
     pub applied: Vec<AppliedRule>,
-    /// Enabled rules the cost model gated off (empty without statistics
-    /// — the uncosted rewriter always fires what is enabled).
-    pub gated: Vec<AppliedRule>,
 }
 
 /// Runs the enabled rules over `plan` in the fixed prune → push → elim
@@ -119,53 +115,23 @@ pub struct Rewrite {
 /// the caller can compute one (the in-memory binder can; `None` disables
 /// the top-K elimination, never the join collapse).
 pub fn rewrite(plan: PlanNode, rules: RuleSet, candidate_bound: Option<u64>) -> Rewrite {
-    rewrite_costed(plan, rules, candidate_bound, None)
-}
-
-/// [`rewrite`] with a statistics snapshot: the probe pushdown is costed
-/// before it fires.  The driver becomes the streamed scan with the
-/// cheapest estimated join-range read (instead of the smallest whole
-/// posting list), and the rule is **gated off** — recorded in
-/// [`Rewrite::gated`] — when footer skipping predicts no block
-/// elimination at all (probing can then only match the scan's decode
-/// count, and the simpler merge pipeline wins).  Both choices are
-/// result-preserving: they pick among access paths that return the same
-/// answers.
-pub fn rewrite_costed(
-    plan: PlanNode,
-    rules: RuleSet,
-    candidate_bound: Option<u64>,
-    stats: Option<&PlanStats>,
-) -> Rewrite {
     let mut applied = Vec::new();
-    let mut gated = Vec::new();
     let mut plan = plan;
     if rules.prune_columns {
         plan = prune_columns(plan, &mut applied);
     }
     if rules.push_probes {
-        match stats.and_then(|s| decide_probes(s, &plan)) {
-            Some(d) if !d.fire => gated.push(AppliedRule {
-                rule: PUSH_PROBES,
-                detail: format!(
-                    "cost gate: footer skipping predicts no block elimination \
-                     (scan {} blocks, probes >= {})",
-                    d.scan_blocks, d.probe_blocks
-                ),
-            }),
-            Some(d) => plan = push_probes(plan, Some(d.driver), &mut applied),
-            None => plan = push_probes(plan, None, &mut applied),
-        }
+        plan = push_probes(plan, &mut applied);
     }
     if rules.eliminate_noops {
         plan = eliminate_noops(plan, candidate_bound, &mut applied);
     }
-    Rewrite { plan, applied, gated }
+    Rewrite { plan, applied }
 }
 
 fn prune_columns(node: PlanNode, applied: &mut Vec<AppliedRule>) -> PlanNode {
     match node {
-        PlanNode::Join { inputs, plan, levels } => {
+        PlanNode::Join { inputs, levels } => {
             let inputs = inputs
                 .into_iter()
                 .map(|input| match input {
@@ -195,7 +161,7 @@ fn prune_columns(node: PlanNode, applied: &mut Vec<AppliedRule>) -> PlanNode {
                     other => other,
                 })
                 .collect();
-            PlanNode::Join { inputs, plan, levels }
+            PlanNode::Join { inputs, levels }
         }
         PlanNode::Filter { input, semantics, variant } => PlanNode::Filter {
             input: Box::new(prune_columns(*input, applied)),
@@ -219,37 +185,24 @@ fn prune_columns(node: PlanNode, applied: &mut Vec<AppliedRule>) -> PlanNode {
     }
 }
 
-/// `driver_override` positions the driver among the join's inputs (the
-/// binder emits one flat join, so input positions and leaf positions
-/// coincide); without one the scarcest streamed scan drives.
-fn push_probes(
-    node: PlanNode,
-    driver_override: Option<usize>,
-    applied: &mut Vec<AppliedRule>,
-) -> PlanNode {
+/// The scarcest streamed scan of a join drives; the others probe.
+fn push_probes(node: PlanNode, applied: &mut Vec<AppliedRule>) -> PlanNode {
     match node {
-        PlanNode::Join { inputs, plan, levels } => {
-            // The driver (cost-chosen, else the scarcest streamed scan;
-            // first on ties) stays a scan — probes need a producer of
-            // candidate values.
+        PlanNode::Join { inputs, levels } => {
+            // The driver (the scarcest streamed scan; first on ties) stays
+            // a scan — probes need a producer of candidate values.
             let mut driver: Option<(usize, usize)> = None; // (index, postings)
             for (i, input) in inputs.iter().enumerate() {
                 if let PlanNode::Scan(leaf) = input {
-                    if leaf.mode == ScanMode::Stream {
-                        if driver_override == Some(i) {
-                            driver = Some((i, leaf.postings));
-                            break;
-                        }
-                        if driver_override.is_none()
-                            && driver.is_none_or(|(_, p)| leaf.postings < p)
-                        {
-                            driver = Some((i, leaf.postings));
-                        }
+                    if leaf.mode == ScanMode::Stream
+                        && driver.is_none_or(|(_, p)| leaf.postings < p)
+                    {
+                        driver = Some((i, leaf.postings));
                     }
                 }
             }
             let Some((d, _)) = driver else {
-                return PlanNode::Join { inputs, plan, levels };
+                return PlanNode::Join { inputs, levels };
             };
             let driver_name = match inputs.get(d) {
                 Some(PlanNode::Scan(leaf)) => leaf.name.clone(),
@@ -272,15 +225,15 @@ fn push_probes(
                     other => other,
                 })
                 .collect();
-            PlanNode::Join { inputs, plan, levels }
+            PlanNode::Join { inputs, levels }
         }
         PlanNode::Filter { input, semantics, variant } => PlanNode::Filter {
-            input: Box::new(push_probes(*input, driver_override, applied)),
+            input: Box::new(push_probes(*input, applied)),
             semantics,
             variant,
         },
         PlanNode::TopK { input, k, strategy, threshold, scores, bound } => PlanNode::TopK {
-            input: Box::new(push_probes(*input, driver_override, applied)),
+            input: Box::new(push_probes(*input, applied)),
             k,
             strategy,
             threshold,
@@ -288,7 +241,7 @@ fn push_probes(
             bound,
         },
         PlanNode::Merge { input, shards, ta_prune } => PlanNode::Merge {
-            input: Box::new(push_probes(*input, driver_override, applied)),
+            input: Box::new(push_probes(*input, applied)),
             shards,
             ta_prune,
         },
@@ -302,7 +255,7 @@ fn eliminate_noops(
     applied: &mut Vec<AppliedRule>,
 ) -> PlanNode {
     match node {
-        PlanNode::Join { mut inputs, plan, levels } => {
+        PlanNode::Join { mut inputs, levels } => {
             if inputs.len() == 1 {
                 if let Some(only) = inputs.pop() {
                     applied.push(AppliedRule {
@@ -317,7 +270,6 @@ fn eliminate_noops(
                     .into_iter()
                     .map(|i| eliminate_noops(i, candidate_bound, applied))
                     .collect(),
-                plan,
                 levels,
             }
         }
@@ -371,7 +323,6 @@ fn eliminate_noops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::joinbased::JoinPlan;
     use crate::plan::logical::{ScanLeaf, TopKStrategy};
     use crate::query::{ElcaVariant, Semantics};
     use crate::request::ScoreMode;
@@ -397,7 +348,6 @@ mod tests {
                         PlanNode::Scan(leaf("big", 100, 5)),
                         PlanNode::Scan(leaf("small", 7, 3)),
                     ],
-                    plan: JoinPlan::Dynamic,
                     levels: 3,
                 }),
                 semantics: Semantics::Elca,
@@ -468,7 +418,6 @@ mod tests {
         let plan = PlanNode::Filter {
             input: Box::new(PlanNode::Join {
                 inputs: vec![PlanNode::Scan(leaf("only", 4, 2))],
-                plan: JoinPlan::Dynamic,
                 levels: 2,
             }),
             semantics: Semantics::Slca,

@@ -20,7 +20,6 @@ use crate::baseline::indexed::{indexed_search, IndexedOptions};
 use crate::baseline::rdil::{rdil_search, RdilOptions};
 use crate::baseline::stack::{stack_search, StackOptions};
 use crate::engine::Engine;
-use crate::joinbased::JoinPlan;
 use crate::plan::rewrite::RuleSet;
 use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
@@ -88,8 +87,6 @@ pub struct QueryRequest {
     /// ELCA exclusion variant (ignored for SLCA; the index-based and RDIL
     /// baselines always use the formal variant).
     pub variant: ElcaVariant,
-    /// Join-plan selection for the join-based engines.
-    pub plan: JoinPlan,
     /// Unseen-result bound for the top-K star join.
     pub threshold: ThresholdKind,
     /// Ranked (scored) or unranked results.
@@ -109,7 +106,6 @@ impl Default for QueryRequest {
             k: None,
             algorithm: QueryAlgorithm::Auto,
             variant: ElcaVariant::Operational,
-            plan: JoinPlan::Dynamic,
             threshold: ThresholdKind::Tight,
             scores: ScoreMode::Ranked,
             trace: TraceLevel::Off,
@@ -138,12 +134,6 @@ impl QueryRequest {
     /// Selects the ELCA exclusion variant.
     pub fn with_variant(mut self, variant: ElcaVariant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Selects the join plan.
-    pub fn with_plan(mut self, plan: JoinPlan) -> Self {
-        self.plan = plan;
         self
     }
 
@@ -232,12 +222,6 @@ impl QueryRequestBuilder {
         self
     }
 
-    /// Join-plan selection.
-    pub fn plan(mut self, plan: JoinPlan) -> Self {
-        self.req.plan = plan;
-        self
-    }
-
     /// Unseen-result bound for the top-K star join.
     pub fn threshold(mut self, threshold: ThresholdKind) -> Self {
         self.req.threshold = threshold;
@@ -321,7 +305,7 @@ pub(crate) fn respond(
 /// Executes a request against the in-memory index.  Shared by
 /// [`Engine::run`] and the [`Executor`] impl for [`Engine`].  A planner,
 /// when supplied, serves the execution spec from its cross-query plan
-/// cache (or plans cold, costed, and caches); without one every request
+/// cache (or plans cold and caches); without one every request
 /// re-plans from scratch.
 fn run_in_memory(
     ix: &XmlIndex,
@@ -517,13 +501,7 @@ impl<'a> DiskEngine<'a> {
         self
     }
 
-    /// Toggles cost-based rule gating (builder style; default on).
-    pub fn with_cost_gating(mut self, gating: bool) -> Self {
-        self.planner = self.planner.with_cost_gating(gating);
-        self
-    }
-
-    /// The cost-based planner this engine serves specs from.
+    /// The planner this engine serves specs from.
     pub fn planner(&self) -> &crate::plan::cache::Planner {
         &self.planner
     }

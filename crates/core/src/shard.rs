@@ -396,13 +396,7 @@ impl<'a> ShardedEngine<'a> {
         Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt, planner })
     }
 
-    /// Toggles cost-based rule gating (builder style; default on).
-    pub fn with_cost_gating(mut self, gating: bool) -> Self {
-        self.planner = self.planner.with_cost_gating(gating);
-        self
-    }
-
-    /// The cost-based planner this engine serves specs from.
+    /// The planner this engine serves specs from.
     pub fn planner(&self) -> &crate::plan::cache::Planner {
         &self.planner
     }
@@ -547,15 +541,14 @@ impl Executor for ShardedEngine<'_> {
         // Plan once against the global index — served from the plan
         // cache when this (query, request, generation, topology salt)
         // was planned before; every shard executes the same physical
-        // spec (the cost model sees the global run statistics, so the
-        // spec — and the merged response — is shard-topology-invariant).
+        // spec (planned from the global index, so the spec — and the
+        // merged response — is shard-topology-invariant).
         let (lowered, _) =
             self.planner.spec_for(self.ix, query, req, self.ix.generation(), self.salt);
         let spec = DiskJoinSpec {
             join: JoinOptions {
                 semantics: lowered.semantics,
                 variant: lowered.variant,
-                plan: lowered.plan,
                 with_scores: true,
                 parallelism: Parallelism::Serial,
             },
@@ -732,8 +725,8 @@ mod tests {
                        <conf><paper><title>xml top k</title></paper></conf>\
                        <conf><paper><title>keyword top search</title></paper></conf></bib>";
 
-    fn tmp(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("xtk_shard_unit_{tag}_{}", std::process::id()))
+    fn tmp(tag: &str) -> xtk_xml::testutil::TempPath {
+        xtk_xml::testutil::TempPath::new(&format!("xtk_shard_unit_{tag}"))
     }
 
     fn corpus() -> XmlIndex {
@@ -759,7 +752,6 @@ mod tests {
         assert_eq!(m.nodes, ix.tree().len());
         assert!(parse_manifest("xtk-shard-manifest v9\nshards 1\n").is_err());
         assert!(parse_manifest("").is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -793,7 +785,6 @@ mod tests {
             resp.metrics.get("query.results"),
             resp.results.len() as u64
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -814,7 +805,6 @@ mod tests {
             engine.execute(&q, &rdil).unwrap_err().kind(),
             io::ErrorKind::Unsupported
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -831,7 +821,5 @@ mod tests {
             ShardedEngine::open(&ix, &da).unwrap().topology_salt(),
             "salt is a pure function of the topology"
         );
-        std::fs::remove_dir_all(&da).ok();
-        std::fs::remove_dir_all(&db).ok();
     }
 }

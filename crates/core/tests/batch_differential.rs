@@ -16,10 +16,10 @@ use xtk_core::{
     Semantics, TraceLevel,
 };
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::bytes::ColumnBytes;
+use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
-use xtk_core::joinbased::JoinPlan;
 
 fn corpus() -> String {
     let mut xml = String::from("<dblp>");
@@ -56,22 +56,19 @@ fn request_grid() -> Vec<QueryRequest> {
                 QueryAlgorithm::Rdil,
             ] {
                 for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
-                    for plan in [JoinPlan::Dynamic, JoinPlan::MergeOnly, JoinPlan::IndexOnly] {
-                        for threshold in [ThresholdKind::Tight, ThresholdKind::Classic] {
-                            for unranked in [false, true] {
-                                let mut r = match k {
-                                    None => QueryRequest::complete(sem),
-                                    Some(k) => QueryRequest::top_k(k, sem),
-                                }
-                                .with_algorithm(alg)
-                                .with_variant(variant)
-                                .with_plan(plan)
-                                .with_threshold(threshold);
-                                if unranked {
-                                    r = r.unranked();
-                                }
-                                grid.push(r);
+                    for threshold in [ThresholdKind::Tight, ThresholdKind::Classic] {
+                        for unranked in [false, true] {
+                            let mut r = match k {
+                                None => QueryRequest::complete(sem),
+                                Some(k) => QueryRequest::top_k(k, sem),
                             }
+                            .with_algorithm(alg)
+                            .with_variant(variant)
+                            .with_threshold(threshold);
+                            if unranked {
+                                r = r.unranked();
+                            }
+                            grid.push(r);
                         }
                     }
                 }
@@ -199,9 +196,10 @@ fn batch_report_is_parallelism_invariant() {
 fn disk_batches_match_and_hits_decode_nothing() {
     let xml = corpus();
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let path = std::env::temp_dir().join(format!("xtk_batch_diff_{}.bin", std::process::id()));
-    write_index(&ix, &path, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
-        .unwrap();
+    let mut image = Vec::new();
+    let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V2 };
+    write_index_to(&ix, &mut image, opts).unwrap();
+    let image = ColumnBytes::from(Arc::<[u8]>::from(image));
 
     let e = Engine::from_index(XmlIndex::build(xtk_xml::parse(&xml).unwrap()));
     let q1 = e.query("xml search").unwrap();
@@ -219,7 +217,7 @@ fn disk_batches_match_and_hits_decode_nothing() {
         ("unbounded", || Arc::new(ShardedLruCache::unbounded())),
     ];
     for (cname, mk_cache) in caches {
-        let store = DiskColumnStore::open_with_cache(&path, mk_cache()).unwrap();
+        let store = DiskColumnStore::open_bytes(image.clone(), mk_cache()).unwrap();
         let disk = DiskEngine::new(&ix, &store);
         // Per-query reference on the same store (results are
         // warmth-independent even though store counters are not).
@@ -241,5 +239,4 @@ fn disk_batches_match_and_hits_decode_nothing() {
             assert_eq!(bits(&got.results), bits(&want.results), "warm item {i} on {cname}");
         }
     }
-    std::fs::remove_file(&path).ok();
 }

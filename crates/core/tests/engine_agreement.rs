@@ -16,7 +16,7 @@ use common::{assert_topk_valid, build_corpus, corpus, deep_corpus, nodes, query}
 use xtk_core::baseline::indexed::{indexed_search, IndexedOptions};
 use xtk_core::baseline::rdil::{rdil_search, RdilOptions};
 use xtk_core::baseline::stack::{stack_search, StackOptions};
-use xtk_core::joinbased::{join_search, JoinOptions, JoinPlan};
+use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::{ElcaVariant, Semantics};
 use xtk_core::semantics::{naive_elca, naive_slca};
 use xtk_core::topk::{topk_search, TopKOptions};
@@ -67,26 +67,6 @@ fn complete_engines_agree() {
             semantics: Semantics::Elca, with_scores: false
         }));
         prop_assert_eq!(&indexed, &want_formal, "indexed ELCA formal");
-    });
-}
-
-#[test]
-fn join_plans_agree() {
-    prop_check(0x52, 96, |g| {
-        let (shape, placements, k) = corpus(g);
-        let ix = build_corpus(&shape, &placements, k);
-        let q = query(&ix, k);
-        for semantics in [Semantics::Elca, Semantics::Slca] {
-            let base = nodes(join_search(&ix, &q, &JoinOptions {
-                semantics, plan: JoinPlan::Dynamic, ..Default::default()
-            }).0);
-            for plan in [JoinPlan::MergeOnly, JoinPlan::IndexOnly] {
-                let other = nodes(join_search(&ix, &q, &JoinOptions {
-                    semantics, plan, ..Default::default()
-                }).0);
-                prop_assert_eq!(&other, &base, "{:?} {:?}", semantics, plan);
-            }
-        }
     });
 }
 

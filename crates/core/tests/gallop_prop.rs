@@ -2,16 +2,15 @@
 //! — including empty columns, singleton runs, and adjacent values — the
 //! windowed walk and the gallop must return `partition_point`'s index from
 //! every start position, the join step built on them must agree element
-//! for element with a naive reference on every access path, and every
-//! hinted lookup must agree with its un-hinted counterpart under arbitrary
-//! (stale, backwards, out-of-range) hints.
+//! for element with a naive reference on every probe/column shape, and
+//! every hinted lookup must agree with its un-hinted counterpart under
+//! arbitrary (stale, backwards, out-of-range) hints.
 
-use xtk_core::joinbased::{intersect, use_gallop};
+use xtk_core::joinbased::intersect;
 use xtk_index::columnar::{
-    gallop_lower_bound, gallop_partition_point, window_gallop_lower_bound, window_lower_bound,
-    Column, Run,
+    gallop_lower_bound, gallop_partition_point, window_gallop_lower_bound, Column, Run,
 };
-use xtk_obs::JoinStrategy::{Gallop, IndexProbe, Merge};
+use xtk_xml::gallop::window_partition_point;
 use xtk_xml::testutil::{prop_check, Gen};
 
 /// A random well-formed column: strictly increasing run values (gap 1
@@ -48,7 +47,7 @@ fn naive_intersect(values: &[u32], col: &Column) -> Vec<u32> {
     values
         .iter()
         .copied()
-        .filter(|v| col.runs.iter().any(|r| r.value == *v))
+        .filter(|v| col.runs.binary_search_by_key(v, |r| r.value).is_ok())
         .collect()
 }
 
@@ -57,63 +56,58 @@ fn gallop_agrees_with_merge_and_naive() {
     prop_check(0x71, 64, |g| {
         let col = random_column(g);
         let values = random_probes(g, &col);
-        let want = naive_intersect(&values, &col);
-        assert_eq!(intersect(Gallop, &values, &col.runs), want, "gallop vs naive");
-        assert_eq!(intersect(Merge, &values, &col.runs), want, "merge vs naive");
-        assert_eq!(intersect(IndexProbe, &values, &col.runs), want, "index vs naive");
+        assert_eq!(intersect(&values, &col.runs), naive_intersect(&values, &col));
     });
 }
 
+/// A column of `n` singleton runs at ascending values, gaps 1–3.
+fn long_column(g: &mut Gen, n: u32) -> Column {
+    let mut value = g.gen_range(0..4u32);
+    let runs = (0..n)
+        .map(|start| {
+            value += g.gen_range(1..4u32);
+            Run { value, start, len: 1 }
+        })
+        .collect();
+    Column { runs }
+}
+
 #[test]
-fn chooser_decision_never_changes_results() {
-    // The adaptive chooser differential: whatever `use_gallop` decides
-    // for a shape, BOTH strategies must produce identical output — the
-    // decision is a cost model, never a correctness lever.  The sample
-    // must also exercise both branches, or the differential is vacuous.
-    let gallops = std::cell::Cell::new(0u32);
-    let merges = std::cell::Cell::new(0u32);
-    prop_check(0x75, 96, |g| {
-        let col = random_column(g);
-        let values = random_probes(g, &col);
-        if use_gallop(values.len(), col.runs.len()) {
-            gallops.set(gallops.get() + 1);
-        } else {
-            merges.set(merges.get() + 1);
+fn dense_sparse_and_clustered_probes_intersect_like_naive() {
+    // The three shapes the per-step chooser used to send down three
+    // different lookups; the one window-then-gallop lookup takes them all.
+    prop_check(0x75, 12, |g| {
+        // Dense: about one probe per run, so every lookup ends inside the
+        // opening window.
+        let col = long_column(g, 3_000);
+        let hi = col.runs.last().map_or(1, |r| r.value + 2);
+        let dense: Vec<u32> = (0..hi).filter(|_| g.gen_bool(0.5)).collect();
+        assert_eq!(intersect(&dense, &col.runs), naive_intersect(&dense, &col), "dense");
+
+        // Sparse: one probe per 10 000 runs or more; hits and misses.
+        let col = long_column(g, 60_000);
+        let mut sparse = Vec::new();
+        let mut at = g.gen_range(0..5_000usize);
+        while let Some(run) = col.runs.get(at) {
+            sparse.push(run.value + u32::from(g.gen_bool(0.3)));
+            at += g.gen_range(10_000..20_000usize);
         }
-        assert_eq!(
-            intersect(Gallop, &values, &col.runs),
-            intersect(Merge, &values, &col.runs),
-            "strategies diverge on {} probes x {} runs",
-            values.len(),
-            col.runs.len()
-        );
-    });
-    assert!(gallops.get() > 0, "sample never galloped — chooser differential is vacuous");
-    assert!(merges.get() > 0, "sample never merged — chooser differential is vacuous");
-}
+        sparse.dedup();
+        assert_eq!(intersect(&sparse, &col.runs), naive_intersect(&sparse, &col), "sparse");
 
-#[test]
-fn adaptive_chooser_cost_model_shape() {
-    // Near-equal cardinalities always merge.
-    assert!(!use_gallop(100, 100));
-    assert!(!use_gallop(100, 199));
-    // The old fixed crossover (runs = 8 x values) still gallops...
-    assert!(use_gallop(100, 800));
-    // ...and the model keeps galloping as the column grows.
-    assert!(use_gallop(100, 10_000));
-    assert!(use_gallop(1, 64));
-    // Just under the modeled break-even it merges (skip = 4: cost 6m vs 5m).
-    assert!(!use_gallop(100, 400));
-    // Empty probe list is harmless either way.
-    let _ = use_gallop(0, 50);
-    // Monotonic in the column length for a fixed probe count: once
-    // gallop wins it keeps winning as runs grow.
-    let mut was = false;
-    for runs in (0..100_000).step_by(997) {
-        let now = use_gallop(250, runs);
-        assert!(now || !was, "gallop flipped back to merge at {runs} runs");
-        was = now;
-    }
+        // Clustered: bursts of adjacent probes separated by long gaps.
+        let mut clustered = Vec::new();
+        let mut at = 0usize;
+        while let Some(run) = col.runs.get(at) {
+            let burst = run.value..run.value + g.gen_range(1..40u32);
+            clustered.extend(burst.filter(|_| g.gen_bool(0.8)));
+            at += g.gen_range(3_000..12_000usize);
+        }
+        clustered.dedup();
+        assert!(clustered.windows(2).all(|w| w[0] < w[1]));
+        let want = naive_intersect(&clustered, &col);
+        assert_eq!(intersect(&clustered, &col.runs), want, "clustered");
+    });
 }
 
 #[test]
@@ -125,10 +119,7 @@ fn gallop_handles_degenerate_shapes() {
     };
     for col in [&empty, &single, &adjacent] {
         for values in [vec![], vec![0], vec![7], vec![0, 1, 2, 3, 4, 7, 9]] {
-            let want = naive_intersect(&values, col);
-            for strategy in [Gallop, Merge, IndexProbe] {
-                assert_eq!(intersect(strategy, &values, &col.runs), want, "{strategy:?}");
-            }
+            assert_eq!(intersect(&values, &col.runs), naive_intersect(&values, col));
         }
     }
 }
@@ -195,7 +186,10 @@ fn windowed_walk_and_gallops_are_partition_point_from_every_start() {
                     Run { value, start, len: 1 }
                 })
                 .collect();
-            assert_kernel_is_partition_point(g, &runs, "window", window_lower_bound);
+            // The ablation's walk baseline; no query path runs it.
+            assert_kernel_is_partition_point(g, &runs, "window", |runs, from, v| {
+                window_partition_point(runs, from, |r| r.value < v)
+            });
             assert_kernel_is_partition_point(g, &runs, "window-gallop", window_gallop_lower_bound);
             assert_kernel_is_partition_point(g, &runs, "gallop", gallop_lower_bound);
         }

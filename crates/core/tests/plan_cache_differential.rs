@@ -17,6 +17,7 @@ use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::maintain::JDeweyMaintainer;
+use xtk_xml::testutil::TempPath;
 
 /// Same mixed-depth corpus as `plan_differential.rs`: shallow venue
 /// names and deep titles give the rewriter real pruning decisions to
@@ -78,11 +79,7 @@ fn cached_plans_are_result_identical_in_memory() {
 fn cached_plans_are_result_identical_on_disk() {
     let e = Engine::from_xml(&corpus()).unwrap();
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let path = std::env::temp_dir().join(format!(
-            "xtk_plan_cache_diff_{:?}_{}.bin",
-            format,
-            std::process::id()
-        ));
+        let path = TempPath::new(&format!("xtk_plan_cache_diff_{format:?}"));
         write_index(
             e.index(),
             &path,
@@ -120,7 +117,6 @@ fn cached_plans_are_result_identical_on_disk() {
             let stats = disk.planner().cache().stats();
             assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -129,11 +125,7 @@ fn cached_plans_are_result_identical_sharded() {
     let e = Engine::from_xml(&corpus()).unwrap();
     let mut reference: Option<Vec<(u32, u16, u32)>> = None;
     for shards in [1usize, 3] {
-        let dir = std::env::temp_dir().join(format!(
-            "xtk_plan_cache_diff_shards{}_{}",
-            shards,
-            std::process::id()
-        ));
+        let dir = TempPath::new(&format!("xtk_plan_cache_diff_shards{shards}"));
         write_sharded(e.index(), &dir, shards).unwrap();
         let engine = ShardedEngine::open_with_cache(
             e.index(),
@@ -155,18 +147,16 @@ fn cached_plans_are_result_identical_sharded() {
             Some(want) => assert_eq!(want, &bits(&warm), "shards={shards} vs reference"),
             None => reference = Some(bits(&warm)),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 /// The contract underneath the result tests: `Planner::spec_for` must
 /// return the *same spec value* cold and cached, for both statistics
-/// snapshots (in-memory estimated, on-disk exact with index advice).
+/// snapshots (in-memory estimated, on-disk exact).
 #[test]
 fn cached_spec_equals_cold_spec_for_both_snapshots() {
     let e = Engine::from_xml(&corpus()).unwrap();
-    let path = std::env::temp_dir()
-        .join(format!("xtk_plan_cache_spec_{}.bin", std::process::id()));
+    let path = TempPath::new("xtk_plan_cache_spec");
     write_index(
         e.index(),
         &path,
@@ -197,8 +187,6 @@ fn cached_spec_equals_cold_spec_for_both_snapshots() {
             }
         }
     }
-    drop(store);
-    std::fs::remove_file(&path).ok();
 }
 
 /// Generation-stamp regression: a cached plan from generation `g` must

@@ -48,10 +48,6 @@ fn well_formed(g: &mut Gen) -> String {
         let vals = ["auto", "join", "stack", "indexed", "topk", "rdil"];
         knobs.push(format!("{name}={}", vals[g.gen_range(0..vals.len())]));
     }
-    if g.gen_bool(0.4) {
-        let vals = ["dynamic", "merge", "index"];
-        knobs.push(format!("plan={}", vals[g.gen_range(0..vals.len())]));
-    }
     if g.gen_bool(0.3) {
         let v = if g.gen_bool(0.5) { "tight" } else { "classic" };
         knobs.push(format!("threshold={v}"));
@@ -169,7 +165,10 @@ fn malformed_corpus_reports_typed_errors() {
         ("xml sem=both", "invalid semantics value `both` (expected elca or slca)"),
         ("xml variant=strict", "invalid variant value `strict`"),
         ("xml alg=quantum", "invalid algorithm value `quantum`"),
-        ("xml plan=hash", "invalid plan value `hash` (expected dynamic, merge or index)"),
+        // The join-plan knob is gone: unknown, not silently ignored.
+        ("xml plan=merge", "unknown knob `plan`"),
+        ("xml search plan=index k=3", "unknown knob `plan`"),
+        ("xml PLAN=dynamic", "unknown knob `PLAN`"),
         ("xml threshold=loose", "invalid threshold value `loose`"),
         ("xml scores=maybe", "invalid scores value `maybe`"),
         ("xml trace=loud", "invalid trace value `loud`"),
@@ -205,6 +204,12 @@ fn spans_underline_the_offending_token() {
         ParseError::UnknownKnob { ref name, .. } => assert_eq!(name, "semantix"),
         ref other => panic!("expected UnknownKnob, got {other:?}"),
     }
+
+    let input = "xml plan=merge k=2";
+    let err = parse(input).unwrap_err();
+    assert!(matches!(err, ParseError::UnknownKnob { ref name, .. } if name == "plan"), "{err:?}");
+    let span = err.span().expect("unknown knob has a span");
+    assert_eq!(&input[span.start..span.end], "plan=merge");
 
     let input = "top join k=1 k=9";
     let err = parse(input).unwrap_err();

@@ -1,10 +1,11 @@
 //! The `ColumnSource` contract, checked against the in-memory columns as
 //! ground truth: over random corpora × every level × random ascending
-//! probe sets, for memory, disk v2 and disk v3 × `block_skip` on/off ×
+//! probe sets, for memory and disk v1, v2 and v3 × `block_skip` on/off ×
 //! a one-block and an unbounded cache, the whole-column feed hands over
-//! the column's runs bit for bit, and a cursor on any access path answers
-//! an ascending lookup sequence exactly as `Column::find` does — present
-//! and absent values alike — landing each block at most once.  A cursor
+//! the column's runs bit for bit, and a cursor on a join step's feed or
+//! the driver's answers an ascending lookup sequence exactly as
+//! `Column::find` does — present and absent values alike — landing each
+//! block at most once.  A cursor
 //! keeps reading its block after the cache evicted it.  Plus the fault
 //! case: a store whose block is torn mid-payload
 //! makes the generic driver return `Err` — on the single store and
@@ -15,9 +16,7 @@ mod common;
 
 use std::sync::Arc;
 use xtk_core::diskexec::{join_search_disk_spec, DiskJoinSpec, DiskSource};
-use xtk_core::joinbased::{
-    algorithm1, join_search, ColumnSource, JoinOptions, JoinPlan, MemSource,
-};
+use xtk_core::joinbased::{algorithm1, join_search, ColumnSource, JoinOptions, MemSource};
 use xtk_core::shard::{shard_dir_name, write_sharded_with, ShardedEngine, STORE_FILE};
 use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
 use xtk_index::bytes::ColumnBytes;
@@ -26,7 +25,7 @@ use xtk_index::columnar::{Column, Feed, Run, RunCursor};
 use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::XmlIndex;
-use xtk_obs::{JoinStrategy, Obs};
+use xtk_obs::Obs;
 use xtk_xml::testutil::{prop_check, Gen, TempPath};
 
 fn image(ix: &XmlIndex, format: FormatVersion) -> Vec<u8> {
@@ -75,7 +74,7 @@ struct Storage<'a> {
 }
 
 /// Walks `src` through every level of `query` and checks `size`, the
-/// whole-column feed and cursors on every access path against the memory
+/// whole-column feed and cursors on both kinds of feed against the memory
 /// columns.
 fn check_contract<S: ColumnSource>(
     storage: &Storage<'_>,
@@ -96,7 +95,7 @@ fn check_contract<S: ColumnSource>(
             let col = &term.columns[usize::from(level) - 1];
             let blocks = blocks_of(&term.term, level);
             assert_eq!(src.size(kw), size_of(col), "{what}: size");
-            let (mut whole, mut feed) = (Vec::new(), src.feed(kw, None).unwrap());
+            let (mut whole, mut feed) = (Vec::new(), src.feed(kw, false).unwrap());
             let before = accesses();
             while let Some(stretch) = feed.land(0).unwrap() {
                 whole.extend_from_slice(stretch.as_ref());
@@ -105,13 +104,10 @@ fn check_contract<S: ColumnSource>(
             assert_eq!(accesses() - before, blocks, "{what}: the driver reads each block once");
             for _ in 0..3 {
                 let probes = random_probes(g, &col.runs);
-                let own = src.strategy(kw, probes.len());
-                for strategy in
-                    [own, JoinStrategy::Merge, JoinStrategy::Gallop, JoinStrategy::IndexProbe]
-                {
-                    let what = format!("{what} {strategy:?} probes {probes:?}");
+                for step in [true, false] {
+                    let what = format!("{what} step={step} probes {probes:?}");
                     let before = accesses();
-                    let mut cursor = RunCursor::new(src.feed(kw, Some(strategy)).unwrap());
+                    let mut cursor = RunCursor::new(src.feed(kw, step).unwrap());
                     for &v in &probes {
                         assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{what}: {v}");
                     }
@@ -126,14 +122,14 @@ fn check_contract<S: ColumnSource>(
 /// [`check_contract`] for memory and every disk configuration, and the
 /// one driver over each disk source against the memory answer.
 fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
-    let mut mem = MemSource::new(ix, query, JoinPlan::Dynamic);
+    let mut mem = MemSource::new(ix, query);
     let memory =
         Storage { label: "memory", size_of: |c| c.runs.len(), accesses: &|| 0, blocks_of: &|_, _| 0 };
     check_contract(&memory, &mut mem, ix, query, g);
 
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let (want, _) = join_search(ix, query, &opts);
-    for format in [FormatVersion::V2, FormatVersion::V3] {
+    for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
         let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(ix, format)));
         for block_skip in [true, false] {
             for one_block in [true, false] {
@@ -218,6 +214,64 @@ fn a_cursor_keeps_its_block_when_the_cache_evicts_it() {
             in_block += 1;
         }
         assert!(in_block > 0, "{format:?}: the first block holds one run only");
+    }
+}
+
+/// 40 000 papers: `common` in each, `early` in the first tenth only, so a
+/// step probing `common` with `early`'s values is done a tenth of the way
+/// into the column — and has too many probes for the retired per-step
+/// cost rule to have called it an index join.
+fn clustered_corpus() -> XmlIndex {
+    let mut xml = String::from("<r>");
+    for i in 0..40_000 {
+        let early = if i < 4_000 { " early" } else { "" };
+        xml.push_str(&format!("<p><t>common x{}{early}</t></p>", i % 50));
+    }
+    xml.push_str("</r>");
+    XmlIndex::build(xtk_xml::parse(&xml).unwrap())
+}
+
+#[test]
+fn block_skip_is_the_one_skip_rule_on_every_format() {
+    let ix = clustered_corpus();
+    let opts = JoinOptions { with_scores: true, ..Default::default() };
+    // Per query: `(decodes, misses, evictions)` through a one-block cache
+    // under `block_skip` on and off, on v2 and on v3 — the counts of the
+    // per-step strategies this rule replaced (PR 16), which on a footer
+    // format decoded the same blocks.
+    type Io = (u64, u64, u64);
+    let queries: [(&[&str], [[Io; 2]; 2]); 3] = [
+        (&["x7", "common"], [[(24, 24, 23), (24, 24, 23)], [(8, 8, 7), (8, 8, 7)]]),
+        (&["early", "common"], [[(6, 6, 5), (24, 24, 23)], [(6, 6, 5), (8, 8, 7)]]),
+        (&["x7", "early", "common"], [[(9, 9, 8), (27, 27, 26)], [(9, 9, 8), (11, 11, 10)]]),
+    ];
+    for (words, pinned) in queries {
+        let query = Query::from_words(&ix, words).unwrap();
+        let (want, _) = join_search(&ix, &query, &opts);
+        assert!(!want.is_empty(), "{words:?}");
+        let formats = [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3];
+        for (format, pinned) in formats.into_iter().zip([None, Some(pinned[0]), Some(pinned[1])]) {
+            let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(&ix, format)));
+            let io = [true, false].map(|block_skip| {
+                let store = DiskColumnStore::open_bytes(bytes.clone(), cache(true)).unwrap();
+                let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+                let (got, _, decodes) =
+                    join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default()).unwrap();
+                assert_eq!(bits(&want), bits(&got), "{words:?} {format:?} skip={block_skip}");
+                let cache = store.cache_stats();
+                (decodes, cache.misses, cache.evictions)
+            });
+            let [skip, scan] = io;
+            assert!(skip.0 <= scan.0, "{words:?} {format:?}: skipping decoded more, {io:?}");
+            if words == ["early", "common"] {
+                // Without footers too, a step stops at the first block
+                // above its last probe (it used to scan a v1 column out).
+                assert!(skip.0 < scan.0, "{format:?}: {io:?}");
+            }
+            if let Some(pinned) = pinned {
+                assert_eq!(io, pinned, "{words:?} {format:?}");
+            }
+        }
     }
 }
 

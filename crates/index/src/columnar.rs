@@ -15,7 +15,7 @@
 //! property range checking relies on.
 
 pub use xtk_xml::gallop::gallop_partition_point;
-use xtk_xml::gallop::{window_gallop_partition_point, window_partition_point};
+use xtk_xml::gallop::window_gallop_partition_point;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::tree::{NodeId, XmlTree};
 
@@ -148,15 +148,9 @@ pub fn gallop_lower_bound(runs: &[Run], from: usize, value: u32) -> usize {
     gallop_partition_point(runs, from, |r| r.value < value)
 }
 
-/// [`gallop_lower_bound`] by the windowed linear walk — the merge join's
-/// lookup, which lands a run or two ahead.
-#[inline]
-pub fn window_lower_bound(runs: &[Run], from: usize, value: u32) -> usize {
-    window_partition_point(runs, from, |r| r.value < value)
-}
-
-/// [`gallop_lower_bound`] behind one opening window — the lookup of the
-/// join steps that may leap (gallop and index steps; every step on disk).
+/// [`gallop_lower_bound`] behind one opening window — the lookup of every
+/// join step: straight-line code when the answer is a run or two ahead,
+/// O(log d) when it is not.
 #[inline]
 pub fn window_gallop_lower_bound(runs: &[Run], from: usize, value: u32) -> usize {
     window_gallop_partition_point(runs, from, |r| r.value < value)
@@ -248,13 +242,11 @@ impl<F: Feed> RunCursor<F> {
     /// One join step: looks up the ascending `probes`' values, stretch by
     /// stretch, and replaces `hits` with the column's run for every value
     /// it holds and `from` with that probe's position in the step's input
-    /// (`probes[0]` is at `base`).  `linear` walks by windows, otherwise
-    /// lookups gallop; the walk never changes the result.
+    /// (`probes[0]` is at `base`).
     pub fn seek_all(
         &mut self,
         probes: &[Run],
         base: usize,
-        linear: bool,
         hits: &mut Vec<Run>,
         from: &mut Vec<u32>,
     ) -> Result<(), F::Error> {
@@ -280,10 +272,7 @@ impl<F: Feed> RunCursor<F> {
                 break;
             };
             let nth = (base + done) as u32;
-            let (found, reached) = match linear {
-                true => seek_stretch(window_lower_bound, runs, now, nth, hits, from),
-                false => seek_stretch(window_gallop_lower_bound, runs, now, nth, hits, from),
-            };
+            let (found, reached) = seek_stretch(runs, now, nth, hits, from);
             self.at += reached;
             (done, kept) = (done + now.len().max(1), kept + found);
         }
@@ -316,7 +305,6 @@ struct Lane {
 /// its lane's next free slot, a hit moves on to the one after); the upper
 /// half's hits are then moved down behind the lower half's.
 fn seek_stretch(
-    lower_bound: impl Fn(&[Run], usize, u32) -> usize,
     runs: &[Run],
     probes: &[Run],
     nth: u32,
@@ -327,7 +315,7 @@ fn seek_stretch(
     let (lo_hits, hi_hits) = hits.split_at_mut(lo.len().min(hits.len()));
     let (lo_from, hi_from) = from.split_at_mut(lo.len().min(from.len()));
     let look = |lane: &mut Lane, probe: &Run, nth: u32, hits: &mut [Run], from: &mut [u32]| {
-        lane.at = lower_bound(runs, lane.at, probe.value);
+        lane.at = window_gallop_lower_bound(runs, lane.at, probe.value);
         let found = runs.get(lane.at);
         if let (Some(hit), Some(from)) = (hits.get_mut(lane.kept), from.get_mut(lane.kept)) {
             (*hit, *from) = (found.copied().unwrap_or_default(), nth);

@@ -24,7 +24,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use trace::{EventKind, JoinStrategy, Trace, TraceEvent, TraceLevel, Tracer};
+pub use trace::{EventKind, Trace, TraceEvent, TraceLevel, Tracer};
 
 /// The observability bundle passed down the executor call tree: one
 /// registry for counters/histograms plus one tracer for events.  Cloning

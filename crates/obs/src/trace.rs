@@ -1,14 +1,14 @@
 //! Span-style query-execution tracing with logical sequence numbers.
 //!
 //! A [`Tracer`] records structured [`TraceEvent`]s describing what the
-//! executors actually did: per-level join cardinalities, gallop-vs-merge
-//! decisions, top-K rounds and threshold progression, per-store decode
-//! totals.  Events carry a *logical* sequence number — not a wall-clock
-//! timestamp — and are only recorded from sequential driver/commit code,
-//! so the trace of a query is bit-identical across `Parallelism`
-//! settings.  Quantities that legitimately vary with the worker count
-//! (cache hit/miss splits, pool task counts) belong in the
-//! [`MetricsRegistry`](crate::MetricsRegistry) instead.
+//! executors actually did: per-level join cardinalities, top-K rounds
+//! and threshold progression, per-store decode totals.  Events carry a
+//! *logical* sequence number — not a wall-clock timestamp — and are only
+//! recorded from sequential driver/commit code, so the trace of a query
+//! is bit-identical across `Parallelism` settings.  Quantities that
+//! legitimately vary with the worker count (cache hit/miss splits, pool
+//! task counts) belong in the [`MetricsRegistry`](crate::MetricsRegistry)
+//! instead.
 //!
 //! Scores travel as `f32::to_bits` so events are `Eq` and trace equality
 //! is exact.
@@ -34,25 +34,6 @@ impl TraceLevel {
     }
 }
 
-/// Which join strategy a step used (the paper's merge join vs the
-/// galloping index probe of §IV / PR 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinStrategy {
-    Merge,
-    Gallop,
-    IndexProbe,
-}
-
-impl JoinStrategy {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JoinStrategy::Merge => "merge",
-            JoinStrategy::Gallop => "gallop",
-            JoinStrategy::IndexProbe => "index",
-        }
-    }
-}
-
 /// One structured event.  All numeric payloads are parallelism-invariant
 /// by construction; see the module docs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +50,6 @@ pub enum EventKind {
         column_runs: u64,
         input_values: u64,
         output_values: u64,
-        strategy: JoinStrategy,
     },
     /// A per-level round finished with `matches` value-matches that
     /// produced `results` surviving ELCA/SLCA candidates.
@@ -151,14 +131,13 @@ impl EventKind {
                 ("driver_term", U64(driver_term as u64)),
                 ("driver_runs", U64(driver_runs)),
             ],
-            EventKind::JoinStep { level, term, column_runs, input_values, output_values, strategy } => {
+            EventKind::JoinStep { level, term, column_runs, input_values, output_values } => {
                 vec![
                     ("level", U64(level as u64)),
                     ("term", U64(term as u64)),
                     ("column_runs", U64(column_runs)),
                     ("input_values", U64(input_values)),
                     ("output_values", U64(output_values)),
-                    ("strategy", Str(strategy.as_str())),
                 ]
             }
             EventKind::LevelEnd { level, matches, results } => vec![
@@ -398,17 +377,16 @@ mod tests {
                 column_runs: 100,
                 input_values: 10,
                 output_values: 4,
-                strategy: JoinStrategy::Gallop,
             },
         };
         assert_eq!(
             e.to_json(),
             "{\"seq\":3,\"event\":\"join_step\",\"level\":2,\"term\":7,\"column_runs\":100,\
-             \"input_values\":10,\"output_values\":4,\"strategy\":\"gallop\"}"
+             \"input_values\":10,\"output_values\":4}"
         );
         assert_eq!(
             e.render(),
-            "join_step level=2 term=7 column_runs=100 input_values=10 output_values=4 strategy=gallop"
+            "join_step level=2 term=7 column_runs=100 input_values=10 output_values=4"
         );
     }
 

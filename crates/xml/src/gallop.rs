@@ -42,7 +42,9 @@ fn window<T, F: Fn(&T) -> bool>(xs: &[T], from: usize, pred: &F) -> Result<usize
 /// Linear variant of `partition_point` that starts at `from`, for lookups
 /// that advance a few elements at a time: window by window, looping only
 /// while a whole window satisfies `pred`.  Same preconditions as
-/// [`gallop_partition_point`]; cost is O(d) in the distance `d`.
+/// [`gallop_partition_point`]; cost is O(d) in the distance `d`.  No query
+/// path runs it: it is the walk baseline of the lookup ablation
+/// (`experiments ablation`).
 #[inline]
 pub fn window_partition_point<T, F: Fn(&T) -> bool>(xs: &[T], from: usize, pred: F) -> usize {
     let mut at = from;
@@ -56,7 +58,7 @@ pub fn window_partition_point<T, F: Fn(&T) -> bool>(xs: &[T], from: usize, pred:
 
 /// [`gallop_partition_point`] behind one opening window: as cheap as
 /// [`window_partition_point`] when the answer is near, O(log d) when it is
-/// not — the column search of the access paths that may leap.
+/// not — the column search of every join step.
 #[inline]
 pub fn window_gallop_partition_point<T, F: Fn(&T) -> bool>(
     xs: &[T],

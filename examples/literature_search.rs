@@ -68,11 +68,10 @@ fn main() {
     let resp = engine.run(&q, &QueryRequest::complete(Semantics::Elca));
     let m = &resp.metrics;
     println!(
-        "\ncomplete set: {} results; {} levels, {} merge joins, {} index joins, {} raw matches",
+        "\ncomplete set: {} results; {} levels, {} join steps, {} raw matches",
         resp.results.len(),
         m.get("join.levels"),
-        m.get("join.merge_joins"),
-        m.get("join.index_joins"),
+        m.get("join.steps"),
         m.get("join.matches")
     );
 }
