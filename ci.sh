@@ -34,9 +34,22 @@ echo "== temp-path hygiene: bare temp_dir() sites outside xtk_xml::testutil"
 # may only fall (ROADMAP item 0b finishes it).
 temp_dir_sites=$(grep -rn "temp_dir()" --include='*.rs' crates src examples tests \
     | grep -vc "^crates/xml/src/testutil.rs")
-[ "$temp_dir_sites" -le 24 ] || {
-    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 24 —" >&2
+[ "$temp_dir_sites" -le 17 ] || {
+    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 17 —" >&2
     echo "       use xtk_xml::testutil::TempPath" >&2; exit 1; }
+
+echo "== one LRU: one recency order, one poison-recovering lock helper"
+# Every cache (block, plan, result) sits on xtk_index::cache::Lru behind
+# Sharded, whose `relock` is the only place a poisoned guard is recovered.
+# A second `BTreeMap<u64, _>` stamp order or a second `into_inner()` in
+# the two crates that hold caches means a cache grew its own again.
+for pattern in 'BTreeMap<u64,' 'into_inner()'; do
+    sites=$(grep -rnF "$pattern" --include='*.rs' crates/index/src crates/core/src | wc -l)
+    [ "$sites" -eq 1 ] || {
+        echo "ERROR: $sites sites of '$pattern' under crates/index/src + crates/core/src, expected 1:" >&2
+        grep -rnF "$pattern" --include='*.rs' crates/index/src crates/core/src >&2
+        exit 1; }
+done
 
 echo "== lint-report.json: schema + L7 acyclicity check"
 # The machine-readable report must exist, carry every section of the

@@ -24,7 +24,10 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use xtk_bench::{band_term, equal_queries, high_term, point_queries, Scale, TERMS_PER_BAND};
+use xtk_bench::{
+    band_term, equal_queries, extract_u64, high_term, point_queries, Fingerprint, Scale,
+    TERMS_PER_BAND,
+};
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::Query;
@@ -43,31 +46,15 @@ use xtk_index::XmlIndex;
 /// column until roughly this many rows have gone through the decoder.
 const TARGET_ROWS: u64 = 8_000_000;
 
-/// FNV-1a over a run stream (value, start, len per run).
-#[derive(Clone, Copy)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
+/// Fingerprint of a run stream (value, start, len per run).
+fn runs_fingerprint(runs: &[Run]) -> u64 {
+    let mut fp = Fingerprint::new();
+    for r in runs {
+        fp.push(r.value);
+        fp.push(r.start);
+        fp.push(r.len);
     }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn runs(runs: &[Run]) -> u64 {
-        let mut fp = Fingerprint::new();
-        for r in runs {
-            fp.push(r.value);
-            fp.push(r.start);
-            fp.push(r.len);
-        }
-        fp.0
-    }
+    fp.0
 }
 
 /// Deterministic splitmix-style generator for the synthetic columns.
@@ -132,7 +119,7 @@ fn time_decode(cc: &CompressedColumn, present: &[u32]) -> (f64, u64) {
     // the measurement is the decode itself, not the checksum).
     scratch.runs.clear();
     decode_column_into(cc, present, &mut scratch).expect("bench column decodes");
-    let fp = Fingerprint::runs(&scratch.runs);
+    let fp = runs_fingerprint(&scratch.runs);
     let t = Instant::now();
     for _ in 0..iters {
         scratch.runs.clear();
@@ -168,15 +155,6 @@ fn build_corpus() -> XmlIndex {
     XmlIndex::build(gen_dblp(&cfg).tree)
 }
 
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = String::from("BENCH_decode.json");
@@ -205,7 +183,7 @@ fn main() {
 
         let (v2_ns, v2_fp) = time_decode(&v2, &present);
         let (v3_ns, v3_fp) = time_decode(&v3, &present);
-        let want = Fingerprint::runs(&w.col.runs);
+        let want = runs_fingerprint(&w.col.runs);
         assert_eq!(v2_fp, want, "{}: v2 decode diverges from the in-memory runs", w.name);
         assert_eq!(v3_fp, want, "{}: v3 decode diverges from the in-memory runs", w.name);
         let speedup = v2_ns / v3_ns;

@@ -22,50 +22,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use xtk_bench::{
-    band_term, cold_store, correlated_groups, high_term, point_queries, store_image, Scale,
-    TERMS_PER_BAND,
+    cold_store, extract_u64, gate_corpus, high_term, point_queries, store_image, Scale,
 };
 use xtk_core::plan::Planner;
 use xtk_core::query::Query;
 use xtk_core::request::QueryRequest;
 use xtk_core::Semantics;
-use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
-use xtk_datagen::PlantedTerm;
 use xtk_index::disk::{FormatVersion, WriteIndexOptions};
-use xtk_index::XmlIndex;
-
-/// The `query_io` benchmark corpus, rebuilt verbatim.
-fn build_corpus() -> XmlIndex {
-    let mut planted = Vec::new();
-    for i in 0..4 {
-        planted.push(PlantedTerm::new(high_term(i), 50_000));
-    }
-    for &f in &[4, 10, 100, 1_000, 10_000] {
-        for i in 0..TERMS_PER_BAND {
-            planted.push(PlantedTerm::new(band_term(f, i), f));
-        }
-    }
-    for (terms, freqs, rho) in correlated_groups() {
-        for (j, (&t, &f)) in terms.iter().zip(&freqs).enumerate() {
-            if j == 0 {
-                planted.push(PlantedTerm::new(t, f / 2));
-            } else {
-                planted.push(PlantedTerm::correlated(t, f / 2, terms[0], rho));
-            }
-        }
-    }
-    let cfg = DblpConfig {
-        conferences: 200,
-        years_per_conf: 10,
-        papers_per_year: 30,
-        title_words: 6,
-        authors_per_paper: 1,
-        vocab_size: 10_000,
-        planted,
-        ..Default::default()
-    };
-    XmlIndex::build(gen_dblp(&cfg).tree)
-}
 
 /// The `query_io` pruning workload: mixed-depth conference-name ×
 /// high-frequency-title pairs plus the index-heavy point queries.
@@ -75,15 +38,6 @@ fn pruning_queries(scale: Scale) -> Vec<Vec<String>> {
     queries.extend(point_queries(scale, 2, 4, 8));
     queries.extend(point_queries(scale, 2, 10, 8));
     queries
-}
-
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 fn main() {
@@ -102,7 +56,8 @@ fn main() {
     }
 
     eprintln!("plan_bench: building the DBLP benchmark corpus…");
-    let ix = build_corpus();
+    // The `query_io` corpus.
+    let ix = gate_corpus(50_000, 200, 10, 30, 10_000);
     let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V3 };
     let image = store_image(&ix, opts).expect("write v3 index");
     let store = cold_store(&image).expect("open v3 store");

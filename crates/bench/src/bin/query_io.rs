@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xtk_bench::{
-    band_term, correlated_groups, equal_queries, high_term, point_queries, Scale, LOW_FREQS,
-    TERMS_PER_BAND,
+    correlated_groups, equal_queries, extract_u64, gate_corpus, high_term, point_queries,
+    Fingerprint, Scale,
 };
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::{join_search, JoinOptions};
@@ -33,70 +33,10 @@ use xtk_core::plan::RuleSet;
 use xtk_core::query::Query;
 use xtk_core::request::{DiskEngine, Executor, QueryRequest};
 use xtk_core::Semantics;
-use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
-use xtk_datagen::PlantedTerm;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
 use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
-
-/// The benchmark corpus: sized between the library's Small and Paper
-/// scales so the high-frequency inverted lists span *many* 4 KiB blocks
-/// (the regime where the block directory matters) while the build stays
-/// CI-friendly.  Terms follow the Fig. 9/10 naming so the workload
-/// helpers resolve.
-fn build_corpus() -> XmlIndex {
-    let mut planted = Vec::new();
-    for i in 0..4 {
-        planted.push(PlantedTerm::new(high_term(i), 50_000));
-    }
-    // The standard Fig. 9 bands plus a needle band (f = 4): the most
-    // selective index-join regime, where a probe set touches a handful
-    // of blocks of a list spanning dozens.
-    for &f in &[4, 10, 100, 1_000, 10_000] {
-        for i in 0..TERMS_PER_BAND {
-            planted.push(PlantedTerm::new(band_term(f, i), f));
-        }
-    }
-    debug_assert_eq!(LOW_FREQS, [10, 100, 1_000, 10_000]);
-    for (terms, freqs, rho) in correlated_groups() {
-        for (j, (&t, &f)) in terms.iter().zip(&freqs).enumerate() {
-            if j == 0 {
-                planted.push(PlantedTerm::new(t, f / 2));
-            } else {
-                planted.push(PlantedTerm::correlated(t, f / 2, terms[0], rho));
-            }
-        }
-    }
-    let cfg = DblpConfig {
-        conferences: 200,
-        years_per_conf: 10,
-        papers_per_year: 30,
-        title_words: 6,
-        authors_per_paper: 1,
-        vocab_size: 10_000,
-        planted,
-        ..Default::default()
-    };
-    XmlIndex::build(gen_dblp(&cfg).tree)
-}
-
-/// FNV-1a over the full result stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
 
 struct Workload {
     name: &'static str,
@@ -190,16 +130,6 @@ fn run_config(
     )
 }
 
-/// `"key": number` extraction from the flat baseline JSON — enough for a
-/// std-only check (keys are unique in the file by construction).
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = String::from("BENCH_query.json");
@@ -216,7 +146,7 @@ fn main() {
     }
 
     eprintln!("query_io: building the DBLP benchmark corpus…");
-    let ix = build_corpus();
+    let ix = gate_corpus(50_000, 200, 10, 30, 10_000);
     let dir = std::env::temp_dir();
     let p_v2 = dir.join(format!("xtk_query_io_v2_{}.bin", std::process::id()));
     let p_v1 = dir.join(format!("xtk_query_io_v1_{}.bin", std::process::id()));

@@ -32,13 +32,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xtk_bench::{
-    band_term, correlated_groups, equal_queries, high_term, point_queries, skewed_schedule, Scale,
+    correlated_groups, equal_queries, extract_u64, gate_corpus, point_queries, skewed_schedule,
+    Fingerprint, Scale,
 };
 use xtk_core::query::{Query, Semantics};
 use xtk_core::{BatchExecutor, BatchItem, BatchOptions, DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::pool::Parallelism;
-use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
-use xtk_datagen::PlantedTerm;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
 use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
@@ -47,41 +46,6 @@ use xtk_index::XmlIndex;
 const TOTAL_ARRIVALS: usize = 240;
 const BATCH_SIZE: usize = 48;
 const SCHEDULE_SEED: u64 = 0xC0FFEE;
-
-/// Serving corpus: smaller than `query_io`'s (the interesting regime here
-/// is cross-query reuse, not block-directory pressure) but with the same
-/// planted bands so the standard workload helpers resolve.
-fn build_corpus() -> XmlIndex {
-    let mut planted = Vec::new();
-    for i in 0..4 {
-        planted.push(PlantedTerm::new(high_term(i), 12_000));
-    }
-    for &f in &[4, 10, 100, 1_000, 10_000] {
-        for i in 0..xtk_bench::TERMS_PER_BAND {
-            planted.push(PlantedTerm::new(band_term(f, i), f));
-        }
-    }
-    for (terms, freqs, rho) in correlated_groups() {
-        for (j, (&t, &f)) in terms.iter().zip(&freqs).enumerate() {
-            if j == 0 {
-                planted.push(PlantedTerm::new(t, f / 2));
-            } else {
-                planted.push(PlantedTerm::correlated(t, f / 2, terms[0], rho));
-            }
-        }
-    }
-    let cfg = DblpConfig {
-        conferences: 120,
-        years_per_conf: 10,
-        papers_per_year: 25,
-        title_words: 6,
-        authors_per_paper: 1,
-        vocab_size: 8_000,
-        planted,
-        ..Default::default()
-    };
-    XmlIndex::build(gen_dblp(&cfg).tree)
-}
 
 /// The distinct request mix: point/equal/correlated queries, complete-set
 /// ELCA and top-5 SLCA, all through the disk-supported join engine.
@@ -103,23 +67,6 @@ fn distinct_items(ix: &XmlIndex) -> Vec<BatchItem> {
         items.push(BatchItem::new(q, if i % 3 == 0 { top5 } else { complete }));
     }
     items
-}
-
-/// FNV-1a over the full response stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
 }
 
 fn fresh_store(path: &std::path::Path) -> DiskColumnStore {
@@ -205,15 +152,6 @@ fn run_batched<'a>(
     )
 }
 
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = String::from("BENCH_serve.json");
@@ -230,7 +168,10 @@ fn main() {
     }
 
     eprintln!("serve_bench: building the serving corpus…");
-    let ix = build_corpus();
+    // Smaller than `query_io`'s (the interesting regime here is cross-query
+    // reuse, not block-directory pressure), with the same planted bands so
+    // the standard workload helpers resolve.
+    let ix = gate_corpus(12_000, 120, 10, 25, 8_000);
     let path = std::env::temp_dir().join(format!("xtk_serve_{}.bin", std::process::id()));
     write_index(&ix, &path, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
         .expect("write index");

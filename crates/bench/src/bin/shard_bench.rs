@@ -28,14 +28,14 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use xtk_bench::{band_term, correlated_groups, equal_queries, high_term, point_queries, Scale};
+use xtk_bench::{
+    correlated_groups, equal_queries, extract_u64, gate_corpus, point_queries, Fingerprint, Scale,
+};
 use xtk_core::pool::Parallelism;
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::sort_ranked;
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, Executor, QueryAlgorithm, QueryRequest};
-use xtk_datagen::dblp::{generate as gen_dblp, DblpConfig};
-use xtk_datagen::PlantedTerm;
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::XmlIndex;
 
@@ -44,38 +44,9 @@ const TOPOLOGIES: [usize; 4] = [1, 2, 4, 8];
 /// exercise the warm path so wall times amortize the cold decodes.
 const PASSES: usize = 3;
 
-/// The serving corpus from `serve_bench`, reused verbatim so the planted
-/// bands resolve for the standard workload helpers.
+/// The serving corpus of `serve_bench`.
 fn build_corpus() -> XmlIndex {
-    let mut planted = Vec::new();
-    for i in 0..4 {
-        planted.push(PlantedTerm::new(high_term(i), 12_000));
-    }
-    for &f in &[4, 10, 100, 1_000, 10_000] {
-        for i in 0..xtk_bench::TERMS_PER_BAND {
-            planted.push(PlantedTerm::new(band_term(f, i), f));
-        }
-    }
-    for (terms, freqs, rho) in correlated_groups() {
-        for (j, (&t, &f)) in terms.iter().zip(&freqs).enumerate() {
-            if j == 0 {
-                planted.push(PlantedTerm::new(t, f / 2));
-            } else {
-                planted.push(PlantedTerm::correlated(t, f / 2, terms[0], rho));
-            }
-        }
-    }
-    let cfg = DblpConfig {
-        conferences: 120,
-        years_per_conf: 10,
-        papers_per_year: 25,
-        title_words: 6,
-        authors_per_paper: 1,
-        vocab_size: 8_000,
-        planted,
-        ..Default::default()
-    };
-    XmlIndex::build(gen_dblp(&cfg).tree)
+    gate_corpus(12_000, 120, 10, 25, 8_000)
 }
 
 /// The distinct request mix: point/equal/correlated queries across small
@@ -103,23 +74,6 @@ fn workload(ix: &XmlIndex) -> Vec<(Query, QueryRequest)> {
         work.push((q, req));
     }
     work
-}
-
-/// FNV-1a over the full response stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
 }
 
 struct TopoLeg {
@@ -182,15 +136,6 @@ fn reference_fingerprint(engine: &Engine, work: &[(Query, QueryRequest)]) -> (Fi
         results += rs.len() as u64;
     }
     (fp, results)
-}
-
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 fn main() {

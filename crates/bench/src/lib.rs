@@ -155,6 +155,50 @@ pub fn build_dblp_with(scale: Scale, parallelism: Parallelism) -> XmlIndex {
     XmlIndex::build_with(gen_dblp(&cfg).tree, IndexOptions { parallelism, ..Default::default() })
 }
 
+/// The corpus of the `BENCH_*` gate bins, which differ only in size
+/// (`query_io` and `plan_bench` run the large one, `serve_bench` and
+/// `shard_bench` a smaller one): four high-frequency terms, the Fig. 9
+/// bands plus a needle band (f = 4: the most selective index-join regime,
+/// where a probe set touches a handful of blocks of a list spanning
+/// dozens), and the correlated groups at half frequency.
+pub fn gate_corpus(
+    high_freq: usize,
+    conferences: usize,
+    years_per_conf: usize,
+    papers_per_year: usize,
+    vocab_size: usize,
+) -> XmlIndex {
+    let mut planted = Vec::new();
+    for i in 0..4 {
+        planted.push(PlantedTerm::new(high_term(i), high_freq));
+    }
+    for f in std::iter::once(4).chain(LOW_FREQS) {
+        for i in 0..TERMS_PER_BAND {
+            planted.push(PlantedTerm::new(band_term(f, i), f));
+        }
+    }
+    for (terms, freqs, rho) in correlated_groups() {
+        let mut pairs = terms.iter().zip(&freqs);
+        if let Some((&lead, &f)) = pairs.next() {
+            planted.push(PlantedTerm::new(lead, f / 2));
+            for (&t, &f) in pairs {
+                planted.push(PlantedTerm::correlated(t, f / 2, lead, rho));
+            }
+        }
+    }
+    let cfg = DblpConfig {
+        conferences,
+        years_per_conf,
+        papers_per_year,
+        title_words: 6,
+        authors_per_paper: 1,
+        vocab_size,
+        planted,
+        ..Default::default()
+    };
+    XmlIndex::build(gen_dblp(&cfg).tree)
+}
+
 /// Builds the XMark-like experiment corpus.
 pub fn build_xmark(scale: Scale) -> XmlIndex {
     build_xmark_with(scale, Parallelism::Serial)
@@ -337,6 +381,37 @@ pub fn probe_lookup(runs: &[Run], _from: usize, v: u32) -> usize {
 /// The engine's lookup: one opening window, then a gallop.
 pub fn window_gallop_lookup(runs: &[Run], from: usize, v: u32) -> usize {
     window_gallop_partition_point(runs, from, |r| r.value < v)
+}
+
+/// FNV-1a over a stream of `u32` words: the gate bins fingerprint result
+/// streams (order, nodes, levels, score bits) and decoded runs with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingerprint(pub u64);
+
+impl Fingerprint {
+    /// The FNV offset basis.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        Fingerprint(0xcbf29ce484222325)
+    }
+
+    /// Folds one word in, little-endian byte by byte.
+    pub fn push(&mut self, word: u32) {
+        for b in word.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+/// `"key": number` extraction from a flat `BENCH_*` baseline JSON — enough
+/// for a std-only check (keys are unique in the file by construction).
+pub fn extract_u64(json: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let at = json.find(&pat)? + pat.len();
+    let rest = json.get(at..)?.trim_start();
+    let end = rest.find(|c: char| !c.is_ascii_digit())?;
+    rest.get(..end)?.parse().ok()
 }
 
 /// A repeat-skewed serving schedule: `total` arrival indices into a set

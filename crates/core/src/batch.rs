@@ -13,11 +13,12 @@
 //!    equality, so a 64-bit collision can never alias two requests.
 //! 2. **Dedup + result cache** — identical requests in one batch execute
 //!    once; repeats across batches are served from a bounded LRU
-//!    [`ResultCache`] whose entries are stamped with the index
-//!    *generation* ([`Executor::generation`]).  Incremental maintenance
-//!    bumps the generation (`JDeweyMaintainer::generation` threaded
-//!    through the `xtk-index` builders), so stale entries re-execute
-//!    automatically — no explicit invalidation calls.
+//!    [`ResultCache`] — a [`StampedCache`], the memo the plan cache also
+//!    is — whose entries are stamped with the index *generation*
+//!    ([`Executor::generation`]).  Incremental maintenance bumps the
+//!    generation (`JDeweyMaintainer::generation` threaded through the
+//!    `xtk-index` builders), so stale entries re-execute automatically —
+//!    no explicit invalidation calls.
 //! 3. **Cross-query prefetch** — the union of term columns needed by the
 //!    distinct, uncached queries is warmed and *pinned* in the shared
 //!    block cache ([`Executor::prefetch`]) before execution, so the batch
@@ -30,6 +31,7 @@
 //!    [`Parallelism`] settings.
 
 use crate::engine::Engine;
+use crate::plan::cache::{Lookup, StampedCache};
 use crate::plan::rewrite::RuleSet;
 use crate::pool::{parallel_map, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
@@ -37,9 +39,8 @@ use crate::request::{
     ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
 };
 use crate::topk::ThresholdKind;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::sync::{Mutex, MutexGuard};
 use xtk_index::TermId;
 use xtk_obs::{EventKind, MetricsRegistry, MetricsSnapshot, Obs, Trace, TraceLevel, Tracer};
 
@@ -158,10 +159,14 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a over little-endian `u64`s.
-struct Fnv(u64);
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn push(&mut self, v: u64) {
+    pub(crate) fn new() -> Self {
+        Self(FNV_OFFSET)
+    }
+
+    pub(crate) fn push(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
@@ -225,7 +230,7 @@ fn tag_trace(t: TraceLevel) -> u64 {
 /// dedup/result-cache key; every fingerprint match is confirmed by full
 /// `(Query, QueryRequest)` equality before it is trusted.
 pub fn fingerprint(query: &Query, req: &QueryRequest) -> u64 {
-    let mut f = Fnv(FNV_OFFSET);
+    let mut f = Fnv::new();
     f.push(query.terms.len() as u64);
     for t in &query.terms {
         f.push(u64::from(t.0));
@@ -252,162 +257,23 @@ pub fn fingerprint_salted(query: &Query, req: &QueryRequest, salt: u64) -> u64 {
     f.0
 }
 
-/// Recovers a poisoned guard: cache state is a plain map whose invariants
-/// hold between statements, so serving cached responses stays sound after
-/// a propagated panic on another thread.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    generation: u64,
-    /// Topology salt the response was computed under; a lookup from a
-    /// differently-sharded executor must not alias onto this entry.
-    salt: u64,
-    query: Query,
-    request: QueryRequest,
-    response: QueryResponse,
-    stamp: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// `fingerprint -> entry`.
-    map: HashMap<u64, CacheEntry>,
-    /// `recency stamp -> fingerprint`; first entry is the LRU victim.
-    lru: BTreeMap<u64, u64>,
-    /// Monotone logical clock (never wall time — eviction order must be
-    /// deterministic).
-    clock: u64,
-}
-
-enum CacheOutcome {
-    /// Entry valid for the current generation: a cloned response.
-    Hit(Box<QueryResponse>),
-    /// Entry existed but was computed against an older index generation;
-    /// it has been dropped and the request must re-execute.
-    Stale,
-    /// No entry.
-    Miss,
-}
-
 /// The bounded, index-generation-stamped result cache behind
-/// [`Engine::run_batch`] and [`BatchExecutor`].
-///
-/// Entries are keyed by request [`fingerprint`] (confirmed by full
-/// equality), stamped with the [`Executor::generation`] they were
-/// computed against, and evicted LRU beyond `capacity`.  A lookup whose
-/// stamp no longer matches the live generation drops the entry and
-/// reports it stale — this is how incremental insert/delete through
-/// `xtk-xml` maintenance invalidates cached answers.
-#[derive(Debug)]
-pub struct ResultCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-}
+/// [`Engine::run_batch`] and [`BatchExecutor`]: one shard, because its
+/// lookups and stores run in [`run_batch`]'s sequential loops.
+pub type ResultCache = StampedCache<QueryResponse>;
 
-impl Default for ResultCache {
-    fn default() -> Self {
-        Self::new(Self::DEFAULT_CAPACITY)
-    }
-}
-
-impl ResultCache {
-    /// Default bound: plenty for a serving mix's hot set while keeping a
-    /// long-lived engine's memory proportional to the working set.
-    pub const DEFAULT_CAPACITY: usize = 1024;
-
+impl StampedCache<QueryResponse> {
     /// A cache holding at most `capacity` responses (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self { inner: Mutex::new(CacheInner::default()), capacity: capacity.max(1) }
+        Self::with_shards(capacity, 1)
     }
+}
 
-    /// Number of cached responses.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry (generation stamping makes this unnecessary for
-    /// correctness; exposed for memory pressure and tests).
-    pub fn clear(&self) {
-        let mut inner = lock(&self.inner);
-        inner.map.clear();
-        inner.lru.clear();
-    }
-
-    fn lookup(
-        &self,
-        fp: u64,
-        generation: u64,
-        salt: u64,
-        query: &Query,
-        request: &QueryRequest,
-    ) -> CacheOutcome {
-        let mut inner = lock(&self.inner);
-        let (matches, stale, stamp) = match inner.map.get(&fp) {
-            Some(e) => (
-                e.salt == salt && e.query == *query && e.request == *request,
-                e.generation != generation,
-                e.stamp,
-            ),
-            None => return CacheOutcome::Miss,
-        };
-        if !matches {
-            // Fingerprint collision: treat as a miss; the store after
-            // execution overwrites the colliding entry.
-            return CacheOutcome::Miss;
-        }
-        if stale {
-            inner.map.remove(&fp);
-            inner.lru.remove(&stamp);
-            return CacheOutcome::Stale;
-        }
-        inner.clock += 1;
-        let now = inner.clock;
-        inner.lru.remove(&stamp);
-        inner.lru.insert(now, fp);
-        let response = match inner.map.get_mut(&fp) {
-            Some(e) => {
-                e.stamp = now;
-                e.response.clone()
-            }
-            // Unreachable: the entry was present three statements ago and
-            // the lock is held throughout.
-            None => return CacheOutcome::Miss,
-        };
-        CacheOutcome::Hit(Box::new(response))
-    }
-
-    fn store(
-        &self,
-        fp: u64,
-        generation: u64,
-        salt: u64,
-        query: Query,
-        request: QueryRequest,
-        response: QueryResponse,
-    ) {
-        let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let now = inner.clock;
-        let entry = CacheEntry { generation, salt, query, request, response, stamp: now };
-        if let Some(old) = inner.map.insert(fp, entry) {
-            inner.lru.remove(&old.stamp);
-        }
-        inner.lru.insert(now, fp);
-        while inner.map.len() > self.capacity {
-            let Some((&stamp, &victim)) = inner.lru.iter().next() else {
-                break;
-            };
-            inner.lru.remove(&stamp);
-            inner.map.remove(&victim);
-        }
+impl Default for StampedCache<QueryResponse> {
+    /// 1 024 responses: plenty for a serving mix's hot set while keeping
+    /// a long-lived engine's memory proportional to the working set.
+    fn default() -> Self {
+        Self::new(1024)
     }
 }
 
@@ -490,15 +356,15 @@ pub fn run_batch<E: Executor + Sync>(
     let mut todo: Vec<usize> = Vec::new();
     for (ci, class) in classes.iter_mut().enumerate() {
         match cache.lookup(class.fp, generation, salt, &class.query, &class.request) {
-            CacheOutcome::Hit(resp) => {
+            Lookup::Hit(resp) => {
                 class.from_cache = true;
-                class.response = Some(*resp);
+                class.response = Some(resp);
             }
-            CacheOutcome::Stale => {
+            Lookup::Stale => {
                 invalidations += 1;
                 todo.push(ci);
             }
-            CacheOutcome::Miss => todo.push(ci),
+            Lookup::Miss => todo.push(ci),
         }
     }
 
@@ -728,19 +594,19 @@ mod tests {
         cache.store(f1, 0, 0, q1.clone(), req, respond_stub(1));
         cache.store(f2, 0, 0, q2.clone(), req, respond_stub(2));
         match cache.lookup(f1, 0, 0, &q1, &req) {
-            CacheOutcome::Hit(r) => assert_eq!(r.metrics.get("stub.tag"), 1),
+            Lookup::Hit(r) => assert_eq!(r.metrics.get("stub.tag"), 1),
             _ => unreachable!("expected hit"), // lint-exempt: test code
         }
         // f2 is now LRU; storing f3 evicts it.
         cache.store(f3, 0, 0, q3.clone(), req, respond_stub(3));
         assert_eq!(cache.len(), 2);
-        assert!(matches!(cache.lookup(f2, 0, 0, &q2, &req), CacheOutcome::Miss));
-        assert!(matches!(cache.lookup(f1, 0, 0, &q1, &req), CacheOutcome::Hit(_)));
+        assert!(matches!(cache.lookup(f2, 0, 0, &q2, &req), Lookup::Miss));
+        assert!(matches!(cache.lookup(f1, 0, 0, &q1, &req), Lookup::Hit(_)));
         // A lookup under a different topology salt must not alias.
-        assert!(matches!(cache.lookup(f1, 0, 7, &q1, &req), CacheOutcome::Miss));
+        assert!(matches!(cache.lookup(f1, 0, 7, &q1, &req), Lookup::Miss));
         // Generation bump: entry dropped, reported stale.
-        assert!(matches!(cache.lookup(f1, 1, 0, &q1, &req), CacheOutcome::Stale));
-        assert!(matches!(cache.lookup(f1, 1, 0, &q1, &req), CacheOutcome::Miss));
+        assert!(matches!(cache.lookup(f1, 1, 0, &q1, &req), Lookup::Stale));
+        assert!(matches!(cache.lookup(f1, 1, 0, &q1, &req), Lookup::Miss));
         cache.clear();
         assert!(cache.is_empty());
     }

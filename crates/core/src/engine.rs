@@ -2,8 +2,7 @@
 //!
 //! Every query executes through [`Engine::run`] (or the
 //! [`Executor`](crate::Executor) trait): build a
-//! [`QueryRequest`](crate::QueryRequest) — builder-style or through
-//! [`QueryRequest::builder`](crate::QueryRequest::builder) — and read the
+//! [`QueryRequest`](crate::QueryRequest) builder-style and read the
 //! results plus metrics off the [`QueryResponse`](crate::QueryResponse).
 //! The historical per-shape entry points (`search`, `top_k`, …) are gone.
 
@@ -109,12 +108,6 @@ impl Engine {
     /// consults, beside its statistics snapshot.
     pub fn planner(&self) -> &crate::plan::cache::Planner {
         &self.planner
-    }
-
-    /// Bounds the plan cache at `capacity` plans (builder style).
-    pub fn with_plan_capacity(mut self, capacity: usize) -> Self {
-        self.planner = self.planner.with_plan_capacity(capacity);
-        self
     }
 
     /// The indexed tree.

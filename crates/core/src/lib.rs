@@ -83,8 +83,8 @@ pub use plan::{
 pub use pool::Parallelism;
 pub use query::{ElcaVariant, Query, Semantics};
 pub use request::{
-    DiskEngine, ExecutedEngine, Executor, QueryAlgorithm, QueryRequest,
-    QueryRequestBuilder, QueryResponse, ScoreMode,
+    DiskEngine, ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse,
+    ScoreMode,
 };
 pub use result::ScoredResult;
 pub use shard::{write_sharded, ShardedEngine};

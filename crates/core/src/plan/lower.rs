@@ -4,8 +4,8 @@
 //! execution runs ([`TopKExec`]), how the join accesses columns (footer
 //! block skipping, whole-sequence prescan), and how the output is shaped
 //! (scoring, truncation).
-//! [`execute_memory`] and [`execute_disk`] are the lowered drivers behind
-//! [`Engine::run`](crate::Engine::run) and the on-disk
+//! [`execute_memory_spec`] and [`execute_disk_spec`] are the lowered
+//! drivers behind [`Engine::run`](crate::Engine::run) and the on-disk
 //! [`Executor`](crate::Executor) — the procedural per-algorithm dispatch
 //! they replace lives on only for the baselines (stack, index, RDIL)
 //! that the plan does not cover.  [`explain`] renders the logical tree,
@@ -180,18 +180,8 @@ pub(crate) fn lower_query(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> E
 }
 
 /// The lowered in-memory driver for the join-family algorithms (Auto,
-/// JoinBased, TopKJoin).  The baselines keep their procedural dispatch in
-/// `request.rs`.
-pub(crate) fn execute_memory(
-    ix: &XmlIndex,
-    parallelism: Parallelism,
-    query: &Query,
-    req: &QueryRequest,
-) -> QueryResponse {
-    execute_memory_spec(ix, parallelism, query, req, lower_query(ix, query, req))
-}
-
-/// [`execute_memory`] with a pre-lowered spec (planner/plan-cache path).
+/// JoinBased, TopKJoin), given the spec the planner served.  The
+/// baselines keep their procedural dispatch in `request.rs`.
 pub(crate) fn execute_memory_spec(
     ix: &XmlIndex,
     parallelism: Parallelism,
@@ -636,10 +626,11 @@ mod tests {
         let (q, req) = bound(&ix, "xml search k=1000");
         let spec = lower_query(&ix, &q, &req);
         assert_eq!(spec.topk, TopKExec::Complete { elided: true });
-        let on = execute_memory(&ix, Parallelism::Serial, &q, &req);
+        let on = execute_memory_spec(&ix, Parallelism::Serial, &q, &req, spec);
         let mut off_req = req;
         off_req.rules = RuleSet::none();
-        let off = execute_memory(&ix, Parallelism::Serial, &q, &off_req);
+        let off_spec = lower_query(&ix, &q, &off_req);
+        let off = execute_memory_spec(&ix, Parallelism::Serial, &q, &off_req, off_spec);
         assert_eq!(on.engine, off.engine);
         assert_eq!(on.results.len(), off.results.len());
         for (a, b) in on.results.iter().zip(&off.results) {
@@ -678,7 +669,8 @@ mod tests {
         let ix = ix();
         let (q, req) = bound(&ix, "xml search");
         let req = req.with_trace(xtk_obs::TraceLevel::Events);
-        let resp = execute_memory(&ix, Parallelism::Serial, &q, &req);
+        let spec = lower_query(&ix, &q, &req);
+        let resp = execute_memory_spec(&ix, Parallelism::Serial, &q, &req, spec);
         let trace = resp.trace.expect("trace requested");
         let ex = explain(&ix, &q, &req, ExplainTarget::Memory);
         let annotated = annotate_executed(&ix, &ex, &trace);

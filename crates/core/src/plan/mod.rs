@@ -40,7 +40,7 @@ pub mod parse;
 pub mod rewrite;
 
 pub use bind::{candidate_bound, compile, logical_plan, PlanError};
-pub use cache::{PlanCache, PlanCacheStats, PlanSource, Planner};
+pub use cache::{PlanCache, PlanSource, Planner};
 pub use cost::{
     probe_cost, scan_cost, Cost, CostSummary, LevelStats, PlanStats, BLOCK_COST_WEIGHT,
     EST_ENTRIES_PER_BLOCK,

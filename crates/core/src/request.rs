@@ -161,94 +161,8 @@ impl QueryRequest {
         self
     }
 
-    /// Starts a fluent builder from the default request.  Since
-    /// [`QueryRequest`] is `#[non_exhaustive]`, this (or the `with_*`
-    /// combinators) is how out-of-crate callers construct one.
-    ///
-    /// ```
-    /// use xtk_core::{QueryAlgorithm, QueryRequest, Semantics};
-    ///
-    /// let req = QueryRequest::builder()
-    ///     .semantics(Semantics::Slca)
-    ///     .k(10)
-    ///     .algorithm(QueryAlgorithm::JoinBased)
-    ///     .build();
-    /// assert_eq!(req.k, Some(10));
-    /// ```
-    pub fn builder() -> QueryRequestBuilder {
-        QueryRequestBuilder { req: Self::default() }
-    }
-
     fn ranked(&self) -> bool {
         self.scores == ScoreMode::Ranked
-    }
-}
-
-/// Fluent constructor for [`QueryRequest`] (see
-/// [`QueryRequest::builder`]).
-#[derive(Debug, Clone)]
-pub struct QueryRequestBuilder {
-    req: QueryRequest,
-}
-
-impl QueryRequestBuilder {
-    /// ELCA or SLCA.
-    pub fn semantics(mut self, semantics: Semantics) -> Self {
-        self.req.semantics = semantics;
-        self
-    }
-
-    /// Truncate to the `k` best results.
-    pub fn k(mut self, k: usize) -> Self {
-        self.req.k = Some(k);
-        self
-    }
-
-    /// Compute the complete set (the default).
-    pub fn complete_set(mut self) -> Self {
-        self.req.k = None;
-        self
-    }
-
-    /// Which engine runs it.
-    pub fn algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
-        self.req.algorithm = algorithm;
-        self
-    }
-
-    /// ELCA exclusion variant.
-    pub fn variant(mut self, variant: ElcaVariant) -> Self {
-        self.req.variant = variant;
-        self
-    }
-
-    /// Unseen-result bound for the top-K star join.
-    pub fn threshold(mut self, threshold: ThresholdKind) -> Self {
-        self.req.threshold = threshold;
-        self
-    }
-
-    /// Ranked or unranked results.
-    pub fn scores(mut self, scores: ScoreMode) -> Self {
-        self.req.scores = scores;
-        self
-    }
-
-    /// Observability level.
-    pub fn trace(mut self, trace: TraceLevel) -> Self {
-        self.req.trace = trace;
-        self
-    }
-
-    /// Which plan-rewrite rules run.
-    pub fn rules(mut self, rules: RuleSet) -> Self {
-        self.req.rules = rules;
-        self
-    }
-
-    /// Finishes the request.
-    pub fn build(self) -> QueryRequest {
-        self.req
     }
 }
 
@@ -302,30 +216,23 @@ pub(crate) fn respond(
     }
 }
 
-/// Executes a request against the in-memory index.  Shared by
-/// [`Engine::run`] and the [`Executor`] impl for [`Engine`].  A planner,
-/// when supplied, serves the execution spec from its cross-query plan
-/// cache (or plans cold and caches); without one every request
-/// re-plans from scratch.
+/// Executes a request against the in-memory index.  The planner serves
+/// the execution spec from its cross-query plan cache (or plans cold
+/// and caches).
 fn run_in_memory(
     ix: &XmlIndex,
     parallelism: Parallelism,
     query: &Query,
     req: &QueryRequest,
-    planner: Option<&crate::plan::cache::Planner>,
+    planner: &crate::plan::cache::Planner,
 ) -> QueryResponse {
     // The join family (Auto, JoinBased, TopKJoin) executes through the
     // logical plan: bind → rewrite → lower → run.  The baselines below
     // sit outside the plan IR and keep their procedural dispatch.
     match req.algorithm {
         QueryAlgorithm::Auto | QueryAlgorithm::JoinBased | QueryAlgorithm::TopKJoin => {
-            return match planner {
-                Some(p) => {
-                    let (spec, _) = p.spec_for(ix, query, req, ix.generation(), 0);
-                    crate::plan::lower::execute_memory_spec(ix, parallelism, query, req, spec)
-                }
-                None => crate::plan::lower::execute_memory(ix, parallelism, query, req),
-            };
+            let (spec, _) = planner.spec_for(ix, query, req, ix.generation(), 0);
+            return crate::plan::lower::execute_memory_spec(ix, parallelism, query, req, spec);
         }
         QueryAlgorithm::StackBased | QueryAlgorithm::IndexBased | QueryAlgorithm::Rdil => {}
     }
@@ -391,7 +298,7 @@ impl Engine {
     /// assert!(resp.metrics.get("query.results") == 1);
     /// ```
     pub fn run(&self, query: &Query, req: &QueryRequest) -> QueryResponse {
-        run_in_memory(self.index(), self.parallelism(), query, req, Some(self.planner()))
+        run_in_memory(self.index(), self.parallelism(), query, req, self.planner())
     }
 }
 

@@ -92,20 +92,6 @@ fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over little-endian `u64`s (the topology salt hash).
-fn fnv64(words: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
 /// The corpus root's children — the shardable "documents".
 fn doc_roots(ix: &XmlIndex) -> &[NodeId] {
     let tree = ix.tree();
@@ -372,7 +358,9 @@ impl<'a> ShardedEngine<'a> {
             return Err(invalid("shard manifest topology mismatch"));
         }
         let mut shards = Vec::with_capacity(parts.len());
-        let mut salt_words: Vec<u64> = vec![1, parts.len() as u64];
+        let mut salt = crate::batch::Fnv::new();
+        salt.push(1);
+        salt.push(parts.len() as u64);
         for (id, (part, entry)) in parts.iter().zip(&m.entries).enumerate() {
             if entry.id != id as u64 || entry.docs != *part {
                 return Err(invalid("shard manifest entry does not match the partition"));
@@ -386,14 +374,13 @@ impl<'a> ShardedEngine<'a> {
             if store.term_names().len() != six.vocab_size() {
                 return Err(invalid("shard store does not match its index"));
             }
-            salt_words.push(id as u64);
-            salt_words.push(part.start as u64);
-            salt_words.push(part.end as u64);
+            salt.push(id as u64);
+            salt.push(part.start as u64);
+            salt.push(part.end as u64);
             shards.push(Shard { ix: six, store, offset, docs: part.clone() });
         }
-        let salt = fnv64(&salt_words);
         let planner = crate::plan::cache::Planner::from_index(ix);
-        Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt, planner })
+        Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt: salt.0, planner })
     }
 
     /// The planner this engine serves specs from.

@@ -163,27 +163,6 @@ fn run_metrics_equal_raw_counters() {
 }
 
 #[test]
-fn builder_equals_combinators() {
-    let built = QueryRequest::builder()
-        .semantics(Semantics::Slca)
-        .k(7)
-        .algorithm(QueryAlgorithm::JoinBased)
-        .variant(ElcaVariant::Formal)
-        .trace(TraceLevel::Events)
-        .build();
-    let combined = QueryRequest::top_k(7, Semantics::Slca)
-        .with_algorithm(QueryAlgorithm::JoinBased)
-        .with_variant(ElcaVariant::Formal)
-        .with_trace(TraceLevel::Events);
-    assert_eq!(built, combined);
-    assert_eq!(QueryRequest::builder().build(), QueryRequest::default());
-    assert_eq!(
-        QueryRequest::builder().k(3).complete_set().build(),
-        QueryRequest::default()
-    );
-}
-
-#[test]
 fn traces_are_bit_identical_across_parallelism() {
     let reqs = [
         QueryRequest::complete(Semantics::Elca)

@@ -1,4 +1,6 @@
-//! Shared block cache for the disk-resident column store.
+//! The shared block cache of the disk-resident column store, and the
+//! recency core ([`Lru`] behind [`Sharded`]) it shares with `xtk-core`'s
+//! plan and result caches.
 //!
 //! The paper's experiments run in a *hot cache* regime: every block a
 //! query touches is decoded once and then served from memory.  The
@@ -19,15 +21,19 @@
 //! * [`ShardedLruCache::unbounded`] — the paper-fidelity setting: same
 //!   structure, no eviction; what the experiments of §V assume.
 //!
-//! Recency is tracked with a per-shard logical counter (never wall
-//! clock — eviction order must be deterministic for the bench gate and
-//! identical across runs).  Correctness never depends on the policy:
-//! a block decodes to the same runs no matter when it was evicted, so
-//! query results are bit-identical under every capacity, which the
-//! differential tests assert.
+//! Recency is the workspace's one LRU: [`Lru`] (a map, a stamp order and
+//! a per-instance logical clock — never wall clock, eviction order must
+//! be deterministic for the bench gate and identical across runs) behind
+//! [`Sharded`], the one poison-recovering mutex set.  The block cache
+//! adds budgets, pins and counters on top; `xtk-core`'s plan and result
+//! caches add a `(generation, salt)` stamp.  Correctness never depends
+//! on the policy: a block decodes to the same runs no matter when it was
+//! evicted, so query results are bit-identical under every capacity,
+//! which the differential tests assert.
 
 use crate::columnar::Run;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use xtk_obs::MetricsRegistry;
@@ -144,39 +150,135 @@ pub enum CacheCapacity {
 /// while bounding a long-lived server.
 pub const DEFAULT_CAPACITY_BLOCKS: usize = 4096;
 
+/// Locks `m`, recovering the guard when another thread panicked while
+/// holding it: everything guarded here (cache shards, the decode ticket)
+/// keeps its invariants between statements, and the pool has already
+/// propagated the panic — serving cached values remains sound.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A fixed set of mutex shards; a caller's hash picks the shard, so
+/// threads working on different keys rarely contend.
+#[derive(Debug)]
+pub struct Sharded<T> {
+    shards: Vec<Mutex<T>>,
+}
+
+impl<T: Default> Sharded<T> {
+    /// `shards` default-initialised shards (at least one).
+    pub fn new(shards: usize) -> Self {
+        Self { shards: (0..shards.max(1)).map(|_| Mutex::default()).collect() }
+    }
+}
+
+impl<T> Sharded<T> {
+    /// Locks shard `hash % len`.
+    pub fn lock(&self, hash: u64) -> MutexGuard<'_, T> {
+        let i = (hash as usize).checked_rem(self.shards.len()).unwrap_or(0);
+        // Index is in range by construction; fall back to the first
+        // shard rather than panicking if the modulus were ever wrong.
+        relock(self.shards.get(i).unwrap_or_else(|| &self.shards[0])) // lint:allow(index)
+    }
+
+    /// Locks every shard in turn (one guard alive at a time).
+    pub fn lock_all(&self) -> impl Iterator<Item = MutexGuard<'_, T>> {
+        self.shards.iter().map(relock)
+    }
+}
+
+/// The recency core of every cache in the workspace: `key -> value` plus
+/// the order the keys were last used in, on a logical clock.
+#[derive(Debug)]
+pub struct Lru<K, V> {
+    /// `key -> (value, recency stamp)`.
+    map: HashMap<K, (V, u64)>,
+    /// `recency stamp -> key`; the first entry is the LRU victim.
+    order: BTreeMap<u64, K>,
+    /// Monotone logical clock (per instance — stamps never cross shards).
+    clock: u64,
+}
+
+impl<K, V> Default for Lru<K, V> {
+    fn default() -> Self {
+        Self { map: HashMap::new(), order: BTreeMap::new(), clock: 0 }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// `true` when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Reads an entry without refreshing its recency.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|(value, _)| value)
+    }
+
+    /// Reads an entry and makes it the most recently used.
+    pub fn get(&mut self, key: &K) -> Option<&mut V> {
+        let (value, stamp) = self.map.get_mut(key)?;
+        self.clock += 1;
+        self.order.remove(stamp);
+        *stamp = self.clock;
+        self.order.insert(self.clock, *key);
+        Some(value)
+    }
+
+    /// Inserts (or replaces) an entry as the most recently used and
+    /// returns the value it replaced.  Never evicts: the owner decides
+    /// what "over budget" means and calls [`Lru::pop_oldest`].
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.clock += 1;
+        let old = self.map.insert(key, (value, self.clock));
+        if let Some((_, stamp)) = &old {
+            self.order.remove(stamp);
+        }
+        self.order.insert(self.clock, key);
+        old.map(|(value, _)| value)
+    }
+
+    /// Removes an entry.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let (value, stamp) = self.map.remove(key)?;
+        self.order.remove(&stamp);
+        Some(value)
+    }
+
+    /// Removes the least recently used entry whose key `skip` does not
+    /// hold back; `None` when every entry is skipped (or none is left).
+    pub fn pop_oldest(&mut self, skip: impl Fn(&K) -> bool) -> Option<(K, V)> {
+        let key = *self.order.values().find(|key| !skip(key))?;
+        self.remove(&key).map(|value| (key, value))
+    }
+
+    /// Drops every entry; the clock keeps running.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+}
+
+/// What one block-cache shard guards beside its [`Lru`].
 #[derive(Debug, Default)]
 struct Shard {
-    /// `key -> (block, recency stamp)`.
-    map: HashMap<u64, (Block, u64)>,
-    /// `recency stamp -> key`; the first entry is the LRU victim.
-    lru: BTreeMap<u64, u64>,
-    /// Monotone logical clock (per shard — stamps never cross shards).
-    clock: u64,
+    lru: Lru<u64, Block>,
     /// Approximate resident bytes in this shard.
     bytes: usize,
     /// `key -> pin count`; pinned keys are skipped by eviction.
     pins: HashMap<u64, u32>,
 }
 
-impl Shard {
-    fn touch(&mut self, key: u64) {
-        if let Some((_, stamp)) = self.map.get(&key) {
-            let old = *stamp;
-            self.clock += 1;
-            let now = self.clock;
-            self.lru.remove(&old);
-            self.lru.insert(now, key);
-            if let Some((_, stamp)) = self.map.get_mut(&key) {
-                *stamp = now;
-            }
-        }
-    }
-}
-
 /// The bounded, sharded LRU block cache (see module docs).
 #[derive(Debug)]
 pub struct ShardedLruCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Sharded<Shard>,
     /// Per-shard capacity slice (`None` = unbounded).
     cap_blocks: Option<usize>,
     cap_bytes: Option<usize>,
@@ -185,15 +287,12 @@ pub struct ShardedLruCache {
     evictions: AtomicU64,
 }
 
-/// Recovers the guard from a poisoned mutex: shard state is a plain
-/// key→block map whose invariants hold between statements, so a panic
-/// on another thread (already propagated by the pool) cannot leave it
-/// logically corrupt — serving cached blocks remains sound.
-fn lock_shard<'a>(m: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// Blocks are ~4 KiB apart, so the offset is mixed before sharding.
+fn mix(key: u64) -> u64 {
+    let mut h = key ^ 0x9E37_79B9_7F4A_7C15;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 33)
 }
 
 impl ShardedLruCache {
@@ -211,7 +310,7 @@ impl ShardedLruCache {
             CacheCapacity::Bytes(n) => (None, Some(n.div_ceil(shards).max(1))),
         };
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: Sharded::new(shards),
             cap_blocks,
             cap_bytes,
             hits: AtomicU64::new(0),
@@ -246,94 +345,55 @@ impl ShardedLruCache {
         Self::new(CacheCapacity::Bytes(bytes))
     }
 
-    fn shard_for(&self, key: u64) -> &Mutex<Shard> {
-        // Blocks are ~4 KiB apart, so mix the offset before sharding.
-        let mut h = key ^ 0x9E37_79B9_7F4A_7C15;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        let i = (h as usize).checked_rem(self.shards.len()).unwrap_or(0);
-        // Index is in range by construction; fall back to the first
-        // shard rather than panicking if the modulus were ever wrong.
-        self.shards.get(i).unwrap_or_else(|| &self.shards[0]) // lint:allow(index)
-    }
-
     fn evict_over_budget(&self, shard: &mut Shard) {
+        let Shard { lru, bytes, pins } = shard;
         loop {
-            let over_blocks = self.cap_blocks.is_some_and(|c| shard.map.len() > c);
-            let over_bytes =
-                self.cap_bytes.is_some_and(|c| shard.bytes > c && shard.map.len() > 1);
+            let over_blocks = self.cap_blocks.is_some_and(|c| lru.len() > c);
+            let over_bytes = self.cap_bytes.is_some_and(|c| *bytes > c && lru.len() > 1);
             if !over_blocks && !over_bytes {
                 return;
             }
             // Oldest *unpinned* entry; pinned blocks may transiently hold a
             // shard over budget, which is the point of pinning (a batch's
             // prefetched working set must survive its own execution).
-            let victim = shard
-                .lru
-                .iter()
-                .map(|(&stamp, &key)| (stamp, key))
-                .find(|(_, key)| !shard.pins.contains_key(key));
-            let Some((stamp, victim)) = victim else {
+            let Some((_, block)) = lru.pop_oldest(|key| pins.contains_key(key)) else {
                 return;
             };
-            shard.lru.remove(&stamp);
-            if let Some((block, _)) = shard.map.remove(&victim) {
-                shard.bytes = shard.bytes.saturating_sub(block_bytes(&block));
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            *bytes = bytes.saturating_sub(block_bytes(&block));
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 impl BlockCache for ShardedLruCache {
     fn get(&self, key: u64) -> Option<Block> {
-        let mut shard = lock_shard(self.shard_for(key));
-        let hit = shard.map.get(&key).map(|(b, _)| b.clone());
-        match hit {
-            Some(block) => {
-                shard.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(block)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn peek(&self, key: u64) -> Option<Block> {
-        let mut shard = lock_shard(self.shard_for(key));
-        let hit = shard.map.get(&key).map(|(b, _)| b.clone());
-        if hit.is_some() {
-            shard.touch(key);
-        }
+        let hit = self.peek(key);
+        let counter = if hit.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
+    fn peek(&self, key: u64) -> Option<Block> {
+        self.shards.lock(mix(key)).lru.get(&key).cloned()
+    }
+
     fn insert(&self, key: u64, block: Block) {
-        let mut shard = lock_shard(self.shard_for(key));
-        if shard.map.contains_key(&key) {
-            // Concurrent decode of the same block: first insert wins,
-            // the duplicate only refreshes recency.
-            shard.touch(key);
+        let mut shard = self.shards.lock(mix(key));
+        // Concurrent decode of the same block: first insert wins, the
+        // duplicate only refreshes recency.
+        if shard.lru.get(&key).is_some() {
             return;
         }
-        shard.clock += 1;
-        let now = shard.clock;
         shard.bytes += block_bytes(&block);
-        shard.map.insert(key, (block, now));
-        shard.lru.insert(now, key);
+        shard.lru.insert(key, block);
         self.evict_over_budget(&mut shard);
     }
 
     fn stats(&self) -> CacheStats {
         let mut resident_blocks = 0u64;
         let mut resident_bytes = 0u64;
-        for m in &self.shards {
-            let shard = lock_shard(m);
-            resident_blocks += shard.map.len() as u64;
+        for shard in self.shards.lock_all() {
+            resident_blocks += shard.lru.len() as u64;
             resident_bytes += shard.bytes as u64;
         }
         CacheStats {
@@ -346,17 +406,16 @@ impl BlockCache for ShardedLruCache {
     }
 
     fn pin(&self, key: u64) -> bool {
-        let mut shard = lock_shard(self.shard_for(key));
-        if !shard.map.contains_key(&key) {
+        let mut shard = self.shards.lock(mix(key));
+        if shard.lru.get(&key).is_none() {
             return false;
         }
         *shard.pins.entry(key).or_insert(0) += 1;
-        shard.touch(key);
         true
     }
 
     fn unpin(&self, key: u64) {
-        let mut shard = lock_shard(self.shard_for(key));
+        let mut shard = self.shards.lock(mix(key));
         if let Some(count) = shard.pins.get_mut(&key) {
             *count = count.saturating_sub(1);
             if *count == 0 {
@@ -366,7 +425,7 @@ impl BlockCache for ShardedLruCache {
     }
 
     fn pinned_blocks(&self) -> u64 {
-        self.shards.iter().map(|m| lock_shard(m).pins.len() as u64).sum()
+        self.shards.lock_all().map(|shard| shard.pins.len() as u64).sum()
     }
 }
 
@@ -376,6 +435,91 @@ mod tests {
 
     fn block(n: usize, tag: u32) -> Block {
         (0..n as u32).map(|i| Run { value: tag + i, start: i, len: 1 }).collect()
+    }
+
+    /// Pops every entry, oldest first.
+    fn drain(lru: &mut Lru<u64, &'static str>) -> Vec<u64> {
+        std::iter::from_fn(|| lru.pop_oldest(|_| false)).map(|(key, _)| key).collect()
+    }
+
+    #[test]
+    fn lru_victim_sequence_under_interleaved_get_peek_insert() {
+        let mut lru = Lru::default();
+        for (key, value) in [(1, "a"), (2, "b"), (3, "c"), (4, "d")] {
+            assert!(lru.insert(key, value).is_none());
+        }
+        assert_eq!(lru.get(&2).copied(), Some("b"), "get refreshes: 1 3 4 2");
+        assert_eq!(lru.peek(&1), Some(&"a"), "peek does not");
+        assert!(lru.get(&9).is_none() && lru.peek(&9).is_none());
+        lru.insert(5, "e");
+        assert_eq!(lru.get(&1).copied(), Some("a"), "3 4 2 5 1");
+        *lru.get(&4).unwrap() = "D";
+        assert_eq!(lru.peek(&4), Some(&"D"), "get hands out the stored value");
+        assert_eq!(lru.len(), 5);
+        assert_eq!(drain(&mut lru), [3, 2, 5, 1, 4]);
+        assert!(lru.is_empty() && lru.pop_oldest(|_| false).is_none());
+    }
+
+    #[test]
+    fn lru_pop_oldest_skips_held_keys() {
+        let mut lru = Lru::default();
+        for key in 1..=4u64 {
+            lru.insert(key, "x");
+        }
+        assert_eq!(lru.pop_oldest(|&key| key <= 2).map(|(key, _)| key), Some(3));
+        assert_eq!(lru.pop_oldest(|&key| key <= 2).map(|(key, _)| key), Some(4));
+        assert!(lru.pop_oldest(|&key| key <= 2).is_none(), "every entry held back");
+        assert_eq!(lru.len(), 2, "skipped entries stay");
+        assert_eq!(drain(&mut lru), [1, 2], "and keep their order");
+    }
+
+    #[test]
+    fn lru_reinsert_of_a_live_key_keeps_one_order_entry() {
+        let mut lru = Lru::default();
+        lru.insert(1, "old");
+        lru.insert(2, "b");
+        assert_eq!(lru.insert(1, "new"), Some("old"), "replaced value comes back");
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.remove(&2), Some("b"));
+        assert_eq!(lru.remove(&2), None);
+        assert_eq!(lru.pop_oldest(|_| false), Some((1, "new")));
+        assert!(lru.pop_oldest(|_| false).is_none(), "no orphaned stamp of the first insert");
+    }
+
+    #[test]
+    fn lru_clear_then_reuse() {
+        let mut lru = Lru::default();
+        lru.insert(1, "a");
+        lru.insert(2, "b");
+        lru.clear();
+        assert!(lru.is_empty() && lru.peek(&1).is_none());
+        assert!(lru.pop_oldest(|_| false).is_none());
+        lru.insert(2, "b2");
+        lru.insert(1, "a2");
+        assert!(lru.get(&2).is_some());
+        assert_eq!(drain(&mut lru), [1, 2], "order restarts from the new inserts");
+    }
+
+    #[test]
+    fn sharded_picks_by_modulus_and_recovers_from_poison() {
+        let shards: Sharded<Vec<u64>> = Sharded::new(3);
+        for hash in 0..7u64 {
+            shards.lock(hash).push(hash);
+        }
+        let per_shard: Vec<Vec<u64>> = shards.lock_all().map(|shard| shard.clone()).collect();
+        assert_eq!(per_shard, [vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        assert_eq!(Sharded::<u8>::new(0).lock_all().count(), 1, "never empty");
+        // A panic under the guard poisons the mutex; the next lock still
+        // serves the state, which was consistent when the panic unwound.
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = shards.lock(1);
+                panic!("poison shard 1");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert_eq!(*shards.lock(1), [1, 4]);
     }
 
     #[test]

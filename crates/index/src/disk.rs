@@ -407,11 +407,10 @@ impl<W: Write> Write for CountingWriter<W> {
 mod tests {
     use super::*;
     use xtk_xml::parse;
+    use xtk_xml::testutil::TempPath;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("xtk_disk_test_{name}_{}", std::process::id()));
-        p
+    fn tmp(name: &str) -> TempPath {
+        TempPath::new(&format!("xtk_disk_test_{name}"))
     }
 
     #[test]
@@ -435,7 +434,6 @@ mod tests {
                 term.postings.iter().map(|&n| ix.tree().depth(n)).collect();
             assert_eq!(lt.depths, depths);
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -446,7 +444,6 @@ mod tests {
         let loaded = read_index(&path).unwrap();
         assert!(loaded.terms["w"].scores.is_none());
         assert_eq!(loaded.terms["w"].columns, ix.term_by_str("w").unwrap().columns);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -481,8 +478,6 @@ mod tests {
             assert_eq!(t1.columns, t2.columns, "columns differ for {term}");
             assert_eq!(t1.depths, t2.depths);
         }
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
     }
 
     #[test]
@@ -516,8 +511,6 @@ mod tests {
             assert_eq!(t2.depths, t3.depths);
             assert_eq!(t2.scores, t3.scores);
         }
-        std::fs::remove_file(&p2).ok();
-        std::fs::remove_file(&p3).ok();
     }
 
     #[test]
@@ -532,7 +525,6 @@ mod tests {
                 let written = write_index(&ix, &path, opts).unwrap();
                 assert_eq!(written, std::fs::metadata(&path).unwrap().len());
                 assert_eq!(written, persisted_file_bytes(&ix, opts), "{opts:?}");
-                std::fs::remove_file(&path).ok();
             }
         }
     }
@@ -542,6 +534,5 @@ mod tests {
         let path = tmp("badmagic");
         std::fs::write(&path, [1, 2, 3, 4, 5]).unwrap();
         assert!(read_index(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -27,7 +27,7 @@
 //! workers without duplicating decodes.
 
 use crate::bytes::ColumnBytes;
-use crate::cache::{Block, BlockCache, CacheStats, ShardedLruCache};
+use crate::cache::{relock, Block, BlockCache, CacheStats, ShardedLruCache};
 use crate::codec::{decode_block_into, with_decode_scratch, BlockLayout, Scheme};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
 use crate::disk::{ByteReader, MAGIC_V1, MAGIC_V2, MAGIC_V3};
@@ -35,20 +35,10 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 fn bad(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt index file: {what}"))
-}
-
-/// Recovers from mutex poisoning: the guarded state (the decode ticket /
-/// the cache maps) stays internally consistent between operations, and
-/// the panic that poisoned it has already been propagated by the pool.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Format-v2 per-block footers for one column.
@@ -224,15 +214,22 @@ impl DiskColumnStore {
             depths.try_reserve(n_postings.min(1 << 24)).map_err(|_| {
                 io::Error::new(io::ErrorKind::InvalidData, "posting count too large")
             })?;
+            // The same two checks as `disk::read_index`: a depth is a
+            // level in `1..=u16::MAX`, and a term has one column per level
+            // down to its deepest posting.
             for _ in 0..n_postings {
-                depths.push(r.varint("depth")? as u16);
+                let d = r.varint("depth")?;
+                if d == 0 || d > u32::from(u16::MAX) {
+                    return Err(bad("bad depth"));
+                }
+                depths.push(d as u16);
             }
             if with_scores {
                 r.take(4 * n_postings, "scores")?;
             }
             let n_cols = r.varint("column count")? as usize;
-            if n_cols > u16::MAX as usize {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "column count"));
+            if n_cols != depths.iter().copied().max().map_or(0, usize::from) {
+                return Err(bad("column count inconsistent with posting depths"));
             }
             let mut columns = Vec::with_capacity(n_cols);
             for level0 in 0..n_cols {
@@ -665,7 +662,7 @@ mod tests {
     use super::*;
     use crate::builder::XmlIndex;
     use crate::cache::CacheCapacity;
-    use crate::disk::{write_index, FormatVersion, WriteIndexOptions};
+    use crate::disk::{write_index_to, FormatVersion, WriteIndexOptions};
     use xtk_xml::parse;
 
     fn corpus() -> XmlIndex {
@@ -677,17 +674,30 @@ mod tests {
         XmlIndex::build(parse(&xml).unwrap())
     }
 
-    fn store_v(tag: &str, format: FormatVersion) -> (XmlIndex, DiskColumnStore, std::path::PathBuf) {
-        let ix = corpus();
-        let path = std::env::temp_dir()
-            .join(format!("xtk_diskcol_{tag}_{}.bin", std::process::id()));
-        write_index(&ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
-        let store = DiskColumnStore::open(&path).unwrap();
-        (ix, store, path)
+    /// The file `write_index` would produce, off the filesystem.
+    fn image_of(ix: &XmlIndex, opts: WriteIndexOptions) -> Arc<[u8]> {
+        let mut image = Vec::new();
+        write_index_to(ix, &mut image, opts).unwrap();
+        image.into()
     }
 
-    fn store(tag: &str) -> (XmlIndex, DiskColumnStore, std::path::PathBuf) {
-        store_v(tag, FormatVersion::V2)
+    fn open_image(image: &Arc<[u8]>, cache: Arc<dyn BlockCache>) -> DiskColumnStore {
+        DiskColumnStore::open_bytes(ColumnBytes::from(Arc::clone(image)), cache).unwrap()
+    }
+
+    fn open_unbounded(image: &Arc<[u8]>) -> DiskColumnStore {
+        open_image(image, Arc::new(ShardedLruCache::unbounded()))
+    }
+
+    fn store_v(format: FormatVersion) -> (XmlIndex, DiskColumnStore, Arc<[u8]>) {
+        let ix = corpus();
+        let image = image_of(&ix, WriteIndexOptions { include_scores: true, format });
+        let store = open_unbounded(&image);
+        (ix, store, image)
+    }
+
+    fn store() -> (XmlIndex, DiskColumnStore, Arc<[u8]>) {
+        store_v(FormatVersion::V2)
     }
 
     #[test]
@@ -699,7 +709,7 @@ mod tests {
     #[test]
     fn scan_matches_in_memory_columns() {
         for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, path) = store_v("scan", format);
+            let (ix, store, _image) = store_v(format);
             for (_, term) in ix.terms() {
                 for (li, col) in term.columns.iter().enumerate() {
                     let dc = store.column(&term.term, (li + 1) as u16).unwrap();
@@ -712,7 +722,6 @@ mod tests {
                     );
                 }
             }
-            std::fs::remove_file(path).ok();
         }
     }
 
@@ -726,12 +735,8 @@ mod tests {
         let ix = XmlIndex::build(parse(&xml).unwrap());
         let col = &ix.term_by_str("dense").unwrap().columns[1];
         for format in [FormatVersion::V1, FormatVersion::V2] {
-            let mut image = Vec::new();
             let opts = WriteIndexOptions { include_scores: true, format };
-            crate::disk::write_index_to(&ix, &mut image, opts).unwrap();
-            let store =
-                DiskColumnStore::open_bytes(image.into(), Arc::new(ShardedLruCache::unbounded()))
-                    .unwrap();
+            let store = open_unbounded(&image_of(&ix, opts));
             let dc = store.column("dense", 2).unwrap();
             let blocks = dc.block_count() as u64;
             assert!(blocks > 2, "{format:?}: corpus must span several blocks");
@@ -787,20 +792,19 @@ mod tests {
     #[test]
     fn find_matches_in_memory_find() {
         for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, path) = store_v("find", format);
+            let (ix, store, _image) = store_v(format);
             let term = ix.term_by_str("shared").unwrap();
             let dc = store.column("shared", 3).unwrap();
             for run in &term.columns[2].runs {
                 assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{format:?}");
             }
             assert_eq!(dc.find(999_999).unwrap(), None);
-            std::fs::remove_file(path).ok();
         }
     }
 
     #[test]
     fn prefetch_pins_all_blocks_and_later_probes_decode_nothing() {
-        let (_ix, store, path) = store("prefetch");
+        let (_ix, store, _image) = store();
         let total_blocks: usize = (1..=store.levels_of("shared"))
             .filter_map(|l| store.column("shared", l))
             .map(|dc| dc.block_count())
@@ -824,12 +828,11 @@ mod tests {
         // Absent terms are a no-op on both sides.
         assert_eq!(store.prefetch_term("no-such-term").unwrap(), 0);
         store.unpin_term("no-such-term");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn block_reads_are_counted_and_cached() {
-        let (_ix, store, path) = store("counted");
+        let (_ix, store, _image) = store();
         let dc = store.column("shared", 3).unwrap();
         dc.scan().unwrap();
         let first = store.reads();
@@ -838,7 +841,6 @@ mod tests {
         assert_eq!(store.reads(), first, "second scan served from cache");
         let stats = store.cache_stats();
         assert!(stats.hits >= first, "{stats:?}");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -851,11 +853,7 @@ mod tests {
         }
         xml.push_str("</r>");
         let ix = XmlIndex::build(parse(&xml).unwrap());
-        let path = std::env::temp_dir()
-            .join(format!("xtk_diskcol_cold_{}.bin", std::process::id()));
-        write_index(&ix, &path, WriteIndexOptions::default()).unwrap();
-
-        let store = DiskColumnStore::open(&path).unwrap();
+        let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
         let dc = store.column("dense", 2).unwrap();
         assert!(dc.block_count() > 1, "corpus must span several blocks");
         // Probe a value that lives in the LAST block of a cold store.
@@ -869,15 +867,8 @@ mod tests {
         assert_eq!(store.reads(), reads, "out-of-range probe is free");
 
         // The v1 ablation: same probe decodes the whole prefix.
-        let path1 = std::env::temp_dir()
-            .join(format!("xtk_diskcol_cold_v1_{}.bin", std::process::id()));
-        write_index(
-            &ix,
-            &path1,
-            WriteIndexOptions { include_scores: false, format: FormatVersion::V1 },
-        )
-        .unwrap();
-        let store1 = DiskColumnStore::open(&path1).unwrap();
+        let v1 = WriteIndexOptions { include_scores: false, format: FormatVersion::V1 };
+        let store1 = open_unbounded(&image_of(&ix, v1));
         let dc1 = store1.column("dense", 2).unwrap();
         assert!(dc1.find(target).unwrap().is_some());
         assert_eq!(
@@ -885,8 +876,6 @@ mod tests {
             dc1.block_count() as u64,
             "v1 pays the whole prefix for a last-block probe"
         );
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(path1).ok();
     }
 
     #[test]
@@ -900,10 +889,7 @@ mod tests {
         }
         xml.push_str("</r>");
         let ix = XmlIndex::build(parse(&xml).unwrap());
-        let path = std::env::temp_dir()
-            .join(format!("xtk_diskcol_gap_{}.bin", std::process::id()));
-        write_index(&ix, &path, WriteIndexOptions::default()).unwrap();
-        let store = DiskColumnStore::open(&path).unwrap();
+        let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
         // Level 1 of "gap" is a single highly-duplicated run; use the
         // leaf level, where block boundaries leave value gaps.
         let levels = store.levels_of("gap");
@@ -917,14 +903,13 @@ mod tests {
         // Either skipped via footers (0 decodes) or decoded exactly one
         // block (when the absent value falls inside a block's range).
         assert!(store.reads() - before <= 1);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn shared_cache_and_parallel_probes_decode_once() {
-        let (ix, _unused, path) = store("parprobe");
+        let (ix, _unused, image) = store();
         let cache: Arc<dyn BlockCache> = Arc::new(ShardedLruCache::new(CacheCapacity::Unbounded));
-        let store = DiskColumnStore::open_with_cache(&path, Arc::clone(&cache)).unwrap();
+        let store = open_image(&image, Arc::clone(&cache));
         let term = ix.term_by_str("shared").unwrap();
         let values: Vec<u32> = term.columns[2].runs.iter().map(|r| r.value).collect();
         std::thread::scope(|s| {
@@ -946,17 +931,16 @@ mod tests {
             store.reads(),
             dc.block_count()
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn bounded_cache_still_returns_exact_results() {
-        let (ix, _unused, path) = store("bounded");
+        let (ix, _unused, image) = store();
         for cache in [
             Arc::new(ShardedLruCache::with_block_capacity(1)) as Arc<dyn BlockCache>,
             Arc::new(ShardedLruCache::with_byte_capacity(1 << 14)) as Arc<dyn BlockCache>,
         ] {
-            let store = DiskColumnStore::open_with_cache(&path, cache).unwrap();
+            let store = open_image(&image, cache);
             for (_, term) in ix.terms() {
                 for (li, col) in term.columns.iter().enumerate() {
                     let dc = store.column(&term.term, (li + 1) as u16).unwrap();
@@ -969,7 +953,6 @@ mod tests {
             let stats = store.cache_stats();
             assert!(stats.evictions > 0, "tiny cache must evict: {stats:?}");
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -977,7 +960,7 @@ mod tests {
         // Regression for the PR-4 satellite bugfix: the double-checked
         // lookup under the file lock used to record a *second* miss per
         // decode, so a serial cold scan reported misses == 2 * decodes.
-        let (_ix, store, path) = store("misscount");
+        let (_ix, store, _image) = store();
         let dc = store.column("shared", 3).unwrap();
         dc.scan().unwrap();
         let io = store.io_stats();
@@ -990,16 +973,14 @@ mod tests {
         assert_eq!(io2.decodes, io.decodes, "warm scan decodes nothing");
         assert!(io2.hits > 0);
         assert_eq!(io2.since(&io).misses, 0);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn per_store_attribution_with_shared_cache() {
         // Two stores over the same file sharing one cache: the shared
         // CacheStats conflates them (salted keys), io_stats() does not.
-        let (_ix, first, path) = store("attrib");
-        let second =
-            DiskColumnStore::open_with_cache(&path, first.shared_cache()).unwrap();
+        let (_ix, first, image) = store();
+        let second = open_image(&image, first.shared_cache());
         first.column("shared", 3).unwrap().scan().unwrap();
         second.column("shared", 3).unwrap().scan().unwrap();
         let a = first.io_stats();
@@ -1012,32 +993,27 @@ mod tests {
         a.publish(&reg);
         b.publish(&reg);
         assert_eq!(reg.snapshot().get("store.decodes"), a.decodes + b.decodes);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn shared_file_image_backs_many_stores() {
         // Zero-copy open: two stores over one Arc'd file image, no
         // per-store copy of the payload, identical results.
-        let (ix, _unused, path) = store("sharedbytes");
-        let image: Arc<[u8]> = std::fs::read(&path).unwrap().into();
+        let (ix, _unused, image) = store();
         let cache: Arc<dyn BlockCache> = Arc::new(ShardedLruCache::unbounded());
-        let a = DiskColumnStore::open_bytes(ColumnBytes::from(image.clone()), Arc::clone(&cache))
-            .unwrap();
-        let b = DiskColumnStore::open_bytes(ColumnBytes::from(image), cache).unwrap();
+        let a = open_image(&image, Arc::clone(&cache));
+        let b = open_image(&image, cache);
         let col = &ix.term_by_str("shared").unwrap().columns[2];
         assert_eq!(a.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_eq!(b.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_ne!(a.store_id(), b.store_id(), "cache keys stay disjoint");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn missing_term_or_level() {
-        let (_ix, store, path) = store("missing");
+        let (_ix, store, _image) = store();
         assert!(store.column("zzz_nope", 1).is_none());
         assert!(store.column("shared", 99).is_none());
         assert_eq!(store.levels_of("zzz_nope"), 0);
-        std::fs::remove_file(path).ok();
     }
 }

@@ -234,7 +234,7 @@ mod tests {
         // uses.  If `column_record_bytes` ever drifts from the writer,
         // this stops matching the real file.
         use crate::disk::{
-            persisted_file_bytes, write_index, FormatVersion, WriteIndexOptions, MAGIC_V2,
+            persisted_file_bytes, write_index_to, FormatVersion, WriteIndexOptions, MAGIC_V2,
         };
         let ix = small_index();
         let opts =
@@ -253,12 +253,10 @@ mod tests {
             }
         }
         assert_eq!(model, persisted_file_bytes(&ix, opts));
-        let path = std::env::temp_dir()
-            .join(format!("xtk_sizes_exact_{}.bin", std::process::id()));
-        let written = write_index(&ix, &path, opts).unwrap();
+        let mut image = Vec::new();
+        let written = write_index_to(&ix, &mut image, opts).unwrap();
         assert_eq!(model, written);
-        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        std::fs::remove_file(&path).ok();
+        assert_eq!(written, image.len() as u64);
     }
 
     #[test]
@@ -269,7 +267,7 @@ mod tests {
         // `encode_column_packed` must rebuild the real v3 file size.
         use crate::codec::encode_column_packed;
         use crate::disk::{
-            persisted_file_bytes, write_index, FormatVersion, WriteIndexOptions, MAGIC_V3,
+            persisted_file_bytes, write_index_to, FormatVersion, WriteIndexOptions, MAGIC_V3,
         };
         let ix = small_index();
         let opts =
@@ -288,12 +286,10 @@ mod tests {
             }
         }
         assert_eq!(model, persisted_file_bytes(&ix, opts));
-        let path = std::env::temp_dir()
-            .join(format!("xtk_sizes_exact_v3_{}.bin", std::process::id()));
-        let written = write_index(&ix, &path, opts).unwrap();
+        let mut image = Vec::new();
+        let written = write_index_to(&ix, &mut image, opts).unwrap();
         assert_eq!(model, written);
-        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        std::fs::remove_file(&path).ok();
+        assert_eq!(written, image.len() as u64);
     }
 
     #[test]

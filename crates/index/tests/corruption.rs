@@ -4,6 +4,9 @@
 //! successful parse.  Never a panic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use xtk_index::cache::ShardedLruCache;
+use xtk_index::codec::{try_read_varint, write_varint};
 use xtk_index::disk::{read_index, write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
@@ -136,5 +139,50 @@ fn empty_and_garbage_files_rejected() {
         assert!(read_index(&path).is_err());
         assert!(DiskColumnStore::open(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn depth_beyond_u16_is_rejected_by_both_readers() {
+    // `read_index` and `DiskColumnStore::open_bytes` walk the same
+    // directory and must agree on what a valid file is.  A posting depth
+    // of 65 536 + d used to be `Err` from the first and — truncated to
+    // `d` by an `as u16` — a store that opened and scanned from the
+    // second.  The format is sequential with payload-relative block
+    // offsets, so the longer varint shifts nothing that is addressed:
+    // the depth is the only thing wrong with the image.
+    let both = |image: &[u8]| {
+        let path = write_temp(image, "depth");
+        let read = read_index(&path).map(|_| ());
+        std::fs::remove_file(&path).ok();
+        let cache = Arc::new(ShardedLruCache::unbounded());
+        let opened = DiskColumnStore::open_bytes(image.to_vec().into(), cache).map(|_| ());
+        [read, opened]
+    };
+    for format in FORMATS {
+        let bytes = valid_index_bytes(format);
+        // magic, term count, score flag, the first term's text, its
+        // posting count — the next varint is its first posting's depth.
+        let mut pos = 0;
+        try_read_varint(&bytes, &mut pos).unwrap();
+        try_read_varint(&bytes, &mut pos).unwrap();
+        pos += 1;
+        pos += try_read_varint(&bytes, &mut pos).unwrap() as usize;
+        assert!(try_read_varint(&bytes, &mut pos).unwrap() > 0, "first term has postings");
+        let at = pos;
+        let depth = try_read_varint(&bytes, &mut pos).unwrap();
+        assert!((1..=u32::from(u16::MAX)).contains(&depth), "walked to a depth: {depth}");
+
+        let mut image = bytes[..at].to_vec();
+        write_varint(depth + 65_536, &mut image);
+        image.extend_from_slice(&bytes[pos..]);
+
+        for (reader, outcome) in ["read_index", "open_bytes"].iter().zip(both(&bytes)) {
+            assert!(outcome.is_ok(), "{format:?}: {reader} rejects the pristine image");
+        }
+        for (reader, outcome) in ["read_index", "open_bytes"].iter().zip(both(&image)) {
+            let err = outcome.expect_err(&format!("{format:?}: {reader} accepted depth 65 536 + {depth}"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{reader}: {err}");
+        }
     }
 }

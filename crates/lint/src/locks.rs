@@ -1,7 +1,7 @@
 //! L7 — lock-order analysis.
 //!
-//! Harvests every `Mutex`/`RwLock` acquisition site (the `BlockCache`
-//! shards, the `ResultCache`, pool queues), builds the *lock-order
+//! Harvests every `Mutex`/`RwLock`/`Sharded` acquisition site (the block,
+//! plan and result caches, pool queues), builds the *lock-order
 //! graph* — an edge `A → B` whenever `B` is acquired (directly or via a
 //! call) while a guard for `A` is still live — and hard-fails on:
 //!
@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One lock-order edge with provenance.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LockEdge {
-    /// Lock held (inner-type identity, e.g. `Shard`, `CacheInner`).
+    /// Lock held (inner-type identity, e.g. `Shard`, `Lru`).
     pub held: String,
     /// Lock acquired while `held` is live.
     pub acquired: String,

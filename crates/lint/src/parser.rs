@@ -363,9 +363,16 @@ fn owner_regions(pf: &ParsedFile) -> Vec<OwnerRegion> {
     out
 }
 
+/// Type names whose `<Inner>` argument is a lock identity: the std locks
+/// and `xtk_index::cache::Sharded`, the mutex-shard set every cache locks
+/// through (`.lock(hash)` for one shard, `.lock_all()` for each in turn).
+fn is_lock_type(t: &str) -> bool {
+    matches!(t, "Mutex" | "RwLock" | "Sharded")
+}
+
 /// Harvests `name: Type` declarations file-wide: the lock table (types
-/// containing `Mutex<…>`/`RwLock<…>`) and the broader field-type map used
-/// for receiver resolution.
+/// containing `Mutex<…>`/`RwLock<…>`/`Sharded<…>`) and the broader
+/// field-type map used for receiver resolution.
 fn collect_decls(pf: &mut ParsedFile) {
     let n = pf.lx.tokens.len();
     let mut lock_decls = BTreeMap::new();
@@ -395,7 +402,7 @@ fn collect_decls(pf: &mut ParsedFile) {
                         // A lock type in *type position* is `Mutex<Inner>` —
                         // the `<` right after distinguishes it from the
                         // constructor call `Mutex::new(…)`.
-                        if matches!(t, "Mutex" | "RwLock")
+                        if is_lock_type(t)
                             && pf.kind(j + 1) == Some(TokKind::Punct(b'<'))
                         {
                             if let Some(inner) = pf.ident(j + 2) {
@@ -759,9 +766,10 @@ fn scan_token(
                     return;
                 }
                 let recv = pf.ident(i.saturating_sub(2)).map(str::to_string);
-                // A lock acquisition: `.lock()` / `.read()` / `.write()`
-                // on a receiver whose declared type is a lock.
-                if matches!(t, "lock" | "read" | "write") {
+                // A lock acquisition: `.lock()` / `.lock_all()` /
+                // `.read()` / `.write()` on a receiver whose declared
+                // type is a lock.
+                if matches!(t, "lock" | "lock_all" | "read" | "write") {
                     if let Some(inner) = recv.as_deref().and_then(|r| lock_inner(pf, f, ctx, r)) {
                         let end = held_region_end(pf, i, body_close);
                         out.push(Event::Acquire { lock: inner, line, pos: i, end });
@@ -843,7 +851,7 @@ fn scan_token(
 /// type via the fn's own bindings, then the workspace lock table.
 fn lock_inner(pf: &ParsedFile, f: &FnDef, ctx: &EventCtx, recv: &str) -> Option<String> {
     if let Some(tys) = f.locals.get(recv) {
-        if let Some(p) = tys.iter().position(|t| t == "Mutex" || t == "RwLock") {
+        if let Some(p) = tys.iter().position(|t| is_lock_type(t)) {
             // Same identity normalization as `collect_decls`: skip bare
             // type parameters, name std-container inners after the binding.
             return match tys.get(p + 1) {
@@ -890,7 +898,7 @@ fn guard_call_inner(
                     .get(arg)
                     .and_then(|tys| {
                         tys.iter()
-                            .position(|t| t == "Mutex" || t == "RwLock")
+                            .position(|t| is_lock_type(t))
                             .and_then(|p| tys.get(p + 1))
                             .filter(|inner| inner.chars().count() > 1)
                             .map(|inner| {
@@ -1088,6 +1096,7 @@ mod tests {
             pub struct Cache {
                 shards: Vec<Mutex<Shard>>,
                 inner: Mutex<CacheInner>,
+                memo: Sharded<Lru<u64, Entry>>,
             }
             fn lock_shard<'a>(m: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
                 m.lock().unwrap_or_else(|p| p.into_inner())
@@ -1102,11 +1111,16 @@ mod tests {
                     lock_shard(self.pick(0)).len();
                     0
                 }
+                fn sharded(&self, fp: u64) -> usize {
+                    let one = self.memo.lock(fp).len();
+                    one + self.memo.lock_all().map(|shard| shard.len()).sum()
+                }
             }
         "#;
         let pf = parse_s("crates/index/src/cache.rs", src);
         assert_eq!(pf.lock_decls.get("shards"), Some(&"Shard".to_string()));
         assert_eq!(pf.lock_decls.get("inner"), Some(&"CacheInner".to_string()));
+        assert_eq!(pf.lock_decls.get("memo"), Some(&"Lru".to_string()));
         let mut guard_fns = BTreeMap::new();
         guard_fns.insert("lock_shard".to_string(), "Shard".to_string());
         let ctx = EventCtx { lock_decls: &pf.lock_decls.clone(), guard_fns: &guard_fns, hot: false };
@@ -1138,6 +1152,14 @@ mod tests {
         let qclose = pf.fns.get(qi).and_then(|f| f.body).map(|(_, c)| c).unwrap_or(0);
         assert!(end < qclose, "temporary guard ends at its statement");
         assert!(pos < end);
+        // The shard set: `.lock(hash)` and `.lock_all()` both acquire the
+        // identity declared inside `Sharded<…>`.
+        let si = pf.fns.iter().position(|f| f.name == "sharded").expect("sharded");
+        let acquired = events(&pf, si, &ctx)
+            .iter()
+            .filter(|e| matches!(e, Event::Acquire { lock, .. } if lock == "Lru"))
+            .count();
+        assert_eq!(acquired, 2);
     }
 
     #[test]

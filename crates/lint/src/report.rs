@@ -273,8 +273,8 @@ pub fn explain(code: &str) -> Option<&'static str> {
         }
         "L7" => {
             "L7 — lock-order cycles and locks held across the pool (hard fail)\n\n\
-             xtk-lint harvests every Mutex/RwLock acquisition (BlockCache shards,\n\
-             ResultCache, guard-returning helpers), tracks how long each guard\n\
+             xtk-lint harvests every Mutex/RwLock/Sharded acquisition (the block,\n\
+             plan and result caches, guard-returning helpers), tracks how long each guard\n\
              lives, and builds the lock-order graph: held A, then acquired B\n\
              (directly or through any call) adds the edge A → B.  Any cycle —\n\
              including re-acquiring a lock already held, which deadlocks std's\n\
