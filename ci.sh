@@ -34,8 +34,8 @@ echo "== temp-path hygiene: bare temp_dir() sites outside xtk_xml::testutil"
 # may only fall (ROADMAP item 0b finishes it).
 temp_dir_sites=$(grep -rn "temp_dir()" --include='*.rs' crates src examples tests \
     | grep -vc "^crates/xml/src/testutil.rs")
-[ "$temp_dir_sites" -le 17 ] || {
-    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 17 —" >&2
+[ "$temp_dir_sites" -le 8 ] || {
+    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 8 —" >&2
     echo "       use xtk_xml::testutil::TempPath" >&2; exit 1; }
 
 echo "== one LRU: one recency order, one poison-recovering lock helper"
@@ -49,6 +49,24 @@ for pattern in 'BTreeMap<u64,' 'into_inner()'; do
         echo "ERROR: $sites sites of '$pattern' under crates/index/src + crates/core/src, expected 1:" >&2
         grep -rnF "$pattern" --include='*.rs' crates/index/src crates/core/src >&2
         exit 1; }
+done
+
+echo "== one block directory: one parse, no format without row counts"
+# What a directory entry is and which files are valid is decided by
+# disk::parse_directory alone — the store's open and the eager read_index
+# both go through it — and format v1 (entries without row count and last
+# value) is gone with the structures that mirrored its directory.  A
+# second "block offset" read means a second parser; any of the three
+# names means a v1 path or the SparseIndex clone came back.
+sites=$(grep -rnF '"block offset"' --include='*.rs' crates/index/src crates/core/src | wc -l)
+[ "$sites" -eq 1 ] || {
+    echo "ERROR: $sites parse sites of \"block offset\" under crates/index/src + crates/core/src, expected 1:" >&2
+    grep -rnF '"block offset"' --include='*.rs' crates/index/src crates/core/src >&2
+    exit 1; }
+for name in MAGIC_V1 has_footers SparseIndex; do
+    if grep -rnw "$name" --include='*.rs' crates/index/src crates/core/src >&2; then
+        echo "ERROR: $name is back under crates/index/src + crates/core/src" >&2; exit 1
+    fi
 done
 
 echo "== lint-report.json: schema + L7 acyclicity check"
@@ -91,9 +109,9 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "== bench smoke: query-path I/O trajectory vs committed baseline"
 # Deterministic cold-decode counts (seeded corpus, serial execution):
 # fails on a >20 % regression against BENCH_query.json, and the run
-# itself asserts result-set equality across cache capacities and the
-# >=30 % v1->v2 decode reduction.  Refresh the baseline after an
-# intentional change with:  query_io --check BENCH_query.json --update
+# itself asserts result-set equality across cache capacities.  Refresh
+# the baseline after an intentional change with:
+#   query_io --check BENCH_query.json --update
 cargo run -q --offline --release -p xtk-bench --bin query_io -- --check BENCH_query.json
 
 echo "== bench smoke: EXPLAIN plans vs committed golden (exact match)"

@@ -25,8 +25,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use xtk_bench::{
-    band_term, equal_queries, extract_u64, high_term, point_queries, Fingerprint, Scale,
-    TERMS_PER_BAND,
+    band_term, cold_store, equal_queries, extract_u64, high_term, point_queries, store_image,
+    Fingerprint, Scale, TERMS_PER_BAND,
 };
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::{join_search, JoinOptions};
@@ -38,8 +38,7 @@ use xtk_index::codec::{
     DecodeScratch, Scheme,
 };
 use xtk_index::columnar::{Column, Run};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
-use xtk_index::diskcol::DiskColumnStore;
+use xtk_index::disk::{FormatVersion, WriteIndexOptions};
 use xtk_index::XmlIndex;
 
 /// Rows decoded per (workload, layout) timing leg; iterations repeat the
@@ -209,7 +208,7 @@ fn main() {
             w.name,
             scheme,
             present.len(),
-            v3.block_offsets.len(),
+            v3.block_count(),
             v2.bytes.len(),
             v3.bytes.len(),
         );
@@ -243,15 +242,13 @@ fn main() {
     }
     json.push_str("  \"store\": {");
     let _ = write!(json, "\"queries\": {}, ", queries.len());
-    let dir = std::env::temp_dir();
     for (fi, (tag, format)) in
         [("v2", FormatVersion::V2), ("v3", FormatVersion::V3)].into_iter().enumerate()
     {
-        let path = dir.join(format!("xtk_decode_bench_{tag}_{}.bin", std::process::id()));
-        write_index(&ix, &path, WriteIndexOptions { include_scores: true, format })
+        let image = store_image(&ix, WriteIndexOptions { include_scores: true, format })
             .expect("write index");
-        let file_bytes = std::fs::metadata(&path).expect("stat index").len();
-        let store = DiskColumnStore::open(&path).expect("open store");
+        let file_bytes = image.len() as u64;
+        let store = cold_store(&image).expect("open store");
         let mut fp = Fingerprint::new();
         let t = Instant::now();
         for q in &queries {
@@ -278,7 +275,6 @@ fn main() {
         );
         check_lines.push((format!("chk_cold_decodes_{tag}"), cold_decodes));
         check_lines.push((format!("chk_file_bytes_{tag}"), file_bytes));
-        std::fs::remove_file(&path).ok();
     }
     let _ = writeln!(json, ", \"fingerprint\": \"{:016x}\"}},", mem_fp.0);
 

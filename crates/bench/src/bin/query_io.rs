@@ -13,9 +13,8 @@
 //!
 //! The run itself is also a correctness smoke test: the result
 //! fingerprint must be identical across every cache capacity
-//! (1 block / default / unbounded) and must match the in-memory engine,
-//! and the v2 footer directory must cut cold decodes by ≥ 30 % against a
-//! v1 file on the index-join-heavy workloads.  Decode counts are exact
+//! (1 block / default / unbounded) and must match the in-memory engine.
+//! Decode counts are exact
 //! and deterministic (seeded corpus, serial execution), which is what
 //! makes the baseline check meaningful; wall times are recorded for the
 //! trajectory but never compared.
@@ -24,8 +23,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xtk_bench::{
-    correlated_groups, equal_queries, extract_u64, gate_corpus, high_term, point_queries,
-    Fingerprint, Scale,
+    cold_store, correlated_groups, equal_queries, extract_u64, gate_corpus, high_term,
+    point_queries, store_image, Fingerprint, Scale,
 };
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::{join_search, JoinOptions};
@@ -34,7 +33,7 @@ use xtk_core::query::Query;
 use xtk_core::request::{DiskEngine, Executor, QueryRequest};
 use xtk_core::Semantics;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -42,7 +41,7 @@ struct Workload {
     name: &'static str,
     queries: Vec<Vec<String>>,
     /// Index-join heavy: probes a long list through a tiny intermediate —
-    /// the workloads the footer ablation measures.
+    /// the workloads the rewrite-rule pruning section reuses.
     index_heavy: bool,
 }
 
@@ -147,21 +146,9 @@ fn main() {
 
     eprintln!("query_io: building the DBLP benchmark corpus…");
     let ix = gate_corpus(50_000, 200, 10, 30, 10_000);
-    let dir = std::env::temp_dir();
-    let p_v2 = dir.join(format!("xtk_query_io_v2_{}.bin", std::process::id()));
-    let p_v1 = dir.join(format!("xtk_query_io_v1_{}.bin", std::process::id()));
-    write_index(
-        &ix,
-        &p_v2,
-        WriteIndexOptions { include_scores: true, format: FormatVersion::V2 },
-    )
-    .expect("write v2 index");
-    write_index(
-        &ix,
-        &p_v1,
-        WriteIndexOptions { include_scores: true, format: FormatVersion::V1 },
-    )
-    .expect("write v1 index");
+    let image =
+        store_image(&ix, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
+            .expect("write v2 index");
 
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     type CacheCtor = fn() -> Arc<dyn BlockCache>;
@@ -175,8 +162,6 @@ fn main() {
 
     let mut json = String::from("{\n  \"schema\": 1,\n  \"corpus\": \"dblp-bench\",\n");
     let mut check_lines: Vec<(String, u64)> = Vec::new();
-    let mut v1_total = 0u64;
-    let mut v2_total = 0u64;
     json.push_str("  \"workloads\": [\n");
 
     let all = workloads(Scale::Small);
@@ -203,7 +188,7 @@ fn main() {
         let mut unbounded_cold = 0u64;
         for (cname, mk_cache) in &configs {
             let store =
-                DiskColumnStore::open_with_cache(&p_v2, mk_cache()).expect("open v2 store");
+                DiskColumnStore::open_bytes(image.clone(), mk_cache()).expect("open v2 store");
             let (run, fp, results) = run_config(&ix, &store, &queries, &opts);
             assert_eq!(
                 fp.0, mem_fp.0,
@@ -241,47 +226,10 @@ fn main() {
         }
         json.push('}');
 
-        // v1 ablation on the index-heavy workloads: every query runs
-        // against a *fresh* (empty) cache in both formats, measuring the
-        // per-query cold probe cost the footer directory exists to cut —
-        // v1 recovers a probe's row prefix by decoding every preceding
-        // block of the column, v2 reads it from the directory.
-        if w.index_heavy {
-            let mut v1_cold = 0u64;
-            let mut v2_cold = 0u64;
-            for q in &queries {
-                for (path, sink) in [(&p_v1, &mut v1_cold), (&p_v2, &mut v2_cold)] {
-                    let store = DiskColumnStore::open(path).expect("open store");
-                    let (_, _, d) =
-                        join_search_disk(&ix, &store, q, &opts).expect("disk search");
-                    *sink += d;
-                }
-            }
-            let _ = write!(
-                json,
-                ", \"v1_cold_decodes\": {v1_cold}, \"v2_cold_decodes\": {v2_cold}"
-            );
-            v1_total += v1_cold;
-            v2_total += v2_cold;
-        }
         check_lines.push((format!("chk_{}", w.name), unbounded_cold));
         json.push_str(if wi + 1 == all.len() { "}\n" } else { "},\n" });
     }
     json.push_str("  ],\n");
-
-    assert!(v1_total > 0, "ablation must decode blocks");
-    let reduction = 100.0 * (1.0 - v2_total as f64 / v1_total as f64);
-    eprintln!(
-        "query_io: index-join cold decodes v1 {v1_total} → v2 {v2_total} ({reduction:.1}% fewer)"
-    );
-    assert!(
-        (v2_total as f64) <= 0.7 * v1_total as f64,
-        "v2 footers must cut index-join cold decodes by ≥30%: v1 {v1_total}, v2 {v2_total}"
-    );
-    let _ = writeln!(
-        json,
-        "  \"ablation\": {{\"v1_cold_decodes\": {v1_total}, \"v2_cold_decodes\": {v2_total}, \"reduction_pct\": {reduction:.1}}},"
-    );
 
     // Rewrite-rule pruning effectiveness, through the request/plan path,
     // per rule tier on a fresh (empty) cache each query.  `rules=none`
@@ -310,7 +258,7 @@ fn main() {
     for words in &pruning_queries {
         let q = Query::from_words(&ix, words).expect("pruning term resolves");
         for (i, rules) in tiers.iter().enumerate() {
-            let store = DiskColumnStore::open(&p_v2).expect("open v2 store");
+            let store = cold_store(&image).expect("open v2 store");
             let disk = DiskEngine::new(&ix, &store);
             let resp = disk.execute(&q, &req.with_rules(*rules)).expect("disk execute");
             for r in &resp.results {
@@ -357,9 +305,6 @@ fn main() {
         json.push_str(if i + 1 == check_lines.len() { "\n" } else { ",\n" });
     }
     json.push_str("  }\n}\n");
-
-    std::fs::remove_file(&p_v1).ok();
-    std::fs::remove_file(&p_v2).ok();
 
     if let Some(baseline_path) = &check {
         let baseline = std::fs::read_to_string(baseline_path)

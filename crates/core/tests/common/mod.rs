@@ -2,16 +2,27 @@
 //! `engine_agreement` (serial engines against naive references) and
 //! `parallel_differential` (parallel execution against serial) generate
 //! their random trees, keyword placements, and queries through these
-//! helpers so both exercise the same input distribution.
+//! helpers so both exercise the same input distribution; the disk suites
+//! share the in-memory store image.
 //!
 //! Each test binary compiles its own copy and uses a different subset.
 #![allow(dead_code)]
 
 use xtk_core::query::Query;
 use xtk_core::result::{sort_ranked, ScoredResult};
+use xtk_index::bytes::ColumnBytes;
+use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
 use xtk_index::XmlIndex;
 use xtk_xml::testutil::Gen;
 use xtk_xml::tree::{NodeId, XmlTree};
+
+/// The scored file `write_index` would produce for `ix`, in memory and
+/// shareable between stores: the disk tests touch no filesystem.
+pub fn store_image(ix: &XmlIndex, format: FormatVersion) -> ColumnBytes {
+    let mut bytes = Vec::new();
+    write_index_to(ix, &mut bytes, WriteIndexOptions { include_scores: true, format }).unwrap();
+    ColumnBytes::from(std::sync::Arc::<[u8]>::from(bytes))
+}
 
 /// Random tree + random keyword placements, built in pre-order.
 pub fn build_corpus(shape: &[usize], placements: &[(usize, usize)], k: usize) -> XmlIndex {

@@ -1,19 +1,24 @@
 //! Differential tests for the disk executor: the answer to a query must
 //! not depend on the cache capacity, the worker count, or the file format
-//! version.  Results are compared **bit-identically** (nodes, levels,
+//! version.  The stores read in-memory file images; nothing touches the
+//! filesystem.  Results are compared **bit-identically** (nodes, levels,
 //! `f32` score bits, join stats) against a serial run over an unbounded
 //! cache, and the decode counters are pinned where the design makes them
 //! deterministic (unbounded cache: every block decoded at most once, by
 //! whichever worker gets there first).
 
+mod common;
+
+use common::store_image as image;
 use std::sync::Arc;
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::JoinOptions;
 use xtk_core::pool::Parallelism;
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::ScoredResult;
+use xtk_index::bytes::ColumnBytes;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::FormatVersion;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -35,11 +40,8 @@ fn corpus(n: usize) -> String {
     xml
 }
 
-fn write_tmp(ix: &XmlIndex, tag: &str, format: FormatVersion) -> std::path::PathBuf {
-    let path = std::env::temp_dir()
-        .join(format!("xtk_diskdiff_{tag}_{}.bin", std::process::id()));
-    write_index(ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
-    path
+fn open(image: &ColumnBytes, cache: Arc<dyn BlockCache>) -> DiskColumnStore {
+    DiskColumnStore::open_bytes(image.clone(), cache).unwrap()
 }
 
 fn assert_bit_identical(base: &[ScoredResult], got: &[ScoredResult], what: &str) {
@@ -55,7 +57,7 @@ fn assert_bit_identical(base: &[ScoredResult], got: &[ScoredResult], what: &str)
 fn results_invariant_under_cache_capacity_and_parallelism() {
     let xml = corpus(900);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let path = write_tmp(&ix, "cap", FormatVersion::V2);
+    let image = image(&ix, FormatVersion::V2);
     let queries = [
         vec!["common", "rare17"],
         vec!["common", "topic3"],
@@ -75,9 +77,7 @@ fn results_invariant_under_cache_capacity_and_parallelism() {
         let q = Query::from_words(&ix, words).unwrap();
         for semantics in [Semantics::Elca, Semantics::Slca] {
             // Baseline: serial over an unbounded cache, cold.
-            let base_store =
-                DiskColumnStore::open_with_cache(&path, Arc::new(ShardedLruCache::unbounded()))
-                    .unwrap();
+            let base_store = open(&image, Arc::new(ShardedLruCache::unbounded()));
             let base_opts =
                 JoinOptions { semantics, with_scores: true, ..Default::default() };
             let (base, base_stats, base_reads) =
@@ -86,7 +86,7 @@ fn results_invariant_under_cache_capacity_and_parallelism() {
 
             for (name, mk_cache) in &caches {
                 for par in [Parallelism::Serial, PARS[0], PARS[1], PARS[2]] {
-                    let store = DiskColumnStore::open_with_cache(&path, mk_cache()).unwrap();
+                    let store = open(&image, mk_cache());
                     let opts = JoinOptions { parallelism: par, ..base_opts };
                     let (got, stats, reads) =
                         join_search_disk(&ix, &store, &q, &opts).unwrap();
@@ -104,7 +104,6 @@ fn results_invariant_under_cache_capacity_and_parallelism() {
             }
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -113,12 +112,8 @@ fn capacity_one_still_terminates_and_repeats_deterministically() {
     // on one store must still agree with each other bit for bit.
     let xml = corpus(400);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let path = write_tmp(&ix, "cap1", FormatVersion::V2);
-    let store = DiskColumnStore::open_with_cache(
-        &path,
-        Arc::new(ShardedLruCache::with_block_capacity(1)),
-    )
-    .unwrap();
+    let store =
+        open(&image(&ix, FormatVersion::V2), Arc::new(ShardedLruCache::with_block_capacity(1)));
     let q = Query::from_words(&ix, &["common", "rare17"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let (a, sa, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
@@ -126,7 +121,6 @@ fn capacity_one_still_terminates_and_repeats_deterministically() {
     assert_bit_identical(&a, &b, "repeat on capacity-1 cache");
     assert_eq!(sa, sb);
     assert!(store.cache_stats().evictions > 0, "capacity 1 must evict");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -137,8 +131,7 @@ fn v3_packed_lanes_bit_identical_to_v2_across_caches_and_parallelism() {
     // every cache shape and worker count.
     let xml = corpus(900);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let p2 = write_tmp(&ix, "lanes_v2", FormatVersion::V2);
-    let p3 = write_tmp(&ix, "lanes_v3", FormatVersion::V3);
+    let (v2, v3) = (image(&ix, FormatVersion::V2), image(&ix, FormatVersion::V3));
     let queries = [
         vec!["common", "rare17"],
         vec!["common", "topic3"],
@@ -156,24 +149,20 @@ fn v3_packed_lanes_bit_identical_to_v2_across_caches_and_parallelism() {
         for semantics in [Semantics::Elca, Semantics::Slca] {
             let opts = JoinOptions { semantics, with_scores: true, ..Default::default() };
             // Baseline: serial v2 over an unbounded cache, cold.
-            let base_store =
-                DiskColumnStore::open_with_cache(&p2, Arc::new(ShardedLruCache::unbounded()))
-                    .unwrap();
+            let base_store = open(&v2, Arc::new(ShardedLruCache::unbounded()));
             let (base, base_stats, base_reads) =
                 join_search_disk(&ix, &base_store, &q, &opts).unwrap();
             assert!(base_reads > 0, "cold v2 baseline must decode blocks");
             // v3 reference for the decode-count pin: block cuts differ
             // between the layouts (packed lanes fill blocks differently),
             // so the count is pinned against a serial v3 run, not v2.
-            let v3_store =
-                DiskColumnStore::open_with_cache(&p3, Arc::new(ShardedLruCache::unbounded()))
-                    .unwrap();
+            let v3_store = open(&v3, Arc::new(ShardedLruCache::unbounded()));
             let (_, _, v3_reads) = join_search_disk(&ix, &v3_store, &q, &opts).unwrap();
             assert!(v3_reads > 0, "cold v3 baseline must decode blocks");
 
             for (name, mk_cache) in &caches {
                 for par in [Parallelism::Serial, PARS[0], PARS[2]] {
-                    let store = DiskColumnStore::open_with_cache(&p3, mk_cache()).unwrap();
+                    let store = open(&v3, mk_cache());
                     let run_opts = JoinOptions { parallelism: par, ..opts };
                     let (got, stats, reads) =
                         join_search_disk(&ix, &store, &q, &run_opts).unwrap();
@@ -190,48 +179,4 @@ fn v3_packed_lanes_bit_identical_to_v2_across_caches_and_parallelism() {
             }
         }
     }
-    std::fs::remove_file(&p2).ok();
-    std::fs::remove_file(&p3).ok();
-}
-
-#[test]
-fn v2_footers_cut_cold_decodes_versus_v1() {
-    // Same corpus, same queries, both formats: identical answers, and the
-    // v2 row-prefix directory must decode strictly fewer blocks cold.
-    // The probing keyword lives only in the last few documents, so every
-    // index-join probe lands in the *final* blocks of the long list —
-    // v1 pays for decoding blocks `0..b` to recover the row prefix, v2
-    // reads it straight from the directory.
-    let mut xml = String::from("<r>");
-    let n = 6000;
-    for i in 0..n {
-        if i >= n - 5 {
-            xml.push_str(&format!("<conf><p><t>common tail</t></p><p>x{i}</p></conf>"));
-        } else {
-            xml.push_str(&format!(
-                "<conf><p><t>common topic{}</t></p><p>rare{}</p></conf>",
-                i % 7,
-                i % 91
-            ));
-        }
-    }
-    xml.push_str("</r>");
-    let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let p1 = write_tmp(&ix, "v1", FormatVersion::V1);
-    let p2 = write_tmp(&ix, "v2", FormatVersion::V2);
-    let s1 = DiskColumnStore::open(&p1).unwrap();
-    let s2 = DiskColumnStore::open(&p2).unwrap();
-    let q = Query::from_words(&ix, &["common", "tail"]).unwrap();
-    let opts = JoinOptions { with_scores: true, ..Default::default() };
-    let (r1, st1, reads1) = join_search_disk(&ix, &s1, &q, &opts).unwrap();
-    let (r2, st2, reads2) = join_search_disk(&ix, &s2, &q, &opts).unwrap();
-    assert_bit_identical(&r1, &r2, "v1 vs v2");
-    assert_eq!(st1, st2);
-    assert!(!r1.is_empty(), "tail query must produce results");
-    assert!(
-        reads2 < reads1,
-        "v2 must decode fewer blocks cold: v1 {reads1} vs v2 {reads2}"
-    );
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
 }

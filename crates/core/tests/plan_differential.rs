@@ -5,14 +5,18 @@
 //! What the rules *are* allowed to change is I/O: the pruning rules must
 //! strictly reduce decoded blocks on disk for mixed-depth workloads.
 
+mod common;
+
+use common::store_image as image;
 use std::sync::Arc;
 use xtk_core::plan::RuleSet;
 use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::FormatVersion;
 use xtk_index::diskcol::DiskColumnStore;
+use xtk_xml::testutil::TempPath;
 
 /// Mixed-depth corpus: conference names live at level 3, titles and
 /// authors at level 5 — so `l0` for a mixed query sits well below the
@@ -97,20 +101,10 @@ fn every_rule_is_result_preserving_on_disk() {
         ("unbounded", || Arc::new(ShardedLruCache::unbounded())),
     ];
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let path = std::env::temp_dir().join(format!(
-            "xtk_plan_diff_{:?}_{}.bin",
-            format,
-            std::process::id()
-        ));
-        write_index(
-            e.index(),
-            &path,
-            WriteIndexOptions { include_scores: true, format },
-        )
-        .unwrap();
+        let image = image(e.index(), format);
         for (cname, mk_cache) in caches {
             for par in [Parallelism::Serial, Parallelism::Auto] {
-                let store = DiskColumnStore::open_with_cache(&path, mk_cache()).unwrap();
+                let store = DiskColumnStore::open_bytes(image.clone(), mk_cache()).unwrap();
                 let disk = DiskEngine::new(e.index(), &store).with_parallelism(par);
                 for q_text in ["series xml", "top join"] {
                     let q = e.query(q_text).unwrap();
@@ -136,7 +130,6 @@ fn every_rule_is_result_preserving_on_disk() {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -144,11 +137,7 @@ fn every_rule_is_result_preserving_on_disk() {
 fn every_rule_is_result_preserving_sharded() {
     let e = Engine::from_xml(&corpus()).unwrap();
     for shards in [1usize, 3] {
-        let dir = std::env::temp_dir().join(format!(
-            "xtk_plan_diff_shards{}_{}",
-            shards,
-            std::process::id()
-        ));
+        let dir = TempPath::new("xtk_plan_diff_shards");
         write_sharded(e.index(), &dir, shards).unwrap();
         for (cname, cache) in [
             ("cap1", Arc::new(ShardedLruCache::with_block_capacity(1)) as Arc<dyn BlockCache>),
@@ -171,7 +160,6 @@ fn every_rule_is_result_preserving_sharded() {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -195,24 +183,15 @@ fn pruning_strictly_reduces_cold_decodes() {
     }
     xml.push_str("</dblp>");
     let e = Engine::from_xml(&xml).unwrap();
-    let path = std::env::temp_dir()
-        .join(format!("xtk_plan_decodes_{}.bin", std::process::id()));
-    write_index(
-        e.index(),
-        &path,
-        WriteIndexOptions { include_scores: true, format: FormatVersion::V3 },
-    )
-    .unwrap();
+    let image = image(e.index(), FormatVersion::V3);
     // The driver is the scarce clustered term; the frequent deep term is
     // the one pruned (levels above l0) and probed (footer block skipping).
     let q = e.query("xml anchor").unwrap();
     let req = QueryRequest::complete(Semantics::Elca);
     let decodes_of = |rules: RuleSet| {
-        let store = DiskColumnStore::open_with_cache(
-            &path,
-            Arc::new(ShardedLruCache::unbounded()),
-        )
-        .unwrap();
+        let store =
+            DiskColumnStore::open_bytes(image.clone(), Arc::new(ShardedLruCache::unbounded()))
+                .unwrap();
         let disk = DiskEngine::new(e.index(), &store);
         let resp = disk.execute(&q, &req.with_rules(rules)).unwrap();
         (resp.metrics.get("store.decodes"), bits(&resp.results))
@@ -230,5 +209,4 @@ fn pruning_strictly_reduces_cold_decodes() {
         pruned > probed,
         "pruned streams ({pruned}) must decode more than footer-skipping probes ({probed})"
     );
-    std::fs::remove_file(&path).ok();
 }

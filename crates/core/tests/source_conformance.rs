@@ -1,6 +1,6 @@
 //! The `ColumnSource` contract, checked against the in-memory columns as
 //! ground truth: over random corpora × every level × random ascending
-//! probe sets, for memory and disk v1, v2 and v3 × `block_skip` on/off ×
+//! probe sets, for memory and disk v2 and v3 × `block_skip` on/off ×
 //! a one-block and an unbounded cache, the whole-column feed hands over
 //! the column's runs bit for bit, and a cursor on a join step's feed or
 //! the driver's answers an ascending lookup sequence exactly as
@@ -14,25 +14,19 @@
 
 mod common;
 
+use common::store_image as image;
 use std::sync::Arc;
 use xtk_core::diskexec::{join_search_disk_spec, DiskJoinSpec, DiskSource};
 use xtk_core::joinbased::{algorithm1, join_search, ColumnSource, JoinOptions, MemSource};
 use xtk_core::shard::{shard_dir_name, write_sharded_with, ShardedEngine, STORE_FILE};
 use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
-use xtk_index::bytes::ColumnBytes;
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::columnar::{Column, Feed, Run, RunCursor};
-use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::XmlIndex;
 use xtk_obs::Obs;
 use xtk_xml::testutil::{prop_check, Gen, TempPath};
-
-fn image(ix: &XmlIndex, format: FormatVersion) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    write_index_to(ix, &mut bytes, WriteIndexOptions { include_scores: true, format }).unwrap();
-    bytes
-}
 
 fn cache(one_block: bool) -> Arc<dyn BlockCache> {
     if one_block {
@@ -129,8 +123,8 @@ fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
 
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let (want, _) = join_search(ix, query, &opts);
-    for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-        let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(ix, format)));
+    for format in [FormatVersion::V2, FormatVersion::V3] {
+        let bytes = image(ix, format);
         for block_skip in [true, false] {
             for one_block in [true, false] {
                 let label = format!("{format:?} skip={block_skip} cap1={one_block}");
@@ -191,7 +185,7 @@ fn a_cursor_keeps_its_block_when_the_cache_evicts_it() {
     let ix = many_block_corpus();
     let col = &ix.term_by_str("common").unwrap().columns[2];
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let store = DiskColumnStore::open_bytes(image(&ix, format).into(), cache(true)).unwrap();
+        let store = DiskColumnStore::open_bytes(image(&ix, format), cache(true)).unwrap();
         let dc = store.column("common", 3).unwrap();
         assert!(dc.block_count() > 1, "{format:?}: the column must span blocks");
         let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
@@ -237,8 +231,8 @@ fn block_skip_is_the_one_skip_rule_on_every_format() {
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     // Per query: `(decodes, misses, evictions)` through a one-block cache
     // under `block_skip` on and off, on v2 and on v3 — the counts of the
-    // per-step strategies this rule replaced (PR 16), which on a footer
-    // format decoded the same blocks.
+    // per-step strategies this rule replaced (PR 16), which decoded the
+    // same blocks.
     type Io = (u64, u64, u64);
     let queries: [(&[&str], [[Io; 2]; 2]); 3] = [
         (&["x7", "common"], [[(24, 24, 23), (24, 24, 23)], [(8, 8, 7), (8, 8, 7)]]),
@@ -249,9 +243,8 @@ fn block_skip_is_the_one_skip_rule_on_every_format() {
         let query = Query::from_words(&ix, words).unwrap();
         let (want, _) = join_search(&ix, &query, &opts);
         assert!(!want.is_empty(), "{words:?}");
-        let formats = [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3];
-        for (format, pinned) in formats.into_iter().zip([None, Some(pinned[0]), Some(pinned[1])]) {
-            let bytes = ColumnBytes::from(Arc::<[u8]>::from(image(&ix, format)));
+        for (format, pinned) in [FormatVersion::V2, FormatVersion::V3].into_iter().zip(pinned) {
+            let bytes = image(&ix, format);
             let io = [true, false].map(|block_skip| {
                 let store = DiskColumnStore::open_bytes(bytes.clone(), cache(true)).unwrap();
                 let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
@@ -264,13 +257,10 @@ fn block_skip_is_the_one_skip_rule_on_every_format() {
             let [skip, scan] = io;
             assert!(skip.0 <= scan.0, "{words:?} {format:?}: skipping decoded more, {io:?}");
             if words == ["early", "common"] {
-                // Without footers too, a step stops at the first block
-                // above its last probe (it used to scan a v1 column out).
+                // A step stops at the first block above its last probe.
                 assert!(skip.0 < scan.0, "{format:?}: {io:?}");
             }
-            if let Some(pinned) = pinned {
-                assert_eq!(io, pinned, "{words:?} {format:?}");
-            }
+            assert_eq!(io, pinned, "{words:?} {format:?}");
         }
     }
 }
@@ -312,7 +302,7 @@ fn torn_block_makes_the_driver_err_on_disk_never_panic() {
         let bytes = image(&ix, format);
         let (mut opened, mut errs) = (0u32, 0u32);
         for at in (64..bytes.len() - 8).step_by(13) {
-            let Ok(store) = DiskColumnStore::open_bytes(torn(&bytes, at).into(), cache(false))
+            let Ok(store) = DiskColumnStore::open_bytes(torn(bytes.as_slice(), at).into(), cache(false))
             else {
                 continue; // the tear hit the directory: refused at open
             };
@@ -385,7 +375,7 @@ fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
     let query = Query::from_words(&small, &["common", "rare5"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let store = DiskColumnStore::open_bytes(image(&large, format).into(), cache(false)).unwrap();
+        let store = DiskColumnStore::open_bytes(image(&large, format), cache(false)).unwrap();
         for block_skip in [true, false] {
             let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
             let r = join_search_disk_spec(&small, &store, &query, &spec, &Obs::default());

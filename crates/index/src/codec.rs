@@ -15,7 +15,7 @@
 //!
 //! Each scheme has two physical *layouts* for the entries inside a block:
 //!
-//! * [`BlockLayout::Varint`] (formats v1/v2) — LEB128 varints, one
+//! * [`BlockLayout::Varint`] (format v2) — LEB128 varints, one
 //!   continuation branch per byte.
 //! * [`BlockLayout::Packed`] (format v3) — fixed-width bit-packed lanes:
 //!   per block, a 1-byte lane width chosen from the block's largest entry,
@@ -24,8 +24,9 @@
 //!   data-dependent branch per byte.
 //!
 //! Values are arranged in 4 KiB blocks; each block is self-contained
-//! (restarts the delta base), which is what the [sparse
-//! index](crate::sparse) points into.  The row coordinates themselves are
+//! (restarts the delta base), which is what the block directory — one
+//! [`BlockEntry`] per block, the paper's sparse index — points into.  The
+//! row coordinates themselves are
 //! not stored per column: the per-term *lengths array* (depth of each
 //! posting) determines which global rows are present at each level, so
 //! decoding reconstructs exact global-row runs.
@@ -55,7 +56,7 @@ pub enum Scheme {
 /// Physical layout of the entries inside each block of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockLayout {
-    /// LEB128 varint entries (on-disk formats v1 and v2).
+    /// LEB128 varint entries (on-disk format v2).
     #[default]
     Varint,
     /// Fixed-width bit-packed lanes (on-disk format v3): a per-block lane
@@ -63,8 +64,25 @@ pub enum BlockLayout {
     Packed,
 }
 
-/// A compressed column: self-contained blocks plus per-block minimum values
-/// (the sparse-index keys).
+/// One block-directory entry — the paper's sparse-index entry, widened by
+/// the row count and last value that let a reader place any probe without
+/// decoding.  Both encoders emit it, [`crate::disk`] writes and parses it,
+/// and the store's resident directory is filled from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Byte offset of the block in the column payload.
+    pub offset: u32,
+    /// First (smallest) value stored in the block.
+    pub first: u32,
+    /// Rows encoded in the block: a running sum gives the global-row
+    /// prefix of any block in O(1).
+    pub rows: u32,
+    /// Last (largest) value stored in the block; probes outside
+    /// `[first, last]` skip the decode outright.
+    pub last: u32,
+}
+
+/// A compressed column: self-contained blocks plus their directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedColumn {
     /// Scheme used for every block of this column.
@@ -73,22 +91,12 @@ pub struct CompressedColumn {
     pub layout: BlockLayout,
     /// Concatenated block payloads.
     pub bytes: Vec<u8>,
-    /// Byte offset of each block in `bytes`.
-    pub block_offsets: Vec<u32>,
-    /// First (smallest) value stored in each block.
-    pub block_first_values: Vec<u32>,
-    /// Number of rows encoded in each block (format v2 footer).  Lets a
-    /// reader compute the global-row prefix of any block in O(1) instead
-    /// of decoding every preceding block.
-    pub block_rows: Vec<u32>,
-    /// Last (largest) value stored in each block (format v2 footer).
-    /// With `block_first_values` this brackets the block's value range,
-    /// so probes outside `[first, last]` skip the decode outright.
-    pub block_last_values: Vec<u32>,
+    /// One entry per block, in block order.
+    pub blocks: Vec<BlockEntry>,
 }
 
 impl CompressedColumn {
-    /// Total payload size in bytes (excluding the sparse entries, which
+    /// Total payload size in bytes (excluding the directory, which
     /// [`crate::sizes`] accounts separately).
     pub fn payload_bytes(&self) -> usize {
         self.bytes.len()
@@ -96,7 +104,14 @@ impl CompressedColumn {
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.block_offsets.len()
+        self.blocks.len()
+    }
+
+    /// Opens a block at the end of the payload: its directory entry and
+    /// the raw first value every block starts with.
+    fn begin_block(&mut self, first: u32, rows: u32, last: u32) {
+        self.blocks.push(BlockEntry { offset: self.bytes.len() as u32, first, rows, last });
+        self.bytes.extend_from_slice(&first.to_le_bytes());
     }
 }
 
@@ -250,96 +265,31 @@ fn unpack_lane(
 // Encoding
 
 /// Compresses a column with the given scheme in the varint layout
-/// (formats v1/v2).
+/// (format v2).
 pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
-    let mut bytes = Vec::new();
-    let mut block_offsets = Vec::new();
-    let mut block_first_values = Vec::new();
-    let mut block_rows: Vec<u32> = Vec::new();
-    let mut block_last_values: Vec<u32> = Vec::new();
-    let mut block_start = 0usize;
-    let mut prev: Option<u32> = None;
-
-    let begin_block = |bytes: &mut Vec<u8>,
-                           block_offsets: &mut Vec<u32>,
-                           block_first_values: &mut Vec<u32>,
-                           block_rows: &mut Vec<u32>,
-                           block_last_values: &mut Vec<u32>,
-                           value: u32| {
-        block_offsets.push(bytes.len() as u32);
-        block_first_values.push(value);
-        block_rows.push(0);
-        block_last_values.push(value);
-        bytes.extend_from_slice(&value.to_le_bytes());
-    };
-    // Footer bookkeeping for the entry just encoded into the open block.
-    let account = |block_rows: &mut Vec<u32>, block_last_values: &mut Vec<u32>, value: u32, rows: u32| {
-        if let Some(r) = block_rows.last_mut() {
-            *r += rows;
-        }
-        if let Some(l) = block_last_values.last_mut() {
-            *l = value;
-        }
-    };
-
-    match scheme {
-        Scheme::Delta => {
-            for run in &col.runs {
-                for _ in 0..run.len {
-                    match prev {
-                        Some(p) if bytes.len() - block_start < BLOCK_SIZE => {
-                            write_varint(run.value - p, &mut bytes);
-                        }
-                        _ => {
-                            block_start = bytes.len();
-                            begin_block(
-                                &mut bytes,
-                                &mut block_offsets,
-                                &mut block_first_values,
-                                &mut block_rows,
-                                &mut block_last_values,
-                                run.value,
-                            );
-                        }
-                    }
-                    account(&mut block_rows, &mut block_last_values, run.value, 1);
-                    prev = Some(run.value);
+    let mut cc =
+        CompressedColumn { scheme, layout: BlockLayout::Varint, bytes: Vec::new(), blocks: Vec::new() };
+    for run in &col.runs {
+        // One entry per row (delta) or per run (RLE, then its length).
+        let (entries, rows) = match scheme {
+            Scheme::Delta => (run.len, 1),
+            Scheme::Rle => (1, run.len),
+        };
+        for _ in 0..entries {
+            match cc.blocks.last_mut() {
+                Some(b) if cc.bytes.len() - (b.offset as usize) < BLOCK_SIZE => {
+                    write_varint(run.value - b.last, &mut cc.bytes);
+                    b.rows += rows;
+                    b.last = run.value;
                 }
+                _ => cc.begin_block(run.value, rows, run.value),
             }
-        }
-        Scheme::Rle => {
-            for run in &col.runs {
-                match prev {
-                    Some(p) if bytes.len() - block_start < BLOCK_SIZE => {
-                        write_varint(run.value - p, &mut bytes);
-                    }
-                    _ => {
-                        block_start = bytes.len();
-                        begin_block(
-                            &mut bytes,
-                            &mut block_offsets,
-                            &mut block_first_values,
-                            &mut block_rows,
-                            &mut block_last_values,
-                            run.value,
-                        );
-                    }
-                }
-                account(&mut block_rows, &mut block_last_values, run.value, run.len);
-                prev = Some(run.value);
-                write_varint(run.len, &mut bytes);
+            if scheme == Scheme::Rle {
+                write_varint(rows, &mut cc.bytes);
             }
         }
     }
-    CompressedColumn {
-        scheme,
-        layout: BlockLayout::Varint,
-        bytes,
-        block_offsets,
-        block_first_values,
-        block_rows,
-        block_last_values,
-    }
+    cc
 }
 
 /// Compresses a column with the given scheme in the bit-packed layout
@@ -358,19 +308,11 @@ pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
 /// Both lanes are exact-length: a decoder rejects a block whose lane
 /// bytes disagree with the advertised entry count and width.  Blocks are
 /// cut greedily so the encoded block size never exceeds [`BLOCK_SIZE`];
-/// directory footers (`block_rows`, `block_last_values`) are identical to
-/// the v2 encoder's, so `find()` and the Table I size accounting work
-/// unchanged.
+/// the directory entries have the v2 encoder's shape, so `find()` and the
+/// Table I size accounting work unchanged.
 pub fn encode_column_packed(col: &Column, scheme: Scheme) -> CompressedColumn {
-    let mut cc = CompressedColumn {
-        scheme,
-        layout: BlockLayout::Packed,
-        bytes: Vec::new(),
-        block_offsets: Vec::new(),
-        block_first_values: Vec::new(),
-        block_rows: Vec::new(),
-        block_last_values: Vec::new(),
-    };
+    let mut cc =
+        CompressedColumn { scheme, layout: BlockLayout::Packed, bytes: Vec::new(), blocks: Vec::new() };
     match scheme {
         Scheme::Delta => encode_packed_delta(col, &mut cc),
         Scheme::Rle => encode_packed_rle(col, &mut cc),
@@ -378,15 +320,17 @@ pub fn encode_column_packed(col: &Column, scheme: Scheme) -> CompressedColumn {
     cc
 }
 
-fn flush_packed_delta(cc: &mut CompressedColumn, first: u32, last: u32, deltas: &[u32], width: u32) {
-    cc.block_offsets.push(cc.bytes.len() as u32);
-    cc.block_first_values.push(first);
-    cc.block_rows.push(deltas.len() as u32 + 1);
-    cc.block_last_values.push(last);
-    cc.bytes.extend_from_slice(&first.to_le_bytes());
-    write_varint(deltas.len() as u32, &mut cc.bytes);
-    cc.bytes.push(width as u8);
-    pack_lane(deltas, width, &mut cc.bytes);
+/// Appends one packed block: its directory entry, then header and lanes.
+fn flush_packed(cc: &mut CompressedColumn, first: u32, rows: u32, last: u32, lanes: &[(&[u32], u32)]) {
+    cc.begin_block(first, rows, last);
+    // The entry count: deltas for a delta block, run lengths for RLE.
+    write_varint(lanes.last().map_or(0, |(vals, _)| vals.len() as u32), &mut cc.bytes);
+    for &(_, width) in lanes {
+        cc.bytes.push(width as u8);
+    }
+    for &(vals, width) in lanes {
+        pack_lane(vals, width, &mut cc.bytes);
+    }
 }
 
 fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
@@ -409,7 +353,7 @@ fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
                         + 1
                         + lane_bytes(deltas.len() + 1, w);
                     if size > BLOCK_SIZE {
-                        flush_packed_delta(cc, f, prev, &deltas, width);
+                        flush_packed(cc, f, deltas.len() as u32 + 1, prev, &[(&deltas, width)]);
                         deltas.clear();
                         width = 0;
                         first = Some(v);
@@ -423,31 +367,8 @@ fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
         }
     }
     if let Some(f) = first {
-        flush_packed_delta(cc, f, prev, &deltas, width);
+        flush_packed(cc, f, deltas.len() as u32 + 1, prev, &[(&deltas, width)]);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn flush_packed_rle(
-    cc: &mut CompressedColumn,
-    first: u32,
-    last: u32,
-    rows: u32,
-    vdeltas: &[u32],
-    lens: &[u32],
-    vw: u32,
-    lw: u32,
-) {
-    cc.block_offsets.push(cc.bytes.len() as u32);
-    cc.block_first_values.push(first);
-    cc.block_rows.push(rows);
-    cc.block_last_values.push(last);
-    cc.bytes.extend_from_slice(&first.to_le_bytes());
-    write_varint(lens.len() as u32, &mut cc.bytes);
-    cc.bytes.push(vw as u8);
-    cc.bytes.push(lw as u8);
-    pack_lane(vdeltas, vw, &mut cc.bytes);
-    pack_lane(lens, lw, &mut cc.bytes);
 }
 
 fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
@@ -476,7 +397,7 @@ fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
                     + lane_bytes(pairs - 1, nvw)
                     + lane_bytes(pairs, nlw);
                 if size > BLOCK_SIZE {
-                    flush_packed_rle(cc, f, prev, rows, &vdeltas, &lens, vw, lw);
+                    flush_packed(cc, f, rows, prev, &[(&vdeltas, vw), (&lens, lw)]);
                     vdeltas.clear();
                     lens.clear();
                     first = Some(run.value);
@@ -496,7 +417,7 @@ fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
         prev = run.value;
     }
     if let Some(f) = first {
-        flush_packed_rle(cc, f, prev, rows, &vdeltas, &lens, vw, lw);
+        flush_packed(cc, f, rows, prev, &[(&vdeltas, vw), (&lens, lw)]);
     }
 }
 
@@ -773,14 +694,9 @@ pub fn decode_column_into(
     scratch: &mut DecodeScratch,
 ) -> Option<()> {
     let mut consumed = 0usize;
-    let nblocks = cc.block_offsets.len();
-    for b in 0..nblocks {
-        let start = *cc.block_offsets.get(b)? as usize;
-        let end = match cc.block_offsets.get(b + 1) {
-            Some(&o) => o as usize,
-            None => cc.bytes.len(),
-        };
-        let block = cc.bytes.get(start..end)?;
+    for (b, entry) in cc.blocks.iter().enumerate() {
+        let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
+        let block = cc.bytes.get(entry.offset as usize..end)?;
         let remaining = present_rows.get(consumed..)?;
         let used = decode_block_into(cc.scheme, cc.layout, block, remaining, scratch)?;
         consumed = consumed.checked_add(used)?;
@@ -885,9 +801,9 @@ mod tests {
         let cc = encode_column(&c, Scheme::Delta);
         assert!(cc.block_count() > 1);
         // Every block's first value matches the sparse key.
-        for (b, &off) in cc.block_offsets.iter().enumerate() {
-            let v = u32::from_le_bytes(cc.bytes[off as usize..off as usize + 4].try_into().unwrap());
-            assert_eq!(v, cc.block_first_values[b]);
+        for b in &cc.blocks {
+            let at = b.offset as usize;
+            assert_eq!(u32::from_le_bytes(cc.bytes[at..at + 4].try_into().unwrap()), b.first);
         }
         assert_eq!(decode_column(&cc, &present_rows(&c)), Some(c));
     }
@@ -909,18 +825,15 @@ mod tests {
             let c = col(&runs);
             for cc in [encode_column(&c, scheme), encode_column_packed(&c, scheme)] {
                 assert!(cc.block_count() > 1, "{scheme:?} {:?}", cc.layout);
-                assert_eq!(cc.block_rows.len(), cc.block_count());
-                assert_eq!(cc.block_last_values.len(), cc.block_count());
                 // Row counts per block sum to the column's total.
-                let total: u64 = cc.block_rows.iter().map(|&r| r as u64).sum();
+                let total: u64 = cc.blocks.iter().map(|b| b.rows as u64).sum();
                 assert_eq!(total, c.row_count(), "{scheme:?}");
                 // first <= last within a block; blocks ordered and non-empty.
-                for b in 0..cc.block_count() {
-                    assert!(cc.block_first_values[b] <= cc.block_last_values[b]);
-                    assert!(cc.block_rows[b] > 0);
-                    if b > 0 {
-                        assert!(cc.block_last_values[b - 1] <= cc.block_first_values[b]);
-                    }
+                for b in &cc.blocks {
+                    assert!(b.first <= b.last && b.rows > 0, "{b:?}");
+                }
+                for w in cc.blocks.windows(2) {
+                    assert!(w[0].last <= w[1].first && w[0].offset < w[1].offset, "{w:?}");
                 }
             }
         }
@@ -1015,11 +928,8 @@ mod tests {
             assert!(cc.block_count() > 1, "{scheme:?}");
             // Greedy cut rule: no encoded block exceeds BLOCK_SIZE.
             for b in 0..cc.block_count() {
-                let start = cc.block_offsets[b] as usize;
-                let end = cc
-                    .block_offsets
-                    .get(b + 1)
-                    .map_or(cc.bytes.len(), |&o| o as usize);
+                let start = cc.blocks[b].offset as usize;
+                let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
                 assert!(end - start <= BLOCK_SIZE, "{scheme:?} block {b}");
             }
             assert_eq!(decode_column(&cc, &present_rows(&c)), Some(c));

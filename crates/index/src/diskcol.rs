@@ -10,9 +10,9 @@
 //! written by [`crate::disk::write_index`]: per term and level it exposes
 //! a [`DiskColumn`], read through one forward position over its block
 //! directory ([`BlockFeed`]) that decodes a block only when a lookup lands
-//! in it — `find` decodes **at most one block** (located via the
-//! per-block footers of formats v2/v3), `scan` every block in order, and
-//! a join step's cursor the blocks its probes reach.
+//! in it — `find` decodes **at most one block** (located via the block
+//! directory alone), `scan` every block in order, and a join step's
+//! cursor the blocks its probes reach.
 //!
 //! Decoded blocks live in a shared, thread-safe [`BlockCache`]
 //! (see [`crate::cache`]): by default an unbounded one per store — the
@@ -30,48 +30,12 @@ use crate::bytes::ColumnBytes;
 use crate::cache::{relock, Block, BlockCache, CacheStats, ShardedLruCache};
 use crate::codec::{decode_block_into, with_decode_scratch, BlockLayout, Scheme};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
-use crate::disk::{ByteReader, MAGIC_V1, MAGIC_V2, MAGIC_V3};
+use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-fn bad(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt index file: {what}"))
-}
-
-/// Format-v2 per-block footers for one column.
-#[derive(Debug, Clone)]
-struct Footers {
-    /// `row_prefix[b]` = number of present rows in blocks `0..b`; one
-    /// extra entry at the end holding the column total.
-    row_prefix: Vec<u32>,
-    /// Largest value stored in each block (`first` is in the directory).
-    lasts: Vec<u32>,
-}
-
-/// Byte span plus metadata for one column inside the index file.
-#[derive(Debug, Clone)]
-struct ColumnMeta {
-    scheme: Scheme,
-    /// `(file offset, first value)` per block.
-    blocks: Vec<(u64, u32)>,
-    /// One past the last payload byte of the column.
-    end: u64,
-    /// Rows present at this level (global row ids), needed to reconstruct
-    /// run coordinates.  Kept in memory: 4 bytes per present row, the same
-    /// information the lengths array encodes.
-    present_rows: Vec<u32>,
-    /// Present on format v2; `None` forces the legacy prefix-decode path.
-    footers: Option<Footers>,
-}
-
-/// Per-term metadata in the store.
-#[derive(Debug, Clone)]
-struct TermMeta {
-    columns: Vec<ColumnMeta>,
-}
 
 /// Distinguishes stores sharing one cache (see `block_key`).
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
@@ -156,9 +120,9 @@ pub struct DiskColumnStore {
     /// It guards the decode-once *discipline*, not the bytes — those are
     /// immutable and read without locking.
     decode_lock: Mutex<()>,
-    /// Physical block layout of the file (varint for v1/v2, packed v3).
+    /// Physical block layout of the file (varint for v2, packed for v3).
     layout: BlockLayout,
-    terms: HashMap<String, TermMeta>,
+    terms: HashMap<String, Vec<ColumnDirectory>>,
     cache: Arc<dyn BlockCache>,
     /// Cache-missing block decodes performed by this store.
     decodes: AtomicU64,
@@ -188,146 +152,23 @@ impl DiskColumnStore {
     /// entry point: the same [`ColumnBytes::Shared`] buffer can back any
     /// number of stores without duplicating the payload.
     pub fn open_bytes(bytes: ColumnBytes, cache: Arc<dyn BlockCache>) -> io::Result<Self> {
-        // The format is sequential, so one pass builds the directory; the
-        // payload bytes are skipped over (and later sliced per block,
-        // never copied).  All reads are bounds-checked so corrupt files
-        // fail with InvalidData instead of panicking.
-        let mut r = ByteReader::new(bytes.as_slice());
-        let magic = r.varint("magic")?;
-        let (has_footers, layout) = match magic {
-            MAGIC_V1 => (false, BlockLayout::Varint),
-            MAGIC_V2 => (true, BlockLayout::Varint),
-            MAGIC_V3 => (true, BlockLayout::Packed),
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad index magic")),
-        };
-        let n_terms = r.varint("term count")? as usize;
-        let with_scores = r.byte("score flag")? != 0;
-        let mut terms = HashMap::new();
-        for _ in 0..n_terms {
-            let tlen = r.varint("term length")? as usize;
-            let term = std::str::from_utf8(r.take(tlen, "term text")?)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-                .to_string();
-            let n_postings = r.varint("posting count")? as usize;
-            // lint:allow(L8, open-time directory parse — one vec per term, never on the block-decode path)
-            let mut depths = Vec::new();
-            depths.try_reserve(n_postings.min(1 << 24)).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "posting count too large")
-            })?;
-            // The same two checks as `disk::read_index`: a depth is a
-            // level in `1..=u16::MAX`, and a term has one column per level
-            // down to its deepest posting.
-            for _ in 0..n_postings {
-                let d = r.varint("depth")?;
-                if d == 0 || d > u32::from(u16::MAX) {
-                    return Err(bad("bad depth"));
-                }
-                depths.push(d as u16);
-            }
-            if with_scores {
-                r.take(4 * n_postings, "scores")?;
-            }
-            let n_cols = r.varint("column count")? as usize;
-            if n_cols != depths.iter().copied().max().map_or(0, usize::from) {
-                return Err(bad("column count inconsistent with posting depths"));
-            }
-            let mut columns = Vec::with_capacity(n_cols);
-            for level0 in 0..n_cols {
-                let scheme = match r.byte("scheme")? {
-                    0 => Scheme::Delta,
-                    1 => Scheme::Rle,
-                    x => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            // lint:allow(L8, error construction on the corrupt-file bail-out)
-                            format!("bad scheme byte {x}"),
-                        ))
-                    }
-                };
-                let n_blocks = r.varint("block count")? as usize;
-                // lint:allow(L8, open-time directory parse — per-column metadata vecs, never on the block-decode path)
-                let mut rel = Vec::new();
-                rel.try_reserve(n_blocks.min(1 << 22)).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "block count too large")
-                })?;
-                // lint:allow(L8, open-time directory parse — per-column metadata vecs, never on the block-decode path)
-                let mut rows = Vec::new();
-                // lint:allow(L8, open-time directory parse — per-column metadata vecs, never on the block-decode path)
-                let mut lasts = Vec::new();
-                for _ in 0..n_blocks {
-                    let off = r.varint("block offset")?;
-                    let first = r.varint("block first value")?;
-                    rel.push((off, first));
-                    if has_footers {
-                        rows.push(r.varint("block row count")?);
-                        let span = r.varint("block last-value delta")?;
-                        lasts.push(
-                            first.checked_add(span).ok_or_else(|| bad("block last overflow"))?,
-                        );
-                    }
-                }
-                let payload_len = r.varint("payload length")? as usize;
-                let payload_base = r.offset() as u64;
-                r.take(payload_len, "payload")?;
-                if let Some(&(last, _)) = rel.last() {
-                    if last as usize >= payload_len.max(1) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "block offset beyond payload",
-                        ));
-                    }
-                }
-                let level = (level0 + 1) as u16;
-                let present_rows: Vec<u32> = depths
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d >= level)
-                    .map(|(i, _)| i as u32)
-                    // lint:allow(L8, open-time directory parse — the per-level lengths array is built once per open)
-                    .collect();
-                let footers = if has_footers {
-                    // Prefix-sum the row counts; reject footers that
-                    // disagree with the lengths array so a corrupt
-                    // directory cannot misplace rows silently.
-                    let mut row_prefix = Vec::with_capacity(rows.len() + 1);
-                    let mut acc = 0u64;
-                    row_prefix.push(0);
-                    for &n in &rows {
-                        acc += n as u64;
-                        if acc > present_rows.len() as u64 {
-                            return Err(bad("block row counts exceed lengths array"));
-                        }
-                        row_prefix.push(acc as u32);
-                    }
-                    if acc != present_rows.len() as u64 {
-                        return Err(bad("block row counts disagree with lengths array"));
-                    }
-                    Some(Footers { row_prefix, lasts })
-                } else {
-                    None
-                };
-                columns.push(ColumnMeta {
-                    scheme,
-                    // lint:allow(L8, open-time directory parse — absolute block offsets built once per open)
-                    blocks: rel.iter().map(|&(off, first)| (payload_base + off as u64, first)).collect(),
-                    end: payload_base + payload_len as u64,
-                    present_rows,
-                    footers,
-                });
-            }
-            terms.insert(term, TermMeta { columns });
-        }
-        Ok(Self {
+        let directory = parse_directory(bytes.as_slice(), |_, _, _| ())?;
+        Ok(Self::over(bytes, directory, cache))
+    }
+
+    /// A store over `bytes` and the directory parsed from them.
+    pub(crate) fn over(bytes: ColumnBytes, directory: Directory, cache: Arc<dyn BlockCache>) -> Self {
+        Self {
             bytes,
             decode_lock: Mutex::new(()),
-            layout,
-            terms,
+            layout: directory.layout,
+            terms: directory.terms,
             cache,
             decodes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             store_id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
-        })
+        }
     }
 
     /// The terms available in the store, in sorted order (the backing map
@@ -340,14 +181,13 @@ impl DiskColumnStore {
 
     /// Number of levels stored for `term` (0 when absent).
     pub fn levels_of(&self, term: &str) -> u16 {
-        self.terms.get(term).map(|t| t.columns.len() as u16).unwrap_or(0)
+        self.terms.get(term).map(|t| t.len() as u16).unwrap_or(0)
     }
 
     /// A lazy view over one term's column.
     pub fn column(&self, term: &str, level: u16) -> Option<DiskColumn<'_>> {
-        let meta = self.terms.get(term)?;
         let idx = level.checked_sub(1)? as usize;
-        let meta = meta.columns.get(idx)?;
+        let meta = self.terms.get(term)?.get(idx)?;
         Some(DiskColumn { store: self, meta, session: None })
     }
 
@@ -397,16 +237,10 @@ impl DiskColumnStore {
             return Ok(0);
         };
         let mut pinned = 0u64;
-        for col in &meta.columns {
-            let mut row_base = 0u32;
-            for b in 0..col.blocks.len() {
-                let runs = self.decode_block(col, b, row_base, None)?;
-                row_base = row_base
-                    .checked_add(runs.iter().map(|r| r.len).sum::<u32>())
-                    .ok_or_else(|| bad("row count overflow"))?;
-                if let Some(&(start, _)) = col.blocks.get(b) {
-                    pinned += u64::from(self.cache.pin(self.block_key(start)));
-                }
+        for col in meta {
+            for (b, &(start, _)) in col.blocks.iter().enumerate() {
+                self.decode_block(col, b, None)?;
+                pinned += u64::from(self.cache.pin(self.block_key(start)));
             }
         }
         Ok(pinned)
@@ -419,7 +253,7 @@ impl DiskColumnStore {
         let Some(meta) = self.terms.get(term) else {
             return;
         };
-        for col in &meta.columns {
+        for col in meta {
             for &(start, _) in &col.blocks {
                 self.cache.unpin(self.block_key(start));
             }
@@ -457,10 +291,8 @@ impl DiskColumnStore {
         }
     }
 
-    /// Decodes the runs of one block (cache-aware).  `row_base` is the
-    /// number of present rows in all preceding blocks of the column; the
-    /// caller obtains it in O(1) from the v2/v3 footers or by decoding
-    /// the prefix on v1 files.
+    /// Decodes the runs of one block (cache-aware); the rows it covers
+    /// come from the directory's row prefix in O(1).
     ///
     /// The block bytes are a zero-copy slice of the resident file image,
     /// decoded through the per-thread scratch arena and frozen into the
@@ -470,9 +302,8 @@ impl DiskColumnStore {
     /// an unbounded cache no matter the worker count.
     fn decode_block(
         &self,
-        meta: &ColumnMeta,
+        meta: &ColumnDirectory,
         b: usize,
-        row_base: u32,
         session: Option<&IoSession>,
     ) -> io::Result<Block> {
         let Some(&(start, _)) = meta.blocks.get(b) else {
@@ -499,6 +330,12 @@ impl DiskColumnStore {
         let len = end.checked_sub(start).ok_or_else(|| bad("block offsets not ascending"))?;
         let len = usize::try_from(len).map_err(|_| bad("block length overflow"))?;
         let block_bytes = self.bytes.slice(start, len).ok_or_else(|| bad("block beyond file"))?;
+        // The directory says which rows the block covers; a payload that
+        // decodes to another count is as corrupt as one that does not
+        // decode.
+        let Some(&[row_base, row_end]) = meta.row_prefix.get(b..b + 2) else {
+            return Err(bad("row prefix out of range"));
+        };
         let present = meta
             .present_rows
             .get(row_base as usize..)
@@ -506,6 +343,7 @@ impl DiskColumnStore {
         let block: Block = with_decode_scratch(|scratch| {
             scratch.runs.clear();
             decode_block_into(meta.scheme, self.layout, block_bytes, present, scratch)
+                .filter(|&used| used == (row_end - row_base) as usize)
                 .map(|_| Block::from(scratch.runs.as_slice()))
         })
         .ok_or_else(|| bad("inconsistent block payload"))?;
@@ -518,7 +356,7 @@ impl DiskColumnStore {
 #[derive(Clone, Copy)]
 pub struct DiskColumn<'a> {
     store: &'a DiskColumnStore,
-    meta: &'a ColumnMeta,
+    meta: &'a ColumnDirectory,
     /// Query scope the accesses through this handle are attributed to
     /// (besides the store totals); `None` outside query execution.
     session: Option<&'a IoSession>,
@@ -551,12 +389,11 @@ impl<'a> DiskColumn<'a> {
     }
 
     /// The `[first, last]` JDewey value range this column covers, read
-    /// from the directory first values and the v2/v3 footer last values
-    /// without decoding anything.  `None` for empty columns and for v1
-    /// files (no footers), where the span would require a decode.
+    /// from the directory without decoding anything.  `None` for empty
+    /// columns.
     pub fn value_span(&self) -> Option<(u32, u32)> {
         let &(_, first) = self.meta.blocks.first()?;
-        let &last = self.meta.footers.as_ref()?.lasts.last()?;
+        let &last = self.meta.lasts.last()?;
         Some((first, last))
     }
 
@@ -567,7 +404,7 @@ impl<'a> DiskColumn<'a> {
     /// without, every block in order.  `rows` is the reader's posting-list
     /// length: a block reaching past it is refused.
     pub fn feed(&self, skip: bool, rows: usize) -> BlockFeed<'a> {
-        BlockFeed { col: *self, next: 0, row_base: 0, skip, rows }
+        BlockFeed { col: *self, next: 0, skip, rows }
     }
 
     /// Decodes the whole column in block order.  Corrupt blocks surface as
@@ -581,14 +418,10 @@ impl<'a> DiskColumn<'a> {
         Ok(out)
     }
 
-    /// Finds the run for a JDewey `value`, decoding **at most one block**
-    /// on the footer formats: the block's row prefix comes from the
-    /// directory in O(1), and a probe outside every block's `[first,
-    /// last]` value range returns `None` without decoding anything.  On v1
-    /// files the row prefix requires decoding the preceding blocks of
-    /// this column once (they then sit in the cache) — the legacy
-    /// behaviour kept for compatibility and as the bench ablation
-    /// baseline.
+    /// Finds the run for a JDewey `value`, decoding **at most one block**:
+    /// the block's row prefix comes from the directory in O(1), and a
+    /// probe outside every block's `[first, last]` value range returns
+    /// `None` without decoding anything.
     pub fn find(&self, value: u32) -> io::Result<Option<Run>> {
         RunCursor::new(self.feed(true, usize::MAX)).seek(value)
     }
@@ -601,8 +434,6 @@ pub struct BlockFeed<'a> {
     col: DiskColumn<'a>,
     /// The next block to land.
     next: usize,
-    /// Present rows before block `next`; kept up only without footers.
-    row_base: u32,
     skip: bool,
     rows: usize,
 }
@@ -624,10 +455,9 @@ impl Feed for BlockFeed<'_> {
 
     fn land(&mut self, v: u32) -> io::Result<Option<Block>> {
         let meta = self.col.meta;
-        if let (true, Some(f)) = (self.skip, &meta.footers) {
-            // Blocks wholly below `v` are passed over undecoded (without
-            // footers they are decoded on the way, for their row counts).
-            self.next = gallop_partition_point(&f.lasts, self.next, |&last| last < v);
+        if self.skip {
+            // Blocks wholly below `v` are passed over undecoded.
+            self.next = gallop_partition_point(&meta.lasts, self.next, |&last| last < v);
         }
         let Some(&(_, first)) = meta.blocks.get(self.next) else {
             return Ok(None);
@@ -636,17 +466,8 @@ impl Feed for BlockFeed<'_> {
         if self.skip && v < first {
             return Ok(None);
         }
-        let row_base = match &meta.footers {
-            Some(f) => *f.row_prefix.get(self.next).ok_or_else(|| bad("footer prefix out of range"))?,
-            None => self.row_base,
-        };
-        let block = self.col.store.decode_block(meta, self.next, row_base, self.col.session)?;
+        let block = self.col.store.decode_block(meta, self.next, self.col.session)?;
         check_rows(&block, self.rows)?;
-        if meta.footers.is_none() {
-            self.row_base = row_base
-                .checked_add(block.iter().map(|r| r.len).sum::<u32>())
-                .ok_or_else(|| bad("row count overflow"))?;
-        }
         self.next += 1;
         Ok(Some(block))
     }
@@ -708,7 +529,7 @@ mod tests {
 
     #[test]
     fn scan_matches_in_memory_columns() {
-        for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
+        for format in [FormatVersion::V2, FormatVersion::V3] {
             let (ix, store, _image) = store_v(format);
             for (_, term) in ix.terms() {
                 for (li, col) in term.columns.iter().enumerate() {
@@ -734,43 +555,41 @@ mod tests {
         xml.push_str("</r>");
         let ix = XmlIndex::build(parse(&xml).unwrap());
         let col = &ix.term_by_str("dense").unwrap().columns[1];
-        for format in [FormatVersion::V1, FormatVersion::V2] {
-            let opts = WriteIndexOptions { include_scores: true, format };
-            let store = open_unbounded(&image_of(&ix, opts));
-            let dc = store.column("dense", 2).unwrap();
-            let blocks = dc.block_count() as u64;
-            assert!(blocks > 2, "{format:?}: corpus must span several blocks");
-            // Every 7th value plus misses between them: all blocks land,
-            // each once, and every lookup answers as the memory column.
-            let mut probes: Vec<u32> = col.runs.iter().step_by(7).map(|r| r.value).collect();
-            probes.extend(col.runs.iter().step_by(11).map(|r| r.value + 1));
-            probes.sort_unstable();
-            probes.dedup();
-            let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
-            for &v in &probes {
-                assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{format:?} {v}");
-            }
-            assert_eq!(store.io_stats().misses, blocks, "{format:?}");
-            assert_eq!(store.io_stats().hits, 0, "{format:?}: one access per landed block");
-            // Only the last value: the footers jump to its block, a v1
-            // file decodes the prefix for the row count.  Past the end
-            // nothing more lands.
-            let last = col.runs.last().unwrap();
-            let before = store.io_stats();
-            let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
-            assert_eq!(cursor.seek(last.value).unwrap(), Some(*last));
-            assert_eq!(cursor.seek(last.value + 1).unwrap(), None);
-            cursor.finish().unwrap();
-            let landed = store.io_stats().since(&before).hits;
-            assert_eq!(landed, if format == FormatVersion::V1 { blocks } else { 1 }, "{format:?}");
-            // A scanning cursor reads to the end of the column whatever
-            // the probes.
-            let before = store.io_stats();
-            let mut cursor = RunCursor::new(dc.feed(false, usize::MAX));
-            assert_eq!(cursor.seek(col.runs[0].value).unwrap(), Some(col.runs[0]));
-            cursor.finish().unwrap();
-            assert_eq!(store.io_stats().since(&before).hits, blocks, "{format:?}");
+        // Varint payloads: a byte per row, so the column spans several blocks.
+        let format = FormatVersion::V2;
+        let opts = WriteIndexOptions { include_scores: true, format };
+        let store = open_unbounded(&image_of(&ix, opts));
+        let dc = store.column("dense", 2).unwrap();
+        let blocks = dc.block_count() as u64;
+        assert!(blocks > 2, "{format:?}: corpus must span several blocks");
+        // Every 7th value plus misses between them: all blocks land,
+        // each once, and every lookup answers as the memory column.
+        let mut probes: Vec<u32> = col.runs.iter().step_by(7).map(|r| r.value).collect();
+        probes.extend(col.runs.iter().step_by(11).map(|r| r.value + 1));
+        probes.sort_unstable();
+        probes.dedup();
+        let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
+        for &v in &probes {
+            assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{format:?} {v}");
         }
+        assert_eq!(store.io_stats().misses, blocks, "{format:?}");
+        assert_eq!(store.io_stats().hits, 0, "{format:?}: one access per landed block");
+        // Only the last value: the directory jumps to its block.  Past
+        // the end nothing more lands.
+        let last = col.runs.last().unwrap();
+        let before = store.io_stats();
+        let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
+        assert_eq!(cursor.seek(last.value).unwrap(), Some(*last));
+        assert_eq!(cursor.seek(last.value + 1).unwrap(), None);
+        cursor.finish().unwrap();
+        assert_eq!(store.io_stats().since(&before).hits, 1, "{format:?}");
+        // A scanning cursor reads to the end of the column whatever
+        // the probes.
+        let before = store.io_stats();
+        let mut cursor = RunCursor::new(dc.feed(false, usize::MAX));
+        assert_eq!(cursor.seek(col.runs[0].value).unwrap(), Some(col.runs[0]));
+        cursor.finish().unwrap();
+        assert_eq!(store.io_stats().since(&before).hits, blocks, "{format:?}");
     }
 
     #[test]
@@ -791,7 +610,7 @@ mod tests {
 
     #[test]
     fn find_matches_in_memory_find() {
-        for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
+        for format in [FormatVersion::V2, FormatVersion::V3] {
             let (ix, store, _image) = store_v(format);
             let term = ix.term_by_str("shared").unwrap();
             let dc = store.column("shared", 3).unwrap();
@@ -799,6 +618,77 @@ mod tests {
                 assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{format:?}");
             }
             assert_eq!(dc.find(999_999).unwrap(), None);
+        }
+    }
+
+    /// ROADMAP item 0c's reproducer: 6 000 `<c>` nodes holding one or two
+    /// `<d>w</d>` each, so `w`'s level-2 column has runs of one and two
+    /// rows and still chooses delta; 600 empty siblings after every 64th
+    /// spread the level-2 numbers, so the bit-packed lanes (10 bits a row
+    /// instead of 1) fill a block as well.
+    /// Returns the index and whether, under `format`, some block of that
+    /// column ends inside a run.
+    fn straddling_corpus(format: FormatVersion) -> (XmlIndex, bool) {
+        let mut xml = String::from("<r>");
+        for i in 0..6000u32 {
+            let leaves = if i.wrapping_mul(2_654_435_761) >> 31 == 0 { "<d>w</d>" } else { "<d>w</d><d>w</d>" };
+            xml.push_str(&format!("<c>{leaves}</c>"));
+            if i % 64 == 0 {
+                xml.push_str(&"<x/>".repeat(600));
+            }
+        }
+        xml.push_str("</r>");
+        let ix = XmlIndex::build(parse(&xml).unwrap());
+        let col = &ix.term_by_str("w").unwrap().columns[1];
+        assert_eq!(crate::codec::choose_scheme(col), Scheme::Delta);
+        let cc = match format {
+            FormatVersion::V2 => crate::codec::encode_column(col, Scheme::Delta),
+            FormatVersion::V3 => crate::codec::encode_column_packed(col, Scheme::Delta),
+        };
+        let straddles = cc.blocks.windows(2).any(|w| w[0].last == w[1].first);
+        (ix, straddles)
+    }
+
+    #[test]
+    fn run_cut_by_a_block_boundary_reads_row_for_row_as_the_memory_column() {
+        // What item 0c leaves true of the store's readers, pinned so it
+        // cannot get worse: a run a delta block boundary cuts comes back
+        // in parts, but the parts are adjacent, so `scan` covers the
+        // memory column row for row, and `find` starts at the run's start.
+        // Once blocks are cut at run boundaries (or cursors look across
+        // them) both asserts tighten to plain equality.
+        for format in [FormatVersion::V2, FormatVersion::V3] {
+            let (ix, straddles) = straddling_corpus(format);
+            assert!(straddles, "{format:?}: no block of the corpus ends inside a run");
+            let store = open_unbounded(&image_of(&ix, WriteIndexOptions { include_scores: false, format }));
+            let col = &ix.term_by_str("w").unwrap().columns[1];
+            let dc = store.column("w", 2).unwrap();
+            let mut merged = dc.scan().unwrap();
+            merged.dedup_by(|part, open| {
+                let joins = open.value == part.value && open.end() == part.start;
+                open.len += if joins { part.len } else { 0 };
+                joins
+            });
+            assert_eq!(merged, col.runs, "{format:?}");
+            for run in &col.runs {
+                let found = dc.find(run.value).unwrap().expect("every run value is found");
+                assert_eq!((found.value, found.start), (run.value, run.start), "{format:?}");
+                assert!(found.len <= run.len, "{format:?}: {found:?} outgrows {run:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_index_joins_a_run_cut_by_a_block_boundary() {
+        // The eager reader returns exact columns whatever the block cuts.
+        for format in [FormatVersion::V2, FormatVersion::V3] {
+            let (ix, straddles) = straddling_corpus(format);
+            assert!(straddles, "{format:?}: no block of the corpus ends inside a run");
+            let image = image_of(&ix, WriteIndexOptions { include_scores: true, format });
+            let loaded = crate::disk::read_index_bytes(ColumnBytes::from(image)).unwrap();
+            for (_, term) in ix.terms() {
+                assert_eq!(loaded.terms[&*term.term].columns, term.columns, "{format:?} {}", term.term);
+            }
         }
     }
 
@@ -845,8 +735,8 @@ mod tests {
 
     #[test]
     fn cold_find_decodes_at_most_one_block() {
-        // The satellite regression: a v2 probe must not decode the
-        // preceding blocks of the column to locate its row prefix.
+        // A probe must not decode the preceding blocks of the column to
+        // locate its row prefix.
         let mut xml = String::from("<r>");
         for i in 0..6000 {
             xml.push_str(&format!("<p><t>dense x{i}</t></p>"));
@@ -865,17 +755,6 @@ mod tests {
         let reads = store.reads();
         assert_eq!(dc.find(target + 1).unwrap(), None);
         assert_eq!(store.reads(), reads, "out-of-range probe is free");
-
-        // The v1 ablation: same probe decodes the whole prefix.
-        let v1 = WriteIndexOptions { include_scores: false, format: FormatVersion::V1 };
-        let store1 = open_unbounded(&image_of(&ix, v1));
-        let dc1 = store1.column("dense", 2).unwrap();
-        assert!(dc1.find(target).unwrap().is_some());
-        assert_eq!(
-            store1.reads(),
-            dc1.block_count() as u64,
-            "v1 pays the whole prefix for a last-block probe"
-        );
     }
 
     #[test]

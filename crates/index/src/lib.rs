@@ -10,7 +10,8 @@
 //! * **Join-based** (§III): per-keyword inverted lists of JDewey sequences
 //!   sorted in JDewey order and stored **column per tree level**
 //!   ([`columnar`]), compressed with per-block deltas or `(v, r, c)` RLE
-//!   triples ([`codec`]), plus sparse per-column indices ([`sparse`]).
+//!   triples ([`codec`]), found through a per-column block directory (the
+//!   paper's sparse index: one [`codec::BlockEntry`] per 4 KiB block).
 //! * **Top-K join** (§IV): the same columns plus per-posting local scores
 //!   ([`score`]) and the score-sorted, length-grouped segment lists of
 //!   Fig. 7 ([`scored`]).
@@ -20,8 +21,10 @@
 //!   the BerkeleyDB layout whose size Table I reports.
 //! * **RDIL**: score-sorted postings + doc-order B-trees per keyword.
 //!
-//! [`builder::XmlIndex`] ties these together; [`disk`] persists and reloads
-//! the columnar format; [`sizes`] produces the Table I byte counts.
+//! [`builder::XmlIndex`] ties these together; [`disk`] owns the file format
+//! (one writer, one directory parse), [`diskcol`] serves it block by block
+//! to the disk and sharded engines; [`sizes`] produces the Table I byte
+//! counts.
 
 pub mod btree;
 pub mod builder;
@@ -36,7 +39,6 @@ pub mod postings;
 pub mod score;
 pub mod scored;
 pub mod sizes;
-pub mod sparse;
 pub mod text;
 
 pub use builder::{IndexOptions, LocalScorer, TermData, TermId, XmlIndex};

@@ -18,32 +18,13 @@
 
 use crate::btree::{composite_key, dewey_key_bytes, emulate_size};
 use crate::builder::XmlIndex;
-use crate::codec::{choose_scheme, encode_column, varint_len, write_varint, CompressedColumn};
-use crate::sparse::SPARSE_ENTRY_BYTES;
+use crate::codec::{varint_len, write_varint, BlockLayout};
+use crate::disk::encode_column_record;
 use std::fmt;
 
-/// Exact on-disk bytes of one column record in the footered formats
-/// (v2 varint payloads and v3 bit-packed payloads share one directory
-/// shape): scheme byte, block count, per-block directory entries
-/// `(offset, first value, row count, last − first)` as varints, payload
-/// length, payload.  Mirrors the private `encode_term_record` in
-/// [`crate::disk`]; the `column_accounting_matches_actual_file_length`
-/// tests keep the two from drifting for both layouts.
-fn column_record_bytes(cc: &CompressedColumn) -> u64 {
-    let mut bytes = 1 + varint_len(cc.block_offsets.len() as u32);
-    for b in 0..cc.block_offsets.len() {
-        let off = cc.block_offsets.get(b).copied().unwrap_or(0);
-        let first = cc.block_first_values.get(b).copied().unwrap_or(0);
-        let rows = cc.block_rows.get(b).copied().unwrap_or(0);
-        let last = cc.block_last_values.get(b).copied().unwrap_or(first);
-        bytes += varint_len(off)
-            + varint_len(first)
-            + varint_len(rows)
-            + varint_len(last.saturating_sub(first));
-    }
-    bytes += varint_len(cc.payload_bytes() as u32) + cc.payload_bytes();
-    bytes as u64
-}
+/// Bytes per sparse-index entry as Table I prices it: u32 first value +
+/// u32 block offset, one entry per block.
+pub const SPARSE_ENTRY_BYTES: usize = 8;
 
 /// Byte sizes of the five physical indexes (Table I).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,12 +72,13 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         }
         join += scratch.len() as u64; // lengths array
         join += varint_len(term.columns.len() as u32) as u64;
+        // The column records are the writer's own, byte for byte.
+        scratch.clear();
         let mut sparse_blocks = 0u64;
         for col in &term.columns {
-            let cc = encode_column(col, choose_scheme(col));
-            join += column_record_bytes(&cc);
-            sparse_blocks += cc.block_count() as u64;
+            sparse_blocks += encode_column_record(col, BlockLayout::Varint, &mut scratch) as u64;
         }
+        join += scratch.len() as u64;
         s.join_il += join;
         s.join_sparse += sparse_blocks * SPARSE_ENTRY_BYTES as u64;
 
@@ -228,19 +210,16 @@ mod tests {
         assert!(s.rdil_il + s.rdil_btree > s.topk_il + s.topk_sparse);
     }
 
-    #[test]
-    fn column_accounting_matches_actual_file_length() {
-        // Rebuild the full v2 file size out of the same primitives Table I
-        // uses.  If `column_record_bytes` ever drifts from the writer,
-        // this stops matching the real file.
-        use crate::disk::{
-            persisted_file_bytes, write_index_to, FormatVersion, WriteIndexOptions, MAGIC_V2,
-        };
+    /// Rebuilds the full file size out of the same primitives Table I
+    /// uses: header and lengths array by hand, the column records by the
+    /// encoder `compute` calls.  If the model drifts from the writer, it
+    /// stops matching the real file.
+    fn assert_model_matches_file(format: crate::disk::FormatVersion, magic: u32) {
+        use crate::disk::{persisted_file_bytes, write_index_to, WriteIndexOptions};
         let ix = small_index();
-        let opts =
-            WriteIndexOptions { include_scores: false, format: FormatVersion::V2 };
-        let mut model =
-            (varint_len(MAGIC_V2) + varint_len(ix.vocab_size() as u32) + 1) as u64;
+        let opts = WriteIndexOptions { include_scores: false, format };
+        let mut model = (varint_len(magic) + varint_len(ix.vocab_size() as u32) + 1) as u64;
+        let mut records = Vec::new();
         for (_, term) in ix.terms() {
             model += varint_len(term.term.len() as u32) as u64 + term.term.len() as u64;
             model += varint_len(term.postings.len() as u32) as u64;
@@ -249,79 +228,54 @@ mod tests {
             }
             model += varint_len(term.columns.len() as u32) as u64;
             for col in &term.columns {
-                model += column_record_bytes(&encode_column(col, choose_scheme(col)));
+                encode_column_record(col, format.layout(), &mut records);
             }
         }
+        model += records.len() as u64;
         assert_eq!(model, persisted_file_bytes(&ix, opts));
         let mut image = Vec::new();
         let written = write_index_to(&ix, &mut image, opts).unwrap();
         assert_eq!(model, written);
         assert_eq!(written, image.len() as u64);
+    }
+
+    #[test]
+    fn column_accounting_matches_actual_file_length() {
+        assert_model_matches_file(crate::disk::FormatVersion::V2, crate::disk::MAGIC_V2);
     }
 
     #[test]
     fn column_accounting_matches_v3_file_length() {
-        // Same exact-byte reconstruction for the bit-packed format: the
-        // v3 directory is byte-identical in shape to v2, only the
-        // payload encoder changes, so `column_record_bytes` over
-        // `encode_column_packed` must rebuild the real v3 file size.
-        use crate::codec::encode_column_packed;
-        use crate::disk::{
-            persisted_file_bytes, write_index_to, FormatVersion, WriteIndexOptions, MAGIC_V3,
-        };
-        let ix = small_index();
-        let opts =
-            WriteIndexOptions { include_scores: false, format: FormatVersion::V3 };
-        let mut model =
-            (varint_len(MAGIC_V3) + varint_len(ix.vocab_size() as u32) + 1) as u64;
-        for (_, term) in ix.terms() {
-            model += varint_len(term.term.len() as u32) as u64 + term.term.len() as u64;
-            model += varint_len(term.postings.len() as u32) as u64;
-            for &node in &term.postings {
-                model += varint_len(ix.tree().depth(node) as u32) as u64;
-            }
-            model += varint_len(term.columns.len() as u32) as u64;
-            for col in &term.columns {
-                model += column_record_bytes(&encode_column_packed(col, choose_scheme(col)));
-            }
-        }
-        assert_eq!(model, persisted_file_bytes(&ix, opts));
-        let mut image = Vec::new();
-        let written = write_index_to(&ix, &mut image, opts).unwrap();
-        assert_eq!(model, written);
-        assert_eq!(written, image.len() as u64);
+        // The v3 directory is byte-identical in shape to v2, only the
+        // payload encoder changes.
+        assert_model_matches_file(crate::disk::FormatVersion::V3, crate::disk::MAGIC_V3);
     }
 
     #[test]
     fn footers_are_counted() {
-        // The v2 directory footers must show up in the join accounting:
-        // every block contributes at least two extra varint bytes over a
-        // footer-free model.
+        // The directory's row counts and last values must show up in the
+        // join accounting: every block contributes at least two varint
+        // bytes over a model pricing `(offset, first value)` alone.
+        use crate::codec::{choose_scheme, encode_column};
         let ix = small_index();
         let s = compute(&ix);
-        let mut footer_free = 0u64;
-        let mut blocks = 0u64;
+        let (mut bare, mut blocks, mut records) = (0u64, 0u64, Vec::new());
         for (_, term) in ix.terms() {
             for col in &term.columns {
                 let cc = encode_column(col, choose_scheme(col));
-                let mut b = 1 + varint_len(cc.block_offsets.len() as u32);
-                for i in 0..cc.block_offsets.len() {
-                    b += varint_len(cc.block_offsets.get(i).copied().unwrap_or(0));
-                    b += varint_len(cc.block_first_values.get(i).copied().unwrap_or(0));
+                let mut b = 1 + varint_len(cc.block_count() as u32);
+                for e in &cc.blocks {
+                    b += varint_len(e.offset) + varint_len(e.first);
                 }
                 b += varint_len(cc.payload_bytes() as u32) + cc.payload_bytes();
-                footer_free += b as u64;
-                blocks += cc.block_count() as u64;
+                bare += b as u64;
+                blocks += encode_column_record(col, BlockLayout::Varint, &mut records) as u64;
             }
         }
-        let mut with_footers = 0u64;
-        for (_, term) in ix.terms() {
-            for col in &term.columns {
-                with_footers += column_record_bytes(&encode_column(col, choose_scheme(col)));
-            }
-        }
-        assert!(with_footers >= footer_free + 2 * blocks, "footers must be accounted");
+        let with_footers = records.len() as u64;
+        assert!(with_footers >= bare + 2 * blocks, "row counts and last values must be accounted");
         assert!(s.join_il > with_footers, "join IL includes vocab + lengths on top");
+        assert_eq!(s.join_sparse, blocks * SPARSE_ENTRY_BYTES as u64);
     }
 
     #[test]

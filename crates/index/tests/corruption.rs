@@ -1,32 +1,24 @@
 //! Failure injection for the on-disk index format: truncations and random
 //! byte mutations of a valid file must produce a clean `InvalidData`
 //! error or — when the mutation happens to keep the file well-formed — a
-//! successful parse.  Never a panic.
+//! successful parse.  Never a panic, and never a file one entry point
+//! accepts and the other refuses.  Images are `Vec<u8>`s handed to the
+//! readers as they are; nothing touches the filesystem.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
 use std::sync::Arc;
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::codec::{try_read_varint, write_varint};
-use xtk_index::disk::{read_index, write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{read_index_bytes, write_index_to, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::parse;
 use xtk_xml::testutil::prop_check;
-use xtk_xml::prop_assert_eq;
 
-/// Both lazily-decoded formats: varint (v2) and bit-packed (v3) block
-/// payloads.  Every injection below runs against each, so truncated and
-/// bit-flipped packed lanes get the same coverage as varint payloads.
+/// Both formats: varint (v2) and bit-packed (v3) block payloads.  Every
+/// injection below runs against each, so truncated and bit-flipped packed
+/// lanes get the same coverage as varint payloads.
 const FORMATS: [FormatVersion; 2] = [FormatVersion::V2, FormatVersion::V3];
-
-/// A temp path unique per call: the tests of this file run on parallel
-/// threads of one process, so the process id alone lets one thread remove
-/// the file another is about to read.
-fn unique_temp(tag: &str) -> std::path::PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xtk_corrupt_{}_{tag}_{n}.bin", std::process::id()))
-}
 
 fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
     let mut xml = String::from("<r>");
@@ -35,34 +27,65 @@ fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
     }
     xml.push_str("</r>");
     let ix = XmlIndex::build(parse(&xml).unwrap());
-    let path = unique_temp("base");
-    write_index(&ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    bytes
+    let mut image = Vec::new();
+    write_index_to(&ix, &mut image, WriteIndexOptions { include_scores: true, format }).unwrap();
+    image
 }
 
-fn write_temp(bytes: &[u8], tag: &str) -> std::path::PathBuf {
-    let path = unique_temp(tag);
-    std::fs::write(&path, bytes).unwrap();
-    path
+/// The lazy entry point: a store over `image`.
+fn open(image: &[u8]) -> io::Result<DiskColumnStore> {
+    DiskColumnStore::open_bytes(image.to_vec().into(), Arc::new(ShardedLruCache::unbounded()))
+}
+
+/// The eager entry point: every column of `image` decoded.
+fn read(image: &[u8]) -> io::Result<()> {
+    read_index_bytes(image.to_vec().into()).map(|_| ())
+}
+
+/// Both entry points' verdicts on one image, by name.
+fn both(image: &[u8]) -> [(&'static str, io::Result<()>); 2] {
+    [("read_index", read(image)), ("open_bytes", open(image).map(|_| ()))]
+}
+
+fn scan_all(store: &DiskColumnStore) -> io::Result<()> {
+    for term in store.term_names() {
+        for level in 1..=store.levels_of(term) {
+            store.column(term, level).expect("a listed level").scan()?;
+        }
+    }
+    Ok(())
+}
+
+/// The two entry points share one directory parse, so an image the store
+/// refuses to open the eager reader refuses too, and the eager reader
+/// loads exactly the images whose every column then scans.  Errors are
+/// `InvalidData`.  Returns the eager outcome.
+fn assert_readers_agree(image: &[u8], what: &str) -> bool {
+    let (eager, lazy) = (read(image), open(image));
+    for err in [eager.as_ref().err(), lazy.as_ref().err()].into_iter().flatten() {
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+    if lazy.is_err() {
+        assert!(eager.is_err(), "{what}: read_index loaded an image open_bytes refuses");
+    }
+    let scanned = lazy.and_then(|store| scan_all(&store));
+    assert_eq!(eager.is_ok(), scanned.is_ok(), "{what}: eager {eager:?} vs open + scan {scanned:?}");
+    eager.is_ok()
 }
 
 #[test]
 fn every_truncation_point_is_handled() {
     for format in FORMATS {
         let bytes = valid_index_bytes(format);
+        assert!(assert_readers_agree(&bytes, "pristine"), "{format:?}");
         // Truncating at every prefix is O(n^2) in file size; sample
         // prefixes densely at the start (header/directory) and sparsely
         // later.
         let mut cuts: Vec<usize> = (0..bytes.len().min(200)).collect();
         cuts.extend((200..bytes.len()).step_by(97));
         for cut in cuts {
-            let path = write_temp(&bytes[..cut], "trunc");
             // Must not panic; Err expected for almost every cut.
-            let _ = read_index(&path);
-            let _ = DiskColumnStore::open(&path);
-            std::fs::remove_file(&path).ok();
+            assert_readers_agree(&bytes[..cut], &format!("{format:?} cut at {cut}"));
         }
     }
 }
@@ -76,25 +99,13 @@ fn random_mutations_never_panic() {
             .map(|_| (g.gen_range(0..1_000_000usize), g.gen_range(0..256u32) as u8))
             .collect();
         let mut bytes = valid_index_bytes(format);
-        for (pos, val) in flips {
+        for &(pos, val) in &flips {
             let n = bytes.len();
             bytes[pos % n] = val;
         }
-        let path = write_temp(&bytes, "flip");
-        match read_index(&path) {
-            Ok(loaded) => {
-                // A lucky mutation may still be well-formed; walking the
-                // terms must at least not panic.
-                for (term, t) in &loaded.terms {
-                    let _ = (term.len(), t.depths.len());
-                }
-            }
-            Err(e) => {
-                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
-            }
-        }
-        let _ = DiskColumnStore::open(&path);
-        std::fs::remove_file(&path).ok();
+        // A lucky mutation may still be well-formed; either way both
+        // entry points say the same.
+        assert_readers_agree(&bytes, &format!("{format:?} flips {flips:?}"));
     });
 }
 
@@ -117,8 +128,7 @@ fn mutated_store_scan_and_find_never_panic() {
             // the decode paths actually run.
             bytes[64 + pos % (n - 64)] = val;
         }
-        let path = write_temp(&bytes, "scanflip");
-        if let Ok(store) = DiskColumnStore::open(&path) {
+        if let Ok(store) = open(&bytes) {
             for term in store.term_names() {
                 for level in 1..=store.levels_of(term) {
                     let Some(col) = store.column(term, level) else { continue };
@@ -128,61 +138,99 @@ fn mutated_store_scan_and_find_never_panic() {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     });
 }
 
 #[test]
 fn empty_and_garbage_files_rejected() {
     for content in [&b""[..], &b"\x00"[..], &b"garbage not an index"[..]] {
-        let path = write_temp(content, "garbage");
-        assert!(read_index(&path).is_err());
-        assert!(DiskColumnStore::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        assert!(!assert_readers_agree(content, "garbage"));
     }
 }
 
 #[test]
-fn depth_beyond_u16_is_rejected_by_both_readers() {
-    // `read_index` and `DiskColumnStore::open_bytes` walk the same
-    // directory and must agree on what a valid file is.  A posting depth
-    // of 65 536 + d used to be `Err` from the first and — truncated to
-    // `d` by an `as u16` — a store that opened and scanned from the
-    // second.  The format is sequential with payload-relative block
-    // offsets, so the longer varint shifts nothing that is addressed:
-    // the depth is the only thing wrong with the image.
-    let both = |image: &[u8]| {
-        let path = write_temp(image, "depth");
-        let read = read_index(&path).map(|_| ());
-        std::fs::remove_file(&path).ok();
-        let cache = Arc::new(ShardedLruCache::unbounded());
-        let opened = DiskColumnStore::open_bytes(image.to_vec().into(), cache).map(|_| ());
-        [read, opened]
-    };
+fn version_1_image_is_rejected_by_every_reader() {
+    // An empty but well-formed version-1 file (magic, no terms, no score
+    // flag): readers of the directory without row counts are gone, and
+    // the file is refused by name rather than half-read.
+    let mut image = Vec::new();
+    write_varint(0x5854_4B01, &mut image);
+    image.extend_from_slice(&[0, 0]);
+    for (reader, outcome) in both(&image) {
+        let err = outcome.expect_err(&format!("{reader} opened a version-1 image"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reader}: {err}");
+        assert!(err.to_string().contains("unsupported format version 1"), "{reader}: {err}");
+    }
+}
+
+/// A varint of the first term record that open must validate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Field {
+    /// The depth of the term's first posting.
+    FirstDepth,
+    /// The row count in the first directory entry of the term's first
+    /// column.
+    FirstBlockRows,
+}
+
+/// The byte range `field` occupies in a pristine image, and its value.
+fn locate(bytes: &[u8], field: Field) -> (std::ops::Range<usize>, u32) {
+    let mut pos = 0;
+    let varint = |pos: &mut usize| try_read_varint(bytes, pos).unwrap();
+    // magic, term count, score flag (set), the first term's text.
+    varint(&mut pos);
+    varint(&mut pos);
+    pos += 1;
+    pos += varint(&mut pos) as usize;
+    let postings = varint(&mut pos) as usize;
+    assert!(postings > 0, "first term has postings");
+    let at = pos;
+    let depth = varint(&mut pos);
+    if field == Field::FirstDepth {
+        return (at..pos, depth);
+    }
+    // The other depths, scores; column count, scheme byte, block count;
+    // the first entry's offset and first value.
+    for _ in 1..postings {
+        varint(&mut pos);
+    }
+    pos += 4 * postings;
+    varint(&mut pos);
+    pos += 1;
+    assert!(varint(&mut pos) > 0, "first column has blocks");
+    varint(&mut pos);
+    varint(&mut pos);
+    let at = pos;
+    let rows = varint(&mut pos);
+    (at..pos, rows)
+}
+
+#[test]
+fn damaged_directory_field_is_rejected_by_every_reader() {
+    // `read_index` and `DiskColumnStore::open_bytes` must agree on what a
+    // valid file is.  One row per open-time check of a single field — the
+    // two drifts found so far: a first-entry row count of `rows + 1`
+    // loaded in the eager reader alone, a depth of 65 536 + d used to open
+    // (truncated to `d` by an `as u16`) in the store alone.  The format is
+    // sequential with payload-relative block
+    // offsets, so a longer varint shifts nothing that is addressed: the
+    // field is the only thing wrong with the image.
+    type Damage = (Field, fn(u32) -> u32);
+    let damage: [Damage; 2] =
+        [(Field::FirstBlockRows, |rows| rows + 1), (Field::FirstDepth, |depth| depth + 65_536)];
     for format in FORMATS {
         let bytes = valid_index_bytes(format);
-        // magic, term count, score flag, the first term's text, its
-        // posting count — the next varint is its first posting's depth.
-        let mut pos = 0;
-        try_read_varint(&bytes, &mut pos).unwrap();
-        try_read_varint(&bytes, &mut pos).unwrap();
-        pos += 1;
-        pos += try_read_varint(&bytes, &mut pos).unwrap() as usize;
-        assert!(try_read_varint(&bytes, &mut pos).unwrap() > 0, "first term has postings");
-        let at = pos;
-        let depth = try_read_varint(&bytes, &mut pos).unwrap();
-        assert!((1..=u32::from(u16::MAX)).contains(&depth), "walked to a depth: {depth}");
-
-        let mut image = bytes[..at].to_vec();
-        write_varint(depth + 65_536, &mut image);
-        image.extend_from_slice(&bytes[pos..]);
-
-        for (reader, outcome) in ["read_index", "open_bytes"].iter().zip(both(&bytes)) {
-            assert!(outcome.is_ok(), "{format:?}: {reader} rejects the pristine image");
-        }
-        for (reader, outcome) in ["read_index", "open_bytes"].iter().zip(both(&image)) {
-            let err = outcome.expect_err(&format!("{format:?}: {reader} accepted depth 65 536 + {depth}"));
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{reader}: {err}");
+        assert!(assert_readers_agree(&bytes, "pristine"), "{format:?}: pristine image refused");
+        for (field, replace) in damage {
+            let (at, value) = locate(&bytes, field);
+            let mut image = bytes[..at.start].to_vec();
+            write_varint(replace(value), &mut image);
+            image.extend_from_slice(&bytes[at.end..]);
+            let what = format!("{format:?} {field:?} {value} -> {}", replace(value));
+            for (reader, outcome) in both(&image) {
+                let err = outcome.expect_err(&format!("{what}: {reader} accepted it"));
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {reader}: {err}");
+            }
         }
     }
 }

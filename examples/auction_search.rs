@@ -1,6 +1,6 @@
 //! Auction-site search over a generated XMark-like corpus, with index
-//! persistence: build → save to disk → reload → verify the columns
-//! round-tripped, then query under both semantics.
+//! persistence: build → serialize the index file → reload → verify the
+//! columns round-tripped, then query under both semantics.
 //!
 //! ```text
 //! cargo run --release --example auction_search
@@ -9,7 +9,7 @@
 use xtk::core::{Engine, QueryRequest, Semantics};
 use xtk::datagen::xmark::{generate, XmarkConfig};
 use xtk::datagen::PlantedTerm;
-use xtk::index::disk::{read_index, write_index, WriteIndexOptions};
+use xtk::index::disk::{read_index_bytes, write_index_to, WriteIndexOptions};
 use xtk::index::sizes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,18 +35,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Table-I-style size accounting for this corpus.
     println!("\nindex sizes:\n{}", sizes::compute(engine.index()));
 
-    // Persist the columnar index and load it back.
-    let path = std::env::temp_dir().join("xtk_auction_index.bin");
-    let bytes = write_index(engine.index(), &path, WriteIndexOptions { include_scores: true, ..Default::default() })?;
-    println!("\nwrote columnar index: {} ({} bytes)", path.display(), bytes);
-    let loaded = read_index(&path)?;
+    // Serialize the columnar index (`write_index` puts the same bytes in a
+    // file) and load it back.
+    let mut image = Vec::new();
+    let options = WriteIndexOptions { include_scores: true, ..Default::default() };
+    let bytes = write_index_to(engine.index(), &mut image, options)?;
+    println!("\nwrote columnar index: {bytes} bytes");
+    let loaded = read_index_bytes(image.into())?;
     let vintage = engine.index().term_by_str("vintage").expect("planted");
     assert_eq!(
         loaded.terms["vintage"].columns, vintage.columns,
         "reloaded columns are bit-identical"
     );
     println!("reloaded {} terms; columns verified identical", loaded.terms.len());
-    std::fs::remove_file(&path).ok();
 
     // Queries: items about vintage cameras.
     let q = engine.query("vintage camera")?;

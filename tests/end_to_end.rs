@@ -9,6 +9,7 @@ use xtk::core::result::sort_ranked;
 use xtk::datagen::dblp::{generate, DblpConfig};
 use xtk::datagen::PlantedTerm;
 use xtk::index::disk::{read_index, write_index, WriteIndexOptions};
+use xtk::xml::testutil::TempPath;
 use xtk::xml::writer::{write_document, WriteOptions};
 
 fn corpus_engine() -> Engine {
@@ -139,7 +140,7 @@ fn hybrid_routes_and_matches_topk_scores() {
 #[test]
 fn persistence_roundtrip_on_generated_corpus() {
     let engine = corpus_engine();
-    let path = std::env::temp_dir().join(format!("xtk_e2e_{}.bin", std::process::id()));
+    let path = TempPath::new("xtk_e2e");
     write_index(engine.index(), &path, WriteIndexOptions { include_scores: true, ..Default::default() }).unwrap();
     let loaded = read_index(&path).unwrap();
     assert_eq!(loaded.terms.len(), engine.index().vocab_size());
@@ -149,7 +150,6 @@ fn persistence_roundtrip_on_generated_corpus() {
         assert_eq!(disk.columns, orig.columns, "{term} columns");
         assert_eq!(disk.scores.as_ref().unwrap().len(), orig.scores.len());
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
