@@ -249,10 +249,28 @@ fn planted_xmark(scale: Scale) -> Vec<PlantedTerm> {
     out
 }
 
-/// Median wall time of `reps` runs of `f` after one warm-up run
-/// (hot-cache methodology, as in the paper).
+/// Bounds of [`time_median`]'s warm-up: calls repeat until this many are
+/// made or this much time has gone.
+const WARM_UP_CALLS: usize = 32;
+const WARM_UP_TIME: Duration = Duration::from_millis(50);
+
+/// Median wall time of `reps` runs of `f` after a warm-up (hot-cache
+/// methodology, as in the paper).
+///
+/// One warm-up call is not enough for a short `f` right after an index
+/// build: the allocator gives the heap the build freed back to the system
+/// over the next several calls, each of which then faults its pages in
+/// again — milliseconds on a query of microseconds, in no steady order a
+/// ratio between consecutive calls could tell from the settled state.  So
+/// the warm-up is by budget; an `f` of 50 ms or more still gets one call.
 pub fn time_median(reps: usize, mut f: impl FnMut()) -> Duration {
-    f(); // warm-up
+    let warm_up = Instant::now();
+    for _ in 0..WARM_UP_CALLS {
+        f();
+        if warm_up.elapsed() >= WARM_UP_TIME {
+            break;
+        }
+    }
     let mut times: Vec<Duration> = (0..reps)
         .map(|_| {
             let t = Instant::now();
@@ -438,6 +456,29 @@ pub fn skewed_schedule(distinct: usize, total: usize, seed: u64) -> Vec<usize> {
 mod tests {
     use super::*;
     use xtk_core::query::Query;
+
+    #[test]
+    fn time_median_warms_up_past_slow_first_calls() {
+        // The shape `experiments` meets after an index build: a few slow
+        // calls, then the steady state.
+        let pause = Duration::from_millis(1);
+        let mut calls = 0usize;
+        let median = time_median(5, || {
+            calls += 1;
+            if calls <= 4 {
+                std::thread::sleep(pause);
+            }
+        });
+        assert_eq!(calls, WARM_UP_CALLS + 5);
+        assert!(median < pause, "the median still holds a slow first call: {median:?}");
+        // A long call is warmed up once, as it always was.
+        let mut calls = 0usize;
+        time_median(3, || {
+            calls += 1;
+            std::thread::sleep(WARM_UP_TIME);
+        });
+        assert_eq!(calls, 1 + 3);
+    }
 
     #[test]
     fn skewed_schedule_is_deterministic_bounded_and_skewed() {

@@ -212,11 +212,10 @@ impl<'a> Cursors<'a> {
                 heads.extend(self.seg_head(si, level, eraser, damping));
             }
         }
-        // Galloping hint into the column's runs: consecutive retrieved rows
-        // are often close (a segment's rows cluster), so restarting the
-        // `value_of_row` search near the previous hit beats a full binary
-        // search; a stale hint just restarts, never changes the answer.
-        let mut vhint = 0usize;
+        // Rows arrive in score order, so each one's number is read through
+        // the column's row directory; a column too short to carry one is
+        // searched.
+        let dir = term.row_directory(level);
         while out.len() < cap {
             // First strict maximum: the lowest segment index wins a tie.
             let mut best: Option<(usize, (usize, u32, f32))> = None;
@@ -236,8 +235,10 @@ impl<'a> Cursors<'a> {
                 }
             }
             // Retrieved rows reach this level by construction (seg.len >= level).
-            let (h, found) = col.value_of_row_hinted(row, vhint);
-            vhint = h;
+            let found = match dir {
+                Some(dir) => dir.value_of_row(col, row),
+                None => col.value_of_row(row),
+            };
             let Some(value) = found else { break };
             out.push_back((row, damped, value));
         }
@@ -972,6 +973,10 @@ mod tests {
         let ix = XmlIndex::build_with(parse(&xml).unwrap(), opts);
         let term = ix.term_by_str("w").unwrap();
         assert!(term.segments.len() >= 4);
+        // Both ways to a row's number are drained: through a directory
+        // and, on the short columns, through the search.
+        let carried = |l| term.row_directory(l).is_some();
+        assert!((1..=term.max_len()).any(carried) && !(1..=term.max_len()).all(carried));
         let rows = term.len() as u32;
         // λ = 1 damps nothing: equal local scores then tie across
         // segments, which is what the segment-index tie-break is for.

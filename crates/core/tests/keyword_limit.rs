@@ -4,7 +4,6 @@
 //! both binders now answer it with a typed error, and a query at the limit
 //! still runs on every executor.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use xtk_core::plan::{compile, PlanError};
 use xtk_core::query::{Query, QueryError};
 use xtk_core::request::{DiskEngine, Executor, QueryRequest};
@@ -13,13 +12,7 @@ use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, Semantics};
 use xtk_index::disk::{write_index, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
-
-/// A path no other test thread or process uses.
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xtk_kwlimit_{tag}_{}_{n}", std::process::id()))
-}
+use xtk_xml::testutil::TempPath;
 
 fn words(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("w{i}")).collect()
@@ -33,11 +26,11 @@ fn one_keyword_over_the_limit_is_an_error_and_the_limit_runs_everywhere() {
     let engine = Engine::from_xml(&xml).unwrap();
     let ix = engine.index();
 
-    let file = temp_path("store");
+    let file = TempPath::new("xtk_kwlimit_store");
     write_index(ix, &file, WriteIndexOptions::default()).unwrap();
     let store = DiskColumnStore::open(&file).unwrap();
     let disk = DiskEngine::new(ix, &store);
-    let dir = temp_path("shards");
+    let dir = TempPath::new("xtk_kwlimit_shards");
     write_sharded(ix, &dir, 2).unwrap();
     let sharded = ShardedEngine::open(ix, &dir).unwrap();
     let executors: [(&str, &dyn Executor); 3] =
@@ -67,6 +60,4 @@ fn one_keyword_over_the_limit_is_an_error_and_the_limit_runs_everywhere() {
     let (query, req) = compile(ix, &star, &base).unwrap();
     assert_eq!(engine.run(&query, &req).results.len(), 2);
 
-    std::fs::remove_file(&file).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }

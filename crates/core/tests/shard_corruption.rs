@@ -5,31 +5,27 @@
 //! persisted-index corruption prop-test one layer up).
 
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use xtk_core::shard::{shard_dir_name, write_sharded, ShardedEngine, MANIFEST_FILE, STORE_FILE};
 use xtk_core::{Executor, Query, QueryRequest, Semantics};
 use xtk_index::XmlIndex;
 use xtk_xml::parse;
-use xtk_xml::testutil::prop_check;
+use xtk_xml::testutil::{prop_check, TempPath};
 
 const DOC: &str = "<bib><conf><paper><title>xml keyword search</title></paper>\
                    <paper><title>top k join</title></paper></conf>\
                    <conf><paper><title>xml top k</title></paper></conf>\
                    <conf><paper><title>keyword ranking</title></paper></conf></bib>";
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn scratch(tag: &str) -> PathBuf {
-    let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xtk_shard_corrupt_{tag}_{}_{seq}", std::process::id()))
+fn scratch(tag: &str) -> TempPath {
+    TempPath::new(&format!("xtk_shard_corrupt_{tag}"))
 }
 
 fn corpus() -> XmlIndex {
     XmlIndex::build(parse(DOC).unwrap())
 }
 
-fn written(tag: &str, ix: &XmlIndex, shards: usize) -> PathBuf {
+fn written(tag: &str, ix: &XmlIndex, shards: usize) -> TempPath {
     let dir = scratch(tag);
     write_sharded(ix, &dir, shards).expect("write sharded corpus");
     dir
@@ -51,7 +47,6 @@ fn missing_directory_and_missing_manifest_err() {
     let dir = scratch("empty");
     fs::create_dir_all(&dir).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_err(), "no manifest");
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -61,7 +56,6 @@ fn missing_and_truncated_shard_stores_err() {
     let dir = written("missing_shard", &ix, 3);
     fs::remove_dir_all(dir.join(shard_dir_name(1))).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_err());
-    fs::remove_dir_all(&dir).ok();
     // Truncated store file: every prefix length must fail cleanly.
     let dir = written("truncated", &ix, 2);
     let store = dir.join(shard_dir_name(1)).join(STORE_FILE);
@@ -71,7 +65,6 @@ fn missing_and_truncated_shard_stores_err() {
         let r = ShardedEngine::open(&ix, &dir);
         assert!(r.is_err(), "truncated store at {cut} bytes must not open");
     }
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -83,7 +76,6 @@ fn version_mismatched_manifest_errs() {
     fs::write(&manifest, text.replacen("v1", "v2", 1)).unwrap();
     let err = ShardedEngine::open(&ix, &dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -103,7 +95,6 @@ fn manifest_corpus_mismatch_errs() {
     let text = fs::read_to_string(&manifest).unwrap();
     fs::write(&manifest, text.replacen("shard 0 0 2", "shard 0 0 3", 1)).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_err());
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -123,7 +114,6 @@ fn prop_manifest_byte_flips_never_panic() {
     });
     fs::write(&manifest, &pristine).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_ok(), "pristine manifest restored");
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -141,5 +131,4 @@ fn prop_store_byte_flips_never_panic() {
     });
     fs::write(&store, &pristine).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_ok(), "pristine store restored");
-    fs::remove_dir_all(&dir).ok();
 }

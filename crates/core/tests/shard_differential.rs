@@ -16,6 +16,7 @@ use xtk_index::disk::{FormatVersion, WriteIndexOptions};
 use xtk_index::XmlIndex;
 use xtk_obs::TraceLevel;
 use xtk_xml::parse;
+use xtk_xml::testutil::TempPath;
 
 /// A deterministic 48-document corpus with skewed term frequencies, so
 /// the TA merge actually prunes on some queries and not on others.
@@ -54,8 +55,8 @@ fn corpus() -> XmlIndex {
     XmlIndex::build(parse(&corpus_xml()).unwrap())
 }
 
-fn tmp(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("xtk_shard_diff_{tag}_{}", std::process::id()))
+fn tmp(tag: &str) -> TempPath {
+    TempPath::new(&format!("xtk_shard_diff_{tag}"))
 }
 
 /// The query/request mix the grid runs: top-K and complete, ELCA and
@@ -133,7 +134,6 @@ fn results_bit_identical_across_topology_parallelism_and_cache() {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -176,8 +176,6 @@ fn packed_shard_stores_bit_identical_to_varint() {
                 );
             }
         }
-        std::fs::remove_dir_all(&d2).ok();
-        std::fs::remove_dir_all(&d3).ok();
     }
 }
 
@@ -210,7 +208,6 @@ fn metric_totals_and_merged_traces_are_parallelism_invariant() {
         assert!(!ta.of_kind("shard_scatter").is_empty());
         assert_eq!(ta.of_kind("shard_stop").len(), 1);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -267,8 +264,6 @@ fn run_batch_equals_sequential_equals_single_shard() {
         assert_bit_identical("cold vs warm batch", &a.results, &b.results);
         assert_eq!(a.metrics, b.metrics, "cold vs warm batch metrics");
     }
-    std::fs::remove_dir_all(&dir4).ok();
-    std::fs::remove_dir_all(&dir1).ok();
 }
 
 #[test]
@@ -311,6 +306,4 @@ fn resharding_invalidates_cached_answers() {
     // Same topology again: now it hits.
     let third = run_batch(&four, &cache, &opts, &items).unwrap();
     assert_eq!(third.metrics.get("batch.result_hits"), third.metrics.get("batch.queries"));
-    std::fs::remove_dir_all(&da).ok();
-    std::fs::remove_dir_all(&db).ok();
 }

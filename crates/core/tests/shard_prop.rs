@@ -6,20 +6,16 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use xtk_core::result::{sort_ranked, ScoredResult};
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{
     Engine, Executor, Query, QueryAlgorithm, QueryRequest, Semantics,
 };
-use xtk_xml::testutil::prop_check;
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+use xtk_xml::testutil::{prop_check, TempPath};
 
 /// A fresh scratch directory per case (cases run in one process).
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xtk_shard_prop_{tag}_{}_{seq}", std::process::id()))
+fn scratch(tag: &str) -> TempPath {
+    TempPath::new(&format!("xtk_shard_prop_{tag}"))
 }
 
 fn assert_bit_identical(label: &str, got: &[ScoredResult], want: &[ScoredResult]) {
@@ -76,7 +72,6 @@ fn ta_early_stop_never_drops_a_topk_result() {
             .with_pruning(false)
             .execute(&q, &req)
             .expect("naive full merge");
-        std::fs::remove_dir_all(&dir).ok();
 
         // The TA theorem: early stop changes nothing, bit for bit.
         assert_bit_identical("pruned vs full merge", &pruned.results, &naive.results);
@@ -112,7 +107,6 @@ fn complete_requests_never_prune_and_match_unsharded() {
             .expect("open sharded corpus")
             .execute(&q, &req)
             .expect("complete scatter-gather");
-        std::fs::remove_dir_all(&dir).ok();
 
         assert_eq!(resp.metrics.get("shard.pruned"), 0, "complete sets gather every shard");
         let engine = Engine::from_index(common::build_corpus(&shape, &placements, kws));

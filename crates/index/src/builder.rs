@@ -8,10 +8,11 @@
 //!   id order equals Dewey order because the arena is in pre-order),
 //! * `scores` — normalized tf–idf local scores `g(v, w)`,
 //! * `columns` — the JDewey column-per-level run representation (§III),
-//! * `segments` — the score-sorted length groups of Fig. 7 (§IV),
+//! * `segments` — the score-sorted length groups of Fig. 7 (§IV), with the
+//!   row directories that give them Fig. 7's row → number access,
 //! * `score_rows` — the full score-descending permutation RDIL scans.
 
-use crate::columnar::{build_columns, Column};
+use crate::columnar::{build_columns, Column, RowDirectory};
 use crate::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
 use crate::score::{Damping, TfIdf};
 use crate::scored::{build_segments, score_order, Segment};
@@ -56,6 +57,29 @@ pub struct TermData {
     /// Per-level value histograms for cardinality estimation (§V-D);
     /// `None` for levels whose column is short enough to probe directly.
     pub histograms: Vec<Option<Histogram>>,
+    /// Per-level row directories, `None` for a term none of whose columns
+    /// is long enough to carry one — the long tail of the vocabulary,
+    /// which pays one pointer for it.
+    row_directories: Option<Box<RowDirectories>>,
+}
+
+/// One slot per column (index 0 = level 1) up to the deepest that carries
+/// a directory.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RowDirectories(Vec<Option<RowDirectory>>);
+
+impl RowDirectories {
+    /// `None` — and no allocation — for columns that carry none.
+    fn build(columns: &[Column]) -> Option<Box<Self>> {
+        let mut slots = Vec::new();
+        for (i, col) in columns.iter().enumerate() {
+            if let Some(dir) = RowDirectory::build(col) {
+                slots.resize(i, None);
+                slots.push(Some(dir));
+            }
+        }
+        (!slots.is_empty()).then(|| Box::new(Self(slots)))
+    }
 }
 
 impl TermData {
@@ -76,6 +100,14 @@ impl TermData {
     #[inline]
     pub fn max_len(&self) -> u16 {
         self.columns.len() as u16
+    }
+
+    /// The row directory of the level-`level` column, for the columns
+    /// that carry one (see [`RowDirectory::build`]).
+    #[inline]
+    pub fn row_directory(&self, level: u16) -> Option<&RowDirectory> {
+        let slots = &self.row_directories.as_deref()?.0;
+        slots.get((level as usize).checked_sub(1)?)?.as_ref()
     }
 }
 
@@ -139,6 +171,7 @@ struct TermStructures {
     segments: Vec<Segment>,
     score_rows: Vec<u32>,
     histograms: Vec<Option<Histogram>>,
+    row_directories: Option<Box<RowDirectories>>,
 }
 
 /// The unified in-memory index over one XML document.
@@ -285,7 +318,8 @@ impl XmlIndex {
                     }
                 })
                 .collect();
-            TermStructures { scores, columns, segments, score_rows, histograms }
+            let row_directories = RowDirectories::build(&columns);
+            TermStructures { scores, columns, segments, score_rows, histograms, row_directories }
         });
         let mut terms = Vec::with_capacity(raw.len());
         for (i, ((postings, _tfs), built)) in raw.into_iter().zip(built).enumerate() {
@@ -297,6 +331,7 @@ impl XmlIndex {
                 segments: built.segments,
                 score_rows: built.score_rows,
                 histograms: built.histograms,
+                row_directories: built.row_directories,
             });
         }
 
@@ -406,8 +441,8 @@ impl XmlIndex {
     /// Replaces the occurrence scores of term `id` with `scores` (one per
     /// posting, aligned with the posting list) and rebuilds the
     /// score-derived structures: the top-K segment summaries and the RDIL
-    /// score permutation.  JDewey columns and level histograms depend only
-    /// on structure and are kept as-is.
+    /// score permutation.  JDewey columns, level histograms and row
+    /// directories depend only on structure and are kept as-is.
     ///
     /// This is the hook `xtk-core::shard` uses to stamp *corpus-global*
     /// tf-idf scores onto a per-shard index, so a result's score is
@@ -528,7 +563,10 @@ mod tests {
         xml.push_str("</r>");
         let tree = parse(&xml).unwrap();
         let serial = XmlIndex::build_with(tree.clone(), IndexOptions::default());
-        for par in [Parallelism::Fixed(2), Parallelism::Fixed(8), Parallelism::Auto] {
+        assert!(serial.term_by_str("shared").unwrap().row_directory(2).is_some());
+        let settings =
+            [Parallelism::Fixed(2), Parallelism::Fixed(3), Parallelism::Fixed(8), Parallelism::Auto];
+        for par in settings {
             let p = XmlIndex::build_with(
                 tree.clone(),
                 IndexOptions { parallelism: par, ..Default::default() },
@@ -545,8 +583,29 @@ mod tests {
                 assert_eq!(sa, sb, "{par} {}", a.term);
                 assert_eq!(a.columns, b.columns, "{par} {}", a.term);
                 assert_eq!(a.score_rows, b.score_rows, "{par} {}", a.term);
+                assert_eq!(a.row_directories, b.row_directories, "{par} {}", a.term);
             }
         }
+    }
+
+    #[test]
+    fn override_scores_keeps_the_row_directories() {
+        let mut xml = String::from("<r>");
+        for i in 0..200 {
+            xml.push_str(&format!("<p>w<q>w {}</q></p>", "w ".repeat(i % 3)));
+        }
+        xml.push_str("</r>");
+        let tree = parse(&xml).unwrap();
+        let fresh = XmlIndex::build(tree.clone());
+        let mut stamped = XmlIndex::build(tree);
+        let id = stamped.term_id("w").unwrap();
+        let rows = stamped.term(id).len();
+        let scores: Vec<f32> = (0..rows).map(|i| 1.0 / (1 + i % 7) as f32).collect();
+        assert!(stamped.override_scores(id, scores));
+        assert_ne!(stamped.term(id).segments, fresh.term(id).segments);
+        assert!(fresh.term(id).row_directory(1).is_none(), "one run: the root");
+        assert!(fresh.term(id).row_directory(2).is_some());
+        assert_eq!(stamped.term(id).row_directories, fresh.term(id).row_directories);
     }
 
     #[test]

@@ -108,26 +108,6 @@ impl Column {
         (lb, hit)
     }
 
-    /// [`value_of_row`](Self::value_of_row) with a galloping restart from
-    /// run index `hint`; returns the located run index for the caller to
-    /// carry as the next hint.  Ascending row probes (the top-K batch
-    /// drain pattern) then cost amortized O(1)–O(log) per probe.
-    pub fn value_of_row_hinted(&self, row: u32, hint: usize) -> (usize, Option<u32>) {
-        let from = if hint == 0
-            || self.runs.get(hint.wrapping_sub(1)).is_some_and(|r| r.end() <= row)
-        {
-            hint.min(self.runs.len())
-        } else {
-            0
-        };
-        let i = gallop_partition_point(&self.runs, from, |r| r.end() <= row);
-        let hit = match self.runs.get(i) {
-            Some(r) if r.start <= row => Some(r.value),
-            _ => None,
-        };
-        (i, hit)
-    }
-
     /// The runs fully contained in the row range `[start, end)`.
     ///
     /// Containment-or-disjointness (§III-E) means a binary search on
@@ -139,6 +119,62 @@ impl Column {
         let hi = self.runs.partition_point(|r| r.start < end);
         debug_assert!(self.runs[lo..hi].iter().all(|r| r.end() <= end));
         &self.runs[lo..hi]
+    }
+}
+
+/// Minimum runs for a column to carry a [`RowDirectory`].  A shorter
+/// column is searched in six compares or fewer, and the floor keeps the
+/// directories to the terms frequent enough for the top-K join to spend
+/// its time in them — the long tail of the vocabulary allocates nothing.
+pub const ROW_DIRECTORY_MIN_RUNS: usize = 64;
+
+/// Rows per [`RowDirectory`] entry.
+pub const ROW_DIRECTORY_STRIDE: u32 = 8;
+
+/// Positional access into one column (paper Fig. 7): the top-K join meets
+/// rows in score order and needs each row's JDewey number without
+/// searching the document-ordered runs for it.
+///
+/// Entry `j` is the index of the first run ending after row
+/// `j · ROW_DIRECTORY_STRIDE`.  A run covers at least one row, so fewer
+/// than `ROW_DIRECTORY_STRIDE` runs end between that row and any row of
+/// the same stride: a lookup is one entry load and a scan of that window.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowDirectory {
+    first_run: Vec<u32>,
+}
+
+impl RowDirectory {
+    /// The directory of `col`; `None` below [`ROW_DIRECTORY_MIN_RUNS`].
+    pub fn build(col: &Column) -> Option<Self> {
+        if col.runs.len() < ROW_DIRECTORY_MIN_RUNS {
+            return None;
+        }
+        let stride = ROW_DIRECTORY_STRIDE as usize;
+        let rows = col.runs.last().map_or(0, |r| r.end() as usize);
+        let mut first_run = Vec::with_capacity(rows.div_ceil(stride));
+        for (i, run) in col.runs.iter().enumerate() {
+            // Ends ascend: the strides that start before this run ends and
+            // were not entered yet start after every earlier run's end.
+            while first_run.len() * stride < run.end() as usize {
+                first_run.push(i as u32);
+            }
+        }
+        Some(Self { first_run })
+    }
+
+    /// [`Column::value_of_row`] of the column this directory was built
+    /// from, without the search.
+    #[inline]
+    pub fn value_of_row(&self, col: &Column, row: u32) -> Option<u32> {
+        let first = *self.first_run.get((row / ROW_DIRECTORY_STRIDE) as usize)?;
+        let rest = col.runs.get(first as usize..)?;
+        // Ends ascend: the window's runs ending at or before `row` are its
+        // first ones, so they are counted — a fixed-length loop with no
+        // branch on where the row's run sits.
+        let window = rest.get(..ROW_DIRECTORY_STRIDE as usize - 1).unwrap_or(rest);
+        let run = rest.get(window.iter().filter(|r| r.end() <= row).count())?;
+        (run.start <= row).then_some(run.value)
     }
 }
 
@@ -498,25 +534,6 @@ mod tests {
         // Stale (backwards) hints restart safely.
         assert_eq!(col.find_hinted(2, 3).1, col.find(2));
         assert_eq!(col.find_hinted(0, 4).1, None);
-    }
-
-    #[test]
-    fn value_of_row_hinted_agrees_with_value_of_row() {
-        let col = Column {
-            runs: vec![
-                Run { value: 2, start: 0, len: 3 },
-                Run { value: 5, start: 5, len: 2 },
-                Run { value: 9, start: 7, len: 1 },
-            ],
-        };
-        let mut hint = 0;
-        for row in 0..10u32 {
-            let (i, v) = col.value_of_row_hinted(row, hint);
-            assert_eq!(v, col.value_of_row(row), "row={row}");
-            hint = i;
-        }
-        // Backwards probe with a now-stale hint.
-        assert_eq!(col.value_of_row_hinted(0, 2).1, col.value_of_row(0));
     }
 
     #[test]

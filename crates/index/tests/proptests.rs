@@ -8,7 +8,9 @@ use xtk_index::codec::{
     choose_scheme, decode_column, encode_column, encode_column_packed, CompressedColumn, Scheme,
 };
 use xtk_index::cache::ShardedLruCache;
-use xtk_index::columnar::{Column, Run};
+use xtk_index::columnar::{
+    Column, RowDirectory, Run, ROW_DIRECTORY_MIN_RUNS, ROW_DIRECTORY_STRIDE,
+};
 use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
@@ -354,5 +356,42 @@ fn value_of_row_agrees_with_runs() {
         // A row beyond all runs is absent.
         let end = col.runs.last().map(|r| r.end()).unwrap_or(0);
         prop_assert_eq!(col.value_of_row(end), None);
+    });
+}
+
+#[test]
+fn row_directory_agrees_with_value_of_row() {
+    prop_check(0x37, 96, |g| {
+        // Around the floor and well above it; adjacent runs (no gap, one
+        // row each) put the most runs under one stride, gaps the fewest.
+        let floor = ROW_DIRECTORY_MIN_RUNS;
+        let n = match g.gen_range(0..6u32) {
+            0 => 0,
+            1 => 1,
+            2 => floor - 1,
+            3 => floor,
+            _ => g.gen_range(floor..10 * floor),
+        };
+        let (max_gap, max_len) = (g.gen_range(0..20u32), g.gen_range(1..12u32));
+        let (mut value, mut row) = (0u32, 0u32);
+        let runs = (0..n)
+            .map(|_| {
+                value += g.gen_range(1..50u32);
+                row += g.gen_range(0..max_gap + 1);
+                let run = Run { value, start: row, len: g.gen_range(1..max_len + 1) };
+                row = run.end();
+                run
+            })
+            .collect();
+        let col = Column { runs };
+        let Some(dir) = RowDirectory::build(&col) else {
+            prop_assert!(n < floor, "{} runs carry no directory", n);
+            return;
+        };
+        prop_assert!(n >= floor, "{} runs carry a directory", n);
+        for row in 0..=row + ROW_DIRECTORY_STRIDE {
+            prop_assert_eq!(dir.value_of_row(&col, row), col.value_of_row(row), "row {}", row);
+        }
+        prop_assert_eq!(dir.value_of_row(&col, u32::MAX), None);
     });
 }
