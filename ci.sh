@@ -31,11 +31,11 @@ echo "== temp-path hygiene: bare temp_dir() sites outside xtk_xml::testutil"
 # Tests and bins that need the filesystem go through testutil::TempPath
 # (unique per call, removed on drop); image-based ones through
 # write_index_to + open_bytes and touch no file.  A ratchet: the count
-# may only fall (ROADMAP item 0b finishes it).
+# may only fall (ROADMAP item 0a finishes it).
 temp_dir_sites=$(grep -rn "temp_dir()" --include='*.rs' crates src examples tests \
     | grep -vc "^crates/xml/src/testutil.rs")
-[ "$temp_dir_sites" -le 4 ] || {
-    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 4 —" >&2
+[ "$temp_dir_sites" -le 2 ] || {
+    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 2 —" >&2
     echo "       use xtk_xml::testutil::TempPath" >&2; exit 1; }
 
 echo "== one LRU: one recency order, one poison-recovering lock helper"
@@ -77,6 +77,22 @@ echo "== one row -> number lookup per column: the row directory or the plain sea
 if grep -rn "value_of_row_hinted" --include='*.rs' crates >&2; then
     echo "ERROR: value_of_row_hinted is back under crates/" >&2; exit 1
 fi
+
+echo "== one thread per query: threads only around it (build, batch workers, shard scatter)"
+# Intra-query parallelism was measured on perfbench's op lists and deleted
+# (DESIGN §6): a request runs on the thread that calls it.  The pool keeps
+# three callers — the index build, the batch workers and the shard scatter;
+# a fourth file calling parallel_map( means a query phase grew threads
+# again.  (crates/lint holds fixture sources that spell the name.)
+if grep -rnE 'PAR_JOIN_MIN|PAR_MATCH_MIN|phase_chunks|pool\.(join|match|refill)_' crates >&2; then
+    echo "ERROR: an intra-query pool name is back under crates/" >&2; exit 1
+fi
+pool_callers=$(grep -rlF 'parallel_map(' --include='*.rs' crates/*/src \
+    | grep -v -e '^crates/xml/src/pool.rs$' -e '^crates/lint/' | sort | tr '\n' ' ')
+[ "$pool_callers" = "crates/core/src/batch.rs crates/core/src/shard.rs crates/index/src/builder.rs " ] || {
+    echo "ERROR: parallel_map( is called from: $pool_callers" >&2
+    echo "       expected exactly core/src/batch.rs, core/src/shard.rs, index/src/builder.rs" >&2
+    exit 1; }
 
 echo "== lint-report.json: schema + L7 acyclicity check"
 # The machine-readable report must exist, carry every section of the

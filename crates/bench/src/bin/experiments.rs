@@ -29,7 +29,7 @@ use xtk_core::hybrid::hybrid_topk;
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::sort_ranked;
-use xtk_core::topk::{topk_search, TopKOptions};
+use xtk_core::topk::{topk_search, ThresholdKind, TopKOptions};
 use xtk_index::sizes;
 use xtk_index::XmlIndex;
 use xtk_xml::stats::TreeStats;
@@ -307,50 +307,16 @@ fn ablation(o: &Opts) {
     println!("{:<28} {:>14} {:>14} {:>10} {:>10}", "query", "tight", "classic", "early(T)", "early(C)");
     for (terms, _, _) in correlated_groups() {
         let q = Query::from_words(&ix, &terms).expect("planted");
+        let opts = |threshold| TopKOptions { k: o.k, semantics: Semantics::Elca, threshold };
+        let (tight_opts, classic_opts) = (opts(ThresholdKind::Tight), opts(ThresholdKind::Classic));
         let tight = time_median(o.reps, || {
-            std::hint::black_box(topk_search(
-                &ix,
-                &q,
-                &TopKOptions {
-                    k: o.k,
-                    semantics: Semantics::Elca,
-                    threshold: xtk_core::topk::ThresholdKind::Tight,
-                ..Default::default()
-                },
-            ));
+            std::hint::black_box(topk_search(&ix, &q, &tight_opts));
         });
         let classic = time_median(o.reps, || {
-            std::hint::black_box(topk_search(
-                &ix,
-                &q,
-                &TopKOptions {
-                    k: o.k,
-                    semantics: Semantics::Elca,
-                    threshold: xtk_core::topk::ThresholdKind::Classic,
-                ..Default::default()
-                },
-            ));
+            std::hint::black_box(topk_search(&ix, &q, &classic_opts));
         });
-        let (_, st) = topk_search(
-            &ix,
-            &q,
-            &TopKOptions {
-                k: o.k,
-                semantics: Semantics::Elca,
-                threshold: xtk_core::topk::ThresholdKind::Tight,
-                ..Default::default()
-            },
-        );
-        let (_, sc) = topk_search(
-            &ix,
-            &q,
-            &TopKOptions {
-                k: o.k,
-                semantics: Semantics::Elca,
-                threshold: xtk_core::topk::ThresholdKind::Classic,
-                ..Default::default()
-            },
-        );
+        let (_, st) = topk_search(&ix, &q, &tight_opts);
+        let (_, sc) = topk_search(&ix, &q, &classic_opts);
         println!(
             "{:<28} {:>14} {:>14} {:>10} {:>10}",
             format!("{{{}}}", terms.join(", ")),

@@ -29,17 +29,16 @@
 //! the deterministic counters only; `perfbench/` is the timing authority.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 use xtk_bench::{
-    correlated_groups, equal_queries, extract_u64, gate_corpus, point_queries, skewed_schedule,
-    Fingerprint, Scale,
+    cold_store, correlated_groups, equal_queries, extract_u64, gate_corpus, point_queries,
+    skewed_schedule, store_image, Fingerprint, Scale,
 };
 use xtk_core::query::{Query, Semantics};
 use xtk_core::{BatchExecutor, BatchItem, BatchOptions, DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::pool::Parallelism;
-use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::bytes::ColumnBytes;
+use xtk_index::disk::{FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -69,12 +68,6 @@ fn distinct_items(ix: &XmlIndex) -> Vec<BatchItem> {
     items
 }
 
-fn fresh_store(path: &std::path::Path) -> DiskColumnStore {
-    let cache: Arc<dyn BlockCache> =
-        Arc::new(ShardedLruCache::with_block_capacity(DEFAULT_CAPACITY_BLOCKS));
-    DiskColumnStore::open_with_cache(path, cache).expect("open store")
-}
-
 struct Leg {
     wall_ns: u128,
     decodes: u64,
@@ -84,8 +77,8 @@ struct Leg {
 
 /// One request per arrival, in order — the baseline a server without a
 /// batch layer pays.
-fn run_sequential(ix: &XmlIndex, path: &std::path::Path, items: &[BatchItem], schedule: &[usize]) -> Leg {
-    let store = fresh_store(path);
+fn run_sequential(ix: &XmlIndex, image: &ColumnBytes, items: &[BatchItem], schedule: &[usize]) -> Leg {
+    let store = cold_store(image).expect("open store");
     let engine = DiskEngine::new(ix, &store);
     let mut fp = Fingerprint::new();
     let mut results = 0u64;
@@ -121,10 +114,7 @@ fn run_batched<'a>(
     schedule: &[usize],
 ) -> (BatchedLeg, BatchExecutor<DiskEngine<'a>>) {
     let opts = BatchOptions { parallelism: Parallelism::Auto, ..Default::default() };
-    let exec = BatchExecutor::with_options(
-        DiskEngine::new(ix, store).with_parallelism(Parallelism::Auto),
-        opts,
-    );
+    let exec = BatchExecutor::with_options(DiskEngine::new(ix, store), opts);
     let mut fp = Fingerprint::new();
     let mut results = 0u64;
     let (mut hits, mut misses, mut dedups, mut pinned) = (0u64, 0u64, 0u64, 0u64);
@@ -172,9 +162,9 @@ fn main() {
     // reuse, not block-directory pressure), with the same planted bands so
     // the standard workload helpers resolve.
     let ix = gate_corpus(12_000, 120, 10, 25, 8_000);
-    let path = std::env::temp_dir().join(format!("xtk_serve_{}.bin", std::process::id()));
-    write_index(&ix, &path, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
-        .expect("write index");
+    let image =
+        store_image(&ix, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
+            .expect("write index image");
 
     let items = distinct_items(&ix);
     let schedule = skewed_schedule(items.len(), TOTAL_ARRIVALS, SCHEDULE_SEED);
@@ -184,9 +174,9 @@ fn main() {
         items.len()
     );
 
-    let seq = run_sequential(&ix, &path, &items, &schedule);
+    let seq = run_sequential(&ix, &image, &items, &schedule);
 
-    let store = fresh_store(&path);
+    let store = cold_store(&image).expect("open store");
     let (batched, exec) = run_batched(&ix, &store, &items, &schedule);
 
     // Correctness: batched output is byte-identical to the sequential
@@ -210,7 +200,7 @@ fn main() {
 
     // Determinism: a second batched replay on a fresh store reproduces
     // the scheduling counters bit for bit.
-    let store2 = fresh_store(&path);
+    let store2 = cold_store(&image).expect("open store");
     let (replay, _) = run_batched(&ix, &store2, &items, &schedule);
     assert_eq!(replay.leg.fp.0, batched.leg.fp.0, "replay results diverge");
     assert_eq!(replay.leg.decodes, batched.leg.decodes, "replay decodes diverge");
@@ -281,8 +271,6 @@ fn main() {
         json.push_str(if i + 1 == check_lines.len() { "\n" } else { ",\n" });
     }
     json.push_str("  }\n}\n");
-
-    std::fs::remove_file(&path).ok();
 
     if let Some(baseline_path) = &check {
         let baseline = std::fs::read_to_string(baseline_path)

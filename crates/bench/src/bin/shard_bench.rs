@@ -38,6 +38,7 @@ use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::XmlIndex;
+use xtk_xml::testutil::TempPath;
 
 const TOPOLOGIES: [usize; 4] = [1, 2, 4, 8];
 /// Passes over the workload per topology: pass 0 fingerprints, the rest
@@ -160,10 +161,7 @@ fn main() {
 
     let mut legs: Vec<TopoLeg> = Vec::new();
     for shards in TOPOLOGIES {
-        let dir = std::env::temp_dir().join(format!(
-            "xtk_shard_bench_{}_{shards}",
-            std::process::id()
-        ));
+        let dir = TempPath::new(&format!("xtk_shard_bench_{shards}"));
         write_sharded(&ix, &dir, shards).expect("write sharded corpus");
         let engine = ShardedEngine::open_with_cache(&ix, &dir, Arc::new(ShardedLruCache::unbounded()))
             .expect("open sharded corpus")
@@ -194,7 +192,6 @@ fn main() {
                 "the TA merge must never execute more shards than the naive scatter"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
         legs.push(leg);
     }
 

@@ -63,9 +63,9 @@ impl BatchItem {
 /// Knobs for one batch run.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
-    /// Fan-out across *distinct* queries (each query additionally keeps
-    /// its executor's own intra-query parallelism).  Responses are
-    /// bit-identical for every setting.
+    /// Worker threads across the batch's *distinct* queries; each query
+    /// runs on one of them.  Responses are bit-identical for every
+    /// setting.
     pub parallelism: Parallelism,
     /// Run the cross-query prefetch/pin pass before execution (a no-op
     /// for backends without a block layer).
@@ -505,8 +505,7 @@ impl Engine {
     /// invalidated by index-generation bumps
     /// (see [`Engine::replace_index`]).
     pub fn run_batch(&self, items: &[BatchItem]) -> Vec<QueryResponse> {
-        let opts = BatchOptions { parallelism: self.parallelism(), ..Default::default() };
-        self.run_batch_report(items, &opts).responses
+        self.run_batch_report(items, &BatchOptions::default()).responses
     }
 
     /// [`Engine::run_batch`] with explicit options, returning the full

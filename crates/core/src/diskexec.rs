@@ -23,7 +23,7 @@ use xtk_obs::{EventKind, Obs};
 /// disk executor (see `plan::lower`).
 #[derive(Debug, Clone, Copy)]
 pub struct DiskJoinSpec {
-    /// Semantics, variant, scoring and parallelism of the join.
+    /// Semantics, variant and scoring of the join.
     pub join: JoinOptions,
     /// Let join steps pass over the blocks no probe falls in (by the v2/v3
     /// `[first, last]` footers; on v1 a step stops at the first block above

@@ -6,7 +6,6 @@
 //! results plus metrics off the [`QueryResponse`](crate::QueryResponse).
 //! The historical per-shape entry points (`search`, `top_k`, …) are gone.
 
-use crate::pool::Parallelism;
 use crate::query::{Query, QueryError};
 use crate::result::ScoredResult;
 use xtk_index::{IndexOptions, XmlIndex};
@@ -29,7 +28,6 @@ use xtk_xml::{ParseError, XmlTree};
 #[derive(Debug)]
 pub struct Engine {
     ix: XmlIndex,
-    parallelism: Parallelism,
     batch_cache: crate::batch::ResultCache,
     planner: crate::plan::cache::Planner,
 }
@@ -40,11 +38,10 @@ impl Engine {
         Self::from_index(XmlIndex::build(tree))
     }
 
-    /// Indexes with explicit options (damping λ, JDewey gap, parallelism).
-    /// The index-build parallelism carries over to query execution.
+    /// Indexes with explicit options (damping λ, JDewey gap, build
+    /// threads).
     pub fn with_options(tree: XmlTree, opts: IndexOptions) -> Self {
-        let parallelism = opts.parallelism;
-        Self::from_index(XmlIndex::build_with(tree, opts)).with_parallelism(parallelism)
+        Self::from_index(XmlIndex::build_with(tree, opts))
     }
 
     /// Parses and indexes an XML string.
@@ -56,29 +53,7 @@ impl Engine {
     /// is harvested here, once — not per query.
     pub fn from_index(ix: XmlIndex) -> Self {
         let planner = crate::plan::cache::Planner::from_index(&ix);
-        Self {
-            ix,
-            parallelism: Parallelism::Serial,
-            batch_cache: crate::batch::ResultCache::default(),
-            planner,
-        }
-    }
-
-    /// Sets the query-execution parallelism (builder style).  Every
-    /// engine returns bit-identical results for every setting.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the query-execution parallelism in place.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The query-execution parallelism currently in effect.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        Self { ix, batch_cache: crate::batch::ResultCache::default(), planner }
     }
 
     /// The underlying index.

@@ -14,7 +14,6 @@
 //! [`join_search`](crate::joinbased::join_search) + sort.
 
 use crate::joinbased::{join_search_obs, JoinOptions};
-use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::{sort_ranked, ScoredResult};
 use crate::topk::{topk_search_obs, TopKOptions};
@@ -100,22 +99,10 @@ pub fn hybrid_topk(
     k: usize,
     semantics: Semantics,
 ) -> (Vec<ScoredResult>, PlannedEngine) {
-    hybrid_topk_with(ix, query, k, semantics, Parallelism::Serial)
+    hybrid_topk_obs(ix, query, k, semantics, &Obs::default())
 }
 
-/// [`hybrid_topk`] with an explicit [`Parallelism`] knob, forwarded to
-/// whichever engine the planner picks.
-pub fn hybrid_topk_with(
-    ix: &XmlIndex,
-    query: &Query,
-    k: usize,
-    semantics: Semantics,
-    parallelism: Parallelism,
-) -> (Vec<ScoredResult>, PlannedEngine) {
-    hybrid_topk_obs(ix, query, k, semantics, parallelism, &Obs::default())
-}
-
-/// [`hybrid_topk_with`] with observability: the routing decision and the
+/// [`hybrid_topk`] with observability: the routing decision and the
 /// (integer-floored) cardinality estimate land in `obs.metrics` under
 /// `hybrid.*`, and the chosen engine runs with the same `obs`, so its
 /// join/top-K counters and trace events flow into the one registry.
@@ -124,7 +111,6 @@ pub fn hybrid_topk_obs(
     query: &Query,
     k: usize,
     semantics: Semantics,
-    parallelism: Parallelism,
     obs: &Obs,
 ) -> (Vec<ScoredResult>, PlannedEngine) {
     let est = estimate_result_cardinality(ix, query);
@@ -133,26 +119,13 @@ pub fn hybrid_topk_obs(
     // lists — require an estimated result population comfortably above K.
     if est >= 4.0 * k as f64 {
         obs.metrics.add("hybrid.route_topk", 1);
-        let (rs, _) = topk_search_obs(
-            ix,
-            query,
-            &TopKOptions { k, semantics, parallelism, ..Default::default() },
-            obs,
-        );
+        let opts = TopKOptions { k, semantics, ..Default::default() };
+        let (rs, _) = topk_search_obs(ix, query, &opts, obs);
         (rs, PlannedEngine::TopKJoin)
     } else {
         obs.metrics.add("hybrid.route_complete", 1);
-        let (mut rs, _) = join_search_obs(
-            ix,
-            query,
-            &JoinOptions {
-                semantics,
-                variant: ElcaVariant::Operational,
-                with_scores: true,
-                parallelism,
-            },
-            obs,
-        );
+        let opts = JoinOptions { semantics, variant: ElcaVariant::Operational, with_scores: true };
+        let (mut rs, _) = join_search_obs(ix, query, &opts, obs);
         sort_ranked(&mut rs);
         rs.truncate(k);
         (rs, PlannedEngine::CompleteJoin)

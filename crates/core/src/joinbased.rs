@@ -24,35 +24,24 @@
 //! A join step keeps the run it found for every surviving value, so the
 //! match phase is handed `(value, k runs)` and searches nothing.
 //!
-//! # Parallel execution
-//!
-//! Above [`Parallelism::Serial`] two phases of each level run on the
-//! scoped pool, bit-identical to the serial engine:
-//!
-//! * a join step lands the blocks its probe list reaches — on the driver
-//!   thread, in the serial order — then partitions the probes into
-//!   contiguous ranges that each seek through the shared landed blocks;
-//!   the outputs concatenate in range order — the serial join's
-//!   ascending value order;
-//! * the matched values are *evaluated* in parallel (range checks and
-//!   scoring read only rows inside the value's own runs, and same-level
-//!   runs of distinct values are disjoint, so every value sees the
-//!   level-entry erasure state the serial loop would show it), then
-//!   *committed* chunk by chunk in ascending value order.
-//!
 //! # Everything ascends within a level
 //!
 //! The joined values ascend; so do each keyword's runs (by value *and* by
 //! row), the eraser's intervals and the level's nodes by JDewey number.
 //! Every lookup is therefore a forward position — in the column
 //! ([`RunCursor`]), in the eraser ([`eraser::Cursor`]), in the level's
-//! node list ([`LevelCursor`]) — and every update a batch: a value's rows are
-//! erased by one sorted union per keyword when its chunk commits, which
-//! no evaluation can observe earlier, since values are evaluated against
-//! the level-entry state anyway.  The serial engine is the one-chunk case.
+//! node list ([`LevelCursor`]) — and every update a batch: a level's
+//! matched values are *evaluated* (range checks and scoring) against the
+//! erasure state as of entering the level, then *committed* — results
+//! emitted, each keyword's rows erased by one sorted union.  Range checks
+//! and scoring read only rows inside the value's own runs, and same-level
+//! runs of distinct values are disjoint, so no evaluation could observe
+//! an earlier commit anyway.
+//!
+//! A query runs on the calling thread (DESIGN §6 has the measurement that
+//! decided it).
 
 use crate::eraser::{self, Eraser};
-use crate::pool::{chunk_ranges, parallel_map, phase_chunks, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
 use std::convert::Infallible;
@@ -61,14 +50,7 @@ use xtk_index::{TermData, XmlIndex};
 use xtk_obs::{EventKind, Obs};
 use xtk_xml::jdewey::LevelCursor;
 
-/// Probe-list length from which a join step is chunked across the pool
-/// (the chunks intersect in memory whatever the storage).
-const PAR_JOIN_MIN: usize = 2048;
-/// Below this many matched values a level is evaluated serially — the
-/// scoped-spawn overhead would dominate.
-const PAR_MATCH_MIN: usize = 48;
-
-/// Options for [`join_search`].  The default is unscored serial ELCA
+/// Options for [`join_search`].  The default is unscored ELCA
 /// (operational variant).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinOptions {
@@ -79,9 +61,6 @@ pub struct JoinOptions {
     /// Compute ranking scores for each result (costs one pass over the
     /// matched runs' rows; leave off for pure semantic evaluation).
     pub with_scores: bool,
-    /// Worker threads for the per-level joins and match evaluation.
-    /// Results are bit-identical for every setting.
-    pub parallelism: Parallelism,
 }
 
 /// Execution counters, for tests, ablations and the experiment harness.
@@ -108,9 +87,8 @@ pub struct JoinStats {
 pub trait ColumnSource {
     /// What a failed column access surfaces as.
     type Error;
-    /// How the source lends a column (see [`Feed`]); the stretches of a
-    /// step chunked across the pool are shared by its workers.
-    type Feed: Feed<Error = Self::Error, Stretch: Send + Sync>;
+    /// How the source lends a column (see [`Feed`]).
+    type Feed: Feed<Error = Self::Error>;
 
     /// Runs once before the level loop (disk: the `prescan` strawman).
     fn begin(&mut self) -> Result<(), Self::Error> {
@@ -193,10 +171,8 @@ pub fn join_search_obs(
 
 /// Algorithm 1 over any [`ColumnSource`].  `ix` supplies the document
 /// tree, each list's depth `l_m` and the scoring data; the columns come
-/// from `src`.  Events are only emitted from this sequential driver, so
-/// the event sequence is bit-identical across `Parallelism` settings.  An
-/// empty query, or one with an empty inverted list, answers empty without
-/// touching the source.
+/// from `src`.  An empty query, or one with an empty inverted list,
+/// answers empty without touching the source.
 pub fn algorithm1<S: ColumnSource>(
     ix: &XmlIndex,
     query: &Query,
@@ -217,16 +193,15 @@ pub fn algorithm1<S: ColumnSource>(
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
     let mut joined = Joined::default();
-    let mut scratch = ChunkEval::default();
+    let mut scratch = LevelEval::default();
     for l in (1..=l0).rev() {
         stats.levels += 1;
         let before = stats;
         src.enter(l)?;
-        join_level(&*src, query, l, opts.parallelism, &mut stats, obs, &mut joined)?;
+        join_level(&*src, query, l, &mut stats, obs, &mut joined)?;
         stats.matches += joined.rows().len() as u64;
         let view = LevelView { ix, terms: &terms, level: l, opts };
-        stats.results +=
-            match_level(&view, &mut erasers, &joined, &mut scratch, &mut results, obs);
+        stats.results += match_level(&view, &mut erasers, &joined, &mut scratch, &mut results);
         obs.event(EventKind::LevelEnd {
             level: l as u32,
             matches: stats.matches - before.matches,
@@ -280,7 +255,6 @@ fn join_level<S: ColumnSource>(
     src: &S,
     query: &Query,
     level: u16,
-    par: Parallelism,
     stats: &mut JoinStats,
     obs: &Obs,
     joined: &mut Joined,
@@ -325,33 +299,9 @@ fn join_level<S: ColumnSource>(
             break;
         }
         stats.steps += 1;
-        let mut feed = src.feed(kw, true)?;
-        if par.workers() > 1 && probes.len() >= PAR_JOIN_MIN {
-            // Column access stays here, in the serial order; each range
-            // then seeks through the landed blocks on its own worker, and
-            // concatenating in range order keeps the ascending value order.
-            let landed = land_all(&mut feed, probes)?;
-            let ranges = chunk_ranges(probes.len(), phase_chunks(par));
-            obs.metrics.add("pool.join_phases", 1);
-            obs.metrics.add("pool.join_tasks", ranges.len() as u64);
-            let parts = parallel_map(par, &ranges, |_, r| {
-                let mut part = Hits::default();
-                let mut cursor = RunCursor::new(landed.iter());
-                let probes = probes.get(r.clone()).unwrap_or(&[]);
-                match cursor.seek_all(probes, r.start, &mut part.runs, &mut part.from) {
-                    Ok(()) => part,
-                    Err(never) => match never {},
-                }
-            });
-            for part in &parts {
-                output.runs.extend_from_slice(&part.runs);
-                output.from.extend_from_slice(&part.from);
-            }
-        } else {
-            let mut cursor = RunCursor::new(feed);
-            cursor.seek_all(probes, 0, &mut output.runs, &mut output.from)?;
-            cursor.finish()?;
-        }
+        let mut cursor = RunCursor::new(src.feed(kw, true)?);
+        cursor.seek_all(probes, &mut output.runs, &mut output.from)?;
+        cursor.finish()?;
         obs.event(EventKind::JoinStep {
             level: level as u32,
             term: term_of(kw),
@@ -384,23 +334,6 @@ fn join_level<S: ColumnSource>(
     Ok(())
 }
 
-/// Every stretch the ascending `probes` land, fetched in column order —
-/// the accesses of the serial step — then the step is finished.
-fn land_all<F: Feed>(feed: &mut F, probes: &[Run]) -> Result<Vec<F::Stretch>, F::Error> {
-    let mut landed: Vec<F::Stretch> = Vec::new();
-    for probe in probes {
-        let v = probe.value;
-        while landed.last().and_then(|s| s.as_ref().last()).is_none_or(|r| r.value < v) {
-            match feed.land(v)? {
-                Some(stretch) => landed.push(stretch),
-                None => break,
-            }
-        }
-    }
-    feed.finish()?;
-    Ok(landed)
-}
-
 /// What evaluating a level's matched values reads besides the erasers,
 /// fixed for the level.
 struct LevelView<'a> {
@@ -410,20 +343,20 @@ struct LevelView<'a> {
     opts: &'a JoinOptions,
 }
 
-/// One keyword's state while a chunk of matched values is evaluated.
+/// One keyword's state while a level's matched values are evaluated.
 /// Values ascend, so the keyword's runs ascend by row: the eraser lookup
 /// is a forward position, and the rows to erase come out sorted.
 #[derive(Default)]
 struct KeywordEval {
     erased: eraser::Cursor,
-    /// Row ranges the chunk's matches erase, ascending and disjoint.
+    /// Row ranges the level's matches erase, ascending and disjoint.
     erase: Vec<(u32, u32)>,
 }
 
-/// The evaluation of one chunk of a level's matched values, read by
-/// [`commit`].  The serial engine reuses one across levels.
+/// The evaluation of a level's matched values, committed by
+/// [`match_level`]; one is reused across levels.
 #[derive(Default)]
-struct ChunkEval {
+struct LevelEval {
     keywords: Vec<KeywordEval>,
     /// `(value, score)` of each surviving value, ascending.
     emits: Vec<(u32, f32)>,
@@ -431,58 +364,29 @@ struct ChunkEval {
 
 /// The semantic pruning + emission of one level's `joined` values;
 /// returns the number of results emitted.  Every value is *evaluated*
-/// against the level-entry erasure state — chunked across the pool from
-/// [`PAR_MATCH_MIN`] values, otherwise as one chunk into `scratch` — then
-/// the chunks are *committed* in order.  Same-level runs of distinct
-/// values are disjoint, so no value's checks or score can see another's
-/// erasure, and erasing is a set union: this equals evaluating and
-/// committing value by value.
+/// against the level-entry erasure state into `scratch`, which is then
+/// *committed*: the survivors emitted (ascending, so the node lookup is a
+/// forward cursor over the level) and the rows the matches erase unioned
+/// into each keyword's eraser in one sorted pass.  Same-level runs of
+/// distinct values are disjoint, so no value's checks or score can see
+/// another's erasure, and erasing is a set union: this equals evaluating
+/// and committing value by value.
 fn match_level(
     view: &LevelView<'_>,
     erasers: &mut [Eraser],
     joined: &Joined,
-    scratch: &mut ChunkEval,
-    results: &mut Vec<ScoredResult>,
-    obs: &Obs,
-) -> u64 {
-    let par = view.opts.parallelism;
-    let values = joined.rows().len();
-    let pooled;
-    let chunks = if par.workers() > 1 && values >= PAR_MATCH_MIN {
-        obs.metrics.add("pool.match_phases", 1);
-        obs.metrics.add("pool.match_items", values as u64);
-        let frozen: &[Eraser] = erasers;
-        pooled = parallel_map(par, &chunk_ranges(values, phase_chunks(par)), |_, range| {
-            let mut chunk = ChunkEval::default();
-            let rows = joined.rows().skip(range.start).take(range.len());
-            view.evaluate(frozen, rows, &mut chunk);
-            chunk
-        });
-        pooled.as_slice()
-    } else {
-        view.evaluate(erasers, joined.rows(), scratch);
-        std::slice::from_ref(&*scratch)
-    };
-    let mut nodes = view.ix.jd().level_cursor(view.level);
-    chunks.iter().map(|chunk| commit(chunk, erasers, &mut nodes, view.level, results)).sum()
-}
-
-/// The sequential half of a level: emits a chunk's survivors (ascending,
-/// so the node lookup is a forward cursor over the level) and unions the
-/// rows its matches erase into each keyword's eraser in one sorted pass.
-fn commit(
-    chunk: &ChunkEval,
-    erasers: &mut [Eraser],
-    nodes: &mut LevelCursor<'_>,
-    level: u16,
+    scratch: &mut LevelEval,
     results: &mut Vec<ScoredResult>,
 ) -> u64 {
-    let before = results.len();
+    view.evaluate(erasers, joined.rows(), scratch);
+    let (level, before) = (view.level, results.len());
+    // (The type is spelled out for xtk-lint's call resolution.)
+    let mut nodes: LevelCursor<'_> = view.ix.jd().level_cursor(level);
     // Every matched value identifies a node in a consistent index.
-    results.extend(chunk.emits.iter().filter_map(|&(value, score)| {
+    results.extend(scratch.emits.iter().filter_map(|&(value, score)| {
         nodes.node_at(value).map(|node| ScoredResult { node, level, score })
     }));
-    for (kw, eraser) in chunk.keywords.iter().zip(erasers) {
+    for (kw, eraser) in scratch.keywords.iter().zip(erasers) {
         eraser.erase_sorted(&kw.erase);
     }
     (results.len() - before) as u64
@@ -497,9 +401,9 @@ impl LevelView<'_> {
         &self,
         erasers: &[Eraser],
         rows: impl Iterator<Item = &'r [Run]>,
-        out: &mut ChunkEval,
+        out: &mut LevelEval,
     ) {
-        let ChunkEval { keywords, emits } = out;
+        let LevelEval { keywords, emits } = out;
         keywords.resize_with(self.terms.len(), KeywordEval::default);
         for kw in keywords.iter_mut() {
             kw.erased = eraser::Cursor::default();
@@ -568,7 +472,7 @@ pub fn intersect(values: &[u32], runs: &[Run]) -> Vec<u32> {
     let probes: Vec<Run> = values.iter().map(|&value| Run { value, ..Run::default() }).collect();
     let mut cursor = RunCursor::new(Some(runs).into_iter());
     let mut hits = Hits::default();
-    match cursor.seek_all(&probes, 0, &mut hits.runs, &mut hits.from) {
+    match cursor.seek_all(&probes, &mut hits.runs, &mut hits.from) {
         Ok(()) => hits.runs.iter().map(|run| run.value).collect(),
         Err(never) => match never {},
     }
@@ -707,8 +611,8 @@ mod tests {
             let query = Query::from_words(&ix, &words).unwrap();
             let mut src = MemSource::new(&ix, &query);
             src.enter(2).unwrap();
-            let (par, mut stats) = (Parallelism::Serial, JoinStats::default());
-            join_level(&src, &query, 2, par, &mut stats, &Obs::default(), &mut joined).unwrap();
+            let mut stats = JoinStats::default();
+            join_level(&src, &query, 2, &mut stats, &Obs::default(), &mut joined).unwrap();
             assert_eq!(joined.rows().len(), 2, "the second and fourth `a` hold all three");
             for row in joined.rows() {
                 for (run, &term) in row.iter().zip(&query.terms) {
@@ -782,36 +686,28 @@ mod tests {
         results
     }
 
-    /// Returns how many match phases ran on the pool.
-    fn assert_matches_reference(ix: &XmlIndex, query: &Query) -> u64 {
-        let obs = Obs::new();
+    fn assert_matches_reference(ix: &XmlIndex, query: &Query) {
         let bits = |rs: &[ScoredResult]| -> Vec<(u32, u16, u32)> {
             rs.iter().map(|r| (r.node.0, r.level, r.score.to_bits())).collect()
         };
         for semantics in [Semantics::Elca, Semantics::Slca] {
             for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
-                let mut opts =
-                    JoinOptions { semantics, variant, with_scores: true, ..Default::default() };
+                let opts = JoinOptions { semantics, variant, with_scores: true };
                 let want = bits(&reference_search(ix, query, &opts));
-                for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
-                    opts.parallelism = parallelism;
-                    let (got, stats) = join_search_obs(ix, query, &opts, &obs);
-                    assert_eq!(bits(&got), want, "{semantics:?} {variant:?} {parallelism:?}");
-                    assert_eq!(stats.results, want.len() as u64);
-                }
+                let (got, stats) = join_search(ix, query, &opts);
+                assert_eq!(bits(&got), want, "{semantics:?} {variant:?}");
+                assert_eq!(stats.results, want.len() as u64);
             }
         }
-        obs.metrics.value("pool.match_phases")
     }
 
     #[test]
     fn gap_walk_and_batched_commit_equal_the_value_by_value_reference() {
         use xtk_xml::testutil::prop_check;
         use xtk_xml::XmlTree;
-        let pooled = std::cell::Cell::new(0);
         prop_check(0x6A_9001, 60, |g| {
-            // Uniform parents give levels wide enough for the pooled match
-            // phase, recent ones the chains that erase on every level.
+            // Uniform parents give wide levels, recent ones the chains that
+            // erase on every level.
             let n = g.gen_range(2..1500usize);
             let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
             for v in 1..n {
@@ -842,9 +738,8 @@ mod tests {
             let ix = XmlIndex::build(tree);
             let words: Vec<String> = (0..k).map(|kw| format!("kw{kw}")).collect();
             let query = Query::from_words(&ix, &words).unwrap();
-            pooled.set(pooled.get() + assert_matches_reference(&ix, &query));
+            assert_matches_reference(&ix, &query);
         });
-        assert!(pooled.get() > 0, "no level was wide enough for the pooled match phase");
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::plan::bind;
 use crate::plan::cost::{self, CostSummary, PlanStats};
 use crate::plan::logical::{LevelRange, PlanNode, ScanMode, TopKStrategy};
 use crate::plan::rewrite::{rewrite, AppliedRule};
-use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::request::{obs_for, respond, ExecutedEngine, QueryRequest, QueryResponse, ScoreMode};
 use crate::result::sort_ranked;
@@ -184,7 +183,6 @@ pub(crate) fn lower_query(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> E
 /// baselines keep their procedural dispatch in `request.rs`.
 pub(crate) fn execute_memory_spec(
     ix: &XmlIndex,
-    parallelism: Parallelism,
     query: &Query,
     req: &QueryRequest,
     spec: ExecSpec,
@@ -192,7 +190,7 @@ pub(crate) fn execute_memory_spec(
     let obs = obs_for(req);
     match spec.topk {
         TopKExec::Hybrid { k } => {
-            let (rs, planned) = hybrid_topk_obs(ix, query, k, spec.semantics, parallelism, &obs);
+            let (rs, planned) = hybrid_topk_obs(ix, query, k, spec.semantics, &obs);
             let engine = match planned {
                 PlannedEngine::TopKJoin => ExecutedEngine::TopKJoin,
                 PlannedEngine::CompleteJoin => ExecutedEngine::JoinBased,
@@ -200,12 +198,7 @@ pub(crate) fn execute_memory_spec(
             respond(obs, rs, engine)
         }
         TopKExec::Star { k } => {
-            let opts = TopKOptions {
-                k,
-                semantics: spec.semantics,
-                threshold: spec.threshold,
-                parallelism,
-            };
+            let opts = TopKOptions { k, semantics: spec.semantics, threshold: spec.threshold };
             let (rs, _) = topk_search_obs(ix, query, &opts, &obs);
             respond(obs, rs, ExecutedEngine::TopKJoin)
         }
@@ -214,7 +207,7 @@ pub(crate) fn execute_memory_spec(
             // complete route bit for bit: scored, operational exclusion.
             let (with_scores, variant) =
                 if elided { (true, ElcaVariant::Operational) } else { (spec.scored, spec.variant) };
-            let opts = JoinOptions { semantics: spec.semantics, variant, with_scores, parallelism };
+            let opts = JoinOptions { semantics: spec.semantics, variant, with_scores };
             let (mut rs, _) = join_search_obs(ix, query, &opts, &obs);
             if with_scores {
                 sort_ranked(&mut rs);
@@ -228,13 +221,12 @@ pub(crate) fn execute_memory_spec(
 }
 
 /// The [`DiskJoinSpec`] a lowered spec drives the disk executor with.
-pub(crate) fn disk_join_spec(spec: &ExecSpec, parallelism: Parallelism) -> DiskJoinSpec {
+pub(crate) fn disk_join_spec(spec: &ExecSpec) -> DiskJoinSpec {
     DiskJoinSpec {
         join: JoinOptions {
             semantics: spec.semantics,
             variant: spec.variant,
             with_scores: spec.scored,
-            parallelism,
         },
         block_skip: spec.block_skip,
         prescan: spec.prescan,
@@ -250,7 +242,6 @@ pub(crate) fn disk_join_spec(spec: &ExecSpec, parallelism: Parallelism) -> DiskJ
 pub(crate) fn execute_disk_spec(
     ix: &XmlIndex,
     store: &DiskColumnStore,
-    parallelism: Parallelism,
     query: &Query,
     req: &QueryRequest,
     spec: ExecSpec,
@@ -262,7 +253,7 @@ pub(crate) fn execute_disk_spec(
         ));
     }
     let obs = obs_for(req);
-    let dspec = disk_join_spec(&spec, parallelism);
+    let dspec = disk_join_spec(&spec);
     let (mut rs, _, _) = join_search_disk_spec(ix, store, query, &dspec, &obs)?;
     if spec.scored {
         sort_ranked(&mut rs);
@@ -474,8 +465,8 @@ fn onoff(b: bool) -> &'static str {
     }
 }
 
-/// Renders the physical plan, byte-stable (no floats, no hash order, no
-/// parallelism — the same request renders identically on any machine).
+/// Renders the physical plan, byte-stable (no floats, no hash order —
+/// the same request renders identically on any machine).
 pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTarget) -> String {
     let mut out = String::new();
     let target_name = match target {
@@ -626,11 +617,11 @@ mod tests {
         let (q, req) = bound(&ix, "xml search k=1000");
         let spec = lower_query(&ix, &q, &req);
         assert_eq!(spec.topk, TopKExec::Complete { elided: true });
-        let on = execute_memory_spec(&ix, Parallelism::Serial, &q, &req, spec);
+        let on = execute_memory_spec(&ix, &q, &req, spec);
         let mut off_req = req;
         off_req.rules = RuleSet::none();
         let off_spec = lower_query(&ix, &q, &off_req);
-        let off = execute_memory_spec(&ix, Parallelism::Serial, &q, &off_req, off_spec);
+        let off = execute_memory_spec(&ix, &q, &off_req, off_spec);
         assert_eq!(on.engine, off.engine);
         assert_eq!(on.results.len(), off.results.len());
         for (a, b) in on.results.iter().zip(&off.results) {
@@ -670,7 +661,7 @@ mod tests {
         let (q, req) = bound(&ix, "xml search");
         let req = req.with_trace(xtk_obs::TraceLevel::Events);
         let spec = lower_query(&ix, &q, &req);
-        let resp = execute_memory_spec(&ix, Parallelism::Serial, &q, &req, spec);
+        let resp = execute_memory_spec(&ix, &q, &req, spec);
         let trace = resp.trace.expect("trace requested");
         let ex = explain(&ix, &q, &req, ExplainTarget::Memory);
         let annotated = annotate_executed(&ix, &ex, &trace);

@@ -1,19 +1,10 @@
 //! Re-export of the scoped work-stealing pool from `xtk-xml`.
 //!
 //! The pool lives in `xtk-xml` (the bottom of the dependency stack) so
-//! that `xtk-index` can use it for parallel index construction, but the
-//! query-engine crate is where callers configure parallel *execution*, so
+//! that `xtk-index` can use it for parallel index construction; the
+//! query-engine crate runs batch workers and the shard scatter on it, so
 //! the [`Parallelism`] knob and [`parallel_map`] are re-exported here
-//! under the name the engine documentation uses.
+//! under the name the engine documentation uses.  A single query runs on
+//! the calling thread.
 
-pub use xtk_xml::pool::{chunk_ranges, parallel_map, Parallelism};
-
-/// Chunks per worker for a parallel phase: enough slack for work stealing
-/// to even out skewed ranges without drowning in per-task overhead.
-pub const CHUNKS_PER_WORKER: usize = 4;
-
-/// Number of chunks the engine splits a parallel phase into at this
-/// `Parallelism` — the task count the `pool.*_tasks` metrics report.
-pub fn phase_chunks(par: Parallelism) -> usize {
-    par.workers() * CHUNKS_PER_WORKER
-}
+pub use xtk_xml::pool::{parallel_map, Parallelism};

@@ -8,7 +8,7 @@
 //! builder-style request executed by [`Engine::run`], which returns the
 //! results **plus** the unified observability payload: a
 //! [`MetricsSnapshot`] of every counter the execution touched (join,
-//! top-K, star join, cache, store I/O, pool) and, when asked for, the
+//! top-K, star join, cache, store I/O) and, when asked for, the
 //! deterministic event [`Trace`].
 //!
 //! The [`Executor`] trait gives the on-disk engine
@@ -21,7 +21,6 @@ use crate::baseline::rdil::{rdil_search, RdilOptions};
 use crate::baseline::stack::{stack_search, StackOptions};
 use crate::engine::Engine;
 use crate::plan::rewrite::RuleSet;
-use crate::pool::Parallelism;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::{sort_ranked, ScoredResult};
 use crate::topk::ThresholdKind;
@@ -191,10 +190,10 @@ pub struct QueryResponse {
     /// Which engine answered (Auto shows the planner's pick).
     pub engine: ExecutedEngine,
     /// Every counter and histogram the execution recorded — join, top-K,
-    /// star join, cache, store I/O, pool — in one flat snapshot.
+    /// star join, cache, store I/O — in one flat snapshot.
     pub metrics: MetricsSnapshot,
     /// The recorded event trace when the request asked for
-    /// [`TraceLevel::Events`]; bit-identical across `Parallelism`.
+    /// [`TraceLevel::Events`].
     pub trace: Option<Trace>,
 }
 
@@ -221,7 +220,6 @@ pub(crate) fn respond(
 /// and caches).
 fn run_in_memory(
     ix: &XmlIndex,
-    parallelism: Parallelism,
     query: &Query,
     req: &QueryRequest,
     planner: &crate::plan::cache::Planner,
@@ -232,7 +230,7 @@ fn run_in_memory(
     match req.algorithm {
         QueryAlgorithm::Auto | QueryAlgorithm::JoinBased | QueryAlgorithm::TopKJoin => {
             let (spec, _) = planner.spec_for(ix, query, req, ix.generation(), 0);
-            return crate::plan::lower::execute_memory_spec(ix, parallelism, query, req, spec);
+            return crate::plan::lower::execute_memory_spec(ix, query, req, spec);
         }
         QueryAlgorithm::StackBased | QueryAlgorithm::IndexBased | QueryAlgorithm::Rdil => {}
     }
@@ -298,7 +296,7 @@ impl Engine {
     /// assert!(resp.metrics.get("query.results") == 1);
     /// ```
     pub fn run(&self, query: &Query, req: &QueryRequest) -> QueryResponse {
-        run_in_memory(self.index(), self.parallelism(), query, req, self.planner())
+        run_in_memory(self.index(), query, req, self.planner())
     }
 }
 
@@ -389,7 +387,6 @@ impl Executor for Engine {
 pub struct DiskEngine<'a> {
     ix: &'a XmlIndex,
     store: &'a DiskColumnStore,
-    parallelism: Parallelism,
     planner: crate::plan::cache::Planner,
 }
 
@@ -399,13 +396,7 @@ impl<'a> DiskEngine<'a> {
     /// per-term block counts and footer value spans, no block decodes.
     pub fn new(ix: &'a XmlIndex, store: &'a DiskColumnStore) -> Self {
         let planner = crate::plan::cache::Planner::from_store(ix, store);
-        Self { ix, store, parallelism: Parallelism::Serial, planner }
-    }
-
-    /// Sets the query-execution parallelism (builder style).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
+        Self { ix, store, planner }
     }
 
     /// The planner this engine serves specs from.
@@ -420,14 +411,7 @@ impl Executor for DiskEngine<'_> {
             QueryAlgorithm::Auto | QueryAlgorithm::JoinBased => {
                 let (spec, _) =
                     self.planner.spec_for(self.ix, query, req, self.ix.generation(), 0);
-                crate::plan::lower::execute_disk_spec(
-                    self.ix,
-                    self.store,
-                    self.parallelism,
-                    query,
-                    req,
-                    spec,
-                )
+                crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec)
             }
             _ => Err(io::Error::new(
                 io::ErrorKind::Unsupported,

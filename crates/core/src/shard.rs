@@ -537,7 +537,6 @@ impl Executor for ShardedEngine<'_> {
                 semantics: lowered.semantics,
                 variant: lowered.variant,
                 with_scores: true,
-                parallelism: Parallelism::Serial,
             },
             block_skip: lowered.block_skip,
             prescan: lowered.prescan,

@@ -22,25 +22,21 @@
 //! returns exactly the `K` best results of
 //! [`join_search`](crate::joinbased::join_search) with scores.
 //!
-//! # Parallel execution
+//! # Batched retrieval
 //!
-//! Retrieval is batched: each keyword's segment cursors are drained a
-//! batch at a time into a per-keyword queue of scored `(row, damped,
-//! value)` candidates.  The drains are independent (each reads only its
-//! own keyword's erasure bitmap and positions), so with
-//! [`TopKOptions::parallelism`] above serial they run concurrently on the
-//! scoped pool (on copies of the cursors; the serial refill drains in
-//! place and allocates nothing).  Everything behind the batches — the star-join bucket, the
-//! erasure commits, and the TA-style threshold check — stays strictly
-//! sequential: the threshold compares a *global* bound against the pending
-//! heap, and the interleaving of consumed rows must follow the score order
-//! the proof of §IV-B assumes.  Queue heads that a later candidate
-//! completion erased are dropped at consume time, which makes the consumed
-//! row sequence — and therefore every result, score and counter —
-//! bit-identical to the serial engine.
+//! Each keyword's segment cursors are drained a batch at a time, in place,
+//! into a per-keyword queue of scored `(row, damped, value)` candidates;
+//! a refill reads only its own keyword's erasure state and positions.
+//! Everything behind the batches — the star-join bucket, the erasure
+//! commits, and the TA-style threshold check — is strictly sequential
+//! too: the threshold compares a *global* bound against the pending heap,
+//! and the interleaving of consumed rows must follow the score order the
+//! proof of §IV-B assumes.  Queue heads that a later candidate completion
+//! erased are dropped at consume time, so the consumed row sequence is
+//! the one an unbatched retrieval would produce.  A query runs on the
+//! calling thread (DESIGN §6 has the measurement that decided it).
 
 use crate::eraser::Eraser;
-use crate::pool::{parallel_map, Parallelism};
 use crate::query::{Query, Semantics};
 use crate::result::ScoredResult;
 use crate::starjoin::{Bucket, F32Ord};
@@ -78,19 +74,11 @@ pub struct TopKOptions {
     pub semantics: Semantics,
     /// Unseen-result bound (tight star-join vs classic top-K join).
     pub threshold: ThresholdKind,
-    /// Worker threads for the batched candidate retrieval/scoring.
-    /// Results are bit-identical for every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for TopKOptions {
     fn default() -> Self {
-        Self {
-            k: 10,
-            semantics: Semantics::Elca,
-            threshold: ThresholdKind::Tight,
-            parallelism: Parallelism::Serial,
-        }
+        Self { k: 10, semantics: Semantics::Elca, threshold: ThresholdKind::Tight }
     }
 }
 
@@ -117,7 +105,6 @@ fn skip_erased(seg: &Segment, i: &mut usize, eraser: &Eraser) -> Option<u32> {
 }
 
 /// Per-keyword score-ordered cursors over the length segments.
-#[derive(Clone)]
 struct Cursors<'a> {
     term: &'a TermData,
     /// Per segment: next index into `segment.rows` for the **current
@@ -187,10 +174,9 @@ impl<'a> Cursors<'a> {
     /// position), continuing from `self.pos` and skipping rows erased as
     /// of the call.
     ///
-    /// Touches only this keyword's state, so several keywords can be
-    /// drained concurrently.  Each segment's head is derived once and
-    /// re-derived only after the segment is advanced: the eraser cannot
-    /// change during the call, so every other head stays what it was.
+    /// Each segment's head is derived once and re-derived only after the
+    /// segment is advanced: the eraser cannot change during the call, so
+    /// every other head stays what it was.
     fn drain(
         &mut self,
         level: u16,
@@ -261,9 +247,7 @@ pub fn topk_search(
 
 /// [`topk_search`] with observability: counters flush into `obs.metrics`
 /// under the `topk.*` names; with a live tracer the column progression,
-/// threshold drops and emissions are recorded as events.  The stream is
-/// sequential apart from the pure batch refills, so the event sequence is
-/// bit-identical across `Parallelism` settings.
+/// threshold drops and emissions are recorded as events.
 pub fn topk_search_obs(
     ix: &XmlIndex,
     query: &Query,
@@ -329,7 +313,6 @@ pub struct TopKStream<'a> {
     /// Per keyword: the damped score of the batch head (`s^i`), 0 when the
     /// keyword has none.  Kept by `ensure_heads`; current once it returns.
     s: Vec<f32>,
-    parallelism: Parallelism,
     pending: BinaryHeap<(F32Ord, u16, u32)>,
     stats: TopKStats,
     /// Current column (tree level); 0 once every column is exhausted.
@@ -384,7 +367,6 @@ impl<'a> TopKStream<'a> {
             cursors,
             batches: (0..k).map(|_| Batch::default()).collect(),
             s: vec![0.0; k],
-            parallelism: opts.parallelism,
             pending: BinaryHeap::new(),
             stats: TopKStats::default(),
             level: l0,
@@ -447,11 +429,10 @@ impl<'a> TopKStream<'a> {
 
     /// Restores the invariant that every batch head is a non-erased row or
     /// the keyword's column is exhausted, and that `s` holds the heads'
-    /// scores.  Only dirty keywords are looked at.  Refills — the
+    /// scores.  Only dirty keywords are looked at.  A refill — the
     /// expensive part: segment merging, erasure skipping and
-    /// `value_of_row` scoring — run on the pool when more than one keyword
-    /// needs one; a refill is filtered against the current erasure state,
-    /// so its head needs no second look.
+    /// `value_of_row` scoring — is filtered against the current erasure
+    /// state, so its head needs no second look.
     fn ensure_heads(&mut self) {
         self.needy.clear();
         let heads = self.batches.iter_mut().zip(&self.erasers).zip(self.s.iter_mut());
@@ -472,37 +453,14 @@ impl<'a> TopKStream<'a> {
         }
         let damping = self.ix.damping();
         let l = self.level;
-        if self.parallelism.workers() > 1 && self.needy.len() > 1 {
-            self.obs.metrics.add("pool.refill_phases", 1);
-            self.obs.metrics.add("pool.refill_tasks", self.needy.len() as u64);
-            // Workers cannot share `&mut self`: each drains a copy of its
-            // keyword's cursors, committed back below in keyword order.
-            let (cursors, erasers) = (&self.cursors, &self.erasers);
-            let drained = parallel_map(self.parallelism, &self.needy, |_, &i| {
-                let mut c = cursors.get(i)?.clone();
-                let mut queue = VecDeque::new();
-                c.drain(l, erasers.get(i)?, damping, BATCH, &mut queue);
-                Some((c, queue))
-            });
-            for (&i, d) in self.needy.iter().zip(drained) {
-                if let (Some((c, queue)), Some(cur), Some(b)) =
-                    (d, self.cursors.get_mut(i), self.batches.get_mut(i))
-                {
-                    *cur = c;
-                    b.queue = queue;
-                }
-            }
-        } else {
-            for &i in &self.needy {
-                if let (Some(c), Some(e), Some(b)) =
-                    (self.cursors.get_mut(i), self.erasers.get(i), self.batches.get_mut(i))
-                {
-                    c.drain(l, e, damping, BATCH, &mut b.queue);
-                }
-            }
-        }
         for &i in &self.needy {
-            if let (Some(b), Some(s)) = (self.batches.get_mut(i), self.s.get_mut(i)) {
+            if let (Some(c), Some(e), Some(b), Some(s)) = (
+                self.cursors.get_mut(i),
+                self.erasers.get(i),
+                self.batches.get_mut(i),
+                self.s.get_mut(i),
+            ) {
+                c.drain(l, e, damping, BATCH, &mut b.queue);
                 b.exhausted = b.queue.is_empty();
                 *s = b.head_score();
             }
@@ -744,16 +702,8 @@ mod tests {
         let ix = XmlIndex::build(parse(xml).unwrap());
         let q = Query::from_words(&ix, words).unwrap();
         let (got, _) = topk_search(&ix, &q, &TopKOptions { k, semantics, ..Default::default() });
-        let (complete, _) = join_search(
-            &ix,
-            &q,
-            &JoinOptions {
-                semantics,
-                variant: ElcaVariant::Operational,
-                with_scores: true,
-                ..Default::default()
-            },
-        );
+        let opts = JoinOptions { semantics, variant: ElcaVariant::Operational, with_scores: true };
+        let (complete, _) = join_search(&ix, &q, &opts);
         assert_topk_valid(&got, &complete, k);
     }
 
@@ -835,26 +785,9 @@ mod tests {
         xml.push_str("<q>aa</q><q>bb</q></r>");
         let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
         let q = Query::from_words(&ix, &["aa", "bb"]).unwrap();
-        let (tight, st) = topk_search(
-            &ix,
-            &q,
-            &TopKOptions {
-                k: 5,
-                semantics: Semantics::Elca,
-                threshold: ThresholdKind::Tight,
-                ..Default::default()
-            },
-        );
-        let (classic, sc) = topk_search(
-            &ix,
-            &q,
-            &TopKOptions {
-                k: 5,
-                semantics: Semantics::Elca,
-                threshold: ThresholdKind::Classic,
-                ..Default::default()
-            },
-        );
+        let opts = |threshold| TopKOptions { k: 5, semantics: Semantics::Elca, threshold };
+        let (tight, st) = topk_search(&ix, &q, &opts(ThresholdKind::Tight));
+        let (classic, sc) = topk_search(&ix, &q, &opts(ThresholdKind::Classic));
         assert_eq!(tight.len(), classic.len());
         for (a, b) in tight.iter().zip(&classic) {
             assert!((a.score - b.score).abs() < 1e-5);

@@ -1,11 +1,10 @@
 //! Differential tests for the disk executor: the answer to a query must
-//! not depend on the cache capacity, the worker count, or the file format
-//! version.  The stores read in-memory file images; nothing touches the
-//! filesystem.  Results are compared **bit-identically** (nodes, levels,
-//! `f32` score bits, join stats) against a serial run over an unbounded
-//! cache, and the decode counters are pinned where the design makes them
-//! deterministic (unbounded cache: every block decoded at most once, by
-//! whichever worker gets there first).
+//! not depend on the cache capacity or the file format version.  The
+//! stores read in-memory file images; nothing touches the filesystem.
+//! Results are compared **bit-identically** (nodes, levels, `f32` score
+//! bits, join stats) against a run over an unbounded cache, and the decode
+//! counters are pinned where the design makes them deterministic
+//! (unbounded cache: every block decoded at most once).
 
 mod common;
 
@@ -13,7 +12,6 @@ use common::store_image as image;
 use std::sync::Arc;
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::JoinOptions;
-use xtk_core::pool::Parallelism;
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::ScoredResult;
 use xtk_index::bytes::ColumnBytes;
@@ -22,11 +20,7 @@ use xtk_index::disk::FormatVersion;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
-const PARS: [Parallelism; 3] =
-    [Parallelism::Fixed(2), Parallelism::Fixed(8), Parallelism::Auto];
-
-/// A corpus wide enough that the intermediate result crosses the
-/// parallel-probe threshold and the long lists span many blocks.
+/// A corpus wide enough that the long lists span many blocks.
 fn corpus(n: usize) -> String {
     let mut xml = String::from("<r>");
     for i in 0..n {
@@ -54,7 +48,7 @@ fn assert_bit_identical(base: &[ScoredResult], got: &[ScoredResult], what: &str)
 }
 
 #[test]
-fn results_invariant_under_cache_capacity_and_parallelism() {
+fn results_invariant_under_cache_capacity() {
     let xml = corpus(900);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
     let image = image(&ix, FormatVersion::V2);
@@ -76,30 +70,23 @@ fn results_invariant_under_cache_capacity_and_parallelism() {
     for words in &queries {
         let q = Query::from_words(&ix, words).unwrap();
         for semantics in [Semantics::Elca, Semantics::Slca] {
-            // Baseline: serial over an unbounded cache, cold.
+            // Baseline: an unbounded cache, cold.
             let base_store = open(&image, Arc::new(ShardedLruCache::unbounded()));
-            let base_opts =
-                JoinOptions { semantics, with_scores: true, ..Default::default() };
+            let opts = JoinOptions { semantics, with_scores: true, ..Default::default() };
             let (base, base_stats, base_reads) =
-                join_search_disk(&ix, &base_store, &q, &base_opts).unwrap();
+                join_search_disk(&ix, &base_store, &q, &opts).unwrap();
             assert!(base_reads > 0, "cold baseline must decode blocks");
 
             for (name, mk_cache) in &caches {
-                for par in [Parallelism::Serial, PARS[0], PARS[1], PARS[2]] {
-                    let store = open(&image, mk_cache());
-                    let opts = JoinOptions { parallelism: par, ..base_opts };
-                    let (got, stats, reads) =
-                        join_search_disk(&ix, &store, &q, &opts).unwrap();
-                    let what = format!("{words:?} {semantics:?} cache={name} par={par}");
-                    assert_bit_identical(&base, &got, &what);
-                    assert_eq!(base_stats, stats, "{what}: join stats");
-                    assert!(reads > 0, "{what}: cold run must decode");
-                    if *name == "unbounded" {
-                        // Every needed block is decoded exactly once —
-                        // the double-checked insert makes the count equal
-                        // to the serial one even with racing workers.
-                        assert_eq!(base_reads, reads, "{what}: decode count");
-                    }
+                let store = open(&image, mk_cache());
+                let (got, stats, reads) = join_search_disk(&ix, &store, &q, &opts).unwrap();
+                let what = format!("{words:?} {semantics:?} cache={name}");
+                assert_bit_identical(&base, &got, &what);
+                assert_eq!(base_stats, stats, "{what}: join stats");
+                assert!(reads > 0, "{what}: cold run must decode");
+                if *name == "unbounded" {
+                    // Every needed block is decoded exactly once.
+                    assert_eq!(base_reads, reads, "{what}: decode count");
                 }
             }
         }
@@ -124,11 +111,11 @@ fn capacity_one_still_terminates_and_repeats_deterministically() {
 }
 
 #[test]
-fn v3_packed_lanes_bit_identical_to_v2_across_caches_and_parallelism() {
+fn v3_packed_lanes_bit_identical_to_v2_across_caches() {
     // The bit-packed (v3) block layout changes only the wire encoding:
     // answers, join stats, and — under an unbounded cache — the cold
     // decode counts must match the varint (v2) layout bit for bit, under
-    // every cache shape and worker count.
+    // every cache shape.
     let xml = corpus(900);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
     let (v2, v3) = (image(&ix, FormatVersion::V2), image(&ix, FormatVersion::V3));
@@ -148,33 +135,28 @@ fn v3_packed_lanes_bit_identical_to_v2_across_caches_and_parallelism() {
         let q = Query::from_words(&ix, words).unwrap();
         for semantics in [Semantics::Elca, Semantics::Slca] {
             let opts = JoinOptions { semantics, with_scores: true, ..Default::default() };
-            // Baseline: serial v2 over an unbounded cache, cold.
+            // Baseline: v2 over an unbounded cache, cold.
             let base_store = open(&v2, Arc::new(ShardedLruCache::unbounded()));
             let (base, base_stats, base_reads) =
                 join_search_disk(&ix, &base_store, &q, &opts).unwrap();
             assert!(base_reads > 0, "cold v2 baseline must decode blocks");
             // v3 reference for the decode-count pin: block cuts differ
             // between the layouts (packed lanes fill blocks differently),
-            // so the count is pinned against a serial v3 run, not v2.
+            // so the count is pinned against a v3 run, not v2.
             let v3_store = open(&v3, Arc::new(ShardedLruCache::unbounded()));
             let (_, _, v3_reads) = join_search_disk(&ix, &v3_store, &q, &opts).unwrap();
             assert!(v3_reads > 0, "cold v3 baseline must decode blocks");
 
             for (name, mk_cache) in &caches {
-                for par in [Parallelism::Serial, PARS[0], PARS[2]] {
-                    let store = open(&v3, mk_cache());
-                    let run_opts = JoinOptions { parallelism: par, ..opts };
-                    let (got, stats, reads) =
-                        join_search_disk(&ix, &store, &q, &run_opts).unwrap();
-                    let what = format!("{words:?} {semantics:?} v3 cache={name} par={par}");
-                    assert_bit_identical(&base, &got, &what);
-                    assert_eq!(base_stats, stats, "{what}: join stats");
-                    if *name == "unbounded" {
-                        // Unbounded cache: every needed block decoded at
-                        // most once, so the count matches the serial v3
-                        // reference even with racing workers.
-                        assert_eq!(v3_reads, reads, "{what}: decode count");
-                    }
+                let store = open(&v3, mk_cache());
+                let (got, stats, reads) = join_search_disk(&ix, &store, &q, &opts).unwrap();
+                let what = format!("{words:?} {semantics:?} v3 cache={name}");
+                assert_bit_identical(&base, &got, &what);
+                assert_eq!(base_stats, stats, "{what}: join stats");
+                if *name == "unbounded" {
+                    // Unbounded cache: every needed block decoded at most
+                    // once, so the count matches the v3 reference.
+                    assert_eq!(v3_reads, reads, "{what}: decode count");
                 }
             }
         }

@@ -52,8 +52,7 @@ fn disk_execution_matches_in_memory() {
         let q = Query::from_words(&ix, &words).unwrap();
         for semantics in [Semantics::Elca, Semantics::Slca] {
             for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
-                let opts =
-                    JoinOptions { semantics, variant, with_scores: true, ..Default::default() };
+                let opts = JoinOptions { semantics, variant, with_scores: true };
                 let (mem, mem_stats) = join_search(&ix, &q, &opts);
                 let (disk, disk_stats, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
                 let what = format!("{words:?} {semantics:?} {variant:?}");

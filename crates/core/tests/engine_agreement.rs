@@ -83,7 +83,6 @@ fn topk_is_prefix_of_complete() {
                 semantics,
                 variant: ElcaVariant::Operational,
                 with_scores: true,
-                ..Default::default()
             });
             assert_topk_valid(&got, &mut complete, kk);
         }
@@ -119,7 +118,6 @@ fn scores_agree_between_join_and_verifier() {
             semantics: Semantics::Elca,
             variant: ElcaVariant::Formal,
             with_scores: true,
-            ..Default::default()
         });
         let indexed = indexed_search(&ix, &q, &IndexedOptions {
             semantics: Semantics::Elca, with_scores: true
@@ -161,4 +159,42 @@ fn deep_trees_agree_across_engines() {
         });
         assert_topk_valid(&got, &mut complete, 5);
     });
+}
+
+#[test]
+fn wide_levels_agree_with_the_naive_evaluators() {
+    // Thousands of sibling matches: the level-2 columns hold ≈ 3 000 runs
+    // and the level matches ≈ 1 800 values at once — the wide-level case
+    // the random corpora above mostly miss.
+    let mut xml = String::from("<r>");
+    for i in 0..3000 {
+        xml.push_str(match i % 5 {
+            0 => "<p>foo bar</p>",
+            1 => "<p>foo<q>bar</q></p>",
+            2 => "<p>foo bar baz</p>",
+            3 => "<p>bar</p>",
+            _ => "<p>foo</p>",
+        });
+    }
+    xml.push_str("</r>");
+    let ix = xtk_index::XmlIndex::build(xtk_xml::parse(&xml).unwrap());
+    let q = xtk_core::query::Query::from_words(&ix, &["foo", "bar"]).unwrap();
+    let lists: Vec<&[NodeId]> = q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+    for semantics in [Semantics::Elca, Semantics::Slca] {
+        for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
+            let want = match semantics {
+                Semantics::Elca => naive_elca(ix.tree(), &lists, variant),
+                Semantics::Slca => naive_slca(ix.tree(), &lists),
+            };
+            assert!(want.len() >= 1800);
+            let opts = JoinOptions { semantics, variant, with_scores: true };
+            let (mut complete, stats) = join_search(&ix, &q, &opts);
+            assert_eq!(stats.results, want.len() as u64);
+            assert_eq!(nodes(complete.clone()), want, "{semantics:?} {variant:?}");
+            if variant == ElcaVariant::Operational {
+                let (got, _) = topk_search(&ix, &q, &TopKOptions { k: 10, semantics, ..Default::default() });
+                assert_topk_valid(&got, &mut complete, 10);
+            }
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! Differential tests for the cross-query plan cache (PR 10): a plan
 //! served from the cache must be **bit-identical** — same `ExecSpec`,
 //! same results, same score bits — to one planned cold, on the
-//! in-memory, on-disk and sharded executors, for every `Parallelism`
-//! and on-disk format.  The cache is also exercised through its two
+//! in-memory, on-disk and sharded executors, for every on-disk
+//! format.  The cache is also exercised through its two
 //! invalidation channels: a moved index generation (incremental
 //! maintenance) and a changed topology salt (re-sharding) must both
 //! force a cold re-plan instead of serving a stale spec.
@@ -59,20 +59,18 @@ fn requests() -> Vec<(&'static str, QueryRequest)> {
 
 #[test]
 fn cached_plans_are_result_identical_in_memory() {
-    for par in [Parallelism::Serial, Parallelism::Auto] {
-        let e = Engine::from_xml(&corpus()).unwrap().with_parallelism(par);
-        for q_text in QUERIES {
-            let q = e.query(q_text).unwrap();
-            for (req_name, req) in requests() {
-                let cold = e.run(&q, &req).results;
-                let warm = e.run(&q, &req).results;
-                assert_eq!(bits(&cold), bits(&warm), "{q_text:?} {req_name} {par:?}");
-            }
+    let e = Engine::from_xml(&corpus()).unwrap();
+    for q_text in QUERIES {
+        let q = e.query(q_text).unwrap();
+        for (req_name, req) in requests() {
+            let cold = e.run(&q, &req).results;
+            let warm = e.run(&q, &req).results;
+            assert_eq!(bits(&cold), bits(&warm), "{q_text:?} {req_name}");
         }
-        let stats = e.planner().cache().stats();
-        assert!(stats.hits >= (QUERIES.len() * requests().len()) as u64, "{stats:?}");
-        assert_eq!(stats.invalidations, 0, "{stats:?}");
     }
+    let stats = e.planner().cache().stats();
+    assert!(stats.hits >= (QUERIES.len() * requests().len()) as u64, "{stats:?}");
+    assert_eq!(stats.invalidations, 0, "{stats:?}");
 }
 
 #[test]
@@ -86,37 +84,31 @@ fn cached_plans_are_result_identical_on_disk() {
             WriteIndexOptions { include_scores: true, format },
         )
         .unwrap();
-        for par in [Parallelism::Serial, Parallelism::Auto] {
-            let store = DiskColumnStore::open_with_cache(
-                &path,
-                Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>,
-            )
-            .unwrap();
-            let disk = DiskEngine::new(e.index(), &store).with_parallelism(par);
-            // The disk executor implements the join-based route only, so
-            // the star-join request stays on the in-memory grid.
-            let disk_requests = [
-                ("complete-elca", QueryRequest::complete(Semantics::Elca)),
-                ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
-            ];
-            for q_text in QUERIES {
-                let q = e.query(q_text).unwrap();
-                for (req_name, req) in disk_requests {
-                    let cold = disk.execute(&q, &req).unwrap().results;
-                    let warm = disk.execute(&q, &req).unwrap().results;
-                    assert_eq!(
-                        bits(&cold),
-                        bits(&warm),
-                        "{q_text:?} {req_name} {format:?} {par:?}"
-                    );
-                    // The memory executor referees the cached disk plan.
-                    let mem = e.run(&q, &req).results;
-                    assert_eq!(bits(&warm), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
-                }
+        let store = DiskColumnStore::open_with_cache(
+            &path,
+            Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>,
+        )
+        .unwrap();
+        let disk = DiskEngine::new(e.index(), &store);
+        // The disk executor implements the join-based route only, so
+        // the star-join request stays on the in-memory grid.
+        let disk_requests = [
+            ("complete-elca", QueryRequest::complete(Semantics::Elca)),
+            ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
+        ];
+        for q_text in QUERIES {
+            let q = e.query(q_text).unwrap();
+            for (req_name, req) in disk_requests {
+                let cold = disk.execute(&q, &req).unwrap().results;
+                let warm = disk.execute(&q, &req).unwrap().results;
+                assert_eq!(bits(&cold), bits(&warm), "{q_text:?} {req_name} {format:?}");
+                // The memory executor referees the cached disk plan.
+                let mem = e.run(&q, &req).results;
+                assert_eq!(bits(&warm), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
             }
-            let stats = disk.planner().cache().stats();
-            assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
         }
+        let stats = disk.planner().cache().stats();
+        assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
     }
 }
 

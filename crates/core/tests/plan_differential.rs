@@ -1,7 +1,7 @@
 //! Differential tests for the logical-plan rewrite rules: every rule —
 //! alone and in combination — must be **result-preserving bit-for-bit**
 //! (nodes, order, score bits) on the in-memory, on-disk and sharded
-//! executors, for every `Parallelism` and block-cache configuration.
+//! executors, for every block-cache configuration.
 //! What the rules *are* allowed to change is I/O: the pruning rules must
 //! strictly reduce decoded blocks on disk for mixed-depth workloads.
 
@@ -73,20 +73,14 @@ fn requests() -> Vec<(&'static str, QueryRequest)> {
 
 #[test]
 fn every_rule_is_result_preserving_in_memory() {
-    for par in [Parallelism::Serial, Parallelism::Auto] {
-        let e = Engine::from_xml(&corpus()).unwrap().with_parallelism(par);
-        for q_text in QUERIES {
-            let q = e.query(q_text).unwrap();
-            for (req_name, req) in requests() {
-                let want = e.run(&q, &req.with_rules(RuleSet::all())).results;
-                for (rule_name, rules) in rule_sets() {
-                    let got = e.run(&q, &req.with_rules(rules)).results;
-                    assert_eq!(
-                        bits(&want),
-                        bits(&got),
-                        "{q_text:?} {req_name} rules={rule_name} {par:?}"
-                    );
-                }
+    let e = Engine::from_xml(&corpus()).unwrap();
+    for q_text in QUERIES {
+        let q = e.query(q_text).unwrap();
+        for (req_name, req) in requests() {
+            let want = e.run(&q, &req.with_rules(RuleSet::all())).results;
+            for (rule_name, rules) in rule_sets() {
+                let got = e.run(&q, &req.with_rules(rules)).results;
+                assert_eq!(bits(&want), bits(&got), "{q_text:?} {req_name} rules={rule_name}");
             }
         }
     }
@@ -103,29 +97,25 @@ fn every_rule_is_result_preserving_on_disk() {
     for format in [FormatVersion::V2, FormatVersion::V3] {
         let image = image(e.index(), format);
         for (cname, mk_cache) in caches {
-            for par in [Parallelism::Serial, Parallelism::Auto] {
-                let store = DiskColumnStore::open_bytes(image.clone(), mk_cache()).unwrap();
-                let disk = DiskEngine::new(e.index(), &store).with_parallelism(par);
-                for q_text in ["series xml", "top join"] {
-                    let q = e.query(q_text).unwrap();
-                    for (req_name, req) in [
-                        ("complete", QueryRequest::complete(Semantics::Elca)),
-                        ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
-                    ] {
-                        let want =
-                            disk.execute(&q, &req.with_rules(RuleSet::all())).unwrap().results;
-                        // The memory executor is the cross-engine referee.
-                        let mem = e.run(&q, &req.with_rules(RuleSet::all())).results;
-                        assert_eq!(bits(&want), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
-                        for (rule_name, rules) in rule_sets() {
-                            let got =
-                                disk.execute(&q, &req.with_rules(rules)).unwrap().results;
-                            assert_eq!(
-                                bits(&want),
-                                bits(&got),
-                                "{q_text:?} {req_name} rules={rule_name} {format:?} {cname} {par:?}"
-                            );
-                        }
+            let store = DiskColumnStore::open_bytes(image.clone(), mk_cache()).unwrap();
+            let disk = DiskEngine::new(e.index(), &store);
+            for q_text in ["series xml", "top join"] {
+                let q = e.query(q_text).unwrap();
+                for (req_name, req) in [
+                    ("complete", QueryRequest::complete(Semantics::Elca)),
+                    ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
+                ] {
+                    let want = disk.execute(&q, &req.with_rules(RuleSet::all())).unwrap().results;
+                    // The memory executor is the cross-engine referee.
+                    let mem = e.run(&q, &req.with_rules(RuleSet::all())).results;
+                    assert_eq!(bits(&want), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
+                    for (rule_name, rules) in rule_sets() {
+                        let got = disk.execute(&q, &req.with_rules(rules)).unwrap().results;
+                        assert_eq!(
+                            bits(&want),
+                            bits(&got),
+                            "{q_text:?} {req_name} rules={rule_name} {format:?} {cname}"
+                        );
                     }
                 }
             }

@@ -1,13 +1,13 @@
 //! Differential tests for the unified request API: `Engine::run` must
 //! return **bit-identical** results (nodes, order, score bits) to the
 //! underlying algorithm entry points it lowers to, for every semantics ×
-//! algorithm × parallelism combination, and the recorded trace must be
-//! identical across `Parallelism` settings.
+//! algorithm combination, and the recorded trace must not depend on the
+//! `Parallelism` of the batch or the shard scatter that served it.
 
 use xtk_core::baseline::indexed::{indexed_search, IndexedOptions};
 use xtk_core::baseline::rdil::{rdil_search, RdilOptions};
 use xtk_core::baseline::stack::{stack_search, StackOptions};
-use xtk_core::hybrid::hybrid_topk_with;
+use xtk_core::hybrid::hybrid_topk;
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::result::sort_ranked;
@@ -35,32 +35,20 @@ fn bits(rs: &[ScoredResult]) -> Vec<(u32, u16, u32)> {
     rs.iter().map(|r| (r.node.0, r.level, r.score.to_bits())).collect()
 }
 
-const PAR: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Auto];
 const SEM: [Semantics; 2] = [Semantics::Elca, Semantics::Slca];
 
 #[test]
 fn run_complete_equals_join_search() {
     let e = Engine::from_xml(&corpus()).unwrap();
     let q = e.query("xml search").unwrap();
-    for par in PAR {
-        let e = Engine::from_xml(&corpus()).unwrap().with_parallelism(par);
-        for sem in SEM {
-            let (mut old, _) = join_search(
-                e.index(),
-                &q,
-                &JoinOptions {
-                    semantics: sem,
-                    with_scores: true,
-                    parallelism: par,
-                    ..Default::default()
-                },
-            );
-            sort_ranked(&mut old);
-            let new = e
-                .run(&q, &QueryRequest::complete(sem).with_algorithm(QueryAlgorithm::JoinBased))
-                .results;
-            assert_eq!(bits(&old), bits(&new), "{sem:?} {par:?}");
-        }
+    for sem in SEM {
+        let opts = JoinOptions { semantics: sem, with_scores: true, ..Default::default() };
+        let (mut old, _) = join_search(e.index(), &q, &opts);
+        sort_ranked(&mut old);
+        let new = e
+            .run(&q, &QueryRequest::complete(sem).with_algorithm(QueryAlgorithm::JoinBased))
+            .results;
+        assert_eq!(bits(&old), bits(&new), "{sem:?}");
     }
 }
 
@@ -107,31 +95,26 @@ fn run_unranked_equals_every_raw_engine() {
 
 #[test]
 fn top_k_family_equals_raw_engines() {
-    let q_text = "top join";
-    for par in PAR {
-        let e = Engine::from_xml(&corpus()).unwrap().with_parallelism(par);
-        let q = e.query(q_text).unwrap();
-        for sem in SEM {
-            for k in [1, 5, 50] {
-                let req = QueryRequest::top_k(k, sem);
-                let (old, _) = topk_search(
-                    e.index(),
-                    &q,
-                    &TopKOptions { k, semantics: sem, parallelism: par, ..Default::default() },
-                );
-                let new = e.run(&q, &req.with_algorithm(QueryAlgorithm::TopKJoin)).results;
-                assert_eq!(bits(&old), bits(&new), "top_k {sem:?} {par:?} k={k}");
+    let e = Engine::from_xml(&corpus()).unwrap();
+    let q = e.query("top join").unwrap();
+    for sem in SEM {
+        for k in [1, 5, 50] {
+            let req = QueryRequest::top_k(k, sem);
+            let (old, _) = topk_search(
+                e.index(),
+                &q,
+                &TopKOptions { k, semantics: sem, ..Default::default() },
+            );
+            let new = e.run(&q, &req.with_algorithm(QueryAlgorithm::TopKJoin)).results;
+            assert_eq!(bits(&old), bits(&new), "top_k {sem:?} k={k}");
 
-                let (old_auto, _) = hybrid_topk_with(e.index(), &q, k, sem, par);
-                let new_auto = e.run(&q, &req).results;
-                assert_eq!(bits(&old_auto), bits(&new_auto), "auto {sem:?} {par:?} k={k}");
+            let (old_auto, _) = hybrid_topk(e.index(), &q, k, sem);
+            let new_auto = e.run(&q, &req).results;
+            assert_eq!(bits(&old_auto), bits(&new_auto), "auto {sem:?} k={k}");
 
-                let (old_rdil, _) =
-                    rdil_search(e.index(), &q, &RdilOptions { k, semantics: sem });
-                let new_rdil =
-                    e.run(&q, &req.with_algorithm(QueryAlgorithm::Rdil)).results;
-                assert_eq!(bits(&old_rdil), bits(&new_rdil), "rdil {sem:?} {par:?} k={k}");
-            }
+            let (old_rdil, _) = rdil_search(e.index(), &q, &RdilOptions { k, semantics: sem });
+            let new_rdil = e.run(&q, &req.with_algorithm(QueryAlgorithm::Rdil)).results;
+            assert_eq!(bits(&old_rdil), bits(&new_rdil), "rdil {sem:?} k={k}");
         }
     }
 }
@@ -164,31 +147,53 @@ fn run_metrics_equal_raw_counters() {
 
 #[test]
 fn traces_are_bit_identical_across_parallelism() {
+    // A request runs on one thread; the threads are around it — batch
+    // workers and the shard scatter — and neither may show in its trace.
+    use xtk_core::shard::{write_sharded, ShardedEngine};
+    use xtk_core::{BatchItem, BatchOptions};
+    let traced = |req: QueryRequest| {
+        req.with_algorithm(QueryAlgorithm::JoinBased).with_trace(TraceLevel::Events)
+    };
     let reqs = [
-        QueryRequest::complete(Semantics::Elca)
-            .with_algorithm(QueryAlgorithm::JoinBased)
-            .with_trace(TraceLevel::Events),
-        QueryRequest::complete(Semantics::Slca)
-            .with_algorithm(QueryAlgorithm::JoinBased)
-            .with_trace(TraceLevel::Events),
+        traced(QueryRequest::complete(Semantics::Elca)),
+        traced(QueryRequest::complete(Semantics::Slca)),
+        traced(QueryRequest::top_k(7, Semantics::Elca)),
         QueryRequest::top_k(7, Semantics::Elca)
             .with_algorithm(QueryAlgorithm::TopKJoin)
             .with_trace(TraceLevel::Events),
     ];
-    for (qi, q_text) in ["xml search", "top join", "keyword author4"].iter().enumerate() {
-        let serial = Engine::from_xml(&corpus()).unwrap();
-        let auto = Engine::from_xml(&corpus()).unwrap().with_parallelism(Parallelism::Auto);
-        let q = serial.query(q_text).unwrap();
-        for (ri, req) in reqs.iter().enumerate() {
-            let t1 = serial.run(&q, req).trace.expect("trace requested");
-            let t2 = auto.run(&q, req).trace.expect("trace requested");
-            assert_eq!(t1, t2, "query {qi} request {ri}");
-            assert!(!t1.events.is_empty());
+    let e = Engine::from_xml(&corpus()).unwrap();
+    let items: Vec<BatchItem> = ["xml search", "top join", "keyword author4"]
+        .iter()
+        .flat_map(|text| reqs.iter().map(|req| BatchItem::new(e.query(text).unwrap(), *req)))
+        .collect();
+    let want: Vec<_> =
+        items.iter().map(|it| e.run(&it.query, &it.request).trace.expect("trace")).collect();
+    assert!(want.iter().all(|t| !t.events.is_empty()));
+    for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
+        // A fresh engine per setting: nothing is served from the result cache.
+        let fresh = Engine::from_xml(&corpus()).unwrap();
+        let opts = BatchOptions { parallelism, ..Default::default() };
+        let report = fresh.run_batch_report(&items, &opts);
+        for (i, (response, t1)) in report.responses.iter().zip(&want).enumerate() {
+            let t2 = response.trace.as_ref().expect("trace requested");
+            assert_eq!(t1, t2, "item {i} batch {parallelism:?}");
             // Logical sequence numbers, no wall clock: the rendered JSON
             // is byte-identical too.
             assert_eq!(t1.to_json_lines(), t2.to_json_lines());
         }
     }
+    let dir = xtk_xml::testutil::TempPath::new("xtk_request_diff_scatter");
+    write_sharded(e.index(), &dir, 3).unwrap();
+    let scatter = |parallelism| {
+        let sharded = ShardedEngine::open(e.index(), &dir).unwrap().with_parallelism(parallelism);
+        // The sharded engine serves the ranked join family only.
+        let served = items.iter().filter(|it| it.request.algorithm == QueryAlgorithm::JoinBased);
+        served
+            .map(|it| sharded.execute(&it.query, &it.request).unwrap().trace.expect("trace"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(scatter(Parallelism::Serial), scatter(Parallelism::Fixed(3)));
 }
 
 #[test]
@@ -206,37 +211,26 @@ fn disk_and_memory_executors_agree_bit_for_bit() {
         std::sync::Arc::new(xtk_index::cache::ShardedLruCache::unbounded()),
     )
     .unwrap();
-    for par in PAR {
-        let mem = Engine::from_xml(&corpus()).unwrap().with_parallelism(par);
-        let disk = DiskEngine::new(mem.index(), &store).with_parallelism(par);
-        let q = mem.query("xml rare17").unwrap();
-        for sem in SEM {
-            for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
-                let req = QueryRequest::complete(sem)
-                    .with_variant(variant)
-                    .with_algorithm(QueryAlgorithm::JoinBased);
-                let m = mem.run(&q, &req);
-                let d = disk.execute(&q, &req).unwrap();
-                assert_eq!(bits(&m.results), bits(&d.results), "{sem:?} {variant:?} {par:?}");
-            }
+    let disk = DiskEngine::new(e.index(), &store);
+    let q = e.query("xml rare17").unwrap();
+    for sem in SEM {
+        for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
+            let req = QueryRequest::complete(sem)
+                .with_variant(variant)
+                .with_algorithm(QueryAlgorithm::JoinBased);
+            let m = e.run(&q, &req);
+            let d = disk.execute(&q, &req).unwrap();
+            assert_eq!(bits(&m.results), bits(&d.results), "{sem:?} {variant:?}");
         }
     }
-    // The disk trace is deterministic across parallelism too (decode
-    // counts are parallelism-invariant under the unbounded default cache).
-    let mem = Engine::from_xml(&corpus()).unwrap();
-    let q = mem.query("xml rare17").unwrap();
+    // The disk trace repeats on a warm cache, from any engine over the
+    // store (decode counts settle at 0).
     let req = QueryRequest::complete(Semantics::Elca)
         .with_algorithm(QueryAlgorithm::JoinBased)
         .with_trace(TraceLevel::Events);
-    let warm = DiskEngine::new(mem.index(), &store);
-    let _ = warm.execute(&q, &req).unwrap(); // warm the cache: decodes settle at 0
-    let t1 = warm.execute(&q, &req).unwrap().trace.expect("trace");
-    let t2 = DiskEngine::new(mem.index(), &store)
-        .with_parallelism(Parallelism::Auto)
-        .execute(&q, &req)
-        .unwrap()
-        .trace
-        .expect("trace");
+    let _ = disk.execute(&q, &req).unwrap();
+    let t1 = disk.execute(&q, &req).unwrap().trace.expect("trace");
+    let t2 = DiskEngine::new(e.index(), &store).execute(&q, &req).unwrap().trace.expect("trace");
     assert_eq!(t1, t2);
 }
 

@@ -214,8 +214,7 @@ pub trait Feed {
     }
 }
 
-/// Stretches already in hand — a memory column's one slice, or the blocks
-/// a join step landed before its chunks went to the pool.
+/// Stretches already in hand — a memory column's one slice.
 impl<I: Iterator> Feed for I
 where
     I::Item: AsRef<[Run]>,
@@ -277,12 +276,10 @@ impl<F: Feed> RunCursor<F> {
 
     /// One join step: looks up the ascending `probes`' values, stretch by
     /// stretch, and replaces `hits` with the column's run for every value
-    /// it holds and `from` with that probe's position in the step's input
-    /// (`probes[0]` is at `base`).
+    /// it holds and `from` with that probe's position in `probes`.
     pub fn seek_all(
         &mut self,
         probes: &[Run],
-        base: usize,
         hits: &mut Vec<Run>,
         from: &mut Vec<u32>,
     ) -> Result<(), F::Error> {
@@ -307,8 +304,7 @@ impl<F: Feed> RunCursor<F> {
             else {
                 break;
             };
-            let nth = (base + done) as u32;
-            let (found, reached) = seek_stretch(runs, now, nth, hits, from);
+            let (found, reached) = seek_stretch(runs, now, done as u32, hits, from);
             self.at += reached;
             (done, kept) = (done + now.len().max(1), kept + found);
         }

@@ -87,11 +87,11 @@ impl StoreIoStats {
 /// in parallel.  A session is instead handed to the column handles of
 /// one query ([`DiskColumn::scoped`]) and counts only the accesses made
 /// through them, so concurrent queries cannot contaminate each other's
-/// numbers.  The counters are atomics: within one query, parallel probe
-/// workers share the session and their counts still land in it.
+/// numbers.  (The counters are atomics because the column handles hold
+/// the session by shared reference; one query counts on one thread.)
 ///
-/// Under serial execution a session counts the same increments as the
-/// global delta did, bit for bit.
+/// With one query on the store at a time a session counts the same
+/// increments as the global delta did, bit for bit.
 #[derive(Debug, Default)]
 pub struct IoSession {
     hits: AtomicU64,

@@ -1,12 +1,12 @@
 //! A scoped, work-stealing thread pool for deterministic data parallelism.
 //!
-//! Every parallel stage in `xtk` — index construction, the per-level joins
-//! of Algorithm 1, top-K candidate scoring — is a *map over an indexed
-//! task list whose results are merged by index*.  That shape makes
-//! parallelism an execution detail: the output of [`parallel_map`] is
-//! bit-identical for any worker count, because result slot `i` always
-//! holds the value computed from item `i` and the caller consumes slots in
-//! index order.
+//! Every parallel stage in `xtk` — index construction, the workers of a
+//! query batch, the scatter over shards — is a *map over an indexed task
+//! list whose results are merged by index*.  (A single query runs on its
+//! caller's thread.)  That shape makes parallelism an execution detail:
+//! the output of [`parallel_map`] is bit-identical for any worker count,
+//! because result slot `i` always holds the value computed from item `i`
+//! and the caller consumes slots in index order.
 //!
 //! The implementation is std-only ([`std::thread::scope`], channels,
 //! atomics):
@@ -24,14 +24,15 @@
 //!   of hanging it.
 //!
 //! This module lives in the base crate so both the index builder
-//! (`xtk-index`) and the query engines (`xtk-core`, which re-exports it as
-//! `xtk_core::pool`) can share one implementation.
+//! (`xtk-index`) and the serving layers (`xtk-core`, which re-exports it
+//! as `xtk_core::pool`) can share one implementation.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 
-/// Degree of parallelism for index construction and query execution.
+/// Degree of parallelism for index construction, batch execution and the
+/// shard scatter.
 ///
 /// Parallelism never changes results — every parallel path merges
 /// deterministically — so this knob trades threads for wall-clock only.
@@ -49,21 +50,15 @@ pub enum Parallelism {
 impl Parallelism {
     /// The number of workers this setting resolves to on this machine.
     pub fn workers(self) -> usize {
+        // `available_parallelism` reads the affinity mask and the cgroup
+        // files on every call (≈ 20 µs); `parallel_map` asks once a map.
+        static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
         match self {
             Parallelism::Serial => 1,
             Parallelism::Fixed(n) => n.max(1),
-            Parallelism::Auto => {
+            Parallelism::Auto => *HARDWARE_THREADS.get_or_init(|| {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-        }
-    }
-
-    /// Parses `serial` / `auto` / a worker count, for CLI flags.
-    pub fn parse(s: &str) -> Option<Parallelism> {
-        match s {
-            "serial" => Some(Parallelism::Serial),
-            "auto" => Some(Parallelism::Auto),
-            n => n.parse::<usize>().ok().map(Parallelism::Fixed),
+            }),
         }
     }
 }
@@ -201,11 +196,14 @@ mod tests {
         assert_eq!(Parallelism::Serial.workers(), 1);
         assert_eq!(Parallelism::Fixed(0).workers(), 1);
         assert_eq!(Parallelism::Fixed(6).workers(), 6);
-        assert!(Parallelism::Auto.workers() >= 1);
-        assert_eq!(Parallelism::parse("serial"), Some(Parallelism::Serial));
-        assert_eq!(Parallelism::parse("auto"), Some(Parallelism::Auto));
-        assert_eq!(Parallelism::parse("4"), Some(Parallelism::Fixed(4)));
-        assert_eq!(Parallelism::parse("bogus"), None);
+    }
+
+    #[test]
+    fn auto_resolves_to_the_hardware_threads_and_repeats() {
+        let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        for _ in 0..3 {
+            assert_eq!(Parallelism::Auto.workers(), hardware);
+        }
     }
 
     #[test]
