@@ -41,15 +41,19 @@ temp_dir_sites=$(grep -rn "temp_dir()" --include='*.rs' crates src examples test
 echo "== one LRU: one recency order, one poison-recovering lock helper"
 # Every cache (block, plan, result) sits on xtk_index::cache::Lru behind
 # Sharded, whose `relock` is the only place a poisoned guard is recovered.
-# A second `BTreeMap<u64, _>` stamp order or a second `into_inner()` in
-# the two crates that hold caches means a cache grew its own again.
-for pattern in 'BTreeMap<u64,' 'into_inner()'; do
-    sites=$(grep -rnF "$pattern" --include='*.rs' crates/index/src crates/core/src | wc -l)
-    [ "$sites" -eq 1 ] || {
-        echo "ERROR: $sites sites of '$pattern' under crates/index/src + crates/core/src, expected 1:" >&2
-        grep -rnF "$pattern" --include='*.rs' crates/index/src crates/core/src >&2
+# Lru keeps recency in a linked slot arena; a second `struct Lru`, a
+# `BTreeMap<u64, _>` stamp order or a second `into_inner()` in the two
+# crates that hold caches means a cache grew its own again.
+expect_sites() {
+    sites=$(grep -rnF "$2" --include='*.rs' crates/index/src crates/core/src | wc -l)
+    [ "$sites" -eq "$1" ] || {
+        echo "ERROR: $sites sites of '$2' under crates/index/src + crates/core/src, expected $1:" >&2
+        grep -rnF "$2" --include='*.rs' crates/index/src crates/core/src >&2
         exit 1; }
-done
+}
+expect_sites 1 'struct Lru'
+expect_sites 0 'BTreeMap<u64,'
+expect_sites 1 'into_inner()'
 
 echo "== one block directory: one parse, no format without row counts"
 # What a directory entry is and which files are valid is decided by
@@ -93,6 +97,11 @@ pool_callers=$(grep -rlF 'parallel_map(' --include='*.rs' crates/*/src \
     echo "ERROR: parallel_map( is called from: $pool_callers" >&2
     echo "       expected exactly core/src/batch.rs, core/src/shard.rs, index/src/builder.rs" >&2
     exit 1; }
+# The pool hands results back through join handles; a channel in it means
+# the per-item send and wake-up are back.
+if grep -n mpsc crates/xml/src/pool.rs >&2; then
+    echo "ERROR: crates/xml/src/pool.rs mentions mpsc" >&2; exit 1
+fi
 
 echo "== lint-report.json: schema + L7 acyclicity check"
 # The machine-readable report must exist, carry every section of the

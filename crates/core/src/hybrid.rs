@@ -15,7 +15,7 @@
 
 use crate::joinbased::{join_search_obs, JoinOptions};
 use crate::query::{ElcaVariant, Query, Semantics};
-use crate::result::{sort_ranked, ScoredResult};
+use crate::result::{rank_top, ScoredResult};
 use crate::topk::{topk_search_obs, TopKOptions};
 use xtk_index::{TermData, XmlIndex};
 use xtk_obs::Obs;
@@ -126,8 +126,7 @@ pub fn hybrid_topk_obs(
         obs.metrics.add("hybrid.route_complete", 1);
         let opts = JoinOptions { semantics, variant: ElcaVariant::Operational, with_scores: true };
         let (mut rs, _) = join_search_obs(ix, query, &opts, obs);
-        sort_ranked(&mut rs);
-        rs.truncate(k);
+        rank_top(&mut rs, Some(k));
         (rs, PlannedEngine::CompleteJoin)
     }
 }
@@ -136,6 +135,7 @@ pub fn hybrid_topk_obs(
 mod tests {
     use super::*;
     use crate::joinbased::join_search;
+    use crate::result::sort_ranked;
     use crate::topk::topk_search;
     use xtk_xml::parse;
 

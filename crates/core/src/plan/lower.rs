@@ -26,7 +26,7 @@ use crate::plan::logical::{LevelRange, PlanNode, ScanMode, TopKStrategy};
 use crate::plan::rewrite::{rewrite, AppliedRule};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::request::{obs_for, respond, ExecutedEngine, QueryRequest, QueryResponse, ScoreMode};
-use crate::result::sort_ranked;
+use crate::result::rank_top;
 use crate::topk::{topk_search_obs, ThresholdKind, TopKOptions};
 use std::fmt::Write as _;
 use std::io;
@@ -210,9 +210,8 @@ pub(crate) fn execute_memory_spec(
             let opts = JoinOptions { semantics: spec.semantics, variant, with_scores };
             let (mut rs, _) = join_search_obs(ix, query, &opts, &obs);
             if with_scores {
-                sort_ranked(&mut rs);
-            }
-            if let Some(k) = spec.truncate {
+                rank_top(&mut rs, spec.truncate);
+            } else if let Some(k) = spec.truncate {
                 rs.truncate(k);
             }
             respond(obs, rs, ExecutedEngine::JoinBased)
@@ -256,9 +255,8 @@ pub(crate) fn execute_disk_spec(
     let dspec = disk_join_spec(&spec);
     let (mut rs, _, _) = join_search_disk_spec(ix, store, query, &dspec, &obs)?;
     if spec.scored {
-        sort_ranked(&mut rs);
-    }
-    if let Some(k) = spec.truncate {
+        rank_top(&mut rs, spec.truncate);
+    } else if let Some(k) = spec.truncate {
         rs.truncate(k);
     }
     Ok(respond(obs, rs, ExecutedEngine::JoinBased))

@@ -22,7 +22,7 @@ use crate::baseline::stack::{stack_search, StackOptions};
 use crate::engine::Engine;
 use crate::plan::rewrite::RuleSet;
 use crate::query::{ElcaVariant, Query, Semantics};
-use crate::result::{sort_ranked, ScoredResult};
+use crate::result::{rank_top, ScoredResult};
 use crate::topk::ThresholdKind;
 use std::io;
 use xtk_index::diskcol::DiskColumnStore;
@@ -243,9 +243,8 @@ fn run_in_memory(
                 &IndexedOptions { semantics: req.semantics, with_scores: req.ranked() },
             );
             if req.ranked() {
-                sort_ranked(&mut rs);
-            }
-            if let Some(k) = req.k {
+                rank_top(&mut rs, req.k);
+            } else if let Some(k) = req.k {
                 rs.truncate(k);
             }
             respond(obs, rs, ExecutedEngine::IndexBased)

@@ -60,7 +60,7 @@ use crate::query::Query;
 use crate::request::{
     ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
 };
-use crate::result::{sort_ranked, ScoredResult};
+use crate::result::{rank_top, sort_ranked, ScoredResult};
 use std::io;
 use std::ops::Range;
 use std::path::Path;
@@ -470,10 +470,7 @@ impl<'a> ShardedEngine<'a> {
                 score: r.score,
             });
         }
-        sort_ranked(&mut results);
-        if let Some(k) = req.k {
-            results.truncate(k);
-        }
+        rank_top(&mut results, req.k);
         Ok(ShardOutcome {
             results,
             metrics: obs.metrics.snapshot(),
@@ -643,10 +640,7 @@ impl Executor for ShardedEngine<'_> {
             }
         }
         obs.event(EventKind::ShardStop { executed, pruned, skipped });
-        sort_ranked(&mut candidates);
-        if let Some(k) = req.k {
-            candidates.truncate(k);
-        }
+        rank_top(&mut candidates, req.k);
 
         let driver = MetricsRegistry::new();
         driver.add("shard.shards", self.shards.len() as u64);

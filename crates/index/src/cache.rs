@@ -21,9 +21,9 @@
 //! * [`ShardedLruCache::unbounded`] — the paper-fidelity setting: same
 //!   structure, no eviction; what the experiments of §V assume.
 //!
-//! Recency is the workspace's one LRU: [`Lru`] (a map, a stamp order and
-//! a per-instance logical clock — never wall clock, eviction order must
-//! be deterministic for the bench gate and identical across runs) behind
+//! Recency is the workspace's one LRU: [`Lru`] (a map into a slot arena
+//! threaded by a recency list — never wall clock, eviction order must be
+//! deterministic for the bench gate and identical across runs) behind
 //! [`Sharded`], the one poison-recovering mutex set.  The block cache
 //! adds budgets, pins and counters on top; `xtk-core`'s plan and result
 //! caches add a `(generation, salt)` stamp.  Correctness never depends
@@ -32,7 +32,7 @@
 //! which the differential tests assert.
 
 use crate::columnar::Run;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -187,21 +187,45 @@ impl<T> Sharded<T> {
     }
 }
 
+/// "No slot": the `prev` of the oldest entry, the `next` of the newest,
+/// both ends of an empty list.  Past every arena, so a checked read of it
+/// finds nothing.
+const NIL: usize = usize::MAX;
+
+/// One arena cell of an [`Lru`]: an entry and its neighbours in recency
+/// order (slot numbers, [`NIL`] at the ends).
+#[derive(Debug)]
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    /// The next older entry.
+    prev: usize,
+    /// The next newer entry.
+    next: usize,
+}
+
 /// The recency core of every cache in the workspace: `key -> value` plus
-/// the order the keys were last used in, on a logical clock.
+/// the order the keys were last used in — a doubly linked list threaded
+/// through a slot arena, so a touch is a hash probe and a relink.  The
+/// list holds the entries in the order of their last `get` / `insert`,
+/// which is the order a logical clock would stamp them in: the victim
+/// sequence depends on the call sequence alone, never on time or hashing.
 #[derive(Debug)]
 pub struct Lru<K, V> {
-    /// `key -> (value, recency stamp)`.
-    map: HashMap<K, (V, u64)>,
-    /// `recency stamp -> key`; the first entry is the LRU victim.
-    order: BTreeMap<u64, K>,
-    /// Monotone logical clock (per instance — stamps never cross shards).
-    clock: u64,
+    /// `key -> slot`.
+    map: HashMap<K, usize>,
+    /// The arena; `None` marks a free slot (listed in `free`).
+    slots: Vec<Option<Slot<K, V>>>,
+    free: Vec<usize>,
+    /// The least recently used slot — the next victim.
+    oldest: usize,
+    /// The most recently used slot.
+    newest: usize,
 }
 
 impl<K, V> Default for Lru<K, V> {
     fn default() -> Self {
-        Self { map: HashMap::new(), order: BTreeMap::new(), clock: 0 }
+        Self { map: HashMap::new(), slots: Vec::new(), free: Vec::new(), oldest: NIL, newest: NIL }
     }
 }
 
@@ -216,52 +240,99 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         self.map.is_empty()
     }
 
+    fn slot(&self, at: usize) -> Option<&Slot<K, V>> {
+        self.slots.get(at)?.as_ref()
+    }
+
+    fn slot_mut(&mut self, at: usize) -> Option<&mut Slot<K, V>> {
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    /// Takes slot `at` out of the recency list (its own links go stale).
+    fn unlink(&mut self, at: usize) {
+        let Some((prev, next)) = self.slot(at).map(|slot| (slot.prev, slot.next)) else { return };
+        match self.slot_mut(prev) {
+            Some(older) => older.next = next,
+            None => self.oldest = next,
+        }
+        match self.slot_mut(next) {
+            Some(newer) => newer.prev = prev,
+            None => self.newest = prev,
+        }
+    }
+
+    /// Appends the (unlinked) slot `at` as the most recently used.
+    fn link_newest(&mut self, at: usize) {
+        let prev = self.newest;
+        if let Some(slot) = self.slot_mut(at) {
+            slot.prev = prev;
+            slot.next = NIL;
+        }
+        match self.slot_mut(prev) {
+            Some(older) => older.next = at,
+            None => self.oldest = at,
+        }
+        self.newest = at;
+    }
+
     /// Reads an entry without refreshing its recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(value, _)| value)
+        self.slot(*self.map.get(key)?).map(|slot| &slot.value)
     }
 
     /// Reads an entry and makes it the most recently used.
     pub fn get(&mut self, key: &K) -> Option<&mut V> {
-        let (value, stamp) = self.map.get_mut(key)?;
-        self.clock += 1;
-        self.order.remove(stamp);
-        *stamp = self.clock;
-        self.order.insert(self.clock, *key);
-        Some(value)
+        let at = *self.map.get(key)?;
+        if at != self.newest {
+            self.unlink(at);
+            self.link_newest(at);
+        }
+        self.slot_mut(at).map(|slot| &mut slot.value)
     }
 
     /// Inserts (or replaces) an entry as the most recently used and
     /// returns the value it replaced.  Never evicts: the owner decides
     /// what "over budget" means and calls [`Lru::pop_oldest`].
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.clock += 1;
-        let old = self.map.insert(key, (value, self.clock));
-        if let Some((_, stamp)) = &old {
-            self.order.remove(stamp);
+        if let Some(held) = self.get(&key) {
+            return Some(std::mem::replace(held, value));
         }
-        self.order.insert(self.clock, key);
-        old.map(|(value, _)| value)
+        let at = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        if let Some(cell) = self.slots.get_mut(at) {
+            *cell = Some(Slot { key, value, prev: NIL, next: NIL });
+        }
+        self.map.insert(key, at);
+        self.link_newest(at);
+        None
     }
 
     /// Removes an entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (value, stamp) = self.map.remove(key)?;
-        self.order.remove(&stamp);
-        Some(value)
+        let at = self.map.remove(key)?;
+        self.unlink(at);
+        let slot = self.slots.get_mut(at)?.take()?;
+        self.free.push(at);
+        Some(slot.value)
     }
 
     /// Removes the least recently used entry whose key `skip` does not
     /// hold back; `None` when every entry is skipped (or none is left).
     pub fn pop_oldest(&mut self, skip: impl Fn(&K) -> bool) -> Option<(K, V)> {
-        let key = *self.order.values().find(|key| !skip(key))?;
+        let by_age = std::iter::successors(self.slot(self.oldest), |slot| self.slot(slot.next));
+        let key = by_age.map(|slot| slot.key).find(|key| !skip(key))?;
         self.remove(&key).map(|value| (key, value))
     }
 
-    /// Drops every entry; the clock keeps running.
+    /// Drops every entry.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.order.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
     }
 }
 
@@ -498,6 +569,29 @@ mod tests {
         lru.insert(1, "a2");
         assert!(lru.get(&2).is_some());
         assert_eq!(drain(&mut lru), [1, 2], "order restarts from the new inserts");
+    }
+
+    #[test]
+    fn lru_reuses_freed_slots() {
+        let mut lru = Lru::default();
+        for key in 0..4u64 {
+            lru.insert(key, "x");
+        }
+        // Remove and insert, by `remove` and by `pop_oldest`, a thousand
+        // times over: the arena never grows past the four entries held.
+        for key in 4..1004u64 {
+            if key % 2 == 0 {
+                assert_eq!(lru.remove(&(key - 4)), Some("x"));
+            } else {
+                assert_eq!(lru.pop_oldest(|_| false), Some((key - 4, "x")));
+            }
+            lru.insert(key, "x");
+            assert_eq!((lru.len(), lru.slots.len()), (4, 4));
+        }
+        assert_eq!(drain(&mut lru), [1000, 1001, 1002, 1003]);
+        assert_eq!((lru.slots.len(), lru.free.len()), (4, 4), "all four slots free");
+        lru.insert(7, "y");
+        assert_eq!((lru.slots.len(), lru.free.len()), (4, 3));
     }
 
     #[test]

@@ -157,14 +157,14 @@ impl JDeweyAssignment {
 
     /// Looks up the node with JDewey number `n` at 1-based `level`.
     ///
-    /// This is the `(i, S(i))` identification property of §III-A.
-    /// `O(log width(level))`.
+    /// This is the `(i, S(i))` identification property of §III-A: O(1)
+    /// while the level is numbered densely (number `n` is then the level's
+    /// `n`-th node), `O(log width(level))` otherwise.
     pub fn node_at(&self, level: u16, n: u32) -> Option<NodeId> {
         let lv = self.levels.get(level as usize)?;
-        lv.binary_search_by_key(&n, |&id| self.numbers[id.index()])
-            .ok()
-            .and_then(|pos| lv.get(pos))
-            .copied()
+        let pos = position_of(lv, &self.numbers, n)
+            .or_else(|| lv.binary_search_by_key(&n, |&id| self.numbers[id.index()]).ok())?;
+        lv.get(pos).copied()
     }
 
     /// A forward cursor over `level` for lookups whose numbers ascend —
@@ -314,10 +314,23 @@ impl JDeweyAssignment {
 
 }
 
+/// Where the node numbered `n` sits in `nodes` (one level, ascending by
+/// number) if it sits where a dense numbering puts it.  Numbers at a level
+/// ascend strictly from 1, so number `n` is at or before position `n − 1`,
+/// and exactly there while the level has no gap before it (`gap` 0 and no
+/// insert or delete since) — `(level, number)` is then an address, read in
+/// one probe.  `None` sends the caller to its search.
+fn position_of(nodes: &[NodeId], numbers: &[u32], n: u32) -> Option<usize> {
+    let pos = (n.checked_sub(1)? as usize).min(nodes.len().checked_sub(1)?);
+    let id = nodes.get(pos)?;
+    (numbers.get(id.index()) == Some(&n)).then_some(pos)
+}
+
 /// A forward-only position in one level's node list (see
-/// [`JDeweyAssignment::level_cursor`]).  Algorithm 1 emits a level's
-/// results in increasing JDewey number, so each lookup gallops from the
-/// previous hit: O(log distance) instead of O(log width).
+/// [`JDeweyAssignment::level_cursor`]).  A lookup is O(1) on a densely
+/// numbered level (number `n` is its `n`-th node); otherwise — Algorithm 1
+/// emits a level's results in increasing JDewey number — it gallops from
+/// the previous hit: O(log distance) instead of O(log width).
 #[derive(Debug, Clone)]
 pub struct LevelCursor<'a> {
     numbers: &'a [u32],
@@ -329,6 +342,11 @@ impl LevelCursor<'_> {
     /// The node numbered `n` at this level.  `n` must not be smaller than
     /// the previous call's.
     pub fn node_at(&mut self, n: u32) -> Option<NodeId> {
+        if let Some(pos) = position_of(self.nodes, self.numbers, n) {
+            // Numbers ascend strictly: `pos` is also where the gallop ends.
+            self.at = pos;
+            return self.nodes.get(pos).copied();
+        }
         let number = |id: &NodeId| self.numbers.get(id.index()).copied();
         self.at = gallop_partition_point(self.nodes, self.at, |id| number(id).is_some_and(|x| x < n));
         self.nodes.get(self.at).copied().filter(|id| number(id) == Some(n))
@@ -393,13 +411,26 @@ mod tests {
     }
 
     /// Every level, every number from 0 past the maximum — present,
-    /// spare and absent alike — through one cursor per ascending sweep.
-    fn assert_cursor_matches_node_at(jd: &JDeweyAssignment, rng: &mut crate::testutil::Rng) {
+    /// spare and absent alike — by `node_at` and through one cursor per
+    /// ascending sweep, against a linear scan of the level.  Returns how
+    /// many present numbers do not sit where a dense numbering puts them
+    /// (and so were answered by the search, not by position).
+    fn assert_cursor_matches_node_at(
+        jd: &JDeweyAssignment,
+        rng: &mut crate::testutil::Rng,
+    ) -> usize {
+        let mut searched = 0;
         for level in 0..=jd.num_levels() + 1 {
+            let nodes = jd.level(level);
             let top = jd.max_number_at(level) + 3;
             let mut dense = jd.level_cursor(level);
             for n in 0..=top {
-                assert_eq!(dense.node_at(n), jd.node_at(level, n), "level {level} n {n}");
+                let scanned = nodes.iter().copied().find(|&id| jd.number(id) == n);
+                assert_eq!(jd.node_at(level, n), scanned, "level {level} n {n}");
+                assert_eq!(dense.node_at(n), scanned, "cursor, level {level} n {n}");
+                if scanned.is_some() && position_of(nodes, &jd.numbers, n).is_none() {
+                    searched += 1;
+                }
             }
             // Sparse ascending probes with repeats: the gallop's long jumps.
             let mut probes: Vec<u32> = (0..8).map(|_| rng.gen_range(0..top + 1)).collect();
@@ -409,21 +440,31 @@ mod tests {
                 assert_eq!(sparse.node_at(n), jd.node_at(level, n), "level {level} n {n}");
             }
         }
+        searched
     }
 
     #[test]
     fn level_cursor_matches_node_at() {
         let mut rng = crate::testutil::Rng::seed_from_u64(0x1D_C0);
         for gap in [0, 1, 3] {
-            assert_cursor_matches_node_at(&JDeweyAssignment::assign(&fig1_like(), gap), &mut rng);
+            let searched =
+                assert_cursor_matches_node_at(&JDeweyAssignment::assign(&fig1_like(), gap), &mut rng);
+            // Dense: every number is its own position.  Gapped: some are not.
+            assert_eq!(searched == 0, gap == 0, "gap {gap}: {searched} searched");
         }
         // After insertions: gap numbers taken, then a partial re-encode.
         let mut m = crate::maintain::JDeweyMaintainer::new(fig1_like(), 1);
         for i in 0..12u32 {
             let parent = NodeId(rng.gen_range(0..m.tree().len() as u32));
             m.insert_child_auto(parent, format!("ins{i}")).unwrap();
-            assert_cursor_matches_node_at(m.assignment(), &mut rng);
+            assert!(assert_cursor_matches_node_at(m.assignment(), &mut rng) > 0);
         }
+        assert!(m.reencode_count >= 1, "the sweep above ran on a re-encoded numbering");
+        // After a delete in a dense numbering: what follows the hole has
+        // moved one position down and is found by the search.
+        let mut m = crate::maintain::JDeweyMaintainer::new(fig1_like(), 0);
+        m.remove_subtree(NodeId(2)).unwrap();
+        assert!(assert_cursor_matches_node_at(m.assignment(), &mut rng) > 0);
     }
 
     #[test]

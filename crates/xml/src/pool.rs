@@ -8,20 +8,25 @@
 //! because result slot `i` always holds the value computed from item `i`
 //! and the caller consumes slots in index order.
 //!
-//! The implementation is std-only ([`std::thread::scope`], channels,
-//! atomics):
+//! The implementation is std-only ([`std::thread::scope`], atomics):
 //!
 //! * the task list is split into one contiguous *stripe* per worker, each
 //!   with an atomic claim cursor;
+//! * the **calling thread is worker 0**; `workers − 1` scoped threads are
+//!   started beside it, so `Fixed(n)` occupies `n` threads, not `n + 1`,
+//!   and a map nested inside a task (batch → shard scatter) adds only the
+//!   threads it asks for;
 //! * a worker drains its own stripe first, then **steals** from the other
 //!   stripes by advancing their cursors (fetch-add claiming — each task is
 //!   executed exactly once, no locks on the hot path);
-//! * results flow back over an mpsc channel as `(index, value)` pairs and
-//!   are placed into a pre-sized output vector — the deterministic merge;
+//! * every worker keeps its own `(index, value)` list and hands it back
+//!   through its join handle — nothing is sent or woken per item; the
+//!   caller places the lists into a pre-sized output vector, which is the
+//!   deterministic merge;
 //! * a panicking task poisons the pool: remaining workers stop claiming
-//!   work, and the panic payload is re-raised on the calling thread after
-//!   all workers have parked, so a failed task fails the whole map instead
-//!   of hanging it.
+//!   work, and the panic payload of the lowest panicking index is
+//!   re-raised on the calling thread after all workers have been joined,
+//!   so a failed task fails the whole map instead of hanging it.
 //!
 //! This module lives in the base crate so both the index builder
 //! (`xtk-index`) and the serving layers (`xtk-core`, which re-exports it
@@ -29,7 +34,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::OnceLock;
 
 /// Degree of parallelism for index construction, batch execution and the
 /// shard scatter.
@@ -41,7 +46,8 @@ pub enum Parallelism {
     /// Single-threaded reference execution (the default).
     #[default]
     Serial,
-    /// Exactly `n` workers (clamped to at least 1).
+    /// Exactly `n` workers, the calling thread among them (clamped to at
+    /// least 1).
     Fixed(usize),
     /// One worker per available hardware thread.
     Auto,
@@ -85,7 +91,7 @@ struct Stripe {
 /// With one worker (or one item) this degenerates to a plain serial map on
 /// the calling thread — no threads are spawned, no overhead is paid.  With
 /// more, the items are claimed work-stealing style by `par.workers()`
-/// scoped threads.
+/// workers: the calling thread and `par.workers() − 1` scoped threads.
 ///
 /// # Panics
 ///
@@ -112,43 +118,43 @@ where
         })
         .collect();
     let poisoned = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<O>)>();
+
+    // What worker `w` does: its own stripe first, then it steals from the
+    // others in order.  It keeps what it computed; nobody is woken per item.
+    let work = |w: usize| {
+        let mut done: Vec<(usize, std::thread::Result<O>)> = Vec::new();
+        for victim in 0..workers {
+            let stripe = &stripes[(w + victim) % workers];
+            loop {
+                if poisoned.load(Ordering::Relaxed) {
+                    return done;
+                }
+                let i = stripe.next.fetch_add(1, Ordering::Relaxed);
+                if i >= stripe.end {
+                    break;
+                }
+                let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+                if r.is_err() {
+                    poisoned.store(true, Ordering::Relaxed);
+                }
+                done.push((i, r));
+            }
+        }
+        done
+    };
 
     let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
     let mut panics: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
 
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let stripes = &stripes;
-            let poisoned = &poisoned;
-            let f = &f;
-            s.spawn(move || {
-                // Own stripe first, then steal from the others in order.
-                for victim in 0..workers {
-                    let stripe = &stripes[(w + victim) % workers];
-                    loop {
-                        if poisoned.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let i = stripe.next.fetch_add(1, Ordering::Relaxed);
-                        if i >= stripe.end {
-                            break;
-                        }
-                        let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                        if r.is_err() {
-                            poisoned.store(true, Ordering::Relaxed);
-                        }
-                        // Send failure means the collector bailed; just stop.
-                        if tx.send((i, r)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
+        let work = &work;
+        let spawned: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        // The caller is worker 0; the others hand their lists back through
+        // their join handles (`work` catches every panic of `f`, so a join
+        // only fails on a bug in the loop above, which is re-raised as is).
+        let lists = std::iter::once(work(0))
+            .chain(spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
+        for (i, r) in lists.flatten() {
             match r {
                 Ok(v) => out[i] = Some(v),
                 Err(p) => panics.push((i, p)),
@@ -189,7 +195,10 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::panic_message;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
     #[test]
     fn workers_resolve() {
@@ -232,14 +241,60 @@ mod tests {
 
     #[test]
     fn every_task_runs_exactly_once() {
-        let counters: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<usize> = (0..500).collect();
-        parallel_map(Parallelism::Fixed(8), &items, |_, &i| {
-            counters[i].fetch_add(1, Ordering::Relaxed)
-        });
-        for (i, c) in counters.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "task {i}");
+        for (workers, n) in [(8, 500)]
+            .into_iter()
+            .chain((1..=4).flat_map(|w| [0, 1, 2, 3, 7, 64].map(|n| (w, n))))
+        {
+            let counters: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let items: Vec<usize> = (0..n).collect();
+            let got = parallel_map(Parallelism::Fixed(workers), &items, |i, &item| {
+                counters[i].fetch_add(1, Ordering::Relaxed);
+                item
+            });
+            assert_eq!(got, items, "fixed({workers}) n={n}: output in input order");
+            for (i, c) in counters.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "fixed({workers}) n={n} task {i}");
+            }
         }
+    }
+
+    #[test]
+    fn the_caller_is_a_worker_and_fixed_n_is_n_threads() {
+        let caller = std::thread::current().id();
+        for workers in 2..=4 {
+            // One item per worker, none finishing before all have started:
+            // nobody can steal, so each worker's thread shows up once.
+            let all_in = Barrier::new(workers);
+            let items: Vec<usize> = (0..workers).collect();
+            let ids = parallel_map(Parallelism::Fixed(workers), &items, |_, _| {
+                all_in.wait();
+                std::thread::current().id()
+            });
+            let distinct: HashSet<_> = ids.iter().collect();
+            assert_eq!(distinct.len(), workers, "one thread per worker");
+            assert_eq!(ids[0], caller, "the caller drains stripe 0");
+            // Many items, free stealing: still no thread beyond the n.
+            let items: Vec<usize> = (0..64).collect();
+            let ids = parallel_map(Parallelism::Fixed(workers), &items, |_, _| {
+                std::thread::yield_now();
+                std::thread::current().id()
+            });
+            let distinct: HashSet<_> = ids.iter().collect();
+            assert!(distinct.len() <= workers, "{} threads for fixed({workers})", distinct.len());
+        }
+    }
+
+    #[test]
+    fn nested_maps_return_in_order() {
+        // The batch -> shard-scatter shape: a map inside a task of a map.
+        let outer: Vec<usize> = (0..7).collect();
+        let inner: Vec<usize> = (0..5).collect();
+        let got = parallel_map(Parallelism::Fixed(2), &outer, |_, &o| {
+            parallel_map(Parallelism::Fixed(2), &inner, |_, &i| o * 10 + i)
+        });
+        let expect: Vec<Vec<usize>> =
+            outer.iter().map(|o| inner.iter().map(|i| o * 10 + i).collect()).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -296,6 +351,69 @@ mod tests {
         });
         let ok = parallel_map(Parallelism::Fixed(4), &items, |_, &i| i + 1);
         assert_eq!(ok[49], 50);
+    }
+
+    #[test]
+    fn panics_of_either_stripe_reach_the_caller_lowest_index_first() {
+        // Two items, two workers, both inside `f` before either leaves: item
+        // 0 runs on the caller, item 1 on the spawned thread.
+        let caller = std::thread::current().id();
+        for panicking in [vec![0], vec![1], vec![0, 1]] {
+            let both_in = Barrier::new(2);
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(Parallelism::Fixed(2), &[0usize, 1], |i, _| {
+                    both_in.wait();
+                    assert_eq!(std::thread::current().id() == caller, i == 0);
+                    if panicking.contains(&i) {
+                        panic!("boom at {i}");
+                    }
+                })
+            }));
+            let msg = panic_message(&r.expect_err("re-raised on the caller"));
+            assert_eq!(msg, format!("boom at {}", panicking[0]), "{panicking:?}");
+        }
+    }
+
+    /// Raises its flag when dropped — by the unwinding of a panic, after the
+    /// panic hook has printed.
+    struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_panic_stops_the_other_workers_claiming() {
+        // The first item of the caller's stripe, then of the spawned worker's.
+        for panicking in [0, 1000] {
+            let unwinding = AtomicBool::new(false);
+            let ran = AtomicU64::new(0);
+            let items: Vec<usize> = (0..2000).collect();
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(Parallelism::Fixed(2), &items, |i, _| {
+                    if i == panicking {
+                        let _raise = RaiseOnDrop(&unwinding);
+                        panic!("boom at {i}");
+                    }
+                    // Nothing else finishes before the panic is on its way
+                    // to the pool, so what runs from here on ran after it.
+                    while !unwinding.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    for _ in 0..20 {
+                        std::thread::yield_now();
+                    }
+                })
+            }));
+            assert_eq!(panic_message(&r.expect_err("re-raised")), format!("boom at {panicking}"));
+            // The other worker meets the poison flag at its next claim or
+            // the one after, long before it has drained its own stripe.
+            let ran = ran.load(Ordering::Relaxed);
+            assert!(ran < 1000, "{ran} items ran after the panic at {panicking}");
+        }
     }
 
     #[test]

@@ -257,7 +257,7 @@ where
     }))
 }
 
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {
