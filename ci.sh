@@ -27,16 +27,30 @@ cat "$lint_out"
 grep "L6 ratchet" "$lint_out" >/dev/null || {
     echo "ERROR: xtk-lint did not report the L6 ratchet delta" >&2; exit 1; }
 
-echo "== temp-path hygiene: bare temp_dir() sites outside xtk_xml::testutil"
-# Tests and bins that need the filesystem go through testutil::TempPath
-# (unique per call, removed on drop); image-based ones through
-# write_index_to + open_bytes and touch no file.  A ratchet: the count
-# may only fall (ROADMAP item 0a finishes it).
-temp_dir_sites=$(grep -rn "temp_dir()" --include='*.rs' crates src examples tests \
-    | grep -vc "^crates/xml/src/testutil.rs")
-[ "$temp_dir_sites" -le 2 ] || {
-    echo "ERROR: $temp_dir_sites bare temp_dir() sites, the ratchet allows 2 —" >&2
-    echo "       use xtk_xml::testutil::TempPath" >&2; exit 1; }
+echo "== temp-path hygiene: no bare temp_dir() outside xtk_xml::testutil"
+# Tests, bins and the CLI's --shards that need the filesystem go through
+# testutil::TempPath (unique per call, removed on drop); image-based ones
+# through write_index_to + open_bytes and touch no file.
+if grep -rn "temp_dir()" --include='*.rs' crates src examples tests \
+    | grep -v "^crates/xml/src/testutil.rs:" >&2; then
+    echo "ERROR: bare temp_dir() sites — use xtk_xml::testutil::TempPath" >&2; exit 1
+fi
+
+echo "== the baselines live in xtk-baselines: the serving crates keep none of their structures"
+# RDIL and the index-based algorithm run from crates/baselines, over the
+# subtree sizes and score orders its BaselineIndex derives on demand; the
+# serving index keeps no Dewey ids, subtree sizes or RDIL permutation.
+# Table I's size accounting (index/src/sizes.rs) derives the Dewey ids it
+# prices, once per run.  Any of these names under the two serving crates
+# means a baseline, or a structure only a baseline reads, came back.
+if grep -rnw -e score_rows -e subtree_size -e rdil -e indexed_search \
+        --include='*.rs' crates/core/src crates/index/src >&2; then
+    echo "ERROR: a baseline name is back under crates/core/src + crates/index/src" >&2; exit 1
+fi
+if grep -rnw DeweyIndex --include='*.rs' crates/core/src crates/index/src \
+        | grep -v "^crates/index/src/sizes.rs:" >&2; then
+    echo "ERROR: DeweyIndex under crates/core/src + crates/index/src outside sizes.rs" >&2; exit 1
+fi
 
 echo "== one LRU: one recency order, one poison-recovering lock helper"
 # Every cache (block, plan, result) sits on xtk_index::cache::Lru behind

@@ -17,10 +17,11 @@
 //!   engine computes); candidates are verified with
 //!   [`verify_and_score`](crate::verify::verify_and_score).
 
-use crate::query::{Query, Semantics};
-use crate::result::ScoredResult;
+use crate::postings::{left_match, right_match};
 use crate::verify::verify_and_score;
-use xtk_index::postings::{left_match, right_match};
+use crate::BaselineIndex;
+use xtk_core::query::{Query, Semantics};
+use xtk_core::result::ScoredResult;
 use xtk_index::{TermData, XmlIndex};
 use xtk_xml::tree::NodeId;
 
@@ -73,7 +74,12 @@ pub fn lowest_full_ancestor(
 }
 
 /// Runs the index-based algorithm.  Results in document order.
-pub fn indexed_search(ix: &XmlIndex, query: &Query, opts: &IndexedOptions) -> Vec<ScoredResult> {
+pub fn indexed_search(
+    bx: &BaselineIndex,
+    query: &Query,
+    opts: &IndexedOptions,
+) -> Vec<ScoredResult> {
+    let ix = bx.index();
     let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     if terms.iter().any(|t| t.is_empty()) {
         return Vec::new();
@@ -103,7 +109,7 @@ pub fn indexed_search(ix: &XmlIndex, query: &Query, opts: &IndexedOptions) -> Ve
             // distinct candidate is inside its subtree (descendant
             // candidates are doc-order-contiguous right after it).
             for (i, &u) in candidates.iter().enumerate() {
-                let range = ix.subtree_range(u);
+                let range = bx.subtree_range(u);
                 let has_desc = candidates
                     .get(i + 1)
                     .is_some_and(|&next| next > u && next < range.end);
@@ -111,7 +117,7 @@ pub fn indexed_search(ix: &XmlIndex, query: &Query, opts: &IndexedOptions) -> Ve
                     // Minimal candidates verify as SLCAs; fall back to an
                     // unscored result on an inconsistent index.
                     let score = if opts.with_scores {
-                        verify_and_score(ix, &terms, u, Semantics::Slca).unwrap_or(0.0)
+                        verify_and_score(bx, &terms, u, Semantics::Slca).unwrap_or(0.0)
                     } else {
                         0.0
                     };
@@ -121,7 +127,7 @@ pub fn indexed_search(ix: &XmlIndex, query: &Query, opts: &IndexedOptions) -> Ve
         }
         Semantics::Elca => {
             for &u in &candidates {
-                if let Some(score) = verify_and_score(ix, &terms, u, Semantics::Elca) {
+                if let Some(score) = verify_and_score(bx, &terms, u, Semantics::Elca) {
                     results.push(ScoredResult {
                         node: u,
                         level: tree.depth(u),
@@ -137,14 +143,15 @@ pub fn indexed_search(ix: &XmlIndex, query: &Query, opts: &IndexedOptions) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ElcaVariant;
-    use crate::semantics::{naive_elca, naive_slca};
+    use xtk_core::query::ElcaVariant;
+    use xtk_core::semantics::{naive_elca, naive_slca};
     use xtk_xml::parse;
 
     fn check(xml: &str, words: &[&str], semantics: Semantics) {
         let ix = XmlIndex::build(parse(xml).unwrap());
         let q = Query::from_words(&ix, words).unwrap();
-        let got: Vec<NodeId> = indexed_search(&ix, &q, &IndexedOptions { semantics, with_scores: false })
+        let opts = IndexedOptions { semantics, with_scores: false };
+        let got: Vec<NodeId> = indexed_search(&BaselineIndex::new(&ix), &q, &opts)
             .into_iter()
             .map(|r| r.node)
             .collect();
@@ -191,7 +198,8 @@ mod tests {
         let xml = "<r><p>a b</p><q>a</q></r>";
         let ix = XmlIndex::build(parse(xml).unwrap());
         let q = Query::from_words(&ix, &["a", "b"]).unwrap();
-        let rs = indexed_search(&ix, &q, &IndexedOptions { semantics: Semantics::Elca, with_scores: true });
+        let opts = IndexedOptions { semantics: Semantics::Elca, with_scores: true };
+        let rs = indexed_search(&BaselineIndex::new(&ix), &q, &opts);
         assert!(!rs.is_empty());
         for r in rs {
             assert!(r.score > 0.0);

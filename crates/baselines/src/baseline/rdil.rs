@@ -25,13 +25,14 @@
 //! score-ordered scanning abandons the document-order pruning, so each
 //! candidate costs fresh index lookups and a from-scratch verification.
 
-use crate::query::{Query, Semantics};
-use crate::result::ScoredResult;
-use crate::starjoin::F32Ord;
 use crate::baseline::indexed::lowest_full_ancestor;
 use crate::verify::verify_and_score;
+use crate::BaselineIndex;
 use std::collections::{BinaryHeap, HashMap};
-use xtk_index::{TermData, XmlIndex};
+use xtk_core::query::{Query, Semantics};
+use xtk_core::result::ScoredResult;
+use xtk_core::starjoin::F32Ord;
+use xtk_index::TermData;
 use xtk_xml::tree::NodeId;
 
 /// Options for [`rdil_search`].
@@ -62,25 +63,27 @@ pub struct RdilStats {
 
 /// Runs RDIL, returning at most `k` results in emission order.
 pub fn rdil_search(
-    ix: &XmlIndex,
+    bx: &BaselineIndex,
     query: &Query,
     opts: &RdilOptions,
 ) -> (Vec<ScoredResult>, RdilStats) {
     let mut stats = RdilStats::default();
+    let ix = bx.index();
     let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let orders: Vec<&[u32]> = query.terms.iter().map(|&t| bx.score_order(t)).collect();
     let k = terms.len();
     if opts.k == 0 || terms.iter().any(|t| t.is_empty()) {
         return (Vec::new(), stats);
     }
     let tree = ix.tree();
-    let mut ptr = vec![0usize; k]; // positions into score_rows
+    let mut ptr = vec![0usize; k]; // positions into the score orders
     let mut evaluated: HashMap<NodeId, bool> = HashMap::new();
     let mut pending: BinaryHeap<(F32Ord, NodeId)> = BinaryHeap::new();
     let mut results = Vec::new();
     let mut rr = 0usize;
 
     let next_score = |terms: &[&TermData], ptr: &[usize], i: usize| -> f32 {
-        match terms[i].score_rows.get(ptr[i]) {
+        match orders[i].get(ptr[i]) {
             Some(&row) => terms[i].scores[row as usize],
             None => 0.0,
         }
@@ -117,12 +120,12 @@ pub fn rdil_search(
         // scanned, candidate generation is complete (every result is the
         // lowest full ancestor of one of its witnesses in that list) and
         // the scan stops.
-        if (0..k).any(|i| ptr[i] >= terms[i].score_rows.len()) {
+        if (0..k).any(|i| ptr[i] >= orders[i].len()) {
             break;
         }
         let i = rr % k;
         rr += 1;
-        let row = terms[i].score_rows[ptr[i]];
+        let row = orders[i][ptr[i]];
         ptr[i] += 1;
         stats.pops += 1;
         let v = terms[i].postings[row as usize];
@@ -130,7 +133,7 @@ pub fn rdil_search(
         let Some(u) = lowest_full_ancestor(ix, &terms, v) else { continue };
         if let std::collections::hash_map::Entry::Vacant(e) = evaluated.entry(u) {
             stats.evaluated += 1;
-            match verify_and_score(ix, &terms, u, opts.semantics) {
+            match verify_and_score(bx, &terms, u, opts.semantics) {
                 Some(score) => {
                     e.insert(true);
                     pending.push((F32Ord(score), u));
@@ -153,16 +156,18 @@ pub fn rdil_search(
 mod tests {
     use super::*;
     use crate::baseline::indexed::{indexed_search, IndexedOptions};
-    use crate::result::sort_ranked;
+    use xtk_core::result::sort_ranked;
+    use xtk_index::XmlIndex;
     use xtk_xml::parse;
 
     fn check(xml: &str, words: &[&str], kk: usize, semantics: Semantics) {
         let ix = XmlIndex::build(parse(xml).unwrap());
+        let bx = BaselineIndex::new(&ix);
         let q = Query::from_words(&ix, words).unwrap();
-        let (got, _) = rdil_search(&ix, &q, &RdilOptions { k: kk, semantics });
+        let (got, _) = rdil_search(&bx, &q, &RdilOptions { k: kk, semantics });
         // Ground truth: the formal complete set with scores, ranked.
         let mut complete =
-            indexed_search(&ix, &q, &IndexedOptions { semantics, with_scores: true });
+            indexed_search(&bx, &q, &IndexedOptions { semantics, with_scores: true });
         sort_ranked(&mut complete);
         assert_eq!(got.len(), kk.min(complete.len()));
         for (i, r) in got.iter().enumerate() {
@@ -206,7 +211,8 @@ mod tests {
         xml.push_str("<z><zz>hot</zz><zy>cold0 cold1</zy></z></r>");
         let ix = XmlIndex::build(parse(&xml).unwrap());
         let q = Query::from_words(&ix, &["hot", "cold0"]).unwrap();
-        let (got, stats) = rdil_search(&ix, &q, &RdilOptions { k: 3, semantics: Semantics::Elca });
+        let opts = RdilOptions { k: 3, semantics: Semantics::Elca };
+        let (got, stats) = rdil_search(&BaselineIndex::new(&ix), &q, &opts);
         assert_eq!(got.len(), 3);
         assert!(stats.pops > 0);
         assert!(stats.evaluated > 0);
@@ -216,7 +222,8 @@ mod tests {
     fn k_zero() {
         let ix = XmlIndex::build(parse("<r>a b</r>").unwrap());
         let q = Query::from_words(&ix, &["a", "b"]).unwrap();
-        let (got, _) = rdil_search(&ix, &q, &RdilOptions { k: 0, semantics: Semantics::Elca });
+        let opts = RdilOptions { k: 0, semantics: Semantics::Elca };
+        let (got, _) = rdil_search(&BaselineIndex::new(&ix), &q, &opts);
         assert!(got.is_empty());
     }
 }

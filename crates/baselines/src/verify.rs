@@ -15,9 +15,10 @@
 //! non-excluded occurrences (summed in query-keyword order, so it is
 //! bit-identical to the other engines' scores).
 
-use crate::query::Semantics;
-use xtk_index::postings::postings_in_range;
-use xtk_index::{TermData, XmlIndex};
+use crate::postings::postings_in_range;
+use crate::BaselineIndex;
+use xtk_core::query::Semantics;
+use xtk_index::TermData;
 use xtk_xml::tree::{NodeId, XmlTree};
 
 /// The raw-full children of `u`, as sorted arena-id ranges.
@@ -26,11 +27,11 @@ use xtk_xml::tree::{NodeId, XmlTree};
 /// `u` to their child-of-`u` ancestors and testing each for raw-fullness —
 /// every raw-full child contains every keyword, so none is missed.
 pub fn rawfull_child_ranges(
-    ix: &XmlIndex,
+    bx: &BaselineIndex,
     terms: &[&TermData],
     u: NodeId,
 ) -> Vec<std::ops::Range<NodeId>> {
-    let urange = ix.subtree_range(u);
+    let urange = bx.subtree_range(u);
     let Some(probe) = terms
         .iter()
         .min_by_key(|t| postings_in_range(&t.postings, urange.start, urange.end).len())
@@ -46,13 +47,13 @@ pub fn rawfull_child_ranges(
         // The child of u on the path to x; occurrences outside u's subtree
         // cannot happen (the slice is range-restricted), so a missing path
         // is skipped rather than unwrapped.
-        let Some(c) = child_on_path(ix.tree(), u, x) else { continue };
+        let Some(c) = child_on_path(bx.index().tree(), u, x) else { continue };
         // Occurrences inside one child are doc-order contiguous, so a
         // repeat of the previous child is skipped cheaply.
         if out.last().is_some_and(|r| r.contains(&c)) {
             continue;
         }
-        let crange = ix.subtree_range(c);
+        let crange = bx.subtree_range(c);
         let rawfull = terms.iter().all(|t| {
             !postings_in_range(&t.postings, crange.start, crange.end).is_empty()
         });
@@ -81,19 +82,20 @@ fn child_on_path(tree: &XmlTree, u: NodeId, x: NodeId) -> Option<NodeId> {
 /// Returns `None` when `u` is not a result.  `u` need not be known
 /// raw-full in advance.
 pub fn verify_and_score(
-    ix: &XmlIndex,
+    bx: &BaselineIndex,
     terms: &[&TermData],
     u: NodeId,
     semantics: Semantics,
 ) -> Option<f32> {
-    let urange = ix.subtree_range(u);
+    let ix = bx.index();
+    let urange = bx.subtree_range(u);
     // Raw-fullness first: cheap binary searches.
     for t in terms {
         if postings_in_range(&t.postings, urange.start, urange.end).is_empty() {
             return None;
         }
     }
-    let excluded = rawfull_child_ranges(ix, terms, u);
+    let excluded = rawfull_child_ranges(bx, terms, u);
     if semantics == Semantics::Slca && !excluded.is_empty() {
         return None;
     }
@@ -133,8 +135,9 @@ pub fn verify_and_score(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{ElcaVariant, Query};
-    use crate::semantics::{naive_elca, naive_slca};
+    use xtk_core::query::{ElcaVariant, Query};
+    use xtk_core::semantics::{naive_elca, naive_slca};
+    use xtk_index::XmlIndex;
     use xtk_xml::parse;
 
     fn setup(xml: &str, words: &[&str]) -> (XmlIndex, Query) {
@@ -150,8 +153,9 @@ mod tests {
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
         let lists: Vec<&[NodeId]> = terms.iter().map(|t| t.postings.as_slice()).collect();
         let want = naive_elca(ix.tree(), &lists, ElcaVariant::Formal);
+        let bx = BaselineIndex::new(&ix);
         for id in ix.tree().ids() {
-            let got = verify_and_score(&ix, &terms, id, Semantics::Elca).is_some();
+            let got = verify_and_score(&bx, &terms, id, Semantics::Elca).is_some();
             assert_eq!(got, want.contains(&id), "node {id} ({})", ix.tree().label(id));
         }
     }
@@ -163,8 +167,9 @@ mod tests {
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
         let lists: Vec<&[NodeId]> = terms.iter().map(|t| t.postings.as_slice()).collect();
         let want = naive_slca(ix.tree(), &lists);
+        let bx = BaselineIndex::new(&ix);
         for id in ix.tree().ids() {
-            let got = verify_and_score(&ix, &terms, id, Semantics::Slca).is_some();
+            let got = verify_and_score(&bx, &terms, id, Semantics::Slca).is_some();
             assert_eq!(got, want.contains(&id), "node {id}");
         }
     }
@@ -174,7 +179,7 @@ mod tests {
         let xml = "<r><w1><x>a b</x>c</w1><w2>a</w2><w3><y>a</y><z>b</z></w3></r>";
         let (ix, q) = setup(xml, &["a", "b"]);
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
-        let ranges = rawfull_child_ranges(&ix, &terms, ix.tree().root());
+        let ranges = rawfull_child_ranges(&BaselineIndex::new(&ix), &terms, ix.tree().root());
         // w1 (via x) and w3 (via y+z) are raw-full children; w2 is not.
         assert_eq!(ranges.len(), 2);
         let labels: Vec<&str> = ranges.iter().map(|r| ix.tree().label(r.start)).collect();
@@ -188,7 +193,8 @@ mod tests {
         let xml = "<r><w><x>a b</x></w>a b</r>";
         let (ix, q) = setup(xml, &["a", "b"]);
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
-        let root_score = verify_and_score(&ix, &terms, ix.tree().root(), Semantics::Elca).unwrap();
+        let bx = BaselineIndex::new(&ix);
+        let root_score = verify_and_score(&bx, &terms, ix.tree().root(), Semantics::Elca).unwrap();
         // Root directly contains a and b at distance 0: no damping at all.
         let a_row = terms[0].postings.iter().position(|&n| n == ix.tree().root()).unwrap();
         let b_row = terms[1].postings.iter().position(|&n| n == ix.tree().root()).unwrap();

@@ -5,7 +5,8 @@
 use std::hint::black_box;
 use xtk_bench::harness::Harness;
 use xtk_bench::{build_dblp, correlated_groups, point_queries, Scale, LOW_FREQS};
-use xtk_core::baseline::rdil::{rdil_search, RdilOptions};
+use xtk_baselines::baseline::rdil::{rdil_search, RdilOptions};
+use xtk_baselines::BaselineIndex;
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::sort_ranked;
@@ -15,6 +16,7 @@ const K: usize = 10;
 
 fn main() {
     let ix = build_dblp(Scale::Small);
+    let bx = BaselineIndex::new(&ix);
     let mut h = Harness::new("fig10");
 
     let mut workloads: Vec<(String, Vec<Query>)> = Vec::new();
@@ -52,7 +54,7 @@ fn main() {
         });
         h.bench(format!("rdil/{tag}"), || {
             for q in qs {
-                black_box(rdil_search(&ix, q, &RdilOptions { k: K, semantics: Semantics::Elca }));
+                black_box(rdil_search(&bx, q, &RdilOptions { k: K, semantics: Semantics::Elca }));
             }
         });
     }

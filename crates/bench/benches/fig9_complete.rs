@@ -5,13 +5,15 @@
 use std::hint::black_box;
 use xtk_bench::harness::Harness;
 use xtk_bench::{build_dblp, equal_queries, point_queries, Scale, LOW_FREQS};
-use xtk_core::baseline::indexed::{indexed_search, IndexedOptions};
+use xtk_baselines::baseline::indexed::{indexed_search, IndexedOptions};
+use xtk_baselines::BaselineIndex;
 use xtk_core::baseline::stack::{stack_search, StackOptions};
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::Query;
 
 fn main() {
     let ix = build_dblp(Scale::Small);
+    let bx = BaselineIndex::new(&ix);
     let mut h = Harness::new("fig9");
 
     for k in [2usize, 3] {
@@ -33,7 +35,7 @@ fn main() {
             });
             h.bench(format!("index_based/{tag}"), || {
                 for q in &queries {
-                    black_box(indexed_search(&ix, q, &IndexedOptions::default()));
+                    black_box(indexed_search(&bx, q, &IndexedOptions::default()));
                 }
             });
         }

@@ -21,9 +21,10 @@
 //! set.  Run with `--release`.
 
 use std::time::Duration;
+use xtk_baselines::baseline::indexed::{indexed_search, IndexedOptions};
+use xtk_baselines::baseline::rdil::{rdil_search, RdilOptions};
+use xtk_baselines::BaselineIndex;
 use xtk_bench::*;
-use xtk_core::baseline::indexed::{indexed_search, IndexedOptions};
-use xtk_core::baseline::rdil::{rdil_search, RdilOptions};
 use xtk_core::baseline::stack::{stack_search, StackOptions};
 use xtk_core::hybrid::hybrid_topk;
 use xtk_core::joinbased::{join_search, JoinOptions};
@@ -125,6 +126,7 @@ fn table1(o: &Opts) {
 
 fn fig9(o: &Opts) {
     let ix = build_dblp(o.scale);
+    let bx = BaselineIndex::new(&ix);
     println!("== Fig. 9(a)-(d): complete ELCA, high freq fixed, low freq sweep ==");
     println!(
         "{:<4} {:>8} {:>14} {:>14} {:>14}",
@@ -140,7 +142,7 @@ fn fig9(o: &Opts) {
                 std::hint::black_box(stack_search(&ix, q, &StackOptions::default()));
             });
             let indexed = bench_queries(o.reps, &qs, |q| {
-                std::hint::black_box(indexed_search(&ix, q, &IndexedOptions::default()));
+                std::hint::black_box(indexed_search(&bx, q, &IndexedOptions::default()));
             });
             println!(
                 "{:<4} {:>8} {:>14} {:>14} {:>14}",
@@ -157,6 +159,7 @@ fn fig9(o: &Opts) {
 
 fn fig9eq(o: &Opts) {
     let ix = build_dblp(o.scale);
+    let bx = BaselineIndex::new(&ix);
     println!("== Fig. 9(e)-(f): complete ELCA, equal frequencies ==");
     println!(
         "{:<4} {:>8} {:>14} {:>14} {:>14}",
@@ -172,7 +175,7 @@ fn fig9eq(o: &Opts) {
                 std::hint::black_box(stack_search(&ix, q, &StackOptions::default()));
             });
             let indexed = bench_queries(o.reps, &qs, |q| {
-                std::hint::black_box(indexed_search(&ix, q, &IndexedOptions::default()));
+                std::hint::black_box(indexed_search(&bx, q, &IndexedOptions::default()));
             });
             println!(
                 "{:<4} {:>8} {:>14} {:>14} {:>14}",
@@ -189,11 +192,12 @@ fn fig9eq(o: &Opts) {
 
 fn fig10a(o: &Opts) {
     let ix = build_dblp(o.scale);
+    let bx = BaselineIndex::new(&ix);
     println!("== Fig. 10(a): top-{} ELCA, random queries, low freq sweep ==", o.k);
     println!("{:<8} {:>14} {:>14} {:>14}", "low", "topk-join", "complete-join", "RDIL");
     for &low in &LOW_FREQS {
         let qs = queries_of(&ix, &point_queries(o.scale, 2, low, o.queries));
-        let (tk, complete, rdil) = bench_topk_trio(&ix, &qs, o);
+        let (tk, complete, rdil) = bench_topk_trio(&bx, &qs, o);
         println!(
             "{:<8} {:>14} {:>14} {:>14}",
             o.scale.freq(low),
@@ -205,7 +209,8 @@ fn fig10a(o: &Opts) {
     println!();
 }
 
-fn bench_topk_trio(ix: &XmlIndex, qs: &[Query], o: &Opts) -> (Duration, Duration, Duration) {
+fn bench_topk_trio(bx: &BaselineIndex, qs: &[Query], o: &Opts) -> (Duration, Duration, Duration) {
+    let ix = bx.index();
     let tk = bench_queries(o.reps, qs, |q| {
         std::hint::black_box(topk_search(ix, q, &TopKOptions { k: o.k, semantics: Semantics::Elca, ..Default::default() }));
     });
@@ -217,19 +222,20 @@ fn bench_topk_trio(ix: &XmlIndex, qs: &[Query], o: &Opts) -> (Duration, Duration
         std::hint::black_box(rs);
     });
     let rdil = bench_queries(o.reps, qs, |q| {
-        std::hint::black_box(rdil_search(ix, q, &RdilOptions { k: o.k, semantics: Semantics::Elca }));
+        std::hint::black_box(rdil_search(bx, q, &RdilOptions { k: o.k, semantics: Semantics::Elca }));
     });
     (tk, complete, rdil)
 }
 
 fn fig10bc(o: &Opts) {
     let ix = build_dblp(o.scale);
+    let bx = BaselineIndex::new(&ix);
     println!("== Fig. 10(b)/(c): top-{} ELCA, hand-picked correlated queries ==", o.k);
     println!("{:<28} {:>14} {:>14} {:>14}", "query", "topk-join", "complete-join", "RDIL");
     for (terms, _, _) in correlated_groups() {
         let q = Query::from_words(&ix, &terms).expect("correlated terms planted");
         let qs = vec![q];
-        let (tk, complete, rdil) = bench_topk_trio(&ix, &qs, o);
+        let (tk, complete, rdil) = bench_topk_trio(&bx, &qs, o);
         println!(
             "{:<28} {:>14} {:>14} {:>14}",
             format!("{{{}}}", terms.join(", ")),

@@ -33,7 +33,7 @@ use xtk_index::XmlIndex;
 use xtk_core::MetricsSnapshot;
 
 /// Small seeded corpus: a few hundred papers with planted bands so every
-/// engine (complete join, top-K early exit, RDIL) gets real
+/// engine (complete join, top-K early exit, stack baseline) gets real
 /// work, but the whole matrix stays sub-second in CI.
 fn build_corpus() -> XmlIndex {
     let planted = vec![
@@ -57,7 +57,7 @@ fn build_corpus() -> XmlIndex {
     XmlIndex::build(gen_dblp(&cfg).tree)
 }
 
-/// The fixed request matrix: every algorithm family, both semantics,
+/// The fixed request matrix: every served engine, both semantics,
 /// complete and top-K shapes.
 fn requests() -> Vec<(&'static str, QueryRequest)> {
     vec![
@@ -77,16 +77,6 @@ fn requests() -> Vec<(&'static str, QueryRequest)> {
             QueryRequest::complete(Semantics::Slca)
                 .unranked()
                 .with_algorithm(QueryAlgorithm::StackBased),
-        ),
-        (
-            "indexed_complete",
-            QueryRequest::complete(Semantics::Slca)
-                .unranked()
-                .with_algorithm(QueryAlgorithm::IndexBased),
-        ),
-        (
-            "rdil_top5",
-            QueryRequest::top_k(5, Semantics::Elca).with_algorithm(QueryAlgorithm::Rdil),
         ),
     ]
 }

@@ -1,18 +1,11 @@
-//! The three baseline families the paper compares against (§II-C, §V):
+//! The stack-based baseline the paper compares against (§II-C, §V):
 //!
 //! * [`stack`] — the stack-based Dewey Inverted List algorithm of XRank:
 //!   merge all lists in document order, maintain the current path on a
 //!   stack, decide ELCA/SLCA status on pop.
-//! * [`indexed`] — the index-based algorithms of Xu & Papakonstantinou:
-//!   scan the shortest list, binary-search the others for the closest
-//!   occurrences, generate LCA candidates, verify.  Includes the
-//!   Indexed-Lookup-Eager SLCA algorithm and the candidate+verify ELCA
-//!   algorithm.
-//! * [`rdil`] — XRank's Ranked Dewey Inverted List top-K algorithm:
-//!   consume lists in local-score order, look up the other lists to build
-//!   each popped node's lowest all-keyword ancestor, verify and score it,
-//!   emit above a TA-style threshold.
+//!
+//! It stays in this crate as a reference implementation the engine serves
+//! (`QueryAlgorithm::StackBased`).  The index-based algorithms and RDIL,
+//! which only the evaluation runs, are `xtk_baselines::baseline`.
 
-pub mod indexed;
-pub mod rdil;
 pub mod stack;

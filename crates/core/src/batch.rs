@@ -131,22 +131,6 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
             c.threshold = ThresholdKind::default();
             c.rules = RuleSet::default();
         }
-        // The indexed baseline always uses the formal variant and has no
-        // join knobs.
-        QueryAlgorithm::IndexBased => {
-            c.variant = ElcaVariant::default();
-            c.threshold = ThresholdKind::default();
-            c.rules = RuleSet::default();
-        }
-        // RDIL treats a complete-set request as k = usize::MAX, always
-        // scores, and ignores every join knob.
-        QueryAlgorithm::Rdil => {
-            c.k = Some(c.k.unwrap_or(usize::MAX));
-            c.variant = ElcaVariant::default();
-            c.threshold = ThresholdKind::default();
-            c.scores = ScoreMode::default();
-            c.rules = RuleSet::default();
-        }
     }
     // The ELCA exclusion variant is meaningless under SLCA.
     if c.semantics == Semantics::Slca {
@@ -180,14 +164,14 @@ fn tag_semantics(s: Semantics) -> u64 {
     }
 }
 
+/// The values are fingerprint inputs: 3 and 5 (the two baselines no
+/// longer served) stay unused so cached fingerprints do not move.
 fn tag_algorithm(a: QueryAlgorithm) -> u64 {
     match a {
         QueryAlgorithm::Auto => 0,
         QueryAlgorithm::JoinBased => 1,
         QueryAlgorithm::StackBased => 2,
-        QueryAlgorithm::IndexBased => 3,
         QueryAlgorithm::TopKJoin => 4,
-        QueryAlgorithm::Rdil => 5,
     }
 }
 

@@ -170,11 +170,7 @@ mod tests {
     fn all_complete_engines_agree_on_slca() {
         let e = Engine::from_xml(DOC).unwrap();
         let q = e.query("xml top").unwrap();
-        let mut sets: Vec<Vec<_>> = [
-            QueryAlgorithm::JoinBased,
-            QueryAlgorithm::StackBased,
-            QueryAlgorithm::IndexBased,
-        ]
+        let mut sets: Vec<Vec<_>> = [QueryAlgorithm::JoinBased, QueryAlgorithm::StackBased]
         .iter()
         .map(|&a| {
             let req = QueryRequest::complete(Semantics::Slca).unranked().with_algorithm(a);
@@ -197,13 +193,10 @@ mod tests {
         let base = QueryRequest::top_k(2, Semantics::Elca);
         let a = e.run(&q, &base.with_algorithm(QueryAlgorithm::TopKJoin)).results;
         let b = e.run(&q, &base).results;
-        let c = e.run(&q, &base.with_algorithm(QueryAlgorithm::Rdil)).results;
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
-        assert_eq!(c.len(), 2);
         // Same top score across engines (node ties may differ).
         assert!((a[0].score - b[0].score).abs() < 1e-4);
-        assert!((a[0].score - c[0].score).abs() < 1e-4);
     }
 
     #[test]

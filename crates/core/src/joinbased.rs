@@ -625,7 +625,7 @@ mod tests {
 
     /// The row-by-row score the gap walk replaced: every row of every
     /// run asks the eraser.
-    fn score_rows(
+    fn score_row_by_row(
         ix: &XmlIndex,
         terms: &[&TermData],
         erasers: &[Eraser],
@@ -649,7 +649,7 @@ mod tests {
     }
 
     /// Algorithm 1 value by value: from-scratch lookups and range checks,
-    /// [`score_rows`], and each match erased before the next is evaluated.
+    /// [`score_row_by_row`], and each match erased before the next is evaluated.
     fn reference_search(ix: &XmlIndex, query: &Query, opts: &JoinOptions) -> Vec<ScoredResult> {
         let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
         let l0 = terms.iter().map(|t| t.max_len()).min().unwrap();
@@ -670,7 +670,7 @@ mod tests {
                 };
                 if emit {
                     let score = match opts.with_scores {
-                        true => score_rows(ix, &terms, &erasers, &runs, level),
+                        true => score_row_by_row(ix, &terms, &erasers, &runs, level),
                         false => 0.0,
                     };
                     let node = ix.node_at(level, value).unwrap();

@@ -20,10 +20,9 @@
 //!   when a raw-full descendant fails its own ELCA test.
 //!
 //! The join-based algorithms, the stack-based baseline, and the naive
-//! references support both variants; the index-based and RDIL baselines
-//! are candidate-generation algorithms whose completeness theorem only
-//! holds for the formal variant, so they implement that one — exactly the
-//! situation in the paper's own experimental comparison.
+//! references support both variants.  (The index-based and RDIL
+//! baselines, which implement the formal variant only, live in
+//! `xtk-baselines`: the serving engine never runs them.)
 //!
 //! # Engines
 //!
@@ -33,14 +32,15 @@
 //! * [`topk`] — the join-based top-K algorithm: score-ordered segment
 //!   cursors, the top-K **star join** with partial-result groups and the
 //!   tightened unseen-result threshold, per-column upper bounds (§IV).
-//! * [`baseline`] — stack-based DIL, Indexed-Lookup-Eager SLCA, the
-//!   index-based ELCA algorithm, and RDIL.
+//! * [`baseline`] — the stack-based DIL baseline, kept here beside the
+//!   naive evaluators of [`semantics`] as a reference implementation that
+//!   [`Engine::run`] serves (`QueryAlgorithm::StackBased`).
 //! * [`hybrid`] — the §V-D planner prototype choosing between the complete
 //!   join and the top-K join from a run-overlap cardinality estimate.
 //! * [`engine`] — a high-level façade over all of the above.
 //! * [`request`] — the unified [`QueryRequest`] → [`QueryResponse`] API:
 //!   one entry point ([`Engine::run`] / the [`Executor`] trait) for every
-//!   backend, semantics and algorithm, returning results plus the unified
+//!   backend, semantics and engine, returning results plus the unified
 //!   metrics snapshot and, on request, the deterministic execution trace
 //!   recorded by `xtk-obs`.
 //! * [`plan`] — the logical plan layer: the parsed query language
@@ -73,7 +73,6 @@ pub mod semantics;
 pub mod shard;
 pub mod starjoin;
 pub mod topk;
-pub mod verify;
 
 pub use batch::{BatchExecutor, BatchItem, BatchOptions, BatchReport, ResultCache};
 pub use engine::Engine;

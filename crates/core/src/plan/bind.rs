@@ -108,9 +108,9 @@ pub fn compile(
 /// top-K node maps the request's algorithm to an output strategy:
 /// `Auto` stays cost-based when `k` is set, a forced
 /// [`QueryAlgorithm::TopKJoin`] becomes a star join, and everything
-/// else computes the complete set and sorts.  (The stack/index/RDIL
-/// baselines share this logical description; only the join family is
-/// physically lowered through the plan.)
+/// else computes the complete set and sorts.  (The stack baseline
+/// shares this logical description; only the join family is physically
+/// lowered through the plan.)
 pub fn logical_plan(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> PlanNode {
     let leaves: Vec<ScanLeaf> = query
         .terms

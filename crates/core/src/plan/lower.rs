@@ -7,8 +7,8 @@
 //! [`execute_memory_spec`] and [`execute_disk_spec`] are the lowered
 //! drivers behind [`Engine::run`](crate::Engine::run) and the on-disk
 //! [`Executor`](crate::Executor) — the procedural per-algorithm dispatch
-//! they replace lives on only for the baselines (stack, index, RDIL)
-//! that the plan does not cover.  [`explain`] renders the logical tree,
+//! they replace lives on only for the stack baseline, which the plan
+//! does not cover.  [`explain`] renders the logical tree,
 //! the rewrite log, the rewritten tree and the physical plan byte-stably
 //! for the EXPLAIN snapshot gate.
 //!

@@ -15,7 +15,7 @@
 //! k         := positive integer          (omit for the complete set)
 //! semantics := elca | slca               (alias: sem)
 //! variant   := operational | formal
-//! algorithm := auto | join | stack | indexed | topk | rdil   (alias: alg)
+//! algorithm := auto | join | stack | topk   (alias: alg)
 //! threshold := tight | classic
 //! scores    := ranked | unranked
 //! trace     := off | counters | events
@@ -61,7 +61,7 @@ pub struct ParsedQuery {
     pub semantics: Option<Semantics>,
     /// `variant=operational|formal`.
     pub variant: Option<ElcaVariant>,
-    /// `algorithm=auto|join|stack|indexed|topk|rdil`.
+    /// `algorithm=auto|join|stack|topk`.
     pub algorithm: Option<QueryAlgorithm>,
     /// `threshold=tight|classic`.
     pub threshold: Option<ThresholdKind>,
@@ -330,17 +330,8 @@ pub fn parse(text: &str) -> Result<ParsedQuery, ParseError> {
                     "auto" => QueryAlgorithm::Auto,
                     "join" => QueryAlgorithm::JoinBased,
                     "stack" => QueryAlgorithm::StackBased,
-                    "indexed" => QueryAlgorithm::IndexBased,
                     "topk" => QueryAlgorithm::TopKJoin,
-                    "rdil" => QueryAlgorithm::Rdil,
-                    _ => {
-                        return Err(invalid(
-                            "algorithm",
-                            v,
-                            "auto, join, stack, indexed, topk or rdil",
-                            span,
-                        ))
-                    }
+                    _ => return Err(invalid("algorithm", v, "auto, join, stack or topk", span)),
                 };
                 set_once(&mut q.algorithm, a, "algorithm", span)?;
             }
@@ -451,9 +442,7 @@ impl fmt::Display for ParsedQuery {
                 QueryAlgorithm::Auto => "auto",
                 QueryAlgorithm::JoinBased => "join",
                 QueryAlgorithm::StackBased => "stack",
-                QueryAlgorithm::IndexBased => "indexed",
                 QueryAlgorithm::TopKJoin => "topk",
-                QueryAlgorithm::Rdil => "rdil",
             };
             write!(f, "{sep}algorithm={t}")?;
             sep = " ";
@@ -558,10 +547,10 @@ mod tests {
 
     #[test]
     fn display_is_canonical_and_round_trips() {
-        let text = "ALG=rdil  search  k=7   xml trace=events";
+        let text = "ALG=stack  search  k=7   xml trace=events";
         let q = parse(text).unwrap();
         let canon = q.to_string();
-        assert_eq!(canon, "search xml k=7 algorithm=rdil trace=events");
+        assert_eq!(canon, "search xml k=7 algorithm=stack trace=events");
         assert_eq!(parse(&canon).unwrap(), q);
     }
 }

@@ -16,20 +16,19 @@
 //! [`join_search_disk`](crate::diskexec::join_search_disk)) the same
 //! request/response surface as the in-memory one.
 
-use crate::baseline::indexed::{indexed_search, IndexedOptions};
-use crate::baseline::rdil::{rdil_search, RdilOptions};
 use crate::baseline::stack::{stack_search, StackOptions};
 use crate::engine::Engine;
 use crate::plan::rewrite::RuleSet;
 use crate::query::{ElcaVariant, Query, Semantics};
-use crate::result::{rank_top, ScoredResult};
+use crate::result::ScoredResult;
 use crate::topk::ThresholdKind;
 use std::io;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::{TermId, XmlIndex};
 use xtk_obs::{MetricsRegistry, MetricsSnapshot, Obs, Trace, TraceLevel, Tracer};
 
-/// Which engine answers the request.
+/// Which engine answers the request.  (The index-based and RDIL
+/// baselines are not served; `xtk-baselines` runs them.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryAlgorithm {
     /// Route automatically: the §V-D hybrid planner for top-K requests,
@@ -39,15 +38,12 @@ pub enum QueryAlgorithm {
     /// The paper's join-based Algorithm 1 (complete set; top-K requests
     /// sort and truncate).
     JoinBased,
-    /// The stack-based DIL baseline (unranked complete set).
+    /// The stack-based DIL baseline (unranked complete set), the
+    /// reference implementation the join family is checked against.
     StackBased,
-    /// The index-based baseline (formal ELCA variant).
-    IndexBased,
     /// The join-based top-K star join (§IV).  Requires `k`; without it
     /// the request degenerates to the complete join.
     TopKJoin,
-    /// The RDIL baseline (formal ELCA variant).  Requires `k`.
-    Rdil,
 }
 
 /// Whether results carry ranking scores and rank order.
@@ -83,8 +79,7 @@ pub struct QueryRequest {
     pub k: Option<usize>,
     /// Which engine runs it.
     pub algorithm: QueryAlgorithm,
-    /// ELCA exclusion variant (ignored for SLCA; the index-based and RDIL
-    /// baselines always use the formal variant).
+    /// ELCA exclusion variant (ignored for SLCA).
     pub variant: ElcaVariant,
     /// Unseen-result bound for the top-K star join.
     pub threshold: ThresholdKind,
@@ -159,10 +154,6 @@ impl QueryRequest {
         self.rules = rules;
         self
     }
-
-    fn ranked(&self) -> bool {
-        self.scores == ScoreMode::Ranked
-    }
 }
 
 /// The engine that actually ran (Auto resolves to one of the others).
@@ -172,12 +163,8 @@ pub enum ExecutedEngine {
     JoinBased,
     /// Stack-based DIL baseline.
     StackBased,
-    /// Index-based baseline.
-    IndexBased,
     /// Join-based top-K star join.
     TopKJoin,
-    /// RDIL baseline.
-    Rdil,
 }
 
 /// Results plus the unified observability payload of one execution.
@@ -224,47 +211,18 @@ fn run_in_memory(
     req: &QueryRequest,
     planner: &crate::plan::cache::Planner,
 ) -> QueryResponse {
-    // The join family (Auto, JoinBased, TopKJoin) executes through the
-    // logical plan: bind → rewrite → lower → run.  The baselines below
-    // sit outside the plan IR and keep their procedural dispatch.
     match req.algorithm {
+        // The join family executes through the logical plan: bind →
+        // rewrite → lower → run.
         QueryAlgorithm::Auto | QueryAlgorithm::JoinBased | QueryAlgorithm::TopKJoin => {
             let (spec, _) = planner.spec_for(ix, query, req, ix.generation(), 0);
-            return crate::plan::lower::execute_memory_spec(ix, query, req, spec);
+            crate::plan::lower::execute_memory_spec(ix, query, req, spec)
         }
-        QueryAlgorithm::StackBased | QueryAlgorithm::IndexBased | QueryAlgorithm::Rdil => {}
-    }
-    let obs = obs_for(req);
-    match req.algorithm {
-        QueryAlgorithm::IndexBased => {
-            let mut rs = indexed_search(
-                ix,
-                query,
-                &IndexedOptions { semantics: req.semantics, with_scores: req.ranked() },
-            );
-            if req.ranked() {
-                rank_top(&mut rs, req.k);
-            } else if let Some(k) = req.k {
-                rs.truncate(k);
-            }
-            respond(obs, rs, ExecutedEngine::IndexBased)
-        }
-        QueryAlgorithm::Rdil => {
-            // RDIL is inherently top-K; a complete-set request asks for
-            // every result (bounded by the candidate population).
-            let k = req.k.unwrap_or(usize::MAX);
-            let (rs, stats) =
-                rdil_search(ix, query, &RdilOptions { k, semantics: req.semantics });
-            obs.metrics.add("rdil.pops", stats.pops);
-            obs.metrics.add("rdil.evaluated", stats.evaluated);
-            obs.metrics.add("rdil.emitted_early", stats.emitted_early);
-            respond(obs, rs, ExecutedEngine::Rdil)
-        }
-        _ => {
-            // The stack-based system is an unranked complete-set baseline;
-            // scores are not computed regardless of `ScoreMode`.  (The
-            // join family returned through the plan lowering above, so
-            // this wildcard is only ever StackBased.)
+        // The stack-based system sits outside the plan IR.  It is an
+        // unranked complete-set baseline: scores are not computed
+        // regardless of `ScoreMode`.
+        QueryAlgorithm::StackBased => {
+            let obs = obs_for(req);
             let mut rs = stack_search(
                 ix,
                 query,
@@ -302,7 +260,7 @@ impl Engine {
 /// A query backend: anything that can execute a [`QueryRequest`].
 ///
 /// The in-memory [`Engine`] is infallible and always succeeds; the
-/// on-disk [`DiskEngine`] surfaces I/O errors and rejects algorithms the
+/// on-disk [`DiskEngine`] surfaces I/O errors and rejects engines the
 /// disk executor does not implement.
 pub trait Executor {
     /// Executes the request for the (pre-resolved) query.
@@ -381,8 +339,8 @@ impl Executor for Engine {
 ///
 /// Supports [`QueryAlgorithm::Auto`] and [`QueryAlgorithm::JoinBased`]
 /// (top-K requests run the complete join, then sort and truncate — the
-/// results equal the in-memory engine's bit for bit); other algorithms
-/// return [`io::ErrorKind::Unsupported`].
+/// results equal the in-memory engine's bit for bit); the stack baseline
+/// and the star join return [`io::ErrorKind::Unsupported`].
 pub struct DiskEngine<'a> {
     ix: &'a XmlIndex,
     store: &'a DiskColumnStore,
@@ -488,9 +446,7 @@ mod tests {
             QueryAlgorithm::Auto,
             QueryAlgorithm::JoinBased,
             QueryAlgorithm::StackBased,
-            QueryAlgorithm::IndexBased,
             QueryAlgorithm::TopKJoin,
-            QueryAlgorithm::Rdil,
         ] {
             let req = QueryRequest::complete(Semantics::Slca)
                 .with_algorithm(alg)
@@ -528,9 +484,9 @@ mod tests {
             }
             assert!(dsk.metrics.get("store.decodes") > 0 || dsk.metrics.contains("store.decodes"));
         }
-        let err = disk
-            .execute(&q, &QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::Rdil))
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        for alg in [QueryAlgorithm::StackBased, QueryAlgorithm::TopKJoin] {
+            let req = QueryRequest::top_k(2, Semantics::Elca).with_algorithm(alg);
+            assert_eq!(disk.execute(&q, &req).unwrap_err().kind(), io::ErrorKind::Unsupported);
+        }
     }
 }

@@ -297,7 +297,7 @@ struct Shard {
 /// `--trace` and the metrics pipeline all work unchanged.  Supports
 /// [`QueryAlgorithm::Auto`] and [`QueryAlgorithm::JoinBased`] with
 /// ranked scores (per-shard emission order is not meaningful globally,
-/// so unranked requests and the other baselines return
+/// so unranked requests, the stack baseline and the star join return
 /// [`io::ErrorKind::Unsupported`]).
 ///
 /// Responses are bit-identical to a single-shard (and to a filtered
@@ -553,14 +553,7 @@ impl Executor for ShardedEngine<'_> {
             for w in &words {
                 match shard.ix.term_id(w) {
                     Some(tid) => {
-                        let t = shard.ix.term(tid);
-                        let max = t
-                            .score_rows
-                            .first()
-                            .and_then(|&r| t.scores.get(r as usize))
-                            .copied()
-                            .unwrap_or(0.0);
-                        bound += max;
+                        bound += shard.ix.term(tid).max_score;
                         local.push(tid);
                     }
                     None => {
@@ -779,10 +772,10 @@ mod tests {
             engine.execute(&q, &unranked).unwrap_err().kind(),
             io::ErrorKind::Unsupported
         );
-        let rdil = QueryRequest::top_k(2, Semantics::Elca)
-            .with_algorithm(QueryAlgorithm::Rdil);
+        let stack = QueryRequest::top_k(2, Semantics::Elca)
+            .with_algorithm(QueryAlgorithm::StackBased);
         assert_eq!(
-            engine.execute(&q, &rdil).unwrap_err().kind(),
+            engine.execute(&q, &stack).unwrap_err().kind(),
             io::ErrorKind::Unsupported
         );
     }

@@ -21,7 +21,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `f32` with a total order, for heap keys (scores are always finite).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct F32Ord(pub f32);
+pub struct F32Ord(pub f32);
 
 impl Eq for F32Ord {}
 

@@ -51,9 +51,7 @@ fn request_grid() -> Vec<QueryRequest> {
                 QueryAlgorithm::Auto,
                 QueryAlgorithm::JoinBased,
                 QueryAlgorithm::StackBased,
-                QueryAlgorithm::IndexBased,
                 QueryAlgorithm::TopKJoin,
-                QueryAlgorithm::Rdil,
             ] {
                 for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
                     for threshold in [ThresholdKind::Tight, ThresholdKind::Classic] {

@@ -5,7 +5,9 @@
 //! helpers so both exercise the same input distribution; the disk suites
 //! share the in-memory store image.
 //!
-//! Each test binary compiles its own copy and uses a different subset.
+//! Each test binary compiles its own copy and uses a different subset;
+//! `crates/baselines/tests/engine_agreement.rs` includes it by path, so
+//! the baselines are checked on the same corpora.
 #![allow(dead_code)]
 
 use xtk_core::query::Query;

@@ -1,28 +1,26 @@
-//! Property-based cross-validation of every engine on random trees with
+//! Property-based cross-validation of the engines on random trees with
 //! random keyword placements — the backbone correctness argument of the
 //! whole reproduction:
 //!
 //! * join-based ≡ stack-based ≡ naive, per semantics and ELCA variant;
-//! * index-based ≡ naive formal (its completeness theorem's home turf);
-//! * top-K join returns exactly the K best of the complete scored set;
-//! * RDIL returns exactly the K best of the formal scored set;
-//! * all three join plans (dynamic / merge-only / index-only) agree.
+//! * top-K join returns exactly the K best of the complete scored set.
 //!
-//! Runs on the in-tree [`testutil`](xtk_xml::testutil) runner.
+//! The index-based and RDIL baselines are checked against the same
+//! references on the same corpora by `xtk-baselines`'
+//! `tests/engine_agreement.rs`.  Runs on the in-tree
+//! [`testutil`](xtk_xml::testutil) runner.
 
 mod common;
 
 use common::{assert_topk_valid, build_corpus, corpus, deep_corpus, nodes, query};
-use xtk_core::baseline::indexed::{indexed_search, IndexedOptions};
-use xtk_core::baseline::rdil::{rdil_search, RdilOptions};
 use xtk_core::baseline::stack::{stack_search, StackOptions};
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::{ElcaVariant, Semantics};
 use xtk_core::semantics::{naive_elca, naive_slca};
 use xtk_core::topk::{topk_search, TopKOptions};
+use xtk_xml::prop_assert_eq;
 use xtk_xml::testutil::prop_check;
 use xtk_xml::tree::NodeId;
-use xtk_xml::{prop_assert, prop_assert_eq};
 
 #[test]
 fn complete_engines_agree() {
@@ -33,7 +31,7 @@ fn complete_engines_agree() {
         let lists: Vec<&[NodeId]> =
             q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
 
-        // SLCA: all four engines and the naive reference.
+        // SLCA: both engines and the naive reference.
         let want_slca = naive_slca(ix.tree(), &lists);
         let join_slca = nodes(join_search(&ix, &q, &JoinOptions {
             semantics: Semantics::Slca, ..Default::default()
@@ -41,12 +39,8 @@ fn complete_engines_agree() {
         let stack_slca = nodes(stack_search(&ix, &q, &StackOptions {
             semantics: Semantics::Slca, ..Default::default()
         }));
-        let indexed_slca = nodes(indexed_search(&ix, &q, &IndexedOptions {
-            semantics: Semantics::Slca, with_scores: false
-        }));
         prop_assert_eq!(&join_slca, &want_slca, "join SLCA");
         prop_assert_eq!(&stack_slca, &want_slca, "stack SLCA");
-        prop_assert_eq!(&indexed_slca, &want_slca, "indexed SLCA");
 
         // ELCA, both variants, join + stack vs naive.
         for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
@@ -60,13 +54,6 @@ fn complete_engines_agree() {
             prop_assert_eq!(&join, &want, "join ELCA {:?}", variant);
             prop_assert_eq!(&stack, &want, "stack ELCA {:?}", variant);
         }
-
-        // Index-based ELCA vs naive formal.
-        let want_formal = naive_elca(ix.tree(), &lists, ElcaVariant::Formal);
-        let indexed = nodes(indexed_search(&ix, &q, &IndexedOptions {
-            semantics: Semantics::Elca, with_scores: false
-        }));
-        prop_assert_eq!(&indexed, &want_formal, "indexed ELCA formal");
     });
 }
 
@@ -85,51 +72,6 @@ fn topk_is_prefix_of_complete() {
                 with_scores: true,
             });
             assert_topk_valid(&got, &mut complete, kk);
-        }
-    });
-}
-
-#[test]
-fn rdil_is_prefix_of_formal_complete() {
-    prop_check(0x54, 96, |g| {
-        let (shape, placements, k) = corpus(g);
-        let kk = g.gen_range(1..8usize);
-        let ix = build_corpus(&shape, &placements, k);
-        let q = query(&ix, k);
-        for semantics in [Semantics::Elca, Semantics::Slca] {
-            let (got, _) = rdil_search(&ix, &q, &RdilOptions { k: kk, semantics });
-            let mut complete = indexed_search(&ix, &q, &IndexedOptions {
-                semantics, with_scores: true
-            });
-            assert_topk_valid(&got, &mut complete, kk);
-        }
-    });
-}
-
-#[test]
-fn scores_agree_between_join_and_verifier() {
-    prop_check(0x55, 96, |g| {
-        // The join-based engine's incremental scoring must equal the
-        // from-scratch verifier scoring on the formal variant.
-        let (shape, placements, k) = corpus(g);
-        let ix = build_corpus(&shape, &placements, k);
-        let q = query(&ix, k);
-        let (join, _) = join_search(&ix, &q, &JoinOptions {
-            semantics: Semantics::Elca,
-            variant: ElcaVariant::Formal,
-            with_scores: true,
-        });
-        let indexed = indexed_search(&ix, &q, &IndexedOptions {
-            semantics: Semantics::Elca, with_scores: true
-        });
-        let mut jmap: Vec<(NodeId, f32)> = join.iter().map(|r| (r.node, r.score)).collect();
-        let mut imap: Vec<(NodeId, f32)> = indexed.iter().map(|r| (r.node, r.score)).collect();
-        jmap.sort_by_key(|(n, _)| *n);
-        imap.sort_by_key(|(n, _)| *n);
-        prop_assert_eq!(jmap.len(), imap.len());
-        for ((jn, js), (inn, is)) in jmap.iter().zip(&imap) {
-            prop_assert_eq!(jn, inn);
-            prop_assert!((js - is).abs() < 1e-4, "{:?}: {} vs {}", jn, js, is);
         }
     });
 }

@@ -45,7 +45,7 @@ fn well_formed(g: &mut Gen) -> String {
     }
     if g.gen_bool(0.5) {
         let name = if g.gen_bool(0.5) { "algorithm" } else { "alg" };
-        let vals = ["auto", "join", "stack", "indexed", "topk", "rdil"];
+        let vals = ["auto", "join", "stack", "topk"];
         knobs.push(format!("{name}={}", vals[g.gen_range(0..vals.len())]));
     }
     if g.gen_bool(0.3) {
@@ -165,6 +165,9 @@ fn malformed_corpus_reports_typed_errors() {
         ("xml sem=both", "invalid semantics value `both` (expected elca or slca)"),
         ("xml variant=strict", "invalid variant value `strict`"),
         ("xml alg=quantum", "invalid algorithm value `quantum`"),
+        // The index-based and RDIL baselines are not served.
+        ("xml alg=indexed", "invalid algorithm value `indexed` (expected auto, join, stack or topk)"),
+        ("xml algorithm=rdil k=5", "invalid algorithm value `rdil` (expected auto, join, stack or topk)"),
         // The join-plan knob is gone: unknown, not silently ignored.
         ("xml plan=merge", "unknown knob `plan`"),
         ("xml search plan=index k=3", "unknown knob `plan`"),
@@ -210,6 +213,10 @@ fn spans_underline_the_offending_token() {
     assert!(matches!(err, ParseError::UnknownKnob { ref name, .. } if name == "plan"), "{err:?}");
     let span = err.span().expect("unknown knob has a span");
     assert_eq!(&input[span.start..span.end], "plan=merge");
+
+    let input = "xml alg=rdil k=2";
+    let span = parse(input).unwrap_err().span().expect("invalid value has a span");
+    assert_eq!(&input[span.start..span.end], "alg=rdil");
 
     let input = "top join k=1 k=9";
     let err = parse(input).unwrap_err();

@@ -1,24 +1,26 @@
 //! Building the unified index.
 //!
 //! One pass over the tree tokenizes every node's direct text and produces,
-//! per distinct term, all physical structures the four systems under
-//! evaluation need:
+//! per distinct term, the physical structures the engines serve from:
 //!
 //! * `postings` — node ids in document order (the Dewey inverted list; node
 //!   id order equals Dewey order because the arena is in pre-order),
-//! * `scores` — normalized tf–idf local scores `g(v, w)`,
+//! * `scores` — normalized tf–idf local scores `g(v, w)`, and their
+//!   maximum `max_score`,
 //! * `columns` — the JDewey column-per-level run representation (§III),
 //! * `segments` — the score-sorted length groups of Fig. 7 (§IV), with the
-//!   row directories that give them Fig. 7's row → number access,
-//! * `score_rows` — the full score-descending permutation RDIL scans.
+//!   row directories that give them Fig. 7's row → number access.
+//!
+//! What only the evaluation baselines read — subtree ranges and RDIL's
+//! score-descending permutation — is derived on demand by `xtk-baselines`,
+//! and the Dewey ids Table I prices by [`crate::sizes`].
 
 use crate::columnar::{build_columns, Column, RowDirectory};
 use crate::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
 use crate::score::{Damping, TfIdf};
-use crate::scored::{build_segments, score_order, Segment};
+use crate::scored::{build_segments, Segment};
 use crate::text::token_counts;
 use std::collections::HashMap;
-use xtk_xml::dewey::DeweyIndex;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::pool::{chunk_ranges, parallel_map, Parallelism};
 use xtk_xml::tree::{NodeId, XmlTree};
@@ -47,13 +49,14 @@ pub struct TermData {
     pub postings: Vec<NodeId>,
     /// Local score `g(v, w)` per posting (aligned with `postings`).
     pub scores: Vec<f32>,
+    /// The largest entry of `scores` (0 for an empty list): the term's
+    /// contribution to an upper bound on any result score.
+    pub max_score: f32,
     /// JDewey columns (index 0 = level 1); `columns.len()` = max depth of
     /// any posting (`l_m` in the paper).
     pub columns: Vec<Column>,
     /// Score-sorted length groups (top-K join input).
     pub segments: Vec<Segment>,
-    /// Full score-descending row permutation (RDIL input).
-    pub score_rows: Vec<u32>,
     /// Per-level value histograms for cardinality estimation (§V-D);
     /// `None` for levels whose column is short enough to probe directly.
     pub histograms: Vec<Option<Histogram>>,
@@ -109,6 +112,11 @@ impl TermData {
         let slots = &self.row_directories.as_deref()?.0;
         slots.get((level as usize).checked_sub(1)?)?.as_ref()
     }
+}
+
+/// The largest score under `f32::total_cmp`, 0 for none.
+fn max_score(scores: &[f32]) -> f32 {
+    scores.iter().copied().max_by(f32::total_cmp).unwrap_or(0.0)
 }
 
 /// The local scoring function `g(v, w)` (paper §II-B: "the function g can
@@ -169,27 +177,21 @@ struct TermStructures {
     scores: Vec<f32>,
     columns: Vec<Column>,
     segments: Vec<Segment>,
-    score_rows: Vec<u32>,
     histograms: Vec<Option<Histogram>>,
     row_directories: Option<Box<RowDirectories>>,
 }
 
 /// The unified in-memory index over one XML document.
 ///
-/// Owns the tree plus the Dewey and JDewey encodings, the vocabulary, and
-/// per-term physical structures for all four evaluated systems.
+/// Owns the tree plus its JDewey encoding, the vocabulary, and the
+/// per-term physical structures the join-based engines serve from.
 #[derive(Debug)]
 pub struct XmlIndex {
     tree: XmlTree,
-    dewey: DeweyIndex,
     jd: JDeweyAssignment,
     damping: Damping,
     vocab: HashMap<Box<str>, TermId>,
     terms: Vec<TermData>,
-    /// `subtree_size[i]` = number of nodes in the subtree rooted at node
-    /// `i` (inclusive).  Because the arena is pre-order, the subtree of `v`
-    /// is exactly the id range `[v, v + subtree_size[v])`.
-    subtree_size: Vec<u32>,
     /// Number of nodes with non-empty direct text ("documents" for idf).
     n_docs: u64,
     /// Index generation for result-cache invalidation: a fresh build is
@@ -218,7 +220,6 @@ impl XmlIndex {
     ///   first-occurrence order, exactly as the serial loop does;
     /// * Pass 2/3 are per-term maps whose results are merged by term index.
     pub fn build_with(tree: XmlTree, opts: IndexOptions) -> Self {
-        let dewey = DeweyIndex::build(&tree);
         let jd = JDeweyAssignment::assign(&tree, opts.jdewey_gap);
         let par = opts.parallelism;
 
@@ -307,7 +308,6 @@ impl XmlIndex {
                 .collect();
             let columns = build_columns(tree_ref, jd_ref, postings);
             let segments = build_segments(tree_ref, postings, &scores);
-            let score_rows = score_order(&scores);
             let histograms = columns
                 .iter()
                 .map(|c| {
@@ -319,32 +319,23 @@ impl XmlIndex {
                 })
                 .collect();
             let row_directories = RowDirectories::build(&columns);
-            TermStructures { scores, columns, segments, score_rows, histograms, row_directories }
+            TermStructures { scores, columns, segments, histograms, row_directories }
         });
         let mut terms = Vec::with_capacity(raw.len());
         for (i, ((postings, _tfs), built)) in raw.into_iter().zip(built).enumerate() {
             terms.push(TermData {
                 term: std::mem::take(&mut names[i]),
                 postings,
+                max_score: max_score(&built.scores),
                 scores: built.scores,
                 columns: built.columns,
                 segments: built.segments,
-                score_rows: built.score_rows,
                 histograms: built.histograms,
                 row_directories: built.row_directories,
             });
         }
 
-        // Subtree sizes from a reverse pass (children have larger ids).
-        let mut subtree_size = vec![1u32; tree.len()];
-        for i in (0..tree.len()).rev() {
-            let id = NodeId(i as u32);
-            if let Some(p) = tree.parent(id) {
-                subtree_size[p.index()] += subtree_size[i];
-            }
-        }
-
-        Self { tree, dewey, jd, damping: opts.damping, vocab, terms, subtree_size, n_docs, generation: 0 }
+        Self { tree, jd, damping: opts.damping, vocab, terms, n_docs, generation: 0 }
     }
 
     /// Index generation (0 for a fresh build; see the field docs).
@@ -368,12 +359,6 @@ impl XmlIndex {
     #[inline]
     pub fn tree(&self) -> &XmlTree {
         &self.tree
-    }
-
-    /// Dewey ids of every node.
-    #[inline]
-    pub fn dewey(&self) -> &DeweyIndex {
-        &self.dewey
     }
 
     /// The JDewey assignment.
@@ -425,13 +410,6 @@ impl XmlIndex {
         self.terms.iter().enumerate().map(|(i, t)| (TermId(i as u32), t))
     }
 
-    /// The arena id range `[v, end)` covered by the subtree of `v`.
-    /// Valid because the arena is in pre-order.
-    pub fn subtree_range(&self, v: NodeId) -> std::ops::Range<NodeId> {
-        let end = v.0 + self.subtree_size[v.index()];
-        v..NodeId(end)
-    }
-
     /// Resolves a `(level, JDewey number)` pair to its node.
     #[inline]
     pub fn node_at(&self, level: u16, number: u32) -> Option<NodeId> {
@@ -440,9 +418,9 @@ impl XmlIndex {
 
     /// Replaces the occurrence scores of term `id` with `scores` (one per
     /// posting, aligned with the posting list) and rebuilds the
-    /// score-derived structures: the top-K segment summaries and the RDIL
-    /// score permutation.  JDewey columns, level histograms and row
-    /// directories depend only on structure and are kept as-is.
+    /// score-derived structures: the top-K segment summaries and
+    /// `max_score`.  JDewey columns, level histograms and row directories
+    /// depend only on structure and are kept as-is.
     ///
     /// This is the hook `xtk-core::shard` uses to stamp *corpus-global*
     /// tf-idf scores onto a per-shard index, so a result's score is
@@ -456,7 +434,7 @@ impl XmlIndex {
             return false;
         }
         t.segments = build_segments(tree, &t.postings, &scores);
-        t.score_rows = score_order(&scores);
+        t.max_score = max_score(&scores);
         t.scores = scores;
         true
     }
@@ -523,26 +501,50 @@ mod tests {
     fn segments_and_score_rows_are_consistent() {
         let ix = index("<r><a>w</a><b><c>w</c></b><d>w w w</d></r>");
         let t = ix.term_by_str("w").unwrap();
-        let seg_rows: usize = t.segments.iter().map(|s| s.rows.len()).sum();
-        assert_eq!(seg_rows, t.len());
-        assert_eq!(t.score_rows.len(), t.len());
-        // score_rows is score-descending.
-        for w in t.score_rows.windows(2) {
-            assert!(t.scores[w[0] as usize] >= t.scores[w[1] as usize]);
+        // Each segment's rows are score-descending; together they are
+        // every row once.
+        let mut seg_rows: Vec<u32> = t.segments.iter().flat_map(|s| s.rows.clone()).collect();
+        for s in &t.segments {
+            for w in s.rows.windows(2) {
+                assert!(t.scores[w[0] as usize] >= t.scores[w[1] as usize]);
+            }
         }
+        seg_rows.sort_unstable();
+        assert_eq!(seg_rows, (0..t.len() as u32).collect::<Vec<_>>());
+    }
+
+    /// The bit pattern of the largest score, by a plain scan.
+    fn largest_bits(scores: &[f32]) -> u32 {
+        scores.iter().fold(0.0f32, |m, &s| if s > m { s } else { m }).to_bits()
     }
 
     #[test]
-    fn subtree_ranges_cover_descendants() {
-        let ix = index("<r><a><p>x</p><q>x</q></a><b>x</b></r>");
-        let tree = ix.tree();
-        let a = tree.children(tree.root())[0];
-        let range = ix.subtree_range(a);
-        let members: Vec<NodeId> = tree.descendants_or_self(a).collect();
-        for m in &members {
-            assert!(range.contains(m));
+    fn max_score_is_the_largest_score_bit_for_bit() {
+        // "solo" has one posting; "w" many, with scores spread by tf.
+        let mut xml = String::from("<r><z>solo</z>");
+        for i in 0..40 {
+            xml.push_str(&format!("<p>{}</p>", "w ".repeat(1 + i % 4)));
         }
-        assert_eq!(range.end.0 - range.start.0, members.len() as u32);
+        xml.push_str("</r>");
+        let mut ix = index(&xml);
+        for (_, t) in ix.terms() {
+            assert_eq!(t.max_score.to_bits(), largest_bits(&t.scores), "{}", t.term);
+        }
+        let solo = ix.term_by_str("solo").unwrap();
+        assert_eq!(solo.max_score.to_bits(), solo.scores[0].to_bits());
+
+        // After override_scores: a tied maximum, then a single posting.
+        let w = ix.term_id("w").unwrap();
+        let rows = ix.term(w).len();
+        let tied: Vec<f32> = (0..rows).map(|i| if i % 9 == 3 { 0.875 } else { 0.25 }).collect();
+        assert!(ix.override_scores(w, tied));
+        assert_eq!(ix.term(w).max_score.to_bits(), 0.875f32.to_bits());
+        let solo = ix.term_id("solo").unwrap();
+        assert!(ix.override_scores(solo, vec![0.125]));
+        assert_eq!(ix.term(solo).max_score.to_bits(), 0.125f32.to_bits());
+        // A rejected override changes nothing.
+        assert!(!ix.override_scores(solo, vec![0.5, 0.5]));
+        assert_eq!(ix.term(solo).max_score.to_bits(), 0.125f32.to_bits());
     }
 
     #[test]
@@ -582,7 +584,7 @@ mod tests {
                 let sb: Vec<u32> = b.scores.iter().map(|s| s.to_bits()).collect();
                 assert_eq!(sa, sb, "{par} {}", a.term);
                 assert_eq!(a.columns, b.columns, "{par} {}", a.term);
-                assert_eq!(a.score_rows, b.score_rows, "{par} {}", a.term);
+                assert_eq!(a.max_score.to_bits(), b.max_score.to_bits(), "{par} {}", a.term);
                 assert_eq!(a.row_directories, b.row_directories, "{par} {}", a.term);
             }
         }

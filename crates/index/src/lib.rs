@@ -4,8 +4,8 @@
 //! query algorithms of `xtk-core`.
 //!
 //! The paper (Chen & Papakonstantinou, ICDE 2010) evaluates four systems,
-//! each with its own physical index; all four are built here from one pass
-//! over the document:
+//! each with its own physical index.  The two join-based ones are built
+//! here from one pass over the document and served:
 //!
 //! * **Join-based** (§III): per-keyword inverted lists of JDewey sequences
 //!   sorted in JDewey order and stored **column per tree level**
@@ -15,16 +15,17 @@
 //! * **Top-K join** (§IV): the same columns plus per-posting local scores
 //!   ([`score`]) and the score-sorted, length-grouped segment lists of
 //!   Fig. 7 ([`scored`]).
-//! * **Stack-based / index-based baselines**: doc-order Dewey posting lists
-//!   ([`postings`]), prefix-compressed for size accounting, and a B-tree
-//!   emulation with per-entry `(keyword, Dewey)` keys ([`btree`]) matching
-//!   the BerkeleyDB layout whose size Table I reports.
-//! * **RDIL**: score-sorted postings + doc-order B-trees per keyword.
+//!
+//! The baselines' indexes — doc-order Dewey lists for the stack-based and
+//! index-based systems, score-sorted lists for RDIL, and the `(keyword,
+//! Dewey)` B-trees whose BerkeleyDB layout [`btree`] emulates — are only
+//! *priced* here, by [`sizes`] for Table I, which derives the Dewey ids it
+//! needs on demand.  The baselines themselves run from doc-order node-id
+//! postings (`xtk-core`'s stack baseline, `xtk-baselines`).
 //!
 //! [`builder::XmlIndex`] ties these together; [`disk`] owns the file format
 //! (one writer, one directory parse), [`diskcol`] serves it block by block
-//! to the disk and sharded engines; [`sizes`] produces the Table I byte
-//! counts.
+//! to the disk and sharded engines.
 
 pub mod btree;
 pub mod builder;
@@ -35,7 +36,6 @@ pub mod columnar;
 pub mod disk;
 pub mod histogram;
 pub mod diskcol;
-pub mod postings;
 pub mod score;
 pub mod scored;
 pub mod sizes;

@@ -69,8 +69,9 @@ pub fn build_segments(tree: &XmlTree, postings: &[NodeId], scores: &[f32]) -> Ve
     segments
 }
 
-/// Full score-descending permutation of rows (used by RDIL, which scans one
-/// list in raw local-score order regardless of depth).
+/// Full score-descending permutation of rows, ties by row as in
+/// [`build_segments`] (the order the RDIL baseline in `xtk-baselines` scans
+/// one list in, regardless of depth).
 pub fn score_order(scores: &[f32]) -> Vec<u32> {
     let mut rows: Vec<u32> = (0..scores.len() as u32).collect();
     let score_of = |row: u32| scores.get(row as usize).copied().unwrap_or(f32::NEG_INFINITY);

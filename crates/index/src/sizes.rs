@@ -14,13 +14,16 @@
 //! All byte counts come from actually encoding the data (or, for the
 //! B-trees, streaming the exact keys through the page-fill emulation of
 //! [`crate::btree`]) — no hand-waved constants beyond the page/overhead
-//! parameters documented there.
+//! parameters documented there.  The Dewey ids the baselines' layouts
+//! store are derived here, once per [`compute`]; the serving index does
+//! not keep them.
 
 use crate::btree::{composite_key, dewey_key_bytes, emulate_size};
 use crate::builder::XmlIndex;
 use crate::codec::{varint_len, write_varint, BlockLayout};
 use crate::disk::encode_column_record;
 use std::fmt;
+use xtk_xml::dewey::DeweyIndex;
 
 /// Bytes per sparse-index entry as Table I prices it: u32 first value +
 /// u32 block offset, one entry per block.
@@ -49,6 +52,7 @@ pub struct IndexSizes {
 
 /// Computes all Table I sizes for one corpus.
 pub fn compute(ix: &XmlIndex) -> IndexSizes {
+    let dewey = DeweyIndex::build(ix.tree());
     let mut s = IndexSizes::default();
     let mut scratch = Vec::new();
     // Streaming iterator of composite (term, dewey) key lengths for the
@@ -60,7 +64,7 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
     for (_, term) in ix.terms() {
         let n = term.postings.len();
         // --- vocabulary entry, counted once per flavor that stores lists
-        // per term (join, stack, topk, rdil) ---
+        // per term (join, stack, top-K, RDIL) ---
         let vocab_entry = term.term.len() as u64 + 5; // len varint + list offset u32
 
         // --- join-based columnar lists ---
@@ -87,21 +91,21 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         scratch.clear();
         let mut prev: &[u32] = &[];
         for &node in &term.postings {
-            let dewey = ix.dewey().dewey(node).components();
-            let common = dewey.iter().zip(prev).take_while(|(a, b)| a == b).count();
+            let id = dewey.dewey(node).components();
+            let common = id.iter().zip(prev).take_while(|(a, b)| a == b).count();
             write_varint(common as u32, &mut scratch);
-            write_varint((dewey.len() - common) as u32, &mut scratch);
-            for &c in &dewey[common..] {
+            write_varint((id.len() - common) as u32, &mut scratch);
+            for &c in &id[common..] {
                 write_varint(c, &mut scratch);
             }
-            prev = dewey;
+            prev = id;
         }
         stack += scratch.len() as u64;
         s.stack_il += stack;
 
         // --- index-based single B-tree: one key per posting ---
         for &node in &term.postings {
-            let key = composite_key(&term.term, ix.dewey().dewey(node).components());
+            let key = composite_key(&term.term, dewey.dewey(node).components());
             index_key_lens.push(key.len());
         }
 
@@ -111,20 +115,21 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         s.topk_sparse += sparse_blocks * SPARSE_ENTRY_BYTES as u64;
 
         // --- RDIL: score-sorted Dewey lists (full ids — the list is not in
-        // doc order, so prefix compression does not apply) + scores ---
-        let mut rdil = vocab_entry + 4 * n as u64;
-        for &row in &term.score_rows {
-            let dewey = ix.dewey().dewey(term.postings[row as usize]).components();
-            rdil += dewey_key_bytes(dewey).len() as u64 + 1;
+        // doc order, so prefix compression does not apply) + scores.  A
+        // full id's size does not depend on its position, so the sum runs
+        // in doc order. ---
+        let mut ranked = vocab_entry + 4 * n as u64;
+        for &node in &term.postings {
+            ranked += dewey_key_bytes(dewey.dewey(node).components()).len() as u64 + 1;
         }
-        s.rdil_il += rdil;
+        s.rdil_il += ranked;
         // Doc-order B-tree entries for the index lookups; all keywords
         // share one page-packed tree keyed by (term, Dewey), as a
         // BerkeleyDB file would — per-term trees would waste a page per
         // tiny list.
         for &node in &term.postings {
             rdil_key_lens.push(
-                term.term.len() + 1 + dewey_key_bytes(ix.dewey().dewey(node).components()).len(),
+                term.term.len() + 1 + dewey_key_bytes(dewey.dewey(node).components()).len(),
             );
         }
     }

@@ -75,6 +75,10 @@ mod tests {
             "walker must find its own source"
         );
         assert!(
+            files.iter().any(|(rel, _)| rel == "crates/baselines/src/baseline/rdil.rs"),
+            "the baselines crate is scanned like every other (L1 counts, L4)"
+        );
+        assert!(
             !files.iter().any(|(rel, _)| rel.contains("fixtures/")),
             "fixtures are not scanned"
         );

@@ -5,8 +5,9 @@
 //! plus a byte-exact golden `lint-report.json` comparison and the
 //! walker's target/examples skip list.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Output};
+use xtk_xml::testutil::TempPath;
 
 /// A clean engine file: one panic site (`unwrap` in `helper`) reachable
 /// from the one public entry point `Engine::run`.
@@ -69,15 +70,14 @@ fn helper(xs: &[u32], q: u32) -> u32 {
 }
 "#;
 
+/// A mini workspace under a fresh temp path, removed when dropped.
 struct MiniWs {
-    root: PathBuf,
+    root: TempPath,
 }
 
 impl MiniWs {
     fn new(tag: &str) -> MiniWs {
-        let root = std::env::temp_dir().join(format!("xtk-lint-itest-{}-{tag}", std::process::id()));
-        // A previous crashed run may have left the directory behind.
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TempPath::new(&format!("xtk-lint-itest-{tag}"));
         std::fs::create_dir_all(root.join("crates/core/src")).expect("mkdir mini workspace");
         std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/core\"]\n")
             .expect("write Cargo.toml");
@@ -95,16 +95,10 @@ impl MiniWs {
     fn lint(&self, extra: &[&str]) -> Output {
         Command::new(env!("CARGO_BIN_EXE_xtk-lint"))
             .arg("--root")
-            .arg(&self.root)
+            .arg(&*self.root)
             .args(extra)
             .output()
             .expect("run xtk-lint")
-    }
-}
-
-impl Drop for MiniWs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
     }
 }
 

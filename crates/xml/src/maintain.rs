@@ -213,7 +213,7 @@ impl JDeweyMaintainer {
         let pn = self.jd.number(parent);
         // Nodes whose parent number <= pn form a prefix of the level list
         // (requirement 2).  `split` = count of such nodes.
-        let split = partition_point(level, |&id| {
+        let split = level.partition_point(|&id| {
             // Level >= 2 nodes always have parents; treat a malformed
             // parentless node as sorting after the split.
             self.tree.parent(id).is_some_and(|p| self.jd.number(p) <= pn)
@@ -302,21 +302,6 @@ impl JDeweyMaintainer {
             true
         });
     }
-}
-
-/// `slice::partition_point` over an arbitrary predicate on elements.
-fn partition_point<T>(slice: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
-    let mut lo = 0;
-    let mut hi = slice.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(&slice[mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]

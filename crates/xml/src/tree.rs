@@ -120,16 +120,18 @@ impl XmlTree {
         &self.nodes[id.index()].text
     }
 
-    /// The depth (level) of `id`; the root has depth 1.
+    /// The depth (level) of `id`; the root has depth 1, and an id outside
+    /// the tree depth 0.
     #[inline]
     pub fn depth(&self, id: NodeId) -> u16 {
-        self.depths[id.index()]
+        self.depths.get(id.index()).copied().unwrap_or(0)
     }
 
-    /// The parent of `id`, or `None` for the root.
+    /// The parent of `id`, or `None` for the root (and for an id outside
+    /// the tree).
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        self.nodes.get(id.index())?.parent
     }
 
     /// The children of `id` in document order.
@@ -370,6 +372,9 @@ mod tests {
         assert_eq!(t.depth(root), 1);
         assert_eq!(t.depth(e), 3);
         assert_eq!(t.node(d).sib_index, 1);
+        // An id outside the tree has no depth and no parent; no panic.
+        assert_eq!(t.depth(NodeId(6)), 0);
+        assert_eq!(t.parent(NodeId(u32::MAX)), None);
     }
 
     #[test]

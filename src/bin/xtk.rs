@@ -1,7 +1,7 @@
 //! `xtk` — a small CLI for keyword search over an XML file.
 //!
 //! ```text
-//! xtk <file.xml> <query…> [--top K] [--slca] [--all] [--engine join|stack|indexed|rdil]
+//! xtk <file.xml> <query…> [--top K] [--slca] [--all] [--engine join|stack|auto]
 //! xtk <file.xml> --batch <queries.txt> [--top K] [--all] [--slca] [--stats]
 //!
 //! A query is keywords optionally followed by `knob=value` pairs from the
@@ -16,9 +16,10 @@
 //!               directory) and serve scatter-gather with the TA merge
 //!               threshold; answers are bit-identical to --shards 1.
 //!               Join-based engines only (join/auto).
-//!   --engine E  answer with a specific engine (complete set: join, stack,
-//!               indexed; top-K: join [star join], auto [hybrid planner],
-//!               or rdil)
+//!   --engine E  answer with a specific engine (complete set: join or
+//!               stack; top-K: join [star join] or auto [hybrid planner]).
+//!               The index-based and RDIL baselines are not served; the
+//!               `experiments` binary runs them (`xtk-baselines`).
 //!   --batch F   read one keyword query per line from F and serve them as
 //!               one batch (dedup + result cache + cross-query planning);
 //!               the shared --top/--all/--slca settings apply to every
@@ -46,11 +47,12 @@ use xtk::core::query::Semantics;
 use xtk::core::request::{Executor, QueryAlgorithm, QueryRequest};
 use xtk::core::shard::{write_sharded, ShardedEngine};
 use xtk::core::{BatchItem, BatchOptions, ResultCache, TraceLevel};
+use xtk::xml::testutil::TempPath;
 
 fn usage() -> ! {
     eprintln!(
         "usage: xtk <file.xml> <keywords…> [--top K] [--all] [--slca] \
-         [--shards N] [--engine join|stack|indexed|auto|rdil] [--batch FILE] \
+         [--shards N] [--engine join|stack|auto] [--batch FILE] \
          [--explain] [--trace] [--stats]"
     );
     exit(2);
@@ -138,7 +140,7 @@ fn main() {
     // --shards: materialize the sharded layout in a scratch directory and
     // serve every query scatter-gather through it.
     let shard_dir = shards.map(|n| {
-        let dir = std::env::temp_dir().join(format!("xtk_cli_shards_{}", std::process::id()));
+        let dir = TempPath::new("xtk_cli_shards");
         match write_sharded(engine.index(), &dir, n) {
             Ok(written) => {
                 if stats {
@@ -246,10 +248,8 @@ fn main() {
         match (all, engine_name.as_str()) {
             (true, "join") => QueryAlgorithm::JoinBased,
             (true, "stack") => QueryAlgorithm::StackBased,
-            (true, "indexed") => QueryAlgorithm::IndexBased,
             (false, "join") => QueryAlgorithm::TopKJoin,
             (false, "auto") => QueryAlgorithm::Auto,
-            (false, "rdil") => QueryAlgorithm::Rdil,
             _ => usage(),
         }
     };

@@ -5,16 +5,17 @@
 //! A from-scratch Rust implementation of *"Supporting Top-K Keyword Search
 //! in XML Databases"* (Liang Jeff Chen and Yannis Papakonstantinou,
 //! ICDE 2010): join-based ELCA/SLCA evaluation over column-oriented JDewey
-//! inverted lists, a top-K star join with a tightened unseen-result
-//! threshold, plus the stack-based, index-based and RDIL baselines the
-//! paper compares against.
+//! inverted lists and a top-K star join with a tightened unseen-result
+//! threshold.  The baselines the paper compares against are the
+//! stack-based one in `xtk-core` and the index-based and RDIL ones in the
+//! `xtk-baselines` crate, which the serving engine does not run.
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
 //! * [`xml`] — XML parser, arena tree, Dewey and JDewey encodings.
 //! * [`index`] — tokenizer, scoring, columnar inverted lists, compression,
 //!   sparse indices, B-tree emulation, persistence.
-//! * [`core`] — the query engines (join-based, top-K, baselines).
+//! * [`core`] — the query engines (join-based, top-K, stack baseline).
 //! * [`datagen`] — DBLP-like / XMark-like corpus and workload generators.
 //!
 //! See the `examples/` directory for end-to-end usage and `DESIGN.md` /

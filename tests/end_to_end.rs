@@ -1,6 +1,6 @@
 //! Cross-crate integration: generate a corpus → serialize to XML →
 //! re-parse → index → persist the columnar index → reload → query with
-//! every engine → agreement and ranking checks.
+//! every engine and baseline → agreement and ranking checks.
 
 use xtk::core::engine::Engine;
 use xtk::core::query::Semantics;
@@ -11,6 +11,9 @@ use xtk::datagen::PlantedTerm;
 use xtk::index::disk::{read_index, write_index, WriteIndexOptions};
 use xtk::xml::testutil::TempPath;
 use xtk::xml::writer::{write_document, WriteOptions};
+use xtk_baselines::baseline::indexed::{indexed_search, IndexedOptions};
+use xtk_baselines::baseline::rdil::{rdil_search, RdilOptions};
+use xtk_baselines::BaselineIndex;
 
 fn corpus_engine() -> Engine {
     let cfg = DblpConfig {
@@ -55,27 +58,33 @@ fn generated_corpus_survives_xml_roundtrip() {
 #[test]
 fn engines_agree_on_generated_corpus() {
     let engine = corpus_engine();
+    let bx = BaselineIndex::new(engine.index());
     for words in [
         vec!["planted1", "planted2"],
         vec!["planted1", "planted3"],
         vec!["planted1", "planted2", "planted3"],
     ] {
         let q = engine.query(&words.join(" ")).unwrap();
-        // SLCA: all three complete engines agree exactly.
-        let mut sets: Vec<Vec<_>> = [
-            QueryAlgorithm::JoinBased,
-            QueryAlgorithm::StackBased,
-            QueryAlgorithm::IndexBased,
-        ]
-        .iter()
-        .map(|&a| {
-            let req = QueryRequest::complete(Semantics::Slca).unranked().with_algorithm(a);
-            let mut v: Vec<_> =
-                engine.run(&q, &req).results.into_iter().map(|r| r.node).collect();
-            v.sort();
-            v
-        })
-        .collect();
+        // SLCA: the two served complete engines and the index-based
+        // baseline agree exactly.
+        let indexed = indexed_search(
+            &bx,
+            &q,
+            &IndexedOptions { semantics: Semantics::Slca, with_scores: false },
+        );
+        let mut sets: Vec<Vec<_>> = [QueryAlgorithm::JoinBased, QueryAlgorithm::StackBased]
+            .iter()
+            .map(|&a| {
+                let req = QueryRequest::complete(Semantics::Slca).unranked().with_algorithm(a);
+                engine.run(&q, &req).results
+            })
+            .chain([indexed])
+            .map(|rs| {
+                let mut v: Vec<_> = rs.into_iter().map(|r| r.node).collect();
+                v.sort();
+                v
+            })
+            .collect();
         let first = sets.remove(0);
         for s in sets {
             assert_eq!(s, first, "SLCA disagreement on {words:?}");
@@ -155,27 +164,50 @@ fn persistence_roundtrip_on_generated_corpus() {
 #[test]
 fn rdil_and_indexed_agree_on_formal_ranking() {
     let engine = corpus_engine();
+    let bx = BaselineIndex::new(engine.index());
     let q = engine.query("planted1 planted3").unwrap();
-    let mut complete: Vec<_> = engine
-        .index()
-        .term_by_str("planted1")
-        .map(|_| {
-            xtk::core::baseline::indexed::indexed_search(
-                engine.index(),
-                &q,
-                &xtk::core::baseline::indexed::IndexedOptions {
-                    semantics: Semantics::Elca,
-                    with_scores: true,
-                },
-            )
-        })
-        .unwrap();
+    let mut complete =
+        indexed_search(&bx, &q, &IndexedOptions { semantics: Semantics::Elca, with_scores: true });
     sort_ranked(&mut complete);
-    let top = engine
-        .run(&q, &QueryRequest::top_k(5, Semantics::Elca).with_algorithm(QueryAlgorithm::Rdil))
-        .results;
+    let (top, _) = rdil_search(&bx, &q, &RdilOptions { k: 5, semantics: Semantics::Elca });
     assert_eq!(top.len(), 5.min(complete.len()));
     for (i, r) in top.iter().enumerate() {
         assert!((r.score - complete[i].score).abs() < 1e-4, "rank {i}");
     }
+}
+
+#[test]
+fn cli_refuses_the_unserved_baselines_with_usage() {
+    let path = TempPath::new("xtk_e2e_cli");
+    std::fs::write(&path, "<bib><paper><title>xml keyword search</title></paper></bib>").unwrap();
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_xtk"))
+            .arg(&*path)
+            .args(["xml", "search"])
+            .args(args)
+            .output()
+            .expect("run xtk")
+    };
+    for args in [
+        &["--engine", "rdil"][..],
+        &["--all", "--engine", "rdil"],
+        &["--engine", "indexed"],
+        &["--all", "--engine", "indexed"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: xtk"), "{args:?}");
+    }
+    for args in [&["--all", "--engine", "stack"][..], &["--engine", "auto"]] {
+        let out = run(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("/bib/paper/title"), "{args:?}");
+    }
+    // The query language refuses them too, with the offending knob named.
+    let out = run(&["alg=rdil"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let want = "invalid algorithm value `rdil` (expected auto, join, stack or topk)";
+    assert!(err.contains(want), "{err}");
 }
