@@ -71,11 +71,11 @@ expect_sites 1 'into_inner()'
 
 echo "== one block directory: one parse, no format without row counts"
 # What a directory entry is and which files are valid is decided by
-# disk::parse_directory alone — the store's open and the eager read_index
-# both go through it — and format v1 (entries without row count and last
-# value) is gone with the structures that mirrored its directory.  A
-# second "block offset" read means a second parser; any of the three
-# names means a v1 path or the SparseIndex clone came back.
+# disk::parse_directory alone — the store's open goes through it — and
+# format v1 (entries without row count and last value) is gone with the
+# structures that mirrored its directory.  A second "block offset" read
+# means a second parser; any of the three names means a v1 path or the
+# SparseIndex clone came back.
 sites=$(grep -rnF '"block offset"' --include='*.rs' crates/index/src crates/core/src | wc -l)
 [ "$sites" -eq 1 ] || {
     echo "ERROR: $sites parse sites of \"block offset\" under crates/index/src + crates/core/src, expected 1:" >&2
@@ -86,6 +86,17 @@ for name in MAGIC_V1 has_footers SparseIndex; do
         echo "ERROR: $name is back under crates/index/src + crates/core/src" >&2; exit 1
     fi
 done
+
+echo "== one on-disk format: one block layout, encoder, decoder, magic and reader"
+# xtk-index writes and reads the bit-packed layout alone (file version 4),
+# and DiskColumnStore is its one reader.  The varint layout, its magic and
+# the eager reader that decoded whole files are gone; any of these names
+# under the source trees means a second format or reader came back.
+if grep -rnw -e MAGIC_V2 -e BlockLayout -e decode_block_varint -e encode_column_packed \
+        -e read_index -e read_index_bytes -e PersistedIndex -e 'FormatVersion::V2' \
+        --include='*.rs' crates src tests examples >&2; then
+    echo "ERROR: a second on-disk format or reader is back (lines above)" >&2; exit 1
+fi
 
 echo "== one row -> number lookup per column: the row directory or the plain search"
 # The top-K drain reads a retrieved row's JDewey number through the
@@ -197,11 +208,11 @@ echo "== bench smoke: sharded scatter-gather vs committed baseline"
 cargo run -q --offline --release -p xtk-bench --bin shard_bench -- --check BENCH_shard.json
 
 echo "== bench smoke: block decode vs committed baseline"
-# Times cold column decodes in the varint (v2) and bit-packed (v3) block
-# layouts; the run itself asserts that both layouts reproduce the
-# in-memory runs bit for bit and that packed delta lanes decode >=1.5x
-# faster than varints.  The --check compares the deterministic counters
-# (payload bytes, cold decode counts, file sizes) with a 20 % ratchet;
+# Times cold column decodes per compression regime and answers a query
+# set off a cold store; the run itself asserts that every column decodes
+# back to its in-memory runs and the store answers as the in-memory
+# engine, bit for bit.  The --check compares the deterministic counters
+# (payload bytes, cold decode counts, file size) with a 20 % ratchet;
 # timings are recorded in the trajectory but never compared.  Refresh
 # after an intentional change with:
 #   decode_bench --check BENCH_decode.json --update

@@ -25,7 +25,7 @@ use xtk_core::request::{DiskEngine, Executor};
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, QueryRequest};
 use xtk_bench::{cold_store, store_image};
-use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_index::disk::WriteIndexOptions;
 use xtk_xml::testutil::TempPath;
 
 /// Small deterministic mixed-depth corpus: conference names at level 3,
@@ -105,8 +105,8 @@ fn main() {
     // sharded section is the regression gate for the one-tree contract:
     // shard fan-out may only add `io: shard=N` delta lines, never
     // duplicate the tree.
-    let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V3 };
-    let image = store_image(engine.index(), opts).expect("write v3 index");
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    let image = store_image(engine.index(), opts).expect("write index");
     let shard_dir = TempPath::new("xtk_explain_snap_shards");
     write_sharded(engine.index(), &shard_dir, 4).expect("write sharded corpus");
     for text in ["series xml", "xml search k=3"] {

@@ -28,7 +28,7 @@ use xtk_core::plan::Planner;
 use xtk_core::query::Query;
 use xtk_core::request::QueryRequest;
 use xtk_core::Semantics;
-use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_index::disk::WriteIndexOptions;
 
 /// The `query_io` pruning workload: mixed-depth conference-name ×
 /// high-frequency-title pairs plus the index-heavy point queries.
@@ -58,9 +58,9 @@ fn main() {
     eprintln!("plan_bench: building the DBLP benchmark corpus…");
     // The `query_io` corpus.
     let ix = gate_corpus(50_000, 200, 10, 30, 10_000);
-    let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V3 };
-    let image = store_image(&ix, opts).expect("write v3 index");
-    let store = cold_store(&image).expect("open v3 store");
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    let image = store_image(&ix, opts).expect("write index");
+    let store = cold_store(&image).expect("open store");
 
     let words = pruning_queries(Scale::Small);
     let queries: Vec<Query> = words

@@ -33,7 +33,7 @@ use xtk_core::query::Query;
 use xtk_core::request::{DiskEngine, Executor, QueryRequest};
 use xtk_core::Semantics;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
-use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_index::disk::WriteIndexOptions;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -146,9 +146,8 @@ fn main() {
 
     eprintln!("query_io: building the DBLP benchmark corpus…");
     let ix = gate_corpus(50_000, 200, 10, 30, 10_000);
-    let image =
-        store_image(&ix, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
-            .expect("write v2 index");
+    let image = store_image(&ix, WriteIndexOptions { include_scores: true, ..Default::default() })
+        .expect("write index");
 
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     type CacheCtor = fn() -> Arc<dyn BlockCache>;
@@ -188,7 +187,7 @@ fn main() {
         let mut unbounded_cold = 0u64;
         for (cname, mk_cache) in &configs {
             let store =
-                DiskColumnStore::open_bytes(image.clone(), mk_cache()).expect("open v2 store");
+                DiskColumnStore::open_bytes(image.clone(), mk_cache()).expect("open store");
             let (run, fp, results) = run_config(&ix, &store, &queries, &opts);
             assert_eq!(
                 fp.0, mem_fp.0,
@@ -258,7 +257,7 @@ fn main() {
     for words in &pruning_queries {
         let q = Query::from_words(&ix, words).expect("pruning term resolves");
         for (i, rules) in tiers.iter().enumerate() {
-            let store = cold_store(&image).expect("open v2 store");
+            let store = cold_store(&image).expect("open store");
             let disk = DiskEngine::new(&ix, &store);
             let resp = disk.execute(&q, &req.with_rules(*rules)).expect("disk execute");
             for r in &resp.results {

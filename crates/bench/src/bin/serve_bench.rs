@@ -38,7 +38,7 @@ use xtk_core::query::{Query, Semantics};
 use xtk_core::{BatchExecutor, BatchItem, BatchOptions, DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::pool::Parallelism;
 use xtk_index::bytes::ColumnBytes;
-use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_index::disk::WriteIndexOptions;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -162,9 +162,8 @@ fn main() {
     // reuse, not block-directory pressure), with the same planted bands so
     // the standard workload helpers resolve.
     let ix = gate_corpus(12_000, 120, 10, 25, 8_000);
-    let image =
-        store_image(&ix, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
-            .expect("write index image");
+    let image = store_image(&ix, WriteIndexOptions { include_scores: true, ..Default::default() })
+        .expect("write index image");
 
     let items = distinct_items(&ix);
     let schedule = skewed_schedule(items.len(), TOTAL_ARRIVALS, SCHEDULE_SEED);

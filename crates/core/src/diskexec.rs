@@ -25,10 +25,9 @@ use xtk_obs::{EventKind, Obs};
 pub struct DiskJoinSpec {
     /// Semantics, variant and scoring of the join.
     pub join: JoinOptions,
-    /// Let join steps pass over the blocks no probe falls in (by the v2/v3
-    /// `[first, last]` footers; on v1 a step stops at the first block above
-    /// its last probe).  Off reproduces the plain full-scan join (the
-    /// `push-probes` rule disabled).
+    /// Let join steps pass over the blocks no probe falls in (by the
+    /// directory's `[first, last]` footers).  Off reproduces the plain
+    /// full-scan join (the `push-probes` rule disabled).
     pub block_skip: bool,
     /// Decode every block of every level of every keyword before joining
     /// — the paper's §III-B whole-sequence strawman (the `prune-columns`

@@ -6,7 +6,7 @@
 //! distinct-value (run) counts, block counts and footer value spans.
 //! [`PlanStats::from_index`] estimates block counts from the in-memory
 //! run counts; [`PlanStats::from_store`] reads the exact block counts
-//! and `[first, last]` value spans from the v2/v3 directory without
+//! and `[first, last]` value spans from the block directory without
 //! decoding a single block.
 //!
 //! The cost model estimates *decoded blocks and rows* for the two
@@ -50,7 +50,7 @@ pub struct LevelStats {
     /// directory, estimated from run counts in memory).
     pub blocks: u64,
     /// `[first, last]` value range of the column, when known (directory
-    /// first values + v2/v3 footer lasts; `None` in memory estimates
+    /// first values + footer lasts; `None` in memory estimates
     /// only for empty columns).
     pub span: Option<(u32, u32)>,
 }
@@ -128,8 +128,8 @@ fn occupancy(probes: u64, blocks: u64) -> u64 {
 /// scaled by the overlap fraction of the probed column's span under
 /// the uniform-distribution assumption — a driver clustered in a
 /// narrow value range can only touch the few blocks whose footer
-/// ranges cover it, which is exactly the elimination the v2/v3 footers
-/// deliver.  Decoded rows are capped both by the column and by the
+/// ranges cover it, which is exactly the elimination the directory's
+/// footers deliver.  Decoded rows are capped both by the column and by the
 /// probed blocks' capacity.
 pub fn probe_cost(driver: &[LevelStats], term: &[LevelStats]) -> Cost {
     let mut total = Cost::default();

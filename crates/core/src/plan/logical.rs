@@ -10,8 +10,9 @@
 //!   to the query-relevant prefix `1..=l0` and switches the scan to
 //!   streaming (level-at-a-time, decode on demand).
 //! * [`IndexProbe`](PlanNode::IndexProbe) — probe access to a keyword's
-//!   columns: at most one block decode per probed value, with the v2/v3
-//!   last-value footers skipping blocks that cannot contain a probe.
+//!   columns: at most one block decode per probed value, with the
+//!   directory's last-value footers skipping blocks that cannot contain a
+//!   probe.
 //!   Produced from streaming scans by the predicate-pushdown rewrite.
 //! * [`Join`](PlanNode::Join) — the per-level conjunctive join of its
 //!   inputs (Algorithm 1's bottom-up loop), driver chosen per level.

@@ -10,9 +10,9 @@
 //! 2. **push-probes** — among the streamed scans of a join, every
 //!    non-driver input can be consumed by *probing* instead of scanning:
 //!    the executor looks up only values the driver produced, and the
-//!    v2/v3 last-value footers skip blocks that cannot contain a probed
-//!    value.  The rule turns those scans into [`PlanNode::IndexProbe`]
-//!    leaves.  It only fires on streamed scans, so disabling
+//!    directory's last-value footers skip blocks that cannot contain a
+//!    probed value.  The rule turns those scans into
+//!    [`PlanNode::IndexProbe`] leaves.  It only fires on streamed scans, so disabling
 //!    prune-columns also disables the pushdown (rules compose through
 //!    the IR, not through side channels).
 //! 3. **eliminate-noops** — collapses single-input joins (a one-keyword

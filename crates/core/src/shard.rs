@@ -174,14 +174,11 @@ pub fn write_sharded(ix: &XmlIndex, dir: &Path, shards: usize) -> io::Result<usi
 }
 
 /// [`write_sharded`] with explicit [`WriteIndexOptions`] applied to every
-/// shard store — chiefly to pick the on-disk [`FormatVersion`] (varint v2
-/// vs bit-packed v3 block lanes).  The manifest does not record the
-/// format; each shard file carries its own magic, so mixed-format
-/// directories open fine and the answers are layout-invariant.  Ranked
-/// serving needs `include_scores: true`; writing without scores produces
-/// a store the [`ShardedEngine`] will reject at query time.
-///
-/// [`FormatVersion`]: xtk_index::disk::FormatVersion
+/// shard store.  The manifest does not record them; each shard file
+/// carries its own magic.  `include_scores` only sizes the files: the
+/// [`ShardedEngine`] reads no score section — shard scores are stamped
+/// from the corpus-global index — so stores written without scores
+/// serve ranked requests exactly as stores written with them.
 pub fn write_sharded_with(
     ix: &XmlIndex,
     dir: &Path,

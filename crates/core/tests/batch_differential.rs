@@ -17,7 +17,7 @@ use xtk_core::{
 };
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
 use xtk_index::bytes::ColumnBytes;
-use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{write_index_to, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -195,7 +195,7 @@ fn disk_batches_match_and_hits_decode_nothing() {
     let xml = corpus();
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
     let mut image = Vec::new();
-    let opts = WriteIndexOptions { include_scores: true, format: FormatVersion::V2 };
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
     write_index_to(&ix, &mut image, opts).unwrap();
     let image = ColumnBytes::from(Arc::<[u8]>::from(image));
 

@@ -13,16 +13,17 @@
 use xtk_core::query::Query;
 use xtk_core::result::{sort_ranked, ScoredResult};
 use xtk_index::bytes::ColumnBytes;
-use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{write_index_to, WriteIndexOptions};
 use xtk_index::XmlIndex;
 use xtk_xml::testutil::Gen;
 use xtk_xml::tree::{NodeId, XmlTree};
 
 /// The scored file `write_index` would produce for `ix`, in memory and
 /// shareable between stores: the disk tests touch no filesystem.
-pub fn store_image(ix: &XmlIndex, format: FormatVersion) -> ColumnBytes {
+pub fn store_image(ix: &XmlIndex) -> ColumnBytes {
     let mut bytes = Vec::new();
-    write_index_to(ix, &mut bytes, WriteIndexOptions { include_scores: true, format }).unwrap();
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    write_index_to(ix, &mut bytes, opts).unwrap();
     ColumnBytes::from(std::sync::Arc::<[u8]>::from(bytes))
 }
 

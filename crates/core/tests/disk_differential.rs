@@ -1,5 +1,5 @@
 //! Differential tests for the disk executor: the answer to a query must
-//! not depend on the cache capacity or the file format version.  The
+//! not depend on the cache capacity.  The
 //! stores read in-memory file images; nothing touches the filesystem.
 //! Results are compared **bit-identically** (nodes, levels, `f32` score
 //! bits, join stats) against a run over an unbounded cache, and the decode
@@ -16,7 +16,6 @@ use xtk_core::query::{Query, Semantics};
 use xtk_core::result::ScoredResult;
 use xtk_index::bytes::ColumnBytes;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
-use xtk_index::disk::FormatVersion;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 
@@ -51,7 +50,7 @@ fn assert_bit_identical(base: &[ScoredResult], got: &[ScoredResult], what: &str)
 fn results_invariant_under_cache_capacity() {
     let xml = corpus(900);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let image = image(&ix, FormatVersion::V2);
+    let image = image(&ix);
     let queries = [
         vec!["common", "rare17"],
         vec!["common", "topic3"],
@@ -99,8 +98,7 @@ fn capacity_one_still_terminates_and_repeats_deterministically() {
     // on one store must still agree with each other bit for bit.
     let xml = corpus(400);
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let store =
-        open(&image(&ix, FormatVersion::V2), Arc::new(ShardedLruCache::with_block_capacity(1)));
+    let store = open(&image(&ix), Arc::new(ShardedLruCache::with_block_capacity(1)));
     let q = Query::from_words(&ix, &["common", "rare17"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let (a, sa, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
@@ -108,57 +106,4 @@ fn capacity_one_still_terminates_and_repeats_deterministically() {
     assert_bit_identical(&a, &b, "repeat on capacity-1 cache");
     assert_eq!(sa, sb);
     assert!(store.cache_stats().evictions > 0, "capacity 1 must evict");
-}
-
-#[test]
-fn v3_packed_lanes_bit_identical_to_v2_across_caches() {
-    // The bit-packed (v3) block layout changes only the wire encoding:
-    // answers, join stats, and — under an unbounded cache — the cold
-    // decode counts must match the varint (v2) layout bit for bit, under
-    // every cache shape.
-    let xml = corpus(900);
-    let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let (v2, v3) = (image(&ix, FormatVersion::V2), image(&ix, FormatVersion::V3));
-    let queries = [
-        vec!["common", "rare17"],
-        vec!["common", "topic3"],
-        vec!["topic1", "rare5", "common"],
-    ];
-    type CacheCtor = fn() -> Arc<dyn BlockCache>;
-    let caches: Vec<(&str, CacheCtor)> = vec![
-        ("one-block", || Arc::new(ShardedLruCache::with_block_capacity(1))),
-        ("tiny-bytes", || Arc::new(ShardedLruCache::with_byte_capacity(1 << 13))),
-        ("unbounded", || Arc::new(ShardedLruCache::unbounded())),
-    ];
-
-    for words in &queries {
-        let q = Query::from_words(&ix, words).unwrap();
-        for semantics in [Semantics::Elca, Semantics::Slca] {
-            let opts = JoinOptions { semantics, with_scores: true, ..Default::default() };
-            // Baseline: v2 over an unbounded cache, cold.
-            let base_store = open(&v2, Arc::new(ShardedLruCache::unbounded()));
-            let (base, base_stats, base_reads) =
-                join_search_disk(&ix, &base_store, &q, &opts).unwrap();
-            assert!(base_reads > 0, "cold v2 baseline must decode blocks");
-            // v3 reference for the decode-count pin: block cuts differ
-            // between the layouts (packed lanes fill blocks differently),
-            // so the count is pinned against a v3 run, not v2.
-            let v3_store = open(&v3, Arc::new(ShardedLruCache::unbounded()));
-            let (_, _, v3_reads) = join_search_disk(&ix, &v3_store, &q, &opts).unwrap();
-            assert!(v3_reads > 0, "cold v3 baseline must decode blocks");
-
-            for (name, mk_cache) in &caches {
-                let store = open(&v3, mk_cache());
-                let (got, stats, reads) = join_search_disk(&ix, &store, &q, &opts).unwrap();
-                let what = format!("{words:?} {semantics:?} v3 cache={name}");
-                assert_bit_identical(&base, &got, &what);
-                assert_eq!(base_stats, stats, "{what}: join stats");
-                if *name == "unbounded" {
-                    // Unbounded cache: every needed block decoded at most
-                    // once, so the count matches the v3 reference.
-                    assert_eq!(v3_reads, reads, "{what}: decode count");
-                }
-            }
-        }
-    }
 }

@@ -13,7 +13,7 @@ use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{write_index, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::maintain::JDeweyMaintainer;
@@ -76,40 +76,34 @@ fn cached_plans_are_result_identical_in_memory() {
 #[test]
 fn cached_plans_are_result_identical_on_disk() {
     let e = Engine::from_xml(&corpus()).unwrap();
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let path = TempPath::new(&format!("xtk_plan_cache_diff_{format:?}"));
-        write_index(
-            e.index(),
-            &path,
-            WriteIndexOptions { include_scores: true, format },
-        )
+    let path = TempPath::new("xtk_plan_cache_diff");
+    write_index(e.index(), &path, WriteIndexOptions { include_scores: true, ..Default::default() })
         .unwrap();
-        let store = DiskColumnStore::open_with_cache(
-            &path,
-            Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>,
-        )
-        .unwrap();
-        let disk = DiskEngine::new(e.index(), &store);
-        // The disk executor implements the join-based route only, so
-        // the star-join request stays on the in-memory grid.
-        let disk_requests = [
-            ("complete-elca", QueryRequest::complete(Semantics::Elca)),
-            ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
-        ];
-        for q_text in QUERIES {
-            let q = e.query(q_text).unwrap();
-            for (req_name, req) in disk_requests {
-                let cold = disk.execute(&q, &req).unwrap().results;
-                let warm = disk.execute(&q, &req).unwrap().results;
-                assert_eq!(bits(&cold), bits(&warm), "{q_text:?} {req_name} {format:?}");
-                // The memory executor referees the cached disk plan.
-                let mem = e.run(&q, &req).results;
-                assert_eq!(bits(&warm), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
-            }
+    let store = DiskColumnStore::open_with_cache(
+        &path,
+        Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>,
+    )
+    .unwrap();
+    let disk = DiskEngine::new(e.index(), &store);
+    // The disk executor implements the join-based route only, so
+    // the star-join request stays on the in-memory grid.
+    let disk_requests = [
+        ("complete-elca", QueryRequest::complete(Semantics::Elca)),
+        ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
+    ];
+    for q_text in QUERIES {
+        let q = e.query(q_text).unwrap();
+        for (req_name, req) in disk_requests {
+            let cold = disk.execute(&q, &req).unwrap().results;
+            let warm = disk.execute(&q, &req).unwrap().results;
+            assert_eq!(bits(&cold), bits(&warm), "{q_text:?} {req_name}");
+            // The memory executor referees the cached disk plan.
+            let mem = e.run(&q, &req).results;
+            assert_eq!(bits(&warm), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
         }
-        let stats = disk.planner().cache().stats();
-        assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
     }
+    let stats = disk.planner().cache().stats();
+    assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
 }
 
 #[test]
@@ -149,12 +143,8 @@ fn cached_plans_are_result_identical_sharded() {
 fn cached_spec_equals_cold_spec_for_both_snapshots() {
     let e = Engine::from_xml(&corpus()).unwrap();
     let path = TempPath::new("xtk_plan_cache_spec");
-    write_index(
-        e.index(),
-        &path,
-        WriteIndexOptions { include_scores: true, format: FormatVersion::V3 },
-    )
-    .unwrap();
+    write_index(e.index(), &path, WriteIndexOptions { include_scores: true, ..Default::default() })
+        .unwrap();
     let store = DiskColumnStore::open_with_cache(
         &path,
         Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>,

@@ -14,7 +14,6 @@ use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::disk::FormatVersion;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_xml::testutil::TempPath;
 
@@ -94,29 +93,27 @@ fn every_rule_is_result_preserving_on_disk() {
         ("cap1", || Arc::new(ShardedLruCache::with_block_capacity(1))),
         ("unbounded", || Arc::new(ShardedLruCache::unbounded())),
     ];
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let image = image(e.index(), format);
-        for (cname, mk_cache) in caches {
-            let store = DiskColumnStore::open_bytes(image.clone(), mk_cache()).unwrap();
-            let disk = DiskEngine::new(e.index(), &store);
-            for q_text in ["series xml", "top join"] {
-                let q = e.query(q_text).unwrap();
-                for (req_name, req) in [
-                    ("complete", QueryRequest::complete(Semantics::Elca)),
-                    ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
-                ] {
-                    let want = disk.execute(&q, &req.with_rules(RuleSet::all())).unwrap().results;
-                    // The memory executor is the cross-engine referee.
-                    let mem = e.run(&q, &req.with_rules(RuleSet::all())).results;
-                    assert_eq!(bits(&want), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
-                    for (rule_name, rules) in rule_sets() {
-                        let got = disk.execute(&q, &req.with_rules(rules)).unwrap().results;
-                        assert_eq!(
-                            bits(&want),
-                            bits(&got),
-                            "{q_text:?} {req_name} rules={rule_name} {format:?} {cname}"
-                        );
-                    }
+    let image = image(e.index());
+    for (cname, mk_cache) in caches {
+        let store = DiskColumnStore::open_bytes(image.clone(), mk_cache()).unwrap();
+        let disk = DiskEngine::new(e.index(), &store);
+        for q_text in ["series xml", "top join"] {
+            let q = e.query(q_text).unwrap();
+            for (req_name, req) in [
+                ("complete", QueryRequest::complete(Semantics::Elca)),
+                ("auto-k3", QueryRequest::top_k(3, Semantics::Slca)),
+            ] {
+                let want = disk.execute(&q, &req.with_rules(RuleSet::all())).unwrap().results;
+                // The memory executor is the cross-engine referee.
+                let mem = e.run(&q, &req.with_rules(RuleSet::all())).results;
+                assert_eq!(bits(&want), bits(&mem), "{q_text:?} {req_name} disk-vs-mem");
+                for (rule_name, rules) in rule_sets() {
+                    let got = disk.execute(&q, &req.with_rules(rules)).unwrap().results;
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "{q_text:?} {req_name} rules={rule_name} {cname}"
+                    );
                 }
             }
         }
@@ -173,7 +170,7 @@ fn pruning_strictly_reduces_cold_decodes() {
     }
     xml.push_str("</dblp>");
     let e = Engine::from_xml(&xml).unwrap();
-    let image = image(e.index(), FormatVersion::V3);
+    let image = image(e.index());
     // The driver is the scarce clustered term; the frequent deep term is
     // the one pruned (levels above l0) and probed (footer block skipping).
     let q = e.query("xml anchor").unwrap();

@@ -12,7 +12,7 @@ use xtk_core::{
     Engine, Executor, Parallelism, Query, QueryAlgorithm, QueryRequest, Semantics,
 };
 use xtk_index::cache::ShardedLruCache;
-use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_index::disk::WriteIndexOptions;
 use xtk_index::XmlIndex;
 use xtk_obs::TraceLevel;
 use xtk_xml::parse;
@@ -138,44 +138,20 @@ fn results_bit_identical_across_topology_parallelism_and_cache() {
 }
 
 #[test]
-fn packed_shard_stores_bit_identical_to_varint() {
-    // Same topology written in the varint (v2) and bit-packed (v3) block
-    // layouts: every workload answer must agree bit for bit, across
-    // serial and parallel scatter, on a 1-shard and a 4-shard split.
+fn stores_written_without_scores_serve_ranked_requests() {
+    // Nothing reads a shard file's score section: shard scores are
+    // stamped into each shard's in-memory index from the corpus-global
+    // one.  So stores written without scores open and answer every
+    // request, top-K included, bit for bit as the unsharded reference.
     let ix = corpus();
-    let work = workload(&ix);
-    for shards in [1usize, 4] {
-        let (d2, d3) = (
-            tmp(&format!("fmt_v2_{shards}")),
-            tmp(&format!("fmt_v3_{shards}")),
-        );
-        write_sharded_with(
-            &ix,
-            &d2,
-            shards,
-            WriteIndexOptions { include_scores: true, format: FormatVersion::V2 },
-        )
-        .unwrap();
-        write_sharded_with(
-            &ix,
-            &d3,
-            shards,
-            WriteIndexOptions { include_scores: true, format: FormatVersion::V3 },
-        )
-        .unwrap();
-        for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
-            let v2 = ShardedEngine::open(&ix, &d2).unwrap().with_parallelism(parallelism);
-            let v3 = ShardedEngine::open(&ix, &d3).unwrap().with_parallelism(parallelism);
-            for (q, req) in &work {
-                let a = v2.execute(q, req).unwrap();
-                let b = v3.execute(q, req).unwrap();
-                assert_bit_identical(
-                    &format!("{shards} shards, {parallelism:?}, v2 vs v3"),
-                    &b.results,
-                    &a.results,
-                );
-            }
-        }
+    let engine = Engine::from_index(corpus());
+    let dir = tmp("noscores");
+    let opts = WriteIndexOptions { include_scores: false, ..Default::default() };
+    write_sharded_with(&ix, &dir, 4, opts).unwrap();
+    let sharded = ShardedEngine::open(&ix, &dir).unwrap();
+    for (q, req) in &workload(&ix) {
+        let got = sharded.execute(q, req).unwrap();
+        assert_bit_identical("4 shards, no scores", &got.results, &reference(&engine, q, req));
     }
 }
 

@@ -22,7 +22,7 @@ use xtk_core::shard::{shard_dir_name, write_sharded_with, ShardedEngine, STORE_F
 use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::columnar::{Column, Feed, Run, RunCursor};
-use xtk_index::disk::{FormatVersion, WriteIndexOptions};
+use xtk_index::disk::WriteIndexOptions;
 use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::XmlIndex;
 use xtk_obs::Obs;
@@ -123,30 +123,28 @@ fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
 
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let (want, _) = join_search(ix, query, &opts);
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let bytes = image(ix, format);
-        for block_skip in [true, false] {
-            for one_block in [true, false] {
-                let label = format!("{format:?} skip={block_skip} cap1={one_block}");
-                let store = DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
-                let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-                let session = IoSession::default();
-                let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
-                let disk_store = Storage {
-                    label: &label,
-                    size_of: |c| c.row_count() as usize,
-                    accesses: &|| session.stats().hits + session.stats().misses,
-                    blocks_of: &|term, l| {
-                        store.column(term, l).map_or(0, |c| c.block_count() as u64)
-                    },
-                };
-                check_contract(&disk_store, &mut disk, ix, query, g);
-                // And the one driver over it answers as over memory.
-                let session = IoSession::default();
-                let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
-                let (got, _) = algorithm1(ix, query, &opts, &mut disk, &Obs::default()).unwrap();
-                assert_eq!(bits(&want), bits(&got), "{label}: driver results");
-            }
+    let bytes = image(ix);
+    for block_skip in [true, false] {
+        for one_block in [true, false] {
+            let label = format!("skip={block_skip} cap1={one_block}");
+            let store = DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
+            let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+            let session = IoSession::default();
+            let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
+            let disk_store = Storage {
+                label: &label,
+                size_of: |c| c.row_count() as usize,
+                accesses: &|| session.stats().hits + session.stats().misses,
+                blocks_of: &|term, l| {
+                    store.column(term, l).map_or(0, |c| c.block_count() as u64)
+                },
+            };
+            check_contract(&disk_store, &mut disk, ix, query, g);
+            // And the one driver over it answers as over memory.
+            let session = IoSession::default();
+            let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
+            let (got, _) = algorithm1(ix, query, &opts, &mut disk, &Obs::default()).unwrap();
+            assert_eq!(bits(&want), bits(&got), "{label}: driver results");
         }
     }
 }
@@ -163,7 +161,7 @@ fn every_source_honours_the_cursor_contract() {
     });
 }
 
-/// 40 000 papers: `common` spans several blocks in either layout.
+/// 40 000 papers: `common` spans several blocks.
 fn many_block_corpus() -> XmlIndex {
     let mut xml = String::from("<r>");
     for i in 0..40_000 {
@@ -184,31 +182,29 @@ fn cursors_cross_block_boundaries_as_they_cross_runs() {
 fn a_cursor_keeps_its_block_when_the_cache_evicts_it() {
     let ix = many_block_corpus();
     let col = &ix.term_by_str("common").unwrap().columns[2];
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let store = DiskColumnStore::open_bytes(image(&ix, format), cache(true)).unwrap();
-        let dc = store.column("common", 3).unwrap();
-        assert!(dc.block_count() > 1, "{format:?}: the column must span blocks");
-        let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
-        let (first, rest) = col.runs.split_first().unwrap();
-        assert_eq!(cursor.seek(first.value).unwrap(), Some(*first));
-        // Another column's block takes the cache's one slot.
-        let evictions = store.cache_stats().evictions;
-        store.column("common", 2).unwrap().scan().unwrap();
-        assert!(store.cache_stats().evictions > evictions, "{format:?}: nothing was evicted");
-        // The cursor reads on in the evicted block, without a decode,
-        // until a lookup leaves it.
-        let decodes = store.reads();
-        let mut in_block = 0;
-        for run in rest {
-            assert_eq!(cursor.seek(run.value).unwrap(), Some(*run), "{format:?}");
-            assert_eq!(cursor.seek(run.value).unwrap(), Some(*run), "{format:?}: a repeat");
-            if store.reads() > decodes {
-                break;
-            }
-            in_block += 1;
+    let store = DiskColumnStore::open_bytes(image(&ix), cache(true)).unwrap();
+    let dc = store.column("common", 3).unwrap();
+    assert!(dc.block_count() > 1, "the column must span blocks");
+    let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
+    let (first, rest) = col.runs.split_first().unwrap();
+    assert_eq!(cursor.seek(first.value).unwrap(), Some(*first));
+    // Another column's block takes the cache's one slot.
+    let evictions = store.cache_stats().evictions;
+    store.column("common", 2).unwrap().scan().unwrap();
+    assert!(store.cache_stats().evictions > evictions, "nothing was evicted");
+    // The cursor reads on in the evicted block, without a decode,
+    // until a lookup leaves it.
+    let decodes = store.reads();
+    let mut in_block = 0;
+    for run in rest {
+        assert_eq!(cursor.seek(run.value).unwrap(), Some(*run));
+        assert_eq!(cursor.seek(run.value).unwrap(), Some(*run), "a repeat");
+        if store.reads() > decodes {
+            break;
         }
-        assert!(in_block > 0, "{format:?}: the first block holds one run only");
+        in_block += 1;
     }
+    assert!(in_block > 0, "the first block holds one run only");
 }
 
 /// 40 000 papers: `common` in each, `early` in the first tenth only, so a
@@ -230,38 +226,35 @@ fn block_skip_is_the_one_skip_rule_on_every_format() {
     let ix = clustered_corpus();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     // Per query: `(decodes, misses, evictions)` through a one-block cache
-    // under `block_skip` on and off, on v2 and on v3 — the counts of the
-    // per-step strategies this rule replaced (PR 16), which decoded the
-    // same blocks.
+    // under `block_skip` on and off — the counts of the per-step
+    // strategies this rule replaced, which decoded the same blocks.
     type Io = (u64, u64, u64);
-    let queries: [(&[&str], [[Io; 2]; 2]); 3] = [
-        (&["x7", "common"], [[(24, 24, 23), (24, 24, 23)], [(8, 8, 7), (8, 8, 7)]]),
-        (&["early", "common"], [[(6, 6, 5), (24, 24, 23)], [(6, 6, 5), (8, 8, 7)]]),
-        (&["x7", "early", "common"], [[(9, 9, 8), (27, 27, 26)], [(9, 9, 8), (11, 11, 10)]]),
+    let queries: [(&[&str], [Io; 2]); 3] = [
+        (&["x7", "common"], [(8, 8, 7), (8, 8, 7)]),
+        (&["early", "common"], [(6, 6, 5), (8, 8, 7)]),
+        (&["x7", "early", "common"], [(9, 9, 8), (11, 11, 10)]),
     ];
     for (words, pinned) in queries {
         let query = Query::from_words(&ix, words).unwrap();
         let (want, _) = join_search(&ix, &query, &opts);
         assert!(!want.is_empty(), "{words:?}");
-        for (format, pinned) in [FormatVersion::V2, FormatVersion::V3].into_iter().zip(pinned) {
-            let bytes = image(&ix, format);
-            let io = [true, false].map(|block_skip| {
-                let store = DiskColumnStore::open_bytes(bytes.clone(), cache(true)).unwrap();
-                let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-                let (got, _, decodes) =
-                    join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default()).unwrap();
-                assert_eq!(bits(&want), bits(&got), "{words:?} {format:?} skip={block_skip}");
-                let cache = store.cache_stats();
-                (decodes, cache.misses, cache.evictions)
-            });
-            let [skip, scan] = io;
-            assert!(skip.0 <= scan.0, "{words:?} {format:?}: skipping decoded more, {io:?}");
-            if words == ["early", "common"] {
-                // A step stops at the first block above its last probe.
-                assert!(skip.0 < scan.0, "{format:?}: {io:?}");
-            }
-            assert_eq!(io, pinned, "{words:?} {format:?}");
+        let bytes = image(&ix);
+        let io = [true, false].map(|block_skip| {
+            let store = DiskColumnStore::open_bytes(bytes.clone(), cache(true)).unwrap();
+            let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+            let (got, _, decodes) =
+                join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default()).unwrap();
+            assert_eq!(bits(&want), bits(&got), "{words:?} skip={block_skip}");
+            let cache = store.cache_stats();
+            (decodes, cache.misses, cache.evictions)
+        });
+        let [skip, scan] = io;
+        assert!(skip.0 <= scan.0, "{words:?}: skipping decoded more, {io:?}");
+        if words == ["early", "common"] {
+            // A step stops at the first block above its last probe.
+            assert!(skip.0 < scan.0, "{io:?}");
         }
+        assert_eq!(io, pinned, "{words:?}");
     }
 }
 
@@ -298,29 +291,27 @@ fn torn_block_makes_the_driver_err_on_disk_never_panic() {
     let query = Query::from_words(&ix, &["common"]).unwrap();
     let two = Query::from_words(&ix, &["common", "rare17"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let bytes = image(&ix, format);
-        let (mut opened, mut errs) = (0u32, 0u32);
-        for at in (64..bytes.len() - 8).step_by(13) {
-            let Ok(store) = DiskColumnStore::open_bytes(torn(bytes.as_slice(), at).into(), cache(false))
-            else {
-                continue; // the tear hit the directory: refused at open
-            };
-            opened += 1;
-            let scans_fail = (1..=store.levels_of("common"))
-                .any(|l| store.column("common", l).is_none_or(|c| c.scan().is_err()));
-            let spec = DiskJoinSpec { join: opts, block_skip: false, prescan: false };
-            let r = join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default());
-            if scans_fail {
-                assert!(r.is_err(), "{format:?} tear at {at}: a failing scan must surface");
-                errs += 1;
-            }
-            // The probing pipeline over the same damage: any outcome but a panic.
-            let spec = DiskJoinSpec { join: opts, block_skip: true, prescan: false };
-            let _ = join_search_disk_spec(&ix, &store, &two, &spec, &Obs::default());
+    let bytes = image(&ix);
+    let (mut opened, mut errs) = (0u32, 0u32);
+    for at in (64..bytes.len() - 8).step_by(13) {
+        let Ok(store) = DiskColumnStore::open_bytes(torn(bytes.as_slice(), at).into(), cache(false))
+        else {
+            continue; // the tear hit the directory: refused at open
+        };
+        opened += 1;
+        let scans_fail = (1..=store.levels_of("common"))
+            .any(|l| store.column("common", l).is_none_or(|c| c.scan().is_err()));
+        let spec = DiskJoinSpec { join: opts, block_skip: false, prescan: false };
+        let r = join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default());
+        if scans_fail {
+            assert!(r.is_err(), "tear at {at}: a failing scan must surface");
+            errs += 1;
         }
-        assert!(opened > 0 && errs > 0, "{format:?}: {opened} stores opened, {errs} erred");
+        // The probing pipeline over the same damage: any outcome but a panic.
+        let spec = DiskJoinSpec { join: opts, block_skip: true, prescan: false };
+        let _ = join_search_disk_spec(&ix, &store, &two, &spec, &Obs::default());
     }
+    assert!(opened > 0 && errs > 0, "{opened} stores opened, {errs} erred");
 }
 
 #[test]
@@ -328,24 +319,22 @@ fn torn_block_makes_the_sharded_engine_err_never_panic() {
     let ix = wide_corpus();
     let query = Query::from_words(&ix, &["common"]).unwrap();
     let req = QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::JoinBased);
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let dir = TempPath::new("xtk_source_conformance_torn");
-        let opts = WriteIndexOptions { include_scores: true, format };
-        write_sharded_with(&ix, &dir, 2, opts).unwrap();
-        let store_path = dir.join(shard_dir_name(1)).join(STORE_FILE);
-        let pristine = std::fs::read(&store_path).unwrap();
-        assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
-        let mut errs = 0u32;
-        for at in (64..pristine.len() - 8).step_by(211) {
-            std::fs::write(&store_path, torn(&pristine, at)).unwrap();
-            // Refused at open, refused at execute, or a tear the decoder
-            // cannot tell from data — never a panic.
-            if ShardedEngine::open(&ix, &dir).and_then(|e| e.execute(&query, &req)).is_err() {
-                errs += 1;
-            }
+    let dir = TempPath::new("xtk_source_conformance_torn");
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    write_sharded_with(&ix, &dir, 2, opts).unwrap();
+    let store_path = dir.join(shard_dir_name(1)).join(STORE_FILE);
+    let pristine = std::fs::read(&store_path).unwrap();
+    assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
+    let mut errs = 0u32;
+    for at in (64..pristine.len() - 8).step_by(211) {
+        std::fs::write(&store_path, torn(&pristine, at)).unwrap();
+        // Refused at open, refused at execute, or a tear the decoder
+        // cannot tell from data — never a panic.
+        if ShardedEngine::open(&ix, &dir).and_then(|e| e.execute(&query, &req)).is_err() {
+            errs += 1;
         }
-        assert!(errs > 0, "{format:?}: no tear surfaced as Err");
     }
+    assert!(errs > 0, "no tear surfaced as Err");
 }
 
 /// `confs` conferences over one vocabulary; each of the first `heavy`
@@ -374,14 +363,12 @@ fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
     let (small, large) = (skewed_corpus(60, 0), skewed_corpus(60, 60));
     let query = Query::from_words(&small, &["common", "rare5"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
-    for format in [FormatVersion::V2, FormatVersion::V3] {
-        let store = DiskColumnStore::open_bytes(image(&large, format), cache(false)).unwrap();
-        for block_skip in [true, false] {
-            let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-            let r = join_search_disk_spec(&small, &store, &query, &spec, &Obs::default());
-            let err = r.expect_err("rows past the posting list must surface");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{format:?} skip={block_skip}");
-        }
+    let store = DiskColumnStore::open_bytes(image(&large), cache(false)).unwrap();
+    for block_skip in [true, false] {
+        let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
+        let r = join_search_disk_spec(&small, &store, &query, &spec, &Obs::default());
+        let err = r.expect_err("rows past the posting list must surface");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "skip={block_skip}");
     }
 
     // Sharded: the light second shard served from the heavy first

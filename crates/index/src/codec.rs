@@ -13,23 +13,20 @@
 //!   paper's `(v, r, c)` triple with `r` left implicit (it is the running
 //!   sum of the lengths).
 //!
-//! Each scheme has two physical *layouts* for the entries inside a block:
-//!
-//! * [`BlockLayout::Varint`] (format v2) — LEB128 varints, one
-//!   continuation branch per byte.
-//! * [`BlockLayout::Packed`] (format v3) — fixed-width bit-packed lanes:
-//!   per block, a 1-byte lane width chosen from the block's largest entry,
-//!   then every entry at exactly that many bits.  Decoding is a branchless
-//!   chunked loop (8 entries at a time from 64-bit windows) instead of a
-//!   data-dependent branch per byte.
+//! Inside a block the entries are fixed-width bit-packed lanes: per lane,
+//! a 1-byte width chosen from the block's largest entry, then every entry
+//! at exactly that many bits.  Decoding is a branchless chunked loop (8
+//! entries at a time from 64-bit windows) instead of a data-dependent
+//! branch per byte.
 //!
 //! Values are arranged in 4 KiB blocks; each block is self-contained
-//! (restarts the delta base), which is what the block directory — one
-//! [`BlockEntry`] per block, the paper's sparse index — points into.  The
-//! row coordinates themselves are
-//! not stored per column: the per-term *lengths array* (depth of each
-//! posting) determines which global rows are present at each level, so
-//! decoding reconstructs exact global-row runs.
+//! (restarts the delta base) and ends at a run boundary, which is what the
+//! block directory — one [`BlockEntry`] per block, the paper's sparse
+//! index — points into.  A block's row count is stored there and nowhere
+//! else.  The row coordinates themselves are not stored per column: the
+//! per-term *lengths array* (depth of each posting) determines which
+//! global rows are present at each level, so decoding reconstructs exact
+//! global-row runs.
 //!
 //! Decoding goes through a per-thread [`DecodeScratch`] arena
 //! ([`with_decode_scratch`]) so the hot path performs no per-block
@@ -53,20 +50,9 @@ pub enum Scheme {
     Rle,
 }
 
-/// Physical layout of the entries inside each block of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BlockLayout {
-    /// LEB128 varint entries (on-disk format v2).
-    #[default]
-    Varint,
-    /// Fixed-width bit-packed lanes (on-disk format v3): a per-block lane
-    /// width byte followed by every entry at exactly that many bits.
-    Packed,
-}
-
 /// One block-directory entry — the paper's sparse-index entry, widened by
 /// the row count and last value that let a reader place any probe without
-/// decoding.  Both encoders emit it, [`crate::disk`] writes and parses it,
+/// decoding.  The encoder emits it, [`crate::disk`] writes and parses it,
 /// and the store's resident directory is filled from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEntry {
@@ -74,8 +60,8 @@ pub struct BlockEntry {
     pub offset: u32,
     /// First (smallest) value stored in the block.
     pub first: u32,
-    /// Rows encoded in the block: a running sum gives the global-row
-    /// prefix of any block in O(1).
+    /// Rows encoded in the block — stored here only, never in the block —
+    /// so a running sum gives the global-row prefix of any block in O(1).
     pub rows: u32,
     /// Last (largest) value stored in the block; probes outside
     /// `[first, last]` skip the decode outright.
@@ -87,8 +73,6 @@ pub struct BlockEntry {
 pub struct CompressedColumn {
     /// Scheme used for every block of this column.
     pub scheme: Scheme,
-    /// Physical entry layout used for every block of this column.
-    pub layout: BlockLayout,
     /// Concatenated block payloads.
     pub bytes: Vec<u8>,
     /// One entry per block, in block order.
@@ -171,7 +155,7 @@ pub fn choose_scheme(col: &Column) -> Scheme {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-packed lanes (format v3)
+// Bit-packed lanes
 
 /// Bits needed to represent `v` exactly (0 for 0, 32 for `u32::MAX`).
 /// This is the per-block lane-width rule: a block's width is the maximum
@@ -264,67 +248,44 @@ fn unpack_lane(
 // ---------------------------------------------------------------------------
 // Encoding
 
-/// Compresses a column with the given scheme in the varint layout
-/// (format v2).
-pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
-    let mut cc =
-        CompressedColumn { scheme, layout: BlockLayout::Varint, bytes: Vec::new(), blocks: Vec::new() };
-    for run in &col.runs {
-        // One entry per row (delta) or per run (RLE, then its length).
-        let (entries, rows) = match scheme {
-            Scheme::Delta => (run.len, 1),
-            Scheme::Rle => (1, run.len),
-        };
-        for _ in 0..entries {
-            match cc.blocks.last_mut() {
-                Some(b) if cc.bytes.len() - (b.offset as usize) < BLOCK_SIZE => {
-                    write_varint(run.value - b.last, &mut cc.bytes);
-                    b.rows += rows;
-                    b.last = run.value;
-                }
-                _ => cc.begin_block(run.value, rows, run.value),
-            }
-            if scheme == Scheme::Rle {
-                write_varint(rows, &mut cc.bytes);
-            }
-        }
-    }
-    cc
-}
-
-/// Compresses a column with the given scheme in the bit-packed layout
-/// (format v3).
+/// Compresses a column with the given scheme.
 ///
-/// Block wire format, after the shared raw `u32` LE first value:
+/// Block wire format, after the raw `u32` LE first value every block
+/// starts with:
 ///
-/// * `Delta`: `[extra: varint][width: u8][packed deltas]` — `extra`
-///   packed value deltas at `width` bits (the block holds `extra + 1`
-///   rows); `width` is the maximum [`bit_width`] over the block's deltas.
+/// * `Delta`: `[width: u8][packed deltas]` — the block's `rows − 1` value
+///   deltas at `width` bits, the maximum [`bit_width`] over them.  The
+///   row count is the directory entry's ([`BlockEntry::rows`]).
 /// * `Rle`: `[pairs: varint][vwidth: u8][lwidth: u8][packed value
 ///   deltas][packed lengths]` — `pairs - 1` value deltas (the first
 ///   run's delta is implicitly 0) then `pairs` run lengths, each lane at
 ///   its own block-max width.
 ///
-/// Both lanes are exact-length: a decoder rejects a block whose lane
-/// bytes disagree with the advertised entry count and width.  Blocks are
-/// cut greedily so the encoded block size never exceeds [`BLOCK_SIZE`];
-/// the directory entries have the v2 encoder's shape, so `find()` and the
-/// Table I size accounting work unchanged.
-pub fn encode_column_packed(col: &Column, scheme: Scheme) -> CompressedColumn {
-    let mut cc =
-        CompressedColumn { scheme, layout: BlockLayout::Packed, bytes: Vec::new(), blocks: Vec::new() };
+/// Every lane is exact-length: a decoder rejects a block whose lane bytes
+/// disagree with the entry count and width.  Blocks are cut greedily so
+/// the encoded block size never exceeds [`BLOCK_SIZE`], and only between
+/// runs, so a reader never sees one run in two blocks.
+pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
+    let mut cc = CompressedColumn { scheme, bytes: Vec::new(), blocks: Vec::new() };
     match scheme {
-        Scheme::Delta => encode_packed_delta(col, &mut cc),
-        Scheme::Rle => encode_packed_rle(col, &mut cc),
+        Scheme::Delta => encode_delta(col, &mut cc),
+        Scheme::Rle => encode_rle(col, &mut cc),
     }
     cc
 }
 
-/// Appends one packed block: its directory entry, then header and lanes.
-fn flush_packed(cc: &mut CompressedColumn, first: u32, rows: u32, last: u32, lanes: &[(&[u32], u32)]) {
+/// Appends one block: its directory entry and first value, RLE's pair
+/// count, then the lane widths and lanes.
+fn flush_block(
+    cc: &mut CompressedColumn,
+    (first, rows, last): (u32, u32, u32),
+    pairs: Option<u32>,
+    lanes: &[(&[u32], u32)],
+) {
     cc.begin_block(first, rows, last);
-    // The entry count: deltas for a delta block, run lengths for RLE.
-    write_varint(lanes.last().map_or(0, |(vals, _)| vals.len() as u32), &mut cc.bytes);
+    if let Some(pairs) = pairs {
+        write_varint(pairs, &mut cc.bytes);
+    }
     for &(_, width) in lanes {
         cc.bytes.push(width as u8);
     }
@@ -333,45 +294,37 @@ fn flush_packed(cc: &mut CompressedColumn, first: u32, rows: u32, last: u32, lan
     }
 }
 
-fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
-    let mut first: Option<u32> = None;
-    let mut prev = 0u32;
+fn encode_delta(col: &Column, cc: &mut CompressedColumn) {
     let mut deltas: Vec<u32> = Vec::new();
-    let mut width = 0u32;
+    // The open block's first value, last value and lane width.
+    let mut open: Option<(u32, u32, u32)> = None;
     for run in &col.runs {
-        for _ in 0..run.len {
-            let v = run.value;
-            match first {
-                None => {
-                    first = Some(v);
-                }
-                Some(f) => {
-                    let d = v - prev;
-                    let w = width.max(bit_width(d));
-                    let size = 4
-                        + varint_len(deltas.len() as u32 + 1)
-                        + 1
-                        + lane_bytes(deltas.len() + 1, w);
-                    if size > BLOCK_SIZE {
-                        flush_packed(cc, f, deltas.len() as u32 + 1, prev, &[(&deltas, width)]);
-                        deltas.clear();
-                        width = 0;
-                        first = Some(v);
-                    } else {
-                        deltas.push(d);
-                        width = w;
-                    }
-                }
+        let zeros = run.len.saturating_sub(1) as usize;
+        if let Some((first, last, width)) = open {
+            let d = run.value - last;
+            let w = width.max(bit_width(d));
+            if 5 + lane_bytes(deltas.len() + 1 + zeros, w) <= BLOCK_SIZE {
+                deltas.push(d);
+                deltas.resize(deltas.len() + zeros, 0);
+                open = Some((first, run.value, w));
+                continue;
             }
-            prev = v;
+            let rows = deltas.len() as u32 + 1;
+            flush_block(cc, (first, rows, last), None, &[(&deltas, width)]);
         }
+        // A run that opens a block is its first value and zero deltas at
+        // width 0 — five bytes whatever its length, so it always fits.
+        deltas.clear();
+        deltas.resize(zeros, 0);
+        open = Some((run.value, run.value, 0));
     }
-    if let Some(f) = first {
-        flush_packed(cc, f, deltas.len() as u32 + 1, prev, &[(&deltas, width)]);
+    if let Some((first, last, width)) = open {
+        let rows = deltas.len() as u32 + 1;
+        flush_block(cc, (first, rows, last), None, &[(&deltas, width)]);
     }
 }
 
-fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
+fn encode_rle(col: &Column, cc: &mut CompressedColumn) {
     let mut first: Option<u32> = None;
     let mut prev = 0u32;
     let mut rows = 0u32;
@@ -397,7 +350,8 @@ fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
                     + lane_bytes(pairs - 1, nvw)
                     + lane_bytes(pairs, nlw);
                 if size > BLOCK_SIZE {
-                    flush_packed(cc, f, rows, prev, &[(&vdeltas, vw), (&lens, lw)]);
+                    let pairs = Some(lens.len() as u32);
+                    flush_block(cc, (f, rows, prev), pairs, &[(&vdeltas, vw), (&lens, lw)]);
                     vdeltas.clear();
                     lens.clear();
                     first = Some(run.value);
@@ -417,7 +371,8 @@ fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
         prev = run.value;
     }
     if let Some(f) = first {
-        flush_packed(cc, f, rows, prev, &[(&vdeltas, vw), (&lens, lw)]);
+        let pairs = Some(lens.len() as u32);
+        flush_block(cc, (f, rows, prev), pairs, &[(&vdeltas, vw), (&lens, lw)]);
     }
 }
 
@@ -460,20 +415,14 @@ pub fn with_decode_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
 
 /// Streaming run builder: merges consecutive `(value, row)` emissions into
 /// [`Run`]s, keeping the open run in a register instead of re-reading
-/// `runs.last_mut()` on every entry.
-///
-/// `new` adopts the caller's last accumulated run, so entries that
-/// continue it (same value, contiguous rows) merge across block
-/// boundaries exactly as a whole-column decode would.
+/// `runs.last_mut()` on every entry.  Blocks end at run boundaries, so a
+/// block's runs never continue the previous block's.
+#[derive(Default)]
 struct RunEmitter {
     cur: Option<Run>,
 }
 
 impl RunEmitter {
-    fn new(runs: &mut Vec<Run>) -> Self {
-        Self { cur: runs.pop() }
-    }
-
     #[inline]
     fn one(&mut self, runs: &mut Vec<Run>, value: u32, row: u32) {
         match &mut self.cur {
@@ -520,88 +469,30 @@ impl RunEmitter {
     }
 }
 
-/// Decodes one self-contained block into `scratch.runs` (appending, and
-/// merging with the last accumulated run where the block continues it).
+/// Decodes one self-contained block, appending its runs to
+/// `scratch.runs`.
 ///
-/// `present` are the remaining global row ids (the block consumes a
-/// prefix); the number of rows consumed is returned.  `None` on any
-/// malformed payload — truncated header, bad varint, wrong lane length,
-/// value overflow, or more rows than `present` provides — so callers
-/// reading untrusted bytes reject corruption without a panic.
+/// `rows` are the global row ids of exactly the block's rows, as many as
+/// its directory entry counts.  `None` on any malformed payload —
+/// truncated header, bad varint, wrong lane length, value overflow, or a
+/// payload that covers another number of rows — so callers reading
+/// untrusted bytes reject corruption without a panic.
 pub fn decode_block_into(
     scheme: Scheme,
-    layout: BlockLayout,
     block: &[u8],
-    present: &[u32],
+    rows: &[u32],
     scratch: &mut DecodeScratch,
-) -> Option<usize> {
-    match layout {
-        BlockLayout::Varint => decode_block_varint(scheme, block, present, scratch),
-        BlockLayout::Packed => decode_block_packed(scheme, block, present, scratch),
-    }
-}
-
-fn decode_block_varint(
-    scheme: Scheme,
-    block: &[u8],
-    present: &[u32],
-    scratch: &mut DecodeScratch,
-) -> Option<usize> {
-    let header: [u8; 4] = block.get(..4)?.try_into().ok()?;
-    let mut prev = u32::from_le_bytes(header);
-    let mut pos = 4usize;
-    let mut used = 0usize;
-    let mut em = RunEmitter::new(&mut scratch.runs);
-    match scheme {
-        Scheme::Delta => {
-            em.one(&mut scratch.runs, prev, *present.get(used)?);
-            used += 1;
-            while pos < block.len() {
-                prev = prev.checked_add(try_read_varint(block, &mut pos)?)?;
-                em.one(&mut scratch.runs, prev, *present.get(used)?);
-                used += 1;
-            }
-        }
-        Scheme::Rle => {
-            let mut first_pair = true;
-            while pos < block.len() {
-                if !first_pair {
-                    prev = prev.checked_add(try_read_varint(block, &mut pos)?)?;
-                }
-                first_pair = false;
-                let len = try_read_varint(block, &mut pos)? as usize;
-                let rows = present.get(used..used.checked_add(len)?)?;
-                used += len;
-                em.many(&mut scratch.runs, prev, rows);
-            }
-        }
-    }
-    em.finish(&mut scratch.runs);
-    Some(used)
-}
-
-fn decode_block_packed(
-    scheme: Scheme,
-    block: &[u8],
-    present: &[u32],
-    scratch: &mut DecodeScratch,
-) -> Option<usize> {
+) -> Option<()> {
     let header: [u8; 4] = block.get(..4)?.try_into().ok()?;
     let first = u32::from_le_bytes(header);
-    let mut pos = 4usize;
     match scheme {
         Scheme::Delta => {
-            let extra = try_read_varint(block, &mut pos)? as usize;
-            let width = u32::from(*block.get(pos)?);
-            pos += 1;
+            let (&row0, tail) = rows.split_first()?;
+            let width = u32::from(*block.get(4)?);
             if width > 32 {
                 return None;
             }
-            // Bound `extra` by the remaining rows *before* any buffer is
-            // sized from it, so a corrupt count cannot force a huge
-            // allocation.
-            let rows = present.get(..extra.checked_add(1)?)?;
-            unpack_lane(block.get(pos..)?, width, extra, &mut scratch.padded, &mut scratch.deltas)?;
+            unpack_lane(block.get(5..)?, width, tail.len(), &mut scratch.padded, &mut scratch.deltas)?;
             // One up-front pass proves two things at once: the plain
             // `+=` below never leaves u32 (sum bound), and — when every
             // delta is nonzero — the values are strictly increasing, so
@@ -616,35 +507,33 @@ fn decode_block_packed(
                 return None;
             }
             let (runs, deltas) = (&mut scratch.runs, &scratch.deltas);
-            let mut em = RunEmitter::new(runs);
-            em.one(runs, first, *rows.first()?);
             let mut value = first;
-            let tail = rows.get(1..)?;
             if min > 0 {
-                // Branchless fast path: only the first entry can extend
-                // the run carried across the block boundary; everything
-                // after it is a fresh singleton run by construction.
-                em.finish(runs);
-                runs.reserve(deltas.len());
+                // Branchless fast path: every row is a run of its own.
+                runs.reserve(rows.len());
+                runs.push(Run { value, start: row0, len: 1 });
                 for (&d, &row) in deltas.iter().zip(tail) {
                     value += d;
                     runs.push(Run { value, start: row, len: 1 });
                 }
             } else {
+                let mut em = RunEmitter::default();
+                em.one(runs, value, row0);
                 for (&d, &row) in deltas.iter().zip(tail) {
                     value += d;
                     em.one(runs, value, row);
                 }
                 em.finish(runs);
             }
-            Some(rows.len())
+            Some(())
         }
         Scheme::Rle => {
+            let mut pos = 4usize;
             let pairs = try_read_varint(block, &mut pos)? as usize;
             // Each pair holds at least one row, so a well-formed block
-            // never has more pairs than remaining rows; rejecting here
-            // also bounds the lane allocations below.
-            if pairs == 0 || pairs > present.len() {
+            // never has more pairs than rows; rejecting here also bounds
+            // the lane allocations below.
+            if pairs == 0 || pairs > rows.len() {
                 return None;
             }
             let vw = u32::from(*block.get(pos)?);
@@ -664,21 +553,21 @@ fn decode_block_packed(
                 return None;
             }
             let total: u64 = scratch.lens.iter().map(|&l| l as u64).sum();
-            let total = usize::try_from(total).ok()?;
-            let all_rows = present.get(..total)?;
+            if total != rows.len() as u64 {
+                return None;
+            }
             let (runs, deltas, lens) = (&mut scratch.runs, &scratch.deltas, &scratch.lens);
-            let mut em = RunEmitter::new(runs);
+            let mut em = RunEmitter::default();
             let mut value = first;
             let mut used = 0usize;
             for (&len, &d) in lens.iter().zip(std::iter::once(&0u32).chain(deltas.iter())) {
                 value += d;
                 let len = len as usize;
-                let rows = all_rows.get(used..used + len)?;
+                em.many(runs, value, rows.get(used..used + len)?);
                 used += len;
-                em.many(runs, value, rows);
             }
             em.finish(runs);
-            Some(total)
+            Some(())
         }
     }
 }
@@ -686,8 +575,8 @@ fn decode_block_packed(
 /// Decodes every block of `cc`, appending the reconstructed runs to
 /// `scratch.runs` (which the caller clears at its freeze granularity).
 ///
-/// `None` when any block is malformed or the decoded row count disagrees
-/// with `present_rows`.
+/// `None` when any block is malformed or the directory's row counts
+/// disagree with `present_rows`.
 pub fn decode_column_into(
     cc: &CompressedColumn,
     present_rows: &[u32],
@@ -697,14 +586,12 @@ pub fn decode_column_into(
     for (b, entry) in cc.blocks.iter().enumerate() {
         let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
         let block = cc.bytes.get(entry.offset as usize..end)?;
-        let remaining = present_rows.get(consumed..)?;
-        let used = decode_block_into(cc.scheme, cc.layout, block, remaining, scratch)?;
-        consumed = consumed.checked_add(used)?;
+        let next = consumed.checked_add(entry.rows as usize)?;
+        decode_block_into(cc.scheme, block, present_rows.get(consumed..next)?, scratch)?;
+        consumed = next;
     }
-    if consumed != present_rows.len() {
-        return None; // decoded rows disagree with the lengths array
-    }
-    Some(())
+    // Rows the directory leaves out disagree with the lengths array.
+    (consumed == present_rows.len()).then_some(())
 }
 
 /// Decompresses a column.
@@ -717,7 +604,7 @@ pub fn decode_column_into(
 /// only allocation per call is the final exact-size `Vec<Run>` copy.
 ///
 /// Returns `None` when the payload is malformed (truncated block header,
-/// varint or packed lane, or a row count that disagrees with
+/// varint or packed lane, or row counts that disagree with
 /// `present_rows`), so callers reading untrusted bytes can reject
 /// corruption without a panic.
 pub fn decode_column(cc: &CompressedColumn, present_rows: &[u32]) -> Option<Column> {
@@ -822,19 +709,17 @@ mod tests {
             (Scheme::Delta, (0..20_000).map(|i| (i * 3, i, 1)).collect::<Vec<_>>()),
             (Scheme::Rle, (0..9_000).map(|i| (i * 2, i * 3, 3)).collect::<Vec<_>>()),
         ] {
-            let c = col(&runs);
-            for cc in [encode_column(&c, scheme), encode_column_packed(&c, scheme)] {
-                assert!(cc.block_count() > 1, "{scheme:?} {:?}", cc.layout);
-                // Row counts per block sum to the column's total.
-                let total: u64 = cc.blocks.iter().map(|b| b.rows as u64).sum();
-                assert_eq!(total, c.row_count(), "{scheme:?}");
-                // first <= last within a block; blocks ordered and non-empty.
-                for b in &cc.blocks {
-                    assert!(b.first <= b.last && b.rows > 0, "{b:?}");
-                }
-                for w in cc.blocks.windows(2) {
-                    assert!(w[0].last <= w[1].first && w[0].offset < w[1].offset, "{w:?}");
-                }
+            let cc = encode_column(&col(&runs), scheme);
+            assert!(cc.block_count() > 1, "{scheme:?}");
+            // Row counts per block sum to the column's total.
+            let total: u64 = cc.blocks.iter().map(|b| b.rows as u64).sum();
+            assert_eq!(total, col(&runs).row_count(), "{scheme:?}");
+            // first <= last within a block; blocks ordered and non-empty.
+            for b in &cc.blocks {
+                assert!(b.first <= b.last && b.rows > 0, "{b:?}");
+            }
+            for w in cc.blocks.windows(2) {
+                assert!(w[0].last <= w[1].first && w[0].offset < w[1].offset, "{w:?}");
             }
         }
     }
@@ -843,10 +728,9 @@ mod tests {
     fn empty_column_roundtrip() {
         let c = Column { runs: vec![] };
         for scheme in [Scheme::Delta, Scheme::Rle] {
-            for cc in [encode_column(&c, scheme), encode_column_packed(&c, scheme)] {
-                assert_eq!(cc.payload_bytes(), 0);
-                assert_eq!(decode_column(&cc, &[]).as_ref(), Some(&c));
-            }
+            let cc = encode_column(&c, scheme);
+            assert_eq!(cc.payload_bytes(), 0);
+            assert_eq!(decode_column(&cc, &[]).as_ref(), Some(&c));
         }
     }
 
@@ -896,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_roundtrip_matches_varint() {
+    fn roundtrip_edge_cases() {
         let cases = [
             vec![(3, 0, 1), (7, 1, 1), (8, 2, 1), (20, 3, 1)],
             vec![(2, 0, 5), (4, 5, 1), (9, 6, 10)],
@@ -906,13 +790,9 @@ mod tests {
         ];
         for runs in &cases {
             let c = col(runs);
-            let present = present_rows(&c);
             for scheme in [Scheme::Delta, Scheme::Rle] {
-                let v2 = encode_column(&c, scheme);
-                let v3 = encode_column_packed(&c, scheme);
-                assert_eq!(v3.layout, BlockLayout::Packed);
-                assert_eq!(decode_column(&v3, &present), decode_column(&v2, &present), "{scheme:?}");
-                assert_eq!(decode_column(&v3, &present).as_ref(), Some(&c), "{scheme:?}");
+                let cc = encode_column(&c, scheme);
+                assert_eq!(decode_column(&cc, &present_rows(&c)).as_ref(), Some(&c), "{scheme:?}");
             }
         }
     }
@@ -924,7 +804,7 @@ mod tests {
             (Scheme::Rle, (0..9_000).map(|i| (i * 2, i * 3, 3)).collect::<Vec<_>>()),
         ] {
             let c = col(&runs);
-            let cc = encode_column_packed(&c, scheme);
+            let cc = encode_column(&c, scheme);
             assert!(cc.block_count() > 1, "{scheme:?}");
             // Greedy cut rule: no encoded block exceeds BLOCK_SIZE.
             for b in 0..cc.block_count() {
@@ -938,18 +818,60 @@ mod tests {
 
     #[test]
     fn packed_is_smaller_on_uniform_small_deltas() {
-        // Deltas of 3 need 2 bits packed vs a full varint byte, so the
-        // packed payload must come in well under the varint payload.
+        // Deltas of 3 need 2 bits: a delta block is its first value, one
+        // width byte and `rows - 1` two-bit deltas — no row count, which
+        // the directory holds — so 10 000 rows fit in about 2.5 kB.
         let runs: Vec<(u32, u32, u32)> = (0..10_000).map(|i| (i * 3, i, 1)).collect();
+        let cc = encode_column(&col(&runs), Scheme::Delta);
+        let exact: usize = cc.blocks.iter().map(|b| 5 + lane_bytes(b.rows as usize - 1, 2)).sum();
+        assert_eq!(cc.payload_bytes(), exact);
+        assert!(cc.payload_bytes() * 3 < runs.len(), "{} bytes", cc.payload_bytes());
+    }
+
+    #[test]
+    fn delta_blocks_end_at_run_boundaries() {
+        // Runs of one and two rows under wide deltas fill several blocks,
+        // and a run longer than a block's whole lane budget opens one: no
+        // block boundary falls inside a run, so every block decodes to
+        // whole runs and the column comes back run for run.
+        let mut runs: Vec<(u32, u32, u32)> = Vec::new();
+        let mut row = 0u32;
+        for i in 0..12_000u32 {
+            let len = if i % 3 == 0 { 2 } else { 1 };
+            runs.push((i * 1_000, row, len));
+            row += len;
+            if i == 6_000 {
+                runs.push((i * 1_000 + 500, row, 5_000));
+                row += 5_000;
+            }
+        }
         let c = col(&runs);
-        let v2 = encode_column(&c, Scheme::Delta);
-        let v3 = encode_column_packed(&c, Scheme::Delta);
-        assert!(
-            v3.payload_bytes() * 2 < v2.payload_bytes(),
-            "packed {} vs varint {}",
-            v3.payload_bytes(),
-            v2.payload_bytes()
-        );
+        assert_eq!(choose_scheme(&c), Scheme::Delta);
+        let cc = encode_column(&c, Scheme::Delta);
+        assert!(cc.block_count() > 2, "{} blocks", cc.block_count());
+        for w in cc.blocks.windows(2) {
+            assert!(w[0].last < w[1].first, "a run is cut: {w:?}");
+        }
+        let present = present_rows(&c);
+        let mut at = 0usize;
+        for (b, entry) in cc.blocks.iter().enumerate() {
+            let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
+            assert!(end - entry.offset as usize <= BLOCK_SIZE, "block {b}");
+            let rows = &present[at..at + entry.rows as usize];
+            let mut scratch = DecodeScratch::default();
+            let block = &cc.bytes[entry.offset as usize..end];
+            assert_eq!(decode_block_into(Scheme::Delta, block, rows, &mut scratch), Some(()));
+            // A lane of nonzero width holds exactly `rows - 1` deltas, so
+            // a row count off by one is refused.
+            if block[4] > 0 {
+                let mut other = DecodeScratch::default();
+                assert_eq!(decode_block_into(Scheme::Delta, block, &rows[1..], &mut other), None);
+            }
+            let first = scratch.runs.first().unwrap();
+            assert!(c.runs.contains(first) && c.runs.contains(scratch.runs.last().unwrap()));
+            at += entry.rows as usize;
+        }
+        assert_eq!(decode_column(&cc, &present), Some(c));
     }
 
     #[test]
@@ -958,7 +880,7 @@ mod tests {
         let c = col(&runs);
         let present = present_rows(&c);
         for scheme in [Scheme::Delta, Scheme::Rle] {
-            let cc = encode_column_packed(&c, scheme);
+            let cc = encode_column(&c, scheme);
             assert!(decode_column(&cc, &present).is_some());
             let mut long = cc.clone();
             long.bytes.push(0); // extends the final block's lane
@@ -971,12 +893,12 @@ mod tests {
 
     #[test]
     fn packed_rejects_oversized_row_claims() {
-        // A corrupt entry count larger than the lengths array must be
-        // rejected before any buffer is sized from it.
+        // A block row count the lengths array cannot back is rejected
+        // before any buffer is sized from it.
         let c = col(&[(3, 0, 1), (7, 1, 1)]);
-        let cc = encode_column_packed(&c, Scheme::Delta);
+        let cc = encode_column(&c, Scheme::Delta);
         assert_eq!(decode_column(&cc, &[0]), None); // fewer rows than encoded
-        let rc = encode_column_packed(&col(&[(2, 0, 5)]), Scheme::Rle);
+        let rc = encode_column(&col(&[(2, 0, 5)]), Scheme::Rle);
         assert_eq!(decode_column(&rc, &[0, 1, 2]), None);
     }
 
@@ -985,7 +907,7 @@ mod tests {
         let runs: Vec<(u32, u32, u32)> = (0..5_000).map(|i| (i * 2, i, 1)).collect();
         let c = col(&runs);
         let present = present_rows(&c);
-        let cc = encode_column_packed(&c, Scheme::Delta);
+        let cc = encode_column(&c, Scheme::Delta);
         assert_eq!(decode_column(&cc, &present).as_ref(), Some(&c));
         let cap_after_first = with_decode_scratch(|s| s.deltas.capacity());
         assert!(cap_after_first > 0);

@@ -8,28 +8,20 @@
 //! followed by the self-contained compressed blocks (see [`crate::codec`])
 //! it points into.
 //!
-//! There is one writer ([`write_index_to`]) and one reader: every way of
-//! opening a file — the lazy [`DiskColumnStore`] the disk and sharded
-//! engines execute off, and the eager [`read_index`] — goes through
-//! [`parse_directory`], so what a valid file is gets decided in one place.
-//! [`read_index`] decodes back to exact [`Column`]s; the store's blocks
-//! are decoded one at a time, so a run a delta block boundary cuts reaches
-//! its readers in two parts (ROADMAP item 0c).
+//! There is one format, one writer ([`write_index_to`]) and one reader:
+//! [`parse_directory`], behind the lazy
+//! [`DiskColumnStore`](crate::diskcol::DiskColumnStore) the disk and
+//! sharded engines execute off, decides what a valid file is.  The score
+//! section is validated and skipped: it has no reader until the disk
+//! engine opens from the file alone (ROADMAP item 6b's catalog).
 
 use crate::builder::XmlIndex;
-use crate::bytes::ColumnBytes;
-use crate::cache::ShardedLruCache;
-use crate::codec::{
-    choose_scheme, encode_column, encode_column_packed, try_read_varint, write_varint, BlockEntry,
-    BlockLayout, Scheme,
-};
+use crate::codec::{choose_scheme, encode_column, try_read_varint, write_varint, BlockEntry, Scheme};
 use crate::columnar::Column;
-use crate::diskcol::DiskColumnStore;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 /// The one error of a file that is not a valid index.
 pub(crate) fn bad(what: &str) -> io::Error {
@@ -63,37 +55,19 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// File magic: "XTK" + format version 2 (varint block payloads).
-pub(crate) const MAGIC_V2: u32 = 0x58544B02;
-/// File magic: "XTK" + format version 3 (bit-packed block payloads).
-pub(crate) const MAGIC_V3: u32 = 0x58544B03;
+/// File magic: "XTK" + format version 4 — bit-packed blocks whose row
+/// counts live in the directory alone.  Versions 1–3 are refused by name.
+pub(crate) const MAGIC: u32 = 0x58544B04;
 
-/// On-disk format version.  Both versions share one block directory (see
-/// [`BlockEntry`]) and differ in the block payloads:
-///
-/// * [`V2`](FormatVersion::V2) — LEB128 varints.
-/// * [`V3`](FormatVersion::V3) — fixed-width bit-packed lanes
-///   ([`BlockLayout::Packed`]) decoded branchlessly.
-///
-/// Readers accept both; a version-1 file (no row counts or last values
-/// in the directory) is rejected at open.
+/// The on-disk format: there is one, and it writes version 4.  The type
+/// and [`WriteIndexOptions::format`] select nothing; they stay because
+/// perfbench's `STORE_OPTIONS` names them, and go with the PR that next
+/// edits perfbench (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FormatVersion {
-    /// Varint payloads (the default).
+    /// Bit-packed blocks (file version 4).
     #[default]
-    V2,
-    /// Bit-packed payloads.
     V3,
-}
-
-impl FormatVersion {
-    /// The physical block layout this format stores.
-    pub fn layout(self) -> BlockLayout {
-        match self {
-            FormatVersion::V2 => BlockLayout::Varint,
-            FormatVersion::V3 => BlockLayout::Packed,
-        }
-    }
 }
 
 /// Options for writing.
@@ -101,36 +75,13 @@ impl FormatVersion {
 pub struct WriteIndexOptions {
     /// Include per-posting local scores (the top-K flavor of the index).
     pub include_scores: bool,
-    /// File format version to emit (defaults to the current one).
+    /// The one format (see [`FormatVersion`]).
     pub format: FormatVersion,
-}
-
-/// One term as read back from disk.
-#[derive(Debug, Clone)]
-pub struct PersistedTerm {
-    /// Posting depths (the lengths array).
-    pub depths: Vec<u16>,
-    /// Local scores, when written with `include_scores`.
-    pub scores: Option<Vec<f32>>,
-    /// Decoded columns (level 1 first), identical to the in-memory ones.
-    pub columns: Vec<Column>,
-}
-
-/// A reloaded columnar index (postings resolve to `(level, number)` pairs,
-/// not node ids — the tree is persisted separately as XML).
-#[derive(Debug, Default)]
-pub struct PersistedIndex {
-    /// Terms by text.
-    pub terms: HashMap<String, PersistedTerm>,
 }
 
 /// Encodes the file header into `buf`.
 fn encode_header(ix: &XmlIndex, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
-    let magic = match opts.format {
-        FormatVersion::V2 => MAGIC_V2,
-        FormatVersion::V3 => MAGIC_V3,
-    };
-    write_varint(magic, buf);
+    write_varint(MAGIC, buf);
     write_varint(ix.vocab_size() as u32, buf);
     buf.push(opts.include_scores as u8);
 }
@@ -141,12 +92,9 @@ fn encode_header(ix: &XmlIndex, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
 /// delta stays short), payload length, payload — and returns the block
 /// count.  The writer's record and, through [`crate::sizes`], Table I's
 /// bytes: there is no second model of it.
-pub(crate) fn encode_column_record(col: &Column, layout: BlockLayout, buf: &mut Vec<u8>) -> usize {
+pub(crate) fn encode_column_record(col: &Column, buf: &mut Vec<u8>) -> usize {
     let scheme = choose_scheme(col);
-    let cc = match layout {
-        BlockLayout::Varint => encode_column(col, scheme),
-        BlockLayout::Packed => encode_column_packed(col, scheme),
-    };
+    let cc = encode_column(col, scheme);
     buf.push(match scheme {
         Scheme::Delta => 0,
         Scheme::Rle => 1,
@@ -185,7 +133,7 @@ fn encode_term_record(
     }
     write_varint(term.columns.len() as u32, buf);
     for col in &term.columns {
-        encode_column_record(col, opts.format.layout(), buf);
+        encode_column_record(col, buf);
     }
 }
 
@@ -193,7 +141,7 @@ fn encode_term_record(
 /// bytes written — the one header + term-record loop behind
 /// [`write_index`] (a file), [`persisted_file_bytes`] (a counting sink)
 /// and in-memory images (`&mut Vec<u8>`, for
-/// [`DiskColumnStore::open_bytes`]).
+/// [`DiskColumnStore::open_bytes`](crate::diskcol::DiskColumnStore::open_bytes)).
 pub fn write_index_to<W: Write>(ix: &XmlIndex, sink: W, opts: WriteIndexOptions) -> io::Result<u64> {
     let mut w = CountingWriter { inner: sink, written: 0 };
     let mut buf = Vec::new();
@@ -259,14 +207,6 @@ pub(crate) struct ColumnDirectory {
     /// run coordinates.  Kept in memory: 4 bytes per present row, the same
     /// information the lengths array encodes.
     pub(crate) present_rows: Vec<u32>,
-}
-
-/// What [`parse_directory`] found in a file.
-pub(crate) struct Directory {
-    /// Physical block layout of every column.
-    pub(crate) layout: BlockLayout,
-    /// Per term, its columns (level 1 first).
-    pub(crate) terms: HashMap<String, Vec<ColumnDirectory>>,
 }
 
 /// Reads one directory entry (see [`encode_column_record`]).
@@ -353,26 +293,20 @@ fn parse_column(r: &mut ByteReader<'_>, depths: &[u16], level: usize) -> io::Res
 /// can back, last values inside `u32`, the last block offset inside the
 /// payload, the payload inside the file, and row counts that add up to
 /// the lengths array.  Corrupt files fail with `InvalidData`, never a
-/// panic.  Block payloads stay unread until a block is landed.
-///
-/// `lengths` is handed each term's lengths array and raw score bytes as
-/// they are passed: the store lets them go, [`read_index`] keeps them.
-pub(crate) fn parse_directory(
-    bytes: &[u8],
-    mut lengths: impl FnMut(&str, Vec<u16>, Option<&[u8]>),
-) -> io::Result<Directory> {
+/// panic.  Block payloads and scores stay unread.  Returns, per term, its
+/// columns (level 1 first).
+pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<HashMap<String, Vec<ColumnDirectory>>> {
     let mut r = ByteReader { bytes, pos: 0 };
-    let layout = match r.varint("magic")? {
-        MAGIC_V2 => BlockLayout::Varint,
-        MAGIC_V3 => BlockLayout::Packed,
-        m if m >> 8 == MAGIC_V2 >> 8 => {
+    match r.varint("magic")? {
+        MAGIC => {}
+        m if m >> 8 == MAGIC >> 8 => {
             let version = m & 0xff;
             return Err(bad(&format!(
-                "unsupported format version {version} (this reader accepts 2 and 3; rebuild the index file)"
+                "unsupported format version {version} (this reader accepts 4; rebuild the index file)"
             )));
         }
         _ => return Err(bad("bad index magic")),
-    };
+    }
     let n_terms = r.varint("term count")? as usize;
     let with_scores = r.byte("score flag")? != 0;
     let mut terms = HashMap::new();
@@ -391,7 +325,9 @@ pub(crate) fn parse_directory(
             let depth = u16::try_from(r.varint("depth")?).ok().filter(|&d| d > 0);
             depths.push(depth.ok_or_else(|| bad("bad depth"))?);
         }
-        let scores = if with_scores { Some(r.take(4 * n_postings, "scores")?) } else { None };
+        if with_scores {
+            r.take(4 * n_postings, "scores")?;
+        }
         let n_cols = r.varint("column count")? as usize;
         if n_cols != depths.iter().copied().max().map_or(0, usize::from) {
             return Err(bad("column count inconsistent with posting depths"));
@@ -400,55 +336,9 @@ pub(crate) fn parse_directory(
         for level in 1..=n_cols {
             columns.push(parse_column(&mut r, &depths, level)?);
         }
-        lengths(&term, depths, scores);
         terms.insert(term, columns);
     }
-    Ok(Directory { layout, terms })
-}
-
-/// Reads an index file back into memory: [`read_index_bytes`] over the
-/// file's bytes.
-pub fn read_index(path: &Path) -> io::Result<PersistedIndex> {
-    read_index_bytes(ColumnBytes::from_file(path)?)
-}
-
-/// Reads an index file image back into memory: the store's open plus an
-/// eager decode of every column through the store's block path, so the
-/// two entry points accept exactly the same files.  The columns come
-/// back exactly as the in-memory index holds them.
-///
-/// Malformed or truncated files are rejected with
-/// [`io::ErrorKind::InvalidData`] — no panics on corrupt input.
-pub fn read_index_bytes(bytes: ColumnBytes) -> io::Result<PersistedIndex> {
-    let mut out = PersistedIndex::default();
-    let directory = parse_directory(bytes.as_slice(), |term, depths, scores| {
-        let scores = scores.map(|raw| {
-            raw.chunks_exact(4).filter_map(|c| c.try_into().ok()).map(f32::from_le_bytes).collect()
-        });
-        out.terms.insert(term.to_string(), PersistedTerm { depths, scores, columns: Vec::new() });
-    })?;
-    // Every block is read once: nothing is worth keeping cached.
-    let cache = Arc::new(ShardedLruCache::with_block_capacity(1));
-    let store = DiskColumnStore::over(bytes, directory, cache);
-    // In name order, so a damaged file fails at the same column every time.
-    for name in store.term_names() {
-        let Some(term) = out.terms.get_mut(name) else { continue };
-        for column in (1..=store.levels_of(name)).filter_map(|level| store.column(name, level)) {
-            let mut runs = column.scan()?;
-            // Blocks decode on their own, and a delta block may end inside
-            // a run: the part that opens the next block is joined back on,
-            // so the column comes back exactly as it was written.
-            runs.dedup_by(|part, open| {
-                let joins = open.value == part.value && open.end() == part.start;
-                if joins {
-                    open.len += part.len;
-                }
-                joins
-            });
-            term.columns.push(Column { runs });
-        }
-    }
-    Ok(out)
+    Ok(terms)
 }
 
 struct CountingWriter<W: Write> {
@@ -471,11 +361,29 @@ impl<W: Write> Write for CountingWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diskcol::DiskColumnStore;
     use xtk_xml::parse;
     use xtk_xml::testutil::TempPath;
 
     fn tmp(name: &str) -> TempPath {
         TempPath::new(&format!("xtk_disk_test_{name}"))
+    }
+
+    /// Every column of `ix` reads back from the store at `path` as the
+    /// memory column, and every level holds the rows the lengths array
+    /// says reach it.
+    fn assert_store_matches(ix: &XmlIndex, path: &Path) {
+        let store = DiskColumnStore::open(path).unwrap();
+        assert_eq!(store.term_names().len(), ix.vocab_size());
+        for (_, term) in ix.terms() {
+            assert_eq!(usize::from(store.levels_of(&term.term)), term.columns.len());
+            for (col, level) in term.columns.iter().zip(1u16..) {
+                let dc = store.column(&term.term, level).unwrap();
+                assert_eq!(dc.scan().unwrap(), col.runs, "{} level {level}", term.term);
+                let deep = term.postings.iter().filter(|&&n| ix.tree().depth(n) >= level).count();
+                assert_eq!(dc.row_count(), deep, "{} level {level}", term.term);
+            }
+        }
     }
 
     #[test]
@@ -489,16 +397,11 @@ mod tests {
         assert!(bytes > 0);
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
         assert_eq!(bytes, persisted_file_bytes(&ix, opts));
-        let loaded = read_index(&path).unwrap();
-        assert_eq!(loaded.terms.len(), ix.vocab_size());
-        for (_, term) in ix.terms() {
-            let lt = &loaded.terms[&*term.term];
-            assert_eq!(lt.columns, term.columns, "columns must round-trip for {}", term.term);
-            assert_eq!(lt.scores.as_ref().unwrap(), &term.scores);
-            let depths: Vec<u16> =
-                term.postings.iter().map(|&n| ix.tree().depth(n)).collect();
-            assert_eq!(lt.depths, depths);
-        }
+        assert_store_matches(&ix, &path);
+        // The score section is one f32 per posting.
+        let postings: u64 = ix.terms().map(|(_, t)| t.postings.len() as u64).sum();
+        let without = WriteIndexOptions { include_scores: false, ..opts };
+        assert_eq!(bytes, persisted_file_bytes(&ix, without) + 4 * postings);
     }
 
     #[test]
@@ -506,57 +409,20 @@ mod tests {
         let ix = XmlIndex::build(parse("<r><a>w w w</a><b>w</b></r>").unwrap());
         let path = tmp("noscores");
         write_index(&ix, &path, WriteIndexOptions::default()).unwrap();
-        let loaded = read_index(&path).unwrap();
-        assert!(loaded.terms["w"].scores.is_none());
-        assert_eq!(loaded.terms["w"].columns, ix.term_by_str("w").unwrap().columns);
+        assert_store_matches(&ix, &path);
     }
 
     #[test]
-    fn v3_files_read_identically_to_v2() {
-        let mut xml = String::from("<r>");
-        for i in 0..400 {
-            xml.push_str(&format!("<p><t>packed format{} data</t></p>", i % 13));
-        }
-        xml.push_str("</r>");
-        let ix = XmlIndex::build(parse(&xml).unwrap());
-        let p2 = tmp("v2packed");
-        let p3 = tmp("v3packed");
-        write_index(
-            &ix,
-            &p2,
-            WriteIndexOptions { include_scores: true, format: FormatVersion::V2 },
-        )
-        .unwrap();
-        write_index(
-            &ix,
-            &p3,
-            WriteIndexOptions { include_scores: true, format: FormatVersion::V3 },
-        )
-        .unwrap();
-        let l2 = read_index(&p2).unwrap();
-        let l3 = read_index(&p3).unwrap();
-        assert_eq!(l2.terms.len(), l3.terms.len());
-        for (term, t2) in &l2.terms {
-            let t3 = &l3.terms[term.as_str()];
-            assert_eq!(t2.columns, t3.columns, "columns differ for {term}");
-            assert_eq!(t2.depths, t3.depths);
-            assert_eq!(t2.scores, t3.scores);
-        }
-    }
-
-    #[test]
-    fn persisted_file_bytes_matches_writer_for_both_formats() {
+    fn persisted_file_bytes_matches_writer() {
         let ix = XmlIndex::build(
             parse("<r><a><p>exact size</p></a><b>size accounting exact</b></r>").unwrap(),
         );
-        for format in [FormatVersion::V2, FormatVersion::V3] {
-            for include_scores in [false, true] {
-                let opts = WriteIndexOptions { include_scores, format };
-                let path = tmp(&format!("sz_{format:?}_{include_scores}"));
-                let written = write_index(&ix, &path, opts).unwrap();
-                assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-                assert_eq!(written, persisted_file_bytes(&ix, opts), "{opts:?}");
-            }
+        for include_scores in [false, true] {
+            let opts = WriteIndexOptions { include_scores, ..Default::default() };
+            let path = tmp(&format!("sz_{include_scores}"));
+            let written = write_index(&ix, &path, opts).unwrap();
+            assert_eq!(written, std::fs::metadata(&path).unwrap().len());
+            assert_eq!(written, persisted_file_bytes(&ix, opts), "{opts:?}");
         }
     }
 
@@ -564,6 +430,6 @@ mod tests {
     fn bad_magic_rejected() {
         let path = tmp("badmagic");
         std::fs::write(&path, [1, 2, 3, 4, 5]).unwrap();
-        assert!(read_index(&path).is_err());
+        assert!(DiskColumnStore::open(&path).is_err());
     }
 }

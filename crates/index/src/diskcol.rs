@@ -28,9 +28,9 @@
 
 use crate::bytes::ColumnBytes;
 use crate::cache::{relock, Block, BlockCache, CacheStats, ShardedLruCache};
-use crate::codec::{decode_block_into, with_decode_scratch, BlockLayout, Scheme};
+use crate::codec::{decode_block_into, with_decode_scratch, Scheme};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
-use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
+use crate::disk::{bad, parse_directory, ColumnDirectory};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -120,8 +120,6 @@ pub struct DiskColumnStore {
     /// It guards the decode-once *discipline*, not the bytes — those are
     /// immutable and read without locking.
     decode_lock: Mutex<()>,
-    /// Physical block layout of the file (varint for v2, packed for v3).
-    layout: BlockLayout,
     terms: HashMap<String, Vec<ColumnDirectory>>,
     cache: Arc<dyn BlockCache>,
     /// Cache-missing block decodes performed by this store.
@@ -152,23 +150,16 @@ impl DiskColumnStore {
     /// entry point: the same [`ColumnBytes::Shared`] buffer can back any
     /// number of stores without duplicating the payload.
     pub fn open_bytes(bytes: ColumnBytes, cache: Arc<dyn BlockCache>) -> io::Result<Self> {
-        let directory = parse_directory(bytes.as_slice(), |_, _, _| ())?;
-        Ok(Self::over(bytes, directory, cache))
-    }
-
-    /// A store over `bytes` and the directory parsed from them.
-    pub(crate) fn over(bytes: ColumnBytes, directory: Directory, cache: Arc<dyn BlockCache>) -> Self {
-        Self {
+        Ok(Self {
+            terms: parse_directory(bytes.as_slice())?,
             bytes,
             decode_lock: Mutex::new(()),
-            layout: directory.layout,
-            terms: directory.terms,
             cache,
             decodes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             store_id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
-        }
+        })
     }
 
     /// The terms available in the store, in sorted order (the backing map
@@ -336,15 +327,14 @@ impl DiskColumnStore {
         let Some(&[row_base, row_end]) = meta.row_prefix.get(b..b + 2) else {
             return Err(bad("row prefix out of range"));
         };
-        let present = meta
+        let rows = meta
             .present_rows
-            .get(row_base as usize..)
-            .ok_or_else(|| bad("row base beyond lengths array"))?;
+            .get(row_base as usize..row_end as usize)
+            .ok_or_else(|| bad("block rows beyond lengths array"))?;
         let block: Block = with_decode_scratch(|scratch| {
             scratch.runs.clear();
-            decode_block_into(meta.scheme, self.layout, block_bytes, present, scratch)
-                .filter(|&used| used == (row_end - row_base) as usize)
-                .map(|_| Block::from(scratch.runs.as_slice()))
+            decode_block_into(meta.scheme, block_bytes, rows, scratch)
+                .map(|()| Block::from(scratch.runs.as_slice()))
         })
         .ok_or_else(|| bad("inconsistent block payload"))?;
         self.cache.insert(key, Arc::clone(&block));
@@ -483,7 +473,7 @@ mod tests {
     use super::*;
     use crate::builder::XmlIndex;
     use crate::cache::CacheCapacity;
-    use crate::disk::{write_index_to, FormatVersion, WriteIndexOptions};
+    use crate::disk::{write_index_to, WriteIndexOptions};
     use xtk_xml::parse;
 
     fn corpus() -> XmlIndex {
@@ -510,15 +500,23 @@ mod tests {
         open_image(image, Arc::new(ShardedLruCache::unbounded()))
     }
 
-    fn store_v(format: FormatVersion) -> (XmlIndex, DiskColumnStore, Arc<[u8]>) {
+    fn store() -> (XmlIndex, DiskColumnStore, Arc<[u8]>) {
         let ix = corpus();
-        let image = image_of(&ix, WriteIndexOptions { include_scores: true, format });
+        let image = image_of(&ix, WriteIndexOptions { include_scores: true, ..Default::default() });
         let store = open_unbounded(&image);
         (ix, store, image)
     }
 
-    fn store() -> (XmlIndex, DiskColumnStore, Arc<[u8]>) {
-        store_v(FormatVersion::V2)
+    /// `dense` in 50 000 `<p><t>` leaves, each `<t>` followed by a `<u/>`:
+    /// its level-3 column is 50 000 one-row runs two numbers apart — a
+    /// delta column of 2-bit lanes over four blocks.
+    fn dense_corpus() -> XmlIndex {
+        let mut xml = String::from("<r>");
+        for _ in 0..50_000 {
+            xml.push_str("<p><t>dense</t><u/></p>");
+        }
+        xml.push_str("</r>");
+        XmlIndex::build(parse(&xml).unwrap())
     }
 
     #[test]
@@ -529,39 +527,23 @@ mod tests {
 
     #[test]
     fn scan_matches_in_memory_columns() {
-        for format in [FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, _image) = store_v(format);
-            for (_, term) in ix.terms() {
-                for (li, col) in term.columns.iter().enumerate() {
-                    let dc = store.column(&term.term, (li + 1) as u16).unwrap();
-                    assert_eq!(
-                        dc.scan().unwrap(),
-                        col.runs,
-                        "term {} level {} {format:?}",
-                        term.term,
-                        li + 1
-                    );
-                }
+        let (ix, store, _image) = store();
+        for (_, term) in ix.terms() {
+            for (li, col) in term.columns.iter().enumerate() {
+                let dc = store.column(&term.term, (li + 1) as u16).unwrap();
+                assert_eq!(dc.scan().unwrap(), col.runs, "term {} level {}", term.term, li + 1);
             }
         }
     }
 
     #[test]
     fn skipping_cursor_lands_only_blocks_that_hold_a_probe() {
-        let mut xml = String::from("<r>");
-        for i in 0..20_000 {
-            xml.push_str(&format!("<p><t>dense x{i}</t></p>"));
-        }
-        xml.push_str("</r>");
-        let ix = XmlIndex::build(parse(&xml).unwrap());
-        let col = &ix.term_by_str("dense").unwrap().columns[1];
-        // Varint payloads: a byte per row, so the column spans several blocks.
-        let format = FormatVersion::V2;
-        let opts = WriteIndexOptions { include_scores: true, format };
-        let store = open_unbounded(&image_of(&ix, opts));
-        let dc = store.column("dense", 2).unwrap();
+        let ix = dense_corpus();
+        let col = &ix.term_by_str("dense").unwrap().columns[2];
+        let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
+        let dc = store.column("dense", 3).unwrap();
         let blocks = dc.block_count() as u64;
-        assert!(blocks > 2, "{format:?}: corpus must span several blocks");
+        assert!(blocks > 2, "corpus must span several blocks");
         // Every 7th value plus misses between them: all blocks land,
         // each once, and every lookup answers as the memory column.
         let mut probes: Vec<u32> = col.runs.iter().step_by(7).map(|r| r.value).collect();
@@ -570,10 +552,10 @@ mod tests {
         probes.dedup();
         let mut cursor = RunCursor::new(dc.feed(true, usize::MAX));
         for &v in &probes {
-            assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{format:?} {v}");
+            assert_eq!(cursor.seek(v).unwrap(), col.find(v).copied(), "{v}");
         }
-        assert_eq!(store.io_stats().misses, blocks, "{format:?}");
-        assert_eq!(store.io_stats().hits, 0, "{format:?}: one access per landed block");
+        assert_eq!(store.io_stats().misses, blocks);
+        assert_eq!(store.io_stats().hits, 0, "one access per landed block");
         // Only the last value: the directory jumps to its block.  Past
         // the end nothing more lands.
         let last = col.runs.last().unwrap();
@@ -582,14 +564,14 @@ mod tests {
         assert_eq!(cursor.seek(last.value).unwrap(), Some(*last));
         assert_eq!(cursor.seek(last.value + 1).unwrap(), None);
         cursor.finish().unwrap();
-        assert_eq!(store.io_stats().since(&before).hits, 1, "{format:?}");
+        assert_eq!(store.io_stats().since(&before).hits, 1);
         // A scanning cursor reads to the end of the column whatever
         // the probes.
         let before = store.io_stats();
         let mut cursor = RunCursor::new(dc.feed(false, usize::MAX));
         assert_eq!(cursor.seek(col.runs[0].value).unwrap(), Some(col.runs[0]));
         cursor.finish().unwrap();
-        assert_eq!(store.io_stats().since(&before).hits, blocks, "{format:?}");
+        assert_eq!(store.io_stats().since(&before).hits, blocks);
     }
 
     #[test]
@@ -610,85 +592,50 @@ mod tests {
 
     #[test]
     fn find_matches_in_memory_find() {
-        for format in [FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, _image) = store_v(format);
-            let term = ix.term_by_str("shared").unwrap();
-            let dc = store.column("shared", 3).unwrap();
-            for run in &term.columns[2].runs {
-                assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{format:?}");
-            }
-            assert_eq!(dc.find(999_999).unwrap(), None);
+        let (ix, store, _image) = store();
+        let term = ix.term_by_str("shared").unwrap();
+        let dc = store.column("shared", 3).unwrap();
+        for run in &term.columns[2].runs {
+            assert_eq!(dc.find(run.value).unwrap(), Some(*run));
         }
+        assert_eq!(dc.find(999_999).unwrap(), None);
     }
 
-    /// ROADMAP item 0c's reproducer: 6 000 `<c>` nodes holding one or two
-    /// `<d>w</d>` each, so `w`'s level-2 column has runs of one and two
-    /// rows and still chooses delta; 600 empty siblings after every 64th
-    /// spread the level-2 numbers, so the bit-packed lanes (10 bits a row
-    /// instead of 1) fill a block as well.
-    /// Returns the index and whether, under `format`, some block of that
-    /// column ends inside a run.
-    fn straddling_corpus(format: FormatVersion) -> (XmlIndex, bool) {
+    /// The run-straddling corpus (ROADMAP item 0b): 6 000 `<c>` nodes,
+    /// every third holding one `<d>w</d>` and the others two, so `w`'s
+    /// level-2 column has runs of one and two rows and still chooses
+    /// delta; 600 empty siblings after every 64th spread the level-2
+    /// numbers, so the lanes (10 bits a row) fill several blocks.  A
+    /// cutter that ends a block by size alone cuts a run of this column
+    /// in two, with or without a row count in the block header.
+    fn straddling_corpus() -> XmlIndex {
         let mut xml = String::from("<r>");
         for i in 0..6000u32 {
-            let leaves = if i.wrapping_mul(2_654_435_761) >> 31 == 0 { "<d>w</d>" } else { "<d>w</d><d>w</d>" };
+            let leaves = if i % 3 == 0 { "<d>w</d>" } else { "<d>w</d><d>w</d>" };
             xml.push_str(&format!("<c>{leaves}</c>"));
             if i % 64 == 0 {
                 xml.push_str(&"<x/>".repeat(600));
             }
         }
         xml.push_str("</r>");
-        let ix = XmlIndex::build(parse(&xml).unwrap());
-        let col = &ix.term_by_str("w").unwrap().columns[1];
-        assert_eq!(crate::codec::choose_scheme(col), Scheme::Delta);
-        let cc = match format {
-            FormatVersion::V2 => crate::codec::encode_column(col, Scheme::Delta),
-            FormatVersion::V3 => crate::codec::encode_column_packed(col, Scheme::Delta),
-        };
-        let straddles = cc.blocks.windows(2).any(|w| w[0].last == w[1].first);
-        (ix, straddles)
+        XmlIndex::build(parse(&xml).unwrap())
     }
 
     #[test]
     fn run_cut_by_a_block_boundary_reads_row_for_row_as_the_memory_column() {
-        // What item 0c leaves true of the store's readers, pinned so it
-        // cannot get worse: a run a delta block boundary cuts comes back
-        // in parts, but the parts are adjacent, so `scan` covers the
-        // memory column row for row, and `find` starts at the run's start.
-        // Once blocks are cut at run boundaries (or cursors look across
-        // them) both asserts tighten to plain equality.
-        for format in [FormatVersion::V2, FormatVersion::V3] {
-            let (ix, straddles) = straddling_corpus(format);
-            assert!(straddles, "{format:?}: no block of the corpus ends inside a run");
-            let store = open_unbounded(&image_of(&ix, WriteIndexOptions { include_scores: false, format }));
-            let col = &ix.term_by_str("w").unwrap().columns[1];
-            let dc = store.column("w", 2).unwrap();
-            let mut merged = dc.scan().unwrap();
-            merged.dedup_by(|part, open| {
-                let joins = open.value == part.value && open.end() == part.start;
-                open.len += if joins { part.len } else { 0 };
-                joins
-            });
-            assert_eq!(merged, col.runs, "{format:?}");
-            for run in &col.runs {
-                let found = dc.find(run.value).unwrap().expect("every run value is found");
-                assert_eq!((found.value, found.start), (run.value, run.start), "{format:?}");
-                assert!(found.len <= run.len, "{format:?}: {found:?} outgrows {run:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn read_index_joins_a_run_cut_by_a_block_boundary() {
-        // The eager reader returns exact columns whatever the block cuts.
-        for format in [FormatVersion::V2, FormatVersion::V3] {
-            let (ix, straddles) = straddling_corpus(format);
-            assert!(straddles, "{format:?}: no block of the corpus ends inside a run");
-            let image = image_of(&ix, WriteIndexOptions { include_scores: true, format });
-            let loaded = crate::disk::read_index_bytes(ColumnBytes::from(image)).unwrap();
-            for (_, term) in ix.terms() {
-                assert_eq!(loaded.terms[&*term.term].columns, term.columns, "{format:?} {}", term.term);
-            }
+        // Delta blocks end at run boundaries, so the store hands back the
+        // memory column run for run: `scan` equals it, and `find` returns
+        // each whole run.
+        let ix = straddling_corpus();
+        let col = &ix.term_by_str("w").unwrap().columns[1];
+        assert_eq!(crate::codec::choose_scheme(col), Scheme::Delta);
+        assert!(col.runs.iter().any(|r| r.len > 1), "the column has multi-row runs");
+        let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
+        let dc = store.column("w", 2).unwrap();
+        assert!(dc.block_count() > 1, "the column spans several blocks");
+        assert_eq!(dc.scan().unwrap(), col.runs);
+        for run in &col.runs {
+            assert_eq!(dc.find(run.value).unwrap(), Some(*run));
         }
     }
 
@@ -737,17 +684,12 @@ mod tests {
     fn cold_find_decodes_at_most_one_block() {
         // A probe must not decode the preceding blocks of the column to
         // locate its row prefix.
-        let mut xml = String::from("<r>");
-        for i in 0..6000 {
-            xml.push_str(&format!("<p><t>dense x{i}</t></p>"));
-        }
-        xml.push_str("</r>");
-        let ix = XmlIndex::build(parse(&xml).unwrap());
+        let ix = dense_corpus();
         let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
-        let dc = store.column("dense", 2).unwrap();
+        let dc = store.column("dense", 3).unwrap();
         assert!(dc.block_count() > 1, "corpus must span several blocks");
         // Probe a value that lives in the LAST block of a cold store.
-        let target = ix.term_by_str("dense").unwrap().columns[1].runs.last().unwrap().value;
+        let target = ix.term_by_str("dense").unwrap().columns[2].runs.last().unwrap().value;
         assert!(dc.find(target).unwrap().is_some());
         assert_eq!(store.reads(), 1, "cold probe decodes exactly one block");
         // A probe beyond every stored value decodes nothing: the footers

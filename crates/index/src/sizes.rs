@@ -20,7 +20,7 @@
 
 use crate::btree::{composite_key, dewey_key_bytes, emulate_size};
 use crate::builder::XmlIndex;
-use crate::codec::{varint_len, write_varint, BlockLayout};
+use crate::codec::{varint_len, write_varint};
 use crate::disk::encode_column_record;
 use std::fmt;
 use xtk_xml::dewey::DeweyIndex;
@@ -80,7 +80,7 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         scratch.clear();
         let mut sparse_blocks = 0u64;
         for col in &term.columns {
-            sparse_blocks += encode_column_record(col, BlockLayout::Varint, &mut scratch) as u64;
+            sparse_blocks += encode_column_record(col, &mut scratch) as u64;
         }
         join += scratch.len() as u64;
         s.join_il += join;
@@ -219,11 +219,10 @@ mod tests {
     /// uses: header and lengths array by hand, the column records by the
     /// encoder `compute` calls.  If the model drifts from the writer, it
     /// stops matching the real file.
-    fn assert_model_matches_file(format: crate::disk::FormatVersion, magic: u32) {
-        use crate::disk::{persisted_file_bytes, write_index_to, WriteIndexOptions};
+    fn assert_model_matches_file(opts: crate::disk::WriteIndexOptions) {
+        use crate::disk::{persisted_file_bytes, write_index_to, MAGIC};
         let ix = small_index();
-        let opts = WriteIndexOptions { include_scores: false, format };
-        let mut model = (varint_len(magic) + varint_len(ix.vocab_size() as u32) + 1) as u64;
+        let mut model = (varint_len(MAGIC) + varint_len(ix.vocab_size() as u32) + 1) as u64;
         let mut records = Vec::new();
         for (_, term) in ix.terms() {
             model += varint_len(term.term.len() as u32) as u64 + term.term.len() as u64;
@@ -231,9 +230,12 @@ mod tests {
             for &node in &term.postings {
                 model += varint_len(ix.tree().depth(node) as u32) as u64;
             }
+            if opts.include_scores {
+                model += 4 * term.postings.len() as u64;
+            }
             model += varint_len(term.columns.len() as u32) as u64;
             for col in &term.columns {
-                encode_column_record(col, format.layout(), &mut records);
+                encode_column_record(col, &mut records);
             }
         }
         model += records.len() as u64;
@@ -246,14 +248,15 @@ mod tests {
 
     #[test]
     fn column_accounting_matches_actual_file_length() {
-        assert_model_matches_file(crate::disk::FormatVersion::V2, crate::disk::MAGIC_V2);
+        assert_model_matches_file(crate::disk::WriteIndexOptions::default());
     }
 
     #[test]
     fn column_accounting_matches_v3_file_length() {
-        // The v3 directory is byte-identical in shape to v2, only the
-        // payload encoder changes.
-        assert_model_matches_file(crate::disk::FormatVersion::V3, crate::disk::MAGIC_V3);
+        // The options perfbench writes its stores with: the one format
+        // (`FormatVersion::V3`, file version 4) plus the score section.
+        use crate::disk::{FormatVersion, WriteIndexOptions};
+        assert_model_matches_file(WriteIndexOptions { include_scores: true, format: FormatVersion::V3 });
     }
 
     #[test]
@@ -274,7 +277,7 @@ mod tests {
                 }
                 b += varint_len(cc.payload_bytes() as u32) + cc.payload_bytes();
                 bare += b as u64;
-                blocks += encode_column_record(col, BlockLayout::Varint, &mut records) as u64;
+                blocks += encode_column_record(col, &mut records) as u64;
             }
         }
         let with_footers = records.len() as u64;

@@ -1,26 +1,20 @@
 //! Failure injection for the on-disk index format: truncations and random
 //! byte mutations of a valid file must produce a clean `InvalidData`
 //! error or — when the mutation happens to keep the file well-formed — a
-//! successful parse.  Never a panic, and never a file one entry point
-//! accepts and the other refuses.  Images are `Vec<u8>`s handed to the
-//! readers as they are; nothing touches the filesystem.
+//! successful parse.  Never a panic.  Images are `Vec<u8>`s handed to the
+//! reader as they are; nothing touches the filesystem.
 
 use std::io;
 use std::sync::Arc;
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::codec::{try_read_varint, write_varint};
-use xtk_index::disk::{read_index_bytes, write_index_to, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{write_index_to, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::parse;
 use xtk_xml::testutil::prop_check;
 
-/// Both formats: varint (v2) and bit-packed (v3) block payloads.  Every
-/// injection below runs against each, so truncated and bit-flipped packed
-/// lanes get the same coverage as varint payloads.
-const FORMATS: [FormatVersion; 2] = [FormatVersion::V2, FormatVersion::V3];
-
-fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
+fn valid_index_bytes() -> Vec<u8> {
     let mut xml = String::from("<r>");
     for i in 0..120 {
         xml.push_str(&format!("<p><t>alpha beta{} gamma</t></p>", i % 11));
@@ -28,23 +22,14 @@ fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
     xml.push_str("</r>");
     let ix = XmlIndex::build(parse(&xml).unwrap());
     let mut image = Vec::new();
-    write_index_to(&ix, &mut image, WriteIndexOptions { include_scores: true, format }).unwrap();
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    write_index_to(&ix, &mut image, opts).unwrap();
     image
 }
 
-/// The lazy entry point: a store over `image`.
+/// The one reader: a store over `image`.
 fn open(image: &[u8]) -> io::Result<DiskColumnStore> {
     DiskColumnStore::open_bytes(image.to_vec().into(), Arc::new(ShardedLruCache::unbounded()))
-}
-
-/// The eager entry point: every column of `image` decoded.
-fn read(image: &[u8]) -> io::Result<()> {
-    read_index_bytes(image.to_vec().into()).map(|_| ())
-}
-
-/// Both entry points' verdicts on one image, by name.
-fn both(image: &[u8]) -> [(&'static str, io::Result<()>); 2] {
-    [("read_index", read(image)), ("open_bytes", open(image).map(|_| ()))]
 }
 
 fn scan_all(store: &DiskColumnStore) -> io::Result<()> {
@@ -56,56 +41,44 @@ fn scan_all(store: &DiskColumnStore) -> io::Result<()> {
     Ok(())
 }
 
-/// The two entry points share one directory parse, so an image the store
-/// refuses to open the eager reader refuses too, and the eager reader
-/// loads exactly the images whose every column then scans.  Errors are
-/// `InvalidData`.  Returns the eager outcome.
-fn assert_readers_agree(image: &[u8], what: &str) -> bool {
-    let (eager, lazy) = (read(image), open(image));
-    for err in [eager.as_ref().err(), lazy.as_ref().err()].into_iter().flatten() {
+/// One verdict on an image: it opens and every column scans, or it fails
+/// with `InvalidData` (a panic fails the test).  Returns whether it loaded.
+fn verdict(image: &[u8], what: &str) -> bool {
+    let loaded = open(image).and_then(|store| scan_all(&store));
+    if let Err(err) = &loaded {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
     }
-    if lazy.is_err() {
-        assert!(eager.is_err(), "{what}: read_index loaded an image open_bytes refuses");
-    }
-    let scanned = lazy.and_then(|store| scan_all(&store));
-    assert_eq!(eager.is_ok(), scanned.is_ok(), "{what}: eager {eager:?} vs open + scan {scanned:?}");
-    eager.is_ok()
+    loaded.is_ok()
 }
 
 #[test]
 fn every_truncation_point_is_handled() {
-    for format in FORMATS {
-        let bytes = valid_index_bytes(format);
-        assert!(assert_readers_agree(&bytes, "pristine"), "{format:?}");
-        // Truncating at every prefix is O(n^2) in file size; sample
-        // prefixes densely at the start (header/directory) and sparsely
-        // later.
-        let mut cuts: Vec<usize> = (0..bytes.len().min(200)).collect();
-        cuts.extend((200..bytes.len()).step_by(97));
-        for cut in cuts {
-            // Must not panic; Err expected for almost every cut.
-            assert_readers_agree(&bytes[..cut], &format!("{format:?} cut at {cut}"));
-        }
+    let bytes = valid_index_bytes();
+    assert!(verdict(&bytes, "pristine"));
+    // Truncating at every prefix is O(n^2) in file size; sample prefixes
+    // densely at the start (header/directory) and sparsely later.
+    let mut cuts: Vec<usize> = (0..bytes.len().min(200)).collect();
+    cuts.extend((200..bytes.len()).step_by(97));
+    for cut in cuts {
+        // Must not panic; Err expected for almost every cut.
+        verdict(&bytes[..cut], &format!("cut at {cut}"));
     }
 }
 
 #[test]
 fn random_mutations_never_panic() {
     prop_check(0x41, 48, |g| {
-        let format = FORMATS[g.gen_range(0..FORMATS.len())];
         let n_flips = g.gen_range(1..8usize);
         let flips: Vec<(usize, u8)> = (0..n_flips)
             .map(|_| (g.gen_range(0..1_000_000usize), g.gen_range(0..256u32) as u8))
             .collect();
-        let mut bytes = valid_index_bytes(format);
+        let mut bytes = valid_index_bytes();
         for &(pos, val) in &flips {
             let n = bytes.len();
             bytes[pos % n] = val;
         }
-        // A lucky mutation may still be well-formed; either way both
-        // entry points say the same.
-        assert_readers_agree(&bytes, &format!("{format:?} flips {flips:?}"));
+        // A lucky mutation may still be well-formed.
+        verdict(&bytes, &format!("flips {flips:?}"));
     });
 }
 
@@ -116,12 +89,11 @@ fn mutated_store_scan_and_find_never_panic() {
     // `Err` (or a well-formed `Ok`), never a panic.  Mutations are aimed
     // past the directory to stress the lazy decode paths.
     prop_check(0x42, 32, |g| {
-        let format = FORMATS[g.gen_range(0..FORMATS.len())];
         let n_flips = g.gen_range(1..6usize);
         let flips: Vec<(usize, u8)> = (0..n_flips)
             .map(|_| (g.gen_range(0..1_000_000usize), g.gen_range(0..256u32) as u8))
             .collect();
-        let mut bytes = valid_index_bytes(format);
+        let mut bytes = valid_index_bytes();
         let n = bytes.len();
         for (pos, val) in flips {
             // Skip the first ~64 bytes so the open() usually succeeds and
@@ -144,22 +116,25 @@ fn mutated_store_scan_and_find_never_panic() {
 #[test]
 fn empty_and_garbage_files_rejected() {
     for content in [&b""[..], &b"\x00"[..], &b"garbage not an index"[..]] {
-        assert!(!assert_readers_agree(content, "garbage"));
+        assert!(!verdict(content, "garbage"));
     }
 }
 
 #[test]
 fn version_1_image_is_rejected_by_every_reader() {
-    // An empty but well-formed version-1 file (magic, no terms, no score
-    // flag): readers of the directory without row counts are gone, and
-    // the file is refused by name rather than half-read.
-    let mut image = Vec::new();
-    write_varint(0x5854_4B01, &mut image);
-    image.extend_from_slice(&[0, 0]);
-    for (reader, outcome) in both(&image) {
-        let err = outcome.expect_err(&format!("{reader} opened a version-1 image"));
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reader}: {err}");
-        assert!(err.to_string().contains("unsupported format version 1"), "{reader}: {err}");
+    // An empty but well-formed file of each earlier version (magic, no
+    // terms, no score flag): version 1 had no row counts in its
+    // directory, version 2 held varint blocks, and version 3's delta
+    // blocks repeated their row count.  Their readers are gone, and each
+    // file is refused by name rather than misread.
+    for version in 1..=3u32 {
+        let mut image = Vec::new();
+        write_varint(0x5854_4B00 | version, &mut image);
+        image.extend_from_slice(&[0, 0]);
+        let err = open(&image).expect_err(&format!("opened a version-{version} image"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{version}: {err}");
+        let named = format!("unsupported format version {version}");
+        assert!(err.to_string().contains(&named), "{version}: {err}");
     }
 }
 
@@ -207,30 +182,24 @@ fn locate(bytes: &[u8], field: Field) -> (std::ops::Range<usize>, u32) {
 
 #[test]
 fn damaged_directory_field_is_rejected_by_every_reader() {
-    // `read_index` and `DiskColumnStore::open_bytes` must agree on what a
-    // valid file is.  One row per open-time check of a single field — the
-    // two drifts found so far: a first-entry row count of `rows + 1`
-    // loaded in the eager reader alone, a depth of 65 536 + d used to open
-    // (truncated to `d` by an `as u16`) in the store alone.  The format is
-    // sequential with payload-relative block
-    // offsets, so a longer varint shifts nothing that is addressed: the
-    // field is the only thing wrong with the image.
+    // One row per open-time check of a single field — the two drifts
+    // found so far between two readers that shared this parse: a
+    // first-entry row count of `rows + 1`, and a depth of 65 536 + d
+    // (truncated to `d` by an `as u16`).  The format is sequential with
+    // payload-relative block offsets, so a longer varint shifts nothing
+    // that is addressed: the field is the only thing wrong with the image.
     type Damage = (Field, fn(u32) -> u32);
     let damage: [Damage; 2] =
         [(Field::FirstBlockRows, |rows| rows + 1), (Field::FirstDepth, |depth| depth + 65_536)];
-    for format in FORMATS {
-        let bytes = valid_index_bytes(format);
-        assert!(assert_readers_agree(&bytes, "pristine"), "{format:?}: pristine image refused");
-        for (field, replace) in damage {
-            let (at, value) = locate(&bytes, field);
-            let mut image = bytes[..at.start].to_vec();
-            write_varint(replace(value), &mut image);
-            image.extend_from_slice(&bytes[at.end..]);
-            let what = format!("{format:?} {field:?} {value} -> {}", replace(value));
-            for (reader, outcome) in both(&image) {
-                let err = outcome.expect_err(&format!("{what}: {reader} accepted it"));
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {reader}: {err}");
-            }
-        }
+    let bytes = valid_index_bytes();
+    assert!(verdict(&bytes, "pristine"), "pristine image refused");
+    for (field, replace) in damage {
+        let (at, value) = locate(&bytes, field);
+        let mut image = bytes[..at.start].to_vec();
+        write_varint(replace(value), &mut image);
+        image.extend_from_slice(&bytes[at.end..]);
+        let what = format!("{field:?} {value} -> {}", replace(value));
+        let err = open(&image).expect_err(&format!("{what}: opened"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
     }
 }

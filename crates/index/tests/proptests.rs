@@ -4,14 +4,12 @@
 //!
 //! Runs on the in-tree [`testutil`](xtk_xml::testutil) runner.
 
-use xtk_index::codec::{
-    choose_scheme, decode_column, encode_column, encode_column_packed, CompressedColumn, Scheme,
-};
+use xtk_index::codec::{choose_scheme, decode_column, encode_column, CompressedColumn, Scheme};
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::columnar::{
     Column, RowDirectory, Run, ROW_DIRECTORY_MIN_RUNS, ROW_DIRECTORY_STRIDE,
 };
-use xtk_index::disk::{write_index_to, FormatVersion, WriteIndexOptions};
+use xtk_index::disk::{write_index_to, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::testutil::{prop_check, Gen};
@@ -60,17 +58,18 @@ fn placements(g: &mut Gen, max: usize, words: u8) -> Vec<(usize, u8)> {
         .collect()
 }
 
-/// Random well-formed column: sorted distinct values, contiguous-or-gapped
-/// rows.
-fn random_column(g: &mut Gen) -> Column {
-    let n = g.gen_range(0..200.min(2 * g.size() + 1));
+/// Random well-formed column of fewer than `max_runs` runs (the cap grows
+/// with the generator's size), each shorter than `max_len` rows: sorted
+/// distinct values, contiguous-or-gapped rows.
+fn random_column(g: &mut Gen, max_runs: usize, max_len: u32) -> Column {
+    let n = g.gen_range(0..max_runs.min(max_runs / 100 * g.size() + 1));
     let mut runs = Vec::new();
     let mut value = 0u32;
     let mut row = 0u32;
     for _ in 0..n {
         value += g.gen_range(1..5000u32);
         row += g.gen_range(0..3u32); // gap = rows absent at this level
-        let len = g.gen_range(1..20u32);
+        let len = g.gen_range(1..max_len);
         runs.push(Run { value, start: row, len });
         row += len;
     }
@@ -80,7 +79,7 @@ fn random_column(g: &mut Gen) -> Column {
 #[test]
 fn codec_roundtrip_both_schemes() {
     prop_check(0x31, 128, |g| {
-        let col = random_column(g);
+        let col = random_column(g, 200, 20);
         let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
         for scheme in [Scheme::Delta, Scheme::Rle] {
             let cc = encode_column(&col, scheme);
@@ -93,30 +92,32 @@ fn codec_roundtrip_both_schemes() {
     });
 }
 
+/// Whether some block of `cc` ends inside a run: its last row and the
+/// next block's first row are adjacent rows of one value.
+fn cuts_a_run(cc: &CompressedColumn, present: &[u32]) -> bool {
+    let mut end = 0usize;
+    cc.blocks.windows(2).any(|w| {
+        end += w[0].rows as usize;
+        w[0].last == w[1].first && present[end - 1] + 1 == present[end]
+    })
+}
+
 #[test]
-fn packed_layout_roundtrips_and_matches_varint() {
-    // Format v3: the bit-packed lanes must decode to exactly the varint
-    // (v2) decode and the in-memory column, for both schemes, over random
-    // columns with random present-row gaps.  The directory footers are
-    // layout-invariant, so `find()` and Table I size accounting agree.
+fn blocks_end_at_run_boundaries() {
+    // Over random columns of up to 2 000 runs of one to three rows (13-bit
+    // deltas: several blocks) with random present-row gaps, for both
+    // schemes: the directory's row counts add up to the column, no block
+    // ends inside a run, and the column decodes back.
     prop_check(0x37, 128, |g| {
-        let col = random_column(g);
+        let col = random_column(g, 2_000, 4);
         let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
         for scheme in [Scheme::Delta, Scheme::Rle] {
-            let v2 = encode_column(&col, scheme);
-            let v3 = encode_column_packed(&col, scheme);
-            let footers = |cc: &CompressedColumn| -> Vec<(u32, u32)> {
-                cc.blocks.iter().map(|b| (b.rows, b.last)).collect()
-            };
-            prop_assert_eq!(footers(&v3), footers(&v2), "{:?} row counts and last values", scheme);
-            let back3 = decode_column(&v3, &present).expect("packed payload decodes");
-            prop_assert_eq!(&back3, &col, "{:?} packed vs memory", scheme);
-            prop_assert_eq!(
-                decode_column(&v2, &present).as_ref(),
-                Some(&back3),
-                "{:?} varint vs packed",
-                scheme
-            );
+            let cc = encode_column(&col, scheme);
+            let rows: u64 = cc.blocks.iter().map(|b| u64::from(b.rows)).sum();
+            prop_assert_eq!(rows, col.row_count(), "{:?}", scheme);
+            prop_assert!(!cuts_a_run(&cc, &present), "{:?}: a block ends inside a run", scheme);
+            let back = decode_column(&cc, &present).expect("payload decodes");
+            prop_assert_eq!(&back, &col, "{:?}", scheme);
         }
     });
 }
@@ -129,10 +130,10 @@ fn corrupted_packed_lanes_reject_without_panicking() {
     // never a panic.  The lanes are exact-length, so a truncated or
     // over-long lane is always detected.
     prop_check(0x38, 128, |g| {
-        let col = random_column(g);
+        let col = random_column(g, 200, 20);
         let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
         let scheme = if g.gen_range(0..2u32) == 0 { Scheme::Delta } else { Scheme::Rle };
-        let mut cc = encode_column_packed(&col, scheme);
+        let mut cc = encode_column(&col, scheme);
         if cc.bytes.is_empty() {
             return; // empty column: nothing to corrupt
         }
@@ -173,19 +174,22 @@ fn sparse_index_locates_every_value() {
     // none.
     let multi_block = std::cell::Cell::new(0u32);
     prop_check(0x32, 24, |g| {
-        // A root over up to 10 000 children: `w` sits in a child itself
-        // (a delta column of one-row runs, with value gaps), `v` in three
-        // to five children of a child (an RLE column of longer runs over a
-        // delta column).  Multi-row runs are kept to RLE columns: a delta
-        // block can end inside a run, and the reader hands such a run
-        // back in two parts (ROADMAP item 0c; what holds of it is pinned
-        // by `diskcol`'s `run_cut_by_a_block_boundary_…` unit test).
+        // A root over up to 10 000 children: `w` sits in a child itself,
+        // and in a grandchild of some of those (a delta column of one- and
+        // two-row runs, with value gaps), `v` in three to five children of
+        // a child (an RLE column of longer runs over a delta column).
+        // Delta blocks end at run boundaries, so no run reaches the
+        // reader in two parts.
         let mut tree = XmlTree::with_capacity(16);
         let root = tree.add_root("r");
         for _ in 0..g.gen_range(1..100 * g.size() + 2) {
             let child = tree.add_child(root, "c");
             if g.gen_bool(0.6) {
                 tree.append_text(child, "w");
+                if g.gen_bool(0.3) {
+                    let leaf = tree.add_child(child, "e");
+                    tree.append_text(leaf, "w");
+                }
             }
             if g.gen_bool(0.5) {
                 for _ in 0..g.gen_range(3..6u32) {
@@ -195,9 +199,8 @@ fn sparse_index_locates_every_value() {
             }
         }
         let ix = XmlIndex::build(tree);
-        let format = if g.gen_bool(0.5) { FormatVersion::V2 } else { FormatVersion::V3 };
         let mut image = Vec::new();
-        write_index_to(&ix, &mut image, WriteIndexOptions { include_scores: false, format }).unwrap();
+        write_index_to(&ix, &mut image, WriteIndexOptions::default()).unwrap();
         let cache = std::sync::Arc::new(ShardedLruCache::unbounded());
         let store = DiskColumnStore::open_bytes(image.into(), cache).unwrap();
         let landed = || store.io_stats().hits + store.io_stats().misses;
@@ -207,14 +210,13 @@ fn sparse_index_locates_every_value() {
             .flat_map(|(word, term)| term.columns.iter().zip(1u16..).map(move |(col, l)| (word, l, col)));
         for (word, level, col) in columns {
             let dc = store.column(word, level).unwrap();
-            let what = format!("{format:?} {word} level {level}");
+            let what = format!("{word} level {level}");
             // The directory the writer emitted for this column.
-            let cc = match format {
-                FormatVersion::V2 => encode_column(col, choose_scheme(col)),
-                FormatVersion::V3 => encode_column_packed(col, choose_scheme(col)),
-            };
+            let cc = encode_column(col, choose_scheme(col));
             prop_assert_eq!(dc.block_count(), cc.block_count(), "{}", what);
             multi_block.set(multi_block.get() + u32::from(cc.block_count() > 1));
+            let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
+            prop_assert!(!cuts_a_run(&cc, &present), "{}: a block ends inside a run", what);
             for run in &col.runs {
                 let (before, decodes) = (landed(), store.reads());
                 prop_assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{}", what);
@@ -347,7 +349,7 @@ fn segments_partition_rows_in_score_order() {
 #[test]
 fn value_of_row_agrees_with_runs() {
     prop_check(0x36, 128, |g| {
-        let col = random_column(g);
+        let col = random_column(g, 200, 20);
         for run in &col.runs {
             for row in run.rows() {
                 prop_assert_eq!(col.value_of_row(row), Some(run.value));

@@ -1,6 +1,6 @@
 //! Auction-site search over a generated XMark-like corpus, with index
-//! persistence: build → serialize the index file → reload → verify the
-//! columns round-tripped, then query under both semantics.
+//! persistence: build → serialize the index file → open it as a column
+//! store → verify the columns read back, then query under both semantics.
 //!
 //! ```text
 //! cargo run --release --example auction_search
@@ -9,7 +9,10 @@
 use xtk::core::{Engine, QueryRequest, Semantics};
 use xtk::datagen::xmark::{generate, XmarkConfig};
 use xtk::datagen::PlantedTerm;
-use xtk::index::disk::{read_index_bytes, write_index_to, WriteIndexOptions};
+use std::sync::Arc;
+use xtk::index::cache::ShardedLruCache;
+use xtk::index::disk::{write_index_to, WriteIndexOptions};
+use xtk::index::diskcol::DiskColumnStore;
 use xtk::index::sizes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,18 +39,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nindex sizes:\n{}", sizes::compute(engine.index()));
 
     // Serialize the columnar index (`write_index` puts the same bytes in a
-    // file) and load it back.
+    // file) and open it as the store the disk engine reads.
     let mut image = Vec::new();
     let options = WriteIndexOptions { include_scores: true, ..Default::default() };
     let bytes = write_index_to(engine.index(), &mut image, options)?;
     println!("\nwrote columnar index: {bytes} bytes");
-    let loaded = read_index_bytes(image.into())?;
+    let store = DiskColumnStore::open_bytes(image.into(), Arc::new(ShardedLruCache::unbounded()))?;
     let vintage = engine.index().term_by_str("vintage").expect("planted");
-    assert_eq!(
-        loaded.terms["vintage"].columns, vintage.columns,
-        "reloaded columns are bit-identical"
+    for (col, level) in vintage.columns.iter().zip(1u16..) {
+        let scanned = store.column("vintage", level).expect("stored level").scan()?;
+        assert_eq!(scanned, col.runs, "stored columns read back bit-identical");
+    }
+    println!(
+        "opened {} terms; \"vintage\" read back identical in {} blocks",
+        store.term_names().len(),
+        store.io_stats().decodes
     );
-    println!("reloaded {} terms; columns verified identical", loaded.terms.len());
 
     // Queries: items about vintage cameras.
     let q = engine.query("vintage camera")?;

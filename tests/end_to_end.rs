@@ -8,7 +8,8 @@ use xtk::core::request::{QueryAlgorithm, QueryRequest};
 use xtk::core::result::sort_ranked;
 use xtk::datagen::dblp::{generate, DblpConfig};
 use xtk::datagen::PlantedTerm;
-use xtk::index::disk::{read_index, write_index, WriteIndexOptions};
+use xtk::index::disk::{write_index, WriteIndexOptions};
+use xtk::index::diskcol::DiskColumnStore;
 use xtk::xml::testutil::TempPath;
 use xtk::xml::writer::{write_document, WriteOptions};
 use xtk_baselines::baseline::indexed::{indexed_search, IndexedOptions};
@@ -151,13 +152,15 @@ fn persistence_roundtrip_on_generated_corpus() {
     let engine = corpus_engine();
     let path = TempPath::new("xtk_e2e");
     write_index(engine.index(), &path, WriteIndexOptions { include_scores: true, ..Default::default() }).unwrap();
-    let loaded = read_index(&path).unwrap();
-    assert_eq!(loaded.terms.len(), engine.index().vocab_size());
+    let store = DiskColumnStore::open(&path).unwrap();
+    assert_eq!(store.term_names().len(), engine.index().vocab_size());
     for term in ["planted1", "planted2", "planted3"] {
         let orig = engine.index().term_by_str(term).unwrap();
-        let disk = &loaded.terms[term];
-        assert_eq!(disk.columns, orig.columns, "{term} columns");
-        assert_eq!(disk.scores.as_ref().unwrap().len(), orig.scores.len());
+        assert_eq!(usize::from(store.levels_of(term)), orig.columns.len(), "{term} levels");
+        for (col, level) in orig.columns.iter().zip(1u16..) {
+            let scanned = store.column(term, level).unwrap().scan().unwrap();
+            assert_eq!(scanned, col.runs, "{term} level {level}");
+        }
     }
 }
 
