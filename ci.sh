@@ -128,6 +128,26 @@ if grep -n mpsc crates/xml/src/pool.rs >&2; then
     echo "ERROR: crates/xml/src/pool.rs mentions mpsc" >&2; exit 1
 fi
 
+echo "== one timing authority: crates/bench keeps experiments and counter goldens only"
+# Wall time is measured by perfbench alone.  crates/bench holds the figure
+# generator (`experiments`) and tests/goldens.rs, whose goldens are counts
+# that tier-1 checks exactly.  Another bin, a bench target or a clock under
+# its tests means a second timing harness, or a timed golden, came back.
+bins=$(ls crates/bench/src/bin)
+[ "$bins" = "experiments.rs" ] || {
+    echo "ERROR: crates/bench/src/bin holds more than experiments.rs:" >&2
+    echo "$bins" >&2; exit 1; }
+if [ -e crates/bench/benches ]; then
+    echo "ERROR: crates/bench/benches is back (cargo runs its files as bench targets):" >&2
+    ls crates/bench/benches >&2; exit 1
+fi
+if grep -n '^\[\[bench\]\]' crates/bench/Cargo.toml >&2; then
+    echo "ERROR: crates/bench/Cargo.toml declares a [[bench]] target (line above)" >&2; exit 1
+fi
+if grep -rn 'std::time' crates/bench/tests >&2; then
+    echo "ERROR: a clock under crates/bench/tests (lines above): goldens pin counts only" >&2; exit 1
+fi
+
 echo "== lint-report.json: schema + L7 acyclicity check"
 # The machine-readable report must exist, carry every section of the
 # stable schema, and record zero lock-order cycles (the binary already
@@ -143,9 +163,13 @@ grep -q '"cycles": \[\]' lint-report.json || {
 
 echo "== tier-1 as ROADMAP.md spells it: cargo build --release && cargo test -q"
 # The literal line, no --workspace: `default-members` in Cargo.toml is what
-# makes it cover every crate.  Each test binary and doc-test pass prints
-# one `test result:` line — the whole workspace about 50, the facade
-# package alone a handful.  Captured to a file (plain sh has no pipefail).
+# makes it cover every crate, the regression goldens included
+# (crates/bench/tests/goldens.rs: the BENCH_* files at the root, compared
+# exactly; bless an intended change with
+# `XTK_BLESS=1 cargo test -p xtk-bench --test goldens`).  Each test binary
+# and doc-test pass prints one `test result:` line — the whole workspace
+# about 50, the facade package alone a handful.  Captured to a file (plain
+# sh has no pipefail).
 tier1_out=/tmp/xtk-tier1-out.txt
 if ! (cargo build --release --offline && cargo test -q --offline) >"$tier1_out" 2>&1; then
     cat "$tier1_out" >&2
@@ -164,68 +188,6 @@ echo "== perfbench smoke + determinism tests (the benchmark's own guards)"
 # an engine change that breaks the benchmark fails here, not in the
 # benchmark run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-
-echo "== bench smoke: query-path I/O trajectory vs committed baseline"
-# Deterministic cold-decode counts (seeded corpus, serial execution):
-# fails on a >20 % regression against BENCH_query.json, and the run
-# itself asserts result-set equality across cache capacities.  Refresh
-# the baseline after an intentional change with:
-#   query_io --check BENCH_query.json --update
-cargo run -q --offline --release -p xtk-bench --bin query_io -- --check BENCH_query.json
-
-echo "== bench smoke: EXPLAIN plans vs committed golden (exact match)"
-# Renders the logical plan, rewrite log and physical plan for a fixed
-# query grid on every target (memory/disk/sharded); the report contains
-# nothing machine-dependent, so the comparison is byte-for-byte.  Any
-# diff is a real planner change — review it, then refresh with:
-#   explain_snapshot --check BENCH_explain.snap --update
-cargo run -q --offline --release -p xtk-bench --bin explain_snapshot -- --check BENCH_explain.snap
-
-echo "== bench smoke: unified metrics snapshot vs committed golden (exact match)"
-# Every counter in the snapshot is a logical count (no wall-clock), so
-# the comparison is byte-for-byte.  The run also asserts two cold passes
-# produce identical metrics and the per-store decode==miss invariant.
-# Refresh after an intentional change with:
-#   metrics_snapshot --check BENCH_metrics.json --update
-cargo run -q --offline --release -p xtk-bench --bin metrics_snapshot -- --check BENCH_metrics.json
-
-echo "== bench smoke: batched serving vs committed baseline"
-# Replays the skewed serving mix sequentially and batched; the run itself
-# asserts byte-identical results, replay-stable decode/hit counters and
-# zero-decode warm result-cache hits; the batched speedup is printed only.
-# The --check compares the deterministic counters (decodes, result-cache
-# misses, result counts) with a 20 % ratchet.  Refresh after an
-# intentional change with:  serve_bench --check BENCH_serve.json --update
-cargo run -q --offline --release -p xtk-bench --bin serve_bench -- --check BENCH_serve.json
-
-echo "== bench smoke: sharded scatter-gather vs committed baseline"
-# Replays the mixed top-K/complete workload at 1/2/4/8 shards; the run
-# itself asserts byte-identical results across every topology and vs the
-# unsharded reference, and that the TA early-stop changes nothing bit for
-# bit.  The --check compares the deterministic counters (result counts,
-# decodes, shards executed) with a 20 % ratchet.  Refresh after an
-# intentional change with:  shard_bench --check BENCH_shard.json --update
-cargo run -q --offline --release -p xtk-bench --bin shard_bench -- --check BENCH_shard.json
-
-echo "== bench smoke: block decode vs committed baseline"
-# Times cold column decodes per compression regime and answers a query
-# set off a cold store; the run itself asserts that every column decodes
-# back to its in-memory runs and the store answers as the in-memory
-# engine, bit for bit.  The --check compares the deterministic counters
-# (payload bytes, cold decode counts, file size) with a 20 % ratchet;
-# timings are recorded in the trajectory but never compared.  Refresh
-# after an intentional change with:
-#   decode_bench --check BENCH_decode.json --update
-cargo run -q --offline --release -p xtk-bench --bin decode_bench -- --check BENCH_decode.json
-
-echo "== bench smoke: plan cache vs committed baseline"
-# Times the planning pipeline cold vs served from the cross-query plan
-# cache; the run itself asserts a >=3x cached planning speedup.  The
-# --check compares the plan cache's hit and miss counts exactly;
-# planning times are recorded in the trajectory but never compared.
-# Refresh after an intentional change with:
-#   plan_bench --check BENCH_plan.json --update
-cargo run -q --offline --release -p xtk-bench --bin plan_bench -- --check BENCH_plan.json
 
 if [ "${XTK_SKIP_CLIPPY:-0}" = "1" ]; then
     echo "== clippy skipped (XTK_SKIP_CLIPPY=1)"

@@ -1,7 +1,8 @@
 #![forbid(unsafe_code)]
 
 //! Shared experiment harness: corpus construction at two scales, the
-//! planted query workloads for every figure, and timing utilities.
+//! planted query workloads for every figure, the corpus of the regression
+//! goldens (`tests/goldens.rs`), and the timing utilities of `experiments`.
 //!
 //! The paper's corpora are DBLP (496 MB) and XMark scale 1 (113 MB); the
 //! reproduction generates structurally faithful substitutes whose *control
@@ -10,8 +11,6 @@
 //! [`Scale::Paper`] the high-frequency keyword covers ~10 % of the papers,
 //! the same coverage a 100 k-frequency word has in the real 1 M-paper
 //! DBLP.
-
-pub mod harness;
 
 use std::time::{Duration, Instant};
 use xtk_core::joinbased::intersect;
@@ -24,9 +23,8 @@ use xtk_index::cache::ShardedLruCache;
 use xtk_index::columnar::Run;
 use xtk_index::disk::{write_index_to, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
-use xtk_index::{IndexOptions, XmlIndex};
+use xtk_index::XmlIndex;
 use xtk_xml::gallop::{window_gallop_partition_point, window_partition_point};
-use xtk_xml::pool::Parallelism;
 
 /// Corpus scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,13 +121,6 @@ fn planted(scale: Scale) -> Vec<PlantedTerm> {
 
 /// Builds the DBLP-like experiment corpus.
 pub fn build_dblp(scale: Scale) -> XmlIndex {
-    build_dblp_with(scale, Parallelism::Serial)
-}
-
-/// [`build_dblp`] with an explicit index-build [`Parallelism`] — the
-/// parallel-scaling benchmark sweeps this knob; the index is bit-identical
-/// for every setting.
-pub fn build_dblp_with(scale: Scale, parallelism: Parallelism) -> XmlIndex {
     let cfg = match scale {
         Scale::Paper => DblpConfig {
             conferences: 500,
@@ -152,27 +143,22 @@ pub fn build_dblp_with(scale: Scale, parallelism: Parallelism) -> XmlIndex {
             ..Default::default()
         },
     };
-    XmlIndex::build_with(gen_dblp(&cfg).tree, IndexOptions { parallelism, ..Default::default() })
+    XmlIndex::build(gen_dblp(&cfg).tree)
 }
 
-/// The corpus of the `BENCH_*` gate bins, which differ only in size
-/// (`query_io` and `plan_bench` run the large one, `serve_bench` and
-/// `shard_bench` a smaller one): four high-frequency terms, the Fig. 9
-/// bands plus a needle band (f = 4: the most selective index-join regime,
-/// where a probe set touches a handful of blocks of a list spanning
-/// dozens), and the correlated groups at half frequency.
-pub fn gate_corpus(
-    high_freq: usize,
-    conferences: usize,
-    years_per_conf: usize,
-    papers_per_year: usize,
-    vocab_size: usize,
-) -> XmlIndex {
+/// The corpus of the query, serving, sharding and store-decode goldens
+/// (`tests/goldens.rs`), 5 000 papers: four high-frequency terms, the
+/// needle band (f = 4, the most selective index-join regime) and the
+/// Fig. 9 bands up to 1 000, and the correlated groups at an eighth of
+/// their paper frequency.  It is sized for a debug-build test: its lists
+/// span one or two 4 KiB blocks, so block skipping over long lists is
+/// pinned by `xtk-core`'s `plan_differential` and `source_conformance`.
+pub fn gate_corpus() -> XmlIndex {
     let mut planted = Vec::new();
     for i in 0..4 {
-        planted.push(PlantedTerm::new(high_term(i), high_freq));
+        planted.push(PlantedTerm::new(high_term(i), 2_000));
     }
-    for f in std::iter::once(4).chain(LOW_FREQS) {
+    for f in [4, 10, 100, 1_000] {
         for i in 0..TERMS_PER_BAND {
             planted.push(PlantedTerm::new(band_term(f, i), f));
         }
@@ -180,19 +166,19 @@ pub fn gate_corpus(
     for (terms, freqs, rho) in correlated_groups() {
         let mut pairs = terms.iter().zip(&freqs);
         if let Some((&lead, &f)) = pairs.next() {
-            planted.push(PlantedTerm::new(lead, f / 2));
+            planted.push(PlantedTerm::new(lead, f / 8));
             for (&t, &f) in pairs {
-                planted.push(PlantedTerm::correlated(t, f / 2, lead, rho));
+                planted.push(PlantedTerm::correlated(t, f / 8, lead, rho));
             }
         }
     }
     let cfg = DblpConfig {
-        conferences,
-        years_per_conf,
-        papers_per_year,
+        conferences: 100,
+        years_per_conf: 5,
+        papers_per_year: 10,
         title_words: 6,
         authors_per_paper: 1,
-        vocab_size,
+        vocab_size: 4_000,
         planted,
         ..Default::default()
     };
@@ -201,11 +187,6 @@ pub fn gate_corpus(
 
 /// Builds the XMark-like experiment corpus.
 pub fn build_xmark(scale: Scale) -> XmlIndex {
-    build_xmark_with(scale, Parallelism::Serial)
-}
-
-/// [`build_xmark`] with an explicit index-build [`Parallelism`].
-pub fn build_xmark_with(scale: Scale, parallelism: Parallelism) -> XmlIndex {
     let cfg = match scale {
         Scale::Paper => XmarkConfig {
             items_per_region: 25_000,
@@ -228,7 +209,7 @@ pub fn build_xmark_with(scale: Scale, parallelism: Parallelism) -> XmlIndex {
             ..Default::default()
         },
     };
-    XmlIndex::build_with(gen_xmark(&cfg).tree, IndexOptions { parallelism, ..Default::default() })
+    XmlIndex::build(gen_xmark(&cfg).tree)
 }
 
 /// XMark plants a reduced band set (its item population is smaller).
@@ -325,7 +306,7 @@ pub fn equal_queries(k: usize, freq: usize, count: usize) -> Vec<Vec<String>> {
 }
 
 /// `ix` written to an in-memory file image that any number of stores can
-/// share: the bins' disk legs touch no filesystem.
+/// share: a single-store disk leg touches no filesystem.
 pub fn store_image(ix: &XmlIndex, options: WriteIndexOptions) -> std::io::Result<ColumnBytes> {
     let mut image = Vec::new();
     write_index_to(ix, &mut image, options)?;
@@ -399,37 +380,6 @@ pub fn probe_lookup(runs: &[Run], _from: usize, v: u32) -> usize {
 /// The engine's lookup: one opening window, then a gallop.
 pub fn window_gallop_lookup(runs: &[Run], from: usize, v: u32) -> usize {
     window_gallop_partition_point(runs, from, |r| r.value < v)
-}
-
-/// FNV-1a over a stream of `u32` words: the gate bins fingerprint result
-/// streams (order, nodes, levels, score bits) and decoded runs with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fingerprint(pub u64);
-
-impl Fingerprint {
-    /// The FNV offset basis.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    /// Folds one word in, little-endian byte by byte.
-    pub fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
-/// `"key": number` extraction from a flat `BENCH_*` baseline JSON — enough
-/// for a std-only check (keys are unique in the file by construction).
-pub fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 /// A repeat-skewed serving schedule: `total` arrival indices into a set

@@ -88,6 +88,10 @@ fn ta_early_stop_never_drops_a_topk_result() {
             m.get("shard.executed") + m.get("shard.pruned") + m.get("shard.skipped"),
             m.get("shard.shards"),
         );
+        // The full merge prunes nothing, and the early stop never executes
+        // more shards than it.
+        assert_eq!(naive.metrics.get("shard.pruned"), 0, "pruning disabled yet shards were pruned");
+        assert!(m.get("shard.executed") <= naive.metrics.get("shard.executed"));
     });
 }
 
