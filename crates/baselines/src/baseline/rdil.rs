@@ -82,6 +82,10 @@ pub fn rdil_search(
     let mut results = Vec::new();
     let mut rr = 0usize;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ptr and orders hold one entry per keyword, and i < k"
+    )]
     let next_score = |terms: &[&TermData], ptr: &[usize], i: usize| -> f32 {
         match orders[i].get(ptr[i]) {
             Some(&row) => terms[i].scores[row as usize],
@@ -92,6 +96,10 @@ pub fn rdil_search(
     // classic threshold.
     let s_max: Vec<f32> = (0..k).map(|i| next_score(&terms, &ptr, i)).collect();
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < k, and ptr[i] is checked against orders[i].len() before the read"
+    )]
     loop {
         // Classic TA threshold over ungenerated results:
         // max_i ( s^i + Σ_{j≠i} s_m^j ).

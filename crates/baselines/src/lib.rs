@@ -1,4 +1,12 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 //! The evaluation baselines of *"Supporting Top-K Keyword Search in XML
 //! Databases"* (§II-C, §V) that the serving engine does not run:

@@ -10,6 +10,7 @@ use xtk_xml::tree::NodeId;
 
 /// Rightmost posting `<= v` in document order (`lm(S, v)` in the
 /// index-based algorithms), if any.
+#[expect(clippy::indexing_slicing, reason = "partition_point returned at most the length")]
 pub fn left_match(postings: &[NodeId], v: NodeId) -> Option<NodeId> {
     let idx = postings.partition_point(|&p| p <= v);
     idx.checked_sub(1).map(|i| postings[i])
@@ -23,6 +24,10 @@ pub fn right_match(postings: &[NodeId], v: NodeId) -> Option<NodeId> {
 /// The sub-slice of postings whose nodes lie in the doc-order id range
 /// `[lo, hi)` — i.e. inside one subtree when `lo..hi` is the subtree's
 /// arena range.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "two partition points of the same sorted list, in order"
+)]
 pub fn postings_in_range(postings: &[NodeId], lo: NodeId, hi_exclusive: NodeId) -> &[NodeId] {
     let a = postings.partition_point(|&p| p < lo);
     let b = postings.partition_point(|&p| p < hi_exclusive);

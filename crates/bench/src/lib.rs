@@ -1,4 +1,12 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 //! Shared experiment harness: corpus construction at two scales, the
 //! planted query workloads for every figure, the corpus of the regression
@@ -112,6 +120,10 @@ fn planted(scale: Scale) -> Vec<PlantedTerm> {
             if j == 0 {
                 out.push(PlantedTerm::new(t, scale.freq(f)));
             } else {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "every correlated group has a lead term"
+                )]
                 out.push(PlantedTerm::correlated(t, scale.freq(f), terms[0], rho));
             }
         }
@@ -244,6 +256,7 @@ const WARM_UP_TIME: Duration = Duration::from_millis(50);
 /// again — milliseconds on a query of microseconds, in no steady order a
 /// ratio between consecutive calls could tell from the settled state.  So
 /// the warm-up is by budget; an `f` of 50 ms or more still gets one call.
+#[expect(clippy::indexing_slicing, reason = "the middle of a non-empty list of timings")]
 pub fn time_median(reps: usize, mut f: impl FnMut()) -> Duration {
     let warm_up = Instant::now();
     for _ in 0..WARM_UP_CALLS {

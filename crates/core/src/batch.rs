@@ -578,7 +578,7 @@ mod tests {
         cache.store(f2, 0, 0, q2.clone(), req, respond_stub(2));
         match cache.lookup(f1, 0, 0, &q1, &req) {
             Lookup::Hit(r) => assert_eq!(r.metrics.get("stub.tag"), 1),
-            _ => unreachable!("expected hit"), // lint-exempt: test code
+            _ => panic!("expected hit"),
         }
         // f2 is now LRU; storing f3 evicts it.
         cache.store(f3, 0, 0, q3.clone(), req, respond_stub(3));

@@ -8,7 +8,7 @@
 
 use crate::query::{Query, QueryError};
 use crate::result::ScoredResult;
-use xtk_index::{IndexOptions, XmlIndex};
+use xtk_index::XmlIndex;
 use xtk_xml::{ParseError, XmlTree};
 
 /// The entry point: an indexed XML document plus the query engines.
@@ -36,12 +36,6 @@ impl Engine {
     /// Indexes a parsed tree with default options.
     pub fn new(tree: XmlTree) -> Self {
         Self::from_index(XmlIndex::build(tree))
-    }
-
-    /// Indexes with explicit options (damping λ, JDewey gap, build
-    /// threads).
-    pub fn with_options(tree: XmlTree, opts: IndexOptions) -> Self {
-        Self::from_index(XmlIndex::build_with(tree, opts))
     }
 
     /// Parses and indexes an XML string.

@@ -1,4 +1,16 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! The query engines of *"Supporting Top-K Keyword Search in XML
 //! Databases"* (Chen & Papakonstantinou, ICDE 2010).

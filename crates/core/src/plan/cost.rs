@@ -20,7 +20,8 @@
 //!   probed column's span.
 //!
 //! Everything is integer arithmetic with saturating operators: no
-//! wall-clock, no floats (lint L3/L5 stay hard), and the estimates are
+//! wall-clock, no floats (the crate denies `clippy::float_cmp` and the
+//! clock types), and the estimates are
 //! **monotone** — adding rows to a term never lowers its estimated cost
 //! (`cost_prop.rs` proves it property-wise), so no estimate can wrap
 //! around on a pathological corpus.

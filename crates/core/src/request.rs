@@ -480,7 +480,8 @@ mod tests {
             assert_eq!(mem.results.len(), dsk.results.len());
             for (a, b) in mem.results.iter().zip(&dsk.results) {
                 assert_eq!(a.node, b.node);
-                assert!((a.score - b.score).abs() < 1e-5);
+                // Both sides run the complete join and sum in query order.
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
             assert!(dsk.metrics.get("store.decodes") > 0 || dsk.metrics.contains("store.decodes"));
         }

@@ -34,6 +34,7 @@ pub struct KeywordBitmaps {
 }
 
 /// Computes [`KeywordBitmaps`] for the given posting lists.
+#[expect(clippy::indexing_slicing, reason = "node ids index vectors of tree.len() entries")]
 pub fn keyword_bitmaps(tree: &XmlTree, lists: &[&[NodeId]]) -> KeywordBitmaps {
     let mut direct = vec![0u32; tree.len()];
     for (i, list) in lists.iter().enumerate() {
@@ -54,6 +55,7 @@ pub fn keyword_bitmaps(tree: &XmlTree, lists: &[&[NodeId]]) -> KeywordBitmaps {
 
 /// All SLCAs: minimal nodes whose subtree contains every keyword, in
 /// document order.
+#[expect(clippy::indexing_slicing, reason = "node ids index vectors of tree.len() entries")]
 pub fn naive_slca(tree: &XmlTree, lists: &[&[NodeId]]) -> Vec<NodeId> {
     let full = full_mask(lists.len());
     let bm = keyword_bitmaps(tree, lists);
@@ -75,6 +77,7 @@ pub fn naive_slca(tree: &XmlTree, lists: &[&[NodeId]]) -> Vec<NodeId> {
 /// subtree's occurrences are excluded when the child subtree is an emitted
 /// ELCA ([`ElcaVariant::Operational`]) or contains all keywords
 /// ([`ElcaVariant::Formal`]); `v` is an ELCA iff `eff(v)` is full.
+#[expect(clippy::indexing_slicing, reason = "node ids index vectors of tree.len() entries")]
 pub fn naive_elca(tree: &XmlTree, lists: &[&[NodeId]], variant: ElcaVariant) -> Vec<NodeId> {
     let full = full_mask(lists.len());
     let bm = keyword_bitmaps(tree, lists);

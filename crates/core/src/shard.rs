@@ -277,14 +277,13 @@ fn parse_manifest(text: &str) -> io::Result<Manifest> {
 }
 
 /// One opened shard: its rebuilt in-memory index, its on-disk column
-/// store, and the document/node span it covers.
+/// store, and where its nodes start in the corpus.
 struct Shard {
     ix: XmlIndex,
     store: DiskColumnStore,
     /// Global node id of the first document root (the local↔global
     /// offset; see [`build_shard_index`]).
     offset: u32,
-    docs: Range<usize>,
 }
 
 /// The scatter-gather executor over a sharded corpus directory.
@@ -374,7 +373,7 @@ impl<'a> ShardedEngine<'a> {
             salt.push(id as u64);
             salt.push(part.start as u64);
             salt.push(part.end as u64);
-            shards.push(Shard { ix: six, store, offset, docs: part.clone() });
+            shards.push(Shard { ix: six, store, offset });
         }
         let planner = crate::plan::cache::Planner::from_index(ix);
         Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt: salt.0, planner })
@@ -424,11 +423,6 @@ impl<'a> ShardedEngine<'a> {
         ex.provenance =
             Some(self.planner.peek(query, req, self.ix.generation(), self.salt).as_str());
         ex
-    }
-
-    /// The document range (root-child indices) of shard `id`.
-    pub fn shard_docs(&self, id: usize) -> Option<Range<usize>> {
-        self.shards.get(id).map(|s| s.docs.clone())
     }
 
     /// The term string of a global term id, if valid for this corpus.

@@ -240,7 +240,10 @@ impl Bucket {
         for g in &mut self.groups {
             if g.top.is_none() {
                 while let Some(&(F32Ord(sum), value)) = g.heap.peek() {
-                    if entries.get(&value).is_some_and(|e| e.mask == g.mask && e.sum == sum) {
+                    if entries
+                        .get(&value)
+                        .is_some_and(|e| e.mask == g.mask && e.sum.to_bits() == sum.to_bits())
+                    {
                         g.top = Some((sum, value));
                         break;
                     }

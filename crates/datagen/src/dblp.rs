@@ -125,13 +125,6 @@ pub fn plant_into_authors(corpus: &mut DblpCorpus, planted: &[PlantedTerm], seed
     plant_terms(&mut corpus.tree, &authors, planted, &mut rng);
 }
 
-/// Convenience used by benches: random paper hosts as a slice for manual
-/// planting schemes.
-pub fn random_titles(corpus: &DblpCorpus, n: usize, seed: u64) -> Vec<NodeId> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..n).map(|_| corpus.titles[rng.gen_range(0..corpus.titles.len())]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,12 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 //! Deterministic corpus and workload generation for the `xtk` experiments.
 //!
@@ -93,6 +101,10 @@ pub(crate) fn plant_terms(
             hs.map(|hs| (hs, *rho))
         });
         while chosen.len() < p.occurrences {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "gen_range(0..len) is below the length, and both lists are non-empty here"
+            )]
             let pick = match partner {
                 Some((hs, rho)) if !hs.is_empty() && rng.gen_bool(rho) => {
                     hs[rng.gen_range(0..hs.len())]

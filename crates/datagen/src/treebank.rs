@@ -109,6 +109,7 @@ fn grow(
 ) {
     let n_children = rng.gen_range(1..cfg.max_children + 1);
     for _ in 0..n_children {
+        #[expect(clippy::indexing_slicing, reason = "gen_range(0..len) is below the length")]
         let label = PHRASES[rng.gen_range(0..PHRASES.len())];
         let node = tree.add_child(parent, label);
         if depth <= 4 {

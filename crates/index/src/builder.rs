@@ -245,7 +245,15 @@ impl XmlIndex {
                         terms.push((tok, Vec::new(), Vec::new()));
                         terms.len() - 1
                     });
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "ti was returned by the push that created the entry"
+                    )]
                     terms[ti].1.push(id);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "ti was returned by the push that created the entry"
+                    )]
                     terms[ti].2.push(tf);
                 }
             }
@@ -263,6 +271,10 @@ impl XmlIndex {
             for (tok, mut posts, mut tfs) in chunk.terms {
                 match vocab.entry(tok) {
                     std::collections::hash_map::Entry::Occupied(e) => {
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "vocab maps each term to its slot in raw"
+                        )]
                         let (p, t) = &mut raw[e.get().0 as usize];
                         p.append(&mut posts);
                         t.append(&mut tfs);
@@ -297,6 +309,7 @@ impl XmlIndex {
         // all tie and every top-K threshold would be degenerate.
         let jd_ref = &jd;
         let built: Vec<TermStructures> = parallel_map(par, &raw, |i, (postings, _tfs)| {
+            #[expect(clippy::indexing_slicing, reason = "all_scores has one entry per term of raw")]
             let scores: Vec<f32> = all_scores[i]
                 .iter()
                 .zip(postings)
@@ -324,6 +337,7 @@ impl XmlIndex {
         let mut terms = Vec::with_capacity(raw.len());
         for (i, ((postings, _tfs), built)) in raw.into_iter().zip(built).enumerate() {
             terms.push(TermData {
+                #[expect(clippy::indexing_slicing, reason = "names has one entry per term of raw")]
                 term: std::mem::take(&mut names[i]),
                 postings,
                 max_score: max_score(&built.scores),
@@ -396,6 +410,7 @@ impl XmlIndex {
 
     /// The physical structures of a term.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "term ids are issued by this index")]
     pub fn term(&self, id: TermId) -> &TermData {
         &self.terms[id.0 as usize]
     }

@@ -174,6 +174,7 @@ impl<T: Default> Sharded<T> {
 
 impl<T> Sharded<T> {
     /// Locks shard `hash % len`.
+    #[expect(clippy::indexing_slicing, reason = "the shard list is never empty")]
     pub fn lock(&self, hash: u64) -> MutexGuard<'_, T> {
         let i = (hash as usize).checked_rem(self.shards.len()).unwrap_or(0);
         // Index is in range by construction; fall back to the first

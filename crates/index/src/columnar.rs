@@ -67,6 +67,7 @@ impl Column {
     }
 
     /// Binary-searches the run with the given JDewey number.
+    #[expect(clippy::indexing_slicing, reason = "binary_search returned the position")]
     pub fn find(&self, value: u32) -> Option<&Run> {
         self.runs
             .binary_search_by_key(&value, |r| r.value)
@@ -114,6 +115,10 @@ impl Column {
     /// `start` suffices; the returned slice is every run of this column
     /// whose rows lie under the ancestor run `[start, end)` of the
     /// *previous* (higher) column.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "two partition points of the same sorted runs, in order"
+    )]
     pub fn runs_in_rows(&self, start: u32, end: u32) -> &[Run] {
         let lo = self.runs.partition_point(|r| r.start < start);
         let hi = self.runs.partition_point(|r| r.start < end);
@@ -393,6 +398,10 @@ pub fn build_columns(tree: &XmlTree, jd: &JDeweyAssignment, postings: &[NodeId])
         }
         chain.reverse();
         for (i, &value) in chain.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "columns has one column per level of the deepest chain"
+            )]
             let col = &mut columns[i];
             match col.runs.last_mut() {
                 Some(last) if last.value == value && last.end() == row => last.len += 1,

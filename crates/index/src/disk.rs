@@ -161,21 +161,6 @@ pub fn write_index(ix: &XmlIndex, path: &Path, opts: WriteIndexOptions) -> io::R
     write_index_to(ix, BufWriter::new(File::create(path)?), opts)
 }
 
-/// [`write_index`] plus observability: records `disk.write_bytes` and
-/// `disk.write_terms` into the registry so index-build runs report
-/// through the same substrate as the query path.
-pub fn write_index_obs(
-    ix: &XmlIndex,
-    path: &Path,
-    opts: WriteIndexOptions,
-    metrics: &xtk_obs::MetricsRegistry,
-) -> io::Result<u64> {
-    let written = write_index(ix, path, opts)?;
-    metrics.add("disk.write_bytes", written);
-    metrics.add("disk.write_terms", ix.vocab_size() as u64);
-    Ok(written)
-}
-
 /// Exact size in bytes of the file [`write_index`] would produce, without
 /// touching the filesystem.  Built on the same encoders as the writer,
 /// so the Table I accounting in [`crate::sizes`] can be checked against

@@ -40,6 +40,7 @@ impl Histogram {
         let (min, max) = (first.value, last.value);
         let mut distinct = vec![0u32; BUCKETS];
         let span = (max - min) as u64 + 1;
+        #[expect(clippy::indexing_slicing, reason = "the bucket index is clamped to BUCKETS - 1")]
         for run in &col.runs {
             let b = ((run.value - min) as u64 * BUCKETS as u64 / span) as usize;
             distinct[b.min(BUCKETS - 1)] += 1;

@@ -23,24 +23,6 @@ pub struct Segment {
     pub max_score: f32,
 }
 
-/// [`build_segments`] plus observability: records the segment count and a
-/// histogram of segment sizes, the quantities that drive the top-K
-/// cursor-merge fan-in.
-pub fn build_segments_obs(
-    tree: &XmlTree,
-    postings: &[NodeId],
-    scores: &[f32],
-    metrics: &xtk_obs::MetricsRegistry,
-) -> Vec<Segment> {
-    let segments = build_segments(tree, postings, scores);
-    metrics.add("scored.segments", segments.len() as u64);
-    let rows = metrics.histogram("scored.segment_rows");
-    for s in &segments {
-        rows.observe(s.rows.len() as u64);
-    }
-    segments
-}
-
 /// Groups `postings` by node depth and sorts each group by `scores`
 /// descending.  Segments are returned in increasing `len` order.
 pub fn build_segments(tree: &XmlTree, postings: &[NodeId], scores: &[f32]) -> Vec<Segment> {

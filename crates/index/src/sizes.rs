@@ -95,6 +95,7 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
             let common = id.iter().zip(prev).take_while(|(a, b)| a == b).count();
             write_varint(common as u32, &mut scratch);
             write_varint((id.len() - common) as u32, &mut scratch);
+            #[expect(clippy::indexing_slicing, reason = "a common prefix is no longer than the id")]
             for &c in &id[common..] {
                 write_varint(c, &mut scratch);
             }

@@ -1,6 +1,6 @@
-// Fixture: library code riddled with L1 violations.  Never compiled;
-// read by tests/fixtures.rs.  Expected counts: 4 panic sites, 1 indexing
-// site.
+// Fixture: library code riddled with L1 violations.  Compiled as a module
+// of a library crate by tests/fixtures.rs.  Expected lints: unwrap_used,
+// expect_used, panic, todo, unimplemented, unreachable, indexing_slicing.
 
 pub fn worst(v: &[u32], o: Option<u32>) -> u32 {
     let a = o.unwrap();
@@ -9,8 +9,10 @@ pub fn worst(v: &[u32], o: Option<u32>) -> u32 {
         panic!("empty input");
     }
     let c = v[0];
-    if a + b + c > 100 {
-        todo!()
+    match a + b + c {
+        0 => unreachable!(),
+        1 => unimplemented!(),
+        n if n > 100 => todo!(),
+        n => n,
     }
-    a + b + c
 }

@@ -1,80 +1,49 @@
-//! The ratchet baseline: per-file L1 counts committed as
-//! `lint-baseline.json`.
+//! The L6 ratchet baseline, committed as `lint-baseline.json`: per query
+//! entry point, the number of panic sites transitively reachable from it.
 //!
 //! The file is a deliberately tiny JSON subset — written and read by this
 //! module with no dependencies, like the rest of the crate:
 //!
 //! ```json
 //! {
-//!   "version": 1,
-//!   "files": {
-//!     "crates/core/src/topk.rs": [0, 12]
-//!   }
-//! }
-//! ```
-//!
-//! Each entry maps a repo-relative path to `[panic_sites, index_sites]`.
-//! Files with `[0, 0]` are omitted; a missing entry means zero is the
-//! budget.  The gate fails only when a file *exceeds* its budget, so the
-//! count can only stay flat or go down — a ratchet.
-//!
-//! Version 2 adds the L6 interprocedural ratchet: an `"entry_points"`
-//! map from qualified entry names to the number of *transitively
-//! reachable* panic sites on that entry's call graph:
-//!
-//! ```json
-//! {
-//!   "version": 2,
-//!   "files": { "crates/core/src/topk.rs": [0, 12] },
+//!   "version": 3,
 //!   "entry_points": { "xtk_core::Engine::run": 3 }
 //! }
 //! ```
 //!
-//! Version-1 files (no `entry_points`) still parse; every entry point
-//! then has a zero budget.
+//! A count may fall, never rise.  Versions 1 and 2 also carried per-file
+//! L1 budgets; L1 is a clippy lint now (DESIGN.md §7), and those files
+//! are refused, naming the version.
 
 use std::collections::BTreeMap;
+
+/// The one baseline version this crate reads and writes.
+pub const VERSION: u32 = 3;
 
 /// Parsed `lint-baseline.json`.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Baseline {
-    pub version: u32,
-    /// path → (panic_sites, index_sites); sorted for stable serialization.
-    pub files: BTreeMap<String, (u32, u32)>,
-    /// qualified entry fn → reachable panic-site budget (L6, version ≥ 2).
+    /// qualified entry fn → reachable panic-site budget (L6).
     pub entry_points: BTreeMap<String, u32>,
 }
 
 impl Baseline {
-    /// Total `(panic_sites, index_sites)` over every file.
-    pub fn totals(&self) -> (u32, u32) {
-        self.files
-            .values()
-            .fold((0, 0), |(p, x), &(fp, fx)| (p + fp, x + fx))
-    }
-
     /// Serializes with sorted keys and a trailing newline, so the file
     /// diffs cleanly.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"version\": ");
-        s.push_str(&self.version.to_string());
-        s.push_str(",\n  \"files\": {");
-        let last = self.files.len();
-        for (i, (path, (p, x))) in self.files.iter().enumerate() {
+        let mut s = format!("{{\n  \"version\": {VERSION},\n  \"entry_points\": {{");
+        let last = self.entry_points.len();
+        for (i, (name, n)) in self.entry_points.iter().enumerate() {
             s.push_str("\n    \"");
-            for c in path.chars() {
+            for c in name.chars() {
                 match c {
                     '"' => s.push_str("\\\""),
                     '\\' => s.push_str("\\\\"),
                     _ => s.push(c),
                 }
             }
-            s.push_str("\": [");
-            s.push_str(&p.to_string());
-            s.push_str(", ");
-            s.push_str(&x.to_string());
-            s.push(']');
+            s.push_str("\": ");
+            s.push_str(&n.to_string());
             if i + 1 < last {
                 s.push(',');
             }
@@ -82,31 +51,7 @@ impl Baseline {
         if last > 0 {
             s.push_str("\n  ");
         }
-        s.push('}');
-        if self.version >= 2 {
-            s.push_str(",\n  \"entry_points\": {");
-            let last = self.entry_points.len();
-            for (i, (name, n)) in self.entry_points.iter().enumerate() {
-                s.push_str("\n    \"");
-                for c in name.chars() {
-                    match c {
-                        '"' => s.push_str("\\\""),
-                        '\\' => s.push_str("\\\\"),
-                        _ => s.push(c),
-                    }
-                }
-                s.push_str("\": ");
-                s.push_str(&n.to_string());
-                if i + 1 < last {
-                    s.push(',');
-                }
-            }
-            if last > 0 {
-                s.push_str("\n  ");
-            }
-            s.push('}');
-        }
-        s.push_str("\n}\n");
+        s.push_str("}\n}\n");
         s
     }
 
@@ -115,6 +60,7 @@ impl Baseline {
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let mut p = Parser { b: text.as_bytes(), pos: 0 };
         let mut out = Baseline::default();
+        let mut version = None;
         p.eat(b'{')?;
         loop {
             p.ws();
@@ -124,29 +70,7 @@ impl Baseline {
             let key = p.string()?;
             p.eat(b':')?;
             match key.as_str() {
-                "version" => out.version = p.number()?,
-                "files" => {
-                    p.eat(b'{')?;
-                    loop {
-                        p.ws();
-                        if p.peek() == Some(b'}') {
-                            p.pos += 1;
-                            break;
-                        }
-                        let path = p.string()?;
-                        p.eat(b':')?;
-                        p.eat(b'[')?;
-                        let panics = p.number()?;
-                        p.eat(b',')?;
-                        let index = p.number()?;
-                        p.eat(b']')?;
-                        out.files.insert(path, (panics, index));
-                        p.ws();
-                        if p.peek() == Some(b',') {
-                            p.pos += 1;
-                        }
-                    }
-                }
+                "version" => version = Some(p.number()?),
                 "entry_points" => {
                     p.eat(b'{')?;
                     loop {
@@ -172,33 +96,15 @@ impl Baseline {
                 p.pos += 1;
             }
         }
-        if out.version != 1 && out.version != 2 {
-            return Err(format!(
-                "unsupported lint-baseline.json version {} (expected 1 or 2)",
-                out.version
-            ));
-        }
-        Ok(out)
-    }
-}
-
-/// Compares fresh per-file counts against the baseline; returns one
-/// message per file whose budget is exceeded.
-pub fn regressions(
-    current: &BTreeMap<String, (u32, u32)>,
-    base: &Baseline,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for (path, &(p, x)) in current {
-        let (bp, bx) = base.files.get(path).copied().unwrap_or((0, 0));
-        if p > bp || x > bx {
-            out.push(format!(
-                "{path}: L1 regression — panic sites {p} (budget {bp}), \
-                 indexing sites {x} (budget {bx})"
-            ));
+        match version {
+            Some(VERSION) => Ok(out),
+            Some(v) => Err(format!(
+                "unsupported lint-baseline.json version {v} (expected {VERSION}); \
+                 rewrite it with `cargo run -p xtk-lint -- --update-baseline`"
+            )),
+            None => Err("lint-baseline.json has no version".to_string()),
         }
     }
-    out
 }
 
 struct Parser<'a> {
@@ -291,75 +197,32 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn sample() -> Baseline {
-        let mut b = Baseline { version: 1, ..Baseline::default() };
-        b.files.insert("crates/core/src/topk.rs".to_string(), (2, 7));
-        b.files.insert("crates/xml/src/parser.rs".to_string(), (0, 3));
-        b
-    }
-
     #[test]
     fn roundtrip() {
-        let b = sample();
-        let json = b.to_json();
-        let parsed = Baseline::parse(&json).unwrap();
-        assert_eq!(parsed, b);
-        assert_eq!(parsed.totals(), (2, 10));
-    }
-
-    #[test]
-    fn empty_roundtrip() {
-        let b = Baseline { version: 1, ..Baseline::default() };
-        assert_eq!(Baseline::parse(&b.to_json()).unwrap(), b);
-    }
-
-    #[test]
-    fn v2_roundtrip_with_entry_points() {
-        let mut b = Baseline { version: 2, ..Baseline::default() };
-        b.files.insert("crates/core/src/topk.rs".to_string(), (0, 8));
+        let mut b = Baseline::default();
         b.entry_points.insert("xtk_core::Engine::run".to_string(), 3);
         b.entry_points.insert("xtk_core::ShardedEngine::execute".to_string(), 0);
         let json = b.to_json();
-        assert!(json.contains("\"entry_points\""));
+        assert!(json.contains("\"version\": 3"), "{json}");
         assert_eq!(Baseline::parse(&json).unwrap(), b);
     }
 
     #[test]
-    fn v2_empty_entry_points_roundtrip() {
-        let b = Baseline { version: 2, ..Baseline::default() };
+    fn empty_roundtrip() {
+        let b = Baseline::default();
         assert_eq!(Baseline::parse(&b.to_json()).unwrap(), b);
-    }
-
-    #[test]
-    fn v1_file_parses_with_zero_entry_budgets() {
-        let parsed =
-            Baseline::parse("{\"version\": 1, \"files\": {\"a.rs\": [1, 2]}}").unwrap();
-        assert!(parsed.entry_points.is_empty());
-        assert_eq!(parsed.files.get("a.rs"), Some(&(1, 2)));
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(Baseline::parse("").is_err());
-        assert!(Baseline::parse("{\"version\": 3, \"files\": {}}").is_err());
+        assert!(Baseline::parse("{\"entry_points\": {}}").is_err());
         assert!(Baseline::parse("{\"surprise\": 1}").is_err());
-        assert!(Baseline::parse("{\"version\": 1, \"files\": {\"a\": [1]}}").is_err());
-    }
-
-    #[test]
-    fn regression_detection() {
-        let base = sample();
-        let mut cur = BTreeMap::new();
-        // Equal: fine.  Lower: fine.  Higher: regression.  New file with
-        // sites: regression.
-        cur.insert("crates/core/src/topk.rs".to_string(), (2, 7));
-        assert!(regressions(&cur, &base).is_empty());
-        cur.insert("crates/core/src/topk.rs".to_string(), (1, 0));
-        assert!(regressions(&cur, &base).is_empty());
-        cur.insert("crates/core/src/topk.rs".to_string(), (3, 7));
-        assert_eq!(regressions(&cur, &base).len(), 1);
-        cur.insert("crates/core/src/topk.rs".to_string(), (2, 7));
-        cur.insert("crates/core/src/fresh.rs".to_string(), (0, 1));
-        assert_eq!(regressions(&cur, &base).len(), 1);
+        assert!(Baseline::parse("{\"version\": 3, \"entry_points\": {\"a\": [1]}}").is_err());
+        // Versions 1 and 2 carried the per-file L1 section.
+        let v2 = "{\"version\": 2, \"files\": {}, \"entry_points\": {}}";
+        assert!(Baseline::parse(v2).is_err());
+        let v2_only = "{\"version\": 2, \"entry_points\": {}}";
+        assert!(Baseline::parse(v2_only).is_err_and(|e| e.contains("version 2")));
     }
 }

@@ -6,8 +6,8 @@
 //! that matters for *not* mis-reading code (strings, raw strings, byte
 //! strings, chars, numbers), and it skips comments while harvesting
 //! `lint:allow(...)` suppression directives from them.  It does not build
-//! an AST; the rules in [`crate::rules`] pattern-match over the token
-//! stream directly.
+//! an AST; [`crate::parser`] and [`crate::rules`] pattern-match over the
+//! token stream directly.
 
 /// The category of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,9 +18,8 @@ pub enum TokKind {
     Lifetime,
     /// String, raw-string, byte-string or char literal.
     StrLike,
-    /// Numeric literal; `true` when it is a float (has a `.`, an exponent
-    /// or an `f32`/`f64` suffix).
-    Num { float: bool },
+    /// Numeric literal, integer or float, suffix included.
+    Num,
     /// One of `( ) [ ] { }`.
     Delim(u8),
     /// A two-character operator the rules care about: `==`, `!=`, `->`,
@@ -385,36 +384,26 @@ impl<'a> Lexer<'a> {
     }
 
     fn number(&mut self, start: usize, line: u32) {
-        let mut float = false;
-        // Hex/octal/binary prefixes never start a float.
+        // Hex/octal/binary prefixes never take an exponent.
         let radix_prefix = self.peek(0) == Some(b'0')
             && matches!(self.peek(1), Some(b'x' | b'X' | b'o' | b'O' | b'b' | b'B'));
         while matches!(self.peek(0), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
             let c = self.peek(0).unwrap_or(0);
             if !radix_prefix && (c == b'e' || c == b'E') && matches!(self.peek(1), Some(d) if d.is_ascii_digit() || d == b'+' || d == b'-') {
-                float = true;
                 self.bump();
                 self.bump();
                 continue;
             }
             self.bump();
         }
-        // A dot followed by a digit continues the float; `0..n` does not.
+        // A dot followed by a digit continues a float; `0..n` does not.
         if self.peek(0) == Some(b'.') && matches!(self.peek(1), Some(d) if d.is_ascii_digit()) {
-            float = true;
             self.bump();
             while matches!(self.peek(0), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
                 self.bump();
             }
         }
-        if !radix_prefix {
-            if let Some(text) = self.text.get(start..self.pos) {
-                if text.ends_with("f32") || text.ends_with("f64") {
-                    float = true;
-                }
-            }
-        }
-        self.push(TokKind::Num { float }, start, line);
+        self.push(TokKind::Num, start, line);
     }
 }
 
@@ -435,14 +424,14 @@ mod tests {
 
     #[test]
     fn comments_are_skipped_but_allows_harvested() {
-        let src = "a // lint:allow(panic)\nb /* lint:allow(hash-iter) */ c";
+        let src = "a // lint:allow(panic)\nb /* lint:allow(index) */ c";
         let l = lex(src);
         assert_eq!(l.tokens.len(), 3);
         assert_eq!(l.allows.len(), 2);
         assert!(l.allowed(1, "panic"));
         assert!(l.allowed(2, "panic"), "directive covers the following line");
         assert!(!l.allowed(3, "panic"));
-        assert!(l.allowed(2, "hash-iter"));
+        assert!(l.allowed(2, "index"));
     }
 
     #[test]
@@ -475,16 +464,13 @@ mod tests {
 
     #[test]
     fn numbers_and_floats() {
-        let l = lex("1 2.5 1e9 0x58544B01 3f32 0..n 7u64");
-        let floats: Vec<bool> = l
-            .tokens
-            .iter()
-            .filter_map(|t| match t.kind {
-                TokKind::Num { float } => Some(float),
-                _ => None,
-            })
+        let src = "1 2.5 1e-9 0x58544B01 3f32 0..n 7u64";
+        let l = lex(src);
+        let nums: Vec<&str> = (0..l.tokens.len())
+            .filter(|&i| l.tokens.get(i).is_some_and(|t| t.kind == TokKind::Num))
+            .map(|i| l.text(src, i))
             .collect();
-        assert_eq!(floats, vec![false, true, true, false, true, false, false]);
+        assert_eq!(nums, vec!["1", "2.5", "1e-9", "0x58544B01", "3f32", "0", "7u64"]);
         // The range `0..n` produced an Op2 and an ident.
         assert!(l.tokens.iter().any(|t| t.kind == TokKind::Op2([b'.', b'.'])));
     }

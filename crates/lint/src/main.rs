@@ -1,18 +1,27 @@
-#![forbid(unsafe_code)]
-//! The `xtk-lint` binary: scans the workspace, applies the token-level
-//! rules (L1–L5, L9) and the interprocedural passes (L6 panic
-//! reachability, L7 lock order, L8 hot-loop allocation), enforces the
-//! `lint-baseline.json` ratchets, and writes `lint-report.json`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+//! The `xtk-lint` binary: parses the workspace, runs the passes that
+//! need its function table (L6 panic reachability, L7 lock order, L8
+//! hot-loop allocation, L9 discarded Results), enforces the L6 ratchet of
+//! `lint-baseline.json`, and writes `lint-report.json`.  L1–L5 are
+//! rustc/clippy lints (DESIGN.md §7).
 //! Exit codes: 0 clean, 1 violations or ratchet regression, 2 usage/IO
 //! error.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtk_lint::baseline::{regressions, Baseline};
+use xtk_lint::baseline::Baseline;
 use xtk_lint::graph::Workspace;
-use xtk_lint::rules::{analyze, classify, l9, FileReport, Finding};
+use xtk_lint::rules::l9;
 use xtk_lint::{hotloop, locks, parser, reach, report, walk};
 
 fn main() -> ExitCode {
@@ -31,17 +40,15 @@ fn print_help() {
         "xtk-lint — in-tree static analysis for the xtk workspace\n\n\
          USAGE: cargo run -q -p xtk-lint [-- OPTIONS]\n\n\
          OPTIONS:\n\
-           --update-baseline   rewrite lint-baseline.json with the current L1/L6 counts\n\
+           --update-baseline   rewrite lint-baseline.json with the current L6 counts\n\
            --root PATH         workspace root (default: found from the current directory)\n\
            --report PATH       where to write lint-report.json (default: <root>/lint-report.json)\n\
            --explain CODE      print the rationale and fix guidance for a rule (L1..L9)\n\
            -h, --help          this message\n\n\
-         Per-file rules: L1 panic-freedom ratchet, L2 hash-iteration order,\n\
-         L3 determinism (std::time, float ==), L4 #![forbid(unsafe_code)],\n\
-         L5 no wall clock in obs, L9 discarded Results in core/index.\n\
-         Interprocedural passes: L6 panic reachability per query entry point\n\
-         (ratcheted), L7 lock-order cycles / lock held across the pool (hard),\n\
-         L8 allocation in hot loops (suppress with lint:allow(L8, reason)).\n\
+         Passes: L6 panic reachability per query entry point (ratcheted),\n\
+         L7 lock-order cycles / lock held across the pool (hard), L8 allocation\n\
+         in hot loops (suppress with lint:allow(L8, reason)), L9 discarded\n\
+         Results in core/index.  L1-L5 are rustc/clippy lints: `--explain L1`.\n\
          See DESIGN.md \u{a7}7 and \u{a7}12, or `--explain L6`."
     );
 }
@@ -99,30 +106,13 @@ fn run() -> Result<bool, String> {
         }
     };
 
-    // ---- Per-file rules (L1–L5) + parse for the interprocedural passes.
+    // ---- Parse every file for the workspace model.
     let files = walk::collect_rs(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let mut reports: Vec<(String, FileReport)> = Vec::new();
-    let mut counts: BTreeMap<String, (u32, u32)> = BTreeMap::new();
-    let mut hard: Vec<(String, Finding)> = Vec::new();
     let mut parsed: Vec<parser::ParsedFile> = Vec::new();
     for (rel, path) in &files {
         let src = std::fs::read_to_string(path).map_err(|e| format!("reading {rel}: {e}"))?;
-        let class = classify(rel);
-        let rep = analyze(&src, &class);
-        for f in &rep.hard {
-            eprintln!("{rel}:{}: [{}] {}", f.line, f.rule, f.what);
-            hard.push((rel.clone(), f.clone()));
-        }
-        let (p, x) = rep.l1_counts();
-        if p + x > 0 {
-            counts.insert(rel.clone(), (p, x));
-        }
-        reports.push((rel.clone(), rep));
         parsed.push(parser::parse(rel, src));
     }
-    let totals = counts
-        .values()
-        .fold((0u32, 0u32), |(p, x), &(fp, fx)| (p + fp, x + fx));
 
     // ---- Workspace model and interprocedural passes.
     let result_fns: BTreeSet<String> = parsed
@@ -148,8 +138,6 @@ fn run() -> Result<bool, String> {
     // ---- lint-report.json is written unconditionally, pass or fail.
     let report_path = args.report.unwrap_or_else(|| root.join("lint-report.json"));
     let json = report::RunReport {
-        l1: &counts,
-        hard: &hard,
         l6: &l6,
         l7: &l7,
         l8: &l8,
@@ -160,13 +148,6 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("writing {}: {e}", report_path.display()))?;
 
     let mut ok = true;
-    if !hard.is_empty() {
-        eprintln!(
-            "xtk-lint: {} hard violation(s) (L2 hash-iter / L3 determinism / L4 forbid-unsafe / L5 obs-time)",
-            hard.len()
-        );
-        ok = false;
-    }
 
     // L7 is never ratcheted: any cycle or held-across-pool fails, always.
     for c in &l7.cycles {
@@ -207,22 +188,14 @@ fn run() -> Result<bool, String> {
         ok = false;
     }
 
-    // ---- Baselines: write (update mode) or enforce (normal mode).
+    // ---- Baseline: write (update mode) or enforce (normal mode).
     let bpath = root.join("lint-baseline.json");
     if args.update {
-        let b = Baseline {
-            version: 2,
-            files: counts,
-            entry_points: l6.iter().map(|r| (r.qual.clone(), r.count)).collect(),
-        };
+        let b = Baseline { entry_points: l6.iter().map(|r| (r.qual.clone(), r.count)).collect() };
         std::fs::write(&bpath, b.to_json())
             .map_err(|e| format!("writing {}: {e}", bpath.display()))?;
         println!(
-            "xtk-lint: baseline updated — {} panic sites, {} indexing sites across {} files; \
-             {} entry points ratcheted (L6 total {})",
-            totals.0,
-            totals.1,
-            b.files.len(),
+            "xtk-lint: baseline updated — {} entry points ratcheted (L6 total {})",
             b.entry_points.len(),
             b.entry_points.values().sum::<u32>()
         );
@@ -237,36 +210,6 @@ fn run() -> Result<bool, String> {
     })?;
     let base = Baseline::parse(&btext)?;
 
-    // L1 per-file ratchet.
-    let regress = regressions(&counts, &base);
-    if !regress.is_empty() {
-        ok = false;
-        for msg in &regress {
-            eprintln!("{msg}");
-        }
-        // Point at the concrete sites in the offending files.
-        for (rel, rep) in &reports {
-            let (bp, bx) = base.files.get(rel).copied().unwrap_or((0, 0));
-            let (p, x) = rep.l1_counts();
-            if p > bp {
-                for f in &rep.panic_sites {
-                    eprintln!("  {rel}:{}: {}", f.line, f.what);
-                }
-            }
-            if x > bx {
-                for f in &rep.index_sites {
-                    eprintln!("  {rel}:{}: {}", f.line, f.what);
-                }
-            }
-        }
-        eprintln!(
-            "xtk-lint: L1 ratchet regression — convert the new sites to Result \
-             (see DESIGN.md \u{a7}7); if a site is genuinely safe, annotate it with \
-             `// lint:allow(panic)` / `// lint:allow(index)`"
-        );
-    }
-
-    // L6 per-entry-point ratchet.
     let l6_regress = reach::regressions(&l6, &base.entry_points);
     if !l6_regress.is_empty() {
         ok = false;
@@ -288,30 +231,23 @@ fn run() -> Result<bool, String> {
     }
     println!("xtk-lint: {}", reach::delta_line(&l6, &base.entry_points));
 
-    let (bt_p, bt_x) = base.totals();
     let l6_total: u32 = l6.iter().map(|r| r.count).sum();
     let l6_budget: u32 = l6
         .iter()
         .map(|r| base.entry_points.get(&r.qual).copied().unwrap_or(0))
         .sum();
-    if ok && (totals.0 < bt_p || totals.1 < bt_x || l6_total < l6_budget) {
+    if ok && l6_total < l6_budget {
         println!(
-            "xtk-lint: note — tree is below baseline ({} vs {} panic sites, {} vs {} indexing \
-             sites, {} vs {} reachable-by-entry); tighten the ratchet with \
-             `cargo run -p xtk-lint -- --update-baseline`",
-            totals.0, bt_p, totals.1, bt_x, l6_total, l6_budget
+            "xtk-lint: note — tree is below baseline ({l6_total} vs {l6_budget} panic sites \
+             reachable by entry); tighten the ratchet with \
+             `cargo run -p xtk-lint -- --update-baseline`"
         );
     }
     if ok {
         println!(
-            "xtk-lint: OK — {} files scanned; L1 panic sites {} (budget {}), indexing \
-             sites {} (budget {}); L6 {} entry points; L7 {} locks, {} edges, 0 cycles; \
-             L8 {} suppressed with reasons; report at {}",
+            "xtk-lint: OK — {} files parsed; L6 {} entry points; L7 {} locks, {} edges, \
+             0 cycles; L8 {} suppressed with reasons; L9 clean; report at {}",
             files.len(),
-            totals.0,
-            bt_p,
-            totals.1,
-            bt_x,
             l6.len(),
             l7.locks.len(),
             l7.edges.len(),

@@ -836,7 +836,7 @@ fn scan_token(
             // literal nonzero divisor cannot; neither can `/` in paths
             // (none exist post-lexing).
             let safe_literal = match pf.kind(i + 1) {
-                Some(TokKind::Num { .. }) => pf.text(i + 1).chars().any(|c| c != '0' && c.is_ascii_digit()),
+                Some(TokKind::Num) => pf.text(i + 1).chars().any(|c| c != '0' && c.is_ascii_digit()),
                 _ => false,
             };
             if !safe_literal && !pf.lx.allowed(line, "div") {

@@ -10,15 +10,9 @@ use crate::hotloop::HotLoopReport;
 use crate::locks::LockReport;
 use crate::parser::PanicKind;
 use crate::reach::EntryReport;
-use crate::rules::Finding;
-use std::collections::BTreeMap;
 
 /// Everything a run produces, ready for serialization.
 pub struct RunReport<'a> {
-    /// Per-file L1 counts `(panic_sites, index_sites)`.
-    pub l1: &'a BTreeMap<String, (u32, u32)>,
-    /// Hard L2–L5 findings as `(file, finding)`.
-    pub hard: &'a [(String, Finding)],
     pub l6: &'a [EntryReport],
     pub l7: &'a LockReport,
     pub l8: &'a HotLoopReport,
@@ -55,34 +49,7 @@ impl<'a> RunReport<'a> {
     /// Serializes the full report with a trailing newline.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"version\": 1,\n");
-
-        // L1 totals.
-        let (tp, tx) = self
-            .l1
-            .values()
-            .fold((0u32, 0u32), |(p, x), &(fp, fx)| (p + fp, x + fx));
-        s.push_str(&format!(
-            "  \"l1\": {{ \"panic_sites\": {tp}, \"index_sites\": {tx}, \"files\": {} }},\n",
-            self.l1.len()
-        ));
-
-        // Hard findings (L2–L5).
-        s.push_str("  \"hard\": [");
-        for (i, (file, f)) in self.hard.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str("    { \"file\": ");
-            esc(file, &mut s);
-            s.push_str(&format!(", \"line\": {}, \"rule\": ", f.line));
-            esc(f.rule, &mut s);
-            s.push_str(", \"what\": ");
-            esc(&f.what, &mut s);
-            s.push_str(" }");
-        }
-        if !self.hard.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
+        s.push_str("{\n  \"version\": 2,\n");
 
         // L6: per-entry reachability.
         s.push_str("  \"l6\": {");
@@ -227,36 +194,36 @@ impl<'a> RunReport<'a> {
 pub fn explain(code: &str) -> Option<&'static str> {
     let text = match code.to_ascii_uppercase().as_str() {
         "L1" => {
-            "L1 — ratcheted panic freedom (per file)\n\n\
-             Counts direct panic sites (`unwrap`/`expect`/`panic!`-family macros)\n\
-             and slice-indexing sites (`a[i]`) per library file and compares them\n\
-             against `lint-baseline.json`.  A file may never exceed its budget;\n\
-             tighten with `--update-baseline` after reducing counts.\n\
-             Suppress a genuinely safe site with `// lint:allow(panic)` or\n\
-             `// lint:allow(index)` on the site's line or the line above."
+            "L1 — panic freedom in library code: now clippy\n\n\
+             Every library crate root denies clippy::{unwrap_used, expect_used,\n\
+             panic, todo, unimplemented, unreachable, indexing_slicing}; clippy.toml\n\
+             exempts #[cfg(test)] code.  A safe site carries\n\
+             #[expect(clippy::indexing_slicing, reason = \"...\")].  DESIGN.md \u{a7}7."
         }
         "L2" => {
-            "L2 — hash-iteration order\n\n\
-             Iterating a `HashMap`/`HashSet` leaks nondeterministic ordering into\n\
-             results, which breaks PR 1's serial/parallel bit-identity invariant.\n\
-             Use `BTreeMap`/`BTreeSet` or sort before iterating."
+            "L2 — hash-iteration order: now clippy\n\n\
+             xtk-core and xtk-index deny clippy::iter_over_hash_type (for loops)\n\
+             and clippy::disallowed_methods (HashMap/HashSet iteration methods,\n\
+             listed in their clippy.toml).  DESIGN.md \u{a7}7."
         }
         "L3" => {
-            "L3 — determinism hazards\n\n\
-             Wall-clock reads (`std::time`) and float equality (`==` on f32/f64)\n\
-             make runs non-reproducible.  Thread time in explicitly, and compare\n\
-             floats with an epsilon or total ordering."
+            "L3 — determinism hazards: now clippy\n\n\
+             xtk-core and xtk-index deny clippy::disallowed_types and\n\
+             clippy::disallowed_methods (Instant, SystemTime and their now, listed\n\
+             in their clippy.toml) and, outside #[cfg(test)], clippy::float_cmp.\n\
+             DESIGN.md \u{a7}7."
         }
         "L4" => {
-            "L4 — forbid unsafe\n\n\
-             Every crate root must carry `#![forbid(unsafe_code)]`.  The whole\n\
-             workspace is safe Rust; this keeps it that way at compile time."
+            "L4 — no unsafe: now rustc\n\n\
+             The root Cargo.toml sets [workspace.lints.rust] unsafe_code = \"forbid\"\n\
+             and every member inherits it with [lints] workspace = true.\n\
+             DESIGN.md \u{a7}7."
         }
         "L5" => {
-            "L5 — no wall clock in obs\n\n\
-             The observability crate must be deterministic: metrics and traces\n\
-             derive from logical counters, never from `Instant::now()` or\n\
-             `SystemTime`, so test runs and shard replicas agree byte-for-byte."
+            "L5 — no wall clock in xtk-obs: now clippy\n\n\
+             crates/obs/clippy.toml disallows Instant, SystemTime and their now;\n\
+             crates/obs/src/lib.rs forbids clippy::disallowed_types and\n\
+             clippy::disallowed_methods, so no allow can silence them.  DESIGN.md \u{a7}7."
         }
         "L6" => {
             "L6 — interprocedural panic reachability (ratcheted per entry point)\n\n\
@@ -314,19 +281,16 @@ mod tests {
     use crate::reach::{EntryReport, PanicPath};
 
     fn sample<'a>(
-        l1: &'a BTreeMap<String, (u32, u32)>,
-        hard: &'a [(String, Finding)],
         l6: &'a [EntryReport],
         l7: &'a LockReport,
         l8: &'a HotLoopReport,
         l9: &'a [(String, u32, String)],
     ) -> String {
-        RunReport { l1, hard, l6, l7, l8, l9 }.to_json()
+        RunReport { l6, l7, l8, l9 }.to_json()
     }
 
     #[test]
     fn empty_report_is_valid_and_stable() {
-        let l1 = BTreeMap::new();
         let l7 = LockReport {
             locks: vec![],
             edges: vec![],
@@ -334,21 +298,15 @@ mod tests {
             held_across_pool: vec![],
         };
         let l8 = HotLoopReport { findings: vec![], suppressed: vec![] };
-        let a = sample(&l1, &[], &[], &l7, &l8, &[]);
-        let b = sample(&l1, &[], &[], &l7, &l8, &[]);
+        let a = sample(&[], &l7, &l8, &[]);
+        let b = sample(&[], &l7, &l8, &[]);
         assert_eq!(a, b, "writer must be deterministic");
-        assert!(a.contains("\"version\": 1"));
+        assert!(a.contains("\"version\": 2"));
         assert!(a.ends_with("}\n"));
     }
 
     #[test]
     fn full_report_includes_all_sections() {
-        let mut l1 = BTreeMap::new();
-        l1.insert("crates/core/src/topk.rs".to_string(), (1u32, 2u32));
-        let hard = vec![(
-            "crates/obs/src/lib.rs".to_string(),
-            Finding { rule: "L5", line: 3, what: "Instant::now".to_string() },
-        )];
         let l6 = vec![EntryReport {
             qual: "xtk_core::Engine::run".to_string(),
             count: 1,
@@ -399,9 +357,9 @@ mod tests {
             9u32,
             "let _ = flush()".to_string(),
         )];
-        let json = sample(&l1, &hard, &l6, &l7, &l8, &l9);
+        let json = sample(&l6, &l7, &l8, &l9);
         for needle in [
-            "\"l1\"", "\"hard\"", "\"l6\"", "\"l7\"", "\"l8\"", "\"l9\"",
+            "\"l6\"", "\"l7\"", "\"l8\"", "\"l9\"",
             "xtk_core::Engine::run", "\"kind\": \"unwrap\"", "\"held\": \"Shard\"",
             "\"held_across_pool\"", "bounded by k", "\"missing_reason\": false",
             "let _ = flush()",
@@ -412,11 +370,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let l1 = BTreeMap::new();
-        let hard = vec![(
-            "a\"b.rs".to_string(),
-            Finding { rule: "L2", line: 1, what: "tab\there".to_string() },
-        )];
+        let l9 = vec![("a\"b.rs".to_string(), 1u32, "tab\there".to_string())];
         let l7 = LockReport {
             locks: vec![],
             edges: vec![],
@@ -424,7 +378,7 @@ mod tests {
             held_across_pool: vec![],
         };
         let l8 = HotLoopReport { findings: vec![], suppressed: vec![] };
-        let json = sample(&l1, &hard, &[], &l7, &l8, &[]);
+        let json = sample(&[], &l7, &l8, &l9);
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("tab\\there"));
     }

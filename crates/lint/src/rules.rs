@@ -1,480 +1,20 @@
-//! The project lint rules, evaluated over the token stream of one file.
+//! L9 (discarded `Result`s) and the test-item mask the parser shares.
 //!
-//! * **L1 (ratcheted)** — panic freedom in non-test library code: no
-//!   `unwrap()`/`expect()`, no `panic!`/`todo!`/`unimplemented!`/
-//!   `unreachable!`, and no indexing into slices (`x[i]`, `x[a..b]`).
-//!   These are *counted* per file and compared against the committed
-//!   `lint-baseline.json`; only regressions fail the build.
-//! * **L2 (hard)** — no `HashMap`/`HashSet` iteration feeding ordered
-//!   output in `xtk-core`/`xtk-index`, unless a sort-or-aggregate
-//!   consumer follows (or `// lint:allow(hash-iter)`).
-//! * **L3 (hard)** — determinism hazards in `xtk-core`/`xtk-index`:
-//!   `std::time` / `Instant` / `SystemTime`, and `==`/`!=` against float
-//!   literals.
-//! * **L4 (hard)** — `#![forbid(unsafe_code)]` must be present in every
-//!   crate root.
-//! * **L5 (hard)** — no wall-clock time (`std::time` / `Instant` /
-//!   `SystemTime`) anywhere in `xtk-obs`: the observability layer's
-//!   whole contract is logical sequence numbers, so traces stay
-//!   bit-identical across machines and `Parallelism` settings.
-//!
-//! Code inside `#[cfg(test)]` / `#[test]` items is exempt from every
-//! rule.  `// lint:allow(<rule>)` on the same or previous line suppresses
-//! a finding; the rule names are `panic`, `index`, `hash-iter`, `time`
-//! and `float-eq`.
+//! L1–L5 are rustc/clippy lints now (DESIGN.md §7); what stays here needs
+//! the workspace function table or the token stream.  Code inside
+//! `#[cfg(test)]` / `#[test]` items is exempt, and `// lint:allow(L9)` on
+//! the same or previous line suppresses a finding.
 
-use crate::lexer::{lex, Lexed, TokKind};
+use crate::lexer::{Lexed, TokKind};
 use std::collections::BTreeSet;
 
-/// One lint finding.
+/// One L9 finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule name: `panic`, `index`, `hash-iter`, `time`, `float-eq`,
-    /// `forbid-unsafe`, `obs-time`.
-    pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
     /// Human-readable description of the site.
     pub what: String,
-}
-
-/// Which rule families apply to a file, derived from its repo-relative
-/// path by [`classify`].
-#[derive(Debug, Clone, Copy)]
-pub struct FileClass {
-    /// L1 applies: non-test library source.
-    pub lib_code: bool,
-    /// L2/L3 apply: query-execution crates (`xtk-core`, `xtk-index`).
-    pub exec_scope: bool,
-    /// L4 applies: a crate root (`src/lib.rs`).
-    pub crate_root: bool,
-    /// L5 applies: the observability crate (`xtk-obs`).
-    pub obs_scope: bool,
-}
-
-/// The analysis result for one file.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    /// L1 `unwrap`/`expect`/panic-macro sites.
-    pub panic_sites: Vec<Finding>,
-    /// L1 slice-indexing sites.
-    pub index_sites: Vec<Finding>,
-    /// L2/L3/L4 violations — these always fail the run.
-    pub hard: Vec<Finding>,
-}
-
-impl FileReport {
-    /// `(panic_sites, index_sites)` counts for the ratchet baseline.
-    pub fn l1_counts(&self) -> (u32, u32) {
-        (self.panic_sites.len() as u32, self.index_sites.len() as u32)
-    }
-}
-
-/// Derives the applicable rule families from a repo-relative path
-/// (forward-slash separated).
-pub fn classify(rel: &str) -> FileClass {
-    let in_src = rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"));
-    let excluded = rel.contains("/tests/")
-        || rel.starts_with("tests/")
-        || rel.contains("/benches/")
-        || rel.contains("/examples/")
-        || rel.starts_with("examples/")
-        || rel.contains("/fixtures/")
-        || rel.contains("/bin/");
-    FileClass {
-        lib_code: in_src && !excluded,
-        exec_scope: !excluded
-            && (rel.starts_with("crates/core/src/") || rel.starts_with("crates/index/src/")),
-        crate_root: rel == "src/lib.rs"
-            || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs")),
-        obs_scope: !excluded && rel.starts_with("crates/obs/src/"),
-    }
-}
-
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
-    "type", "union", "unsafe", "use", "where", "while", "yield",
-];
-
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
-
-const HASH_ITER_METHODS: &[&str] =
-    &["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain"];
-
-/// Idents that make hash iteration order-insensitive when they appear in
-/// the consuming window: sorting, or order-independent aggregation.
-fn is_order_insensitive(ident: &str) -> bool {
-    ident.starts_with("sort")
-        || matches!(
-            ident,
-            "sum" | "count" | "fold" | "all" | "any" | "min" | "max" | "len" | "is_empty"
-                | "contains" | "contains_key" | "binary_search"
-        )
-}
-
-/// Runs every applicable rule over `src`.
-pub fn analyze(src: &str, class: &FileClass) -> FileReport {
-    let lx = lex(src);
-    let masked = test_mask(src, &lx);
-    let a = Analyzer { src, lx: &lx, masked };
-    let mut rep = FileReport::default();
-    if class.lib_code {
-        a.l1(&mut rep);
-    }
-    if class.exec_scope {
-        a.l2(&mut rep);
-        a.l3(&mut rep);
-    }
-    if class.crate_root {
-        a.l4(&mut rep);
-    }
-    if class.obs_scope {
-        a.l5(&mut rep);
-    }
-    rep
-}
-
-struct Analyzer<'a> {
-    src: &'a str,
-    lx: &'a Lexed,
-    masked: Vec<bool>,
-}
-
-impl<'a> Analyzer<'a> {
-    fn n(&self) -> usize {
-        self.lx.tokens.len()
-    }
-
-    fn kind(&self, i: usize) -> Option<TokKind> {
-        self.lx.tokens.get(i).map(|t| t.kind)
-    }
-
-    fn text(&self, i: usize) -> &'a str {
-        self.lx.text(self.src, i)
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        self.lx.tokens.get(i).map(|t| t.line).unwrap_or(0)
-    }
-
-    fn is_masked(&self, i: usize) -> bool {
-        self.masked.get(i).copied().unwrap_or(false)
-    }
-
-    fn push_hard(&self, rep: &mut FileReport, rule: &'static str, line: u32, what: String) {
-        // One finding per (rule, line): the method rule and the for-loop
-        // rule can both trigger on the same expression.
-        if rep.hard.iter().any(|f| f.rule == rule && f.line == line) {
-            return;
-        }
-        rep.hard.push(Finding { rule, line, what });
-    }
-
-    /// L1: panic sites and slice-indexing sites.
-    fn l1(&self, rep: &mut FileReport) {
-        for i in 0..self.n() {
-            if self.is_masked(i) {
-                continue;
-            }
-            match self.kind(i) {
-                Some(TokKind::Ident) => {
-                    let t = self.text(i);
-                    let line = self.line(i);
-                    if PANIC_MACROS.contains(&t)
-                        && self.kind(i + 1) == Some(TokKind::Punct(b'!'))
-                        && !self.lx.allowed(line, "panic")
-                    {
-                        rep.panic_sites.push(Finding {
-                            rule: "panic",
-                            line,
-                            what: format!("`{t}!` in library code"),
-                        });
-                    }
-                    if (t == "unwrap" || t == "expect")
-                        && i > 0
-                        && self.kind(i - 1) == Some(TokKind::Punct(b'.'))
-                        && self.kind(i + 1) == Some(TokKind::Delim(b'('))
-                        && !self.lx.allowed(line, "panic")
-                    {
-                        rep.panic_sites.push(Finding {
-                            rule: "panic",
-                            line,
-                            what: format!("`.{t}(...)` in library code"),
-                        });
-                    }
-                }
-                Some(TokKind::Delim(b'[')) if i > 0 => {
-                    let indexes = match self.kind(i - 1) {
-                        Some(TokKind::Delim(b')')) | Some(TokKind::Delim(b']')) => true,
-                        Some(TokKind::Ident) => !KEYWORDS.contains(&self.text(i - 1)),
-                        _ => false,
-                    };
-                    let line = self.line(i);
-                    if indexes && !self.lx.allowed(line, "index") {
-                        rep.index_sites.push(Finding {
-                            rule: "index",
-                            line,
-                            what: format!("slice/array indexing `{}[...]`", self.text(i - 1)),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// L2: `HashMap`/`HashSet` iteration feeding ordered output.
-    fn l2(&self, rep: &mut FileReport) {
-        let names = self.hash_typed_names();
-        if names.is_empty() {
-            return;
-        }
-        for i in 0..self.n() {
-            if self.is_masked(i) || self.kind(i) != Some(TokKind::Ident) {
-                continue;
-            }
-            let t = self.text(i);
-            // `name.iter()` / `self.name.keys()` …
-            if HASH_ITER_METHODS.contains(&t)
-                && i >= 2
-                && self.kind(i - 1) == Some(TokKind::Punct(b'.'))
-                && self.kind(i + 1) == Some(TokKind::Delim(b'('))
-                && self.kind(i - 2) == Some(TokKind::Ident)
-                && names.contains(self.text(i - 2))
-            {
-                self.flag_hash_iter(rep, i, self.text(i - 2), t);
-            }
-            // `for pat in [&][mut] name { … }` / `for pat in &self.name { … }`
-            if t == "for" {
-                if let Some(j) = self.find_in_clause(i) {
-                    let mut j = j;
-                    let mut steps = 0;
-                    while steps < 12 {
-                        match self.kind(j) {
-                            Some(TokKind::Ident) => {
-                                let name = self.text(j);
-                                if names.contains(name)
-                                    && self.kind(j + 1) != Some(TokKind::Delim(b'('))
-                                {
-                                    self.flag_hash_iter(rep, j, name, "for-in");
-                                    break;
-                                }
-                            }
-                            Some(TokKind::Delim(b'{')) | None => break,
-                            _ => {}
-                        }
-                        j += 1;
-                        steps += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Finds the token index right after the `in` of a `for` loop at `i`.
-    fn find_in_clause(&self, i: usize) -> Option<usize> {
-        let mut j = i + 1;
-        let mut steps = 0;
-        while steps < 25 {
-            match self.kind(j) {
-                Some(TokKind::Ident) if self.text(j) == "in" => return Some(j + 1),
-                Some(TokKind::Delim(b'{')) | None => return None,
-                _ => {}
-            }
-            j += 1;
-            steps += 1;
-        }
-        None
-    }
-
-    /// Records a hash-iteration finding at token `i` unless an
-    /// order-insensitive consumer follows within the next ~90 tokens (not
-    /// crossing a `fn` boundary) or a `lint:allow(hash-iter)` covers the
-    /// line.
-    fn flag_hash_iter(&self, rep: &mut FileReport, i: usize, name: &str, via: &str) {
-        let line = self.line(i);
-        if self.lx.allowed(line, "hash-iter") {
-            return;
-        }
-        for j in i..(i + 90).min(self.n()) {
-            if self.kind(j) == Some(TokKind::Ident) {
-                let t = self.text(j);
-                if t == "fn" {
-                    break;
-                }
-                if is_order_insensitive(t) {
-                    return;
-                }
-            }
-        }
-        self.push_hard(
-            rep,
-            "hash-iter",
-            line,
-            format!(
-                "iteration over hash collection `{name}` (via `{via}`) may leak \
-                 nondeterministic order; sort the result, aggregate order-independently, \
-                 or annotate `// lint:allow(hash-iter)`"
-            ),
-        );
-    }
-
-    /// Collects local/field/parameter names whose declared or constructed
-    /// type is `HashMap`/`HashSet`.
-    fn hash_typed_names(&self) -> BTreeSet<&'a str> {
-        let mut names = BTreeSet::new();
-        for i in 0..self.n() {
-            if self.kind(i) != Some(TokKind::Ident) || KEYWORDS.contains(&self.text(i)) {
-                continue;
-            }
-            match self.kind(i + 1) {
-                // `name: RefCell<HashMap<…>>` — scan the type up to a
-                // top-level delimiter, tracking angle-bracket depth.
-                Some(TokKind::Punct(b':')) => {
-                    let mut depth = 0i32;
-                    let mut j = i + 2;
-                    let mut steps = 0;
-                    while steps < 40 {
-                        match self.kind(j) {
-                            Some(TokKind::Punct(b'<')) => depth += 1,
-                            Some(TokKind::Punct(b'>')) => depth -= 1,
-                            Some(TokKind::Punct(b',' | b';' | b'=')) | Some(TokKind::Delim(_))
-                                if depth <= 0 =>
-                            {
-                                break
-                            }
-                            Some(TokKind::Ident)
-                                if matches!(self.text(j), "HashMap" | "HashSet") =>
-                            {
-                                names.insert(self.text(i));
-                                break;
-                            }
-                            None => break,
-                            _ => {}
-                        }
-                        j += 1;
-                        steps += 1;
-                    }
-                }
-                // `name = HashMap::new()` / `= std::collections::HashSet::…`
-                Some(TokKind::Punct(b'=')) => {
-                    for j in i + 2..(i + 10).min(self.n()) {
-                        match self.kind(j) {
-                            Some(TokKind::Punct(b';')) => break,
-                            Some(TokKind::Ident)
-                                if matches!(self.text(j), "HashMap" | "HashSet") =>
-                            {
-                                names.insert(self.text(i));
-                                break;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        names
-    }
-
-    /// L3: wall-clock time and float-equality determinism hazards.
-    fn l3(&self, rep: &mut FileReport) {
-        for i in 0..self.n() {
-            if self.is_masked(i) {
-                continue;
-            }
-            match self.kind(i) {
-                Some(TokKind::Ident) => {
-                    let line = self.line(i);
-                    if self.is_wall_clock(i) && !self.lx.allowed(line, "time") {
-                        self.push_hard(
-                            rep,
-                            "time",
-                            line,
-                            "wall-clock time in a query-execution module breaks reproducible \
-                             runs; measure in the bench crate or annotate `// lint:allow(time)`"
-                                .to_string(),
-                        );
-                    }
-                }
-                Some(TokKind::Op2([b'=', b'='])) | Some(TokKind::Op2([b'!', b'='])) => {
-                    let float_adjacent = matches!(
-                        self.kind(i + 1),
-                        Some(TokKind::Num { float: true })
-                    ) || (i > 0
-                        && matches!(self.kind(i - 1), Some(TokKind::Num { float: true })));
-                    let line = self.line(i);
-                    if float_adjacent && !self.lx.allowed(line, "float-eq") {
-                        self.push_hard(
-                            rep,
-                            "float-eq",
-                            line,
-                            "float `==`/`!=` comparison; use `total_cmp`, an epsilon, or \
-                             annotate `// lint:allow(float-eq)`"
-                                .to_string(),
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// True when the ident at `i` starts a wall-clock reference:
-    /// `std::time`, `Instant`, or `SystemTime`.
-    fn is_wall_clock(&self, i: usize) -> bool {
-        let t = self.text(i);
-        (t == "std"
-            && self.kind(i + 1) == Some(TokKind::Op2([b':', b':']))
-            && self.text(i + 2) == "time")
-            || t == "Instant"
-            || t == "SystemTime"
-    }
-
-    /// L5: no wall-clock time anywhere in `xtk-obs`.  Unlike L3 there is
-    /// no `lint:allow` escape — the crate's contract (logical sequence
-    /// numbers only, bit-identical traces) admits no exceptions.
-    fn l5(&self, rep: &mut FileReport) {
-        for i in 0..self.n() {
-            if self.is_masked(i) || self.kind(i) != Some(TokKind::Ident) {
-                continue;
-            }
-            if self.is_wall_clock(i) {
-                self.push_hard(
-                    rep,
-                    "obs-time",
-                    self.line(i),
-                    "wall-clock time inside xtk-obs; the observability layer must \
-                     order events by logical sequence numbers only"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    /// L4: the crate root must carry `#![forbid(unsafe_code)]`.
-    fn l4(&self, rep: &mut FileReport) {
-        for i in 0..self.n() {
-            if self.kind(i) == Some(TokKind::Punct(b'#'))
-                && self.kind(i + 1) == Some(TokKind::Punct(b'!'))
-                && self.kind(i + 2) == Some(TokKind::Delim(b'['))
-                && self.text(i + 3) == "forbid"
-                && self.kind(i + 4) == Some(TokKind::Delim(b'('))
-                && self.text(i + 5) == "unsafe_code"
-                && self.kind(i + 6) == Some(TokKind::Delim(b')'))
-                && self.kind(i + 7) == Some(TokKind::Delim(b']'))
-            {
-                return;
-            }
-        }
-        rep.hard.push(Finding {
-            rule: "forbid-unsafe",
-            line: 1,
-            what: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
 }
 
 /// L9 — discarded `Result`s in the execution crates (`crates/core`,
@@ -532,7 +72,6 @@ pub fn l9(
             }
             if let Some(name) = callee {
                 out.push(Finding {
-                    rule: "L9",
                     line,
                     what: format!(
                         "`let _ = {name}(...)` discards a Result; handle the error, \
@@ -553,7 +92,6 @@ pub fn l9(
                 continue;
             }
             out.push(Finding {
-                rule: "L9",
                 line,
                 what: "bare `.ok();` swallows a Result error; handle it, propagate \
                        with `?`, or annotate `// lint:allow(L9)`"
@@ -660,174 +198,22 @@ fn scan_attr(src: &str, lx: &Lexed, open: usize) -> Option<(usize, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const LIB: FileClass =
-        FileClass { lib_code: true, exec_scope: false, crate_root: false, obs_scope: false };
-    const EXEC: FileClass =
-        FileClass { lib_code: true, exec_scope: true, crate_root: false, obs_scope: false };
-    const ROOT: FileClass =
-        FileClass { lib_code: true, exec_scope: false, crate_root: true, obs_scope: false };
-    const OBS: FileClass =
-        FileClass { lib_code: true, exec_scope: false, crate_root: false, obs_scope: true };
-
-    #[test]
-    fn classify_paths() {
-        assert!(classify("crates/core/src/topk.rs").lib_code);
-        assert!(classify("crates/core/src/topk.rs").exec_scope);
-        assert!(!classify("crates/xml/src/parser.rs").exec_scope);
-        assert!(classify("crates/xml/src/lib.rs").crate_root);
-        assert!(classify("src/lib.rs").crate_root);
-        assert!(!classify("crates/core/tests/conformance.rs").lib_code);
-        assert!(!classify("tests/integration.rs").lib_code);
-        assert!(!classify("src/bin/tool.rs").lib_code);
-        assert!(!classify("examples/demo.rs").lib_code);
-        assert!(!classify("crates/lint/fixtures/bad_panics.rs").lib_code);
-        assert!(classify("crates/obs/src/trace.rs").obs_scope);
-        assert!(!classify("crates/obs/src/trace.rs").exec_scope);
-        assert!(!classify("crates/core/src/topk.rs").obs_scope);
-        assert!(!classify("crates/obs/tests/api.rs").obs_scope);
-    }
-
-    #[test]
-    fn l1_counts_panics_and_indexing() {
-        let src = r#"
-            pub fn f(v: &[u32], o: Option<u32>) -> u32 {
-                let a = o.unwrap();
-                let b = o.expect("x");
-                if v.is_empty() { panic!("empty"); }
-                let c = v[0];
-                a + b + c
-            }
-        "#;
-        let rep = analyze(src, &LIB);
-        assert_eq!(rep.l1_counts(), (3, 1), "{:?} {:?}", rep.panic_sites, rep.index_sites);
-    }
-
-    #[test]
-    fn l1_skips_test_items_and_lookalikes() {
-        let src = r#"
-            /// Docs may say `x.unwrap()` freely.
-            pub fn f(v: &[u32; 4]) -> Option<u32> {
-                let w = vec![1, 2];
-                let _ = w.first();
-                v.get(0).copied() // get, not indexing
-            }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() {
-                    let v = [1u32, 2, 3];
-                    assert_eq!(v[0], super::f(&[1, 2, 3, 4]).unwrap());
-                }
-            }
-        "#;
-        let rep = analyze(src, &LIB);
-        assert_eq!(rep.l1_counts(), (0, 0), "{:?} {:?}", rep.panic_sites, rep.index_sites);
-    }
-
-    #[test]
-    fn l1_allow_comments() {
-        let src = "pub fn f(v: &[u32]) -> u32 {\n    // lint:allow(index) bounds checked above\n    v[0]\n}\n";
-        assert_eq!(analyze(src, &LIB).l1_counts(), (0, 0));
-        let src2 = "pub fn f(v: &[u32]) -> u32 { v[0] }\n";
-        assert_eq!(analyze(src2, &LIB).l1_counts(), (0, 1));
-    }
-
-    #[test]
-    fn l1_unwrap_or_is_not_unwrap() {
-        let src = "pub fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) }";
-        assert_eq!(analyze(src, &LIB).l1_counts(), (0, 0));
-    }
-
-    #[test]
-    fn l2_flags_unsorted_hash_iteration() {
-        let src = r#"
-            use std::collections::HashMap;
-            pub fn leak(m: &HashMap<u32, u32>) -> Vec<u32> {
-                let mut out = Vec::new();
-                for (kk, _) in m.iter() { out.push(*kk); }
-                out
-            }
-        "#;
-        let rep = analyze(src, &EXEC);
-        assert_eq!(rep.hard.len(), 1, "{:?}", rep.hard);
-        assert_eq!(rep.hard.first().map(|f| f.rule), Some("hash-iter"));
-    }
-
-    #[test]
-    fn l2_sorted_or_aggregated_is_fine() {
-        let src = r#"
-            use std::collections::HashMap;
-            pub fn ordered(m: &HashMap<u32, u32>) -> Vec<u32> {
-                let mut ks: Vec<u32> = m.keys().copied().collect();
-                ks.sort_unstable();
-                ks
-            }
-            pub fn total(m: &HashMap<u32, u32>) -> u64 {
-                m.values().map(|&v| v as u64).sum()
-            }
-        "#;
-        let rep = analyze(src, &EXEC);
-        assert!(rep.hard.is_empty(), "{:?}", rep.hard);
-    }
-
-    #[test]
-    fn l2_vec_iteration_untouched() {
-        let src = "pub fn f(v: &Vec<u32>) -> Vec<u32> { v.iter().copied().collect() }";
-        assert!(analyze(src, &EXEC).hard.is_empty());
-    }
-
-    #[test]
-    fn l3_time_and_float_eq() {
-        let src = r#"
-            pub fn t() -> u64 { let _x = std::time::Instant::now(); 0 }
-            pub fn eq(a: f32) -> bool { a == 0.5 }
-        "#;
-        let rep = analyze(src, &EXEC);
-        let rules: Vec<&str> = rep.hard.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"time"), "{rules:?}");
-        assert!(rules.contains(&"float-eq"), "{rules:?}");
-    }
-
-    #[test]
-    fn l3_int_eq_is_fine() {
-        let src = "pub fn f(a: u32) -> bool { a == 5 && 1.5 < 2.0 }";
-        assert!(analyze(src, &EXEC).hard.is_empty());
-    }
-
-    #[test]
-    fn l5_flags_wall_clock_in_obs() {
-        let src = r#"
-            pub fn stamp() -> u64 { let _t = std::time::SystemTime::now(); 0 }
-        "#;
-        let rep = analyze(src, &OBS);
-        assert_eq!(rep.hard.first().map(|f| f.rule), Some("obs-time"), "{:?}", rep.hard);
-    }
-
-    #[test]
-    fn l5_has_no_allow_escape_but_skips_tests() {
-        let src = "pub fn t() -> u64 { // lint:allow(time)\n    let _x = Instant::now(); 0 }\n";
-        let rep = analyze(src, &OBS);
-        assert_eq!(rep.hard.first().map(|f| f.rule), Some("obs-time"), "{:?}", rep.hard);
-        let test_only = "#[cfg(test)]\nmod tests { fn t() { let _ = Instant::now(); } }\n";
-        assert!(analyze(test_only, &OBS).hard.is_empty());
-        let clean = "pub fn seq(n: u64) -> u64 { n + 1 }\n";
-        assert!(analyze(clean, &OBS).hard.is_empty());
-    }
-
-    #[test]
-    fn l4_forbid_unsafe() {
-        let ok = "#![forbid(unsafe_code)]\npub mod x {}\n";
-        assert!(analyze(ok, &ROOT).hard.is_empty());
-        let bad = "//! docs\npub fn f() {}\n";
-        let rep = analyze(bad, &ROOT);
-        assert_eq!(rep.hard.first().map(|f| f.rule), Some("forbid-unsafe"));
-    }
+    use crate::lexer::lex;
 
     #[test]
     fn cfg_not_test_is_not_masked() {
-        let src = "#[cfg(not(test))]\npub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(analyze(src, &LIB).l1_counts(), (1, 0));
+        let src = "#[cfg(not(test))]\npub fn kept() {}\n\
+                   #[cfg(test)]\nmod t { fn gone() {} }\n\
+                   #[test]\nfn also_gone() {}\n";
+        let lx = lex(src);
+        let masked = test_mask(src, &lx);
+        let of = |name: &str| {
+            let i = (0..lx.tokens.len()).find(|&i| lx.text(src, i) == name)?;
+            masked.get(i).copied()
+        };
+        assert_eq!(of("kept"), Some(false));
+        assert_eq!(of("gone"), Some(true));
+        assert_eq!(of("also_gone"), Some(true));
     }
 
     fn l9_of(rel: &str, src: &str, result_fns: &[&str]) -> Vec<Finding> {

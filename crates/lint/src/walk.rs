@@ -76,7 +76,7 @@ mod tests {
         );
         assert!(
             files.iter().any(|(rel, _)| rel == "crates/baselines/src/baseline/rdil.rs"),
-            "the baselines crate is scanned like every other (L1 counts, L4)"
+            "the baselines crate is scanned like every other"
         );
         assert!(
             !files.iter().any(|(rel, _)| rel.contains("fixtures/")),

@@ -1,112 +1,332 @@
-//! Positive/negative fixture tests: the lint must fire on the bad
-//! fixtures and stay silent on the good ones.  Fixture sources live in
-//! `fixtures/` (outside `src/`, so the workspace scan ignores them and
-//! cargo never compiles them).
+//! The lint configuration, checked against the tree and against fixtures,
+//! plus the interprocedural passes over in-memory sources.
+//!
+//! L1–L5 are rustc/clippy lints (DESIGN.md §7): the workspace lints in the
+//! root `Cargo.toml`, the `clippy.toml` files and the crate roots' lint
+//! attributes.  `shipped_tree_has_no_hard_violations` runs clippy over the
+//! workspace.  The fixture tests copy that configuration into a throwaway
+//! workspace with one crate per scope, compile the sources in `fixtures/`
+//! as its modules, and check that each bad fixture fails with the lint that
+//! replaced its rule and that each ok fixture passes with its `#[expect]`s.
 
-use std::path::Path;
-use xtk_lint::rules::{analyze, classify, FileClass, FileReport};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
+use xtk_xml::testutil::TempPath;
 
-const LIB: FileClass =
-    FileClass { lib_code: true, exec_scope: false, crate_root: false, obs_scope: false };
-const EXEC: FileClass =
-    FileClass { lib_code: true, exec_scope: true, crate_root: false, obs_scope: false };
-const ROOT: FileClass =
-    FileClass { lib_code: true, exec_scope: false, crate_root: true, obs_scope: false };
-const OBS: FileClass =
-    FileClass { lib_code: true, exec_scope: false, crate_root: false, obs_scope: true };
-
-fn fixture(name: &str, class: &FileClass) -> FileReport {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading fixture {}: {e}", path.display()));
-    analyze(&src, class)
+fn repo_root() -> PathBuf {
+    xtk_lint::walk::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
 }
 
-fn hard_rules(rep: &FileReport) -> Vec<&'static str> {
-    rep.hard.iter().map(|f| f.rule).collect()
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+fn write(path: &Path, text: &str) {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("mkdir");
+    }
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+}
+
+/// The inner attributes (`#![...]`, possibly spanning lines) of a crate
+/// root, one after another.
+fn inner_attributes(src: &str) -> String {
+    let mut out = String::new();
+    let mut depth = 0i32;
+    for line in src.lines() {
+        if depth == 0 && !line.starts_with("#![") {
+            continue;
+        }
+        depth += line.matches('[').count() as i32 - line.matches(']').count() as i32;
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// The `[workspace.lints.*]` tables of a root manifest.
+fn workspace_lints(manifest: &str) -> String {
+    let mut out = String::new();
+    let mut inside = false;
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            inside = line.starts_with("[workspace.lints");
+        }
+        if inside {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// `true` when the manifest's `[lints]` table says `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut inside = false;
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            inside = line.trim() == "[lints]";
+        } else if inside && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+/// Each fixture crate: its name, the crate of the real tree whose
+/// configuration it copies (`None`: the workspace defaults, no crate-root
+/// attributes), and the fixtures it compiles as modules.
+const CRATES: &[(&str, Option<&str>, &[&str])] = &[
+    ("lib", Some("crates/xml"), &["bad_panics", "ok_clean", "bad_time"]),
+    ("core", Some("crates/core"), EXEC_FIXTURES),
+    ("index", Some("crates/index"), EXEC_FIXTURES),
+    ("obs", Some("crates/obs"), &["bad_time"]),
+    // An `allow` under `forbid` is an error that stops the crate before
+    // clippy's passes run, so it gets a crate of its own.
+    ("obs-allow", Some("crates/obs"), &["obs_allow_time"]),
+    ("bare", None, &[]),
+];
+
+const EXEC_FIXTURES: &[&str] = &["bad_hash_iter", "ok_hash_sorted", "bad_time", "bad_float_eq"];
+
+/// The seven L1 lints every library crate root denies.
+const L1_LINTS: [&str; 7] = [
+    "expect_used",
+    "indexing_slicing",
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+    "unwrap_used",
+];
+
+/// One diagnostic of the fixture run: the file it points at
+/// (`<crate>/src/<module>.rs`) and its code (`clippy::panic`, `E0453`, …).
+#[derive(Debug)]
+struct Diag {
+    file: String,
+    code: String,
+}
+
+/// Builds the fixture workspace, runs clippy over it once, and returns
+/// every diagnostic that carries a code.
+fn fixture_diagnostics() -> &'static [Diag] {
+    static DIAGS: OnceLock<Vec<Diag>> = OnceLock::new();
+    DIAGS.get_or_init(|| {
+        let root = repo_root();
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+        let ws = TempPath::new("xtk-lint-fixtures");
+        let members: Vec<String> =
+            CRATES.iter().map(|(name, _, _)| format!("\"{name}\"")).collect();
+        write(
+            &ws.join("Cargo.toml"),
+            &format!(
+                "[workspace]\nmembers = [{}]\nresolver = \"2\"\n\n{}",
+                members.join(", "),
+                workspace_lints(&read(&root.join("Cargo.toml")))
+            ),
+        );
+        for (name, real, modules) in CRATES {
+            let dir = ws.join(name);
+            write(
+                &dir.join("Cargo.toml"),
+                &format!(
+                    "[package]\nname = \"fixture-{name}\"\nversion = \"0.0.0\"\n\
+                     edition = \"2021\"\npublish = false\n\n[lints]\nworkspace = true\n"
+                ),
+            );
+            let mut lib = match real {
+                Some(real) => {
+                    let real = root.join(real);
+                    let config = if real.join("clippy.toml").exists() {
+                        real.join("clippy.toml")
+                    } else {
+                        root.join("clippy.toml")
+                    };
+                    write(&dir.join("clippy.toml"), &read(&config));
+                    inner_attributes(&read(&real.join("src/lib.rs")))
+                }
+                None => read(&fixtures.join("root_missing_forbid.rs")),
+            };
+            for m in *modules {
+                lib.push_str(&format!("pub mod {m};\n"));
+                write(&dir.join(format!("src/{m}.rs")), &read(&fixtures.join(format!("{m}.rs"))));
+            }
+            write(&dir.join("src/lib.rs"), &lib);
+        }
+        let out = Command::new(env!("CARGO"))
+            .args(["clippy", "--offline", "--workspace", "--all-targets", "--keep-going"])
+            .args(["--message-format=json", "--", "-D", "warnings"])
+            .current_dir(&*ws)
+            .env("CARGO_TARGET_DIR", ws.join("target"))
+            .output()
+            .expect("run cargo clippy");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let mut diags = Vec::new();
+        for line in stdout.lines() {
+            // A message's own code; its primary location is the first
+            // `--> file:line:col` of its rendered text (the notes that point
+            // at the crate root's lint attributes come later).
+            let field = |key: &str, end: char| {
+                let start = line.find(key)? + key.len();
+                let len = line.get(start..)?.find(end)?;
+                line.get(start..start + len).map(str::to_string)
+            };
+            let code = field("\"code\":{\"code\":\"", '"');
+            if let (Some(code), Some(file)) = (code, field("--> ", ':')) {
+                diags.push(Diag { file, code });
+            }
+        }
+        assert!(
+            !diags.is_empty(),
+            "the fixture run produced no diagnostics — is clippy installed?\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        diags
+    })
+}
+
+/// The codes reported against `<krate>/src/<module>.rs`, sorted and deduplicated.
+fn codes(krate: &str, module: &str) -> Vec<String> {
+    let file = format!("{krate}/src/{module}.rs");
+    let mut codes: Vec<String> =
+        fixture_diagnostics().iter().filter(|d| d.file == file).map(|d| d.code.clone()).collect();
+    codes.sort();
+    codes.dedup();
+    codes
 }
 
 #[test]
 fn injected_unwraps_are_counted() {
-    let rep = fixture("bad_panics.rs", &LIB);
-    assert_eq!(
-        rep.l1_counts(),
-        (4, 1),
-        "panic sites: {:?}, index sites: {:?}",
-        rep.panic_sites,
-        rep.index_sites
-    );
+    let got = codes("lib", "bad_panics");
+    for lint in L1_LINTS {
+        assert!(got.contains(&format!("clippy::{lint}")), "clippy::{lint} missing from {got:?}");
+    }
 }
 
 #[test]
 fn clean_library_code_is_silent() {
-    let rep = fixture("ok_clean.rs", &LIB);
-    assert_eq!(rep.l1_counts(), (0, 0), "{:?} {:?}", rep.panic_sites, rep.index_sites);
-    assert!(rep.hard.is_empty());
+    assert_eq!(codes("lib", "ok_clean"), Vec::<String>::new());
 }
 
 #[test]
 fn hash_order_leakage_fails() {
-    let rep = fixture("bad_hash_iter.rs", &EXEC);
-    assert_eq!(hard_rules(&rep), vec!["hash-iter"], "{:?}", rep.hard);
+    for krate in ["core", "index"] {
+        let got = codes(krate, "bad_hash_iter");
+        for lint in ["clippy::disallowed_methods", "clippy::iter_over_hash_type"] {
+            assert!(got.iter().any(|c| c == lint), "{krate}: {lint} missing from {got:?}");
+        }
+    }
 }
 
 #[test]
 fn sorted_or_aggregated_hash_iteration_passes() {
-    let rep = fixture("ok_hash_sorted.rs", &EXEC);
-    assert!(rep.hard.is_empty(), "{:?}", rep.hard);
+    for krate in ["core", "index"] {
+        assert_eq!(codes(krate, "ok_hash_sorted"), Vec::<String>::new(), "{krate}");
+    }
 }
 
 #[test]
 fn wall_clock_time_fails_in_exec_scope() {
-    let rep = fixture("bad_time.rs", &EXEC);
-    assert!(hard_rules(&rep).contains(&"time"), "{:?}", rep.hard);
+    for krate in ["core", "index"] {
+        let got = codes(krate, "bad_time");
+        assert!(got.iter().any(|c| c == "clippy::disallowed_methods"), "{krate}: {got:?}");
+        assert!(got.iter().any(|c| c == "clippy::disallowed_types"), "{krate}: {got:?}");
+    }
     // The same file is fine outside the query-execution crates (the bench
     // crate measures time for a living).
-    assert!(fixture("bad_time.rs", &LIB).hard.is_empty());
+    assert_eq!(codes("lib", "bad_time"), Vec::<String>::new());
 }
 
 #[test]
 fn wall_clock_time_fails_in_obs_scope() {
-    // L5 reuses the bad_time fixture: anything that trips the exec-scope
-    // time rule must also trip (without an allow escape) inside xtk-obs.
-    let rep = fixture("bad_time.rs", &OBS);
-    assert!(hard_rules(&rep).contains(&"obs-time"), "{:?}", rep.hard);
+    let got = codes("obs", "bad_time");
+    assert!(got.iter().any(|c| c == "clippy::disallowed_methods"), "{got:?}");
+    // L5 has no escape: an `allow` under the crate root's `forbid` is itself
+    // an error (E0453), and the crate does not compile.
+    let allowed = codes("obs-allow", "obs_allow_time");
+    assert!(allowed.iter().any(|c| c == "E0453"), "{allowed:?}");
 }
 
 #[test]
 fn float_equality_fails_in_exec_scope() {
-    let rep = fixture("bad_float_eq.rs", &EXEC);
-    assert!(hard_rules(&rep).contains(&"float-eq"), "{:?}", rep.hard);
+    for krate in ["core", "index"] {
+        let got = codes(krate, "bad_float_eq");
+        assert!(got.iter().any(|c| c == "clippy::float_cmp"), "{krate}: {got:?}");
+    }
 }
 
 #[test]
 fn removed_forbid_unsafe_fails() {
-    let rep = fixture("root_missing_forbid.rs", &ROOT);
-    assert!(hard_rules(&rep).contains(&"forbid-unsafe"), "{:?}", rep.hard);
-    assert!(fixture("root_ok.rs", &ROOT).hard.is_empty());
+    let got = codes("bare", "lib");
+    assert_eq!(got, vec!["unsafe_code".to_string()]);
 }
 
-/// End-to-end over the real tree: every crate root in this workspace must
-/// carry `#![forbid(unsafe_code)]`, and the shipped tree must have no
-/// hard violations — the same invariant `ci.sh` enforces via the binary.
+/// The tree itself: clippy with every warning an error, over every target
+/// of every member.  The run has its own target directory, so it never
+/// waits on the build that runs this test.
 #[test]
 fn shipped_tree_has_no_hard_violations() {
-    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = xtk_lint::walk::find_root(here).expect("workspace root");
-    let files = xtk_lint::walk::collect_rs(&root).expect("scan workspace");
-    assert!(files.len() > 20, "expected a real workspace, found {} files", files.len());
-    let mut crate_roots = 0;
-    for (rel, path) in &files {
-        let class = classify(rel);
-        if class.crate_root {
-            crate_roots += 1;
+    let root = repo_root();
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--workspace", "--all-targets", "--", "-D", "warnings"])
+        .current_dir(&root)
+        .env("CARGO_TARGET_DIR", root.join("target").join("clippy"))
+        .output()
+        .expect("run cargo clippy");
+    assert!(
+        out.status.success(),
+        "cargo clippy -D warnings failed (is the clippy component installed?):\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// What cargo and clippy cannot show: a member that does not inherit the
+/// workspace lints silently drops `unsafe_code = "forbid"`, a crate root
+/// that drops an L1 lint silently allows it, and a `clippy.toml` that
+/// loses its time list silently allows the wall clock.
+#[test]
+fn every_manifest_inherits_the_workspace_lints() {
+    let root = repo_root();
+    let root_manifest = read(&root.join("Cargo.toml"));
+    assert!(
+        workspace_lints(&root_manifest).contains("unsafe_code = \"forbid\""),
+        "Cargo.toml: [workspace.lints.rust] lacks unsafe_code = \"forbid\""
+    );
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut roots = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let dir = entry.expect("dir entry").path();
+        if dir.join("Cargo.toml").exists() {
+            manifests.push(dir.join("Cargo.toml"));
+            roots.push(dir.join("src/lib.rs"));
         }
-        let src = std::fs::read_to_string(path).expect("read source");
-        let rep = analyze(&src, &class);
-        assert!(rep.hard.is_empty(), "{rel}: {:?}", rep.hard);
     }
-    assert!(crate_roots >= 6, "expected >= 6 crate roots, found {crate_roots}");
+    assert!(manifests.len() >= 9, "expected the root and eight crates, found {manifests:?}");
+    for m in &manifests {
+        let text = read(m);
+        let inherits = inherits_workspace_lints(&text);
+        assert!(inherits, "{}: lacks `[lints] workspace = true`", m.display());
+    }
+    for r in &roots {
+        let attrs = inner_attributes(&read(r));
+        for lint in L1_LINTS {
+            let denied = attrs.contains(&format!("clippy::{lint},"))
+                || attrs.contains(&format!("clippy::{lint}\n"));
+            assert!(denied, "{}: the crate root no longer denies clippy::{lint}", r.display());
+        }
+    }
+    for krate in ["core", "index", "obs"] {
+        let path = root.join("crates").join(krate).join("clippy.toml");
+        let config = read(&path);
+        for ty in ["std::time::Instant", "std::time::SystemTime"] {
+            for name in [ty.to_string(), format!("{ty}::now")] {
+                let listed = config.contains(&format!("path = \"{name}\""));
+                assert!(listed, "{}: lacks {name}", path.display());
+            }
+        }
+    }
 }
 
 /// The one Algorithm-1 driver reaches its storage through a generic

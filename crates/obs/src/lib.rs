@@ -14,11 +14,21 @@
 //!   the previous per-subsystem stats structs.
 //!
 //! Determinism is a hard design rule: this crate never reads the wall
-//! clock (enforced by the xtk-lint L5 rule), never iterates a hash map
+//! clock (L5: `clippy.toml` disallows the clock types and the `forbid`
+//! below admits no `allow`), never iterates a hash map
 //! into output, and stores floating-point scores as `f32::to_bits` so
 //! event equality is exact.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod metrics;
 pub mod trace;

@@ -14,7 +14,6 @@
 //! prefix-compressed storage whose size Table I reports.
 
 use crate::tree::{NodeId, XmlTree};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A Dewey identifier: the sibling-position path from the root.
@@ -50,11 +49,13 @@ impl DeweyId {
 
     /// `true` iff `self` is a (non-strict) prefix of `other`, i.e. the node
     /// is an ancestor-or-self of `other`'s node.
+    #[expect(clippy::indexing_slicing, reason = "the length check before it bounds the slice")]
     pub fn is_prefix_of(&self, other: &DeweyId) -> bool {
         other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
     }
 
     /// `true` iff `self` denotes a strict ancestor of `other`.
+    #[expect(clippy::indexing_slicing, reason = "the length check before it bounds the slice")]
     pub fn is_ancestor_of(&self, other: &DeweyId) -> bool {
         other.0.len() > self.0.len() && other.0[..self.0.len()] == self.0[..]
     }
@@ -65,23 +66,19 @@ impl DeweyId {
     }
 
     /// The longest common prefix — i.e. the Dewey id of the LCA.
+    #[expect(clippy::indexing_slicing, reason = "a common prefix is no longer than self")]
     pub fn lca(&self, other: &DeweyId) -> DeweyId {
         DeweyId(self.0[..self.common_prefix_len(other)].to_vec())
     }
 
     /// The parent's Dewey id, or `None` for the root.
+    #[expect(clippy::indexing_slicing, reason = "the id has at least two components here")]
     pub fn parent(&self) -> Option<DeweyId> {
         if self.0.len() <= 1 {
             None
         } else {
             Some(DeweyId(self.0[..self.0.len() - 1].to_vec()))
         }
-    }
-
-    /// Compares in document order; ancestors sort before descendants.
-    #[inline]
-    pub fn doc_cmp(&self, other: &DeweyId) -> Ordering {
-        self.0.cmp(&other.0)
     }
 }
 
@@ -117,6 +114,10 @@ impl DeweyIndex {
                 Some(p) => {
                     // Parents precede children in document order, so the
                     // parent's id is already computed.
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "a parent precedes its children, so its id is already computed"
+                    )]
                     let mut v = ids[p.index()].0.clone();
                     v.push(node.sib_index);
                     DeweyId(v)
@@ -129,6 +130,7 @@ impl DeweyIndex {
 
     /// The Dewey id of `id`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "one id per node of the indexed tree")]
     pub fn dewey(&self, id: NodeId) -> &DeweyId {
         &self.ids[id.index()]
     }
@@ -154,6 +156,10 @@ impl DeweyIndex {
             return None;
         }
         let mut cur = tree.root();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the id starts with the root component, checked above"
+        )]
         for &comp in &dewey.0[1..] {
             cur = *tree.children(cur).get(comp as usize)?;
         }

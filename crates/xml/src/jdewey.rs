@@ -102,6 +102,10 @@ impl JDeweyAssignment {
     /// `gap` spare numbers are reserved after each parent's block of
     /// children (0 yields a dense numbering).  Numbers start at 1 at every
     /// level, matching the paper's figures.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one number per node and one level list per depth up to max_depth"
+    )]
     pub fn assign(tree: &XmlTree, gap: u32) -> Self {
         let max_depth = tree.max_depth() as usize;
         let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); max_depth + 1];
@@ -139,6 +143,7 @@ impl JDeweyAssignment {
 
     /// The JDewey number of `id`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "one number per node of the encoded tree")]
     pub fn number(&self, id: NodeId) -> u32 {
         self.numbers[id.index()]
     }
@@ -162,6 +167,7 @@ impl JDeweyAssignment {
     /// `n`-th node), `O(log width(level))` otherwise.
     pub fn node_at(&self, level: u16, n: u32) -> Option<NodeId> {
         let lv = self.levels.get(level as usize)?;
+        #[expect(clippy::indexing_slicing, reason = "every node on a level has a number")]
         let pos = position_of(lv, &self.numbers, n)
             .or_else(|| lv.binary_search_by_key(&n, |&id| self.numbers[id.index()]).ok())?;
         lv.get(pos).copied()
@@ -188,6 +194,7 @@ impl JDeweyAssignment {
 
     /// The largest number currently used at `level` (0 if the level is
     /// empty).  Used by partial re-encoding.
+    #[expect(clippy::indexing_slicing, reason = "every node on a level has a number")]
     pub fn max_number_at(&self, level: u16) -> u32 {
         self.levels
             .get(level as usize)
@@ -236,6 +243,10 @@ impl JDeweyAssignment {
 
     /// Registers a freshly added node with the given number at its level,
     /// keeping the level list sorted.  Internal to the maintainer.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "numbers is resized to cover id first, and every node on a level has a number"
+    )]
     pub(crate) fn register(&mut self, tree: &XmlTree, id: NodeId, n: u32) {
         let level = tree.depth(id) as usize;
         if self.levels.len() <= level {

@@ -285,6 +285,10 @@ impl JDeweyMaintainer {
             if off == 0 {
                 self.jd.register(&self.tree, anchor, next);
             } else {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "off > 0 in this branch, so off - 1 is an earlier level of by_level"
+                )]
                 for &p in &by_level[off - 1] {
                     for &c in self.tree.children(p) {
                         if !self.is_removed(c) {

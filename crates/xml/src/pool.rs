@@ -124,6 +124,10 @@ where
     let work = |w: usize| {
         let mut done: Vec<(usize, std::thread::Result<O>)> = Vec::new();
         for victim in 0..workers {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "taken modulo workers, the number of stripes"
+            )]
             let stripe = &stripes[(w + victim) % workers];
             loop {
                 if poisoned.load(Ordering::Relaxed) {
@@ -133,6 +137,10 @@ where
                 if i >= stripe.end {
                     break;
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "a stripe's indices lie below items.len()"
+                )]
                 let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
                 if r.is_err() {
                     poisoned.store(true, Ordering::Relaxed);
@@ -155,6 +163,7 @@ where
         let lists = std::iter::once(work(0))
             .chain(spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
         for (i, r) in lists.flatten() {
+            #[expect(clippy::indexing_slicing, reason = "out holds one slot per item index")]
             match r {
                 Ok(v) => out[i] = Some(v),
                 Err(p) => panics.push((i, p)),

@@ -34,6 +34,10 @@ impl TreeStats {
         let mut internal = 0usize;
         let mut child_sum = 0usize;
         let mut max_fanout = 0usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "level_widths has one entry per depth up to max_depth"
+        )]
         for id in tree.ids() {
             let n = tree.node(id);
             level_widths[tree.depth(id) as usize] += 1;

@@ -104,6 +104,10 @@ impl Rng {
     }
 
     /// A uniformly chosen element of `slice`, or `None` when empty.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "gen_range(0..len) is below the length of the non-empty slice"
+    )]
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
             None
@@ -217,6 +221,7 @@ where
             MIN_SIZE + (case as usize * (MAX_SIZE - MIN_SIZE)) / (cases as usize - 1)
         };
         let case_seed = splitmix64(seed ^ (case as u64).wrapping_mul(0x9e3779b97f4a7c15));
+        #[expect(clippy::panic, reason = "prop_check reports a failing property by panicking")]
         if let Err(payload) = run_case(&property, case_seed, size) {
             // Shrink: smallest size (same stream) that still fails.
             let mut best = (size, payload);

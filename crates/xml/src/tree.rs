@@ -98,24 +98,28 @@ impl XmlTree {
 
     /// Immutable access to a node.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "ids come from this tree's arena")]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     /// Mutable access to a node.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "ids come from this tree's arena")]
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }
 
     /// The tag label of `id`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "ids come from this tree's arena")]
     pub fn label(&self, id: NodeId) -> &str {
         &self.nodes[id.index()].label
     }
 
     /// The direct text of `id`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "ids come from this tree's arena")]
     pub fn text(&self, id: NodeId) -> &str {
         &self.nodes[id.index()].text
     }
@@ -136,6 +140,7 @@ impl XmlTree {
 
     /// The children of `id` in document order.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "ids come from this tree's arena")]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
         &self.nodes[id.index()].children
     }
@@ -167,6 +172,7 @@ impl XmlTree {
     /// pre-order (as the parser and the generators do).  Algorithms that
     /// need document order should use Dewey ids when the build order is not
     /// known to be pre-order.
+    #[expect(clippy::indexing_slicing, reason = "the parent id comes from this tree's arena")]
     pub fn add_child(&mut self, parent: NodeId, label: impl Into<Box<str>>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         let depth = self.depths[parent.index()] + 1;
@@ -185,6 +191,7 @@ impl XmlTree {
 
     /// Appends character data to the direct text of `id`.
     pub fn append_text(&mut self, id: NodeId, text: &str) {
+        #[expect(clippy::indexing_slicing, reason = "ids come from this tree's arena")]
         let t = &mut self.nodes[id.index()].text;
         if !t.is_empty() && !t.ends_with(char::is_whitespace) && !text.starts_with(char::is_whitespace) {
             t.push(' ');
@@ -364,7 +371,7 @@ mod tests {
     #[test]
     fn build_and_navigate() {
         let (t, ids) = sample();
-        let [root, a, c, d, b, e] = ids[..] else { unreachable!() };
+        let [root, a, c, d, b, e] = ids[..] else { panic!() };
         assert_eq!(t.len(), 6);
         assert_eq!(t.root(), root);
         assert_eq!(t.parent(c), Some(a));
@@ -380,7 +387,7 @@ mod tests {
     #[test]
     fn ancestry_and_lca() {
         let (t, ids) = sample();
-        let [root, a, c, d, _b, e] = ids[..] else { unreachable!() };
+        let [root, a, c, d, _b, e] = ids[..] else { panic!() };
         assert!(t.is_ancestor(root, e));
         assert!(t.is_ancestor(a, c));
         assert!(!t.is_ancestor(a, e));
@@ -395,7 +402,7 @@ mod tests {
     #[test]
     fn subforest_copies_contiguous_children_with_offset() {
         let (mut t, ids) = sample();
-        let [_root, a, c, _d, b, e] = ids[..] else { unreachable!() };
+        let [_root, a, c, _d, b, e] = ids[..] else { panic!() };
         t.append_text(c, "gamma");
         t.append_text(e, "epsilon");
         // Copy the second root child only: new ids are old ids − offset + 1.
