@@ -103,6 +103,22 @@ if grep -rnw -e MAGIC_V2 -e BlockLayout -e decode_block_varint -e encode_column_
     echo "ERROR: a second on-disk format or reader is back (lines above)" >&2; exit 1
 fi
 
+echo "== one arena per index: per-term, per-level structures live in flat arrays"
+# XmlIndex keeps every term's postings, scores, runs, segment rows, row
+# directories and histograms in a few CSR arrays (index/src/terms.rs), the
+# disk store one flat block directory for the whole file, and PlanStats one
+# LevelStats array on the index's column offsets.  Any of these shapes under
+# the two serving crates means a Vec per term or per level came back.
+# `Column`, `Segment` and `ColumnDirectory` are borrowed views now, so the
+# match takes them with or without a lifetime.  One list of views stays
+# allowed: a top-K query's cursors resolve one term's segments once per
+# query (`Vec<Segment<'a>>` in core/src/topk.rs).
+if grep -rnE "Vec<(Column|Segment|ColumnDirectory)(<|>)|Vec<Option<Histogram>>|HashMap<String, Vec<|Vec<Vec<LevelStats>>" \
+        --include='*.rs' crates/index/src crates/core/src \
+        | grep -v "^crates/core/src/topk.rs:[0-9]*: .*Vec<Segment<'a>>" >&2; then
+    echo "ERROR: a Vec per term or per level is back under crates/index/src + crates/core/src" >&2; exit 1
+fi
+
 echo "== one row -> number lookup per column: the row directory or the plain search"
 # The top-K drain reads a retrieved row's JDewey number through the
 # column's RowDirectory, or by Column::value_of_row where the column is too

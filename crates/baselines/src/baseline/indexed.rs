@@ -45,17 +45,17 @@ impl Default for IndexedOptions {
 /// has an empty list.
 pub fn lowest_full_ancestor(
     ix: &XmlIndex,
-    terms: &[&TermData],
+    terms: &[TermData],
     v: NodeId,
 ) -> Option<NodeId> {
     let tree = ix.tree();
     let mut depth = tree.depth(v);
     for t in terms {
         let mut best: u16 = 0;
-        if let Some(l) = left_match(&t.postings, v) {
+        if let Some(l) = left_match(t.postings(), v) {
             best = best.max(tree.depth(tree.lca(v, l)));
         }
-        if let Some(r) = right_match(&t.postings, v) {
+        if let Some(r) = right_match(t.postings(), v) {
             best = best.max(tree.depth(tree.lca(v, r)));
         }
         if best == 0 {
@@ -80,7 +80,7 @@ pub fn indexed_search(
     opts: &IndexedOptions,
 ) -> Vec<ScoredResult> {
     let ix = bx.index();
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     if terms.iter().any(|t| t.is_empty()) {
         return Vec::new();
     }
@@ -94,7 +94,7 @@ pub fn indexed_search(
     // Candidates arrive in non-decreasing... not exactly sorted, so sort +
     // dedup before the minimality / verification pass.
     let mut candidates: Vec<NodeId> = Vec::with_capacity(shortest.len());
-    for &v in &shortest.postings {
+    for &v in shortest.postings() {
         if let Some(u) = lowest_full_ancestor(ix, &terms, v) {
             candidates.push(u);
         }
@@ -156,7 +156,7 @@ mod tests {
             .map(|r| r.node)
             .collect();
         let lists: Vec<&[NodeId]> =
-            q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+            q.terms.iter().map(|&t| ix.term(t).postings()).collect();
         let want = match semantics {
             Semantics::Elca => naive_elca(ix.tree(), &lists, ElcaVariant::Formal),
             Semantics::Slca => naive_slca(ix.tree(), &lists),

@@ -69,7 +69,7 @@ pub fn rdil_search(
 ) -> (Vec<ScoredResult>, RdilStats) {
     let mut stats = RdilStats::default();
     let ix = bx.index();
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let orders: Vec<&[u32]> = query.terms.iter().map(|&t| bx.score_order(t)).collect();
     let k = terms.len();
     if opts.k == 0 || terms.iter().any(|t| t.is_empty()) {
@@ -86,9 +86,9 @@ pub fn rdil_search(
         clippy::indexing_slicing,
         reason = "ptr and orders hold one entry per keyword, and i < k"
     )]
-    let next_score = |terms: &[&TermData], ptr: &[usize], i: usize| -> f32 {
+    let next_score = |terms: &[TermData], ptr: &[usize], i: usize| -> f32 {
         match orders[i].get(ptr[i]) {
-            Some(&row) => terms[i].scores[row as usize],
+            Some(&row) => terms[i].scores()[row as usize],
             None => 0.0,
         }
     };
@@ -136,7 +136,7 @@ pub fn rdil_search(
         let row = orders[i][ptr[i]];
         ptr[i] += 1;
         stats.pops += 1;
-        let v = terms[i].postings[row as usize];
+        let v = terms[i].postings()[row as usize];
         // Candidate: v's lowest all-keyword ancestor.
         let Some(u) = lowest_full_ancestor(ix, &terms, v) else { continue };
         if let std::collections::hash_map::Entry::Vacant(e) = evaluated.entry(u) {

@@ -72,7 +72,7 @@ impl<'a> BaselineIndex<'a> {
                 }
             }
         }
-        let score_rows = ix.terms().map(|(_, t)| score_order(&t.scores)).collect();
+        let score_rows = ix.terms().map(|(_, t)| score_order(t.scores())).collect();
         Self { ix, subtree_size, score_rows }
     }
 
@@ -123,8 +123,8 @@ mod tests {
         let (t, order) = (ix.term(id), bx.score_order(id));
         assert_eq!(order.len(), t.len());
         for w in order.windows(2) {
-            assert!(t.scores[w[0] as usize] >= t.scores[w[1] as usize]);
+            assert!(t.scores()[w[0] as usize] >= t.scores()[w[1] as usize]);
         }
-        assert_eq!(t.scores[order[0] as usize].to_bits(), t.max_score.to_bits());
+        assert_eq!(t.scores()[order[0] as usize].to_bits(), t.max_score().to_bits());
     }
 }

@@ -28,17 +28,17 @@ use xtk_xml::tree::{NodeId, XmlTree};
 /// every raw-full child contains every keyword, so none is missed.
 pub fn rawfull_child_ranges(
     bx: &BaselineIndex,
-    terms: &[&TermData],
+    terms: &[TermData],
     u: NodeId,
 ) -> Vec<std::ops::Range<NodeId>> {
     let urange = bx.subtree_range(u);
     let Some(probe) = terms
         .iter()
-        .min_by_key(|t| postings_in_range(&t.postings, urange.start, urange.end).len())
+        .min_by_key(|t| postings_in_range(t.postings(), urange.start, urange.end).len())
     else {
         return Vec::new();
     };
-    let slice = postings_in_range(&probe.postings, urange.start, urange.end);
+    let slice = postings_in_range(probe.postings(), urange.start, urange.end);
     let mut out: Vec<std::ops::Range<NodeId>> = Vec::new();
     for &x in slice {
         if x == u {
@@ -55,7 +55,7 @@ pub fn rawfull_child_ranges(
         }
         let crange = bx.subtree_range(c);
         let rawfull = terms.iter().all(|t| {
-            !postings_in_range(&t.postings, crange.start, crange.end).is_empty()
+            !postings_in_range(t.postings(), crange.start, crange.end).is_empty()
         });
         if rawfull {
             out.push(crange);
@@ -83,7 +83,7 @@ fn child_on_path(tree: &XmlTree, u: NodeId, x: NodeId) -> Option<NodeId> {
 /// raw-full in advance.
 pub fn verify_and_score(
     bx: &BaselineIndex,
-    terms: &[&TermData],
+    terms: &[TermData],
     u: NodeId,
     semantics: Semantics,
 ) -> Option<f32> {
@@ -91,7 +91,7 @@ pub fn verify_and_score(
     let urange = bx.subtree_range(u);
     // Raw-fullness first: cheap binary searches.
     for t in terms {
-        if postings_in_range(&t.postings, urange.start, urange.end).is_empty() {
+        if postings_in_range(t.postings(), urange.start, urange.end).is_empty() {
             return None;
         }
     }
@@ -103,7 +103,7 @@ pub fn verify_and_score(
     let level = ix.tree().depth(u);
     let mut total = 0.0f32;
     for t in terms {
-        let slice = postings_in_range(&t.postings, urange.start, urange.end);
+        let slice = postings_in_range(t.postings(), urange.start, urange.end);
         // Two-pointer over the sorted excluded ranges.
         let mut best = 0.0f32;
         let mut ei = 0;
@@ -114,9 +114,9 @@ pub fn verify_and_score(
             if excluded.get(ei).is_some_and(|r| r.contains(&x)) {
                 continue;
             }
-            let row = t.postings.partition_point(|&p| p < x);
-            debug_assert_eq!(t.postings.get(row), Some(&x));
-            let g = t.scores.get(row).copied().unwrap_or(0.0);
+            let row = t.postings().partition_point(|&p| p < x);
+            debug_assert_eq!(t.postings().get(row), Some(&x));
+            let g = t.scores().get(row).copied().unwrap_or(0.0);
             let damped = damping.damp(g, ix.tree().depth(x), level);
             if damped > best {
                 best = damped;
@@ -151,7 +151,7 @@ mod tests {
         let xml = "<u><w><aa>a b</aa><x1>a</x1></w><c>b</c><d><e>a</e><f>b</f></d></u>";
         let (ix, q) = setup(xml, &["a", "b"]);
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
-        let lists: Vec<&[NodeId]> = terms.iter().map(|t| t.postings.as_slice()).collect();
+        let lists: Vec<&[NodeId]> = terms.iter().map(|t| t.postings()).collect();
         let want = naive_elca(ix.tree(), &lists, ElcaVariant::Formal);
         let bx = BaselineIndex::new(&ix);
         for id in ix.tree().ids() {
@@ -165,7 +165,7 @@ mod tests {
         let xml = "<r><p><s>a b</s><t>a</t></p><q>a b</q><z>b</z></r>";
         let (ix, q) = setup(xml, &["a", "b"]);
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
-        let lists: Vec<&[NodeId]> = terms.iter().map(|t| t.postings.as_slice()).collect();
+        let lists: Vec<&[NodeId]> = terms.iter().map(|t| t.postings()).collect();
         let want = naive_slca(ix.tree(), &lists);
         let bx = BaselineIndex::new(&ix);
         for id in ix.tree().ids() {
@@ -196,9 +196,9 @@ mod tests {
         let bx = BaselineIndex::new(&ix);
         let root_score = verify_and_score(&bx, &terms, ix.tree().root(), Semantics::Elca).unwrap();
         // Root directly contains a and b at distance 0: no damping at all.
-        let a_row = terms[0].postings.iter().position(|&n| n == ix.tree().root()).unwrap();
-        let b_row = terms[1].postings.iter().position(|&n| n == ix.tree().root()).unwrap();
-        let expect = terms[0].scores[a_row] + terms[1].scores[b_row];
+        let a_row = terms[0].postings().iter().position(|&n| n == ix.tree().root()).unwrap();
+        let b_row = terms[1].postings().iter().position(|&n| n == ix.tree().root()).unwrap();
+        let expect = terms[0].scores()[a_row] + terms[1].scores()[b_row];
         assert!((root_score - expect).abs() < 1e-6);
     }
 }

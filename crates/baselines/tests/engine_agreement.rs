@@ -32,7 +32,7 @@ fn indexed_agrees_with_naive() {
         let bx = BaselineIndex::new(&ix);
         let q = query(&ix, k);
         let lists: Vec<&[NodeId]> =
-            q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+            q.terms.iter().map(|&t| ix.term(t).postings()).collect();
         for (semantics, want) in [
             (Semantics::Slca, naive_slca(ix.tree(), &lists)),
             (Semantics::Elca, naive_elca(ix.tree(), &lists, ElcaVariant::Formal)),

@@ -341,11 +341,9 @@ pub fn join_step_inputs<'a>(ix: &'a XmlIndex, queries: &[Query]) -> Vec<(Vec<u32
     for q in queries {
         let terms: Vec<_> = q.terms.iter().map(|&t| ix.term(t)).collect();
         let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
-        for level in (0..usize::from(l0)).rev() {
-            let mut cols: Vec<&[Run]> = terms
-                .iter()
-                .map(|t| t.columns.get(level).map(|c| c.runs.as_slice()).unwrap_or_default())
-                .collect();
+        for level in (1..=l0).rev() {
+            let mut cols: Vec<&[Run]> =
+                terms.iter().map(|t| t.column(level).map(|c| c.runs).unwrap_or_default()).collect();
             cols.sort_by_key(|c| c.len());
             let Some((driver, rest)) = cols.split_first() else { continue };
             let mut probes: Vec<u32> = driver.iter().map(|r| r.value).collect();

@@ -48,7 +48,7 @@ use xtk_index::cache::{
     Block, BlockCache, CacheCapacity, CacheStats, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS,
 };
 use xtk_index::codec::{choose_scheme, decode_column, encode_column, Scheme};
-use xtk_index::columnar::{Column, Run};
+use xtk_index::columnar::Run;
 use xtk_index::disk::WriteIndexOptions;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
@@ -501,19 +501,18 @@ impl Lcg {
 
 /// The decode regimes: dense small-delta lanes (1–3 bit widths), wide-delta
 /// lanes (~12 bit) and run-length blocks.
-fn decode_columns() -> [(&'static str, Scheme, Column); 3] {
+fn decode_columns() -> [(&'static str, Scheme, Vec<Run>); 3] {
     let delta = |seed: u64, gap: u64| {
         let mut rng = Lcg(seed);
         let (mut value, mut row) = (0u32, 0u32);
-        let runs = (0..120_000u32)
+        (0..120_000u32)
             .map(|i| {
                 value += rng.range(gap);
                 // Occasional row gaps exercise the present-row mapping.
                 row += if i % 13 == 0 { 3 } else { 1 };
                 Run { value, start: row, len: 1 }
             })
-            .collect();
-        Column { runs }
+            .collect()
     };
     let mut rng = Lcg(0xdec0de03);
     let mut runs = Vec::new();
@@ -527,7 +526,7 @@ fn decode_columns() -> [(&'static str, Scheme, Column); 3] {
     [
         ("delta_dense", Scheme::Delta, delta(0xdec0de01, 4)),
         ("delta_wide", Scheme::Delta, delta(0xdec0de02, 4_096)),
-        ("rle_runs", Scheme::Rle, Column { runs }),
+        ("rle_runs", Scheme::Rle, runs),
     ]
 }
 
@@ -537,13 +536,13 @@ fn decode_columns() -> [(&'static str, Scheme, Column); 3] {
 #[test]
 fn decode() {
     let mut lines = Vec::new();
-    for (name, expect, col) in decode_columns() {
-        let scheme = choose_scheme(&col);
+    for (name, expect, runs) in decode_columns() {
+        let scheme = choose_scheme(&runs);
         assert_eq!(scheme, expect, "{name}: the column drifted off its scheme");
-        let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
-        let cc = encode_column(&col, scheme);
+        let present: Vec<u32> = runs.iter().flat_map(|r| r.rows()).collect();
+        let cc = encode_column(&runs, scheme);
         let decoded = decode_column(&cc, &present).expect("column decodes");
-        assert!(decoded.runs == col.runs, "{name}: decode diverges from the runs");
+        assert!(decoded == runs, "{name}: decode diverges from the runs");
         lines.push(format!(
             "{{\"name\": \"{name}\", \"scheme\": \"{scheme:?}\", \"rows\": {}, \"bytes\": {}, \
              \"cold_decodes\": {}}}",

@@ -49,7 +49,7 @@ struct Frame {
 /// subtree completion (pop order).  Scores are not computed (the
 /// stack-based system is an unranked complete-set baseline).
 pub fn stack_search(ix: &XmlIndex, query: &Query, opts: &StackOptions) -> Vec<ScoredResult> {
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let k = terms.len();
     let full = full_mask(k);
     if terms.iter().any(|t| t.is_empty()) {
@@ -95,7 +95,7 @@ pub fn stack_search(ix: &XmlIndex, query: &Query, opts: &StackOptions) -> Vec<Sc
         // Next occurrence in document order across all lists.
         let mut next: Option<NodeId> = None;
         for (t, &p) in terms.iter().zip(&ptr) {
-            if let Some(&n) = t.postings.get(p) {
+            if let Some(&n) = t.postings().get(p) {
                 if next.is_none_or(|m| n < m) {
                     next = Some(n);
                 }
@@ -104,7 +104,7 @@ pub fn stack_search(ix: &XmlIndex, query: &Query, opts: &StackOptions) -> Vec<Sc
         let Some(v) = next else { break };
         let mut mask = 0u32;
         for (i, (t, p)) in terms.iter().zip(ptr.iter_mut()).enumerate() {
-            if t.postings.get(*p) == Some(&v) {
+            if t.postings().get(*p) == Some(&v) {
                 mask |= 1 << i;
                 *p += 1;
             }
@@ -158,7 +158,7 @@ mod tests {
             .collect();
         got.sort();
         let lists: Vec<&[NodeId]> =
-            q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+            q.terms.iter().map(|&t| ix.term(t).postings()).collect();
         let want = match semantics {
             Semantics::Elca => naive_elca(ix.tree(), &lists, variant),
             Semantics::Slca => naive_slca(ix.tree(), &lists),

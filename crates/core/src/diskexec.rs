@@ -43,7 +43,7 @@ pub struct DiskSource<'a> {
     session: &'a IoSession,
     /// The index's lists, in query order: the store is keyed by their
     /// text and must stay within their rows.
-    terms: Vec<&'a TermData>,
+    terms: Vec<TermData<'a>>,
     /// The current level's column handles, in query order.
     cols: Vec<DiskColumn<'a>>,
     block_skip: bool,
@@ -59,7 +59,7 @@ impl<'a> DiskSource<'a> {
         spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
-        let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+        let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
         let cols = Vec::with_capacity(terms.len());
         Self { store, session, terms, cols, block_skip: spec.block_skip, prescan: spec.prescan }
     }
@@ -74,8 +74,8 @@ impl<'a> ColumnSource for DiskSource<'a> {
             // Whole-sequence materialization: every level of every keyword,
             // including the levels above `l0` the join never consumes.
             for t in &self.terms {
-                for l in 1..=self.store.levels_of(&t.term) {
-                    if let Some(col) = self.store.column(&t.term, l) {
+                for l in 1..=self.store.levels_of(t.name()) {
+                    if let Some(col) = self.store.column(t.name(), l) {
                         col.scoped(self.session).scan()?;
                     }
                 }
@@ -88,7 +88,7 @@ impl<'a> ColumnSource for DiskSource<'a> {
         self.cols.clear();
         for t in &self.terms {
             // The index directory says the term reaches `level`.
-            let col = self.store.column(&t.term, level).ok_or_else(|| {
+            let col = self.store.column(t.name(), level).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "store lacks a column the index lists")
             })?;
             self.cols.push(col.scoped(self.session));
@@ -170,7 +170,7 @@ pub fn join_search_disk_spec(
 pub fn prefetch_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) -> io::Result<u64> {
     let mut pinned = 0u64;
     for &t in terms {
-        pinned += store.prefetch_term(&ix.term(t).term)?;
+        pinned += store.prefetch_term(ix.term(t).name())?;
     }
     Ok(pinned)
 }
@@ -178,6 +178,6 @@ pub fn prefetch_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) 
 /// Releases the pins taken by [`prefetch_terms`] (same term set).
 pub fn release_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) {
     for &t in terms {
-        store.unpin_term(&ix.term(t).term);
+        store.unpin_term(ix.term(t).name());
     }
 }

@@ -41,7 +41,7 @@ const SAMPLE: usize = 64;
 ///
 /// [histogram]: xtk_index::histogram::Histogram
 pub fn estimate_result_cardinality(ix: &XmlIndex, query: &Query) -> f64 {
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     if terms.iter().any(|t| t.is_empty()) {
         return 0.0;
     }
@@ -54,7 +54,7 @@ pub fn estimate_result_cardinality(ix: &XmlIndex, query: &Query) -> f64 {
         // Histogram path: every term has one at this level.
         let hists: Vec<_> = terms
             .iter()
-            .filter_map(|t| t.histograms.get(l as usize - 1).and_then(|h| h.as_ref()))
+            .filter_map(|t| t.histogram(l))
             .collect();
         if hists.len() == terms.len() {
             total += xtk_index::histogram::Histogram::estimate_conjunction(&hists);
@@ -62,7 +62,7 @@ pub fn estimate_result_cardinality(ix: &XmlIndex, query: &Query) -> f64 {
         }
         let cols: Vec<_> = terms
             .iter()
-            .filter_map(|t| (l as usize).checked_sub(1).and_then(|i| t.columns.get(i)))
+            .filter_map(|t| t.column(l))
             .collect();
         if cols.len() != terms.len() {
             continue; // unreachable: every list reaches level l <= l0

@@ -107,9 +107,9 @@ pub trait ColumnSource {
     fn end(&self, _obs: &Obs) {}
 }
 
-/// The in-memory [`ColumnSource`]: borrows `TermData::columns`.
+/// The in-memory [`ColumnSource`]: borrows the index's columns.
 pub struct MemSource<'a> {
-    terms: Vec<&'a TermData>,
+    terms: Vec<TermData<'a>>,
     level: u16,
 }
 
@@ -120,9 +120,8 @@ impl<'a> MemSource<'a> {
     }
 
     fn column(&self, kw: usize) -> &'a [Run] {
-        let level0 = usize::from(self.level).wrapping_sub(1);
-        let col = self.terms.get(kw).and_then(|t| t.columns.get(level0));
-        col.map_or(&[], |c| c.runs.as_slice())
+        let col = self.terms.get(kw).and_then(|t| t.column(self.level));
+        col.map_or(&[], |c| c.runs)
     }
 }
 
@@ -182,7 +181,7 @@ pub fn algorithm1<S: ColumnSource>(
 ) -> Result<(Vec<ScoredResult>, JoinStats), S::Error> {
     let mut stats = JoinStats::default();
     let mut results = Vec::new();
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let k = terms.len();
     if k == 0 || terms.iter().any(|t| t.is_empty()) {
         return Ok((results, stats));
@@ -338,7 +337,7 @@ fn join_level<S: ColumnSource>(
 /// fixed for the level.
 struct LevelView<'a> {
     ix: &'a XmlIndex,
-    terms: &'a [&'a TermData],
+    terms: &'a [TermData<'a>],
     level: u16,
     opts: &'a JoinOptions,
 }
@@ -451,8 +450,8 @@ impl LevelView<'_> {
             for live in kw.erased.live_in(eraser, run.start, run.end()) {
                 let rows = live.start as usize..live.end as usize;
                 // A source bounds its covers by the posting list.
-                let nodes = term.postings.get(rows.clone()).unwrap_or(&[]);
-                let locals = term.scores.get(rows).unwrap_or(&[]);
+                let nodes = term.postings().get(rows.clone()).unwrap_or(&[]);
+                let locals = term.scores().get(rows).unwrap_or(&[]);
                 for (&node, &local) in nodes.iter().zip(locals) {
                     let damped = damping.damp(local, tree.depth(node), self.level);
                     if damped > best {
@@ -498,7 +497,7 @@ mod tests {
         rs.sort_by_key(|r| r.node);
         let got: Vec<NodeId> = rs.iter().map(|r| r.node).collect();
         let lists: Vec<&[NodeId]> =
-            q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+            q.terms.iter().map(|&t| ix.term(t).postings()).collect();
         let want = match semantics {
             Semantics::Elca => naive_elca(ix.tree(), &lists, variant),
             Semantics::Slca => naive_slca(ix.tree(), &lists),
@@ -616,7 +615,7 @@ mod tests {
             assert_eq!(joined.rows().len(), 2, "the second and fourth `a` hold all three");
             for row in joined.rows() {
                 for (run, &term) in row.iter().zip(&query.terms) {
-                    let column = &ix.term(term).columns[1];
+                    let column = ix.term(term).column(2).unwrap();
                     assert_eq!(column.find(row[0].value), Some(run), "{words:?}");
                 }
             }
@@ -627,7 +626,7 @@ mod tests {
     /// run asks the eraser.
     fn score_row_by_row(
         ix: &XmlIndex,
-        terms: &[&TermData],
+        terms: &[TermData],
         erasers: &[Eraser],
         runs: &[Run],
         level: u16,
@@ -636,8 +635,8 @@ mod tests {
         for ((term, eraser), run) in terms.iter().zip(erasers).zip(runs) {
             let mut best = 0.0f32;
             for row in run.rows().filter(|&row| !eraser.is_erased(row)) {
-                let depth = ix.tree().depth(term.postings[row as usize]);
-                let damped = ix.damping().damp(term.scores[row as usize], depth, level);
+                let depth = ix.tree().depth(term.postings()[row as usize]);
+                let damped = ix.damping().damp(term.scores()[row as usize], depth, level);
                 if damped > best {
                     best = damped;
                 }
@@ -651,12 +650,12 @@ mod tests {
     /// Algorithm 1 value by value: from-scratch lookups and range checks,
     /// [`score_row_by_row`], and each match erased before the next is evaluated.
     fn reference_search(ix: &XmlIndex, query: &Query, opts: &JoinOptions) -> Vec<ScoredResult> {
-        let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+        let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
         let l0 = terms.iter().map(|t| t.max_len()).min().unwrap();
         let mut erasers = vec![Eraser::new(); terms.len()];
         let mut results = Vec::new();
         for level in (1..=l0).rev() {
-            let cols: Vec<_> = terms.iter().map(|t| &t.columns[usize::from(level) - 1]).collect();
+            let cols: Vec<_> = terms.iter().map(|t| t.column(level).unwrap()).collect();
             for value in cols[0].runs.iter().map(|r| r.value) {
                 let found: Option<Vec<Run>> = cols.iter().map(|c| c.find(value).copied()).collect();
                 let Some(runs) = found else { continue };
@@ -755,7 +754,7 @@ mod tests {
         let a = rs.iter().find(|r| r.level == 2).expect("`a` is an ELCA through y and z");
         let local = |word: &str| {
             let term = ix.term_by_str(word).unwrap();
-            term.scores[2] * ix.damping().lambda()
+            term.scores()[2] * ix.damping().lambda()
         };
         assert_eq!(a.score.to_bits(), (local("p") + local("q")).to_bits());
     }

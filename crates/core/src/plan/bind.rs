@@ -119,7 +119,7 @@ pub fn logical_plan(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> PlanNod
             let td = ix.term(t);
             ScanLeaf {
                 term: t,
-                name: td.term.to_string(),
+                name: td.name().to_string(),
                 postings: td.len(),
                 levels: td.max_len(),
                 pruned_from: None,
@@ -169,7 +169,7 @@ pub fn candidate_bound(ix: &XmlIndex, query: &Query) -> u64 {
         .map(|l| {
             terms
                 .iter()
-                .filter_map(|t| t.columns.get(l as usize - 1))
+                .filter_map(|t| t.column(l))
                 .map(|c| c.runs.len() as u64)
                 .min()
                 .unwrap_or(0)

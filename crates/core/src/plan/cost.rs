@@ -28,7 +28,7 @@
 
 use crate::plan::logical::{PlanNode, ScanMode};
 use xtk_index::diskcol::DiskColumnStore;
-use xtk_index::{TermId, XmlIndex};
+use xtk_index::{Column, TermId, XmlIndex};
 
 /// Relative weight of one block decode against one decoded row in
 /// [`Cost::weight`]: a 4 KiB block decode dominates the per-row work by
@@ -163,37 +163,51 @@ pub fn probe_cost(driver: &[LevelStats], term: &[LevelStats]) -> Cost {
     total
 }
 
-/// The deterministic statistics snapshot the cost model reads.
-/// Indexed by [`TermId`]; terms outside the snapshot cost zero (the
-/// binder never produces them — every bound term exists in the index the
-/// snapshot was built from).
+/// The deterministic statistics snapshot the cost model reads: one
+/// [`LevelStats`] per column of the index it was built from, addressed by
+/// that index's column offsets (term `t`'s levels are
+/// `levels[level_at[t]..level_at[t + 1]]`).  Terms outside the snapshot
+/// cost zero (the binder never produces them — every bound term exists in
+/// the index the snapshot was built from).
 #[derive(Debug, Clone, Default)]
 pub struct PlanStats {
-    terms: Vec<Vec<LevelStats>>,
+    level_at: Vec<u32>,
+    levels: Vec<LevelStats>,
+}
+
+/// A level's statistics from the in-memory column alone.
+fn estimate(col: Column<'_>) -> LevelStats {
+    let span = match (col.runs.first(), col.runs.last()) {
+        (Some(f), Some(l)) => Some((f.value, l.value)),
+        _ => None,
+    };
+    LevelStats::estimated(col.row_count(), col.runs.len() as u64, span)
 }
 
 impl PlanStats {
+    /// An empty snapshot with room for `ix`'s columns.
+    fn sized_for(ix: &XmlIndex) -> Self {
+        let mut level_at = Vec::with_capacity(ix.vocab_size() + 1);
+        level_at.push(0);
+        let columns = ix.terms().map(|(_, td)| usize::from(td.max_len())).sum();
+        PlanStats { level_at, levels: Vec::with_capacity(columns) }
+    }
+
+    /// Closes the current term's levels.
+    fn end_term(&mut self) {
+        self.level_at.push(self.levels.len() as u32);
+    }
+
     /// Harvests the snapshot from the in-memory columns.  Block counts
     /// are estimates (see [`LevelStats::estimated`]); row counts, run
     /// counts and value spans are exact.
     pub fn from_index(ix: &XmlIndex) -> Self {
-        let mut terms = Vec::with_capacity(ix.vocab_size());
+        let mut stats = Self::sized_for(ix);
         for (_, td) in ix.terms() {
-            let mut levels = Vec::with_capacity(td.columns.len());
-            for col in &td.columns {
-                let span = match (col.runs.first(), col.runs.last()) {
-                    (Some(f), Some(l)) => Some((f.value, l.value)),
-                    _ => None,
-                };
-                levels.push(LevelStats::estimated(
-                    col.row_count(),
-                    col.runs.len() as u64,
-                    span,
-                ));
-            }
-            terms.push(levels);
+            stats.levels.extend(td.columns().map(estimate));
+            stats.end_term();
         }
-        PlanStats { terms }
+        stats
     }
 
     /// Harvests the snapshot from an open column store's directory:
@@ -202,36 +216,32 @@ impl PlanStats {
     /// record them); levels the store lacks fall back to the in-memory
     /// estimate.
     pub fn from_store(ix: &XmlIndex, store: &DiskColumnStore) -> Self {
-        let mut terms = Vec::with_capacity(ix.vocab_size());
+        let mut stats = Self::sized_for(ix);
         for (_, td) in ix.terms() {
-            let mut levels = Vec::with_capacity(td.columns.len());
-            for (i, col) in td.columns.iter().enumerate() {
-                let level = (i as u16).saturating_add(1);
-                let runs = col.runs.len() as u64;
-                match store.column(&td.term, level) {
-                    Some(dc) => levels.push(LevelStats::exact(
+            let mut stored = store.columns(td.name());
+            for col in td.columns() {
+                stats.levels.push(match stored.next() {
+                    Some(dc) => LevelStats::exact(
                         dc.row_count() as u64,
-                        runs,
+                        col.runs.len() as u64,
                         dc.block_count() as u64,
                         dc.value_span(),
-                    )),
-                    None => {
-                        let span = match (col.runs.first(), col.runs.last()) {
-                            (Some(f), Some(l)) => Some((f.value, l.value)),
-                            _ => None,
-                        };
-                        levels.push(LevelStats::estimated(col.row_count(), runs, span));
-                    }
-                }
+                    ),
+                    None => estimate(col),
+                });
             }
-            terms.push(levels);
+            stats.end_term();
         }
-        PlanStats { terms }
+        stats
     }
 
     /// The per-level statistics of `term` (empty when unknown).
     pub fn levels(&self, term: TermId) -> &[LevelStats] {
-        self.terms.get(term.0 as usize).map(Vec::as_slice).unwrap_or(&[])
+        let t = term.0 as usize;
+        match (self.level_at.get(t), self.level_at.get(t + 1)) {
+            (Some(&a), Some(&b)) => self.levels.get(a as usize..b as usize).unwrap_or(&[]),
+            _ => &[],
+        }
     }
 
     /// The statistics of `term` over the join range `1..=depth`.
@@ -242,7 +252,7 @@ impl PlanStats {
 
     /// `true` when the snapshot covers no terms (an empty corpus).
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.level_at.len() <= 1
     }
 }
 

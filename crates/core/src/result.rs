@@ -29,9 +29,11 @@ impl ScoredResult {
 }
 
 /// Sorts a result list into the canonical rank order (see
-/// [`ScoredResult::rank_cmp`]).
+/// [`ScoredResult::rank_cmp`]).  Unstable: the order tells results with
+/// different fields apart strictly, and two with the same fields are
+/// indistinguishable, so stability could not show.
 pub fn sort_ranked(results: &mut [ScoredResult]) {
-    results.sort_by(ScoredResult::rank_cmp);
+    results.sort_unstable_by(ScoredResult::rank_cmp);
 }
 
 /// The `k` best of `results` in rank order (all of them for `None`): what
@@ -94,6 +96,30 @@ mod tests {
                 rank_top(&mut got, k);
                 assert_eq!(bits(&got), bits(&expect), "k {k:?} of {len}");
             }
+        });
+    }
+
+    #[test]
+    fn unstable_rank_sort_matches_the_stable_one() {
+        // Score ties across levels and nodes, signed zeros and repeated
+        // results: the order must be the stable sort's, bit for bit.
+        xtk_xml::testutil::prop_check(0x50_47, 200, |g| {
+            let len = g.len() * 4;
+            let list: Vec<ScoredResult> = (0..len)
+                .map(|_| ScoredResult {
+                    node: NodeId(g.gen_range(0..6u32)),
+                    level: g.gen_range(1..4u16),
+                    score: [0.0, -0.0, 0.25, 0.5][g.gen_range(0..4usize)],
+                })
+                .collect();
+            let bits = |rs: &[ScoredResult]| -> Vec<(u32, u16, u32)> {
+                rs.iter().map(|r| (r.node.0, r.level, r.score.to_bits())).collect()
+            };
+            let mut stable = list.clone();
+            stable.sort_by(ScoredResult::rank_cmp);
+            let mut got = list;
+            sort_ranked(&mut got);
+            assert_eq!(bits(&got), bits(&stable), "{len} results");
         });
     }
 

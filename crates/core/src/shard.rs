@@ -131,26 +131,27 @@ fn build_shard_index(ix: &XmlIndex, docs: &Range<usize>) -> io::Result<(XmlIndex
     let sub = ix.tree().subforest(roots);
     let opts = IndexOptions { damping: ix.damping().clone(), ..Default::default() };
     let mut six = XmlIndex::build_with(sub, opts);
-    let mut overrides: Vec<(TermId, Vec<f32>)> = Vec::with_capacity(six.vocab_size());
-    for (tid, t) in six.terms() {
-        let Some(gt) = ix.term_by_str(&t.term) else {
+    // Stamped term by term through one buffer: no second copy of every
+    // term's scores.
+    let mut scores = Vec::new();
+    for i in 0..six.vocab_size() {
+        let tid = TermId(i as u32);
+        let t = six.term(tid);
+        let Some(gt) = ix.term_by_str(t.name()) else {
             return Err(invalid("shard term missing from the corpus vocabulary"));
         };
-        let mut scores = Vec::with_capacity(t.postings.len());
-        for p in &t.postings {
+        scores.clear();
+        for p in t.postings() {
             let global = NodeId(offset + p.0 - 1);
-            let Ok(pos) = gt.postings.binary_search(&global) else {
+            let Ok(pos) = gt.postings().binary_search(&global) else {
                 return Err(invalid("shard posting missing from the corpus"));
             };
-            let Some(&s) = gt.scores.get(pos) else {
+            let Some(&s) = gt.scores().get(pos) else {
                 return Err(invalid("corpus index has no scores for a shard posting"));
             };
             scores.push(s);
         }
-        overrides.push((tid, scores));
-    }
-    for (tid, scores) in overrides {
-        if !six.override_scores(tid, scores) {
+        if !six.override_scores(tid, &scores) {
             return Err(invalid("shard score override misaligned"));
         }
     }
@@ -428,7 +429,7 @@ impl<'a> ShardedEngine<'a> {
     /// The term string of a global term id, if valid for this corpus.
     fn word(&self, t: TermId) -> Option<&str> {
         if (t.0 as usize) < self.ix.vocab_size() {
-            Some(&self.ix.term(t).term)
+            Some(self.ix.term(t).name())
         } else {
             None
         }
@@ -544,7 +545,7 @@ impl Executor for ShardedEngine<'_> {
             for w in &words {
                 match shard.ix.term_id(w) {
                     Some(tid) => {
-                        bound += shard.ix.term(tid).max_score;
+                        bound += shard.ix.term(tid).max_score();
                         local.push(tid);
                     }
                     None => {

@@ -97,7 +97,7 @@ pub struct TopKStats {
 
 /// Advances `*i` past the rows of `seg` erased as of the call and returns
 /// the row it stops at (`None` at the end of the segment).
-fn skip_erased(seg: &Segment, i: &mut usize, eraser: &Eraser) -> Option<u32> {
+fn skip_erased(seg: &Segment<'_>, i: &mut usize, eraser: &Eraser) -> Option<u32> {
     while seg.rows.get(*i).is_some_and(|&r| eraser.is_erased(r)) {
         *i += 1;
     }
@@ -106,7 +106,10 @@ fn skip_erased(seg: &Segment, i: &mut usize, eraser: &Eraser) -> Option<u32> {
 
 /// Per-keyword score-ordered cursors over the length segments.
 struct Cursors<'a> {
-    term: &'a TermData,
+    term: TermData<'a>,
+    /// The term's segments, resolved once per query: a retrieved row's
+    /// segment is one load.
+    segs: Vec<Segment<'a>>,
     /// Per segment: next index into `segment.rows` for the **current
     /// column** (reset when the column changes).
     pos: Vec<usize>,
@@ -120,9 +123,10 @@ struct Cursors<'a> {
 }
 
 impl<'a> Cursors<'a> {
-    fn new(term: &'a TermData) -> Self {
-        let n = term.segments.len();
-        Self { term, pos: vec![0; n], head: vec![0; n], seg_heads: Vec::with_capacity(n) }
+    fn new(term: TermData<'a>) -> Self {
+        let segs: Vec<Segment<'a>> = term.segments().collect();
+        let n = segs.len();
+        Self { term, segs, pos: vec![0; n], head: vec![0; n], seg_heads: Vec::with_capacity(n) }
     }
 
     fn reset_for_column(&mut self) {
@@ -133,7 +137,7 @@ impl<'a> Cursors<'a> {
     /// contribute at a *future* column `level`, from the segment heads.
     fn future_max(&mut self, level: u16, eraser: &Eraser, damping: &Damping) -> f32 {
         let mut best = 0.0f32;
-        for (si, seg) in self.term.segments.iter().enumerate() {
+        for (si, seg) in self.segs.iter().enumerate() {
             if seg.len < level {
                 continue;
             }
@@ -141,7 +145,7 @@ impl<'a> Cursors<'a> {
             else {
                 continue;
             };
-            let g = self.term.scores.get(row as usize).copied().unwrap_or(0.0);
+            let g = self.term.scores().get(row as usize).copied().unwrap_or(0.0);
             best = best.max(g * damping.factor(seg.len - level));
         }
         best
@@ -150,7 +154,7 @@ impl<'a> Cursors<'a> {
     /// `true` iff some segment of this keyword ends exactly at `level` —
     /// the paper's condition for when a column's bound must be computed.
     fn has_len(&self, level: u16) -> bool {
-        self.term.segments.iter().any(|s| s.len == level)
+        self.segs.iter().any(|s| s.len == level)
     }
 
     /// Advances segment `si` past rows erased as of the call and returns
@@ -163,9 +167,9 @@ impl<'a> Cursors<'a> {
         eraser: &Eraser,
         damping: &Damping,
     ) -> Option<(usize, u32, f32)> {
-        let seg = self.term.segments.get(si)?;
+        let seg = self.segs.get(si)?;
         let row = skip_erased(seg, self.pos.get_mut(si)?, eraser)?;
-        let g = self.term.scores.get(row as usize).copied().unwrap_or(0.0);
+        let g = self.term.scores().get(row as usize).copied().unwrap_or(0.0);
         Some((si, row, g * damping.factor(seg.len - level)))
     }
 
@@ -186,22 +190,20 @@ impl<'a> Cursors<'a> {
         out: &mut VecDeque<Candidate>,
     ) {
         out.clear();
-        let Some(col) = (level as usize).checked_sub(1).and_then(|i| self.term.columns.get(i))
-        else {
+        let Some(col) = self.term.column(level) else {
             return;
         };
         let mut heads = std::mem::take(&mut self.seg_heads);
         heads.clear();
-        let term = self.term;
-        for (si, seg) in term.segments.iter().enumerate() {
-            if seg.len >= level {
+        for si in 0..self.segs.len() {
+            if self.segs.get(si).is_some_and(|seg| seg.len >= level) {
                 heads.extend(self.seg_head(si, level, eraser, damping));
             }
         }
         // Rows arrive in score order, so each one's number is read through
         // the column's row directory; a column too short to carry one is
         // searched.
-        let dir = term.row_directory(level);
+        let dir = self.term.row_directory(level);
         while out.len() < cap {
             // First strict maximum: the lowest segment index wins a tie.
             let mut best: Option<(usize, (usize, u32, f32))> = None;
@@ -301,7 +303,7 @@ impl Batch {
 /// re-running the query.
 pub struct TopKStream<'a> {
     ix: &'a XmlIndex,
-    terms: Vec<&'a TermData>,
+    terms: Vec<TermData<'a>>,
     semantics: Semantics,
     threshold_kind: ThresholdKind,
     /// Retrieval-policy hint (paper §IV-B: round-robin until this many
@@ -349,7 +351,7 @@ impl<'a> TopKStream<'a> {
     /// [`TopKStream::new`] with an observability bundle the stream records
     /// into as it advances.
     pub fn new_obs(ix: &'a XmlIndex, query: &Query, opts: &TopKOptions, obs: Obs) -> Self {
-        let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+        let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
         let k = terms.len();
         let empty = terms.iter().any(|t| t.is_empty());
         let l0 = if empty {
@@ -357,7 +359,7 @@ impl<'a> TopKStream<'a> {
         } else {
             terms.iter().map(|t| t.max_len()).min().unwrap_or(0)
         };
-        let cursors: Vec<Cursors> = terms.iter().map(|t| Cursors::new(t)).collect();
+        let cursors: Vec<Cursors> = terms.iter().map(|&t| Cursors::new(t)).collect();
         let mut stream = Self {
             ix,
             semantics: opts.semantics,
@@ -406,7 +408,7 @@ impl<'a> TopKStream<'a> {
         let runs: u64 = self
             .terms
             .iter()
-            .filter_map(|t| (self.level as usize).checked_sub(1).and_then(|i| t.columns.get(i)))
+            .filter_map(|t| t.column(self.level))
             .map(|c| c.runs.len() as u64)
             .sum();
         self.obs.event(EventKind::TopKColumn { level: self.level as u32, runs });
@@ -516,8 +518,7 @@ impl<'a> TopKStream<'a> {
             // completed values cluster, and a stale hint just restarts.
             self.runs.clear();
             for (t, hint) in self.terms.iter().zip(self.find_hints.iter_mut()) {
-                let Some(col) = (l as usize).checked_sub(1).and_then(|i| t.columns.get(i))
-                else {
+                let Some(col) = t.column(l) else {
                     continue;
                 };
                 let (lb, hit) = col.find_hinted(value, *hint);
@@ -852,18 +853,18 @@ mod tests {
     /// The merge `Cursors::drain` must reproduce: every row rescans,
     /// rescores and redamps the head of every segment.
     fn naive_drain(
-        term: &TermData,
+        term: TermData<'_>,
         pos: &mut [usize],
         level: u16,
         eraser: &Eraser,
         damping: &Damping,
         cap: usize,
     ) -> Vec<Candidate> {
-        let col = &term.columns[level as usize - 1];
+        let col = term.column(level).unwrap();
         let mut out = Vec::new();
         while out.len() < cap {
             let mut best: Option<(usize, f32)> = None;
-            for (si, seg) in term.segments.iter().enumerate() {
+            for (si, seg) in term.segments().enumerate() {
                 if seg.len < level {
                     continue;
                 }
@@ -871,13 +872,13 @@ mod tests {
                     pos[si] += 1;
                 }
                 let Some(&row) = seg.rows.get(pos[si]) else { continue };
-                let damped = term.scores[row as usize] * damping.factor(seg.len - level);
+                let damped = term.scores()[row as usize] * damping.factor(seg.len - level);
                 if best.is_none_or(|(_, b)| damped > b) {
                     best = Some((si, damped));
                 }
             }
             let Some((si, damped)) = best else { break };
-            let row = term.segments[si].rows[pos[si]];
+            let row = term.segments().nth(si).unwrap().rows[pos[si]];
             pos[si] += 1;
             out.push((row, damped, col.value_of_row(row).unwrap()));
         }
@@ -905,7 +906,7 @@ mod tests {
         let opts = IndexOptions { scorer: LocalScorer::TfIdf, ..Default::default() };
         let ix = XmlIndex::build_with(parse(&xml).unwrap(), opts);
         let term = ix.term_by_str("w").unwrap();
-        assert!(term.segments.len() >= 4);
+        assert!(term.segments().count() >= 4);
         // Both ways to a row's number are drained: through a directory
         // and, on the short columns, through the search.
         let carried = |l| term.row_directory(l).is_some();
@@ -920,7 +921,7 @@ mod tests {
             let cap = g.gen_range(1..40usize);
             let mut eraser = Eraser::new();
             let mut cursors = Cursors::new(term);
-            let mut pos = vec![0usize; term.segments.len()];
+            let mut pos = vec![0usize; term.segments().count()];
             let mut queue = VecDeque::new();
             loop {
                 // The stream erases between refills, never during one.

@@ -29,7 +29,7 @@ fn complete_engines_agree() {
         let ix = build_corpus(&shape, &placements, k);
         let q = query(&ix, k);
         let lists: Vec<&[NodeId]> =
-            q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+            q.terms.iter().map(|&t| ix.term(t).postings()).collect();
 
         // SLCA: both engines and the naive reference.
         let want_slca = naive_slca(ix.tree(), &lists);
@@ -83,7 +83,7 @@ fn deep_trees_agree_across_engines() {
         let ix = build_corpus(&shape, &placements, k);
         let q = query(&ix, k);
         let lists: Vec<&[NodeId]> =
-            q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+            q.terms.iter().map(|&t| ix.term(t).postings()).collect();
         let want_slca = naive_slca(ix.tree(), &lists);
         let join_slca = nodes(join_search(&ix, &q, &JoinOptions {
             semantics: Semantics::Slca, ..Default::default()
@@ -121,7 +121,7 @@ fn wide_levels_agree_with_the_naive_evaluators() {
     xml.push_str("</r>");
     let ix = xtk_index::XmlIndex::build(xtk_xml::parse(&xml).unwrap());
     let q = xtk_core::query::Query::from_words(&ix, &["foo", "bar"]).unwrap();
-    let lists: Vec<&[NodeId]> = q.terms.iter().map(|&t| ix.term(t).postings.as_slice()).collect();
+    let lists: Vec<&[NodeId]> = q.terms.iter().map(|&t| ix.term(t).postings()).collect();
     for semantics in [Semantics::Elca, Semantics::Slca] {
         for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
             let want = match semantics {

@@ -17,7 +17,7 @@ use xtk_xml::testutil::{prop_check, Gen};
 /// makes adjacent values common), contiguous ascending row ranges, run
 /// lengths 1–4 (singletons common).  Empty columns are produced when
 /// `runs == 0`.
-fn random_column(g: &mut Gen) -> Column {
+fn random_column(g: &mut Gen) -> Vec<Run> {
     let n = g.gen_range(0..(g.size() + 2));
     let mut runs = Vec::with_capacity(n);
     let mut value = g.gen_range(0..5u32);
@@ -29,7 +29,7 @@ fn random_column(g: &mut Gen) -> Column {
         // Gap 1 (adjacent) with probability ~1/2, else a jump.
         value += if g.gen_bool(0.5) { 1 } else { g.gen_range(2..40u32) };
     }
-    Column { runs }
+    runs
 }
 
 /// A random sorted, deduplicated probe list drawn from the same value
@@ -54,22 +54,22 @@ fn naive_intersect(values: &[u32], col: &Column) -> Vec<u32> {
 #[test]
 fn gallop_agrees_with_merge_and_naive() {
     prop_check(0x71, 64, |g| {
-        let col = random_column(g);
+        let runs = random_column(g);
+        let col = Column { runs: &runs };
         let values = random_probes(g, &col);
-        assert_eq!(intersect(&values, &col.runs), naive_intersect(&values, &col));
+        assert_eq!(intersect(&values, col.runs), naive_intersect(&values, &col));
     });
 }
 
 /// A column of `n` singleton runs at ascending values, gaps 1–3.
-fn long_column(g: &mut Gen, n: u32) -> Column {
+fn long_column(g: &mut Gen, n: u32) -> Vec<Run> {
     let mut value = g.gen_range(0..4u32);
-    let runs = (0..n)
+    (0..n)
         .map(|start| {
             value += g.gen_range(1..4u32);
             Run { value, start, len: 1 }
         })
-        .collect();
-    Column { runs }
+        .collect()
 }
 
 #[test]
@@ -79,13 +79,15 @@ fn dense_sparse_and_clustered_probes_intersect_like_naive() {
     prop_check(0x75, 12, |g| {
         // Dense: about one probe per run, so every lookup ends inside the
         // opening window.
-        let col = long_column(g, 3_000);
+        let runs = long_column(g, 3_000);
+        let col = Column { runs: &runs };
         let hi = col.runs.last().map_or(1, |r| r.value + 2);
         let dense: Vec<u32> = (0..hi).filter(|_| g.gen_bool(0.5)).collect();
-        assert_eq!(intersect(&dense, &col.runs), naive_intersect(&dense, &col), "dense");
+        assert_eq!(intersect(&dense, col.runs), naive_intersect(&dense, &col), "dense");
 
         // Sparse: one probe per 10 000 runs or more; hits and misses.
-        let col = long_column(g, 60_000);
+        let runs = long_column(g, 60_000);
+        let col = Column { runs: &runs };
         let mut sparse = Vec::new();
         let mut at = g.gen_range(0..5_000usize);
         while let Some(run) = col.runs.get(at) {
@@ -93,7 +95,7 @@ fn dense_sparse_and_clustered_probes_intersect_like_naive() {
             at += g.gen_range(10_000..20_000usize);
         }
         sparse.dedup();
-        assert_eq!(intersect(&sparse, &col.runs), naive_intersect(&sparse, &col), "sparse");
+        assert_eq!(intersect(&sparse, col.runs), naive_intersect(&sparse, &col), "sparse");
 
         // Clustered: bursts of adjacent probes separated by long gaps.
         let mut clustered = Vec::new();
@@ -106,20 +108,19 @@ fn dense_sparse_and_clustered_probes_intersect_like_naive() {
         clustered.dedup();
         assert!(clustered.windows(2).all(|w| w[0] < w[1]));
         let want = naive_intersect(&clustered, &col);
-        assert_eq!(intersect(&clustered, &col.runs), want, "clustered");
+        assert_eq!(intersect(&clustered, col.runs), want, "clustered");
     });
 }
 
 #[test]
 fn gallop_handles_degenerate_shapes() {
-    let empty = Column { runs: vec![] };
-    let single = Column { runs: vec![Run { value: 7, start: 0, len: 1 }] };
-    let adjacent = Column {
-        runs: (0..5).map(|i| Run { value: i, start: i, len: 1 }).collect(),
-    };
+    let empty = Column { runs: &[] };
+    let single = Column { runs: &[Run { value: 7, start: 0, len: 1 }] };
+    let five: Vec<Run> = (0..5).map(|i| Run { value: i, start: i, len: 1 }).collect();
+    let adjacent = Column { runs: &five };
     for col in [&empty, &single, &adjacent] {
         for values in [vec![], vec![0], vec![7], vec![0, 1, 2, 3, 4, 7, 9]] {
-            assert_eq!(intersect(&values, &col.runs), naive_intersect(&values, col));
+            assert_eq!(intersect(&values, col.runs), naive_intersect(&values, col));
         }
     }
 }
@@ -127,8 +128,7 @@ fn gallop_handles_degenerate_shapes() {
 #[test]
 fn gallop_lower_bound_agrees_with_partition_point() {
     prop_check(0x72, 64, |g| {
-        let col = random_column(g);
-        let runs = &col.runs;
+        let runs = &random_column(g);
         let hi = runs.last().map(|r| r.value + 3).unwrap_or(10);
         for _ in 0..8 {
             let v = g.gen_range(0..hi.max(1));
@@ -199,7 +199,8 @@ fn windowed_walk_and_gallops_are_partition_point_from_every_start() {
 #[test]
 fn hinted_lookups_agree_with_unhinted_under_any_hint() {
     prop_check(0x73, 64, |g| {
-        let col = random_column(g);
+        let runs = random_column(g);
+        let col = Column { runs: &runs };
         let hi = col.runs.last().map(|r| r.value + 3).unwrap_or(10);
         for _ in 0..8 {
             // Hints are arbitrary: stale, backwards, or past the end —
@@ -217,7 +218,8 @@ fn ascending_probe_chain_with_carried_hints_is_exact() {
     // The production pattern: probes ascend and each lookup's returned
     // index seeds the next hint.
     prop_check(0x74, 32, |g| {
-        let col = random_column(g);
+        let runs = random_column(g);
+        let col = Column { runs: &runs };
         let values = random_probes(g, &col);
         let mut hint = 0usize;
         for &v in &values {

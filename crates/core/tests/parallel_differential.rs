@@ -33,26 +33,26 @@ fn assert_build_identical(mk: impl Fn() -> XmlTree) {
         assert_eq!(serial.doc_count(), parallel.doc_count(), "doc count under {par}");
         for ((ia, ta), (ib, tb)) in serial.terms().zip(parallel.terms()) {
             assert_eq!(ia, ib);
-            assert_eq!(ta.term, tb.term, "term id assignment under {par}");
-            assert_eq!(ta.postings, tb.postings, "postings of {} under {par}", ta.term);
-            let sa: Vec<u32> = ta.scores.iter().map(|s| s.to_bits()).collect();
-            let sb: Vec<u32> = tb.scores.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(sa, sb, "score bits of {} under {par}", ta.term);
-            assert_eq!(ta.columns.len(), tb.columns.len());
-            for (ca, cb) in ta.columns.iter().zip(&tb.columns) {
+            assert_eq!(ta.name(), tb.name(), "term id assignment under {par}");
+            assert_eq!(ta.postings(), tb.postings(), "postings of {} under {par}", ta.name());
+            let sa: Vec<u32> = ta.scores().iter().map(|s| s.to_bits()).collect();
+            let sb: Vec<u32> = tb.scores().iter().map(|s| s.to_bits()).collect();
+            assert_eq!(sa, sb, "score bits of {} under {par}", ta.name());
+            assert_eq!(ta.max_len(), tb.max_len());
+            for (ca, cb) in ta.columns().zip(tb.columns()) {
                 let ra: Vec<(u32, u32, u32)> =
                     ca.runs.iter().map(|r| (r.value, r.start, r.len)).collect();
                 let rb: Vec<(u32, u32, u32)> =
                     cb.runs.iter().map(|r| (r.value, r.start, r.len)).collect();
-                assert_eq!(ra, rb, "columns of {} under {par}", ta.term);
+                assert_eq!(ra, rb, "columns of {} under {par}", ta.name());
             }
             let ga: Vec<(u16, &[u32])> =
-                ta.segments.iter().map(|s| (s.len, s.rows.as_slice())).collect();
+                ta.segments().map(|s| (s.len, s.rows)).collect();
             let gb: Vec<(u16, &[u32])> =
-                tb.segments.iter().map(|s| (s.len, s.rows.as_slice())).collect();
-            assert_eq!(ga, gb, "segments of {} under {par}", ta.term);
-            let (ma, mb) = (ta.max_score.to_bits(), tb.max_score.to_bits());
-            assert_eq!(ma, mb, "max score of {} under {par}", ta.term);
+                tb.segments().map(|s| (s.len, s.rows)).collect();
+            assert_eq!(ga, gb, "segments of {} under {par}", ta.name());
+            let (ma, mb) = (ta.max_score().to_bits(), tb.max_score().to_bits());
+            assert_eq!(ma, mb, "max score of {} under {par}", ta.name());
         }
     }
 }

@@ -60,7 +60,7 @@ fn random_probes(g: &mut Gen, runs: &[Run]) -> Vec<u32> {
 struct Storage<'a> {
     label: &'a str,
     /// What this storage's directory calls a column's size.
-    size_of: fn(&Column) -> usize,
+    size_of: fn(Column<'_>) -> usize,
     /// Block accesses so far (memory: always 0).
     accesses: &'a dyn Fn() -> u64,
     /// A column's block count (memory: 0).
@@ -86,8 +86,8 @@ fn check_contract<S: ColumnSource>(
         src.enter(level).unwrap();
         for (kw, term) in terms.iter().enumerate() {
             let what = format!("{label} level {level} kw {kw}");
-            let col = &term.columns[usize::from(level) - 1];
-            let blocks = blocks_of(&term.term, level);
+            let col = term.column(level).unwrap();
+            let blocks = blocks_of(term.name(), level);
             assert_eq!(src.size(kw), size_of(col), "{what}: size");
             let (mut whole, mut feed) = (Vec::new(), src.feed(kw, false).unwrap());
             let before = accesses();
@@ -97,7 +97,7 @@ fn check_contract<S: ColumnSource>(
             assert_eq!(whole, col.runs, "{what}: whole column");
             assert_eq!(accesses() - before, blocks, "{what}: the driver reads each block once");
             for _ in 0..3 {
-                let probes = random_probes(g, &col.runs);
+                let probes = random_probes(g, col.runs);
                 for step in [true, false] {
                     let what = format!("{what} step={step} probes {probes:?}");
                     let before = accesses();
@@ -181,7 +181,7 @@ fn cursors_cross_block_boundaries_as_they_cross_runs() {
 #[test]
 fn a_cursor_keeps_its_block_when_the_cache_evicts_it() {
     let ix = many_block_corpus();
-    let col = &ix.term_by_str("common").unwrap().columns[2];
+    let col = ix.term_by_str("common").unwrap().column(3).unwrap();
     let store = DiskColumnStore::open_bytes(image(&ix), cache(true)).unwrap();
     let dc = store.column("common", 3).unwrap();
     assert!(dc.block_count() > 1, "the column must span blocks");

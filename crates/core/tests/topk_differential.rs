@@ -114,7 +114,7 @@ fn many_batches_and_columns_are_refill_invariant() {
 /// keyword and recomputes both bounds from the erasure state.
 struct Reference<'a> {
     ix: &'a XmlIndex,
-    terms: Vec<&'a TermData>,
+    terms: Vec<TermData<'a>>,
     opts: TopKOptions,
     erasers: Vec<Eraser>,
     /// Per keyword and segment: the next row for the current column.
@@ -135,7 +135,7 @@ struct Reference<'a> {
 }
 
 /// The first row of `seg` at or after `*i` that is not erased.
-fn live(seg: &Segment, i: &mut usize, eraser: &Eraser) -> Option<u32> {
+fn live(seg: &Segment<'_>, i: &mut usize, eraser: &Eraser) -> Option<u32> {
     while seg.rows.get(*i).is_some_and(|&r| eraser.is_erased(r)) {
         *i += 1;
     }
@@ -144,10 +144,10 @@ fn live(seg: &Segment, i: &mut usize, eraser: &Eraser) -> Option<u32> {
 
 impl<'a> Reference<'a> {
     fn new(ix: &'a XmlIndex, q: &Query, opts: &TopKOptions) -> Self {
-        let terms: Vec<&TermData> = q.terms.iter().map(|&t| ix.term(t)).collect();
+        let terms: Vec<TermData> = q.terms.iter().map(|&t| ix.term(t)).collect();
         let k = terms.len();
         let level = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
-        let pos: Vec<Vec<usize>> = terms.iter().map(|t| vec![0; t.segments.len()]).collect();
+        let pos: Vec<Vec<usize>> = terms.iter().map(|t| vec![0; t.segments().count()]).collect();
         let mut reference = Reference {
             ix,
             opts: *opts,
@@ -190,12 +190,12 @@ impl<'a> Reference<'a> {
     fn head(&mut self, i: usize) -> Option<(usize, u32, f32)> {
         let (term, level) = (self.terms[i], self.level);
         let mut best: Option<(usize, u32, f32)> = None;
-        for (si, seg) in term.segments.iter().enumerate() {
+        for (si, seg) in term.segments().enumerate() {
             if seg.len < level {
                 continue;
             }
-            let Some(row) = live(seg, &mut self.pos[i][si], &self.erasers[i]) else { continue };
-            let damped = term.scores[row as usize] * self.ix.damping().factor(seg.len - level);
+            let Some(row) = live(&seg, &mut self.pos[i][si], &self.erasers[i]) else { continue };
+            let damped = term.scores()[row as usize] * self.ix.damping().factor(seg.len - level);
             if best.is_none_or(|(_, _, b)| damped > b) {
                 best = Some((si, row, damped));
             }
@@ -211,20 +211,20 @@ impl<'a> Reference<'a> {
     fn future_bound(&mut self) -> f32 {
         let mut best = f32::NEG_INFINITY;
         for lf in (1..self.level).rev() {
-            let ends_here = |t: &&TermData| t.segments.iter().any(|s| s.len == lf);
+            let ends_here = |t: &TermData| t.segments().any(|s| s.len == lf);
             if lf < self.level - 1 && !self.terms.iter().any(ends_here) {
                 continue;
             }
             let mut bound = 0.0f32;
             for (i, term) in self.terms.iter().enumerate() {
                 let mut s_m = 0.0f32;
-                for (si, seg) in term.segments.iter().enumerate() {
+                for (si, seg) in term.segments().enumerate() {
                     if seg.len < lf {
                         continue;
                     }
-                    if let Some(row) = live(seg, &mut self.live_from[i][si], &self.erasers[i]) {
+                    if let Some(row) = live(&seg, &mut self.live_from[i][si], &self.erasers[i]) {
                         let damping = self.ix.damping().factor(seg.len - lf);
-                        s_m = s_m.max(term.scores[row as usize] * damping);
+                        s_m = s_m.max(term.scores()[row as usize] * damping);
                     }
                 }
                 bound += s_m;
@@ -254,12 +254,13 @@ impl<'a> Reference<'a> {
         };
         let (si, row, damped) = self.head(pick).expect("a positive head score");
         self.pos[pick][si] += 1;
-        let column = |t: &'a TermData| &t.columns[self.level as usize - 1];
+        let level = self.level;
+        let column = |t: TermData<'a>| t.column(level).unwrap();
         let value = column(self.terms[pick]).value_of_row(row).expect("the row reaches the level");
         self.stats.rows_retrieved += 1;
         let Some(done) = self.bucket.insert(value, pick, damped) else { return true };
         self.stats.candidates += 1;
-        let runs: Vec<_> = self.terms.iter().map(|&t| *column(t).find(value).unwrap()).collect();
+        let runs: Vec<xtk_index::Run> = self.terms.iter().map(|&t| *column(t).find(value).unwrap()).collect();
         let accept = match self.opts.semantics {
             Semantics::Elca => true,
             Semantics::Slca => {

@@ -18,7 +18,7 @@ pub fn terms_in_band(ix: &XmlIndex, lo: usize, hi: usize, count: usize, seed: u6
     let mut candidates: Vec<&str> = ix
         .terms()
         .filter(|(_, t)| t.len() >= lo && t.len() <= hi)
-        .map(|(_, t)| &*t.term)
+        .map(|(_, t)| t.name())
         .collect();
     // Partial Fisher–Yates for a deterministic sample.
     let n = candidates.len();

@@ -11,14 +11,16 @@
 //! * `segments` — the score-sorted length groups of Fig. 7 (§IV), with the
 //!   row directories that give them Fig. 7's row → number access.
 //!
+//! All of them live in one flat arena per index ([`crate::terms`]), read
+//! through the [`TermData`] view [`XmlIndex::term`] returns.
+//!
 //! What only the evaluation baselines read — subtree ranges and RDIL's
 //! score-descending permutation — is derived on demand by `xtk-baselines`,
 //! and the Dewey ids Table I prices by [`crate::sizes`].
 
-use crate::columnar::{build_columns, Column, RowDirectory};
-use crate::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
+use crate::columnar::{run_count, ColumnScratch};
 use crate::score::{Damping, TfIdf};
-use crate::scored::{build_segments, Segment};
+use crate::terms::{TermArena, TermData};
 use crate::text::token_counts;
 use std::collections::HashMap;
 use xtk_xml::jdewey::JDeweyAssignment;
@@ -40,85 +42,6 @@ pub fn node_quality(node: NodeId) -> f32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub u32);
 
-/// All physical index structures for one term.
-#[derive(Debug, Clone)]
-pub struct TermData {
-    /// The term text.
-    pub term: Box<str>,
-    /// Nodes directly containing the term, in document order.
-    pub postings: Vec<NodeId>,
-    /// Local score `g(v, w)` per posting (aligned with `postings`).
-    pub scores: Vec<f32>,
-    /// The largest entry of `scores` (0 for an empty list): the term's
-    /// contribution to an upper bound on any result score.
-    pub max_score: f32,
-    /// JDewey columns (index 0 = level 1); `columns.len()` = max depth of
-    /// any posting (`l_m` in the paper).
-    pub columns: Vec<Column>,
-    /// Score-sorted length groups (top-K join input).
-    pub segments: Vec<Segment>,
-    /// Per-level value histograms for cardinality estimation (§V-D);
-    /// `None` for levels whose column is short enough to probe directly.
-    pub histograms: Vec<Option<Histogram>>,
-    /// Per-level row directories, `None` for a term none of whose columns
-    /// is long enough to carry one — the long tail of the vocabulary,
-    /// which pays one pointer for it.
-    row_directories: Option<Box<RowDirectories>>,
-}
-
-/// One slot per column (index 0 = level 1) up to the deepest that carries
-/// a directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RowDirectories(Vec<Option<RowDirectory>>);
-
-impl RowDirectories {
-    /// `None` — and no allocation — for columns that carry none.
-    fn build(columns: &[Column]) -> Option<Box<Self>> {
-        let mut slots = Vec::new();
-        for (i, col) in columns.iter().enumerate() {
-            if let Some(dir) = RowDirectory::build(col) {
-                slots.resize(i, None);
-                slots.push(Some(dir));
-            }
-        }
-        (!slots.is_empty()).then(|| Box::new(Self(slots)))
-    }
-}
-
-impl TermData {
-    /// Posting-list length (the term's frequency in the corpus).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// `true` iff the term has no postings (cannot happen for indexed
-    /// terms but keeps clippy's `len_without_is_empty` honest).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
-    }
-
-    /// Maximum JDewey sequence length over the postings (`l_m`).
-    #[inline]
-    pub fn max_len(&self) -> u16 {
-        self.columns.len() as u16
-    }
-
-    /// The row directory of the level-`level` column, for the columns
-    /// that carry one (see [`RowDirectory::build`]).
-    #[inline]
-    pub fn row_directory(&self, level: u16) -> Option<&RowDirectory> {
-        let slots = &self.row_directories.as_deref()?.0;
-        slots.get((level as usize).checked_sub(1)?)?.as_ref()
-    }
-}
-
-/// The largest score under `f32::total_cmp`, 0 for none.
-fn max_score(scores: &[f32]) -> f32 {
-    scores.iter().copied().max_by(f32::total_cmp).unwrap_or(0.0)
-}
-
 /// The local scoring function `g(v, w)` (paper §II-B: "the function g can
 /// take multiple factors into account ... and combine them in an
 /// arbitrary way" — the algorithms only need monotonicity of the
@@ -135,6 +58,26 @@ pub enum LocalScorer {
     /// Every occurrence scores 1.0 — degenerates ranking to "fewest damped
     /// levels win"; exercises tie handling in the top-K machinery.
     Uniform,
+}
+
+/// One term's local scores `g(v, w)`, posting by posting: its raw tf-idf
+/// normalized by the corpus maximum `max_raw`, then mixed per `scorer`.
+fn local_scores<'a>(
+    postings: &'a [NodeId],
+    tfs: &'a [u32],
+    model: TfIdf,
+    max_raw: f64,
+    scorer: LocalScorer,
+) -> impl Iterator<Item = f32> + 'a {
+    let df = postings.len() as u64;
+    tfs.iter().zip(postings).map(move |(&tf, &node)| {
+        let s = model.raw(tf, df);
+        match scorer {
+            LocalScorer::TfIdfQuality => (s / max_raw) as f32 * node_quality(node),
+            LocalScorer::TfIdf => (s / max_raw) as f32,
+            LocalScorer::Uniform => 1.0,
+        }
+    })
 }
 
 /// Options for [`XmlIndex::build_with`].
@@ -171,27 +114,31 @@ struct ChunkTokens {
     terms: Vec<(Box<str>, Vec<NodeId>, Vec<u32>)>,
 }
 
-/// Everything Pass 3 derives for one term (the parts computed from
-/// borrowed postings/scores; zipped back with the owned vectors serially).
-struct TermStructures {
-    scores: Vec<f32>,
-    columns: Vec<Column>,
-    segments: Vec<Segment>,
-    histograms: Vec<Option<Histogram>>,
-    row_directories: Option<Box<RowDirectories>>,
-}
+/// Terms per Pass 3 task of a parallel build, and tasks per worker per
+/// wave: a wave's arenas are appended to the index before the next wave
+/// starts, so the build never holds a second copy of every term.  No
+/// workload builds in parallel (perfbench and the shard builds are
+/// serial), so neither value has been tuned, nor the memory of a wave
+/// measured.
+const PASS3_TASK_TERMS: usize = 256;
+const PASS3_TASKS_PER_WORKER: usize = 4;
 
 /// The unified in-memory index over one XML document.
 ///
 /// Owns the tree plus its JDewey encoding, the vocabulary, and the
 /// per-term physical structures the join-based engines serve from.
+///
+/// The per-term structures sit in flat arrays addressed by `u32` offsets,
+/// so an index holds at most `u32::MAX` postings, column runs, columns and
+/// segments over all its terms; a build past that panics instead of
+/// storing wrapped offsets.
 #[derive(Debug)]
 pub struct XmlIndex {
     tree: XmlTree,
     jd: JDeweyAssignment,
     damping: Damping,
     vocab: HashMap<Box<str>, TermId>,
-    terms: Vec<TermData>,
+    terms: TermArena,
     /// Number of nodes with non-empty direct text ("documents" for idf).
     n_docs: u64,
     /// Index generation for result-cache invalidation: a fresh build is
@@ -264,7 +211,7 @@ impl XmlIndex {
         // out identical to the single-pass serial assignment.
         let mut vocab: HashMap<Box<str>, TermId> = HashMap::new();
         let mut raw: Vec<(Vec<NodeId>, Vec<u32>)> = Vec::new();
-        let mut names: Vec<Box<str>> = Vec::new();
+        let mut terms = TermArena::default();
         let mut n_docs = 0u64;
         for chunk in chunked {
             n_docs += chunk.n_docs;
@@ -280,7 +227,7 @@ impl XmlIndex {
                         t.append(&mut tfs);
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        names.push(e.key().clone());
+                        terms.push_name(e.key());
                         e.insert(TermId(raw.len() as u32));
                         raw.push((posts, tfs));
                     }
@@ -288,66 +235,71 @@ impl XmlIndex {
             }
         }
 
-        // Pass 2: tf-idf scores, normalized into (0, 1] by the global max.
-        // Per-term map; the global max folds over per-term maxima in term
-        // order (f64 max is exact — no rounding-order concerns).
+        // Pass 2: the largest raw tf-idf score, which normalizes every
+        // score into (0, 1].  Per-term maxima fold in term order (f64 max
+        // is exact — no rounding-order concerns); Pass 3 recomputes each
+        // raw score, bit for bit, where it stores it.  Alongside, each
+        // term's column and run counts, which size the arena.
         let model = TfIdf { n_docs: n_docs.max(1) };
-        let scored: Vec<(Vec<f64>, f64)> = parallel_map(par, &raw, |_, (posts, tfs)| {
+        let per_term: Vec<(f64, usize, usize)> = parallel_map(par, &raw, |_, (posts, tfs)| {
             let df = posts.len() as u64;
-            let scores: Vec<f64> = tfs.iter().map(|&tf| model.raw(tf, df)).collect();
-            let mx = scores.iter().fold(f64::MIN_POSITIVE, |a, &s| a.max(s));
-            (scores, mx)
+            let max = tfs.iter().fold(f64::MIN_POSITIVE, |a, &tf| a.max(model.raw(tf, df)));
+            let cols = posts.iter().map(|&n| usize::from(tree_ref.depth(n))).max().unwrap_or(0);
+            (max, cols, run_count(tree_ref, posts))
         });
-        let max_raw = scored.iter().fold(f64::MIN_POSITIVE, |a, &(_, mx)| a.max(mx));
-        let all_scores: Vec<Vec<f64>> = scored.into_iter().map(|(s, _)| s).collect();
+        let max_raw = per_term.iter().fold(f64::MIN_POSITIVE, |a, t| a.max(t.0));
 
-        // Pass 3: physical structures per term.  The local score combines
-        // the normalized tf-idf with a per-node "global importance" factor
-        // (the paper's g may mix IR scores with link-based node scores);
-        // a deterministic hash stands in for PageRank-style importance and
-        // keeps scores spread out — without it, planted tf=1 terms would
-        // all tie and every top-K threshold would be degenerate.
+        // Pass 3: physical structures per term, written into the arena.
+        // The local score combines the normalized tf-idf with a per-node
+        // "global importance" factor (the paper's g may mix IR scores with
+        // link-based node scores); a deterministic hash stands in for
+        // PageRank-style importance and keeps scores spread out — without
+        // it, planted tf=1 terms would all tie and every top-K threshold
+        // would be degenerate.
+        let scorer = opts.scorer;
+        let rows = raw.iter().map(|(p, _)| p.len()).sum();
+        let (cols, runs) = per_term.iter().fold((0, 0), |(c, r), t| (c + t.1, r + t.2));
+        terms.reserve(raw.len(), rows, cols, runs);
         let jd_ref = &jd;
-        let built: Vec<TermStructures> = parallel_map(par, &raw, |i, (postings, _tfs)| {
-            #[expect(clippy::indexing_slicing, reason = "all_scores has one entry per term of raw")]
-            let scores: Vec<f32> = all_scores[i]
-                .iter()
-                .zip(postings)
-                .map(|(&s, &node)| match opts.scorer {
-                    LocalScorer::TfIdfQuality => (s / max_raw) as f32 * node_quality(node),
-                    LocalScorer::TfIdf => (s / max_raw) as f32,
-                    LocalScorer::Uniform => 1.0,
-                })
-                .collect();
-            let columns = build_columns(tree_ref, jd_ref, postings);
-            let segments = build_segments(tree_ref, postings, &scores);
-            let histograms = columns
-                .iter()
-                .map(|c| {
-                    if c.row_count() >= HISTOGRAM_MIN_ROWS {
-                        Histogram::build(c)
-                    } else {
-                        None
+        let push =
+            |arena: &mut TermArena, scratch: &mut ColumnScratch, posts: &[NodeId], tfs: &[u32]| {
+                let scores = local_scores(posts, tfs, model, max_raw, scorer);
+                arena.push_term(tree_ref, jd_ref, posts, scores, scratch);
+            };
+        if par.workers() <= 1 {
+            // Straight into the index, each term's raw lists dropped once
+            // its structures are in.  Running the waves below inline
+            // instead costs 15–35 MB of peak resident memory on perfbench's
+            // corpus: the task arenas' allocations and frees fragment the
+            // heap (DESIGN §16).
+            let mut scratch = ColumnScratch::default();
+            for (posts, tfs) in raw {
+                push(&mut terms, &mut scratch, &posts, &tfs);
+            }
+        } else {
+            // Waves of contiguous term ranges: each task builds a small
+            // arena, appended in term order — the same arrays the serial
+            // loop writes — and a wave's raw lists are dropped before the
+            // next wave starts.
+            let tasks = chunk_ranges(raw.len(), raw.len().div_ceil(PASS3_TASK_TERMS));
+            for wave in tasks.chunks(par.workers() * PASS3_TASKS_PER_WORKER) {
+                let raw_ref = &raw;
+                let parts = parallel_map(par, wave, |_, range| {
+                    let mut part = TermArena::default();
+                    let mut scratch = ColumnScratch::default();
+                    for (posts, tfs) in raw_ref.get(range.clone()).unwrap_or_default() {
+                        push(&mut part, &mut scratch, posts, tfs);
                     }
-                })
-                .collect();
-            let row_directories = RowDirectories::build(&columns);
-            TermStructures { scores, columns, segments, histograms, row_directories }
-        });
-        let mut terms = Vec::with_capacity(raw.len());
-        for (i, ((postings, _tfs), built)) in raw.into_iter().zip(built).enumerate() {
-            terms.push(TermData {
-                #[expect(clippy::indexing_slicing, reason = "names has one entry per term of raw")]
-                term: std::mem::take(&mut names[i]),
-                postings,
-                max_score: max_score(&built.scores),
-                scores: built.scores,
-                columns: built.columns,
-                segments: built.segments,
-                histograms: built.histograms,
-                row_directories: built.row_directories,
-            });
+                    part
+                });
+                for part in parts {
+                    terms.append(part);
+                }
+                let done = wave.first().map_or(0, |r| r.start)..wave.last().map_or(0, |r| r.end);
+                raw.get_mut(done).unwrap_or_default().iter_mut().for_each(|e| *e = Default::default());
+            }
         }
+        terms.shrink_to_fit();
 
         Self { tree, jd, damping: opts.damping, vocab, terms, n_docs, generation: 0 }
     }
@@ -408,21 +360,21 @@ impl XmlIndex {
         }
     }
 
-    /// The physical structures of a term.
+    /// The physical structures of a term; an empty term for an id this
+    /// index did not issue.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "term ids are issued by this index")]
-    pub fn term(&self, id: TermId) -> &TermData {
-        &self.terms[id.0 as usize]
+    pub fn term(&self, id: TermId) -> TermData<'_> {
+        self.terms.term(id.0 as usize)
     }
 
     /// Convenience: term data by string, if indexed.
-    pub fn term_by_str(&self, term: &str) -> Option<&TermData> {
+    pub fn term_by_str(&self, term: &str) -> Option<TermData<'_>> {
         self.term_id(term).map(|t| self.term(t))
     }
 
     /// Iterates over all `(TermId, TermData)` pairs.
-    pub fn terms(&self) -> impl Iterator<Item = (TermId, &TermData)> {
-        self.terms.iter().enumerate().map(|(i, t)| (TermId(i as u32), t))
+    pub fn terms(&self) -> impl Iterator<Item = (TermId, TermData<'_>)> {
+        (0..self.terms.len()).map(|i| (TermId(i as u32), self.terms.term(i)))
     }
 
     /// Resolves a `(level, JDewey number)` pair to its node.
@@ -432,26 +384,19 @@ impl XmlIndex {
     }
 
     /// Replaces the occurrence scores of term `id` with `scores` (one per
-    /// posting, aligned with the posting list) and rebuilds the
-    /// score-derived structures: the top-K segment summaries and
-    /// `max_score`.  JDewey columns, level histograms and row directories
-    /// depend only on structure and are kept as-is.
+    /// posting, aligned with the posting list) and rewrites the
+    /// score-derived structures in place: the order of the top-K segment
+    /// rows, their heads and `max_score`.  JDewey columns, level
+    /// histograms and row directories depend only on structure and are
+    /// kept as-is; no other term changes.
     ///
     /// This is the hook `xtk-core::shard` uses to stamp *corpus-global*
     /// tf-idf scores onto a per-shard index, so a result's score is
     /// bit-identical no matter which shard computed it.  Returns `false`
     /// (and changes nothing) when `id` is unknown or the length does not
     /// match the posting list.
-    pub fn override_scores(&mut self, id: TermId, scores: Vec<f32>) -> bool {
-        let tree = &self.tree;
-        let Some(t) = self.terms.get_mut(id.0 as usize) else { return false };
-        if scores.len() != t.postings.len() {
-            return false;
-        }
-        t.segments = build_segments(tree, &t.postings, &scores);
-        t.max_score = max_score(&scores);
-        t.scores = scores;
-        true
+    pub fn override_scores(&mut self, id: TermId, scores: &[f32]) -> bool {
+        self.terms.restamp(&self.tree, id.0 as usize, scores)
     }
 }
 
@@ -480,9 +425,9 @@ mod tests {
     fn postings_in_document_order() {
         let ix = index("<r><a>w</a><b><c>w</c></b><d>w</d></r>");
         let t = ix.term_by_str("w").unwrap();
-        let mut sorted = t.postings.clone();
+        let mut sorted = t.postings().to_vec();
         sorted.sort();
-        assert_eq!(t.postings, sorted);
+        assert_eq!(t.postings(), sorted);
         assert_eq!(t.len(), 3);
     }
 
@@ -490,17 +435,17 @@ mod tests {
     fn scores_are_normalized_and_positive() {
         let ix = index("<r><a>rare</a><b>common common</b><c>common</c></r>");
         for (_, t) in ix.terms() {
-            for &s in &t.scores {
+            for &s in t.scores() {
                 assert!(s > 0.0 && s <= 1.0, "score {s} out of range");
             }
         }
         // A rarer term outscores a more common one at equal tf.
-        let rare = ix.term_by_str("rare").unwrap().scores[0];
-        let common = ix.term_by_str("common").unwrap().scores[1]; // tf=1 occurrence
+        let rare = ix.term_by_str("rare").unwrap().scores()[0];
+        let common = ix.term_by_str("common").unwrap().scores()[1]; // tf=1 occurrence
         assert!(rare > common);
         // Higher tf outscores lower tf for the same term.
         let t = ix.term_by_str("common").unwrap();
-        assert!(t.scores[0] > t.scores[1]);
+        assert!(t.scores()[0] > t.scores()[1]);
     }
 
     #[test]
@@ -508,8 +453,8 @@ mod tests {
         let ix = index("<r><a><p>deep</p></a><b>deep</b></r>");
         let t = ix.term_by_str("deep").unwrap();
         assert_eq!(t.max_len(), 3);
-        assert_eq!(t.columns[0].row_count(), 2); // both under root
-        assert_eq!(t.columns[2].row_count(), 1); // only the level-3 posting
+        assert_eq!(t.column(1).unwrap().row_count(), 2); // both under root
+        assert_eq!(t.column(3).unwrap().row_count(), 1); // only the level-3 posting
     }
 
     #[test]
@@ -518,10 +463,10 @@ mod tests {
         let t = ix.term_by_str("w").unwrap();
         // Each segment's rows are score-descending; together they are
         // every row once.
-        let mut seg_rows: Vec<u32> = t.segments.iter().flat_map(|s| s.rows.clone()).collect();
-        for s in &t.segments {
+        let mut seg_rows: Vec<u32> = t.segments().flat_map(|s| s.rows.iter().copied()).collect();
+        for s in t.segments() {
             for w in s.rows.windows(2) {
-                assert!(t.scores[w[0] as usize] >= t.scores[w[1] as usize]);
+                assert!(t.scores()[w[0] as usize] >= t.scores()[w[1] as usize]);
             }
         }
         seg_rows.sort_unstable();
@@ -543,23 +488,36 @@ mod tests {
         xml.push_str("</r>");
         let mut ix = index(&xml);
         for (_, t) in ix.terms() {
-            assert_eq!(t.max_score.to_bits(), largest_bits(&t.scores), "{}", t.term);
+            assert_eq!(t.max_score().to_bits(), largest_bits(t.scores()), "{}", t.name());
         }
         let solo = ix.term_by_str("solo").unwrap();
-        assert_eq!(solo.max_score.to_bits(), solo.scores[0].to_bits());
+        assert_eq!(solo.max_score().to_bits(), solo.scores()[0].to_bits());
 
         // After override_scores: a tied maximum, then a single posting.
         let w = ix.term_id("w").unwrap();
         let rows = ix.term(w).len();
         let tied: Vec<f32> = (0..rows).map(|i| if i % 9 == 3 { 0.875 } else { 0.25 }).collect();
-        assert!(ix.override_scores(w, tied));
-        assert_eq!(ix.term(w).max_score.to_bits(), 0.875f32.to_bits());
+        assert!(ix.override_scores(w, &tied));
+        assert_eq!(ix.term(w).max_score().to_bits(), 0.875f32.to_bits());
         let solo = ix.term_id("solo").unwrap();
-        assert!(ix.override_scores(solo, vec![0.125]));
-        assert_eq!(ix.term(solo).max_score.to_bits(), 0.125f32.to_bits());
+        assert!(ix.override_scores(solo, &[0.125]));
+        assert_eq!(ix.term(solo).max_score().to_bits(), 0.125f32.to_bits());
         // A rejected override changes nothing.
-        assert!(!ix.override_scores(solo, vec![0.5, 0.5]));
-        assert_eq!(ix.term(solo).max_score.to_bits(), 0.125f32.to_bits());
+        assert!(!ix.override_scores(solo, &[0.5, 0.5]));
+        assert_eq!(ix.term(solo).max_score().to_bits(), 0.125f32.to_bits());
+        assert!(!ix.override_scores(TermId(u32::MAX), &[]));
+    }
+
+    #[test]
+    fn an_unknown_term_id_is_an_empty_term() {
+        let ix = index("<r><a>xml data</a></r>");
+        let t = ix.term(TermId(ix.vocab_size() as u32));
+        assert!(t.is_empty() && t.postings().is_empty() && t.scores().is_empty());
+        assert_eq!((t.name(), t.max_len()), ("", 0));
+        assert_eq!(t.max_score().to_bits(), 0f32.to_bits());
+        assert!(t.column(1).is_none() && t.columns().next().is_none());
+        assert!(t.segments().next().is_none());
+        assert!(t.histogram(1).is_none() && t.row_directory(1).is_none());
     }
 
     #[test]
@@ -593,14 +551,16 @@ mod tests {
             for ((_, a), (_, b)) in serial.terms().zip(p.terms()) {
                 // Same TermId order, same postings, bit-identical scores,
                 // same physical structures.
-                assert_eq!(a.term, b.term, "{par}");
-                assert_eq!(a.postings, b.postings, "{par} {}", a.term);
-                let sa: Vec<u32> = a.scores.iter().map(|s| s.to_bits()).collect();
-                let sb: Vec<u32> = b.scores.iter().map(|s| s.to_bits()).collect();
-                assert_eq!(sa, sb, "{par} {}", a.term);
-                assert_eq!(a.columns, b.columns, "{par} {}", a.term);
-                assert_eq!(a.max_score.to_bits(), b.max_score.to_bits(), "{par} {}", a.term);
-                assert_eq!(a.row_directories, b.row_directories, "{par} {}", a.term);
+                assert_eq!(a.name(), b.name(), "{par}");
+                assert_eq!(a.postings(), b.postings(), "{par} {}", a.name());
+                let sa: Vec<u32> = a.scores().iter().map(|s| s.to_bits()).collect();
+                let sb: Vec<u32> = b.scores().iter().map(|s| s.to_bits()).collect();
+                assert_eq!(sa, sb, "{par} {}", a.name());
+                assert!(a.columns().eq(b.columns()), "{par} {}", a.name());
+                assert_eq!(a.max_score().to_bits(), b.max_score().to_bits(), "{par} {}", a.name());
+                for level in 1..=a.max_len() {
+                    assert_eq!(a.row_directory(level), b.row_directory(level), "{par} {}", a.name());
+                }
             }
         }
     }
@@ -618,11 +578,13 @@ mod tests {
         let id = stamped.term_id("w").unwrap();
         let rows = stamped.term(id).len();
         let scores: Vec<f32> = (0..rows).map(|i| 1.0 / (1 + i % 7) as f32).collect();
-        assert!(stamped.override_scores(id, scores));
-        assert_ne!(stamped.term(id).segments, fresh.term(id).segments);
+        assert!(stamped.override_scores(id, &scores));
+        assert!(!stamped.term(id).segments().eq(fresh.term(id).segments()));
         assert!(fresh.term(id).row_directory(1).is_none(), "one run: the root");
         assert!(fresh.term(id).row_directory(2).is_some());
-        assert_eq!(stamped.term(id).row_directories, fresh.term(id).row_directories);
+        for level in 1..=fresh.term(id).max_len() {
+            assert_eq!(stamped.term(id).row_directory(level), fresh.term(id).row_directory(level));
+        }
     }
 
     #[test]
@@ -641,17 +603,17 @@ mod tests {
                 IndexOptions { scorer, ..Default::default() },
             );
             for (_, t) in ix.terms() {
-                for &s in &t.scores {
+                for &s in t.scores() {
                     assert!(s > 0.0 && s <= 1.0, "{scorer:?}: {s}");
                 }
             }
             if scorer == LocalScorer::Uniform {
-                assert!(ix.term_by_str("x").unwrap().scores.iter().all(|&s| s == 1.0));
+                assert!(ix.term_by_str("x").unwrap().scores().iter().all(|&s| s == 1.0));
             }
             if scorer == LocalScorer::TfIdf {
                 // tf=2 occurrence outscores tf=1 deterministically.
                 let x = ix.term_by_str("x").unwrap();
-                assert!(x.scores[0] > x.scores[1]);
+                assert!(x.scores()[0] > x.scores()[1]);
             }
         }
     }

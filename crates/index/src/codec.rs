@@ -145,7 +145,8 @@ pub fn try_read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
 
 /// Picks the scheme the paper prescribes: RLE when duplicates dominate
 /// (distinct values < half the rows), delta otherwise.
-pub fn choose_scheme(col: &Column) -> Scheme {
+pub fn choose_scheme(runs: &[Run]) -> Scheme {
+    let col = Column { runs };
     let rows = col.row_count();
     if (col.distinct() as u64) * 2 < rows {
         Scheme::Rle
@@ -265,11 +266,11 @@ fn unpack_lane(
 /// disagree with the entry count and width.  Blocks are cut greedily so
 /// the encoded block size never exceeds [`BLOCK_SIZE`], and only between
 /// runs, so a reader never sees one run in two blocks.
-pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
+pub fn encode_column(runs: &[Run], scheme: Scheme) -> CompressedColumn {
     let mut cc = CompressedColumn { scheme, bytes: Vec::new(), blocks: Vec::new() };
     match scheme {
-        Scheme::Delta => encode_delta(col, &mut cc),
-        Scheme::Rle => encode_rle(col, &mut cc),
+        Scheme::Delta => encode_delta(runs, &mut cc),
+        Scheme::Rle => encode_rle(runs, &mut cc),
     }
     cc
 }
@@ -294,11 +295,11 @@ fn flush_block(
     }
 }
 
-fn encode_delta(col: &Column, cc: &mut CompressedColumn) {
+fn encode_delta(runs: &[Run], cc: &mut CompressedColumn) {
     let mut deltas: Vec<u32> = Vec::new();
     // The open block's first value, last value and lane width.
     let mut open: Option<(u32, u32, u32)> = None;
-    for run in &col.runs {
+    for run in runs {
         let zeros = run.len.saturating_sub(1) as usize;
         if let Some((first, last, width)) = open {
             let d = run.value - last;
@@ -324,14 +325,14 @@ fn encode_delta(col: &Column, cc: &mut CompressedColumn) {
     }
 }
 
-fn encode_rle(col: &Column, cc: &mut CompressedColumn) {
+fn encode_rle(runs: &[Run], cc: &mut CompressedColumn) {
     let mut first: Option<u32> = None;
     let mut prev = 0u32;
     let mut rows = 0u32;
     let mut vdeltas: Vec<u32> = Vec::new();
     let mut lens: Vec<u32> = Vec::new();
     let (mut vw, mut lw) = (0u32, 0u32);
-    for run in &col.runs {
+    for run in runs {
         match first {
             None => {
                 first = Some(run.value);
@@ -602,16 +603,17 @@ pub fn decode_column_into(
 ///
 /// Decoding runs through the per-thread [`DecodeScratch`] arena, so the
 /// only allocation per call is the final exact-size `Vec<Run>` copy.
+/// Returns the column's runs.
 ///
 /// Returns `None` when the payload is malformed (truncated block header,
 /// varint or packed lane, or row counts that disagree with
 /// `present_rows`), so callers reading untrusted bytes can reject
 /// corruption without a panic.
-pub fn decode_column(cc: &CompressedColumn, present_rows: &[u32]) -> Option<Column> {
+pub fn decode_column(cc: &CompressedColumn, present_rows: &[u32]) -> Option<Vec<Run>> {
     with_decode_scratch(|scratch| {
         scratch.runs.clear();
         decode_column_into(cc, present_rows, scratch)?;
-        Some(Column { runs: scratch.runs.clone() })
+        Some(scratch.runs.clone())
     })
 }
 
@@ -619,14 +621,12 @@ pub fn decode_column(cc: &CompressedColumn, present_rows: &[u32]) -> Option<Colu
 mod tests {
     use super::*;
 
-    fn col(runs: &[(u32, u32, u32)]) -> Column {
-        Column {
-            runs: runs.iter().map(|&(value, start, len)| Run { value, start, len }).collect(),
-        }
+    fn col(runs: &[(u32, u32, u32)]) -> Vec<Run> {
+        runs.iter().map(|&(value, start, len)| Run { value, start, len }).collect()
     }
 
-    fn present_rows(c: &Column) -> Vec<u32> {
-        c.runs.iter().flat_map(|r| r.rows()).collect()
+    fn present_rows(c: &[Run]) -> Vec<u32> {
+        c.iter().flat_map(|r| r.rows()).collect()
     }
 
     #[test]
@@ -713,7 +713,7 @@ mod tests {
             assert!(cc.block_count() > 1, "{scheme:?}");
             // Row counts per block sum to the column's total.
             let total: u64 = cc.blocks.iter().map(|b| b.rows as u64).sum();
-            assert_eq!(total, col(&runs).row_count(), "{scheme:?}");
+            assert_eq!(total, Column { runs: &col(&runs) }.row_count(), "{scheme:?}");
             // first <= last within a block; blocks ordered and non-empty.
             for b in &cc.blocks {
                 assert!(b.first <= b.last && b.rows > 0, "{b:?}");
@@ -726,7 +726,7 @@ mod tests {
 
     #[test]
     fn empty_column_roundtrip() {
-        let c = Column { runs: vec![] };
+        let c: Vec<Run> = vec![];
         for scheme in [Scheme::Delta, Scheme::Rle] {
             let cc = encode_column(&c, scheme);
             assert_eq!(cc.payload_bytes(), 0);
@@ -868,7 +868,7 @@ mod tests {
                 assert_eq!(decode_block_into(Scheme::Delta, block, &rows[1..], &mut other), None);
             }
             let first = scratch.runs.first().unwrap();
-            assert!(c.runs.contains(first) && c.runs.contains(scratch.runs.last().unwrap()));
+            assert!(c.contains(first) && c.contains(scratch.runs.last().unwrap()));
             at += entry.rows as usize;
         }
         assert_eq!(decode_column(&cc, &present), Some(c));

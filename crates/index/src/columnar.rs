@@ -47,14 +47,15 @@ impl Run {
 }
 
 /// One column of a keyword's inverted list: the level-`l` JDewey numbers of
-/// all postings at depth `>= l`, as sorted runs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Column {
+/// all postings at depth `>= l`, as sorted runs — a view over runs stored
+/// elsewhere (the index's run arena, a decoded block, a test's array).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Column<'a> {
     /// Runs in increasing `value` (and `start`) order.
-    pub runs: Vec<Run>,
+    pub runs: &'a [Run],
 }
 
-impl Column {
+impl<'a> Column<'a> {
     /// Total number of rows present at this level.
     pub fn row_count(&self) -> u64 {
         self.runs.iter().map(|r| r.len as u64).sum()
@@ -67,12 +68,9 @@ impl Column {
     }
 
     /// Binary-searches the run with the given JDewey number.
-    #[expect(clippy::indexing_slicing, reason = "binary_search returned the position")]
-    pub fn find(&self, value: u32) -> Option<&Run> {
-        self.runs
-            .binary_search_by_key(&value, |r| r.value)
-            .ok()
-            .map(|i| &self.runs[i])
+    pub fn find(&self, value: u32) -> Option<&'a Run> {
+        let i = self.runs.binary_search_by_key(&value, |r| r.value).ok()?;
+        self.runs.get(i)
     }
 
     /// Index of the first run with `value >= v` (for merge restarts and
@@ -96,16 +94,15 @@ impl Column {
     /// lower-bound index alongside the hit, for the caller to carry as
     /// the next hint.  With ascending probe values the whole probe
     /// sequence costs O(m log(n/m)) instead of O(m log n).
-    pub fn find_hinted(&self, value: u32, hint: usize) -> (usize, Option<&Run>) {
-        let from = if hint == 0
-            || self.runs.get(hint.wrapping_sub(1)).is_some_and(|r| r.value < value)
-        {
-            hint.min(self.runs.len())
+    pub fn find_hinted(&self, value: u32, hint: usize) -> (usize, Option<&'a Run>) {
+        let runs = self.runs;
+        let from = if hint == 0 || runs.get(hint.wrapping_sub(1)).is_some_and(|r| r.value < value) {
+            hint.min(runs.len())
         } else {
             0 // stale hint (probe went backwards): restart
         };
-        let lb = gallop_lower_bound(&self.runs, from, value);
-        let hit = self.runs.get(lb).filter(|r| r.value == value);
+        let lb = gallop_lower_bound(runs, from, value);
+        let hit = runs.get(lb).filter(|r| r.value == value);
         (lb, hit)
     }
 
@@ -115,15 +112,12 @@ impl Column {
     /// `start` suffices; the returned slice is every run of this column
     /// whose rows lie under the ancestor run `[start, end)` of the
     /// *previous* (higher) column.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "two partition points of the same sorted runs, in order"
-    )]
-    pub fn runs_in_rows(&self, start: u32, end: u32) -> &[Run] {
+    pub fn runs_in_rows(&self, start: u32, end: u32) -> &'a [Run] {
         let lo = self.runs.partition_point(|r| r.start < start);
         let hi = self.runs.partition_point(|r| r.start < end);
-        debug_assert!(self.runs[lo..hi].iter().all(|r| r.end() <= end));
-        &self.runs[lo..hi]
+        let inside = self.runs.get(lo..hi).unwrap_or(&[]);
+        debug_assert!(inside.iter().all(|r| r.end() <= end));
+        inside
     }
 }
 
@@ -144,34 +138,50 @@ pub const ROW_DIRECTORY_STRIDE: u32 = 8;
 /// `j · ROW_DIRECTORY_STRIDE`.  A run covers at least one row, so fewer
 /// than `ROW_DIRECTORY_STRIDE` runs end between that row and any row of
 /// the same stride: a lookup is one entry load and a scan of that window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowDirectory {
-    first_run: Vec<u32>,
+/// A view over entries stored elsewhere (the index's directory arena).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowDirectory<'a> {
+    first_run: &'a [u32],
 }
 
-impl RowDirectory {
-    /// The directory of `col`; `None` below [`ROW_DIRECTORY_MIN_RUNS`].
-    pub fn build(col: &Column) -> Option<Self> {
+impl<'a> RowDirectory<'a> {
+    /// Appends the directory entries of `col` to `out` and returns `true`;
+    /// below [`ROW_DIRECTORY_MIN_RUNS`] appends nothing and returns `false`.
+    pub fn build(col: Column<'_>, out: &mut Vec<u32>) -> bool {
         if col.runs.len() < ROW_DIRECTORY_MIN_RUNS {
-            return None;
+            return false;
         }
         let stride = ROW_DIRECTORY_STRIDE as usize;
         let rows = col.runs.last().map_or(0, |r| r.end() as usize);
-        let mut first_run = Vec::with_capacity(rows.div_ceil(stride));
+        let (from, entries) = (out.len(), rows.div_ceil(stride));
+        out.reserve(entries);
         for (i, run) in col.runs.iter().enumerate() {
             // Ends ascend: the strides that start before this run ends and
             // were not entered yet start after every earlier run's end.
-            while first_run.len() * stride < run.end() as usize {
-                first_run.push(i as u32);
+            while (out.len() - from) * stride < run.end() as usize {
+                out.push(i as u32);
             }
         }
-        Some(Self { first_run })
+        true
+    }
+
+    /// The directory whose entries are `first_run` (as [`build`](Self::build)
+    /// appended them).
+    #[inline]
+    pub fn new(first_run: &'a [u32]) -> Self {
+        Self { first_run }
+    }
+
+    /// The entries, one per [`ROW_DIRECTORY_STRIDE`] rows.
+    #[inline]
+    pub fn entries(&self) -> &'a [u32] {
+        self.first_run
     }
 
     /// [`Column::value_of_row`] of the column this directory was built
     /// from, without the search.
     #[inline]
-    pub fn value_of_row(&self, col: &Column, row: u32) -> Option<u32> {
+    pub fn value_of_row(&self, col: Column<'_>, row: u32) -> Option<u32> {
         let first = *self.first_run.get((row / ROW_DIRECTORY_STRIDE) as usize)?;
         let rest = col.runs.get(first as usize..)?;
         // Ends ascend: the window's runs ending at or before `row` are its
@@ -377,17 +387,35 @@ fn seek_stretch(
     (below.kept + above.kept, above.at)
 }
 
+/// The buffers [`build_columns`] fills: one run buffer per level and the
+/// ancestor chain, kept from term to term so a build allocates them once.
+#[derive(Debug, Default)]
+pub struct ColumnScratch {
+    levels: Vec<Vec<Run>>,
+    chain: Vec<u32>,
+}
+
 /// Builds the per-level columns for one keyword from its posting list
-/// (nodes in document order) and the tree's JDewey assignment.
+/// (nodes in document order) and the tree's JDewey assignment, into
+/// `scratch`.
 ///
-/// Returns the columns (index 0 = level 1) — `columns.len()` is the
+/// Returns the columns' runs (index 0 = level 1) — their number is the
 /// maximum posting depth `l_m` for the keyword.
-pub fn build_columns(tree: &XmlTree, jd: &JDeweyAssignment, postings: &[NodeId]) -> Vec<Column> {
+pub fn build_columns<'s>(
+    tree: &XmlTree,
+    jd: &JDeweyAssignment,
+    postings: &[NodeId],
+    scratch: &'s mut ColumnScratch,
+) -> &'s [Vec<Run>] {
     let max_len = postings.iter().map(|&n| tree.depth(n)).max().unwrap_or(0) as usize;
-    let mut columns = vec![Column::default(); max_len];
+    let ColumnScratch { levels, chain } = scratch;
+    if levels.len() < max_len {
+        levels.resize_with(max_len, Vec::new);
+    }
+    let columns = levels.get_mut(..max_len).unwrap_or_default();
+    columns.iter_mut().for_each(Vec::clear);
     // One pass per posting: walk the ancestor chain once, filling every
     // level.  Equal values are contiguous, so runs can be extended in place.
-    let mut chain: Vec<u32> = Vec::with_capacity(max_len);
     for (row, &node) in postings.iter().enumerate() {
         let row = row as u32;
         chain.clear();
@@ -396,26 +424,36 @@ pub fn build_columns(tree: &XmlTree, jd: &JDeweyAssignment, postings: &[NodeId])
             chain.push(jd.number(c));
             cur = tree.parent(c);
         }
-        chain.reverse();
-        for (i, &value) in chain.iter().enumerate() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "columns has one column per level of the deepest chain"
-            )]
-            let col = &mut columns[i];
-            match col.runs.last_mut() {
+        for (col, &value) in columns.iter_mut().zip(chain.iter().rev()) {
+            match col.last_mut() {
                 Some(last) if last.value == value && last.end() == row => last.len += 1,
                 _ => {
                     debug_assert!(
-                        col.runs.last().is_none_or(|r| r.value < value),
+                        col.last().is_none_or(|r| r.value < value),
                         "postings must be sorted in JDewey order"
                     );
-                    col.runs.push(Run { value, start: row, len: 1 });
+                    col.push(Run { value, start: row, len: 1 });
                 }
             }
         }
     }
     columns
+}
+
+/// The number of runs [`build_columns`] makes over `postings` (nodes in
+/// document order), without building them: a posting extends the runs of
+/// the levels it shares with the posting before it — those down to their
+/// lowest common ancestor — and opens one at every level below.
+pub fn run_count(tree: &XmlTree, postings: &[NodeId]) -> usize {
+    let levels: usize = postings.iter().map(|&n| usize::from(tree.depth(n))).sum();
+    let shared: usize = postings
+        .windows(2)
+        .map(|w| match *w {
+            [a, b] => usize::from(tree.depth(tree.lca(a, b))),
+            _ => 0,
+        })
+        .sum();
+    levels - shared
 }
 
 #[cfg(test)]
@@ -431,26 +469,48 @@ mod tests {
         (t, jd)
     }
 
+    /// The columns of `postings`, owned.
+    fn columns(t: &xtk_xml::XmlTree, jd: &JDeweyAssignment, postings: &[NodeId]) -> Vec<Vec<Run>> {
+        build_columns(t, jd, postings, &mut ColumnScratch::default()).to_vec()
+    }
+
+    fn col(runs: &[Run]) -> Column<'_> {
+        Column { runs }
+    }
+
     #[test]
     fn columns_follow_ancestor_chains() {
         let (t, jd) = setup();
         // Postings: p, q (depth 3) and u (depth 4), all in doc order.
         let ids: Vec<NodeId> = t.ids().collect();
         let (p, q, u) = (ids[2], ids[3], ids[6]);
-        let cols = build_columns(&t, &jd, &[p, q, u]);
+        let cols = columns(&t, &jd, &[p, q, u]);
         assert_eq!(cols.len(), 4);
         // Level 1: all three rows under root (number 1) -> one run of len 3.
-        assert_eq!(cols[0].runs, vec![Run { value: 1, start: 0, len: 3 }]);
+        assert_eq!(cols[0], vec![Run { value: 1, start: 0, len: 3 }]);
         // Level 2: rows 0-1 under a (1), row 2 under b (2).
         assert_eq!(
-            cols[1].runs,
+            cols[1],
             vec![Run { value: 1, start: 0, len: 2 }, Run { value: 2, start: 2, len: 1 }]
         );
         // Level 3: p=1, q=2, s=3 (u's parent).
-        assert_eq!(cols[2].row_count(), 3);
-        assert_eq!(cols[2].distinct(), 3);
+        assert_eq!(col(&cols[2]).row_count(), 3);
+        assert_eq!(col(&cols[2]).distinct(), 3);
         // Level 4: only u.
-        assert_eq!(cols[3].row_count(), 1);
+        assert_eq!(col(&cols[3]).row_count(), 1);
+    }
+
+    #[test]
+    fn run_count_matches_the_built_columns() {
+        let (t, jd) = setup();
+        let ids: Vec<NodeId> = t.ids().collect();
+        // Every posting list the tree admits: each subset, in doc order.
+        for mask in 0u32..1 << ids.len() {
+            let postings: Vec<NodeId> =
+                ids.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1).map(|(_, &n)| n).collect();
+            let built: usize = columns(&t, &jd, &postings).iter().map(Vec::len).sum();
+            assert_eq!(run_count(&t, &postings), built, "postings {postings:?}");
+        }
     }
 
     #[test]
@@ -458,17 +518,17 @@ mod tests {
         let (t, jd) = setup();
         let ids: Vec<NodeId> = t.ids().collect();
         let (a, u) = (ids[1], ids[6]); // depth 2 and depth 4
-        let cols = build_columns(&t, &jd, &[a, u]);
+        let cols = columns(&t, &jd, &[a, u]);
         assert_eq!(cols.len(), 4);
-        assert_eq!(cols[1].row_count(), 2); // both present at level 2
-        assert_eq!(cols[2].row_count(), 1); // only u's chain reaches level 3
-        assert_eq!(cols[2].runs[0].start, 1, "row coordinates stay global");
+        assert_eq!(col(&cols[1]).row_count(), 2); // both present at level 2
+        assert_eq!(col(&cols[2]).row_count(), 1); // only u's chain reaches level 3
+        assert_eq!(cols[2][0].start, 1, "row coordinates stay global");
     }
 
     #[test]
     fn find_and_lower_bound() {
         let col = Column {
-            runs: vec![
+            runs: &[
                 Run { value: 2, start: 0, len: 3 },
                 Run { value: 5, start: 3, len: 1 },
                 Run { value: 9, start: 4, len: 2 },
@@ -485,7 +545,7 @@ mod tests {
     #[test]
     fn runs_in_rows_containment() {
         let child = Column {
-            runs: vec![
+            runs: &[
                 Run { value: 1, start: 0, len: 2 },
                 Run { value: 4, start: 2, len: 1 },
                 Run { value: 7, start: 3, len: 3 },
@@ -523,7 +583,7 @@ mod tests {
     #[test]
     fn find_hinted_agrees_with_find() {
         let col = Column {
-            runs: vec![
+            runs: &[
                 Run { value: 2, start: 0, len: 3 },
                 Run { value: 5, start: 3, len: 1 },
                 Run { value: 9, start: 4, len: 2 },
@@ -544,7 +604,7 @@ mod tests {
     #[test]
     fn empty_postings_give_no_columns() {
         let (t, jd) = setup();
-        assert!(build_columns(&t, &jd, &[]).is_empty());
+        assert!(columns(&t, &jd, &[]).is_empty());
     }
 
     #[test]
@@ -552,9 +612,9 @@ mod tests {
         let (t, jd) = setup();
         let ids: Vec<NodeId> = t.ids().collect();
         // Two postings in the same subtree: level-1 and level-2 runs merge.
-        let cols = build_columns(&t, &jd, &[ids[2], ids[3]]);
-        assert_eq!(cols[0].distinct(), 1);
-        assert_eq!(cols[1].distinct(), 1);
-        assert_eq!(cols[2].distinct(), 2);
+        let cols = columns(&t, &jd, &[ids[2], ids[3]]);
+        assert_eq!(col(&cols[0]).distinct(), 1);
+        assert_eq!(col(&cols[1]).distinct(), 1);
+        assert_eq!(col(&cols[2]).distinct(), 2);
     }
 }

@@ -16,8 +16,9 @@
 //! engine opens from the file alone (ROADMAP item 6b's catalog).
 
 use crate::builder::XmlIndex;
+use crate::terms::TermData;
 use crate::codec::{choose_scheme, encode_column, try_read_varint, write_varint, BlockEntry, Scheme};
-use crate::columnar::Column;
+use crate::columnar::Run;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -92,9 +93,9 @@ fn encode_header(ix: &XmlIndex, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
 /// delta stays short), payload length, payload — and returns the block
 /// count.  The writer's record and, through [`crate::sizes`], Table I's
 /// bytes: there is no second model of it.
-pub(crate) fn encode_column_record(col: &Column, buf: &mut Vec<u8>) -> usize {
-    let scheme = choose_scheme(col);
-    let cc = encode_column(col, scheme);
+pub(crate) fn encode_column_record(runs: &[Run], buf: &mut Vec<u8>) -> usize {
+    let scheme = choose_scheme(runs);
+    let cc = encode_column(runs, scheme);
     buf.push(match scheme {
         Scheme::Delta => 0,
         Scheme::Rle => 1,
@@ -113,27 +114,22 @@ pub(crate) fn encode_column_record(col: &Column, buf: &mut Vec<u8>) -> usize {
 
 /// Encodes one term record (vocabulary entry, lengths array, optional
 /// scores, and every column record) into `buf`.
-fn encode_term_record(
-    ix: &XmlIndex,
-    term: &crate::builder::TermData,
-    opts: WriteIndexOptions,
-    buf: &mut Vec<u8>,
-) {
-    write_varint(term.term.len() as u32, buf);
-    buf.extend_from_slice(term.term.as_bytes());
-    write_varint(term.postings.len() as u32, buf);
+fn encode_term_record(ix: &XmlIndex, term: TermData<'_>, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
+    write_varint(term.name().len() as u32, buf);
+    buf.extend_from_slice(term.name().as_bytes());
+    write_varint(term.len() as u32, buf);
     // Lengths array.
-    for &n in &term.postings {
+    for &n in term.postings() {
         write_varint(ix.tree().depth(n) as u32, buf);
     }
     if opts.include_scores {
-        for &s in &term.scores {
+        for &s in term.scores() {
             buf.extend_from_slice(&s.to_le_bytes());
         }
     }
-    write_varint(term.columns.len() as u32, buf);
-    for col in &term.columns {
-        encode_column_record(col, buf);
+    write_varint(u32::from(term.max_len()), buf);
+    for col in term.columns() {
+        encode_column_record(col.runs, buf);
     }
 }
 
@@ -170,28 +166,109 @@ pub fn persisted_file_bytes(ix: &XmlIndex, opts: WriteIndexOptions) -> u64 {
     write_index_to(ix, io::sink(), opts).unwrap_or(0)
 }
 
-/// One column's block directory in the layout the store keeps resident:
-/// [`BlockEntry`]s split into the arrays the hot path walks.  Built only
-/// by [`parse_directory`], which guarantees one `lasts` entry per block,
-/// one more `row_prefix` entry than blocks, and a `row_prefix` total equal
-/// to `present_rows.len()`.
+/// Every column's block directory in the layout the store keeps resident:
+/// one flat array of `u32` words for the whole file, addressed CSR-style.
+/// Term `t`'s columns are `term_cols[t]..term_cols[t + 1]` (level `l` is
+/// the `l`-th), and column `c` is the run of words
+/// `words[col_at[c]..col_at[c + 1]]`: a [`HEADER`]-word header (scheme,
+/// block count `n`, payload base as two words, payload length), then the
+/// column's [`BlockEntry`]s split into the arrays the hot path walks — `n`
+/// last values, `n` first values, `n` payload offsets, `n + 1` row
+/// prefixes — and last the column's present rows.  One column's words
+/// are contiguous, so a block access touches one region of memory, as a
+/// per-column allocation would, without the allocation.  Built only by
+/// [`parse_directory`], which guarantees every column's words have this
+/// shape and that its blocks cover exactly the rows the lengths array
+/// puts at its level.
 #[derive(Debug)]
-pub(crate) struct ColumnDirectory {
+pub(crate) struct Directory {
+    /// Term text → term index.
+    names: HashMap<Box<str>, u32>,
+    term_cols: Vec<u32>,
+    col_at: Vec<u32>,
+    words: Vec<u32>,
+}
+
+/// Words before a column's block arrays (see [`Directory`]).
+const HEADER: usize = 5;
+
+/// One column's block directory: a view into the [`Directory`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnDirectory<'a> {
     pub(crate) scheme: Scheme,
-    /// `(file offset, first value)` per block.
-    pub(crate) blocks: Vec<(u64, u32)>,
+    /// File offset of the column's payload; block offsets count from it.
+    base: u64,
     /// One past the last payload byte of the column.
     pub(crate) end: u64,
-    /// Largest value stored in each block — contiguous, because the skip
-    /// rule gallops over it alone.
-    pub(crate) lasts: Vec<u32>,
-    /// `row_prefix[b]` = number of present rows in blocks `0..b`; one
-    /// extra entry at the end holding the column total.
-    pub(crate) row_prefix: Vec<u32>,
+    /// Largest value per block — contiguous, because the skip rule
+    /// gallops over it alone.
+    pub(crate) lasts: &'a [u32],
+    /// First value per block.
+    pub(crate) firsts: &'a [u32],
+    /// Payload-relative offset per block.
+    offsets: &'a [u32],
+    /// Per block, plus one: the block's first entry of `present_rows`.
+    pub(crate) row_at: &'a [u32],
     /// Rows present at this level (global row ids), needed to reconstruct
-    /// run coordinates.  Kept in memory: 4 bytes per present row, the same
-    /// information the lengths array encodes.
-    pub(crate) present_rows: Vec<u32>,
+    /// run coordinates: 4 bytes per present row, the same information
+    /// the lengths array encodes.
+    pub(crate) present_rows: &'a [u32],
+}
+
+impl ColumnDirectory<'_> {
+    /// Number of blocks.
+    pub(crate) fn block_count(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// File offset of block `b`.
+    pub(crate) fn start(&self, b: usize) -> Option<u64> {
+        self.offsets.get(b).map(|&o| self.base + u64::from(o))
+    }
+}
+
+impl Directory {
+    /// The index of `term`, if the file holds it.
+    pub(crate) fn term(&self, term: &str) -> Option<usize> {
+        self.names.get(term).map(|&t| t as usize)
+    }
+
+    /// The term texts, in no particular order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+        #[expect(clippy::disallowed_methods, reason = "the one caller sorts")]
+        self.names.keys().map(|k| &**k)
+    }
+
+    /// The columns of term `t` (index into `col_at`).
+    pub(crate) fn columns(&self, t: usize) -> std::ops::Range<usize> {
+        match (self.term_cols.get(t), self.term_cols.get(t + 1)) {
+            (Some(&a), Some(&b)) => a as usize..b as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// The directory of column `c`.
+    pub(crate) fn column(&self, c: usize) -> Option<ColumnDirectory<'_>> {
+        let (&from, &to) = (self.col_at.get(c)?, self.col_at.get(c + 1)?);
+        let words = self.words.get(from as usize..to as usize)?;
+        let (&[scheme, n, base_lo, base_hi, len], rest) = words.split_first_chunk::<HEADER>()?;
+        let n = n as usize;
+        let (lasts, rest) = rest.split_at_checked(n)?;
+        let (firsts, rest) = rest.split_at_checked(n)?;
+        let (offsets, rest) = rest.split_at_checked(n)?;
+        let (row_at, present_rows) = rest.split_at_checked(n + 1)?;
+        let base = u64::from(base_lo) | u64::from(base_hi) << 32;
+        Some(ColumnDirectory {
+            scheme: if scheme == 0 { Scheme::Delta } else { Scheme::Rle },
+            base,
+            end: base + u64::from(len),
+            lasts,
+            firsts,
+            offsets,
+            row_at,
+            present_rows,
+        })
+    }
 }
 
 /// Reads one directory entry (see [`encode_column_record`]).
@@ -205,69 +282,85 @@ fn read_entry(r: &mut ByteReader<'_>) -> io::Result<BlockEntry> {
     Ok(BlockEntry { offset, first, rows, last })
 }
 
-/// Reads one column record into its resident directory, skipping over the
+/// A CSR offset: the length of the array it points into, refused past
+/// `u32`.
+fn offset(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| bad("directory exceeds u32 entries"))
+}
+
+/// Reads one column record into the resident directory, skipping over the
 /// payload (sliced per block later, never copied).  `depths` is the
 /// term's lengths array: the rows present at `level` are the postings at
 /// least that deep, and the directory's row counts must add up to them.
-fn parse_column(r: &mut ByteReader<'_>, depths: &[u16], level: usize) -> io::Result<ColumnDirectory> {
+fn parse_column(
+    r: &mut ByteReader<'_>,
+    dir: &mut Directory,
+    depths: &[u16],
+    level: usize,
+) -> io::Result<()> {
     let scheme = match r.byte("scheme")? {
-        0 => Scheme::Delta,
-        1 => Scheme::Rle,
+        0 => 0,
+        1 => 1,
         // lint:allow(L8, error construction on the corrupt-file bail-out)
         x => return Err(bad(&format!("bad scheme byte {x}"))),
     };
     let n_blocks = r.varint("block count")? as usize;
-    // A corrupt count must not size an allocation: reserve for what a
-    // real file can hold, let a longer directory grow as it is read.
-    let reserve = n_blocks.min(1 << 22);
-    // lint:allow(L8, open-time directory parse — per-column directory vecs, never on the block-decode path)
-    let (mut blocks, mut lasts, mut row_prefix) = (Vec::new(), Vec::new(), Vec::new());
-    let reserved = blocks.try_reserve_exact(reserve).is_ok()
-        && lasts.try_reserve_exact(reserve).is_ok()
-        && row_prefix.try_reserve_exact(reserve + 1).is_ok();
-    if !reserved {
+    // An entry is four varints, a byte each at least: a count the rest of
+    // the file cannot back is corrupt, and sizes no allocation.
+    if n_blocks > r.bytes.len().saturating_sub(r.pos) / 4 {
         return Err(bad("block count too large"));
     }
-    let mut rows = 0u64;
-    row_prefix.push(0);
-    for _ in 0..n_blocks {
+    let from = dir.words.len();
+    let arrays = HEADER + 4 * n_blocks + 1;
+    dir.words.try_reserve(arrays).map_err(|_| bad("block count too large"))?;
+    dir.words.resize(from + arrays, 0);
+    // The arrays just sized: `HEADER` words, then three of `n_blocks` and
+    // the row prefixes.
+    let words = dir.words.get_mut(from..).unwrap_or_default();
+    let Some((head, rest)) = words.split_first_chunk_mut::<HEADER>() else {
+        return Err(bad("directory layout"));
+    };
+    let Some((lasts, rest)) = rest.split_at_mut_checked(n_blocks) else {
+        return Err(bad("directory layout"));
+    };
+    let Some((firsts, rest)) = rest.split_at_mut_checked(n_blocks) else {
+        return Err(bad("directory layout"));
+    };
+    let Some((offsets, row_at)) = rest.split_at_mut_checked(n_blocks) else {
+        return Err(bad("directory layout"));
+    };
+    let mut rows = 0u32;
+    let entries = lasts.iter_mut().zip(firsts.iter_mut()).zip(offsets.iter_mut());
+    for (((last, first), offset), row_end) in entries.zip(row_at.iter_mut().skip(1)) {
         let entry = read_entry(r)?;
-        // Payload-relative until the payload's own offset is known.
-        blocks.push((u64::from(entry.offset), entry.first));
-        lasts.push(entry.last);
-        rows += u64::from(entry.rows);
-        row_prefix
-            .push(u32::try_from(rows).map_err(|_| bad("block row counts exceed lengths array"))?);
+        (*last, *first, *offset) = (entry.last, entry.first, entry.offset);
+        rows = rows
+            .checked_add(entry.rows)
+            .ok_or_else(|| bad("block row counts exceed lengths array"))?;
+        *row_end = rows;
     }
-    let payload_len = r.varint("payload length")? as usize;
+    let payload_len = r.varint("payload length")?;
     let base = r.pos as u64;
-    r.take(payload_len, "payload")?;
-    if blocks.last().is_some_and(|&(offset, _)| offset >= payload_len.max(1) as u64) {
+    r.take(payload_len as usize, "payload")?;
+    if offsets.last().is_some_and(|&offset| offset >= payload_len.max(1)) {
         return Err(bad("block offset beyond payload"));
     }
-    for (offset, _) in &mut blocks {
-        *offset += base;
-    }
-    let present_rows: Vec<u32> = depths
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| usize::from(d) >= level)
-        .map(|(i, _)| i as u32)
-        // lint:allow(L8, open-time directory parse — the per-level lengths array is built once per open)
-        .collect();
+    *head = [scheme, n_blocks as u32, base as u32, (base >> 32) as u32, payload_len];
+    let present_from = dir.words.len();
+    dir.words.extend(
+        depths
+            .iter()
+            .enumerate()
+            .filter(|(_, &d)| usize::from(d) >= level)
+            .map(|(i, _)| i as u32),
+    );
     // A directory that disagrees with the lengths array would misplace
     // rows silently.
-    if rows != present_rows.len() as u64 {
+    if rows as usize != dir.words.len() - present_from {
         return Err(bad("block row counts disagree with lengths array"));
     }
-    Ok(ColumnDirectory {
-        scheme,
-        blocks,
-        end: base + payload_len as u64,
-        lasts,
-        row_prefix,
-        present_rows,
-    })
+    dir.col_at.push(offset(dir.words.len())?);
+    Ok(())
 }
 
 /// The one parse of an index file: a single bounds-checked pass over the
@@ -278,9 +371,9 @@ fn parse_column(r: &mut ByteReader<'_>, depths: &[u16], level: usize) -> io::Res
 /// can back, last values inside `u32`, the last block offset inside the
 /// payload, the payload inside the file, and row counts that add up to
 /// the lengths array.  Corrupt files fail with `InvalidData`, never a
-/// panic.  Block payloads and scores stay unread.  Returns, per term, its
-/// columns (level 1 first).
-pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<HashMap<String, Vec<ColumnDirectory>>> {
+/// panic.  Block payloads and scores stay unread.  Returns every term's
+/// columns (level 1 first) in one [`Directory`].
+pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<Directory> {
     let mut r = ByteReader { bytes, pos: 0 };
     match r.varint("magic")? {
         MAGIC => {}
@@ -294,15 +387,16 @@ pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<HashMap<String, Vec<Co
     }
     let n_terms = r.varint("term count")? as usize;
     let with_scores = r.byte("score flag")? != 0;
-    let mut terms = HashMap::new();
+    let mut dir =
+        Directory { names: HashMap::new(), term_cols: vec![0], col_at: vec![0], words: Vec::new() };
+    // The lengths array of the term being read, reused term to term.
+    let mut depths = Vec::new();
     for _ in 0..n_terms {
         let tlen = r.varint("term length")? as usize;
         let term = std::str::from_utf8(r.take(tlen, "term text")?)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            .to_string();
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let n_postings = r.varint("posting count")? as usize;
-        // lint:allow(L8, open-time directory parse — one vec per term, never on the block-decode path)
-        let mut depths = Vec::new();
+        depths.clear();
         depths
             .try_reserve(n_postings.min(1 << 24))
             .map_err(|_| bad("posting count too large"))?;
@@ -317,13 +411,16 @@ pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<HashMap<String, Vec<Co
         if n_cols != depths.iter().copied().max().map_or(0, usize::from) {
             return Err(bad("column count inconsistent with posting depths"));
         }
-        let mut columns = Vec::with_capacity(n_cols);
         for level in 1..=n_cols {
-            columns.push(parse_column(&mut r, &depths, level)?);
+            parse_column(&mut r, &mut dir, &depths, level)?;
         }
-        terms.insert(term, columns);
+        // A repeated name keeps the last record, as a map insert did.
+        dir.names.insert(term.into(), offset(dir.term_cols.len() - 1)?);
+        dir.term_cols.push(offset(dir.col_at.len() - 1)?);
     }
-    Ok(terms)
+    dir.words.shrink_to_fit();
+    dir.col_at.shrink_to_fit();
+    Ok(dir)
 }
 
 struct CountingWriter<W: Write> {
@@ -355,20 +452,31 @@ mod tests {
     }
 
     /// Every column of `ix` reads back from the store at `path` as the
-    /// memory column, and every level holds the rows the lengths array
-    /// says reach it.
+    /// memory column, and its directory entry — rows, blocks, value span —
+    /// is the memory column's: every level holds the rows the lengths
+    /// array says reach it, in the blocks the encoder cut.
     fn assert_store_matches(ix: &XmlIndex, path: &Path) {
         let store = DiskColumnStore::open(path).unwrap();
         assert_eq!(store.term_names().len(), ix.vocab_size());
         for (_, term) in ix.terms() {
-            assert_eq!(usize::from(store.levels_of(&term.term)), term.columns.len());
-            for (col, level) in term.columns.iter().zip(1u16..) {
-                let dc = store.column(&term.term, level).unwrap();
-                assert_eq!(dc.scan().unwrap(), col.runs, "{} level {level}", term.term);
-                let deep = term.postings.iter().filter(|&&n| ix.tree().depth(n) >= level).count();
-                assert_eq!(dc.row_count(), deep, "{} level {level}", term.term);
+            assert_eq!(store.levels_of(term.name()), term.max_len());
+            assert_eq!(store.columns(term.name()).count(), usize::from(term.max_len()));
+            for (col, level) in term.columns().zip(1u16..) {
+                let what = format!("{} level {level}", term.name());
+                let dc = store.column(term.name(), level).unwrap();
+                assert_eq!(dc.scan().unwrap(), col.runs, "{what}");
+                let deep = term.postings().iter().filter(|&&n| ix.tree().depth(n) >= level).count();
+                assert_eq!(dc.row_count(), deep, "{what}");
+                assert_eq!(dc.row_count() as u64, col.row_count(), "{what}");
+                let blocks = encode_column(col.runs, choose_scheme(col.runs)).block_count();
+                assert_eq!(dc.block_count(), blocks, "{what}");
+                let span = col.runs.first().zip(col.runs.last()).map(|(f, l)| (f.value, l.value));
+                assert_eq!(dc.value_span(), span, "{what}");
             }
         }
+        assert_eq!(store.levels_of("no such term"), 0);
+        assert!(store.column("no such term", 1).is_none());
+        assert_eq!(store.columns("no such term").count(), 0);
     }
 
     #[test]
@@ -384,9 +492,26 @@ mod tests {
         assert_eq!(bytes, persisted_file_bytes(&ix, opts));
         assert_store_matches(&ix, &path);
         // The score section is one f32 per posting.
-        let postings: u64 = ix.terms().map(|(_, t)| t.postings.len() as u64).sum();
+        let postings: u64 = ix.terms().map(|(_, t)| t.postings().len() as u64).sum();
         let without = WriteIndexOptions { include_scores: false, ..opts };
         assert_eq!(bytes, persisted_file_bytes(&ix, without) + 4 * postings);
+    }
+
+    #[test]
+    fn directory_matches_memory_across_many_blocks() {
+        // Long delta and RLE columns over many blocks, beside short ones.
+        let mut xml = String::from("<r>");
+        for i in 0..30_000 {
+            xml.push_str(&format!("<p><t>dense w{} x{}</t><u/></p>", i % 3, i % 200));
+        }
+        xml.push_str("</r>");
+        let ix = XmlIndex::build(parse(&xml).unwrap());
+        let path = tmp("many_blocks");
+        write_index(&ix, &path, WriteIndexOptions { include_scores: true, ..Default::default() })
+            .unwrap();
+        let store = DiskColumnStore::open(&path).unwrap();
+        assert!(store.column("dense", 3).unwrap().block_count() > 1, "a column spans blocks");
+        assert_store_matches(&ix, &path);
     }
 
     #[test]

@@ -30,8 +30,7 @@ use crate::bytes::ColumnBytes;
 use crate::cache::{relock, Block, BlockCache, CacheStats, ShardedLruCache};
 use crate::codec::{decode_block_into, with_decode_scratch, Scheme};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
-use crate::disk::{bad, parse_directory, ColumnDirectory};
-use std::collections::HashMap;
+use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +119,7 @@ pub struct DiskColumnStore {
     /// It guards the decode-once *discipline*, not the bytes — those are
     /// immutable and read without locking.
     decode_lock: Mutex<()>,
-    terms: HashMap<String, Vec<ColumnDirectory>>,
+    dir: Directory,
     cache: Arc<dyn BlockCache>,
     /// Cache-missing block decodes performed by this store.
     decodes: AtomicU64,
@@ -151,7 +150,7 @@ impl DiskColumnStore {
     /// number of stores without duplicating the payload.
     pub fn open_bytes(bytes: ColumnBytes, cache: Arc<dyn BlockCache>) -> io::Result<Self> {
         Ok(Self {
-            terms: parse_directory(bytes.as_slice())?,
+            dir: parse_directory(bytes.as_slice())?,
             bytes,
             decode_lock: Mutex::new(()),
             cache,
@@ -165,22 +164,30 @@ impl DiskColumnStore {
     /// The terms available in the store, in sorted order (the backing map
     /// is hashed, so sorting keeps every listing deterministic).
     pub fn term_names(&self) -> Vec<&str> {
-        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
-        let mut names: Vec<&str> = self.terms.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.dir.names().collect();
         names.sort_unstable();
         names
     }
 
     /// Number of levels stored for `term` (0 when absent).
     pub fn levels_of(&self, term: &str) -> u16 {
-        self.terms.get(term).map(|t| t.len() as u16).unwrap_or(0)
+        self.dir.term(term).map_or(0, |t| self.dir.columns(t).len() as u16)
     }
 
     /// A lazy view over one term's column.
     pub fn column(&self, term: &str, level: u16) -> Option<DiskColumn<'_>> {
-        let idx = level.checked_sub(1)? as usize;
-        let meta = self.terms.get(term)?.get(idx)?;
+        let cols = self.dir.columns(self.dir.term(term)?);
+        let c = cols.start + usize::from(level.checked_sub(1)?);
+        let meta = self.dir.column(c).filter(|_| c < cols.end)?;
         Some(DiskColumn { store: self, meta, session: None })
+    }
+
+    /// Lazy views over every column of `term`, level 1 first (none when
+    /// absent): [`column`](Self::column) for each level, one name lookup.
+    pub fn columns(&self, term: &str) -> impl Iterator<Item = DiskColumn<'_>> {
+        let cols = self.dir.term(term).map_or(0..0, |t| self.dir.columns(t));
+        cols.filter_map(|c| self.dir.column(c))
+            .map(|meta| DiskColumn { store: self, meta, session: None })
     }
 
     /// Total cache-missing block decodes performed by this store.
@@ -225,14 +232,13 @@ impl DiskColumnStore {
     /// terms prefetch nothing.  Balance with
     /// [`DiskColumnStore::unpin_term`].
     pub fn prefetch_term(&self, term: &str) -> io::Result<u64> {
-        let Some(meta) = self.terms.get(term) else {
-            return Ok(0);
-        };
         let mut pinned = 0u64;
-        for col in meta {
-            for (b, &(start, _)) in col.blocks.iter().enumerate() {
-                self.decode_block(col, b, None)?;
-                pinned += u64::from(self.cache.pin(self.block_key(start)));
+        for col in self.columns(term) {
+            for b in 0..col.block_count() {
+                self.decode_block(&col.meta, b, None)?;
+                if let Some(start) = col.meta.start(b) {
+                    pinned += u64::from(self.cache.pin(self.block_key(start)));
+                }
             }
         }
         Ok(pinned)
@@ -242,11 +248,8 @@ impl DiskColumnStore {
     /// [`DiskColumnStore::prefetch_term`]); unknown terms and never-pinned
     /// blocks are no-ops.
     pub fn unpin_term(&self, term: &str) {
-        let Some(meta) = self.terms.get(term) else {
-            return;
-        };
-        for col in meta {
-            for &(start, _) in &col.blocks {
+        for col in self.columns(term) {
+            for start in (0..col.block_count()).filter_map(|b| col.meta.start(b)) {
                 self.cache.unpin(self.block_key(start));
             }
         }
@@ -294,11 +297,11 @@ impl DiskColumnStore {
     /// an unbounded cache no matter the worker count.
     fn decode_block(
         &self,
-        meta: &ColumnDirectory,
+        meta: &ColumnDirectory<'_>,
         b: usize,
         session: Option<&IoSession>,
     ) -> io::Result<Block> {
-        let Some(&(start, _)) = meta.blocks.get(b) else {
+        let Some(start) = meta.start(b) else {
             return Err(bad("block index out of range"));
         };
         let key = self.block_key(start);
@@ -315,17 +318,14 @@ impl DiskColumnStore {
             return Ok(runs);
         }
         self.count_miss(session);
-        let end = match meta.blocks.get(b + 1) {
-            Some(&(next, _)) => next,
-            None => meta.end,
-        };
+        let end = meta.start(b + 1).unwrap_or(meta.end);
         let len = end.checked_sub(start).ok_or_else(|| bad("block offsets not ascending"))?;
         let len = usize::try_from(len).map_err(|_| bad("block length overflow"))?;
         let block_bytes = self.bytes.slice(start, len).ok_or_else(|| bad("block beyond file"))?;
         // The directory says which rows the block covers; a payload that
         // decodes to another count is as corrupt as one that does not
         // decode.
-        let Some(&[row_base, row_end]) = meta.row_prefix.get(b..b + 2) else {
+        let Some(&[row_base, row_end]) = meta.row_at.get(b..b + 2) else {
             return Err(bad("row prefix out of range"));
         };
         let rows = meta
@@ -347,7 +347,7 @@ impl DiskColumnStore {
 #[derive(Clone, Copy)]
 pub struct DiskColumn<'a> {
     store: &'a DiskColumnStore,
-    meta: &'a ColumnDirectory,
+    meta: ColumnDirectory<'a>,
     /// Query scope the accesses through this handle are attributed to
     /// (besides the store totals); `None` outside query execution.
     session: Option<&'a IoSession>,
@@ -365,7 +365,7 @@ impl<'a> DiskColumn<'a> {
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.meta.blocks.len()
+        self.meta.block_count()
     }
 
     /// Compression scheme of this column (delta vs RLE), for workload
@@ -383,7 +383,7 @@ impl<'a> DiskColumn<'a> {
     /// from the directory without decoding anything.  `None` for empty
     /// columns.
     pub fn value_span(&self) -> Option<(u32, u32)> {
-        let &(_, first) = self.meta.blocks.first()?;
+        let &first = self.meta.firsts.first()?;
         let &last = self.meta.lasts.last()?;
         Some((first, last))
     }
@@ -445,12 +445,12 @@ impl Feed for BlockFeed<'_> {
     type Error = io::Error;
 
     fn land(&mut self, v: u32) -> io::Result<Option<Block>> {
-        let meta = self.col.meta;
+        let meta = &self.col.meta;
         if self.skip {
             // Blocks wholly below `v` are passed over undecoded.
-            self.next = gallop_partition_point(&meta.lasts, self.next, |&last| last < v);
+            self.next = gallop_partition_point(meta.lasts, self.next, |&last| last < v);
         }
-        let Some(&(_, first)) = meta.blocks.get(self.next) else {
+        let Some(&first) = meta.firsts.get(self.next) else {
             return Ok(None);
         };
         // Below the block's first value, `v` sits in the gap before it.
@@ -530,9 +530,9 @@ mod tests {
     fn scan_matches_in_memory_columns() {
         let (ix, store, _image) = store();
         for (_, term) in ix.terms() {
-            for (li, col) in term.columns.iter().enumerate() {
-                let dc = store.column(&term.term, (li + 1) as u16).unwrap();
-                assert_eq!(dc.scan().unwrap(), col.runs, "term {} level {}", term.term, li + 1);
+            for (li, col) in term.columns().enumerate() {
+                let dc = store.column(term.name(), (li + 1) as u16).unwrap();
+                assert_eq!(dc.scan().unwrap(), col.runs, "term {} level {}", term.name(), li + 1);
             }
         }
     }
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn skipping_cursor_lands_only_blocks_that_hold_a_probe() {
         let ix = dense_corpus();
-        let col = &ix.term_by_str("dense").unwrap().columns[2];
+        let col = &ix.term_by_str("dense").unwrap().column(3).unwrap();
         let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
         let dc = store.column("dense", 3).unwrap();
         let blocks = dc.block_count() as u64;
@@ -596,7 +596,7 @@ mod tests {
         let (ix, store, _image) = store();
         let term = ix.term_by_str("shared").unwrap();
         let dc = store.column("shared", 3).unwrap();
-        for run in &term.columns[2].runs {
+        for run in term.column(3).unwrap().runs {
             assert_eq!(dc.find(run.value).unwrap(), Some(*run));
         }
         assert_eq!(dc.find(999_999).unwrap(), None);
@@ -628,14 +628,14 @@ mod tests {
         // memory column run for run: `scan` equals it, and `find` returns
         // each whole run.
         let ix = straddling_corpus();
-        let col = &ix.term_by_str("w").unwrap().columns[1];
-        assert_eq!(crate::codec::choose_scheme(col), Scheme::Delta);
+        let col = &ix.term_by_str("w").unwrap().column(2).unwrap();
+        assert_eq!(crate::codec::choose_scheme(col.runs), Scheme::Delta);
         assert!(col.runs.iter().any(|r| r.len > 1), "the column has multi-row runs");
         let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
         let dc = store.column("w", 2).unwrap();
         assert!(dc.block_count() > 1, "the column spans several blocks");
         assert_eq!(dc.scan().unwrap(), col.runs);
-        for run in &col.runs {
+        for run in col.runs {
             assert_eq!(dc.find(run.value).unwrap(), Some(*run));
         }
     }
@@ -690,7 +690,7 @@ mod tests {
         let dc = store.column("dense", 3).unwrap();
         assert!(dc.block_count() > 1, "corpus must span several blocks");
         // Probe a value that lives in the LAST block of a cold store.
-        let target = ix.term_by_str("dense").unwrap().columns[2].runs.last().unwrap().value;
+        let target = ix.term_by_str("dense").unwrap().column(3).unwrap().runs.last().unwrap().value;
         assert!(dc.find(target).unwrap().is_some());
         assert_eq!(store.reads(), 1, "cold probe decodes exactly one block");
         // A probe beyond every stored value decodes nothing: the footers
@@ -716,7 +716,7 @@ mod tests {
         // leaf level, where block boundaries leave value gaps.
         let levels = store.levels_of("gap");
         let dc = store.column("gap", levels).unwrap();
-        let col = &ix.term_by_str("gap").unwrap().columns[levels as usize - 1];
+        let col = ix.term_by_str("gap").unwrap().column(levels).unwrap();
         // Find a value absent from the column.
         let absent = (0..u32::MAX).find(|v| col.find(*v).is_none()).unwrap();
         let before = store.reads();
@@ -733,7 +733,7 @@ mod tests {
         let cache: Arc<dyn BlockCache> = Arc::new(ShardedLruCache::new(CacheCapacity::Unbounded));
         let store = open_image(&image, Arc::clone(&cache));
         let term = ix.term_by_str("shared").unwrap();
-        let values: Vec<u32> = term.columns[2].runs.iter().map(|r| r.value).collect();
+        let values: Vec<u32> = term.column(3).unwrap().runs.iter().map(|r| r.value).collect();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let store = &store;
@@ -764,8 +764,8 @@ mod tests {
         ] {
             let store = open_image(&image, cache);
             for (_, term) in ix.terms() {
-                for (li, col) in term.columns.iter().enumerate() {
-                    let dc = store.column(&term.term, (li + 1) as u16).unwrap();
+                for (li, col) in term.columns().enumerate() {
+                    let dc = store.column(term.name(), (li + 1) as u16).unwrap();
                     assert_eq!(dc.scan().unwrap(), col.runs);
                     for run in col.runs.iter().take(8) {
                         assert_eq!(dc.find(run.value).unwrap(), Some(*run));
@@ -825,7 +825,7 @@ mod tests {
         let cache: Arc<dyn BlockCache> = Arc::new(ShardedLruCache::unbounded());
         let a = open_image(&image, Arc::clone(&cache));
         let b = open_image(&image, cache);
-        let col = &ix.term_by_str("shared").unwrap().columns[2];
+        let col = &ix.term_by_str("shared").unwrap().column(3).unwrap();
         assert_eq!(a.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_eq!(b.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_ne!(a.store_id(), b.store_id(), "cache keys stay disjoint");

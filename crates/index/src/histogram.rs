@@ -22,26 +22,26 @@ pub const BUCKETS: usize = 16;
 pub const HISTOGRAM_MIN_ROWS: u64 = 256;
 
 /// An equi-width histogram over one column's JDewey values.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
     /// Smallest value in the column.
     pub min: u32,
     /// Largest value in the column.
     pub max: u32,
     /// Distinct values (runs) per bucket.
-    pub distinct: Vec<u32>,
+    pub distinct: [u32; BUCKETS],
 }
 
 impl Histogram {
     /// Builds the histogram; `None` for an empty column.
-    pub fn build(col: &Column) -> Option<Self> {
+    pub fn build(col: Column<'_>) -> Option<Self> {
         let first = col.runs.first()?;
         let last = col.runs.last()?;
         let (min, max) = (first.value, last.value);
-        let mut distinct = vec![0u32; BUCKETS];
+        let mut distinct = [0u32; BUCKETS];
         let span = (max - min) as u64 + 1;
         #[expect(clippy::indexing_slicing, reason = "the bucket index is clamped to BUCKETS - 1")]
-        for run in &col.runs {
+        for run in col.runs {
             let b = ((run.value - min) as u64 * BUCKETS as u64 / span) as usize;
             distinct[b.min(BUCKETS - 1)] += 1;
         }
@@ -110,18 +110,22 @@ mod tests {
     use super::*;
     use crate::columnar::Run;
 
-    fn col(values: impl Iterator<Item = u32>) -> Column {
+    fn col(values: impl Iterator<Item = u32>) -> Vec<Run> {
         let mut runs = Vec::new();
         for (i, v) in values.enumerate() {
             runs.push(Run { value: v, start: i as u32, len: 1 });
         }
-        Column { runs }
+        runs
+    }
+
+    fn hist(runs: &[Run]) -> Option<Histogram> {
+        Histogram::build(Column { runs })
     }
 
     #[test]
     fn build_counts_distinct_per_bucket() {
         let c = col((0..160).map(|i| i * 10)); // 160 values over [0, 1590]
-        let h = Histogram::build(&c).unwrap();
+        let h = hist(&c).unwrap();
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1590);
         assert_eq!(h.distinct.iter().sum::<u32>(), 160);
@@ -131,21 +135,21 @@ mod tests {
 
     #[test]
     fn empty_column_has_no_histogram() {
-        assert!(Histogram::build(&Column { runs: vec![] }).is_none());
+        assert!(hist(&[]).is_none());
     }
 
     #[test]
     fn disjoint_ranges_estimate_zero() {
-        let a = Histogram::build(&col(0..100)).unwrap();
-        let b = Histogram::build(&col(1_000..1_100)).unwrap();
+        let a = hist(&col(0..100)).unwrap();
+        let b = hist(&col(1_000..1_100)).unwrap();
         assert_eq!(Histogram::estimate_conjunction(&[&a, &b]), 0.0);
     }
 
     #[test]
     fn identical_uniform_columns_estimate_high() {
         // Dense identical columns: expected intersection = everything.
-        let a = Histogram::build(&col(0..1_000)).unwrap();
-        let b = Histogram::build(&col(0..1_000)).unwrap();
+        let a = hist(&col(0..1_000)).unwrap();
+        let b = hist(&col(0..1_000)).unwrap();
         let est = Histogram::estimate_conjunction(&[&a, &b]);
         assert!((800.0..=1_100.0).contains(&est), "est {est}");
     }
@@ -154,17 +158,17 @@ mod tests {
     fn sparse_vs_dense_estimates_near_truth() {
         // A: every value in [0, 10000); B: every 100th value (100 values).
         // True intersection = 100; independence gives 10000 * 1 * 0.01.
-        let a = Histogram::build(&col(0..10_000)).unwrap();
-        let b = Histogram::build(&col((0..100).map(|i| i * 100))).unwrap();
+        let a = hist(&col(0..10_000)).unwrap();
+        let b = hist(&col((0..100).map(|i| i * 100))).unwrap();
         let est = Histogram::estimate_conjunction(&[&a, &b]);
         assert!((50.0..=210.0).contains(&est), "est {est}");
     }
 
     #[test]
     fn three_way_estimate_bounded_by_smallest() {
-        let a = Histogram::build(&col(0..1_000)).unwrap();
-        let b = Histogram::build(&col((0..500).map(|i| i * 2))).unwrap();
-        let c = Histogram::build(&col((0..10).map(|i| i * 100))).unwrap();
+        let a = hist(&col(0..1_000)).unwrap();
+        let b = hist(&col((0..500).map(|i| i * 2))).unwrap();
+        let c = hist(&col((0..10).map(|i| i * 100))).unwrap();
         let est = Histogram::estimate_conjunction(&[&a, &b, &c]);
         assert!(est <= 10.5, "est {est} must be capped by the 10-value column");
         assert!(est > 0.0);
@@ -173,11 +177,11 @@ mod tests {
     #[test]
     fn skewed_distribution_respects_buckets() {
         // All of B's values live in A's empty upper half.
-        let a = Histogram::build(&col(0..500)).unwrap(); // [0, 499]
+        let a = hist(&col(0..500)).unwrap(); // [0, 499]
         let mut both = col(0..500);
-        both.runs.push(Run { value: 10_000, start: 500, len: 1 }); // stretch range
-        let a_stretched = Histogram::build(&both).unwrap();
-        let b = Histogram::build(&col(5_000..5_100)).unwrap();
+        both.push(Run { value: 10_000, start: 500, len: 1 }); // stretch range
+        let a_stretched = hist(&both).unwrap();
+        let b = hist(&col(5_000..5_100)).unwrap();
         // Plain a: no overlap at all.
         assert_eq!(Histogram::estimate_conjunction(&[&a, &b]), 0.0);
         // Stretched a: overlap range is in a's empty buckets -> ~0.

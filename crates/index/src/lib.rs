@@ -35,9 +35,10 @@
 //! needs on demand.  The baselines themselves run from doc-order node-id
 //! postings (`xtk-core`'s stack baseline, `xtk-baselines`).
 //!
-//! [`builder::XmlIndex`] ties these together; [`disk`] owns the file format
-//! (one writer, one directory parse), [`diskcol`] serves it block by block
-//! to the disk and sharded engines.
+//! [`builder::XmlIndex`] ties these together, every term's structures in
+//! one flat arena ([`terms`]) read through [`TermData`] views; [`disk`]
+//! owns the file format (one writer, one directory parse), [`diskcol`]
+//! serves it block by block to the disk and sharded engines.
 
 pub mod btree;
 pub mod builder;
@@ -51,8 +52,10 @@ pub mod diskcol;
 pub mod score;
 pub mod scored;
 pub mod sizes;
+pub mod terms;
 pub mod text;
 
-pub use builder::{IndexOptions, LocalScorer, TermData, TermId, XmlIndex};
+pub use builder::{IndexOptions, LocalScorer, TermId, XmlIndex};
+pub use terms::TermData;
 pub use columnar::{Column, Run};
 pub use score::Damping;

@@ -62,25 +62,25 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
     let mut rdil_key_lens: Vec<usize> = Vec::new();
 
     for (_, term) in ix.terms() {
-        let n = term.postings.len();
+        let n = term.len();
         // --- vocabulary entry, counted once per flavor that stores lists
         // per term (join, stack, top-K, RDIL) ---
-        let vocab_entry = term.term.len() as u64 + 5; // len varint + list offset u32
+        let vocab_entry = term.name().len() as u64 + 5; // len varint + list offset u32
 
         // --- join-based columnar lists ---
         let mut join = vocab_entry;
         scratch.clear();
         write_varint(n as u32, &mut scratch); // posting-count prefix
-        for &node in &term.postings {
+        for &node in term.postings() {
             write_varint(ix.tree().depth(node) as u32, &mut scratch);
         }
         join += scratch.len() as u64; // lengths array
-        join += varint_len(term.columns.len() as u32) as u64;
+        join += varint_len(u32::from(term.max_len())) as u64;
         // The column records are the writer's own, byte for byte.
         scratch.clear();
         let mut sparse_blocks = 0u64;
-        for col in &term.columns {
-            sparse_blocks += encode_column_record(col, &mut scratch) as u64;
+        for col in term.columns() {
+            sparse_blocks += encode_column_record(col.runs, &mut scratch) as u64;
         }
         join += scratch.len() as u64;
         s.join_il += join;
@@ -90,7 +90,7 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         let mut stack = vocab_entry;
         scratch.clear();
         let mut prev: &[u32] = &[];
-        for &node in &term.postings {
+        for &node in term.postings() {
             let id = dewey.dewey(node).components();
             let common = id.iter().zip(prev).take_while(|(a, b)| a == b).count();
             write_varint(common as u32, &mut scratch);
@@ -105,13 +105,13 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         s.stack_il += stack;
 
         // --- index-based single B-tree: one key per posting ---
-        for &node in &term.postings {
-            let key = composite_key(&term.term, dewey.dewey(node).components());
+        for &node in term.postings() {
+            let key = composite_key(term.name(), dewey.dewey(node).components());
             index_key_lens.push(key.len());
         }
 
         // --- top-K join: join IL + 4B score/posting + segment directory ---
-        let seg_dir: u64 = term.segments.iter().map(|seg| 6 + 4 * seg.rows.len() as u64).sum();
+        let seg_dir: u64 = term.segments().map(|seg| 6 + 4 * seg.rows.len() as u64).sum();
         s.topk_il += join + 4 * n as u64 + seg_dir;
         s.topk_sparse += sparse_blocks * SPARSE_ENTRY_BYTES as u64;
 
@@ -120,7 +120,7 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         // full id's size does not depend on its position, so the sum runs
         // in doc order. ---
         let mut ranked = vocab_entry + 4 * n as u64;
-        for &node in &term.postings {
+        for &node in term.postings() {
             ranked += dewey_key_bytes(dewey.dewey(node).components()).len() as u64 + 1;
         }
         s.rdil_il += ranked;
@@ -128,9 +128,9 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         // share one page-packed tree keyed by (term, Dewey), as a
         // BerkeleyDB file would — per-term trees would waste a page per
         // tiny list.
-        for &node in &term.postings {
+        for &node in term.postings() {
             rdil_key_lens.push(
-                term.term.len() + 1 + dewey_key_bytes(dewey.dewey(node).components()).len(),
+                term.name().len() + 1 + dewey_key_bytes(dewey.dewey(node).components()).len(),
             );
         }
     }
@@ -226,17 +226,17 @@ mod tests {
         let mut model = (varint_len(MAGIC) + varint_len(ix.vocab_size() as u32) + 1) as u64;
         let mut records = Vec::new();
         for (_, term) in ix.terms() {
-            model += varint_len(term.term.len() as u32) as u64 + term.term.len() as u64;
-            model += varint_len(term.postings.len() as u32) as u64;
-            for &node in &term.postings {
+            model += varint_len(term.name().len() as u32) as u64 + term.name().len() as u64;
+            model += varint_len(term.len() as u32) as u64;
+            for &node in term.postings() {
                 model += varint_len(ix.tree().depth(node) as u32) as u64;
             }
             if opts.include_scores {
-                model += 4 * term.postings.len() as u64;
+                model += 4 * term.len() as u64;
             }
-            model += varint_len(term.columns.len() as u32) as u64;
-            for col in &term.columns {
-                encode_column_record(col, &mut records);
+            model += varint_len(u32::from(term.max_len())) as u64;
+            for col in term.columns() {
+                encode_column_record(col.runs, &mut records);
             }
         }
         model += records.len() as u64;
@@ -270,15 +270,15 @@ mod tests {
         let s = compute(&ix);
         let (mut bare, mut blocks, mut records) = (0u64, 0u64, Vec::new());
         for (_, term) in ix.terms() {
-            for col in &term.columns {
-                let cc = encode_column(col, choose_scheme(col));
+            for col in term.columns() {
+                let cc = encode_column(col.runs, choose_scheme(col.runs));
                 let mut b = 1 + varint_len(cc.block_count() as u32);
                 for e in &cc.blocks {
                     b += varint_len(e.offset) + varint_len(e.first);
                 }
                 b += varint_len(cc.payload_bytes() as u32) + cc.payload_bytes();
                 bare += b as u64;
-                blocks += encode_column_record(col, &mut records) as u64;
+                blocks += encode_column_record(col.runs, &mut records) as u64;
             }
         }
         let with_footers = records.len() as u64;

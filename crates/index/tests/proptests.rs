@@ -61,7 +61,7 @@ fn placements(g: &mut Gen, max: usize, words: u8) -> Vec<(usize, u8)> {
 /// Random well-formed column of fewer than `max_runs` runs (the cap grows
 /// with the generator's size), each shorter than `max_len` rows: sorted
 /// distinct values, contiguous-or-gapped rows.
-fn random_column(g: &mut Gen, max_runs: usize, max_len: u32) -> Column {
+fn random_column(g: &mut Gen, max_runs: usize, max_len: u32) -> Vec<Run> {
     let n = g.gen_range(0..max_runs.min(max_runs / 100 * g.size() + 1));
     let mut runs = Vec::new();
     let mut value = 0u32;
@@ -73,22 +73,22 @@ fn random_column(g: &mut Gen, max_runs: usize, max_len: u32) -> Column {
         runs.push(Run { value, start: row, len });
         row += len;
     }
-    Column { runs }
+    runs
 }
 
 #[test]
 fn codec_roundtrip_both_schemes() {
     prop_check(0x31, 128, |g| {
-        let col = random_column(g, 200, 20);
-        let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
+        let runs = random_column(g, 200, 20);
+        let present: Vec<u32> = runs.iter().flat_map(|r| r.rows()).collect();
         for scheme in [Scheme::Delta, Scheme::Rle] {
-            let cc = encode_column(&col, scheme);
+            let cc = encode_column(&runs, scheme);
             let back = decode_column(&cc, &present).expect("well-formed payload decodes");
-            prop_assert_eq!(&back, &col, "{:?}", scheme);
+            prop_assert_eq!(&back, &runs, "{:?}", scheme);
         }
         // The adaptive choice also round-trips.
-        let cc = encode_column(&col, choose_scheme(&col));
-        prop_assert_eq!(decode_column(&cc, &present), Some(col));
+        let cc = encode_column(&runs, choose_scheme(&runs));
+        prop_assert_eq!(decode_column(&cc, &present), Some(runs));
     });
 }
 
@@ -109,15 +109,15 @@ fn blocks_end_at_run_boundaries() {
     // schemes: the directory's row counts add up to the column, no block
     // ends inside a run, and the column decodes back.
     prop_check(0x37, 128, |g| {
-        let col = random_column(g, 2_000, 4);
-        let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
+        let runs = random_column(g, 2_000, 4);
+        let present: Vec<u32> = runs.iter().flat_map(|r| r.rows()).collect();
         for scheme in [Scheme::Delta, Scheme::Rle] {
-            let cc = encode_column(&col, scheme);
+            let cc = encode_column(&runs, scheme);
             let rows: u64 = cc.blocks.iter().map(|b| u64::from(b.rows)).sum();
-            prop_assert_eq!(rows, col.row_count(), "{:?}", scheme);
+            prop_assert_eq!(rows, Column { runs: &runs }.row_count(), "{:?}", scheme);
             prop_assert!(!cuts_a_run(&cc, &present), "{:?}: a block ends inside a run", scheme);
             let back = decode_column(&cc, &present).expect("payload decodes");
-            prop_assert_eq!(&back, &col, "{:?}", scheme);
+            prop_assert_eq!(&back, &runs, "{:?}", scheme);
         }
     });
 }
@@ -130,10 +130,10 @@ fn corrupted_packed_lanes_reject_without_panicking() {
     // never a panic.  The lanes are exact-length, so a truncated or
     // over-long lane is always detected.
     prop_check(0x38, 128, |g| {
-        let col = random_column(g, 200, 20);
-        let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
+        let runs = random_column(g, 200, 20);
+        let present: Vec<u32> = runs.iter().flat_map(|r| r.rows()).collect();
         let scheme = if g.gen_range(0..2u32) == 0 { Scheme::Delta } else { Scheme::Rle };
-        let mut cc = encode_column(&col, scheme);
+        let mut cc = encode_column(&runs, scheme);
         if cc.bytes.is_empty() {
             return; // empty column: nothing to corrupt
         }
@@ -157,7 +157,7 @@ fn corrupted_packed_lanes_reject_without_panicking() {
         let decoded = decode_column(&cc, &present); // Some or None, never a panic
         if let Some(back) = decoded {
             // A lucky mutation must still yield a structurally sane column.
-            for w in back.runs.windows(2) {
+            for w in back.windows(2) {
                 prop_assert!(w[0].end() <= w[1].start, "rows must not overlap");
             }
         }
@@ -207,17 +207,17 @@ fn sparse_index_locates_every_value() {
         let columns = ["w", "v"]
             .into_iter()
             .filter_map(|word| Some((word, ix.term_by_str(word)?)))
-            .flat_map(|(word, term)| term.columns.iter().zip(1u16..).map(move |(col, l)| (word, l, col)));
+            .flat_map(|(word, term)| term.columns().zip(1u16..).map(move |(col, l)| (word, l, col)));
         for (word, level, col) in columns {
             let dc = store.column(word, level).unwrap();
             let what = format!("{word} level {level}");
             // The directory the writer emitted for this column.
-            let cc = encode_column(col, choose_scheme(col));
+            let cc = encode_column(col.runs, choose_scheme(col.runs));
             prop_assert_eq!(dc.block_count(), cc.block_count(), "{}", what);
             multi_block.set(multi_block.get() + u32::from(cc.block_count() > 1));
             let present: Vec<u32> = col.runs.iter().flat_map(|r| r.rows()).collect();
             prop_assert!(!cuts_a_run(&cc, &present), "{}: a block ends inside a run", what);
-            for run in &col.runs {
+            for run in col.runs {
                 let (before, decodes) = (landed(), store.reads());
                 prop_assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{}", what);
                 prop_assert_eq!(landed() - before, 1, "{}: value {} landed", what, run.value);
@@ -249,8 +249,8 @@ fn columns_are_sorted_with_contiguous_runs() {
         let ix = XmlIndex::build(build_tree(&shape, &texts));
         for (_, term) in ix.terms() {
             // Postings sorted (doc order).
-            prop_assert!(term.postings.windows(2).all(|w| w[0] < w[1]));
-            for (li, col) in term.columns.iter().enumerate() {
+            prop_assert!(term.postings().windows(2).all(|w| w[0] < w[1]));
+            for (li, col) in term.columns().enumerate() {
                 let level = (li + 1) as u16;
                 // Values strictly increase; rows never overlap.
                 for w in col.runs.windows(2) {
@@ -259,17 +259,17 @@ fn columns_are_sorted_with_contiguous_runs() {
                 }
                 // Row count equals postings at >= level.
                 let expect = term
-                    .postings
+                    .postings()
                     .iter()
                     .filter(|&&n| ix.tree().depth(n) >= level)
                     .count() as u64;
                 prop_assert_eq!(col.row_count(), expect);
                 // Every run's value resolves to a node at this level, and
                 // all rows in the run are descendants-or-self of it.
-                for run in &col.runs {
+                for run in col.runs {
                     let node = ix.node_at(level, run.value).expect("value resolves");
                     for row in run.rows() {
-                        let p = term.postings[row as usize];
+                        let p = term.postings()[row as usize];
                         prop_assert!(
                             ix.tree().is_ancestor_or_self(node, p),
                             "level {level} run {} row {row}",
@@ -291,10 +291,10 @@ fn run_containment_across_adjacent_levels() {
         let texts = placements(g, 100, 4);
         let ix = XmlIndex::build(build_tree(&shape, &texts));
         for (_, term) in ix.terms() {
-            for l in 2..=term.columns.len() {
-                let upper = &term.columns[l - 2];
-                let lower = &term.columns[l - 1];
-                for lr in &lower.runs {
+            for l in 2..=usize::from(term.max_len()) {
+                let upper = term.column(l as u16 - 1).unwrap();
+                let lower = term.column(l as u16).unwrap();
+                for lr in lower.runs {
                     let covering: Vec<&Run> = upper
                         .runs
                         .iter()
@@ -308,7 +308,7 @@ fn run_containment_across_adjacent_levels() {
                         l
                     );
                     // And nothing partially overlaps.
-                    for ur in &upper.runs {
+                    for ur in upper.runs {
                         let overlap = ur.start < lr.end() && lr.start < ur.end();
                         let contains = ur.start <= lr.start && lr.end() <= ur.end();
                         prop_assert!(!overlap || contains);
@@ -327,19 +327,19 @@ fn segments_partition_rows_in_score_order() {
         let ix = XmlIndex::build(build_tree(&shape, &texts));
         for (_, term) in ix.terms() {
             let mut seen = vec![false; term.len()];
-            for seg in &term.segments {
+            for seg in term.segments() {
                 let mut prev = f32::INFINITY;
-                for &row in &seg.rows {
+                for &row in seg.rows {
                     prop_assert!(!seen[row as usize], "row in two segments");
                     seen[row as usize] = true;
-                    let depth = ix.tree().depth(term.postings[row as usize]);
+                    let depth = ix.tree().depth(term.postings()[row as usize]);
                     prop_assert_eq!(depth, seg.len, "segment groups one depth");
-                    let g = term.scores[row as usize];
+                    let g = term.scores()[row as usize];
                     prop_assert!(g <= prev, "segment rows sorted by score desc");
                     prev = g;
                 }
                 prop_assert!((seg.max_score
-                    - term.scores[seg.rows[0] as usize]).abs() < 1e-6);
+                    - term.scores()[seg.rows[0] as usize]).abs() < 1e-6);
             }
             prop_assert!(seen.iter().all(|&s| s), "segments cover all rows");
         }
@@ -349,8 +349,9 @@ fn segments_partition_rows_in_score_order() {
 #[test]
 fn value_of_row_agrees_with_runs() {
     prop_check(0x36, 128, |g| {
-        let col = random_column(g, 200, 20);
-        for run in &col.runs {
+        let runs = random_column(g, 200, 20);
+        let col = Column { runs: &runs };
+        for run in col.runs {
             for row in run.rows() {
                 prop_assert_eq!(col.value_of_row(row), Some(run.value));
             }
@@ -376,7 +377,7 @@ fn row_directory_agrees_with_value_of_row() {
         };
         let (max_gap, max_len) = (g.gen_range(0..20u32), g.gen_range(1..12u32));
         let (mut value, mut row) = (0u32, 0u32);
-        let runs = (0..n)
+        let runs: Vec<Run> = (0..n)
             .map(|_| {
                 value += g.gen_range(1..50u32);
                 row += g.gen_range(0..max_gap + 1);
@@ -385,15 +386,18 @@ fn row_directory_agrees_with_value_of_row() {
                 run
             })
             .collect();
-        let col = Column { runs };
-        let Some(dir) = RowDirectory::build(&col) else {
+        let col = Column { runs: &runs };
+        let mut entries = vec![7]; // appended after what is there
+        if !RowDirectory::build(col, &mut entries) {
             prop_assert!(n < floor, "{} runs carry no directory", n);
+            prop_assert_eq!(entries, vec![7]);
             return;
-        };
-        prop_assert!(n >= floor, "{} runs carry a directory", n);
-        for row in 0..=row + ROW_DIRECTORY_STRIDE {
-            prop_assert_eq!(dir.value_of_row(&col, row), col.value_of_row(row), "row {}", row);
         }
-        prop_assert_eq!(dir.value_of_row(&col, u32::MAX), None);
+        prop_assert!(n >= floor, "{} runs carry a directory", n);
+        let dir = RowDirectory::new(&entries[1..]);
+        for row in 0..=row + ROW_DIRECTORY_STRIDE {
+            prop_assert_eq!(dir.value_of_row(col, row), col.value_of_row(row), "row {}", row);
+        }
+        prop_assert_eq!(dir.value_of_row(col, u32::MAX), None);
     });
 }

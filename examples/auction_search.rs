@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nwrote columnar index: {bytes} bytes");
     let store = DiskColumnStore::open_bytes(image.into(), Arc::new(ShardedLruCache::unbounded()))?;
     let vintage = engine.index().term_by_str("vintage").expect("planted");
-    for (col, level) in vintage.columns.iter().zip(1u16..) {
+    for (col, level) in vintage.columns().zip(1u16..) {
         let scanned = store.column("vintage", level).expect("stored level").scan()?;
         assert_eq!(scanned, col.runs, "stored columns read back bit-identical");
     }

@@ -156,8 +156,8 @@ fn persistence_roundtrip_on_generated_corpus() {
     assert_eq!(store.term_names().len(), engine.index().vocab_size());
     for term in ["planted1", "planted2", "planted3"] {
         let orig = engine.index().term_by_str(term).unwrap();
-        assert_eq!(usize::from(store.levels_of(term)), orig.columns.len(), "{term} levels");
-        for (col, level) in orig.columns.iter().zip(1u16..) {
+        assert_eq!(store.levels_of(term), orig.max_len(), "{term} levels");
+        for (col, level) in orig.columns().zip(1u16..) {
             let scanned = store.column(term, level).unwrap().scan().unwrap();
             assert_eq!(scanned, col.runs, "{term} level {level}");
         }
