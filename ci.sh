@@ -103,6 +103,16 @@ if grep -rnw -e MAGIC_V2 -e BlockLayout -e decode_block_varint -e encode_column_
     echo "ERROR: a second on-disk format or reader is back (lines above)" >&2; exit 1
 fi
 
+echo "== a shard is a row range of the corpus index: no shard index is built"
+# write_sharded_with writes each shard's records straight from the corpus
+# index's arena (xtk_index::Slice), and ShardedEngine opens the stores
+# beside it.  Any of these names under a crate's sources means a shard
+# index, its score stamping or its subforest came back.
+if grep -rnw -e build_shard_index -e override_scores -e subforest \
+        --include='*.rs' crates/*/src >&2; then
+    echo "ERROR: a per-shard index build is back under crates/*/src (lines above)" >&2; exit 1
+fi
+
 echo "== one arena per index: per-term, per-level structures live in flat arrays"
 # XmlIndex keeps every term's postings, scores, runs, segment rows, row
 # directories and histograms in a few CSR arrays (index/src/terms.rs), the

@@ -11,12 +11,12 @@
 //! starts at `l_0 = min_i l_m^i`, so the leaf-most blocks of deeper lists
 //! are never touched.
 
-use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinStats};
+use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinStats, KeywordRows};
 use crate::query::Query;
 use crate::result::ScoredResult;
 use std::io;
 use xtk_index::diskcol::{BlockFeed, DiskColumn, DiskColumnStore, IoSession};
-use xtk_index::{TermData, TermId, XmlIndex};
+use xtk_index::{Slice, XmlIndex};
 use xtk_obs::{EventKind, Obs};
 
 /// The physical access-path configuration the plan lowering hands the
@@ -37,13 +37,17 @@ pub struct DiskJoinSpec {
 
 /// The on-disk [`ColumnSource`]: lazily decoded [`DiskColumn`]s whose
 /// accesses count toward one query's [`IoSession`], so concurrent queries
-/// on a shared store cannot inflate each other's `store.*` deltas.
+/// on a shared store cannot inflate each other's `store.*` deltas.  The
+/// store holds a whole index (bases 0) or a [`Slice`](xtk_index::Slice)
+/// of one (a shard).
 pub struct DiskSource<'a> {
     store: &'a DiskColumnStore,
     session: &'a IoSession,
-    /// The index's lists, in query order: the store is keyed by their
-    /// text and must stay within their rows.
-    terms: Vec<TermData<'a>>,
+    /// Per keyword, in query order: its store term (`None` where the store
+    /// lacks it) and the rows its columns must stay within.
+    terms: Vec<(Option<usize>, KeywordRows<'a>)>,
+    /// What the store holds of the index.
+    slice: &'a Slice,
     /// The current level's column handles, in query order.
     cols: Vec<DiskColumn<'a>>,
     block_skip: bool,
@@ -51,7 +55,7 @@ pub struct DiskSource<'a> {
 }
 
 impl<'a> DiskSource<'a> {
-    /// A source over `query`'s lists in `store` (keyed by term text).
+    /// A source over `query`'s lists in a store of the whole of `ix`.
     pub fn new(
         ix: &'a XmlIndex,
         store: &'a DiskColumnStore,
@@ -59,23 +63,43 @@ impl<'a> DiskSource<'a> {
         spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
-        let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+        static WHOLE: Slice = Slice::whole();
+        let term = |t| (store.term_index(ix.term(t).name()), KeywordRows::of(ix.term(t)));
+        Self::over(store, query.terms.iter().map(|&t| term(t)).collect(), &WHOLE, spec, session)
+    }
+
+    /// A source over store terms and their rows, in a store of `slice`.
+    pub fn over(
+        store: &'a DiskColumnStore,
+        terms: Vec<(Option<usize>, KeywordRows<'a>)>,
+        slice: &'a Slice,
+        spec: &DiskJoinSpec,
+        session: &'a IoSession,
+    ) -> Self {
         let cols = Vec::with_capacity(terms.len());
-        Self { store, session, terms, cols, block_skip: spec.block_skip, prescan: spec.prescan }
+        Self { store, session, terms, slice, cols, block_skip: spec.block_skip, prescan: spec.prescan }
     }
 }
 
-impl<'a> ColumnSource for DiskSource<'a> {
+impl<'a> ColumnSource<'a> for DiskSource<'a> {
     type Error = io::Error;
     type Feed = BlockFeed<'a>;
+
+    fn rows(&self, kw: usize) -> KeywordRows<'a> {
+        self.terms.get(kw).map_or_else(KeywordRows::default, |t| t.1)
+    }
+
+    fn base(&self, level: u16) -> u32 {
+        self.slice.base(level)
+    }
 
     fn begin(&mut self) -> io::Result<()> {
         if self.prescan {
             // Whole-sequence materialization: every level of every keyword,
             // including the levels above `l0` the join never consumes.
-            for t in &self.terms {
-                for l in 1..=self.store.levels_of(t.name()) {
-                    if let Some(col) = self.store.column(t.name(), l) {
+            for t in self.terms.iter().filter_map(|t| t.0) {
+                for l in 1..=self.store.term_levels(t) {
+                    if let Some(col) = self.store.term_column(t, l) {
                         col.scoped(self.session).scan()?;
                     }
                 }
@@ -87,8 +111,8 @@ impl<'a> ColumnSource for DiskSource<'a> {
     fn enter(&mut self, level: u16) -> io::Result<()> {
         self.cols.clear();
         for t in &self.terms {
-            // The index directory says the term reaches `level`.
-            let col = self.store.column(t.name(), level).ok_or_else(|| {
+            // The rows say the term reaches `level`.
+            let col = t.0.and_then(|t| self.store.term_column(t, level)).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "store lacks a column the index lists")
             })?;
             self.cols.push(col.scoped(self.session));
@@ -103,13 +127,13 @@ impl<'a> ColumnSource for DiskSource<'a> {
 
     /// Under `block_skip` a join step lands only the blocks a probe falls
     /// in; the driver and the plain join read every block.  A block
-    /// reaching past the index's posting list — a store written from
-    /// another corpus — is refused: the driver scores by row.
+    /// reaching past the keyword's rows — a store written from another
+    /// corpus — is refused: scoring reads the rows' postings.
     fn feed(&self, kw: usize, step: bool) -> io::Result<BlockFeed<'a>> {
         let (Some(col), Some(term)) = (self.cols.get(kw), self.terms.get(kw)) else {
             return Err(io::Error::other("no column entered"));
         };
-        Ok(col.feed(step && self.block_skip, term.len()))
+        Ok(col.feed(step && self.block_skip, term.1.postings.len()))
     }
 
     fn end(&self, obs: &Obs) {
@@ -120,7 +144,8 @@ impl<'a> ColumnSource for DiskSource<'a> {
 }
 
 /// Runs Algorithm 1 against an on-disk columnar index: `ix` supplies the
-/// document tree and the scoring data, the lists are read from `store`.
+/// document tree and the scoring data, the lists are read from `store`,
+/// with `block_skip` on and `prescan` off — the optimized pipeline.
 /// Returns the results, the join statistics and the number of
 /// cache-missing block decodes.  I/O errors and corrupt blocks surface as
 /// `Err` instead of panicking.
@@ -130,26 +155,15 @@ pub fn join_search_disk(
     query: &Query,
     opts: &JoinOptions,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    join_search_disk_obs(ix, store, query, opts, &Obs::default())
-}
-
-/// [`join_search_disk`] with observability: the `join.*` counters and
-/// level/step events of the in-memory executor, plus the per-query I/O
-/// delta under `store.*` and one `store_io` event, with `block_skip` on
-/// and `prescan` off — the optimized pipeline.
-pub fn join_search_disk_obs(
-    ix: &XmlIndex,
-    store: &DiskColumnStore,
-    query: &Query,
-    opts: &JoinOptions,
-    obs: &Obs,
-) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
     let spec = DiskJoinSpec { join: *opts, block_skip: true, prescan: false };
-    join_search_disk_spec(ix, store, query, &spec, obs)
+    join_search_disk_spec(ix, store, query, &spec, &Obs::default())
 }
 
-/// [`join_search_disk_obs`] with the full access-path spec.  Results are
-/// bit-identical across every spec; only the I/O counters move.
+/// [`join_search_disk`] with the full access-path spec and observability:
+/// the `join.*` counters and level/step events of the in-memory executor,
+/// plus the per-query I/O delta under `store.*` and one `store_io` event.
+/// Results are bit-identical across every spec; only the I/O counters
+/// move.
 pub fn join_search_disk_spec(
     ix: &XmlIndex,
     store: &DiskColumnStore,
@@ -161,23 +175,4 @@ pub fn join_search_disk_spec(
     let mut src = DiskSource::new(ix, store, query, spec, &session);
     let (results, stats) = algorithm1(ix, query, &spec.join, &mut src, obs)?;
     Ok((results, stats, session.stats().decodes))
-}
-
-/// The cross-query prefetch pass: warms and pins every column block of the
-/// given terms (a batch passes the union of its distinct queries' terms)
-/// so execution cannot evict its own working set.  Returns the number of
-/// blocks pinned.  Balance with [`release_terms`].
-pub fn prefetch_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) -> io::Result<u64> {
-    let mut pinned = 0u64;
-    for &t in terms {
-        pinned += store.prefetch_term(ix.term(t).name())?;
-    }
-    Ok(pinned)
-}
-
-/// Releases the pins taken by [`prefetch_terms`] (same term set).
-pub fn release_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) {
-    for &t in terms {
-        store.unpin_term(ix.term(t).name());
-    }
 }

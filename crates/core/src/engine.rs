@@ -59,7 +59,7 @@ impl Engine {
     ///
     /// The batched-serving result cache invalidates by index generation,
     /// so stamp the rebuilt index first —
-    /// `ix.set_generation(old_generation + maintainer.generation())` —
+    /// `ix.with_generation(old_generation + maintainer.generation())` —
     /// or cached answers from the old tree would keep being served.
     pub fn replace_index(&mut self, ix: XmlIndex) {
         self.ix = ix;

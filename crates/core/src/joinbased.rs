@@ -77,6 +77,25 @@ pub struct JoinStats {
     pub results: u64,
 }
 
+/// One keyword's rows as a [`ColumnSource`] numbers them: row `r` of its
+/// columns is posting `postings[r]`, scored `scores[r]`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeywordRows<'a> {
+    /// Nodes directly containing the keyword, in document order.
+    pub postings: &'a [xtk_xml::NodeId],
+    /// Their local scores `g(v, w)`.
+    pub scores: &'a [f32],
+    /// The deepest level a posting reaches (`l_m`): the number of columns.
+    pub levels: u16,
+}
+
+impl<'a> KeywordRows<'a> {
+    /// Every row of `term`.
+    pub fn of(term: TermData<'a>) -> Self {
+        Self { postings: term.postings(), scores: term.scores(), levels: term.max_len() }
+    }
+}
+
 /// What a storage backend decides for [`algorithm1`] — and nothing else.
 ///
 /// Keywords are addressed by their position `kw` in the query; after
@@ -84,11 +103,19 @@ pub struct JoinStats {
 /// A [`feed`](Self::feed) lends the column to one forward [`RunCursor`]:
 /// sorted by value, each run bit-identical to the column's run of that
 /// value, and a lookup of a value the column holds finds its run.
-pub trait ColumnSource {
+pub trait ColumnSource<'a> {
     /// What a failed column access surfaces as.
     type Error;
     /// How the source lends a column (see [`Feed`]).
     type Feed: Feed<Error = Self::Error>;
+
+    /// The rows keyword `kw`'s columns address.
+    fn rows(&self, kw: usize) -> KeywordRows<'a>;
+    /// What a value of a level-`level` column adds to become the index's
+    /// JDewey number: 0 but for a [`Slice`](xtk_index::Slice)'s store.
+    fn base(&self, _level: u16) -> u32 {
+        0
+    }
 
     /// Runs once before the level loop (disk: the `prescan` strawman).
     fn begin(&mut self) -> Result<(), Self::Error> {
@@ -125,9 +152,13 @@ impl<'a> MemSource<'a> {
     }
 }
 
-impl<'a> ColumnSource for MemSource<'a> {
+impl<'a> ColumnSource<'a> for MemSource<'a> {
     type Error = Infallible;
     type Feed = std::option::IntoIter<&'a [Run]>;
+
+    fn rows(&self, kw: usize) -> KeywordRows<'a> {
+        self.terms.get(kw).map_or_else(KeywordRows::default, |&t| KeywordRows::of(t))
+    }
 
     fn enter(&mut self, level: u16) -> Result<(), Infallible> {
         self.level = level;
@@ -169,10 +200,10 @@ pub fn join_search_obs(
 }
 
 /// Algorithm 1 over any [`ColumnSource`].  `ix` supplies the document
-/// tree, each list's depth `l_m` and the scoring data; the columns come
-/// from `src`.  An empty query, or one with an empty inverted list,
-/// answers empty without touching the source.
-pub fn algorithm1<S: ColumnSource>(
+/// tree, the damping and the `(level, number)` → node lookup; each
+/// keyword's rows and columns come from `src`.  An empty query, or one
+/// with an empty inverted list, answers empty without reading a column.
+pub fn algorithm1<'a, S: ColumnSource<'a>>(
     ix: &XmlIndex,
     query: &Query,
     opts: &JoinOptions,
@@ -181,14 +212,14 @@ pub fn algorithm1<S: ColumnSource>(
 ) -> Result<(Vec<ScoredResult>, JoinStats), S::Error> {
     let mut stats = JoinStats::default();
     let mut results = Vec::new();
-    let terms: Vec<TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
+    let terms: Vec<KeywordRows> = (0..query.terms.len()).map(|kw| src.rows(kw)).collect();
     let k = terms.len();
-    if k == 0 || terms.iter().any(|t| t.is_empty()) {
+    if k == 0 || terms.iter().any(|t| t.postings.is_empty()) {
         return Ok((results, stats));
     }
     src.begin()?;
     // No result can sit below the shallowest list's deepest level.
-    let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
+    let l0 = terms.iter().map(|t| t.levels).min().unwrap_or(0);
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
     let mut joined = Joined::default();
@@ -199,7 +230,7 @@ pub fn algorithm1<S: ColumnSource>(
         src.enter(l)?;
         join_level(&*src, query, l, &mut stats, obs, &mut joined)?;
         stats.matches += joined.rows().len() as u64;
-        let view = LevelView { ix, terms: &terms, level: l, opts };
+        let view = LevelView { ix, terms: &terms, level: l, base: src.base(l), opts };
         stats.results += match_level(&view, &mut erasers, &joined, &mut scratch, &mut results);
         obs.event(EventKind::LevelEnd {
             level: l as u32,
@@ -250,7 +281,7 @@ impl Joined {
 
 /// One level's left-deep intersection on JDewey number, into `joined`: the
 /// joined values in increasing order, each with its run per keyword.
-fn join_level<S: ColumnSource>(
+fn join_level<'a, S: ColumnSource<'a>>(
     src: &S,
     query: &Query,
     level: u16,
@@ -337,8 +368,10 @@ fn join_level<S: ColumnSource>(
 /// fixed for the level.
 struct LevelView<'a> {
     ix: &'a XmlIndex,
-    terms: &'a [TermData<'a>],
+    terms: &'a [KeywordRows<'a>],
     level: u16,
+    /// The level's [`ColumnSource::base`].
+    base: u32,
     opts: &'a JoinOptions,
 }
 
@@ -383,7 +416,8 @@ fn match_level(
     let mut nodes: LevelCursor<'_> = view.ix.jd().level_cursor(level);
     // Every matched value identifies a node in a consistent index.
     results.extend(scratch.emits.iter().filter_map(|&(value, score)| {
-        nodes.node_at(value).map(|node| ScoredResult { node, level, score })
+        let node = value.checked_add(view.base).and_then(|n| nodes.node_at(n));
+        node.map(|node| ScoredResult { node, level, score })
     }));
     for (kw, eraser) in scratch.keywords.iter().zip(erasers) {
         eraser.erase_sorted(&kw.erase);
@@ -450,8 +484,8 @@ impl LevelView<'_> {
             for live in kw.erased.live_in(eraser, run.start, run.end()) {
                 let rows = live.start as usize..live.end as usize;
                 // A source bounds its covers by the posting list.
-                let nodes = term.postings().get(rows.clone()).unwrap_or(&[]);
-                let locals = term.scores().get(rows).unwrap_or(&[]);
+                let nodes = term.postings.get(rows.clone()).unwrap_or(&[]);
+                let locals = term.scores.get(rows).unwrap_or(&[]);
                 for (&node, &local) in nodes.iter().zip(locals) {
                     let damped = damping.damp(local, tree.depth(node), self.level);
                     if damped > best {

@@ -382,11 +382,13 @@ impl Executor for DiskEngine<'_> {
     }
 
     fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
-        crate::diskexec::prefetch_terms(self.ix, self.store, terms)
+        let held = terms.iter().filter_map(|&t| self.store.term_index(self.ix.term(t).name()));
+        held.map(|t| self.store.prefetch_term(t)).sum()
     }
 
     fn release(&self, terms: &[TermId]) {
-        crate::diskexec::release_terms(self.ix, self.store, terms)
+        let held = terms.iter().filter_map(|&t| self.store.term_index(self.ix.term(t).name()));
+        held.for_each(|t| self.store.unpin_term(t));
     }
 }
 

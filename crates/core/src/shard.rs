@@ -6,33 +6,37 @@
 //!
 //! A "document" is one child subtree of the corpus root (a `<paper>`
 //! under `<bib>`, say).  [`write_sharded`] splits the root's children
-//! into N contiguous, balanced ranges and materializes each range as a
+//! into N contiguous, balanced ranges and writes each range as a
 //! tenant-style directory:
 //!
 //! ```text
 //! <dir>/MANIFEST            # text manifest: version, topology, spans
-//! <dir>/shard-0000/index.bin   # a full JDewey index + column store
+//! <dir>/shard-0000/index.bin   # the column store of the shard's slice
 //! <dir>/shard-0001/index.bin
 //! ...
 //! ```
 //!
-//! Each shard is an ordinary [`XmlIndex`] + [`DiskColumnStore`] pair
-//! built over the *subforest* of its documents
-//! ([`XmlTree::subforest`](xtk_xml::XmlTree::subforest)), so the whole
-//! existing disk executor runs unchanged inside a shard.  Because every
-//! opened store draws a fresh store id, the shared [`BlockCache`] keys of
-//! different shards are disjoint by construction.
+//! A shard is a row range of the corpus index, its [`Slice`]: JDewey
+//! numbers are unique per level and monotone in parent order (§III-A), so
+//! contiguous documents hold one row range of every term's lists and one
+//! block of numbers at every level.  Its store is written straight from
+//! the corpus index ([`write_slice_to`]: columns clipped to the rows,
+//! values less the level's base).  Without a JDewey gap that is record
+//! for record what an index over the documents alone, scored by the
+//! corpus, writes (so v1 directories open only then).  [`ShardedEngine`]
+//! opens the stores beside the corpus index and keeps per shard the
+//! corpus [`TermId`]s it holds, with store term and maximum score.  Every
+//! opened store draws a fresh store id, so the shared [`BlockCache`] keys
+//! of different shards are disjoint by construction.
 //!
-//! # Score invariance
+//! # Global scores, local execution
 //!
-//! tf-idf weights depend on corpus-global statistics, so a shard-local
-//! build would score the same occurrence differently in different
-//! topologies.  [`write_sharded`] therefore stamps the *global* scores
-//! onto every shard term ([`XmlIndex::override_scores`]): a local posting
-//! maps back to its global node by a constant offset (contiguous
-//! children of the root keep their pre-order layout), and the global
-//! score is copied bit-for-bit.  Result scores are then bit-identical no
-//! matter which shard computed them.
+//! tf-idf weights depend on corpus-global statistics.  A shard's rows are
+//! the corpus's, scored by the corpus, and Algorithm 1 runs in the shard
+//! over the one [`DiskSource`]: keyword rows from the slice, columns from
+//! the store, values plus the slice's base resolved to corpus nodes.
+//! Result scores are then bit-identical no matter which shard computed
+//! them.
 //!
 //! Results at level 1 (the synthetic shard root) are partition artifacts
 //! — a cross-document LCA exists only in the unsharded tree — so the
@@ -53,22 +57,23 @@
 //! remaining shard can alter the top-K, so the gather stops early.  The
 //! threshold is the classic TA stopping rule lifted from rows to shards.
 
-use crate::diskexec::{join_search_disk_spec, prefetch_terms, release_terms, DiskJoinSpec};
-use crate::joinbased::JoinOptions;
+use crate::diskexec::{DiskJoinSpec, DiskSource};
+use crate::joinbased::{algorithm1, JoinOptions, KeywordRows};
 use crate::pool::{parallel_map, Parallelism};
 use crate::query::Query;
 use crate::request::{
     ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
 };
 use crate::result::{rank_top, sort_ranked, ScoredResult};
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::disk::{write_index, WriteIndexOptions};
-use xtk_index::diskcol::DiskColumnStore;
-use xtk_index::{IndexOptions, TermId, XmlIndex};
+use xtk_index::disk::{write_slice_to, WriteIndexOptions};
+use xtk_index::diskcol::{DiskColumnStore, IoSession};
+use xtk_index::{Slice, TermId, XmlIndex};
 use xtk_obs::{EventKind, MetricsRegistry, MetricsSnapshot, Obs, Tracer};
 use xtk_xml::NodeId;
 
@@ -76,8 +81,9 @@ use xtk_xml::NodeId;
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Store file name inside each shard directory.
 pub const STORE_FILE: &str = "index.bin";
-/// Manifest header magic + version; bump on layout changes.
-pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v1";
+/// Manifest header magic + version; bump on layout changes (v1 stores
+/// number each shard densely: read only for a corpus without a gap).
+pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v2";
 /// Shards dispatched per scatter wave.  A fixed constant (never derived
 /// from the pool width) so the wave boundaries — and therefore the TA
 /// stopping decision and the merged trace — are parallelism-invariant.
@@ -120,43 +126,12 @@ fn doc_partition(docs: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Builds the in-memory index of one shard: the subforest of its
-/// documents, indexed normally, then re-stamped with the corpus-global
-/// occurrence scores.  Returns the index plus the global-node offset
-/// (local id `j ≥ 1` ↔ global id `offset + j − 1`).
-fn build_shard_index(ix: &XmlIndex, docs: &Range<usize>) -> io::Result<(XmlIndex, u32)> {
-    let all = doc_roots(ix);
-    let roots: &[NodeId] = all.get(docs.clone()).unwrap_or(&[]);
-    let offset = roots.first().map_or(1, |r| r.0);
-    let sub = ix.tree().subforest(roots);
-    let opts = IndexOptions { damping: ix.damping().clone(), ..Default::default() };
-    let mut six = XmlIndex::build_with(sub, opts);
-    // Stamped term by term through one buffer: no second copy of every
-    // term's scores.
-    let mut scores = Vec::new();
-    for i in 0..six.vocab_size() {
-        let tid = TermId(i as u32);
-        let t = six.term(tid);
-        let Some(gt) = ix.term_by_str(t.name()) else {
-            return Err(invalid("shard term missing from the corpus vocabulary"));
-        };
-        scores.clear();
-        for p in t.postings() {
-            let global = NodeId(offset + p.0 - 1);
-            let Ok(pos) = gt.postings().binary_search(&global) else {
-                return Err(invalid("shard posting missing from the corpus"));
-            };
-            let Some(&s) = gt.scores().get(pos) else {
-                return Err(invalid("corpus index has no scores for a shard posting"));
-            };
-            scores.push(s);
-        }
-        if !six.override_scores(tid, &scores) {
-            return Err(invalid("shard score override misaligned"));
-        }
-    }
-    six.set_generation(ix.generation());
-    Ok((six, offset))
+/// The nodes of documents `docs`: from the first one's root to the next
+/// document's (the tree's end after the last document).
+fn doc_nodes(ix: &XmlIndex, docs: &Range<usize>) -> Range<NodeId> {
+    let end = NodeId(ix.tree().len() as u32);
+    let root = |d: usize| doc_roots(ix).get(d).copied().unwrap_or(end);
+    root(docs.start)..root(docs.end)
 }
 
 /// Partitions `ix` into (at most) `shards` document shards under `dir`:
@@ -177,9 +152,9 @@ pub fn write_sharded(ix: &XmlIndex, dir: &Path, shards: usize) -> io::Result<usi
 /// [`write_sharded`] with explicit [`WriteIndexOptions`] applied to every
 /// shard store.  The manifest does not record them; each shard file
 /// carries its own magic.  `include_scores` only sizes the files: the
-/// [`ShardedEngine`] reads no score section — shard scores are stamped
-/// from the corpus-global index — so stores written without scores
-/// serve ranked requests exactly as stores written with them.
+/// [`ShardedEngine`] reads no score section — a shard's scores are the
+/// corpus index's — so stores written without scores serve ranked
+/// requests exactly as stores written with them.
 pub fn write_sharded_with(
     ix: &XmlIndex,
     dir: &Path,
@@ -196,17 +171,19 @@ pub fn write_sharded_with(
         docs,
     );
     for (id, part) in parts.iter().enumerate() {
-        let (six, _offset) = build_shard_index(ix, part)?;
+        let nodes = doc_nodes(ix, part);
+        let slice = ix.slice(nodes.clone());
         let sdir = dir.join(shard_dir_name(id as u32));
         std::fs::create_dir_all(&sdir)?;
-        write_index(&six, &sdir.join(STORE_FILE), options)?;
+        write_slice_to(ix, &slice, BufWriter::new(File::create(sdir.join(STORE_FILE))?), options)?;
+        // The node count of the shard's tree: its documents under a root.
         // lint:allow(L8, build-time manifest line per shard; write_sharded is not on the query path)
         manifest.push_str(&format!(
             "shard {id} {} {} {} {}\n",
             part.start,
             part.end,
-            six.tree().len(),
-            six.vocab_size(),
+            1 + nodes.end.0 - nodes.start.0,
+            ix.terms().filter(|&(_, t)| !slice.rows(t).is_empty()).count(),
         ));
     }
     std::fs::write(dir.join(MANIFEST_FILE), manifest)?;
@@ -232,9 +209,11 @@ fn parse_usize(tok: Option<&str>, what: &str) -> io::Result<usize> {
         .ok_or_else(|| invalid(what))
 }
 
-fn parse_manifest(text: &str) -> io::Result<Manifest> {
+/// `gapped`: the corpus has a JDewey gap, so a v1 manifest is refused.
+fn parse_manifest(text: &str, gapped: bool) -> io::Result<Manifest> {
     let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_HEADER) {
+    let header = lines.next();
+    if header != Some(MANIFEST_HEADER) && (gapped || header != Some("xtk-shard-manifest v1")) {
         return Err(invalid("unrecognized shard manifest header/version"));
     }
     let mut field = |name: &str| -> io::Result<usize> {
@@ -277,14 +256,60 @@ fn parse_manifest(text: &str) -> io::Result<Manifest> {
     Ok(Manifest { shards, nodes, docs, entries })
 }
 
-/// One opened shard: its rebuilt in-memory index, its on-disk column
-/// store, and where its nodes start in the corpus.
+/// One opened shard: its column store and the slice of the corpus index
+/// it holds.
 struct Shard {
-    ix: XmlIndex,
     store: DiskColumnStore,
-    /// Global node id of the first document root (the local↔global
-    /// offset; see [`build_shard_index`]).
-    offset: u32,
+    slice: Slice,
+    /// The corpus terms with a posting in the shard, ascending: each with
+    /// its store term and its largest score in the shard, the term's share
+    /// of the shard's TA bound.
+    terms: Vec<(TermId, u32, f32)>,
+}
+
+impl Shard {
+    /// Opens the store at `path` as the shard of `slice`, checked against
+    /// it: the store holds exactly the corpus terms with a posting in the
+    /// slice, each with the slice's row count and levels.
+    fn open(ix: &XmlIndex, slice: Slice, path: &Path, cache: Arc<dyn BlockCache>) -> io::Result<Self> {
+        let store = DiskColumnStore::open_with_cache(path, cache)?;
+        let mut terms = Vec::with_capacity(store.term_names().len());
+        for (id, t) in ix.terms() {
+            let rows = slice.rows(t);
+            let postings = t.postings().get(rows.clone()).unwrap_or_default();
+            let Some(levels) = postings.iter().map(|&n| ix.tree().depth(n)).max() else {
+                continue;
+            };
+            let held = store.term_index(t.name()).filter(|&st| {
+                let present = store.term_column(st, 1).map_or(0, |c| c.row_count());
+                store.term_levels(st) == levels && present == postings.len()
+            });
+            let st = held.ok_or_else(|| invalid("shard store does not match its slice"))?;
+            let scores = t.scores().get(rows).unwrap_or_default();
+            terms.push((id, st as u32, scores.iter().copied().max_by(f32::total_cmp).unwrap_or(0.0)));
+        }
+        if store.term_names().len() != terms.len() {
+            return Err(invalid("shard store holds terms outside its slice"));
+        }
+        Ok(Self { store, slice, terms })
+    }
+
+    /// Corpus term `t`'s entry in [`terms`](Self::terms), if held here.
+    fn held(&self, t: TermId) -> Option<&(TermId, u32, f32)> {
+        self.terms.binary_search_by_key(&t, |e| e.0).ok().and_then(|i| self.terms.get(i))
+    }
+
+    /// Corpus term `t`'s store term and rows in this shard (neither when
+    /// it has no posting here).
+    fn keyword<'a>(&self, ix: &'a XmlIndex, t: TermId) -> (Option<usize>, KeywordRows<'a>) {
+        let Some(st) = self.held(t).map(|e| e.1 as usize) else {
+            return (None, KeywordRows::default());
+        };
+        let (term, rows) = (ix.term(t), self.slice.rows(ix.term(t)));
+        let postings = term.postings().get(rows.clone()).unwrap_or_default();
+        let scores = term.scores().get(rows).unwrap_or_default();
+        (Some(st), KeywordRows { postings, scores, levels: self.store.term_levels(st) })
+    }
 }
 
 /// The scatter-gather executor over a sharded corpus directory.
@@ -338,14 +363,14 @@ impl<'a> ShardedEngine<'a> {
     /// The manifest is validated against the live corpus index: a
     /// missing/garbled/version-mismatched manifest, a partition that
     /// does not match the corpus, or a shard store that does not match
-    /// its rebuilt index all return `Err` (never panic).
+    /// its slice of the corpus index all return `Err` (never panic).
     pub fn open_with_cache(
         ix: &'a XmlIndex,
         dir: &Path,
         cache: Arc<dyn BlockCache>,
     ) -> io::Result<Self> {
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-        let m = parse_manifest(&text)?;
+        let m = parse_manifest(&text, ix.jd().gap() > 0)?;
         let docs = doc_roots(ix).len();
         if m.nodes != ix.tree().len() || m.docs != docs {
             return Err(invalid("shard manifest does not match the corpus index"));
@@ -362,19 +387,16 @@ impl<'a> ShardedEngine<'a> {
             if entry.id != id as u64 || entry.docs != *part {
                 return Err(invalid("shard manifest entry does not match the partition"));
             }
-            let (six, offset) = build_shard_index(ix, part)?;
-            if six.tree().len() != entry.nodes || six.vocab_size() != entry.vocab {
-                return Err(invalid("shard manifest spans do not match the corpus"));
-            }
+            let nodes = doc_nodes(ix, part);
             let path = dir.join(shard_dir_name(id as u32)).join(STORE_FILE);
-            let store = DiskColumnStore::open_with_cache(&path, Arc::clone(&cache))?;
-            if store.term_names().len() != six.vocab_size() {
-                return Err(invalid("shard store does not match its index"));
+            let shard = Shard::open(ix, ix.slice(nodes.clone()), &path, Arc::clone(&cache))?;
+            if 1 + (nodes.end.0 - nodes.start.0) as usize != entry.nodes || shard.terms.len() != entry.vocab {
+                return Err(invalid("shard manifest spans do not match the corpus"));
             }
             salt.push(id as u64);
             salt.push(part.start as u64);
             salt.push(part.end as u64);
-            shards.push(Shard { ix: six, store, offset });
+            shards.push(shard);
         }
         let planner = crate::plan::cache::Planner::from_index(ix);
         Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt: salt.0, planner })
@@ -426,23 +448,14 @@ impl<'a> ShardedEngine<'a> {
         ex
     }
 
-    /// The term string of a global term id, if valid for this corpus.
-    fn word(&self, t: TermId) -> Option<&str> {
-        if (t.0 as usize) < self.ix.vocab_size() {
-            Some(self.ix.term(t).name())
-        } else {
-            None
-        }
-    }
-
-    /// Executes `local` inside one shard (serial), translating results
-    /// back to global node ids and dropping level-1 partition artifacts.
-    /// The physical spec is lowered once per query from the logical plan
-    /// (against the global index) and shared by every shard.
+    /// Executes `query` inside one shard (serial), dropping level-1
+    /// partition artifacts.  The physical spec is lowered once per query
+    /// from the logical plan (against the global index) and shared by
+    /// every shard.
     fn run_shard(
         &self,
         shard: &Shard,
-        local: &Query,
+        query: &Query,
         spec: &DiskJoinSpec,
         req: &QueryRequest,
     ) -> io::Result<ShardOutcome> {
@@ -450,18 +463,11 @@ impl<'a> ShardedEngine<'a> {
             metrics: MetricsRegistry::new(),
             tracer: Tracer::for_level(req.trace),
         };
-        let (rs, _, _) = join_search_disk_spec(&shard.ix, &shard.store, local, spec, &obs)?;
-        let mut results = Vec::with_capacity(rs.len());
-        for r in rs {
-            if r.level <= 1 {
-                continue;
-            }
-            results.push(ScoredResult {
-                node: NodeId(shard.offset + r.node.0 - 1),
-                level: r.level,
-                score: r.score,
-            });
-        }
+        let session = IoSession::default();
+        let terms = query.terms.iter().map(|&t| shard.keyword(self.ix, t)).collect();
+        let mut src = DiskSource::over(&shard.store, terms, &shard.slice, spec, &session);
+        let (mut results, _) = algorithm1(self.ix, query, &spec.join, &mut src, &obs)?;
+        results.retain(|r| r.level > 1);
         rank_top(&mut results, req.k);
         Ok(ShardOutcome {
             results,
@@ -477,11 +483,10 @@ struct ShardOutcome {
     trace_events: Vec<xtk_obs::TraceEvent>,
 }
 
-/// One scatter-plan slot: shard index, the query translated to the
-/// shard's term ids, and the shard's TA score upper bound.
+/// One scatter-plan slot: shard index and the shard's TA score upper
+/// bound.
 struct Planned {
     shard: usize,
-    local: Query,
     bound: f32,
 }
 
@@ -499,15 +504,11 @@ impl Executor for ShardedEngine<'_> {
                 "the sharded executor merges by score and cannot serve unranked requests",
             ));
         }
-        let mut words = Vec::with_capacity(query.terms.len());
-        for &t in &query.terms {
-            let Some(w) = self.word(t) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "query term id out of range for the corpus index",
-                ));
-            };
-            words.push(w);
+        if query.terms.iter().any(|t| t.0 as usize >= self.ix.vocab_size()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "query term id out of range for the corpus index",
+            ));
         }
         let obs = Obs {
             metrics: MetricsRegistry::new(),
@@ -531,33 +532,21 @@ impl Executor for ShardedEngine<'_> {
             prescan: lowered.prescan,
         };
 
-        // Plan: translate the query per shard; a shard missing any term
-        // cannot produce a conjunctive match and is skipped outright.
+        // Plan: a shard missing any term cannot produce a conjunctive
+        // match and is skipped outright.
         // Eligible shards are ordered by their TA upper bound (sum of
         // per-term max occurrence scores; damping ≤ 1 keeps it an upper
         // bound on any result score), ties broken by shard id.
         let mut skipped = 0u64;
         let mut planned: Vec<Planned> = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
-            let mut local = Vec::with_capacity(words.len());
-            let mut bound = 0.0f32;
-            let mut eligible = true;
-            for w in &words {
-                match shard.ix.term_id(w) {
-                    Some(tid) => {
-                        bound += shard.ix.term(tid).max_score();
-                        local.push(tid);
-                    }
-                    None => {
-                        eligible = false;
-                        break;
-                    }
-                }
+            let mut bound = Some(0.0f32);
+            for &t in &query.terms {
+                bound = bound.zip(shard.held(t)).map(|(b, e)| b + e.2);
             }
-            if eligible {
-                planned.push(Planned { shard: si, local: Query { terms: local }, bound });
-            } else {
-                skipped += 1;
+            match bound {
+                Some(bound) => planned.push(Planned { shard: si, bound }),
+                None => skipped += 1,
             }
         }
         planned.sort_by(|a, b| b.bound.total_cmp(&a.bound).then(a.shard.cmp(&b.shard)));
@@ -581,7 +570,7 @@ impl Executor for ShardedEngine<'_> {
             }
             let outcomes = parallel_map(self.parallelism, wave, |_, p| {
                 match self.shards.get(p.shard) {
-                    Some(shard) => self.run_shard(shard, &p.local, &spec, req),
+                    Some(shard) => self.run_shard(shard, query, &spec, req),
                     None => Err(invalid("scatter plan shard out of range")),
                 }
             });
@@ -651,25 +640,19 @@ impl Executor for ShardedEngine<'_> {
 
     fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
         let mut pinned = 0u64;
-        let mut local: Vec<TermId> = Vec::with_capacity(terms.len());
         for shard in &self.shards {
-            local.clear();
-            local.extend(
-                terms.iter().filter_map(|&t| self.word(t).and_then(|w| shard.ix.term_id(w))),
-            );
-            pinned += prefetch_terms(&shard.ix, &shard.store, &local)?;
+            for st in terms.iter().filter_map(|&t| shard.keyword(self.ix, t).0) {
+                pinned += shard.store.prefetch_term(st)?;
+            }
         }
         Ok(pinned)
     }
 
     fn release(&self, terms: &[TermId]) {
-        let mut local: Vec<TermId> = Vec::with_capacity(terms.len());
         for shard in &self.shards {
-            local.clear();
-            local.extend(
-                terms.iter().filter_map(|&t| self.word(t).and_then(|w| shard.ix.term_id(w))),
-            );
-            release_terms(&shard.ix, &shard.store, &local);
+            for st in terms.iter().filter_map(|&t| shard.keyword(self.ix, t).0) {
+                shard.store.unpin_term(st);
+            }
         }
     }
 
@@ -712,11 +695,11 @@ mod tests {
         let written = write_sharded(&ix, &dir, 2).unwrap();
         assert_eq!(written, 2);
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        let m = parse_manifest(&text).unwrap();
+        let m = parse_manifest(&text, false).unwrap();
         assert_eq!(m.shards, 2);
         assert_eq!(m.nodes, ix.tree().len());
-        assert!(parse_manifest("xtk-shard-manifest v9\nshards 1\n").is_err());
-        assert!(parse_manifest("").is_err());
+        assert!(parse_manifest("xtk-shard-manifest v9\nshards 1\n", false).is_err());
+        assert!(parse_manifest("", false).is_err());
     }
 
     #[test]

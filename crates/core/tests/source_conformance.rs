@@ -70,7 +70,7 @@ struct Storage<'a> {
 /// Walks `src` through every level of `query` and checks `size`, the
 /// whole-column feed and cursors on both kinds of feed against the memory
 /// columns.
-fn check_contract<S: ColumnSource>(
+fn check_contract<'s, S: ColumnSource<'s>>(
     storage: &Storage<'_>,
     src: &mut S,
     ix: &XmlIndex,
@@ -82,7 +82,13 @@ fn check_contract<S: ColumnSource>(
     let Storage { label, size_of, accesses, blocks_of } = *storage;
     let terms: Vec<_> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
+    for (kw, term) in terms.iter().enumerate() {
+        let rows = src.rows(kw);
+        assert_eq!((rows.postings, rows.levels), (term.postings(), term.max_len()), "{label}");
+        assert!(rows.scores.iter().map(|s| s.to_bits()).eq(term.scores().iter().map(|s| s.to_bits())));
+    }
     for level in (1..=l0).rev() {
+        assert_eq!(src.base(level), 0, "{label}: a whole index's numbers");
         src.enter(level).unwrap();
         for (kw, term) in terms.iter().enumerate() {
             let what = format!("{label} level {level} kw {kw}");

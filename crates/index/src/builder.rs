@@ -23,6 +23,7 @@ use crate::score::{Damping, TfIdf};
 use crate::terms::{TermArena, TermData};
 use crate::text::token_counts;
 use std::collections::HashMap;
+use std::ops::Range;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::pool::{chunk_ranges, parallel_map, Parallelism};
 use xtk_xml::tree::{NodeId, XmlTree};
@@ -41,6 +42,39 @@ pub fn node_quality(node: NodeId) -> f32 {
 /// Identifier of a term in the index vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub u32);
+
+/// A contiguous range of an index's nodes as an index of its own (a
+/// document shard).  JDewey numbers are unique per level and monotone in
+/// parent order (§III-A), so a term's postings in the range are one row
+/// range, the range's nodes at a level one block of numbers, and a
+/// column of the slice the index's clipped to the rows, less a base.
+#[derive(Debug, Clone)]
+pub struct Slice {
+    nodes: Range<u32>,
+    /// Per level, level 1 first: the number of the range's first node at
+    /// that level, less one (0 where the range has none).
+    bases: Vec<u32>,
+}
+
+impl Slice {
+    /// Every node: rows and numbers unchanged.
+    pub const fn whole() -> Self {
+        Self { nodes: 0..u32::MAX, bases: Vec::new() }
+    }
+
+    /// The rows of `term`'s postings inside the range.
+    pub fn rows(&self, term: TermData<'_>) -> Range<usize> {
+        let postings = term.postings();
+        postings.partition_point(|n| n.0 < self.nodes.start)
+            ..postings.partition_point(|n| n.0 < self.nodes.end)
+    }
+
+    /// What a value of the slice's level-`level` column adds to become
+    /// the index's JDewey number.
+    pub fn base(&self, level: u16) -> u32 {
+        usize::from(level).checked_sub(1).and_then(|l| self.bases.get(l)).copied().unwrap_or(0)
+    }
+}
 
 /// The local scoring function `g(v, w)` (paper §II-B: "the function g can
 /// take multiple factors into account ... and combine them in an
@@ -311,11 +345,6 @@ impl XmlIndex {
     }
 
     /// Stamps the index generation after a maintenance rebuild.
-    pub fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
-    }
-
-    /// Builder-style [`XmlIndex::set_generation`].
     pub fn with_generation(mut self, generation: u64) -> Self {
         self.generation = generation;
         self
@@ -383,20 +412,15 @@ impl XmlIndex {
         self.jd.node_at(level, number)
     }
 
-    /// Replaces the occurrence scores of term `id` with `scores` (one per
-    /// posting, aligned with the posting list) and rewrites the
-    /// score-derived structures in place: the order of the top-K segment
-    /// rows, their heads and `max_score`.  JDewey columns, level
-    /// histograms and row directories depend only on structure and are
-    /// kept as-is; no other term changes.
-    ///
-    /// This is the hook `xtk-core::shard` uses to stamp *corpus-global*
-    /// tf-idf scores onto a per-shard index, so a result's score is
-    /// bit-identical no matter which shard computed it.  Returns `false`
-    /// (and changes nothing) when `id` is unknown or the length does not
-    /// match the posting list.
-    pub fn override_scores(&mut self, id: TermId, scores: &[f32]) -> bool {
-        self.terms.restamp(&self.tree, id.0 as usize, scores)
+    /// The nodes `nodes` as an index of their own (see [`Slice`]).
+    pub fn slice(&self, nodes: Range<NodeId>) -> Slice {
+        let jd = &self.jd;
+        let bases = (1..=jd.num_levels()).map(|l| {
+            let level = jd.level(l);
+            let first = level.get(level.partition_point(|&n| n < nodes.start));
+            first.filter(|&&n| n < nodes.end).map_or(0, |&n| jd.number(n).saturating_sub(1))
+        });
+        Slice { nodes: nodes.start.0..nodes.end.0, bases: bases.collect() }
     }
 }
 
@@ -486,26 +510,12 @@ mod tests {
             xml.push_str(&format!("<p>{}</p>", "w ".repeat(1 + i % 4)));
         }
         xml.push_str("</r>");
-        let mut ix = index(&xml);
+        let ix = index(&xml);
         for (_, t) in ix.terms() {
             assert_eq!(t.max_score().to_bits(), largest_bits(t.scores()), "{}", t.name());
         }
         let solo = ix.term_by_str("solo").unwrap();
         assert_eq!(solo.max_score().to_bits(), solo.scores()[0].to_bits());
-
-        // After override_scores: a tied maximum, then a single posting.
-        let w = ix.term_id("w").unwrap();
-        let rows = ix.term(w).len();
-        let tied: Vec<f32> = (0..rows).map(|i| if i % 9 == 3 { 0.875 } else { 0.25 }).collect();
-        assert!(ix.override_scores(w, &tied));
-        assert_eq!(ix.term(w).max_score().to_bits(), 0.875f32.to_bits());
-        let solo = ix.term_id("solo").unwrap();
-        assert!(ix.override_scores(solo, &[0.125]));
-        assert_eq!(ix.term(solo).max_score().to_bits(), 0.125f32.to_bits());
-        // A rejected override changes nothing.
-        assert!(!ix.override_scores(solo, &[0.5, 0.5]));
-        assert_eq!(ix.term(solo).max_score().to_bits(), 0.125f32.to_bits());
-        assert!(!ix.override_scores(TermId(u32::MAX), &[]));
     }
 
     #[test]
@@ -562,28 +572,6 @@ mod tests {
                     assert_eq!(a.row_directory(level), b.row_directory(level), "{par} {}", a.name());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn override_scores_keeps_the_row_directories() {
-        let mut xml = String::from("<r>");
-        for i in 0..200 {
-            xml.push_str(&format!("<p>w<q>w {}</q></p>", "w ".repeat(i % 3)));
-        }
-        xml.push_str("</r>");
-        let tree = parse(&xml).unwrap();
-        let fresh = XmlIndex::build(tree.clone());
-        let mut stamped = XmlIndex::build(tree);
-        let id = stamped.term_id("w").unwrap();
-        let rows = stamped.term(id).len();
-        let scores: Vec<f32> = (0..rows).map(|i| 1.0 / (1 + i % 7) as f32).collect();
-        assert!(stamped.override_scores(id, &scores));
-        assert!(!stamped.term(id).segments().eq(fresh.term(id).segments()));
-        assert!(fresh.term(id).row_directory(1).is_none(), "one run: the root");
-        assert!(fresh.term(id).row_directory(2).is_some());
-        for level in 1..=fresh.term(id).max_len() {
-            assert_eq!(stamped.term(id).row_directory(level), fresh.term(id).row_directory(level));
         }
     }
 

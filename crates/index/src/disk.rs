@@ -15,7 +15,7 @@
 //! section is validated and skipped: it has no reader until the disk
 //! engine opens from the file alone (ROADMAP item 6b's catalog).
 
-use crate::builder::XmlIndex;
+use crate::builder::{Slice, XmlIndex};
 use crate::terms::TermData;
 use crate::codec::{choose_scheme, encode_column, try_read_varint, write_varint, BlockEntry, Scheme};
 use crate::columnar::Run;
@@ -80,13 +80,6 @@ pub struct WriteIndexOptions {
     pub format: FormatVersion,
 }
 
-/// Encodes the file header into `buf`.
-fn encode_header(ix: &XmlIndex, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
-    write_varint(MAGIC, buf);
-    write_varint(ix.vocab_size() as u32, buf);
-    buf.push(opts.include_scores as u8);
-}
-
 /// Encodes one column record into `buf` — scheme byte, block count, the
 /// directory entries `(offset, first value, row count, last − first)` as
 /// varints (values inside a block are non-decreasing, so the last-value
@@ -112,24 +105,38 @@ pub(crate) fn encode_column_record(runs: &[Run], buf: &mut Vec<u8>) -> usize {
     cc.blocks.len()
 }
 
-/// Encodes one term record (vocabulary entry, lengths array, optional
-/// scores, and every column record) into `buf`.
-fn encode_term_record(ix: &XmlIndex, term: TermData<'_>, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
+/// Encodes the record of `term`'s rows in `slice` (vocabulary entry,
+/// lengths array, optional scores, and every column record, clipped to
+/// the rows and less the level's base) into `buf`; `runs` is scratch.
+fn encode_term_record(
+    ix: &XmlIndex,
+    term: TermData<'_>,
+    slice: &Slice,
+    opts: WriteIndexOptions,
+    buf: &mut Vec<u8>,
+    runs: &mut Vec<Run>,
+) {
+    let rows = slice.rows(term);
+    let postings = term.postings().get(rows.clone()).unwrap_or_default();
     write_varint(term.name().len() as u32, buf);
     buf.extend_from_slice(term.name().as_bytes());
-    write_varint(term.len() as u32, buf);
+    write_varint(postings.len() as u32, buf);
     // Lengths array.
-    for &n in term.postings() {
-        write_varint(ix.tree().depth(n) as u32, buf);
+    let mut levels = 0;
+    for &n in postings {
+        levels = levels.max(ix.tree().depth(n));
+        write_varint(u32::from(ix.tree().depth(n)), buf);
     }
     if opts.include_scores {
-        for &s in term.scores() {
+        for &s in term.scores().get(rows.clone()).unwrap_or_default() {
             buf.extend_from_slice(&s.to_le_bytes());
         }
     }
-    write_varint(u32::from(term.max_len()), buf);
-    for col in term.columns() {
-        encode_column_record(col.runs, buf);
+    write_varint(u32::from(levels), buf);
+    let rows = rows.start as u32..rows.end as u32;
+    for level in 1..=levels {
+        let col = term.column(level).unwrap_or_default();
+        encode_column_record(col.clip(rows.clone(), slice.base(level), runs), buf);
     }
 }
 
@@ -139,13 +146,28 @@ fn encode_term_record(ix: &XmlIndex, term: TermData<'_>, opts: WriteIndexOptions
 /// and in-memory images (`&mut Vec<u8>`, for
 /// [`DiskColumnStore::open_bytes`](crate::diskcol::DiskColumnStore::open_bytes)).
 pub fn write_index_to<W: Write>(ix: &XmlIndex, sink: W, opts: WriteIndexOptions) -> io::Result<u64> {
+    write_slice_to(ix, &Slice::whole(), sink, opts)
+}
+
+/// [`write_index_to`] for `slice`'s nodes alone: the terms with a posting
+/// in it, in vocabulary order, values less the slice's base (without a
+/// JDewey gap, as an index built over those nodes writes them).
+pub fn write_slice_to<W: Write>(
+    ix: &XmlIndex,
+    slice: &Slice,
+    sink: W,
+    opts: WriteIndexOptions,
+) -> io::Result<u64> {
+    let terms = || ix.terms().map(|(_, t)| t).filter(|&t| !slice.rows(t).is_empty());
     let mut w = CountingWriter { inner: sink, written: 0 };
-    let mut buf = Vec::new();
-    encode_header(ix, opts, &mut buf);
+    let (mut buf, mut runs) = (Vec::new(), Vec::new());
+    write_varint(MAGIC, &mut buf);
+    write_varint(terms().count() as u32, &mut buf);
+    buf.push(opts.include_scores as u8);
     w.write_all(&buf)?;
-    for (_, term) in ix.terms() {
+    for term in terms() {
         buf.clear();
-        encode_term_record(ix, term, opts, &mut buf);
+        encode_term_record(ix, term, slice, opts, &mut buf, &mut runs);
         w.write_all(&buf)?;
     }
     w.flush()?;
@@ -241,8 +263,8 @@ impl Directory {
 
     /// The columns of term `t` (index into `col_at`).
     pub(crate) fn columns(&self, t: usize) -> std::ops::Range<usize> {
-        match (self.term_cols.get(t), self.term_cols.get(t + 1)) {
-            (Some(&a), Some(&b)) => a as usize..b as usize,
+        match self.term_cols.get(t..).and_then(|at| at.get(..2)) {
+            Some(&[a, b]) => a as usize..b as usize,
             _ => 0..0,
         }
     }

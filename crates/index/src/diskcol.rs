@@ -28,7 +28,7 @@
 
 use crate::bytes::ColumnBytes;
 use crate::cache::{relock, Block, BlockCache, CacheStats, ShardedLruCache};
-use crate::codec::{decode_block_into, with_decode_scratch, Scheme};
+use crate::codec::{decode_block_into, with_decode_scratch};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
 use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
 use std::io;
@@ -169,25 +169,44 @@ impl DiskColumnStore {
         names
     }
 
+    /// The index of `term` in the store: the key of the `term_*` accessors.
+    pub fn term_index(&self, term: &str) -> Option<usize> {
+        self.dir.term(term)
+    }
+
     /// Number of levels stored for `term` (0 when absent).
     pub fn levels_of(&self, term: &str) -> u16 {
-        self.dir.term(term).map_or(0, |t| self.dir.columns(t).len() as u16)
+        self.term_index(term).map_or(0, |t| self.term_levels(t))
+    }
+
+    /// Number of levels stored for store term `t`.
+    pub fn term_levels(&self, t: usize) -> u16 {
+        self.dir.columns(t).len() as u16
     }
 
     /// A lazy view over one term's column.
     pub fn column(&self, term: &str, level: u16) -> Option<DiskColumn<'_>> {
-        let cols = self.dir.columns(self.dir.term(term)?);
+        self.term_column(self.term_index(term)?, level)
+    }
+
+    /// A lazy view over store term `t`'s column of `level`.
+    pub fn term_column(&self, t: usize, level: u16) -> Option<DiskColumn<'_>> {
+        let cols = self.dir.columns(t);
         let c = cols.start + usize::from(level.checked_sub(1)?);
         let meta = self.dir.column(c).filter(|_| c < cols.end)?;
         Some(DiskColumn { store: self, meta, session: None })
     }
 
     /// Lazy views over every column of `term`, level 1 first (none when
-    /// absent): [`column`](Self::column) for each level, one name lookup.
+    /// absent).
     pub fn columns(&self, term: &str) -> impl Iterator<Item = DiskColumn<'_>> {
-        let cols = self.dir.term(term).map_or(0..0, |t| self.dir.columns(t));
-        cols.filter_map(|c| self.dir.column(c))
-            .map(|meta| DiskColumn { store: self, meta, session: None })
+        self.term_columns(self.term_index(term).unwrap_or(usize::MAX))
+    }
+
+    /// [`columns`](Self::columns) of store term `t`.
+    fn term_columns(&self, t: usize) -> impl Iterator<Item = DiskColumn<'_>> {
+        let cols = self.dir.columns(t).filter_map(|c| self.dir.column(c));
+        cols.map(|meta| DiskColumn { store: self, meta, session: None })
     }
 
     /// Total cache-missing block decodes performed by this store.
@@ -223,17 +242,16 @@ impl DiskColumnStore {
         Arc::clone(&self.cache)
     }
 
-    /// Warms and pins every block of every level column of `term`: blocks
-    /// not yet resident are decoded (counted as ordinary misses/decodes),
-    /// then pinned so batch execution cannot evict its own prefetched
-    /// working set.  Returns the number of blocks successfully pinned —
-    /// less than the block count only when the cache policy cannot pin or
-    /// a tiny capacity evicts a block between insert and pin.  Absent
-    /// terms prefetch nothing.  Balance with
-    /// [`DiskColumnStore::unpin_term`].
-    pub fn prefetch_term(&self, term: &str) -> io::Result<u64> {
+    /// Warms and pins every block of every level column of store term
+    /// `t`: blocks not yet resident are decoded (counted as ordinary
+    /// misses/decodes), then pinned so batch execution cannot evict its
+    /// own prefetched working set.  Returns the number of blocks
+    /// successfully pinned — less than the block count only when the cache
+    /// policy cannot pin or a tiny capacity evicts a block between insert
+    /// and pin.  Balance with [`DiskColumnStore::unpin_term`].
+    pub fn prefetch_term(&self, t: usize) -> io::Result<u64> {
         let mut pinned = 0u64;
-        for col in self.columns(term) {
+        for col in self.term_columns(t) {
             for b in 0..col.block_count() {
                 self.decode_block(&col.meta, b, None)?;
                 if let Some(start) = col.meta.start(b) {
@@ -244,11 +262,11 @@ impl DiskColumnStore {
         Ok(pinned)
     }
 
-    /// Releases one pin on every block of `term`'s columns (the inverse of
-    /// [`DiskColumnStore::prefetch_term`]); unknown terms and never-pinned
-    /// blocks are no-ops.
-    pub fn unpin_term(&self, term: &str) {
-        for col in self.columns(term) {
+    /// Releases one pin on every block of store term `t`'s columns (the
+    /// inverse of [`DiskColumnStore::prefetch_term`]); never-pinned blocks
+    /// are no-ops.
+    pub fn unpin_term(&self, t: usize) {
+        for col in self.term_columns(t) {
             for start in (0..col.block_count()).filter_map(|b| col.meta.start(b)) {
                 self.cache.unpin(self.block_key(start));
             }
@@ -366,12 +384,6 @@ impl<'a> DiskColumn<'a> {
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
         self.meta.block_count()
-    }
-
-    /// Compression scheme of this column (delta vs RLE), for workload
-    /// labeling in benches and tests.
-    pub fn scheme(&self) -> Scheme {
-        self.meta.scheme
     }
 
     /// Rows present at this level.
@@ -629,7 +641,7 @@ mod tests {
         // each whole run.
         let ix = straddling_corpus();
         let col = &ix.term_by_str("w").unwrap().column(2).unwrap();
-        assert_eq!(crate::codec::choose_scheme(col.runs), Scheme::Delta);
+        assert_eq!(crate::codec::choose_scheme(col.runs), crate::codec::Scheme::Delta);
         assert!(col.runs.iter().any(|r| r.len > 1), "the column has multi-row runs");
         let store = open_unbounded(&image_of(&ix, WriteIndexOptions::default()));
         let dc = store.column("w", 2).unwrap();
@@ -647,7 +659,9 @@ mod tests {
             .filter_map(|l| store.column("shared", l))
             .map(|dc| dc.block_count())
             .sum();
-        let pinned = store.prefetch_term("shared").unwrap();
+        let shared = store.term_index("shared").unwrap();
+        assert_eq!(store.term_levels(shared), store.levels_of("shared"));
+        let pinned = store.prefetch_term(shared).unwrap();
         assert_eq!(pinned as usize, total_blocks, "every block warmed and pinned");
         assert_eq!(store.pinned_blocks(), pinned);
         let decodes = store.reads();
@@ -657,15 +671,16 @@ mod tests {
         dc.find(1).unwrap();
         assert_eq!(store.reads(), decodes, "prefetched column never re-decodes");
         // Re-prefetching a warm term decodes nothing and nests pins.
-        let again = store.prefetch_term("shared").unwrap();
+        let again = store.prefetch_term(shared).unwrap();
         assert_eq!(again, pinned);
         assert_eq!(store.reads(), decodes);
-        store.unpin_term("shared");
-        store.unpin_term("shared");
+        store.unpin_term(shared);
+        store.unpin_term(shared);
         assert_eq!(store.pinned_blocks(), 0);
         // Absent terms are a no-op on both sides.
-        assert_eq!(store.prefetch_term("no-such-term").unwrap(), 0);
-        store.unpin_term("no-such-term");
+        assert_eq!(store.term_index("no-such-term"), None);
+        assert_eq!(store.prefetch_term(usize::MAX).unwrap(), 0);
+        store.unpin_term(usize::MAX);
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub struct SegmentHead {
 }
 
 /// Groups `postings` by node depth and sorts each group by `scores`
-/// descending: appends the term's rows, segment after segment, to `rows`
-/// and one [`SegmentHead`] per segment to `heads`.  Segments come in
-/// increasing `len` order.
+/// descending, ties by row: appends the term's rows, segment after
+/// segment, to `rows` and one [`SegmentHead`] per segment to `heads`.
+/// Segments come in increasing `len` order.
 pub fn build_segments(
     tree: &XmlTree,
     postings: &[NodeId],
@@ -48,46 +48,27 @@ pub fn build_segments(
     heads: &mut Vec<SegmentHead>,
 ) {
     assert_eq!(postings.len(), scores.len());
+    let depth_of = |row: u32| postings.get(row as usize).map_or(0, |&n| tree.depth(n));
+    let score_of = |row: u32| scores.get(row as usize).copied().unwrap_or(f32::NEG_INFINITY);
     let from = rows.len();
     rows.extend(0..postings.len() as u32);
     let term_rows = rows.get_mut(from..).unwrap_or_default();
-    sort_segment_rows(tree, postings, scores, term_rows);
-    heads.extend(segment_heads(tree, postings, scores, term_rows));
-}
-
-/// Orders a term's rows — any permutation of `0..postings.len()` — by
-/// depth, then score descending, then row: its segments, concatenated.
-/// The key is total, so the order does not depend on the one it starts
-/// from.
-pub(crate) fn sort_segment_rows(tree: &XmlTree, postings: &[NodeId], scores: &[f32], rows: &mut [u32]) {
-    let depth_of = |row: u32| postings.get(row as usize).map_or(0, |&n| tree.depth(n));
-    let score_of = |row: u32| scores.get(row as usize).copied().unwrap_or(f32::NEG_INFINITY);
-    rows.sort_unstable_by(|&a, &b| {
+    term_rows.sort_unstable_by(|&a, &b| {
         depth_of(a)
             .cmp(&depth_of(b))
             .then_with(|| score_of(b).total_cmp(&score_of(a)))
             .then(a.cmp(&b))
     });
-}
-
-/// The heads of rows ordered by [`sort_segment_rows`]: one per run of
-/// equal depth.
-pub(crate) fn segment_heads<'r>(
-    tree: &'r XmlTree,
-    postings: &'r [NodeId],
-    scores: &'r [f32],
-    rows: &'r [u32],
-) -> impl Iterator<Item = SegmentHead> + 'r {
-    let depth_of = move |row: u32| postings.get(row as usize).map_or(0, |&n| tree.depth(n));
-    rows.chunk_by(move |&a, &b| depth_of(a) == depth_of(b)).scan(0u32, move |end, seg| {
+    let mut end = 0u32;
+    for seg in term_rows.chunk_by(|&a, &b| depth_of(a) == depth_of(b)) {
         let first = seg.first().copied().unwrap_or(0);
-        *end += seg.len() as u32;
-        Some(SegmentHead {
+        end += seg.len() as u32;
+        heads.push(SegmentHead {
             len: depth_of(first),
             max_score: scores.get(first as usize).copied().unwrap_or(0.0),
-            end: *end,
-        })
-    })
+            end,
+        });
+    }
 }
 
 /// Full score-descending permutation of rows, ties by row as in

@@ -17,7 +17,7 @@
 
 use crate::columnar::{build_columns, Column, ColumnScratch, Run, RowDirectory};
 use crate::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
-use crate::scored::{build_segments, segment_heads, sort_segment_rows, Segment, SegmentHead};
+use crate::scored::{build_segments, Segment, SegmentHead};
 use std::ops::Range;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::tree::{NodeId, XmlTree};
@@ -215,33 +215,6 @@ impl TermArena {
         self.dir_entries.shrink_to_fit();
         self.names.shrink_to_fit();
         self.name_at.shrink_to_fit();
-    }
-
-    /// Replaces term `id`'s scores (one per posting) and re-sorts its
-    /// segment rows and heads in place; its columns, histograms and row
-    /// directories depend on structure alone.  `false` (and no change)
-    /// for an unknown id or a length that does not match the postings.
-    pub(crate) fn restamp(&mut self, tree: &XmlTree, id: usize, new: &[f32]) -> bool {
-        let rows = span(&self.row_at, id);
-        let (Some(postings), Some(scores), Some(seg_rows), Some(max)) = (
-            self.postings.get(rows.clone()),
-            self.scores.get_mut(rows.clone()),
-            self.seg_rows.get_mut(rows),
-            self.max_scores.get_mut(id),
-        ) else {
-            return false;
-        };
-        if new.len() != postings.len() {
-            return false;
-        }
-        scores.copy_from_slice(new);
-        *max = max_score(new);
-        sort_segment_rows(tree, postings, new, seg_rows);
-        let heads = self.segs.get_mut(span(&self.seg_at, id)).unwrap_or_default();
-        for (head, fresh) in heads.iter_mut().zip(segment_heads(tree, postings, new, seg_rows)) {
-            *head = fresh;
-        }
-        true
     }
 
     /// The view of term `id`; an empty term for an id this arena does not

@@ -4,13 +4,13 @@
 //! histograms and row directories in shared flat arrays.  These tests
 //! rebuild each term alone — `build_columns`, `build_segments`,
 //! `Histogram::build`, `RowDirectory::build` over its postings — and
-//! compare the result with the arena's views, on random corpora, across
-//! build parallelism, and around `override_scores`.
+//! compare the result with the arena's views, on random corpora and
+//! across build parallelism.
 
 use xtk_index::columnar::{build_columns, run_count, Column, ColumnScratch, RowDirectory, Run};
 use xtk_index::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
 use xtk_index::scored::build_segments;
-use xtk_index::{IndexOptions, TermData, TermId, XmlIndex};
+use xtk_index::{IndexOptions, TermData, XmlIndex};
 use xtk_xml::pool::Parallelism;
 use xtk_xml::testutil::{prop_check, Gen};
 use xtk_xml::tree::{NodeId, XmlTree};
@@ -137,35 +137,6 @@ fn arena_views_match_each_term_rebuilt_alone() {
         }
     });
     assert!(hists.get() > 0 && dirs.get() > 0, "no term carried a histogram or a row directory");
-}
-
-#[test]
-fn override_scores_touches_one_term_only() {
-    prop_check(0xA8E_0002, 48, |g| {
-        let tree = random_tree(g, 6);
-        let fresh = XmlIndex::build(tree.clone());
-        let mut stamped = XmlIndex::build(tree);
-        if fresh.vocab_size() == 0 {
-            return;
-        }
-        let id = TermId(g.gen_range(0..fresh.vocab_size() as u32));
-        let rows = fresh.term(id).len();
-        let scores: Vec<f32> = (0..rows).map(|_| [0.125, 0.5, 0.75][g.gen_range(0..3usize)]).collect();
-        assert!(stamped.override_scores(id, &scores));
-        // The stamped term: new scores, segments re-sorted by them,
-        // structure unchanged.
-        let got = view(stamped.term(id));
-        assert_eq!(got, rebuilt(&fresh, fresh.term(id), &scores, &mut ColumnScratch::default()));
-        // Every other term: the view it had.
-        for ((tid, a), (_, b)) in fresh.terms().zip(stamped.terms()) {
-            if tid != id {
-                assert_eq!(view(a), view(b), "term {}", a.name());
-            }
-        }
-        // A rejected override leaves the index as it was.
-        assert!(!stamped.override_scores(id, &scores[..rows - 1]));
-        assert_eq!(view(stamped.term(id)), got);
-    });
 }
 
 #[test]

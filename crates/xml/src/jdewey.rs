@@ -141,11 +141,11 @@ impl JDeweyAssignment {
         self.gap
     }
 
-    /// The JDewey number of `id`.
+    /// The JDewey number of `id`; 0 (a number no node has) for a node
+    /// the encoded tree does not hold.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "one number per node of the encoded tree")]
     pub fn number(&self, id: NodeId) -> u32 {
-        self.numbers[id.index()]
+        self.numbers.get(id.index()).copied().unwrap_or(0)
     }
 
     /// The JDewey sequence of `id`, using `tree` for the parent chain.

@@ -39,8 +39,14 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// A parser whose tree has room for every node of `text` (one per
+    /// start tag, one per `=`): its node array is allocated once, as
+    /// doubling's copies leave holes that move the peak memory.
     fn new(text: &'a str) -> Self {
-        Self { input: text.as_bytes(), text, pos: 0, tree: XmlTree::new(), stack: Vec::new() }
+        let input = text.as_bytes();
+        let tags = input.windows(2).filter(|w| matches!(w, [b'<', c] if Self::is_name_start(*c)));
+        let nodes = tags.count() + input.iter().filter(|&&b| b == b'=').count();
+        Self { input, text, pos: 0, tree: XmlTree::with_capacity(nodes), stack: Vec::new() }
     }
 
     fn err(&self, kind: ParseErrorKind) -> ParseError {

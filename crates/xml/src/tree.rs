@@ -277,55 +277,6 @@ impl XmlTree {
         DescendantsOrSelf { tree: self, stack: vec![id] }
     }
 
-    /// Builds a new tree from a *forest slice* of this one: a fresh root
-    /// carrying this tree's root label (but none of its direct text) plus
-    /// verbatim copies — labels and text — of the subtrees rooted at
-    /// `roots`, in the given order.
-    ///
-    /// Each subtree is copied in pre-order, so the new arena is in
-    /// document order.  Depths are recomputed relative to the new root:
-    /// when the `roots` are children of this tree's root (the document
-    /// shards of `xtk-core::shard`), every copied node keeps its original
-    /// depth, and when they are additionally a *contiguous* run of those
-    /// children, node ids map back by a constant offset — new id `j ≥ 1`
-    /// copies original id `roots[0] + (j − 1)`.
-    ///
-    /// On an empty tree (or with no `roots`) the result is a single
-    /// root-only tree.
-    pub fn subforest(&self, roots: &[NodeId]) -> XmlTree {
-        let total: usize = roots
-            .iter()
-            .map(|&r| {
-                self.nodes
-                    .get(r.index())
-                    .map_or(0, |_| self.descendants_or_self(r).count())
-            })
-            .sum();
-        let mut out = XmlTree::with_capacity(total + 1);
-        let label: Box<str> = self
-            .nodes
-            .first()
-            .map(|n| n.label.clone())
-            .unwrap_or_else(|| Box::from("root"));
-        let new_root = out.add_root(label);
-        for &r in roots {
-            let mut stack: Vec<(NodeId, NodeId)> = vec![(r, new_root)];
-            while let Some((old, new_parent)) = stack.pop() {
-                let Some(node) = self.nodes.get(old.index()) else { continue };
-                let id = out.add_child(new_parent, node.label.clone());
-                if !node.text.is_empty() {
-                    if let Some(copy) = out.nodes.get_mut(id.index()) {
-                        copy.text = node.text.clone();
-                    }
-                }
-                for &c in node.children.iter().rev() {
-                    stack.push((c, id));
-                }
-            }
-        }
-        out
-    }
-
     /// Total bytes of direct text across the tree — used by corpus stats.
     pub fn total_text_bytes(&self) -> usize {
         self.nodes.iter().map(|n| n.text.len()).sum()
@@ -397,39 +348,6 @@ mod tests {
         assert_eq!(t.lca(c, e), root);
         assert_eq!(t.lca(a, c), a);
         assert_eq!(t.lca(root, root), root);
-    }
-
-    #[test]
-    fn subforest_copies_contiguous_children_with_offset() {
-        let (mut t, ids) = sample();
-        let [_root, a, c, _d, b, e] = ids[..] else { panic!() };
-        t.append_text(c, "gamma");
-        t.append_text(e, "epsilon");
-        // Copy the second root child only: new ids are old ids − offset + 1.
-        let sub = t.subforest(&[b]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.label(sub.root()), "root");
-        assert_eq!(sub.text(sub.root()), "", "root text is not carried over");
-        let offset = b.0;
-        for j in 1..sub.len() as u32 {
-            let old = NodeId(offset + j - 1);
-            let new = NodeId(j);
-            assert_eq!(sub.label(new), t.label(old));
-            assert_eq!(sub.text(new), t.text(old));
-            assert_eq!(sub.depth(new), t.depth(old), "root children keep depths");
-        }
-        // Copying every child reproduces the whole arena shifted by one
-        // semantic no-op (same pre-order, same labels/text/depths).
-        let full = t.subforest(t.children(t.root()));
-        assert_eq!(full.len(), t.len());
-        for j in 1..full.len() as u32 {
-            assert_eq!(full.label(NodeId(j)), t.label(NodeId(j)));
-            assert_eq!(full.text(NodeId(j)), t.text(NodeId(j)));
-            assert_eq!(full.depth(NodeId(j)), t.depth(NodeId(j)));
-        }
-        // Empty roots: a lone root.
-        assert_eq!(t.subforest(&[]).len(), 1);
-        let _ = a;
     }
 
     #[test]
