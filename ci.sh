@@ -138,25 +138,32 @@ if grep -rn "value_of_row_hinted" --include='*.rs' crates >&2; then
     echo "ERROR: value_of_row_hinted is back under crates/" >&2; exit 1
 fi
 
-echo "== one thread per query: threads only around it (build, batch workers, shard scatter)"
+echo "== one thread per query, one pool caller: the batch workers"
 # Intra-query parallelism was measured on perfbench's op lists and deleted
-# (DESIGN §6): a request runs on the thread that calls it.  The pool keeps
-# three callers — the index build, the batch workers and the shard scatter;
-# a fourth file calling parallel_map( means a query phase grew threads
-# again.  (crates/lint holds fixture sources that spell the name.)
+# (DESIGN §6): a request runs on the thread that calls it, a sharded one
+# included, and the index builds on one thread.  The batch executor is
+# the pool's one caller; a second file calling parallel_map( means a
+# build, a scatter or a query phase grew threads again.  (crates/lint
+# holds fixture sources that spell the name.)
 if grep -rnE 'PAR_JOIN_MIN|PAR_MATCH_MIN|phase_chunks|pool\.(join|match|refill)_' crates >&2; then
     echo "ERROR: an intra-query pool name is back under crates/" >&2; exit 1
 fi
 pool_callers=$(grep -rlF 'parallel_map(' --include='*.rs' crates/*/src \
-    | grep -v -e '^crates/xml/src/pool.rs$' -e '^crates/lint/' | sort | tr '\n' ' ')
-[ "$pool_callers" = "crates/core/src/batch.rs crates/core/src/shard.rs crates/index/src/builder.rs " ] || {
+    | grep -v -e '^crates/core/src/pool.rs$' -e '^crates/lint/' | sort | tr '\n' ' ')
+[ "$pool_callers" = "crates/core/src/batch.rs " ] || {
     echo "ERROR: parallel_map( is called from: $pool_callers" >&2
-    echo "       expected exactly core/src/batch.rs, core/src/shard.rs, index/src/builder.rs" >&2
+    echo "       expected exactly crates/core/src/batch.rs" >&2
     exit 1; }
+# The parallel build, the threaded scatter and the pool's hardware-thread
+# setting are gone; any of their names back means a second fork came back.
+if grep -rnE -e 'chunk_ranges|SCATTER_WAVE|PASS3_TASK|ChunkTokens' \
+        -e 'Parallelism::Auto|fn with_parallelism' --include='*.rs' crates/*/src >&2; then
+    echo "ERROR: a deleted parallel fork is back under crates/*/src (lines above)" >&2; exit 1
+fi
 # The pool hands results back through join handles; a channel in it means
 # the per-item send and wake-up are back.
-if grep -n mpsc crates/xml/src/pool.rs >&2; then
-    echo "ERROR: crates/xml/src/pool.rs mentions mpsc" >&2; exit 1
+if grep -n mpsc crates/core/src/pool.rs >&2; then
+    echo "ERROR: crates/core/src/pool.rs mentions mpsc" >&2; exit 1
 fi
 
 echo "== one timing authority: crates/bench keeps experiments and counter goldens only"

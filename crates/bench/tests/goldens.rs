@@ -417,8 +417,8 @@ fn serve() {
 }
 
 /// Sharded scatter-gather: the serving mix across small and large k, at 4
-/// and 8 document shards on `Fixed(2)` scatter workers; every topology
-/// answers as the unsharded engine's filtered reference.
+/// and 8 document shards; every topology answers as the unsharded
+/// engine's filtered reference, and prunes at least one shard.
 #[test]
 fn shard() {
     let gate = gate();
@@ -457,9 +457,7 @@ fn shard() {
     for shards in [4, 8] {
         let dir = TempPath::new(&format!("xtk_goldens_shard{shards}"));
         write_sharded(ix, &dir, shards).expect("write sharded corpus");
-        let engine = ShardedEngine::open(ix, &dir)
-            .expect("open sharded corpus")
-            .with_parallelism(Parallelism::Fixed(2));
+        let engine = ShardedEngine::open(ix, &dir).expect("open sharded corpus");
         let (mut decodes, mut executed, mut pruned) = (0, 0, 0);
         for ((q, req), want) in work.iter().zip(&want) {
             let resp = engine.execute(q, req).expect("sharded execute");
@@ -468,9 +466,7 @@ fn shard() {
             executed += resp.metrics.get("shard.executed");
             pruned += resp.metrics.get("shard.pruned");
         }
-        if shards == 8 {
-            assert!(pruned > 0, "the TA merge pruned no shard at 8 shards: its bound is too loose");
-        }
+        assert!(pruned > 0, "the TA merge pruned no shard at {shards} shards: is its stop test run?");
         lines.push(format!(
             "{{\"shards\": {shards}, \"decodes\": {decodes}, \"executed\": {executed}, \
              \"pruned\": {pruned}}}"

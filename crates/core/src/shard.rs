@@ -50,21 +50,20 @@
 //! A shard's best possible result score is bounded by the sum, over the
 //! query terms, of the term's maximum occurrence score (damping is
 //! `λ^Δl ≤ 1`, and a result takes the max damped occurrence per
-//! keyword).  [`ShardedEngine::execute`] orders shards by that bound,
-//! scatters them in fixed-size waves over the existing work-stealing
-//! pool, and after each wave compares the next unexecuted shard's bound
-//! against the current k-th candidate score: strictly below means no
-//! remaining shard can alter the top-K, so the gather stops early.  The
-//! threshold is the classic TA stopping rule lifted from rows to shards.
+//! keyword).  [`ShardedEngine::execute`] orders shards by that bound and
+//! runs them one after another on the calling thread; before each shard
+//! it compares the shard's bound against the current k-th candidate
+//! score: strictly below means no remaining shard can alter the top-K,
+//! so the gather stops early.  The threshold is the classic TA stopping
+//! rule lifted from rows to shards.
 
 use crate::diskexec::{DiskJoinSpec, DiskSource};
 use crate::joinbased::{algorithm1, JoinOptions, KeywordRows};
-use crate::pool::{parallel_map, Parallelism};
 use crate::query::Query;
 use crate::request::{
     ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
 };
-use crate::result::{rank_top, sort_ranked, ScoredResult};
+use crate::result::{rank_top, ScoredResult};
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::ops::Range;
@@ -84,10 +83,6 @@ pub const STORE_FILE: &str = "index.bin";
 /// Manifest header magic + version; bump on layout changes (v1 stores
 /// number each shard densely: read only for a corpus without a gap).
 pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v2";
-/// Shards dispatched per scatter wave.  A fixed constant (never derived
-/// from the pool width) so the wave boundaries — and therefore the TA
-/// stopping decision and the merged trace — are parallelism-invariant.
-const SCATTER_WAVE: usize = 4;
 
 /// Directory name of shard `id`.
 pub fn shard_dir_name(id: u32) -> String {
@@ -323,13 +318,12 @@ impl Shard {
 /// [`io::ErrorKind::Unsupported`]).
 ///
 /// Responses are bit-identical to a single-shard (and to a filtered
-/// unsharded) run for every shard count, `Parallelism`, and block-cache
-/// configuration — the differential suite in `tests/shard_differential`
-/// asserts exactly that.
+/// unsharded) run for every shard count and block-cache configuration —
+/// the differential suite in `tests/shard_differential` asserts exactly
+/// that.
 pub struct ShardedEngine<'a> {
     ix: &'a XmlIndex,
     shards: Vec<Shard>,
-    parallelism: Parallelism,
     prune: bool,
     salt: u64,
     /// Plans against the *global* index statistics (shard-invariant, so
@@ -342,7 +336,6 @@ impl std::fmt::Debug for ShardedEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("shards", &self.shards.len())
-            .field("parallelism", &self.parallelism)
             .field("prune", &self.prune)
             .field("salt", &self.salt)
             .finish()
@@ -399,20 +392,12 @@ impl<'a> ShardedEngine<'a> {
             shards.push(shard);
         }
         let planner = crate::plan::cache::Planner::from_index(ix);
-        Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt: salt.0, planner })
+        Ok(Self { ix, shards, prune: true, salt: salt.0, planner })
     }
 
     /// The planner this engine serves specs from.
     pub fn planner(&self) -> &crate::plan::cache::Planner {
         &self.planner
-    }
-
-    /// Sets the scatter fan-out across shards (builder style).  Inside a
-    /// shard execution stays serial, so per-shard metrics and traces are
-    /// deterministic; responses are bit-identical for every setting.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Enables/disables the TA early stop (builder style; default on).
@@ -483,9 +468,10 @@ struct ShardOutcome {
     trace_events: Vec<xtk_obs::TraceEvent>,
 }
 
-/// One scatter-plan slot: shard index and the shard's TA score upper
+/// One scatter-plan slot: the shard, its index and its TA score upper
 /// bound.
-struct Planned {
+struct Planned<'s> {
+    data: &'s Shard,
     shard: usize,
     bound: f32,
 }
@@ -545,73 +531,52 @@ impl Executor for ShardedEngine<'_> {
                 bound = bound.zip(shard.held(t)).map(|(b, e)| b + e.2);
             }
             match bound {
-                Some(bound) => planned.push(Planned { shard: si, bound }),
+                Some(bound) => planned.push(Planned { data: shard, shard: si, bound }),
                 None => skipped += 1,
             }
         }
         planned.sort_by(|a, b| b.bound.total_cmp(&a.bound).then(a.shard.cmp(&b.shard)));
 
-        // Scatter-gather in fixed-size waves; stop when the next
-        // unexecuted bound is strictly below the k-th candidate score.
+        // Scatter-gather one shard at a time; stop before the first shard
+        // whose bound is strictly below the k-th candidate score.
         let mut candidates: Vec<ScoredResult> = Vec::new();
         let mut merged = MetricsRegistry::new().snapshot();
         let mut executed = 0u64;
         let mut pruned = 0u64;
-        let mut waves = 0u64;
-        let mut next = 0usize;
-        while next < planned.len() {
-            let end = (next + SCATTER_WAVE).min(planned.len());
-            let wave = planned.get(next..end).unwrap_or(&[]);
-            for p in wave {
-                obs.event(EventKind::ShardScatter {
-                    shard: p.shard as u32,
-                    bound_bits: p.bound.to_bits(),
-                });
-            }
-            let outcomes = parallel_map(self.parallelism, wave, |_, p| {
-                match self.shards.get(p.shard) {
-                    Some(shard) => self.run_shard(shard, query, &spec, req),
-                    None => Err(invalid("scatter plan shard out of range")),
+        for (next, p) in planned.iter().enumerate() {
+            if let Some(k) = req.k.filter(|_| self.prune) {
+                // The k best so far, in rank order.
+                rank_top(&mut candidates, Some(k));
+                let kth = k.checked_sub(1).and_then(|i| candidates.get(i));
+                if kth.is_some_and(|kth| p.bound.total_cmp(&kth.score).is_lt()) {
+                    pruned = (planned.len() - next) as u64;
+                    break;
                 }
+            }
+            obs.event(EventKind::ShardScatter {
+                shard: p.shard as u32,
+                bound_bits: p.bound.to_bits(),
             });
-            waves += 1;
-            for (p, outcome) in wave.iter().zip(outcomes) {
-                let out = outcome?;
-                executed += 1;
-                for ev in out.trace_events {
-                    // Store ids are process-global open counters; replace
-                    // them with the shard id so the merged trace is a pure
-                    // function of the topology, not of open order.
-                    let kind = match ev.kind {
-                        EventKind::StoreIo { decodes, .. } => {
-                            EventKind::StoreIo { store: p.shard as u32, decodes }
-                        }
-                        kind => kind,
-                    };
-                    obs.event(kind);
-                }
-                obs.event(EventKind::ShardGather {
-                    shard: p.shard as u32,
-                    results: out.results.len() as u64,
-                });
-                merged.merge(&out.metrics);
-                candidates.extend(out.results);
-            }
-            next = end;
-            if self.prune && next < planned.len() {
-                if let Some(k) = req.k {
-                    sort_ranked(&mut candidates);
-                    let kth = k.checked_sub(1).and_then(|i| candidates.get(i));
-                    let dominated = match (kth, planned.get(next)) {
-                        (Some(kth), Some(p)) => p.bound.total_cmp(&kth.score).is_lt(),
-                        _ => false,
-                    };
-                    if dominated {
-                        pruned = (planned.len() - next) as u64;
-                        break;
+            let out = self.run_shard(p.data, query, &spec, req)?;
+            executed += 1;
+            for ev in out.trace_events {
+                // Store ids are process-global open counters; replace
+                // them with the shard id so the merged trace is a pure
+                // function of the topology, not of open order.
+                let kind = match ev.kind {
+                    EventKind::StoreIo { decodes, .. } => {
+                        EventKind::StoreIo { store: p.shard as u32, decodes }
                     }
-                }
+                    kind => kind,
+                };
+                obs.event(kind);
             }
+            obs.event(EventKind::ShardGather {
+                shard: p.shard as u32,
+                results: out.results.len() as u64,
+            });
+            merged.merge(&out.metrics);
+            candidates.extend(out.results);
         }
         obs.event(EventKind::ShardStop { executed, pruned, skipped });
         rank_top(&mut candidates, req.k);
@@ -622,7 +587,6 @@ impl Executor for ShardedEngine<'_> {
         driver.add("shard.executed", executed);
         driver.add("shard.pruned", pruned);
         driver.add("shard.skipped", skipped);
-        driver.add("shard.waves", waves);
         driver.add("query.results", candidates.len() as u64);
         let mut metrics = driver.snapshot();
         metrics.merge(&merged);
@@ -665,6 +629,7 @@ impl Executor for ShardedEngine<'_> {
 mod tests {
     use super::*;
     use crate::query::Semantics;
+    use crate::result::sort_ranked;
     use xtk_xml::parse;
 
     const DOC: &str = "<bib><conf><paper><title>xml keyword search</title>\

@@ -174,7 +174,7 @@ fn batch_report_is_parallelism_invariant() {
     let opts = |par| BatchOptions { parallelism: par, trace: TraceLevel::Events, ..Default::default() };
     let base_engine = Engine::from_xml(&xml).unwrap();
     let base = base_engine.run_batch_report(&mk_items(&base_engine), &opts(Parallelism::Serial));
-    for par in [Parallelism::Fixed(2), Parallelism::Fixed(8), Parallelism::Auto] {
+    for par in [Parallelism::Fixed(2), Parallelism::Fixed(4), Parallelism::Fixed(8)] {
         let e = Engine::from_xml(&xml).unwrap();
         let got = e.run_batch_report(&mk_items(&e), &opts(par));
         assert_eq!(base.metrics, got.metrics, "batch metrics under {par}");
@@ -183,6 +183,38 @@ fn batch_report_is_parallelism_invariant() {
         for (a, b) in base.responses.iter().zip(&got.responses) {
             assert_eq!(bits(&a.results), bits(&b.results), "results under {par}");
         }
+    }
+}
+
+/// The facade over a larger corpus: every request of a three-worker
+/// batch, the explicit top-K join included, answers as `Engine::run` does.
+#[test]
+fn engine_facade_is_parallelism_invariant() {
+    let mut xml = String::from("<r>");
+    for i in 0..400 {
+        xml.push_str(&format!("<p><t>alpha beta</t><u>gamma{}</u></p>", i % 7));
+    }
+    xml.push_str("</r>");
+    let engine = Engine::from_xml(&xml).unwrap();
+    let requests = [
+        QueryRequest::complete(Semantics::Elca),
+        QueryRequest::complete(Semantics::Slca),
+        QueryRequest::top_k(7, Semantics::Elca).with_algorithm(QueryAlgorithm::TopKJoin),
+        QueryRequest::top_k(7, Semantics::Elca),
+    ];
+    let items: Vec<BatchItem> = ["alpha beta", "alpha gamma3", "beta gamma0 alpha"]
+        .iter()
+        .flat_map(|text| requests.iter().map(|req| (engine.query(text).unwrap(), *req)))
+        .map(|(query, req)| BatchItem::new(query, req))
+        .collect();
+    let opts = BatchOptions { parallelism: Parallelism::Fixed(3), ..Default::default() };
+    let report = engine.run_batch_report(&items, &opts);
+    assert_eq!(report.responses.len(), items.len());
+    for (item, got) in items.iter().zip(&report.responses) {
+        let want = engine.run(&item.query, &item.request);
+        assert_eq!(want.engine, got.engine, "planner choice");
+        assert_eq!(bits(&want.results), bits(&got.results));
+        assert_eq!(want.metrics, got.metrics, "per-query metrics");
     }
 }
 

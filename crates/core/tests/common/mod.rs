@@ -1,9 +1,9 @@
 //! Shared corpus construction for the cross-engine test binaries:
-//! `engine_agreement` (serial engines against naive references) and
-//! `parallel_differential` (parallel execution against serial) generate
-//! their random trees, keyword placements, and queries through these
-//! helpers so both exercise the same input distribution; the disk suites
-//! share the in-memory store image.
+//! `engine_agreement` (engines against naive references), the top-K and
+//! source-conformance suites generate their random trees, keyword
+//! placements, and queries through these helpers so they exercise the
+//! same input distribution; the disk suites share the in-memory store
+//! image.
 //!
 //! Each test binary compiles its own copy and uses a different subset;
 //! `crates/baselines/tests/engine_agreement.rs` includes it by path, so

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use xtk_core::plan::{PlanSource, Planner};
 use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::shard::{write_sharded, ShardedEngine};
-use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
+use xtk_core::{Engine, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::disk::{write_index, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
@@ -118,8 +118,7 @@ fn cached_plans_are_result_identical_sharded() {
             &dir,
             Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>,
         )
-        .unwrap()
-        .with_parallelism(Parallelism::Auto);
+        .unwrap();
         let q = e.query("series xml").unwrap();
         let req = QueryRequest::top_k(4, Semantics::Elca);
         let cold = engine.execute(&q, &req).unwrap().results;

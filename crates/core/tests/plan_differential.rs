@@ -12,7 +12,7 @@ use std::sync::Arc;
 use xtk_core::plan::RuleSet;
 use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::shard::{write_sharded, ShardedEngine};
-use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
+use xtk_core::{Engine, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_xml::testutil::TempPath;
@@ -130,9 +130,7 @@ fn every_rule_is_result_preserving_sharded() {
             ("cap1", Arc::new(ShardedLruCache::with_block_capacity(1)) as Arc<dyn BlockCache>),
             ("unbounded", Arc::new(ShardedLruCache::unbounded()) as Arc<dyn BlockCache>),
         ] {
-            let engine = ShardedEngine::open_with_cache(e.index(), &dir, cache)
-                .unwrap()
-                .with_parallelism(Parallelism::Auto);
+            let engine = ShardedEngine::open_with_cache(e.index(), &dir, cache).unwrap();
             for q_text in ["series xml", "top join"] {
                 let q = e.query(q_text).unwrap();
                 let req = QueryRequest::top_k(4, Semantics::Elca);

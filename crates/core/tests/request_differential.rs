@@ -2,7 +2,7 @@
 //! return **bit-identical** results (nodes, order, score bits) to the
 //! underlying algorithm entry points it lowers to, for every semantics ×
 //! served engine combination, and the recorded trace must not depend on the
-//! `Parallelism` of the batch or the shard scatter that served it.
+//! `Parallelism` of the batch that served it.
 
 use xtk_core::baseline::stack::{stack_search, StackOptions};
 use xtk_core::hybrid::hybrid_topk;
@@ -133,9 +133,8 @@ fn run_metrics_equal_raw_counters() {
 
 #[test]
 fn traces_are_bit_identical_across_parallelism() {
-    // A request runs on one thread; the threads are around it — batch
-    // workers and the shard scatter — and neither may show in its trace.
-    use xtk_core::shard::{write_sharded, ShardedEngine};
+    // A request runs on one thread; the batch workers are around it and
+    // may not show in its trace.
     use xtk_core::{BatchItem, BatchOptions};
     let traced = |req: QueryRequest| {
         req.with_algorithm(QueryAlgorithm::JoinBased).with_trace(TraceLevel::Events)
@@ -169,17 +168,6 @@ fn traces_are_bit_identical_across_parallelism() {
             assert_eq!(t1.to_json_lines(), t2.to_json_lines());
         }
     }
-    let dir = xtk_xml::testutil::TempPath::new("xtk_request_diff_scatter");
-    write_sharded(e.index(), &dir, 3).unwrap();
-    let scatter = |parallelism| {
-        let sharded = ShardedEngine::open(e.index(), &dir).unwrap().with_parallelism(parallelism);
-        // The sharded engine serves the ranked join family only.
-        let served = items.iter().filter(|it| it.request.algorithm == QueryAlgorithm::JoinBased);
-        served
-            .map(|it| sharded.execute(&it.query, &it.request).unwrap().trace.expect("trace"))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(scatter(Parallelism::Serial), scatter(Parallelism::Fixed(3)));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The shard-invariance differential suite: 1 shard ≡ {2, 4, 8} shards
-//! bit-identically — results across Parallelism × block-cache configs,
-//! metric totals and merged trace order across Parallelism — plus
-//! `run_batch` ≡ sequential per-query runs ≡ single-shard runs, and the
+//! bit-identically — results across batch `Parallelism` × block-cache
+//! configs — plus `run_batch` ≡ sequential per-query runs ≡ single-shard
+//! runs, the TA stop on a shard the first one dominates, and the
 //! topology-salt regression for the stale-cache-hit case.
 
 use std::sync::Arc;
@@ -111,27 +111,31 @@ fn results_bit_identical_across_topology_parallelism_and_cache() {
     let references: Vec<Vec<ScoredResult>> =
         work.iter().map(|(q, r)| reference(&engine, q, r)).collect();
 
+    let items: Vec<BatchItem> =
+        work.iter().map(|(q, req)| BatchItem::new(q.clone(), *req)).collect();
+
     for shards in [1usize, 2, 4, 8] {
         let dir = tmp(&format!("grid{shards}"));
         write_sharded(&ix, &dir, shards).unwrap();
-        for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
-            for bounded in [false, true] {
-                let cache: Arc<ShardedLruCache> = if bounded {
-                    Arc::new(ShardedLruCache::with_block_capacity(8))
-                } else {
-                    Arc::new(ShardedLruCache::unbounded())
-                };
-                let sharded = ShardedEngine::open_with_cache(&ix, &dir, cache)
-                    .unwrap()
-                    .with_parallelism(parallelism);
-                for ((q, req), want) in work.iter().zip(&references) {
-                    let got = sharded.execute(q, req).unwrap();
-                    assert_bit_identical(
-                        &format!("{shards} shards, {parallelism:?}, bounded={bounded}"),
-                        &got.results,
-                        want,
-                    );
-                }
+        for bounded in [false, true] {
+            let cache: Arc<ShardedLruCache> = if bounded {
+                Arc::new(ShardedLruCache::with_block_capacity(8))
+            } else {
+                Arc::new(ShardedLruCache::unbounded())
+            };
+            let sharded = ShardedEngine::open_with_cache(&ix, &dir, cache).unwrap();
+            for ((q, req), want) in work.iter().zip(&references) {
+                let got = sharded.execute(q, req).unwrap();
+                let label = format!("{shards} shards, bounded={bounded}");
+                assert_bit_identical(&label, &got.results, want);
+            }
+            // The same requests as one batch, its distinct requests on
+            // three workers sharing the engine and its block cache.
+            let opts = BatchOptions { parallelism: Parallelism::Fixed(3), ..Default::default() };
+            let report = run_batch(&sharded, &ResultCache::default(), &opts, &items).unwrap();
+            for (got, want) in report.responses.iter().zip(&references) {
+                let label = format!("{shards} shards, bounded={bounded}, batch on fixed(3)");
+                assert_bit_identical(&label, &got.results, want);
             }
         }
     }
@@ -155,34 +159,46 @@ fn stores_written_without_scores_serve_ranked_requests() {
     }
 }
 
+/// Four documents, one per shard: the first holds the only nodes that
+/// repeat both keywords, the others one occurrence of each.  A shard's
+/// bound is the sum of its keywords' best occurrence scores, so the
+/// first shard's two best answers lie above every other shard's bound.
+fn dominated_corpus_xml() -> String {
+    let strong = "alpha ".repeat(8) + &"beta ".repeat(8);
+    let mut s = format!("<bib><doc><p>{strong}</p><p>{strong}</p><p>{strong}gamma</p></doc>");
+    for d in 1..4 {
+        s.push_str(&format!("<doc><p>alpha beta delta{d}</p><p>gamma delta{d}</p></doc>"));
+    }
+    s.push_str("</bib>");
+    s
+}
+
 #[test]
-fn metric_totals_and_merged_traces_are_parallelism_invariant() {
-    let ix = corpus();
-    let work = workload(&ix);
-    let dir = tmp("trace");
-    write_sharded(&ix, &dir, 4).unwrap();
-    // Fresh unbounded cache per engine, same execution sequence: decode
-    // counters and everything downstream must be bit-identical.
-    let run = |parallelism: Parallelism| {
-        let sharded = ShardedEngine::open(&ix, &dir).unwrap().with_parallelism(parallelism);
-        work.iter()
-            .map(|(q, req)| {
-                sharded.execute(q, &req.with_trace(TraceLevel::Events)).unwrap()
-            })
-            .collect::<Vec<_>>()
-    };
-    let serial = run(Parallelism::Serial);
-    let parallel = run(Parallelism::Fixed(3));
-    for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(a.metrics, b.metrics, "metric totals for query {i}");
-        let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
-        assert_eq!(
-            ta.to_json_lines(),
-            tb.to_json_lines(),
-            "merged trace order for query {i}"
-        );
-        assert!(!ta.of_kind("shard_scatter").is_empty());
-        assert_eq!(ta.of_kind("shard_stop").len(), 1);
+fn a_dominated_shard_is_pruned_before_it_runs() {
+    let engine = Engine::from_xml(&dominated_corpus_xml()).unwrap();
+    let ix = engine.index();
+    let dir = tmp("dominated");
+    assert_eq!(write_sharded(ix, &dir, 4).unwrap(), 4);
+    let sharded = ShardedEngine::open(ix, &dir).unwrap();
+    let q = Query::from_words(ix, &["alpha", "beta"]).unwrap();
+    for sem in [Semantics::Elca, Semantics::Slca] {
+        let req = QueryRequest::top_k(2, sem).with_trace(TraceLevel::Events);
+        let got = sharded.execute(&q, &req).unwrap();
+        assert_bit_identical(&format!("{sem:?}"), &got.results, &reference(&engine, &q, &req));
+        let (executed, pruned) = (got.metrics.get("shard.executed"), got.metrics.get("shard.pruned"));
+        assert_eq!(got.metrics.get("shard.eligible"), 4, "{sem:?}: every shard holds both keywords");
+        assert!(pruned >= 1 && executed < 4, "{sem:?}: executed {executed}, pruned {pruned}");
+        assert_eq!(executed + pruned, 4, "{sem:?}");
+        // One scatter and one gather per executed shard, one stop.
+        let trace = got.trace.as_ref().unwrap();
+        assert_eq!(trace.of_kind("shard_scatter").len() as u64, executed, "{sem:?}");
+        assert_eq!(trace.of_kind("shard_gather").len() as u64, executed, "{sem:?}");
+        assert_eq!(trace.of_kind("shard_stop").len(), 1, "{sem:?}");
+        // Without the stop every shard runs, and the answer is the same.
+        let full = ShardedEngine::open(ix, &dir).unwrap().with_pruning(false);
+        let all = full.execute(&q, &req).unwrap();
+        assert_eq!((all.metrics.get("shard.executed"), all.metrics.get("shard.pruned")), (4, 0));
+        assert_bit_identical(&format!("{sem:?} unpruned"), &all.results, &got.results);
     }
 }
 

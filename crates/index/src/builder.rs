@@ -14,6 +14,11 @@
 //! All of them live in one flat arena per index ([`crate::terms`]), read
 //! through the [`TermData`] view [`XmlIndex::term`] returns.
 //!
+//! The build runs on its caller's thread in three passes: tokenize the
+//! tree into per-term postings, find the largest raw score, then write
+//! each term's structures into the arena in term order.  A parallel
+//! build did not pay on two cores and slowed this one (DESIGN §6, §16).
+//!
 //! What only the evaluation baselines read — subtree ranges and RDIL's
 //! score-descending permutation — is derived on demand by `xtk-baselines`,
 //! and the Dewey ids Table I prices by [`crate::sizes`].
@@ -25,7 +30,6 @@ use crate::text::token_counts;
 use std::collections::HashMap;
 use std::ops::Range;
 use xtk_xml::jdewey::JDeweyAssignment;
-use xtk_xml::pool::{chunk_ranges, parallel_map, Parallelism};
 use xtk_xml::tree::{NodeId, XmlTree};
 
 /// Deterministic per-node "global importance" in `[0.7, 1.0)` — a
@@ -115,7 +119,7 @@ fn local_scores<'a>(
 }
 
 /// Options for [`XmlIndex::build_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IndexOptions {
     /// Damping function for score propagation (default λ = 0.9).
     pub damping: Damping,
@@ -124,38 +128,7 @@ pub struct IndexOptions {
     pub jdewey_gap: u32,
     /// The local scoring function `g(v, w)`.
     pub scorer: LocalScorer,
-    /// Worker threads for the build (tokenization and per-term structure
-    /// construction).  The built index is bit-identical for every setting;
-    /// see [`Parallelism`].
-    pub parallelism: Parallelism,
 }
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        Self {
-            damping: Damping::paper_default(),
-            jdewey_gap: 0,
-            scorer: LocalScorer::default(),
-            parallelism: Parallelism::Serial,
-        }
-    }
-}
-
-/// Distinct terms of one tokenizer chunk, in first-occurrence order:
-/// `(term, postings, tfs)`.
-struct ChunkTokens {
-    n_docs: u64,
-    terms: Vec<(Box<str>, Vec<NodeId>, Vec<u32>)>,
-}
-
-/// Terms per Pass 3 task of a parallel build, and tasks per worker per
-/// wave: a wave's arenas are appended to the index before the next wave
-/// starts, so the build never holds a second copy of every term.  No
-/// workload builds in parallel (perfbench and the shard builds are
-/// serial), so neither value has been tuned, nor the memory of a wave
-/// measured.
-const PASS3_TASK_TERMS: usize = 256;
-const PASS3_TASKS_PER_WORKER: usize = 4;
 
 /// The unified in-memory index over one XML document.
 ///
@@ -189,82 +162,37 @@ impl XmlIndex {
         Self::build_with(tree, IndexOptions::default())
     }
 
-    /// Builds the index with explicit options.
-    ///
-    /// With `opts.parallelism` above [`Parallelism::Serial`] the three
-    /// passes fan out over worker threads; the resulting index is
-    /// **bit-identical** to the serial build:
-    ///
-    /// * Pass 1 tokenizes contiguous node-id chunks independently, then
-    ///   merges the chunk vocabularies *in chunk order* — postings stay in
-    ///   document order and [`TermId`]s are assigned in global
-    ///   first-occurrence order, exactly as the serial loop does;
-    /// * Pass 2/3 are per-term maps whose results are merged by term index.
+    /// Builds the index with explicit options, on the calling thread.
     pub fn build_with(tree: XmlTree, opts: IndexOptions) -> Self {
         let jd = JDeweyAssignment::assign(&tree, opts.jdewey_gap);
-        let par = opts.parallelism;
 
-        // Pass 1: postings with term frequencies.  Over-split (4 chunks
-        // per worker) so text-heavy regions don't straggle.
-        let n_chunks = if par.workers() <= 1 { 1 } else { par.workers() * 4 };
-        let chunks = chunk_ranges(tree.len(), n_chunks);
-        let tree_ref = &tree;
-        let chunked: Vec<ChunkTokens> = parallel_map(par, &chunks, |_, range| {
-            let mut local: HashMap<Box<str>, usize> = HashMap::new();
-            let mut terms: Vec<(Box<str>, Vec<NodeId>, Vec<u32>)> = Vec::new();
-            let mut n_docs = 0u64;
-            for i in range.clone() {
-                let id = NodeId(i as u32);
-                let text = tree_ref.text(id);
-                if text.is_empty() {
-                    continue;
-                }
-                n_docs += 1;
-                for (tok, tf) in token_counts(text) {
-                    let tok = tok.into_boxed_str();
-                    let ti = *local.entry(tok.clone()).or_insert_with(|| {
-                        terms.push((tok, Vec::new(), Vec::new()));
-                        terms.len() - 1
-                    });
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "ti was returned by the push that created the entry"
-                    )]
-                    terms[ti].1.push(id);
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "ti was returned by the push that created the entry"
-                    )]
-                    terms[ti].2.push(tf);
-                }
-            }
-            ChunkTokens { n_docs, terms }
-        });
-        // Deterministic merge: chunks in document order, terms in their
-        // first-occurrence order within each chunk — global TermIds come
-        // out identical to the single-pass serial assignment.
+        // Pass 1: postings with term frequencies, in document order.  A
+        // term's id is its first occurrence's rank, and its name goes into
+        // the arena as it is met.
         let mut vocab: HashMap<Box<str>, TermId> = HashMap::new();
         let mut raw: Vec<(Vec<NodeId>, Vec<u32>)> = Vec::new();
         let mut terms = TermArena::default();
         let mut n_docs = 0u64;
-        for chunk in chunked {
-            n_docs += chunk.n_docs;
-            for (tok, mut posts, mut tfs) in chunk.terms {
-                match vocab.entry(tok) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        #[expect(
-                            clippy::indexing_slicing,
-                            reason = "vocab maps each term to its slot in raw"
-                        )]
-                        let (p, t) = &mut raw[e.get().0 as usize];
-                        p.append(&mut posts);
-                        t.append(&mut tfs);
+        for i in 0..tree.len() {
+            let id = NodeId(i as u32);
+            let text = tree.text(id);
+            if text.is_empty() {
+                continue;
+            }
+            n_docs += 1;
+            for (tok, tf) in token_counts(text) {
+                let ti = match vocab.get(tok.as_str()) {
+                    Some(t) => t.0 as usize,
+                    None => {
+                        terms.push_name(&tok);
+                        vocab.insert(tok.into_boxed_str(), TermId(raw.len() as u32));
+                        raw.push((Vec::new(), Vec::new()));
+                        raw.len() - 1
                     }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        terms.push_name(e.key());
-                        e.insert(TermId(raw.len() as u32));
-                        raw.push((posts, tfs));
-                    }
+                };
+                if let Some((posts, tfs)) = raw.get_mut(ti) {
+                    posts.push(id);
+                    tfs.push(tf);
                 }
             }
         }
@@ -275,63 +203,32 @@ impl XmlIndex {
         // raw score, bit for bit, where it stores it.  Alongside, each
         // term's column and run counts, which size the arena.
         let model = TfIdf { n_docs: n_docs.max(1) };
-        let per_term: Vec<(f64, usize, usize)> = parallel_map(par, &raw, |_, (posts, tfs)| {
-            let df = posts.len() as u64;
-            let max = tfs.iter().fold(f64::MIN_POSITIVE, |a, &tf| a.max(model.raw(tf, df)));
-            let cols = posts.iter().map(|&n| usize::from(tree_ref.depth(n))).max().unwrap_or(0);
-            (max, cols, run_count(tree_ref, posts))
-        });
+        let per_term: Vec<(f64, usize, usize)> = raw
+            .iter()
+            .map(|(posts, tfs)| {
+                let df = posts.len() as u64;
+                let max = tfs.iter().fold(f64::MIN_POSITIVE, |a, &tf| a.max(model.raw(tf, df)));
+                let cols = posts.iter().map(|&n| usize::from(tree.depth(n))).max().unwrap_or(0);
+                (max, cols, run_count(&tree, posts))
+            })
+            .collect();
         let max_raw = per_term.iter().fold(f64::MIN_POSITIVE, |a, t| a.max(t.0));
 
-        // Pass 3: physical structures per term, written into the arena.
+        // Pass 3: physical structures per term, written straight into the
+        // arena, each term's raw lists dropped once its structures are in.
         // The local score combines the normalized tf-idf with a per-node
         // "global importance" factor (the paper's g may mix IR scores with
         // link-based node scores); a deterministic hash stands in for
         // PageRank-style importance and keeps scores spread out — without
         // it, planted tf=1 terms would all tie and every top-K threshold
         // would be degenerate.
-        let scorer = opts.scorer;
         let rows = raw.iter().map(|(p, _)| p.len()).sum();
         let (cols, runs) = per_term.iter().fold((0, 0), |(c, r), t| (c + t.1, r + t.2));
         terms.reserve(raw.len(), rows, cols, runs);
-        let jd_ref = &jd;
-        let push =
-            |arena: &mut TermArena, scratch: &mut ColumnScratch, posts: &[NodeId], tfs: &[u32]| {
-                let scores = local_scores(posts, tfs, model, max_raw, scorer);
-                arena.push_term(tree_ref, jd_ref, posts, scores, scratch);
-            };
-        if par.workers() <= 1 {
-            // Straight into the index, each term's raw lists dropped once
-            // its structures are in.  Running the waves below inline
-            // instead costs 15–35 MB of peak resident memory on perfbench's
-            // corpus: the task arenas' allocations and frees fragment the
-            // heap (DESIGN §16).
-            let mut scratch = ColumnScratch::default();
-            for (posts, tfs) in raw {
-                push(&mut terms, &mut scratch, &posts, &tfs);
-            }
-        } else {
-            // Waves of contiguous term ranges: each task builds a small
-            // arena, appended in term order — the same arrays the serial
-            // loop writes — and a wave's raw lists are dropped before the
-            // next wave starts.
-            let tasks = chunk_ranges(raw.len(), raw.len().div_ceil(PASS3_TASK_TERMS));
-            for wave in tasks.chunks(par.workers() * PASS3_TASKS_PER_WORKER) {
-                let raw_ref = &raw;
-                let parts = parallel_map(par, wave, |_, range| {
-                    let mut part = TermArena::default();
-                    let mut scratch = ColumnScratch::default();
-                    for (posts, tfs) in raw_ref.get(range.clone()).unwrap_or_default() {
-                        push(&mut part, &mut scratch, posts, tfs);
-                    }
-                    part
-                });
-                for part in parts {
-                    terms.append(part);
-                }
-                let done = wave.first().map_or(0, |r| r.start)..wave.last().map_or(0, |r| r.end);
-                raw.get_mut(done).unwrap_or_default().iter_mut().for_each(|e| *e = Default::default());
-            }
+        let mut scratch = ColumnScratch::default();
+        for (posts, tfs) in raw {
+            let scores = local_scores(&posts, &tfs, model, max_raw, opts.scorer);
+            terms.push_term(&tree, &jd, &posts, scores, &mut scratch);
         }
         terms.shrink_to_fit();
 
@@ -534,45 +431,6 @@ mod tests {
     fn doc_count_counts_text_nodes() {
         let ix = index("<r><a>x</a><b/><c>y</c></r>");
         assert_eq!(ix.doc_count(), 2);
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        // Enough text nodes to spread across many chunks, with terms that
-        // recur across chunk boundaries so the vocabulary merge is
-        // actually exercised.
-        let mut xml = String::from("<r>");
-        for i in 0..300 {
-            xml.push_str(&format!("<p>shared term{} shared{} x</p>", i % 17, i % 5));
-        }
-        xml.push_str("</r>");
-        let tree = parse(&xml).unwrap();
-        let serial = XmlIndex::build_with(tree.clone(), IndexOptions::default());
-        assert!(serial.term_by_str("shared").unwrap().row_directory(2).is_some());
-        let settings =
-            [Parallelism::Fixed(2), Parallelism::Fixed(3), Parallelism::Fixed(8), Parallelism::Auto];
-        for par in settings {
-            let p = XmlIndex::build_with(
-                tree.clone(),
-                IndexOptions { parallelism: par, ..Default::default() },
-            );
-            assert_eq!(p.vocab_size(), serial.vocab_size(), "{par}");
-            assert_eq!(p.doc_count(), serial.doc_count(), "{par}");
-            for ((_, a), (_, b)) in serial.terms().zip(p.terms()) {
-                // Same TermId order, same postings, bit-identical scores,
-                // same physical structures.
-                assert_eq!(a.name(), b.name(), "{par}");
-                assert_eq!(a.postings(), b.postings(), "{par} {}", a.name());
-                let sa: Vec<u32> = a.scores().iter().map(|s| s.to_bits()).collect();
-                let sb: Vec<u32> = b.scores().iter().map(|s| s.to_bits()).collect();
-                assert_eq!(sa, sb, "{par} {}", a.name());
-                assert!(a.columns().eq(b.columns()), "{par} {}", a.name());
-                assert_eq!(a.max_score().to_bits(), b.max_score().to_bits(), "{par} {}", a.name());
-                for level in 1..=a.max_len() {
-                    assert_eq!(a.row_directory(level), b.row_directory(level), "{par} {}", a.name());
-                }
-            }
-        }
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! and level would make the index's memory a matter of allocator
 //! overhead and allocation order instead of bytes.
 //!
-//! [`TermArena::push_term`] appends one term; [`TermArena::append`]
-//! concatenates an arena built over the terms that follow.  Readers get a
+//! [`TermArena::push_term`] appends one term.  Readers get a
 //! [`TermData`] view whose methods return slices.
 
 use crate::columnar::{build_columns, Column, ColumnScratch, Run, RowDirectory};
@@ -39,11 +38,6 @@ fn span(at: &[u32], i: usize) -> Range<usize> {
 #[expect(clippy::expect_used, reason = "the build has no error path; see XmlIndex's docs")]
 fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("term arena exceeds u32 offsets")
-}
-
-/// Appends `src`'s offsets after its leading 0 to `dst`, shifted by `base`.
-fn extend_offsets(dst: &mut Vec<u32>, src: &[u32], base: usize) {
-    dst.extend(src.iter().skip(1).map(|&o| offset(o as usize + base)));
 }
 
 /// The largest score under `f32::total_cmp`, 0 for none.
@@ -180,27 +174,6 @@ impl TermArena {
 
         build_segments(tree, postings, scores, &mut self.seg_rows, &mut self.segs);
         self.seg_at.push(offset(self.segs.len()));
-    }
-
-    /// Appends `next`'s terms — built over the terms that follow this
-    /// arena's — except their names (see [`push_name`](Self::push_name)).
-    pub(crate) fn append(&mut self, next: TermArena) {
-        let (rows, cols) = (self.postings.len(), self.run_at.len() - 1);
-        extend_offsets(&mut self.row_at, &next.row_at, rows);
-        self.postings.extend_from_slice(&next.postings);
-        self.scores.extend_from_slice(&next.scores);
-        self.max_scores.extend_from_slice(&next.max_scores);
-        extend_offsets(&mut self.col_at, &next.col_at, cols);
-        extend_offsets(&mut self.run_at, &next.run_at, self.runs.len());
-        self.runs.extend_from_slice(&next.runs);
-        extend_offsets(&mut self.seg_at, &next.seg_at, self.segs.len());
-        self.segs.extend_from_slice(&next.segs);
-        self.seg_rows.extend_from_slice(&next.seg_rows);
-        self.hist_cols.extend(next.hist_cols.iter().map(|&c| offset(c as usize + cols)));
-        self.hists.extend_from_slice(&next.hists);
-        self.dir_cols.extend(next.dir_cols.iter().map(|&c| offset(c as usize + cols)));
-        extend_offsets(&mut self.dir_at, &next.dir_at, self.dir_entries.len());
-        self.dir_entries.extend_from_slice(&next.dir_entries);
     }
 
     /// Gives back the capacity the build over-reserved.
@@ -367,16 +340,14 @@ mod tests {
 
     #[test]
     fn offsets_reach_u32_max() {
+        assert_eq!(offset(0), 0);
+        assert_eq!(offset(u32::MAX as usize - 3), u32::MAX - 3);
         assert_eq!(offset(u32::MAX as usize), u32::MAX);
-        let mut at = vec![0];
-        extend_offsets(&mut at, &[0, 2, 5], u32::MAX as usize - 5);
-        assert_eq!(at, [0, u32::MAX - 3, u32::MAX]);
     }
 
     #[test]
     #[should_panic(expected = "term arena exceeds u32 offsets")]
     fn an_offset_past_u32_max_is_refused_not_wrapped() {
-        let mut at = vec![0];
-        extend_offsets(&mut at, &[0, 6], u32::MAX as usize - 5);
+        offset(u32::MAX as usize + 1);
     }
 }

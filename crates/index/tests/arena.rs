@@ -4,14 +4,12 @@
 //! histograms and row directories in shared flat arrays.  These tests
 //! rebuild each term alone — `build_columns`, `build_segments`,
 //! `Histogram::build`, `RowDirectory::build` over its postings — and
-//! compare the result with the arena's views, on random corpora and
-//! across build parallelism.
+//! compare the result with the arena's views, on random corpora.
 
 use xtk_index::columnar::{build_columns, run_count, Column, ColumnScratch, RowDirectory, Run};
 use xtk_index::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
 use xtk_index::scored::build_segments;
-use xtk_index::{IndexOptions, TermData, XmlIndex};
-use xtk_xml::pool::Parallelism;
+use xtk_index::{TermData, XmlIndex};
 use xtk_xml::testutil::{prop_check, Gen};
 use xtk_xml::tree::{NodeId, XmlTree};
 
@@ -117,7 +115,7 @@ fn arena_views_match_each_term_rebuilt_alone() {
     let (hists, dirs) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
     prop_check(0xA8E_0001, 48, |g| {
         let tree = random_tree(g, 6);
-        let ix = XmlIndex::build(tree.clone());
+        let ix = XmlIndex::build(tree);
         let mut scratch = ColumnScratch::default();
         for (_, t) in ix.terms() {
             let got = view(t);
@@ -128,36 +126,6 @@ fn arena_views_match_each_term_rebuilt_alone() {
             let runs: usize = got.columns.iter().map(Vec::len).sum();
             assert_eq!(run_count(ix.tree(), t.postings()), runs, "run count of {}", t.name());
         }
-        // Serial against a three-worker build: the same arrays.
-        let par = IndexOptions { parallelism: Parallelism::Fixed(3), ..Default::default() };
-        let p = XmlIndex::build_with(tree, par);
-        assert_eq!(p.vocab_size(), ix.vocab_size());
-        for ((_, a), (_, b)) in ix.terms().zip(p.terms()) {
-            assert_eq!(view(a), view(b), "Fixed(3) term {}", a.name());
-        }
     });
     assert!(hists.get() > 0 && dirs.get() > 0, "no term carried a histogram or a row directory");
-}
-
-#[test]
-fn a_parallel_build_over_many_waves_matches_the_serial_one() {
-    // Thousands of one-off terms beside a few frequent ones: the parallel
-    // build cuts the vocabulary into many tasks over several waves, and
-    // the arrays it appends must be the serial build's.
-    let mut xml = String::from("<r>");
-    for i in 0..5_000 {
-        xml.push_str(&format!("<p><t>common u{i}</t><q>w{} common</q></p>", i % 7));
-    }
-    xml.push_str("</r>");
-    let tree = xtk_xml::parse(&xml).unwrap();
-    let serial = XmlIndex::build(tree.clone());
-    assert!(serial.vocab_size() > 5_000);
-    for workers in [2, 3] {
-        let opts = IndexOptions { parallelism: Parallelism::Fixed(workers), ..Default::default() };
-        let p = XmlIndex::build_with(tree.clone(), opts);
-        assert_eq!(p.vocab_size(), serial.vocab_size());
-        for ((_, a), (_, b)) in serial.terms().zip(p.terms()) {
-            assert_eq!(view(a), view(b), "Fixed({workers}) term {}", a.name());
-        }
-    }
 }

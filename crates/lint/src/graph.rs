@@ -557,7 +557,7 @@ mod tests {
                 "#,
             ),
             (
-                "crates/xml/src/pool.rs",
+                "crates/core/src/pool.rs",
                 "pub fn parallel_map(items: &[u32]) -> u32 { 0 }\n",
             ),
         ]);

@@ -343,7 +343,7 @@ mod tests {
                 "#,
             ),
             (
-                "crates/xml/src/pool.rs",
+                "crates/core/src/pool.rs",
                 "pub fn parallel_map(items: &[u32]) -> u32 { 0 }\n",
             ),
         ]);
@@ -370,7 +370,7 @@ mod tests {
                 "#,
             ),
             (
-                "crates/xml/src/pool.rs",
+                "crates/core/src/pool.rs",
                 "pub fn parallel_map(items: &[u32]) -> u32 { 0 }\n",
             ),
         ]);

@@ -1035,7 +1035,7 @@ mod tests {
                 Vec::new()
             }
         "#;
-        let pf = parse_s("crates/xml/src/pool.rs", src);
+        let pf = parse_s("crates/core/src/pool.rs", src);
         let decls: Vec<_> = pf.fns.iter().filter(|f| f.name == "execute").collect();
         assert_eq!(decls.len(), 2);
         assert_eq!(decls.first().map(|f| f.owner.as_deref()), Some(Some("Executor")));

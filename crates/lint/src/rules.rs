@@ -239,7 +239,7 @@ mod tests {
         let b = l9_of("crates/core/src/batch.rs", "pub fn f() { let _ = tuple_fn(); }\n", &["flush"]);
         assert!(b.is_empty(), "{b:?}");
         // Out of scope: xml crate.
-        let c = l9_of("crates/xml/src/pool.rs", "pub fn f() { let _ = flush(); }\n", &["flush"]);
+        let c = l9_of("crates/xml/src/writer.rs", "pub fn f() { let _ = flush(); }\n", &["flush"]);
         assert!(c.is_empty(), "{c:?}");
     }
 

@@ -6,9 +6,8 @@
 //! *logical* sequence number — not a wall-clock timestamp — and are only
 //! recorded from sequential driver/commit code, so the trace of a query
 //! is bit-identical across `Parallelism` settings.  Quantities that
-//! legitimately vary with the worker count (cache hit/miss splits, pool
-//! task counts) belong in the [`MetricsRegistry`](crate::MetricsRegistry)
-//! instead.
+//! legitimately vary with the worker count (cache hit/miss splits)
+//! belong in the [`MetricsRegistry`](crate::MetricsRegistry) instead.
 //!
 //! Scores travel as `f32::to_bits` so events are `Eq` and trace equality
 //! is exact.
@@ -61,10 +60,6 @@ pub enum EventKind {
     /// The top-K streamer emitted a result; `early` marks emissions that
     /// beat the current threshold before the stream was exhausted.
     TopKEmit { value: u32, level: u32, score_bits: u32, early: bool },
-    /// A parallel phase processed `items` logical work items.  The item
-    /// count is partition-independent; the realised task/worker split is
-    /// recorded in metrics only.
-    PoolPhase { phase: &'static str, items: u64 },
     /// Per-store I/O at query end: blocks decoded from disk.  Decode
     /// counts are parallelism-invariant (decode-once is guaranteed by the
     /// double-checked cache insert); hit/miss splits are not, and live in
@@ -84,11 +79,10 @@ pub enum EventKind {
     BatchServe { index: u64, source: &'static str },
     /// Batch finished: total results over every slot.
     BatchEnd { queries: u64, results: u64 },
-    /// One shard was dispatched in a scatter wave; `bound_bits` is the
-    /// shard's TA score upper bound as `f32::to_bits`.
+    /// One shard is about to run; `bound_bits` is the shard's TA score
+    /// upper bound as `f32::to_bits`.
     ShardScatter { shard: u32, bound_bits: u32 },
-    /// One shard's candidates were merged back; recorded in plan order by
-    /// the sequential gather loop, so the order is parallelism-invariant.
+    /// One shard's candidates were merged back, in plan order.
     ShardGather { shard: u32, results: u64 },
     /// The scatter-gather loop finished: shards executed, shards pruned
     /// by the TA threshold, shards skipped for missing query terms.
@@ -105,7 +99,6 @@ impl EventKind {
             EventKind::TopKColumn { .. } => "topk_column",
             EventKind::TopKThreshold { .. } => "topk_threshold",
             EventKind::TopKEmit { .. } => "topk_emit",
-            EventKind::PoolPhase { .. } => "pool_phase",
             EventKind::StoreIo { .. } => "store_io",
             EventKind::QueryEnd { .. } => "query_end",
             EventKind::BatchStart { .. } => "batch_start",
@@ -158,9 +151,6 @@ impl EventKind {
                 ("score_bits", U64(score_bits as u64)),
                 ("early", U64(early as u64)),
             ],
-            EventKind::PoolPhase { phase, items } => {
-                vec![("phase", Str(phase)), ("items", U64(items))]
-            }
             EventKind::StoreIo { store, decodes } => {
                 vec![("store", U64(store as u64)), ("decodes", U64(decodes))]
             }

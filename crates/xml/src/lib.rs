@@ -45,7 +45,6 @@ pub mod gallop;
 pub mod jdewey;
 pub mod maintain;
 pub mod parser;
-pub mod pool;
 pub mod stats;
 pub mod testutil;
 pub mod tree;

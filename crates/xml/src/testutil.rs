@@ -262,7 +262,8 @@ where
     }))
 }
 
-pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
+/// The text of a panic payload (`panic!` with or without arguments).
+pub fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {
