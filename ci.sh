@@ -103,14 +103,22 @@ if grep -rnw -e MAGIC_V2 -e BlockLayout -e decode_block_varint -e encode_column_
     echo "ERROR: a second on-disk format or reader is back (lines above)" >&2; exit 1
 fi
 
-echo "== a shard is a row range of the corpus index: no shard index is built"
-# write_sharded_with writes each shard's records straight from the corpus
-# index's arena (xtk_index::Slice), and ShardedEngine opens the stores
-# beside it.  Any of these names under a crate's sources means a shard
-# index, its score stamping or its subforest came back.
-if grep -rnw -e build_shard_index -e override_scores -e subforest \
+echo "== a shard is a row range of the corpus store: no shard index, no shard store"
+# write_sharded_with writes the one corpus store plus a manifest of
+# document ranges, and ShardedEngine reads each range through a row
+# window of that store.  Any of these names under a crate's sources means
+# a shard index, its score stamping, its subforest or a per-shard store
+# writer came back.
+if grep -rnw -e build_shard_index -e override_scores -e subforest -e write_slice_to \
         --include='*.rs' crates/*/src >&2; then
-    echo "ERROR: a per-shard index build is back under crates/*/src (lines above)" >&2; exit 1
+    echo "ERROR: a per-shard index build or store is back under crates/*/src (lines above)" >&2; exit 1
+fi
+# shard_dir_name names the v1/v2 per-shard directories; it stays public
+# for callers outside the workspace, and its definition is its one site.
+dirs=$(grep -rnw shard_dir_name --include='*.rs' crates/*/src || true)
+if [ "$(printf '%s\n' "$dirs" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$dirs" | grep -q "pub fn shard_dir_name"; then
+    printf '%s\n' "$dirs" >&2
+    echo "ERROR: shard_dir_name must have exactly one site under crates/*/src: its definition" >&2; exit 1
 fi
 
 echo "== one arena per index: per-term, per-level structures live in flat arrays"

@@ -453,8 +453,8 @@ fn shard() {
         .collect();
     let results: usize = want.iter().map(Vec::len).sum();
 
-    let mut lines = Vec::new();
-    for shards in [4, 8] {
+    let (mut lines, mut single) = (Vec::new(), 0);
+    for shards in [1, 4, 8] {
         let dir = TempPath::new(&format!("xtk_goldens_shard{shards}"));
         write_sharded(ix, &dir, shards).expect("write sharded corpus");
         let engine = ShardedEngine::open(ix, &dir).expect("open sharded corpus");
@@ -466,7 +466,17 @@ fn shard() {
             executed += resp.metrics.get("shard.executed");
             pruned += resp.metrics.get("shard.pruned");
         }
-        assert!(pruned > 0, "the TA merge pruned no shard at {shards} shards: is its stop test run?");
+        if shards == 1 {
+            single = decodes;
+        } else {
+            assert!(pruned > 0, "the TA merge pruned no shard at {shards} shards: is its stop test run?");
+            // Ranges share one store and one cache: splitting the corpus
+            // must not multiply the blocks decoded.
+            assert!(
+                decodes * 10 <= single * 11,
+                "{shards} shards decode {decodes} blocks, over 1.1 x the {single} of one"
+            );
+        }
         lines.push(format!(
             "{{\"shards\": {shards}, \"decodes\": {decodes}, \"executed\": {executed}, \
              \"pruned\": {pruned}}}"

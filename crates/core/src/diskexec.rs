@@ -37,17 +37,18 @@ pub struct DiskJoinSpec {
 
 /// The on-disk [`ColumnSource`]: lazily decoded [`DiskColumn`]s whose
 /// accesses count toward one query's [`IoSession`], so concurrent queries
-/// on a shared store cannot inflate each other's `store.*` deltas.  The
-/// store holds a whole index (bases 0) or a [`Slice`](xtk_index::Slice)
-/// of one (a shard).
+/// on a shared store cannot inflate each other's `store.*` deltas.  It
+/// reads a whole index, or — windowed to a document range, a shard — the
+/// runs of every column below level 1 that start in the range's rows.
 pub struct DiskSource<'a> {
     store: &'a DiskColumnStore,
     session: &'a IoSession,
     /// Per keyword, in query order: its store term (`None` where the store
     /// lacks it) and the rows its columns must stay within.
     terms: Vec<(Option<usize>, KeywordRows<'a>)>,
-    /// What the store holds of the index.
-    slice: &'a Slice,
+    /// The document range the source is windowed to (a shard's); `None`
+    /// reads every row.
+    range: Option<&'a Slice>,
     /// The current level's column handles, in query order.
     cols: Vec<DiskColumn<'a>>,
     block_skip: bool,
@@ -63,21 +64,28 @@ impl<'a> DiskSource<'a> {
         spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
-        static WHOLE: Slice = Slice::whole();
         let term = |t| (store.term_index(ix.term(t).name()), KeywordRows::of(ix.term(t)));
-        Self::over(store, query.terms.iter().map(|&t| term(t)).collect(), &WHOLE, spec, session)
+        Self::over(store, query.terms.iter().map(|&t| term(t)).collect(), None, spec, session)
     }
 
-    /// A source over store terms and their rows, in a store of `slice`.
+    /// A source over store terms and their rows, windowed to the document
+    /// range `range` when given.
     pub fn over(
         store: &'a DiskColumnStore,
         terms: Vec<(Option<usize>, KeywordRows<'a>)>,
-        slice: &'a Slice,
+        range: Option<&'a Slice>,
         spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
         let cols = Vec::with_capacity(terms.len());
-        Self { store, session, terms, slice, cols, block_skip: spec.block_skip, prescan: spec.prescan }
+        Self { store, session, terms, range, cols, block_skip: spec.block_skip, prescan: spec.prescan }
+    }
+
+    /// Keyword `kw`'s column of `level`, windowed to the range's rows.
+    fn column(&self, kw: usize, level: u16) -> Option<DiskColumn<'a>> {
+        let (t, rows) = self.terms.get(kw)?;
+        let col = self.store.term_column((*t)?, level)?;
+        Some(self.range.map_or(col, |range| col.window(range.rows(rows.postings))))
     }
 }
 
@@ -89,19 +97,18 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
         self.terms.get(kw).map_or_else(KeywordRows::default, |t| t.1)
     }
 
-    fn base(&self, level: u16) -> u32 {
-        self.slice.base(level)
+    fn floor(&self) -> u16 {
+        1 + u16::from(self.range.is_some())
     }
 
     fn begin(&mut self) -> io::Result<()> {
         if self.prescan {
             // Whole-sequence materialization: every level of every keyword,
             // including the levels above `l0` the join never consumes.
-            for t in self.terms.iter().filter_map(|t| t.0) {
-                for l in 1..=self.store.term_levels(t) {
-                    if let Some(col) = self.store.term_column(t, l) {
-                        col.scoped(self.session).scan()?;
-                    }
+            for (kw, t) in self.terms.iter().enumerate() {
+                let levels = t.0.map_or(0, |t| self.store.term_levels(t));
+                for col in (self.floor()..=levels).filter_map(|l| self.column(kw, l)) {
+                    col.scoped(self.session).scan()?;
                 }
             }
         }
@@ -110,9 +117,9 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
 
     fn enter(&mut self, level: u16) -> io::Result<()> {
         self.cols.clear();
-        for t in &self.terms {
+        for kw in 0..self.terms.len() {
             // The rows say the term reaches `level`.
-            let col = t.0.and_then(|t| self.store.term_column(t, level)).ok_or_else(|| {
+            let col = self.column(kw, level).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "store lacks a column the index lists")
             })?;
             self.cols.push(col.scoped(self.session));
@@ -120,7 +127,8 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
         Ok(())
     }
 
-    /// Present rows at the level (the directory's lengths array).
+    /// Present rows at the level (the directory's lengths array; the
+    /// window's, in a windowed source).
     fn size(&self, kw: usize) -> usize {
         self.cols.get(kw).map_or(0, |c| c.row_count())
     }

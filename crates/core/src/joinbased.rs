@@ -111,17 +111,18 @@ pub trait ColumnSource<'a> {
 
     /// The rows keyword `kw`'s columns address.
     fn rows(&self, kw: usize) -> KeywordRows<'a>;
-    /// What a value of a level-`level` column adds to become the index's
-    /// JDewey number: 0 but for a [`Slice`](xtk_index::Slice)'s store.
-    fn base(&self, _level: u16) -> u32 {
-        0
+    /// The shallowest level the source is read at: 1, but 2 for a source
+    /// windowed to a document range, whose one level-1 run is the corpus
+    /// root's, shared with every other range.
+    fn floor(&self) -> u16 {
+        1
     }
 
     /// Runs once before the level loop (disk: the `prescan` strawman).
     fn begin(&mut self) -> Result<(), Self::Error> {
         Ok(())
     }
-    /// Positions the source on `level` (`1..=l_0`, descending).
+    /// Positions the source on `level` (`floor..=l_0`, descending).
     fn enter(&mut self, level: u16) -> Result<(), Self::Error>;
     /// The column's size from the directory, without decoding: the
     /// left-deep order key and the trace's `column_runs`.
@@ -224,13 +225,13 @@ pub fn algorithm1<'a, S: ColumnSource<'a>>(
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
     let mut joined = Joined::default();
     let mut scratch = LevelEval::default();
-    for l in (1..=l0).rev() {
+    for l in (src.floor()..=l0).rev() {
         stats.levels += 1;
         let before = stats;
         src.enter(l)?;
         join_level(&*src, query, l, &mut stats, obs, &mut joined)?;
         stats.matches += joined.rows().len() as u64;
-        let view = LevelView { ix, terms: &terms, level: l, base: src.base(l), opts };
+        let view = LevelView { ix, terms: &terms, level: l, opts };
         stats.results += match_level(&view, &mut erasers, &joined, &mut scratch, &mut results);
         obs.event(EventKind::LevelEnd {
             level: l as u32,
@@ -370,8 +371,6 @@ struct LevelView<'a> {
     ix: &'a XmlIndex,
     terms: &'a [KeywordRows<'a>],
     level: u16,
-    /// The level's [`ColumnSource::base`].
-    base: u32,
     opts: &'a JoinOptions,
 }
 
@@ -416,8 +415,7 @@ fn match_level(
     let mut nodes: LevelCursor<'_> = view.ix.jd().level_cursor(level);
     // Every matched value identifies a node in a consistent index.
     results.extend(scratch.emits.iter().filter_map(|&(value, score)| {
-        let node = value.checked_add(view.base).and_then(|n| nodes.node_at(n));
-        node.map(|node| ScoredResult { node, level, score })
+        nodes.node_at(value).map(|node| ScoredResult { node, level, score })
     }));
     for (kw, eraser) in scratch.keywords.iter().zip(erasers) {
         eraser.erase_sorted(&kw.erase);

@@ -1,59 +1,52 @@
 //! Sharded scatter-gather serving: partition a corpus into N document
-//! shards and answer queries by merging per-shard top-K candidates
+//! ranges and answer queries by merging per-range top-K candidates
 //! through a global TA-style threshold.
 //!
 //! # Layout
 //!
 //! A "document" is one child subtree of the corpus root (a `<paper>`
 //! under `<bib>`, say).  [`write_sharded`] splits the root's children
-//! into N contiguous, balanced ranges and writes each range as a
-//! tenant-style directory:
+//! into N contiguous, balanced ranges and writes one directory:
 //!
 //! ```text
-//! <dir>/MANIFEST            # text manifest: version, topology, spans
-//! <dir>/shard-0000/index.bin   # the column store of the shard's slice
-//! <dir>/shard-0001/index.bin
-//! ...
+//! <dir>/MANIFEST    # text manifest: version, topology, one document range per shard
+//! <dir>/index.bin   # the corpus column store, as `write_index` writes it
 //! ```
 //!
-//! A shard is a row range of the corpus index, its [`Slice`]: JDewey
+//! A shard is a row range of that one store, its [`Slice`]: JDewey
 //! numbers are unique per level and monotone in parent order (§III-A), so
-//! contiguous documents hold one row range of every term's lists and one
-//! block of numbers at every level.  Its store is written straight from
-//! the corpus index ([`write_slice_to`]: columns clipped to the rows,
-//! values less the level's base).  Without a JDewey gap that is record
-//! for record what an index over the documents alone, scored by the
-//! corpus, writes (so v1 directories open only then).  [`ShardedEngine`]
-//! opens the stores beside the corpus index and keeps per shard the
-//! corpus [`TermId`]s it holds, with store term and maximum score.  Every
-//! opened store draws a fresh store id, so the shared [`BlockCache`] keys
-//! of different shards are disjoint by construction.
+//! contiguous documents hold one row range of every term's lists, and
+//! below level 1 no run crosses the range's edge (a run at level 2 or
+//! deeper lies inside one document).  [`ShardedEngine`] opens the store
+//! once beside the corpus index and keeps per range only its nodes and,
+//! per corpus [`TermId`] with a posting there, the term's deepest level
+//! and largest score in the range.
 //!
 //! # Global scores, local execution
 //!
-//! tf-idf weights depend on corpus-global statistics.  A shard's rows are
-//! the corpus's, scored by the corpus, and Algorithm 1 runs in the shard
-//! over the one [`DiskSource`]: keyword rows from the slice, columns from
-//! the store, values plus the slice's base resolved to corpus nodes.
-//! Result scores are then bit-identical no matter which shard computed
-//! them.
+//! tf-idf weights depend on corpus-global statistics.  A range's rows are
+//! the corpus's, scored by the corpus, and Algorithm 1 runs in the range
+//! over a [`DiskSource`] windowed to its rows: each column narrowed to
+//! the runs starting in them, its values the corpus's JDewey numbers.
+//! Result scores are then bit-identical no matter which range computed
+//! them, and a block two ranges share is decoded once for both.
 //!
-//! Results at level 1 (the synthetic shard root) are partition artifacts
-//! — a cross-document LCA exists only in the unsharded tree — so the
-//! engine excludes level-1 results, and the unsharded reference it is
-//! differentially tested against applies the same filter.  Every deeper
-//! result lives inside a single document and is computed by exactly one
-//! shard.
+//! Results at level 1 (the corpus root) are partition artifacts — a
+//! cross-document LCA exists only in the unsharded tree — so a range
+//! never enters level 1, and the unsharded reference the engine is
+//! differentially tested against drops its level-1 results.  Every
+//! deeper result lives inside a single document and is computed by
+//! exactly one range.
 //!
 //! # TA-style merge
 //!
-//! A shard's best possible result score is bounded by the sum, over the
+//! A range's best possible result score is bounded by the sum, over the
 //! query terms, of the term's maximum occurrence score (damping is
 //! `λ^Δl ≤ 1`, and a result takes the max damped occurrence per
-//! keyword).  [`ShardedEngine::execute`] orders shards by that bound and
-//! runs them one after another on the calling thread; before each shard
-//! it compares the shard's bound against the current k-th candidate
-//! score: strictly below means no remaining shard can alter the top-K,
+//! keyword).  [`ShardedEngine::execute`] orders ranges by that bound and
+//! runs them one after another on the calling thread; before each range
+//! it compares the range's bound against the current k-th candidate
+//! score: strictly below means no remaining range can alter the top-K,
 //! so the gather stops early.  The threshold is the classic TA stopping
 //! rule lifted from rows to shards.
 
@@ -64,13 +57,12 @@ use crate::request::{
     ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
 };
 use crate::result::{rank_top, ScoredResult};
-use std::fs::File;
-use std::io::{self, BufWriter};
+use std::io;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::disk::{write_slice_to, WriteIndexOptions};
+use xtk_index::disk::{write_index, WriteIndexOptions};
 use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::{Slice, TermId, XmlIndex};
 use xtk_obs::{EventKind, MetricsRegistry, MetricsSnapshot, Obs, Tracer};
@@ -78,13 +70,14 @@ use xtk_xml::NodeId;
 
 /// Manifest file name inside a sharded-corpus directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-/// Store file name inside each shard directory.
+/// The corpus store's file name inside a sharded-corpus directory.
 pub const STORE_FILE: &str = "index.bin";
-/// Manifest header magic + version; bump on layout changes (v1 stores
-/// number each shard densely: read only for a corpus without a gap).
-pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v2";
+/// Manifest header magic + version; bump on layout changes.  Versions 1
+/// and 2 (one store per shard) are refused by name.
+pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v3";
 
-/// Directory name of shard `id`.
+/// Directory name of shard `id` in the version 1 and 2 layouts, which
+/// wrote one store per shard; a version 3 directory has none.
 pub fn shard_dir_name(id: u32) -> String {
     format!("shard-{id:04}")
 }
@@ -129,12 +122,11 @@ fn doc_nodes(ix: &XmlIndex, docs: &Range<usize>) -> Range<NodeId> {
     root(docs.start)..root(docs.end)
 }
 
-/// Partitions `ix` into (at most) `shards` document shards under `dir`:
-/// one `shard-NNNN/index.bin` column store per shard (scores included,
-/// current format) plus a text `MANIFEST` describing the topology.
-/// Corpora with fewer documents than `shards` get one shard per
-/// document; an empty corpus gets a single empty shard.  Returns the
-/// number of shards written.
+/// Partitions `ix` into (at most) `shards` document ranges under `dir`:
+/// the corpus column store `index.bin` (scores included, current format)
+/// plus a text `MANIFEST` of the ranges.  Corpora with fewer documents
+/// than `shards` get one range per document; an empty corpus gets a
+/// single empty range.  Returns the number of ranges written.
 pub fn write_sharded(ix: &XmlIndex, dir: &Path, shards: usize) -> io::Result<usize> {
     write_sharded_with(
         ix,
@@ -144,12 +136,13 @@ pub fn write_sharded(ix: &XmlIndex, dir: &Path, shards: usize) -> io::Result<usi
     )
 }
 
-/// [`write_sharded`] with explicit [`WriteIndexOptions`] applied to every
-/// shard store.  The manifest does not record them; each shard file
-/// carries its own magic.  `include_scores` only sizes the files: the
-/// [`ShardedEngine`] reads no score section — a shard's scores are the
-/// corpus index's — so stores written without scores serve ranked
-/// requests exactly as stores written with them.
+/// [`write_sharded`] with explicit [`WriteIndexOptions`] for the store,
+/// which is byte for byte the file [`write_index`] writes with them.  The
+/// manifest does not record them; the store carries its own magic.
+/// `include_scores` only sizes the file: the [`ShardedEngine`] reads no
+/// score section — the scores are the corpus index's — so a store
+/// written without scores serves ranked requests exactly as one written
+/// with them.
 pub fn write_sharded_with(
     ix: &XmlIndex,
     dir: &Path,
@@ -159,6 +152,7 @@ pub fn write_sharded_with(
     let docs = doc_roots(ix).len();
     let parts = doc_partition(docs, shards);
     std::fs::create_dir_all(dir)?;
+    write_index(ix, &dir.join(STORE_FILE), options)?;
     let mut manifest = format!(
         "{MANIFEST_HEADER}\nshards {}\nnodes {}\ndocs {}\n",
         parts.len(),
@@ -166,37 +160,19 @@ pub fn write_sharded_with(
         docs,
     );
     for (id, part) in parts.iter().enumerate() {
-        let nodes = doc_nodes(ix, part);
-        let slice = ix.slice(nodes.clone());
-        let sdir = dir.join(shard_dir_name(id as u32));
-        std::fs::create_dir_all(&sdir)?;
-        write_slice_to(ix, &slice, BufWriter::new(File::create(sdir.join(STORE_FILE))?), options)?;
-        // The node count of the shard's tree: its documents under a root.
-        // lint:allow(L8, build-time manifest line per shard; write_sharded is not on the query path)
-        manifest.push_str(&format!(
-            "shard {id} {} {} {} {}\n",
-            part.start,
-            part.end,
-            1 + nodes.end.0 - nodes.start.0,
-            ix.terms().filter(|&(_, t)| !slice.rows(t).is_empty()).count(),
-        ));
+        // lint:allow(L8, build-time manifest line per range; write_sharded is not on the query path)
+        manifest.push_str(&format!("range {id} {} {}\n", part.start, part.end));
     }
     std::fs::write(dir.join(MANIFEST_FILE), manifest)?;
     Ok(parts.len())
-}
-
-struct ManifestEntry {
-    id: u64,
-    docs: Range<usize>,
-    nodes: usize,
-    vocab: usize,
 }
 
 struct Manifest {
     shards: usize,
     nodes: usize,
     docs: usize,
-    entries: Vec<ManifestEntry>,
+    /// The document range of each shard, in shard order.
+    ranges: Vec<Range<usize>>,
 }
 
 fn parse_usize(tok: Option<&str>, what: &str) -> io::Result<usize> {
@@ -204,12 +180,21 @@ fn parse_usize(tok: Option<&str>, what: &str) -> io::Result<usize> {
         .ok_or_else(|| invalid(what))
 }
 
-/// `gapped`: the corpus has a JDewey gap, so a v1 manifest is refused.
-fn parse_manifest(text: &str, gapped: bool) -> io::Result<Manifest> {
+fn parse_manifest(text: &str) -> io::Result<Manifest> {
     let mut lines = text.lines();
-    let header = lines.next();
-    if header != Some(MANIFEST_HEADER) && (gapped || header != Some("xtk-shard-manifest v1")) {
-        return Err(invalid("unrecognized shard manifest header/version"));
+    match lines.next() {
+        Some(MANIFEST_HEADER) => {}
+        Some(old @ ("xtk-shard-manifest v1" | "xtk-shard-manifest v2")) => {
+            let version = old.trim_start_matches("xtk-shard-manifest ");
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "unsupported shard manifest version {version} (one store per shard; this \
+                     reader accepts v3): rewrite the directory with write_sharded"
+                ),
+            ));
+        }
+        _ => return Err(invalid("unrecognized shard manifest header/version")),
     }
     let mut field = |name: &str| -> io::Result<usize> {
         let line = lines.next().ok_or_else(|| invalid("truncated shard manifest"))?;
@@ -226,84 +211,83 @@ fn parse_manifest(text: &str, gapped: bool) -> io::Result<Manifest> {
     let shards = field("shards")?;
     let nodes = field("nodes")?;
     let docs = field("docs")?;
-    let mut entries = Vec::with_capacity(shards);
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
+    let mut ranges = Vec::new();
+    for line in lines.filter(|l| !l.is_empty()) {
         let mut toks = line.split_whitespace();
-        if toks.next() != Some("shard") {
-            return Err(invalid("malformed shard manifest entry"));
+        if toks.next() != Some("range") {
+            return Err(invalid("malformed shard manifest range"));
         }
-        let id = parse_usize(toks.next(), "malformed shard id")? as u64;
-        let lo = parse_usize(toks.next(), "malformed shard doc range")?;
-        let hi = parse_usize(toks.next(), "malformed shard doc range")?;
-        let nodes = parse_usize(toks.next(), "malformed shard node count")?;
-        let vocab = parse_usize(toks.next(), "malformed shard vocab size")?;
+        if parse_usize(toks.next(), "malformed shard range id")? != ranges.len() {
+            return Err(invalid("shard manifest ranges out of order"));
+        }
+        let lo = parse_usize(toks.next(), "malformed shard document range")?;
+        let hi = parse_usize(toks.next(), "malformed shard document range")?;
         if toks.next().is_some() {
-            return Err(invalid("trailing tokens in shard manifest entry"));
+            return Err(invalid("trailing tokens in shard manifest range"));
         }
-        entries.push(ManifestEntry { id, docs: lo..hi, nodes, vocab });
+        ranges.push(lo..hi);
     }
-    if entries.len() != shards {
-        return Err(invalid("shard manifest entry count mismatch"));
+    if ranges.len() != shards {
+        return Err(invalid("shard manifest range count mismatch"));
     }
-    Ok(Manifest { shards, nodes, docs, entries })
+    Ok(Manifest { shards, nodes, docs, ranges })
 }
 
-/// One opened shard: its column store and the slice of the corpus index
-/// it holds.
-struct Shard {
-    store: DiskColumnStore,
+/// The one open check of the store: it holds every corpus term, at the
+/// term's [`TermId`], with the term's levels and level-1 row count — the
+/// store [`write_index`] writes of `ix`.
+fn check_store(ix: &XmlIndex, store: &DiskColumnStore) -> io::Result<()> {
+    for (id, t) in ix.terms() {
+        let st = id.0 as usize;
+        let rows = store.term_column(st, 1).map_or(0, |c| c.row_count());
+        let held = store.term_index(t.name()) == Some(st) && store.term_levels(st) == t.max_len();
+        if !held || rows != t.len() {
+            return Err(invalid("shard store does not match the corpus index"));
+        }
+    }
+    Ok(())
+}
+
+/// One document range of the opened corpus: its nodes and what the TA
+/// bound and the join read of each term there.
+struct DocRange {
     slice: Slice,
-    /// The corpus terms with a posting in the shard, ascending: each with
-    /// its store term and its largest score in the shard, the term's share
-    /// of the shard's TA bound.
-    terms: Vec<(TermId, u32, f32)>,
+    /// The corpus terms with a posting in the range, ascending: each with
+    /// its deepest level and its largest score in the range, the term's
+    /// share of the range's TA bound.
+    terms: Vec<(TermId, u16, f32)>,
 }
 
-impl Shard {
-    /// Opens the store at `path` as the shard of `slice`, checked against
-    /// it: the store holds exactly the corpus terms with a posting in the
-    /// slice, each with the slice's row count and levels.
-    fn open(ix: &XmlIndex, slice: Slice, path: &Path, cache: Arc<dyn BlockCache>) -> io::Result<Self> {
-        let store = DiskColumnStore::open_with_cache(path, cache)?;
-        let mut terms = Vec::with_capacity(store.term_names().len());
+impl DocRange {
+    fn new(ix: &XmlIndex, slice: Slice) -> Self {
+        let mut terms = Vec::new();
         for (id, t) in ix.terms() {
-            let rows = slice.rows(t);
+            let rows = slice.rows(t.postings());
             let postings = t.postings().get(rows.clone()).unwrap_or_default();
             let Some(levels) = postings.iter().map(|&n| ix.tree().depth(n)).max() else {
                 continue;
             };
-            let held = store.term_index(t.name()).filter(|&st| {
-                let present = store.term_column(st, 1).map_or(0, |c| c.row_count());
-                store.term_levels(st) == levels && present == postings.len()
-            });
-            let st = held.ok_or_else(|| invalid("shard store does not match its slice"))?;
             let scores = t.scores().get(rows).unwrap_or_default();
-            terms.push((id, st as u32, scores.iter().copied().max_by(f32::total_cmp).unwrap_or(0.0)));
+            terms.push((id, levels, scores.iter().copied().max_by(f32::total_cmp).unwrap_or(0.0)));
         }
-        if store.term_names().len() != terms.len() {
-            return Err(invalid("shard store holds terms outside its slice"));
-        }
-        Ok(Self { store, slice, terms })
+        Self { slice, terms }
     }
 
     /// Corpus term `t`'s entry in [`terms`](Self::terms), if held here.
-    fn held(&self, t: TermId) -> Option<&(TermId, u32, f32)> {
+    fn held(&self, t: TermId) -> Option<&(TermId, u16, f32)> {
         self.terms.binary_search_by_key(&t, |e| e.0).ok().and_then(|i| self.terms.get(i))
     }
 
-    /// Corpus term `t`'s store term and rows in this shard (neither when
-    /// it has no posting here).
+    /// Corpus term `t`'s store term and rows as the range reads them:
+    /// every posting (the store's runs address corpus rows), to the
+    /// range's deepest level; neither when it has no posting here.
     fn keyword<'a>(&self, ix: &'a XmlIndex, t: TermId) -> (Option<usize>, KeywordRows<'a>) {
-        let Some(st) = self.held(t).map(|e| e.1 as usize) else {
+        let Some(&(_, levels, _)) = self.held(t) else {
             return (None, KeywordRows::default());
         };
-        let (term, rows) = (ix.term(t), self.slice.rows(ix.term(t)));
-        let postings = term.postings().get(rows.clone()).unwrap_or_default();
-        let scores = term.scores().get(rows).unwrap_or_default();
-        (Some(st), KeywordRows { postings, scores, levels: self.store.term_levels(st) })
+        let term = ix.term(t);
+        let rows = KeywordRows { postings: term.postings(), scores: term.scores(), levels };
+        (Some(t.0 as usize), rows)
     }
 }
 
@@ -323,7 +307,8 @@ impl Shard {
 /// that.
 pub struct ShardedEngine<'a> {
     ix: &'a XmlIndex,
-    shards: Vec<Shard>,
+    store: DiskColumnStore,
+    ranges: Vec<DocRange>,
     prune: bool,
     salt: u64,
     /// Plans against the *global* index statistics (shard-invariant, so
@@ -335,7 +320,7 @@ pub struct ShardedEngine<'a> {
 impl std::fmt::Debug for ShardedEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.ranges.len())
             .field("prune", &self.prune)
             .field("salt", &self.salt)
             .finish()
@@ -349,50 +334,43 @@ impl<'a> ShardedEngine<'a> {
         Self::open_with_cache(ix, dir, Arc::new(ShardedLruCache::unbounded()))
     }
 
-    /// Opens a sharded corpus with an explicit shared [`BlockCache`].
-    /// All shards share `cache`; their keys never collide because each
-    /// opened store draws a distinct store id.
+    /// Opens a sharded corpus with an explicit [`BlockCache`] for its
+    /// store (shared with other stores, their keys never collide: each
+    /// opened store draws a distinct store id).
     ///
-    /// The manifest is validated against the live corpus index: a
-    /// missing/garbled/version-mismatched manifest, a partition that
-    /// does not match the corpus, or a shard store that does not match
-    /// its slice of the corpus index all return `Err` (never panic).
+    /// The directory is validated against the live corpus index: a
+    /// missing/garbled/version-mismatched manifest, ranges that are not
+    /// the corpus's partition, or a store that is not the corpus index's
+    /// all return `Err` (never panic).
     pub fn open_with_cache(
         ix: &'a XmlIndex,
         dir: &Path,
         cache: Arc<dyn BlockCache>,
     ) -> io::Result<Self> {
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-        let m = parse_manifest(&text, ix.jd().gap() > 0)?;
+        let m = parse_manifest(&text)?;
         let docs = doc_roots(ix).len();
         if m.nodes != ix.tree().len() || m.docs != docs {
             return Err(invalid("shard manifest does not match the corpus index"));
         }
         let parts = doc_partition(docs, m.shards);
-        if parts.len() != m.entries.len() {
-            return Err(invalid("shard manifest topology mismatch"));
+        if parts != m.ranges {
+            return Err(invalid("shard manifest ranges do not match the partition"));
         }
-        let mut shards = Vec::with_capacity(parts.len());
+        let store = DiskColumnStore::open_with_cache(&dir.join(STORE_FILE), cache)?;
+        check_store(ix, &store)?;
         let mut salt = crate::batch::Fnv::new();
         salt.push(1);
         salt.push(parts.len() as u64);
-        for (id, (part, entry)) in parts.iter().zip(&m.entries).enumerate() {
-            if entry.id != id as u64 || entry.docs != *part {
-                return Err(invalid("shard manifest entry does not match the partition"));
-            }
-            let nodes = doc_nodes(ix, part);
-            let path = dir.join(shard_dir_name(id as u32)).join(STORE_FILE);
-            let shard = Shard::open(ix, ix.slice(nodes.clone()), &path, Arc::clone(&cache))?;
-            if 1 + (nodes.end.0 - nodes.start.0) as usize != entry.nodes || shard.terms.len() != entry.vocab {
-                return Err(invalid("shard manifest spans do not match the corpus"));
-            }
+        for (id, part) in parts.iter().enumerate() {
             salt.push(id as u64);
             salt.push(part.start as u64);
             salt.push(part.end as u64);
-            shards.push(shard);
         }
+        let ranges = parts.iter().map(|part| DocRange::new(ix, ix.slice(doc_nodes(ix, part))));
+        let ranges = ranges.collect();
         let planner = crate::plan::cache::Planner::from_index(ix);
-        Ok(Self { ix, shards, prune: true, salt: salt.0, planner })
+        Ok(Self { ix, store, ranges, prune: true, salt: salt.0, planner })
     }
 
     /// The planner this engine serves specs from.
@@ -410,7 +388,7 @@ impl<'a> ShardedEngine<'a> {
 
     /// Number of shards in the opened topology.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.ranges.len()
     }
 
     /// Logical-plan EXPLAIN for this topology: the bound plan (with the
@@ -424,7 +402,7 @@ impl<'a> ShardedEngine<'a> {
             query,
             req,
             crate::plan::lower::ExplainTarget::Sharded {
-                shards: self.shards.len(),
+                shards: self.ranges.len(),
                 ta_prune: self.prune,
             },
         );
@@ -433,13 +411,12 @@ impl<'a> ShardedEngine<'a> {
         ex
     }
 
-    /// Executes `query` inside one shard (serial), dropping level-1
-    /// partition artifacts.  The physical spec is lowered once per query
-    /// from the logical plan (against the global index) and shared by
-    /// every shard.
-    fn run_shard(
+    /// Executes `query` inside one document range.  The physical spec
+    /// is lowered once per query from the logical plan (against the
+    /// global index) and shared by every range.
+    fn run_range(
         &self,
-        shard: &Shard,
+        range: &DocRange,
         query: &Query,
         spec: &DiskJoinSpec,
         req: &QueryRequest,
@@ -449,10 +426,9 @@ impl<'a> ShardedEngine<'a> {
             tracer: Tracer::for_level(req.trace),
         };
         let session = IoSession::default();
-        let terms = query.terms.iter().map(|&t| shard.keyword(self.ix, t)).collect();
-        let mut src = DiskSource::over(&shard.store, terms, &shard.slice, spec, &session);
+        let terms = query.terms.iter().map(|&t| range.keyword(self.ix, t)).collect();
+        let mut src = DiskSource::over(&self.store, terms, Some(&range.slice), spec, &session);
         let (mut results, _) = algorithm1(self.ix, query, &spec.join, &mut src, &obs)?;
-        results.retain(|r| r.level > 1);
         rank_top(&mut results, req.k);
         Ok(ShardOutcome {
             results,
@@ -468,10 +444,10 @@ struct ShardOutcome {
     trace_events: Vec<xtk_obs::TraceEvent>,
 }
 
-/// One scatter-plan slot: the shard, its index and its TA score upper
+/// One scatter-plan slot: the range, its shard id and its TA score upper
 /// bound.
 struct Planned<'s> {
-    data: &'s Shard,
+    data: &'s DocRange,
     shard: usize,
     bound: f32,
 }
@@ -518,14 +494,14 @@ impl Executor for ShardedEngine<'_> {
             prescan: lowered.prescan,
         };
 
-        // Plan: a shard missing any term cannot produce a conjunctive
+        // Plan: a range missing any term cannot produce a conjunctive
         // match and is skipped outright.
-        // Eligible shards are ordered by their TA upper bound (sum of
+        // Eligible ranges are ordered by their TA upper bound (sum of
         // per-term max occurrence scores; damping ≤ 1 keeps it an upper
         // bound on any result score), ties broken by shard id.
         let mut skipped = 0u64;
         let mut planned: Vec<Planned> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
+        for (si, shard) in self.ranges.iter().enumerate() {
             let mut bound = Some(0.0f32);
             for &t in &query.terms {
                 bound = bound.zip(shard.held(t)).map(|(b, e)| b + e.2);
@@ -557,12 +533,12 @@ impl Executor for ShardedEngine<'_> {
                 shard: p.shard as u32,
                 bound_bits: p.bound.to_bits(),
             });
-            let out = self.run_shard(p.data, query, &spec, req)?;
+            let out = self.run_range(p.data, query, &spec, req)?;
             executed += 1;
             for ev in out.trace_events {
-                // Store ids are process-global open counters; replace
-                // them with the shard id so the merged trace is a pure
-                // function of the topology, not of open order.
+                // The store id is a process-global open counter; replace
+                // it with the shard id so the merged trace says which
+                // range read what, as a pure function of the topology.
                 let kind = match ev.kind {
                     EventKind::StoreIo { decodes, .. } => {
                         EventKind::StoreIo { store: p.shard as u32, decodes }
@@ -582,7 +558,7 @@ impl Executor for ShardedEngine<'_> {
         rank_top(&mut candidates, req.k);
 
         let driver = MetricsRegistry::new();
-        driver.add("shard.shards", self.shards.len() as u64);
+        driver.add("shard.shards", self.ranges.len() as u64);
         driver.add("shard.eligible", planned.len() as u64);
         driver.add("shard.executed", executed);
         driver.add("shard.pruned", pruned);
@@ -603,20 +579,12 @@ impl Executor for ShardedEngine<'_> {
     }
 
     fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
-        let mut pinned = 0u64;
-        for shard in &self.shards {
-            for st in terms.iter().filter_map(|&t| shard.keyword(self.ix, t).0) {
-                pinned += shard.store.prefetch_term(st)?;
-            }
-        }
-        Ok(pinned)
+        terms.iter().map(|t| self.store.prefetch_term(t.0 as usize)).sum()
     }
 
     fn release(&self, terms: &[TermId]) {
-        for shard in &self.shards {
-            for st in terms.iter().filter_map(|&t| shard.keyword(self.ix, t).0) {
-                shard.store.unpin_term(st);
-            }
+        for t in terms {
+            self.store.unpin_term(t.0 as usize);
         }
     }
 
@@ -660,11 +628,12 @@ mod tests {
         let written = write_sharded(&ix, &dir, 2).unwrap();
         assert_eq!(written, 2);
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        let m = parse_manifest(&text, false).unwrap();
+        let m = parse_manifest(&text).unwrap();
         assert_eq!(m.shards, 2);
         assert_eq!(m.nodes, ix.tree().len());
-        assert!(parse_manifest("xtk-shard-manifest v9\nshards 1\n", false).is_err());
-        assert!(parse_manifest("", false).is_err());
+        assert_eq!(m.ranges, doc_partition(m.docs, 2));
+        assert!(parse_manifest("xtk-shard-manifest v9\nshards 1\n").is_err());
+        assert!(parse_manifest("").is_err());
     }
 
     #[test]

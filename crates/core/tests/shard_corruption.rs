@@ -1,19 +1,17 @@
 //! Robustness of the sharded-corpus open/query path: a missing,
-//! truncated, or version-mismatched shard directory (a v1 one over a
-//! gapped corpus included), or a shard store
-//! that is not its slice of the corpus (another shard's, or one with a
-//! term's rows cut), must surface as `Err` — never a panic — and the same
-//! holds under randomized byte corruption of the manifest and the shard
-//! stores (extending the persisted-index corruption prop-test one layer
-//! up).
+//! truncated, or version-mismatched directory (the one-store-per-shard
+//! v1 and v2 layouts included), a range line that is not the corpus's
+//! partition, or a store that is not the corpus index's (another
+//! corpus's, or one with a term's rows cut), must surface as `Err` —
+//! never a panic — and the same holds under randomized byte corruption of
+//! the manifest and the store (extending the persisted-index corruption
+//! prop-test one layer up).
 
 use std::fs;
 use std::path::Path;
-use xtk_core::shard::{
-    shard_dir_name, write_sharded, ShardedEngine, MANIFEST_FILE, MANIFEST_HEADER, STORE_FILE,
-};
+use xtk_core::shard::{write_sharded, ShardedEngine, MANIFEST_FILE, MANIFEST_HEADER, STORE_FILE};
 use xtk_core::{Executor, Query, QueryRequest, Semantics};
-use xtk_index::{IndexOptions, XmlIndex};
+use xtk_index::XmlIndex;
 use xtk_xml::parse;
 use xtk_xml::testutil::{prop_check, TempPath};
 
@@ -45,6 +43,13 @@ fn open_never_panics(ix: &XmlIndex, dir: &Path) {
     }
 }
 
+fn rewrite_manifest(dir: &Path, from: &str, to: &str) {
+    let manifest = dir.join(MANIFEST_FILE);
+    let text = fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains(from), "{text}");
+    fs::write(&manifest, text.replacen(from, to, 1)).unwrap();
+}
+
 #[test]
 fn missing_directory_and_missing_manifest_err() {
     let ix = corpus();
@@ -57,13 +62,13 @@ fn missing_directory_and_missing_manifest_err() {
 #[test]
 fn missing_and_truncated_shard_stores_err() {
     let ix = corpus();
-    // Missing shard directory.
-    let dir = written("missing_shard", &ix, 3);
-    fs::remove_dir_all(dir.join(shard_dir_name(1))).unwrap();
+    // Missing store.
+    let dir = written("missing_store", &ix, 3);
+    fs::remove_file(dir.join(STORE_FILE)).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_err());
     // Truncated store file: every prefix length must fail cleanly.
     let dir = written("truncated", &ix, 2);
-    let store = dir.join(shard_dir_name(1)).join(STORE_FILE);
+    let store = dir.join(STORE_FILE);
     let bytes = fs::read(&store).unwrap();
     for cut in [0, 1, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
         fs::write(&store, &bytes[..cut]).unwrap();
@@ -76,41 +81,25 @@ fn missing_and_truncated_shard_stores_err() {
 fn version_mismatched_manifest_errs() {
     let ix = corpus();
     let dir = written("version", &ix, 2);
-    let manifest = dir.join(MANIFEST_FILE);
-    let text = fs::read_to_string(&manifest).unwrap();
-    fs::write(&manifest, text.replacen(MANIFEST_HEADER, "xtk-shard-manifest v9", 1)).unwrap();
+    rewrite_manifest(&dir, MANIFEST_HEADER, "xtk-shard-manifest v9");
     let err = ShardedEngine::open(&ix, &dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
-/// A v1 directory numbered each shard densely: it still opens, and
-/// answers alike, over a corpus without a JDewey gap, where that is the
-/// corpus numbering less the base; over a gapped corpus it is refused,
-/// never misread.
+/// The v1 and v2 layouts wrote one store per shard: a directory headed by
+/// either is refused by name, with the way out, never misread.
 #[test]
-fn a_v1_manifest_opens_over_a_dense_corpus_only() {
-    let as_v1 = |dir: &Path| {
-        let manifest = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&manifest).unwrap();
-        fs::write(&manifest, text.replacen(MANIFEST_HEADER, "xtk-shard-manifest v1", 1)).unwrap();
-    };
+fn v1_and_v2_manifests_are_refused_by_name() {
     let ix = corpus();
-    let dir = written("v1_dense", &ix, 2);
-    let q = Query::from_words(&ix, &["xml", "top"]).expect("vocab");
-    let req = QueryRequest::top_k(3, Semantics::Elca);
-    let want = ShardedEngine::open(&ix, &dir).unwrap().execute(&q, &req).unwrap();
-    as_v1(&dir);
-    let got = ShardedEngine::open(&ix, &dir).expect("a dense v1 directory opens");
-    assert_eq!(got.execute(&q, &req).unwrap().results, want.results);
-
-    let gapped = XmlIndex::build_with(
-        parse(DOC).unwrap(),
-        IndexOptions { jdewey_gap: 2, ..Default::default() },
-    );
-    let dir = written("v1_gapped", &gapped, 2);
-    as_v1(&dir);
-    let err = ShardedEngine::open(&gapped, &dir).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    for version in ["v1", "v2"] {
+        let dir = written(&format!("old_{version}"), &ix, 2);
+        rewrite_manifest(&dir, MANIFEST_HEADER, &format!("xtk-shard-manifest {version}"));
+        let err = ShardedEngine::open(&ix, &dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(version), "{msg}");
+        assert!(msg.contains("rewrite the directory with write_sharded"), "{msg}");
+    }
 }
 
 #[test]
@@ -124,46 +113,48 @@ fn manifest_corpus_mismatch_errs() {
     );
     let err = ShardedEngine::open(&other, &dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    // A manifest claiming a different topology than its own writer's
-    // partition is rejected too.
-    let manifest = dir.join(MANIFEST_FILE);
-    let text = fs::read_to_string(&manifest).unwrap();
-    fs::write(&manifest, text.replacen("shard 0 0 2", "shard 0 0 3", 1)).unwrap();
-    assert!(ShardedEngine::open(&ix, &dir).is_err());
+    // A range line that disagrees with its writer's partition is
+    // rejected too, as is one out of order.
+    for (from, to) in [
+        ("range 0 0 2", "range 0 0 1"),
+        ("range 1 2 3", "range 1 1 3"),
+        ("range 1", "range 0"),
+    ] {
+        let dir = written("range", &ix, 2);
+        rewrite_manifest(&dir, from, to);
+        let err = ShardedEngine::open(&ix, &dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{to}");
+    }
 }
 
 #[test]
-fn swapped_shard_stores_err() {
-    // Two shards with as many terms each: only the terms tell them apart.
-    let ix = XmlIndex::build(
-        parse("<bib><conf><paper>xml keyword</paper></conf><conf><paper>top k</paper></conf></bib>")
-            .unwrap(),
-    );
-    let dir = written("swapped", &ix, 2);
-    let (a, b) = (dir.join(shard_dir_name(0)), dir.join(shard_dir_name(1)));
-    fs::rename(a.join(STORE_FILE), dir.join(STORE_FILE)).unwrap();
-    fs::rename(b.join(STORE_FILE), a.join(STORE_FILE)).unwrap();
-    fs::rename(dir.join(STORE_FILE), b.join(STORE_FILE)).unwrap();
+fn a_foreign_corpus_store_errs() {
+    // Another corpus's store over the same documents' count: the terms
+    // tell them apart.
+    let ix = corpus();
+    let dir = written("foreign", &ix, 2);
+    let other = XmlIndex::build(parse(&DOC.replace("xml", "sgml")).unwrap());
+    let source = written("foreign_source", &other, 2);
+    fs::copy(source.join(STORE_FILE), dir.join(STORE_FILE)).unwrap();
     let err = ShardedEngine::open(&ix, &dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("does not match its slice"), "{err}");
+    assert!(err.to_string().contains("does not match the corpus index"), "{err}");
     open_never_panics(&ix, &dir);
 }
 
 #[test]
 fn a_store_with_a_term_cut_short_errs() {
-    // The same documents with one `xml` fewer in the first shard: every
-    // term, level and node count still agrees, `xml`'s rows do not.
+    // The same documents with one `xml` fewer: every term, level and
+    // node count still agrees, `xml`'s rows do not.
     let ix = corpus();
     let dir = written("cut", &ix, 2);
     let cut = XmlIndex::build(parse(&DOC.replacen("xml top k", "top k", 1)).unwrap());
     assert_eq!(cut.tree().len(), ix.tree().len());
     let other = written("cut_source", &cut, 2);
-    let store = |d: &Path| d.join(shard_dir_name(0)).join(STORE_FILE);
-    fs::copy(store(&other), store(&dir)).unwrap();
+    fs::copy(other.join(STORE_FILE), dir.join(STORE_FILE)).unwrap();
     let err = ShardedEngine::open(&ix, &dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("does not match its slice"), "{err}");
+    assert!(err.to_string().contains("does not match the corpus index"), "{err}");
     open_never_panics(&ix, &dir);
 }
 
@@ -190,7 +181,7 @@ fn prop_manifest_byte_flips_never_panic() {
 fn prop_store_byte_flips_never_panic() {
     let ix = corpus();
     let dir = written("prop_store", &ix, 2);
-    let store = dir.join(shard_dir_name(0)).join(STORE_FILE);
+    let store = dir.join(STORE_FILE);
     let pristine = fs::read(&store).unwrap();
     prop_check(0xC0_0002, 48, |g| {
         let mut bytes = pristine.clone();

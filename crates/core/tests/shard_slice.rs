@@ -1,20 +1,22 @@
-//! A shard's store is its slice of the corpus index.  On random corpora
-//! (one of them numbered with a JDewey gap), at 1 to 7 shards and at more
-//! shards than documents, every column of every shard store decodes to the
-//! corpus column clipped to the shard's rows — rows counted from the
-//! shard's first, values less the level's base — its lengths array and
-//! score bits are the corpus slice's, and its vocabulary is exactly the
-//! corpus terms with a posting in the shard, in corpus vocabulary order.
-//! The sharded engine over such a store answers as the unsharded join.
+//! A shard is a row window of the corpus store.  On random corpora (one
+//! of them numbered with a JDewey gap), at 2, 4 and 8 shards, the store
+//! `write_sharded` writes is the corpus store byte for byte, and for every
+//! term, every level from 2 down and every range, the windowed source
+//! reads the column run for run as the memory column's runs in the
+//! range's rows, with the range's present rows as its size.  A block a
+//! range edge falls inside decodes once for both ranges.  The sharded
+//! engine over the store answers as the unsharded join.
 
 use std::fs;
 use std::ops::Range;
-use xtk_core::joinbased::{join_search, JoinOptions};
+use xtk_core::diskexec::{DiskJoinSpec, DiskSource};
+use xtk_core::joinbased::{join_search, ColumnSource, JoinOptions, KeywordRows};
 use xtk_core::result::{sort_ranked, ScoredResult};
-use xtk_core::shard::{shard_dir_name, write_sharded, ShardedEngine, MANIFEST_FILE, STORE_FILE};
+use xtk_core::shard::{write_sharded, ShardedEngine, MANIFEST_FILE, STORE_FILE};
 use xtk_core::{Executor, Query, QueryRequest, Semantics};
-use xtk_index::codec::try_read_varint;
-use xtk_index::diskcol::DiskColumnStore;
+use xtk_index::columnar::Feed;
+use xtk_index::disk::{write_index_to, WriteIndexOptions};
+use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::{IndexOptions, Run, XmlIndex};
 use xtk_xml::testutil::{prop_check, Gen, TempPath};
 use xtk_xml::{NodeId, XmlTree};
@@ -48,110 +50,56 @@ fn random_corpus(g: &mut Gen, jdewey_gap: u32) -> XmlIndex {
     XmlIndex::build_with(tree, IndexOptions { jdewey_gap, ..Default::default() })
 }
 
-fn varint(bytes: &[u8], pos: &mut usize) -> u32 {
-    try_read_varint(bytes, pos).expect("a varint")
-}
-
-/// One term record of a store file: its name, lengths array and score
-/// bits.  The column records are skipped; the store decodes them.
-struct Record {
-    name: String,
-    depths: Vec<u16>,
-    score_bits: Vec<u32>,
-}
-
-fn records(bytes: &[u8]) -> Vec<Record> {
-    let mut pos = 0;
-    varint(bytes, &mut pos); // magic
-    let terms = varint(bytes, &mut pos);
-    assert_eq!(bytes[pos], 1, "shards are written with scores");
-    pos += 1;
-    let mut out = Vec::new();
-    for _ in 0..terms {
-        let len = varint(bytes, &mut pos) as usize;
-        let name = String::from_utf8(bytes[pos..pos + len].to_vec()).unwrap();
-        pos += len;
-        let rows = varint(bytes, &mut pos) as usize;
-        let depths = (0..rows).map(|_| varint(bytes, &mut pos) as u16).collect();
-        let score_bits = bytes[pos..pos + 4 * rows]
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        pos += 4 * rows;
-        for _ in 0..varint(bytes, &mut pos) {
-            pos += 1; // scheme
-            let blocks = varint(bytes, &mut pos);
-            for _ in 0..4 * blocks {
-                varint(bytes, &mut pos);
-            }
-            pos += varint(bytes, &mut pos) as usize;
-        }
-        out.push(Record { name, depths, score_bits });
-    }
-    assert_eq!(pos, bytes.len(), "the records fill the file");
-    out
-}
-
-/// The documents of each shard, from the manifest.
-fn shard_docs(dir: &TempPath) -> Vec<Range<usize>> {
+/// The node range of each shard's documents, from the manifest.
+fn shard_nodes(ix: &XmlIndex, dir: &TempPath) -> Vec<Range<u32>> {
+    let docs = ix.tree().children(ix.tree().root());
+    let end = ix.tree().len() as u32;
+    let root = |d: usize| docs.get(d).map_or(end, |n| n.0);
     let text = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-    let entries = text.lines().filter_map(|l| l.strip_prefix("shard "));
-    entries
+    let ranges = text.lines().filter_map(|l| l.strip_prefix("range "));
+    ranges
         .map(|e| {
             let f: Vec<usize> = e.split_whitespace().map(|t| t.parse().unwrap()).collect();
-            f[1]..f[2]
+            root(f[1])..root(f[2])
         })
         .collect()
 }
 
-/// The corpus column of `level`, clipped to `rows` and renumbered — the
-/// column an index over the shard's documents alone holds.
-fn clipped(runs: &[Run], rows: &Range<u32>, base: u32) -> Vec<Run> {
-    let inside = runs.iter().filter(|r| r.start < rows.end && r.end() > rows.start);
-    inside
-        .map(|r| {
-            let start = r.start.max(rows.start);
-            let end = r.end().min(rows.end);
-            Run { value: r.value - base, start: start - rows.start, len: end - start }
-        })
-        .collect()
+/// Every run `source` lends for keyword 0 at the current level.
+fn lent<'a>(source: &DiskSource<'a>) -> Vec<Run> {
+    let (mut runs, mut feed) = (Vec::new(), source.feed(0, false).unwrap());
+    while let Some(stretch) = feed.land(0).unwrap() {
+        runs.extend_from_slice(stretch.as_ref());
+    }
+    runs
 }
 
-fn check_shard(ix: &XmlIndex, nodes: Range<u32>, path: &std::path::Path) {
-    let tree = ix.tree();
-    // A level's base: the number of the shard's first node at that level,
-    // less one; the range holds no root, so level 1 keeps its numbers.
-    let base = |level: u16| {
-        let first = nodes.clone().map(NodeId).find(|&n| tree.depth(n) == level);
-        first.map_or(0, |n| ix.jd().number(n) - 1)
-    };
-    let bytes = fs::read(path).unwrap();
-    let store = DiskColumnStore::open(path).unwrap();
-    let held: Vec<_> = ix
-        .terms()
-        .map(|(_, t)| t)
-        .filter(|t| t.postings().iter().any(|n| nodes.contains(&n.0)))
-        .collect();
-    let recs = records(&bytes);
-    assert_eq!(store.term_names().len(), held.len(), "the store's vocabulary is the slice's");
-    assert_eq!(recs.len(), held.len());
-    for (t, rec) in held.iter().zip(&recs) {
-        assert_eq!(rec.name, t.name(), "records follow the corpus vocabulary");
-        let rows: Vec<usize> =
+/// Every term of `ix` through a source windowed to the documents `nodes`:
+/// at every level from 2 down to the term's deepest, the source's size is
+/// the range's present rows and its feed the memory column's runs in the
+/// range's rows.
+fn check_range(ix: &XmlIndex, store: &DiskColumnStore, nodes: &Range<u32>) {
+    let spec = DiskJoinSpec { join: JoinOptions::default(), block_skip: false, prescan: false };
+    let slice = ix.slice(NodeId(nodes.start)..NodeId(nodes.end));
+    for (id, t) in ix.terms() {
+        let inside: Vec<usize> =
             (0..t.len()).filter(|&r| nodes.contains(&t.postings()[r].0)).collect();
-        let rows = rows[0] as u32..*rows.last().unwrap() as u32 + 1;
-        assert_eq!(rows.len(), rec.depths.len(), "{}: the slice's rows are contiguous", t.name());
-        let slice = rows.start as usize..rows.end as usize;
-        let depths: Vec<u16> = t.postings()[slice.clone()].iter().map(|&n| tree.depth(n)).collect();
-        assert_eq!(rec.depths, depths, "{}", t.name());
-        let bits: Vec<u32> = t.scores()[slice].iter().map(|s| s.to_bits()).collect();
-        assert_eq!(rec.score_bits, bits, "{}", t.name());
-        let levels = depths.iter().copied().max().unwrap();
-        assert_eq!(store.levels_of(t.name()), levels, "{}", t.name());
-        for level in 1..=levels {
-            let want = clipped(t.column(level).unwrap().runs, &rows, base(level));
-            let got = store.column(t.name(), level).unwrap().scan().unwrap();
-            assert_eq!(got, want, "{} level {level}", t.name());
+        let Some((&lo, &last)) = inside.first().zip(inside.last()) else { continue };
+        let rows = lo as u32..last as u32 + 1;
+        assert_eq!(rows.len(), inside.len(), "{}: the range's rows are contiguous", t.name());
+        let session = IoSession::default();
+        let keyword = KeywordRows::of(t);
+        let terms = vec![(Some(id.0 as usize), keyword)];
+        let mut src = DiskSource::over(store, terms, Some(&slice), &spec, &session);
+        assert_eq!(src.floor(), 2, "a range never enters level 1");
+        for level in 2..=t.max_len() {
+            let what = format!("{} level {level} nodes {nodes:?}", t.name());
+            src.enter(level).unwrap();
+            let deep = |&&r: &&usize| ix.tree().depth(t.postings()[r]) >= level;
+            let present = inside.iter().filter(deep).count();
+            assert_eq!(src.size(0), present, "{what}: size");
+            let want = t.column(level).unwrap().runs_in_rows(rows.start, rows.end);
+            assert_eq!(lent(&src), want, "{what}");
         }
     }
 }
@@ -160,11 +108,11 @@ fn bits(rs: &[ScoredResult]) -> Vec<(u32, u16, u32)> {
     rs.iter().map(|r| (r.node.0, r.level, r.score.to_bits())).collect()
 }
 
-/// Every topology of `ix`: each shard store is the corpus slice, and the
-/// engine over them answers a two-keyword query as the unsharded join
-/// does, less its level-1 results; returns how many results that is.
+/// Every topology of `ix` at 2, 4 and 8 shards: the store is the corpus
+/// store, each range's windows are its rows of the corpus columns, and
+/// the engine answers a two-keyword query as the unsharded join does,
+/// less its level-1 results; returns how many results that is.
 fn check_corpus(ix: &XmlIndex, tag: &str) -> usize {
-    let docs = ix.tree().children(ix.tree().root()).to_vec();
     let words: Vec<&str> =
         WORDS.iter().copied().filter(|w| ix.term_id(w).is_some()).take(2).collect();
     let query = Query::from_words(ix, &words).unwrap();
@@ -172,15 +120,16 @@ fn check_corpus(ix: &XmlIndex, tag: &str) -> usize {
     let mut want = join_search(ix, &query, &opts).0;
     want.retain(|r| r.level > 1);
     sort_ranked(&mut want);
-    for shards in (1..=7).chain([docs.len() + 3]) {
+    let mut image = Vec::new();
+    write_index_to(ix, &mut image, WriteIndexOptions { include_scores: true, ..Default::default() })
+        .unwrap();
+    for shards in [2, 4, 8] {
         let dir = TempPath::new(&format!("xtk_shard_slice_{tag}_{shards}"));
-        let written = write_sharded(ix, &dir, shards).unwrap();
-        assert_eq!(written, shards.min(docs.len()));
-        let end = ix.tree().len() as u32;
-        for (id, part) in shard_docs(&dir).iter().enumerate() {
-            let root = |d: usize| docs.get(d).map_or(end, |n| n.0);
-            let path = dir.join(shard_dir_name(id as u32)).join(STORE_FILE);
-            check_shard(ix, root(part.start)..root(part.end), &path);
+        write_sharded(ix, &dir, shards).unwrap();
+        assert!(fs::read(dir.join(STORE_FILE)).unwrap() == image, "the store is the corpus store");
+        let store = DiskColumnStore::open(&dir.join(STORE_FILE)).unwrap();
+        for nodes in shard_nodes(ix, &dir) {
+            check_range(ix, &store, &nodes);
         }
         let engine = ShardedEngine::open(ix, &dir).unwrap();
         let resp = engine.execute(&query, &QueryRequest::complete(Semantics::Elca)).unwrap();
@@ -190,7 +139,7 @@ fn check_corpus(ix: &XmlIndex, tag: &str) -> usize {
 }
 
 #[test]
-fn shard_stores_are_the_corpus_sliced() {
+fn every_range_window_reads_as_the_corpus_column_in_its_rows() {
     let results = std::cell::Cell::new(0);
     prop_check(0x5A1CE, 10, |g| {
         let gap = if g.gen_bool(0.5) { 0 } else { g.gen_range(1..4u32) };
@@ -208,4 +157,42 @@ fn a_gapped_numbering_slices_as_a_dense_one() {
         results += check_corpus(&ix, &format!("gapped{seed}"));
     }
     assert!(results > 0, "the gapped corpora answer the query below the root");
+}
+
+#[test]
+fn a_block_two_ranges_share_decodes_once() {
+    // 6 000 documents holding `w` once or twice, 600 empty ones after
+    // every 64th to spread the level-2 numbers: `w`'s level-2 column
+    // spans several blocks, and the edge between two ranges falls inside
+    // one.
+    let mut xml = String::from("<bib>");
+    for i in 0..6000u32 {
+        xml.push_str(if i % 3 == 0 { "<c><d>w</d></c>" } else { "<c><d>w</d><d>w</d></c>" });
+        if i % 64 == 0 {
+            xml.push_str(&"<x/>".repeat(600));
+        }
+    }
+    xml.push_str("</bib>");
+    let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
+    let dir = TempPath::new("xtk_shard_slice_shared_block");
+    write_sharded(&ix, &dir, 2).unwrap();
+    let store = DiskColumnStore::open(&dir.join(STORE_FILE)).unwrap();
+    let ranges = shard_nodes(&ix, &dir);
+    let w = ix.term_by_str("w").unwrap();
+    let column = store.column("w", 2).unwrap();
+    assert!(column.block_count() > 1, "the column spans several blocks");
+    let windows: Vec<_> = ranges
+        .iter()
+        .map(|nodes| {
+            let rows = ix.slice(NodeId(nodes.start)..NodeId(nodes.end)).rows(w.postings());
+            column.window(rows)
+        })
+        .collect();
+    let blocks: usize = windows.iter().map(|c| c.block_count()).sum();
+    assert_eq!(blocks, column.block_count() + 1, "the range edge falls inside a block");
+    let runs: Vec<Run> = windows.iter().flat_map(|c| c.scan().unwrap()).collect();
+    assert_eq!(runs, w.column(2).unwrap().runs, "the windows split the column");
+    let io = store.io_stats();
+    assert_eq!(io.decodes, column.block_count() as u64, "every block decodes once");
+    assert_eq!(io.hits, 1, "the second range finds the shared block cached");
 }

@@ -18,7 +18,7 @@ use common::store_image as image;
 use std::sync::Arc;
 use xtk_core::diskexec::{join_search_disk_spec, DiskJoinSpec, DiskSource};
 use xtk_core::joinbased::{algorithm1, join_search, ColumnSource, JoinOptions, MemSource};
-use xtk_core::shard::{shard_dir_name, write_sharded_with, ShardedEngine, STORE_FILE};
+use xtk_core::shard::{write_sharded_with, ShardedEngine, STORE_FILE};
 use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::columnar::{Column, Feed, Run, RunCursor};
@@ -88,7 +88,7 @@ fn check_contract<'s, S: ColumnSource<'s>>(
         assert!(rows.scores.iter().map(|s| s.to_bits()).eq(term.scores().iter().map(|s| s.to_bits())));
     }
     for level in (1..=l0).rev() {
-        assert_eq!(src.base(level), 0, "{label}: a whole index's numbers");
+        assert_eq!(src.floor(), 1, "{label}: a whole index is read down to the root");
         src.enter(level).unwrap();
         for (kw, term) in terms.iter().enumerate() {
             let what = format!("{label} level {level} kw {kw}");
@@ -328,7 +328,7 @@ fn torn_block_makes_the_sharded_engine_err_never_panic() {
     let dir = TempPath::new("xtk_source_conformance_torn");
     let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
     write_sharded_with(&ix, &dir, 2, opts).unwrap();
-    let store_path = dir.join(shard_dir_name(1)).join(STORE_FILE);
+    let store_path = dir.join(STORE_FILE);
     let pristine = std::fs::read(&store_path).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
     let mut errs = 0u32;
@@ -377,17 +377,15 @@ fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "skip={block_skip}");
     }
 
-    // Sharded: the light second shard served from the heavy first
-    // shard's store (equal vocabulary, so the open-time checks pass).
-    let ix = skewed_corpus(80, 40);
-    let query = Query::from_words(&ix, &["common", "rare5"]).unwrap();
+    // Sharded: the small corpus's directory holding the large corpus's
+    // store (equal vocabulary and levels, longer lists).
+    let query = Query::from_words(&small, &["common", "rare5"]).unwrap();
     let req = QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::JoinBased);
     let dir = TempPath::new("xtk_source_conformance_swapped");
-    write_sharded_with(&ix, &dir, 2, WriteIndexOptions { include_scores: true, ..Default::default() })
-        .unwrap();
-    assert!(ShardedEngine::open(&ix, &dir).unwrap().execute(&query, &req).is_ok());
-    let store_of = |shard| dir.join(shard_dir_name(shard)).join(STORE_FILE);
-    std::fs::copy(store_of(0), store_of(1)).unwrap();
-    let swapped = ShardedEngine::open(&ix, &dir).and_then(|e| e.execute(&query, &req));
-    assert!(swapped.is_err(), "a shard reading another shard's store must surface");
+    let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
+    write_sharded_with(&small, &dir, 2, opts).unwrap();
+    assert!(ShardedEngine::open(&small, &dir).unwrap().execute(&query, &req).is_ok());
+    std::fs::write(dir.join(STORE_FILE), image(&large).as_slice()).unwrap();
+    let swapped = ShardedEngine::open(&small, &dir).and_then(|e| e.execute(&query, &req));
+    assert!(swapped.is_err(), "ranges reading another corpus's store must surface");
 }

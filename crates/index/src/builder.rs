@@ -47,36 +47,22 @@ pub fn node_quality(node: NodeId) -> f32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub u32);
 
-/// A contiguous range of an index's nodes as an index of its own (a
-/// document shard).  JDewey numbers are unique per level and monotone in
-/// parent order (§III-A), so a term's postings in the range are one row
-/// range, the range's nodes at a level one block of numbers, and a
-/// column of the slice the index's clipped to the rows, less a base.
+/// A contiguous range of an index's nodes (a document shard).  Postings
+/// are in document order, so a term's postings in the range are one row
+/// range of its lists; JDewey numbers are unique per level and monotone in
+/// parent order (§III-A), so a range of whole documents is one row range
+/// of every column too, and no run at level 2 or deeper crosses its edge.
 #[derive(Debug, Clone)]
 pub struct Slice {
     nodes: Range<u32>,
-    /// Per level, level 1 first: the number of the range's first node at
-    /// that level, less one (0 where the range has none).
-    bases: Vec<u32>,
 }
 
 impl Slice {
-    /// Every node: rows and numbers unchanged.
-    pub const fn whole() -> Self {
-        Self { nodes: 0..u32::MAX, bases: Vec::new() }
-    }
-
-    /// The rows of `term`'s postings inside the range.
-    pub fn rows(&self, term: TermData<'_>) -> Range<usize> {
-        let postings = term.postings();
+    /// The rows of the postings `postings` (a term's, in document order)
+    /// inside the range.
+    pub fn rows(&self, postings: &[NodeId]) -> Range<usize> {
         postings.partition_point(|n| n.0 < self.nodes.start)
             ..postings.partition_point(|n| n.0 < self.nodes.end)
-    }
-
-    /// What a value of the slice's level-`level` column adds to become
-    /// the index's JDewey number.
-    pub fn base(&self, level: u16) -> u32 {
-        usize::from(level).checked_sub(1).and_then(|l| self.bases.get(l)).copied().unwrap_or(0)
     }
 }
 
@@ -309,15 +295,9 @@ impl XmlIndex {
         self.jd.node_at(level, number)
     }
 
-    /// The nodes `nodes` as an index of their own (see [`Slice`]).
+    /// The nodes `nodes` as a [`Slice`].
     pub fn slice(&self, nodes: Range<NodeId>) -> Slice {
-        let jd = &self.jd;
-        let bases = (1..=jd.num_levels()).map(|l| {
-            let level = jd.level(l);
-            let first = level.get(level.partition_point(|&n| n < nodes.start));
-            first.filter(|&&n| n < nodes.end).map_or(0, |&n| jd.number(n).saturating_sub(1))
-        });
-        Slice { nodes: nodes.start.0..nodes.end.0, bases: bases.collect() }
+        Slice { nodes: nodes.start.0..nodes.end.0 }
     }
 }
 

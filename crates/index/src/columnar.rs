@@ -106,22 +106,6 @@ impl<'a> Column<'a> {
         (lb, hit)
     }
 
-    /// The column of the rows `rows` alone (a [`Slice`](crate::Slice)'s):
-    /// its runs clipped to them, rows counted from `rows.start` and values
-    /// less `base`, written into `out`.
-    pub fn clip(self, rows: std::ops::Range<u32>, base: u32, out: &mut Vec<Run>) -> &[Run] {
-        let lo = self.runs.partition_point(|r| r.end() <= rows.start);
-        let hi = self.runs.partition_point(|r| r.start < rows.end);
-        let runs = self.runs.get(lo..hi).unwrap_or_default();
-        out.clear();
-        out.extend(runs.iter().map(|r| {
-            let start = r.start.max(rows.start);
-            let len = r.end().min(rows.end) - start;
-            Run { value: r.value.wrapping_sub(base), start: start - rows.start, len }
-        }));
-        out
-    }
-
     /// The runs fully contained in the row range `[start, end)`.
     ///
     /// Containment-or-disjointness (§III-E) means a binary search on

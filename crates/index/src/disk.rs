@@ -15,7 +15,7 @@
 //! section is validated and skipped: it has no reader until the disk
 //! engine opens from the file alone (ROADMAP item 6b's catalog).
 
-use crate::builder::{Slice, XmlIndex};
+use crate::builder::XmlIndex;
 use crate::terms::TermData;
 use crate::codec::{choose_scheme, encode_column, try_read_varint, write_varint, BlockEntry, Scheme};
 use crate::columnar::Run;
@@ -105,38 +105,30 @@ pub(crate) fn encode_column_record(runs: &[Run], buf: &mut Vec<u8>) -> usize {
     cc.blocks.len()
 }
 
-/// Encodes the record of `term`'s rows in `slice` (vocabulary entry,
-/// lengths array, optional scores, and every column record, clipped to
-/// the rows and less the level's base) into `buf`; `runs` is scratch.
+/// Encodes `term`'s record (vocabulary entry, lengths array, optional
+/// scores, and every column record) into `buf`.
 fn encode_term_record(
     ix: &XmlIndex,
     term: TermData<'_>,
-    slice: &Slice,
     opts: WriteIndexOptions,
     buf: &mut Vec<u8>,
-    runs: &mut Vec<Run>,
 ) {
-    let rows = slice.rows(term);
-    let postings = term.postings().get(rows.clone()).unwrap_or_default();
+    let postings = term.postings();
     write_varint(term.name().len() as u32, buf);
     buf.extend_from_slice(term.name().as_bytes());
     write_varint(postings.len() as u32, buf);
     // Lengths array.
-    let mut levels = 0;
     for &n in postings {
-        levels = levels.max(ix.tree().depth(n));
         write_varint(u32::from(ix.tree().depth(n)), buf);
     }
     if opts.include_scores {
-        for &s in term.scores().get(rows.clone()).unwrap_or_default() {
+        for &s in term.scores() {
             buf.extend_from_slice(&s.to_le_bytes());
         }
     }
-    write_varint(u32::from(levels), buf);
-    let rows = rows.start as u32..rows.end as u32;
-    for level in 1..=levels {
-        let col = term.column(level).unwrap_or_default();
-        encode_column_record(col.clip(rows.clone(), slice.base(level), runs), buf);
+    write_varint(u32::from(term.max_len()), buf);
+    for col in term.columns() {
+        encode_column_record(col.runs, buf);
     }
 }
 
@@ -146,28 +138,15 @@ fn encode_term_record(
 /// and in-memory images (`&mut Vec<u8>`, for
 /// [`DiskColumnStore::open_bytes`](crate::diskcol::DiskColumnStore::open_bytes)).
 pub fn write_index_to<W: Write>(ix: &XmlIndex, sink: W, opts: WriteIndexOptions) -> io::Result<u64> {
-    write_slice_to(ix, &Slice::whole(), sink, opts)
-}
-
-/// [`write_index_to`] for `slice`'s nodes alone: the terms with a posting
-/// in it, in vocabulary order, values less the slice's base (without a
-/// JDewey gap, as an index built over those nodes writes them).
-pub fn write_slice_to<W: Write>(
-    ix: &XmlIndex,
-    slice: &Slice,
-    sink: W,
-    opts: WriteIndexOptions,
-) -> io::Result<u64> {
-    let terms = || ix.terms().map(|(_, t)| t).filter(|&t| !slice.rows(t).is_empty());
     let mut w = CountingWriter { inner: sink, written: 0 };
-    let (mut buf, mut runs) = (Vec::new(), Vec::new());
+    let mut buf = Vec::new();
     write_varint(MAGIC, &mut buf);
-    write_varint(terms().count() as u32, &mut buf);
+    write_varint(ix.vocab_size() as u32, &mut buf);
     buf.push(opts.include_scores as u8);
     w.write_all(&buf)?;
-    for term in terms() {
+    for (_, term) in ix.terms() {
         buf.clear();
-        encode_term_record(ix, term, slice, opts, &mut buf, &mut runs);
+        encode_term_record(ix, term, opts, &mut buf);
         w.write_all(&buf)?;
     }
     w.flush()?;

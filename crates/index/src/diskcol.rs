@@ -32,6 +32,7 @@ use crate::codec::{decode_block_into, with_decode_scratch};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
 use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -194,7 +195,7 @@ impl DiskColumnStore {
         let cols = self.dir.columns(t);
         let c = cols.start + usize::from(level.checked_sub(1)?);
         let meta = self.dir.column(c).filter(|_| c < cols.end)?;
-        Some(DiskColumn { store: self, meta, session: None })
+        Some(DiskColumn { store: self, meta, session: None, window: None })
     }
 
     /// Lazy views over every column of `term`, level 1 first (none when
@@ -206,7 +207,7 @@ impl DiskColumnStore {
     /// [`columns`](Self::columns) of store term `t`.
     fn term_columns(&self, t: usize) -> impl Iterator<Item = DiskColumn<'_>> {
         let cols = self.dir.columns(t).filter_map(|c| self.dir.column(c));
-        cols.map(|meta| DiskColumn { store: self, meta, session: None })
+        cols.map(|meta| DiskColumn { store: self, meta, session: None, window: None })
     }
 
     /// Total cache-missing block decodes performed by this store.
@@ -361,7 +362,7 @@ impl DiskColumnStore {
     }
 }
 
-/// Lazy view over one on-disk column.
+/// Lazy view over one on-disk column, or over its runs in a row window.
 #[derive(Clone, Copy)]
 pub struct DiskColumn<'a> {
     store: &'a DiskColumnStore,
@@ -369,6 +370,20 @@ pub struct DiskColumn<'a> {
     /// Query scope the accesses through this handle are attributed to
     /// (besides the store totals); `None` outside query execution.
     session: Option<&'a IoSession>,
+    /// The rows the handle reads (see [`window`](Self::window)); `None`
+    /// reads the whole column.
+    window: Option<Window>,
+}
+
+/// The part of a column a windowed [`DiskColumn`] reads.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    /// The rows, `lo..hi`: the handle lends the runs starting in them.
+    rows: (u32, u32),
+    /// The window's entries of the directory's present rows, `lo..hi`.
+    present: (u32, u32),
+    /// The blocks holding those entries, `first..end`.
+    blocks: (usize, usize),
 }
 
 impl<'a> DiskColumn<'a> {
@@ -381,14 +396,47 @@ impl<'a> DiskColumn<'a> {
         self
     }
 
-    /// Number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.meta.block_count()
+    /// The column narrowed to the runs that start in `rows` — a document
+    /// range's rows, which below level 1 no run crosses.  Two binary
+    /// searches on the directory's present rows find the window's
+    /// entries and two on its row prefixes the blocks holding them:
+    /// [`row_count`](Self::row_count) counts the window's present rows, a
+    /// feed lands only its blocks, and a block shared with a neighbouring
+    /// window is lent as the part inside this one — one cached block, one
+    /// decode, for both.
+    pub fn window(mut self, rows: Range<usize>) -> DiskColumn<'a> {
+        let (present, row_at) = (self.meta.present_rows, self.meta.row_at);
+        let lo = present.partition_point(|&r| (r as usize) < rows.start);
+        let hi = present.partition_point(|&r| (r as usize) < rows.end);
+        // Block `b` holds entries `row_at[b]..row_at[b + 1]`.
+        let blocks = if lo < hi {
+            let first = row_at.partition_point(|&at| at as usize <= lo).saturating_sub(1);
+            (first, row_at.partition_point(|&at| (at as usize) < hi))
+        } else {
+            (0, 0)
+        };
+        let (rows, present) = ((rows.start as u32, rows.end as u32), (lo as u32, hi as u32));
+        self.window = Some(Window { rows, present, blocks });
+        self
     }
 
-    /// Rows present at this level.
+    /// Number of blocks (of the window, in a windowed handle).
+    pub fn block_count(&self) -> usize {
+        self.window.map_or(self.meta.block_count(), |w| w.blocks.1 - w.blocks.0)
+    }
+
+    /// Rows present at this level (in the window, in a windowed handle).
     pub fn row_count(&self) -> usize {
-        self.meta.present_rows.len()
+        self.window.map_or(self.meta.present_rows.len(), |w| (w.present.1 - w.present.0) as usize)
+    }
+
+    /// The runs of a landed block the handle lends: all of them, or in a
+    /// windowed handle those starting in the window.
+    fn lent(&self, block: &[Run]) -> Range<usize> {
+        let Some(w) = self.window else {
+            return 0..block.len();
+        };
+        block.partition_point(|r| r.start < w.rows.0)..block.partition_point(|r| r.start < w.rows.1)
     }
 
     /// The `[first, last]` JDewey value range this column covers, read
@@ -407,7 +455,7 @@ impl<'a> DiskColumn<'a> {
     /// without, every block in order.  `rows` is the reader's posting-list
     /// length: a block reaching past it is refused.
     pub fn feed(&self, skip: bool, rows: usize) -> BlockFeed<'a> {
-        BlockFeed { col: *self, next: 0, skip, rows }
+        BlockFeed { col: *self, next: self.window.map_or(0, |w| w.blocks.0), skip, rows }
     }
 
     /// Decodes the whole column in block order.  Corrupt blocks surface as
@@ -416,7 +464,7 @@ impl<'a> DiskColumn<'a> {
         let mut out = Vec::new();
         let mut feed = self.feed(false, usize::MAX);
         while let Some(block) = feed.land(0)? {
-            out.extend_from_slice(&block);
+            out.extend_from_slice(block.as_ref());
         }
         Ok(out)
     }
@@ -452,11 +500,26 @@ fn check_rows(block: &[Run], rows: usize) -> io::Result<()> {
     }
 }
 
+/// What a [`BlockFeed`] lends: a cached block, or the part of it inside
+/// the column's window.
+#[derive(Debug)]
+pub struct LentBlock {
+    block: Block,
+    runs: Range<usize>,
+}
+
+impl AsRef<[Run]> for LentBlock {
+    #[inline]
+    fn as_ref(&self) -> &[Run] {
+        self.block.get(self.runs.clone()).unwrap_or_default()
+    }
+}
+
 impl Feed for BlockFeed<'_> {
-    type Stretch = Block;
+    type Stretch = LentBlock;
     type Error = io::Error;
 
-    fn land(&mut self, v: u32) -> io::Result<Option<Block>> {
+    fn land(&mut self, v: u32) -> io::Result<Option<LentBlock>> {
         let meta = &self.col.meta;
         if self.skip {
             // Blocks wholly below `v` are passed over undecoded.
@@ -465,14 +528,16 @@ impl Feed for BlockFeed<'_> {
         let Some(&first) = meta.firsts.get(self.next) else {
             return Ok(None);
         };
-        // Below the block's first value, `v` sits in the gap before it.
-        if self.skip && v < first {
+        // Below the block's first value, `v` sits in the gap before it;
+        // past the window's last block the windowed column ends.
+        if (self.skip && v < first) || self.col.window.is_some_and(|w| self.next >= w.blocks.1) {
             return Ok(None);
         }
         let block = self.col.store.decode_block(meta, self.next, self.col.session)?;
-        check_rows(&block, self.rows)?;
+        let lent = LentBlock { runs: self.col.lent(&block), block };
+        check_rows(lent.as_ref(), self.rows)?;
         self.next += 1;
-        Ok(Some(block))
+        Ok(Some(lent))
     }
 
     fn finish(&mut self) -> io::Result<()> {

@@ -12,9 +12,10 @@
 //!   --top K     return the K best results (default: top 10)
 //!   --all       return the complete ranked result set
 //!   --slca      SLCA semantics instead of ELCA
-//!   --shards N  partition the corpus into N document shards (in a temp
-//!               directory) and serve scatter-gather with the TA merge
-//!               threshold; answers are bit-identical to --shards 1.
+//!   --shards N  partition the corpus into N document ranges of one
+//!               store (in a temp directory) and serve scatter-gather
+//!               with the TA merge threshold; answers are bit-identical
+//!               to --shards 1.
 //!               Join-based engines only (join/auto).
 //!   --engine E  answer with a specific engine (complete set: join or
 //!               stack; top-K: join [star join] or auto [hybrid planner]).
