@@ -1,36 +1,32 @@
 #!/bin/sh
-# Tier-1 gate, fully offline: release build, workspace tests, in-tree
-# static analysis (xtk-lint), clippy.  Run from the repo root.  Fails
-# fast on the first broken step.
+# Tier-1 gate, fully offline: release build, grep gates, workspace tests,
+# clippy.  Run from the repo root.  Fails fast on the first broken step.
 set -eu
 
 cd "$(dirname "$0")"
 
 # Captured output goes to files of this run alone, so two concurrent runs
 # never read each other's.
-lint_out=$(mktemp)
 tier1_out=$(mktemp)
-trap 'rm -f "$lint_out" "$tier1_out"' EXIT
+trap 'rm -f "$tier1_out"' EXIT
 
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
-echo "== cargo run -q -p xtk-lint (interprocedural passes L6-L9)"
-# Unconditional: xtk-lint is a workspace crate with no external deps, so
-# there is no environment where this step may be skipped.  It enforces
-# the lint-baseline.json L6 ratchet (panic sites reachable per query entry
-# point), the L7 lock-order gate, the L8 hot-loop allocation gate and L9
-# (discarded Results).  L1-L5 are rustc/clippy lints: the build and the
-# clippy step below enforce them.  The output is captured to a file (not
-# a pipe: plain sh has no pipefail) so the one-line L6 ratchet delta can
-# be asserted on and still land in the CI log.
-if ! cargo run -q --offline -p xtk-lint >"$lint_out" 2>&1; then
-    cat "$lint_out" >&2
-    exit 1
+echo "== one mechanism per static rule: rustc and clippy lints, the debug lock-rank check"
+# Each rule of DESIGN.md section 7 has one mechanism: L1-L6 and L9 are
+# rustc/clippy lints, L7 is the lock ranks of xtk_obs::locks (checked in
+# debug builds), L8 has none.  The in-tree checker that ran L6-L9 as a
+# second mechanism is gone; its crate, its JSON files or its suppression
+# comments coming back means a second answer to the same question.
+for path in crates/lint lint-baseline.json lint-report.json; do
+    if [ -e "$path" ]; then
+        echo "ERROR: $path is back" >&2; exit 1
+    fi
+done
+if grep -rn 'lint[:]allow(' --include='*.rs' crates src tests examples >&2; then
+    echo "ERROR: a suppression comment of the retired checker is back (lines above)" >&2; exit 1
 fi
-cat "$lint_out"
-grep "L6 ratchet" "$lint_out" >/dev/null || {
-    echo "ERROR: xtk-lint did not report the L6 ratchet delta" >&2; exit 1; }
 
 echo "== temp-path hygiene: no bare temp_dir() outside xtk_xml::testutil"
 # Tests, bins and the CLI's --shards that need the filesystem go through
@@ -59,20 +55,22 @@ fi
 
 echo "== one LRU: one recency order, one poison-recovering lock helper"
 # Every cache (block, plan, result) sits on xtk_index::cache::Lru behind
-# Sharded, whose `relock` is the only place a poisoned guard is recovered.
-# Lru keeps recency in a linked slot arena; a second `struct Lru`, a
-# `BTreeMap<u64, _>` stamp order or a second `into_inner()` in the two
-# crates that hold caches means a cache grew its own again.
+# Sharded, and every mutex of the library crates is taken through
+# xtk_obs::locks, the only place a poisoned guard is recovered.  Lru keeps
+# recency in a linked slot arena; a second `struct Lru` or a
+# `BTreeMap<u64, _>` stamp order in the two crates that hold caches means
+# a cache grew its own again, and a second `into_inner()` under any
+# crate's sources a second lock helper.
 expect_sites() {
-    sites=$(grep -rnF "$2" --include='*.rs' crates/index/src crates/core/src | wc -l)
+    sites=$(grep -rnF "$3" --include='*.rs' $2 | wc -l)
     [ "$sites" -eq "$1" ] || {
-        echo "ERROR: $sites sites of '$2' under crates/index/src + crates/core/src, expected $1:" >&2
-        grep -rnF "$2" --include='*.rs' crates/index/src crates/core/src >&2
+        echo "ERROR: $sites sites of '$3' under $2, expected $1:" >&2
+        grep -rnF "$3" --include='*.rs' $2 >&2
         exit 1; }
 }
-expect_sites 1 'struct Lru'
-expect_sites 0 'BTreeMap<u64,'
-expect_sites 1 'into_inner()'
+expect_sites 1 'crates/index/src crates/core/src' 'struct Lru'
+expect_sites 0 'crates/index/src crates/core/src' 'BTreeMap<u64,'
+expect_sites 1 'crates/*/src' 'into_inner()'
 
 echo "== one block directory: one parse, no format without row counts"
 # What a directory entry is and which files are valid is decided by
@@ -151,13 +149,12 @@ echo "== one thread per query, one pool caller: the batch workers"
 # (DESIGN §6): a request runs on the thread that calls it, a sharded one
 # included, and the index builds on one thread.  The batch executor is
 # the pool's one caller; a second file calling parallel_map( means a
-# build, a scatter or a query phase grew threads again.  (crates/lint
-# holds fixture sources that spell the name.)
+# build, a scatter or a query phase grew threads again.
 if grep -rnE 'PAR_JOIN_MIN|PAR_MATCH_MIN|phase_chunks|pool\.(join|match|refill)_' crates >&2; then
     echo "ERROR: an intra-query pool name is back under crates/" >&2; exit 1
 fi
 pool_callers=$(grep -rlF 'parallel_map(' --include='*.rs' crates/*/src \
-    | grep -v -e '^crates/core/src/pool.rs$' -e '^crates/lint/' | sort | tr '\n' ' ')
+    | grep -v '^crates/core/src/pool.rs$' | sort | tr '\n' ' ')
 [ "$pool_callers" = "crates/core/src/batch.rs " ] || {
     echo "ERROR: parallel_map( is called from: $pool_callers" >&2
     echo "       expected exactly crates/core/src/batch.rs" >&2
@@ -194,19 +191,6 @@ if grep -rn 'std::time' crates/bench/tests >&2; then
     echo "ERROR: a clock under crates/bench/tests (lines above): goldens pin counts only" >&2; exit 1
 fi
 
-echo "== lint-report.json: schema + L7 acyclicity check"
-# The machine-readable report must exist, carry every section of the
-# stable schema, and record zero lock-order cycles (the binary already
-# hard-fails on cycles; this guards against the report going stale or
-# the schema drifting under a consumer).
-test -s lint-report.json || { echo "ERROR: lint-report.json missing" >&2; exit 1; }
-for key in '"version"' '"l6"' '"l7"' '"l8"' '"l9"'; do
-    grep -q "$key" lint-report.json || {
-        echo "ERROR: lint-report.json lacks the $key section" >&2; exit 1; }
-done
-grep -q '"cycles": \[\]' lint-report.json || {
-    echo "ERROR: lint-report.json records L7 lock-order cycles" >&2; exit 1; }
-
 echo "== tier-1 as ROADMAP.md spells it: cargo build --release && cargo test -q"
 # The literal line, no --workspace: `default-members` in Cargo.toml is what
 # makes it cover every crate, the regression goldens included
@@ -234,9 +218,10 @@ echo "== perfbench smoke + determinism tests (the benchmark's own guards)"
 # benchmark run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo clippy --all-targets -- -D warnings (L1-L3, L5; DESIGN.md section 7)"
-# Unconditional: the panic, hash-order and wall-clock rules are clippy
-# lints, so a missing clippy fails here rather than skipping them.
+echo "== cargo clippy --all-targets -- -D warnings (L1-L3, L5, L6, L9; DESIGN.md section 7)"
+# Unconditional: the panic, hash-order, wall-clock and discarded-Result
+# rules are clippy lints, so a missing clippy fails here rather than
+# skipping them.
 cargo clippy --offline --workspace --all-targets -q -- -D warnings
 
 echo "== ci.sh: all green"

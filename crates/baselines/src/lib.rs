@@ -5,7 +5,8 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::unreachable,
-    clippy::indexing_slicing
+    clippy::indexing_slicing,
+    clippy::let_underscore_must_use
 )]
 
 //! The evaluation baselines of *"Supporting Top-K Keyword Search in XML

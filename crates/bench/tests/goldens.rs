@@ -417,8 +417,9 @@ fn serve() {
 }
 
 /// Sharded scatter-gather: the serving mix across small and large k, at 4
-/// and 8 document shards; every topology answers as the unsharded
-/// engine's filtered reference, and prunes at least one shard.
+/// and 8 document shards, each request on a cold block cache; every
+/// topology answers as the unsharded engine's filtered reference, and
+/// prunes at least one shard.
 #[test]
 fn shard() {
     let gate = gate();
@@ -457,9 +458,14 @@ fn shard() {
     for shards in [1, 4, 8] {
         let dir = TempPath::new(&format!("xtk_goldens_shard{shards}"));
         write_sharded(ix, &dir, shards).expect("write sharded corpus");
-        let engine = ShardedEngine::open(ix, &dir).expect("open sharded corpus");
+        let cache = ColdCache::new();
+        let engine =
+            ShardedEngine::open_with_cache(ix, &dir, cache.clone()).expect("open sharded corpus");
         let (mut decodes, mut executed, mut pruned) = (0, 0, 0);
         for ((q, req), want) in work.iter().zip(&want) {
+            // Each request on an empty cache: the sum is what the
+            // requests decode one by one, which a shared warm cache hides.
+            cache.reset(CacheCapacity::Unbounded);
             let resp = engine.execute(q, req).expect("sharded execute");
             assert_eq!(&bits(&resp.results), want, "{shards} shards diverge from the reference");
             decodes += resp.metrics.get("store.decodes");
@@ -470,8 +476,8 @@ fn shard() {
             single = decodes;
         } else {
             assert!(pruned > 0, "the TA merge pruned no shard at {shards} shards: is its stop test run?");
-            // Ranges share one store and one cache: splitting the corpus
-            // must not multiply the blocks decoded.
+            // Ranges share one store: splitting the corpus must not
+            // multiply the blocks a request decodes.
             assert!(
                 decodes * 10 <= single * 11,
                 "{shards} shards decode {decodes} blocks, over 1.1 x the {single} of one"

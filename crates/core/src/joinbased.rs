@@ -411,7 +411,6 @@ fn match_level(
 ) -> u64 {
     view.evaluate(erasers, joined.rows(), scratch);
     let (level, before) = (view.level, results.len());
-    // (The type is spelled out for xtk-lint's call resolution.)
     let mut nodes: LevelCursor<'_> = view.ix.jd().level_cursor(level);
     // Every matched value identifies a node in a consistent index.
     results.extend(scratch.emits.iter().filter_map(|&(value, score)| {

@@ -6,6 +6,7 @@
     clippy::unimplemented,
     clippy::unreachable,
     clippy::indexing_slicing,
+    clippy::let_underscore_must_use,
     clippy::iter_over_hash_type,
     clippy::disallowed_methods,
     clippy::disallowed_types

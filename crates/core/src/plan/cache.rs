@@ -38,6 +38,7 @@ use crate::request::QueryRequest;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xtk_index::cache::{Lru, Sharded};
 use xtk_index::XmlIndex;
+use xtk_obs::locks::LockRank;
 
 #[derive(Debug)]
 struct Entry<V> {
@@ -106,7 +107,7 @@ impl<V: Clone> StampedCache<V> {
     pub(crate) fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         Self {
-            shards: Sharded::new(shards),
+            shards: Sharded::new(shards, LockRank::StampedCacheShard),
             shard_capacity: capacity.div_ceil(shards).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

@@ -301,7 +301,6 @@ pub(crate) fn summarize(stats: &PlanStats, plan: &PlanNode) -> CostSummary {
             let c = probe_cost(driver_stats, range);
             let s = scan_cost(range);
             let d = driver.map(|d| d.name.as_str()).unwrap_or("");
-            // lint:allow(L8, EXPLAIN-only rendering — the serving path never builds the summary)
             leaf_lines.push(format!(
                 "probe \"{}\": est blocks<={} rows<={} (scan would decode {} blocks; driver \"{d}\")",
                 leaf.name, c.blocks, c.rows, s.blocks
@@ -313,7 +312,6 @@ pub(crate) fn summarize(stats: &PlanStats, plan: &PlanNode) -> CostSummary {
                 ScanMode::Materialize => "materialize",
                 ScanMode::Stream => "stream",
             };
-            // lint:allow(L8, EXPLAIN-only rendering — the serving path never builds the summary)
             leaf_lines.push(format!(
                 "scan \"{}\": est blocks={} rows={} ({mode})",
                 leaf.name, c.blocks, c.rows

@@ -28,7 +28,7 @@
 use crate::query::{ElcaVariant, Semantics};
 use crate::request::ScoreMode;
 use crate::topk::ThresholdKind;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use xtk_index::TermId;
 
 /// How a [`PlanNode::Scan`] consumes its level range.
@@ -123,14 +123,12 @@ pub enum PlanNode {
 impl PlanNode {
     /// Renders the plan tree, two-space indented, byte-stable.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
+        fmt::from_fn(|f| self.render_into(f, 0)).to_string()
     }
 
-    fn render_into(&self, out: &mut String, depth: usize) {
+    fn render_into(&self, out: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         for _ in 0..depth {
-            out.push_str("  ");
+            out.write_str("  ")?;
         }
         match self {
             PlanNode::Scan(leaf) => {
@@ -138,37 +136,38 @@ impl PlanNode {
                     ScanMode::Materialize => "materialize",
                     ScanMode::Stream => "stream",
                 };
-                let _ = write!(
+                write!(
                     out,
                     "LogicalScan: term=\"{}\" postings={} levels={} mode={}",
                     leaf.name,
                     leaf.postings,
                     LevelRange(leaf.levels),
                     mode
-                );
+                )?;
                 if let Some(full) = leaf.pruned_from {
-                    let _ = write!(out, " (pruned from {})", LevelRange(full));
+                    write!(out, " (pruned from {})", LevelRange(full))?;
                 }
-                out.push('\n');
+                out.write_char('\n')
             }
             PlanNode::IndexProbe(leaf) => {
-                let _ = write!(
+                write!(
                     out,
                     "LogicalIndexProbe: term=\"{}\" postings={} levels={} skip=footers",
                     leaf.name,
                     leaf.postings,
                     LevelRange(leaf.levels)
-                );
+                )?;
                 if let Some(full) = leaf.pruned_from {
-                    let _ = write!(out, " (pruned from {})", LevelRange(full));
+                    write!(out, " (pruned from {})", LevelRange(full))?;
                 }
-                out.push('\n');
+                out.write_char('\n')
             }
             PlanNode::Join { inputs, levels } => {
-                let _ = writeln!(out, "LogicalJoin: levels={}", LevelRange(*levels));
+                writeln!(out, "LogicalJoin: levels={}", LevelRange(*levels))?;
                 for i in inputs {
-                    i.render_into(out, depth + 1);
+                    i.render_into(out, depth + 1)?;
                 }
+                Ok(())
             }
             PlanNode::Filter { input, semantics, variant } => {
                 let sem = match semantics {
@@ -179,16 +178,14 @@ impl PlanNode {
                     ElcaVariant::Operational => "operational",
                     ElcaVariant::Formal => "formal",
                 };
-                let _ = writeln!(out, "LogicalFilter: semantics={sem} variant={var}");
-                input.render_into(out, depth + 1);
+                writeln!(out, "LogicalFilter: semantics={sem} variant={var}")?;
+                input.render_into(out, depth + 1)
             }
             PlanNode::TopK { input, k, strategy, threshold, scores, bound } => {
-                out.push_str("LogicalTopK:");
+                out.write_str("LogicalTopK:")?;
                 match k {
-                    Some(k) => {
-                        let _ = write!(out, " k={k}");
-                    }
-                    None => out.push_str(" k=all"),
+                    Some(k) => write!(out, " k={k}")?,
+                    None => out.write_str(" k=all")?,
                 }
                 let strat = match strategy {
                     TopKStrategy::Auto => "auto",
@@ -203,17 +200,17 @@ impl PlanNode {
                     ScoreMode::Ranked => "ranked",
                     ScoreMode::Unranked => "unranked",
                 };
-                let _ = write!(out, " strategy={strat} threshold={thr} scores={sc}");
+                write!(out, " strategy={strat} threshold={thr} scores={sc}")?;
                 if let Some(b) = bound {
-                    let _ = write!(out, " (candidate bound {b})");
+                    write!(out, " (candidate bound {b})")?;
                 }
-                out.push('\n');
-                input.render_into(out, depth + 1);
+                out.write_char('\n')?;
+                input.render_into(out, depth + 1)
             }
             PlanNode::Merge { input, shards, ta_prune } => {
                 let ta = if *ta_prune { "on" } else { "off" };
-                let _ = writeln!(out, "LogicalMerge: shards={shards} ta-prune={ta}");
-                input.render_into(out, depth + 1);
+                writeln!(out, "LogicalMerge: shards={shards} ta-prune={ta}")?;
+                input.render_into(out, depth + 1)
             }
         }
     }

@@ -28,7 +28,7 @@ use crate::query::{ElcaVariant, Query, Semantics};
 use crate::request::{obs_for, respond, ExecutedEngine, QueryRequest, QueryResponse, ScoreMode};
 use crate::result::rank_top;
 use crate::topk::{topk_search_obs, ThresholdKind, TopKOptions};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
@@ -378,55 +378,56 @@ pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) ->
             matches = matches.saturating_add(m);
         }
     }
-    let mut out = String::new();
-    for line in explain.physical.lines() {
-        out.push_str(line);
-        if line.trim_start().starts_with("ExecJoin:") {
-            let _ = write!(
-                out,
-                " [actual decodes={total_decodes} matches={matches}; est blocks={}]",
-                explain.cost.est_blocks
-            );
-        } else if let Some(term) = leaf_term_name(line) {
-            if let Some(id) = ix.term_id(term) {
-                let mut steps = 0u64;
-                let mut out_values = 0u64;
-                for e in trace.of_kind("join_step") {
-                    if let EventKind::JoinStep { term: t, output_values, .. } = e.kind {
-                        if t == id.0 {
-                            steps = steps.saturating_add(1);
-                            out_values = out_values.saturating_add(output_values);
+    fmt::from_fn(|out| {
+        for line in explain.physical.lines() {
+            out.write_str(line)?;
+            if line.trim_start().starts_with("ExecJoin:") {
+                write!(
+                    out,
+                    " [actual decodes={total_decodes} matches={matches}; est blocks={}]",
+                    explain.cost.est_blocks
+                )?;
+            } else if let Some(term) = leaf_term_name(line) {
+                if let Some(id) = ix.term_id(term) {
+                    let mut steps = 0u64;
+                    let mut out_values = 0u64;
+                    for e in trace.of_kind("join_step") {
+                        if let EventKind::JoinStep { term: t, output_values, .. } = e.kind {
+                            if t == id.0 {
+                                steps = steps.saturating_add(1);
+                                out_values = out_values.saturating_add(output_values);
+                            }
                         }
                     }
-                }
-                let mut driver_levels = 0u64;
-                let mut driver_runs = 0u64;
-                for e in trace.of_kind("level_start") {
-                    if let EventKind::LevelStart { driver_term, driver_runs: r, .. } = e.kind {
-                        if driver_term == id.0 {
-                            driver_levels = driver_levels.saturating_add(1);
-                            driver_runs = driver_runs.saturating_add(r);
+                    let mut driver_levels = 0u64;
+                    let mut driver_runs = 0u64;
+                    for e in trace.of_kind("level_start") {
+                        if let EventKind::LevelStart { driver_term, driver_runs: r, .. } = e.kind {
+                            if driver_term == id.0 {
+                                driver_levels = driver_levels.saturating_add(1);
+                                driver_runs = driver_runs.saturating_add(r);
+                            }
                         }
                     }
-                }
-                if steps > 0 {
-                    let _ = write!(out, " [actual steps={steps} out={out_values}]");
-                } else if driver_levels > 0 {
-                    let _ =
-                        write!(out, " [actual driver levels={driver_levels} runs={driver_runs}]");
+                    if steps > 0 {
+                        write!(out, " [actual steps={steps} out={out_values}]")?;
+                    } else if driver_levels > 0 {
+                        write!(out, " [actual driver levels={driver_levels} runs={driver_runs}]")?;
+                    }
                 }
             }
+            out.write_char('\n')?;
         }
-        out.push('\n');
-    }
-    if decodes_by_store.len() <= 1 {
-        let _ = writeln!(out, "io: decodes={total_decodes}");
-    } else {
-        for (store, d) in &decodes_by_store {
-            let _ = writeln!(out, "io: shard={store} decodes={d}");
+        if decodes_by_store.len() <= 1 {
+            writeln!(out, "io: decodes={total_decodes}")?;
+        } else {
+            for (store, d) in &decodes_by_store {
+                writeln!(out, "io: shard={store} decodes={d}")?;
+            }
         }
-    }
-    out
+        Ok(())
+    })
+    .to_string()
 }
 
 /// The `term="…"` payload of an `ExecScan`/`ExecProbe` line, if any.
@@ -466,7 +467,6 @@ fn onoff(b: bool) -> &'static str {
 /// Renders the physical plan, byte-stable (no floats, no hash order —
 /// the same request renders identically on any machine).
 pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTarget) -> String {
-    let mut out = String::new();
     let target_name = match target {
         ExplainTarget::Memory => "memory",
         ExplainTarget::Disk => "disk",
@@ -476,94 +476,97 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
         ThresholdKind::Tight => "tight",
         ThresholdKind::Classic => "classic",
     };
-    let mode = match spec.topk {
-        TopKExec::Star { k } => format!("star-join k={k} threshold={thr}"),
-        TopKExec::Hybrid { k } => match target {
-            ExplainTarget::Memory => format!("hybrid k={k}"),
-            // The disk and sharded executors have no star join: the
-            // cost-based choice degenerates to the complete sort.
-            _ => format!("sort-complete k={k}"),
-        },
-        TopKExec::Complete { elided } => {
-            let memory = matches!(target, ExplainTarget::Memory);
-            let mut s = String::from(if spec.scored || (elided && memory) {
-                "sort-complete"
-            } else {
-                "complete"
-            });
-            if let Some(k) = spec.truncate {
-                let _ = write!(s, " k={k}");
+    fmt::from_fn(|out| {
+        write!(out, "ExecTopK: target={target_name} mode=")?;
+        match spec.topk {
+            TopKExec::Star { k } => write!(out, "star-join k={k} threshold={thr}")?,
+            TopKExec::Hybrid { k } => match target {
+                ExplainTarget::Memory => write!(out, "hybrid k={k}")?,
+                // The disk and sharded executors have no star join: the
+                // cost-based choice degenerates to the complete sort.
+                _ => write!(out, "sort-complete k={k}")?,
+            },
+            TopKExec::Complete { elided } => {
+                let memory = matches!(target, ExplainTarget::Memory);
+                out.write_str(if spec.scored || (elided && memory) {
+                    "sort-complete"
+                } else {
+                    "complete"
+                })?;
+                if let Some(k) = spec.truncate {
+                    write!(out, " k={k}")?;
+                }
+                if elided && memory {
+                    out.write_str(" (hybrid elided)")?;
+                }
             }
-            if elided && memory {
-                s.push_str(" (hybrid elided)");
-            }
-            s
         }
-    };
-    let _ = writeln!(out, "ExecTopK: target={target_name} mode={mode}");
-    let mut depth = 1usize;
-    if let ExplainTarget::Sharded { shards, ta_prune } = target {
-        let _ = writeln!(out, "  ExecMerge: shards={shards} ta-prune={}", onoff(ta_prune));
-        depth = 2;
-    }
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let _ = writeln!(
-        out,
-        "ExecJoin: semantics={} variant={} scored={} block-skip={} prescan={}",
-        match spec.semantics {
-            Semantics::Elca => "elca",
-            Semantics::Slca => "slca",
-        },
-        match spec.variant {
-            ElcaVariant::Operational => "operational",
-            ElcaVariant::Formal => "formal",
-        },
-        if spec.scored { "yes" } else { "no" },
-        onoff(spec.block_skip),
-        onoff(spec.prescan),
-    );
-    render_leaves(rewritten, &mut out, depth + 1);
-    out
+        out.write_char('\n')?;
+        let mut depth = 1usize;
+        if let ExplainTarget::Sharded { shards, ta_prune } = target {
+            writeln!(out, "  ExecMerge: shards={shards} ta-prune={}", onoff(ta_prune))?;
+            depth = 2;
+        }
+        for _ in 0..depth {
+            out.write_str("  ")?;
+        }
+        writeln!(
+            out,
+            "ExecJoin: semantics={} variant={} scored={} block-skip={} prescan={}",
+            match spec.semantics {
+                Semantics::Elca => "elca",
+                Semantics::Slca => "slca",
+            },
+            match spec.variant {
+                ElcaVariant::Operational => "operational",
+                ElcaVariant::Formal => "formal",
+            },
+            if spec.scored { "yes" } else { "no" },
+            onoff(spec.block_skip),
+            onoff(spec.prescan),
+        )?;
+        write_leaves(out, rewritten, depth + 1)
+    })
+    .to_string()
 }
 
-fn render_leaves(node: &PlanNode, out: &mut String, depth: usize) {
+fn write_leaves(out: &mut fmt::Formatter<'_>, node: &PlanNode, depth: usize) -> fmt::Result {
     match node {
         PlanNode::Scan(leaf) => {
             for _ in 0..depth {
-                out.push_str("  ");
+                out.write_str("  ")?;
             }
             let mode = match leaf.mode {
                 ScanMode::Materialize => "materialize",
                 ScanMode::Stream => "stream",
             };
-            let _ = writeln!(
+            writeln!(
                 out,
                 "ExecScan: term=\"{}\" levels={} mode={mode}",
                 leaf.name,
                 LevelRange(leaf.levels)
-            );
+            )
         }
         PlanNode::IndexProbe(leaf) => {
             for _ in 0..depth {
-                out.push_str("  ");
+                out.write_str("  ")?;
             }
-            let _ = writeln!(
+            writeln!(
                 out,
                 "ExecProbe: term=\"{}\" levels={} skip=footers",
                 leaf.name,
                 LevelRange(leaf.levels)
-            );
+            )
         }
         PlanNode::Join { inputs, .. } => {
             for i in inputs {
-                render_leaves(i, out, depth);
+                write_leaves(out, i, depth)?;
             }
+            Ok(())
         }
         PlanNode::Filter { input, .. }
         | PlanNode::TopK { input, .. }
-        | PlanNode::Merge { input, .. } => render_leaves(input, out, depth),
+        | PlanNode::Merge { input, .. } => write_leaves(out, input, depth),
     }
 }
 

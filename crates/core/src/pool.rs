@@ -87,6 +87,9 @@ where
     O: Send,
     F: Fn(usize, &I) -> O + Sync,
 {
+    // A worker that needs a lock the caller holds would wait forever.
+    #[cfg(debug_assertions)]
+    xtk_obs::locks::assert_none_held("parallel_map");
     let n = items.len();
     let workers = par.workers().min(n);
     if workers <= 1 {
@@ -308,7 +311,7 @@ mod tests {
         // After a panicking map, the next map on fresh state works fine
         // (nothing is process-global).
         let items: Vec<usize> = (0..50).collect();
-        let _ = std::panic::catch_unwind(|| {
+        let failed = std::panic::catch_unwind(|| {
             parallel_map(Parallelism::Fixed(4), &items, |_, &i| {
                 if i == 0 {
                     panic!("first task fails");
@@ -316,6 +319,7 @@ mod tests {
                 i
             })
         });
+        assert!(failed.is_err());
         let ok = parallel_map(Parallelism::Fixed(4), &items, |_, &i| i + 1);
         assert_eq!(ok[49], 50);
     }
@@ -381,5 +385,15 @@ mod tests {
             let ran = ran.load(Ordering::Relaxed);
             assert!(ran < 1000, "{ran} items ran after the panic at {panicking}");
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "parallel_map entered holding [StampedCacheShard]")]
+    fn a_lock_held_across_parallel_map_panics() {
+        use xtk_obs::locks::LockRank;
+        let shard = xtk_index::cache::Sharded::<()>::new(1, LockRank::StampedCacheShard);
+        let _held = shard.lock(0);
+        parallel_map(Parallelism::Fixed(2), &[1, 2], |_, x| *x);
     }
 }

@@ -160,7 +160,6 @@ pub fn write_sharded_with(
         docs,
     );
     for (id, part) in parts.iter().enumerate() {
-        // lint:allow(L8, build-time manifest line per range; write_sharded is not on the query path)
         manifest.push_str(&format!("range {id} {} {}\n", part.start, part.end));
     }
     std::fs::write(dir.join(MANIFEST_FILE), manifest)?;

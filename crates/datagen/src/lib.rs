@@ -5,7 +5,8 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::unreachable,
-    clippy::indexing_slicing
+    clippy::indexing_slicing,
+    clippy::let_underscore_must_use
 )]
 
 //! Deterministic corpus and workload generation for the `xtk` experiments.

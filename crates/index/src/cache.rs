@@ -24,7 +24,7 @@
 //! Recency is the workspace's one LRU: [`Lru`] (a map into a slot arena
 //! threaded by a recency list — never wall clock, eviction order must be
 //! deterministic for the bench gate and identical across runs) behind
-//! [`Sharded`], the one poison-recovering mutex set.  The block cache
+//! [`Sharded`], a ranked mutex set on `xtk_obs::locks`.  The block cache
 //! adds budgets, pins and counters on top; `xtk-core`'s plan and result
 //! caches add a `(generation, salt)` stamp.  Correctness never depends
 //! on the policy: a block decodes to the same runs no matter when it was
@@ -35,7 +35,8 @@ use crate::columnar::Run;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+use xtk_obs::locks::{lock, Guard, LockRank};
 use xtk_obs::MetricsRegistry;
 
 /// A decoded, immutable block: shared instead of cloned on every hit.
@@ -150,41 +151,35 @@ pub enum CacheCapacity {
 /// while bounding a long-lived server.
 pub const DEFAULT_CAPACITY_BLOCKS: usize = 4096;
 
-/// Locks `m`, recovering the guard when another thread panicked while
-/// holding it: everything guarded here (cache shards, the decode ticket)
-/// keeps its invariants between statements, and the pool has already
-/// propagated the panic — serving cached values remains sound.
-pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// A fixed set of mutex shards; a caller's hash picks the shard, so
-/// threads working on different keys rarely contend.
+/// threads working on different keys rarely contend.  Every shard is
+/// taken at one [`LockRank`].
 #[derive(Debug)]
 pub struct Sharded<T> {
     shards: Vec<Mutex<T>>,
+    rank: LockRank,
 }
 
 impl<T: Default> Sharded<T> {
-    /// `shards` default-initialised shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        Self { shards: (0..shards.max(1)).map(|_| Mutex::default()).collect() }
+    /// `shards` default-initialised shards (at least one), locked at `rank`.
+    pub fn new(shards: usize, rank: LockRank) -> Self {
+        Self { shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(), rank }
     }
 }
 
 impl<T> Sharded<T> {
     /// Locks shard `hash % len`.
     #[expect(clippy::indexing_slicing, reason = "the shard list is never empty")]
-    pub fn lock(&self, hash: u64) -> MutexGuard<'_, T> {
+    pub fn lock(&self, hash: u64) -> Guard<'_, T> {
         let i = (hash as usize).checked_rem(self.shards.len()).unwrap_or(0);
         // Index is in range by construction; fall back to the first
         // shard rather than panicking if the modulus were ever wrong.
-        relock(self.shards.get(i).unwrap_or_else(|| &self.shards[0])) // lint:allow(index)
+        lock(self.shards.get(i).unwrap_or_else(|| &self.shards[0]), self.rank)
     }
 
     /// Locks every shard in turn (one guard alive at a time).
-    pub fn lock_all(&self) -> impl Iterator<Item = MutexGuard<'_, T>> {
-        self.shards.iter().map(relock)
+    pub fn lock_all(&self) -> impl Iterator<Item = Guard<'_, T>> {
+        self.shards.iter().map(|m| lock(m, self.rank))
     }
 }
 
@@ -382,7 +377,7 @@ impl ShardedLruCache {
             CacheCapacity::Bytes(n) => (None, Some(n.div_ceil(shards).max(1))),
         };
         Self {
-            shards: Sharded::new(shards),
+            shards: Sharded::new(shards, LockRank::BlockCacheShard),
             cap_blocks,
             cap_bytes,
             hits: AtomicU64::new(0),
@@ -597,13 +592,14 @@ mod tests {
 
     #[test]
     fn sharded_picks_by_modulus_and_recovers_from_poison() {
-        let shards: Sharded<Vec<u64>> = Sharded::new(3);
+        let shards: Sharded<Vec<u64>> = Sharded::new(3, LockRank::BlockCacheShard);
         for hash in 0..7u64 {
             shards.lock(hash).push(hash);
         }
         let per_shard: Vec<Vec<u64>> = shards.lock_all().map(|shard| shard.clone()).collect();
         assert_eq!(per_shard, [vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
-        assert_eq!(Sharded::<u8>::new(0).lock_all().count(), 1, "never empty");
+        let one = Sharded::<u8>::new(0, LockRank::BlockCacheShard);
+        assert_eq!(one.lock_all().count(), 1, "never empty");
         // A panic under the guard poisons the mutex; the next lock still
         // serves the state, which was consistent when the panic unwound.
         let poisoner = std::thread::scope(|s| {

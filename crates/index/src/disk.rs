@@ -302,7 +302,6 @@ fn parse_column(
     let scheme = match r.byte("scheme")? {
         0 => 0,
         1 => 1,
-        // lint:allow(L8, error construction on the corrupt-file bail-out)
         x => return Err(bad(&format!("bad scheme byte {x}"))),
     };
     let n_blocks = r.varint("block count")? as usize;

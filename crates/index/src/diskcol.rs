@@ -27,7 +27,7 @@
 //! workers without duplicating decodes.
 
 use crate::bytes::ColumnBytes;
-use crate::cache::{relock, Block, BlockCache, CacheStats, ShardedLruCache};
+use crate::cache::{Block, BlockCache, CacheStats, ShardedLruCache};
 use crate::codec::{decode_block_into, with_decode_scratch};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
 use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
@@ -36,6 +36,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use xtk_obs::locks::{lock, LockRank};
 
 /// Distinguishes stores sharing one cache (see `block_key`).
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
@@ -328,7 +329,7 @@ impl DiskColumnStore {
             self.count_hit(session);
             return Ok(runs);
         }
-        let _decode = relock(&self.decode_lock);
+        let _decode = lock(&self.decode_lock, LockRank::DecodeTicket);
         // Double-check: another worker may have decoded this block while
         // we waited for the decode lock.  `peek` so the shared cache does
         // not count the same logical access twice.
@@ -909,6 +910,19 @@ mod tests {
         assert_eq!(a.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_eq!(b.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_ne!(a.store_id(), b.store_id(), "cache keys stay disjoint");
+    }
+
+    /// The seeded inversion: `decode_block` takes a block-cache shard
+    /// inside the decode ticket, so the ticket taken inside a shard is
+    /// the lock order turned round.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "taking DecodeTicket while holding [BlockCacheShard]")]
+    fn the_decode_ticket_under_a_block_cache_shard_panics() {
+        let (_ix, store, _image) = store();
+        let shard = crate::cache::Sharded::<()>::new(1, LockRank::BlockCacheShard);
+        let _held = shard.lock(0);
+        let _ticket = lock(&store.decode_lock, LockRank::DecodeTicket);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * [`Tracer`] — a span-style recorder of structured query-execution
 //!   events ([`EventKind`]) ordered by *logical* sequence numbers, so a
 //!   trace is bit-identical across `Parallelism` settings.
+//! * [`locks`] — the workspace's one lock helper: poison recovery, and in
+//!   debug builds a check of the one lock order
+//!   ([`LockRank`](locks::LockRank)).
 //! * [`Obs`] — the bundle executors thread down the call tree instead of
 //!   the previous per-subsystem stats structs.
 //!
@@ -26,10 +29,12 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::unreachable,
-    clippy::indexing_slicing
+    clippy::indexing_slicing,
+    clippy::let_underscore_must_use
 )]
 #![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
+pub mod locks;
 pub mod metrics;
 pub mod trace;
 

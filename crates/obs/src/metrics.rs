@@ -8,20 +8,15 @@
 //! what lets ci.sh compare a run against a committed golden file with a
 //! plain byte comparison.
 
+use crate::locks::{lock, LockRank};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Number of power-of-two histogram buckets: bucket `i` counts samples
 /// whose bit length is `i`, i.e. bucket 0 holds the value 0, bucket 1
 /// holds 1, bucket 2 holds 2..=3, and so on up to bucket 64.
 const HIST_BUCKETS: usize = 65;
-
-fn recover<'a, T>(r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>) -> MutexGuard<'a, T> {
-    // A poisoned registry mutex only means another thread panicked while
-    // holding it; the map itself is still structurally valid.
-    r.unwrap_or_else(PoisonError::into_inner)
-}
 
 struct HistogramCell {
     buckets: Vec<AtomicU64>,
@@ -79,14 +74,14 @@ impl MetricsRegistry {
 
     /// Fetch (or create) the counter registered under `name`.
     pub fn counter(&self, name: &'static str) -> Counter {
-        let mut map = recover(self.inner.counters.lock());
+        let mut map = lock(&self.inner.counters, LockRank::Metrics);
         let cell = map.entry(name).or_insert_with(|| Arc::new(AtomicU64::new(0)));
         Counter { cell: Some(Arc::clone(cell)) }
     }
 
     /// Fetch (or create) the histogram registered under `name`.
     pub fn histogram(&self, name: &'static str) -> Histogram {
-        let mut map = recover(self.inner.histograms.lock());
+        let mut map = lock(&self.inner.histograms, LockRank::Metrics);
         let cell = map.entry(name).or_insert_with(|| Arc::new(HistogramCell::new()));
         Histogram { cell: Some(Arc::clone(cell)) }
     }
@@ -98,7 +93,7 @@ impl MetricsRegistry {
 
     /// Current value of a counter, 0 if it was never registered.
     pub fn value(&self, name: &str) -> u64 {
-        let map = recover(self.inner.counters.lock());
+        let map = lock(&self.inner.counters, LockRank::Metrics);
         map.get(name).map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
@@ -108,13 +103,13 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut values = BTreeMap::new();
         {
-            let map = recover(self.inner.counters.lock());
+            let map = lock(&self.inner.counters, LockRank::Metrics);
             for (name, cell) in map.iter() {
                 values.insert((*name).to_string(), cell.load(Ordering::Relaxed));
             }
         }
         {
-            let map = recover(self.inner.histograms.lock());
+            let map = lock(&self.inner.histograms, LockRank::Metrics);
             for (name, cell) in map.iter() {
                 values.insert(format!("{name}.count"), cell.count.load(Ordering::Relaxed));
                 values.insert(format!("{name}.sum"), cell.sum.load(Ordering::Relaxed));

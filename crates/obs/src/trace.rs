@@ -12,8 +12,9 @@
 //! Scores travel as `f32::to_bits` so events are `Eq` and trace equality
 //! is exact.
 
+use crate::locks::{lock, LockRank};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// How much observability a query run should collect.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -277,7 +278,7 @@ impl Tracer {
     pub fn record(&self, kind: EventKind) {
         if let Some(inner) = &self.inner {
             let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            let mut log = inner.events.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut log = lock(&inner.events, LockRank::TraceLog);
             log.push(TraceEvent { seq, kind });
         }
     }
@@ -286,7 +287,7 @@ impl Tracer {
     /// Returns `None` when the tracer is disabled.
     pub fn finish(&self) -> Option<Trace> {
         let inner = self.inner.as_ref()?;
-        let log = inner.events.lock().unwrap_or_else(PoisonError::into_inner);
+        let log = lock(&inner.events, LockRank::TraceLog);
         Some(Trace { events: log.clone() })
     }
 }

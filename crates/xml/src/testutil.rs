@@ -235,7 +235,6 @@ where
             let msg = panic_message(&payload);
             // The panic IS the contract here: prop_check reports a failing
             // property by panicking with the replay line.
-            // lint:allow(panic)
             panic!(
                 "property failed (seed={seed}, case={case}, size={min_size}): {msg}\n\
                  replay with: prop_replay({seed}, {case}, {min_size}, property)"
@@ -319,10 +318,11 @@ impl AsRef<std::path::Path> for TempPath {
 
 impl Drop for TempPath {
     fn drop(&mut self) {
-        // Errors (nothing was created, or a file where a tree was tried)
-        // are what the other call is for.
-        let _ = std::fs::remove_dir_all(&self.0);
-        let _ = std::fs::remove_file(&self.0);
+        // A failed tree removal (nothing was created, or a file) leaves
+        // the file removal to try; its failure means nothing was there.
+        if std::fs::remove_dir_all(&self.0).is_err() {
+            std::fs::remove_file(&self.0).ok();
+        }
     }
 }
 

@@ -5,7 +5,6 @@
 //! that display result subtrees.
 
 use crate::tree::{NodeId, XmlTree};
-use std::fmt::Write as _;
 
 /// Escapes character data for element content.
 pub fn escape_text(s: &str, out: &mut String) {
@@ -71,11 +70,14 @@ fn write_node(tree: &XmlTree, id: NodeId, opts: WriteOptions, depth: usize, out:
     };
     indent(out, depth);
     let label = tree.label(id);
-    let _ = write!(out, "<{label}");
+    out.push('<');
+    out.push_str(label);
     let mut element_children = Vec::new();
     for &c in tree.children(id) {
         if let Some(aname) = tree.label(c).strip_prefix('@') {
-            let _ = write!(out, " {aname}=\"");
+            out.push(' ');
+            out.push_str(aname);
+            out.push_str("=\"");
             escape_attr(tree.text(c), out);
             out.push('"');
         } else {
@@ -97,7 +99,9 @@ fn write_node(tree: &XmlTree, id: NodeId, opts: WriteOptions, depth: usize, out:
     if opts.pretty && !tree.children(id).is_empty() && text.is_empty() {
         indent(out, depth);
     }
-    let _ = write!(out, "</{label}>");
+    out.push_str("</");
+    out.push_str(label);
+    out.push('>');
 }
 
 #[cfg(test)]

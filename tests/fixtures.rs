@@ -1,21 +1,24 @@
-//! The lint configuration, checked against the tree and against fixtures,
-//! plus the interprocedural passes over in-memory sources.
+//! The lint configuration, checked against the tree and against fixtures.
 //!
-//! L1–L5 are rustc/clippy lints (DESIGN.md §7): the workspace lints in the
-//! root `Cargo.toml`, the `clippy.toml` files and the crate roots' lint
-//! attributes.  `shipped_tree_has_no_hard_violations` runs clippy over the
-//! workspace.  The fixture tests copy that configuration into a throwaway
-//! workspace with one crate per scope, compile the sources in `fixtures/`
-//! as its modules, and check that each bad fixture fails with the lint that
-//! replaced its rule and that each ok fixture passes with its `#[expect]`s.
+//! The rules of DESIGN.md §7 that are rustc or clippy lints live in the
+//! workspace lints of the root `Cargo.toml`, the `clippy.toml` files and
+//! the crate roots' lint attributes.  `shipped_tree_has_no_hard_violations`
+//! runs clippy over the workspace.  The fixture tests copy that
+//! configuration into a throwaway workspace with one crate per scope,
+//! compile the sources in `tests/fixtures/` as its modules, and check that
+//! each bad fixture fails with its lint and that each ok fixture passes
+//! with its `#[expect]`s.  `every_manifest_inherits_the_workspace_lints`
+//! checks what neither cargo nor clippy can show: that the configuration
+//! is still in place.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 use xtk_xml::testutil::TempPath;
 
+/// The root package's manifest directory is the workspace root.
 fn repo_root() -> PathBuf {
-    xtk_lint::walk::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
 fn read(path: &Path) -> String {
@@ -78,7 +81,7 @@ fn inherits_workspace_lints(manifest: &str) -> bool {
 /// configuration it copies (`None`: the workspace defaults, no crate-root
 /// attributes), and the fixtures it compiles as modules.
 const CRATES: &[(&str, Option<&str>, &[&str])] = &[
-    ("lib", Some("crates/xml"), &["bad_panics", "ok_clean", "bad_time"]),
+    ("lib", Some("crates/xml"), &["bad_panics", "bad_discard", "ok_clean", "bad_time"]),
     ("core", Some("crates/core"), EXEC_FIXTURES),
     ("index", Some("crates/index"), EXEC_FIXTURES),
     ("obs", Some("crates/obs"), &["bad_time"]),
@@ -90,8 +93,9 @@ const CRATES: &[(&str, Option<&str>, &[&str])] = &[
 
 const EXEC_FIXTURES: &[&str] = &["bad_hash_iter", "ok_hash_sorted", "bad_time", "bad_float_eq"];
 
-/// The seven L1 lints every library crate root denies.
-const L1_LINTS: [&str; 7] = [
+/// The lints every library crate root denies: the seven of L1 (panic
+/// freedom) and L9's discarded `Result`s.
+const ROOT_LINTS: [&str; 8] = [
     "expect_used",
     "indexing_slicing",
     "panic",
@@ -99,6 +103,7 @@ const L1_LINTS: [&str; 7] = [
     "unimplemented",
     "unreachable",
     "unwrap_used",
+    "let_underscore_must_use",
 ];
 
 /// One diagnostic of the fixture run: the file it points at
@@ -115,8 +120,8 @@ fn fixture_diagnostics() -> &'static [Diag] {
     static DIAGS: OnceLock<Vec<Diag>> = OnceLock::new();
     DIAGS.get_or_init(|| {
         let root = repo_root();
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let ws = TempPath::new("xtk-lint-fixtures");
+        let fixtures = root.join("tests/fixtures");
+        let ws = TempPath::new("xtk-clippy-fixtures");
         let members: Vec<String> =
             CRATES.iter().map(|(name, _, _)| format!("\"{name}\"")).collect();
         write(
@@ -200,9 +205,14 @@ fn codes(krate: &str, module: &str) -> Vec<String> {
 #[test]
 fn injected_unwraps_are_counted() {
     let got = codes("lib", "bad_panics");
-    for lint in L1_LINTS {
+    for lint in &ROOT_LINTS[..7] {
         assert!(got.contains(&format!("clippy::{lint}")), "clippy::{lint} missing from {got:?}");
     }
+}
+
+#[test]
+fn discarded_results_fail() {
+    assert_eq!(codes("lib", "bad_discard"), ["clippy::let_underscore_must_use"]);
 }
 
 #[test]
@@ -284,7 +294,7 @@ fn shipped_tree_has_no_hard_violations() {
 
 /// What cargo and clippy cannot show: a member that does not inherit the
 /// workspace lints silently drops `unsafe_code = "forbid"`, a crate root
-/// that drops an L1 lint silently allows it, and a `clippy.toml` that
+/// that drops a denied lint silently allows it, and a `clippy.toml` that
 /// loses its time list silently allows the wall clock.
 #[test]
 fn every_manifest_inherits_the_workspace_lints() {
@@ -303,7 +313,7 @@ fn every_manifest_inherits_the_workspace_lints() {
             roots.push(dir.join("src/lib.rs"));
         }
     }
-    assert!(manifests.len() >= 9, "expected the root and eight crates, found {manifests:?}");
+    assert!(manifests.len() >= 8, "expected the root and seven crates, found {manifests:?}");
     for m in &manifests {
         let text = read(m);
         let inherits = inherits_workspace_lints(&text);
@@ -311,7 +321,7 @@ fn every_manifest_inherits_the_workspace_lints() {
     }
     for r in &roots {
         let attrs = inner_attributes(&read(r));
-        for lint in L1_LINTS {
+        for lint in ROOT_LINTS {
             let denied = attrs.contains(&format!("clippy::{lint},"))
                 || attrs.contains(&format!("clippy::{lint}\n"));
             assert!(denied, "{}: the crate root no longer denies clippy::{lint}", r.display());
@@ -327,105 +337,4 @@ fn every_manifest_inherits_the_workspace_lints() {
             }
         }
     }
-}
-
-/// The one Algorithm-1 driver reaches its storage through a generic
-/// bound (`S: ColumnSource`): both call spellings — `S::method(src, …)`
-/// and `src.method(…)` on the generic binding — must resolve to *every*
-/// impl, so the disk source stays inside L6 panic reachability from the
-/// in-memory entry point, L8 still sees allocations inside the generic
-/// driver's loops, and L9 still catches a `Result` discarded through the
-/// bound.
-#[test]
-fn interprocedural_passes_follow_calls_through_a_generic_bound() {
-    use std::collections::BTreeSet;
-    use xtk_lint::graph::Workspace;
-    use xtk_lint::{hotloop, parser, reach, rules};
-
-    let driver = r#"
-        pub trait ColumnSource {
-            type Error;
-            fn enter(&mut self, level: u16) -> Result<(), Self::Error>;
-            fn runs(&self, kw: usize) -> Result<Vec<u32>, Self::Error>;
-        }
-        pub struct MemSource;
-        impl ColumnSource for MemSource {
-            type Error = std::convert::Infallible;
-            fn enter(&mut self, _level: u16) -> Result<(), Self::Error> { Ok(()) }
-            fn runs(&self, _kw: usize) -> Result<Vec<u32>, Self::Error> { Ok(Vec::new()) }
-        }
-        pub fn algorithm1<S: ColumnSource>(src: &mut S, kws: &[usize]) -> Result<u32, S::Error> {
-            S::enter(src, 2)?;
-            let mut n = 0;
-            for &kw in kws {
-                let copy = src.runs(kw)?.to_vec();
-                n += copy.len() as u32;
-            }
-            let _ = src.enter(1);
-            Ok(n)
-        }
-    "#;
-    let disk = r#"
-        pub struct DiskSource { cols: Vec<Vec<u32>> }
-        impl ColumnSource for DiskSource {
-            type Error = std::io::Error;
-            fn enter(&mut self, level: u16) -> std::io::Result<()> {
-                let _rows = self.cols[level as usize].len();
-                Ok(())
-            }
-            fn runs(&self, kw: usize) -> std::io::Result<Vec<u32>> {
-                Ok(self.cols[kw].clone())
-            }
-        }
-    "#;
-    let engine = r#"
-        pub struct Engine;
-        impl Engine {
-            pub fn run(&self, kws: &[usize]) -> u32 {
-                algorithm1(&mut MemSource, kws).unwrap_or(0)
-            }
-        }
-    "#;
-    let files = vec![
-        parser::parse("crates/core/src/joinbased.rs", driver.to_string()),
-        parser::parse("crates/core/src/diskexec.rs", disk.to_string()),
-        parser::parse("crates/core/src/engine.rs", engine.to_string()),
-    ];
-    let result_fns: BTreeSet<String> = files
-        .iter()
-        .flat_map(|pf| pf.fns.iter())
-        .filter(|f| f.ret.iter().any(|t| t == "Result"))
-        .map(|f| f.name.clone())
-        .collect();
-    let l9: Vec<u32> = files
-        .iter()
-        .filter(|pf| pf.rel.ends_with("joinbased.rs"))
-        .flat_map(|pf| rules::l9(pf, &result_fns))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(l9.len(), 1, "`let _ = src.enter(1)` discards a Result: {l9:?}");
-
-    let ws = Workspace::build(files);
-    // L6: Engine::run only names MemSource, yet both of DiskSource's
-    // indexing sites are reachable — one through `S::enter`, one through
-    // `src.runs`.
-    let l6 = reach::analyze(&ws);
-    let run = l6.iter().find(|e| e.qual == "xtk_core::Engine::run").expect("entry point");
-    let disk_sites: Vec<&reach::PanicPath> =
-        run.paths.iter().filter(|p| p.file.ends_with("diskexec.rs")).collect();
-    assert_eq!(disk_sites.len(), 2, "{:?}", run.paths.iter().map(|p| &p.chain).collect::<Vec<_>>());
-    for site in &disk_sites {
-        assert!(
-            site.chain.iter().any(|f| f.ends_with("algorithm1")),
-            "reached through the generic driver: {:?}",
-            site.chain
-        );
-    }
-    // L8: the allocation inside the generic driver's loop is flagged.
-    let l8 = hotloop::analyze(&ws);
-    assert!(
-        l8.findings.iter().any(|f| f.what.contains("to_vec") && f.in_fn.ends_with("algorithm1")),
-        "{:?}",
-        l8.findings
-    );
 }

@@ -1,5 +1,8 @@
 // Fixture: clean library code — fallible accessors, test-only unwraps and
-// indexing, and an index whose bound is stated.  Expected: no findings.
+// indexing, an index whose bound is stated and a write whose error goes to
+// the caller.  Expected: no findings.
+
+use std::fmt::Write as _;
 
 /// Callers may write `f(&v).unwrap()` — doc mentions are not findings.
 pub fn f(v: &[u32]) -> Option<u32> {
@@ -10,6 +13,10 @@ pub fn f(v: &[u32]) -> Option<u32> {
 pub fn g(v: &[u32]) -> u32 {
     debug_assert!(!v.is_empty());
     v[0]
+}
+
+pub fn render(out: &mut String, n: u32) -> std::fmt::Result {
+    write!(out, "n={n}")
 }
 
 #[cfg(test)]
