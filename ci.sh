@@ -171,6 +171,24 @@ if grep -n mpsc crates/core/src/pool.rs >&2; then
     echo "ERROR: crates/core/src/pool.rs mentions mpsc" >&2; exit 1
 fi
 
+echo "== one pipeline per request: no rule switches, no strawman disk paths, no batch pins"
+# Every request is planned by all three rewrite rules, a disk join step
+# always skips blocks by their footers and its driver always reads whole,
+# and a batch executes what it must without warming or pinning blocks
+# first.  Any of these names under a crate's sources means a per-request
+# switch, a whole-sequence prescan or the prefetch/pin pass came back.
+if grep -rnw -e RuleSet -e with_rules -e DiskJoinSpec -e prescan -e block_skip \
+        -e prefetch_term -e unpin_term -e pinned_blocks -e BatchPrefetch \
+        --include='*.rs' crates/*/src >&2; then
+    echo "ERROR: a per-request switch or the batch pin pass is back under crates/*/src (lines above)" >&2; exit 1
+fi
+if grep -rnF 'fn begin(' --include='*.rs' crates/*/src >&2; then
+    echo "ERROR: a ColumnSource pre-pass (fn begin) is back under crates/*/src (lines above)" >&2; exit 1
+fi
+if grep -nF '"rules"' crates/core/src/plan/parse.rs >&2; then
+    echo "ERROR: a rules= knob is back in crates/core/src/plan/parse.rs (lines above)" >&2; exit 1
+fi
+
 echo "== one timing authority: crates/bench keeps experiments and counter goldens only"
 # Wall time is measured by perfbench alone.  crates/bench holds the figure
 # generator (`experiments`) and tests/goldens.rs, whose goldens are counts

@@ -31,7 +31,7 @@ use xtk_bench::{
 };
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::{join_search, JoinOptions};
-use xtk_core::plan::{annotate_executed, compile, explain, ExplainTarget, RuleSet};
+use xtk_core::plan::{annotate_executed, compile, explain, ExplainTarget};
 use xtk_core::pool::Parallelism;
 use xtk_core::query::Query;
 use xtk_core::request::QueryAlgorithm;
@@ -190,15 +190,6 @@ impl BlockCache for ColdCache {
     fn stats(&self) -> CacheStats {
         self.inner().stats()
     }
-    fn pin(&self, key: u64) -> bool {
-        self.inner().pin(key)
-    }
-    fn unpin(&self, key: u64) {
-        self.inner().unpin(key)
-    }
-    fn pinned_blocks(&self) -> u64 {
-        self.inner().pinned_blocks()
-    }
 }
 
 /// A store over the gate image behind a [`ColdCache`].
@@ -271,40 +262,27 @@ fn query_io() {
         ));
     }
 
-    // The rewrite tiers through the request path: `none` lowers to the
-    // §III-B strawman (whole-sequence prescan), `prune` narrows the scans
-    // to the shared join levels, `all` also pushes block-skipping probes.
-    // Results must be bit-identical at every tier while the cold decodes
-    // strictly shrink.  The workload: mixed-depth pairs of a conference
-    // name (level 3) with a high-frequency title term (level 5), whose
-    // deep levels column pruning cuts, plus the index-heavy point queries.
+    // Column pruning and probe skipping through the request path, each
+    // request on a cold cache, answering as the memory engine does.  The
+    // workload: mixed-depth pairs of a conference name (level 3) with a
+    // high-frequency title term (level 5), whose deep levels column
+    // pruning cuts, plus the index-heavy point queries.
     let disk = DiskEngine::new(ix, &store);
     let mut words: Vec<Vec<String>> =
         (0..4).map(|i| vec![format!("conf{}", 17 * i), high_term(i)]).collect();
     words.extend(workloads[..2].iter().flat_map(|(_, w)| w.iter().cloned()));
     let queries = resolve(ix, &words);
     let req = QueryRequest::complete(Semantics::Elca);
-    let tiers =
-        [RuleSet::none(), RuleSet { prune_columns: true, ..RuleSet::none() }, RuleSet::all()];
-    let mut decodes = [0u64; 3];
-    let mut answers: [Vec<_>; 3] = Default::default();
-    for (i, rules) in tiers.iter().enumerate() {
-        for q in &queries {
-            cache.reset(CacheCapacity::Unbounded);
-            let resp = disk.execute(q, &req.with_rules(*rules)).expect("disk execute");
-            decodes[i] += resp.metrics.get("store.decodes");
-            answers[i].push(bits(&resp.results));
-        }
+    let mut decodes = 0u64;
+    for q in &queries {
+        cache.reset(CacheCapacity::Unbounded);
+        let resp = disk.execute(q, &req).expect("disk execute");
+        decodes += resp.metrics.get("store.decodes");
+        let want = gate().engine.run(q, &req).results;
+        assert_eq!(bits(&resp.results), bits(&want), "disk != memory");
     }
-    assert_eq!(answers[0], answers[1], "prune-columns changed results");
-    assert_eq!(answers[1], answers[2], "push-probes changed results");
-    let [strawman, pruned, probed] = decodes;
-    assert!(strawman > pruned, "column pruning must cut cold decodes: {strawman} -> {pruned}");
-    assert!(pruned > probed, "probe pushdown must cut cold decodes: {pruned} -> {probed}");
-
     let pruning = format!(
-        "\"pruning\": {{\"queries\": {}, \"strawman_cold_decodes\": {strawman}, \
-         \"pruned_cold_decodes\": {pruned}, \"probed_cold_decodes\": {probed}}}",
+        "\"pruning\": {{\"queries\": {}, \"cold_decodes\": {decodes}}}",
         queries.len()
     );
     check_golden(
@@ -332,7 +310,7 @@ const ARRIVALS: usize = 240;
 const BATCH_SIZE: usize = 48;
 
 /// Batched serving: a repeat-skewed arrival stream, one by one and in
-/// batches through a [`BatchExecutor`] (dedup, result cache, prefetch) at
+/// batches through a [`BatchExecutor`] (dedup, result cache) at
 /// `Fixed(2)` workers.
 #[test]
 fn serve() {
@@ -384,6 +362,9 @@ fn serve() {
     let exec = BatchExecutor::with_options(&disk, opts);
     let (decodes, m) = batched(&exec);
     assert_eq!(m.get("batch.result_misses"), executed, "each touched request executes once");
+    // With the unbounded cache each distinct request decodes its blocks
+    // once, batched or not: the batch decodes what its queries touch.
+    assert_eq!(decodes, seq_decodes, "batched decodes != one-by-one decodes");
     // A fresh executor on a fresh cache repeats every counter.
     let replay = batched(&BatchExecutor::with_options(&disk, opts));
     assert_eq!(replay, (decodes, m.clone()), "a replay counts differently");
@@ -398,11 +379,10 @@ fn serve() {
 
     let batched = format!(
         "\"batched\": {{\"decodes\": {decodes}, \"result_hits\": {}, \"result_misses\": {}, \
-         \"dedup_hits\": {}, \"prefetch_pinned\": {}}}",
+         \"dedup_hits\": {}}}",
         m.get("batch.result_hits"),
         m.get("batch.result_misses"),
         m.get("batch.dedup_hits"),
-        m.get("batch.prefetch_pinned"),
     );
     check_golden(
         "BENCH_serve.json",
@@ -689,16 +669,14 @@ fn explain_corpus() -> String {
     xml
 }
 
-/// EXPLAIN reports: a grid covering every stage of the rule pipeline
-/// (strawman, pruned, full), both top-K strategies, noop elimination and a
+/// EXPLAIN reports: a grid covering the rule pipeline (pruned scans,
+/// pushed probes), both top-K strategies, noop elimination and a
 /// knob-heavy line, on every target; executed annotations; plan-cache
 /// provenance.
 #[test]
 fn explain_snapshot() {
-    const QUERIES: [&str; 7] = [
+    const QUERIES: [&str; 5] = [
         "series xml",
-        "series xml rules=none",
-        "series xml rules=prune",
         "xml search k=3",
         "xml search k=3 alg=topk sem=slca",
         "xml search k=100000",

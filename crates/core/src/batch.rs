@@ -3,7 +3,9 @@
 //! One [`Engine::run`] call amortizes nothing across queries, but real
 //! workloads repeat themselves — the same hot requests arrive over and
 //! over, and distinct requests still share term columns.  [`run_batch`]
-//! ([`Engine::run_batch`]) exploits both:
+//! ([`Engine::run_batch`]) exploits the first; the second needs no pass of
+//! its own, because the executors of one batch read through one shared
+//! block cache:
 //!
 //! 1. **Canonicalize + fingerprint** — each `(Query, QueryRequest)` pair
 //!    is normalized ([`canonicalize`]: knobs the selected engine provably
@@ -19,11 +21,7 @@
 //!    generation (`JDeweyMaintainer::generation` threaded through the
 //!    `xtk-index` builders), so stale entries re-execute automatically —
 //!    no explicit invalidation calls.
-//! 3. **Cross-query prefetch** — the union of term columns needed by the
-//!    distinct, uncached queries is warmed and *pinned* in the shared
-//!    block cache ([`Executor::prefetch`]) before execution, so the batch
-//!    cannot evict its own working set mid-flight.
-//! 4. **Parallel execution, input-order output** — distinct queries run
+//! 3. **Parallel execution, input-order output** — distinct queries run
 //!    on the existing work-stealing pool and results are reassembled in
 //!    request order.  All batch-level scheduling decisions are recorded
 //!    through `xtk-obs` with logical sequence numbers from the sequential
@@ -32,16 +30,14 @@
 
 use crate::engine::Engine;
 use crate::plan::cache::{Lookup, StampedCache};
-use crate::plan::rewrite::RuleSet;
 use crate::pool::{parallel_map, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::request::{
     ExecutedEngine, Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
 };
 use crate::topk::ThresholdKind;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io;
-use xtk_index::TermId;
 use xtk_obs::{EventKind, MetricsRegistry, MetricsSnapshot, Obs, Trace, TraceLevel, Tracer};
 
 /// One slot of a batch: a resolved query plus its execution request.
@@ -67,8 +63,8 @@ pub struct BatchOptions {
     /// runs on one of them.  Responses are bit-identical for every
     /// setting.
     pub parallelism: Parallelism,
-    /// Run the cross-query prefetch/pin pass before execution (a no-op
-    /// for backends without a block layer).
+    /// Ignored: a batch neither prefetches nor pins blocks.  Kept so that
+    /// callers which set it still compile.
     pub prefetch: bool,
     /// Batch-level observability (per-query traces are requested per
     /// [`QueryRequest`]).
@@ -77,7 +73,7 @@ pub struct BatchOptions {
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        Self { parallelism: Parallelism::Serial, prefetch: true, trace: TraceLevel::Off }
+        Self { parallelism: Parallelism::Serial, prefetch: false, trace: TraceLevel::Off }
     }
 }
 
@@ -88,7 +84,7 @@ pub struct BatchReport {
     /// running each item through the executor individually.
     pub responses: Vec<QueryResponse>,
     /// Batch scheduling counters (`batch.*`: dedup, result-cache
-    /// hits/misses/invalidations, prefetch pin counts, generation).
+    /// hits/misses/invalidations, generation).
     pub metrics: MetricsSnapshot,
     /// Batch-level event trace when requested; deterministic across
     /// [`Parallelism`] (all events come from the sequential planner).
@@ -124,12 +120,10 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
         QueryAlgorithm::TopKJoin => {
             c.variant = ElcaVariant::default();
         }
-        // The stack baseline never scores, has no join knobs, and
-        // bypasses the plan lowering (rewrite rules cannot apply).
+        // The stack baseline never scores and has no join knobs.
         QueryAlgorithm::StackBased => {
             c.scores = ScoreMode::Unranked;
             c.threshold = ThresholdKind::default();
-            c.rules = RuleSet::default();
         }
     }
     // The ELCA exclusion variant is meaningless under SLCA.
@@ -196,12 +190,6 @@ fn tag_scores(s: ScoreMode) -> u64 {
     }
 }
 
-fn tag_rules(r: RuleSet) -> u64 {
-    u64::from(r.prune_columns)
-        | u64::from(r.push_probes) << 1
-        | u64::from(r.eliminate_noops) << 2
-}
-
 fn tag_trace(t: TraceLevel) -> u64 {
     match t {
         TraceLevel::Off => 0,
@@ -225,7 +213,6 @@ pub fn fingerprint(query: &Query, req: &QueryRequest) -> u64 {
     f.push(tag_variant(req.variant));
     f.push(tag_threshold(req.threshold));
     f.push(tag_scores(req.scores));
-    f.push(tag_rules(req.rules));
     f.push(tag_trace(req.trace));
     f.0
 }
@@ -285,7 +272,7 @@ fn empty_response() -> QueryResponse {
 }
 
 /// The batch pipeline over any [`Executor`]; see the module docs for the
-/// four phases.  Shared by [`Engine::run_batch`] and [`BatchExecutor`].
+/// three phases.  Shared by [`Engine::run_batch`] and [`BatchExecutor`].
 pub fn run_batch<E: Executor + Sync>(
     exec: &E,
     cache: &ResultCache,
@@ -352,35 +339,13 @@ pub fn run_batch<E: Executor + Sync>(
         }
     }
 
-    // Phase 3: cross-query prefetch over the union of the terms the
-    // uncached classes will touch (sorted: BTreeSet), pinning their
-    // blocks for the duration of the execution phase.
-    let mut term_union: BTreeSet<TermId> = BTreeSet::new();
-    for &ci in &todo {
-        if let Some(class) = classes.get(ci) {
-            term_union.extend(class.query.terms.iter().copied());
-        }
-    }
-    let terms: Vec<TermId> = term_union.into_iter().collect();
-    let mut pinned = 0u64;
-    if opts.prefetch && !terms.is_empty() {
-        pinned = exec.prefetch(&terms)?;
-        obs.event(EventKind::BatchPrefetch {
-            terms: terms.len() as u64,
-            blocks_pinned: pinned,
-        });
-    }
-
-    // Phase 4: execute the distinct remainder on the pool.  The merge is
-    // by index (input order); a worker panic propagates; I/O errors are
-    // surfaced after the pins are released.
+    // Phase 3: execute the distinct remainder on the pool.  The merge is
+    // by index (input order); a worker panic propagates; the first I/O
+    // error is surfaced.
     let outcomes = parallel_map(opts.parallelism, &todo, |_, &ci| match classes.get(ci) {
         Some(class) => exec.execute(&class.query, &class.request),
         None => Err(io::Error::new(io::ErrorKind::InvalidInput, "batch class out of range")),
     });
-    if opts.prefetch && !terms.is_empty() {
-        exec.release(&terms);
-    }
     let mut executed: Vec<QueryResponse> = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
         executed.push(outcome?);
@@ -432,8 +397,6 @@ pub fn run_batch<E: Executor + Sync>(
     obs.metrics.add("batch.executed", execs);
     obs.metrics.add("batch.invalidations", invalidations);
     obs.metrics.add("batch.generation", generation);
-    obs.metrics.add("batch.prefetch_terms", terms.len() as u64);
-    obs.metrics.add("batch.prefetch_pinned", pinned);
     obs.metrics.add("batch.results", total_results);
     Ok(BatchReport { responses, metrics: obs.metrics.snapshot(), trace: obs.tracer.finish() })
 }
@@ -498,7 +461,7 @@ impl Engine {
         match run_batch(self, self.result_cache(), opts, items) {
             Ok(report) => report,
             // Unreachable: the in-memory executor is infallible (its
-            // `execute` always returns `Ok`) and prefetch is a no-op.
+            // `execute` always returns `Ok`).
             Err(_) => BatchReport {
                 responses: Vec::new(),
                 metrics: MetricsRegistry::new().snapshot(),
@@ -511,6 +474,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtk_index::TermId;
 
     const DOC: &str = "<bib><conf><paper><title>xml keyword search</title>\
                        <author>ann</author></paper><paper><title>relational top k join</title>\

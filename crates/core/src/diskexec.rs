@@ -4,10 +4,9 @@
 //!
 //! [`DiskSource`] is the [`ColumnSource`] over a [`DiskColumnStore`]; the
 //! join itself is [`algorithm1`], shared with the in-memory columns.  Per
-//! level the driving (smallest) column is read whole; under `block_skip`
-//! a larger column is read through a cursor over its block directory that
-//! fetches a block only when a lookup lands in its `[first, last]` value
-//! range, without it every block in order.  The loop
+//! level the driving (smallest) column is read whole; every larger column
+//! is read through a cursor over its block directory that fetches a block
+//! only when a lookup lands in its `[first, last]` value range.  The loop
 //! starts at `l_0 = min_i l_m^i`, so the leaf-most blocks of deeper lists
 //! are never touched.
 
@@ -18,22 +17,6 @@ use std::io;
 use xtk_index::diskcol::{BlockFeed, DiskColumn, DiskColumnStore, IoSession};
 use xtk_index::{Slice, XmlIndex};
 use xtk_obs::{EventKind, Obs};
-
-/// The physical access-path configuration the plan lowering hands the
-/// disk executor (see `plan::lower`).
-#[derive(Debug, Clone, Copy)]
-pub struct DiskJoinSpec {
-    /// Semantics, variant and scoring of the join.
-    pub join: JoinOptions,
-    /// Let join steps pass over the blocks no probe falls in (by the
-    /// directory's `[first, last]` footers).  Off reproduces the plain
-    /// full-scan join (the `push-probes` rule disabled).
-    pub block_skip: bool,
-    /// Decode every block of every level of every keyword before joining
-    /// — the paper's §III-B whole-sequence strawman (the `prune-columns`
-    /// rule disabled).  Results are unchanged; only I/O grows.
-    pub prescan: bool,
-}
 
 /// The on-disk [`ColumnSource`]: lazily decoded [`DiskColumn`]s whose
 /// accesses count toward one query's [`IoSession`], so concurrent queries
@@ -51,8 +34,6 @@ pub struct DiskSource<'a> {
     range: Option<&'a Slice>,
     /// The current level's column handles, in query order.
     cols: Vec<DiskColumn<'a>>,
-    block_skip: bool,
-    prescan: bool,
 }
 
 impl<'a> DiskSource<'a> {
@@ -61,11 +42,10 @@ impl<'a> DiskSource<'a> {
         ix: &'a XmlIndex,
         store: &'a DiskColumnStore,
         query: &Query,
-        spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
         let term = |t| (store.term_index(ix.term(t).name()), KeywordRows::of(ix.term(t)));
-        Self::over(store, query.terms.iter().map(|&t| term(t)).collect(), None, spec, session)
+        Self::over(store, query.terms.iter().map(|&t| term(t)).collect(), None, session)
     }
 
     /// A source over store terms and their rows, windowed to the document
@@ -74,11 +54,10 @@ impl<'a> DiskSource<'a> {
         store: &'a DiskColumnStore,
         terms: Vec<(Option<usize>, KeywordRows<'a>)>,
         range: Option<&'a Slice>,
-        spec: &DiskJoinSpec,
         session: &'a IoSession,
     ) -> Self {
         let cols = Vec::with_capacity(terms.len());
-        Self { store, session, terms, range, cols, block_skip: spec.block_skip, prescan: spec.prescan }
+        Self { store, session, terms, range, cols }
     }
 
     /// Keyword `kw`'s column of `level`, windowed to the range's rows.
@@ -101,20 +80,6 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
         1 + u16::from(self.range.is_some())
     }
 
-    fn begin(&mut self) -> io::Result<()> {
-        if self.prescan {
-            // Whole-sequence materialization: every level of every keyword,
-            // including the levels above `l0` the join never consumes.
-            for (kw, t) in self.terms.iter().enumerate() {
-                let levels = t.0.map_or(0, |t| self.store.term_levels(t));
-                for col in (self.floor()..=levels).filter_map(|l| self.column(kw, l)) {
-                    col.scoped(self.session).scan()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn enter(&mut self, level: u16) -> io::Result<()> {
         self.cols.clear();
         for kw in 0..self.terms.len() {
@@ -133,15 +98,15 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
         self.cols.get(kw).map_or(0, |c| c.row_count())
     }
 
-    /// Under `block_skip` a join step lands only the blocks a probe falls
-    /// in; the driver and the plain join read every block.  A block
+    /// A join step lands only the blocks a probe falls in; the driver
+    /// reads every block.  A block
     /// reaching past the keyword's rows — a store written from another
     /// corpus — is refused: scoring reads the rows' postings.
     fn feed(&self, kw: usize, step: bool) -> io::Result<BlockFeed<'a>> {
         let (Some(col), Some(term)) = (self.cols.get(kw), self.terms.get(kw)) else {
             return Err(io::Error::other("no column entered"));
         };
-        Ok(col.feed(step && self.block_skip, term.1.postings.len()))
+        Ok(col.feed(step, term.1.postings.len()))
     }
 
     fn end(&self, obs: &Obs) {
@@ -152,8 +117,7 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
 }
 
 /// Runs Algorithm 1 against an on-disk columnar index: `ix` supplies the
-/// document tree and the scoring data, the lists are read from `store`,
-/// with `block_skip` on and `prescan` off — the optimized pipeline.
+/// document tree and the scoring data, the lists are read from `store`.
 /// Returns the results, the join statistics and the number of
 /// cache-missing block decodes.  I/O errors and corrupt blocks surface as
 /// `Err` instead of panicking.
@@ -163,24 +127,21 @@ pub fn join_search_disk(
     query: &Query,
     opts: &JoinOptions,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    let spec = DiskJoinSpec { join: *opts, block_skip: true, prescan: false };
-    join_search_disk_spec(ix, store, query, &spec, &Obs::default())
+    join_search_disk_spec(ix, store, query, opts, &Obs::default())
 }
 
-/// [`join_search_disk`] with the full access-path spec and observability:
-/// the `join.*` counters and level/step events of the in-memory executor,
-/// plus the per-query I/O delta under `store.*` and one `store_io` event.
-/// Results are bit-identical across every spec; only the I/O counters
-/// move.
+/// [`join_search_disk`] with observability: the `join.*` counters and
+/// level/step events of the in-memory executor, plus the per-query I/O
+/// delta under `store.*` and one `store_io` event.
 pub fn join_search_disk_spec(
     ix: &XmlIndex,
     store: &DiskColumnStore,
     query: &Query,
-    spec: &DiskJoinSpec,
+    opts: &JoinOptions,
     obs: &Obs,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
     let session = IoSession::default();
-    let mut src = DiskSource::new(ix, store, query, spec, &session);
-    let (results, stats) = algorithm1(ix, query, &spec.join, &mut src, obs)?;
+    let mut src = DiskSource::new(ix, store, query, &session);
+    let (results, stats) = algorithm1(ix, query, opts, &mut src, obs)?;
     Ok((results, stats, session.stats().decodes))
 }

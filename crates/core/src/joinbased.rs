@@ -117,11 +117,6 @@ pub trait ColumnSource<'a> {
     fn floor(&self) -> u16 {
         1
     }
-
-    /// Runs once before the level loop (disk: the `prescan` strawman).
-    fn begin(&mut self) -> Result<(), Self::Error> {
-        Ok(())
-    }
     /// Positions the source on `level` (`floor..=l_0`, descending).
     fn enter(&mut self, level: u16) -> Result<(), Self::Error>;
     /// The column's size from the directory, without decoding: the
@@ -218,7 +213,6 @@ pub fn algorithm1<'a, S: ColumnSource<'a>>(
     if k == 0 || terms.iter().any(|t| t.postings.is_empty()) {
         return Ok((results, stats));
     }
-    src.begin()?;
     // No result can sit below the shallowest list's deepest level.
     let l0 = terms.iter().map(|t| t.levels).min().unwrap_or(0);
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });

@@ -57,14 +57,14 @@
 //!   metrics snapshot and, on request, the deterministic execution trace
 //!   recorded by `xtk-obs`.
 //! * [`plan`] — the logical plan layer: the parsed query language
-//!   (`"xml search k=5 sem=elca rules=all"`), the plan IR
-//!   (scan/probe/join/filter/top-K/merge), result-preserving rewrite
-//!   rules (column pruning, probe pushdown, noop elimination), physical
+//!   (`"xml search k=5 sem=elca"`), the plan IR
+//!   (scan/probe/join/filter/top-K/merge), the result-preserving rewrite
+//!   rules every plan goes through (column pruning, probe pushdown, noop
+//!   elimination), physical
 //!   lowering behind [`Engine::run`] and the [`Executor`] backends, and
 //!   byte-stable EXPLAIN ([`PlanExplain`]).
 //! * [`batch`] — batched serving: request dedup, a generation-stamped
-//!   result cache, cross-query prefetch pinning, and parallel execution
-//!   with input-order output ([`Engine::run_batch`]).
+//!   result cache, and parallel execution with input-order output ([`Engine::run_batch`]).
 //! * [`shard`] — sharded scatter-gather serving: a corpus partitioned
 //!   into per-document shards ([`write_sharded`]), queried through
 //!   [`ShardedEngine`] with a TA-style merge threshold that stops
@@ -89,9 +89,7 @@ pub mod topk;
 
 pub use batch::{BatchExecutor, BatchItem, BatchOptions, BatchReport, ResultCache};
 pub use engine::Engine;
-pub use plan::{
-    ExplainTarget, ParseError, ParsedQuery, PlanError, PlanExplain, RuleSet,
-};
+pub use plan::{ExplainTarget, ParseError, ParsedQuery, PlanError, PlanExplain};
 pub use pool::Parallelism;
 pub use query::{ElcaVariant, Query, Semantics};
 pub use request::{

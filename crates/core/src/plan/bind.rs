@@ -102,8 +102,8 @@ pub fn compile(
 /// Builds the unrewritten logical plan for a bound query.
 ///
 /// Every keyword becomes a whole-sequence [`PlanNode::Scan`] (the §III-B
-/// strawman read — the rewrite rules are what turn this into the
-/// streamed, pruned, probing pipeline).  The join covers the shared
+/// strawman read — the rewrite rules, which always run, turn this into
+/// the streamed, pruned, probing pipeline).  The join covers the shared
 /// level range `1..=l0`, the filter carries the semantics, and the
 /// top-K node maps the request's algorithm to an output strategy:
 /// `Auto` stays cost-based when `k` is set, a forced

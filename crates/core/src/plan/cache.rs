@@ -209,7 +209,7 @@ impl<V: Clone> StampedCache<V> {
     ) {
         let mut shard = self.shards.lock(fp);
         shard.insert(fp, Entry { generation, salt, query, request, value });
-        while shard.len() > self.shard_capacity && shard.pop_oldest(|_| false).is_some() {}
+        while shard.len() > self.shard_capacity && shard.pop_oldest().is_some() {}
     }
 }
 
@@ -472,8 +472,6 @@ mod tests {
                 threshold: Default::default(),
                 scored: true,
                 truncate: Some(n as usize),
-                prescan: false,
-                block_skip: false,
             },
             |spec| spec.truncate.map_or(0, |n| n as u64),
         );

@@ -3,12 +3,12 @@
 //! Six node kinds describe every query this engine answers:
 //!
 //! * [`Scan`](PlanNode::Scan) — one keyword's JDewey columns over a level
-//!   range.  An **unrewritten** scan is a whole-sequence read (the
-//!   paper's §III-B strawman: "read the whole JDewey sequences from the
-//!   disk at once"): the lowering materializes every block of every
-//!   level in the range.  The column-pruning rewrite narrows the range
-//!   to the query-relevant prefix `1..=l0` and switches the scan to
-//!   streaming (level-at-a-time, decode on demand).
+//!   range.  An **unrewritten** scan describes a whole-sequence read
+//!   (the paper's §III-B strawman: "read the whole JDewey sequences from
+//!   the disk at once").  The column-pruning rewrite, which every plan
+//!   goes through, narrows the range to the query-relevant prefix
+//!   `1..=l0` and switches the scan to streaming (level-at-a-time,
+//!   decode on demand), so no executor ever reads one.
 //! * [`IndexProbe`](PlanNode::IndexProbe) — probe access to a keyword's
 //!   columns: at most one block decode per probed value, with the
 //!   directory's last-value footers skipping blocks that cannot contain a
@@ -35,7 +35,8 @@ use xtk_index::TermId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
     /// Decode every block of every level in the range up front — the
-    /// unoptimized whole-sequence read.
+    /// unoptimized whole-sequence read.  Only the binder's plan holds it:
+    /// column pruning streams every scan it rewrites.
     Materialize,
     /// Decode level by level as the join consumes them.
     Stream,

@@ -1,9 +1,10 @@
 //! Physical lowering: rewritten logical plan → executor configuration.
 //!
 //! [`lower`] collapses the rewritten IR into an [`ExecSpec`]: which top-K
-//! execution runs ([`TopKExec`]), how the join accesses columns (footer
-//! block skipping, whole-sequence prescan), and how the output is shaped
-//! (scoring, truncation).
+//! execution runs ([`TopKExec`]), which semantics the join applies, and
+//! how the output is shaped (scoring, truncation).  How the join reads
+//! columns is not a choice: its driver reads whole and every join step
+//! skips the blocks no probe falls in.
 //! [`execute_memory_spec`] and [`execute_disk_spec`] are the lowered
 //! drivers behind [`Engine::run`](crate::Engine::run) and the on-disk
 //! [`Executor`](crate::Executor) — the procedural per-algorithm dispatch
@@ -12,12 +13,11 @@
 //! the rewrite log, the rewritten tree and the physical plan byte-stably
 //! for the EXPLAIN snapshot gate.
 //!
-//! The lowering contract (DESIGN.md §14): for a fixed rule set the
-//! lowered execution returns bit-identical results to the procedural
-//! dispatch it replaced, and for any two rule sets the results are
-//! bit-identical to each other — rules move work, never answers.
+//! The lowering contract (DESIGN.md §14): the lowered execution returns
+//! bit-identical results to the procedural dispatch it replaced — rules
+//! move work, never answers.
 
-use crate::diskexec::{join_search_disk_spec, DiskJoinSpec};
+use crate::diskexec::join_search_disk_spec;
 use crate::hybrid::{hybrid_topk_obs, PlannedEngine};
 use crate::joinbased::{join_search_obs, JoinOptions};
 use crate::plan::bind;
@@ -73,36 +73,6 @@ pub struct ExecSpec {
     pub scored: bool,
     /// `Some(k)` truncates the complete path's output.
     pub truncate: Option<usize>,
-    /// Disk: decode every block of every level of every keyword up front
-    /// (the §III-B whole-sequence strawman; true when any leaf is an
-    /// unpruned materializing scan).
-    pub prescan: bool,
-    /// Disk: join steps pass over the blocks no probe falls in (true when
-    /// the probe pushdown left probe leaves).
-    pub block_skip: bool,
-}
-
-/// Leaf census used to derive the access-path flags.
-#[derive(Default)]
-struct Census {
-    probes: usize,
-    materialized: usize,
-}
-
-fn leaf_census(node: &PlanNode, c: &mut Census) {
-    match node {
-        PlanNode::Scan(leaf) if leaf.mode == ScanMode::Materialize => c.materialized += 1,
-        PlanNode::Scan(_) => {}
-        PlanNode::IndexProbe(_) => c.probes += 1,
-        PlanNode::Join { inputs, .. } => {
-            for i in inputs {
-                leaf_census(i, c);
-            }
-        }
-        PlanNode::Filter { input, .. }
-        | PlanNode::TopK { input, .. }
-        | PlanNode::Merge { input, .. } => leaf_census(input, c),
-    }
 }
 
 /// Lowers a (rewritten) plan to its execution spec.  Nodes elided by the
@@ -147,8 +117,6 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
             PlanNode::Join { .. } | PlanNode::Scan(_) | PlanNode::IndexProbe(_) => break,
         }
     }
-    let mut census = Census::default();
-    leaf_census(plan, &mut census);
     let scored = scores == ScoreMode::Ranked;
     let topk = match (strategy, k) {
         (TopKStrategy::Auto, Some(k)) => TopKExec::Hybrid { k },
@@ -158,24 +126,14 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
             TopKExec::Complete { elided: bound.is_some() }
         }
     };
-    ExecSpec {
-        topk,
-        semantics,
-        variant,
-        threshold,
-        scored,
-        truncate: k,
-        prescan: census.materialized > 0,
-        block_skip: census.probes > 0,
-    }
+    ExecSpec { topk, semantics, variant, threshold, scored, truncate: k }
 }
 
-/// Binds the logical plan for `query`, rewrites it under the request's
-/// rule set and lowers it.
+/// Binds the logical plan for `query`, rewrites it and lowers it.
 pub(crate) fn lower_query(ix: &XmlIndex, query: &Query, req: &QueryRequest) -> ExecSpec {
     let logical = bind::logical_plan(ix, query, req);
     let bound = bind::candidate_bound(ix, query);
-    lower(&rewrite(logical, req.rules, Some(bound)).plan, req)
+    lower(&rewrite(logical, Some(bound)).plan, req)
 }
 
 /// The lowered in-memory driver for the join-family algorithms (Auto,
@@ -219,19 +177,6 @@ pub(crate) fn execute_memory_spec(
     }
 }
 
-/// The [`DiskJoinSpec`] a lowered spec drives the disk executor with.
-pub(crate) fn disk_join_spec(spec: &ExecSpec) -> DiskJoinSpec {
-    DiskJoinSpec {
-        join: JoinOptions {
-            semantics: spec.semantics,
-            variant: spec.variant,
-            with_scores: spec.scored,
-        },
-        block_skip: spec.block_skip,
-        prescan: spec.prescan,
-    }
-}
-
 /// The lowered on-disk driver.  The disk executor implements the
 /// join-based algorithm only, so a cost-based top-K lowers to the
 /// complete join (sort + truncate) exactly as [`DiskEngine`] always has,
@@ -252,8 +197,9 @@ pub(crate) fn execute_disk_spec(
         ));
     }
     let obs = obs_for(req);
-    let dspec = disk_join_spec(&spec);
-    let (mut rs, _, _) = join_search_disk_spec(ix, store, query, &dspec, &obs)?;
+    let opts =
+        JoinOptions { semantics: spec.semantics, variant: spec.variant, with_scores: spec.scored };
+    let (mut rs, _, _) = join_search_disk_spec(ix, store, query, &opts, &obs)?;
     if spec.scored {
         rank_top(&mut rs, spec.truncate);
     } else if let Some(k) = spec.truncate {
@@ -289,7 +235,7 @@ pub struct PlanExplain {
     pub applied: Vec<AppliedRule>,
     /// Per-node cost estimates of the rewritten plan.
     pub cost: CostSummary,
-    /// The tree after all enabled rules.
+    /// The tree after the three rules.
     pub rewritten: String,
     /// The physical plan (ExecTopK/ExecMerge/ExecJoin/ExecScan/ExecProbe).
     pub physical: String,
@@ -341,7 +287,7 @@ pub fn explain(
     }
     let bound = bind::candidate_bound(ix, query);
     let logical_render = logical.render();
-    let rw = rewrite(logical, req.rules, Some(bound));
+    let rw = rewrite(logical, Some(bound));
     PlanExplain {
         logical: logical_render,
         applied: rw.applied,
@@ -512,7 +458,7 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
         }
         writeln!(
             out,
-            "ExecJoin: semantics={} variant={} scored={} block-skip={} prescan={}",
+            "ExecJoin: semantics={} variant={} scored={}",
             match spec.semantics {
                 Semantics::Elca => "elca",
                 Semantics::Slca => "slca",
@@ -522,8 +468,6 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
                 ElcaVariant::Formal => "formal",
             },
             if spec.scored { "yes" } else { "no" },
-            onoff(spec.block_skip),
-            onoff(spec.prescan),
         )?;
         write_leaves(out, rewritten, depth + 1)
     })
@@ -573,7 +517,6 @@ fn write_leaves(out: &mut fmt::Formatter<'_>, node: &PlanNode, depth: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::rewrite::RuleSet;
     use xtk_xml::parse as parse_xml;
 
     fn ix() -> XmlIndex {
@@ -596,19 +539,9 @@ mod tests {
         let (q, req) = bound(&ix, "xml search k=2");
         let spec = lower_query(&ix, &q, &req);
         assert_eq!(spec.topk, TopKExec::Hybrid { k: 2 });
-        assert!(spec.block_skip, "pushdown fired");
-        assert!(!spec.prescan, "no whole-sequence reads");
-    }
-
-    #[test]
-    fn no_rules_lower_to_the_strawman_pipeline() {
-        let ix = ix();
-        let (q, mut req) = bound(&ix, "xml search k=2");
-        req.rules = RuleSet::none();
-        let spec = lower_query(&ix, &q, &req);
-        assert!(!spec.block_skip);
-        assert!(spec.prescan, "materializing scans survive");
-        assert!(explain(&ix, &q, &req, ExplainTarget::Memory).applied.is_empty());
+        let physical = explain(&ix, &q, &req, ExplainTarget::Disk).physical;
+        assert!(physical.contains("ExecProbe:"), "pushdown fired: {physical}");
+        assert!(!physical.contains("materialize"), "no whole-sequence reads: {physical}");
     }
 
     #[test]
@@ -619,10 +552,8 @@ mod tests {
         let spec = lower_query(&ix, &q, &req);
         assert_eq!(spec.topk, TopKExec::Complete { elided: true });
         let on = execute_memory_spec(&ix, &q, &req, spec);
-        let mut off_req = req;
-        off_req.rules = RuleSet::none();
-        let off_spec = lower_query(&ix, &q, &off_req);
-        let off = execute_memory_spec(&ix, &q, &off_req, off_spec);
+        let hybrid = ExecSpec { topk: TopKExec::Hybrid { k: 1000 }, ..spec };
+        let off = execute_memory_spec(&ix, &q, &req, hybrid);
         assert_eq!(on.engine, off.engine);
         assert_eq!(on.results.len(), off.results.len());
         for (a, b) in on.results.iter().zip(&off.results) {
@@ -654,6 +585,90 @@ mod tests {
                 .to_string();
         assert!(sharded.contains("ExecMerge: shards=3 ta-prune=on"), "{sharded}");
         assert!(sharded.contains("LogicalMerge: shards=3"), "{sharded}");
+    }
+
+    /// Every join of the rewritten plan has a probe input when it joins
+    /// anything, and no whole-sequence scan survives anywhere.
+    fn assert_one_pipeline(node: &PlanNode, ctx: &str) {
+        match node {
+            PlanNode::Scan(leaf) => {
+                assert_eq!(leaf.mode, ScanMode::Stream, "materializing scan survived: {ctx}");
+            }
+            PlanNode::IndexProbe(_) => {}
+            PlanNode::Join { inputs, .. } => {
+                if inputs.len() >= 2 {
+                    assert!(
+                        inputs.iter().any(|i| matches!(i, PlanNode::IndexProbe(_))),
+                        "join without a probe: {ctx}"
+                    );
+                }
+                for i in inputs {
+                    assert_one_pipeline(i, ctx);
+                }
+            }
+            PlanNode::Filter { input, .. }
+            | PlanNode::TopK { input, .. }
+            | PlanNode::Merge { input, .. } => assert_one_pipeline(input, ctx),
+        }
+    }
+
+    /// Random mixed-depth corpus: words planted at depths 2–7, so the
+    /// keywords of one query rarely share their deepest level.
+    fn mixed_depth_xml(g: &mut xtk_xml::testutil::Gen) -> String {
+        let mut xml = String::from("<r>");
+        for _ in 0..g.gen_range(1..12usize) {
+            let depth = g.gen_range(1..7usize);
+            for d in 0..depth {
+                xml.push_str(&format!("<e{d}>"));
+            }
+            for _ in 0..g.gen_range(1..4usize) {
+                xml.push_str(&format!("w{} ", g.gen_range(0..6u32)));
+            }
+            for d in (0..depth).rev() {
+                xml.push_str(&format!("</e{d}>"));
+            }
+        }
+        xml.push_str("</r>");
+        xml
+    }
+
+    /// What the disk join's one access path rests on: every request the
+    /// planner can see rewrites to streamed scans (so nothing reads a
+    /// whole sequence) and probing joins (so every join step can skip).
+    #[test]
+    fn every_request_lowers_to_streamed_scans_and_probing_joins() {
+        use crate::request::QueryAlgorithm;
+        use xtk_xml::testutil::prop_check;
+        prop_check(0x0E_71_7E, 200, |g| {
+            let xml = mixed_depth_xml(g);
+            let ix = XmlIndex::build(parse_xml(&xml).unwrap());
+            let words: Vec<_> = (0..6).filter_map(|w| ix.term_id(&format!("w{w}"))).collect();
+            let mut terms: Vec<_> = (0..g.gen_range(1..6usize))
+                .map(|_| *g.rng().choose(&words).unwrap())
+                .collect();
+            if g.gen_bool(0.3) {
+                terms.push(terms[0]);
+            }
+            let query = Query { terms };
+            let semantics = if g.gen_bool(0.5) { Semantics::Elca } else { Semantics::Slca };
+            let mut req = match g.gen_range(0..3u32) {
+                0 => QueryRequest::complete(semantics),
+                _ => QueryRequest::top_k(g.gen_range(0..40usize), semantics),
+            };
+            req = req.with_algorithm(match g.gen_range(0..3u32) {
+                0 => QueryAlgorithm::Auto,
+                1 => QueryAlgorithm::JoinBased,
+                _ => QueryAlgorithm::TopKJoin,
+            });
+            if g.gen_bool(0.3) {
+                req = req.unranked();
+            }
+            let logical = bind::logical_plan(&ix, &query, &req);
+            let bound = bind::candidate_bound(&ix, &query);
+            let plan = rewrite(logical, Some(bound)).plan;
+            let ctx = format!("{xml} {:?} {req:?}\n{}", query.terms, plan.render());
+            assert_one_pipeline(&plan, &ctx);
+        });
     }
 
     #[test]

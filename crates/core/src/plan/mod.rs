@@ -11,7 +11,7 @@
 //!    │  logical_plan
 //!    ▼
 //! LogicalTopK ▸ LogicalFilter ▸ LogicalJoin ▸ scans (plan::logical)
-//!    │  rewrite: prune-columns, push-probes, eliminate-noops
+//!    │  rewrite: prune-columns, push-probes, eliminate-noops (always)
 //!    ▼
 //! rewritten plan + AppliedRule log                  (plan::rewrite)
 //!    │  lower
@@ -19,9 +19,9 @@
 //! ExecSpec → memory / disk / sharded drivers        (plan::lower)
 //! ```
 //!
-//! Every rewrite rule is result-preserving: for any engine, parallelism
-//! and cache configuration the rewritten plan answers bit-identically to
-//! the unrewritten one.  EXPLAIN ([`PlanExplain`]) renders each stage
+//! Every rewrite rule is result-preserving: the rewritten plan answers
+//! exactly what the bound query asks, on any engine, parallelism and
+//! cache configuration.  EXPLAIN ([`PlanExplain`]) renders each stage
 //! byte-stably for snapshot gating.
 //!
 //! Two layers sit beside it (PR 10): [`cost`] harvests a deterministic
@@ -50,4 +50,4 @@ pub use lower::{
     annotate_executed, explain, lower, ExecSpec, ExplainTarget, PlanExplain, TopKExec,
 };
 pub use parse::{parse, ParseError, ParsedQuery, Span};
-pub use rewrite::{rewrite as rewrite_plan, AppliedRule, Rewrite, RuleSet};
+pub use rewrite::{rewrite as rewrite_plan, AppliedRule, Rewrite};

@@ -19,7 +19,6 @@
 //! threshold := tight | classic
 //! scores    := ranked | unranked
 //! trace     := off | counters | events
-//! rules     := all | none | comma-list of prune,push,elim
 //! ```
 //!
 //! Parsing never panics: every malformed input is a typed [`ParseError`]
@@ -29,7 +28,6 @@
 //! string that re-parses to the same query (the round-trip property the
 //! test suite checks).
 
-use crate::plan::rewrite::RuleSet;
 use crate::query::{ElcaVariant, Semantics};
 use crate::request::{QueryAlgorithm, QueryRequest, ScoreMode};
 use crate::topk::ThresholdKind;
@@ -69,8 +67,6 @@ pub struct ParsedQuery {
     pub scores: Option<ScoreMode>,
     /// `trace=off|counters|events`.
     pub trace: Option<TraceLevel>,
-    /// `rules=all|none|prune,push,elim`.
-    pub rules: Option<RuleSet>,
 }
 
 /// Two parses are the same query when the keywords and knobs agree;
@@ -85,7 +81,6 @@ impl PartialEq for ParsedQuery {
             && self.threshold == other.threshold
             && self.scores == other.scores
             && self.trace == other.trace
-            && self.rules == other.rules
     }
 }
 
@@ -260,27 +255,6 @@ fn invalid(
     ParseError::InvalidValue { knob, value: value.to_string(), expected, span }
 }
 
-/// Parses `rules=` — `all`, `none`, or a comma list over
-/// `prune`/`push`/`elim`.
-fn parse_rules(value: &str, span: Span) -> Result<RuleSet, ParseError> {
-    const EXPECTED: &str = "all, none, or a comma list of prune,push,elim";
-    match value {
-        "all" => return Ok(RuleSet::all()),
-        "none" => return Ok(RuleSet::none()),
-        _ => {}
-    }
-    let mut rules = RuleSet::none();
-    for part in value.split(',') {
-        match part {
-            "prune" => rules.prune_columns = true,
-            "push" => rules.push_probes = true,
-            "elim" => rules.eliminate_noops = true,
-            _ => return Err(invalid("rules", value, EXPECTED, span)),
-        }
-    }
-    Ok(rules)
-}
-
 /// Parses one query line.  See the module docs for the grammar.
 pub fn parse(text: &str) -> Result<ParsedQuery, ParseError> {
     let toks = tokens(text);
@@ -360,10 +334,6 @@ pub fn parse(text: &str) -> Result<ParsedQuery, ParseError> {
                 };
                 set_once(&mut q.trace, t, "trace", span)?;
             }
-            "rules" => {
-                let r = parse_rules(v, span)?;
-                set_once(&mut q.rules, r, "rules", span)?;
-            }
             _ => {
                 return Err(ParseError::UnknownKnob { name: name.to_string(), span })
             }
@@ -400,9 +370,6 @@ impl ParsedQuery {
         }
         if let Some(t) = self.trace {
             req.trace = t;
-        }
-        if let Some(r) = self.rules {
-            req.rules = r;
         }
         req
     }
@@ -470,10 +437,6 @@ impl fmt::Display for ParsedQuery {
                 TraceLevel::Events => "events",
             };
             write!(f, "{sep}trace={v}")?;
-            sep = " ";
-        }
-        if let Some(r) = self.rules {
-            write!(f, "{sep}rules={}", r.knob_value())?;
         }
         Ok(())
     }
@@ -532,17 +495,6 @@ mod tests {
         let err = parse("xml k=0").unwrap_err();
         assert!(matches!(err, ParseError::InvalidValue { knob: "k", .. }));
         assert!(parse("xml threshold=bogus").is_err());
-        assert!(parse("xml rules=prune,bogus").is_err());
-    }
-
-    #[test]
-    fn rules_knob_round_trips() {
-        let q = parse("xml rules=prune,elim").unwrap();
-        let r = q.rules.unwrap();
-        assert!(r.prune_columns && !r.push_probes && r.eliminate_noops);
-        assert_eq!(parse(&q.to_string()).unwrap(), q);
-        assert_eq!(parse("xml rules=none").unwrap().rules, Some(RuleSet::none()));
-        assert_eq!(parse("xml rules=all").unwrap().rules, Some(RuleSet::all()));
     }
 
     #[test]

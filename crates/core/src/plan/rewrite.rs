@@ -1,6 +1,7 @@
 //! Result-preserving rewrite rules over the logical plan.
 //!
-//! Three rules, applied in a fixed order:
+//! Three rules, always applied, in a fixed order — they are how a plan
+//! is lowered, not options of it:
 //!
 //! 1. **prune-columns** — the binder's scans are whole-sequence reads
 //!    (every level of every keyword).  Since Algorithm 1 only joins the
@@ -12,9 +13,9 @@
 //!    the executor looks up only values the driver produced, and the
 //!    directory's last-value footers skip blocks that cannot contain a
 //!    probed value.  The rule turns those scans into
-//!    [`PlanNode::IndexProbe`] leaves.  It only fires on streamed scans, so disabling
-//!    prune-columns also disables the pushdown (rules compose through
-//!    the IR, not through side channels).
+//!    [`PlanNode::IndexProbe`] leaves.  It only fires on streamed scans,
+//!    so it composes with prune-columns through the IR, not through side
+//!    channels.
 //! 3. **eliminate-noops** — collapses single-input joins (a one-keyword
 //!    query joins nothing) and converts a cost-based top-K into a plain
 //!    sort when `k` is at least the **candidate bound** — a per-level
@@ -24,66 +25,12 @@
 //!    column's distinct count per level), so the hybrid router would
 //!    pick the complete join anyway and the truncation keeps everything.
 //!
-//! Every rule is **result-preserving**: for any engine, parallelism and
-//! cache configuration, running the rewritten plan returns bit-identical
-//! results to the unrewritten one (the `plan_differential` test suite
-//! proves this per rule).  The rules only move work, never answers.
+//! Every rule is **result-preserving**: the rewritten plan answers
+//! exactly what the bound query asks (the `plan_differential` suite
+//! checks the memory, disk and sharded engines against the naive
+//! reference evaluator).  The rules only move work, never answers.
 
 use crate::plan::logical::{PlanNode, ScanMode};
-
-/// Which rewrite rules run.  The default is all of them — the optimized
-/// pipeline the engines always used; switching rules off exists for
-/// EXPLAIN, differential testing and perf analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RuleSet {
-    /// Narrow scans to the join's level range (streamed, never decoding
-    /// levels above `l0`).
-    pub prune_columns: bool,
-    /// Convert non-driver streamed scans into footer-skipping probes.
-    pub push_probes: bool,
-    /// Collapse single-input joins and provably-complete top-Ks.
-    pub eliminate_noops: bool,
-}
-
-impl Default for RuleSet {
-    fn default() -> Self {
-        Self::all()
-    }
-}
-
-impl RuleSet {
-    /// Every rule on (the default pipeline).
-    pub const fn all() -> Self {
-        Self { prune_columns: true, push_probes: true, eliminate_noops: true }
-    }
-
-    /// Every rule off (the unoptimized reference pipeline).
-    pub const fn none() -> Self {
-        Self { prune_columns: false, push_probes: false, eliminate_noops: false }
-    }
-
-    /// The canonical `rules=` knob value: `all`, `none`, or the enabled
-    /// subset as a comma list (`prune,push,elim` order).
-    pub fn knob_value(&self) -> String {
-        if *self == Self::all() {
-            return "all".to_string();
-        }
-        if *self == Self::none() {
-            return "none".to_string();
-        }
-        let mut parts = Vec::new();
-        if self.prune_columns {
-            parts.push("prune");
-        }
-        if self.push_probes {
-            parts.push("push");
-        }
-        if self.eliminate_noops {
-            parts.push("elim");
-        }
-        parts.join(",")
-    }
-}
 
 /// Rule names as they appear in EXPLAIN output.
 pub const PRUNE_COLUMNS: &str = "prune-columns";
@@ -104,28 +51,21 @@ pub struct AppliedRule {
 /// A rewritten plan plus the log of what fired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rewrite {
-    /// The plan after all enabled rules.
+    /// The plan after the three rules.
     pub plan: PlanNode,
     /// Applications in firing order (byte-stable).
     pub applied: Vec<AppliedRule>,
 }
 
-/// Runs the enabled rules over `plan` in the fixed prune → push → elim
+/// Runs the three rules over `plan` in the fixed prune → push → elim
 /// order.  `candidate_bound` is the query's result-count upper bound when
 /// the caller can compute one (the in-memory binder can; `None` disables
 /// the top-K elimination, never the join collapse).
-pub fn rewrite(plan: PlanNode, rules: RuleSet, candidate_bound: Option<u64>) -> Rewrite {
+pub fn rewrite(plan: PlanNode, candidate_bound: Option<u64>) -> Rewrite {
     let mut applied = Vec::new();
-    let mut plan = plan;
-    if rules.prune_columns {
-        plan = prune_columns(plan, &mut applied);
-    }
-    if rules.push_probes {
-        plan = push_probes(plan, &mut applied);
-    }
-    if rules.eliminate_noops {
-        plan = eliminate_noops(plan, candidate_bound, &mut applied);
-    }
+    let plan = prune_columns(plan, &mut applied);
+    let plan = push_probes(plan, &mut applied);
+    let plan = eliminate_noops(plan, candidate_bound, &mut applied);
     Rewrite { plan, applied }
 }
 
@@ -362,47 +302,28 @@ mod tests {
     }
 
     #[test]
-    fn knob_value_round_trips_named_sets() {
-        assert_eq!(RuleSet::all().knob_value(), "all");
-        assert_eq!(RuleSet::none().knob_value(), "none");
-        let some = RuleSet { prune_columns: true, push_probes: false, eliminate_noops: true };
-        assert_eq!(some.knob_value(), "prune,elim");
-        assert_eq!(RuleSet::default(), RuleSet::all());
-    }
-
-    #[test]
     fn prune_narrows_and_streams_scans() {
-        let rw = rewrite(
-            two_term_plan(Some(5), TopKStrategy::Auto),
-            RuleSet { prune_columns: true, push_probes: false, eliminate_noops: false },
-            None,
-        );
-        let leaves = rw.plan.leaves();
+        let mut applied = Vec::new();
+        let plan = prune_columns(two_term_plan(Some(5), TopKStrategy::Auto), &mut applied);
+        let leaves = plan.leaves();
         assert_eq!(leaves[0].levels, 3);
         assert_eq!(leaves[0].pruned_from, Some(5));
         assert_eq!(leaves[0].mode, ScanMode::Stream);
         assert_eq!(leaves[1].levels, 3);
         assert_eq!(leaves[1].pruned_from, None);
         assert_eq!(leaves[1].mode, ScanMode::Stream);
-        assert_eq!(rw.applied.len(), 2);
-        assert!(rw.applied.iter().all(|a| a.rule == PRUNE_COLUMNS));
+        assert_eq!(applied.len(), 2);
+        assert!(applied.iter().all(|a| a.rule == PRUNE_COLUMNS));
     }
 
     #[test]
     fn push_needs_streamed_scans() {
-        // Without prune the scans stay materialized and push cannot fire.
-        let rw = rewrite(
-            two_term_plan(Some(5), TopKStrategy::Auto),
-            RuleSet { prune_columns: false, push_probes: true, eliminate_noops: false },
-            None,
-        );
-        assert!(rw.applied.is_empty());
-        // With prune, the scarcest term drives and the other probes.
-        let rw = rewrite(
-            two_term_plan(Some(5), TopKStrategy::Auto),
-            RuleSet { prune_columns: true, push_probes: true, eliminate_noops: false },
-            None,
-        );
+        // Over unpruned scans the leaves stay materialized: push cannot fire.
+        let mut applied = Vec::new();
+        push_probes(two_term_plan(Some(5), TopKStrategy::Auto), &mut applied);
+        assert!(applied.is_empty());
+        // After prune, the scarcest term drives and the other probes.
+        let rw = rewrite(two_term_plan(Some(5), TopKStrategy::Auto), None);
         let probes: Vec<_> = rw
             .applied
             .iter()
@@ -423,61 +344,46 @@ mod tests {
             semantics: Semantics::Slca,
             variant: ElcaVariant::Operational,
         };
-        let rw = rewrite(
-            plan,
-            RuleSet { prune_columns: false, push_probes: false, eliminate_noops: true },
-            None,
-        );
+        let mut applied = Vec::new();
+        let plan = eliminate_noops(plan, None, &mut applied);
         assert!(matches!(
-            rw.plan,
+            plan,
             PlanNode::Filter { ref input, .. } if matches!(**input, PlanNode::Scan(_))
         ));
-        assert_eq!(rw.applied.len(), 1);
-        assert_eq!(rw.applied[0].rule, ELIMINATE_NOOPS);
+        assert_eq!(applied.len(), 1);
+        assert_eq!(applied[0].rule, ELIMINATE_NOOPS);
+    }
+
+    fn elim(plan: PlanNode, bound: Option<u64>) -> PlanNode {
+        eliminate_noops(plan, bound, &mut Vec::new())
     }
 
     #[test]
     fn elim_converts_covered_topk_to_sort() {
-        let rw = rewrite(
-            two_term_plan(Some(10), TopKStrategy::Auto),
-            RuleSet { prune_columns: false, push_probes: false, eliminate_noops: true },
-            Some(7),
-        );
-        let PlanNode::TopK { strategy, bound, .. } = &rw.plan else {
+        let plan = elim(two_term_plan(Some(10), TopKStrategy::Auto), Some(7));
+        let PlanNode::TopK { strategy, bound, .. } = &plan else {
             panic!("not a topk root");
         };
         assert_eq!(*strategy, TopKStrategy::SortComplete);
         assert_eq!(*bound, Some(7));
 
         // k below the bound: untouched.
-        let rw = rewrite(
-            two_term_plan(Some(3), TopKStrategy::Auto),
-            RuleSet { prune_columns: false, push_probes: false, eliminate_noops: true },
-            Some(7),
-        );
-        let PlanNode::TopK { strategy, .. } = &rw.plan else {
+        let plan = elim(two_term_plan(Some(3), TopKStrategy::Auto), Some(7));
+        let PlanNode::TopK { strategy, .. } = &plan else {
             panic!("not a topk root");
         };
         assert_eq!(*strategy, TopKStrategy::Auto);
 
         // A forced star join never collapses.
-        let rw = rewrite(
-            two_term_plan(Some(10), TopKStrategy::StarJoin),
-            RuleSet { prune_columns: false, push_probes: false, eliminate_noops: true },
-            Some(7),
-        );
-        let PlanNode::TopK { strategy, .. } = &rw.plan else {
+        let plan = elim(two_term_plan(Some(10), TopKStrategy::StarJoin), Some(7));
+        let PlanNode::TopK { strategy, .. } = &plan else {
             panic!("not a topk root");
         };
         assert_eq!(*strategy, TopKStrategy::StarJoin);
 
         // No bound available (disk binder): untouched.
-        let rw = rewrite(
-            two_term_plan(Some(10), TopKStrategy::Auto),
-            RuleSet { prune_columns: false, push_probes: false, eliminate_noops: true },
-            None,
-        );
-        let PlanNode::TopK { strategy, .. } = &rw.plan else {
+        let plan = elim(two_term_plan(Some(10), TopKStrategy::Auto), None);
+        let PlanNode::TopK { strategy, .. } = &plan else {
             panic!("not a topk root");
         };
         assert_eq!(*strategy, TopKStrategy::Auto);

@@ -18,13 +18,12 @@
 
 use crate::baseline::stack::{stack_search, StackOptions};
 use crate::engine::Engine;
-use crate::plan::rewrite::RuleSet;
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
 use crate::topk::ThresholdKind;
 use std::io;
 use xtk_index::diskcol::DiskColumnStore;
-use xtk_index::{TermId, XmlIndex};
+use xtk_index::XmlIndex;
 use xtk_obs::{MetricsRegistry, MetricsSnapshot, Obs, Trace, TraceLevel, Tracer};
 
 /// Which engine answers the request.  (The index-based and RDIL
@@ -88,9 +87,6 @@ pub struct QueryRequest {
     /// How much to record: `Off` (metrics only — they are always
     /// collected), or `Events` for the full deterministic trace.
     pub trace: TraceLevel,
-    /// Which plan-rewrite rules run (all by default — the optimized
-    /// pipeline; see [`RuleSet`]).  Every subset answers bit-identically.
-    pub rules: RuleSet,
 }
 
 impl Default for QueryRequest {
@@ -103,7 +99,6 @@ impl Default for QueryRequest {
             threshold: ThresholdKind::Tight,
             scores: ScoreMode::Ranked,
             trace: TraceLevel::Off,
-            rules: RuleSet::all(),
         }
     }
 }
@@ -146,12 +141,6 @@ impl QueryRequest {
     /// Sets the observability level.
     pub fn with_trace(mut self, trace: TraceLevel) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Selects which plan-rewrite rules run.
-    pub fn with_rules(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
         self
     }
 }
@@ -273,21 +262,6 @@ pub trait Executor {
         0
     }
 
-    /// Warms the storage layer for the given terms before a batch runs
-    /// (the cross-query prefetch pass), pinning what it warmed.  Returns
-    /// the number of blocks pinned; backends without a block layer (the
-    /// in-memory engine) pin nothing.  Balance with
-    /// [`Executor::release`].
-    fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
-        let _ = terms;
-        Ok(0)
-    }
-
-    /// Releases the pins taken by [`Executor::prefetch`] for `terms`.
-    fn release(&self, terms: &[TermId]) {
-        let _ = terms;
-    }
-
     /// A salt describing the physical topology this backend answers from
     /// (for [`ShardedEngine`](crate::shard::ShardedEngine): shard count,
     /// ids and document ranges).  The batch result cache folds it into
@@ -308,14 +282,6 @@ impl<E: Executor + ?Sized> Executor for &E {
 
     fn generation(&self) -> u64 {
         (**self).generation()
-    }
-
-    fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
-        (**self).prefetch(terms)
-    }
-
-    fn release(&self, terms: &[TermId]) {
-        (**self).release(terms)
     }
 
     fn topology_salt(&self) -> u64 {
@@ -379,16 +345,6 @@ impl Executor for DiskEngine<'_> {
 
     fn generation(&self) -> u64 {
         self.ix.generation()
-    }
-
-    fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
-        let held = terms.iter().filter_map(|&t| self.store.term_index(self.ix.term(t).name()));
-        held.map(|t| self.store.prefetch_term(t)).sum()
-    }
-
-    fn release(&self, terms: &[TermId]) {
-        let held = terms.iter().filter_map(|&t| self.store.term_index(self.ix.term(t).name()));
-        held.for_each(|t| self.store.unpin_term(t));
     }
 }
 

@@ -50,7 +50,7 @@
 //! so the gather stops early.  The threshold is the classic TA stopping
 //! rule lifted from rows to shards.
 
-use crate::diskexec::{DiskJoinSpec, DiskSource};
+use crate::diskexec::DiskSource;
 use crate::joinbased::{algorithm1, JoinOptions, KeywordRows};
 use crate::query::Query;
 use crate::request::{
@@ -417,7 +417,7 @@ impl<'a> ShardedEngine<'a> {
         &self,
         range: &DocRange,
         query: &Query,
-        spec: &DiskJoinSpec,
+        opts: &JoinOptions,
         req: &QueryRequest,
     ) -> io::Result<ShardOutcome> {
         let obs = Obs {
@@ -426,8 +426,8 @@ impl<'a> ShardedEngine<'a> {
         };
         let session = IoSession::default();
         let terms = query.terms.iter().map(|&t| range.keyword(self.ix, t)).collect();
-        let mut src = DiskSource::over(&self.store, terms, Some(&range.slice), spec, &session);
-        let (mut results, _) = algorithm1(self.ix, query, &spec.join, &mut src, &obs)?;
+        let mut src = DiskSource::over(&self.store, terms, Some(&range.slice), &session);
+        let (mut results, _) = algorithm1(self.ix, query, opts, &mut src, &obs)?;
         rank_top(&mut results, req.k);
         Ok(ShardOutcome {
             results,
@@ -483,14 +483,10 @@ impl Executor for ShardedEngine<'_> {
         // merged response — is shard-topology-invariant).
         let (lowered, _) =
             self.planner.spec_for(self.ix, query, req, self.ix.generation(), self.salt);
-        let spec = DiskJoinSpec {
-            join: JoinOptions {
-                semantics: lowered.semantics,
-                variant: lowered.variant,
-                with_scores: true,
-            },
-            block_skip: lowered.block_skip,
-            prescan: lowered.prescan,
+        let opts = JoinOptions {
+            semantics: lowered.semantics,
+            variant: lowered.variant,
+            with_scores: true,
         };
 
         // Plan: a range missing any term cannot produce a conjunctive
@@ -532,7 +528,7 @@ impl Executor for ShardedEngine<'_> {
                 shard: p.shard as u32,
                 bound_bits: p.bound.to_bits(),
             });
-            let out = self.run_range(p.data, query, &spec, req)?;
+            let out = self.run_range(p.data, query, &opts, req)?;
             executed += 1;
             for ev in out.trace_events {
                 // The store id is a process-global open counter; replace
@@ -575,16 +571,6 @@ impl Executor for ShardedEngine<'_> {
 
     fn generation(&self) -> u64 {
         self.ix.generation()
-    }
-
-    fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
-        terms.iter().map(|t| self.store.prefetch_term(t.0 as usize)).sum()
-    }
-
-    fn release(&self, terms: &[TermId]) {
-        for t in terms {
-            self.store.unpin_term(t.0 as usize);
-        }
     }
 
     fn topology_salt(&self) -> u64 {

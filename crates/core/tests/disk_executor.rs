@@ -1,10 +1,10 @@
 //! The on-disk `ColumnSource` through the `join_search_disk*` wrappers:
-//! memory ≡ disk on results, the I/O counters move the way the access-path
-//! spec says, and nothing here touches the filesystem — stores open over
+//! memory ≡ disk on results, the I/O counters show the pruned, skipping
+//! access path, and nothing here touches the filesystem — stores open over
 //! in-memory images written by `write_index_to`.
 
 use std::sync::Arc;
-use xtk_core::diskexec::{join_search_disk, join_search_disk_spec, DiskJoinSpec};
+use xtk_core::diskexec::{join_search_disk, join_search_disk_spec};
 use xtk_core::joinbased::{join_search, JoinOptions};
 use xtk_core::query::{ElcaVariant, Query, Semantics};
 use xtk_index::bytes::ColumnBytes;
@@ -91,12 +91,12 @@ fn access_path_spec_never_changes_results() {
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     for words in [vec!["common", "rare17"], vec!["common", "topic3", "rare5"]] {
         let q = Query::from_words(&ix, &words).unwrap();
-        let (base, _, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
-        for (block_skip, prescan) in [(true, false), (false, false), (true, true), (false, true)] {
-            let spec = DiskJoinSpec { join: opts, block_skip, prescan };
-            let (rs, _, _) =
-                join_search_disk_spec(&ix, &store, &q, &spec, &Obs::default()).unwrap();
-            assert_eq!(base.len(), rs.len(), "{words:?} {block_skip} {prescan}");
+        let (base, _) = join_search(&ix, &q, &opts);
+        let (plain, _, _) = join_search_disk(&ix, &store, &q, &opts).unwrap();
+        let (observed, _, _) =
+            join_search_disk_spec(&ix, &store, &q, &opts, &Obs::default()).unwrap();
+        for rs in [plain, observed] {
+            assert_eq!(base.len(), rs.len(), "{words:?}");
             for (a, b) in base.iter().zip(&rs) {
                 assert_eq!(a.node, b.node);
                 assert_eq!(a.score.to_bits(), b.score.to_bits());
@@ -109,16 +109,16 @@ fn access_path_spec_never_changes_results() {
 fn prescan_decodes_strictly_more_blocks() {
     let (ix, image) = setup(&corpus(600));
     let q = Query::from_words(&ix, &["common", "rare17"]).unwrap();
-    let opts = JoinOptions::default();
-    // Fresh stores per run: a shared block cache would otherwise absorb
-    // the second run's decodes.
-    let lean_spec = DiskJoinSpec { join: opts, block_skip: true, prescan: false };
-    let (_, _, lean) =
-        join_search_disk_spec(&ix, &open(&image), &q, &lean_spec, &Obs::default()).unwrap();
-    let fat_spec = DiskJoinSpec { join: opts, block_skip: false, prescan: true };
-    let (_, _, fat) =
-        join_search_disk_spec(&ix, &open(&image), &q, &fat_spec, &Obs::default()).unwrap();
-    assert!(lean < fat, "optimized pipeline must decode fewer blocks ({lean} vs {fat})");
+    let store = open(&image);
+    let (_, _, lean) = join_search_disk(&ix, &store, &q, &JoinOptions::default()).unwrap();
+    // The §III-B whole-sequence read decodes every block of every level
+    // of both lists; the directory counts them without decoding.
+    let fat: u64 = ["common", "rare17"]
+        .iter()
+        .flat_map(|w| store.columns(w))
+        .map(|c| c.block_count() as u64)
+        .sum();
+    assert!(lean < fat, "the pipeline must decode fewer blocks ({lean} vs {fat})");
 }
 
 #[test]

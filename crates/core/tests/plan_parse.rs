@@ -60,22 +60,6 @@ fn well_formed(g: &mut Gen) -> String {
         let vals = ["off", "counters", "events"];
         knobs.push(format!("trace={}", vals[g.gen_range(0..vals.len())]));
     }
-    if g.gen_bool(0.5) {
-        let r = match g.gen_range(0..4u32) {
-            0 => "all".to_string(),
-            1 => "none".to_string(),
-            _ => {
-                // A non-empty subset, in random order with possible repeats.
-                let parts = ["prune", "push", "elim"];
-                let n = g.gen_range(1..4usize);
-                (0..n)
-                    .map(|_| parts[g.gen_range(0..parts.len())])
-                    .collect::<Vec<_>>()
-                    .join(",")
-            }
-        };
-        knobs.push(format!("rules={r}"));
-    }
     // Interleave: first token must be the first keyword only because we
     // splice knobs *after* a random keyword prefix — the grammar itself
     // allows any order, which the shuffle below exercises.
@@ -175,8 +159,9 @@ fn malformed_corpus_reports_typed_errors() {
         ("xml threshold=loose", "invalid threshold value `loose`"),
         ("xml scores=maybe", "invalid scores value `maybe`"),
         ("xml trace=loud", "invalid trace value `loud`"),
-        ("xml rules=prune,shove", "invalid rules value `prune,shove`"),
-        ("xml rules=", "invalid rules value ``"),
+        // The rewrite rules always run: `rules=` is no knob.
+        ("xml rules=all", "unknown knob `rules`"),
+        ("xml search rules=none k=3", "unknown knob `rules`"),
         ("xml k=1 k=2", "knob `k` set twice"),
         ("xml sem=elca semantics=slca", "knob `semantics` set twice"),
         ("xml search xml", "keyword `xml` appears twice"),

@@ -9,7 +9,7 @@
 
 use std::fs;
 use std::ops::Range;
-use xtk_core::diskexec::{DiskJoinSpec, DiskSource};
+use xtk_core::diskexec::DiskSource;
 use xtk_core::joinbased::{join_search, ColumnSource, JoinOptions, KeywordRows};
 use xtk_core::result::{sort_ranked, ScoredResult};
 use xtk_core::shard::{write_sharded, ShardedEngine, MANIFEST_FILE, STORE_FILE};
@@ -79,7 +79,6 @@ fn lent<'a>(source: &DiskSource<'a>) -> Vec<Run> {
 /// the range's present rows and its feed the memory column's runs in the
 /// range's rows.
 fn check_range(ix: &XmlIndex, store: &DiskColumnStore, nodes: &Range<u32>) {
-    let spec = DiskJoinSpec { join: JoinOptions::default(), block_skip: false, prescan: false };
     let slice = ix.slice(NodeId(nodes.start)..NodeId(nodes.end));
     for (id, t) in ix.terms() {
         let inside: Vec<usize> =
@@ -90,7 +89,7 @@ fn check_range(ix: &XmlIndex, store: &DiskColumnStore, nodes: &Range<u32>) {
         let session = IoSession::default();
         let keyword = KeywordRows::of(t);
         let terms = vec![(Some(id.0 as usize), keyword)];
-        let mut src = DiskSource::over(store, terms, Some(&slice), &spec, &session);
+        let mut src = DiskSource::over(store, terms, Some(&slice), &session);
         assert_eq!(src.floor(), 2, "a range never enters level 1");
         for level in 2..=t.max_len() {
             let what = format!("{} level {level} nodes {nodes:?}", t.name());

@@ -1,7 +1,7 @@
 //! The `ColumnSource` contract, checked against the in-memory columns as
 //! ground truth: over random corpora × every level × random ascending
-//! probe sets, for memory and disk v2 and v3 × `block_skip` on/off ×
-//! a one-block and an unbounded cache, the whole-column feed hands over
+//! probe sets, for memory and disk v2 and v3 × a one-block and an
+//! unbounded cache, the whole-column feed hands over
 //! the column's runs bit for bit, and a cursor on a join step's feed or
 //! the driver's answers an ascending lookup sequence exactly as
 //! `Column::find` does — present and absent values alike — landing each
@@ -16,7 +16,7 @@ mod common;
 
 use common::store_image as image;
 use std::sync::Arc;
-use xtk_core::diskexec::{join_search_disk_spec, DiskJoinSpec, DiskSource};
+use xtk_core::diskexec::{join_search_disk_spec, DiskSource};
 use xtk_core::joinbased::{algorithm1, join_search, ColumnSource, JoinOptions, MemSource};
 use xtk_core::shard::{write_sharded_with, ShardedEngine, STORE_FILE};
 use xtk_core::{Executor, Query, QueryAlgorithm, QueryRequest, ScoredResult, Semantics};
@@ -130,28 +130,23 @@ fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let (want, _) = join_search(ix, query, &opts);
     let bytes = image(ix);
-    for block_skip in [true, false] {
-        for one_block in [true, false] {
-            let label = format!("skip={block_skip} cap1={one_block}");
-            let store = DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
-            let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-            let session = IoSession::default();
-            let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
-            let disk_store = Storage {
-                label: &label,
-                size_of: |c| c.row_count() as usize,
-                accesses: &|| session.stats().hits + session.stats().misses,
-                blocks_of: &|term, l| {
-                    store.column(term, l).map_or(0, |c| c.block_count() as u64)
-                },
-            };
-            check_contract(&disk_store, &mut disk, ix, query, g);
-            // And the one driver over it answers as over memory.
-            let session = IoSession::default();
-            let mut disk = DiskSource::new(ix, &store, query, &spec, &session);
-            let (got, _) = algorithm1(ix, query, &opts, &mut disk, &Obs::default()).unwrap();
-            assert_eq!(bits(&want), bits(&got), "{label}: driver results");
-        }
+    for one_block in [true, false] {
+        let label = format!("cap1={one_block}");
+        let store = DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
+        let session = IoSession::default();
+        let mut disk = DiskSource::new(ix, &store, query, &session);
+        let disk_store = Storage {
+            label: &label,
+            size_of: |c| c.row_count() as usize,
+            accesses: &|| session.stats().hits + session.stats().misses,
+            blocks_of: &|term, l| store.column(term, l).map_or(0, |c| c.block_count() as u64),
+        };
+        check_contract(&disk_store, &mut disk, ix, query, g);
+        // And the one driver over it answers as over memory.
+        let session = IoSession::default();
+        let mut disk = DiskSource::new(ix, &store, query, &session);
+        let (got, _) = algorithm1(ix, query, &opts, &mut disk, &Obs::default()).unwrap();
+        assert_eq!(bits(&want), bits(&got), "{label}: driver results");
     }
 }
 
@@ -232,35 +227,27 @@ fn block_skip_is_the_one_skip_rule_on_every_format() {
     let ix = clustered_corpus();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     // Per query: `(decodes, misses, evictions)` through a one-block cache
-    // under `block_skip` on and off — the counts of the per-step
-    // strategies this rule replaced, which decoded the same blocks.
+    // — the counts of the per-step strategies this rule replaced, which
+    // decoded the same blocks.  A step stops at the first block above its
+    // last probe: `early`'s steps read 6 and 9 blocks where a full scan
+    // of the same columns reads 8 and 11.
     type Io = (u64, u64, u64);
-    let queries: [(&[&str], [Io; 2]); 3] = [
-        (&["x7", "common"], [(8, 8, 7), (8, 8, 7)]),
-        (&["early", "common"], [(6, 6, 5), (8, 8, 7)]),
-        (&["x7", "early", "common"], [(9, 9, 8), (11, 11, 10)]),
+    let queries: [(&[&str], Io); 3] = [
+        (&["x7", "common"], (8, 8, 7)),
+        (&["early", "common"], (6, 6, 5)),
+        (&["x7", "early", "common"], (9, 9, 8)),
     ];
+    let bytes = image(&ix);
     for (words, pinned) in queries {
         let query = Query::from_words(&ix, words).unwrap();
         let (want, _) = join_search(&ix, &query, &opts);
         assert!(!want.is_empty(), "{words:?}");
-        let bytes = image(&ix);
-        let io = [true, false].map(|block_skip| {
-            let store = DiskColumnStore::open_bytes(bytes.clone(), cache(true)).unwrap();
-            let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-            let (got, _, decodes) =
-                join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default()).unwrap();
-            assert_eq!(bits(&want), bits(&got), "{words:?} skip={block_skip}");
-            let cache = store.cache_stats();
-            (decodes, cache.misses, cache.evictions)
-        });
-        let [skip, scan] = io;
-        assert!(skip.0 <= scan.0, "{words:?}: skipping decoded more, {io:?}");
-        if words == ["early", "common"] {
-            // A step stops at the first block above its last probe.
-            assert!(skip.0 < scan.0, "{io:?}");
-        }
-        assert_eq!(io, pinned, "{words:?}");
+        let store = DiskColumnStore::open_bytes(bytes.clone(), cache(true)).unwrap();
+        let (got, _, decodes) =
+            join_search_disk_spec(&ix, &store, &query, &opts, &Obs::default()).unwrap();
+        assert_eq!(bits(&want), bits(&got), "{words:?}");
+        let cache = store.cache_stats();
+        assert_eq!((decodes, cache.misses, cache.evictions), pinned, "{words:?}");
     }
 }
 
@@ -292,8 +279,8 @@ fn torn(bytes: &[u8], at: usize) -> Vec<u8> {
 #[test]
 fn torn_block_makes_the_driver_err_on_disk_never_panic() {
     let ix = wide_corpus();
-    // One keyword, no block skipping: the driver scans every block of
-    // every level of "common", so a torn block there cannot be missed.
+    // One keyword, no join step: the driver scans every block of every
+    // level of "common", so a torn block there cannot be missed.
     let query = Query::from_words(&ix, &["common"]).unwrap();
     let two = Query::from_words(&ix, &["common", "rare17"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
@@ -307,15 +294,13 @@ fn torn_block_makes_the_driver_err_on_disk_never_panic() {
         opened += 1;
         let scans_fail = (1..=store.levels_of("common"))
             .any(|l| store.column("common", l).is_none_or(|c| c.scan().is_err()));
-        let spec = DiskJoinSpec { join: opts, block_skip: false, prescan: false };
-        let r = join_search_disk_spec(&ix, &store, &query, &spec, &Obs::default());
+        let r = join_search_disk_spec(&ix, &store, &query, &opts, &Obs::default());
         if scans_fail {
             assert!(r.is_err(), "tear at {at}: a failing scan must surface");
             errs += 1;
         }
         // The probing pipeline over the same damage: any outcome but a panic.
-        let spec = DiskJoinSpec { join: opts, block_skip: true, prescan: false };
-        let _ = join_search_disk_spec(&ix, &store, &two, &spec, &Obs::default());
+        let _ = join_search_disk_spec(&ix, &store, &two, &opts, &Obs::default());
     }
     assert!(opened > 0 && errs > 0, "{opened} stores opened, {errs} erred");
 }
@@ -370,12 +355,9 @@ fn store_of_a_larger_corpus_makes_the_scored_join_err_never_panic() {
     let query = Query::from_words(&small, &["common", "rare5"]).unwrap();
     let opts = JoinOptions { with_scores: true, ..Default::default() };
     let store = DiskColumnStore::open_bytes(image(&large), cache(false)).unwrap();
-    for block_skip in [true, false] {
-        let spec = DiskJoinSpec { join: opts, block_skip, prescan: false };
-        let r = join_search_disk_spec(&small, &store, &query, &spec, &Obs::default());
-        let err = r.expect_err("rows past the posting list must surface");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "skip={block_skip}");
-    }
+    let r = join_search_disk_spec(&small, &store, &query, &opts, &Obs::default());
+    let err = r.expect_err("rows past the posting list must surface");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
     // Sharded: the small corpus's directory holding the large corpus's
     // store (equal vocabulary and levels, longer lists).

@@ -25,7 +25,7 @@
 //! threaded by a recency list — never wall clock, eviction order must be
 //! deterministic for the bench gate and identical across runs) behind
 //! [`Sharded`], a ranked mutex set on `xtk_obs::locks`.  The block cache
-//! adds budgets, pins and counters on top; `xtk-core`'s plan and result
+//! adds budgets and counters on top; `xtk-core`'s plan and result
 //! caches add a `(generation, salt)` stamp.  Correctness never depends
 //! on the policy: a block decodes to the same runs no matter when it was
 //! evicted, so query results are bit-identical under every capacity,
@@ -113,25 +113,6 @@ pub trait BlockCache: Send + Sync + std::fmt::Debug {
     fn insert(&self, key: u64, block: Block);
     /// Counters so far.
     fn stats(&self) -> CacheStats;
-    /// Pins a **resident** block: pinned blocks are never chosen as
-    /// eviction victims until every pin is released.  Returns `true` when
-    /// the block was resident and is now pinned, `false` when absent (the
-    /// caller should decode + insert, then retry).  Pins nest: each `pin`
-    /// needs a matching [`BlockCache::unpin`].  Policies that cannot pin
-    /// (the default) report `false` — warming still helps, it is just not
-    /// guaranteed to survive eviction.
-    fn pin(&self, key: u64) -> bool {
-        let _ = key;
-        false
-    }
-    /// Releases one pin on `key`; a no-op when the block is not pinned.
-    fn unpin(&self, key: u64) {
-        let _ = key;
-    }
-    /// Number of distinct blocks currently pinned.
-    fn pinned_blocks(&self) -> u64 {
-        0
-    }
 }
 
 /// Capacity policy for [`ShardedLruCache`].
@@ -314,11 +295,9 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         Some(slot.value)
     }
 
-    /// Removes the least recently used entry whose key `skip` does not
-    /// hold back; `None` when every entry is skipped (or none is left).
-    pub fn pop_oldest(&mut self, skip: impl Fn(&K) -> bool) -> Option<(K, V)> {
-        let by_age = std::iter::successors(self.slot(self.oldest), |slot| self.slot(slot.next));
-        let key = by_age.map(|slot| slot.key).find(|key| !skip(key))?;
+    /// Removes the least recently used entry; `None` when none is left.
+    pub fn pop_oldest(&mut self) -> Option<(K, V)> {
+        let key = self.slot(self.oldest)?.key;
         self.remove(&key).map(|value| (key, value))
     }
 
@@ -338,8 +317,6 @@ struct Shard {
     lru: Lru<u64, Block>,
     /// Approximate resident bytes in this shard.
     bytes: usize,
-    /// `key -> pin count`; pinned keys are skipped by eviction.
-    pins: HashMap<u64, u32>,
 }
 
 /// The bounded, sharded LRU block cache (see module docs).
@@ -413,17 +390,14 @@ impl ShardedLruCache {
     }
 
     fn evict_over_budget(&self, shard: &mut Shard) {
-        let Shard { lru, bytes, pins } = shard;
+        let Shard { lru, bytes } = shard;
         loop {
             let over_blocks = self.cap_blocks.is_some_and(|c| lru.len() > c);
             let over_bytes = self.cap_bytes.is_some_and(|c| *bytes > c && lru.len() > 1);
             if !over_blocks && !over_bytes {
                 return;
             }
-            // Oldest *unpinned* entry; pinned blocks may transiently hold a
-            // shard over budget, which is the point of pinning (a batch's
-            // prefetched working set must survive its own execution).
-            let Some((_, block)) = lru.pop_oldest(|key| pins.contains_key(key)) else {
+            let Some((_, block)) = lru.pop_oldest() else {
                 return;
             };
             *bytes = bytes.saturating_sub(block_bytes(&block));
@@ -471,29 +445,6 @@ impl BlockCache for ShardedLruCache {
             resident_bytes,
         }
     }
-
-    fn pin(&self, key: u64) -> bool {
-        let mut shard = self.shards.lock(mix(key));
-        if shard.lru.get(&key).is_none() {
-            return false;
-        }
-        *shard.pins.entry(key).or_insert(0) += 1;
-        true
-    }
-
-    fn unpin(&self, key: u64) {
-        let mut shard = self.shards.lock(mix(key));
-        if let Some(count) = shard.pins.get_mut(&key) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                shard.pins.remove(&key);
-            }
-        }
-    }
-
-    fn pinned_blocks(&self) -> u64 {
-        self.shards.lock_all().map(|shard| shard.pins.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -506,7 +457,7 @@ mod tests {
 
     /// Pops every entry, oldest first.
     fn drain(lru: &mut Lru<u64, &'static str>) -> Vec<u64> {
-        std::iter::from_fn(|| lru.pop_oldest(|_| false)).map(|(key, _)| key).collect()
+        std::iter::from_fn(|| lru.pop_oldest()).map(|(key, _)| key).collect()
     }
 
     #[test]
@@ -524,20 +475,7 @@ mod tests {
         assert_eq!(lru.peek(&4), Some(&"D"), "get hands out the stored value");
         assert_eq!(lru.len(), 5);
         assert_eq!(drain(&mut lru), [3, 2, 5, 1, 4]);
-        assert!(lru.is_empty() && lru.pop_oldest(|_| false).is_none());
-    }
-
-    #[test]
-    fn lru_pop_oldest_skips_held_keys() {
-        let mut lru = Lru::default();
-        for key in 1..=4u64 {
-            lru.insert(key, "x");
-        }
-        assert_eq!(lru.pop_oldest(|&key| key <= 2).map(|(key, _)| key), Some(3));
-        assert_eq!(lru.pop_oldest(|&key| key <= 2).map(|(key, _)| key), Some(4));
-        assert!(lru.pop_oldest(|&key| key <= 2).is_none(), "every entry held back");
-        assert_eq!(lru.len(), 2, "skipped entries stay");
-        assert_eq!(drain(&mut lru), [1, 2], "and keep their order");
+        assert!(lru.is_empty() && lru.pop_oldest().is_none());
     }
 
     #[test]
@@ -549,8 +487,8 @@ mod tests {
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.remove(&2), Some("b"));
         assert_eq!(lru.remove(&2), None);
-        assert_eq!(lru.pop_oldest(|_| false), Some((1, "new")));
-        assert!(lru.pop_oldest(|_| false).is_none(), "no orphaned stamp of the first insert");
+        assert_eq!(lru.pop_oldest(), Some((1, "new")));
+        assert!(lru.pop_oldest().is_none(), "no orphaned stamp of the first insert");
     }
 
     #[test]
@@ -560,7 +498,7 @@ mod tests {
         lru.insert(2, "b");
         lru.clear();
         assert!(lru.is_empty() && lru.peek(&1).is_none());
-        assert!(lru.pop_oldest(|_| false).is_none());
+        assert!(lru.pop_oldest().is_none());
         lru.insert(2, "b2");
         lru.insert(1, "a2");
         assert!(lru.get(&2).is_some());
@@ -579,7 +517,7 @@ mod tests {
             if key % 2 == 0 {
                 assert_eq!(lru.remove(&(key - 4)), Some("x"));
             } else {
-                assert_eq!(lru.pop_oldest(|_| false), Some((key - 4, "x")));
+                assert_eq!(lru.pop_oldest(), Some((key - 4, "x")));
             }
             lru.insert(key, "x");
             assert_eq!((lru.len(), lru.slots.len()), (4, 4));
@@ -743,62 +681,6 @@ mod tests {
         assert_eq!(snap.get("cache.hits"), 1);
         assert_eq!(snap.get("cache.misses"), 1);
         assert_eq!(snap.get("cache.resident_blocks"), 1);
-    }
-
-    #[test]
-    fn pinned_blocks_survive_eviction_pressure() {
-        // Single shard, two-block budget: pin one block, then flood.
-        let c = ShardedLruCache::with_shards(CacheCapacity::Blocks(2), 1);
-        c.insert(1, block(1, 1));
-        assert!(c.pin(1), "resident block pins");
-        assert!(!c.pin(99), "absent block does not pin");
-        assert_eq!(c.pinned_blocks(), 1);
-        for k in 2..10u64 {
-            c.insert(k, block(1, k as u32));
-        }
-        assert!(c.peek(1).is_some(), "pinned block never evicted");
-        c.unpin(1);
-        assert_eq!(c.pinned_blocks(), 0);
-        c.insert(100, block(1, 100));
-        c.insert(101, block(1, 101));
-        assert!(c.peek(1).is_none(), "unpinned block evicts normally");
-    }
-
-    #[test]
-    fn pins_nest_and_unpin_is_idempotent_when_absent() {
-        let c = ShardedLruCache::with_shards(CacheCapacity::Blocks(1), 1);
-        c.insert(1, block(1, 1));
-        assert!(c.pin(1));
-        assert!(c.pin(1), "pins nest");
-        c.unpin(1);
-        assert_eq!(c.pinned_blocks(), 1, "one pin still held");
-        c.insert(2, block(1, 2));
-        assert!(c.peek(1).is_some());
-        c.unpin(1);
-        c.unpin(1); // extra unpin is a no-op
-        assert_eq!(c.pinned_blocks(), 0);
-        // All pins released: budget-1 shard keeps only the newest insert.
-        c.insert(3, block(1, 3));
-        assert!(c.peek(1).is_none());
-    }
-
-    #[test]
-    fn all_pinned_shard_stops_evicting_without_spinning() {
-        let c = ShardedLruCache::with_shards(CacheCapacity::Blocks(1), 1);
-        c.insert(1, block(1, 1));
-        assert!(c.pin(1));
-        // Over budget, but the pinned resident is untouchable: the
-        // unpinned newcomer is the only legal victim, and insert returns
-        // promptly instead of spinning for room that cannot appear.
-        c.insert(2, block(1, 2));
-        assert!(c.peek(1).is_some(), "pinned block survives eviction");
-        assert!(c.peek(2).is_none(), "newcomer was the only legal victim");
-        assert_eq!(c.stats().resident_blocks, 1);
-        // Once the pin drops, budget enforcement cycles normally again.
-        c.unpin(1);
-        c.insert(3, block(1, 3));
-        assert!(c.peek(3).is_some());
-        assert!(c.peek(1).is_none());
     }
 
     #[test]

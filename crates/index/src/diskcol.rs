@@ -244,43 +244,6 @@ impl DiskColumnStore {
         Arc::clone(&self.cache)
     }
 
-    /// Warms and pins every block of every level column of store term
-    /// `t`: blocks not yet resident are decoded (counted as ordinary
-    /// misses/decodes), then pinned so batch execution cannot evict its
-    /// own prefetched working set.  Returns the number of blocks
-    /// successfully pinned — less than the block count only when the cache
-    /// policy cannot pin or a tiny capacity evicts a block between insert
-    /// and pin.  Balance with [`DiskColumnStore::unpin_term`].
-    pub fn prefetch_term(&self, t: usize) -> io::Result<u64> {
-        let mut pinned = 0u64;
-        for col in self.term_columns(t) {
-            for b in 0..col.block_count() {
-                self.decode_block(&col.meta, b, None)?;
-                if let Some(start) = col.meta.start(b) {
-                    pinned += u64::from(self.cache.pin(self.block_key(start)));
-                }
-            }
-        }
-        Ok(pinned)
-    }
-
-    /// Releases one pin on every block of store term `t`'s columns (the
-    /// inverse of [`DiskColumnStore::prefetch_term`]); never-pinned blocks
-    /// are no-ops.
-    pub fn unpin_term(&self, t: usize) {
-        for col in self.term_columns(t) {
-            for start in (0..col.block_count()).filter_map(|b| col.meta.start(b)) {
-                self.cache.unpin(self.block_key(start));
-            }
-        }
-    }
-
-    /// Distinct blocks currently pinned in the backing cache (shared
-    /// counter when the cache is shared across stores).
-    pub fn pinned_blocks(&self) -> u64 {
-        self.cache.pinned_blocks()
-    }
-
     /// Cache key for the block starting at file offset `start`: offsets
     /// identify blocks within a file, the store id separates files.
     fn block_key(&self, start: u64) -> u64 {
@@ -716,37 +679,6 @@ mod tests {
         for run in col.runs {
             assert_eq!(dc.find(run.value).unwrap(), Some(*run));
         }
-    }
-
-    #[test]
-    fn prefetch_pins_all_blocks_and_later_probes_decode_nothing() {
-        let (_ix, store, _image) = store();
-        let total_blocks: usize = (1..=store.levels_of("shared"))
-            .filter_map(|l| store.column("shared", l))
-            .map(|dc| dc.block_count())
-            .sum();
-        let shared = store.term_index("shared").unwrap();
-        assert_eq!(store.term_levels(shared), store.levels_of("shared"));
-        let pinned = store.prefetch_term(shared).unwrap();
-        assert_eq!(pinned as usize, total_blocks, "every block warmed and pinned");
-        assert_eq!(store.pinned_blocks(), pinned);
-        let decodes = store.reads();
-        // Every subsequent access is a cache hit: zero further decodes.
-        let dc = store.column("shared", 3).unwrap();
-        dc.scan().unwrap();
-        dc.find(1).unwrap();
-        assert_eq!(store.reads(), decodes, "prefetched column never re-decodes");
-        // Re-prefetching a warm term decodes nothing and nests pins.
-        let again = store.prefetch_term(shared).unwrap();
-        assert_eq!(again, pinned);
-        assert_eq!(store.reads(), decodes);
-        store.unpin_term(shared);
-        store.unpin_term(shared);
-        assert_eq!(store.pinned_blocks(), 0);
-        // Absent terms are a no-op on both sides.
-        assert_eq!(store.term_index("no-such-term"), None);
-        assert_eq!(store.prefetch_term(usize::MAX).unwrap(), 0);
-        store.unpin_term(usize::MAX);
     }
 
     #[test]

@@ -71,9 +71,6 @@ pub enum EventKind {
     /// A batch was admitted: total requests and the distinct execution
     /// classes left after canonicalization + dedup.
     BatchStart { queries: u64, distinct: u64 },
-    /// The cross-query prefetch pass warmed and pinned the union of the
-    /// batch's term columns before execution.
-    BatchPrefetch { terms: u64, blocks_pinned: u64 },
     /// One batch slot was resolved: `source` is `"cache"` (served from
     /// the generation-stamped result cache), `"dedup"` (identical to an
     /// executed slot earlier in the batch) or `"exec"` (executed).
@@ -103,7 +100,6 @@ impl EventKind {
             EventKind::StoreIo { .. } => "store_io",
             EventKind::QueryEnd { .. } => "query_end",
             EventKind::BatchStart { .. } => "batch_start",
-            EventKind::BatchPrefetch { .. } => "batch_prefetch",
             EventKind::BatchServe { .. } => "batch_serve",
             EventKind::BatchEnd { .. } => "batch_end",
             EventKind::ShardScatter { .. } => "shard_scatter",
@@ -158,9 +154,6 @@ impl EventKind {
             EventKind::QueryEnd { results } => vec![("results", U64(results))],
             EventKind::BatchStart { queries, distinct } => {
                 vec![("queries", U64(queries)), ("distinct", U64(distinct))]
-            }
-            EventKind::BatchPrefetch { terms, blocks_pinned } => {
-                vec![("terms", U64(terms)), ("blocks_pinned", U64(blocks_pinned))]
             }
             EventKind::BatchServe { index, source } => {
                 vec![("index", U64(index)), ("source", Str(source))]

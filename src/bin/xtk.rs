@@ -5,7 +5,7 @@
 //! xtk <file.xml> --batch <queries.txt> [--top K] [--all] [--slca] [--stats]
 //!
 //! A query is keywords optionally followed by `knob=value` pairs from the
-//! query language (`xml search k=5 sem=slca rules=prune,push`); knobs
+//! query language (`xml search k=5 sem=slca`); knobs
 //! override the command-line flags for that query.  Parse and binding
 //! errors are reported with a caret under the offending token.
 //!
