@@ -7,12 +7,13 @@
 use std::sync::Arc;
 use xtk_core::batch::{run_batch, BatchItem, BatchOptions, ResultCache};
 use xtk_core::result::{sort_ranked, ScoredResult};
-use xtk_core::shard::{write_sharded, write_sharded_with, ShardedEngine};
+use xtk_core::shard::{write_sharded, write_sharded_with, ShardedEngine, STORE_FILE};
 use xtk_core::{
-    Engine, Executor, Parallelism, Query, QueryAlgorithm, QueryRequest, Semantics,
+    DiskEngine, Engine, Executor, Parallelism, Query, QueryAlgorithm, QueryRequest, Semantics,
 };
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::disk::WriteIndexOptions;
+use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_obs::TraceLevel;
 use xtk_xml::parse;
@@ -136,6 +137,67 @@ fn results_bit_identical_across_topology_parallelism_and_cache() {
             for (got, want) in report.responses.iter().zip(&references) {
                 let label = format!("{shards} shards, bounded={bounded}, batch on fixed(3)");
                 assert_bit_identical(&label, &got.results, want);
+            }
+        }
+    }
+}
+
+/// `ShardedEngine` at every shard count answers as a `DiskEngine` over
+/// the same `index.bin` with the corpus root's results dropped, score
+/// bits included: complete and top-K (k = 1, 5, 100 000) under ELCA and
+/// SLCA, on the mixed corpus, on one without documents (the root holds
+/// every keyword, so nothing is left) and on a one-document corpus.
+#[test]
+fn sharded_equals_the_disk_engine_below_the_root() {
+    let corpora = [
+        ("mixed", corpus_xml()),
+        ("no documents", "<bib>xml keyword search threshold</bib>".to_string()),
+        (
+            "one document",
+            "<bib><paper><title>xml keyword</title><sec><p>xml search</p>\
+             <p>keyword search threshold</p></sec></paper></bib>"
+                .to_string(),
+        ),
+    ];
+    let phrases: [&[&str]; 5] = [
+        &["xml", "keyword"],
+        &["keyword", "search"],
+        &["xml", "ranking"],
+        &["threshold"],
+        &["xml", "search", "keyword"],
+    ];
+    for (name, xml) in &corpora {
+        let ix = XmlIndex::build(parse(xml).unwrap());
+        let mut requests = Vec::new();
+        for sem in [Semantics::Elca, Semantics::Slca] {
+            requests.push(QueryRequest::complete(sem));
+            for k in [1, 5, 100_000] {
+                requests.push(QueryRequest::top_k(k, sem));
+            }
+        }
+        let queries: Vec<Query> = phrases
+            .iter()
+            .filter(|words| words.iter().all(|w| ix.term_id(w).is_some()))
+            .map(|words| Query::from_words(&ix, words).unwrap())
+            .collect();
+        assert!(!queries.is_empty(), "{name}: no query applies");
+        for shards in [1usize, 2, 4, 8] {
+            let dir = tmp(&format!("vs_disk_{shards}"));
+            write_sharded(&ix, &dir, shards).unwrap();
+            let sharded = ShardedEngine::open(&ix, &dir).unwrap();
+            let store = DiskColumnStore::open(&dir.join(STORE_FILE)).unwrap();
+            let disk = DiskEngine::new(&ix, &store);
+            for q in &queries {
+                for req in &requests {
+                    let complete = QueryRequest::complete(req.semantics);
+                    let mut want = disk.execute(q, &complete).unwrap().results;
+                    want.retain(|r| r.level > 1);
+                    sort_ranked(&mut want);
+                    want.truncate(req.k.unwrap_or(usize::MAX));
+                    let got = sharded.execute(q, req).unwrap();
+                    let label = format!("{name}, {shards} shards, {q:?}, {req:?}");
+                    assert_bit_identical(&label, &got.results, &want);
+                }
             }
         }
     }
