@@ -29,7 +29,7 @@ if grep -rn 'lint[:]allow(' --include='*.rs' crates src tests examples >&2; then
 fi
 
 echo "== temp-path hygiene: no bare temp_dir() outside xtk_xml::testutil"
-# Tests, bins and the CLI's --shards that need the filesystem go through
+# Tests and bins that need the filesystem go through
 # testutil::TempPath (unique per call, removed on drop); image-based ones
 # through write_index_to + open_bytes and touch no file.
 if grep -rn "temp_dir()" --include='*.rs' crates src examples tests \
@@ -101,15 +101,21 @@ if grep -rnw -e MAGIC_V2 -e BlockLayout -e decode_block_varint -e encode_column_
     echo "ERROR: a second on-disk format or reader is back (lines above)" >&2; exit 1
 fi
 
-echo "== a shard is a row range of the corpus store: no shard index, no shard store"
-# write_sharded_with writes the one corpus store plus a manifest of
-# document ranges, and ShardedEngine reads each range through a row
-# window of that store.  Any of these names under a crate's sources means
-# a shard index, its score stamping, its subforest or a per-shard store
-# writer came back.
+echo "== a sharded request is one pass over the corpus store: no shard index, no ranges"
+# write_sharded_with writes the one corpus store and nothing else, and
+# ShardedEngine answers with one Algorithm-1 pass over it from level 2
+# down (DESIGN §11).  A shard index, its score stamping, its subforest or
+# a per-shard store writer under a crate's sources means per-shard stores
+# came back; a document range, its row window, the TA stop between
+# ranges, its trace events or the EXPLAIN merge node means the ranges did.
 if grep -rnw -e build_shard_index -e override_scores -e subforest -e write_slice_to \
         --include='*.rs' crates/*/src >&2; then
     echo "ERROR: a per-shard index build or store is back under crates/*/src (lines above)" >&2; exit 1
+fi
+if grep -rnw -e DocRange -e with_pruning -e ShardScatter -e ShardGather -e ShardStop \
+        -e ExecMerge -e LogicalMerge --include='*.rs' crates/*/src >&2 \
+    || grep -rnF -e 'fn window(' -e 'pub struct Slice' --include='*.rs' crates/*/src >&2; then
+    echo "ERROR: document ranges or their TA merge are back under crates/*/src (lines above)" >&2; exit 1
 fi
 # shard_dir_name names the v1/v2 per-shard directories; it stays public
 # for callers outside the workspace, and its definition is its one site.

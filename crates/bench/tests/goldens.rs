@@ -417,8 +417,8 @@ fn shard() {
             (q, req)
         })
         .collect();
-    // The reference: the complete join without the level-1 results (which
-    // partitioning cannot produce), ranked and truncated.
+    // The reference: the complete join without the level-1 results (the
+    // sharded engine leaves out the corpus root), ranked and truncated.
     let want: Vec<_> = work
         .iter()
         .map(|(q, req)| {
@@ -441,7 +441,7 @@ fn shard() {
         let cache = ColdCache::new();
         let engine =
             ShardedEngine::open_with_cache(ix, &dir, cache.clone()).expect("open sharded corpus");
-        let (mut decodes, mut executed, mut pruned) = (0, 0, 0);
+        let mut decodes = 0;
         for ((q, req), want) in work.iter().zip(&want) {
             // Each request on an empty cache: the sum is what the
             // requests decode one by one, which a shared warm cache hides.
@@ -449,24 +449,18 @@ fn shard() {
             let resp = engine.execute(q, req).expect("sharded execute");
             assert_eq!(&bits(&resp.results), want, "{shards} shards diverge from the reference");
             decodes += resp.metrics.get("store.decodes");
-            executed += resp.metrics.get("shard.executed");
-            pruned += resp.metrics.get("shard.pruned");
         }
         if shards == 1 {
             single = decodes;
         } else {
-            assert!(pruned > 0, "the TA merge pruned no shard at {shards} shards: is its stop test run?");
-            // Ranges share one store: splitting the corpus must not
-            // multiply the blocks a request decodes.
+            // Every shard count reads the one store in one pass: it must
+            // not multiply the blocks a request decodes.
             assert!(
                 decodes * 10 <= single * 11,
                 "{shards} shards decode {decodes} blocks, over 1.1 x the {single} of one"
             );
         }
-        lines.push(format!(
-            "{{\"shards\": {shards}, \"decodes\": {decodes}, \"executed\": {executed}, \
-             \"pruned\": {pruned}}}"
-        ));
+        lines.push(format!("{{\"shards\": {shards}, \"decodes\": {decodes}}}"));
     }
 
     check_golden(
@@ -685,7 +679,7 @@ fn explain_snapshot() {
     let targets = [
         ("memory", ExplainTarget::Memory),
         ("disk", ExplainTarget::Disk),
-        ("sharded", ExplainTarget::Sharded { shards: 4, ta_prune: true }),
+        ("sharded", ExplainTarget::Sharded),
     ];
     let engine = Engine::from_xml(&explain_corpus()).expect("corpus parses");
     let ix = engine.index();
@@ -702,9 +696,7 @@ fn explain_snapshot() {
     }
 
     // Executed annotations: each query runs with event tracing on, and the
-    // one explain tree is rendered with per-node actuals and per-store
-    // delta lines.  Sharded fan-out may only add `io: shard=N` lines,
-    // never a second tree.
+    // one explain tree is rendered with per-node actuals and the io line.
     let opts = WriteIndexOptions { include_scores: true, ..Default::default() };
     let image = store_image(ix, opts).expect("write index");
     let shard_dir = TempPath::new("xtk_goldens_explain_shards");
@@ -720,10 +712,10 @@ fn explain_snapshot() {
                     let disk = DiskEngine::new(ix, &store);
                     (explain(ix, &q, &req, target), disk.execute(&q, &req).expect("disk execute"))
                 }
-                ExplainTarget::Sharded { .. } => {
+                ExplainTarget::Sharded => {
                     let sharded = ShardedEngine::open(ix, &shard_dir).expect("open shards");
-                    let report = sharded.explain_plan(&q, &req);
-                    (report, sharded.execute(&q, &req).expect("sharded execute"))
+                    let resp = sharded.execute(&q, &req).expect("sharded execute");
+                    (explain(ix, &q, &req, target), resp)
                 }
             };
             let trace = resp.trace.expect("trace requested");

@@ -217,11 +217,10 @@ pub fn fingerprint(query: &Query, req: &QueryRequest) -> u64 {
     f.0
 }
 
-/// [`fingerprint`] salted with the executor's physical topology
-/// ([`Executor::topology_salt`]).  The batch pipeline keys its dedup map
-/// and result cache on this, so answers computed against one shard layout
-/// can never be served for another — re-sharding a corpus changes the
-/// salt even when the logical index generation does not move.
+/// [`fingerprint`] salted with [`Executor::topology_salt`], which the
+/// batch pipeline keys its dedup map and result cache on.  Every executor
+/// in the workspace returns 0, so today the salt never separates two
+/// entries.
 pub fn fingerprint_salted(query: &Query, req: &QueryRequest, salt: u64) -> u64 {
     let mut f = Fnv(fingerprint(query, req));
     f.push(salt);

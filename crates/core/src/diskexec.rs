@@ -15,56 +15,38 @@ use crate::query::Query;
 use crate::result::ScoredResult;
 use std::io;
 use xtk_index::diskcol::{BlockFeed, DiskColumn, DiskColumnStore, IoSession};
-use xtk_index::{Slice, XmlIndex};
+use xtk_index::XmlIndex;
 use xtk_obs::{EventKind, Obs};
 
 /// The on-disk [`ColumnSource`]: lazily decoded [`DiskColumn`]s whose
 /// accesses count toward one query's [`IoSession`], so concurrent queries
-/// on a shared store cannot inflate each other's `store.*` deltas.  It
-/// reads a whole index, or — windowed to a document range, a shard — the
-/// runs of every column below level 1 that start in the range's rows.
+/// on a shared store cannot inflate each other's `store.*` deltas.
 pub struct DiskSource<'a> {
     store: &'a DiskColumnStore,
     session: &'a IoSession,
     /// Per keyword, in query order: its store term (`None` where the store
-    /// lacks it) and the rows its columns must stay within.
+    /// lacks it) and the rows its columns address.
     terms: Vec<(Option<usize>, KeywordRows<'a>)>,
-    /// The document range the source is windowed to (a shard's); `None`
-    /// reads every row.
-    range: Option<&'a Slice>,
+    /// The shallowest level read: 1, or 2 to leave out the corpus root.
+    floor: u16,
     /// The current level's column handles, in query order.
     cols: Vec<DiskColumn<'a>>,
 }
 
 impl<'a> DiskSource<'a> {
-    /// A source over `query`'s lists in a store of the whole of `ix`.
+    /// A source over `query`'s lists in a store of the whole of `ix`,
+    /// read from level `floor` down.
     pub fn new(
         ix: &'a XmlIndex,
         store: &'a DiskColumnStore,
         query: &Query,
+        floor: u16,
         session: &'a IoSession,
     ) -> Self {
         let term = |t| (store.term_index(ix.term(t).name()), KeywordRows::of(ix.term(t)));
-        Self::over(store, query.terms.iter().map(|&t| term(t)).collect(), None, session)
-    }
-
-    /// A source over store terms and their rows, windowed to the document
-    /// range `range` when given.
-    pub fn over(
-        store: &'a DiskColumnStore,
-        terms: Vec<(Option<usize>, KeywordRows<'a>)>,
-        range: Option<&'a Slice>,
-        session: &'a IoSession,
-    ) -> Self {
+        let terms = query.terms.iter().map(|&t| term(t)).collect::<Vec<_>>();
         let cols = Vec::with_capacity(terms.len());
-        Self { store, session, terms, range, cols }
-    }
-
-    /// Keyword `kw`'s column of `level`, windowed to the range's rows.
-    fn column(&self, kw: usize, level: u16) -> Option<DiskColumn<'a>> {
-        let (t, rows) = self.terms.get(kw)?;
-        let col = self.store.term_column((*t)?, level)?;
-        Some(self.range.map_or(col, |range| col.window(range.rows(rows.postings))))
+        Self { store, session, terms, floor, cols }
     }
 }
 
@@ -77,14 +59,14 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
     }
 
     fn floor(&self) -> u16 {
-        1 + u16::from(self.range.is_some())
+        self.floor
     }
 
     fn enter(&mut self, level: u16) -> io::Result<()> {
         self.cols.clear();
-        for kw in 0..self.terms.len() {
+        for &(term, _) in &self.terms {
             // The rows say the term reaches `level`.
-            let col = self.column(kw, level).ok_or_else(|| {
+            let col = term.and_then(|t| self.store.term_column(t, level)).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "store lacks a column the index lists")
             })?;
             self.cols.push(col.scoped(self.session));
@@ -92,8 +74,7 @@ impl<'a> ColumnSource<'a> for DiskSource<'a> {
         Ok(())
     }
 
-    /// Present rows at the level (the directory's lengths array; the
-    /// window's, in a windowed source).
+    /// Present rows at the level (the directory's lengths array).
     fn size(&self, kw: usize) -> usize {
         self.cols.get(kw).map_or(0, |c| c.row_count())
     }
@@ -141,7 +122,7 @@ pub fn join_search_disk_spec(
     obs: &Obs,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
     let session = IoSession::default();
-    let mut src = DiskSource::new(ix, store, query, &session);
+    let mut src = DiskSource::new(ix, store, query, 1, &session);
     let (results, stats) = algorithm1(ix, query, opts, &mut src, obs)?;
     Ok((results, stats, session.stats().decodes))
 }

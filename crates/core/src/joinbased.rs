@@ -111,9 +111,8 @@ pub trait ColumnSource<'a> {
 
     /// The rows keyword `kw`'s columns address.
     fn rows(&self, kw: usize) -> KeywordRows<'a>;
-    /// The shallowest level the source is read at: 1, but 2 for a source
-    /// windowed to a document range, whose one level-1 run is the corpus
-    /// root's, shared with every other range.
+    /// The shallowest level the source is read at: 1, but 2 for the
+    /// sharded engine's source, which leaves out the corpus root.
     fn floor(&self) -> u16 {
         1
     }

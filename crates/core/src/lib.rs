@@ -58,17 +58,16 @@
 //!   recorded by `xtk-obs`.
 //! * [`plan`] — the logical plan layer: the parsed query language
 //!   (`"xml search k=5 sem=elca"`), the plan IR
-//!   (scan/probe/join/filter/top-K/merge), the result-preserving rewrite
+//!   (scan/probe/join/filter/top-K), the result-preserving rewrite
 //!   rules every plan goes through (column pruning, probe pushdown, noop
 //!   elimination), physical
 //!   lowering behind [`Engine::run`] and the [`Executor`] backends, and
 //!   byte-stable EXPLAIN ([`PlanExplain`]).
 //! * [`batch`] — batched serving: request dedup, a generation-stamped
 //!   result cache, and parallel execution with input-order output ([`Engine::run_batch`]).
-//! * [`shard`] — sharded scatter-gather serving: a corpus partitioned
-//!   into per-document shards ([`write_sharded`]), queried through
-//!   [`ShardedEngine`] with a TA-style merge threshold that stops
-//!   gathering once no remaining shard can alter the top-K.
+//! * [`shard`] — sharded serving: [`ShardedEngine`] answers from the
+//!   corpus store a sharded directory holds ([`write_sharded`]) in one
+//!   Algorithm-1 pass that leaves out the corpus root.
 
 pub mod baseline;
 pub mod batch;

@@ -14,9 +14,9 @@
 //!   functions), so near-duplicate requests that provably execute the
 //!   same way share one plan;
 //! * every entry is stamped with the maintainer **generation** and the
-//!   executor's **topology salt** — incremental maintenance and
-//!   re-sharding invalidate cached plans the same way they invalidate
-//!   cached results;
+//!   executor's **topology salt** (0 for every executor in the
+//!   workspace) — incremental maintenance invalidates cached plans the
+//!   same way it invalidates cached results;
 //! * fingerprint matches are confirmed by full equality before being
 //!   trusted, so a 64-bit collision can never alias two requests;
 //! * the cache is sharded by fingerprint across [`PLAN_CACHE_SHARDS`]
@@ -43,8 +43,8 @@ use xtk_obs::locks::LockRank;
 #[derive(Debug)]
 struct Entry<V> {
     generation: u64,
-    /// Topology salt the value was computed under; a lookup from a
-    /// differently-sharded executor must not alias onto this entry.
+    /// Topology salt the value was computed under; a lookup under
+    /// another salt must not alias onto this entry.
     salt: u64,
     query: Query,
     request: QueryRequest,

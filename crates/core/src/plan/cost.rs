@@ -290,9 +290,9 @@ pub(crate) fn summarize(stats: &PlanStats, plan: &PlanNode) -> CostSummary {
                 // Reverse so the stack pops in input order.
                 probe_walk.extend(inputs.iter().rev());
             }
-            PlanNode::Filter { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Merge { input, .. } => probe_walk.push(input),
+            PlanNode::Filter { input, .. } | PlanNode::TopK { input, .. } => {
+                probe_walk.push(input)
+            }
         }
     }
     for (leaf, &is_probe) in leaves.iter().zip(&kinds) {

@@ -19,8 +19,6 @@
 //! * [`Filter`](PlanNode::Filter) — the ELCA/SLCA semantic pruning.
 //! * [`TopK`](PlanNode::TopK) — output shaping: ranking, the top-K
 //!   strategy, truncation.
-//! * [`Merge`](PlanNode::Merge) — the sharded scatter-gather merge with
-//!   the TA-style bound.
 //!
 //! [`PlanNode::render`] is byte-stable (fixed attribute order, no
 //! floats, no hash iteration), so EXPLAIN output can be snapshot-gated.
@@ -109,15 +107,6 @@ pub enum PlanNode {
         /// Set by noop elimination: the candidate bound that proved the
         /// truncation a noop.
         bound: Option<u64>,
-    },
-    /// Sharded scatter-gather over per-shard copies of the inner plan.
-    Merge {
-        /// The per-shard plan.
-        input: Box<PlanNode>,
-        /// Number of shards scattered over.
-        shards: usize,
-        /// Whether the TA-style bound prunes dominated shards.
-        ta_prune: bool,
     },
 }
 
@@ -208,11 +197,6 @@ impl PlanNode {
                 out.write_char('\n')?;
                 input.render_into(out, depth + 1)
             }
-            PlanNode::Merge { input, shards, ta_prune } => {
-                let ta = if *ta_prune { "on" } else { "off" };
-                writeln!(out, "LogicalMerge: shards={shards} ta-prune={ta}")?;
-                input.render_into(out, depth + 1)
-            }
         }
     }
 
@@ -231,9 +215,9 @@ impl PlanNode {
                     i.collect_leaves(out);
                 }
             }
-            PlanNode::Filter { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Merge { input, .. } => input.collect_leaves(out),
+            PlanNode::Filter { input, .. } | PlanNode::TopK { input, .. } => {
+                input.collect_leaves(out)
+            }
         }
     }
 }

@@ -17,9 +17,9 @@
 //! bit-identical results to the procedural dispatch it replaced — rules
 //! move work, never answers.
 
-use crate::diskexec::join_search_disk_spec;
+use crate::diskexec::DiskSource;
 use crate::hybrid::{hybrid_topk_obs, PlannedEngine};
-use crate::joinbased::{join_search_obs, JoinOptions};
+use crate::joinbased::{algorithm1, join_search_obs, JoinOptions};
 use crate::plan::bind;
 use crate::plan::cost::{self, CostSummary, PlanStats};
 use crate::plan::logical::{LevelRange, PlanNode, ScanMode, TopKStrategy};
@@ -30,7 +30,7 @@ use crate::result::rank_top;
 use crate::topk::{topk_search_obs, ThresholdKind, TopKOptions};
 use std::fmt::{self, Write as _};
 use std::io;
-use xtk_index::diskcol::DiskColumnStore;
+use xtk_index::diskcol::{DiskColumnStore, IoSession};
 use xtk_index::XmlIndex;
 use xtk_obs::Trace;
 
@@ -108,7 +108,6 @@ pub fn lower(plan: &PlanNode, req: &QueryRequest) -> ExecSpec {
                 bound = *nb;
                 node = input;
             }
-            PlanNode::Merge { input, .. } => node = input,
             PlanNode::Filter { input, semantics: s, variant: v } => {
                 semantics = *s;
                 variant = *v;
@@ -180,15 +179,19 @@ pub(crate) fn execute_memory_spec(
 /// The lowered on-disk driver.  The disk executor implements the
 /// join-based algorithm only, so a cost-based top-K lowers to the
 /// complete join (sort + truncate) exactly as [`DiskEngine`] always has,
-/// and a forced star join is rejected.
+/// and a forced star join is rejected.  The level loop stops at `floor`:
+/// 1 for [`DiskEngine`], 2 for [`ShardedEngine`], which leaves out the
+/// corpus root.
 ///
 /// [`DiskEngine`]: crate::DiskEngine
+/// [`ShardedEngine`]: crate::ShardedEngine
 pub(crate) fn execute_disk_spec(
     ix: &XmlIndex,
     store: &DiskColumnStore,
     query: &Query,
     req: &QueryRequest,
     spec: ExecSpec,
+    floor: u16,
 ) -> io::Result<QueryResponse> {
     if let TopKExec::Star { .. } = spec.topk {
         return Err(io::Error::new(
@@ -199,7 +202,9 @@ pub(crate) fn execute_disk_spec(
     let obs = obs_for(req);
     let opts =
         JoinOptions { semantics: spec.semantics, variant: spec.variant, with_scores: spec.scored };
-    let (mut rs, _, _) = join_search_disk_spec(ix, store, query, &opts, &obs)?;
+    let session = IoSession::default();
+    let mut src = DiskSource::new(ix, store, query, floor, &session);
+    let (mut rs, _) = algorithm1(ix, query, &opts, &mut src, &obs)?;
     if spec.scored {
         rank_top(&mut rs, spec.truncate);
     } else if let Some(k) = spec.truncate {
@@ -215,13 +220,8 @@ pub enum ExplainTarget {
     Memory,
     /// The single-store disk engine.
     Disk,
-    /// The sharded scatter-gather engine.
-    Sharded {
-        /// Shard count.
-        shards: usize,
-        /// Whether the TA-style bound prunes dominated shards.
-        ta_prune: bool,
-    },
+    /// The sharded engine: the disk plan read from level 2 down.
+    Sharded,
 }
 
 /// A full EXPLAIN: the plan before and after rewriting, the rewrite log,
@@ -237,7 +237,7 @@ pub struct PlanExplain {
     pub cost: CostSummary,
     /// The tree after the three rules.
     pub rewritten: String,
-    /// The physical plan (ExecTopK/ExecMerge/ExecJoin/ExecScan/ExecProbe).
+    /// The physical plan (ExecTopK/ExecJoin/ExecScan/ExecProbe).
     pub physical: String,
     /// Where the executed plan came from (`Some("cold")` / `Some("cached")`)
     /// when a planner reported it; `None` for a planner-less EXPLAIN.
@@ -281,10 +281,7 @@ pub fn explain(
     target: ExplainTarget,
 ) -> PlanExplain {
     let stats = PlanStats::from_index(ix);
-    let mut logical = bind::logical_plan(ix, query, req);
-    if let ExplainTarget::Sharded { shards, ta_prune } = target {
-        logical = insert_merge(logical, shards, ta_prune);
-    }
+    let logical = bind::logical_plan(ix, query, req);
     let bound = bind::candidate_bound(ix, query);
     let logical_render = logical.render();
     let rw = rewrite(logical, Some(bound));
@@ -300,24 +297,15 @@ pub fn explain(
 
 /// Annotates a rendered physical plan with what actually happened: the
 /// executed trace's decode, match and join-step counts attached to the
-/// matching `Exec*` lines, followed by per-store I/O lines.  One tree is
-/// rendered no matter how many shards executed — per-shard differences
-/// show up only as the trailing `io:` delta lines (the trace gather
-/// rewrites store ids to shard ids).
+/// matching `Exec*` lines, followed by the I/O line.
 pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) -> String {
     use xtk_obs::EventKind;
-    let mut decodes_by_store: Vec<(u32, u64)> = Vec::new();
     let mut total_decodes = 0u64;
     for e in trace.of_kind("store_io") {
-        if let EventKind::StoreIo { store, decodes } = e.kind {
+        if let EventKind::StoreIo { decodes, .. } = e.kind {
             total_decodes = total_decodes.saturating_add(decodes);
-            match decodes_by_store.iter_mut().find(|(s, _)| *s == store) {
-                Some((_, d)) => *d = d.saturating_add(decodes),
-                None => decodes_by_store.push((store, decodes)),
-            }
         }
     }
-    decodes_by_store.sort_unstable();
     let mut matches = 0u64;
     for e in trace.of_kind("level_end") {
         if let EventKind::LevelEnd { matches: m, .. } = e.kind {
@@ -364,14 +352,7 @@ pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) ->
             }
             out.write_char('\n')?;
         }
-        if decodes_by_store.len() <= 1 {
-            writeln!(out, "io: decodes={total_decodes}")?;
-        } else {
-            for (store, d) in &decodes_by_store {
-                writeln!(out, "io: shard={store} decodes={d}")?;
-            }
-        }
-        Ok(())
+        writeln!(out, "io: decodes={total_decodes}")
     })
     .to_string()
 }
@@ -386,37 +367,13 @@ fn leaf_term_name(line: &str) -> Option<&str> {
     rest.split('"').next()
 }
 
-/// Wraps the scatter-gather merge between the top-K gather and the
-/// per-shard pipeline, mirroring where the sharded engine merges.
-fn insert_merge(plan: PlanNode, shards: usize, ta_prune: bool) -> PlanNode {
-    match plan {
-        PlanNode::TopK { input, k, strategy, threshold, scores, bound } => PlanNode::TopK {
-            input: Box::new(PlanNode::Merge { input, shards, ta_prune }),
-            k,
-            strategy,
-            threshold,
-            scores,
-            bound,
-        },
-        other => PlanNode::Merge { input: Box::new(other), shards, ta_prune },
-    }
-}
-
-fn onoff(b: bool) -> &'static str {
-    if b {
-        "on"
-    } else {
-        "off"
-    }
-}
-
 /// Renders the physical plan, byte-stable (no floats, no hash order —
 /// the same request renders identically on any machine).
 pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTarget) -> String {
     let target_name = match target {
         ExplainTarget::Memory => "memory",
         ExplainTarget::Disk => "disk",
-        ExplainTarget::Sharded { .. } => "sharded",
+        ExplainTarget::Sharded => "sharded",
     };
     let thr = match spec.threshold {
         ThresholdKind::Tight => "tight",
@@ -448,17 +405,9 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
             }
         }
         out.write_char('\n')?;
-        let mut depth = 1usize;
-        if let ExplainTarget::Sharded { shards, ta_prune } = target {
-            writeln!(out, "  ExecMerge: shards={shards} ta-prune={}", onoff(ta_prune))?;
-            depth = 2;
-        }
-        for _ in 0..depth {
-            out.write_str("  ")?;
-        }
-        writeln!(
+        write!(
             out,
-            "ExecJoin: semantics={} variant={} scored={}",
+            "  ExecJoin: semantics={} variant={} scored={}",
             match spec.semantics {
                 Semantics::Elca => "elca",
                 Semantics::Slca => "slca",
@@ -469,7 +418,12 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
             },
             if spec.scored { "yes" } else { "no" },
         )?;
-        write_leaves(out, rewritten, depth + 1)
+        // The sharded engine leaves out the corpus root.
+        if target == ExplainTarget::Sharded {
+            out.write_str(" floor=2")?;
+        }
+        out.write_char('\n')?;
+        write_leaves(out, rewritten, 2)
     })
     .to_string()
 }
@@ -508,9 +462,9 @@ fn write_leaves(out: &mut fmt::Formatter<'_>, node: &PlanNode, depth: usize) -> 
             }
             Ok(())
         }
-        PlanNode::Filter { input, .. }
-        | PlanNode::TopK { input, .. }
-        | PlanNode::Merge { input, .. } => write_leaves(out, input, depth),
+        PlanNode::Filter { input, .. } | PlanNode::TopK { input, .. } => {
+            write_leaves(out, input, depth)
+        }
     }
 }
 
@@ -580,11 +534,10 @@ mod tests {
         }
         assert!(a.contains("ExecProbe:"), "{a}");
         assert!(a.contains("join: est blocks="), "{a}");
-        let sharded =
-            explain(&ix, &q, &req, ExplainTarget::Sharded { shards: 3, ta_prune: true })
-                .to_string();
-        assert!(sharded.contains("ExecMerge: shards=3 ta-prune=on"), "{sharded}");
-        assert!(sharded.contains("LogicalMerge: shards=3"), "{sharded}");
+        let sharded = explain(&ix, &q, &req, ExplainTarget::Sharded).to_string();
+        assert!(sharded.contains("target=sharded"), "{sharded}");
+        assert!(sharded.contains("scored=yes floor=2\n"), "{sharded}");
+        assert!(!a.contains("floor="), "{a}");
     }
 
     /// Every join of the rewritten plan has a probe input when it joins
@@ -607,8 +560,7 @@ mod tests {
                 }
             }
             PlanNode::Filter { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Merge { input, .. } => assert_one_pipeline(input, ctx),
+            | PlanNode::TopK { input, .. } => assert_one_pipeline(input, ctx),
         }
     }
 

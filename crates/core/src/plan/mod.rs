@@ -28,8 +28,8 @@
 //! statistics snapshot from the column directory and estimates the
 //! decodes of each plan leaf for EXPLAIN, and [`cache`] memoizes finished
 //! [`ExecSpec`]s across queries keyed by the canonicalized request
-//! fingerprint (invalidated by maintainer generation and topology salt,
-//! exactly like the result cache).
+//! fingerprint (invalidated by maintainer generation, exactly like the
+//! result cache).
 
 pub mod bind;
 pub mod cache;

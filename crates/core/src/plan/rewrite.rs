@@ -116,11 +116,6 @@ fn prune_columns(node: PlanNode, applied: &mut Vec<AppliedRule>) -> PlanNode {
             scores,
             bound,
         },
-        PlanNode::Merge { input, shards, ta_prune } => PlanNode::Merge {
-            input: Box::new(prune_columns(*input, applied)),
-            shards,
-            ta_prune,
-        },
         leaf @ (PlanNode::Scan(_) | PlanNode::IndexProbe(_)) => leaf,
     }
 }
@@ -179,11 +174,6 @@ fn push_probes(node: PlanNode, applied: &mut Vec<AppliedRule>) -> PlanNode {
             threshold,
             scores,
             bound,
-        },
-        PlanNode::Merge { input, shards, ta_prune } => PlanNode::Merge {
-            input: Box::new(push_probes(*input, applied)),
-            shards,
-            ta_prune,
         },
         leaf @ (PlanNode::Scan(_) | PlanNode::IndexProbe(_)) => leaf,
     }
@@ -251,11 +241,6 @@ fn eliminate_noops(
                 bound,
             }
         }
-        PlanNode::Merge { input, shards, ta_prune } => PlanNode::Merge {
-            input: Box::new(eliminate_noops(*input, candidate_bound, applied)),
-            shards,
-            ta_prune,
-        },
         leaf @ (PlanNode::Scan(_) | PlanNode::IndexProbe(_)) => leaf,
     }
 }

@@ -262,13 +262,13 @@ pub trait Executor {
         0
     }
 
-    /// A salt describing the physical topology this backend answers from
-    /// (for [`ShardedEngine`](crate::shard::ShardedEngine): shard count,
-    /// ids and document ranges).  The batch result cache folds it into
-    /// request fingerprints and stamps entries with it, so re-sharding a
-    /// corpus invalidates cached answers even when the logical index
-    /// generation is unchanged.  Single-store backends are topology-free
-    /// and return 0.
+    /// A salt the batch result cache folds into request fingerprints and
+    /// stamps entries with, for a backend whose answers depend on more
+    /// than the index generation.  Every backend in the workspace answers
+    /// from one index or one store and returns 0; the hook stays while
+    /// perfbench's planning probes pass it to [`Planner::spec_for`].
+    ///
+    /// [`Planner::spec_for`]: crate::plan::Planner::spec_for
     fn topology_salt(&self) -> u64 {
         0
     }
@@ -334,7 +334,7 @@ impl Executor for DiskEngine<'_> {
             QueryAlgorithm::Auto | QueryAlgorithm::JoinBased => {
                 let (spec, _) =
                     self.planner.spec_for(self.ix, query, req, self.ix.generation(), 0);
-                crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec)
+                crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec, 1)
             }
             _ => Err(io::Error::new(
                 io::ErrorKind::Unsupported,

@@ -4,8 +4,8 @@
 //! in-memory, on-disk and sharded executors, for every on-disk
 //! format.  The cache is also exercised through its two
 //! invalidation channels: a moved index generation (incremental
-//! maintenance) and a changed topology salt (re-sharding) must both
-//! force a cold re-plan instead of serving a stale spec.
+//! maintenance) and a changed topology salt must both force a cold
+//! re-plan instead of serving a stale spec.
 
 use std::sync::Arc;
 use xtk_core::plan::{PlanSource, Planner};
@@ -126,8 +126,8 @@ fn cached_plans_are_result_identical_sharded() {
         assert_eq!(bits(&cold), bits(&warm), "shards={shards}");
         let stats = engine.planner().cache().stats();
         assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
-        // Topology must not leak into answers: every shard count (and
-        // therefore every topology salt) returns the same bits.
+        // The shard count must not leak into answers: every one returns
+        // the same bits.
         match &reference {
             Some(want) => assert_eq!(want, &bits(&warm), "shards={shards} vs reference"),
             None => reference = Some(bits(&warm)),
@@ -231,8 +231,8 @@ fn replace_index_refreshes_cached_plans_and_answers() {
 
 /// Topology-salt regression: the same `(query, request, generation)`
 /// under two different salts must occupy two distinct cache entries —
-/// a plan fingerprinted for one shard topology is never served to
-/// another, and neither lookup aliases the other.
+/// a plan fingerprinted under one salt is never served under another,
+/// and neither lookup aliases the other.
 #[test]
 fn stale_topology_salt_misses_instead_of_aliasing() {
     let e = Engine::from_xml(&corpus()).unwrap();

@@ -1,8 +1,8 @@
-//! The shard-invariance differential suite: 1 shard ≡ {2, 4, 8} shards
-//! bit-identically — results across batch `Parallelism` × block-cache
-//! configs — plus `run_batch` ≡ sequential per-query runs ≡ single-shard
-//! runs, the TA stop on a shard the first one dominates, and the
-//! topology-salt regression for the stale-cache-hit case.
+//! The sharded engine's differential suite: at 1, 2, 4 and 8 shards it
+//! answers as a `DiskEngine` over the same store and as the in-memory
+//! engine, both without their level-1 results, bit for bit — across batch
+//! `Parallelism` × block-cache configs — plus `run_batch` ≡ sequential
+//! per-query runs ≡ single-shard runs.
 
 use std::sync::Arc;
 use xtk_core::batch::{run_batch, BatchItem, BatchOptions, ResultCache};
@@ -15,12 +15,10 @@ use xtk_index::cache::ShardedLruCache;
 use xtk_index::disk::WriteIndexOptions;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
-use xtk_obs::TraceLevel;
 use xtk_xml::parse;
 use xtk_xml::testutil::TempPath;
 
-/// A deterministic 48-document corpus with skewed term frequencies, so
-/// the TA merge actually prunes on some queries and not on others.
+/// A deterministic 48-document corpus with skewed term frequencies.
 fn corpus_xml() -> String {
     let mut s = String::from("<bib>");
     for c in 0..8 {
@@ -205,10 +203,10 @@ fn sharded_equals_the_disk_engine_below_the_root() {
 
 #[test]
 fn stores_written_without_scores_serve_ranked_requests() {
-    // Nothing reads a shard file's score section: shard scores are
-    // stamped into each shard's in-memory index from the corpus-global
-    // one.  So stores written without scores open and answer every
-    // request, top-K included, bit for bit as the unsharded reference.
+    // Nothing reads the store's score section: the engine ranks by the
+    // corpus index's scores.  So a store written without scores opens
+    // and answers every request, top-K included, bit for bit as the
+    // unsharded reference.
     let ix = corpus();
     let engine = Engine::from_index(corpus());
     let dir = tmp("noscores");
@@ -218,49 +216,6 @@ fn stores_written_without_scores_serve_ranked_requests() {
     for (q, req) in &workload(&ix) {
         let got = sharded.execute(q, req).unwrap();
         assert_bit_identical("4 shards, no scores", &got.results, &reference(&engine, q, req));
-    }
-}
-
-/// Four documents, one per shard: the first holds the only nodes that
-/// repeat both keywords, the others one occurrence of each.  A shard's
-/// bound is the sum of its keywords' best occurrence scores, so the
-/// first shard's two best answers lie above every other shard's bound.
-fn dominated_corpus_xml() -> String {
-    let strong = "alpha ".repeat(8) + &"beta ".repeat(8);
-    let mut s = format!("<bib><doc><p>{strong}</p><p>{strong}</p><p>{strong}gamma</p></doc>");
-    for d in 1..4 {
-        s.push_str(&format!("<doc><p>alpha beta delta{d}</p><p>gamma delta{d}</p></doc>"));
-    }
-    s.push_str("</bib>");
-    s
-}
-
-#[test]
-fn a_dominated_shard_is_pruned_before_it_runs() {
-    let engine = Engine::from_xml(&dominated_corpus_xml()).unwrap();
-    let ix = engine.index();
-    let dir = tmp("dominated");
-    assert_eq!(write_sharded(ix, &dir, 4).unwrap(), 4);
-    let sharded = ShardedEngine::open(ix, &dir).unwrap();
-    let q = Query::from_words(ix, &["alpha", "beta"]).unwrap();
-    for sem in [Semantics::Elca, Semantics::Slca] {
-        let req = QueryRequest::top_k(2, sem).with_trace(TraceLevel::Events);
-        let got = sharded.execute(&q, &req).unwrap();
-        assert_bit_identical(&format!("{sem:?}"), &got.results, &reference(&engine, &q, &req));
-        let (executed, pruned) = (got.metrics.get("shard.executed"), got.metrics.get("shard.pruned"));
-        assert_eq!(got.metrics.get("shard.eligible"), 4, "{sem:?}: every shard holds both keywords");
-        assert!(pruned >= 1 && executed < 4, "{sem:?}: executed {executed}, pruned {pruned}");
-        assert_eq!(executed + pruned, 4, "{sem:?}");
-        // One scatter and one gather per executed shard, one stop.
-        let trace = got.trace.as_ref().unwrap();
-        assert_eq!(trace.of_kind("shard_scatter").len() as u64, executed, "{sem:?}");
-        assert_eq!(trace.of_kind("shard_gather").len() as u64, executed, "{sem:?}");
-        assert_eq!(trace.of_kind("shard_stop").len(), 1, "{sem:?}");
-        // Without the stop every shard runs, and the answer is the same.
-        let full = ShardedEngine::open(ix, &dir).unwrap().with_pruning(false);
-        let all = full.execute(&q, &req).unwrap();
-        assert_eq!((all.metrics.get("shard.executed"), all.metrics.get("shard.pruned")), (4, 0));
-        assert_bit_identical(&format!("{sem:?} unpruned"), &all.results, &got.results);
     }
 }
 
@@ -318,46 +273,4 @@ fn run_batch_equals_sequential_equals_single_shard() {
         assert_bit_identical("cold vs warm batch", &a.results, &b.results);
         assert_eq!(a.metrics, b.metrics, "cold vs warm batch metrics");
     }
-}
-
-#[test]
-fn resharding_invalidates_cached_answers() {
-    let ix = corpus();
-    let work = workload(&ix);
-    let (da, db) = (tmp("salt2"), tmp("salt4"));
-    write_sharded(&ix, &da, 2).unwrap();
-    write_sharded(&ix, &db, 4).unwrap();
-    let two = ShardedEngine::open(&ix, &da).unwrap();
-    let four = ShardedEngine::open(&ix, &db).unwrap();
-    assert_ne!(two.topology_salt(), four.topology_salt());
-
-    let items: Vec<BatchItem> =
-        work.iter().map(|(q, req)| BatchItem::new(q.clone(), *req)).collect();
-    let cache = ResultCache::default();
-    let opts = BatchOptions::default();
-
-    let first = run_batch(&two, &cache, &opts, &items).unwrap();
-    assert_eq!(first.metrics.get("batch.result_hits"), 0);
-    assert_eq!(first.metrics.get("batch.executed"), first.metrics.get("batch.distinct"));
-
-    // Re-sharded topology, same shared cache: without the topology salt
-    // these lookups would serve the 2-shard responses (whose shard.*
-    // metric totals describe the wrong topology) as stale hits.
-    let second = run_batch(&four, &cache, &opts, &items).unwrap();
-    assert_eq!(
-        second.metrics.get("batch.result_hits"),
-        0,
-        "a re-sharded corpus must not hit cache entries from the old topology"
-    );
-    assert_eq!(second.metrics.get("batch.executed"), second.metrics.get("batch.distinct"));
-    for resp in &second.responses {
-        assert_eq!(resp.metrics.get("shard.shards"), 4, "responses describe the live topology");
-    }
-    // The answers themselves are topology-invariant.
-    for (a, b) in first.responses.iter().zip(&second.responses) {
-        assert_bit_identical("2 shards vs 4 shards", &a.results, &b.results);
-    }
-    // Same topology again: now it hits.
-    let third = run_batch(&four, &cache, &opts, &items).unwrap();
-    assert_eq!(third.metrics.get("batch.result_hits"), third.metrics.get("batch.queries"));
 }

@@ -134,7 +134,7 @@ fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
         let label = format!("cap1={one_block}");
         let store = DiskColumnStore::open_bytes(bytes.clone(), cache(one_block)).unwrap();
         let session = IoSession::default();
-        let mut disk = DiskSource::new(ix, &store, query, &session);
+        let mut disk = DiskSource::new(ix, &store, query, 1, &session);
         let disk_store = Storage {
             label: &label,
             size_of: |c| c.row_count() as usize,
@@ -144,7 +144,7 @@ fn check_every_source(ix: &XmlIndex, query: &Query, g: &mut Gen) {
         check_contract(&disk_store, &mut disk, ix, query, g);
         // And the one driver over it answers as over memory.
         let session = IoSession::default();
-        let mut disk = DiskSource::new(ix, &store, query, &session);
+        let mut disk = DiskSource::new(ix, &store, query, 1, &session);
         let (got, _) = algorithm1(ix, query, &opts, &mut disk, &Obs::default()).unwrap();
         assert_eq!(bits(&want), bits(&got), "{label}: driver results");
     }

@@ -28,7 +28,6 @@ use crate::score::{Damping, TfIdf};
 use crate::terms::{TermArena, TermData};
 use crate::text::token_counts;
 use std::collections::HashMap;
-use std::ops::Range;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::tree::{NodeId, XmlTree};
 
@@ -46,25 +45,6 @@ pub fn node_quality(node: NodeId) -> f32 {
 /// Identifier of a term in the index vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub u32);
-
-/// A contiguous range of an index's nodes (a document shard).  Postings
-/// are in document order, so a term's postings in the range are one row
-/// range of its lists; JDewey numbers are unique per level and monotone in
-/// parent order (§III-A), so a range of whole documents is one row range
-/// of every column too, and no run at level 2 or deeper crosses its edge.
-#[derive(Debug, Clone)]
-pub struct Slice {
-    nodes: Range<u32>,
-}
-
-impl Slice {
-    /// The rows of the postings `postings` (a term's, in document order)
-    /// inside the range.
-    pub fn rows(&self, postings: &[NodeId]) -> Range<usize> {
-        postings.partition_point(|n| n.0 < self.nodes.start)
-            ..postings.partition_point(|n| n.0 < self.nodes.end)
-    }
-}
 
 /// The local scoring function `g(v, w)` (paper §II-B: "the function g can
 /// take multiple factors into account ... and combine them in an
@@ -293,11 +273,6 @@ impl XmlIndex {
     #[inline]
     pub fn node_at(&self, level: u16, number: u32) -> Option<NodeId> {
         self.jd.node_at(level, number)
-    }
-
-    /// The nodes `nodes` as a [`Slice`].
-    pub fn slice(&self, nodes: Range<NodeId>) -> Slice {
-        Slice { nodes: nodes.start.0..nodes.end.0 }
     }
 }
 

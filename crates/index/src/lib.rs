@@ -56,7 +56,7 @@ pub mod sizes;
 pub mod terms;
 pub mod text;
 
-pub use builder::{IndexOptions, LocalScorer, Slice, TermId, XmlIndex};
+pub use builder::{IndexOptions, LocalScorer, TermId, XmlIndex};
 pub use terms::TermData;
 pub use columnar::{Column, Run};
 pub use score::Damping;

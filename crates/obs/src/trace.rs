@@ -77,14 +77,6 @@ pub enum EventKind {
     BatchServe { index: u64, source: &'static str },
     /// Batch finished: total results over every slot.
     BatchEnd { queries: u64, results: u64 },
-    /// One shard is about to run; `bound_bits` is the shard's TA score
-    /// upper bound as `f32::to_bits`.
-    ShardScatter { shard: u32, bound_bits: u32 },
-    /// One shard's candidates were merged back, in plan order.
-    ShardGather { shard: u32, results: u64 },
-    /// The scatter-gather loop finished: shards executed, shards pruned
-    /// by the TA threshold, shards skipped for missing query terms.
-    ShardStop { executed: u64, pruned: u64, skipped: u64 },
 }
 
 impl EventKind {
@@ -102,9 +94,6 @@ impl EventKind {
             EventKind::BatchStart { .. } => "batch_start",
             EventKind::BatchServe { .. } => "batch_serve",
             EventKind::BatchEnd { .. } => "batch_end",
-            EventKind::ShardScatter { .. } => "shard_scatter",
-            EventKind::ShardGather { .. } => "shard_gather",
-            EventKind::ShardStop { .. } => "shard_stop",
         }
     }
 
@@ -161,17 +150,6 @@ impl EventKind {
             EventKind::BatchEnd { queries, results } => {
                 vec![("queries", U64(queries)), ("results", U64(results))]
             }
-            EventKind::ShardScatter { shard, bound_bits } => {
-                vec![("shard", U64(shard as u64)), ("bound_bits", U64(bound_bits as u64))]
-            }
-            EventKind::ShardGather { shard, results } => {
-                vec![("shard", U64(shard as u64)), ("results", U64(results))]
-            }
-            EventKind::ShardStop { executed, pruned, skipped } => vec![
-                ("executed", U64(executed)),
-                ("pruned", U64(pruned)),
-                ("skipped", U64(skipped)),
-            ],
         }
     }
 }

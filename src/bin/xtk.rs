@@ -12,11 +12,6 @@
 //!   --top K     return the K best results (default: top 10)
 //!   --all       return the complete ranked result set
 //!   --slca      SLCA semantics instead of ELCA
-//!   --shards N  partition the corpus into N document ranges of one
-//!               store (in a temp directory) and serve scatter-gather
-//!               with the TA merge threshold; answers are bit-identical
-//!               to --shards 1.
-//!               Join-based engines only (join/auto).
 //!   --engine E  answer with a specific engine (complete set: join or
 //!               stack; top-K: join [star join] or auto [hybrid planner]).
 //!               The index-based and RDIL baselines are not served; the
@@ -41,19 +36,16 @@
 //! ```
 
 use std::process::exit;
-use xtk::core::batch::run_batch;
 use xtk::core::engine::Engine;
 use xtk::core::plan::{annotate_executed, compile};
 use xtk::core::query::Semantics;
-use xtk::core::request::{Executor, QueryAlgorithm, QueryRequest};
-use xtk::core::shard::{write_sharded, ShardedEngine};
-use xtk::core::{BatchItem, BatchOptions, ResultCache, TraceLevel};
-use xtk::xml::testutil::TempPath;
+use xtk::core::request::{QueryAlgorithm, QueryRequest};
+use xtk::core::{BatchItem, BatchOptions, TraceLevel};
 
 fn usage() -> ! {
     eprintln!(
         "usage: xtk <file.xml> <keywords…> [--top K] [--all] [--slca] \
-         [--shards N] [--engine join|stack|auto] [--batch FILE] \
+         [--engine join|stack|auto] [--batch FILE] \
          [--explain] [--trace] [--stats]"
     );
     exit(2);
@@ -74,7 +66,6 @@ fn main() {
     let mut trace = false;
     let mut engine_name = "join".to_string();
     let mut batch_file: Option<String> = None;
-    let mut shards: Option<usize> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -94,15 +85,6 @@ fn main() {
             "--batch" => {
                 i += 1;
                 batch_file = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--shards" => {
-                i += 1;
-                shards = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .unwrap_or_else(|| usage()),
-                );
             }
             w if !w.starts_with("--") => keywords.push(w.to_string()),
             _ => usage(),
@@ -138,39 +120,6 @@ fn main() {
         );
     }
 
-    // --shards: materialize the sharded layout in a scratch directory and
-    // serve every query scatter-gather through it.
-    let shard_dir = shards.map(|n| {
-        let dir = TempPath::new("xtk_cli_shards");
-        match write_sharded(engine.index(), &dir, n) {
-            Ok(written) => {
-                if stats {
-                    eprintln!("sharded into {written} shard(s) at {}", dir.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("xtk: cannot shard corpus: {e}");
-                exit(1);
-            }
-        }
-        dir
-    });
-    let cleanup = || {
-        if let Some(dir) = &shard_dir {
-            std::fs::remove_dir_all(dir).ok();
-        }
-    };
-    let sharded = shard_dir.as_ref().map(|dir| {
-        match ShardedEngine::open(engine.index(), dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xtk: cannot open sharded corpus: {e}");
-                std::fs::remove_dir_all(dir).ok();
-                exit(1);
-            }
-        }
-    });
-
     if let Some(batch_path) = &batch_file {
         let text = match std::fs::read_to_string(batch_path) {
             Ok(t) => t,
@@ -199,26 +148,12 @@ fn main() {
                 }
                 Err(e) => {
                     eprintln!("xtk: {}", e.render(line));
-                    cleanup();
                     exit(1);
                 }
             }
         }
         let t0 = std::time::Instant::now();
-        let report = match &sharded {
-            Some(s) => {
-                let cache = ResultCache::default();
-                match run_batch(s, &cache, &BatchOptions::default(), &items) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("xtk: sharded batch failed: {e}");
-                        cleanup();
-                        exit(1);
-                    }
-                }
-            }
-            None => engine.run_batch_report(&items, &BatchOptions::default()),
-        };
+        let report = engine.run_batch_report(&items, &BatchOptions::default());
         let elapsed = t0.elapsed();
         for (line, resp) in lines.iter().zip(&report.responses) {
             println!("## {line}");
@@ -230,29 +165,16 @@ fn main() {
             eprintln!("{} quer(ies) in {:.2?}", items.len(), elapsed);
             eprintln!("{}", report.metrics.to_json());
         }
-        cleanup();
         return;
     }
 
     let semantics = if slca { Semantics::Slca } else { Semantics::Elca };
-    let algorithm = if sharded.is_some() {
-        // The scatter-gather merge is join-based; other engine names
-        // cannot honor --shards.
-        match engine_name.as_str() {
-            "join" | "auto" => QueryAlgorithm::JoinBased,
-            _ => {
-                cleanup();
-                usage()
-            }
-        }
-    } else {
-        match (all, engine_name.as_str()) {
-            (true, "join") => QueryAlgorithm::JoinBased,
-            (true, "stack") => QueryAlgorithm::StackBased,
-            (false, "join") => QueryAlgorithm::TopKJoin,
-            (false, "auto") => QueryAlgorithm::Auto,
-            _ => usage(),
-        }
+    let algorithm = match (all, engine_name.as_str()) {
+        (true, "join") => QueryAlgorithm::JoinBased,
+        (true, "stack") => QueryAlgorithm::StackBased,
+        (false, "join") => QueryAlgorithm::TopKJoin,
+        (false, "auto") => QueryAlgorithm::Auto,
+        _ => usage(),
     };
     let mut base = if all {
         QueryRequest::complete(semantics)
@@ -269,53 +191,28 @@ fn main() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xtk: {}", e.render(&text));
-            cleanup();
             exit(1);
         }
     };
 
     if explain {
-        let report = match &sharded {
-            Some(s) => s.explain_plan(&query, &req),
-            None => engine.explain_plan(&query, &req),
-        };
+        let report = engine.explain_plan(&query, &req);
         print!("{report}");
         if trace {
             // --explain --trace: execute for real and re-render the one
             // plan tree with per-node actuals (decodes, join steps,
-            // strategies) and per-store io deltas from the live trace.
-            let resp = match &sharded {
-                Some(s) => match s.execute(&query, &req) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("xtk: sharded query failed: {e}");
-                        cleanup();
-                        exit(1);
-                    }
-                },
-                None => engine.run(&query, &req),
-            };
+            // strategies) and the io delta from the live trace.
+            let resp = engine.run(&query, &req);
             if let Some(tr) = &resp.trace {
                 println!("\n== executed plan ==");
                 print!("{}", annotate_executed(engine.index(), &report, tr));
             }
         }
-        cleanup();
         return;
     }
 
     let t0 = std::time::Instant::now();
-    let resp = match &sharded {
-        Some(s) => match s.execute(&query, &req) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("xtk: sharded query failed: {e}");
-                cleanup();
-                exit(1);
-            }
-        },
-        None => engine.run(&query, &req),
-    };
+    let resp = engine.run(&query, &req);
     let elapsed = t0.elapsed();
 
     for (rank, r) in resp.results.iter().enumerate() {
@@ -328,5 +225,4 @@ fn main() {
         eprintln!("{} result(s) in {:.2?} via {:?}", resp.results.len(), elapsed, resp.engine);
         eprintln!("{}", resp.metrics.to_json());
     }
-    cleanup();
 }
