@@ -91,15 +91,32 @@ for name in MAGIC_V1 has_footers SparseIndex; do
 done
 
 echo "== one on-disk format: one block layout, encoder, decoder, magic and reader"
-# xtk-index writes and reads the bit-packed layout alone (file version 4),
-# and DiskColumnStore is its one reader.  The varint layout, its magic and
-# the eager reader that decoded whole files are gone; any of these names
-# under the source trees means a second format or reader came back.
+# xtk-index writes and reads the bit-packed layout with short lists inline
+# (file version 5), and DiskColumnStore is its one reader.  The varint
+# layout, its magic and the eager reader that decoded whole files are
+# gone; any of these names under the source trees means a second format
+# or reader came back, and a version-4 magic one more.
 if grep -rnw -e MAGIC_V2 -e BlockLayout -e decode_block_varint -e encode_column_packed \
         -e read_index -e read_index_bytes -e PersistedIndex -e 'FormatVersion::V2' \
         --include='*.rs' crates src tests examples >&2; then
     echo "ERROR: a second on-disk format or reader is back (lines above)" >&2; exit 1
 fi
+if grep -rniE '0x5854_?4B04' --include='*.rs' crates src tests examples >&2; then
+    echo "ERROR: a version-4 magic is back (lines above): the writer writes version 5" >&2; exit 1
+fi
+# A term's lists go inline by one threshold, a constant of the format: one
+# definition, and no write option, flag or environment variable that
+# would let two files of one version differ in it.  An inline record has
+# one decoder (disk::InlineWalk, fed by parse_directory's one read of its
+# length): a second read of either field means a second parser.
+expect_sites 1 'crates/*/src' 'const INLINE_MAX_POSTINGS'
+options=$(sed -n '/pub struct WriteIndexOptions/,/^}/p' crates/index/src/disk.rs)
+[ -n "$options" ] || { echo "ERROR: WriteIndexOptions not found in crates/index/src/disk.rs" >&2; exit 1; }
+if printf '%s\n' "$options" | grep -ni inline >&2; then
+    echo "ERROR: WriteIndexOptions names the inline threshold (lines above)" >&2; exit 1
+fi
+expect_sites 1 'crates/index/src crates/core/src' '"inline record length"'
+expect_sites 1 'crates/index/src crates/core/src' '"inline shared count"'
 
 echo "== a sharded request is one pass over the corpus store: no shard index, no ranges"
 # write_sharded_with writes the one corpus store and nothing else, and

@@ -25,7 +25,9 @@ use crate::plan::cost::{self, CostSummary, PlanStats};
 use crate::plan::logical::{LevelRange, PlanNode, ScanMode, TopKStrategy};
 use crate::plan::rewrite::{rewrite, AppliedRule};
 use crate::query::{ElcaVariant, Query, Semantics};
-use crate::request::{obs_for, respond, ExecutedEngine, QueryRequest, QueryResponse, ScoreMode};
+use crate::request::{
+    obs_for, respond, ExecutedEngine, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode,
+};
 use crate::result::rank_top;
 use crate::topk::{topk_search_obs, ThresholdKind, TopKOptions};
 use std::fmt::{self, Write as _};
@@ -176,12 +178,41 @@ pub(crate) fn execute_memory_spec(
     }
 }
 
-/// The lowered on-disk driver.  The disk executor implements the
-/// join-based algorithm only, so a cost-based top-K lowers to the
-/// complete join (sort + truncate) exactly as [`DiskEngine`] always has,
-/// and a forced star join is rejected.  The level loop stops at `floor`:
-/// 1 for [`DiskEngine`], 2 for [`ShardedEngine`], which leaves out the
-/// corpus root.
+/// Why `target`'s executor refuses `req`, if it does: the disk and
+/// sharded executors implement the join-based algorithm alone (no star
+/// join, no stack baseline), and the sharded one ranks every answer.
+/// The executors return it as `Unsupported` before planning and
+/// [`explain`] renders it in place of a physical plan, so EXPLAIN never
+/// shows a plan its target would not run.
+pub fn refusal(req: &QueryRequest, target: ExplainTarget) -> Option<&'static str> {
+    let join_only = !matches!(req.algorithm, QueryAlgorithm::Auto | QueryAlgorithm::JoinBased);
+    match target {
+        ExplainTarget::Memory => None,
+        ExplainTarget::Disk => {
+            join_only.then_some("the on-disk executor implements the join-based algorithm only")
+        }
+        ExplainTarget::Sharded if join_only => {
+            Some("the sharded executor implements the join-based algorithm only")
+        }
+        ExplainTarget::Sharded => (req.scores == ScoreMode::Unranked)
+            .then_some("the sharded executor ranks by score and cannot serve unranked requests"),
+    }
+}
+
+/// [`refusal`] as the executors return it.
+pub(crate) fn refuse(req: &QueryRequest, target: ExplainTarget) -> io::Result<()> {
+    match refusal(req, target) {
+        Some(why) => Err(io::Error::new(io::ErrorKind::Unsupported, why)),
+        None => Ok(()),
+    }
+}
+
+/// The lowered on-disk driver, for the requests [`refusal`] lets through.
+/// The disk executor implements the join-based algorithm only, so a
+/// cost-based top-K lowers to the complete join (sort + truncate) exactly
+/// as [`DiskEngine`] always has.  The level loop stops at `floor`: 1 for
+/// [`DiskEngine`], 2 for [`ShardedEngine`], which leaves out the corpus
+/// root.
 ///
 /// [`DiskEngine`]: crate::DiskEngine
 /// [`ShardedEngine`]: crate::ShardedEngine
@@ -193,12 +224,6 @@ pub(crate) fn execute_disk_spec(
     spec: ExecSpec,
     floor: u16,
 ) -> io::Result<QueryResponse> {
-    if let TopKExec::Star { .. } = spec.topk {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the on-disk executor implements the join-based algorithm only",
-        ));
-    }
     let obs = obs_for(req);
     let opts =
         JoinOptions { semantics: spec.semantics, variant: spec.variant, with_scores: spec.scored };
@@ -222,6 +247,17 @@ pub enum ExplainTarget {
     Disk,
     /// The sharded engine: the disk plan read from level 2 down.
     Sharded,
+}
+
+impl ExplainTarget {
+    /// The target as EXPLAIN names it.
+    fn name(self) -> &'static str {
+        match self {
+            ExplainTarget::Memory => "memory",
+            ExplainTarget::Disk => "disk",
+            ExplainTarget::Sharded => "sharded",
+        }
+    }
 }
 
 /// A full EXPLAIN: the plan before and after rewriting, the rewrite log,
@@ -273,7 +309,9 @@ impl std::fmt::Display for PlanExplain {
 
 /// Builds the EXPLAIN report for a bound query against `target`,
 /// costed against an in-memory statistics snapshot (so the report is a
-/// pure function of the index and the request, never of I/O state).
+/// pure function of the index and the request, never of I/O state).  A
+/// request the target refuses ([`refusal`]) shows an `ExecRefused` line
+/// as its physical plan.
 pub fn explain(
     ix: &XmlIndex,
     query: &Query,
@@ -290,7 +328,10 @@ pub fn explain(
         applied: rw.applied,
         cost: cost::summarize(&stats, &rw.plan),
         rewritten: rw.plan.render(),
-        physical: render_physical(&lower(&rw.plan, req), &rw.plan, target),
+        physical: match refusal(req, target) {
+            Some(why) => format!("ExecRefused: target={} reason=\"{why}\"\n", target.name()),
+            None => render_physical(&lower(&rw.plan, req), &rw.plan, target),
+        },
         provenance: None,
     }
 }
@@ -370,11 +411,7 @@ fn leaf_term_name(line: &str) -> Option<&str> {
 /// Renders the physical plan, byte-stable (no floats, no hash order —
 /// the same request renders identically on any machine).
 pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTarget) -> String {
-    let target_name = match target {
-        ExplainTarget::Memory => "memory",
-        ExplainTarget::Disk => "disk",
-        ExplainTarget::Sharded => "sharded",
-    };
+    let target_name = target.name();
     let thr = match spec.threshold {
         ThresholdKind::Tight => "tight",
         ThresholdKind::Classic => "classic",

@@ -330,17 +330,9 @@ impl<'a> DiskEngine<'a> {
 
 impl Executor for DiskEngine<'_> {
     fn execute(&self, query: &Query, req: &QueryRequest) -> io::Result<QueryResponse> {
-        match req.algorithm {
-            QueryAlgorithm::Auto | QueryAlgorithm::JoinBased => {
-                let (spec, _) =
-                    self.planner.spec_for(self.ix, query, req, self.ix.generation(), 0);
-                crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec, 1)
-            }
-            _ => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the on-disk executor implements the join-based algorithm only",
-            )),
-        }
+        crate::plan::lower::refuse(req, crate::plan::ExplainTarget::Disk)?;
+        let (spec, _) = self.planner.spec_for(self.ix, query, req, self.ix.generation(), 0);
+        crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec, 1)
     }
 
     fn generation(&self) -> u64 {

@@ -24,7 +24,7 @@
 //! keeps its shard-count argument, ignored, for its existing callers.
 
 use crate::query::Query;
-use crate::request::{Executor, QueryAlgorithm, QueryRequest, QueryResponse, ScoreMode};
+use crate::request::{Executor, QueryRequest, QueryResponse};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -141,18 +141,7 @@ impl<'a> ShardedEngine<'a> {
 
 impl Executor for ShardedEngine<'_> {
     fn execute(&self, query: &Query, req: &QueryRequest) -> io::Result<QueryResponse> {
-        if !matches!(req.algorithm, QueryAlgorithm::Auto | QueryAlgorithm::JoinBased) {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the sharded executor implements the join-based algorithm only",
-            ));
-        }
-        if req.scores == ScoreMode::Unranked {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the sharded executor ranks by score and cannot serve unranked requests",
-            ));
-        }
+        crate::plan::lower::refuse(req, crate::plan::ExplainTarget::Sharded)?;
         if query.terms.iter().any(|t| t.0 as usize >= self.ix.vocab_size()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -172,6 +161,7 @@ impl Executor for ShardedEngine<'_> {
 mod tests {
     use super::*;
     use crate::query::Semantics;
+    use crate::request::QueryAlgorithm;
     use crate::result::sort_ranked;
     use xtk_xml::parse;
 

@@ -197,3 +197,58 @@ fn pruning_strictly_reduces_cold_decodes() {
         "pruned reads ({pruned}) must decode more than footer-skipping probes ({probed})"
     );
 }
+
+/// EXPLAIN shows an `ExecRefused` line for exactly the requests its
+/// target's executor refuses, and the executor's error is the line's
+/// reason: over every algorithm, with and without `k`, ranked and
+/// unranked, under both semantics, on the disk and the sharded target.
+#[test]
+fn explain_and_execution_refuse_the_same_requests() {
+    use xtk_core::plan::{explain, ExplainTarget};
+    let engine = Engine::from_xml(&corpus()).unwrap();
+    let ix = engine.index();
+    let store = DiskColumnStore::open_bytes(image(ix), Arc::new(ShardedLruCache::unbounded())).unwrap();
+    let disk = DiskEngine::new(ix, &store);
+    let dir = TempPath::new("xtk_plan_refusals");
+    write_sharded(ix, &dir, 2).unwrap();
+    let sharded = ShardedEngine::open(ix, &dir).unwrap();
+    let targets: [(ExplainTarget, &dyn Executor); 2] =
+        [(ExplainTarget::Disk, &disk), (ExplainTarget::Sharded, &sharded)];
+    let q = Query::from_words(ix, &["xml", "search"]).unwrap();
+    let (mut refused, mut served) = (0, 0);
+    for algorithm in [
+        QueryAlgorithm::Auto,
+        QueryAlgorithm::JoinBased,
+        QueryAlgorithm::StackBased,
+        QueryAlgorithm::TopKJoin,
+    ] {
+        for semantics in [Semantics::Elca, Semantics::Slca] {
+            for base in [QueryRequest::complete(semantics), QueryRequest::top_k(3, semantics)] {
+                for req in [base, base.unranked()] {
+                    let req = req.with_algorithm(algorithm);
+                    for (target, executor) in targets {
+                        let what = format!("{target:?} {req:?}");
+                        let physical = explain(ix, &q, &req, target).physical;
+                        match executor.execute(&q, &req) {
+                            Ok(_) => {
+                                served += 1;
+                                assert!(physical.starts_with("ExecTopK:"), "{what}: {physical}");
+                            }
+                            Err(err) => {
+                                refused += 1;
+                                assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{what}");
+                                let name = match target {
+                                    ExplainTarget::Disk => "disk",
+                                    _ => "sharded",
+                                };
+                                let line = format!("ExecRefused: target={name} reason=\"{err}\"\n");
+                                assert_eq!(physical, line, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(refused > 0 && served > 0, "{refused} refused, {served} served");
+}

@@ -5,8 +5,7 @@
 //!
 //! * `postings` — node ids in document order (the Dewey inverted list; node
 //!   id order equals Dewey order because the arena is in pre-order),
-//! * `scores` — normalized tf–idf local scores `g(v, w)`, and their
-//!   maximum `max_score`,
+//! * `scores` — normalized tf–idf local scores `g(v, w)`,
 //! * `columns` — the JDewey column-per-level run representation (§III),
 //! * `segments` — the score-sorted length groups of Fig. 7 (§IV), with the
 //!   row directories that give them Fig. 7's row → number access.
@@ -349,34 +348,12 @@ mod tests {
         assert_eq!(seg_rows, (0..t.len() as u32).collect::<Vec<_>>());
     }
 
-    /// The bit pattern of the largest score, by a plain scan.
-    fn largest_bits(scores: &[f32]) -> u32 {
-        scores.iter().fold(0.0f32, |m, &s| if s > m { s } else { m }).to_bits()
-    }
-
-    #[test]
-    fn max_score_is_the_largest_score_bit_for_bit() {
-        // "solo" has one posting; "w" many, with scores spread by tf.
-        let mut xml = String::from("<r><z>solo</z>");
-        for i in 0..40 {
-            xml.push_str(&format!("<p>{}</p>", "w ".repeat(1 + i % 4)));
-        }
-        xml.push_str("</r>");
-        let ix = index(&xml);
-        for (_, t) in ix.terms() {
-            assert_eq!(t.max_score().to_bits(), largest_bits(t.scores()), "{}", t.name());
-        }
-        let solo = ix.term_by_str("solo").unwrap();
-        assert_eq!(solo.max_score().to_bits(), solo.scores()[0].to_bits());
-    }
-
     #[test]
     fn an_unknown_term_id_is_an_empty_term() {
         let ix = index("<r><a>xml data</a></r>");
         let t = ix.term(TermId(ix.vocab_size() as u32));
         assert!(t.is_empty() && t.postings().is_empty() && t.scores().is_empty());
         assert_eq!((t.name(), t.max_len()), ("", 0));
-        assert_eq!(t.max_score().to_bits(), 0f32.to_bits());
         assert!(t.column(1).is_none() && t.columns().next().is_none());
         assert!(t.segments().next().is_none());
         assert!(t.histogram(1).is_none() && t.row_directory(1).is_none());

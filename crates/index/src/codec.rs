@@ -22,11 +22,12 @@
 //! Values are arranged in 4 KiB blocks; each block is self-contained
 //! (restarts the delta base) and ends at a run boundary, which is what the
 //! block directory — one [`BlockEntry`] per block, the paper's sparse
-//! index — points into.  A block's row count is stored there and nowhere
-//! else.  The row coordinates themselves are not stored per column: the
-//! per-term *lengths array* (depth of each posting) determines which
-//! global rows are present at each level, so decoding reconstructs exact
-//! global-row runs.
+//! index — points into.  A block's row count and first value are stored
+//! there and nowhere else: the decoder is handed both.  The row
+//! coordinates themselves are not stored per column: the per-term
+//! *lengths array* (depth of each posting) determines which global rows
+//! are present at each level, so decoding reconstructs exact global-row
+//! runs.
 //!
 //! Decoding goes through a per-thread [`DecodeScratch`] arena
 //! ([`with_decode_scratch`]) so the hot path performs no per-block
@@ -91,13 +92,19 @@ impl CompressedColumn {
         self.blocks.len()
     }
 
-    /// Opens a block at the end of the payload: its directory entry and
-    /// the raw first value every block starts with.
+    /// Opens a block at the end of the payload: its directory entry.  The
+    /// block's first value lives there alone, not in the payload.
     fn begin_block(&mut self, first: u32, rows: u32, last: u32) {
         self.blocks.push(BlockEntry { offset: self.bytes.len() as u32, first, rows, last });
-        self.bytes.extend_from_slice(&first.to_le_bytes());
     }
 }
+
+/// Bytes a block's first value is charged against [`BLOCK_SIZE`] when the
+/// encoder cuts blocks.  The value sits in the directory entry, not the
+/// payload (file version 5), but a payload of `BLOCK_SIZE - FIRST_BYTES`
+/// keeps every cut where version 4 made it, and with the cuts every
+/// block count and decode count.
+const FIRST_BYTES: usize = 4;
 
 /// Appends a LEB128 varint.
 pub fn write_varint(mut v: u32, out: &mut Vec<u8>) {
@@ -125,13 +132,17 @@ pub fn varint_len(mut v: u32) -> usize {
 }
 
 /// Reads a LEB128 varint, advancing `pos`: `None` on truncation or a
-/// varint longer than a `u32` allows.
+/// varint longer than a `u32` allows — a fifth byte above `0x0f` included,
+/// whose bits a shift would drop.
 pub fn try_read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
     let mut v = 0u32;
     let mut shift = 0;
     loop {
         let byte = *bytes.get(*pos)?;
         *pos += 1;
+        if shift == 28 && byte > 0x0f {
+            return None;
+        }
         v |= ((byte & 0x7f) as u32) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
@@ -251,12 +262,11 @@ fn unpack_lane(
 
 /// Compresses a column with the given scheme.
 ///
-/// Block wire format, after the raw `u32` LE first value every block
-/// starts with:
+/// Block wire format (the first value and the row count are the
+/// directory entry's, [`BlockEntry::first`] and [`BlockEntry::rows`]):
 ///
 /// * `Delta`: `[width: u8][packed deltas]` — the block's `rows − 1` value
-///   deltas at `width` bits, the maximum [`bit_width`] over them.  The
-///   row count is the directory entry's ([`BlockEntry::rows`]).
+///   deltas at `width` bits, the maximum [`bit_width`] over them.
 /// * `Rle`: `[pairs: varint][vwidth: u8][lwidth: u8][packed value
 ///   deltas][packed lengths]` — `pairs - 1` value deltas (the first
 ///   run's delta is implicitly 0) then `pairs` run lengths, each lane at
@@ -264,8 +274,9 @@ fn unpack_lane(
 ///
 /// Every lane is exact-length: a decoder rejects a block whose lane bytes
 /// disagree with the entry count and width.  Blocks are cut greedily so
-/// the encoded block size never exceeds [`BLOCK_SIZE`], and only between
-/// runs, so a reader never sees one run in two blocks.
+/// the encoded block size plus [`FIRST_BYTES`] never exceeds
+/// [`BLOCK_SIZE`], and only between runs, so a reader never sees one run
+/// in two blocks.
 pub fn encode_column(runs: &[Run], scheme: Scheme) -> CompressedColumn {
     let mut cc = CompressedColumn { scheme, bytes: Vec::new(), blocks: Vec::new() };
     match scheme {
@@ -275,8 +286,8 @@ pub fn encode_column(runs: &[Run], scheme: Scheme) -> CompressedColumn {
     cc
 }
 
-/// Appends one block: its directory entry and first value, RLE's pair
-/// count, then the lane widths and lanes.
+/// Appends one block: its directory entry, RLE's pair count, then the
+/// lane widths and lanes.
 fn flush_block(
     cc: &mut CompressedColumn,
     (first, rows, last): (u32, u32, u32),
@@ -304,7 +315,7 @@ fn encode_delta(runs: &[Run], cc: &mut CompressedColumn) {
         if let Some((first, last, width)) = open {
             let d = run.value - last;
             let w = width.max(bit_width(d));
-            if 5 + lane_bytes(deltas.len() + 1 + zeros, w) <= BLOCK_SIZE {
+            if FIRST_BYTES + 1 + lane_bytes(deltas.len() + 1 + zeros, w) <= BLOCK_SIZE {
                 deltas.push(d);
                 deltas.resize(deltas.len() + zeros, 0);
                 open = Some((first, run.value, w));
@@ -314,7 +325,7 @@ fn encode_delta(runs: &[Run], cc: &mut CompressedColumn) {
             flush_block(cc, (first, rows, last), None, &[(&deltas, width)]);
         }
         // A run that opens a block is its first value and zero deltas at
-        // width 0 — five bytes whatever its length, so it always fits.
+        // width 0 — one payload byte whatever its length, so it always fits.
         deltas.clear();
         deltas.resize(zeros, 0);
         open = Some((run.value, run.value, 0));
@@ -345,7 +356,7 @@ fn encode_rle(runs: &[Run], cc: &mut CompressedColumn) {
                 let nvw = vw.max(bit_width(d));
                 let nlw = lw.max(bit_width(run.len));
                 let pairs = lens.len() + 1;
-                let size = 4
+                let size = FIRST_BYTES
                     + varint_len(pairs as u32)
                     + 2
                     + lane_bytes(pairs - 1, nvw)
@@ -417,15 +428,16 @@ pub fn with_decode_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
 /// Streaming run builder: merges consecutive `(value, row)` emissions into
 /// [`Run`]s, keeping the open run in a register instead of re-reading
 /// `runs.last_mut()` on every entry.  Blocks end at run boundaries, so a
-/// block's runs never continue the previous block's.
+/// block's runs never continue the previous block's.  Inline records
+/// ([`crate::disk::InlineWalk`]) emit through it too.
 #[derive(Default)]
-struct RunEmitter {
+pub(crate) struct RunEmitter {
     cur: Option<Run>,
 }
 
 impl RunEmitter {
     #[inline]
-    fn one(&mut self, runs: &mut Vec<Run>, value: u32, row: u32) {
+    pub(crate) fn one(&mut self, runs: &mut Vec<Run>, value: u32, row: u32) {
         match &mut self.cur {
             Some(c) if c.value == value && c.end() == row => c.len += 1,
             cur => {
@@ -463,7 +475,7 @@ impl RunEmitter {
         }
     }
 
-    fn finish(self, runs: &mut Vec<Run>) {
+    pub(crate) fn finish(self, runs: &mut Vec<Run>) {
         if let Some(c) = self.cur {
             runs.push(c);
         }
@@ -473,38 +485,40 @@ impl RunEmitter {
 /// Decodes one self-contained block, appending its runs to
 /// `scratch.runs`.
 ///
-/// `rows` are the global row ids of exactly the block's rows, as many as
-/// its directory entry counts.  `None` on any malformed payload —
-/// truncated header, bad varint, wrong lane length, value overflow, or a
-/// payload that covers another number of rows — so callers reading
-/// untrusted bytes reject corruption without a panic.
+/// `(first, last)` are the block's first and last value and `rows` the
+/// global row ids of exactly the block's rows, all from its directory
+/// entry.  `None` on any malformed payload — truncated header, bad
+/// varint, wrong lane length, deltas that do not lead from `first` to
+/// `last`, or a payload that covers another number of rows — so callers
+/// reading untrusted bytes reject corruption without a panic.
 pub fn decode_block_into(
     scheme: Scheme,
+    (first, last): (u32, u32),
     block: &[u8],
     rows: &[u32],
     scratch: &mut DecodeScratch,
 ) -> Option<()> {
-    let header: [u8; 4] = block.get(..4)?.try_into().ok()?;
-    let first = u32::from_le_bytes(header);
     match scheme {
         Scheme::Delta => {
             let (&row0, tail) = rows.split_first()?;
-            let width = u32::from(*block.get(4)?);
+            let width = u32::from(*block.first()?);
             if width > 32 {
                 return None;
             }
-            unpack_lane(block.get(5..)?, width, tail.len(), &mut scratch.padded, &mut scratch.deltas)?;
-            // One up-front pass proves two things at once: the plain
-            // `+=` below never leaves u32 (sum bound), and — when every
-            // delta is nonzero — the values are strictly increasing, so
-            // no entry can merge with its predecessor and run-building
-            // needs no per-entry comparisons at all.
+            unpack_lane(block.get(1..)?, width, tail.len(), &mut scratch.padded, &mut scratch.deltas)?;
+            // One up-front pass proves two things at once: the deltas
+            // lead from the directory's first value to its last (so the
+            // plain `+=` below never leaves u32, and a torn lane is
+            // refused), and — when every delta is nonzero — the values
+            // are strictly increasing, so no entry can merge with its
+            // predecessor and run-building needs no per-entry comparisons
+            // at all.
             let (mut sum, mut min) = (0u64, u32::MAX);
             for &d in &scratch.deltas {
                 sum += u64::from(d);
                 min = min.min(d);
             }
-            if first as u64 + sum > u32::MAX as u64 {
+            if first as u64 + sum != last as u64 {
                 return None;
             }
             let (runs, deltas) = (&mut scratch.runs, &scratch.deltas);
@@ -529,7 +543,7 @@ pub fn decode_block_into(
             Some(())
         }
         Scheme::Rle => {
-            let mut pos = 4usize;
+            let mut pos = 0usize;
             let pairs = try_read_varint(block, &mut pos)? as usize;
             // Each pair holds at least one row, so a well-formed block
             // never has more pairs than rows; rejecting here also bounds
@@ -550,7 +564,7 @@ pub fn decode_block_into(
             unpack_lane(vlane, vw, pairs - 1, &mut scratch.padded, &mut scratch.deltas)?;
             unpack_lane(block.get(pos..)?, lw, pairs, &mut scratch.padded, &mut scratch.lens)?;
             let sum: u64 = scratch.deltas.iter().map(|&d| d as u64).sum();
-            if first as u64 + sum > u32::MAX as u64 {
+            if first as u64 + sum != last as u64 {
                 return None;
             }
             let total: u64 = scratch.lens.iter().map(|&l| l as u64).sum();
@@ -588,7 +602,8 @@ pub fn decode_column_into(
         let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
         let block = cc.bytes.get(entry.offset as usize..end)?;
         let next = consumed.checked_add(entry.rows as usize)?;
-        decode_block_into(cc.scheme, block, present_rows.get(consumed..next)?, scratch)?;
+        let rows = present_rows.get(consumed..next)?;
+        decode_block_into(cc.scheme, (entry.first, entry.last), block, rows, scratch)?;
         consumed = next;
     }
     // Rows the directory leaves out disagree with the lengths array.
@@ -641,6 +656,13 @@ mod tests {
             assert_eq!(try_read_varint(&buf, &mut pos), Some(v));
         }
         assert_eq!(pos, buf.len());
+        // Five bytes hold 35 bits: a fifth byte past u32 is refused, not
+        // truncated into a wrong value; a sixth never reached.
+        for past in [[0xff, 0xff, 0xff, 0xff, 0x10], [0x80, 0x80, 0x80, 0x80, 0x7f]] {
+            assert_eq!(try_read_varint(&past, &mut 0), None, "{past:?}");
+        }
+        assert_eq!(try_read_varint(&[0xff, 0xff, 0xff, 0xff, 0x0f], &mut 0), Some(u32::MAX));
+        assert_eq!(try_read_varint(&[0x80; 6], &mut 0), None);
     }
 
     #[test]
@@ -687,12 +709,21 @@ mod tests {
         let c = col(&runs);
         let cc = encode_column(&c, Scheme::Delta);
         assert!(cc.block_count() > 1);
-        // Every block's first value matches the sparse key.
-        for b in &cc.blocks {
-            let at = b.offset as usize;
-            assert_eq!(u32::from_le_bytes(cc.bytes[at..at + 4].try_into().unwrap()), b.first);
+        // Every block decodes alone from its sparse key: its first run is
+        // the key's first value.
+        let present = present_rows(&c);
+        let mut at = 0usize;
+        for (i, b) in cc.blocks.iter().enumerate() {
+            let end = cc.blocks.get(i + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
+            let rows = &present[at..at + b.rows as usize];
+            let mut scratch = DecodeScratch::default();
+            let block = &cc.bytes[b.offset as usize..end];
+            let span = (b.first, b.last);
+            assert_eq!(decode_block_into(Scheme::Delta, span, block, rows, &mut scratch), Some(()));
+            assert_eq!(scratch.runs[0].value, b.first);
+            at += b.rows as usize;
         }
-        assert_eq!(decode_column(&cc, &present_rows(&c)), Some(c));
+        assert_eq!(decode_column(&cc, &present), Some(c));
     }
 
     #[test]
@@ -806,11 +837,12 @@ mod tests {
             let c = col(&runs);
             let cc = encode_column(&c, scheme);
             assert!(cc.block_count() > 1, "{scheme:?}");
-            // Greedy cut rule: no encoded block exceeds BLOCK_SIZE.
+            // Greedy cut rule: no encoded block with its first value
+            // exceeds BLOCK_SIZE.
             for b in 0..cc.block_count() {
                 let start = cc.blocks[b].offset as usize;
                 let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
-                assert!(end - start <= BLOCK_SIZE, "{scheme:?} block {b}");
+                assert!(FIRST_BYTES + end - start <= BLOCK_SIZE, "{scheme:?} block {b}");
             }
             assert_eq!(decode_column(&cc, &present_rows(&c)), Some(c));
         }
@@ -818,12 +850,12 @@ mod tests {
 
     #[test]
     fn packed_is_smaller_on_uniform_small_deltas() {
-        // Deltas of 3 need 2 bits: a delta block is its first value, one
-        // width byte and `rows - 1` two-bit deltas — no row count, which
+        // Deltas of 3 need 2 bits: a delta block is one width byte and
+        // `rows - 1` two-bit deltas — no first value or row count, which
         // the directory holds — so 10 000 rows fit in about 2.5 kB.
         let runs: Vec<(u32, u32, u32)> = (0..10_000).map(|i| (i * 3, i, 1)).collect();
         let cc = encode_column(&col(&runs), Scheme::Delta);
-        let exact: usize = cc.blocks.iter().map(|b| 5 + lane_bytes(b.rows as usize - 1, 2)).sum();
+        let exact: usize = cc.blocks.iter().map(|b| 1 + lane_bytes(b.rows as usize - 1, 2)).sum();
         assert_eq!(cc.payload_bytes(), exact);
         assert!(cc.payload_bytes() * 3 < runs.len(), "{} bytes", cc.payload_bytes());
     }
@@ -856,17 +888,22 @@ mod tests {
         let mut at = 0usize;
         for (b, entry) in cc.blocks.iter().enumerate() {
             let end = cc.blocks.get(b + 1).map_or(cc.bytes.len(), |next| next.offset as usize);
-            assert!(end - entry.offset as usize <= BLOCK_SIZE, "block {b}");
+            assert!(FIRST_BYTES + end - entry.offset as usize <= BLOCK_SIZE, "block {b}");
             let rows = &present[at..at + entry.rows as usize];
             let mut scratch = DecodeScratch::default();
             let block = &cc.bytes[entry.offset as usize..end];
-            assert_eq!(decode_block_into(Scheme::Delta, block, rows, &mut scratch), Some(()));
+            let span = (entry.first, entry.last);
+            assert_eq!(decode_block_into(Scheme::Delta, span, block, rows, &mut scratch), Some(()));
             // A lane of nonzero width holds exactly `rows - 1` deltas, so
-            // a row count off by one is refused.
-            if block[4] > 0 {
-                let mut other = DecodeScratch::default();
-                assert_eq!(decode_block_into(Scheme::Delta, block, &rows[1..], &mut other), None);
+            // a row count off by one is refused; so is a last value the
+            // deltas do not reach.
+            let mut other = DecodeScratch::default();
+            if block[0] > 0 {
+                let short = &rows[1..];
+                assert_eq!(decode_block_into(Scheme::Delta, span, block, short, &mut other), None);
             }
+            let off = (entry.first, entry.last + 1);
+            assert_eq!(decode_block_into(Scheme::Delta, off, block, rows, &mut other), None);
             let first = scratch.runs.first().unwrap();
             assert!(c.contains(first) && c.contains(scratch.runs.last().unwrap()));
             at += entry.rows as usize;

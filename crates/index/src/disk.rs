@@ -4,21 +4,31 @@
 //! column store, because the vocabulary is huge and most lists are short.
 //! This module owns that file format: one vocabulary section and, per
 //! term, the posting depths (lengths array), optional local scores, and
-//! each column as a block directory — one [`BlockEntry`] per block —
-//! followed by the self-contained compressed blocks (see [`crate::codec`])
-//! it points into.
+//! then either
+//!
+//! * each column as a block directory — one [`BlockEntry`] per block —
+//!   followed by the self-contained compressed blocks (see
+//!   [`crate::codec`]) it points into, or
+//! * for a term with at most [`INLINE_MAX_POSTINGS`] postings — the Zipf
+//!   tail — one inline record holding its JDewey numbers posting by
+//!   posting, prefix-shared, with no block, directory entry or column
+//!   header: the way inverted files keep short lists in the dictionary.
 //!
 //! There is one format, one writer ([`write_index_to`]) and one reader:
 //! [`parse_directory`], behind the lazy
 //! [`DiskColumnStore`](crate::diskcol::DiskColumnStore) the disk and
-//! sharded engines execute off, decides what a valid file is.  The score
+//! sharded engines execute off, decides what a valid file is, and
+//! [`InlineWalk`] is the one decoder of an inline record.  The score
 //! section is validated and skipped: it has no reader until the disk
-//! engine opens from the file alone (ROADMAP item 6b's catalog).
+//! engine opens from the file alone (ROADMAP item 11b's catalog).
 
 use crate::builder::XmlIndex;
-use crate::terms::TermData;
-use crate::codec::{choose_scheme, encode_column, try_read_varint, write_varint, BlockEntry, Scheme};
+use crate::codec::{
+    choose_scheme, encode_column, try_read_varint, varint_len, write_varint, BlockEntry,
+    DecodeScratch, RunEmitter, Scheme,
+};
 use crate::columnar::Run;
+use crate::terms::TermData;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -54,19 +64,50 @@ impl<'a> ByteReader<'a> {
         self.pos = end;
         Ok(out)
     }
+
+    /// A term's lengths array, each depth handed to `depth`, then its
+    /// scores skipped when the file has them.  Returns the posting count.
+    /// The one read of a term's postings: [`parse_directory`] calls it for
+    /// every term, [`Directory::inline_term`] for an inline term it serves.
+    fn postings(&mut self, with_scores: bool, mut depth: impl FnMut(u16)) -> io::Result<usize> {
+        let n = self.varint("posting count")? as usize;
+        for _ in 0..n {
+            let d = u16::try_from(self.varint("depth")?).ok().filter(|&d| d > 0);
+            depth(d.ok_or_else(|| bad("bad depth"))?);
+        }
+        if with_scores {
+            self.take(n.checked_mul(4).ok_or_else(|| bad("scores"))?, "scores")?;
+        }
+        Ok(n)
+    }
+
+    /// An inline record: its byte length, then the bytes.
+    fn inline_record(&mut self) -> io::Result<(&'a [u8], u64)> {
+        let len = self.varint("inline record length")? as usize;
+        let at = self.pos as u64;
+        Ok((self.take(len, "inline record")?, at))
+    }
 }
 
-/// File magic: "XTK" + format version 4 — bit-packed blocks whose row
-/// counts live in the directory alone.  Versions 1–3 are refused by name.
-pub(crate) const MAGIC: u32 = 0x58544B04;
+/// File magic: "XTK" + format version 5 — bit-packed blocks whose row
+/// counts and first values live in the directory alone, and the short
+/// lists inline.  Versions 1–4 are refused by name.
+pub(crate) const MAGIC: u32 = 0x58544B05;
 
-/// The on-disk format: there is one, and it writes version 4.  The type
+/// The most postings a term may have and still be written as one inline
+/// record instead of column records.  Every column of such a term would
+/// be one block of at most eight rows, so an inline column answers every
+/// access as that block would; the value is the largest of 1, 2, 4 and 8
+/// by file size (DESIGN §8).
+pub const INLINE_MAX_POSTINGS: usize = 8;
+
+/// The on-disk format: there is one, and it writes version 5.  The type
 /// and [`WriteIndexOptions::format`] select nothing; they stay because
 /// perfbench's `STORE_OPTIONS` names them, and go with the PR that next
-/// edits perfbench (ROADMAP item 3).
+/// edits perfbench (ROADMAP item 4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FormatVersion {
-    /// Bit-packed blocks (file version 4).
+    /// The one format (file version 5).
     #[default]
     V3,
 }
@@ -84,9 +125,8 @@ pub struct WriteIndexOptions {
 /// directory entries `(offset, first value, row count, last − first)` as
 /// varints (values inside a block are non-decreasing, so the last-value
 /// delta stays short), payload length, payload — and returns the block
-/// count.  The writer's record and, through [`crate::sizes`], Table I's
-/// bytes: there is no second model of it.
-pub(crate) fn encode_column_record(runs: &[Run], buf: &mut Vec<u8>) -> usize {
+/// count.
+fn encode_column_record(runs: &[Run], buf: &mut Vec<u8>) -> usize {
     let scheme = choose_scheme(runs);
     let cc = encode_column(runs, scheme);
     buf.push(match scheme {
@@ -105,8 +145,44 @@ pub(crate) fn encode_column_record(runs: &[Run], buf: &mut Vec<u8>) -> usize {
     cc.blocks.len()
 }
 
+/// Encodes `term`'s inline record into `buf`: its byte length, then per
+/// posting the number of leading JDewey numbers it shares with the
+/// posting before it and its other numbers, all varints.  A posting's
+/// depth is the lengths array's, so the record does not repeat it.
+fn encode_inline_record(term: TermData<'_>, buf: &mut Vec<u8>) {
+    // Posting `row`'s numbers, level 1 first; none for no row.
+    let numbers = |row: Option<u32>| {
+        term.columns().map_while(move |col| row.and_then(|r| col.value_of_row(r)))
+    };
+    let record = |put: &mut dyn FnMut(u32)| {
+        for row in 0..term.len() as u32 {
+            let prev = numbers(row.checked_sub(1));
+            let shared = numbers(Some(row)).zip(prev).take_while(|(a, b)| a == b).count();
+            put(shared as u32);
+            numbers(Some(row)).skip(shared).for_each(&mut *put);
+        }
+    };
+    let mut len = 0;
+    record(&mut |v| len += varint_len(v));
+    write_varint(len as u32, buf);
+    record(&mut |v| write_varint(v, buf));
+}
+
+/// Encodes what follows `term`'s column count: its inline record when it
+/// has at most [`INLINE_MAX_POSTINGS`] postings, else one column record
+/// per level.  Returns the number of blocks written (none inline).  The
+/// writer's lists and, through [`crate::sizes`], Table I's bytes and
+/// sparse entries: there is no second model of them.
+pub(crate) fn encode_lists(term: TermData<'_>, buf: &mut Vec<u8>) -> usize {
+    if term.len() <= INLINE_MAX_POSTINGS {
+        encode_inline_record(term, buf);
+        return 0;
+    }
+    term.columns().map(|col| encode_column_record(col.runs, buf)).sum()
+}
+
 /// Encodes `term`'s record (vocabulary entry, lengths array, optional
-/// scores, and every column record) into `buf`.
+/// scores, column count and lists) into `buf`.
 fn encode_term_record(
     ix: &XmlIndex,
     term: TermData<'_>,
@@ -127,9 +203,7 @@ fn encode_term_record(
         }
     }
     write_varint(u32::from(term.max_len()), buf);
-    for col in term.columns() {
-        encode_column_record(col.runs, buf);
-    }
+    encode_lists(term, buf);
 }
 
 /// Serializes the columnar part of `ix` into any sink and returns the
@@ -167,6 +241,186 @@ pub fn persisted_file_bytes(ix: &XmlIndex, opts: WriteIndexOptions) -> u64 {
     write_index_to(ix, io::sink(), opts).unwrap_or(0)
 }
 
+/// An inline record, read level by level: the one decoder of the record
+/// [`encode_inline_record`] writes.  [`new`](Self::new) checks its
+/// framing — one shared count per posting, no larger than this posting's
+/// depth or the previous one's, every number inside `u32`, the record's
+/// length exact — and each [`next_level`](Self::next_level) reads one
+/// number per posting reaching the level and refuses numbers that
+/// descend.  Holds no allocation: a term has at most
+/// [`INLINE_MAX_POSTINGS`] postings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InlineWalk<'a> {
+    record: &'a [u8],
+    n: usize,
+    depths: [u16; INLINE_MAX_POSTINGS],
+    /// Per posting: the leading numbers it shares with the posting before.
+    shared: [u16; INLINE_MAX_POSTINGS],
+    /// Per posting: where its next unread number starts in `record`.
+    at: [usize; INLINE_MAX_POSTINGS],
+    /// Per posting: its number at `level`, where it reaches `level`.
+    values: [u32; INLINE_MAX_POSTINGS],
+    level: u16,
+}
+
+impl<'a> InlineWalk<'a> {
+    /// A walk before level 1 of the record of postings `depths`.
+    pub(crate) fn new(depths: &[u16], record: &'a [u8]) -> io::Result<Self> {
+        if depths.len() > INLINE_MAX_POSTINGS {
+            return Err(bad("inline term has too many postings"));
+        }
+        let mut walk = Self {
+            record,
+            n: depths.len(),
+            depths: [0; INLINE_MAX_POSTINGS],
+            shared: [0; INLINE_MAX_POSTINGS],
+            at: [0; INLINE_MAX_POSTINGS],
+            values: [0; INLINE_MAX_POSTINGS],
+            level: 0,
+        };
+        let (mut pos, mut prev) = (0, 0u16);
+        let slots = walk.depths.iter_mut().zip(&mut walk.shared).zip(&mut walk.at);
+        for (((depth, shared), at), &d) in slots.zip(depths) {
+            let s = try_read_varint(record, &mut pos).ok_or_else(|| bad("inline shared count"))?;
+            let s = u16::try_from(s).ok().filter(|&s| s <= prev.min(d));
+            *shared = s.ok_or_else(|| bad("inline shared count exceeds a posting's depth"))?;
+            (*depth, *at, prev) = (d, pos, d);
+            for _ in *shared..d {
+                try_read_varint(record, &mut pos).ok_or_else(|| bad("inline number"))?;
+            }
+        }
+        if pos != record.len() {
+            return Err(bad("inline record length disagrees with its postings"));
+        }
+        Ok(walk)
+    }
+
+    /// Steps to the next level, reading each number there; `false` past
+    /// the deepest posting.
+    pub(crate) fn next_level(&mut self) -> io::Result<bool> {
+        let level = self.level.checked_add(1).ok_or_else(|| bad("inline level"))?;
+        self.level = level;
+        // The previous posting's number here, if it reaches the level;
+        // the largest number so far at the level.
+        let (mut prev, mut largest) = (None, None);
+        let postings = self.depths.iter().zip(&self.shared).zip(&mut self.at).zip(&mut self.values);
+        for (((&depth, &shared), at), value) in postings.take(self.n) {
+            if depth < level {
+                prev = None;
+                continue;
+            }
+            let v = if level <= shared {
+                prev.ok_or_else(|| bad("inline shared count exceeds a posting's depth"))?
+            } else {
+                try_read_varint(self.record, at).ok_or_else(|| bad("inline number"))?
+            };
+            if largest.is_some_and(|l| v < l) {
+                return Err(bad("inline numbers descend within a level"));
+            }
+            (*value, prev, largest) = (v, Some(v), Some(v));
+        }
+        Ok(largest.is_some())
+    }
+
+    /// The postings reaching the current level, as `(row, number)` in row
+    /// order.
+    pub(crate) fn present(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let level = self.level;
+        let rows = self.depths.iter().zip(&self.values).take(self.n).zip(0u32..);
+        rows.filter(move |((&d, _), _)| d >= level).map(|((_, &v), row)| (row, v))
+    }
+
+    /// Walks to `level`; `None` when the term does not reach it.
+    pub(crate) fn to_level(mut self, level: u16) -> io::Result<Option<Self>> {
+        while self.level < level {
+            if !self.next_level()? {
+                return Ok(None);
+            }
+        }
+        Ok((self.level == level && level > 0).then_some(self))
+    }
+
+    /// Appends the current level's runs to `scratch.runs`: equal numbers
+    /// of adjacent rows form one run, as in a decoded block.
+    pub(crate) fn decode_into(&self, scratch: &mut DecodeScratch) {
+        let mut em = RunEmitter::default();
+        for (row, value) in self.present() {
+            em.one(&mut scratch.runs, value, row);
+        }
+        em.finish(&mut scratch.runs);
+    }
+}
+
+/// An inline term as the store serves it: its depths and record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InlineTerm<'a> {
+    depths: [u16; INLINE_MAX_POSTINGS],
+    n: usize,
+    record: &'a [u8],
+    /// File offset of the record: level `l`'s cache key is `at + l − 1`,
+    /// a byte of the record itself (every level has a number of its own
+    /// in the record, a byte at least), so no block of the file starts
+    /// there.
+    at: u64,
+}
+
+impl<'a> InlineTerm<'a> {
+    fn walk(&self) -> io::Result<InlineWalk<'a>> {
+        InlineWalk::new(self.depths.get(..self.n).unwrap_or_default(), self.record)
+    }
+
+    /// The column of `level`, its rows and value span read off the record.
+    pub(crate) fn column(&self, level: u16) -> Option<InlineColumn<'a>> {
+        let walk = self.walk().ok()?.to_level(level).ok()??;
+        InlineColumn::at(*self, &walk)
+    }
+
+    /// Every column, level 1 first, from one walk over the record.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = InlineColumn<'a>> {
+        let (term, mut walk) = (*self, self.walk().ok());
+        std::iter::from_fn(move || {
+            let w = walk.as_mut()?;
+            match w.next_level() {
+                Ok(true) => InlineColumn::at(term, w),
+                _ => None,
+            }
+        })
+    }
+}
+
+/// One level of an inline term: the one-block column the record stands
+/// for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InlineColumn<'a> {
+    term: InlineTerm<'a>,
+    level: u16,
+    pub(crate) rows: u32,
+    /// The first and the last number, as a block entry holds them.
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+}
+
+impl<'a> InlineColumn<'a> {
+    fn at(term: InlineTerm<'a>, walk: &InlineWalk<'a>) -> Option<Self> {
+        let mut present = walk.present().map(|(_, v)| v);
+        let first = present.next()?;
+        let (rows, last) = present.fold((1, first), |(n, _), v| (n + 1, v));
+        Some(Self { term, level: walk.level, rows, first, last })
+    }
+
+    /// The file offset naming this column's one block in the cache.
+    pub(crate) fn key(&self) -> u64 {
+        self.term.at + u64::from(self.level) - 1
+    }
+
+    /// Appends the column's runs to `scratch.runs`.
+    pub(crate) fn decode_into(&self, scratch: &mut DecodeScratch) -> io::Result<()> {
+        let walk = self.term.walk()?.to_level(self.level)?;
+        walk.ok_or_else(|| bad("inline level"))?.decode_into(scratch);
+        Ok(())
+    }
+}
+
 /// Every column's block directory in the layout the store keeps resident:
 /// one flat array of `u32` words for the whole file, addressed CSR-style.
 /// Term `t`'s columns are `term_cols[t]..term_cols[t + 1]` (level `l` is
@@ -177,10 +431,11 @@ pub fn persisted_file_bytes(ix: &XmlIndex, opts: WriteIndexOptions) -> u64 {
 /// last values, `n` first values, `n` payload offsets, `n + 1` row
 /// prefixes — and last the column's present rows.  One column's words
 /// are contiguous, so a block access touches one region of memory, as a
-/// per-column allocation would, without the allocation.  Built only by
-/// [`parse_directory`], which guarantees every column's words have this
-/// shape and that its blocks cover exactly the rows the lengths array
-/// puts at its level.
+/// per-column allocation would, without the allocation.  An inline term
+/// has no columns here and no words: one `u64` in `inline`.  Built only
+/// by [`parse_directory`], which guarantees every column's words have
+/// this shape, that its blocks cover exactly the rows the lengths array
+/// puts at its level, and that every inline record walks.
 #[derive(Debug)]
 pub(crate) struct Directory {
     /// Term text → term index.
@@ -188,7 +443,16 @@ pub(crate) struct Directory {
     term_cols: Vec<u32>,
     col_at: Vec<u32>,
     words: Vec<u32>,
+    /// Per term: 0 for a term with column records; for an inline term,
+    /// the file offset of its posting count in the low [`INLINE_AT_BITS`]
+    /// bits and its level count above them.
+    inline: Vec<u64>,
+    /// Whether every term's lengths array is followed by its scores.
+    with_scores: bool,
 }
+
+/// Bits of an inline entry that hold the file offset (256 TiB).
+const INLINE_AT_BITS: u32 = 48;
 
 /// Words before a column's block arrays (see [`Directory`]).
 const HEADER: usize = 5;
@@ -217,11 +481,6 @@ pub(crate) struct ColumnDirectory<'a> {
 }
 
 impl ColumnDirectory<'_> {
-    /// Number of blocks.
-    pub(crate) fn block_count(&self) -> usize {
-        self.offsets.len()
-    }
-
     /// File offset of block `b`.
     pub(crate) fn start(&self, b: usize) -> Option<u64> {
         self.offsets.get(b).map(|&o| self.base + u64::from(o))
@@ -240,12 +499,39 @@ impl Directory {
         self.names.keys().map(|k| &**k)
     }
 
-    /// The columns of term `t` (index into `col_at`).
+    /// The columns of term `t` (index into `col_at`); none for an inline
+    /// term.
     pub(crate) fn columns(&self, t: usize) -> std::ops::Range<usize> {
         match self.term_cols.get(t..).and_then(|at| at.get(..2)) {
             Some(&[a, b]) => a as usize..b as usize,
             _ => 0..0,
         }
+    }
+
+    /// Term `t`'s levels: its columns, or its inline record's.
+    pub(crate) fn levels(&self, t: usize) -> u16 {
+        match self.inline.get(t) {
+            Some(&e) if e != 0 => (e >> INLINE_AT_BITS) as u16,
+            _ => self.columns(t).len() as u16,
+        }
+    }
+
+    /// Term `t`'s inline record in the file image `bytes` the directory
+    /// was parsed from; `None` for a term with column records.
+    pub(crate) fn inline_term<'a>(&self, bytes: &'a [u8], t: usize) -> Option<InlineTerm<'a>> {
+        let &e = self.inline.get(t).filter(|&&e| e != 0)?;
+        let mut r = ByteReader { bytes, pos: (e & ((1 << INLINE_AT_BITS) - 1)) as usize };
+        let (mut depths, mut n) = ([0u16; INLINE_MAX_POSTINGS], 0);
+        r.postings(self.with_scores, |d| {
+            if let Some(slot) = depths.get_mut(n) {
+                *slot = d;
+            }
+            n += 1;
+        })
+        .ok()?;
+        r.varint("column count").ok()?;
+        let (record, at) = r.inline_record().ok()?;
+        (n <= INLINE_MAX_POSTINGS).then_some(InlineTerm { depths, n, record, at })
     }
 
     /// The directory of column `c`.
@@ -369,10 +655,11 @@ fn parse_column(
 /// is named), every depth in `1..=u16::MAX`, one column per level down to
 /// the term's deepest posting, the scheme byte, a block count the file
 /// can back, last values inside `u32`, the last block offset inside the
-/// payload, the payload inside the file, and row counts that add up to
-/// the lengths array.  Corrupt files fail with `InvalidData`, never a
+/// payload, the payload inside the file, row counts that add up to the
+/// lengths array, and every inline record walked level by level (see
+/// [`InlineWalk`]).  Corrupt files fail with `InvalidData`, never a
 /// panic.  Block payloads and scores stay unread.  Returns every term's
-/// columns (level 1 first) in one [`Directory`].
+/// columns (level 1 first) and inline records in one [`Directory`].
 pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<Directory> {
     let mut r = ByteReader { bytes, pos: 0 };
     match r.varint("magic")? {
@@ -380,39 +667,49 @@ pub(crate) fn parse_directory(bytes: &[u8]) -> io::Result<Directory> {
         m if m >> 8 == MAGIC >> 8 => {
             let version = m & 0xff;
             return Err(bad(&format!(
-                "unsupported format version {version} (this reader accepts 4; rebuild the index file)"
+                "unsupported format version {version} (this reader accepts 5; rebuild the index file)"
             )));
         }
         _ => return Err(bad("bad index magic")),
     }
     let n_terms = r.varint("term count")? as usize;
     let with_scores = r.byte("score flag")? != 0;
-    let mut dir =
-        Directory { names: HashMap::new(), term_cols: vec![0], col_at: vec![0], words: Vec::new() };
+    let mut dir = Directory {
+        names: HashMap::new(),
+        term_cols: vec![0],
+        col_at: vec![0],
+        words: Vec::new(),
+        inline: Vec::new(),
+        with_scores,
+    };
+    // A term record takes three bytes at least: a count the file cannot
+    // back sizes no allocation.
+    dir.inline.try_reserve_exact(n_terms.min(bytes.len() / 3)).map_err(|_| bad("term count"))?;
     // The lengths array of the term being read, reused term to term.
     let mut depths = Vec::new();
     for _ in 0..n_terms {
         let tlen = r.varint("term length")? as usize;
         let term = std::str::from_utf8(r.take(tlen, "term text")?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let n_postings = r.varint("posting count")? as usize;
+        let at = r.pos as u64;
         depths.clear();
-        depths
-            .try_reserve(n_postings.min(1 << 24))
-            .map_err(|_| bad("posting count too large"))?;
-        for _ in 0..n_postings {
-            let depth = u16::try_from(r.varint("depth")?).ok().filter(|&d| d > 0);
-            depths.push(depth.ok_or_else(|| bad("bad depth"))?);
-        }
-        if with_scores {
-            r.take(4 * n_postings, "scores")?;
-        }
+        let n_postings = r.postings(with_scores, |d| depths.push(d))?;
         let n_cols = r.varint("column count")? as usize;
         if n_cols != depths.iter().copied().max().map_or(0, usize::from) {
             return Err(bad("column count inconsistent with posting depths"));
         }
-        for level in 1..=n_cols {
-            parse_column(&mut r, &mut dir, &depths, level)?;
+        if n_postings <= INLINE_MAX_POSTINGS {
+            let mut walk = InlineWalk::new(&depths, r.inline_record()?.0)?;
+            while walk.next_level()? {}
+            if at >> INLINE_AT_BITS != 0 {
+                return Err(bad("inline term beyond 2^48 bytes"));
+            }
+            dir.inline.push(at | (n_cols as u64) << INLINE_AT_BITS);
+        } else {
+            for level in 1..=n_cols {
+                parse_column(&mut r, &mut dir, &depths, level)?;
+            }
+            dir.inline.push(0);
         }
         // A repeated name keeps the last record, as a map insert did.
         dir.names.insert(term.into(), offset(dir.term_cols.len() - 1)?);

@@ -12,7 +12,8 @@
 //! directory ([`BlockFeed`]) that decodes a block only when a lookup lands
 //! in it — `find` decodes **at most one block** (located via the block
 //! directory alone), `scan` every block in order, and a join step's
-//! cursor the blocks its probes reach.
+//! cursor the blocks its probes reach.  A term of the Zipf tail, stored
+//! as one inline record, reads as columns of one block each.
 //!
 //! Decoded blocks live in a shared, thread-safe [`BlockCache`]
 //! (see [`crate::cache`]): by default an unbounded one per store — the
@@ -28,9 +29,9 @@
 
 use crate::bytes::ColumnBytes;
 use crate::cache::{Block, BlockCache, CacheStats, ShardedLruCache};
-use crate::codec::{decode_block_into, with_decode_scratch};
+use crate::codec::{decode_block_into, with_decode_scratch, DecodeScratch};
 use crate::columnar::{gallop_partition_point, Feed, Run, RunCursor};
-use crate::disk::{bad, parse_directory, ColumnDirectory, Directory};
+use crate::disk::{bad, parse_directory, ColumnDirectory, Directory, InlineColumn};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,7 +183,7 @@ impl DiskColumnStore {
 
     /// Number of levels stored for store term `t`.
     pub fn term_levels(&self, t: usize) -> u16 {
-        self.dir.columns(t).len() as u16
+        self.dir.levels(t)
     }
 
     /// A lazy view over one term's column.
@@ -192,10 +193,15 @@ impl DiskColumnStore {
 
     /// A lazy view over store term `t`'s column of `level`.
     pub fn term_column(&self, t: usize, level: u16) -> Option<DiskColumn<'_>> {
-        let cols = self.dir.columns(t);
-        let c = cols.start + usize::from(level.checked_sub(1)?);
-        let meta = self.dir.column(c).filter(|_| c < cols.end)?;
-        Some(DiskColumn { store: self, meta, session: None })
+        let lists = match self.dir.inline_term(self.bytes.as_slice(), t) {
+            Some(term) => Lists::Inline(term.column(level)?),
+            None => {
+                let cols = self.dir.columns(t);
+                let c = cols.start + usize::from(level.checked_sub(1)?);
+                Lists::Blocks(self.dir.column(c).filter(|_| c < cols.end)?)
+            }
+        };
+        Some(DiskColumn { store: self, lists, session: None })
     }
 
     /// Lazy views over every column of `term`, level 1 first (none when
@@ -204,10 +210,13 @@ impl DiskColumnStore {
         self.term_columns(self.term_index(term).unwrap_or(usize::MAX))
     }
 
-    /// [`columns`](Self::columns) of store term `t`.
+    /// [`columns`](Self::columns) of store term `t`: an inline term's
+    /// from one walk over its record.
     fn term_columns(&self, t: usize) -> impl Iterator<Item = DiskColumn<'_>> {
-        let cols = self.dir.columns(t).filter_map(|c| self.dir.column(c));
-        cols.map(|meta| DiskColumn { store: self, meta, session: None })
+        let blocks = self.dir.columns(t).filter_map(|c| self.dir.column(c)).map(Lists::Blocks);
+        let inline = self.dir.inline_term(self.bytes.as_slice(), t);
+        let inline = inline.into_iter().flat_map(|term| term.columns()).map(Lists::Inline);
+        blocks.chain(inline).map(|lists| DiskColumn { store: self, lists, session: None })
     }
 
     /// Total cache-missing block decodes performed by this store.
@@ -268,8 +277,10 @@ impl DiskColumnStore {
         }
     }
 
-    /// Decodes the runs of one block (cache-aware); the rows it covers
-    /// come from the directory's row prefix in O(1).
+    /// Lands block `b` of `lists` (cache-aware): one access, and on a miss
+    /// one decode.  A column's block is its payload slice decoded with the
+    /// rows its directory entry covers; an inline column's one block is
+    /// its level of the record.
     ///
     /// The block bytes are a zero-copy slice of the resident file image,
     /// decoded through the per-thread scratch arena and frozen into the
@@ -277,16 +288,17 @@ impl DiskColumnStore {
     /// across decode + insert, so concurrent workers missing on the same
     /// block decode it exactly once — `reads()` stays deterministic under
     /// an unbounded cache no matter the worker count.
-    fn decode_block(
+    fn land_block(
         &self,
-        meta: &ColumnDirectory<'_>,
+        lists: &Lists<'_>,
         b: usize,
         session: Option<&IoSession>,
     ) -> io::Result<Block> {
-        let Some(start) = meta.start(b) else {
-            return Err(bad("block index out of range"));
+        let start = match lists {
+            Lists::Blocks(meta) => meta.start(b),
+            Lists::Inline(col) => (b == 0).then(|| col.key()),
         };
-        let key = self.block_key(start);
+        let key = self.block_key(start.ok_or_else(|| bad("block index out of range"))?);
         if let Some(runs) = self.cache.get(key) {
             self.count_hit(session);
             return Ok(runs);
@@ -300,6 +312,32 @@ impl DiskColumnStore {
             return Ok(runs);
         }
         self.count_miss(session);
+        let block: Block = with_decode_scratch(|scratch| {
+            scratch.runs.clear();
+            match lists {
+                Lists::Blocks(meta) => self.decode_payload(meta, b, scratch),
+                Lists::Inline(col) => col.decode_into(scratch),
+            }
+            .map(|()| Block::from(scratch.runs.as_slice()))
+        })?;
+        self.cache.insert(key, Arc::clone(&block));
+        Ok(block)
+    }
+
+    /// Decodes block `b`'s payload into `scratch.runs`; the rows it covers
+    /// come from the directory's row prefix in O(1), its first and last
+    /// value from the directory entry.
+    fn decode_payload(
+        &self,
+        meta: &ColumnDirectory<'_>,
+        b: usize,
+        scratch: &mut DecodeScratch,
+    ) -> io::Result<()> {
+        let (Some(start), Some(&first), Some(&last)) =
+            (meta.start(b), meta.firsts.get(b), meta.lasts.get(b))
+        else {
+            return Err(bad("block index out of range"));
+        };
         let end = meta.start(b + 1).unwrap_or(meta.end);
         let len = end.checked_sub(start).ok_or_else(|| bad("block offsets not ascending"))?;
         let len = usize::try_from(len).map_err(|_| bad("block length overflow"))?;
@@ -314,14 +352,27 @@ impl DiskColumnStore {
             .present_rows
             .get(row_base as usize..row_end as usize)
             .ok_or_else(|| bad("block rows beyond lengths array"))?;
-        let block: Block = with_decode_scratch(|scratch| {
-            scratch.runs.clear();
-            decode_block_into(meta.scheme, block_bytes, rows, scratch)
-                .map(|()| Block::from(scratch.runs.as_slice()))
-        })
-        .ok_or_else(|| bad("inconsistent block payload"))?;
-        self.cache.insert(key, Arc::clone(&block));
-        Ok(block)
+        decode_block_into(meta.scheme, (first, last), block_bytes, rows, scratch)
+            .ok_or_else(|| bad("inconsistent block payload"))
+    }
+}
+
+/// What a column reads from: its block directory, or — for a term stored
+/// inline — one level of the term's record, which answers as a column of
+/// one block would.
+#[derive(Clone, Copy)]
+enum Lists<'a> {
+    Blocks(ColumnDirectory<'a>),
+    Inline(InlineColumn<'a>),
+}
+
+impl Lists<'_> {
+    /// Per block, its last and its first value.
+    fn bounds(&self) -> (&[u32], &[u32]) {
+        match self {
+            Lists::Blocks(meta) => (meta.lasts, meta.firsts),
+            Lists::Inline(col) => (std::slice::from_ref(&col.last), std::slice::from_ref(&col.first)),
+        }
     }
 }
 
@@ -329,7 +380,7 @@ impl DiskColumnStore {
 #[derive(Clone, Copy)]
 pub struct DiskColumn<'a> {
     store: &'a DiskColumnStore,
-    meta: ColumnDirectory<'a>,
+    lists: Lists<'a>,
     /// Query scope the accesses through this handle are attributed to
     /// (besides the store totals); `None` outside query execution.
     session: Option<&'a IoSession>,
@@ -345,23 +396,25 @@ impl<'a> DiskColumn<'a> {
         self
     }
 
-    /// Number of blocks.
+    /// Number of blocks (1 for an inline column).
     pub fn block_count(&self) -> usize {
-        self.meta.block_count()
+        self.lists.bounds().1.len()
     }
 
     /// Rows present at this level.
     pub fn row_count(&self) -> usize {
-        self.meta.present_rows.len()
+        match &self.lists {
+            Lists::Blocks(meta) => meta.present_rows.len(),
+            Lists::Inline(col) => col.rows as usize,
+        }
     }
 
     /// The `[first, last]` JDewey value range this column covers, read
-    /// from the directory without decoding anything.  `None` for empty
-    /// columns.
+    /// from the directory (or the inline record) without decoding
+    /// anything.  `None` for empty columns.
     pub fn value_span(&self) -> Option<(u32, u32)> {
-        let &first = self.meta.firsts.first()?;
-        let &last = self.meta.lasts.last()?;
-        Some((first, last))
+        let (lasts, firsts) = self.lists.bounds();
+        Some((*firsts.first()?, *lasts.last()?))
     }
 
     /// A forward position at the column's first block — the one access
@@ -421,19 +474,20 @@ impl Feed for BlockFeed<'_> {
     type Error = io::Error;
 
     fn land(&mut self, v: u32) -> io::Result<Option<Block>> {
-        let meta = &self.col.meta;
+        let lists = &self.col.lists;
+        let (lasts, firsts) = lists.bounds();
         if self.skip {
             // Blocks wholly below `v` are passed over undecoded.
-            self.next = gallop_partition_point(meta.lasts, self.next, |&last| last < v);
+            self.next = gallop_partition_point(lasts, self.next, |&last| last < v);
         }
-        let Some(&first) = meta.firsts.get(self.next) else {
+        let Some(&first) = firsts.get(self.next) else {
             return Ok(None);
         };
         // Below the block's first value, `v` sits in the gap before it.
         if self.skip && v < first {
             return Ok(None);
         }
-        let block = self.col.store.decode_block(meta, self.next, self.col.session)?;
+        let block = self.col.store.land_block(lists, self.next, self.col.session)?;
         check_rows(&block, self.rows)?;
         self.next += 1;
         Ok(Some(block))

@@ -21,7 +21,7 @@
 use crate::btree::{composite_key, dewey_key_bytes, emulate_size};
 use crate::builder::XmlIndex;
 use crate::codec::{varint_len, write_varint};
-use crate::disk::encode_column_record;
+use crate::disk::encode_lists;
 use std::fmt;
 use xtk_xml::dewey::DeweyIndex;
 
@@ -76,12 +76,10 @@ pub fn compute(ix: &XmlIndex) -> IndexSizes {
         }
         join += scratch.len() as u64; // lengths array
         join += varint_len(u32::from(term.max_len())) as u64;
-        // The column records are the writer's own, byte for byte.
+        // The inline record or the column records are the writer's own,
+        // byte for byte; only column blocks have sparse entries.
         scratch.clear();
-        let mut sparse_blocks = 0u64;
-        for col in term.columns() {
-            sparse_blocks += encode_column_record(col.runs, &mut scratch) as u64;
-        }
+        let sparse_blocks = encode_lists(term, &mut scratch) as u64;
         join += scratch.len() as u64;
         s.join_il += join;
         s.join_sparse += sparse_blocks * SPARSE_ENTRY_BYTES as u64;
@@ -217,9 +215,9 @@ mod tests {
     }
 
     /// Rebuilds the full file size out of the same primitives Table I
-    /// uses: header and lengths array by hand, the column records by the
-    /// encoder `compute` calls.  If the model drifts from the writer, it
-    /// stops matching the real file.
+    /// uses: header and lengths array by hand, the lists by the encoder
+    /// `compute` calls.  If the model drifts from the writer, it stops
+    /// matching the real file.
     fn assert_model_matches_file(opts: crate::disk::WriteIndexOptions) {
         use crate::disk::{persisted_file_bytes, write_index_to, MAGIC};
         let ix = small_index();
@@ -235,9 +233,7 @@ mod tests {
                 model += 4 * term.len() as u64;
             }
             model += varint_len(u32::from(term.max_len())) as u64;
-            for col in term.columns() {
-                encode_column_record(col.runs, &mut records);
-            }
+            encode_lists(term, &mut records);
         }
         model += records.len() as u64;
         assert_eq!(model, persisted_file_bytes(&ix, opts));
@@ -255,7 +251,7 @@ mod tests {
     #[test]
     fn column_accounting_matches_v3_file_length() {
         // The options perfbench writes its stores with: the one format
-        // (`FormatVersion::V3`, file version 4) plus the score section.
+        // (`FormatVersion::V3`, file version 5) plus the score section.
         use crate::disk::{FormatVersion, WriteIndexOptions};
         assert_model_matches_file(WriteIndexOptions { include_scores: true, format: FormatVersion::V3 });
     }
@@ -264,12 +260,21 @@ mod tests {
     fn footers_are_counted() {
         // The directory's row counts and last values must show up in the
         // join accounting: every block contributes at least two varint
-        // bytes over a model pricing `(offset, first value)` alone.
+        // bytes over a model pricing `(offset, first value)` alone.  The
+        // terms short enough to be inline have no blocks and no sparse
+        // entries (the conference names, one posting each).
         use crate::codec::{choose_scheme, encode_column};
+        use crate::disk::INLINE_MAX_POSTINGS;
         let ix = small_index();
         let s = compute(&ix);
         let (mut bare, mut blocks, mut records) = (0u64, 0u64, Vec::new());
+        let mut inline = 0;
         for (_, term) in ix.terms() {
+            if term.len() <= INLINE_MAX_POSTINGS {
+                inline += 1;
+                assert_eq!(encode_lists(term, &mut Vec::new()), 0, "{}", term.name());
+                continue;
+            }
             for col in term.columns() {
                 let cc = encode_column(col.runs, choose_scheme(col.runs));
                 let mut b = 1 + varint_len(cc.block_count() as u32);
@@ -278,9 +283,10 @@ mod tests {
                 }
                 b += varint_len(cc.payload_bytes() as u32) + cc.payload_bytes();
                 bare += b as u64;
-                blocks += encode_column_record(col.runs, &mut records) as u64;
             }
+            blocks += encode_lists(term, &mut records) as u64;
         }
+        assert!(inline > 0 && blocks > 0, "{inline} inline terms, {blocks} blocks");
         let with_footers = records.len() as u64;
         assert!(with_footers >= bare + 2 * blocks, "row counts and last values must be accounted");
         assert!(s.join_il > with_footers, "join IL includes vocab + lengths on top");

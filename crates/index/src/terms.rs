@@ -40,11 +40,6 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("term arena exceeds u32 offsets")
 }
 
-/// The largest score under `f32::total_cmp`, 0 for none.
-fn max_score(scores: &[f32]) -> f32 {
-    scores.iter().copied().max_by(f32::total_cmp).unwrap_or(0.0)
-}
-
 /// Every term's physical structures, in flat arrays (see the module docs).
 /// Offset arrays (`*_at`) hold one more entry than what they index, the
 /// first being 0.
@@ -57,8 +52,6 @@ pub(crate) struct TermArena {
     row_at: Vec<u32>,
     postings: Vec<NodeId>,
     scores: Vec<f32>,
-    /// Per term: the largest of its scores.
-    max_scores: Vec<f32>,
     /// Per term: its columns (index into `run_at`).
     col_at: Vec<u32>,
     /// Per column: its runs.
@@ -87,7 +80,6 @@ impl Default for TermArena {
             row_at: vec![0],
             postings: Vec::new(),
             scores: Vec::new(),
-            max_scores: Vec::new(),
             col_at: vec![0],
             run_at: vec![0],
             runs: Vec::new(),
@@ -116,7 +108,6 @@ impl TermArena {
         self.row_at.reserve_exact(terms);
         self.col_at.reserve_exact(terms);
         self.seg_at.reserve_exact(terms);
-        self.max_scores.reserve_exact(terms);
         self.postings.reserve_exact(rows);
         self.scores.reserve_exact(rows);
         self.seg_rows.reserve_exact(rows);
@@ -125,7 +116,7 @@ impl TermArena {
     /// Number of terms with structures.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.max_scores.len()
+        self.row_at.len() - 1
     }
 
     /// Appends a term text.  Names are pushed apart from the structures:
@@ -152,7 +143,6 @@ impl TermArena {
         self.scores.extend(scores);
         self.row_at.push(offset(self.postings.len()));
         let scores = self.scores.get(first_row..).unwrap_or_default();
-        self.max_scores.push(max_score(scores));
 
         for runs in build_columns(tree, jd, postings, scratch) {
             let col_id = offset(self.run_at.len() - 1);
@@ -262,13 +252,6 @@ impl<'a> TermData<'a> {
     #[inline]
     pub fn scores(&self) -> &'a [f32] {
         self.scores
-    }
-
-    /// The largest score (0 for an empty list): the term's contribution to
-    /// an upper bound on any result score.
-    #[inline]
-    pub fn max_score(&self) -> f32 {
-        self.arena.max_scores.get(self.id).copied().unwrap_or(0.0)
     }
 
     /// Maximum JDewey sequence length over the postings (`l_m`): the

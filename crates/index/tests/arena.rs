@@ -19,7 +19,6 @@ struct Snapshot {
     name: String,
     postings: Vec<NodeId>,
     scores: Vec<u32>,
-    max_score: u32,
     columns: Vec<Vec<Run>>,
     /// `(len, rows, max_score bits)` per segment.
     segments: Vec<(u16, Vec<u32>, u32)>,
@@ -34,7 +33,6 @@ fn view(t: TermData<'_>) -> Snapshot {
         name: t.name().to_string(),
         postings: t.postings().to_vec(),
         scores: t.scores().iter().map(|s| s.to_bits()).collect(),
-        max_score: t.max_score().to_bits(),
         columns: t.columns().map(|c| c.runs.to_vec()).collect(),
         segments: t.segments().map(|s| (s.len, s.rows.to_vec(), s.max_score.to_bits())).collect(),
         histograms: levels.clone().map(|l| t.histogram(l).copied()).collect(),
@@ -69,12 +67,10 @@ fn rebuilt(ix: &XmlIndex, t: TermData<'_>, scores: &[f32], scratch: &mut ColumnS
             RowDirectory::build(Column { runs }, &mut entries).then_some(entries)
         })
         .collect();
-    let max = scores.iter().copied().fold(0.0f32, f32::max);
     Snapshot {
         name: t.name().to_string(),
         postings: t.postings().to_vec(),
         scores: scores.iter().map(|s| s.to_bits()).collect(),
-        max_score: max.to_bits(),
         columns,
         segments,
         histograms,

@@ -8,16 +8,24 @@ use std::io;
 use std::sync::Arc;
 use xtk_index::cache::ShardedLruCache;
 use xtk_index::codec::{try_read_varint, write_varint};
-use xtk_index::disk::{write_index_to, WriteIndexOptions};
+use xtk_index::disk::{write_index_to, WriteIndexOptions, INLINE_MAX_POSTINGS};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::parse;
 use xtk_xml::testutil::prop_check;
 
+/// Long lists in column records, then the Zipf tail in inline records:
+/// `lone` (one posting), `pair` (two postings sharing `r/q`, the second
+/// one deeper) and `octet` (eight postings, the most an inline record
+/// holds).
 fn valid_index_bytes() -> Vec<u8> {
     let mut xml = String::from("<r>");
     for i in 0..120 {
         xml.push_str(&format!("<p><t>alpha beta{} gamma</t></p>", i % 11));
+    }
+    xml.push_str("<q><s>lone pair</s><u><v>pair</v></u></q>");
+    for i in 0..INLINE_MAX_POSTINGS {
+        xml.push_str(&format!("<q><s>octet</s>{}</q>", "<w/>".repeat(i)));
     }
     xml.push_str("</r>");
     let ix = XmlIndex::build(parse(&xml).unwrap());
@@ -124,10 +132,11 @@ fn empty_and_garbage_files_rejected() {
 fn version_1_image_is_rejected_by_every_reader() {
     // An empty but well-formed file of each earlier version (magic, no
     // terms, no score flag): version 1 had no row counts in its
-    // directory, version 2 held varint blocks, and version 3's delta
-    // blocks repeated their row count.  Their readers are gone, and each
+    // directory, version 2 held varint blocks, version 3's delta blocks
+    // repeated their row count, and version 4's blocks their first value
+    // (and it wrote no inline records).  Their readers are gone, and each
     // file is refused by name rather than misread.
-    for version in 1..=3u32 {
+    for version in 1..=4u32 {
         let mut image = Vec::new();
         write_varint(0x5854_4B00 | version, &mut image);
         image.extend_from_slice(&[0, 0]);
@@ -201,5 +210,136 @@ fn damaged_directory_field_is_rejected_by_every_reader() {
         let what = format!("{field:?} {value} -> {}", replace(value));
         let err = open(&image).expect_err(&format!("{what}: opened"));
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+}
+
+/// Term `name`'s inline record in a pristine image: the byte range of its
+/// length varint and bytes, and per posting its depth, its shared count
+/// and its other numbers.
+struct InlineRecord {
+    at: std::ops::Range<usize>,
+    postings: Vec<(u32, u32, Vec<u32>)>,
+}
+
+/// Walks the image's term records to `name`'s (it must be inline),
+/// stepping over column records by their framing.
+fn locate_inline(bytes: &[u8], name: &str) -> InlineRecord {
+    let mut pos = 0;
+    let varint = |pos: &mut usize| try_read_varint(bytes, pos).unwrap();
+    varint(&mut pos);
+    let terms = varint(&mut pos);
+    let scores = bytes[pos] != 0;
+    pos += 1;
+    for _ in 0..terms {
+        let len = varint(&mut pos) as usize;
+        let term = std::str::from_utf8(&bytes[pos..pos + len]).unwrap().to_string();
+        pos += len;
+        let n = varint(&mut pos) as usize;
+        let depths: Vec<u32> = (0..n).map(|_| varint(&mut pos)).collect();
+        pos += if scores { 4 * n } else { 0 };
+        let columns = varint(&mut pos);
+        if n <= INLINE_MAX_POSTINGS {
+            let start = pos;
+            let len = varint(&mut pos) as usize;
+            if term == name {
+                let mut at = pos;
+                let postings = depths
+                    .iter()
+                    .map(|&d| {
+                        let shared = varint(&mut at);
+                        (d, shared, (shared..d).map(|_| varint(&mut at)).collect())
+                    })
+                    .collect();
+                assert_eq!(at, pos + len, "{name}: the record is its postings");
+                return InlineRecord { at: start..pos + len, postings };
+            }
+            pos += len;
+            continue;
+        }
+        assert_ne!(term, name, "{name} is not inline");
+        for _ in 0..columns {
+            pos += 1;
+            let blocks = varint(&mut pos);
+            for _ in 0..4 * blocks {
+                varint(&mut pos);
+            }
+            pos += varint(&mut pos) as usize;
+        }
+    }
+    panic!("no term {name}");
+}
+
+/// `postings` as an inline record: shared counts and numbers as varints,
+/// but a number of `u64` past `u32` as the five-byte varint a `u32`
+/// cannot hold; then its byte length in front.
+fn inline_record(postings: &[(u32, u32, Vec<u64>)]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for (_, shared, numbers) in postings {
+        write_varint(*shared, &mut body);
+        for &v in numbers {
+            match u32::try_from(v) {
+                Ok(v) => write_varint(v, &mut body),
+                Err(_) => body.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+            }
+        }
+    }
+    let mut record = Vec::new();
+    write_varint(body.len() as u32, &mut record);
+    record.extend_from_slice(&body);
+    record
+}
+
+#[test]
+fn damaged_inline_record_is_rejected_by_every_reader() {
+    // One row per check of the inline record's walk, each on `pair`: the
+    // record rewritten with one thing wrong and its length framing it, so
+    // every other byte of the image is as written.
+    type Postings = Vec<(u32, u32, Vec<u64>)>;
+    let bytes = valid_index_bytes();
+    assert!(verdict(&bytes, "pristine"), "pristine image refused");
+    let pair = locate_inline(&bytes, "pair");
+    let pristine: Postings = pair
+        .postings
+        .iter()
+        .map(|(d, s, numbers)| (*d, *s, numbers.iter().map(|&v| u64::from(v)).collect()))
+        .collect();
+    // Two postings under `r/q`, the second one level deeper.
+    assert!(matches!(pristine.as_slice(), [(3, 0, _), (4, 2, _)]), "{pristine:?}");
+    assert_eq!(inline_record(&pristine), bytes[pair.at.clone()], "the test's encoder is the writer's");
+    // What is wrong, how, and what the error names.
+    type Row = (&'static str, fn(&mut Postings), &'static str);
+    let rows: [Row; 4] = [
+        (
+            "a shared count past the previous posting's depth",
+            |p| {
+                p[1].1 = p[0].0 + 1;
+                p[1].2.clear();
+            },
+            "inline shared count exceeds a posting's depth",
+        ),
+        ("a number past u32", |p| p[1].2[1] = 1 << 32, "inline number"),
+        (
+            "numbers that descend within a level",
+            |p| p[0].2[2] = p[1].2[0] + 1,
+            "inline numbers descend within a level",
+        ),
+        (
+            "a record cut short",
+            |p| {
+                p[1].2.pop();
+            },
+            "inline number",
+        ),
+    ];
+    for (what, damage, named) in rows {
+        let mut postings = pristine.clone();
+        damage(&mut postings);
+        let mut image = bytes[..pair.at.start].to_vec();
+        image.extend_from_slice(&inline_record(&postings));
+        image.extend_from_slice(&bytes[pair.at.end..]);
+        let err = open(&image).expect_err(&format!("{what}: opened"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().ends_with(named), "{what}: {err}");
+        assert!(!verdict(&image, what), "{what}: loaded");
     }
 }

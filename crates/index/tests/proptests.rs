@@ -9,7 +9,7 @@ use xtk_index::cache::ShardedLruCache;
 use xtk_index::columnar::{
     Column, RowDirectory, Run, ROW_DIRECTORY_MIN_RUNS, ROW_DIRECTORY_STRIDE,
 };
-use xtk_index::disk::{write_index_to, WriteIndexOptions};
+use xtk_index::disk::{write_index_to, WriteIndexOptions, INLINE_MAX_POSTINGS};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::testutil::{prop_check, Gen};
@@ -239,6 +239,61 @@ fn sparse_index_locates_every_value() {
         }
     });
     assert!(multi_block.get() > 0, "no generated column spanned two blocks");
+}
+
+#[test]
+fn store_serves_exact_columns_across_the_inline_threshold() {
+    // Over random trees, a term `c{k}` in k distinct nodes for every k up
+    // to one past the inline threshold, beside a few long random lists:
+    // the store hands back every column of every term as the memory
+    // index holds it — runs, rows, blocks, value span, and `find` of each
+    // run — whether the term went inline or into column records, and the
+    // one-walk `columns` equals the per-level `column`.
+    let inline_terms = std::cell::Cell::new(0u32);
+    prop_check(0x51, 40, |g| {
+        let shape = shape(g, 300);
+        let mut tree = build_tree(&shape, &placements(g, 200, 3));
+        let n = tree.len();
+        let mut nodes: Vec<u32> = (0..n as u32).collect();
+        for k in 1..=INLINE_MAX_POSTINGS + 1 {
+            // The first k of a partial shuffle: k distinct nodes.
+            for i in 0..k.min(n) {
+                let j = g.gen_range(i..n);
+                nodes.swap(i, j);
+                tree.append_text(NodeId(nodes[i]), &format!("c{k}"));
+            }
+        }
+        let ix = XmlIndex::build(tree);
+        let mut image = Vec::new();
+        let opts = WriteIndexOptions { include_scores: g.gen_bool(0.5), ..Default::default() };
+        write_index_to(&ix, &mut image, opts).unwrap();
+        let cache = std::sync::Arc::new(ShardedLruCache::unbounded());
+        let store = DiskColumnStore::open_bytes(image.into(), cache).unwrap();
+        prop_assert_eq!(store.term_names().len(), ix.vocab_size());
+        for (_, term) in ix.terms() {
+            let name = term.name();
+            inline_terms.set(inline_terms.get() + u32::from(term.len() <= INLINE_MAX_POSTINGS));
+            prop_assert_eq!(store.levels_of(name), term.max_len(), "{}", name);
+            let walked: Vec<_> = store.columns(name).collect();
+            prop_assert_eq!(walked.len(), usize::from(term.max_len()), "{}", name);
+            for ((col, dc), level) in term.columns().zip(&walked).zip(1u16..) {
+                let what = format!("{name} ({} postings) level {level}", term.len());
+                let one = store.column(name, level).unwrap();
+                let blocks = encode_column(col.runs, choose_scheme(col.runs)).block_count();
+                let span = col.runs.first().zip(col.runs.last()).map(|(f, l)| (f.value, l.value));
+                for dc in [dc, &one] {
+                    prop_assert_eq!(dc.scan().unwrap(), col.runs.to_vec(), "{}", what);
+                    prop_assert_eq!(dc.row_count() as u64, col.row_count(), "{}", what);
+                    prop_assert_eq!(dc.block_count(), blocks, "{}", what);
+                    prop_assert_eq!(dc.value_span(), span, "{}", what);
+                }
+                for run in col.runs {
+                    prop_assert_eq!(one.find(run.value).unwrap(), Some(*run), "{}", what);
+                }
+            }
+        }
+    });
+    assert!(inline_terms.get() > 200, "{} inline terms", inline_terms.get());
 }
 
 #[test]
