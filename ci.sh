@@ -212,6 +212,18 @@ if grep -nF '"rules"' crates/core/src/plan/parse.rs >&2; then
     echo "ERROR: a rules= knob is back in crates/core/src/plan/parse.rs (lines above)" >&2; exit 1
 fi
 
+echo "== one top-K stop: Algorithm 1 holds the level bound, no executor a copy"
+# A request cut at k stops climbing inside algorithm1 (core/src/joinbased.rs)
+# once no shallower result can enter the k kept, by the one level bound
+# over the segment heads (DESIGN "Algorithm 1 with a top-K stop").  A
+# second definition, or segment maxima read by an executor that runs the
+# driver, means a second stop rule that the exactness tests do not see.
+expect_sites 1 'crates/*/src' 'fn level_bound('
+if grep -nw -e max_score -e segment_heads crates/core/src/diskexec.rs crates/core/src/shard.rs \
+        crates/core/src/hybrid.rs crates/core/src/batch.rs crates/core/src/plan/*.rs >&2; then
+    echo "ERROR: an executor reads segment maxima (lines above): the stop lives in algorithm1" >&2; exit 1
+fi
+
 echo "== one timing authority: crates/bench keeps experiments and counter goldens only"
 # Wall time is measured by perfbench alone.  crates/bench holds the figure
 # generator (`experiments`) and tests/goldens.rs, whose goldens are counts

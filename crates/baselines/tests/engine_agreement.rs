@@ -74,6 +74,7 @@ fn scores_agree_between_join_and_verifier() {
             semantics: Semantics::Elca,
             variant: ElcaVariant::Formal,
             with_scores: true,
+            limit: None,
         });
         let indexed = indexed_search(&BaselineIndex::new(&ix), &q, &IndexedOptions {
             semantics: Semantics::Elca, with_scores: true

@@ -124,7 +124,15 @@ pub fn hybrid_topk_obs(
         (rs, PlannedEngine::TopKJoin)
     } else {
         obs.metrics.add("hybrid.route_complete", 1);
-        let opts = JoinOptions { semantics, variant: ElcaVariant::Operational, with_scores: true };
+        // No `limit`: the `4·k` bar above was set on the cost of the whole
+        // join (DESIGN "Algorithm 1 with a top-K stop" has why this route
+        // does not stop early yet).
+        let opts = JoinOptions {
+            semantics,
+            variant: ElcaVariant::Operational,
+            with_scores: true,
+            limit: None,
+        };
         let (mut rs, _) = join_search_obs(ix, query, &opts, obs);
         rank_top(&mut rs, Some(k));
         (rs, PlannedEngine::CompleteJoin)

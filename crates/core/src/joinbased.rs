@@ -46,7 +46,8 @@ use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
 use std::convert::Infallible;
 use xtk_index::columnar::{Feed, Run, RunCursor};
-use xtk_index::{TermData, XmlIndex};
+use xtk_index::scored::SegmentHead;
+use xtk_index::{Damping, TermData, XmlIndex};
 use xtk_obs::{EventKind, Obs};
 use xtk_xml::jdewey::LevelCursor;
 
@@ -61,6 +62,12 @@ pub struct JoinOptions {
     /// Compute ranking scores for each result (costs one pass over the
     /// matched runs' rows; leave off for pure semantic evaluation).
     pub with_scores: bool,
+    /// `Some(k)` when the caller keeps only `k` of the results: the `k`
+    /// best by [`rank_top`](crate::result::rank_top) when scored, the
+    /// first `k` in emission order when not.  The level loop then stops
+    /// once no result at a shallower level can enter them (see
+    /// [`algorithm1`]); the results it returns still need that cut.
+    pub limit: Option<usize>,
 }
 
 /// Execution counters, for tests, ablations and the experiment harness.
@@ -75,6 +82,9 @@ pub struct JoinStats {
     pub matches: u64,
     /// Results emitted.
     pub results: u64,
+    /// The level the top-K stop left unjoined, with every level above
+    /// it; `None` when the loop reached its floor.
+    pub stopped_at: Option<u16>,
 }
 
 /// One keyword's rows as a [`ColumnSource`] numbers them: row `r` of its
@@ -87,12 +97,100 @@ pub struct KeywordRows<'a> {
     pub scores: &'a [f32],
     /// The deepest level a posting reaches (`l_m`): the number of columns.
     pub levels: u16,
+    /// The heads of the rows' score-sorted length groups (Fig. 7): each
+    /// depth that holds a posting, with the largest local score there.
+    pub heads: &'a [SegmentHead],
 }
 
 impl<'a> KeywordRows<'a> {
     /// Every row of `term`.
     pub fn of(term: TermData<'a>) -> Self {
-        Self { postings: term.postings(), scores: term.scores(), levels: term.max_len() }
+        Self {
+            postings: term.postings(),
+            scores: term.scores(),
+            levels: term.max_len(),
+            heads: term.segment_heads(),
+        }
+    }
+}
+
+/// The §IV-C bound on the score of any result at `level`: per keyword,
+/// the largest `max_score · d(len − level)` over its segment heads with
+/// `len ≥ level`, summed in query order from `0.0`.  It is an upper bound
+/// bit for bit: a result's score sums, the same way, per keyword the
+/// largest damped local score of rows at depth `len ≥ level`; damping is
+/// the same rounded product by the same positive factor, which is
+/// monotone in the local score, and rounded addition is monotone in each
+/// term.
+pub fn level_bound(terms: &[KeywordRows<'_>], damping: &Damping, level: u16) -> f32 {
+    let mut total = 0.0f32;
+    for term in terms {
+        let mut best = 0.0f32;
+        for head in term.heads.iter().filter(|h| h.len >= level) {
+            let damped = damping.damp(head.max_score, head.len, level);
+            if damped > best {
+                best = damped;
+            }
+        }
+        total += best;
+    }
+    total
+}
+
+/// The top-K stop of [`algorithm1`]: whether the results held so far
+/// already settle the `k` the caller keeps.
+struct Stop<'t> {
+    k: usize,
+    ranked: bool,
+    terms: &'t [KeywordRows<'t>],
+    floor: u16,
+    /// At `l − floor`: the largest [`level_bound`] over `floor..=l`,
+    /// filled on the first check that needs it.
+    bounds: Vec<f32>,
+    /// The best `k` scores of the first `seen` results.
+    best: Vec<f32>,
+    seen: usize,
+}
+
+impl<'t> Stop<'t> {
+    fn new(k: usize, ranked: bool, terms: &'t [KeywordRows<'t>], floor: u16) -> Self {
+        Self { k, ranked, terms, floor, bounds: Vec::new(), best: Vec::new(), seen: 0 }
+    }
+
+    /// Before `level` is entered, with every deeper level's `results`
+    /// held: `Some((k-th best score, bound))` when no result at `level`
+    /// or above can enter the kept `k` (both `0.0` for an unranked cut).
+    /// Ranked, a result the levels left would score at most the bound;
+    /// one that ties the `k`-th score is shallower than every held
+    /// result, and `rank_cmp` ranks it after them.  Unranked, the kept
+    /// `k` are the first in emission order, all held.
+    fn check(
+        &mut self,
+        level: u16,
+        results: &[ScoredResult],
+        damping: &Damping,
+    ) -> Option<(f32, f32)> {
+        if results.len() < self.k {
+            return None;
+        }
+        let Some(kth_at) = self.k.checked_sub(1).filter(|_| self.ranked) else {
+            return Some((0.0, 0.0));
+        };
+        self.best.extend(results.get(self.seen..).unwrap_or_default().iter().map(|r| r.score));
+        self.seen = results.len();
+        self.best.select_nth_unstable_by(kth_at, |a, b| b.total_cmp(a));
+        self.best.truncate(self.k);
+        let kth = *self.best.get(kth_at)?;
+        if self.bounds.is_empty() {
+            // Levels descend: the first level checked covers every later one.
+            let mut most = 0.0f32;
+            for l in self.floor..=level {
+                most = most.max(level_bound(self.terms, damping, l));
+                self.bounds.push(most);
+            }
+        }
+        let bound = *self.bounds.get(usize::from(level.checked_sub(self.floor)?))?;
+        kth.total_cmp(&bound).is_ge().then_some((kth, bound))
     }
 }
 
@@ -198,6 +296,12 @@ pub fn join_search_obs(
 /// tree, the damping and the `(level, number)` → node lookup; each
 /// keyword's rows and columns come from `src`.  An empty query, or one
 /// with an empty inverted list, answers empty without reading a column.
+///
+/// With [`JoinOptions::limit`] `Some(k)` the loop stops before a level
+/// once it holds `k` results and — when scored — the `k`-th best score is
+/// at least `max_{floor ≤ l' ≤ l} level_bound(l')`: every result left
+/// sits at one of those levels.  The cut the caller applies then returns
+/// exactly what it returns after the complete join.
 pub fn algorithm1<'a, S: ColumnSource<'a>>(
     ix: &XmlIndex,
     query: &Query,
@@ -218,7 +322,19 @@ pub fn algorithm1<'a, S: ColumnSource<'a>>(
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
     let mut joined = Joined::default();
     let mut scratch = LevelEval::default();
-    for l in (src.floor()..=l0).rev() {
+    let floor = src.floor();
+    let mut stop = opts.limit.map(|k| Stop::new(k, opts.with_scores, &terms, floor));
+    for l in (floor..=l0).rev() {
+        if let Some((kth, bound)) = stop.as_mut().and_then(|s| s.check(l, &results, ix.damping())) {
+            stats.stopped_at = Some(l);
+            obs.event(EventKind::JoinStop {
+                level: l as u32,
+                results: results.len() as u64,
+                kth_bits: kth.to_bits(),
+                bound_bits: bound.to_bits(),
+            });
+            break;
+        }
         stats.levels += 1;
         let before = stats;
         src.enter(l)?;
@@ -715,7 +831,7 @@ mod tests {
         };
         for semantics in [Semantics::Elca, Semantics::Slca] {
             for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
-                let opts = JoinOptions { semantics, variant, with_scores: true };
+                let opts = JoinOptions { semantics, variant, with_scores: true, limit: None };
                 let want = bits(&reference_search(ix, query, &opts));
                 let (got, stats) = join_search(ix, query, &opts);
                 assert_eq!(bits(&got), want, "{semantics:?} {variant:?}");

@@ -244,10 +244,11 @@ impl PlanStats {
         }
     }
 
-    /// The statistics of `term` over the join range `1..=depth`.
-    pub fn join_range(&self, term: TermId, depth: u16) -> &[LevelStats] {
+    /// The statistics of `term` over the join range `floor..=depth`.
+    pub fn join_range(&self, term: TermId, floor: u16, depth: u16) -> &[LevelStats] {
         let all = self.levels(term);
-        all.get(..(depth as usize).min(all.len())).unwrap_or(all)
+        let to = (depth as usize).min(all.len());
+        all.get(usize::from(floor.max(1)) - 1..to).unwrap_or_default()
     }
 
     /// `true` when the snapshot covers no terms (an empty corpus).
@@ -269,14 +270,15 @@ pub struct CostSummary {
 }
 
 /// Renders the per-node estimates for a rewritten plan: the join total
-/// first, then one line per leaf in tree order.
-pub(crate) fn summarize(stats: &PlanStats, plan: &PlanNode) -> CostSummary {
+/// first, then one line per leaf in tree order.  The join reads levels
+/// `floor..=l0` (the sharded target's floor is 2).
+pub(crate) fn summarize(stats: &PlanStats, plan: &PlanNode, floor: u16) -> CostSummary {
     let leaves = plan.leaves();
     // The surviving streamed scan drives any probes (post-rewrite there
     // is at most one among probed joins).
     let driver = leaves.iter().find(|l| l.mode == ScanMode::Stream);
     let driver_stats =
-        driver.map(|d| stats.join_range(d.term, d.levels)).unwrap_or(&[]);
+        driver.map(|d| stats.join_range(d.term, floor, d.levels)).unwrap_or(&[]);
     let mut lines = Vec::with_capacity(leaves.len() + 1);
     let mut total = Cost::default();
     let mut leaf_lines = Vec::with_capacity(leaves.len());
@@ -296,7 +298,7 @@ pub(crate) fn summarize(stats: &PlanStats, plan: &PlanNode) -> CostSummary {
         }
     }
     for (leaf, &is_probe) in leaves.iter().zip(&kinds) {
-        let range = stats.join_range(leaf.term, leaf.levels);
+        let range = stats.join_range(leaf.term, floor, leaf.levels);
         if is_probe {
             let c = probe_cost(driver_stats, range);
             let s = scan_cost(range);

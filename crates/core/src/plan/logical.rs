@@ -111,12 +111,14 @@ pub enum PlanNode {
 }
 
 impl PlanNode {
-    /// Renders the plan tree, two-space indented, byte-stable.
-    pub fn render(&self) -> String {
-        fmt::from_fn(|f| self.render_into(f, 0)).to_string()
+    /// Renders the plan tree, two-space indented, byte-stable.  `floor`
+    /// is the shallowest level the target's join reads: 1, or 2 on the
+    /// sharded target, which leaves out the corpus root.
+    pub fn render(&self, floor: u16) -> String {
+        fmt::from_fn(|f| self.render_into(f, 0, floor)).to_string()
     }
 
-    fn render_into(&self, out: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+    fn render_into(&self, out: &mut fmt::Formatter<'_>, depth: usize, floor: u16) -> fmt::Result {
         for _ in 0..depth {
             out.write_str("  ")?;
         }
@@ -131,11 +133,11 @@ impl PlanNode {
                     "LogicalScan: term=\"{}\" postings={} levels={} mode={}",
                     leaf.name,
                     leaf.postings,
-                    LevelRange(leaf.levels),
+                    LevelRange(1, leaf.levels),
                     mode
                 )?;
                 if let Some(full) = leaf.pruned_from {
-                    write!(out, " (pruned from {})", LevelRange(full))?;
+                    write!(out, " (pruned from {})", LevelRange(1, full))?;
                 }
                 out.write_char('\n')
             }
@@ -145,17 +147,17 @@ impl PlanNode {
                     "LogicalIndexProbe: term=\"{}\" postings={} levels={} skip=footers",
                     leaf.name,
                     leaf.postings,
-                    LevelRange(leaf.levels)
+                    LevelRange(1, leaf.levels)
                 )?;
                 if let Some(full) = leaf.pruned_from {
-                    write!(out, " (pruned from {})", LevelRange(full))?;
+                    write!(out, " (pruned from {})", LevelRange(1, full))?;
                 }
                 out.write_char('\n')
             }
             PlanNode::Join { inputs, levels } => {
-                writeln!(out, "LogicalJoin: levels={}", LevelRange(*levels))?;
+                writeln!(out, "LogicalJoin: levels={}", LevelRange(floor, *levels))?;
                 for i in inputs {
-                    i.render_into(out, depth + 1)?;
+                    i.render_into(out, depth + 1, floor)?;
                 }
                 Ok(())
             }
@@ -169,7 +171,7 @@ impl PlanNode {
                     ElcaVariant::Formal => "formal",
                 };
                 writeln!(out, "LogicalFilter: semantics={sem} variant={var}")?;
-                input.render_into(out, depth + 1)
+                input.render_into(out, depth + 1, floor)
             }
             PlanNode::TopK { input, k, strategy, threshold, scores, bound } => {
                 out.write_str("LogicalTopK:")?;
@@ -195,7 +197,7 @@ impl PlanNode {
                     write!(out, " (candidate bound {b})")?;
                 }
                 out.write_char('\n')?;
-                input.render_into(out, depth + 1)
+                input.render_into(out, depth + 1, floor)
             }
         }
     }
@@ -222,15 +224,15 @@ impl PlanNode {
     }
 }
 
-/// `1..=n` rendered as `1..N` (or `none` for an empty range).
-pub(crate) struct LevelRange(pub(crate) u16);
+/// `from..=to` rendered as `from..to` (or `none` for an empty range).
+pub(crate) struct LevelRange(pub(crate) u16, pub(crate) u16);
 
 impl std::fmt::Display for LevelRange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0 == 0 {
+        if self.1 < self.0.max(1) {
             write!(f, "none")
         } else {
-            write!(f, "1..{}", self.0)
+            write!(f, "{}..{}", self.0, self.1)
         }
     }
 }
@@ -275,8 +277,8 @@ mod tests {
             scores: ScoreMode::Ranked,
             bound: None,
         };
-        let a = plan.render();
-        let b = plan.render();
+        let a = plan.render(1);
+        let b = plan.render(1);
         assert_eq!(a, b);
         assert_eq!(
             a,
@@ -287,5 +289,8 @@ mod tests {
              LogicalIndexProbe: term=\"search\" postings=12 levels=1..3 skip=footers (pruned from 1..5)\n"
         );
         assert_eq!(plan.leaves().len(), 2);
+        let sharded = plan.render(2);
+        assert!(sharded.contains("LogicalJoin: levels=2..3\n"), "{sharded}");
+        assert!(sharded.contains("levels=1..3 skip=footers (pruned from 1..5)"), "{sharded}");
     }
 }

@@ -166,7 +166,8 @@ pub(crate) fn execute_memory_spec(
             // complete route bit for bit: scored, operational exclusion.
             let (with_scores, variant) =
                 if elided { (true, ElcaVariant::Operational) } else { (spec.scored, spec.variant) };
-            let opts = JoinOptions { semantics: spec.semantics, variant, with_scores };
+            let limit = spec.truncate;
+            let opts = JoinOptions { semantics: spec.semantics, variant, with_scores, limit };
             let (mut rs, _) = join_search_obs(ix, query, &opts, &obs);
             if with_scores {
                 rank_top(&mut rs, spec.truncate);
@@ -209,10 +210,10 @@ pub(crate) fn refuse(req: &QueryRequest, target: ExplainTarget) -> io::Result<()
 
 /// The lowered on-disk driver, for the requests [`refusal`] lets through.
 /// The disk executor implements the join-based algorithm only, so a
-/// cost-based top-K lowers to the complete join (sort + truncate) exactly
-/// as [`DiskEngine`] always has.  The level loop stops at `floor`: 1 for
-/// [`DiskEngine`], 2 for [`ShardedEngine`], which leaves out the corpus
-/// root.
+/// cost-based top-K lowers to the complete join cut at `k`, which stops
+/// climbing once the `k` kept are settled ([`algorithm1`]).  The level
+/// loop ends at `floor`: 1 for [`DiskEngine`], 2 for [`ShardedEngine`],
+/// which leaves out the corpus root.
 ///
 /// [`DiskEngine`]: crate::DiskEngine
 /// [`ShardedEngine`]: crate::ShardedEngine
@@ -225,8 +226,12 @@ pub(crate) fn execute_disk_spec(
     floor: u16,
 ) -> io::Result<QueryResponse> {
     let obs = obs_for(req);
-    let opts =
-        JoinOptions { semantics: spec.semantics, variant: spec.variant, with_scores: spec.scored };
+    let opts = JoinOptions {
+        semantics: spec.semantics,
+        variant: spec.variant,
+        with_scores: spec.scored,
+        limit: spec.truncate,
+    };
     let session = IoSession::default();
     let mut src = DiskSource::new(ix, store, query, floor, &session);
     let (mut rs, _) = algorithm1(ix, query, &opts, &mut src, &obs)?;
@@ -250,6 +255,15 @@ pub enum ExplainTarget {
 }
 
 impl ExplainTarget {
+    /// The shallowest level the target's join reads: the sharded engine
+    /// leaves out the corpus root.
+    pub const fn floor(self) -> u16 {
+        match self {
+            ExplainTarget::Sharded => 2,
+            ExplainTarget::Memory | ExplainTarget::Disk => 1,
+        }
+    }
+
     /// The target as EXPLAIN names it.
     fn name(self) -> &'static str {
         match self {
@@ -321,16 +335,22 @@ pub fn explain(
     let stats = PlanStats::from_index(ix);
     let logical = bind::logical_plan(ix, query, req);
     let bound = bind::candidate_bound(ix, query);
-    let logical_render = logical.render();
+    let floor = target.floor();
+    let logical_render = logical.render(floor);
     let rw = rewrite(logical, Some(bound));
     PlanExplain {
         logical: logical_render,
         applied: rw.applied,
-        cost: cost::summarize(&stats, &rw.plan),
-        rewritten: rw.plan.render(),
-        physical: match refusal(req, target) {
-            Some(why) => format!("ExecRefused: target={} reason=\"{why}\"\n", target.name()),
-            None => render_physical(&lower(&rw.plan, req), &rw.plan, target),
+        cost: cost::summarize(&stats, &rw.plan, floor),
+        rewritten: rw.plan.render(floor),
+        physical: match (refusal(req, target), req.algorithm) {
+            (Some(why), _) => {
+                format!("ExecRefused: target={} reason=\"{why}\"\n", target.name())
+            }
+            // Only the memory target serves the stack baseline, and it
+            // runs outside the plan: unranked, cut at `k`.
+            (None, QueryAlgorithm::StackBased) => render_stack(req),
+            (None, _) => render_physical(&lower(&rw.plan, req), &rw.plan, target),
         },
         provenance: None,
     }
@@ -353,15 +373,19 @@ pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) ->
             matches = matches.saturating_add(m);
         }
     }
+    let stop = trace.of_kind("join_stop").iter().find_map(|e| match e.kind {
+        EventKind::JoinStop { level, .. } => Some(level),
+        _ => None,
+    });
     fmt::from_fn(|out| {
         for line in explain.physical.lines() {
             out.write_str(line)?;
             if line.trim_start().starts_with("ExecJoin:") {
-                write!(
-                    out,
-                    " [actual decodes={total_decodes} matches={matches}; est blocks={}]",
-                    explain.cost.est_blocks
-                )?;
+                write!(out, " [actual decodes={total_decodes} matches={matches}")?;
+                if let Some(level) = stop {
+                    write!(out, " stopped-at={level}")?;
+                }
+                write!(out, "; est blocks={}]", explain.cost.est_blocks)?;
             } else if let Some(term) = leaf_term_name(line) {
                 if let Some(id) = ix.term_id(term) {
                     let mut steps = 0u64;
@@ -396,6 +420,38 @@ pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) ->
         writeln!(out, "io: decodes={total_decodes}")
     })
     .to_string()
+}
+
+/// The stack baseline's physical plan: what `Engine::run` answers an
+/// `alg=stack` request with.
+fn render_stack(req: &QueryRequest) -> String {
+    fmt::from_fn(|out| {
+        write!(
+            out,
+            "ExecStack: target=memory semantics={} variant={} scored=no",
+            semantics_name(req.semantics),
+            variant_name(req.variant),
+        )?;
+        if let Some(k) = req.k {
+            write!(out, " k={k}")?;
+        }
+        out.write_char('\n')
+    })
+    .to_string()
+}
+
+fn semantics_name(semantics: Semantics) -> &'static str {
+    match semantics {
+        Semantics::Elca => "elca",
+        Semantics::Slca => "slca",
+    }
+}
+
+fn variant_name(variant: ElcaVariant) -> &'static str {
+    match variant {
+        ElcaVariant::Operational => "operational",
+        ElcaVariant::Formal => "formal",
+    }
 }
 
 /// The `term="…"` payload of an `ExecScan`/`ExecProbe` line, if any.
@@ -445,14 +501,8 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
         write!(
             out,
             "  ExecJoin: semantics={} variant={} scored={}",
-            match spec.semantics {
-                Semantics::Elca => "elca",
-                Semantics::Slca => "slca",
-            },
-            match spec.variant {
-                ElcaVariant::Operational => "operational",
-                ElcaVariant::Formal => "formal",
-            },
+            semantics_name(spec.semantics),
+            variant_name(spec.variant),
             if spec.scored { "yes" } else { "no" },
         )?;
         // The sharded engine leaves out the corpus root.
@@ -479,7 +529,7 @@ fn write_leaves(out: &mut fmt::Formatter<'_>, node: &PlanNode, depth: usize) -> 
                 out,
                 "ExecScan: term=\"{}\" levels={} mode={mode}",
                 leaf.name,
-                LevelRange(leaf.levels)
+                LevelRange(1, leaf.levels)
             )
         }
         PlanNode::IndexProbe(leaf) => {
@@ -490,7 +540,7 @@ fn write_leaves(out: &mut fmt::Formatter<'_>, node: &PlanNode, depth: usize) -> 
                 out,
                 "ExecProbe: term=\"{}\" levels={} skip=footers",
                 leaf.name,
-                LevelRange(leaf.levels)
+                LevelRange(1, leaf.levels)
             )
         }
         PlanNode::Join { inputs, .. } => {
@@ -655,7 +705,7 @@ mod tests {
             let logical = bind::logical_plan(&ix, &query, &req);
             let bound = bind::candidate_bound(&ix, &query);
             let plan = rewrite(logical, Some(bound)).plan;
-            let ctx = format!("{xml} {:?} {req:?}\n{}", query.terms, plan.render());
+            let ctx = format!("{xml} {:?} {req:?}\n{}", query.terms, plan.render(1));
             assert_one_pipeline(&plan, &ctx);
         });
     }

@@ -330,9 +330,10 @@ impl<'a> DiskEngine<'a> {
 
 impl Executor for DiskEngine<'_> {
     fn execute(&self, query: &Query, req: &QueryRequest) -> io::Result<QueryResponse> {
-        crate::plan::lower::refuse(req, crate::plan::ExplainTarget::Disk)?;
+        let target = crate::plan::ExplainTarget::Disk;
+        crate::plan::lower::refuse(req, target)?;
         let (spec, _) = self.planner.spec_for(self.ix, query, req, self.ix.generation(), 0);
-        crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec, 1)
+        crate::plan::lower::execute_disk_spec(self.ix, self.store, query, req, spec, target.floor())
     }
 
     fn generation(&self) -> u64 {

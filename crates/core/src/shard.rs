@@ -36,10 +36,6 @@ use xtk_index::XmlIndex;
 /// The corpus store's file name inside a sharded-corpus directory.
 pub const STORE_FILE: &str = "index.bin";
 
-/// The shallowest level a sharded request reads: the corpus root's
-/// level 1 is left out.
-const FLOOR: u16 = 2;
-
 /// Directory name of shard `id` in the version 1 and 2 layouts, which
 /// wrote one store per shard; no directory written today has one.
 pub fn shard_dir_name(id: u32) -> String {
@@ -141,7 +137,8 @@ impl<'a> ShardedEngine<'a> {
 
 impl Executor for ShardedEngine<'_> {
     fn execute(&self, query: &Query, req: &QueryRequest) -> io::Result<QueryResponse> {
-        crate::plan::lower::refuse(req, crate::plan::ExplainTarget::Sharded)?;
+        let target = crate::plan::ExplainTarget::Sharded;
+        crate::plan::lower::refuse(req, target)?;
         if query.terms.iter().any(|t| t.0 as usize >= self.ix.vocab_size()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -149,7 +146,8 @@ impl Executor for ShardedEngine<'_> {
             ));
         }
         let (spec, _) = self.planner.spec_for(self.ix, query, req, self.ix.generation(), 0);
-        crate::plan::lower::execute_disk_spec(self.ix, &self.store, query, req, spec, FLOOR)
+        let floor = target.floor();
+        crate::plan::lower::execute_disk_spec(self.ix, &self.store, query, req, spec, floor)
     }
 
     fn generation(&self) -> u64 {

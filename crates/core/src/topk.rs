@@ -703,7 +703,12 @@ mod tests {
         let ix = XmlIndex::build(parse(xml).unwrap());
         let q = Query::from_words(&ix, words).unwrap();
         let (got, _) = topk_search(&ix, &q, &TopKOptions { k, semantics, ..Default::default() });
-        let opts = JoinOptions { semantics, variant: ElcaVariant::Operational, with_scores: true };
+        let opts = JoinOptions {
+            semantics,
+            variant: ElcaVariant::Operational,
+            with_scores: true,
+            limit: None,
+        };
         let (complete, _) = join_search(&ix, &q, &opts);
         assert_topk_valid(&got, &complete, k);
     }

@@ -70,6 +70,7 @@ fn topk_is_prefix_of_complete() {
                 semantics,
                 variant: ElcaVariant::Operational,
                 with_scores: true,
+                limit: None,
             });
             assert_topk_valid(&got, &mut complete, kk);
         }
@@ -129,7 +130,7 @@ fn wide_levels_agree_with_the_naive_evaluators() {
                 Semantics::Slca => naive_slca(ix.tree(), &lists),
             };
             assert!(want.len() >= 1800);
-            let opts = JoinOptions { semantics, variant, with_scores: true };
+            let opts = JoinOptions { semantics, variant, with_scores: true, limit: None };
             let (mut complete, stats) = join_search(&ix, &q, &opts);
             assert_eq!(stats.results, want.len() as u64);
             assert_eq!(nodes(complete.clone()), want, "{semantics:?} {variant:?}");

@@ -252,3 +252,74 @@ fn explain_and_execution_refuse_the_same_requests() {
     }
     assert!(refused > 0 && served > 0, "{refused} refused, {served} served");
 }
+
+/// On the memory target EXPLAIN shows the engine that answers: for every
+/// algorithm, with and without `k`, ranked and unranked, the physical
+/// plan's engine is the response's `ExecutedEngine` (the hybrid's pick
+/// is made at run time, so `mode=hybrid` admits either of its routes).
+#[test]
+fn explain_shows_the_engine_that_answers_in_memory() {
+    use xtk_core::plan::{explain, ExplainTarget};
+    use xtk_core::request::ExecutedEngine;
+    let engine = Engine::from_xml(&corpus()).unwrap();
+    let ix = engine.index();
+    for q_text in QUERIES {
+        let q = engine.query(q_text).unwrap();
+        for algorithm in [
+            QueryAlgorithm::Auto,
+            QueryAlgorithm::JoinBased,
+            QueryAlgorithm::StackBased,
+            QueryAlgorithm::TopKJoin,
+        ] {
+            for semantics in [Semantics::Elca, Semantics::Slca] {
+                for base in [QueryRequest::complete(semantics), QueryRequest::top_k(3, semantics)] {
+                    for req in [base, base.unranked()] {
+                        let req = req.with_algorithm(algorithm);
+                        let physical = explain(ix, &q, &req, ExplainTarget::Memory).physical;
+                        let shown: &[ExecutedEngine] = if physical.starts_with("ExecStack:") {
+                            &[ExecutedEngine::StackBased]
+                        } else if physical.contains("mode=star-join") {
+                            &[ExecutedEngine::TopKJoin]
+                        } else if physical.contains("mode=hybrid") {
+                            &[ExecutedEngine::TopKJoin, ExecutedEngine::JoinBased]
+                        } else {
+                            &[ExecutedEngine::JoinBased]
+                        };
+                        let ran = engine.run(&q, &req).engine;
+                        assert!(shown.contains(&ran), "{q_text:?} {req:?} ran {ran:?}: {physical}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The sharded target prices the levels it reads (`2..=l0`): wherever
+/// the disk target's estimate of a complete request equals its cold
+/// decodes, the sharded target's does too.
+#[test]
+fn sharded_estimates_price_the_levels_read() {
+    use xtk_core::plan::{explain, ExplainTarget};
+    let e = Engine::from_xml(&corpus()).unwrap();
+    let ix = e.index();
+    let image = image(ix);
+    let dir = TempPath::new("xtk_plan_sharded_est");
+    write_sharded(ix, &dir, 2).unwrap();
+    let mut exact = 0;
+    for q_text in QUERIES {
+        let q = e.query(q_text).unwrap();
+        let req = QueryRequest::complete(Semantics::Elca);
+        let cache = Arc::new(ShardedLruCache::unbounded());
+        let store = DiskColumnStore::open_bytes(image.clone(), cache).unwrap();
+        let disk = DiskEngine::new(ix, &store).execute(&q, &req).unwrap();
+        let sharded = ShardedEngine::open(ix, &dir).unwrap().execute(&q, &req).unwrap();
+        let est = |target| explain(ix, &q, &req, target).cost.est_blocks;
+        let (disk_est, sharded_est) = (est(ExplainTarget::Disk), est(ExplainTarget::Sharded));
+        assert!(sharded_est <= disk_est, "{q_text:?}: {sharded_est} > {disk_est}");
+        if disk_est == disk.metrics.get("store.decodes") {
+            exact += 1;
+            assert_eq!(sharded_est, sharded.metrics.get("store.decodes"), "{q_text:?}");
+        }
+    }
+    assert!(exact > 0, "no query's disk estimate was exact");
+}

@@ -299,6 +299,12 @@ impl<'a> TermData<'a> {
         })
     }
 
+    /// The segment heads — each length group's depth and largest local
+    /// score — by increasing `len`, without their rows.
+    pub fn segment_heads(&self) -> &'a [SegmentHead] {
+        self.segs
+    }
+
     /// The value histogram of `level` for cardinality estimation (§V-D);
     /// `None` for columns short enough to probe directly.
     pub fn histogram(&self, level: u16) -> Option<&'a Histogram> {

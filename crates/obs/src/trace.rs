@@ -54,6 +54,10 @@ pub enum EventKind {
     /// A per-level round finished with `matches` value-matches that
     /// produced `results` surviving ELCA/SLCA candidates.
     LevelEnd { level: u32, matches: u64, results: u64 },
+    /// The join stopped before `level`: the `results` it held settle the
+    /// `k` kept — their `k`-th best score (`kth_bits`) reaches the bound
+    /// on every level left (`bound_bits`; both 0 for an unranked cut).
+    JoinStop { level: u32, results: u64, kth_bits: u32, bound_bits: u32 },
     /// The top-K streamer opened the scored column at `level`.
     TopKColumn { level: u32, runs: u64 },
     /// The TA threshold dropped (recorded only on change).
@@ -86,6 +90,7 @@ impl EventKind {
             EventKind::LevelStart { .. } => "level_start",
             EventKind::JoinStep { .. } => "join_step",
             EventKind::LevelEnd { .. } => "level_end",
+            EventKind::JoinStop { .. } => "join_stop",
             EventKind::TopKColumn { .. } => "topk_column",
             EventKind::TopKThreshold { .. } => "topk_threshold",
             EventKind::TopKEmit { .. } => "topk_emit",
@@ -123,6 +128,12 @@ impl EventKind {
                 ("level", U64(level as u64)),
                 ("matches", U64(matches)),
                 ("results", U64(results)),
+            ],
+            EventKind::JoinStop { level, results, kth_bits, bound_bits } => vec![
+                ("level", U64(level as u64)),
+                ("results", U64(results)),
+                ("kth_bits", U64(kth_bits as u64)),
+                ("bound_bits", U64(bound_bits as u64)),
             ],
             EventKind::TopKColumn { level, runs } => {
                 vec![("level", U64(level as u64)), ("runs", U64(runs))]
