@@ -224,6 +224,24 @@ if grep -nw -e max_score -e segment_heads crates/core/src/diskexec.rs crates/cor
     echo "ERROR: an executor reads segment maxima (lines above): the stop lives in algorithm1" >&2; exit 1
 fi
 
+echo "== one erased-row test in the star join: a bitmap, and a bucket that outlives the query"
+# The top-K stream tests erasure by its per-keyword erased-row bitmap
+# (core/src/rowbits.rs); Algorithm 1's interval Eraser stays out of its hot
+# loop.  The bucket's table and the stream's buffers come from topk.rs's one
+# per-thread scratch, so Bucket::new builds no HashMap and the core crate's
+# sources declare exactly one thread-local.  Either name in topk.rs outside
+# its tests means a second erasure test is back in the loop.
+topk_lib=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/topk.rs)
+if printf '%s\n' "$topk_lib" | grep -nE 'Eraser|is_erased\(' >&2; then
+    echo "ERROR: crates/core/src/topk.rs tests erasure outside its bitmap (lines above)" >&2; exit 1
+fi
+bucket_new=$(sed -n '/^    pub fn new(k: usize) -> Self {/,/^    }/p' crates/core/src/starjoin.rs)
+[ -n "$bucket_new" ] || { echo "ERROR: Bucket::new not found in crates/core/src/starjoin.rs" >&2; exit 1; }
+if printf '%s\n' "$bucket_new" | grep -nE 'HashMap::(default|new)\(' >&2; then
+    echo "ERROR: Bucket::new builds a HashMap (line above): its table is reused, not rebuilt" >&2; exit 1
+fi
+expect_sites 1 'crates/core/src' 'thread_local!'
+
 echo "== one timing authority: crates/bench keeps experiments and counter goldens only"
 # Wall time is measured by perfbench alone.  crates/bench holds the figure
 # generator (`experiments`) and tests/goldens.rs, whose goldens are counts

@@ -116,9 +116,10 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
         QueryAlgorithm::JoinBased => {
             c.threshold = ThresholdKind::default();
         }
-        // The star join has no ELCA variant knob.
+        // The star join has no ELCA variant knob, and it always ranks.
         QueryAlgorithm::TopKJoin => {
             c.variant = ElcaVariant::default();
+            c.scores = ScoreMode::default();
         }
         // The stack baseline never scores and has no join knobs.
         QueryAlgorithm::StackBased => {

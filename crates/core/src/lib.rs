@@ -81,6 +81,7 @@ pub mod pool;
 pub mod query;
 pub mod request;
 pub mod result;
+mod rowbits;
 pub mod semantics;
 pub mod shard;
 pub mod starjoin;

@@ -17,6 +17,7 @@
 //! bit-identical results to the procedural dispatch it replaced — rules
 //! move work, never answers.
 
+use crate::batch::canonicalize;
 use crate::diskexec::DiskSource;
 use crate::hybrid::{hybrid_topk_obs, PlannedEngine};
 use crate::joinbased::{algorithm1, join_search_obs, JoinOptions};
@@ -323,9 +324,11 @@ impl std::fmt::Display for PlanExplain {
 
 /// Builds the EXPLAIN report for a bound query against `target`,
 /// costed against an in-memory statistics snapshot (so the report is a
-/// pure function of the index and the request, never of I/O state).  A
-/// request the target refuses ([`refusal`]) shows an `ExecRefused` line
-/// as its physical plan.
+/// pure function of the index and the request, never of I/O state).  The
+/// logical and rewritten plans show the request as written; the physical
+/// plan is what the target executes, lowered from the canonical request
+/// ([`canonicalize`]) as the planner lowers it.  A request the target
+/// refuses ([`refusal`]) shows an `ExecRefused` line as its physical plan.
 pub fn explain(
     ix: &XmlIndex,
     query: &Query,
@@ -350,7 +353,14 @@ pub fn explain(
             // Only the memory target serves the stack baseline, and it
             // runs outside the plan: unranked, cut at `k`.
             (None, QueryAlgorithm::StackBased) => render_stack(req),
-            (None, _) => render_physical(&lower(&rw.plan, req), &rw.plan, target),
+            // Every executor runs the spec the planner lowers from the
+            // canonical request (`Planner::spec_for`), which folds the
+            // knobs its algorithm ignores: EXPLAIN shows that spec.
+            (None, _) => {
+                let canonical = canonicalize(req);
+                let exec = rewrite(bind::logical_plan(ix, query, &canonical), Some(bound));
+                render_physical(&lower(&exec.plan, &canonical), &exec.plan, target)
+            }
         },
         provenance: None,
     }

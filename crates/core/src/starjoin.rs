@@ -13,11 +13,12 @@
 //! per-keyword seen-mask (so a duplicate occurrence of the same keyword
 //! under the same node is ignored — the first arrival carries the maximum
 //! damped score because retrieval is score-ordered), plus one group per
-//! mask holding a lazy max-heap and the cached, validated `ms(G_P)`.
+//! mask holding a lazy max-heap and the cached, validated `ms(G_P)`.  Its
+//! table is emptied by moving to a new stamp, so a bucket that outlives a
+//! column or a query ([`Bucket::reset`]) never rebuilds it.
 
 use crate::semantics::full_mask;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 /// `f32` with a total order, for heap keys (scores are always finite).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,30 +38,6 @@ impl Ord for F32Ord {
     }
 }
 
-/// Multiplicative (Fibonacci) hasher for the bucket's `u32` JDewey keys.
-/// The keys are dense integers minted by the index builder, never text
-/// from outside the program, so SipHash's flooding resistance buys nothing
-/// here and costs a third of an insert.  The rotation moves the product's
-/// well-mixed high bits into the low bits the table indexes by.
-#[derive(Debug, Default, Clone, Copy)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(b as u32);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// A partial result that just completed (seen in all `k` relations).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completed {
@@ -70,10 +47,116 @@ pub struct Completed {
     pub score: f32,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A value's partial result; an empty mask is no partial result.
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     mask: u32,
     sum: f32,
+}
+
+/// The bucket's entries by JDewey number: open addressing with linear
+/// probing over a power-of-two number of slots, at most half of them in
+/// use.  The keys are dense integers minted by the index builder, never
+/// text from outside the program, so a multiplicative (Fibonacci) hash
+/// spreads them and its high bits pick the home slot.  A completed result
+/// keeps its slot with an empty mask — the state a fresh entry starts
+/// from — so no entry moves but on growth.
+///
+/// A slot is in use iff its byte in `tags` is the table's stamp, so
+/// [`clear`](Self::clear) frees every slot at once by moving to the next
+/// stamp, and a probe for an absent value reads only the tag bytes: a
+/// table grown by the largest column stays cheap to probe for the small
+/// ones.  A bucket reused across columns and queries keeps its table and
+/// never regrows it from empty.
+#[derive(Debug, Default)]
+struct Table {
+    /// Per slot: the stamp it was last taken under (0: never).
+    tags: Vec<u8>,
+    /// Per slot: the value and its entry, meaningful while the tag is the
+    /// stamp.
+    slots: Vec<(u32, Entry)>,
+    /// `64 − log2(slots)`: the hash's shift to a slot index.
+    shift: u32,
+    /// The stamp of the slots in use, `1..=255`; 0 only before the first
+    /// slot is taken.
+    stamp: u8,
+    /// Slots in use under `stamp`, completed results included.
+    used: usize,
+}
+
+impl Table {
+    /// Frees every slot.
+    fn clear(&mut self) {
+        self.used = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // The stamp wrapped: free every slot for real.
+            self.tags.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// `Ok(slot)` holding `value`, or `Err(slot)`: the free slot it would
+    /// take.  A free slot always exists, as at most half are in use.
+    fn probe(&self, value: u32) -> Result<usize, usize> {
+        let mask = self.tags.len().wrapping_sub(1);
+        let mut i = (u64::from(value).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.tags.get(i) {
+                Some(&t) if t == self.stamp => {
+                    if self.slots.get(i).is_some_and(|s| s.0 == value) {
+                        return Ok(i);
+                    }
+                }
+                _ => return Err(i),
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, value: u32) -> Option<&Entry> {
+        let i = self.probe(value).ok()?;
+        self.slots.get(i).map(|s| &s.1)
+    }
+
+    /// The entry of `value`, taken fresh (empty mask, zero sum) if absent.
+    fn entry(&mut self, value: u32) -> Option<&mut Entry> {
+        if 2 * (self.used + 1) > self.tags.len() {
+            self.grow();
+        }
+        let i = match self.probe(value) {
+            Ok(i) => i,
+            Err(i) => {
+                *self.tags.get_mut(i)? = self.stamp;
+                *self.slots.get_mut(i)? = (value, Entry::default());
+                self.used += 1;
+                i
+            }
+        };
+        self.slots.get_mut(i).map(|s| &mut s.1)
+    }
+
+    /// Doubles the slots (16 at first) and re-places the partial results;
+    /// completed ones are left behind.
+    fn grow(&mut self) {
+        let cap = (2 * self.tags.len()).max(16);
+        let tags = std::mem::replace(&mut self.tags, vec![0; cap]);
+        let slots = std::mem::replace(&mut self.slots, vec![(0, Entry::default()); cap]);
+        let old = std::mem::replace(&mut self.stamp, 1);
+        self.shift = 64 - cap.trailing_zeros();
+        self.used = 0;
+        for (t, (value, entry)) in tags.into_iter().zip(slots) {
+            if t != old || entry.mask == 0 {
+                continue;
+            }
+            if let Err(i) = self.probe(value) {
+                if let (Some(t), Some(s)) = (self.tags.get_mut(i), self.slots.get_mut(i)) {
+                    (*t, *s) = (1, (value, entry));
+                    self.used += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Cumulative insert-path counters of a [`Bucket`], for the unified
@@ -119,14 +202,22 @@ struct Group {
 pub struct Bucket {
     k: usize,
     full: u32,
-    entries: HashMap<u32, Entry, BuildHasherDefault<MulHasher>>,
+    entries: Table,
+    /// Partial results in the bucket: entries with a non-empty mask.
+    live: usize,
     /// One group per mask seen, sorted by mask: `threshold` runs per
     /// retrieval step and visits them in this (deterministic, never the
-    /// hash map's) order.  At most `2^k − 2` and in practice a handful, so
+    /// table's) order.  At most `2^k − 2` and in practice a handful, so
     /// a binary search beats a hash probe; drained groups stay (empty) so
     /// `clear` keeps their heap allocations for the next column.
     groups: Vec<Group>,
     stats: BucketStats,
+}
+
+impl Default for Bucket {
+    fn default() -> Self {
+        Self::new(1)
+    }
 }
 
 impl Bucket {
@@ -135,16 +226,28 @@ impl Bucket {
         Self {
             k,
             full: full_mask(k),
-            entries: HashMap::default(),
+            entries: Table::default(),
+            live: 0,
             groups: Vec::new(),
             stats: BucketStats::default(),
         }
+    }
+
+    /// Re-targets the bucket to a `k`-keyword star join and empties it,
+    /// keeping its table and the heaps of the groups `k` keywords can
+    /// form — a bucket reused by the next query.
+    pub fn reset(&mut self, k: usize) {
+        let full = full_mask(k);
+        (self.k, self.full) = (k, full);
+        self.groups.retain(|g| g.mask < full);
+        self.clear();
     }
 
     /// Empties the bucket and zeroes its counters, keeping every
     /// allocation — the per-column restart of the top-K stream.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.live = 0;
         for g in &mut self.groups {
             g.top = None;
             g.heap.clear();
@@ -159,12 +262,12 @@ impl Bucket {
 
     /// Number of partial results currently in the bucket.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// `true` iff no partial results are pending.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Feeds one retrieved tuple: keyword `kw` saw `value` with damped
@@ -178,15 +281,17 @@ impl Bucket {
         debug_assert!(kw < self.k);
         self.stats.inserts += 1;
         let bit = 1u32 << kw;
-        let entry = self.entries.entry(value).or_insert(Entry { mask: 0, sum: 0.0 });
+        let entry = self.entries.entry(value)?;
         if entry.mask & bit != 0 {
             self.stats.duplicates += 1;
             return None;
         }
-        let old = entry.mask;
-        entry.mask |= bit;
-        entry.sum += damped;
-        let (mask, sum) = (entry.mask, entry.sum);
+        let (old, mask, sum) = (entry.mask, entry.mask | bit, entry.sum + damped);
+        // A completed result leaves the bucket: its entry is emptied.
+        *entry = if mask == self.full { Entry::default() } else { Entry { mask, sum } };
+        if old == 0 {
+            self.live += 1;
+        }
         // The entry leaves its old group: the one event that can
         // invalidate that group's cached top.
         if old != 0 {
@@ -199,7 +304,7 @@ impl Bucket {
             }
         }
         if mask == self.full {
-            self.entries.remove(&value);
+            self.live -= 1;
             self.stats.completions += 1;
             return Some(Completed { value, score: sum });
         }
@@ -234,14 +339,14 @@ impl Bucket {
         // Case 1: results completely unseen in every relation.
         let mut best: f32 = s.iter().sum();
         // Case 2: one term per non-empty group, in mask order.  A cached
-        // top costs no hash probe; an unknown one is re-derived by popping
+        // top costs no table probe; an unknown one is re-derived by popping
         // stale heap items (entry moved to another mask or completed).
         let entries = &self.entries;
         for g in &mut self.groups {
             if g.top.is_none() {
                 while let Some(&(F32Ord(sum), value)) = g.heap.peek() {
                     if entries
-                        .get(&value)
+                        .get(value)
                         .is_some_and(|e| e.mask == g.mask && e.sum.to_bits() == sum.to_bits())
                     {
                         g.top = Some((sum, value));
@@ -441,11 +546,21 @@ mod tests {
             // long insert-only stretches reach states a per-step check
             // never sees.
             let check = if g.gen_bool(0.5) { 1.0 } else { 0.2 };
-            let mut real = Bucket::new(k);
+            // A bucket left over from a query of another width.
+            let mut real = Bucket::new(g.gen_range(1..7usize));
+            for v in 0..g.gen_range(0..40u32) {
+                real.insert(v % 7, (v % 3) as usize % real.k, 0.5);
+            }
+            real.reset(k);
             let mut naive = NaiveBucket { k, entries: Vec::new(), stats: BucketStats::default() };
             for _ in 0..4 * g.size() {
                 if g.gen_bool(0.02) {
-                    real.clear();
+                    // A restart within the query or for the next one.
+                    if g.gen_bool(0.5) {
+                        real.clear();
+                    } else {
+                        real.reset(k);
+                    }
                     naive.entries.clear();
                     naive.stats = BucketStats::default();
                 }

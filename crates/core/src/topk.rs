@@ -35,11 +35,23 @@
 //! erased are dropped at consume time, so the consumed row sequence is
 //! the one an unbatched retrieval would produce.  A query runs on the
 //! calling thread (DESIGN §6 has the measurement that decided it).
+//!
+//! # Per-thread scratch
+//!
+//! A stream's buffers — the erased-row bitmaps, the batches, the cursors'
+//! positions, the pending heap and the star-join bucket with its table —
+//! come from a per-thread [`Scratch`] that the stream takes when it is
+//! built and gives back when it is dropped, so a thread's queries after
+//! its first rebuild no table and regrow no buffer.  Every buffer is
+//! emptied and sized when taken, so what a stream computes does not depend
+//! on the queries before it; a second stream alive on the same thread
+//! takes a fresh scratch.
 
-use crate::eraser::Eraser;
 use crate::query::{Query, Semantics};
 use crate::result::ScoredResult;
+use crate::rowbits::RowBits;
 use crate::starjoin::{Bucket, F32Ord};
+use std::cell::Cell;
 use std::collections::{BinaryHeap, VecDeque};
 use xtk_index::score::Damping;
 use xtk_index::scored::Segment;
@@ -97,11 +109,19 @@ pub struct TopKStats {
 
 /// Advances `*i` past the rows of `seg` erased as of the call and returns
 /// the row it stops at (`None` at the end of the segment).
-fn skip_erased(seg: &Segment<'_>, i: &mut usize, eraser: &Eraser) -> Option<u32> {
-    while seg.rows.get(*i).is_some_and(|&r| eraser.is_erased(r)) {
+fn skip_erased(seg: &Segment<'_>, i: &mut usize, erased: &RowBits) -> Option<u32> {
+    while seg.rows.get(*i).is_some_and(|&r| erased.contains(r)) {
         *i += 1;
     }
     seg.rows.get(*i).copied()
+}
+
+/// The buffers of one keyword's [`Cursors`], kept in the [`Scratch`].
+#[derive(Default)]
+struct CursorBufs {
+    pos: Vec<usize>,
+    head: Vec<usize>,
+    seg_heads: Vec<(usize, u32, f32)>,
 }
 
 /// Per-keyword score-ordered cursors over the length segments.
@@ -123,10 +143,21 @@ struct Cursors<'a> {
 }
 
 impl<'a> Cursors<'a> {
-    fn new(term: TermData<'a>) -> Self {
+    /// Cursors at the start of every segment, in `bufs`' allocations.
+    fn new(term: TermData<'a>, bufs: CursorBufs) -> Self {
         let segs: Vec<Segment<'a>> = term.segments().collect();
-        let n = segs.len();
-        Self { term, segs, pos: vec![0; n], head: vec![0; n], seg_heads: Vec::with_capacity(n) }
+        let CursorBufs { mut pos, mut head, mut seg_heads } = bufs;
+        for v in [&mut pos, &mut head] {
+            v.clear();
+            v.resize(segs.len(), 0);
+        }
+        seg_heads.clear();
+        Self { term, segs, pos, head, seg_heads }
+    }
+
+    /// Gives the buffers back.
+    fn into_bufs(self) -> CursorBufs {
+        CursorBufs { pos: self.pos, head: self.head, seg_heads: self.seg_heads }
     }
 
     fn reset_for_column(&mut self) {
@@ -135,13 +166,13 @@ impl<'a> Cursors<'a> {
 
     /// `s_m(level)`: the best damped score any non-erased posting can
     /// contribute at a *future* column `level`, from the segment heads.
-    fn future_max(&mut self, level: u16, eraser: &Eraser, damping: &Damping) -> f32 {
+    fn future_max(&mut self, level: u16, erased: &RowBits, damping: &Damping) -> f32 {
         let mut best = 0.0f32;
         for (si, seg) in self.segs.iter().enumerate() {
             if seg.len < level {
                 continue;
             }
-            let Some(row) = self.head.get_mut(si).and_then(|h| skip_erased(seg, h, eraser))
+            let Some(row) = self.head.get_mut(si).and_then(|h| skip_erased(seg, h, erased))
             else {
                 continue;
             };
@@ -164,11 +195,11 @@ impl<'a> Cursors<'a> {
         &mut self,
         si: usize,
         level: u16,
-        eraser: &Eraser,
+        erased: &RowBits,
         damping: &Damping,
     ) -> Option<(usize, u32, f32)> {
         let seg = self.segs.get(si)?;
-        let row = skip_erased(seg, self.pos.get_mut(si)?, eraser)?;
+        let row = skip_erased(seg, self.pos.get_mut(si)?, erased)?;
         let g = self.term.scores().get(row as usize).copied().unwrap_or(0.0);
         Some((si, row, g * damping.factor(seg.len - level)))
     }
@@ -179,12 +210,12 @@ impl<'a> Cursors<'a> {
     /// of the call.
     ///
     /// Each segment's head is derived once and re-derived only after the
-    /// segment is advanced: the eraser cannot change during the call, so
+    /// segment is advanced: the erasure cannot change during the call, so
     /// every other head stays what it was.
     fn drain(
         &mut self,
         level: u16,
-        eraser: &Eraser,
+        erased: &RowBits,
         damping: &Damping,
         cap: usize,
         out: &mut VecDeque<Candidate>,
@@ -197,7 +228,7 @@ impl<'a> Cursors<'a> {
         heads.clear();
         for si in 0..self.segs.len() {
             if self.segs.get(si).is_some_and(|seg| seg.len >= level) {
-                heads.extend(self.seg_head(si, level, eraser, damping));
+                heads.extend(self.seg_head(si, level, erased, damping));
             }
         }
         // Rows arrive in score order, so each one's number is read through
@@ -216,7 +247,7 @@ impl<'a> Cursors<'a> {
             if let Some(p) = self.pos.get_mut(si) {
                 *p += 1;
             }
-            match (self.seg_head(si, level, eraser, damping), heads.get_mut(hi)) {
+            match (self.seg_head(si, level, erased, damping), heads.get_mut(hi)) {
                 (Some(next), Some(slot)) => *slot = next,
                 _ => {
                     heads.remove(hi);
@@ -273,6 +304,58 @@ pub(crate) fn publish_topk_stats(stats: &TopKStats, obs: &Obs) {
     obs.metrics.add("topk.emitted_early", stats.emitted_early);
 }
 
+/// The buffers a [`TopKStream`] takes from its thread when it is built and
+/// gives back when it is dropped: one per stream field of the same name
+/// (for `cursors`, their buffers).
+#[derive(Default)]
+struct Scratch {
+    erased: Vec<RowBits>,
+    cursors: Vec<CursorBufs>,
+    batches: Vec<Batch>,
+    s: Vec<f32>,
+    s_max_col: Vec<f32>,
+    find_hints: Vec<usize>,
+    needy: Vec<usize>,
+    runs: Vec<Run>,
+    pending: BinaryHeap<(F32Ord, u16, u32)>,
+    bucket: Bucket,
+}
+
+thread_local! {
+    /// This thread's [`Scratch`] while no stream holds it.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
+impl Scratch {
+    /// This thread's scratch (a fresh one while another stream holds it),
+    /// emptied and sized for a query over `terms`.
+    fn take(terms: &[TermData<'_>]) -> Self {
+        let mut s = SCRATCH.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        let k = terms.len();
+        s.erased.resize_with(k, RowBits::default);
+        for (e, t) in s.erased.iter_mut().zip(terms) {
+            e.reset(t.len());
+        }
+        s.cursors.resize_with(k, CursorBufs::default);
+        s.batches.resize_with(k, Batch::default);
+        for b in &mut s.batches {
+            b.queue.clear();
+            (b.exhausted, b.dirty) = (false, false);
+        }
+        for v in [&mut s.s, &mut s.s_max_col] {
+            v.clear();
+            v.resize(k, 0.0);
+        }
+        s.find_hints.clear();
+        s.find_hints.resize(k, 0);
+        s.needy.clear();
+        s.runs.clear();
+        s.pending.clear();
+        s.bucket.reset(k.max(1));
+        s
+    }
+}
+
 /// One keyword's queue of drained candidates for the current column.
 #[derive(Default)]
 struct Batch {
@@ -309,7 +392,8 @@ pub struct TopKStream<'a> {
     /// Retrieval-policy hint (paper §IV-B: round-robin until this many
     /// candidates exist, then highest-next-score).
     k_hint: usize,
-    erasers: Vec<Eraser>,
+    /// Per keyword: the rows erased by completed results.
+    erased: Vec<RowBits>,
     cursors: Vec<Cursors<'a>>,
     batches: Vec<Batch>,
     /// Per keyword: the damped score of the batch head (`s^i`), 0 when the
@@ -323,7 +407,7 @@ pub struct TopKStream<'a> {
     rr: usize,
     s_max_col: Vec<f32>,
     /// The future-column bound `max_{l'<l} Σ_i s_m^i(l')`: a function of
-    /// the level and the erasers only, so it is recomputed after an
+    /// the level and the erasure only, so it is recomputed after an
     /// erasure or a column change (`None`) and reused for every row
     /// between.
     future: Option<f32>,
@@ -359,26 +443,39 @@ impl<'a> TopKStream<'a> {
         } else {
             terms.iter().map(|t| t.max_len()).min().unwrap_or(0)
         };
-        let cursors: Vec<Cursors> = terms.iter().map(|&t| Cursors::new(t)).collect();
+        let Scratch {
+            erased,
+            mut cursors,
+            batches,
+            s,
+            s_max_col,
+            find_hints,
+            needy,
+            runs,
+            pending,
+            bucket,
+        } = Scratch::take(&terms);
+        let cursors: Vec<Cursors> =
+            terms.iter().map(|&t| Cursors::new(t, cursors.pop().unwrap_or_default())).collect();
         let mut stream = Self {
             ix,
             semantics: opts.semantics,
             threshold_kind: opts.threshold,
             k_hint: opts.k.max(1),
-            erasers: (0..k).map(|_| Eraser::new()).collect(),
+            erased,
             cursors,
-            batches: (0..k).map(|_| Batch::default()).collect(),
-            s: vec![0.0; k],
-            pending: BinaryHeap::new(),
+            batches,
+            s,
+            pending,
             stats: TopKStats::default(),
             level: l0,
-            bucket: Bucket::new(k.max(1)),
+            bucket,
             rr: 0,
-            s_max_col: vec![0.0; k],
+            s_max_col,
             future: None,
-            find_hints: vec![0; k],
-            needy: Vec::with_capacity(k),
-            runs: Vec::with_capacity(k),
+            find_hints,
+            needy,
+            runs,
             emitted: 0,
             obs,
             last_threshold_bits: None,
@@ -437,12 +534,12 @@ impl<'a> TopKStream<'a> {
     /// state, so its head needs no second look.
     fn ensure_heads(&mut self) {
         self.needy.clear();
-        let heads = self.batches.iter_mut().zip(&self.erasers).zip(self.s.iter_mut());
+        let heads = self.batches.iter_mut().zip(&self.erased).zip(self.s.iter_mut());
         for (i, ((b, e), s)) in heads.enumerate() {
             if !std::mem::take(&mut b.dirty) {
                 continue;
             }
-            while b.queue.front().is_some_and(|&(row, _, _)| e.is_erased(row)) {
+            while b.queue.front().is_some_and(|&(row, _, _)| e.contains(row)) {
                 b.queue.pop_front();
             }
             *s = b.head_score();
@@ -458,7 +555,7 @@ impl<'a> TopKStream<'a> {
         for &i in &self.needy {
             if let (Some(c), Some(e), Some(b), Some(s)) = (
                 self.cursors.get_mut(i),
-                self.erasers.get(i),
+                self.erased.get(i),
                 self.batches.get_mut(i),
                 self.s.get_mut(i),
             ) {
@@ -536,11 +633,11 @@ impl<'a> TopKStream<'a> {
                 Semantics::Slca => self
                     .runs
                     .iter()
-                    .zip(&self.erasers)
+                    .zip(&self.erased)
                     .all(|(r, e)| !e.any_in(r.start, r.end())),
             };
-            for (r, e) in self.runs.iter().zip(self.erasers.iter_mut()) {
-                e.erase(r.start, r.end());
+            for (r, e) in self.runs.iter().zip(self.erased.iter_mut()) {
+                e.insert_range(r.start, r.end());
             }
             // Erased rows may sit at any batch head and under any segment
             // head the future bound was built from.
@@ -581,7 +678,7 @@ impl<'a> TopKStream<'a> {
                 continue;
             }
             let mut bound = 0.0f32;
-            for (c, e) in self.cursors.iter_mut().zip(&self.erasers) {
+            for (c, e) in self.cursors.iter_mut().zip(&self.erased) {
                 bound += c.future_max(lf, e, damping);
             }
             best = best.max(bound);
@@ -596,6 +693,26 @@ impl<'a> TopKStream<'a> {
         let node = self.ix.node_at(level, value)?;
         self.emitted += 1;
         Some(ScoredResult { node, level, score })
+    }
+}
+
+impl Drop for TopKStream<'_> {
+    /// Gives the buffers back to the thread's scratch (during the thread's
+    /// teardown they drop with the stream).
+    fn drop(&mut self) {
+        let scratch = Scratch {
+            erased: std::mem::take(&mut self.erased),
+            cursors: self.cursors.drain(..).map(Cursors::into_bufs).collect(),
+            batches: std::mem::take(&mut self.batches),
+            s: std::mem::take(&mut self.s),
+            s_max_col: std::mem::take(&mut self.s_max_col),
+            find_hints: std::mem::take(&mut self.find_hints),
+            needy: std::mem::take(&mut self.needy),
+            runs: std::mem::take(&mut self.runs),
+            pending: std::mem::take(&mut self.pending),
+            bucket: std::mem::take(&mut self.bucket),
+        };
+        SCRATCH.try_with(|slot| slot.set(Some(scratch))).unwrap_or(());
     }
 }
 
@@ -861,7 +978,7 @@ mod tests {
         term: TermData<'_>,
         pos: &mut [usize],
         level: u16,
-        eraser: &Eraser,
+        erased: &RowBits,
         damping: &Damping,
         cap: usize,
     ) -> Vec<Candidate> {
@@ -873,7 +990,7 @@ mod tests {
                 if seg.len < level {
                     continue;
                 }
-                while seg.rows.get(pos[si]).is_some_and(|&r| eraser.is_erased(r)) {
+                while seg.rows.get(pos[si]).is_some_and(|&r| erased.contains(r)) {
                     pos[si] += 1;
                 }
                 let Some(&row) = seg.rows.get(pos[si]) else { continue };
@@ -924,18 +1041,19 @@ mod tests {
             let damping = if g.gen_bool(0.5) { &flat } else { ix.damping() };
             let level = g.gen_range(1..term.max_len() + 1);
             let cap = g.gen_range(1..40usize);
-            let mut eraser = Eraser::new();
-            let mut cursors = Cursors::new(term);
+            let mut erased = RowBits::default();
+            erased.reset(term.len());
+            let mut cursors = Cursors::new(term, CursorBufs::default());
             let mut pos = vec![0usize; term.segments().count()];
             let mut queue = VecDeque::new();
             loop {
                 // The stream erases between refills, never during one.
                 for _ in 0..g.gen_range(0..4u32) {
                     let start = g.gen_range(0..rows);
-                    eraser.erase(start, (start + g.gen_range(1..12u32)).min(rows));
+                    erased.insert_range(start, (start + g.gen_range(1..12u32)).min(rows));
                 }
-                cursors.drain(level, &eraser, damping, cap, &mut queue);
-                let want = naive_drain(term, &mut pos, level, &eraser, damping, cap);
+                cursors.drain(level, &erased, damping, cap, &mut queue);
+                let want = naive_drain(term, &mut pos, level, &erased, damping, cap);
                 let bits = |c: &Candidate| (c.0, c.1.to_bits(), c.2);
                 assert_eq!(
                     queue.iter().map(bits).collect::<Vec<_>>(),

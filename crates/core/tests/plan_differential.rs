@@ -323,3 +323,155 @@ fn sharded_estimates_price_the_levels_read() {
     }
     assert!(exact > 0, "no query's disk estimate was exact");
 }
+
+/// What a physical plan says executes: the `ExecTopK` line's mode and
+/// `k`, the `ExecJoin` (or `ExecStack`) line's knobs.
+#[derive(Debug)]
+struct Shown {
+    mode: String,
+    k: Option<usize>,
+    semantics: Semantics,
+    variant: ElcaVariant,
+    scored: bool,
+}
+
+fn shown(physical: &str) -> Option<Shown> {
+    let field = |line: &str, name: &str| {
+        let at = line.find(&format!(" {name}="))? + name.len() + 2;
+        line.get(at..)?.split([' ', '\n']).next().map(str::to_owned)
+    };
+    let first = physical.lines().next()?;
+    let knobs = physical.lines().find(|l| l.contains("ExecJoin:") || l.contains("ExecStack:"))?;
+    let mode = if first.starts_with("ExecStack:") {
+        "stack".to_owned()
+    } else {
+        field(first, "mode")?
+    };
+    let k = field(first, "k").and_then(|k| k.parse().ok());
+    let semantics = match field(knobs, "semantics")?.as_str() {
+        "elca" => Semantics::Elca,
+        _ => Semantics::Slca,
+    };
+    let variant = match field(knobs, "variant")?.as_str() {
+        "formal" => ElcaVariant::Formal,
+        _ => ElcaVariant::Operational,
+    };
+    let scored = field(knobs, "scored")?.as_str() == "yes";
+    Some(Shown { mode, k, semantics, variant, scored })
+}
+
+/// A corpus on which the two ELCA variants answer differently: each `a`
+/// holds a raw-full `b` that is no ELCA itself (its `x` and `y` meet in
+/// the ELCA `c` below it), so the formal variant drops `a` and the
+/// operational one keeps it through `d`'s `x` and `a`'s own `y`.
+fn variant_corpus() -> String {
+    let mut xml = String::from("<r>");
+    for i in 0..40 {
+        xml.push_str(&format!(
+            "<a><b><c>x y pad{}</c><d>x</d></b>y</a><e><f>x y</f></e>",
+            i % 3
+        ));
+    }
+    xml.push_str("</r>");
+    xml
+}
+
+/// Checks one request on one target: `None` when the target refuses it,
+/// else whether the ELCA variant other than the rendered one would have
+/// answered different nodes.
+fn check_knobs(
+    engine: &Engine,
+    (target, executor): (xtk_core::plan::ExplainTarget, &dyn Executor),
+    q: &Query,
+    req: QueryRequest,
+) -> Option<bool> {
+    let got = executor.execute(q, &req).ok()?;
+    let what = format!("{target:?} {req:?}");
+    let physical = xtk_core::plan::explain(engine.index(), q, &req, target).physical;
+    let s = shown(&physical).unwrap_or_else(|| panic!("{what}: {physical}"));
+    let spelled = |algorithm, variant, scored: bool| {
+        let r = match s.k {
+            Some(k) => QueryRequest::top_k(k, s.semantics),
+            None => QueryRequest::complete(s.semantics),
+        };
+        let r = r.with_algorithm(algorithm).with_variant(variant);
+        if scored { r } else { r.unranked() }
+    };
+    if matches!(s.mode.as_str(), "hybrid" | "star-join") {
+        let ranked = s.scored && s.variant == ElcaVariant::Operational;
+        assert!(ranked, "{what}: {physical}");
+        let join = QueryRequest::complete(s.semantics).with_algorithm(QueryAlgorithm::JoinBased);
+        let mut all = engine.run(q, &join).results;
+        assert_topk_valid(&got.results, &mut all, s.k.unwrap());
+        return Some(false);
+    }
+    let algorithm = match s.mode.as_str() {
+        "stack" => QueryAlgorithm::StackBased,
+        _ => QueryAlgorithm::JoinBased,
+    };
+    let want = executor.execute(q, &spelled(algorithm, s.variant, s.scored));
+    let want = want.unwrap_or_else(|e| panic!("{what}: spelled request refused: {e}"));
+    assert_eq!(bits(&got.results), bits(&want.results), "{what}: {physical}");
+    if s.semantics == Semantics::Slca || s.k.is_some() {
+        return Some(false);
+    }
+    let other = match s.variant {
+        ElcaVariant::Operational => ElcaVariant::Formal,
+        ElcaVariant::Formal => ElcaVariant::Operational,
+    };
+    let flip = executor.execute(q, &spelled(algorithm, other, s.scored));
+    Some(flip.is_ok_and(|f| nodes(f.results) != nodes(got.results)))
+}
+
+/// EXPLAIN's physical plan names what executes, on every target: for
+/// every algorithm the target serves, both semantics and both variants,
+/// with and without `k`, ranked and unranked, the request answers what the
+/// join-based request spelled from the rendered `semantics=`, `variant=`,
+/// `scored=` and `k=` answers on the same target, bit for bit.  The memory
+/// hybrid and the star join rank by their own route, so a request shown
+/// there must show `scored=yes variant=operational` and answer a valid
+/// top-K of the ranked operational join.
+#[test]
+fn explain_shows_the_knobs_that_execute_on_every_target() {
+    use xtk_core::plan::ExplainTarget;
+    for xml in [corpus(), variant_corpus()] {
+        let engine = Engine::from_xml(&xml).unwrap();
+        let ix = engine.index();
+        let cache = Arc::new(ShardedLruCache::unbounded());
+        let store = DiskColumnStore::open_bytes(image(ix), cache).unwrap();
+        let disk = DiskEngine::new(ix, &store);
+        let dir = TempPath::new("xtk_plan_knobs");
+        write_sharded(ix, &dir, 2).unwrap();
+        let sharded = ShardedEngine::open(ix, &dir).unwrap();
+        let targets: [(ExplainTarget, &dyn Executor); 3] = [
+            (ExplainTarget::Memory, &engine),
+            (ExplainTarget::Disk, &disk),
+            (ExplainTarget::Sharded, &sharded),
+        ];
+        let variant_corpus = xml.contains("<a>");
+        let q = engine.query(if variant_corpus { "x y" } else { "xml search" }).unwrap();
+        let mut variants_differ = false;
+        for algorithm in [
+            QueryAlgorithm::Auto,
+            QueryAlgorithm::JoinBased,
+            QueryAlgorithm::StackBased,
+            QueryAlgorithm::TopKJoin,
+        ] {
+            for semantics in [Semantics::Elca, Semantics::Slca] {
+                for variant in [ElcaVariant::Operational, ElcaVariant::Formal] {
+                    let complete = QueryRequest::complete(semantics);
+                    for base in [complete, QueryRequest::top_k(3, semantics)] {
+                        for req in [base, base.unranked()] {
+                            let req = req.with_algorithm(algorithm).with_variant(variant);
+                            for target in targets {
+                                let differ = check_knobs(&engine, target, &q, req);
+                                variants_differ |= differ == Some(true);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(variants_differ, variant_corpus, "variants differ on the variant corpus only");
+    }
+}

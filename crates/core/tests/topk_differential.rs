@@ -9,10 +9,9 @@
 mod common;
 
 use common::{build_corpus, corpus, deep_corpus, query};
-use std::collections::BinaryHeap;
-use xtk_core::eraser::Eraser;
+use std::collections::{BTreeMap, BinaryHeap};
 use xtk_core::query::{Query, Semantics};
-use xtk_core::starjoin::{Bucket, BucketStats};
+use xtk_core::starjoin::BucketStats;
 use xtk_core::topk::{topk_search_obs, ThresholdKind, TopKOptions, TopKStats};
 use xtk_index::scored::Segment;
 use xtk_index::{TermData, XmlIndex};
@@ -111,12 +110,15 @@ fn many_batches_and_columns_are_refill_invariant() {
 /// The stream of `topk.rs` with nothing kept between two rows: no batches,
 /// no cached heads or bounds, and every row's number read by
 /// `Column::value_of_row`.  Each step rescans every segment head of every
-/// keyword and recomputes both bounds from the erasure state.
+/// keyword and recomputes both bounds from the erasure state.  It shares
+/// no code with the engine's star join or erasure: its partial results
+/// are an ordered map and its erased rows one flag per posting.
 struct Reference<'a> {
     ix: &'a XmlIndex,
     terms: Vec<TermData<'a>>,
     opts: TopKOptions,
-    erasers: Vec<Eraser>,
+    /// Per keyword, per posting row: erased by a completion.
+    erased: Vec<Vec<bool>>,
     /// Per keyword and segment: the next row for the current column.
     pos: Vec<Vec<usize>>,
     /// Per keyword and segment: the first row not erased (only advances;
@@ -124,7 +126,8 @@ struct Reference<'a> {
     /// erased prefix).
     live_from: Vec<Vec<usize>>,
     level: u16,
-    bucket: Bucket,
+    /// This column's partial results: value → (seen-mask, score sum).
+    partial: BTreeMap<u32, (u32, f32)>,
     bucket_stats: BucketStats,
     rr: usize,
     s_max_col: Vec<f32>,
@@ -135,11 +138,45 @@ struct Reference<'a> {
 }
 
 /// The first row of `seg` at or after `*i` that is not erased.
-fn live(seg: &Segment<'_>, i: &mut usize, eraser: &Eraser) -> Option<u32> {
-    while seg.rows.get(*i).is_some_and(|&r| eraser.is_erased(r)) {
+fn live(seg: &Segment<'_>, i: &mut usize, erased: &[bool]) -> Option<u32> {
+    while seg.rows.get(*i).is_some_and(|&r| erased[r as usize]) {
         *i += 1;
     }
     seg.rows.get(*i).copied()
+}
+
+/// The §IV-B bound, one term per partial result rather than per group:
+/// `max( Σ_i s^i , max_e ( sum_e + Σ_{j∉P_e} s^j ) )`, adding in keyword
+/// order.  Rounded addition is monotone, so the largest sum of a group
+/// gives its group's term bit for bit, and the maximum is the group form's.
+fn tight_threshold(partial: &BTreeMap<u32, (u32, f32)>, s: &[f32]) -> f32 {
+    let mut best: f32 = s.iter().sum();
+    for &(mask, sum) in partial.values() {
+        let mut bound = sum;
+        for (j, &sj) in s.iter().enumerate() {
+            if mask & (1 << j) == 0 {
+                bound += sj;
+            }
+        }
+        best = best.max(bound);
+    }
+    best
+}
+
+/// The classic top-K join bound `max_i ( s^i + Σ_{j≠i} s_m^j )`, adding in
+/// keyword order.
+fn classic_threshold(s: &[f32], s_max: &[f32]) -> f32 {
+    let mut best = f32::NEG_INFINITY;
+    for (i, &si) in s.iter().enumerate() {
+        let mut bound = si;
+        for (j, &mj) in s_max.iter().enumerate() {
+            if j != i {
+                bound += mj;
+            }
+        }
+        best = best.max(bound);
+    }
+    best
 }
 
 impl<'a> Reference<'a> {
@@ -151,11 +188,11 @@ impl<'a> Reference<'a> {
         let mut reference = Reference {
             ix,
             opts: *opts,
-            erasers: (0..k).map(|_| Eraser::new()).collect(),
+            erased: terms.iter().map(|t| vec![false; t.len()]).collect(),
             live_from: pos.clone(),
             pos,
             level,
-            bucket: Bucket::new(k.max(1)),
+            partial: BTreeMap::new(),
             bucket_stats: BucketStats::default(),
             rr: 0,
             s_max_col: vec![0.0; k],
@@ -169,17 +206,9 @@ impl<'a> Reference<'a> {
         reference
     }
 
-    fn fold_bucket_stats(&mut self) {
-        let now = self.bucket.stats();
-        self.bucket_stats.inserts += now.inserts;
-        self.bucket_stats.duplicates += now.duplicates;
-        self.bucket_stats.completions += now.completions;
-    }
-
     fn enter_column(&mut self) {
         self.stats.columns += 1;
-        self.fold_bucket_stats();
-        self.bucket.clear();
+        self.partial.clear();
         self.rr = 0;
         self.pos.iter_mut().flatten().for_each(|p| *p = 0);
         self.s_max_col = self.head_scores();
@@ -194,7 +223,7 @@ impl<'a> Reference<'a> {
             if seg.len < level {
                 continue;
             }
-            let Some(row) = live(&seg, &mut self.pos[i][si], &self.erasers[i]) else { continue };
+            let Some(row) = live(&seg, &mut self.pos[i][si], &self.erased[i]) else { continue };
             let damped = term.scores()[row as usize] * self.ix.damping().factor(seg.len - level);
             if best.is_none_or(|(_, _, b)| damped > b) {
                 best = Some((si, row, damped));
@@ -222,7 +251,7 @@ impl<'a> Reference<'a> {
                     if seg.len < lf {
                         continue;
                     }
-                    if let Some(row) = live(&seg, &mut self.live_from[i][si], &self.erasers[i]) {
+                    if let Some(row) = live(&seg, &mut self.live_from[i][si], &self.erased[i]) {
                         let damping = self.ix.damping().factor(seg.len - lf);
                         s_m = s_m.max(term.scores()[row as usize] * damping);
                     }
@@ -258,20 +287,36 @@ impl<'a> Reference<'a> {
         let column = |t: TermData<'a>| t.column(level).unwrap();
         let value = column(self.terms[pick]).value_of_row(row).expect("the row reaches the level");
         self.stats.rows_retrieved += 1;
-        let Some(done) = self.bucket.insert(value, pick, damped) else { return true };
+        self.bucket_stats.inserts += 1;
+        // The first arrival of a keyword under a value carries its maximum
+        // (retrieval is score-ordered); later ones are duplicates.
+        let entry = self.partial.entry(value).or_insert((0, 0.0));
+        if entry.0 & (1 << pick) != 0 {
+            self.bucket_stats.duplicates += 1;
+            return true;
+        }
+        entry.0 |= 1 << pick;
+        entry.1 += damped;
+        if entry.0 != (1 << k) - 1 {
+            return true;
+        }
+        let score = entry.1;
+        self.partial.remove(&value);
+        self.bucket_stats.completions += 1;
         self.stats.candidates += 1;
         let runs: Vec<xtk_index::Run> = self.terms.iter().map(|&t| *column(t).find(value).unwrap()).collect();
+        let rows = |r: &xtk_index::Run| r.start as usize..r.end() as usize;
         let accept = match self.opts.semantics {
             Semantics::Elca => true,
             Semantics::Slca => {
-                runs.iter().zip(&self.erasers).all(|(r, e)| !e.any_in(r.start, r.end()))
+                runs.iter().zip(&self.erased).all(|(r, e)| !e[rows(r)].contains(&true))
             }
         };
-        for (r, e) in runs.iter().zip(self.erasers.iter_mut()) {
-            e.erase(r.start, r.end());
+        for (r, e) in runs.iter().zip(self.erased.iter_mut()) {
+            e[rows(r)].fill(true);
         }
         if accept {
-            self.pending.push((done.score.to_bits(), self.level, value));
+            self.pending.push((score.to_bits(), self.level, value));
         }
         true
     }
@@ -293,8 +338,8 @@ impl<'a> Reference<'a> {
             let Some(&(bits, level, value)) = self.pending.peek() else { continue };
             let s = self.head_scores();
             let here = match self.opts.threshold {
-                ThresholdKind::Tight => self.bucket.threshold(&s),
-                ThresholdKind::Classic => Bucket::classic_threshold(&s, &self.s_max_col),
+                ThresholdKind::Tight => tight_threshold(&self.partial, &s),
+                ThresholdKind::Classic => classic_threshold(&s, &self.s_max_col),
             };
             if f32::from_bits(bits) >= here.max(self.future_bound()) {
                 self.pending.pop();
@@ -311,7 +356,6 @@ impl<'a> Reference<'a> {
             let Some(r) = self.next() else { break };
             results.push(r);
         }
-        self.fold_bucket_stats();
         (results, self.stats, self.bucket_stats)
     }
 }
